@@ -659,12 +659,12 @@ func BenchmarkRefreshDeltaVsSnapshot(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					d, err := srv.Delta("items", base, epoch)
+					d, err := srv.ShardDelta("items", 0, base, epoch)
 					if err != nil {
 						b.Fatal(err)
 					}
 					deltaBytes = len(d.Encode())
-					snap, err := srv.Snapshot("items")
+					snap, err := srv.ShardSnapshot("items", 0)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -689,12 +689,9 @@ func benchDeltaKey(b *testing.B) *sig.PrivateKey {
 	return deltaKey
 }
 
-// BenchmarkConcurrentQueries quantifies the API redesign: N goroutines
-// issuing verified queries through one shared Client, on the multiplexed
-// v2 protocol (requests pipeline over one connection, responses return
-// out of order) versus the legacy serial one-frame-in/one-frame-out mode.
-// The serial column is what every concurrency level degraded to before
-// the redesign.
+// BenchmarkConcurrentQueries measures N goroutines issuing verified
+// queries through one shared Client: requests pipeline over one
+// multiplexed connection and responses return out of order.
 func BenchmarkConcurrentQueries(b *testing.B) {
 	ctx := context.Background()
 	srv, err := central.NewServerWithKey(central.Options{PageSize: 1024}, benchDeltaKey(b))
@@ -735,54 +732,48 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 		{Column: "id", Op: query.OpGE, Value: schema.Int64(100)},
 		{Column: "id", Op: query.OpLE, Value: schema.Int64(119)},
 	}
-	for _, mode := range []struct {
-		name   string
-		serial bool
-	}{{"pipelined", false}, {"serial", true}} {
-		for _, goroutines := range []int{1, 8, 64} {
-			b.Run(fmt.Sprintf("%s/goroutines=%d", mode.name, goroutines), func(b *testing.B) {
-				cl, err := client.Dial(ctx, client.Config{
-					EdgeAddr:         edgeLn.Addr().String(),
-					CentralAddr:      centralLn.Addr().String(),
-					DisableMultiplex: mode.serial,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer cl.Close()
-				if err := cl.FetchTrustedKey(ctx); err != nil {
-					b.Fatal(err)
-				}
-				// Prime the verifier cache outside the timed region.
-				if _, err := cl.Query(ctx, "items", preds, nil); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				errCh := make(chan error, goroutines)
-				per := b.N / goroutines
-				if b.N%goroutines != 0 {
-					per++
-				}
-				for g := 0; g < goroutines; g++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for i := 0; i < per; i++ {
-							if _, err := cl.Query(ctx, "items", preds, nil); err != nil {
-								errCh <- err
-								return
-							}
-						}
-					}()
-				}
-				wg.Wait()
-				close(errCh)
-				for err := range errCh {
-					b.Fatal(err)
-				}
+	for _, goroutines := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("goroutines=%d", goroutines), func(b *testing.B) {
+			cl, err := client.Dial(ctx, client.Config{
+				EdgeAddr:    edgeLn.Addr().String(),
+				CentralAddr: centralLn.Addr().String(),
 			})
-		}
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cl.Close()
+			if err := cl.FetchTrustedKey(ctx); err != nil {
+				b.Fatal(err)
+			}
+			// Prime the verifier cache outside the timed region.
+			if _, err := cl.Query(ctx, "items", preds, nil); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			errCh := make(chan error, goroutines)
+			per := b.N / goroutines
+			if b.N%goroutines != 0 {
+				per++
+			}
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < per; i++ {
+						if _, err := cl.Query(ctx, "items", preds, nil); err != nil {
+							errCh <- err
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(errCh)
+			for err := range errCh {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -872,7 +863,7 @@ func BenchmarkQueryTailUnderRefresh(b *testing.B) {
 						lo := schema.Int64(int64((g*53 + i) % 1900))
 						hi := schema.Int64(lo.I + 20)
 						start := time.Now()
-						if _, _, err := eg.RunQuery(ctx, "items", vbtree.Query{Lo: &lo, Hi: &hi}); err != nil {
+						if _, _, _, err := eg.RunShardQuery(ctx, "items", 0, vbtree.Query{Lo: &lo, Hi: &hi}); err != nil {
 							b.Error(err)
 							return
 						}

@@ -16,10 +16,8 @@
 // The client API is context-first and concurrent: every network-facing
 // method takes a context.Context (cancellation and deadlines are observed
 // mid-request), and one Client may be shared by many goroutines — their
-// requests pipeline over a single multiplexed connection per server (wire
-// protocol v2) with responses demultiplexed by request ID. Peers speaking
-// the original serial protocol interoperate transparently through the
-// version-negotiating handshake. Remote failures carry typed codes:
+// requests pipeline over a single multiplexed connection per server with
+// responses demultiplexed by request ID. Remote failures carry typed codes:
 // errors.Is distinguishes ErrTampered (verification failure at the
 // client), ErrUnknownTable and ErrStaleReplica.
 //
@@ -133,7 +131,7 @@ type (
 // verification — the signal that an edge server has been compromised.
 var ErrTampered = client.ErrTampered
 
-// Typed remote errors (wire protocol v2), matched with errors.Is.
+// Typed remote errors, matched with errors.Is.
 var (
 	// ErrUnknownTable reports a table that is not registered at the
 	// central server or not replicated at the edge.
@@ -167,18 +165,9 @@ func NewEdgeWithOptions(centralAddr string, opts EdgeOptions) *Edge {
 
 // Dial creates a client that queries cfg.EdgeAddr and routes updates and
 // key fetches to cfg.CentralAddr. The edge connection is established (and
-// its protocol version negotiated) before Dial returns.
+// its handshake completed) before Dial returns.
 func Dial(ctx context.Context, cfg Config) (*Client, error) {
 	return client.Dial(ctx, cfg)
-}
-
-// NewClient creates a client that queries edgeAddr and routes updates and
-// key fetches to centralAddr, connecting lazily.
-//
-// Deprecated: use Dial, which takes a context and reports an unreachable
-// edge immediately.
-func NewClient(edgeAddr, centralAddr string) *Client {
-	return client.New(edgeAddr, centralAddr)
 }
 
 // GenerateKey creates an RSA signing key pair of the given size.

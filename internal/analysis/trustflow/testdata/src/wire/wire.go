@@ -9,4 +9,4 @@ type Delta struct {
 
 func DecodeDelta(b []byte) (*Delta, error) { return &Delta{}, nil }
 
-func DecodeHello(b []byte) (uint32, error) { return 0, nil }
+func DecodeHelloCaps(b []byte) (version, caps uint32, err error) { return 0, 0, nil }

@@ -191,7 +191,7 @@ func (c *checker) assign(s state, lhs, rhs []ast.Expr) state {
 			s = clone(s)
 			for _, l := range lhs {
 				if v := c.localIdentVar(l); v != nil && !isErrorVar(v) && !isBasicVar(v) {
-					// Basic-typed results (DecodeHello's protocol version)
+					// Basic-typed results (DecodeHelloCaps's protocol version)
 					// carry no signature to verify and are not tracked.
 					s[v] = call.Pos()
 				}

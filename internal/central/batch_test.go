@@ -100,7 +100,7 @@ func TestApplyBatchCommitsOnce(t *testing.T) {
 	}
 
 	// One changelog entry: a delta from base covers the whole batch.
-	d, err := srv.Delta("items", base, epoch)
+	d, err := srv.ShardDelta("items", 0, base, epoch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,8 +83,7 @@ type Options struct {
 	// negative disables the deadline.
 	IdleTimeout time.Duration
 	// MaxConcurrent bounds the requests executing concurrently on one
-	// multiplexed (protocol v2) connection. 0 selects
-	// rpc.DefaultMaxConcurrent.
+	// connection. 0 selects rpc.DefaultMaxConcurrent.
 	MaxConcurrent int
 	// MaxBatch bounds one group-committed round of the coalescing write
 	// front door: concurrent single-insert dispatches for a table are
@@ -98,8 +97,7 @@ type Options struct {
 	// genuine concurrency and adds no idle latency.
 	MaxDelay time.Duration
 	// Shards is how many range partitions each table is built with.
-	// 0 or 1 selects a single shard (the unsharded layout, fully
-	// compatible with pre-sharding edge servers and clients).
+	// 0 or 1 selects a single shard.
 	Shards int
 	// ShardSplit picks the boundary-selection strategy for the initial
 	// partition: shardmap.SplitByCount (default) balances build tuples
@@ -776,21 +774,6 @@ func (s *Server) shard(name string, idx uint32) (*table, *shard, error) {
 	return t, part.shards[idx], nil
 }
 
-// soleShard returns the table's only shard, or a typed error telling the
-// caller to switch to the shard-scoped protocol.
-func (s *Server) soleShard(name string) (*table, *shard, error) {
-	t, err := s.table(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	part := t.part.Load()
-	if len(part.shards) != 1 {
-		return nil, nil, wire.NotSharded("central", name,
-			fmt.Sprintf("table %q is range-partitioned into %d shards; use the shard-scoped requests", name, len(part.shards)))
-	}
-	return t, part.shards[0], nil
-}
-
 // Tables lists registered tables in sorted order.
 func (s *Server) Tables() []string {
 	s.mu.RLock()
@@ -980,17 +963,6 @@ func (s *Server) snapshotOf(t *table, sh *shard) (*wire.Snapshot, error) {
 	return snap, nil
 }
 
-// Snapshot captures a single-shard table's replica for a legacy
-// (unsharded) edge server. Partitioned tables answer with a typed
-// unsupported error steering the edge to ShardSnapshot.
-func (s *Server) Snapshot(tableName string) (*wire.Snapshot, error) {
-	t, sh, err := s.soleShard(tableName)
-	if err != nil {
-		return nil, err
-	}
-	return s.snapshotOf(t, sh)
-}
-
 // ShardSnapshot captures one shard's replica image.
 func (s *Server) ShardSnapshot(tableName string, idx uint32) (*wire.Snapshot, error) {
 	t, sh, err := s.shard(tableName, idx)
@@ -1002,8 +974,7 @@ func (s *Server) ShardSnapshot(tableName string, idx uint32) (*wire.Snapshot, er
 
 // deltaOf builds the incremental update that takes a shard replica at
 // fromVersion to the shard's current version. ref is the value bound
-// into the signed Table field (the bare table name for single-shard
-// tables, the shard ref for partitioned ones).
+// into the signed Table field (the shard ref).
 func (s *Server) deltaOf(sh *shard, ref string, fromVersion, epoch uint64) (*wire.Delta, error) {
 	// Pin the version the delta will take the replica to; page content is
 	// read from this immutable snapshot, so updates committing while the
@@ -1072,16 +1043,6 @@ func (s *Server) deltaOf(sh *shard, ref string, fromVersion, epoch uint64) (*wir
 	d.Scheme = uint8(st.Scheme)
 	s.stats.deltasServed.Add(1)
 	return s.signDelta(d)
-}
-
-// Delta serves a legacy (unsharded) edge's incremental refresh for a
-// single-shard table.
-func (s *Server) Delta(tableName string, fromVersion, epoch uint64) (*wire.Delta, error) {
-	_, sh, err := s.soleShard(tableName)
-	if err != nil {
-		return nil, err
-	}
-	return s.deltaOf(sh, tableName, fromVersion, epoch)
 }
 
 // ShardDelta serves one shard's incremental refresh. The shard index is
@@ -1334,9 +1295,8 @@ func (s *Server) doClose() error {
 	return err
 }
 
-// handleConn negotiates the protocol with the peer and dispatches its
-// requests — concurrently, on multiplexed v2 sessions — until it
-// disconnects or idles out.
+// handleConn completes the handshake with the peer and dispatches its
+// requests concurrently until it disconnects or idles out.
 func (s *Server) handleConn(conn net.Conn) {
 	rpc.ServeConn(conn, s.dispatch, rpc.ServeOptions{
 		IdleTimeout:   s.opts.IdleTimeout,
@@ -1346,7 +1306,7 @@ func (s *Server) handleConn(conn net.Conn) {
 }
 
 // dispatch executes one request and returns the response frame. It must
-// be safe for concurrent use: v2 connections run requests in parallel.
+// be safe for concurrent use: connections run requests in parallel.
 // ctx is the connection's context, cancelled when the peer disconnects.
 func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body []byte) (wire.MsgType, []byte, error) {
 	switch mt {
@@ -1360,15 +1320,6 @@ func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body []byte) (wi
 	case wire.MsgListTablesReq:
 		return wire.MsgListTablesResp, wire.EncodeStringList(s.Tables()), nil
 
-	case wire.MsgSnapshotReq:
-		snap, err := s.Snapshot(string(body))
-		if err != nil {
-			return 0, nil, err
-		}
-		enc := snap.Encode()
-		s.stats.snapshotBytes.Add(uint64(len(enc)))
-		return wire.MsgSnapshotResp, enc, nil
-
 	case wire.MsgShardSnapshotReq:
 		req, err := wire.DecodeShardSnapshotRequest(body)
 		if err != nil {
@@ -1381,19 +1332,6 @@ func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body []byte) (wi
 		enc := snap.Encode()
 		s.stats.snapshotBytes.Add(uint64(len(enc)))
 		return wire.MsgSnapshotResp, enc, nil
-
-	case wire.MsgDeltaReq:
-		req, err := wire.DecodeDeltaRequest(body)
-		if err != nil {
-			return 0, nil, err
-		}
-		d, err := s.Delta(req.Table, req.FromVersion, req.Epoch)
-		if err != nil {
-			return 0, nil, err
-		}
-		enc := d.Encode()
-		s.stats.deltaBytes.Add(uint64(len(enc)))
-		return wire.MsgDeltaResp, enc, nil
 
 	case wire.MsgShardDeltaReq:
 		req, err := wire.DecodeShardDeltaRequest(body)
@@ -1424,13 +1362,6 @@ func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body []byte) (wi
 			return 0, nil, err
 		}
 		return wire.MsgSchemaResp, resp.Encode(), nil
-
-	case wire.MsgVersionReq:
-		v, err := s.Version(string(body))
-		if err != nil {
-			return 0, nil, err
-		}
-		return wire.MsgVersionResp, wire.EncodeU64(v), nil
 
 	case wire.MsgInsertReq:
 		req, err := wire.DecodeInsertRequest(body)

@@ -135,7 +135,7 @@ func TestWALRecordsUpdates(t *testing.T) {
 
 func TestSnapshotRoundTripContent(t *testing.T) {
 	srv := newServer(t, 120, "")
-	snap, err := srv.Snapshot("items")
+	snap, err := srv.ShardSnapshot("items", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestSnapshotRoundTripContent(t *testing.T) {
 			t.Fatalf("page %d has %d bytes", snap.PageIDs[i], len(d))
 		}
 	}
-	if _, err := srv.Snapshot("ghost"); err == nil {
+	if _, err := srv.ShardSnapshot("ghost", 0); err == nil {
 		t.Fatal("snapshot of unknown table succeeded")
 	}
 }

@@ -73,7 +73,7 @@ func TestDeltaEmptyWhenCurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := srv.Delta("items", v, tableEpoch(t, srv))
+	d, err := srv.ShardDelta("items", 0, v, tableEpoch(t, srv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestDeltaEmptyWhenCurrent(t *testing.T) {
 
 func TestDeltaCarriesOnlyChangedPages(t *testing.T) {
 	srv := newDeltaServer(t, 400, 0, "")
-	snapBefore, err := srv.Snapshot("items")
+	snapBefore, err := srv.ShardSnapshot("items", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestDeltaCarriesOnlyChangedPages(t *testing.T) {
 	if _, err := srv.DeleteRange("items", &lo, &hi); err != nil {
 		t.Fatal(err)
 	}
-	d, err := srv.Delta("items", snapBefore.Version, snapBefore.Epoch)
+	d, err := srv.ShardDelta("items", 0, snapBefore.Version, snapBefore.Epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestDeltaFallsBackPastRetention(t *testing.T) {
 		insertRow(t, srv, 20_000+int64(i))
 	}
 	// base is 5 versions behind with only 3 retained: snapshot needed.
-	d, err := srv.Delta("items", base, tableEpoch(t, srv))
+	d, err := srv.ShardDelta("items", 0, base, tableEpoch(t, srv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestDeltaFallsBackPastRetention(t *testing.T) {
 		t.Fatal("delta served beyond retention window")
 	}
 	// base+2 is exactly 3 behind: still covered.
-	d, err = srv.Delta("items", base+2, tableEpoch(t, srv))
+	d, err = srv.ShardDelta("items", 0, base+2, tableEpoch(t, srv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestDeltaFallsBackPastRetention(t *testing.T) {
 		t.Fatal("delta within retention answered SnapshotNeeded")
 	}
 	// A "future" version (central restarted, edge ahead) needs a snapshot.
-	d, err = srv.Delta("items", base+100, tableEpoch(t, srv))
+	d, err = srv.ShardDelta("items", 0, base+100, tableEpoch(t, srv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestDeltaDisabledRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	insertRow(t, srv, 30_000)
-	d, err := srv.Delta("items", base, tableEpoch(t, srv))
+	d, err := srv.ShardDelta("items", 0, base, tableEpoch(t, srv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestDeltaRejectsForeignEpoch(t *testing.T) {
 	srvA := newDeltaServer(t, 30, 0, "")
 	srvB := newDeltaServer(t, 30, 0, "")
 	insertRow(t, srvB, 30_001)
-	d, err := srvB.Delta("items", 0, tableEpoch(t, srvA))
+	d, err := srvB.ShardDelta("items", 0, 0, tableEpoch(t, srvA))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestDeltaRejectsForeignEpoch(t *testing.T) {
 		t.Fatal("delta does not advertise the server's epoch")
 	}
 	// Same epoch works.
-	d, err = srvB.Delta("items", 0, tableEpoch(t, srvB))
+	d, err = srvB.ShardDelta("items", 0, 0, tableEpoch(t, srvB))
 	if err != nil {
 		t.Fatal(err)
 	}

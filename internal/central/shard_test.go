@@ -155,41 +155,21 @@ func TestShardedDeleteRange(t *testing.T) {
 	}
 }
 
-// TestLegacyFramesRejectShardedTables: the unsharded snapshot/delta
-// paths answer partitioned tables with a typed unsupported error, which
-// is what steers sharding-aware peers to the shard-scoped frames.
-func TestLegacyFramesRejectShardedTables(t *testing.T) {
+// TestShardRequestsRangeCheck: shard-scoped requests serve every shard
+// of the partition, and an out-of-range index is a typed error.
+func TestShardRequestsRangeCheck(t *testing.T) {
 	srv := newBatchServer(t, 100, Options{PageSize: 1024, Shards: 2})
-	if _, err := srv.Snapshot("items"); !errors.Is(err, wire.ErrUnsupported) {
-		t.Fatalf("legacy Snapshot on sharded table: %v, want ErrUnsupported", err)
-	}
 	epoch, _ := srv.TableEpoch("items")
-	if _, err := srv.Delta("items", 0, epoch); !errors.Is(err, wire.ErrUnsupported) {
-		t.Fatalf("legacy Delta on sharded table: %v, want ErrUnsupported", err)
-	}
-	// Shard-scoped requests work, and out-of-range indices are typed
-	// errors.
 	if _, err := srv.ShardSnapshot("items", 1); err != nil {
 		t.Fatalf("ShardSnapshot: %v", err)
 	}
-	if _, err := srv.ShardSnapshot("items", 7); err == nil {
-		t.Fatal("out-of-range shard snapshot accepted")
+	var we *wire.WireError
+	if _, err := srv.ShardSnapshot("items", 7); !errors.As(err, &we) || we.Code != wire.CodeBadRequest {
+		t.Fatalf("out-of-range shard snapshot: %v, want a typed bad-request", err)
 	}
 	if _, err := srv.ShardDelta("items", 0, 0, epoch); err != nil {
 		t.Fatalf("ShardDelta: %v", err)
 	}
-	// Single-shard tables keep serving the legacy frames.
-	single := newBatchServerNamed(t, 50, Options{PageSize: 1024})
-	if _, err := single.Snapshot("items"); err != nil {
-		t.Fatalf("legacy Snapshot on single-shard table: %v", err)
-	}
-}
-
-// newBatchServerNamed exists so two servers in one test don't collide on
-// the shared test key.
-func newBatchServerNamed(t *testing.T, rows int, opts Options) *Server {
-	t.Helper()
-	return newBatchServer(t, rows, opts)
 }
 
 // TestShardDeltaBindsShardIndex: a delta generated for shard 0 must not

@@ -7,19 +7,16 @@
 //
 // The client is context-first and safe for concurrent use: N goroutines
 // can query through one Client and their requests pipeline over a single
-// multiplexed (wire protocol v2) connection per server, with responses
-// demultiplexed by request ID. Against a legacy v1 server the client
-// transparently downgrades to serial one-in/one-out exchanges. A dead
-// cached connection is redialed with backoff instead of poisoning the
-// client, and idempotent requests (queries, schema and key fetches) are
-// retried once on a fresh connection.
+// multiplexed connection per server, with responses demultiplexed by
+// request ID. A dead cached connection is redialed with backoff instead of
+// poisoning the client, and idempotent requests (queries, schema and key
+// fetches) are retried once on a fresh connection.
 package client
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -50,10 +47,6 @@ type Config struct {
 	// RedialBackoff is the wait before the second connect attempt,
 	// doubling per attempt. 0 selects rpc.DefaultRedialBackoff.
 	RedialBackoff time.Duration
-	// DisableMultiplex forces wire protocol v1 (serial
-	// one-frame-in/one-frame-out) even against a v2 server. Used by the
-	// pipelined-vs-serial benchmarks and compatibility tests.
-	DisableMultiplex bool
 	// MaxClockSkew bounds how far a response's VO timestamp may deviate
 	// from this client's own clock before the result is rejected as
 	// stale or future-dated (the §3.4 freshness check — key validity is
@@ -69,7 +62,6 @@ func (c Config) rpcOptions() rpc.Options {
 		DialTimeout:    c.DialTimeout,
 		RedialAttempts: c.RedialAttempts,
 		RedialBackoff:  c.RedialBackoff,
-		ForceV1:        c.DisableMultiplex,
 	}
 }
 
@@ -83,13 +75,9 @@ type Client struct {
 	vmu       sync.Mutex
 	verifiers map[string]*verify.Verifier
 
-	// smu guards the shard-map cache: the latest verified map per
-	// partitioned table, plus a marker for edges that answered the map
-	// request with "unsupported" (pre-sharding edges — the client then
-	// uses the single-tree query path for the session).
-	smu         sync.Mutex
-	smaps       map[string]*shardmap.Signed
-	noShardMaps map[string]bool
+	// smu guards the shard-map cache: the latest verified map per table.
+	smu   sync.Mutex
+	smaps map[string]*shardmap.Signed
 	// mapGens is the partition-epoch high-water mark per table: the
 	// freshest (incarnation, map epoch) this client has verified. A
 	// correctly signed map regressing below it is the replay-pre-split
@@ -114,24 +102,15 @@ func Dial(ctx context.Context, cfg Config) (*Client, error) {
 	return c, nil
 }
 
-// New creates a client with lazy connections.
-//
-// Deprecated: use Dial, which takes a context and reports an unreachable
-// edge immediately.
-func New(edgeAddr, centralAddr string) *Client {
-	return newClient(Config{EdgeAddr: edgeAddr, CentralAddr: centralAddr})
-}
-
 func newClient(cfg Config) *Client {
 	return &Client{
-		cfg:         cfg,
-		edge:        rpc.New(cfg.EdgeAddr, cfg.rpcOptions()),
-		central:     rpc.New(cfg.CentralAddr, cfg.rpcOptions()),
-		keys:        sig.NewRegistry(),
-		verifiers:   make(map[string]*verify.Verifier),
-		smaps:       make(map[string]*shardmap.Signed),
-		noShardMaps: make(map[string]bool),
-		mapGens:     make(map[string]mapGen),
+		cfg:       cfg,
+		edge:      rpc.New(cfg.EdgeAddr, cfg.rpcOptions()),
+		central:   rpc.New(cfg.CentralAddr, cfg.rpcOptions()),
+		keys:      sig.NewRegistry(),
+		verifiers: make(map[string]*verify.Verifier),
+		smaps:     make(map[string]*shardmap.Signed),
+		mapGens:   make(map[string]mapGen),
 	}
 }
 
@@ -201,19 +180,18 @@ func (c *Client) Schema(ctx context.Context, table string) (*schema.Schema, erro
 	return v.Schema, nil
 }
 
-// QueryResult is a verified query answer. For range-partitioned tables
-// it is the stitched union of the qualifying shards' verified answers.
+// QueryResult is a verified query answer: the stitched union of the
+// qualifying shards' verified answers.
 type QueryResult struct {
 	Result *vo.ResultSet
-	// VO is the verification object (single-tree tables, or a sharded
-	// query that touched exactly one shard). Cross-shard answers carry
-	// one VO per qualifying shard in ShardVOs instead.
+	// VO is the verification object of a query that touched exactly one
+	// shard. Cross-shard answers carry one VO per qualifying shard in
+	// ShardVOs only.
 	VO *vo.VO
-	// ShardVOs holds the per-shard VOs of a scatter-gather answer, in
-	// shard order; nil for single-tree answers.
+	// ShardVOs holds the per-shard VOs of the scatter-gather answer, in
+	// shard order.
 	ShardVOs []*vo.VO
-	// ShardsQueried is how many shards the answer was gathered from
-	// (0 for single-tree tables).
+	// ShardsQueried is how many shards the answer was gathered from.
 	ShardsQueried int
 	// VOBytes / ResultBytes are the wire sizes, for cost accounting
 	// (summed across shards).
@@ -222,12 +200,8 @@ type QueryResult struct {
 }
 
 // NumDigests sums the signed digests across the answer's VOs (the
-// paper's VO size accounting unit), whether the answer came from one
-// tree or was stitched from several shards.
+// paper's VO size accounting unit).
 func (r *QueryResult) NumDigests() int {
-	if r.VO != nil {
-		return r.VO.NumDigests()
-	}
 	n := 0
 	for _, w := range r.ShardVOs {
 		n += w.NumDigests()
@@ -239,14 +213,14 @@ func (r *QueryResult) NumDigests() int {
 // distinguish a compromised edge from transport errors.
 var ErrTampered = errors.New("client: query result failed verification")
 
-// Query runs a selection/projection at the edge and verifies the answer.
-// Range-partitioned tables are answered by scatter-gather: the client
-// fetches the central-signed shard map from the edge, verifies it,
-// queries every shard the key range intersects (in parallel over the
-// pipelined connection), verifies each per-shard VO anchored at the root
-// digest the map pins, and stitches the results in key order. A missing
-// or stale shard answer fails verification — the edge cannot silently
-// drop a shard from a range answer.
+// Query runs a selection/projection at the edge and verifies the answer
+// by scatter-gather: the client fetches the central-signed shard map
+// from the edge, verifies it, queries every shard the key range
+// intersects (in parallel over the pipelined connection), verifies each
+// per-shard VO anchored at the root digest the map pins, and stitches the
+// results in key order. A missing or stale shard answer fails
+// verification — the edge cannot silently drop a shard from a range
+// answer.
 func (c *Client) Query(ctx context.Context, table string, preds []query.Predicate, project []string) (*QueryResult, error) {
 	v, err := c.verifier(ctx, table)
 	if err != nil {
@@ -255,9 +229,6 @@ func (c *Client) Query(ctx context.Context, table string, preds []query.Predicat
 	sm, err := c.shardMap(ctx, v, table, false)
 	if err != nil {
 		return nil, err
-	}
-	if sm == nil {
-		return c.queryLegacy(ctx, v, table, preds, project)
 	}
 	res, err := c.queryShards(ctx, v, sm, table, preds, project)
 	for retry := 0; retry < maxShardDriftRetries && err != nil && errors.Is(err, errShardDrift); retry++ {
@@ -274,9 +245,6 @@ func (c *Client) Query(ctx context.Context, table string, preds []query.Predicat
 		if rerr != nil {
 			return nil, rerr
 		}
-		if sm == nil {
-			return nil, err
-		}
 		res, err = c.queryShards(ctx, v, sm, table, preds, project)
 	}
 	return res, err
@@ -288,51 +256,6 @@ func (c *Client) Query(ctx context.Context, table string, preds []query.Predicat
 // bound separates racing (converges in a try or two) from an edge that
 // cannot or will not produce a consistent gather (tampering verdict).
 const maxShardDriftRetries = 6
-
-// queryLegacy is the single-tree query path (unsharded tables and
-// pre-sharding edge servers).
-func (c *Client) queryLegacy(ctx context.Context, v *verify.Verifier, table string, preds []query.Predicate, project []string) (*QueryResult, error) {
-	req := &wire.QueryRequest{
-		Table:      table,
-		Predicates: preds,
-		Project:    project,
-		ProjectAll: project == nil,
-	}
-	body, err := c.edge.Call(ctx, wire.MsgQueryReq, req.Encode(), wire.MsgQueryResp, true)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := wire.DecodeQueryResponse(body)
-	if err != nil {
-		return nil, err
-	}
-	if err := v.Verify(resp.Result, resp.VO); err != nil {
-		// An unknown or expired key version is not necessarily tampering:
-		// the central server may have rotated its key (or restarted with a
-		// fresh one) since this client last fetched it. Refetch once over
-		// the authenticated channel and re-verify before crying wolf. A
-		// freshness failure is excluded — no key refetch can repair a
-		// backdated timestamp, and retrying would let a hostile edge turn
-		// every tampered answer into load on the central server.
-		if errors.Is(err, verify.ErrKeyVersion) && !errors.Is(err, verify.ErrFreshness) {
-			if kerr := c.FetchTrustedKey(ctx); kerr != nil {
-				// A transport failure, not a verification verdict: report
-				// it as such so tamper alarms don't page on network blips.
-				return nil, fmt.Errorf("client: refetching trusted key after %v: %w", err, kerr)
-			}
-			err = v.Verify(resp.Result, resp.VO)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrTampered, err)
-		}
-	}
-	return &QueryResult{
-		Result:      resp.Result,
-		VO:          resp.VO,
-		VOBytes:     resp.VO.WireSize(),
-		ResultBytes: resp.Result.WireSize(),
-	}, nil
-}
 
 // Insert sends a tuple insert to the central server. Inserts are not
 // idempotent, so a connection failure after the request may have been
@@ -349,8 +272,7 @@ func (c *Client) Insert(ctx context.Context, table string, tup schema.Tuple) err
 // entry means inserted, a non-nil entry carries that tuple's typed
 // failure (errors.Is-matchable, e.g. wire.ErrDuplicateKey) without
 // affecting its neighbours. The error return is transport- or
-// table-level. Servers predating the batch message are detected and
-// served per-tuple transparently.
+// table-level.
 func (c *Client) InsertBatch(ctx context.Context, table string, tuples []schema.Tuple) ([]error, error) {
 	if len(tuples) == 0 {
 		return nil, nil
@@ -358,9 +280,6 @@ func (c *Client) InsertBatch(ctx context.Context, table string, tuples []schema.
 	req := &wire.BatchRequest{Table: table, Tuples: tuples}
 	body, err := c.central.Call(ctx, wire.MsgBatchReq, req.Encode(), wire.MsgBatchResp, false)
 	if err != nil {
-		if isUnsupported(err) {
-			return c.insertFallback(ctx, table, tuples)
-		}
 		return nil, err
 	}
 	resp, err := wire.DecodeBatchResponse(body)
@@ -373,32 +292,6 @@ func (c *Client) InsertBatch(ctx context.Context, table string, tuples []schema.
 	out := make([]error, len(tuples))
 	for i, r := range resp.Results {
 		out[i] = r.Err()
-	}
-	return out, nil
-}
-
-// isUnsupported detects a server that does not know the batch message:
-// typed on protocol v2, a prose error frame on legacy v1.
-func isUnsupported(err error) bool {
-	return errors.Is(err, wire.ErrUnsupported) ||
-		strings.Contains(err.Error(), "unsupported message")
-}
-
-// insertFallback degrades a batch to per-tuple inserts against an older
-// server, preserving the per-op result contract. If ctx expires partway,
-// the outcomes already earned are kept: unsent tuples get the ctx error
-// per-op and the cancellation is also returned, so callers can both see
-// what committed and know the batch did not finish.
-func (c *Client) insertFallback(ctx context.Context, table string, tuples []schema.Tuple) ([]error, error) {
-	out := make([]error, len(tuples))
-	for i, tup := range tuples {
-		if err := ctx.Err(); err != nil {
-			for j := i; j < len(tuples); j++ {
-				out[j] = err
-			}
-			return out, err
-		}
-		out[i] = c.Insert(ctx, table, tup)
 	}
 	return out, nil
 }

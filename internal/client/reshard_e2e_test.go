@@ -102,6 +102,52 @@ func TestReplayPreSplitMapFailsClosed(t *testing.T) {
 	}
 }
 
+// TestEpochlessMapFailsClosed: a map with no partition generation (or an
+// ID-less shard) used to be exempt from the replay ratchet. The client
+// now rejects the shape itself, so re-signing the stripped map with the
+// real central key — the strongest form of the attack, a genuinely
+// signed map from a build that predates epoch chaining — changes nothing.
+func TestEpochlessMapFailsClosed(t *testing.T) {
+	ctx := context.Background()
+	d := deploySharded(t, 400, 4)
+	if _, err := d.client.Query(ctx, "items", rangePreds(0, 399), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, attack := range []tamper.MapAttack{tamper.StripMapEpoch(), tamper.StripShardID()} {
+		for _, resign := range []bool{false, true} {
+			attack, resign := attack, resign
+			d.edge.SetMapTamper(func(sm *shardmap.Signed) *shardmap.Signed {
+				if err := attack.Apply(sm); err != nil {
+					t.Errorf("%s: %v", attack.Name, err)
+				}
+				if resign {
+					sg, err := centralKey(t).Sign(sm.Map.SigPayload())
+					if err != nil {
+						t.Errorf("re-signing: %v", err)
+					}
+					sm.Sig = sg
+				}
+				return sm
+			})
+			// Both the attached map of a cached-routing query and a fresh
+			// routing fetch must refuse it.
+			for _, invalidate := range []bool{false, true} {
+				if invalidate {
+					d.client.InvalidateShardMap("items")
+				}
+				if _, err := d.client.Query(ctx, "items", rangePreds(0, 399), nil); !errors.Is(err, ErrTampered) {
+					t.Fatalf("%s (re-signed=%v, fresh routing=%v) returned %v, want ErrTampered",
+						attack.Name, resign, invalidate, err)
+				}
+			}
+		}
+	}
+	d.edge.SetMapTamper(nil)
+	if res, err := d.client.Query(ctx, "items", rangePreds(0, 399), nil); err != nil || len(res.Result.Tuples) != 400 {
+		t.Fatalf("post-attack honest query: rows=%d err=%v", len(res.Result.Tuples), err)
+	}
+}
+
 // TestReplayCatalogueAttackOnUnratchetedClient: the catalogue's
 // replay-pre-split-map attack against a client that never saw the
 // post-split epoch (so the ratchet cannot fire). The replayed map is

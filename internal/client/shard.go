@@ -15,7 +15,7 @@ import (
 	"edgeauth/internal/wire"
 )
 
-// Scatter-gather queries over range-partitioned tables.
+// Scatter-gather queries over a table's shards (one or many).
 //
 // The shard map travels through the untrusted edge, so the client treats
 // it as attacker-controlled until verify.VerifyShardMap passes. A
@@ -38,34 +38,21 @@ import (
 // tampering only if it persists.
 var errShardDrift = errors.New("client: shard answers drifted from the routing map")
 
-// shardMap returns the table's verified routing map, nil when the edge
-// does not partition the table (pre-sharding edge or no map support).
-// force refetches even on a cache hit.
+// shardMap returns the table's verified routing map. force refetches
+// even on a cache hit.
 func (c *Client) shardMap(ctx context.Context, v *verify.Verifier, table string, force bool) (*shardmap.Signed, error) {
 	c.smu.Lock()
-	if !force {
-		if c.noShardMaps[table] {
-			c.smu.Unlock()
-			return nil, nil
-		}
-		if sm, ok := c.smaps[table]; ok {
-			c.smu.Unlock()
-			return sm, nil
-		}
-	}
+	sm, ok := c.smaps[table]
 	c.smu.Unlock()
+	if ok && !force {
+		return sm, nil
+	}
 
 	body, err := c.edge.Call(ctx, wire.MsgShardMapReq, []byte(table), wire.MsgShardMapResp, true)
 	if err != nil {
-		if isUnsupported(err) {
-			c.smu.Lock()
-			c.noShardMaps[table] = true
-			c.smu.Unlock()
-			return nil, nil
-		}
 		return nil, err
 	}
-	sm, err := shardmap.DecodeSigned(body)
+	sm, err = shardmap.DecodeSigned(body)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTampered, err)
 	}
@@ -77,7 +64,6 @@ func (c *Client) shardMap(ctx context.Context, v *verify.Verifier, table string,
 	}
 	c.smu.Lock()
 	c.smaps[table] = sm
-	delete(c.noShardMaps, table)
 	c.smu.Unlock()
 	return sm, nil
 }
@@ -88,9 +74,6 @@ func (c *Client) shardMap(ctx context.Context, v *verify.Verifier, table string,
 // queries over dead boundaries and hide the shards a split created.
 // Must be called only with maps that already passed verifyMap.
 func (c *Client) noteMapEpoch(table string, m *shardmap.Map) error {
-	if m.MapEpoch == 0 {
-		return nil // legacy map: predates epoch chaining
-	}
 	c.smu.Lock()
 	defer c.smu.Unlock()
 	g := c.mapGens[table]
@@ -125,7 +108,6 @@ func (c *Client) InvalidateShardMap(table string) {
 	c.smu.Lock()
 	defer c.smu.Unlock()
 	delete(c.smaps, table)
-	delete(c.noShardMaps, table)
 }
 
 // shardAnswer is one shard's raw response, gathered before verification.

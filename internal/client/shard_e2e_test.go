@@ -356,28 +356,21 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-// TestShardedLegacyInterop: a sharding-aware client against an
-// unsharded central/edge pair falls back to the single-tree protocol,
-// and a single-shard "partitioned" table serves both protocols.
-func TestShardedLegacyInterop(t *testing.T) {
+// TestOneShardTableUsesShardFrames: a plain table (Options.Shards zero)
+// is a one-shard map, answered by the same scatter-gather as a
+// partitioned one.
+func TestOneShardTableUsesShardFrames(t *testing.T) {
 	ctx := context.Background()
-	// Single-shard sharded deployment: shard path with one shard.
-	d := deploySharded(t, 100, 1)
-	res, err := d.client.Query(ctx, "items", rangePreds(0, 99), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ShardsQueried != 1 || len(res.Result.Tuples) != 100 {
-		t.Fatalf("single-shard sharded query: shards=%d rows=%d", res.ShardsQueried, len(res.Result.Tuples))
-	}
-	// The plain deployment (Options.Shards zero) behaves identically
-	// through the same client code path.
-	d2 := deploy(t, 50)
-	res2, err := d2.client.Query(ctx, "items", rangePreds(0, 49), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.Result.Tuples) != 50 {
-		t.Fatalf("unsharded query: rows=%d", len(res2.Result.Tuples))
+	for name, d := range map[string]*deployment{
+		"shards=1":    deploySharded(t, 100, 1),
+		"plain table": deploy(t, 100),
+	} {
+		res, err := d.client.Query(ctx, "items", rangePreds(0, 99), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.ShardsQueried != 1 || len(res.ShardVOs) != 1 || res.VO != res.ShardVOs[0] || len(res.Result.Tuples) != 100 {
+			t.Fatalf("%s: shards=%d vos=%d rows=%d", name, res.ShardsQueried, len(res.ShardVOs), len(res.Result.Tuples))
+		}
 	}
 }

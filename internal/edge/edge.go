@@ -3,12 +3,12 @@
 // server, executes selection/projection queries locally, and returns each
 // result together with its verification object.
 //
-// Tables may be range-partitioned at the central server: the edge then
-// replicates each shard independently (its own snapshot-isolated
-// storage.PageStore, its own delta stream) and relays the central-signed
-// shard map to clients, which verify it and scatter-gather per-shard
-// queries. Per-shard refresh means one hot shard ships only its own
-// pages — a cold shard costs nothing per refresh tick.
+// Every table is range-partitioned at the central server into one or
+// more shards: the edge replicates each shard independently (its own
+// snapshot-isolated storage.PageStore, its own delta stream) and relays
+// the central-signed shard map to clients, which verify it and
+// scatter-gather per-shard queries. Per-shard refresh means one hot shard
+// ships only its own pages — a cold shard costs nothing per refresh tick.
 //
 // Replica storage is snapshot-isolated and set-consistent: a refresh
 // builds successor shard snapshots off to the side and then publishes
@@ -35,7 +35,6 @@ import (
 	"math/big"
 	"net"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,8 +68,7 @@ type Options struct {
 	// rpc.DefaultIdleTimeout; negative disables the deadline.
 	IdleTimeout time.Duration
 	// MaxConcurrent bounds the requests executing concurrently on one
-	// multiplexed (protocol v2) client connection. 0 selects
-	// rpc.DefaultMaxConcurrent.
+	// client connection. 0 selects rpc.DefaultMaxConcurrent.
 	MaxConcurrent int
 	// Upstreams are peer edge addresses tried in order — before the
 	// central server — for bulk refresh payloads (deltas, snapshots).
@@ -157,8 +155,8 @@ type replica struct {
 }
 
 // tableSet is one consistent, immutable publication of a table: the
-// signed shard map (nil when replicated from a pre-sharding central
-// server) and, per shard, a pinned snapshot with its decoded anchor.
+// signed shard map and, per shard, a pinned snapshot with its decoded
+// anchor.
 // The set holds one snapshot reference per shard for its tenure as the
 // replica's current set; the swap that supersedes it releases them.
 type tableSet struct {
@@ -354,15 +352,7 @@ func (s *Server) Pull(ctx context.Context, tableName string) error {
 	return err
 }
 
-// isUnsupported detects a peer that does not know a message type: typed
-// on protocol v2, a prose error frame on legacy v1.
-func isUnsupported(err error) bool {
-	return errors.Is(err, wire.ErrUnsupported) ||
-		strings.Contains(err.Error(), "unsupported message")
-}
-
-// pull replicates one table — shard by shard when the central server
-// partitions it, as one snapshot otherwise — and returns the combined
+// pull replicates one table shard by shard and returns the combined
 // wire size.
 func (s *Server) pull(ctx context.Context, tableName string) (int, error) {
 	return s.pullAttempt(ctx, tableName, 1)
@@ -373,11 +363,7 @@ func (s *Server) pull(ctx context.Context, tableName string) (int, error) {
 func (s *Server) pullAttempt(ctx context.Context, tableName string, retries int) (int, error) {
 	sm, n, err := s.fetchVerifiedMap(ctx, tableName)
 	if err != nil {
-		if !isUnsupported(err) {
-			return 0, err
-		}
-		// Pre-sharding central: single-tree replication.
-		return s.pullLegacy(ctx, tableName)
+		return 0, err
 	}
 	total := n
 	rep := &replica{}
@@ -468,36 +454,6 @@ func (s *Server) pullShardStore(ctx context.Context, tableName string, idx int, 
 	return len(body), store, snap, nil
 }
 
-// pullLegacy replicates one table from an unsharded central server.
-// Peer bootstrap is central-only on this path: without a signed shard
-// map there is no pin to bind a peer-served snapshot to, so a relayed
-// legacy snapshot could be replayed — the central stays the sole
-// snapshot source and peers only relay (whole-body signed) deltas.
-func (s *Server) pullLegacy(ctx context.Context, tableName string) (int, error) {
-	body, err := s.central.Call(ctx, wire.MsgSnapshotReq, []byte(tableName), wire.MsgSnapshotResp, true)
-	if err != nil {
-		return 0, err
-	}
-	s.countCentralPull(len(body))
-	snap, err := wire.DecodeSnapshot(body)
-	if err != nil {
-		return 0, err
-	}
-	// No shard map exists to pin the root digest on the legacy path, but
-	// the root signature must still be the central key's work; delta
-	// verification and client-side VO checks carry freshness from here.
-	if err := s.verifySnapshot(ctx, snap, nil); err != nil {
-		return 0, err
-	}
-	rep, err := InstallSnapshot(snap)
-	if err != nil {
-		return 0, err
-	}
-	s.setReplica(tableName, rep)
-	s.stats.snapshotsInstalled.Add(1)
-	return len(body), nil
-}
-
 // fetchVerifiedMap pulls the table's signed shard map from the central
 // server and signature-checks it before anything trusts its shape.
 // Returns the wire size alongside.
@@ -532,30 +488,6 @@ func (s *Server) fetchVerifiedMap(ctx context.Context, tableName string) (*shard
 	}
 	s.countCentralPull(len(body))
 	return sm, len(body), nil
-}
-
-// InstallSnapshot materializes a snapshot into a queryable single-shard
-// replica: the pages become the replica's first published version.
-// In-flight queries on a previous incarnation of the table keep their
-// pinned snapshots and drain naturally.
-func InstallSnapshot(snap *wire.Snapshot) (*replica, error) {
-	store, err := installStore(snap)
-	if err != nil {
-		return nil, err
-	}
-	acc, err := digest.New(snap.AccParams.ToDigestParams())
-	if err != nil {
-		return nil, err
-	}
-	rep := &replica{
-		sch:    snap.Schema,
-		acc:    acc,
-		params: snap.AccParams,
-	}
-	if err := rep.rebuildSet(nil, []*storage.PageStore{store}); err != nil {
-		return nil, err
-	}
-	return rep, nil
 }
 
 // installStore builds a shard's page store from a snapshot.
@@ -624,8 +556,8 @@ func placeholderPub(keyVersion uint32, scheme sig.Scheme) *sig.PublicKey {
 // at the delta's root metadata — and publishes it into the store with one
 // atomic swap. Queries in flight keep reading their pinned version; they
 // never observe a half-applied delta. ref is the Table value the delta
-// must carry (the shard ref for partitioned tables). The caller
-// republishes the replica's tableSet afterwards.
+// must carry (the shard ref). The caller republishes the replica's
+// tableSet afterwards.
 func applyDelta(store *storage.PageStore, d *wire.Delta, ref string) error {
 	ov := store.Begin()
 	defer ov.Abort() // no-op once published
@@ -689,7 +621,7 @@ type RefreshStat struct {
 	Bytes                  int
 	FromVersion, ToVersion uint64
 	// ShardsRefreshed is how many shards actually shipped pages this
-	// refresh (0 for noop; 1 for unsharded tables that moved).
+	// refresh (0 for noop).
 	ShardsRefreshed int
 }
 
@@ -737,7 +669,7 @@ func (s *Server) Refresh(ctx context.Context, tableName string) (RefreshStat, er
 		if err != nil {
 			return RefreshStat{}, err
 		}
-		return s.statFor(tableName, "snapshot", n, 0, 1), nil
+		return s.statFor(tableName, "snapshot", n, 1), nil
 	}
 	rep.refreshMu.Lock()
 	defer rep.refreshMu.Unlock()
@@ -745,10 +677,7 @@ func (s *Server) Refresh(ctx context.Context, tableName string) (RefreshStat, er
 	if cur == nil {
 		// Displaced replica (a concurrent pull swapped in a successor);
 		// the registry's current replica will serve.
-		return s.statFor(tableName, "noop", 0, 0, 0), nil
-	}
-	if cur.smap == nil {
-		return s.refreshLegacy(ctx, tableName, rep, cur)
+		return s.statFor(tableName, "noop", 0, 0), nil
 	}
 	return s.refreshSharded(ctx, tableName, rep, cur)
 }
@@ -764,9 +693,9 @@ var errEpochChanged = errors.New("edge: table epoch or partition changed")
 // serving).
 const maxAlignAttempts = 4
 
-// refreshSharded refreshes a partitioned replica: one signed map fetch,
-// a delta per stale shard (aligned so the map pins exactly the data),
-// then one atomic set publish.
+// refreshSharded refreshes a replica: one signed map fetch, a delta per
+// stale shard (aligned so the map pins exactly the data), then one atomic
+// set publish.
 func (s *Server) refreshSharded(ctx context.Context, tableName string, rep *replica, cur *tableSet) (RefreshStat, error) {
 	next, n, err := s.fetchVerifiedMap(ctx, tableName)
 	if err != nil {
@@ -823,25 +752,13 @@ func (s *Server) refreshSharded(ctx context.Context, tableName string, rep *repl
 	return stat, nil
 }
 
-// shardIDs extracts a map's stable shard-identity sequence (all zeros
-// on legacy maps that predate epoch-versioned partitions).
+// shardIDs extracts a map's stable shard-identity sequence.
 func shardIDs(sm *shardmap.Signed) []uint64 {
 	ids := make([]uint64, len(sm.Map.Shards))
 	for i := range sm.Map.Shards {
 		ids[i] = sm.Map.Shards[i].ID
 	}
 	return ids
-}
-
-// hasShardIDs reports whether every shard carries a nonzero stable ID —
-// i.e. the map speaks the epoch-versioned partition protocol.
-func hasShardIDs(ids []uint64) bool {
-	for _, id := range ids {
-		if id == 0 {
-			return false
-		}
-	}
-	return len(ids) > 0
 }
 
 func sameIDs(a, b []uint64) bool {
@@ -862,8 +779,7 @@ func sameIDs(a, b []uint64) bool {
 // pages) over untouched, shards the transition created are
 // snapshot-installed, and relay cache entries for positions whose
 // identity changed are dropped so peers are never served a dead
-// shard's deltas under a live position. Both sides must speak the
-// ID protocol (hasShardIDs) — callers gate on that.
+// shard's deltas under a live position.
 func (s *Server) remapStores(ctx context.Context, tableName string, sm *shardmap.Signed, stores []*storage.PageStore, ids []uint64) (outStores []*storage.PageStore, bytes int, err error) {
 	byID := make(map[uint64]*storage.PageStore, len(ids))
 	for i, id := range ids {
@@ -908,26 +824,20 @@ func (s *Server) remapStores(ctx context.Context, tableName string, sm *shardmap
 // laid out for. When sm describes a different partition of the same
 // table incarnation (an online split or merge), stores are re-bound by
 // ID — surviving shards carry over, new shards snapshot-install — so a
-// reshard never discards unaffected state. Legacy maps without IDs
-// keep the old behavior: any count change is an epoch change. Returns
-// the map the stores ended aligned to and the (possibly resized)
-// store slice.
+// reshard never discards unaffected state. Returns the map the stores
+// ended aligned to and the (possibly resized) store slice.
 func (s *Server) alignShards(ctx context.Context, tableName string, sm *shardmap.Signed, stores []*storage.PageStore, ids []uint64) (final *shardmap.Signed, outStores []*storage.PageStore, bytes, refreshed int, snapshotted bool, err error) {
 	for attempt := 0; ; attempt++ {
-		if mapIDs := shardIDs(sm); hasShardIDs(mapIDs) && hasShardIDs(ids) {
-			if !sameIDs(mapIDs, ids) {
-				newStores, n, err := s.remapStores(ctx, tableName, sm, stores, ids)
-				if err != nil {
-					return nil, stores, bytes, refreshed, snapshotted, err
-				}
-				stores = newStores
-				ids = mapIDs
-				bytes += n
-				refreshed++
-				snapshotted = true
+		if mapIDs := shardIDs(sm); !sameIDs(mapIDs, ids) {
+			newStores, n, err := s.remapStores(ctx, tableName, sm, stores, ids)
+			if err != nil {
+				return nil, stores, bytes, refreshed, snapshotted, err
 			}
-		} else if len(sm.Map.Shards) != len(stores) {
-			return nil, stores, bytes, refreshed, snapshotted, fmt.Errorf("%w: map has %d shards, replica %d", errEpochChanged, len(sm.Map.Shards), len(stores))
+			stores = newStores
+			ids = mapIDs
+			bytes += n
+			refreshed++
+			snapshotted = true
 		}
 		aligned := true
 		for i := range stores {
@@ -1221,104 +1131,12 @@ func appendCacheKey(version uint32, sg sig.Signature) []byte {
 	return append(out, sg...)
 }
 
-// refreshLegacy refreshes a single-tree replica against a pre-sharding
-// central server. Upstream peers are drained for relayed deltas first,
-// but the round ALWAYS ends with a central delta exchange (possibly a
-// noop): on this path no signed map names the true head, so the
-// central's signed answer is the freshness statement a peer cannot
-// fabricate.
-func (s *Server) refreshLegacy(ctx context.Context, tableName string, rep *replica, cur *tableSet) (RefreshStat, error) {
-	// Negotiate from the store's head, not the published set: a refresh
-	// that applied its delta but failed before republishing must resume
-	// from where the store actually is.
-	st, err := storeState(cur.shards[0].store)
-	if err != nil {
-		return RefreshStat{}, err
-	}
-	origFrom := st.Version
-	var peerBytes int
-	var peerApplied bool
-	if s.peers.Len() > 0 {
-		if peerBytes, peerApplied, st, err = s.drainLegacyPeerDeltas(ctx, tableName, cur.shards[0].store, st); err != nil {
-			return RefreshStat{}, err
-		}
-	}
-	from := st.Version
-	req := &wire.DeltaRequest{Table: tableName, FromVersion: from, Epoch: st.Epoch}
-	body, err := s.central.Call(ctx, wire.MsgDeltaReq, req.Encode(), wire.MsgDeltaResp, true)
-	if err != nil {
-		return RefreshStat{}, err
-	}
-	s.countCentralPull(len(body))
-	d, err := wire.DecodeDelta(body)
-	if err != nil {
-		return RefreshStat{}, err
-	}
-	if err := s.verifyDelta(ctx, d, body); err != nil {
-		return RefreshStat{}, err
-	}
-	if d.Epoch != st.Epoch {
-		// The central has a different table incarnation: this replica's
-		// history is dead. Flag it so queries report staleness instead of
-		// silently serving the old incarnation; a successful snapshot
-		// pull below installs a fresh (unflagged) replica.
-		rep.diverged.Store(true)
-	}
-	if d.SnapshotNeeded {
-		n, err := s.pull(ctx, tableName)
-		if err != nil {
-			return RefreshStat{}, err
-		}
-		s.relay.Drop(tableName)
-		s.stats.refreshesApplied.Add(1)
-		return s.statFor(tableName, "snapshot", peerBytes+n, origFrom, 1), nil
-	}
-	if d.ToVersion == from {
-		if cur.shards[0].state.Version != from {
-			// The store ran ahead of the published set (a previous refresh
-			// failed between apply and publish, or peers just applied
-			// deltas above); catch the set up even though the central had
-			// no new delta.
-			if err := rep.rebuildSet(nil, []*storage.PageStore{cur.shards[0].store}); err != nil {
-				return RefreshStat{}, err
-			}
-		}
-		mode := "noop"
-		if peerApplied {
-			mode = "delta"
-			s.stats.refreshesApplied.Add(1)
-		}
-		return RefreshStat{Table: tableName, Mode: mode, Bytes: peerBytes + len(body), FromVersion: origFrom, ToVersion: from, ShardsRefreshed: boolToInt(peerApplied)}, nil
-	}
-	if err := applyDelta(cur.shards[0].store, d, tableName); err != nil {
-		return RefreshStat{}, err
-	}
-	if err := rep.rebuildSet(nil, []*storage.PageStore{cur.shards[0].store}); err != nil {
-		return RefreshStat{}, err
-	}
-	s.relay.Put(tableName, d.Epoch, d.FromVersion, d.ToVersion, body)
-	s.stats.deltasApplied.Add(1)
-	s.stats.refreshesApplied.Add(1)
-	return RefreshStat{Table: tableName, Mode: "delta", Bytes: peerBytes + len(body), FromVersion: origFrom, ToVersion: d.ToVersion, ShardsRefreshed: 1}, nil
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func (s *Server) statFor(tableName, mode string, bytes int, from uint64, shards int) RefreshStat {
-	st := RefreshStat{Table: tableName, Mode: mode, Bytes: bytes, FromVersion: from, ShardsRefreshed: shards}
+func (s *Server) statFor(tableName, mode string, bytes, shards int) RefreshStat {
+	st := RefreshStat{Table: tableName, Mode: mode, Bytes: bytes, ShardsRefreshed: shards}
 	if rep := s.replica(tableName); rep != nil {
 		if set := rep.set.Load(); set != nil {
-			if set.smap != nil {
-				st.ToVersion = set.smap.Map.MapVersion
-				st.ShardsRefreshed = len(set.shards)
-			} else {
-				st.ToVersion = set.shards[0].state.Version
-			}
+			st.ToVersion = set.smap.Map.MapVersion
+			st.ShardsRefreshed = len(set.shards)
 		}
 	}
 	return st
@@ -1358,8 +1176,7 @@ func (s *Server) fetchCentralKeyLocked(ctx context.Context) (*sig.PublicKey, err
 	return s.centralPub, nil
 }
 
-// Version reports a replica's update version (the shard-map version for
-// partitioned tables).
+// Version reports a replica's update version (the shard-map version).
 func (s *Server) Version(tableName string) (uint64, error) {
 	rep := s.replica(tableName)
 	if rep == nil {
@@ -1369,10 +1186,7 @@ func (s *Server) Version(tableName string) (uint64, error) {
 	if set == nil {
 		return 0, errors.New("edge: replica has no published set")
 	}
-	if set.smap != nil {
-		return set.smap.Map.MapVersion, nil
-	}
-	return set.shards[0].state.Version, nil
+	return set.smap.Map.MapVersion, nil
 }
 
 // NumShards reports how many shards a replica carries.
@@ -1389,34 +1203,17 @@ func (s *Server) NumShards(tableName string) (int, error) {
 }
 
 // SignedShardMap returns the verified shard map the edge would serve a
-// client for this table (nil error only for partitioned tables).
+// client for this table.
 func (s *Server) SignedShardMap(tableName string) (*shardmap.Signed, error) {
 	rep := s.replica(tableName)
 	if rep == nil {
 		return nil, wire.UnknownTable("edge", tableName)
 	}
 	set := rep.set.Load()
-	if set == nil || set.smap == nil {
-		return nil, wire.NotSharded("edge", tableName, "table replicated from an unsharded central server")
+	if set == nil {
+		return nil, errors.New("edge: replica has no published set")
 	}
 	return set.smap, nil
-}
-
-// RunQuery executes a compiled query against a single-tree replica. The
-// path is lock-free: it pins the replica's current snapshot, traverses
-// it, and releases the pin. Partitioned tables answer with a typed
-// unsupported error steering the client to the scatter-gather path.
-func (s *Server) RunQuery(ctx context.Context, tableName string, q vbtree.Query) (*vo.ResultSet, *vo.VO, error) {
-	rep := s.replica(tableName)
-	if rep == nil {
-		return nil, nil, wire.UnknownTable("edge", tableName)
-	}
-	if set := rep.set.Load(); set != nil && len(set.shards) != 1 {
-		return nil, nil, wire.NotSharded("edge", tableName,
-			fmt.Sprintf("table %q is range-partitioned into %d shards; use shard queries", tableName, len(set.shards)))
-	}
-	rs, w, _, err := s.runShardQuery(ctx, tableName, rep, 0, q)
-	return rs, w, err
 }
 
 // RunShardQuery executes a compiled query against one shard, with the VO
@@ -1538,9 +1335,8 @@ func (s *Server) helloCaps() uint32 {
 	return 0
 }
 
-// handleConn negotiates the protocol with the client and dispatches its
-// requests — concurrently, on multiplexed v2 sessions — until it
-// disconnects or idles out.
+// handleConn completes the handshake with the client and dispatches its
+// requests concurrently until it disconnects or idles out.
 func (s *Server) handleConn(conn net.Conn) {
 	rpc.ServeConn(conn, s.dispatch, rpc.ServeOptions{
 		IdleTimeout:   s.opts.IdleTimeout,
@@ -1551,7 +1347,7 @@ func (s *Server) handleConn(conn net.Conn) {
 }
 
 // dispatch executes one client request and returns the response frame.
-// It must be safe for concurrent use: v2 connections run requests in
+// It must be safe for concurrent use: connections run requests in
 // parallel (queries read pinned snapshots, so they interleave freely
 // with delta application). ctx is the connection's context — cancelled
 // when the client disconnects, which aborts traversal mid-query.
@@ -1584,22 +1380,6 @@ func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body []byte) (wi
 		}
 		return wire.MsgShardMapResp, s.tamperedMap(sm).Encode(), nil
 
-	case wire.MsgQueryReq:
-		req, err := wire.DecodeQueryRequest(body)
-		if err != nil {
-			return 0, nil, err
-		}
-		q, err := s.compile(req)
-		if err != nil {
-			return 0, nil, err
-		}
-		rs, w, err := s.RunQuery(ctx, req.Table, q)
-		if err != nil {
-			return 0, nil, err
-		}
-		resp := &wire.QueryResponse{Result: rs, VO: w}
-		return wire.MsgQueryResp, resp.Encode(), nil
-
 	case wire.MsgShardQueryReq:
 		req, err := wire.DecodeShardQueryRequest(body)
 		if err != nil {
@@ -1613,16 +1393,13 @@ func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body []byte) (wi
 		if err != nil {
 			return 0, nil, err
 		}
-		if sm == nil {
-			return 0, nil, wire.NotSharded("edge", req.Query.Table, "table replicated from an unsharded central server")
-		}
 		resp := &wire.ShardQueryResponse{
 			Resp:      &wire.QueryResponse{Result: rs, VO: w},
 			SignedMap: s.tamperedMap(sm).Encode(),
 		}
 		return wire.MsgShardQueryResp, resp.Encode(), nil
 
-	case wire.MsgSnapshotReq, wire.MsgShardSnapshotReq, wire.MsgDeltaReq, wire.MsgShardDeltaReq:
+	case wire.MsgShardSnapshotReq, wire.MsgShardDeltaReq:
 		// The peer distribution tier: edges replicating the same tables
 		// pull their refresh traffic from here (see peers.go).
 		return s.servePeer(ctx, mt, body)

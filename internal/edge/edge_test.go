@@ -2,11 +2,13 @@ package edge
 
 import (
 	"context"
+	"errors"
 	"net"
 	"sync"
 	"testing"
 
 	"edgeauth/internal/central"
+	"edgeauth/internal/rpc"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
 	"edgeauth/internal/vbtree"
@@ -55,6 +57,13 @@ func startCentral(t *testing.T, rows int) (*central.Server, string) {
 	return srv, ln.Addr().String()
 }
 
+// runQuery queries shard 0 — the whole table, in the one-shard tables
+// most tests here build.
+func runQuery(ctx context.Context, eg *Server, table string, q vbtree.Query) (*vo.ResultSet, *vo.VO, error) {
+	rs, w, _, err := eg.RunShardQuery(ctx, table, 0, q)
+	return rs, w, err
+}
+
 func TestPullAndQueryLocally(t *testing.T) {
 	srv, addr := startCentral(t, 150)
 	eg := New(addr)
@@ -65,14 +74,15 @@ func TestPullAndQueryLocally(t *testing.T) {
 		t.Fatalf("Tables = %v", got)
 	}
 	lo, hi := schema.Int64(10), schema.Int64(29)
-	rs, w, err := eg.RunQuery(context.Background(), "items", vbtree.Query{Lo: &lo, Hi: &hi})
+	rs, w, sm, err := eg.RunShardQuery(context.Background(), "items", 0, vbtree.Query{Lo: &lo, Hi: &hi})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rs.Tuples) != 20 {
 		t.Fatalf("got %d tuples", len(rs.Tuples))
 	}
-	// The replica's answers verify against the central key.
+	// The replica's answers verify against the central key: the signed
+	// one-shard map, and the VO anchored at the root digest it pins.
 	sch, err := eg.Schema("items")
 	if err != nil {
 		t.Fatal(err)
@@ -82,23 +92,29 @@ func TestPullAndQueryLocally(t *testing.T) {
 		Acc:    srv.Accumulator(),
 		Schema: sch,
 	}
-	if err := ver.Verify(rs, w); err != nil {
+	if err := ver.VerifyShardMap(sm, "items"); err != nil {
+		t.Fatalf("edge replica's shard map failed verification: %v", err)
+	}
+	if len(sm.Map.Shards) != 1 {
+		t.Fatalf("plain table has %d shards, want 1", len(sm.Map.Shards))
+	}
+	if err := ver.VerifyAnchored(rs, w, sm.Map.Shards[0].RootDigest); err != nil {
 		t.Fatalf("edge replica answer failed verification: %v", err)
 	}
 }
 
-func TestInstallSnapshotValidation(t *testing.T) {
-	if _, err := InstallSnapshot(&wire.Snapshot{PageSize: 8}); err == nil {
+func TestInstallStoreValidation(t *testing.T) {
+	if _, err := installStore(&wire.Snapshot{PageSize: 8}); err == nil {
 		t.Fatal("tiny page size accepted")
 	}
 	srv, _ := startCentral(t, 30)
-	snap, err := srv.Snapshot("items")
+	snap, err := srv.ShardSnapshot("items", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt page length.
 	snap.PageData[0] = snap.PageData[0][:10]
-	if _, err := InstallSnapshot(snap); err == nil {
+	if _, err := installStore(snap); err == nil {
 		t.Fatal("short page accepted")
 	}
 }
@@ -116,7 +132,7 @@ func TestReplicaIsolationFromCentral(t *testing.T) {
 	if _, err := srv.DeleteRange("items", &lo, &hi); err != nil {
 		t.Fatal(err)
 	}
-	rs, _, err := eg.RunQuery(context.Background(), "items", vbtree.Query{Lo: &lo, Hi: &hi})
+	rs, _, err := runQuery(context.Background(), eg, "items", vbtree.Query{Lo: &lo, Hi: &hi})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +142,7 @@ func TestReplicaIsolationFromCentral(t *testing.T) {
 	if err := eg.Pull(context.Background(), "items"); err != nil {
 		t.Fatal(err)
 	}
-	rs, _, err = eg.RunQuery(context.Background(), "items", vbtree.Query{Lo: &lo, Hi: &hi})
+	rs, _, err = runQuery(context.Background(), eg, "items", vbtree.Query{Lo: &lo, Hi: &hi})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +157,7 @@ func TestUnknownTableErrors(t *testing.T) {
 	if err := eg.Pull(context.Background(), "ghost"); err == nil {
 		t.Fatal("pull of unknown table succeeded")
 	}
-	if _, _, err := eg.RunQuery(context.Background(), "ghost", vbtree.Query{}); err == nil {
+	if _, _, err := runQuery(context.Background(), eg, "ghost", vbtree.Query{}); err == nil {
 		t.Fatal("query of unreplicated table succeeded")
 	}
 	if _, err := eg.Schema("ghost"); err == nil {
@@ -171,14 +187,14 @@ func TestTamperHookAppliesAndClears(t *testing.T) {
 		return nil
 	})
 	lo, hi := schema.Int64(1), schema.Int64(5)
-	if _, _, err := eg.RunQuery(context.Background(), "items", vbtree.Query{Lo: &lo, Hi: &hi}); err != nil {
+	if _, _, err := runQuery(context.Background(), eg, "items", vbtree.Query{Lo: &lo, Hi: &hi}); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
 		t.Fatalf("tamper hook called %d times", calls)
 	}
 	eg.SetTamper(nil)
-	if _, _, err := eg.RunQuery(context.Background(), "items", vbtree.Query{Lo: &lo, Hi: &hi}); err != nil {
+	if _, _, err := runQuery(context.Background(), eg, "items", vbtree.Query{Lo: &lo, Hi: &hi}); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
@@ -199,38 +215,29 @@ func TestServeProtocolDispatch(t *testing.T) {
 	go eg.Serve(ln)
 	t.Cleanup(func() { eg.Close() })
 
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := rpc.New(ln.Addr().String(), rpc.Options{})
 	defer conn.Close()
+	ctx := context.Background()
 
 	// List tables.
-	if err := wire.WriteFrame(conn, wire.MsgListTablesReq, nil); err != nil {
-		t.Fatal(err)
-	}
-	mt, body, err := wire.ReadFrame(conn)
-	if err != nil || mt != wire.MsgListTablesResp {
-		t.Fatalf("list: %v %v", mt, err)
+	body, err := conn.Call(ctx, wire.MsgListTablesReq, nil, wire.MsgListTablesResp, true)
+	if err != nil {
+		t.Fatalf("list: %v", err)
 	}
 	names, err := wire.DecodeStringList(body)
 	if err != nil || len(names) != 1 {
 		t.Fatalf("names = %v, %v", names, err)
 	}
 
-	// Unsupported message type gets an error frame, and the connection
-	// stays usable.
-	if err := wire.WriteFrame(conn, wire.MsgSnapshotReq, []byte("items")); err != nil {
-		t.Fatal(err)
+	// A message the edge does not serve — a central-only request, and a
+	// type this build does not define — gets a typed error frame, and the
+	// connection stays usable.
+	for _, mt := range []wire.MsgType{wire.MsgInsertReq, wire.MsgType(200)} {
+		if _, err := conn.Call(ctx, mt, []byte("items"), wire.MsgInsertResp, true); !errors.Is(err, wire.ErrUnsupported) {
+			t.Fatalf("%v: %v, want wire.ErrUnsupported", mt, err)
+		}
 	}
-	mt, _, err = wire.ReadFrame(conn)
-	if err != nil || mt != wire.MsgError {
-		t.Fatalf("unsupported message: %v %v", mt, err)
-	}
-	if err := wire.WriteFrame(conn, wire.MsgListTablesReq, nil); err != nil {
-		t.Fatal(err)
-	}
-	if mt, _, err = wire.ReadFrame(conn); err != nil || mt != wire.MsgListTablesResp {
-		t.Fatalf("connection unusable after error frame: %v %v", mt, err)
+	if _, err := conn.Call(ctx, wire.MsgListTablesReq, nil, wire.MsgListTablesResp, true); err != nil {
+		t.Fatalf("connection unusable after error frame: %v", err)
 	}
 }

@@ -212,15 +212,9 @@ func TestServePeerTypedErrors(t *testing.T) {
 	if !errors.Is(err, wire.ErrUnknownTable) {
 		t.Fatalf("unknown table: %v", err)
 	}
-	// A v1 single-tree request against a partitioned replica is refused
-	// with the protocol-switch error (CodeUnsupported, like the central).
-	_, _, err = t1.servePeer(ctx, wire.MsgSnapshotReq, []byte("items"))
-	if !errors.Is(err, wire.ErrUnsupported) {
-		t.Fatalf("legacy snapshot of sharded table: %v, want wire.ErrUnsupported", err)
-	}
 
-	// A non-serving edge answers replication requests exactly like a
-	// pre-peer build: typed unsupported.
+	// A non-serving edge answers replication requests with a typed
+	// unsupported error.
 	off := NewWithOptions("127.0.0.1:1", Options{})
 	t.Cleanup(func() { off.Close() })
 	_, _, err = off.servePeer(ctx, wire.MsgShardDeltaReq, (&wire.ShardDeltaRequest{Table: "items"}).Encode())

@@ -37,9 +37,8 @@ import (
 
 // PeerTamperFn rewrites a replication payload before it leaves a
 // serving edge — the model of a malicious relay peer. It receives the
-// response frame type, the ref the payload answers (the table name, or
-// the shard ref for partitioned tables), and the encoded body, and
-// returns the body to serve instead.
+// response frame type, the shard ref the payload answers, and the
+// encoded body, and returns the body to serve instead.
 type PeerTamperFn func(mt wire.MsgType, ref string, body []byte) []byte
 
 // SetPeerTamper installs (or clears, with nil) the malicious-relay hook.
@@ -90,9 +89,8 @@ const maxPeerHops = 64
 // Serving side.
 
 // servePeer answers replication requests from this edge's replicated
-// state. Gated by Options.ServePeers: a non-serving edge answers with
-// the same typed unsupported error a pre-peer build would, so enabling
-// the tier is purely additive.
+// state. Gated by Options.ServePeers: a non-serving edge answers with a
+// typed unsupported error.
 func (s *Server) servePeer(ctx context.Context, mt wire.MsgType, body []byte) (wire.MsgType, []byte, error) {
 	_ = ctx
 	if !s.opts.ServePeers {
@@ -104,21 +102,13 @@ func (s *Server) servePeer(ctx context.Context, mt wire.MsgType, body []byte) (w
 		if err != nil {
 			return 0, nil, err
 		}
-		return s.servePeerSnapshot(req.Table, int(req.Shard), false)
-	case wire.MsgSnapshotReq:
-		return s.servePeerSnapshot(string(body), 0, true)
+		return s.servePeerSnapshot(req.Table, int(req.Shard))
 	case wire.MsgShardDeltaReq:
 		req, err := wire.DecodeShardDeltaRequest(body)
 		if err != nil {
 			return 0, nil, err
 		}
-		return s.servePeerDelta(req.Table, wire.ShardRef(req.Table, req.Shard), int(req.Shard), req.FromVersion, req.Epoch, false)
-	case wire.MsgDeltaReq:
-		req, err := wire.DecodeDeltaRequest(body)
-		if err != nil {
-			return 0, nil, err
-		}
-		return s.servePeerDelta(req.Table, req.Table, 0, req.FromVersion, req.Epoch, true)
+		return s.servePeerDelta(req.Table, int(req.Shard), req.FromVersion, req.Epoch)
 	}
 	return 0, nil, wire.Unsupported("edge", mt)
 }
@@ -126,17 +116,11 @@ func (s *Server) servePeer(ctx context.Context, mt wire.MsgType, body []byte) (w
 // servePeerSnapshot materializes one shard of the replica's published
 // set as a wire snapshot — the same pinned state client queries read,
 // so the snapshot a downstream installs is exactly what this edge
-// serves. legacy marks the v1 single-tree request shape, which only an
-// unsharded replica may answer.
-func (s *Server) servePeerSnapshot(table string, idx int, legacy bool) (wire.MsgType, []byte, error) {
+// serves.
+func (s *Server) servePeerSnapshot(table string, idx int) (wire.MsgType, []byte, error) {
 	rep := s.replica(table)
 	if rep == nil {
 		return 0, nil, wire.UnknownTable("edge", table)
-	}
-	if legacy {
-		if set := rep.set.Load(); set == nil || set.smap != nil || len(set.shards) != 1 {
-			return 0, nil, wire.NotSharded("edge", table, "table is range-partitioned; use shard snapshots")
-		}
 	}
 	_, sr, err := rep.pinShard(idx)
 	if err != nil {
@@ -168,11 +152,7 @@ func (s *Server) servePeerSnapshot(table string, idx int, legacy bool) (wire.Msg
 		snap.PageIDs = append(snap.PageIDs, storage.PageID(id))
 		snap.PageData = append(snap.PageData, cp)
 	}
-	ref := table
-	if !legacy {
-		ref = wire.ShardRef(table, uint32(idx))
-	}
-	out := s.tamperedPeerBody(wire.MsgSnapshotResp, ref, snap.Encode())
+	out := s.tamperedPeerBody(wire.MsgSnapshotResp, wire.ShardRef(table, uint32(idx)), snap.Encode())
 	s.stats.peerPayloadsServed.Add(1)
 	s.stats.peerBytesServed.Add(uint64(len(out)))
 	return wire.MsgSnapshotResp, out, nil
@@ -184,7 +164,7 @@ func (s *Server) servePeerSnapshot(table string, idx int, legacy bool) (wire.Msg
 // a typed Behind — never a fabricated empty delta — so it fails over
 // instead of spinning; a requester inside our history that the relay
 // cache cannot cover gets a typed DeltaGap steering it to a snapshot.
-func (s *Server) servePeerDelta(table, ref string, idx int, from, epoch uint64, legacy bool) (wire.MsgType, []byte, error) {
+func (s *Server) servePeerDelta(table string, idx int, from, epoch uint64) (wire.MsgType, []byte, error) {
 	rep := s.replica(table)
 	if rep == nil {
 		return 0, nil, wire.UnknownTable("edge", table)
@@ -192,9 +172,6 @@ func (s *Server) servePeerDelta(table, ref string, idx int, from, epoch uint64, 
 	set := rep.set.Load()
 	if set == nil {
 		return 0, nil, errors.New("edge: replica has no published set")
-	}
-	if legacy && set.smap != nil {
-		return 0, nil, wire.NotSharded("edge", table, "table is range-partitioned; use shard deltas")
 	}
 	if idx < 0 || idx >= len(set.shards) {
 		return 0, nil, fmt.Errorf("edge: shard %d out of range (replica has %d)", idx, len(set.shards))
@@ -206,6 +183,7 @@ func (s *Server) servePeerDelta(table, ref string, idx int, from, epoch uint64, 
 	if from >= head.Version {
 		return 0, nil, wire.Behind(table, fmt.Sprintf("edge: requester at v%d, peer replica head at v%d", from, head.Version))
 	}
+	ref := wire.ShardRef(table, uint32(idx))
 	body, _, ok := s.relay.Get(ref, epoch, from)
 	if !ok {
 		return 0, nil, wire.DeltaGap(table, fmt.Sprintf("edge: no relayable delta from v%d for %q; take a snapshot or fall back to the central", from, ref))
@@ -335,71 +313,4 @@ func (s *Server) refreshShardFromPeers(ctx context.Context, tableName string, st
 		}
 	}
 	return total, mode, store, nil
-}
-
-// drainLegacyPeerDeltas is the single-tree analogue of
-// refreshShardFromPeers: it applies relayed deltas from upstream peers
-// hop by hop. There is no central-verified map to name the target on
-// this path, so the caller MUST still finish the round with a central
-// delta exchange — the central's (possibly noop) signed answer is the
-// freshness statement a peer cannot fabricate, and it covers whatever
-// the peers did not. Returns the bytes pulled, whether any delta was
-// applied, and the store's new head.
-func (s *Server) drainLegacyPeerDeltas(ctx context.Context, tableName string, store *storage.PageStore, st *vbtree.TableState) (int, bool, *vbtree.TableState, error) {
-	var total int
-	var applied bool
-	for _, src := range s.peers.Available() {
-		for hops := 0; hops < maxPeerHops; hops++ {
-			if err := ctx.Err(); err != nil {
-				return total, applied, st, err
-			}
-			req := &wire.DeltaRequest{Table: tableName, FromVersion: st.Version, Epoch: st.Epoch}
-			body, err := src.Conn().Call(ctx, wire.MsgDeltaReq, req.Encode(), wire.MsgDeltaResp, true)
-			if errors.Is(err, wire.ErrBehind) || errors.Is(err, wire.ErrDeltaGap) {
-				// The peer has nothing relayable past our version. On this
-				// path no verified map names the true head, so "behind"
-				// is ambiguous (the peer may simply be as current as we
-				// are) and is not scored as a failure; the central
-				// exchange that follows settles freshness either way.
-				break
-			}
-			if err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return total, applied, st, cerr
-				}
-				s.peerFail(src)
-				break
-			}
-			d, err := wire.DecodeDelta(body)
-			if err != nil {
-				s.peerFail(src)
-				break
-			}
-			if err := s.verifyDelta(ctx, d, body); err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return total, applied, st, cerr
-				}
-				s.peerFail(src)
-				break
-			}
-			if d.Table != tableName || d.SnapshotNeeded || d.Epoch != st.Epoch ||
-				d.FromVersion != st.Version || d.ToVersion <= st.Version {
-				s.peerFail(src)
-				break
-			}
-			if err := applyDelta(store, d, tableName); err != nil {
-				s.peerFail(src)
-				break
-			}
-			s.relay.Put(tableName, d.Epoch, d.FromVersion, d.ToVersion, body)
-			s.stats.deltasApplied.Add(1)
-			s.countPeerPull(src, len(body))
-			total += len(body)
-			applied = true
-			if st, err = storeState(store); err != nil {
-				return total, applied, st, err
-			}
-		}
-	}
-	return total, applied, st, nil
 }

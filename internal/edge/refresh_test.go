@@ -10,6 +10,7 @@ import (
 	"edgeauth/internal/client"
 	"edgeauth/internal/query"
 	"edgeauth/internal/schema"
+	"edgeauth/internal/wire"
 	"edgeauth/internal/workload"
 )
 
@@ -233,7 +234,7 @@ func TestDeltaTransfersLessThanSnapshot(t *testing.T) {
 	if err := eg.PullAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := srv.Snapshot("items")
+	snap, err := srv.ShardSnapshot("items", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestRefreshRejectsForgedDelta(t *testing.T) {
 	if err := srv.Insert("items", freshRow(t, 90_000)); err != nil {
 		t.Fatal(err)
 	}
-	d, err := srv.Delta("items", 0, mustEpoch(t, srv))
+	d, err := srv.ShardDelta("items", 0, 0, mustEpoch(t, srv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func TestRefreshRejectsForgedDelta(t *testing.T) {
 	rep := eg.replica("items")
 	bogus := *d
 	bogus.FromVersion = 7
-	if err := applyDelta(rep.set.Load().shards[0].store, &bogus, "items"); err == nil || !strings.Contains(err.Error(), "version") {
+	if err := applyDelta(rep.set.Load().shards[0].store, &bogus, wire.ShardRef("items", 0)); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("version-mismatched delta applied: %v", err)
 	}
 }

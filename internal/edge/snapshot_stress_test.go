@@ -52,7 +52,7 @@ func TestQueriesVerifyUnderConcurrentRefresh(t *testing.T) {
 				}
 				lo := schema.Int64(int64((w*37 + i) % 250))
 				hi := schema.Int64(lo.I + 25)
-				rs, w2, err := eg.RunQuery(ctx, "items", vbtree.Query{Lo: &lo, Hi: &hi})
+				rs, w2, err := runQuery(ctx, eg, "items", vbtree.Query{Lo: &lo, Hi: &hi})
 				if err != nil {
 					errCh <- fmt.Errorf("query during refresh: %w", err)
 					return
@@ -118,7 +118,7 @@ func TestQueriesVerifyUnderConcurrentRefresh(t *testing.T) {
 		t.Fatalf("replica at v%d, central at v%d", gotV, wantV)
 	}
 	lo := schema.Int64(100_000)
-	rs, w2, err := eg.RunQuery(ctx, "items", vbtree.Query{Lo: &lo})
+	rs, w2, err := runQuery(ctx, eg, "items", vbtree.Query{Lo: &lo})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,12 +140,12 @@ func TestRunQueryHonoursContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := eg.RunQuery(ctx, "items", vbtree.Query{})
+	_, _, err := runQuery(ctx, eg, "items", vbtree.Query{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("query with cancelled ctx returned %v, want context.Canceled", err)
 	}
 	// And an un-cancelled context still works.
-	if _, _, err := eg.RunQuery(context.Background(), "items", vbtree.Query{}); err != nil {
+	if _, _, err := runQuery(context.Background(), eg, "items", vbtree.Query{}); err != nil {
 		t.Fatal(err)
 	}
 }

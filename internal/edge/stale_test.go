@@ -13,21 +13,25 @@ import (
 	"edgeauth/internal/query"
 	"edgeauth/internal/rpc"
 	"edgeauth/internal/schema"
-	"edgeauth/internal/sig"
 	"edgeauth/internal/vbtree"
 	"edgeauth/internal/wire"
 )
 
-// fakeCentral impersonates a restarted central server: it signs with the
-// real key but advertises a different table epoch, and can be told to
-// fail snapshot requests (modelling the fallback pull dying mid-recovery).
+// fakeCentral fronts a real central server. It can be re-pointed at
+// another incarnation mid-test — a restart: same key, same rows, a new
+// table epoch — and told to fail snapshot requests (modelling the
+// fallback pull dying mid-recovery).
 type fakeCentral struct {
-	key          *sig.PrivateKey
-	real         *central.Server
-	epoch        uint64
+	backend      atomic.Pointer[central.Server]
 	failSnapshot atomic.Bool
 	snapshotReqs atomic.Int64
 	listServed   atomic.Bool
+}
+
+func newFakeCentral(backend *central.Server) *fakeCentral {
+	f := &fakeCentral{}
+	f.backend.Store(backend)
+	return f
 }
 
 func (f *fakeCentral) serve(t *testing.T) string {
@@ -53,42 +57,33 @@ func (f *fakeCentral) serve(t *testing.T) string {
 }
 
 func (f *fakeCentral) dispatch(ctx context.Context, mt wire.MsgType, body []byte) (wire.MsgType, []byte, error) {
+	srv := f.backend.Load()
 	switch mt {
 	case wire.MsgPubKeyReq:
-		blob, err := f.key.Public().MarshalBinary()
+		blob, err := srv.PublicKey().MarshalBinary()
 		if err != nil {
 			return 0, nil, err
 		}
 		return wire.MsgPubKeyResp, blob, nil
 	case wire.MsgListTablesReq:
 		f.listServed.Store(true)
-		return wire.MsgListTablesResp, wire.EncodeStringList([]string{"items"}), nil
-	case wire.MsgDeltaReq:
-		req, err := wire.DecodeDeltaRequest(body)
+		return wire.MsgListTablesResp, wire.EncodeStringList(srv.Tables()), nil
+	case wire.MsgShardMapReq:
+		sm, err := srv.SignedShardMap(string(body))
 		if err != nil {
 			return 0, nil, err
 		}
-		// A different incarnation: versions are not comparable, so the
-		// answer is a properly signed snapshot-needed delta.
-		d := &wire.Delta{
-			Table:          req.Table,
-			FromVersion:    req.FromVersion,
-			ToVersion:      3,
-			Epoch:          f.epoch,
-			SnapshotNeeded: true,
-		}
-		sg, err := f.key.Sign(d.SigPayload())
-		if err != nil {
-			return 0, nil, err
-		}
-		d.Sig = sg
-		return wire.MsgDeltaResp, d.Encode(), nil
-	case wire.MsgSnapshotReq:
+		return wire.MsgShardMapResp, sm.Encode(), nil
+	case wire.MsgShardSnapshotReq:
 		f.snapshotReqs.Add(1)
 		if f.failSnapshot.Load() {
 			return 0, nil, errors.New("fake central: snapshot store unavailable")
 		}
-		snap, err := f.real.Snapshot(string(body))
+		req, err := wire.DecodeShardSnapshotRequest(body)
+		if err != nil {
+			return 0, nil, err
+		}
+		snap, err := srv.ShardSnapshot(req.Table, req.Shard)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -107,24 +102,26 @@ func TestQueriesReportStaleReplicaAfterEpochDivergence(t *testing.T) {
 	ctx := context.Background()
 	srv, _ := startCentral(t, 120)
 
-	fake := &fakeCentral{key: serverKey(t), real: srv, epoch: 0xDEAD_BEEF}
-	fake.failSnapshot.Store(true)
+	// Seed the replica from the first incarnation.
+	fake := newFakeCentral(srv)
 	eg := New(fake.serve(t))
 	t.Cleanup(func() { eg.Close() })
+	if err := eg.PullAll(ctx); err != nil {
+		t.Fatal(err)
+	}
 
-	// Seed the replica from the genuine central (epoch != fake.epoch).
-	snap, err := srv.Snapshot("items")
-	if err != nil {
-		t.Fatal(err)
+	// The central restarts: the same rows under the same key, but a new
+	// table epoch — and its snapshot store is down.
+	restarted, _ := startCentral(t, 120)
+	if mustEpoch(t, restarted) == mustEpoch(t, srv) {
+		t.Fatal("two incarnations drew the same table epoch")
 	}
-	rep, err := InstallSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eg.setReplica("items", rep)
+	fake.backend.Store(restarted)
+	fake.failSnapshot.Store(true)
+	fake.snapshotReqs.Store(0)
 
 	lo, hi := schema.Int64(10), schema.Int64(20)
-	if _, _, err := eg.RunQuery(ctx, "items", vbtree.Query{Lo: &lo, Hi: &hi}); err != nil {
+	if _, _, err := runQuery(ctx, eg, "items", vbtree.Query{Lo: &lo, Hi: &hi}); err != nil {
 		t.Fatalf("pre-divergence query: %v", err)
 	}
 
@@ -138,7 +135,7 @@ func TestQueriesReportStaleReplicaAfterEpochDivergence(t *testing.T) {
 
 	// Queries now signal staleness instead of answering from the dead
 	// incarnation — locally and through a TCP client.
-	_, _, err = eg.RunQuery(ctx, "items", vbtree.Query{Lo: &lo, Hi: &hi})
+	_, _, err := runQuery(ctx, eg, "items", vbtree.Query{Lo: &lo, Hi: &hi})
 	if !errors.Is(err, wire.ErrStaleReplica) {
 		t.Fatalf("query on diverged replica: %v, want wire.ErrStaleReplica", err)
 	}
@@ -165,7 +162,7 @@ func TestQueriesReportStaleReplicaAfterEpochDivergence(t *testing.T) {
 	if st.Mode != "snapshot" {
 		t.Fatalf("healing refresh mode = %q, want snapshot", st.Mode)
 	}
-	if _, _, err := eg.RunQuery(ctx, "items", vbtree.Query{Lo: &lo, Hi: &hi}); err != nil {
+	if _, _, err := runQuery(ctx, eg, "items", vbtree.Query{Lo: &lo, Hi: &hi}); err != nil {
 		t.Fatalf("query after snapshot reinstall: %v", err)
 	}
 }
@@ -190,7 +187,7 @@ func (c *flagCtx) Err() error {
 // accumulating one dial error per remaining table).
 func TestRefreshAllStopsOnCancelledContext(t *testing.T) {
 	srv, _ := startCentral(t, 60)
-	fake := &fakeCentral{key: serverKey(t), real: srv, epoch: 0xBADC0FFE}
+	fake := newFakeCentral(srv)
 	eg := New(fake.serve(t))
 	t.Cleanup(func() { eg.Close() })
 

@@ -26,7 +26,7 @@ func TestVerifySnapshotRejectsForgedRootSig(t *testing.T) {
 	if err := eg.PullAll(ctx); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := srv.Snapshot("items")
+	snap, err := srv.ShardSnapshot("items", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestVerifySnapshotHonorsPinnedDigest(t *testing.T) {
 	if err := eg.PullAll(ctx); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := srv.Snapshot("items")
+	snap, err := srv.ShardSnapshot("items", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func TestCapabilityExchange(t *testing.T) {
 	if got := c.PeerCaps(); got != 0 {
 		t.Fatalf("caps before connect = %#x, want 0", got)
 	}
-	if _, err := c.Call(ctx, wire.MsgQueryReq, []byte("hi"), wire.MsgQueryResp, true); err != nil {
+	if _, err := c.Call(ctx, wire.MsgShardQueryReq, []byte("hi"), wire.MsgShardQueryResp, true); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.PeerCaps(); got != wire.CapPeerServe {
@@ -29,21 +29,10 @@ func TestCapabilityExchange(t *testing.T) {
 	// A server with no capabilities advertises none.
 	plain := New(startServer(t, echoHandler, ServeOptions{}), Options{})
 	defer plain.Close()
-	if _, err := plain.Call(ctx, wire.MsgQueryReq, []byte("hi"), wire.MsgQueryResp, true); err != nil {
+	if _, err := plain.Call(ctx, wire.MsgShardQueryReq, []byte("hi"), wire.MsgShardQueryResp, true); err != nil {
 		t.Fatal(err)
 	}
 	if got := plain.PeerCaps(); got != 0 {
 		t.Fatalf("plain server caps = %#x, want 0", got)
-	}
-
-	// Against a v1 (pre-Hello) server the caps stay zero — the dialer
-	// downgraded and no capability word was ever exchanged.
-	legacy := New(startV1Server(t, echoHandler), Options{Capabilities: wire.CapPeerServe})
-	defer legacy.Close()
-	if _, err := legacy.Call(ctx, wire.MsgQueryReq, []byte("hi"), wire.MsgQueryResp, true); err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Proto() != wire.ProtocolV1 || legacy.PeerCaps() != 0 {
-		t.Fatalf("legacy: proto=%d caps=%#x, want v1/0", legacy.Proto(), legacy.PeerCaps())
 	}
 }

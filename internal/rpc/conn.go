@@ -2,9 +2,9 @@
 // system: the verifying client and the edge server's central-facing side
 // use Conn (a context-aware, pipelined request connection), while the
 // central and edge servers' listening sides use ServeConn (a concurrent,
-// multiplexed dispatch loop). Both ends negotiate the wire protocol
-// version with a Hello handshake and interoperate transparently with v1
-// peers (see internal/wire/v2.go for the framing).
+// multiplexed dispatch loop). Both ends open with a Hello handshake and
+// refuse a peer that does not speak this build's protocol (see
+// internal/wire/v2.go for the framing).
 package rpc
 
 import (
@@ -36,10 +36,6 @@ type Options struct {
 	// RedialBackoff is the wait before the second connect attempt; it
 	// doubles per attempt. 0 selects DefaultRedialBackoff.
 	RedialBackoff time.Duration
-	// ForceV1 skips the Hello handshake and speaks protocol v1
-	// (one-frame-in/one-frame-out). Used by compatibility tests and the
-	// pipelined-vs-serial benchmarks.
-	ForceV1 bool
 	// Capabilities is the wire.Cap* bit set advertised in this side's
 	// Hello (e.g. CapPeerServe for an edge that serves replication
 	// traffic to other edges).
@@ -76,30 +72,25 @@ type frame struct {
 // session is one live connection. Conn replaces its session on redial, so
 // in-flight state never leaks across connection generations.
 type session struct {
-	nc    net.Conn
-	proto uint32
+	nc net.Conn
 	// peerCaps is the capability bit set the server advertised in its
-	// HelloResp (0 on v1 sessions and pre-capability peers).
+	// HelloResp.
 	peerCaps uint32
 
-	// v2 state: the in-flight request table and the per-connection write
-	// slot (a 1-slot semaphore rather than a mutex, so a caller queued
-	// behind a stalled writer can still observe its own context). The
-	// reader goroutine owns the read side exclusively.
+	// The in-flight request table and the per-connection write slot (a
+	// 1-slot semaphore rather than a mutex, so a caller queued behind a
+	// stalled writer can still observe its own context). The reader
+	// goroutine owns the read side exclusively.
 	writeSem chan struct{}
 	pendMu   sync.Mutex
 	pending  map[uint32]chan frame
 	nextID   uint32
 	dead     error // set once the reader fails; guarded by pendMu
-
-	// v1 state: the whole request/response exchange is serialized.
-	callMu sync.Mutex
 }
 
 // Conn is a context-aware client connection. N goroutines may call Call
-// concurrently: on a v2 session their requests are pipelined over one TCP
-// connection and responses are demultiplexed by request ID; against a v1
-// server the calls are transparently serialized. The connection is
+// concurrently: their requests are pipelined over one TCP connection and
+// responses are demultiplexed by request ID. The connection is
 // established lazily and re-established (with backoff) after it dies, so
 // a transient peer outage does not poison the Conn forever.
 type Conn struct {
@@ -143,20 +134,8 @@ func (c *Conn) Connect(ctx context.Context) error {
 	return err
 }
 
-// Proto reports the negotiated protocol version (0 before the first
-// successful connect).
-func (c *Conn) Proto() uint32 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.sess == nil {
-		return 0
-	}
-	return c.sess.proto
-}
-
 // PeerCaps reports the capability bits the remote side advertised in its
-// HelloResp (0 before the first successful connect, on v1 sessions, and
-// against pre-capability peers).
+// HelloResp (0 before the first successful connect).
 func (c *Conn) PeerCaps() uint32 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -254,15 +233,10 @@ func (c *Conn) dialAndHandshake(ctx context.Context) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &session{nc: nc, proto: wire.ProtocolV1}
-	if c.opts.ForceV1 {
-		return s, nil
-	}
-	// Hello travels in v1 framing so a legacy server can answer it with
-	// its usual error frame instead of dropping the connection.
-	deadline := time.Now().Add(c.opts.dialTimeout())
-	nc.SetDeadline(deadline)
-	if err := wire.WriteFrame(nc, wire.MsgHello, wire.EncodeHelloCaps(wire.MaxProtocol, c.opts.Capabilities)); err != nil {
+	// Hello and its reply travel in bare framing; everything after is
+	// numbered.
+	nc.SetDeadline(time.Now().Add(c.opts.dialTimeout()))
+	if err := wire.WriteFrame(nc, wire.MsgHello, wire.EncodeHelloCaps(wire.ProtocolV2, c.opts.Capabilities)); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("rpc: hello: %w", err)
 	}
@@ -272,33 +246,42 @@ func (c *Conn) dialAndHandshake(ctx context.Context) (*session, error) {
 		return nil, fmt.Errorf("rpc: hello response: %w", err)
 	}
 	nc.SetDeadline(time.Time{})
+	caps, err := checkHelloResp(mt, body)
+	if err != nil {
+		nc.Close()
+		return nil, err
+	}
+	s := &session{
+		nc:       nc,
+		peerCaps: caps,
+		pending:  make(map[uint32]chan frame),
+		writeSem: make(chan struct{}, 1),
+	}
+	go s.readLoop()
+	return s, nil
+}
+
+// checkHelloResp validates the server's reply to our Hello — a HelloResp
+// negotiating wire.ProtocolV2 — and returns the server's capabilities.
+// Anything else, including the error frame a refusing server sends, is a
+// dial error: there is no other protocol to continue in.
+func checkHelloResp(mt wire.MsgType, body []byte) (caps uint32, err error) {
 	switch mt {
 	case wire.MsgHelloResp:
-		v, caps, err := wire.DecodeHelloCaps(body)
-		if err != nil {
-			nc.Close()
-			return nil, err
-		}
-		if v > wire.MaxProtocol {
-			nc.Close()
-			return nil, fmt.Errorf("rpc: server negotiated unknown protocol %d", v)
-		}
-		s.proto = v
-		s.peerCaps = caps
 	case wire.MsgError:
-		// A v1 server does not know MsgHello and reports an error; the
-		// connection stays usable in one-in/one-out mode.
-		s.proto = wire.ProtocolV1
+		return 0, fmt.Errorf("rpc: handshake refused: %w", wire.DecodeWireError(body))
 	default:
-		nc.Close()
-		return nil, fmt.Errorf("rpc: unexpected handshake reply %v", mt)
+		return 0, fmt.Errorf("rpc: unexpected handshake reply %v", mt)
 	}
-	if s.proto >= wire.ProtocolV2 {
-		s.pending = make(map[uint32]chan frame)
-		s.writeSem = make(chan struct{}, 1)
-		go s.readLoop()
+	v, caps, err := wire.DecodeHelloCaps(body)
+	if err != nil {
+		return 0, err
 	}
-	return s, nil
+	if v != wire.ProtocolV2 {
+		return 0, &wire.WireError{Code: wire.CodeUnsupported,
+			Msg: fmt.Sprintf("rpc: server negotiated protocol %d, this build speaks only %d", v, wire.ProtocolV2)}
+	}
+	return caps, nil
 }
 
 // dropSession discards a dead session (if it is still the current one).
@@ -311,7 +294,7 @@ func (c *Conn) dropSession(s *session) {
 	s.nc.Close()
 }
 
-// readLoop is the v2 demultiplexer: it owns the connection's read side
+// readLoop is the demultiplexer: it owns the connection's read side
 // and routes each response frame to the in-flight call that owns its
 // request ID. Responses may arrive in any order.
 func (s *session) readLoop() {
@@ -359,12 +342,12 @@ func (e *errTransport) Error() string { return e.err.Error() }
 func (e *errTransport) Unwrap() error { return e.err }
 
 // Call sends one request and returns the matching response body. Remote
-// error frames come back as errors (typed *wire.WireError on v2
-// sessions). When the connection itself fails, Call redials with backoff
-// and retries once on the fresh connection — always when the request
-// provably never reached the server, and otherwise only for idempotent
-// requests (a non-idempotent request that was fully written may already
-// have executed).
+// error frames come back as typed *wire.WireError errors. When the
+// connection itself fails, Call redials with backoff and retries once on
+// the fresh connection — always when the request provably never reached
+// the server, and otherwise only for idempotent requests (a
+// non-idempotent request that was fully written may already have
+// executed).
 func (c *Conn) Call(ctx context.Context, t wire.MsgType, body []byte, want wire.MsgType, idempotent bool) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -386,20 +369,12 @@ func (c *Conn) callOnce(ctx context.Context, t wire.MsgType, body []byte, want w
 	if err != nil {
 		return nil, &errTransport{err: err}
 	}
-	var f frame
-	if s.proto >= wire.ProtocolV2 {
-		f, err = c.callV2(ctx, s, t, body)
-	} else {
-		f, err = c.callV1(ctx, s, t, body)
-	}
+	f, err := c.exchange(ctx, s, t, body)
 	if err != nil {
 		return nil, err
 	}
 	if f.mt == wire.MsgError {
-		if s.proto >= wire.ProtocolV2 {
-			return nil, wire.DecodeWireError(f.body)
-		}
-		return nil, wire.AsError(f.body)
+		return nil, wire.DecodeWireError(f.body)
 	}
 	if f.mt != want {
 		return nil, fmt.Errorf("rpc: expected %v, got %v", want, f.mt)
@@ -407,10 +382,10 @@ func (c *Conn) callOnce(ctx context.Context, t wire.MsgType, body []byte, want w
 	return f.body, nil
 }
 
-// callV2 runs one pipelined exchange: register an in-flight entry, write
+// exchange runs one pipelined exchange: register an in-flight entry, write
 // the frame under the connection write lock, then wait for the reader
 // goroutine to deliver the tagged response (or for ctx to expire).
-func (c *Conn) callV2(ctx context.Context, s *session, t wire.MsgType, body []byte) (frame, error) {
+func (c *Conn) exchange(ctx context.Context, s *session, t wire.MsgType, body []byte) (frame, error) {
 	ch := make(chan frame, 1)
 	s.pendMu.Lock()
 	if s.dead != nil {
@@ -490,43 +465,4 @@ func (c *Conn) callV2(ctx context.Context, s *session, t wire.MsgType, body []by
 		s.pendMu.Unlock()
 		return frame{}, ctx.Err()
 	}
-}
-
-// callV1 runs one serial exchange against a legacy peer. Cancellation is
-// honored by yanking the read deadline, which kills the connection (a v1
-// stream has no request IDs, so an abandoned response would desynchronize
-// every later exchange).
-func (c *Conn) callV1(ctx context.Context, s *session, t wire.MsgType, body []byte) (frame, error) {
-	s.callMu.Lock()
-	defer s.callMu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return frame{}, err
-	}
-	s.nc.SetDeadline(time.Time{})
-	stop := context.AfterFunc(ctx, func() {
-		s.nc.SetDeadline(time.Unix(1, 0)) // unblock both write and read
-	})
-	if err := wire.WriteFrame(s.nc, t, body); err != nil {
-		stop()
-		c.dropSession(s)
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return frame{}, ctxErr
-		}
-		return frame{}, &errTransport{err: fmt.Errorf("rpc: write: %w", err)}
-	}
-	mt, resp, err := wire.ReadFrame(s.nc)
-	if !stop() {
-		// The cancellation hook ran (or is running) concurrently with the
-		// exchange; the read deadline may be poisoned at any moment, so
-		// the session cannot be reused even if this read succeeded.
-		c.dropSession(s)
-	}
-	if err != nil {
-		c.dropSession(s)
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return frame{}, ctxErr
-		}
-		return frame{}, &errTransport{err: fmt.Errorf("rpc: read: %w", err), sent: true}
-	}
-	return frame{mt: mt, body: resp}, nil
 }

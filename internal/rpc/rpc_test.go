@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -13,12 +15,12 @@ import (
 	"edgeauth/internal/wire"
 )
 
-// echoHandler answers MsgQueryReq with MsgQueryResp carrying the request
-// body back, and fails everything else with a typed error.
+// echoHandler answers MsgShardQueryReq with MsgShardQueryResp carrying
+// the request body back, and fails everything else with a typed error.
 func echoHandler(_ context.Context, mt wire.MsgType, body []byte) (wire.MsgType, []byte, error) {
 	switch mt {
-	case wire.MsgQueryReq:
-		return wire.MsgQueryResp, body, nil
+	case wire.MsgShardQueryReq:
+		return wire.MsgShardQueryResp, body, nil
 	case wire.MsgSchemaReq:
 		return 0, nil, wire.UnknownTable("test", string(body))
 	default:
@@ -49,138 +51,123 @@ func startServer(t *testing.T, h Handler, o ServeOptions) string {
 	return ln.Addr().String()
 }
 
-// startV1Server emulates a legacy peer: the pre-handshake serial loop
-// that answers MsgHello with a string error frame.
-func startV1Server(t *testing.T, h Handler) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				for {
-					mt, body, err := wire.ReadFrame(conn)
-					if err != nil {
-						return
-					}
-					if mt == wire.MsgHello {
-						wire.WriteError(conn, errors.New("test: unsupported message hello"))
-						continue
-					}
-					respType, resp, err := h(context.Background(), mt, body)
-					if err != nil {
-						if wire.WriteError(conn, err) != nil {
-							return
-						}
-						continue
-					}
-					if wire.WriteFrame(conn, respType, resp) != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	t.Cleanup(func() { ln.Close() })
-	return ln.Addr().String()
-}
-
-func TestV2HandshakeAndCall(t *testing.T) {
+func TestHandshakeAndCall(t *testing.T) {
 	addr := startServer(t, echoHandler, ServeOptions{})
 	c := New(addr, Options{})
 	defer c.Close()
 	ctx := context.Background()
-	resp, err := c.Call(ctx, wire.MsgQueryReq, []byte("ping"), wire.MsgQueryResp, true)
+	resp, err := c.Call(ctx, wire.MsgShardQueryReq, []byte("ping"), wire.MsgShardQueryResp, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(resp) != "ping" {
 		t.Fatalf("echo = %q", resp)
 	}
-	if c.Proto() != wire.ProtocolV2 {
-		t.Fatalf("negotiated protocol %d, want v2", c.Proto())
+}
+
+// TestHandshakeRejectsOtherProtocols: there is one protocol generation.
+// A server answers a connection that does not open with a well-formed
+// Hello offering ProtocolV2 with one typed error frame and hangs up; a
+// dialer treats any reply but a HelloResp negotiating ProtocolV2 as a
+// dial error. Neither side downgrades.
+func TestHandshakeRejectsOtherProtocols(t *testing.T) {
+	type frame struct {
+		mt   wire.MsgType
+		body []byte
+	}
+	cases := []struct {
+		name string
+		// open is what a raw dialer sends a real ServeConn as its first
+		// frame; reply is what a fake server answers a real Conn's Hello
+		// with. Exactly one is set.
+		open, reply *frame
+		want        wire.ErrCode
+	}{
+		{name: "non-hello first frame", open: &frame{wire.MsgShardQueryReq, []byte("x")}, want: wire.CodeUnsupported},
+		{name: "hello max version 1", open: &frame{wire.MsgHello, wire.EncodeHelloCaps(1, 0)}, want: wire.CodeUnsupported},
+		{name: "4-byte hello body", open: &frame{wire.MsgHello, []byte{0, 0, 0, 2}}, want: wire.CodeBadRequest},
+		{name: "hello-resp negotiating 1", reply: &frame{wire.MsgHelloResp, wire.EncodeHelloCaps(1, 0)}, want: wire.CodeUnsupported},
+		{name: "error reply to hello", reply: &frame{wire.MsgError, wire.Unsupported("test", wire.MsgHello).Encode()}, want: wire.CodeUnsupported},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.open != nil {
+				var handled atomic.Int64
+				h := func(ctx context.Context, mt wire.MsgType, body []byte) (wire.MsgType, []byte, error) {
+					handled.Add(1)
+					return echoHandler(ctx, mt, body)
+				}
+				nc, err := net.Dial("tcp", startServer(t, h, ServeOptions{}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer nc.Close()
+				nc.SetDeadline(time.Now().Add(5 * time.Second))
+				if err := wire.WriteFrame(nc, tc.open.mt, tc.open.body); err != nil {
+					t.Fatal(err)
+				}
+				mt, body, err := wire.ReadFrame(nc)
+				if err != nil || mt != wire.MsgError {
+					t.Fatalf("reply: mt=%v err=%v, want one error frame", mt, err)
+				}
+				if got := wire.DecodeWireError(body); got.Code != tc.want {
+					t.Fatalf("error code = %v (%v), want %v", got.Code, got, tc.want)
+				}
+				if _, _, err := wire.ReadFrame(nc); !errors.Is(err, io.EOF) {
+					t.Fatalf("after the error frame: %v, want a closed connection", err)
+				}
+				if n := handled.Load(); n != 0 {
+					t.Fatalf("handler ran %d times for a refused connection", n)
+				}
+				return
+			}
+
+			// A fake server: read the Hello, answer tc.reply, then report
+			// whatever the dialer does next (it must hang up). Call redials
+			// once after a failed dial, so every connection gets the script.
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			script := func(nc net.Conn) error {
+				defer nc.Close()
+				nc.SetDeadline(time.Now().Add(5 * time.Second))
+				if mt, _, err := wire.ReadFrame(nc); err != nil || mt != wire.MsgHello {
+					return fmt.Errorf("first frame: mt=%v err=%v", mt, err)
+				}
+				if err := wire.WriteFrame(nc, tc.reply.mt, tc.reply.body); err != nil {
+					return err
+				}
+				_, _, err := wire.ReadFrame(nc)
+				return err
+			}
+			next := make(chan error, 2) // one per dial; Call makes at most two
+			go func() {
+				for {
+					nc, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					next <- script(nc)
+				}
+			}()
+			c := New(ln.Addr().String(), Options{RedialAttempts: 1})
+			defer c.Close()
+			_, err = c.Call(context.Background(), wire.MsgShardQueryReq, []byte("x"), wire.MsgShardQueryResp, false)
+			var we *wire.WireError
+			if !errors.As(err, &we) || we.Code != tc.want {
+				t.Fatalf("Call error = %v, want a typed %v", err, tc.want)
+			}
+			if err := <-next; !errors.Is(err, io.EOF) {
+				t.Fatalf("dialer after the refused handshake: %v, want it to hang up", err)
+			}
+		})
 	}
 }
 
-func TestV2ClientAgainstV1Server(t *testing.T) {
-	addr := startV1Server(t, echoHandler)
-	c := New(addr, Options{})
-	defer c.Close()
-	ctx := context.Background()
-	resp, err := c.Call(ctx, wire.MsgQueryReq, []byte("legacy"), wire.MsgQueryResp, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(resp) != "legacy" {
-		t.Fatalf("echo = %q", resp)
-	}
-	if c.Proto() != wire.ProtocolV1 {
-		t.Fatalf("negotiated protocol %d, want v1 fallback", c.Proto())
-	}
-	// v1 error frames still surface as errors (string form).
-	if _, err := c.Call(ctx, wire.MsgSchemaReq, []byte("ghost"), wire.MsgSchemaResp, true); err == nil {
-		t.Fatal("v1 error frame not surfaced")
-	}
-}
-
-func TestV1ClientAgainstV2Server(t *testing.T) {
-	// A legacy client speaks raw v1 frames with no Hello; the server must
-	// fall back to the serial loop on the same connection.
-	addr := startServer(t, echoHandler, ServeOptions{})
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	for i := 0; i < 3; i++ {
-		if err := wire.WriteFrame(nc, wire.MsgQueryReq, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-		mt, body, err := wire.ReadFrame(nc)
-		if err != nil || mt != wire.MsgQueryResp || !bytes.Equal(body, []byte{byte(i)}) {
-			t.Fatalf("exchange %d: mt=%v body=%v err=%v", i, mt, body, err)
-		}
-	}
-	// Errors stay string-framed for v1 peers, and the conn stays usable.
-	if err := wire.WriteFrame(nc, wire.MsgSchemaReq, []byte("ghost")); err != nil {
-		t.Fatal(err)
-	}
-	mt, body, err := wire.ReadFrame(nc)
-	if err != nil || mt != wire.MsgError {
-		t.Fatalf("error frame: mt=%v err=%v", mt, err)
-	}
-	if wire.AsError(body).Error() == "" {
-		t.Fatal("empty v1 error")
-	}
-	if err := wire.WriteFrame(nc, wire.MsgQueryReq, nil); err != nil {
-		t.Fatal(err)
-	}
-	if mt, _, err = wire.ReadFrame(nc); err != nil || mt != wire.MsgQueryResp {
-		t.Fatalf("conn unusable after error: mt=%v err=%v", mt, err)
-	}
-}
-
-func TestForceV1AgainstV2Server(t *testing.T) {
-	addr := startServer(t, echoHandler, ServeOptions{})
-	c := New(addr, Options{ForceV1: true})
-	defer c.Close()
-	resp, err := c.Call(context.Background(), wire.MsgQueryReq, []byte("x"), wire.MsgQueryResp, true)
-	if err != nil || string(resp) != "x" {
-		t.Fatalf("forced-v1 call: %q %v", resp, err)
-	}
-	if c.Proto() != wire.ProtocolV1 {
-		t.Fatalf("proto = %d", c.Proto())
-	}
-}
-
-func TestTypedErrorAcrossV2(t *testing.T) {
+func TestTypedErrorAcrossWire(t *testing.T) {
 	addr := startServer(t, echoHandler, ServeOptions{})
 	c := New(addr, Options{})
 	defer c.Close()
@@ -192,7 +179,7 @@ func TestTypedErrorAcrossV2(t *testing.T) {
 	if !errors.As(err, &we) || we.Table != "ghost" {
 		t.Fatalf("typed error lost its table: %v", err)
 	}
-	_, err = c.Call(context.Background(), wire.MsgVersionReq, nil, wire.MsgVersionResp, true)
+	_, err = c.Call(context.Background(), wire.MsgPubKeyReq, nil, wire.MsgPubKeyResp, true)
 	if !errors.Is(err, wire.ErrUnsupported) {
 		t.Fatalf("err = %v, want ErrUnsupported", err)
 	}
@@ -206,7 +193,7 @@ func TestOutOfOrderResponses(t *testing.T) {
 		if len(body) > 0 && body[0] == 's' {
 			<-release
 		}
-		return wire.MsgQueryResp, body, nil
+		return wire.MsgShardQueryResp, body, nil
 	}
 	addr := startServer(t, h, ServeOptions{})
 	c := New(addr, Options{})
@@ -215,13 +202,13 @@ func TestOutOfOrderResponses(t *testing.T) {
 
 	slowDone := make(chan error, 1)
 	go func() {
-		_, err := c.Call(ctx, wire.MsgQueryReq, []byte("slow"), wire.MsgQueryResp, true)
+		_, err := c.Call(ctx, wire.MsgShardQueryReq, []byte("slow"), wire.MsgShardQueryResp, true)
 		slowDone <- err
 	}()
 	// The fast call completes while the slow one is parked in a worker.
 	fastCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
-	if _, err := c.Call(fastCtx, wire.MsgQueryReq, []byte("fast"), wire.MsgQueryResp, true); err != nil {
+	if _, err := c.Call(fastCtx, wire.MsgShardQueryReq, []byte("fast"), wire.MsgShardQueryResp, true); err != nil {
 		t.Fatalf("fast call blocked behind slow one: %v", err)
 	}
 	close(release)
@@ -234,7 +221,7 @@ func TestContextCancellationMidRequest(t *testing.T) {
 	block := make(chan struct{})
 	h := func(_ context.Context, mt wire.MsgType, body []byte) (wire.MsgType, []byte, error) {
 		<-block
-		return wire.MsgQueryResp, body, nil
+		return wire.MsgShardQueryResp, body, nil
 	}
 	addr := startServer(t, h, ServeOptions{})
 	c := New(addr, Options{})
@@ -244,7 +231,7 @@ func TestContextCancellationMidRequest(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Call(ctx, wire.MsgQueryReq, []byte("hang"), wire.MsgQueryResp, true)
+		_, err := c.Call(ctx, wire.MsgShardQueryReq, []byte("hang"), wire.MsgShardQueryResp, true)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the request reach the server
@@ -261,7 +248,7 @@ func TestContextCancellationMidRequest(t *testing.T) {
 	// An already-expired context fails before any I/O.
 	expired, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	if _, err := c.Call(expired, wire.MsgQueryReq, nil, wire.MsgQueryResp, true); !errors.Is(err, context.Canceled) {
+	if _, err := c.Call(expired, wire.MsgShardQueryReq, nil, wire.MsgShardQueryResp, true); !errors.Is(err, context.Canceled) {
 		t.Fatalf("expired ctx: %v", err)
 	}
 }
@@ -301,7 +288,7 @@ func TestRedialAfterServerRestart(t *testing.T) {
 	c := New(addr, Options{RedialBackoff: 5 * time.Millisecond})
 	defer c.Close()
 	ctx := context.Background()
-	if _, err := c.Call(ctx, wire.MsgQueryReq, []byte("a"), wire.MsgQueryResp, true); err != nil {
+	if _, err := c.Call(ctx, wire.MsgShardQueryReq, []byte("a"), wire.MsgShardQueryResp, true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -321,7 +308,7 @@ func TestRedialAfterServerRestart(t *testing.T) {
 	defer ln2.Close()
 	go serve(ln2)
 
-	resp, err := c.Call(ctx, wire.MsgQueryReq, []byte("b"), wire.MsgQueryResp, true)
+	resp, err := c.Call(ctx, wire.MsgShardQueryReq, []byte("b"), wire.MsgShardQueryResp, true)
 	if err != nil {
 		t.Fatalf("idempotent call after restart: %v", err)
 	}
@@ -339,7 +326,7 @@ func TestNonIdempotentRetriesWhenNeverSent(t *testing.T) {
 	c := New(addr, Options{RedialBackoff: 5 * time.Millisecond})
 	defer c.Close()
 	ctx := context.Background()
-	if _, err := c.Call(ctx, wire.MsgQueryReq, []byte("a"), wire.MsgQueryResp, false); err != nil {
+	if _, err := c.Call(ctx, wire.MsgShardQueryReq, []byte("a"), wire.MsgShardQueryResp, false); err != nil {
 		t.Fatal(err)
 	}
 	// Wait for the server to idle-drop the connection and the client's
@@ -363,7 +350,7 @@ func TestNonIdempotentRetriesWhenNeverSent(t *testing.T) {
 			break
 		}
 	}
-	resp, err := c.Call(ctx, wire.MsgQueryReq, []byte("b"), wire.MsgQueryResp, false)
+	resp, err := c.Call(ctx, wire.MsgShardQueryReq, []byte("b"), wire.MsgShardQueryResp, false)
 	if err != nil {
 		t.Fatalf("non-idempotent call on dead session: %v (should retry: never sent)", err)
 	}
@@ -410,7 +397,7 @@ func TestConcurrentPipelinedCalls(t *testing.T) {
 	var served atomic.Int64
 	h := func(_ context.Context, mt wire.MsgType, body []byte) (wire.MsgType, []byte, error) {
 		served.Add(1)
-		return wire.MsgQueryResp, body, nil
+		return wire.MsgShardQueryResp, body, nil
 	}
 	addr := startServer(t, h, ServeOptions{MaxConcurrent: 4})
 	c := New(addr, Options{})
@@ -426,7 +413,7 @@ func TestConcurrentPipelinedCalls(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				payload := []byte{byte(g), byte(i)}
-				resp, err := c.Call(ctx, wire.MsgQueryReq, payload, wire.MsgQueryResp, true)
+				resp, err := c.Call(ctx, wire.MsgShardQueryReq, payload, wire.MsgShardQueryResp, true)
 				if err != nil {
 					errs <- err
 					return
@@ -462,11 +449,11 @@ func TestHandlerCtxCancelledOnDisconnect(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			cancelled <- nil
 		}
-		return wire.MsgQueryResp, nil, nil
+		return wire.MsgShardQueryResp, nil, nil
 	}
 	addr := startServer(t, h, ServeOptions{})
 	c := New(addr, Options{})
-	go c.Call(context.Background(), wire.MsgQueryReq, []byte("x"), wire.MsgQueryResp, false)
+	go c.Call(context.Background(), wire.MsgShardQueryReq, []byte("x"), wire.MsgShardQueryResp, false)
 	<-started
 	c.Close() // client hangs up mid-request
 	select {
@@ -495,7 +482,7 @@ func TestBaseContextCancellation(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Call(context.Background(), wire.MsgQueryReq, []byte("x"), wire.MsgQueryResp, true)
+		_, err := c.Call(context.Background(), wire.MsgShardQueryReq, []byte("x"), wire.MsgShardQueryResp, true)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the call reach the handler

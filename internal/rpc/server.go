@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -16,15 +17,12 @@ const (
 )
 
 // Handler executes one decoded request and returns the response frame's
-// type and body. ctx is the connection's context: on multiplexed (v2)
-// sessions it is cancelled the moment the read loop observes the peer
-// gone, so long-running handlers (query traversal, VO crypto) stop
-// early instead of burning a worker on an answer nobody will read. On
-// serial v1 sessions the handler runs inline in the read loop, so a
-// mid-request disconnect is only noticed afterwards — there ctx covers
-// server teardown, not per-request disconnects. Returning an error
-// sends an error frame instead (typed on v2 sessions, a bare string on
-// v1); return a *wire.WireError to control the code the client sees.
+// type and body. ctx is the connection's context: it is cancelled the
+// moment the read loop observes the peer gone, so long-running handlers
+// (query traversal, VO crypto) stop early instead of burning a worker on
+// an answer nobody will read. Returning an error sends a typed error
+// frame instead; return a *wire.WireError to control the code the client
+// sees.
 type Handler func(ctx context.Context, mt wire.MsgType, body []byte) (wire.MsgType, []byte, error)
 
 // ServeOptions configures per-connection dispatch.
@@ -34,7 +32,7 @@ type ServeOptions struct {
 	// connection goroutine forever. 0 selects DefaultIdleTimeout;
 	// negative disables the deadline.
 	IdleTimeout time.Duration
-	// MaxConcurrent bounds the requests executing concurrently on one v2
+	// MaxConcurrent bounds the requests executing concurrently on one
 	// connection. 0 selects DefaultMaxConcurrent.
 	MaxConcurrent int
 	// BaseContext, when non-nil, parents every connection context, so
@@ -72,14 +70,15 @@ func (o ServeOptions) maxConcurrent() int {
 	return o.MaxConcurrent
 }
 
-// ServeConn drives one accepted connection until it closes: it negotiates
-// the protocol with the peer's optional Hello, then dispatches requests
-// through h. On a v2 session requests decode on this (reader) goroutine
-// and execute concurrently on a bounded worker pool, each response
-// written under the connection write lock and tagged with its request ID;
-// a v1 peer gets the classic serial one-frame-in/one-frame-out loop.
-// ServeConn returns when the peer disconnects, idles out, or sends a
-// malformed frame; in-flight workers are drained before it returns.
+// ServeConn drives one accepted connection until it closes: it completes
+// the Hello handshake, then dispatches requests through h. Requests
+// decode on this (reader) goroutine and execute concurrently on a bounded
+// worker pool, each response written under the connection write lock and
+// tagged with its request ID. A peer whose first frame is not a
+// well-formed Hello offering wire.ProtocolV2 gets one typed error frame
+// and ServeConn returns (the caller closes the connection). ServeConn
+// also returns when the peer disconnects, idles out, or sends a malformed
+// frame; in-flight workers are drained before it returns.
 func ServeConn(conn net.Conn, h Handler, o ServeOptions) {
 	// The connection context: cancelled the moment the serve loop winds
 	// down (peer disconnected, idled out, malformed frame) or the
@@ -93,35 +92,35 @@ func ServeConn(conn net.Conn, h Handler, o ServeOptions) {
 	if err != nil {
 		return
 	}
-	if mt != wire.MsgHello {
-		// A v1 peer: serve the frame we already read, then loop serially.
-		serveV1(ctx, conn, h, idle, mt, body)
+	if err := checkHello(mt, body); err != nil {
+		setWriteDeadline(conn, idle)
+		// Best effort: the connection is dropped whether or not the
+		// refusal reaches the peer.
+		_ = wire.WriteFrame(conn, wire.MsgError, err.Encode())
 		return
+	}
+	setWriteDeadline(conn, idle)
+	if err := wire.WriteFrame(conn, wire.MsgHelloResp, wire.EncodeHelloCaps(wire.ProtocolV2, o.Capabilities)); err != nil {
+		return
+	}
+	serve(ctx, conn, h, o, idle)
+}
+
+// checkHello validates a connection's first frame: a Hello whose sender
+// speaks at least wire.ProtocolV2.
+func checkHello(mt wire.MsgType, body []byte) *wire.WireError {
+	if mt != wire.MsgHello {
+		return wire.Unsupported("rpc", mt)
 	}
 	theirMax, _, err := wire.DecodeHelloCaps(body)
 	if err != nil {
-		setWriteDeadline(conn, idle)
-		wire.WriteError(conn, err)
-		return
+		return &wire.WireError{Code: wire.CodeBadRequest, Msg: "rpc: " + err.Error()}
 	}
-	version := uint32(wire.MaxProtocol)
-	if theirMax < version {
-		version = theirMax
+	if theirMax < wire.ProtocolV2 {
+		return &wire.WireError{Code: wire.CodeUnsupported,
+			Msg: fmt.Sprintf("rpc: peer speaks protocol %d at most, this build speaks only %d", theirMax, wire.ProtocolV2)}
 	}
-	setWriteDeadline(conn, idle)
-	if err := wire.WriteFrame(conn, wire.MsgHelloResp, wire.EncodeHelloCaps(version, o.Capabilities)); err != nil {
-		return
-	}
-	if version < wire.ProtocolV2 {
-		setIdleDeadline(conn, idle)
-		mt, body, err := wire.ReadFrame(conn)
-		if err != nil {
-			return
-		}
-		serveV1(ctx, conn, h, idle, mt, body)
-		return
-	}
-	serveV2(ctx, conn, h, o, idle)
+	return nil
 }
 
 func setIdleDeadline(conn net.Conn, idle time.Duration) {
@@ -139,30 +138,11 @@ func setWriteDeadline(conn net.Conn, idle time.Duration) {
 	}
 }
 
-// serveV1 is the legacy serial loop, starting from an already-read frame.
-func serveV1(ctx context.Context, conn net.Conn, h Handler, idle time.Duration, mt wire.MsgType, body []byte) {
-	for {
-		respType, resp, err := h(ctx, mt, body)
-		setWriteDeadline(conn, idle)
-		if err != nil {
-			if werr := wire.WriteError(conn, err); werr != nil {
-				return
-			}
-		} else if err := wire.WriteFrame(conn, respType, resp); err != nil {
-			return
-		}
-		setIdleDeadline(conn, idle)
-		if mt, body, err = wire.ReadFrame(conn); err != nil {
-			return
-		}
-	}
-}
-
-// serveV2 is the multiplexed loop: decode on this goroutine, execute on a
+// serve is the multiplexed loop: decode on this goroutine, execute on a
 // bounded pool, write under writeMu tagged with the request ID. When the
 // read loop exits (peer gone), ctx is cancelled before the worker drain,
 // so stuck handlers unblock instead of pinning the drain.
-func serveV2(ctx context.Context, conn net.Conn, h Handler, o ServeOptions, idle time.Duration) {
+func serve(ctx context.Context, conn net.Conn, h Handler, o ServeOptions, idle time.Duration) {
 	var (
 		writeMu sync.Mutex
 		wg      sync.WaitGroup

@@ -19,26 +19,21 @@ func seedSigned() []byte {
 	return s.Encode()
 }
 
-func seedEpochSigned() []byte {
-	s := &Signed{Map: epochMap(), Sig: []byte{9, 9, 9, 9}}
-	return s.Encode()
-}
-
 func FuzzDecodeSigned(f *testing.F) {
 	f.Add(seedSigned())
-	f.Add(seedEpochSigned())
 	one := &Signed{
-		Map: &Map{Table: "t", Shards: []ShardState{{RootDigest: []byte{1}}}},
+		Map: &Map{Table: "t", MapEpoch: 1, Shards: []ShardState{{RootDigest: []byte{1}, ID: 1}}},
 		Sig: []byte{1},
 	}
 	f.Add(one.Encode())
 	str := &Signed{
 		Map: &Map{
 			Table:      "s",
+			MapEpoch:   1,
 			Boundaries: []schema.Datum{schema.Str("m")},
 			Shards: []ShardState{
-				{RootDigest: []byte{1, 2}},
-				{RootDigest: []byte{3, 4}, Version: 8},
+				{RootDigest: []byte{1, 2}, ID: 1},
+				{RootDigest: []byte{3, 4}, Version: 8, ID: 2},
 			},
 		},
 		Sig: bytes.Repeat([]byte{7}, 64),
@@ -77,7 +72,7 @@ func FuzzDecodeSigned(f *testing.F) {
 // (accepting parent->child as a split means accepting child->parent as
 // a merge), and SplitAt/MergeAt outputs always pass ValidateTransition.
 func FuzzValidateTransition(f *testing.F) {
-	parent := epochMap()
+	parent := testMap()
 	child, err := parent.SplitAt(1, schema.Int64(150),
 		ShardState{RootDigest: []byte{5, 5, 5, 5}, ID: 5},
 		ShardState{RootDigest: []byte{6, 6, 6, 6}, ID: 6})
@@ -87,7 +82,7 @@ func FuzzValidateTransition(f *testing.F) {
 	f.Add(parent.Encode(), child.Encode())
 	f.Add(child.Encode(), parent.Encode())
 	f.Add(parent.Encode(), parent.Encode())
-	f.Add(seedSigned(), seedEpochSigned())
+	f.Add(seedSigned(), seedSigned())
 	f.Add([]byte{}, bytes.Repeat([]byte{0xFF}, 40))
 	f.Fuzz(func(t *testing.T, pdata, cdata []byte) {
 		p, perr := Decode(pdata)

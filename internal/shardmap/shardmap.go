@@ -55,8 +55,8 @@ type ShardState struct {
 	// ID is the shard's stable identity, assigned once when the shard is
 	// created and never reused within a table incarnation. Shard slice
 	// indices shift when the partition splits or merges; IDs let an edge
-	// recognize which of its pinned stores survive a transition. Zero
-	// means "legacy map without identities" (pre-resharding encodings).
+	// recognize which of its pinned stores survive a transition. Never
+	// zero.
 	ID uint64
 }
 
@@ -81,7 +81,6 @@ type Map struct {
 	// by exactly one each time the boundary set changes (a split or a
 	// merge). Maps within one MapEpoch differ only in shard versions and
 	// digests; maps across MapEpochs describe different partitions.
-	// Zero marks a legacy map from before dynamic resharding.
 	MapEpoch uint64
 	// ParentEpoch links a map to the partition generation it was derived
 	// from (MapEpoch-1 after a transition, and for generation 1 it is 0,
@@ -119,31 +118,24 @@ func (m *Map) Validate() error {
 			return fmt.Errorf("shardmap: shard %d root digest has %d bytes, shard 0 has %d", i, len(s.RootDigest), dlen)
 		}
 	}
+	// Every map belongs to a partition generation and every shard has a
+	// stable identity: the client's replay ratchet keys on the former and
+	// the edge's store carry-over on the latter, so neither may be absent.
 	if m.MapEpoch == 0 {
-		// Legacy map: no partition generation, so it must not claim a
-		// parent or carry shard identities either.
-		if m.ParentEpoch != 0 {
-			return errors.New("shardmap: parent epoch without map epoch")
+		return errors.New("shardmap: missing map epoch")
+	}
+	if m.ParentEpoch >= m.MapEpoch {
+		return fmt.Errorf("shardmap: parent epoch %d not before map epoch %d", m.ParentEpoch, m.MapEpoch)
+	}
+	seen := make(map[uint64]int, len(m.Shards))
+	for i, s := range m.Shards {
+		if s.ID == 0 {
+			return fmt.Errorf("shardmap: shard %d missing ID", i)
 		}
-		for i, s := range m.Shards {
-			if s.ID != 0 {
-				return fmt.Errorf("shardmap: shard %d has an ID but the map has no epoch", i)
-			}
+		if j, dup := seen[s.ID]; dup {
+			return fmt.Errorf("shardmap: shards %d and %d share ID %d", j, i, s.ID)
 		}
-	} else {
-		if m.ParentEpoch >= m.MapEpoch {
-			return fmt.Errorf("shardmap: parent epoch %d not before map epoch %d", m.ParentEpoch, m.MapEpoch)
-		}
-		seen := make(map[uint64]int, len(m.Shards))
-		for i, s := range m.Shards {
-			if s.ID == 0 {
-				return fmt.Errorf("shardmap: shard %d missing ID", i)
-			}
-			if j, dup := seen[s.ID]; dup {
-				return fmt.Errorf("shardmap: shards %d and %d share ID %d", j, i, s.ID)
-			}
-			seen[s.ID] = i
-		}
+		seen[s.ID] = i
 	}
 	for i, b := range m.Boundaries {
 		if b.IsZero() {

@@ -7,19 +7,23 @@ import (
 	"edgeauth/internal/sig"
 )
 
+// testMap is a four-shard map at partition generation 5 descending from
+// 4, with shard IDs 1..4.
 func testMap() *Map {
 	return &Map{
-		Table:      "items",
-		Epoch:      7,
-		MapVersion: 42,
-		KeyVersion: 3,
-		SignedAt:   1_700_000_000,
-		Boundaries: []schema.Datum{schema.Int64(100), schema.Int64(200), schema.Int64(300)},
+		Table:       "items",
+		Epoch:       7,
+		MapVersion:  42,
+		KeyVersion:  3,
+		SignedAt:    1_700_000_000,
+		MapEpoch:    5,
+		ParentEpoch: 4,
+		Boundaries:  []schema.Datum{schema.Int64(100), schema.Int64(200), schema.Int64(300)},
 		Shards: []ShardState{
-			{RootDigest: []byte{1, 1, 1, 1}, Version: 9},
-			{RootDigest: []byte{2, 2, 2, 2}, Version: 3},
-			{RootDigest: []byte{3, 3, 3, 3}, Version: 0},
-			{RootDigest: []byte{4, 4, 4, 4}, Version: 12},
+			{RootDigest: []byte{1, 1, 1, 1}, Version: 9, ID: 1},
+			{RootDigest: []byte{2, 2, 2, 2}, Version: 3, ID: 2},
+			{RootDigest: []byte{3, 3, 3, 3}, Version: 0, ID: 3},
+			{RootDigest: []byte{4, 4, 4, 4}, Version: 12, ID: 4},
 		},
 	}
 }

@@ -7,20 +7,8 @@ import (
 	"edgeauth/internal/schema"
 )
 
-// epochMap is testMap with the resharding fields filled in: partition
-// generation 5 descending from 4, shard IDs 1..4.
-func epochMap() *Map {
-	m := testMap()
-	m.MapEpoch = 5
-	m.ParentEpoch = 4
-	for i := range m.Shards {
-		m.Shards[i].ID = uint64(i + 1)
-	}
-	return m
-}
-
 func TestEpochMapRoundTrip(t *testing.T) {
-	m := epochMap()
+	m := testMap()
 	dec, err := Decode(m.Encode())
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -42,31 +30,26 @@ func TestValidateEpochRules(t *testing.T) {
 	}{
 		{"parent >= epoch", func(m *Map) { m.ParentEpoch = m.MapEpoch }},
 		{"parent ahead", func(m *Map) { m.ParentEpoch = m.MapEpoch + 1 }},
+		{"no map epoch, no IDs", func(m *Map) {
+			m.MapEpoch, m.ParentEpoch = 0, 0
+			for i := range m.Shards {
+				m.Shards[i].ID = 0
+			}
+		}},
 		{"missing shard ID", func(m *Map) { m.Shards[2].ID = 0 }},
 		{"duplicate shard ID", func(m *Map) { m.Shards[2].ID = m.Shards[1].ID }},
 	}
 	for _, tc := range cases {
-		m := epochMap()
+		m := testMap()
 		tc.mutate(m)
 		if err := m.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted a bad map", tc.name)
 		}
 	}
-	// Legacy maps must not smuggle in epoch fields piecemeal.
-	legacy := testMap()
-	legacy.ParentEpoch = 3
-	if err := legacy.Validate(); err == nil {
-		t.Error("parent epoch without map epoch accepted")
-	}
-	legacy = testMap()
-	legacy.Shards[0].ID = 9
-	if err := legacy.Validate(); err == nil {
-		t.Error("shard ID without map epoch accepted")
-	}
 }
 
 func TestSplitAtAndValidateTransition(t *testing.T) {
-	parent := epochMap() // boundaries 100,200,300; shards 1..4
+	parent := testMap() // boundaries 100,200,300; shards 1..4
 	child, err := parent.SplitAt(1, schema.Int64(150),
 		ShardState{RootDigest: []byte{5, 5, 5, 5}, ID: 5},
 		ShardState{RootDigest: []byte{6, 6, 6, 6}, ID: 6})
@@ -114,7 +97,7 @@ func TestSplitAtAndValidateTransition(t *testing.T) {
 }
 
 func TestSplitAtRejects(t *testing.T) {
-	parent := epochMap()
+	parent := testMap()
 	fresh := func(id uint64) ShardState { return ShardState{RootDigest: []byte{8, 8, 8, 8}, ID: id} }
 	if _, err := parent.SplitAt(9, schema.Int64(150), fresh(5), fresh(6)); err == nil {
 		t.Error("out-of-range shard accepted")
@@ -141,7 +124,7 @@ func TestSplitAtRejects(t *testing.T) {
 }
 
 func TestValidateTransitionRejects(t *testing.T) {
-	parent := epochMap()
+	parent := testMap()
 	mk := func() *Map {
 		c, err := parent.SplitAt(1, schema.Int64(150),
 			ShardState{RootDigest: []byte{5, 5, 5, 5}, ID: 5},

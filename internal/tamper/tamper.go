@@ -428,6 +428,42 @@ func ReplayPreSplitMap() MapAttack {
 	}
 }
 
+// StripMapEpoch serves the map in the shape a build without epoch
+// chaining signed: no partition generation (MapEpoch and ParentEpoch
+// zero) and no shard identities. Such maps were once exempt from the
+// client's replay ratchet, so one replayed after a split bypassed it
+// entirely; every map now must name its generation, and the client
+// rejects the shape itself — before, and regardless of, the signature
+// (the e2e tests re-sign the stripped map to prove it).
+func StripMapEpoch() MapAttack {
+	return MapAttack{
+		Name:        "strip-map-epoch",
+		Description: "erase the partition generation and shard IDs from the served shard map to slip under the replay ratchet",
+		Apply: func(sm *shardmap.Signed) error {
+			sm.Map.MapEpoch, sm.Map.ParentEpoch = 0, 0
+			for i := range sm.Map.Shards {
+				sm.Map.Shards[i].ID = 0
+			}
+			return nil
+		},
+	}
+}
+
+// StripShardID erases one shard's stable identity from the served map.
+// Edges carry shard stores across a reshard by ID, so an ID-less shard
+// could be mistaken for any other; like StripMapEpoch it is rejected on
+// shape alone.
+func StripShardID() MapAttack {
+	return MapAttack{
+		Name:        "strip-shard-id",
+		Description: "erase a shard's stable ID from the served shard map",
+		Apply: func(sm *shardmap.Signed) error {
+			sm.Map.Shards[len(sm.Map.Shards)-1].ID = 0
+			return nil
+		},
+	}
+}
+
 // HideSplit rewrites the served map to pretend the most recent split
 // never happened: the first two shards are folded back into one (the
 // left child's root digest claiming the merged range) and the partition
@@ -491,6 +527,8 @@ func MapAttacks() []MapAttack {
 		DropShardFromMap(),
 		RewireShardDigests(),
 		ReplayPreSplitMap(),
+		StripMapEpoch(),
+		StripShardID(),
 		HideSplit(),
 		CrossEpochSplice(),
 	}

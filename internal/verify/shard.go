@@ -48,11 +48,10 @@ var ErrMapReplay = errors.New("verify: shard map replays a superseded partition 
 // split or merge commits a strictly newer generation linked to its
 // parent. A signature alone cannot catch this — a pre-split map is
 // still correctly signed — so the client's epoch high-water mark is
-// part of the trust model. Legacy maps (MapEpoch 0) predate epoch
-// chaining and are exempt, as is a different table incarnation (which
-// restarts its own chain).
+// part of the trust model. Only a different table incarnation (which
+// restarts its own chain) is exempt.
 func CheckMapSuccession(prevEpoch, prevMapEpoch uint64, m *shardmap.Map) error {
-	if m.MapEpoch == 0 || prevEpoch != m.Epoch {
+	if prevEpoch != m.Epoch {
 		return nil
 	}
 	if m.MapEpoch < prevMapEpoch {

@@ -7,14 +7,13 @@ import (
 	"edgeauth/internal/schema"
 )
 
-// Batched inserts on the wire (protocol v2 extension).
+// Batched inserts on the wire.
 //
 // A BatchRequest ships N tuples for one table in a single frame; the
 // central server applies them as one group commit — one WAL record, one
 // fsync, one version bump, one node re-sign per dirtied tree node — and
 // answers with typed per-op results, so a duplicate key in op 3 does not
-// hide the success of ops 0-2. Servers predating the message answer with
-// CodeUnsupported and clients fall back to per-tuple inserts.
+// hide the success of ops 0-2.
 
 // BatchRequest sends an insert batch to the central server.
 type BatchRequest struct {

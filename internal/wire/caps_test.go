@@ -10,21 +10,18 @@ func TestHelloCapsRoundTrip(t *testing.T) {
 	if err != nil || v != ProtocolV2 || caps != CapPeerServe {
 		t.Fatalf("round trip: v=%d caps=%#x err=%v", v, caps, err)
 	}
-	// A pre-capability (4-byte) hello decodes with zero caps — old
-	// dialers keep working against new servers.
-	v, caps, err = DecodeHelloCaps(EncodeHello(ProtocolV2))
-	if err != nil || v != ProtocolV2 || caps != 0 {
-		t.Fatalf("legacy hello: v=%d caps=%#x err=%v", v, caps, err)
+	// The capability word is mandatory: a bare 4-byte version is rejected.
+	if _, _, err := DecodeHelloCaps(appendU32(nil, ProtocolV2)); err == nil {
+		t.Fatal("4-byte hello accepted")
+	}
+	if _, _, err := DecodeHelloCaps(append(EncodeHelloCaps(ProtocolV2, 0), 0)); err == nil {
+		t.Fatal("hello with trailing bytes accepted")
 	}
 	if _, _, err := DecodeHelloCaps([]byte{1, 2}); err == nil {
 		t.Fatal("truncated hello accepted")
 	}
 	if _, _, err := DecodeHelloCaps(EncodeHelloCaps(0, 0)); err == nil {
 		t.Fatal("version 0 accepted")
-	}
-	// DecodeHello tolerates the extended form, ignoring the caps word.
-	if v, err := DecodeHello(EncodeHelloCaps(ProtocolV2, CapPeerServe)); err != nil || v != ProtocolV2 {
-		t.Fatalf("DecodeHello on extended hello: v=%d err=%v", v, err)
 	}
 }
 

@@ -7,36 +7,6 @@ import (
 	"edgeauth/internal/storage"
 )
 
-// DeltaRequest asks the central server for the changes a replica is
-// missing: everything committed after FromVersion. Epoch identifies the
-// table incarnation the replica descends from; versions are only
-// comparable within one epoch, so a mismatch (central restarted and
-// rebuilt the table) forces a snapshot instead of a divergent delta.
-type DeltaRequest struct {
-	Table       string
-	FromVersion uint64
-	Epoch       uint64
-}
-
-// Encode serializes the request.
-func (d *DeltaRequest) Encode() []byte {
-	out := appendStr(nil, d.Table)
-	out = appendU64(out, d.FromVersion)
-	return appendU64(out, d.Epoch)
-}
-
-// DecodeDeltaRequest parses a DeltaRequest.
-func DecodeDeltaRequest(body []byte) (*DeltaRequest, error) {
-	r := &reader{data: body}
-	d := &DeltaRequest{Table: r.str("table")}
-	d.FromVersion = r.u64("from version")
-	d.Epoch = r.u64("epoch")
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
 // Delta is an incremental replica update: the pages dirtied by the ops in
 // (FromVersion, ToVersion], the tree metadata they anchor to, and the
 // central server's signature over the whole payload.

@@ -24,20 +24,6 @@ func sampleDelta() *Delta {
 	}
 }
 
-func TestDeltaRequestRoundTrip(t *testing.T) {
-	req := &DeltaRequest{Table: "items", FromVersion: 42}
-	got, err := DecodeDeltaRequest(req.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Table != req.Table || got.FromVersion != req.FromVersion {
-		t.Fatalf("round trip: got %+v, want %+v", got, req)
-	}
-	if _, err := DecodeDeltaRequest(req.Encode()[:3]); err == nil {
-		t.Fatal("truncated request accepted")
-	}
-}
-
 func TestDeltaRoundTrip(t *testing.T) {
 	d := sampleDelta()
 	got, err := DecodeDelta(d.Encode())

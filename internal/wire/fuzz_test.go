@@ -101,3 +101,24 @@ func FuzzDecodeBatchResponse(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeHelloCaps covers the first bytes a server parses from any
+// dialer: exactly a version word and a capability word, nothing else.
+func FuzzDecodeHelloCaps(f *testing.F) {
+	f.Add(EncodeHelloCaps(ProtocolV2, CapPeerServe))
+	f.Add(appendU32(nil, ProtocolV2)) // the retired 4-byte form
+	f.Add(EncodeHelloCaps(0, 0))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, caps, err := DecodeHelloCaps(data)
+		if err != nil {
+			return
+		}
+		if v == 0 {
+			t.Fatal("accepted protocol version 0")
+		}
+		if !bytes.Equal(EncodeHelloCaps(v, caps), data) {
+			t.Fatal("hello round-trip mismatch")
+		}
+	})
+}

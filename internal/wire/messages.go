@@ -12,7 +12,7 @@ import (
 	"edgeauth/internal/vo"
 )
 
-// QueryRequest asks an edge server to run a selection/projection.
+// QueryRequest is the selection/projection a ShardQueryRequest carries.
 type QueryRequest struct {
 	Table      string
 	Predicates []query.Predicate
@@ -80,7 +80,7 @@ func DecodeQueryRequest(body []byte) (*QueryRequest, error) {
 	return q, nil
 }
 
-// QueryResponse carries the verifiable answer.
+// QueryResponse is the verifiable answer a ShardQueryResponse carries.
 type QueryResponse struct {
 	Result *vo.ResultSet
 	VO     *vo.VO
@@ -453,7 +453,7 @@ func DecodeStringList(body []byte) ([]string, error) {
 	return out, nil
 }
 
-// EncodeU64 / DecodeU64 serve DeleteResp (count) and VersionResp.
+// EncodeU64 / DecodeU64 serve DeleteResp (the removed-tuple count).
 func EncodeU64(v uint64) []byte { return appendU64(nil, v) }
 
 // DecodeU64 parses an 8-byte integer body.

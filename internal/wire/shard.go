@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -11,26 +10,24 @@ import (
 
 // Shard-scoped replication and query frames.
 //
-// A range-partitioned table is N independent VB-trees bound by a signed
-// shard map (internal/shardmap). Replication and queries address one
-// shard at a time:
+// A table is N ≥ 1 independent VB-trees bound by a signed shard map
+// (internal/shardmap). Replication and queries address one shard at a
+// time:
 //
 //	edge   → central: ShardMapReq        (table)          → ShardMapResp (signed map)
 //	edge   → central: ShardSnapshotReq   (table, shard)   → SnapshotResp
 //	edge   → central: ShardDeltaReq      (table, shard,…) → DeltaResp
 //	client → edge:    ShardMapReq        (table)          → ShardMapResp
-//	client → edge:    ShardQueryReq      (shard, query)   → QueryResp
+//	client → edge:    ShardQueryReq      (shard, query)   → ShardQueryResp
 //
-// Responses reuse the unsharded body codecs — a shard's snapshot, delta
-// and query answer have exactly the shapes of a small table's. Shard
-// deltas bind the shard index into the signed Table field (see
+// Shard deltas bind the shard index into the signed Table field (see
 // ShardRef) so a delta for shard 0 cannot be replayed against shard 3.
 //
-// All five requests are v2-era messages: an unsharded peer answers
-// them with a typed CodeUnsupported error (or a prose error on legacy
-// v1), and the caller falls back to the single-tree protocol. That is
-// the negotiated-compatibility story — no capability flags, just typed
-// rejection plus fallback.
+// These are the only replication and query frames: a one-shard table
+// uses them with shard 0. A server that does not serve a request (an
+// edge without Options.ServePeers asked for a snapshot, say) answers
+// with a typed CodeUnsupported error, which callers report — there is no
+// other protocol to fall back to.
 
 // ShardMapResp bodies are the shardmap.Signed encoding; the wire
 // package treats them as opaque bytes so it does not depend on the
@@ -269,16 +266,4 @@ func DecodeReshardResponse(body []byte) (*ReshardResponse, error) {
 		return nil, err
 	}
 	return q, nil
-}
-
-// ErrNotSharded is returned (inside a CodeUnsupported wire error) when a
-// shard-scoped request names a single-tree table, or an unsharded
-// request names a partitioned one.
-var ErrNotSharded = errors.New("wire: table partitioning mismatch")
-
-// NotSharded builds the typed error telling a peer to switch protocols
-// for this table (sharded peers fall back on it, unsharded ones report
-// it).
-func NotSharded(server, table, msg string) *WireError {
-	return &WireError{Code: CodeUnsupported, Table: table, Msg: server + ": " + msg}
 }

@@ -1,36 +1,31 @@
 package wire
 
-// Protocol v2: concurrent request multiplexing over one connection.
+// Session framing: concurrent request multiplexing over one connection.
 //
-// v1 sessions are strict one-frame-in/one-frame-out: a client writes a
-// request frame and blocks until the response frame arrives, so one slow
-// query serializes every caller sharing the connection. v2 keeps the v1
-// frame container but inserts a u32 request ID between the type byte and
-// the body:
+// After the handshake every frame carries a u32 request ID between the
+// type byte and the body:
 //
-//	u32 len | u8 type | u32 reqID | body        (v2)
-//	u32 len | u8 type |            body         (v1)
+//	u32 len | u8 type | u32 reqID | body
 //
 // Responses echo the request ID of the frame they answer, so they may
 // return in any order and N callers can pipeline over one TCP connection.
 //
-// # Version negotiation
+// # Handshake
 //
-// A v2 peer opens every connection with a v1-framed Hello carrying the
-// highest protocol version it speaks. A v2 server replies HelloResp with
-// the negotiated version and both sides switch framing; a v1 server does
-// not know MsgHello, answers with its usual string error frame, and the
-// client silently downgrades to v1 one-in/one-out on the same connection.
-// A v1 client never sends Hello, so a v2 server falls back to serial v1
-// dispatch when the first frame is any other request. Both directions
-// therefore interoperate with no configuration.
+// A dialer opens every connection with a bare-framed Hello carrying the
+// highest protocol version it speaks and its capability bits; the server
+// replies HelloResp with the negotiated version and its own capabilities,
+// and both sides switch to numbered frames. This build speaks exactly
+// ProtocolV2: a server answers anything else — a first frame that is not
+// a Hello, a malformed Hello, a maximum version below 2 — with one typed
+// error frame and closes, and a dialer treats any reply other than a
+// HelloResp negotiating ProtocolV2 as a dial error.
 //
 // # Typed errors
 //
-// v1 error frames carry a bare string. In v2 sessions the MsgError body is
-// a structured WireError{code, table, message} so clients can distinguish
-// programmatically-actionable failures (unknown table, stale replica,
-// unsupported request) without parsing prose.
+// The MsgError body is a structured WireError{code, table, message} so
+// clients can distinguish programmatically-actionable failures (unknown
+// table, stale replica, unsupported request) without parsing prose.
 
 import (
 	"encoding/binary"
@@ -39,13 +34,9 @@ import (
 	"io"
 )
 
-// Protocol versions negotiated by the Hello handshake.
-const (
-	ProtocolV1 = 1
-	ProtocolV2 = 2
-	// MaxProtocol is the highest version this build speaks.
-	MaxProtocol = ProtocolV2
-)
+// ProtocolV2 is the one protocol version this build speaks; the Hello
+// handshake carries it in both directions.
+const ProtocolV2 = 2
 
 // Capability bits carried in the Hello exchange (both directions). They
 // are advisory: a peer that lacks a capability still answers the
@@ -54,14 +45,10 @@ const (
 // topology introspection (is my upstream a serving peer?).
 const (
 	// CapPeerServe: this peer answers replication requests (snapshots,
-	// deltas, shard maps) from its own replicated state — it is a
-	// distribution-tier edge, not just a query server.
+	// deltas) from its own replicated state — it is a distribution-tier
+	// edge, not just a query server.
 	CapPeerServe uint32 = 1 << 0
 )
-
-// EncodeHello builds the Hello body: the sender's maximum supported
-// protocol version.
-func EncodeHello(maxVersion uint32) []byte { return appendU32(nil, maxVersion) }
 
 // EncodeHelloCaps builds a Hello (or HelloResp) body carrying the
 // sender's protocol version and capability bits.
@@ -70,25 +57,12 @@ func EncodeHelloCaps(maxVersion, caps uint32) []byte {
 	return appendU32(out, caps)
 }
 
-// DecodeHello parses a Hello (or HelloResp) body, ignoring any
-// capability bits.
-func DecodeHello(body []byte) (uint32, error) {
-	v, _, err := DecodeHelloCaps(body)
-	return v, err
-}
-
-// DecodeHelloCaps parses a Hello (or HelloResp) body. The capability
-// word is optional: pre-capability peers sent a bare 4-byte version, so
-// both shapes decode (caps = 0 for the short form). A capability-era
-// hello sent to a strict pre-capability v2 server is answered with an
-// error frame, which the dialer already treats as a v1 downgrade — so
-// the extension degrades, never deadlocks.
+// DecodeHelloCaps parses a Hello (or HelloResp) body: exactly a version
+// word and a capability word.
 func DecodeHelloCaps(body []byte) (version, caps uint32, err error) {
 	r := &reader{data: body}
 	version = r.u32("protocol version")
-	if len(body) > 4 {
-		caps = r.u32("capability bits")
-	}
+	caps = r.u32("capability bits")
 	if err := r.done(); err != nil {
 		return 0, 0, err
 	}
@@ -98,7 +72,7 @@ func DecodeHelloCaps(body []byte) (version, caps uint32, err error) {
 	return version, caps, nil
 }
 
-// WriteFrameV2 writes one v2 frame: u32 len | u8 type | u32 reqID | body.
+// WriteFrameV2 writes one numbered frame: u32 len | u8 type | u32 reqID | body.
 func WriteFrameV2(w io.Writer, t MsgType, reqID uint32, body []byte) error {
 	if len(body)+5 > MaxFrameSize {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(body))
@@ -114,7 +88,7 @@ func WriteFrameV2(w io.Writer, t MsgType, reqID uint32, body []byte) error {
 	return err
 }
 
-// ReadFrameV2 reads one v2 frame, returning its type, request ID and body.
+// ReadFrameV2 reads one numbered frame, returning its type, request ID and body.
 func ReadFrameV2(r io.Reader) (MsgType, uint32, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -122,11 +96,11 @@ func ReadFrameV2(r io.Reader) (MsgType, uint32, []byte, error) {
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n < 5 || n > MaxFrameSize {
-		return 0, 0, nil, fmt.Errorf("wire: v2 frame length %d out of range", n)
+		return 0, 0, nil, fmt.Errorf("wire: frame length %d out of range", n)
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, 0, nil, fmt.Errorf("wire: short v2 frame: %w", err)
+		return 0, 0, nil, fmt.Errorf("wire: short frame: %w", err)
 	}
 	return MsgType(buf[0]), binary.BigEndian.Uint32(buf[1:5]), buf[5:], nil
 }
@@ -203,7 +177,7 @@ var (
 	ErrShardMoved   = errors.New("wire: shard re-partitioned")
 )
 
-// WireError is the typed error frame body of protocol v2. It implements
+// WireError is the typed error frame body. It implements
 // error, so servers can return one directly from a dispatch handler and
 // clients receive it intact across the wire.
 type WireError struct {
@@ -250,7 +224,7 @@ func (e *WireError) Encode() []byte {
 	return appendStr(out, e.Msg)
 }
 
-// DecodeWireError parses a v2 error frame body. Malformed bodies decode
+// DecodeWireError parses an error frame body. Malformed bodies decode
 // to CodeInternal with the raw bytes as the message, so a broken peer
 // still yields a usable error instead of a decode failure.
 func DecodeWireError(body []byte) *WireError {
@@ -264,7 +238,7 @@ func DecodeWireError(body []byte) *WireError {
 	return e
 }
 
-// ToWireError coerces any error into a WireError for the v2 error frame:
+// ToWireError coerces any error into a WireError for the error frame:
 // existing WireErrors pass through, everything else becomes CodeInternal
 // with the error text.
 func ToWireError(err error) *WireError {

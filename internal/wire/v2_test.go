@@ -8,14 +8,14 @@ import (
 
 func TestFrameV2RoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrameV2(&buf, MsgQueryReq, 42, []byte("hello")); err != nil {
+	if err := WriteFrameV2(&buf, MsgShardQueryReq, 42, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	mt, id, body, err := ReadFrameV2(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mt != MsgQueryReq || id != 42 || string(body) != "hello" {
+	if mt != MsgShardQueryReq || id != 42 || string(body) != "hello" {
 		t.Fatalf("round trip: mt=%v id=%d body=%q", mt, id, body)
 	}
 }
@@ -36,33 +36,20 @@ func TestFrameV2EmptyBody(t *testing.T) {
 
 func TestFrameV2RejectsTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrameV2(&buf, MsgQueryReq, 7, []byte("abc")); err != nil {
+	if err := WriteFrameV2(&buf, MsgShardQueryReq, 7, []byte("abc")); err != nil {
 		t.Fatal(err)
 	}
 	short := buf.Bytes()[:buf.Len()-2]
 	if _, _, _, err := ReadFrameV2(bytes.NewReader(short)); err == nil {
 		t.Fatal("truncated v2 frame accepted")
 	}
-	// A v1 frame (too short for a request ID) is rejected too.
-	var v1 bytes.Buffer
-	if err := WriteFrame(&v1, MsgQueryReq, nil); err != nil {
+	// A bare handshake frame (too short for a request ID) is rejected too.
+	var bare bytes.Buffer
+	if err := WriteFrame(&bare, MsgShardQueryReq, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := ReadFrameV2(&v1); err == nil {
-		t.Fatal("v1 frame accepted as v2")
-	}
-}
-
-func TestHelloRoundTrip(t *testing.T) {
-	v, err := DecodeHello(EncodeHello(ProtocolV2))
-	if err != nil || v != ProtocolV2 {
-		t.Fatalf("hello round trip: v=%d err=%v", v, err)
-	}
-	if _, err := DecodeHello([]byte{1, 2}); err == nil {
-		t.Fatal("truncated hello accepted")
-	}
-	if _, err := DecodeHello(EncodeHello(0)); err == nil {
-		t.Fatal("version 0 accepted")
+	if _, _, _, err := ReadFrameV2(&bare); err == nil {
+		t.Fatal("bare frame accepted as a numbered one")
 	}
 }
 
@@ -70,7 +57,7 @@ func TestWireErrorRoundTrip(t *testing.T) {
 	cases := []*WireError{
 		UnknownTable("edge", "ghost"),
 		StaleReplica("items", "edge: delta starts at version 7, replica at 3"),
-		Unsupported("central", MsgQueryReq),
+		Unsupported("central", MsgShardQueryReq),
 		{Code: CodeInternal, Msg: "disk on fire"},
 	}
 	sentinels := []error{ErrUnknownTable, ErrStaleReplica, ErrUnsupported, nil}

@@ -1,13 +1,21 @@
 // Package wire defines the binary protocol spoken between clients, edge
-// servers and the central server (the arrows of the paper's Figure 2):
+// servers and the central server (the arrows of the paper's Figure 2).
+// Every table is a range-partitioned set of VB-tree shards bound by a
+// signed shard map — a plain table is a one-shard map — so replication
+// and queries address one shard at a time (see shard.go):
 //
-//	client → edge:    QueryReq            (selection/projection over a table)
-//	edge   → client:  QueryResp           (result set + verification object)
-//	edge   → central: SnapshotReq         (pull "DB + VB-trees")
-//	central→ edge:    SnapshotResp        (pages + tree metadata + version)
-//	edge   → central: DeltaReq            (table + the replica's version)
-//	central→ edge:    DeltaResp           (signed incremental update)
-//	client → central: InsertReq/DeleteReq (updates go to the trusted server)
+//	client → edge:    ShardMapReq         (table)           → ShardMapResp
+//	client → edge:    ShardQueryReq       (shard, query)    → ShardQueryResp
+//	                                      (result set + VO + the signed map)
+//	edge   → central: ShardMapReq         (table)           → ShardMapResp
+//	edge   → central: ShardSnapshotReq    (table, shard)    → SnapshotResp
+//	                                      (pages + tree metadata + version)
+//	edge   → central: ShardDeltaReq       (table, shard, …) → DeltaResp
+//	                                      (signed incremental update)
+//	edge   → edge:    ShardSnapshotReq / ShardDeltaReq (the peer tier relays
+//	                                      the central's signed payloads)
+//	client → central: InsertReq/BatchReq/DeleteReq (updates go to the
+//	                                      trusted server)
 //	client → central: PubKeyReq           (the PKI stand-in: an authenticated
 //	                                       channel to the signer's public key)
 //
@@ -17,10 +25,10 @@
 // servers periodically. Re-shipping a full snapshot per refresh is
 // O(table); the delta frames ship only what changed:
 //
-//   - DeltaReq carries {table, fromVersion}, where fromVersion is the
-//     table version the edge's replica currently reflects (versions are
-//     bumped once per committed insert/delete at the central server, in
-//     lockstep with the WAL's LSNs).
+//   - ShardDeltaReq carries {table, shard, fromVersion, epoch}, where
+//     fromVersion is the shard version the edge's replica currently
+//     reflects (versions are bumped once per committed update at the
+//     central server, in lockstep with the WAL's LSNs).
 //   - DeltaResp carries {fromVersion, toVersion, tree metadata, the pages
 //     dirtied by the ops in (fromVersion, toVersion]} plus a signature by
 //     the central server over a hash of the delta content, so an edge
@@ -30,15 +38,25 @@
 //   - When the central server's retained changelog no longer covers
 //     fromVersion (retention window passed, or the server restarted),
 //     DeltaResp has SnapshotNeeded set and the edge falls back to a full
-//     SnapshotReq.
+//     ShardSnapshotReq.
 //
-// Frames are u32 length | u8 type | body, big-endian, with a hard frame
-// cap to bound allocation from untrusted peers.
+// # Framing and versions
+//
+// A connection opens with one Hello/HelloResp exchange in the bare
+// container u32 length | u8 type | body; every later frame inserts a u32
+// request ID after the type byte so calls multiplex (see v2.go). All
+// integers are big-endian, and a hard frame cap bounds allocation from
+// untrusted peers.
+//
+// There is one protocol generation: the handshake rejects any peer that
+// does not speak it, and no frame exists only for interoperability.
+// MsgType and ErrCode values are an in-flight vocabulary, not a stored
+// format — WAL records and traces carry no message types — so retiring a
+// frame deletes its constant and renumbers the rest.
 package wire
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 )
@@ -48,10 +66,11 @@ type MsgType uint8
 
 const (
 	MsgError MsgType = iota + 1
-	MsgQueryReq
-	MsgQueryResp
-	MsgSnapshotReq
+	// MsgSnapshotResp / MsgDeltaResp answer ShardSnapshotReq /
+	// ShardDeltaReq: a shard's snapshot and delta have exactly the shapes
+	// of a small table's.
 	MsgSnapshotResp
+	MsgDeltaResp
 	MsgListTablesReq
 	MsgListTablesResp
 	MsgPubKeyReq
@@ -62,22 +81,16 @@ const (
 	MsgInsertResp
 	MsgDeleteReq
 	MsgDeleteResp
-	MsgVersionReq
-	MsgVersionResp
-	MsgDeltaReq
-	MsgDeltaResp
-	// MsgHello / MsgHelloResp negotiate the protocol version (see v2.go).
-	// They are always exchanged in v1 framing, before the session's
-	// framing is decided, so v1 peers can reject them gracefully.
+	// MsgHello / MsgHelloResp open every connection (see v2.go). They are
+	// the only frames exchanged without a request ID.
 	MsgHello
 	MsgHelloResp
 	// MsgBatchReq / MsgBatchResp carry a group-committed insert batch to
 	// the central server and its typed per-op results back (see batch.go).
 	MsgBatchReq
 	MsgBatchResp
-	// Shard-scoped frames for range-partitioned tables (see shard.go).
-	// ShardMapResp carries a shardmap.Signed encoding; shard snapshots,
-	// deltas and query answers reuse the unsharded response codecs.
+	// Shard-scoped replication and query frames (see shard.go).
+	// ShardMapResp carries a shardmap.Signed encoding.
 	MsgShardMapReq
 	MsgShardMapResp
 	MsgShardSnapshotReq
@@ -91,29 +104,37 @@ const (
 	MsgReshardResp
 )
 
+var msgTypeNames = [...]string{
+	MsgError:            "error",
+	MsgSnapshotResp:     "snapshot-resp",
+	MsgDeltaResp:        "delta-resp",
+	MsgListTablesReq:    "list-tables-req",
+	MsgListTablesResp:   "list-tables-resp",
+	MsgPubKeyReq:        "pubkey-req",
+	MsgPubKeyResp:       "pubkey-resp",
+	MsgSchemaReq:        "schema-req",
+	MsgSchemaResp:       "schema-resp",
+	MsgInsertReq:        "insert-req",
+	MsgInsertResp:       "insert-resp",
+	MsgDeleteReq:        "delete-req",
+	MsgDeleteResp:       "delete-resp",
+	MsgHello:            "hello",
+	MsgHelloResp:        "hello-resp",
+	MsgBatchReq:         "batch-req",
+	MsgBatchResp:        "batch-resp",
+	MsgShardMapReq:      "shard-map-req",
+	MsgShardMapResp:     "shard-map-resp",
+	MsgShardSnapshotReq: "shard-snapshot-req",
+	MsgShardDeltaReq:    "shard-delta-req",
+	MsgShardQueryReq:    "shard-query-req",
+	MsgShardQueryResp:   "shard-query-resp",
+	MsgReshardReq:       "reshard-req",
+	MsgReshardResp:      "reshard-resp",
+}
+
 func (m MsgType) String() string {
-	names := map[MsgType]string{
-		MsgError: "error", MsgQueryReq: "query-req", MsgQueryResp: "query-resp",
-		MsgSnapshotReq: "snapshot-req", MsgSnapshotResp: "snapshot-resp",
-		MsgListTablesReq: "list-tables-req", MsgListTablesResp: "list-tables-resp",
-		MsgPubKeyReq: "pubkey-req", MsgPubKeyResp: "pubkey-resp",
-		MsgSchemaReq: "schema-req", MsgSchemaResp: "schema-resp",
-		MsgInsertReq: "insert-req", MsgInsertResp: "insert-resp",
-		MsgDeleteReq: "delete-req", MsgDeleteResp: "delete-resp",
-		MsgVersionReq: "version-req", MsgVersionResp: "version-resp",
-		MsgDeltaReq: "delta-req", MsgDeltaResp: "delta-resp",
-		MsgHello: "hello", MsgHelloResp: "hello-resp",
-		MsgBatchReq: "batch-req", MsgBatchResp: "batch-resp",
-		MsgShardMapReq: "shard-map-req", MsgShardMapResp: "shard-map-resp",
-		MsgShardSnapshotReq: "shard-snapshot-req",
-		MsgShardDeltaReq:    "shard-delta-req",
-		MsgShardQueryReq:    "shard-query-req",
-		MsgShardQueryResp:   "shard-query-resp",
-		MsgReshardReq:       "reshard-req",
-		MsgReshardResp:      "reshard-resp",
-	}
-	if n, ok := names[m]; ok {
-		return n
+	if int(m) < len(msgTypeNames) && msgTypeNames[m] != "" {
+		return msgTypeNames[m]
 	}
 	return fmt.Sprintf("MsgType(%d)", uint8(m))
 }
@@ -122,7 +143,7 @@ func (m MsgType) String() string {
 // forcing unbounded allocation.
 const MaxFrameSize = 1 << 30
 
-// WriteFrame writes one frame.
+// WriteFrame writes one bare (handshake) frame: u32 len | u8 type | body.
 func WriteFrame(w io.Writer, t MsgType, body []byte) error {
 	if len(body)+1 > MaxFrameSize {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(body))
@@ -137,7 +158,7 @@ func WriteFrame(w io.Writer, t MsgType, body []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame.
+// ReadFrame reads one bare (handshake) frame.
 func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -153,14 +174,6 @@ func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 	}
 	return MsgType(buf[0]), buf[1:], nil
 }
-
-// WriteError sends an error frame.
-func WriteError(w io.Writer, err error) error {
-	return WriteFrame(w, MsgError, []byte(err.Error()))
-}
-
-// AsError converts an error frame's body.
-func AsError(body []byte) error { return errors.New(string(body)) }
 
 // --- primitive encoding helpers shared by the message codecs ---
 

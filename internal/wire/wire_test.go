@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"edgeauth/internal/digest"
@@ -15,14 +16,14 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	body := []byte("hello frame")
-	if err := WriteFrame(&buf, MsgQueryReq, body); err != nil {
+	if err := WriteFrame(&buf, MsgHello, body); err != nil {
 		t.Fatal(err)
 	}
 	mt, got, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mt != MsgQueryReq || !bytes.Equal(got, body) {
+	if mt != MsgHello || !bytes.Equal(got, body) {
 		t.Fatalf("frame = %v %q", mt, got)
 	}
 }
@@ -60,26 +61,18 @@ func TestReadFrameRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestErrorFrame(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteError(&buf, AsError([]byte("boom"))); err != nil {
-		t.Fatal(err)
-	}
-	mt, body, err := ReadFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mt != MsgError || AsError(body).Error() != "boom" {
-		t.Fatalf("error frame = %v %q", mt, body)
-	}
-}
-
 func TestMsgTypeString(t *testing.T) {
-	if MsgQueryReq.String() != "query-req" || MsgSnapshotResp.String() != "snapshot-resp" {
+	if MsgShardQueryReq.String() != "shard-query-req" || MsgSnapshotResp.String() != "snapshot-resp" {
 		t.Fatal("MsgType rendering")
 	}
-	if MsgType(200).String() == "" {
-		t.Fatal("unknown type should render")
+	// Every defined type has a name; anything else still renders.
+	for m := MsgError; m <= MsgReshardResp; m++ {
+		if strings.HasPrefix(m.String(), "MsgType(") {
+			t.Fatalf("type %d has no name", uint8(m))
+		}
+	}
+	if MsgType(0).String() != "MsgType(0)" || MsgType(200).String() != "MsgType(200)" {
+		t.Fatal("unknown type should render numerically")
 	}
 }
 
