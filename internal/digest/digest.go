@@ -10,20 +10,44 @@
 // relies on for (a) order-free verification objects, (b) projection at the
 // edge server, and (c) incremental digest maintenance on insert.
 //
-// Two modulus profiles are provided (paper §3.2, "we can implement g by
-// picking m = 2^k ... to optimize the modulo operation"):
-//
-//   - Mod2K: m = 2^(8·Size). This is the paper's optimization and keeps
-//     digests at exactly Size bytes (Table 1 default: 16). Digests are
-//     forced odd so every digest is a unit modulo 2^k, which makes the
-//     accumulator invertible (required for incremental removal, and
-//     harmless for the paper's insert path).
-//   - ModBig: m is a caller-supplied odd modulus (e.g. an RSA modulus),
-//     trading speed and size for a hardened multiplicative group.
-//
 // The hash h follows formula (1) of the paper: it binds the database name,
 // table name, attribute name, tuple key and attribute value, so a digest
 // for one attribute cannot be replayed as a digest for another.
+//
+// # Modulus profiles
+//
+// Mod2K is m = 2^(8·Size), the paper's choice (§3.2: "we can implement g
+// by picking m = 2^k ... to optimize the modulo operation"). A residue is
+// ⌈Size/8⌉ little-endian uint64 limbs (kernel.go); a Value is the same
+// number as Size big-endian bytes. Reduction is free: a product's low k
+// bits depend only on the factors' low k bits, so the kernel computes the
+// low limbs of every product with math/bits.Mul64/Add64, never forms the
+// high half, and the bits of the top limb above 8·Size are dropped when a
+// residue is written out. There is no division, no allocation, and one
+// code path for every Size from 4 to 512 bytes. Hashed digests are forced
+// odd, the odd residues being exactly the units of Z_{2^k}, which makes
+// the accumulator invertible (Remove, by Newton iteration); every
+// Size-byte string is a canonical residue, units or not.
+//
+// ModBig is a caller-supplied odd modulus (e.g. an RSA modulus), trading
+// speed and size for a hardened multiplicative group. Reducing modulo an
+// arbitrary odd m is a real division, so this profile stays on math/big
+// (modbig.go); only residues below m are canonical, and anything else is
+// rejected rather than reduced.
+//
+// # One g per product
+//
+// g is a homomorphism of the multiplicative monoid of Z_m:
+//
+//	Π g(dᵢ) = Π dᵢ^e = (Π dᵢ)^e = g(Π dᵢ)   (mod m)
+//
+// in any commutative ring, units or not. An Acc therefore multiplies the
+// raw digests handed to Add into a pending product and applies g to that
+// product once, when Value is read — one multiplication per digest and
+// one exponentiation per combination, not one exponentiation per digest.
+// The residue it arrives at is the same element of Z_m, so every digest,
+// signature and stored page is bit-identical to what exponentiating each
+// digest separately produces.
 package digest
 
 import (
@@ -104,7 +128,7 @@ func (v Value) String() string {
 // goroutines.
 type Counters struct {
 	HashOps    atomic.Int64 // evaluations of h (Cost_h)
-	CombineOps atomic.Int64 // pairwise digest combinations (Cost_k)
+	CombineOps atomic.Int64 // digests multiplied in plus applications of g (Cost_k)
 	RecoverOps atomic.Int64 // signature recoveries s⁻¹ (Cost_s); bumped by package sig
 	SignOps    atomic.Int64 // signature generations s (server-side cost); bumped by package sig
 }
@@ -169,11 +193,11 @@ func DefaultParams() Params {
 // Accumulator implements h, g and the commutative combination. It is
 // immutable after construction and safe for concurrent use.
 type Accumulator struct {
-	size     int      // canonical encoded length of a Value
-	exponent *big.Int // e
+	size     int    // canonical encoded length of a Value
+	exponent uint64 // e
 	mode     Mode
-	modulus  *big.Int // m
-	mask     *big.Int // m-1 when mode == Mod2K (for fast reduction)
+	limbs    int      // Mod2K: ⌈size/8⌉
+	big      *bigRing // ModBig: m and e; nil under Mod2K
 	counters *Counters
 }
 
@@ -186,7 +210,7 @@ func New(p Params) (*Accumulator, error) {
 		return nil, fmt.Errorf("digest: exponent must be positive and odd, got %d", p.Exponent)
 	}
 	a := &Accumulator{
-		exponent: big.NewInt(p.Exponent),
+		exponent: uint64(p.Exponent),
 		mode:     p.Mode,
 		counters: p.Counters,
 	}
@@ -195,18 +219,17 @@ func New(p Params) (*Accumulator, error) {
 		if p.Size == 0 {
 			p.Size = DefaultSize
 		}
-		if p.Size < 4 || p.Size > 512 {
-			return nil, fmt.Errorf("digest: size must be in [4,512] bytes, got %d", p.Size)
+		if p.Size < 4 || p.Size > 8*maxLimbs {
+			return nil, fmt.Errorf("digest: size must be in [4,%d] bytes, got %d", 8*maxLimbs, p.Size)
 		}
 		a.size = p.Size
-		a.modulus = new(big.Int).Lsh(big.NewInt(1), uint(8*p.Size))
-		a.mask = new(big.Int).Sub(a.modulus, big.NewInt(1))
+		a.limbs = (p.Size + 7) / 8
 	case ModBig:
 		if p.Modulus == nil || p.Modulus.Sign() <= 0 || p.Modulus.Bit(0) == 0 || p.Modulus.BitLen() < 24 {
 			return nil, errors.New("digest: ModBig requires an odd modulus of at least 24 bits")
 		}
-		a.modulus = new(big.Int).Set(p.Modulus)
-		a.size = (a.modulus.BitLen() + 7) / 8
+		a.big = &bigRing{m: new(big.Int).Set(p.Modulus), e: big.NewInt(p.Exponent)}
+		a.size = (p.Modulus.BitLen() + 7) / 8
 	default:
 		return nil, fmt.Errorf("digest: unknown mode %v", p.Mode)
 	}
@@ -229,10 +252,15 @@ func (a *Accumulator) Len() int { return a.size }
 func (a *Accumulator) Mode() Mode { return a.mode }
 
 // Modulus returns a copy of m.
-func (a *Accumulator) Modulus() *big.Int { return new(big.Int).Set(a.modulus) }
+func (a *Accumulator) Modulus() *big.Int {
+	if a.mode == ModBig {
+		return new(big.Int).Set(a.big.m)
+	}
+	return new(big.Int).Lsh(big.NewInt(1), uint(8*a.size))
+}
 
 // Exponent returns e.
-func (a *Accumulator) Exponent() int64 { return a.exponent.Int64() }
+func (a *Accumulator) Exponent() int64 { return int64(a.exponent) }
 
 // Counters returns the counter sink (possibly nil).
 func (a *Accumulator) Counters() *Counters { return a.counters }
@@ -249,63 +277,37 @@ func (a *Accumulator) countCombine(n int64) {
 	}
 }
 
-// encode renders x (already reduced mod m) as a fixed-width big-endian
-// Value of length a.size.
-func (a *Accumulator) encode(x *big.Int) Value {
-	v := make(Value, a.size)
-	x.FillBytes(v)
-	return v
-}
-
-// decode parses a canonical Value and reduces it modulo m.
-func (a *Accumulator) decode(v Value) (*big.Int, error) {
+// checkLen rejects a Value of the wrong length. Under Mod2K that is the
+// whole of validation: every Size-byte string is a canonical residue.
+func (a *Accumulator) checkLen(v Value) error {
 	if len(v) != a.size {
-		return nil, fmt.Errorf("digest: value length %d, want %d", len(v), a.size)
+		return fmt.Errorf("digest: value length %d, want %d", len(v), a.size)
 	}
-	x := new(big.Int).SetBytes(v)
-	if x.Cmp(a.modulus) >= 0 {
-		x.Mod(x, a.modulus)
-	}
-	return x, nil
+	return nil
 }
 
-// forceUnit coerces x into the unit group. For Mod2K this sets the low bit
-// (odd residues are exactly the units of Z_{2^k}); for ModBig a zero is
-// mapped to one (any other residue is a unit with overwhelming probability
-// for an RSA-style modulus).
-func (a *Accumulator) forceUnit(x *big.Int) {
-	switch a.mode {
-	case Mod2K:
-		x.SetBit(x, 0, 1)
-	case ModBig:
-		if x.Sign() == 0 {
-			x.SetInt64(1)
-		}
-	}
+// appendField frames one preimage field with its length, so no two
+// distinct field tuples collide by concatenation ambiguity.
+func appendField[T string | []byte](buf []byte, f T) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(f)))
+	return append(buf, f...)
 }
 
 // HashAttribute computes formula (1)'s inner hash
 //
 //	h(dbName | tableName | attrName | key | value)
 //
-// with length-prefixed framing of each field (so no two distinct field
-// tuples collide by concatenation ambiguity), truncated/reduced into Z_m
+// with length-prefixed framing of each field, truncated/reduced into Z_m
 // and coerced to a unit.
 func (a *Accumulator) HashAttribute(db, table, attr string, key, value []byte) Value {
 	a.countHash()
-	hw := sha256.New()
-	var lenbuf [4]byte
-	writeField := func(b []byte) {
-		binary.BigEndian.PutUint32(lenbuf[:], uint32(len(b)))
-		hw.Write(lenbuf[:])
-		hw.Write(b)
-	}
-	writeField([]byte(db))
-	writeField([]byte(table))
-	writeField([]byte(attr))
-	writeField(key)
-	writeField(value)
-	return a.digestFromHash(hw.Sum(nil))
+	var stack [256]byte
+	buf := appendField(stack[:0], db)
+	buf = appendField(buf, table)
+	buf = appendField(buf, attr)
+	buf = appendField(buf, key)
+	buf = appendField(buf, value)
+	return a.digestFromHash(sha256.Sum256(buf))
 }
 
 // HashBytes computes a generic domain-separated one-way digest of data under
@@ -313,46 +315,38 @@ func (a *Accumulator) HashAttribute(db, table, attr string, key, value []byte) V
 // attribute values (e.g. Naive-baseline tuple serializations).
 func (a *Accumulator) HashBytes(domain string, data []byte) Value {
 	a.countHash()
-	hw := sha256.New()
-	var lenbuf [4]byte
-	binary.BigEndian.PutUint32(lenbuf[:], uint32(len(domain)))
-	hw.Write(lenbuf[:])
-	hw.Write([]byte(domain))
-	hw.Write(data)
-	return a.digestFromHash(hw.Sum(nil))
+	var stack [256]byte
+	buf := appendField(stack[:0], domain)
+	buf = append(buf, data...)
+	return a.digestFromHash(sha256.Sum256(buf))
 }
 
-// digestFromHash maps a raw hash output into a canonical unit Value.
-// When the target is wider than one SHA-256 block, the hash is expanded
-// with counter-mode rehashing.
-func (a *Accumulator) digestFromHash(sum []byte) Value {
-	need := a.size
-	buf := make([]byte, 0, need)
-	buf = append(buf, sum...)
-	ctr := uint32(0)
-	for len(buf) < need {
-		hw := sha256.New()
-		var cb [4]byte
-		binary.BigEndian.PutUint32(cb[:], ctr)
-		hw.Write(cb[:])
-		hw.Write(sum)
-		buf = hw.Sum(buf)
-		ctr++
+// digestFromHash maps a raw hash output into a canonical unit Value: the
+// leading Len() bytes of the hash — expanded with counter-mode rehashing
+// when the target is wider than one SHA-256 block — reduced modulo m and
+// coerced to a unit. Under Mod2K the bytes already are a residue and the
+// odd residues are exactly the units, so the coercion is one bit.
+func (a *Accumulator) digestFromHash(sum [sha256.Size]byte) Value {
+	out := make(Value, a.size)
+	filled := copy(out, sum[:])
+	var block [4 + sha256.Size]byte
+	copy(block[4:], sum[:])
+	for ctr := uint32(0); filled < len(out); ctr++ {
+		binary.BigEndian.PutUint32(block[:4], ctr)
+		next := sha256.Sum256(block[:])
+		filled += copy(out[filled:], next[:])
 	}
-	x := new(big.Int).SetBytes(buf[:need])
-	x.Mod(x, a.modulus)
-	a.forceUnit(x)
-	return a.encode(x)
+	if a.mode == ModBig {
+		a.big.reduceHash(out)
+	} else {
+		out[len(out)-1] |= 1
+	}
+	return out
 }
 
 // G applies the one-way combiner g(x) = x^e mod m to a single digest.
 func (a *Accumulator) G(v Value) (Value, error) {
-	x, err := a.decode(v)
-	if err != nil {
-		return nil, err
-	}
-	x.Exp(x, a.exponent, a.modulus)
-	return a.encode(x), nil
+	return a.lift(v, 1)
 }
 
 // Combine coalesces a set of digests into one:
@@ -374,7 +368,9 @@ func (a *Accumulator) Combine(vs ...Value) (Value, error) {
 // Identity returns the digest of the empty combination (the canonical
 // encoding of 1).
 func (a *Accumulator) Identity() Value {
-	return a.encode(big.NewInt(1))
+	v := make(Value, a.size)
+	v[a.size-1] = 1
+	return v
 }
 
 // Lift applies g to v k times: Lift(v, k) = g^k(v). Because g is
@@ -385,43 +381,91 @@ func (a *Accumulator) Lift(v Value, k int) (Value, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("digest: negative lift %d", k)
 	}
-	x, err := a.decode(v)
+	out, err := a.lift(v, k)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < k; i++ {
-		x.Exp(x, a.exponent, a.modulus)
-	}
 	a.countCombine(int64(k))
-	return a.encode(x), nil
+	return out, nil
+}
+
+func (a *Accumulator) lift(v Value, k int) (Value, error) {
+	if err := a.checkLen(v); err != nil {
+		return nil, err
+	}
+	if a.mode == ModBig {
+		return a.big.lift(v, k)
+	}
+	var s [3 * maxLimbs]uint64
+	x, y, tmp := s[:a.limbs], s[maxLimbs:maxLimbs+a.limbs], s[2*maxLimbs:2*maxLimbs+a.limbs]
+	load(x, v)
+	for i := 0; i < k; i++ {
+		expTo(y, x, a.exponent, tmp)
+		x, y = y, x
+	}
+	out := make(Value, a.size)
+	store(out, x)
+	return out, nil
 }
 
 // Mul multiplies two already-combined digests modulo m (no g applied).
 func (a *Accumulator) Mul(u, v Value) (Value, error) {
-	x, err := a.decode(u)
+	acc, err := a.AccFrom(u)
 	if err != nil {
 		return nil, err
 	}
-	y, err := a.decode(v)
-	if err != nil {
+	if err := acc.AddCombined(v); err != nil {
 		return nil, err
 	}
-	x.Mul(x, y)
-	x.Mod(x, a.modulus)
-	a.countCombine(1)
-	return a.encode(x), nil
+	return acc.Value(), nil
 }
 
-// Acc is a running accumulator over digests: it maintains Π g(di) mod m
-// incrementally. An Acc is not safe for concurrent use.
+// Acc is a running accumulator over digests. Its value is
+//
+//	done · g(pending)   (mod m)
+//
+// where pending is the product of the raw digests handed to Add (and the
+// inverses of those handed to Remove) since g was last applied, and done
+// collects the already-combined factors. g is applied to pending once,
+// when Value is read. An Acc is not safe for concurrent use.
 type Acc struct {
 	a *Accumulator
-	v *big.Int
+	// Mod2K: accWindows n-limb windows of one array — done, pending and
+	// scratch — so an Acc costs two allocations however much is folded in.
+	limbs []uint64
+	// ModBig.
+	bigDone, bigPending *big.Int
+	// dirty records that pending is not the identity, i.e. that reading
+	// the value owes an application of g.
+	dirty bool
+}
+
+// Windows of Acc.limbs.
+const (
+	winDone = iota
+	winPending
+	winOperand // the digest being folded in, decoded
+	winTmp1
+	winTmp2
+	accWindows
+)
+
+func (acc *Acc) win(i int) []uint64 {
+	n := acc.a.limbs
+	return acc.limbs[i*n : (i+1)*n]
 }
 
 // NewAcc returns an accumulator initialized to the identity.
 func (a *Accumulator) NewAcc() *Acc {
-	return &Acc{a: a, v: big.NewInt(1)}
+	acc := &Acc{a: a}
+	if a.mode == ModBig {
+		acc.bigDone, acc.bigPending = big.NewInt(1), big.NewInt(1)
+		return acc
+	}
+	acc.limbs = make([]uint64, accWindows*a.limbs)
+	acc.win(winDone)[0] = 1
+	acc.win(winPending)[0] = 1
+	return acc
 }
 
 // AccFrom resumes accumulation from a previously combined digest. This is
@@ -429,23 +473,61 @@ func (a *Accumulator) NewAcc() *Acc {
 // the current (unsigned) node digest and multiplies in the new tuple's
 // digest.
 func (a *Accumulator) AccFrom(combined Value) (*Acc, error) {
-	x, err := a.decode(combined)
-	if err != nil {
+	if err := a.checkLen(combined); err != nil {
 		return nil, err
 	}
-	return &Acc{a: a, v: x}, nil
+	acc := a.NewAcc()
+	if a.mode == ModBig {
+		x, err := a.big.decode(combined)
+		if err != nil {
+			return nil, err
+		}
+		acc.bigDone = x
+	} else {
+		load(acc.win(winDone), combined)
+	}
+	return acc, nil
 }
 
-// Add multiplies g(d) into the accumulator.
-func (acc *Acc) Add(d Value) error {
-	x, err := acc.a.decode(d)
-	if err != nil {
+// mulInto multiplies d, or its inverse, into window w (Mod2K) or into the
+// matching big.Int (ModBig), and counts one combine.
+func (acc *Acc) mulInto(w int, d Value, invert bool) error {
+	a := acc.a
+	if err := a.checkLen(d); err != nil {
 		return err
 	}
-	x.Exp(x, acc.a.exponent, acc.a.modulus)
-	acc.v.Mul(acc.v, x)
-	acc.reduce()
-	acc.a.countCombine(1)
+	if a.mode == ModBig {
+		dst := acc.bigDone
+		if w == winPending {
+			dst = acc.bigPending
+		}
+		if err := a.big.mulInto(dst, d, invert); err != nil {
+			return err
+		}
+	} else {
+		x := acc.win(winOperand)
+		load(x, d)
+		if invert {
+			if x[0]&1 == 0 {
+				return fmt.Errorf("digest: %v is not invertible modulo m", d)
+			}
+			inv := acc.win(winTmp1)
+			invTo(inv, x, acc.win(winTmp2))
+			x = inv
+		}
+		mulBy(acc.win(w), x)
+	}
+	a.countCombine(1)
+	return nil
+}
+
+// Add multiplies g(d) into the accumulator: d joins the pending product,
+// to which g is applied when Value is next read.
+func (acc *Acc) Add(d Value) error {
+	if err := acc.mulInto(winPending, d, false); err != nil {
+		return err
+	}
+	acc.dirty = true
 	return nil
 }
 
@@ -455,44 +537,42 @@ func (acc *Acc) Add(d Value) error {
 // multi-level enveloping subtrees, where the child side is reconstructed
 // bottom-up and then g-lifted exactly once by the caller.
 func (acc *Acc) AddCombined(d Value) error {
-	x, err := acc.a.decode(d)
-	if err != nil {
-		return err
-	}
-	acc.v.Mul(acc.v, x)
-	acc.reduce()
-	acc.a.countCombine(1)
-	return nil
+	return acc.mulInto(winDone, d, false)
 }
 
-// Remove divides g(d) out of the accumulator. It fails if g(d) is not a
-// unit modulo m (impossible under Mod2K, where all digests are odd).
+// Remove divides g(d) out of the accumulator: g(d)⁻¹ = g(d⁻¹), so d⁻¹
+// joins the pending product. It fails if d is not a unit modulo m
+// (impossible for hashed digests under Mod2K, which are all odd).
 func (acc *Acc) Remove(d Value) error {
-	x, err := acc.a.decode(d)
-	if err != nil {
+	if err := acc.mulInto(winPending, d, true); err != nil {
 		return err
 	}
-	x.Exp(x, acc.a.exponent, acc.a.modulus)
-	inv := new(big.Int).ModInverse(x, acc.a.modulus)
-	if inv == nil {
-		return fmt.Errorf("digest: %v is not invertible modulo m", d)
-	}
-	acc.v.Mul(acc.v, inv)
-	acc.reduce()
-	acc.a.countCombine(1)
+	acc.dirty = true
 	return nil
 }
 
-func (acc *Acc) reduce() {
-	if acc.a.mode == Mod2K {
-		acc.v.And(acc.v, acc.a.mask)
-	} else {
-		acc.v.Mod(acc.v, acc.a.modulus)
-	}
-}
-
-// Value returns the canonical encoding of the current accumulator state.
+// Value returns the canonical encoding of the current accumulator state,
+// applying g to the pending product first if there is one (one combine).
 // The Acc remains usable afterwards.
 func (acc *Acc) Value() Value {
-	return acc.a.encode(new(big.Int).Set(acc.v))
+	a := acc.a
+	if acc.dirty {
+		if a.mode == ModBig {
+			a.big.fold(acc.bigDone, acc.bigPending)
+		} else {
+			pending, g := acc.win(winPending), acc.win(winTmp1)
+			expTo(g, pending, a.exponent, acc.win(winTmp2))
+			mulBy(acc.win(winDone), g)
+			setOne(pending)
+		}
+		acc.dirty = false
+		a.countCombine(1)
+	}
+	out := make(Value, a.size)
+	if a.mode == ModBig {
+		acc.bigDone.FillBytes(out)
+	} else {
+		store(out, acc.win(winDone))
+	}
+	return out
 }

@@ -304,8 +304,39 @@ func TestCountersTrackOps(t *testing.T) {
 	if s.HashOps != 2 {
 		t.Errorf("HashOps = %d, want 2", s.HashOps)
 	}
-	if s.CombineOps != 2 {
-		t.Errorf("CombineOps = %d, want 2", s.CombineOps)
+	// One per digest multiplied in, one for the single application of g.
+	if s.CombineOps != 3 {
+		t.Errorf("CombineOps = %d, want 3 (2 multiply-ins + 1 g)", s.CombineOps)
+	}
+	// Resuming from a digest is a decode, not a multiplication; reading
+	// the value again owes no second g; an Acc that only absorbs combined
+	// digests owes none at all; Lift counts its k applications and Mul its
+	// one multiplication.
+	acc, err := a.AccFrom(d2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := acc.Add(d1); err != nil {
+		t.Fatal(err)
+	}
+	acc.Value()
+	acc.Value()
+	if err := acc.AddCombined(d2); err != nil {
+		t.Fatal(err)
+	}
+	acc.Value()
+	if got := c.Snapshot().CombineOps - s.CombineOps; got != 3 {
+		t.Errorf("AccFrom, Add, Value, Value, AddCombined, Value counted %d combines, want 3", got)
+	}
+	s = c.Snapshot()
+	if _, err := a.Lift(d1, 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Mul(d1, d2); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Snapshot().CombineOps - s.CombineOps; got != 5 {
+		t.Errorf("Lift(·, 4) and Mul counted %d combines, want 5", got)
 	}
 	c.Reset()
 	if s := c.Snapshot(); s.HashOps != 0 || s.CombineOps != 0 || s.RecoverOps != 0 {

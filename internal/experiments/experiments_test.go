@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 
+	"edgeauth/internal/costmodel"
 	"edgeauth/internal/sig"
 )
 
@@ -103,6 +105,47 @@ func TestMeasureOpsOrdering(t *testing.T) {
 	for _, x := range []float64{5, 10, 100} {
 		if p.Cost("vb", 1, x) >= p.Cost("naive", 1, x) {
 			t.Errorf("X=%v: VB cost not below naive", x)
+		}
+	}
+}
+
+// TestCombineOpsMatchCostModel ties formula (10)'s combine term — "one
+// combine per digest folded into the final product", q_r·N_C + |D_S| — to
+// the CombineOps a real verification counts. The verifier spends one
+// multiplication per digest plus 2L+1 for the L+1 applications of g and
+// the L hand-downs between levels; the model's |D_S| is the paper's
+// (F−1)-per-boundary-node bound rather than the VO's actual count. Stated
+// tolerance: within 5% of the model once the result has 40 tuples, never
+// below q_r·N_C, and independent of Q_C (a projected-out attribute's
+// digest arrives in D_P and is folded in exactly like a computed one).
+func TestCombineOpsMatchCostModel(t *testing.T) {
+	e := testEnv(t)
+	cfg := testConfig()
+	model := costmodel.Default()
+	model.B, model.NR, model.NC = cfg.PageSize, cfg.Rows, len(e.Sch.Columns)
+	model.K, model.D = 8, cfg.KeyBits/8 // int64 keys; legacy scheme, so |D| is a signature
+	model.CostH, model.X, model.CostK = 0, 0, 1
+	for _, sel := range []float64{5, 10, 20, 50, 100} {
+		var atFullWidth int64
+		for _, qc := range []int{len(e.Sch.Columns), 3} {
+			p, err := e.MeasureOps(context.Background(), sel, qc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model.QC = qc
+			predicted := model.CompVB(p.QR)
+			if floor := int64(p.QR * model.NC); p.VBCombine <= floor {
+				t.Errorf("sel %v%% Q_C %d: %d combine ops, below one per attribute digest (%d)", sel, qc, p.VBCombine, floor)
+			}
+			if off := math.Abs(float64(p.VBCombine)-predicted) / predicted; off > 0.05 {
+				t.Errorf("sel %v%% Q_C %d (q_r %d): observed %d combine ops, model predicts %.0f (%.1f%% apart, tolerance 5%%)",
+					sel, qc, p.QR, p.VBCombine, predicted, 100*off)
+			}
+			if atFullWidth == 0 {
+				atFullWidth = p.VBCombine
+			} else if p.VBCombine != atFullWidth {
+				t.Errorf("sel %v%%: %d combine ops at Q_C %d, %d unprojected; projection must not change the count", sel, p.VBCombine, qc, atFullWidth)
+			}
 		}
 	}
 }

@@ -14,11 +14,14 @@
 //
 // where U_Tj is recomputed from the returned attribute values with the
 // one-way hash h of formula (1). Each result tuple's partial digest is the
-// product of its computed attribute digests; because g is multiplicative,
-// the per-tuple products and the D_P digests can be accumulated in a
-// single flat product and lifted together. Any change to a returned value,
-// any dropped digest, or any spurious tuple breaks the equation with
-// overwhelming probability; a forged signature fails structural recovery.
+// product of its computed attribute digests; because g is multiplicative
+// (Π g(dᵢ) = g(Π dᵢ)), everything owed the same number of g's is first
+// multiplied together — the attribute digests of all tuples with D_P, the
+// D_S entries of each lift — and the levels are then folded Horner-style,
+// one g per level instead of one per digest per level. Any change to a
+// returned value, any dropped digest, or any spurious tuple breaks the
+// equation with overwhelming probability; a forged signature fails
+// structural recovery.
 package verify
 
 import (
@@ -166,6 +169,32 @@ func (v *Verifier) Verify(rs *vo.ResultSet, w *vo.VO) error {
 // callers that additionally bind the envelope (VerifyAnchored) don't
 // pay a second RSA recovery of the same signature.
 func (v *Verifier) verify(rs *vo.ResultSet, w *vo.VO) (digest.Value, error) {
+	an, err := v.anchor(rs, w)
+	if err != nil {
+		return nil, err
+	}
+	product, err := v.envelopeDigest(an, rs, w)
+	if err != nil {
+		return nil, err
+	}
+	if !product.Equal(an.topU) {
+		return nil, fmt.Errorf("%w: digest mismatch (computed %v, signed %v)", ErrVerification, product, an.topU)
+	}
+	return an.topU, nil
+}
+
+// anchored is the trusted side of the verification equation, fixed before
+// any digest is combined.
+type anchored struct {
+	pub    *sig.PublicKey // the key the VO's version resolved to
+	colIdx []int          // schema index of each result column
+	topU   digest.Value   // the top digest the central server signed
+}
+
+// anchor runs every check that does not need the combiner — shape,
+// identity, freshness, key resolution, column mapping — and reads the
+// signed top digest.
+func (v *Verifier) anchor(rs *vo.ResultSet, w *vo.VO) (*anchored, error) {
 	if v.Acc == nil || v.Schema == nil {
 		return nil, errors.New("verify: verifier not configured")
 	}
@@ -249,62 +278,72 @@ func (v *Verifier) verify(rs *vo.ResultSet, w *vo.VO) (digest.Value, error) {
 		}
 	}
 
+	return &anchored{pub: pub, colIdx: colIdx, topU: topU}, nil
+}
+
+// envelopeDigest computes the untrusted side of the equation: the digest
+// of the enveloping subtree as the result and the VO describe it.
+func (v *Verifier) envelopeDigest(an *anchored, rs *vo.ResultSet, w *vo.VO) (digest.Value, error) {
 	L := int(w.TopLevel)
 
-	// Attribute-level product: computed digests for returned values plus
-	// recovered digests for projected-out attributes. Lifted L+1 times.
-	attrAcc := v.Acc.NewAcc()
+	// One running product per level. levels[k] collects the digests that
+	// owe k applications of g: the attribute digests — computed for
+	// returned values, carried in D_P for projected-out ones — at L+1, a
+	// D_S entry at its tagged lift. Each is one modular multiplication;
+	// the g's come afterwards, once per level.
+	levels := make([]*digest.Acc, L+2)
+	for k := 1; k <= L+1; k++ {
+		levels[k] = v.Acc.NewAcc()
+	}
+	attrs := levels[L+1]
 	for j := range rs.Tuples {
 		keyBytes := rs.Keys[j].KeyBytes()
-		for i, ci := range colIdx {
+		for i, ci := range an.colIdx {
 			val := rs.Tuples[j].Values[i]
 			if val.Type != v.Schema.Columns[ci].Type {
 				return nil, fmt.Errorf("%w: tuple %d column %q has type %v, want %v",
 					ErrMalformed, j, rs.Columns[i], val.Type, v.Schema.Columns[ci].Type)
 			}
 			d := v.Acc.HashAttribute(rs.DB, rs.Table, v.Schema.Columns[ci].Name, keyBytes, val.CanonicalBytes())
-			if err := attrAcc.Add(d); err != nil {
+			if err := attrs.Add(d); err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 			}
 		}
 	}
 	for _, ds := range w.DP {
-		u, err := v.entryDigest(pub, ds)
+		u, err := v.entryDigest(an.pub, ds)
 		if err != nil {
 			return nil, err
 		}
-		if err := attrAcc.Add(u); err != nil {
+		if err := attrs.Add(u); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 		}
 	}
-	product, err := v.Acc.Lift(attrAcc.Value(), L) // attribute level is L+1; Acc already applied one g
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-	}
-
-	// D_S: filtered tuples and branches at their tagged lifts.
 	for i, e := range w.DS {
 		if int(e.Lift) < 1 || int(e.Lift) > L {
 			return nil, fmt.Errorf("%w: D_S entry %d has lift %d outside [1,%d]", ErrMalformed, i, e.Lift, L)
 		}
-		u, err := v.entryDigest(pub, e.Sig)
+		u, err := v.entryDigest(an.pub, e.Sig)
 		if err != nil {
 			return nil, err
 		}
-		lifted, err := v.Acc.Lift(u, int(e.Lift))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		product, err = v.Acc.Mul(product, lifted)
-		if err != nil {
+		if err := levels[e.Lift].Add(u); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 		}
 	}
-
-	if !product.Equal(topU) {
-		return nil, fmt.Errorf("%w: digest mismatch (computed %v, signed %v)", ErrVerification, product, topU)
+	// Horner's rule on the equation above, B_k the product at level k:
+	//
+	//	g(B_1 · g(B_2 · … g(B_{L+1})))
+	//
+	// Value applies g to a level's product; Add hands the result down as
+	// one more factor of the level below. L+1 exponentiations per VO,
+	// whatever lifts the VO claims.
+	for k := L + 1; k > 1; k-- {
+		if err := levels[k-1].Add(levels[k].Value()); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+		}
 	}
-	return topU, nil
+	return levels[1].Value(), nil
 }
 
 // entryDigest reads the unsigned digest committed by a VO entry: a

@@ -55,8 +55,14 @@ type handTree struct {
 
 func buildHand(t *testing.T, vals []string) *handTree {
 	t.Helper()
+	return buildHandWith(t, digest.MustNew(digest.DefaultParams()), vals)
+}
+
+// buildHandWith is buildHand under a caller-chosen accumulator.
+func buildHandWith(t *testing.T, acc *digest.Accumulator, vals []string) *handTree {
+	t.Helper()
 	h := &handTree{
-		acc: digest.MustNew(digest.DefaultParams()),
+		acc: acc,
 		key: signer(t),
 		sch: testSchema(),
 	}

@@ -52,6 +52,17 @@ func TestVOEncodeDecodeRoundTrip(t *testing.T) {
 	if got.NumDigests() != 5 {
 		t.Fatalf("NumDigests = %d, want 5", got.NumDigests())
 	}
+	// Entries are opaque to the codec. One no accumulator would call
+	// canonical — all ones, above any modulus of its length — comes back
+	// byte for byte, so verify refuses what the edge actually sent.
+	v.DS[0] = Entry{Sig: bytes.Repeat([]byte{0xFF}, 33), Lift: 255}
+	got, _, err = DecodeVO(v.Encode(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.DS[0].Lift != 255 || !got.DS[0].Sig.Equal(v.DS[0].Sig) {
+		t.Fatalf("non-canonical entry did not round-trip: %+v", got.DS[0])
+	}
 }
 
 func TestVOEmptySets(t *testing.T) {
