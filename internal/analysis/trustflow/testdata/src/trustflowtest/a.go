@@ -140,3 +140,12 @@ func loadTuple(rec []byte) (*vo.StoredTuple, error) {
 	}
 	return t, nil
 }
+
+// vo.DecodeAnswer taints both halves of the answer it parses.
+func (e *edge) relayAnswer(b []byte) (*vo.VO, error) {
+	_, w, err := vo.DecodeAnswer(b)
+	if err != nil {
+		return nil, err
+	}
+	return w, nil // want `returned without signature verification`
+}

@@ -8,7 +8,11 @@
 //
 //	wire.Decode*            (deltas, snapshots, query responses)
 //	shardmap.Decode*        (signed shard maps)
-//	vo.DecodeVO, vo.DecodeResultSet
+//	vo.DecodeVO, vo.DecodeResultSet, vo.DecodeAnswer
+//
+// A source may itself be built from sources (vo.DecodeAnswer parses a
+// result set and a VO): returning what it decoded is its job and trusts
+// nothing, because every caller sees the result as tainted.
 //
 // A verification event is any call whose name begins with "verify"
 // (case-insensitive — sig.PublicKey.Verify, verify.Verifier.VerifyShardMap,
@@ -53,7 +57,11 @@ func run(pass *analysis.Pass) (any, error) {
 			continue // tests forge unsigned inputs on purpose
 		}
 		analysis.FuncBodies(f, func(decl *ast.FuncDecl, lit *ast.FuncLit, body *ast.BlockStmt) {
-			checkBody(pass, body)
+			var fn *types.Func
+			if decl != nil && lit == nil {
+				fn, _ = pass.TypesInfo.Defs[decl.Name].(*types.Func)
+			}
+			checkBody(pass, body, isDecodeSource(fn))
 		})
 	}
 	return nil, nil
@@ -68,7 +76,9 @@ type checker struct {
 	body *ast.BlockStmt
 }
 
-func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
+// checkBody checks one function body; decoder marks the body of a taint
+// source, which may return what it decoded.
+func checkBody(pass *analysis.Pass, body *ast.BlockStmt, decoder bool) {
 	g, ok := flow.Build(body)
 	if !ok {
 		return
@@ -108,6 +118,9 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 		}
 		switch x := stmt.(type) {
 		case *ast.ReturnStmt:
+			if decoder {
+				return
+			}
 			for _, r := range x.Results {
 				if v, pos := c.taintedRoot(s, r); v != nil {
 					c.pass.Reportf(x.Pos(), "%s decoded from untrusted bytes at %s is returned without signature verification", v.Name(), c.pass.Fset.Position(pos))
@@ -187,7 +200,7 @@ func (c *checker) assign(s state, lhs, rhs []ast.Expr) state {
 	// Sources: d, err := wire.DecodeDelta(b) taints every non-error
 	// result name.
 	if len(rhs) == 1 {
-		if call, ok := rhs[0].(*ast.CallExpr); ok && c.isDecodeSource(call) {
+		if call, ok := rhs[0].(*ast.CallExpr); ok && isDecodeSource(analysis.Callee(c.pass.TypesInfo, call)) {
 			s = clone(s)
 			for _, l := range lhs {
 				if v := c.localIdentVar(l); v != nil && !isErrorVar(v) && !isBasicVar(v) {
@@ -298,8 +311,7 @@ func (c *checker) nonLocalStore(lhs ast.Expr) bool {
 
 // isDecodeSource matches the signature-bearing decoders by package base
 // name and Decode* prefix.
-func (c *checker) isDecodeSource(call *ast.CallExpr) bool {
-	fn := analysis.Callee(c.pass.TypesInfo, call)
+func isDecodeSource(fn *types.Func) bool {
 	if fn == nil || !strings.HasPrefix(fn.Name(), "Decode") {
 		return false
 	}
@@ -309,7 +321,7 @@ func (c *checker) isDecodeSource(call *ast.CallExpr) bool {
 	case "vo":
 		// Only the signature-bearing decoders: DecodeStoredTuple reads
 		// the replica's own heap, not wire bytes.
-		return fn.Name() == "DecodeVO" || fn.Name() == "DecodeResultSet"
+		return fn.Name() == "DecodeVO" || fn.Name() == "DecodeResultSet" || fn.Name() == "DecodeAnswer"
 	}
 	return false
 }

@@ -8,5 +8,5 @@ import (
 )
 
 func TestTrustflow(t *testing.T) {
-	analyzertest.Run(t, analyzertest.TestData(t), trustflow.Analyzer, "trustflowtest")
+	analyzertest.Run(t, analyzertest.TestData(t), trustflow.Analyzer, "trustflowtest", "vo")
 }

@@ -1308,7 +1308,7 @@ func (s *Server) handleConn(conn net.Conn) {
 // dispatch executes one request and returns the response frame. It must
 // be safe for concurrent use: connections run requests in parallel.
 // ctx is the connection's context, cancelled when the peer disconnects.
-func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body []byte) (wire.MsgType, []byte, error) {
+func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body, _ []byte) (wire.MsgType, []byte, error) {
 	switch mt {
 	case wire.MsgPubKeyReq:
 		blob, err := s.key.Public().MarshalBinary()

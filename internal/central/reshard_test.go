@@ -280,7 +280,7 @@ func TestAutoReshardDetector(t *testing.T) {
 func TestReshardThroughWire(t *testing.T) {
 	srv := newReshardServer(t, 100, 2, Options{})
 	req := &wire.ReshardRequest{Table: "items", Op: wire.ReshardSplit, Shard: 0}
-	mt, body, err := srv.dispatch(context.Background(), wire.MsgReshardReq, req.Encode())
+	mt, body, err := srv.dispatch(context.Background(), wire.MsgReshardReq, req.Encode(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"edgeauth/internal/edge"
 	"edgeauth/internal/query"
 	"edgeauth/internal/schema"
+	"edgeauth/internal/storage"
 	"edgeauth/internal/wire"
 	"edgeauth/internal/workload"
 )
@@ -68,6 +69,9 @@ func TestConcurrentQueriesOnePipelinedConn(t *testing.T) {
 // replica lock must keep every answer internally consistent, so each
 // query sees a fully-applied version and still verifies.
 func TestConcurrentQueriesDuringRefresh(t *testing.T) {
+	// The edge answers from page views it holds for the length of a pin;
+	// a buffer recycled under one must show (see storage.SetPoisonOnRecycle).
+	defer storage.SetPoisonOnRecycle(storage.SetPoisonOnRecycle(true))
 	ctx := context.Background()
 	d := deploy(t, 300)
 	sch, err := d.client.Schema(ctx, "items")

@@ -10,6 +10,7 @@ import (
 
 	"edgeauth/internal/central"
 	"edgeauth/internal/schema"
+	"edgeauth/internal/storage"
 	"edgeauth/internal/wire"
 	"edgeauth/internal/workload"
 )
@@ -23,6 +24,10 @@ import (
 // edge's carried shards, never invalidate the replica. Run under
 // -race in CI.
 func TestRebalanceUnderLoad(t *testing.T) {
+	// Answers are built from page views held for the length of a pin: a
+	// buffer recycled under one must read as garbage (and, under -race, as
+	// a race), not as a stale page.
+	defer storage.SetPoisonOnRecycle(storage.SetPoisonOnRecycle(true))
 	ctx := context.Background()
 	d := deploySharded(t, 400, 2)
 

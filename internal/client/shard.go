@@ -11,7 +11,6 @@ import (
 	"edgeauth/internal/schema"
 	"edgeauth/internal/shardmap"
 	"edgeauth/internal/verify"
-	"edgeauth/internal/vo"
 	"edgeauth/internal/wire"
 )
 
@@ -237,17 +236,21 @@ func (c *Client) queryShards(ctx context.Context, v *verify.Verifier, routing *s
 	}
 
 	// Stitch in shard order — shards cover ascending disjoint ranges, so
-	// the concatenation is key-ordered.
+	// the concatenation is key-ordered. The first shard's result set is
+	// the stitched one (each decoded answer is this call's own), so a
+	// one-shard answer is handed over as decoded.
 	for _, a := range answers {
 		rs, w := a.resp.Resp.Result, a.resp.Resp.VO
-		if out.Result == nil {
-			out.Result = &vo.ResultSet{DB: rs.DB, Table: rs.Table, Columns: rs.Columns}
-		} else if !sameColumns(out.Result.Columns, rs.Columns) {
+		switch {
+		case out.Result == nil:
+			out.Result = rs
+		case !sameColumns(out.Result.Columns, rs.Columns):
 			return nil, fmt.Errorf("%w: shard %d returned columns %v, shard %d returned %v",
 				ErrTampered, answers[0].shard, out.Result.Columns, a.shard, rs.Columns)
+		default:
+			out.Result.Keys = append(out.Result.Keys, rs.Keys...)
+			out.Result.Tuples = append(out.Result.Tuples, rs.Tuples...)
 		}
-		out.Result.Keys = append(out.Result.Keys, rs.Keys...)
-		out.Result.Tuples = append(out.Result.Tuples, rs.Tuples...)
 		out.ShardVOs = append(out.ShardVOs, w)
 		out.VOBytes += w.WireSize()
 		out.ResultBytes += rs.WireSize()

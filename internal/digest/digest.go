@@ -300,6 +300,13 @@ func appendField[T string | []byte](buf []byte, f T) []byte {
 // with length-prefixed framing of each field, truncated/reduced into Z_m
 // and coerced to a unit.
 func (a *Accumulator) HashAttribute(db, table, attr string, key, value []byte) Value {
+	return a.HashAttributeTo(nil, db, table, attr, key, value)
+}
+
+// HashAttributeTo is HashAttribute writing the digest into dst's backing
+// array when that has room for it, so a verifier hashing one attribute
+// after another into an Acc reuses a single Value.
+func (a *Accumulator) HashAttributeTo(dst Value, db, table, attr string, key, value []byte) Value {
 	a.countHash()
 	var stack [256]byte
 	buf := appendField(stack[:0], db)
@@ -307,7 +314,7 @@ func (a *Accumulator) HashAttribute(db, table, attr string, key, value []byte) V
 	buf = appendField(buf, attr)
 	buf = appendField(buf, key)
 	buf = appendField(buf, value)
-	return a.digestFromHash(sha256.Sum256(buf))
+	return a.digestFromHash(dst, sha256.Sum256(buf))
 }
 
 // HashBytes computes a generic domain-separated one-way digest of data under
@@ -318,16 +325,21 @@ func (a *Accumulator) HashBytes(domain string, data []byte) Value {
 	var stack [256]byte
 	buf := appendField(stack[:0], domain)
 	buf = append(buf, data...)
-	return a.digestFromHash(sha256.Sum256(buf))
+	return a.digestFromHash(nil, sha256.Sum256(buf))
 }
 
-// digestFromHash maps a raw hash output into a canonical unit Value: the
-// leading Len() bytes of the hash — expanded with counter-mode rehashing
-// when the target is wider than one SHA-256 block — reduced modulo m and
-// coerced to a unit. Under Mod2K the bytes already are a residue and the
-// odd residues are exactly the units, so the coercion is one bit.
-func (a *Accumulator) digestFromHash(sum [sha256.Size]byte) Value {
-	out := make(Value, a.size)
+// digestFromHash maps a raw hash output into a canonical unit Value (in
+// dst's backing array when it is large enough): the leading Len() bytes
+// of the hash — expanded with counter-mode rehashing when the target is
+// wider than one SHA-256 block — reduced modulo m and coerced to a unit.
+// Under Mod2K the bytes already are a residue and the odd residues are
+// exactly the units, so the coercion is one bit.
+func (a *Accumulator) digestFromHash(dst Value, sum [sha256.Size]byte) Value {
+	out := dst[:0]
+	if cap(out) < a.size {
+		out = make(Value, a.size)
+	}
+	out = out[:a.size]
 	filled := copy(out, sum[:])
 	var block [4 + sha256.Size]byte
 	copy(block[4:], sum[:])

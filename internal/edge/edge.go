@@ -160,8 +160,10 @@ type replica struct {
 // The set holds one snapshot reference per shard for its tenure as the
 // replica's current set; the swap that supersedes it releases them.
 type tableSet struct {
-	smap   *shardmap.Signed
-	shards []*shardReplica
+	smap *shardmap.Signed
+	// smapBytes is smap's encoding, attached to every shard answer.
+	smapBytes []byte
+	shards    []*shardReplica
 }
 
 // shardReplica is one shard's store plus the snapshot this set pins.
@@ -215,7 +217,7 @@ func (r *replica) publishSet(next *tableSet) {
 // rebuildSet republishes the replica's set from its stores' current
 // snapshots with a new map (used after per-shard refreshes).
 func (r *replica) rebuildSet(smap *shardmap.Signed, stores []*storage.PageStore) error {
-	next := &tableSet{smap: smap}
+	next := &tableSet{smap: smap, smapBytes: smap.Encode()}
 	for _, store := range stores {
 		sr, err := pinCurrent(store)
 		if err != nil {
@@ -1218,45 +1220,62 @@ func (s *Server) SignedShardMap(tableName string) (*shardmap.Signed, error) {
 
 // RunShardQuery executes a compiled query against one shard, with the VO
 // anchored at the shard's root so clients can bind it to the signed
-// shard map returned alongside.
+// shard map returned alongside. It is the struct form of the answer the
+// wire path builds in place — the same bytes, decoded from a buffer
+// private to this call (so the caller owns everything returned) and then
+// passed through the tamper hook.
 func (s *Server) RunShardQuery(ctx context.Context, tableName string, idx uint32, q vbtree.Query) (*vo.ResultSet, *vo.VO, *shardmap.Signed, error) {
-	rep := s.replica(tableName)
-	if rep == nil {
-		return nil, nil, nil, wire.UnknownTable("edge", tableName)
-	}
-	q.AnchorRoot = true
-	return s.runShardQuery(ctx, tableName, rep, int(idx), q)
-}
-
-func (s *Server) runShardQuery(ctx context.Context, tableName string, rep *replica, idx int, q vbtree.Query) (*vo.ResultSet, *vo.VO, *shardmap.Signed, error) {
-	if rep.diverged.Load() {
-		return nil, nil, nil, wire.StaleReplica(tableName,
-			fmt.Sprintf("edge: replica of %q descends from a dead table incarnation; refresh must install a snapshot first", tableName))
-	}
-	set, sr, err := rep.pinShard(idx)
-	if err != nil {
-		if errors.Is(err, errShardRange) {
-			return nil, nil, nil, wire.ShardMoved(tableName, err.Error())
-		}
-		return nil, nil, nil, err
-	}
-	defer sr.snap.Release()
-	v, err := sr.state.ViewOver(sr.snap, rep.sch, rep.acc, placeholderPub(sr.state.KeyVersion, sr.state.Scheme))
+	body, set, err := s.appendAnswer(ctx, nil, tableName, idx, q)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	rs, w, err := v.RunQuery(ctx, q)
+	rs, w, err := vo.DecodeAnswer(body)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	s.stats.queriesServed.Add(1)
-	s.stats.voBytes.Add(uint64(w.WireSize()))
 	if tp := s.tamper.Load(); tp != nil && *tp != nil {
 		if err := (*tp)(rs, w); err != nil {
 			return nil, nil, nil, err
 		}
 	}
-	return rs, w, set.smap, nil
+	return rs, w, set.smap, nil //vetauth:ignore trustflow not wire input: the bytes decoded are the answer this edge just built from its own verified replica
+}
+
+// appendAnswer runs q against one shard of the current set and appends
+// the answer (vo.AppendAnswer's layout) to dst, returning the set it was
+// answered under. The shard's snapshot is pinned from the first page
+// read to the last byte copied: the traversal reads keys, digests and
+// heap records in place on the snapshot's pages, and dst holds no
+// reference to them once this returns.
+func (s *Server) appendAnswer(ctx context.Context, dst []byte, tableName string, idx uint32, q vbtree.Query) ([]byte, *tableSet, error) {
+	rep := s.replica(tableName)
+	if rep == nil {
+		return nil, nil, wire.UnknownTable("edge", tableName)
+	}
+	if rep.diverged.Load() {
+		return nil, nil, wire.StaleReplica(tableName,
+			fmt.Sprintf("edge: replica of %q descends from a dead table incarnation; refresh must install a snapshot first", tableName))
+	}
+	set, sr, err := rep.pinShard(int(idx))
+	if err != nil {
+		if errors.Is(err, errShardRange) {
+			return nil, nil, wire.ShardMoved(tableName, err.Error())
+		}
+		return nil, nil, err
+	}
+	defer sr.snap.Release()
+	v, err := sr.state.ViewOver(sr.snap, rep.sch, rep.acc, placeholderPub(sr.state.KeyVersion, sr.state.Scheme))
+	if err != nil {
+		return nil, nil, err
+	}
+	q.AnchorRoot = true
+	out, voBytes, err := v.AppendAnswer(ctx, q, dst)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.stats.queriesServed.Add(1)
+	s.stats.voBytes.Add(uint64(voBytes))
+	return out, set, nil
 }
 
 // Schema returns a replica's schema.
@@ -1350,8 +1369,10 @@ func (s *Server) handleConn(conn net.Conn) {
 // It must be safe for concurrent use: connections run requests in
 // parallel (queries read pinned snapshots, so they interleave freely
 // with delta application). ctx is the connection's context — cancelled
-// when the client disconnects, which aborts traversal mid-query.
-func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body []byte) (wire.MsgType, []byte, error) {
+// when the client disconnects, which aborts traversal mid-query. out is
+// the buffer the connection lends for the response (see rpc.Handler): a
+// shard answer is built in it.
+func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body, out []byte) (wire.MsgType, []byte, error) {
 	switch mt {
 	case wire.MsgListTablesReq:
 		return wire.MsgListTablesResp, wire.EncodeStringList(s.Tables()), nil
@@ -1389,15 +1410,26 @@ func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body []byte) (wi
 		if err != nil {
 			return 0, nil, err
 		}
-		rs, w, sm, err := s.RunShardQuery(ctx, req.Query.Table, req.Shard, q)
-		if err != nil {
-			return 0, nil, err
+		if s.tampering() {
+			// A compromised edge rewrites the answer as structs.
+			rs, w, sm, err := s.RunShardQuery(ctx, req.Query.Table, req.Shard, q)
+			if err != nil {
+				return 0, nil, err
+			}
+			resp := &wire.ShardQueryResponse{
+				Resp:      &wire.QueryResponse{Result: rs, VO: w},
+				SignedMap: s.tamperedMap(sm).Encode(),
+			}
+			return wire.MsgShardQueryResp, resp.Encode(), nil
 		}
-		resp := &wire.ShardQueryResponse{
-			Resp:      &wire.QueryResponse{Result: rs, VO: w},
-			SignedMap: s.tamperedMap(sm).Encode(),
-		}
-		return wire.MsgShardQueryResp, resp.Encode(), nil
+		resp, err := wire.AppendShardQueryResponse(out, func(dst []byte) ([]byte, []byte, error) {
+			dst, set, err := s.appendAnswer(ctx, dst, req.Query.Table, req.Shard, q)
+			if err != nil {
+				return nil, nil, err
+			}
+			return dst, set.smapBytes, nil
+		})
+		return wire.MsgShardQueryResp, resp, err
 
 	case wire.MsgShardSnapshotReq, wire.MsgShardDeltaReq:
 		// The peer distribution tier: edges replicating the same tables
@@ -1407,6 +1439,12 @@ func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body []byte) (wi
 	default:
 		return 0, nil, wire.Unsupported("edge", mt)
 	}
+}
+
+// tampering reports whether a compromised-edge hook is installed.
+func (s *Server) tampering() bool {
+	tp, mtp := s.tamper.Load(), s.mapTamper.Load()
+	return tp != nil && *tp != nil || mtp != nil && *mtp != nil
 }
 
 // tamperedMap routes a served map through the compromised-edge hook (on

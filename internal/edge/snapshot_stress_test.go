@@ -10,6 +10,7 @@ import (
 
 	"edgeauth/internal/central"
 	"edgeauth/internal/schema"
+	"edgeauth/internal/storage"
 	"edgeauth/internal/vbtree"
 	"edgeauth/internal/verify"
 )
@@ -22,6 +23,9 @@ import (
 // the signed digests — meaning no query ever observed a half-applied
 // delta, and the final state must reflect every committed update.
 func TestQueriesVerifyUnderConcurrentRefresh(t *testing.T) {
+	// Answers are read in place on pinned pages: a buffer recycled under a
+	// live pin must show (see storage.SetPoisonOnRecycle).
+	defer storage.SetPoisonOnRecycle(storage.SetPoisonOnRecycle(true))
 	ctx := context.Background()
 	srv, centralAddr := startCentralOpts(t, 300, central.Options{PageSize: 1024})
 	eg := New(centralAddr)

@@ -56,7 +56,7 @@ func (f *fakeCentral) serve(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-func (f *fakeCentral) dispatch(ctx context.Context, mt wire.MsgType, body []byte) (wire.MsgType, []byte, error) {
+func (f *fakeCentral) dispatch(ctx context.Context, mt wire.MsgType, body, _ []byte) (wire.MsgType, []byte, error) {
 	srv := f.backend.Load()
 	switch mt {
 	case wire.MsgPubKeyReq:

@@ -147,6 +147,9 @@ func Compile(sch *schema.Schema, spec Spec) (vbtree.Query, error) {
 	}
 	if len(residual) > 0 {
 		preds := residual
+		for _, rp := range preds {
+			q.FilterCols = append(q.FilterCols, rp.col)
+		}
 		q.Filter = func(t schema.Tuple) bool {
 			for _, rp := range preds {
 				if !rp.pred.eval(t.Values[rp.col]) {

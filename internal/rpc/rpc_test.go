@@ -17,7 +17,7 @@ import (
 
 // echoHandler answers MsgShardQueryReq with MsgShardQueryResp carrying
 // the request body back, and fails everything else with a typed error.
-func echoHandler(_ context.Context, mt wire.MsgType, body []byte) (wire.MsgType, []byte, error) {
+func echoHandler(_ context.Context, mt wire.MsgType, body, _ []byte) (wire.MsgType, []byte, error) {
 	switch mt {
 	case wire.MsgShardQueryReq:
 		return wire.MsgShardQueryResp, body, nil
@@ -94,9 +94,9 @@ func TestHandshakeRejectsOtherProtocols(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.open != nil {
 				var handled atomic.Int64
-				h := func(ctx context.Context, mt wire.MsgType, body []byte) (wire.MsgType, []byte, error) {
+				h := func(ctx context.Context, mt wire.MsgType, body, out []byte) (wire.MsgType, []byte, error) {
 					handled.Add(1)
-					return echoHandler(ctx, mt, body)
+					return echoHandler(ctx, mt, body, out)
 				}
 				nc, err := net.Dial("tcp", startServer(t, h, ServeOptions{}))
 				if err != nil {
@@ -189,7 +189,7 @@ func TestTypedErrorAcrossWire(t *testing.T) {
 // first must not block a fast one issued second.
 func TestOutOfOrderResponses(t *testing.T) {
 	release := make(chan struct{})
-	h := func(_ context.Context, mt wire.MsgType, body []byte) (wire.MsgType, []byte, error) {
+	h := func(_ context.Context, mt wire.MsgType, body, _ []byte) (wire.MsgType, []byte, error) {
 		if len(body) > 0 && body[0] == 's' {
 			<-release
 		}
@@ -219,7 +219,7 @@ func TestOutOfOrderResponses(t *testing.T) {
 
 func TestContextCancellationMidRequest(t *testing.T) {
 	block := make(chan struct{})
-	h := func(_ context.Context, mt wire.MsgType, body []byte) (wire.MsgType, []byte, error) {
+	h := func(_ context.Context, mt wire.MsgType, body, _ []byte) (wire.MsgType, []byte, error) {
 		<-block
 		return wire.MsgShardQueryResp, body, nil
 	}
@@ -395,7 +395,7 @@ func TestIdleTimeoutDropsSlowloris(t *testing.T) {
 // (run with -race).
 func TestConcurrentPipelinedCalls(t *testing.T) {
 	var served atomic.Int64
-	h := func(_ context.Context, mt wire.MsgType, body []byte) (wire.MsgType, []byte, error) {
+	h := func(_ context.Context, mt wire.MsgType, body, _ []byte) (wire.MsgType, []byte, error) {
 		served.Add(1)
 		return wire.MsgShardQueryResp, body, nil
 	}
@@ -441,7 +441,7 @@ func TestConcurrentPipelinedCalls(t *testing.T) {
 func TestHandlerCtxCancelledOnDisconnect(t *testing.T) {
 	started := make(chan struct{})
 	cancelled := make(chan error, 1)
-	h := func(ctx context.Context, mt wire.MsgType, body []byte) (wire.MsgType, []byte, error) {
+	h := func(ctx context.Context, mt wire.MsgType, body, _ []byte) (wire.MsgType, []byte, error) {
 		close(started)
 		select {
 		case <-ctx.Done():
@@ -472,7 +472,7 @@ func TestHandlerCtxCancelledOnDisconnect(t *testing.T) {
 // outlives the server.
 func TestBaseContextCancellation(t *testing.T) {
 	base, cancel := context.WithCancel(context.Background())
-	h := func(ctx context.Context, mt wire.MsgType, body []byte) (wire.MsgType, []byte, error) {
+	h := func(ctx context.Context, mt wire.MsgType, body, _ []byte) (wire.MsgType, []byte, error) {
 		<-ctx.Done()
 		return 0, nil, ctx.Err()
 	}
@@ -494,5 +494,77 @@ func TestBaseContextCancellation(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("handler did not observe BaseContext cancellation")
+	}
+}
+
+// TestResponsesBuiltInTheLentBuffer drives every way a handler can
+// produce its response — appended to the buffer the connection lends,
+// appended past that buffer's capacity, or a slice of its own (one the
+// transport must neither modify nor keep) — through concurrent callers,
+// and checks each caller gets its own bytes back. The lent buffers are
+// recycled across requests, so a response that leaked into another's
+// buffer shows as a mismatch.
+func TestResponsesBuiltInTheLentBuffer(t *testing.T) {
+	shared := bytes.Repeat([]byte("cached-delta-body."), 100)
+	sharedCopy := append([]byte(nil), shared...)
+	var inPlace atomic.Int64
+	h := func(_ context.Context, mt wire.MsgType, body, out []byte) (wire.MsgType, []byte, error) {
+		if len(out) != 0 || cap(out) < minFrameBuf {
+			return 0, nil, fmt.Errorf("lent buffer has len %d cap %d", len(out), cap(out))
+		}
+		n := int(body[0])<<8 | int(body[1])
+		switch body[2] {
+		case 'a': // append n copies of the tag byte, wherever that lands
+			if n <= cap(out) {
+				inPlace.Add(1)
+			}
+			for i := 0; i < n; i++ {
+				out = append(out, body[3])
+			}
+			return wire.MsgShardQueryResp, out, nil
+		case 's': // a slice the handler owns and serves to everyone
+			return wire.MsgShardQueryResp, shared, nil
+		}
+		return 0, nil, errors.New("unknown op")
+	}
+	c := New(startServer(t, h, ServeOptions{}), Options{})
+	defer c.Close()
+	ctx := context.Background()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 60; i++ {
+				// Sizes climb past minFrameBuf, so early answers outgrow
+				// the lent buffer and later ones fit the enlarged one.
+				n := (i*97 + g*13) % 3000
+				op, tag := byte('a'), byte('A'+g)
+				if i%7 == 6 {
+					op = 's'
+				}
+				resp, err := c.Call(ctx, wire.MsgShardQueryReq, []byte{byte(n >> 8), byte(n), op, tag}, wire.MsgShardQueryResp, true)
+				if err != nil {
+					t.Errorf("call: %v", err)
+					return
+				}
+				want := bytes.Repeat([]byte{tag}, n)
+				if op == 's' {
+					want = sharedCopy
+				}
+				if !bytes.Equal(resp, want) {
+					t.Errorf("goroutine %d call %d (op %c, n %d): got %d bytes starting %q", g, i, op, n, len(resp), resp[:min(len(resp), 8)])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if !bytes.Equal(shared, sharedCopy) {
+		t.Fatal("the transport wrote into a slice the handler owns")
+	}
+	if inPlace.Load() == 0 {
+		t.Fatal("no response fitted the lent buffer: the in-place path was not exercised")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"edgeauth/internal/wire"
@@ -23,7 +24,15 @@ const (
 // an answer nobody will read. Returning an error sends a typed error
 // frame instead; return a *wire.WireError to control the code the client
 // sees.
-type Handler func(ctx context.Context, mt wire.MsgType, body []byte) (wire.MsgType, []byte, error)
+//
+// out is an empty buffer the connection recycles from response to
+// response, with room for the frame header in front of it. A handler
+// that builds its response by appending to out and returns the result
+// costs no allocation once the buffer has grown to the connection's
+// responses, and header and body leave in one Write; out is only valid
+// until the handler returns. Any other slice it returns is written as it
+// is and never modified or kept.
+type Handler func(ctx context.Context, mt wire.MsgType, body, out []byte) (wire.MsgType, []byte, error)
 
 // ServeOptions configures per-connection dispatch.
 type ServeOptions struct {
@@ -138,6 +147,21 @@ func setWriteDeadline(conn net.Conn, idle time.Duration) {
 	}
 }
 
+// frameBuf is a recycled response frame: header room, then the body a
+// handler appended.
+type frameBuf struct{ b []byte }
+
+var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
+
+const (
+	// minFrameBuf is the smallest response buffer handed to a handler.
+	minFrameBuf = 512
+	// maxPooledFrame bounds the responses a connection sizes its buffers
+	// for: past it (bulk replication payloads) a response is allocated and
+	// dropped, not kept in the pool.
+	maxPooledFrame = 1 << 18
+)
+
 // serve is the multiplexed loop: decode on this goroutine, execute on a
 // bounded pool, write under writeMu tagged with the request ID. When the
 // read loop exits (peer gone), ctx is cancelled before the worker drain,
@@ -147,6 +171,10 @@ func serve(ctx context.Context, conn net.Conn, h Handler, o ServeOptions, idle t
 		writeMu sync.Mutex
 		wg      sync.WaitGroup
 		sem     = make(chan struct{}, o.maxConcurrent())
+		// largest is the longest poolable response body this connection
+		// has sent: the next handler's buffer is at least that large, so a
+		// connection's steady traffic is answered in place.
+		largest atomic.Int64
 	)
 	ctx, cancel := context.WithCancel(ctx)
 	defer wg.Wait()
@@ -162,17 +190,34 @@ func serve(ctx context.Context, conn net.Conn, h Handler, o ServeOptions, idle t
 		go func(mt wire.MsgType, id uint32, body []byte) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			respType, resp, err := h(ctx, mt, body)
+			fb := framePool.Get().(*frameBuf)
+			defer framePool.Put(fb)
+			if need := wire.FrameHeaderSize + max(int(largest.Load()), minFrameBuf); cap(fb.b) < need {
+				fb.b = make([]byte, need)
+			}
+			frame := fb.b[:cap(fb.b)]
+			respType, resp, err := h(ctx, mt, body, frame[wire.FrameHeaderSize:wire.FrameHeaderSize])
 			if err != nil {
 				respType, resp = wire.MsgError, wire.ToWireError(err).Encode()
 			}
 			writeMu.Lock()
 			setWriteDeadline(conn, idle)
-			werr := wire.WriteFrameV2(conn, respType, id, resp)
+			var werr error
+			if len(resp) > 0 && &resp[0] == &frame[wire.FrameHeaderSize] {
+				// Built in place: the header goes in front and the frame
+				// leaves as it is.
+				werr = wire.WriteFramed(conn, respType, id, frame[:wire.FrameHeaderSize+len(resp)])
+			} else {
+				werr = wire.WriteFrameV2(conn, respType, id, resp)
+			}
 			writeMu.Unlock()
 			if werr != nil {
 				// The peer is gone; the read loop will notice shortly.
 				conn.Close()
+			}
+			if n := int64(len(resp)); n <= maxPooledFrame {
+				for seen := largest.Load(); n > seen && !largest.CompareAndSwap(seen, n); seen = largest.Load() {
+				}
 			}
 		}(mt, id, body)
 	}

@@ -310,42 +310,75 @@ func (d Datum) Encode(dst []byte) []byte {
 }
 
 // DecodeDatum parses one datum from data, returning it and the number of
-// bytes consumed.
+// bytes consumed. The datum owns its payload.
 func DecodeDatum(data []byte) (Datum, int, error) {
-	if len(data) < 1 {
-		return Datum{}, 0, errors.New("schema: empty datum encoding")
+	d, n, err := DecodeDatumView(data, "")
+	if d.Type == TypeBytes {
+		d.B = append([]byte{}, d.B...)
 	}
-	t := Type(data[0])
-	switch t {
+	return d, n, err
+}
+
+// DecodeDatumView is DecodeDatum without the payload copy: a bytes value
+// is a slice of data, valid and to be read only for as long as data is.
+// str is either empty or string(data); given the latter, a string value
+// is a substring of it, so decoding many values costs one conversion
+// instead of one allocation each.
+func DecodeDatumView(data []byte, str string) (Datum, int, error) {
+	n, err := DatumSize(data)
+	if err != nil {
+		return Datum{}, 0, err
+	}
+	switch t := Type(data[0]); t {
+	case TypeInt64:
+		return Int64(int64(binary.BigEndian.Uint64(data[1:9]))), n, nil
+	case TypeFloat64:
+		return Float64(math.Float64frombits(binary.BigEndian.Uint64(data[1:9]))), n, nil
+	case TypeString:
+		if str == "" {
+			return Str(string(data[5:n])), n, nil
+		}
+		return Str(str[5:n]), n, nil
+	default: // TypeBytes: DatumSize admits nothing else
+		return Bytes(data[5:n:n]), n, nil
+	}
+}
+
+// DatumSize returns the encoded length of the datum at the start of data
+// without decoding its payload.
+func DatumSize(data []byte) (int, error) {
+	if len(data) < 1 {
+		return 0, errors.New("schema: empty datum encoding")
+	}
+	switch Type(data[0]) {
 	case TypeInt64:
 		if len(data) < 9 {
-			return Datum{}, 0, errors.New("schema: truncated int64 datum")
+			return 0, errors.New("schema: truncated int64 datum")
 		}
-		return Int64(int64(binary.BigEndian.Uint64(data[1:9]))), 9, nil
+		return 9, nil
 	case TypeFloat64:
 		if len(data) < 9 {
-			return Datum{}, 0, errors.New("schema: truncated float64 datum")
+			return 0, errors.New("schema: truncated float64 datum")
 		}
-		return Float64(math.Float64frombits(binary.BigEndian.Uint64(data[1:9]))), 9, nil
+		return 9, nil
 	case TypeString, TypeBytes:
 		if len(data) < 5 {
-			return Datum{}, 0, errors.New("schema: truncated datum header")
+			return 0, errors.New("schema: truncated datum header")
 		}
 		n := int(binary.BigEndian.Uint32(data[1:5]))
 		if n < 0 || len(data) < 5+n {
-			return Datum{}, 0, errors.New("schema: truncated datum payload")
+			return 0, errors.New("schema: truncated datum payload")
 		}
-		payload := data[5 : 5+n]
-		if t == TypeString {
-			return Str(string(payload)), 5 + n, nil
-		}
-		b := make([]byte, n)
-		copy(b, payload)
-		return Bytes(b), 5 + n, nil
+		return 5 + n, nil
 	default:
-		return Datum{}, 0, fmt.Errorf("schema: unknown datum type %d", data[0])
+		return 0, fmt.Errorf("schema: unknown datum type %d", data[0])
 	}
 }
+
+// MinDatumSize is the shortest encoding DatumSize accepts (an empty string
+// or bytes value): decoders bound a claimed count of datums by the bytes
+// left over it.
+const MinDatumSize = 5
 
 // Tuple is one row: len(Values) == len(schema.Columns) for base-table
 // tuples, or the projected column count for result tuples.

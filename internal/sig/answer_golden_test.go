@@ -1,0 +1,253 @@
+package sig_test
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math/big"
+	"strings"
+	"testing"
+
+	"edgeauth/internal/digest"
+	"edgeauth/internal/query"
+	"edgeauth/internal/schema"
+	"edgeauth/internal/sig"
+	"edgeauth/internal/storage"
+	"edgeauth/internal/vbtree"
+	"edgeauth/internal/wire"
+	"edgeauth/internal/workload"
+)
+
+// The byte-identity goldens of the verified-read path live here, beside
+// the signature package, because they need the one thing only its tests
+// can make: a signing key that is the same on every run (KeyFromPrimes).
+// Under the per-node rsa scheme every digest on a page is a signature, so
+// without a fixed key no two runs produce the same answer bytes.
+
+// goldenView builds the table the goldens were captured over — 1,000
+// seeded rows on 1 KB pages, then a 40-row batch, one row wider than a
+// page (an overflow chain) and a 31-row delete — and returns a read view
+// of it with a fixed clock and key version.
+func goldenView(t *testing.T, scheme sig.Scheme) (*vbtree.View, *schema.Schema) {
+	t.Helper()
+	p, _ := new(big.Int).SetString("f2f0784a0c48e633d2f89450354b24ed", 16)
+	q, _ := new(big.Int).SetString("d0f54bc924a93ad2bab57919e5a39cc3", 16)
+	k, err := sig.KeyFromPrimes(p, q).WithScheme(scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.SetValidity(3, 0, 0)
+	spec := workload.DefaultSpec(1000)
+	spec.Seed = 18
+	sch, err := spec.Schema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples, err := spec.Tuples()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := storage.NewMemPager(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp, err := storage.NewBufferPool(mem, 1<<16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap, err := storage.NewHeapFile(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := func() int64 { return 1_700_000_000 }
+	tree, err := vbtree.Build(vbtree.Config{
+		Pool: bp, Heap: heap, Schema: sch, Acc: digest.MustNew(digest.DefaultParams()),
+		Signer: k, Pub: k.Public(), Now: now, BuildParallelism: 2,
+	}, tuples, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func(id int64, width int) schema.Tuple {
+		vals := make([]schema.Datum, len(sch.Columns))
+		vals[0] = schema.Int64(id)
+		vals[1] = schema.Str(workload.CategoryName(int(id % 20)))
+		for c := 2; c < len(vals); c++ {
+			vals[c] = schema.Str(strings.Repeat(fmt.Sprintf("%c", 'a'+c), width))
+		}
+		return schema.Tuple{Values: vals}
+	}
+	var rows []schema.Tuple
+	for i := int64(0); i < 40; i++ {
+		rows = append(rows, row(5000+i*3, 20))
+	}
+	_, errs, err := tree.InsertBatch(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range errs {
+		if e != nil {
+			t.Fatal(e)
+		}
+	}
+	// One record wider than a page: its heap cell is an overflow chain.
+	if err := tree.Insert(row(7000, 300)); err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := schema.Int64(100), schema.Int64(130)
+	if n, err := tree.DeleteRange(&lo, &hi); err != nil || n != 31 {
+		t.Fatalf("DeleteRange removed %d, %v", n, err)
+	}
+	if tree.Height() != 3 {
+		t.Fatalf("height %d, want 3", tree.Height())
+	}
+	v, err := vbtree.NewView(vbtree.ViewConfig{
+		Pages: bp, HeapPages: heap.Pages(), Schema: sch, Acc: tree.Accumulator(), Pub: k.Public(), Now: now,
+		Root: tree.Root(), Height: tree.Height(), RootSig: tree.RootSig(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v, sch
+}
+
+type goldenCase struct {
+	name string
+	spec query.Spec
+}
+
+func goldenCases(sch *schema.Schema) []goldenCase {
+	i := func(v int64) schema.Datum { return schema.Int64(v) }
+	rng := func(lo, hi int64) []query.Predicate {
+		return []query.Predicate{{Column: "id", Op: query.OpGE, Value: i(lo)}, {Column: "id", Op: query.OpLE, Value: i(hi)}}
+	}
+	three := workload.ProjectFirstN(sch, 3)
+	return []goldenCase{
+		{"point", query.Spec{Predicates: []query.Predicate{{Column: "id", Op: query.OpEQ, Value: i(500)}}}},
+		{"range256-3of10", query.Spec{Predicates: rng(300, 555), Project: three}},
+		{"full-projection", query.Spec{Predicates: rng(140, 203)}},
+		{"filtered-gaps", query.Spec{Predicates: append(rng(200, 600), query.Predicate{Column: "cat", Op: query.OpEQ, Value: schema.Str("cat-07")}), Project: three}},
+		{"empty", query.Spec{Predicates: rng(2000, 3000), Project: three}},
+		{"open-ended", query.Spec{Predicates: []query.Predicate{{Column: "id", Op: query.OpGE, Value: i(960)}}, Project: three}},
+		{"empty-open-lo", query.Spec{Predicates: []query.Predicate{{Column: "id", Op: query.OpLE, Value: i(-5)}}}},
+		{"strict-bounds", query.Spec{Predicates: []query.Predicate{{Column: "id", Op: query.OpGT, Value: i(90)}, {Column: "id", Op: query.OpLT, Value: i(140)}}, Project: []string{"a5", "cat"}}},
+		{"overflow-record", query.Spec{Predicates: rng(5100, 8000), Project: []string{"a2", "id"}}},
+		{"filter-no-match", query.Spec{Predicates: append(rng(10, 400), query.Predicate{Column: "cat", Op: query.OpEQ, Value: schema.Str("nope")})}},
+	}
+}
+
+var goldenMap = []byte("golden signed map bytes (opaque to the wire layer)")
+
+// goldenAnswers holds, for every golden case, what the PARENT commit
+// (679c42a: copying traversal, struct-form encoders) produced when run
+// over goldenView: rows, D_S entries, and the length and SHA-256 of
+// (&wire.ShardQueryResponse{Resp: {rs, w}, SignedMap: goldenMap}).Encode().
+var goldenAnswers = []struct {
+	name     string
+	rows, ds int
+	length   int
+	sha256   string
+}{
+	{"rsa-merkle/point/anchor=true", 1, 42, 1318, "2ef1298cdba1ec2aadd84cd8c84c95ca9e290a2d0da86ef00225183265d92bef"},
+	{"rsa-merkle/point/anchor=false", 1, 42, 1318, "2ef1298cdba1ec2aadd84cd8c84c95ca9e290a2d0da86ef00225183265d92bef"},
+	{"rsa-merkle/range256-3of10/anchor=true", 256, 35, 51088, "a2527c53abdf4c14ce2258dc2796a9a79a45a207efd1a1ef072e630c019f907d"},
+	{"rsa-merkle/range256-3of10/anchor=false", 256, 35, 51088, "a2527c53abdf4c14ce2258dc2796a9a79a45a207efd1a1ef072e630c019f907d"},
+	{"rsa-merkle/full-projection/anchor=true", 64, 35, 15724, "43672da72d0ad7a935ce3273bcf2ef013e240fbcbb6a120399eccd3dddcf8877"},
+	{"rsa-merkle/full-projection/anchor=false", 64, 35, 15724, "43672da72d0ad7a935ce3273bcf2ef013e240fbcbb6a120399eccd3dddcf8877"},
+	{"rsa-merkle/filtered-gaps/anchor=true", 23, 268, 10313, "697ca6aa6c13a20a37e2f358567f9cdc34b3d9c5da0de41ac595f365e4009b75"},
+	{"rsa-merkle/filtered-gaps/anchor=false", 23, 268, 10313, "697ca6aa6c13a20a37e2f358567f9cdc34b3d9c5da0de41ac595f365e4009b75"},
+	{"rsa-merkle/empty/anchor=true", 0, 3, 240, "6ea4333848e78343d43295e9c35a37621d23ff78fa62ccca9ea887ebc0c0ce32"},
+	{"rsa-merkle/empty/anchor=false", 0, 3, 240, "6ea4333848e78343d43295e9c35a37621d23ff78fa62ccca9ea887ebc0c0ce32"},
+	{"rsa-merkle/open-ended/anchor=true", 81, 6, 16459, "c15e296eca9f8976e2b82bd75ecfb9b81a7e616ca35a521d2bc7442804352fb6"},
+	{"rsa-merkle/open-ended/anchor=false", 81, 6, 16459, "c15e296eca9f8976e2b82bd75ecfb9b81a7e616ca35a521d2bc7442804352fb6"},
+	{"rsa-merkle/empty-open-lo/anchor=true", 0, 3, 268, "bd4aa73262500aa8c5dd0247cc483d75505bec3789649e83f8f2de82cc144cbd"},
+	{"rsa-merkle/empty-open-lo/anchor=false", 0, 3, 268, "bd4aa73262500aa8c5dd0247cc483d75505bec3789649e83f8f2de82cc144cbd"},
+	{"rsa-merkle/strict-bounds/anchor=true", 18, 32, 4571, "f65915f5948cf5b818e96767eb17c159b6fbf6ba305dcf38bf2fab8d883bdc6a"},
+	{"rsa-merkle/strict-bounds/anchor=false", 18, 32, 4571, "f65915f5948cf5b818e96767eb17c159b6fbf6ba305dcf38bf2fab8d883bdc6a"},
+	{"rsa-merkle/overflow-record/anchor=true", 7, 19, 2286, "cd7237aa693d9c11963c0b3dded5f9ef14fad26dc14d883f8e3cab2759945d6f"},
+	{"rsa-merkle/overflow-record/anchor=false", 7, 19, 2286, "cd7237aa693d9c11963c0b3dded5f9ef14fad26dc14d883f8e3cab2759945d6f"},
+	{"rsa-merkle/filter-no-match/anchor=true", 0, 3, 268, "bd4aa73262500aa8c5dd0247cc483d75505bec3789649e83f8f2de82cc144cbd"},
+	{"rsa-merkle/filter-no-match/anchor=false", 0, 3, 268, "bd4aa73262500aa8c5dd0247cc483d75505bec3789649e83f8f2de82cc144cbd"},
+	{"rsa/point/anchor=true", 1, 31, 1567, "3d897c1490b499b3d5e8a930ea3446555ef237e3ad42602843d9b11e2159559d"},
+	{"rsa/point/anchor=false", 1, 13, 901, "fce0bb951494a3bf11bc0d9968e7f1e65e87792659021db879e1c4d38b8f413c"},
+	{"rsa/range256-3of10/anchor=true", 256, 24, 79897, "f7a56716c5a0a5ab2dd4392b6985a0a7be00f1219fd26272b9f56faf8bf8b2c4"},
+	{"rsa/range256-3of10/anchor=false", 256, 24, 79897, "f7a56716c5a0a5ab2dd4392b6985a0a7be00f1219fd26272b9f56faf8bf8b2c4"},
+	{"rsa/full-projection/anchor=true", 64, 19, 15676, "4f3b6675fb94e4d7591099aa90abbd2f847e5edf968509a16d9d039b6e07c5c9"},
+	{"rsa/full-projection/anchor=false", 64, 15, 15528, "4e415c50ef9ef678440e97a468b6d3c680eb38ee2d4f15b546f916513e34dbea"},
+	{"rsa/filtered-gaps/anchor=true", 23, 231, 15792, "b6b7c9829cb443a1e0c825507fae854f98673646542f62a60eab24d026b30f5a"},
+	{"rsa/filtered-gaps/anchor=false", 23, 231, 15792, "b6b7c9829cb443a1e0c825507fae854f98673646542f62a60eab24d026b30f5a"},
+	{"rsa/empty/anchor=true", 0, 5, 346, "95a9999fe775e7ae9d7dffc791a8ddfa15a9c1cdfec6745140eb7ee100bb79c2"},
+	{"rsa/empty/anchor=false", 0, 10, 531, "f2e35294d076ae19dc72025c71a82ab1ab7dd153da2d44a79b4bad8a5309ab83"},
+	{"rsa/open-ended/anchor=true", 81, 20, 26129, "aa2888293677f3d6ad2b618b9ab853e4ffb2dc9387293e8b25be5186997e94c4"},
+	{"rsa/open-ended/anchor=false", 81, 16, 25981, "a55fa91362d82ff7231eb6618d8bd595d80b6b528b5c888605ca1c2ab0b411ef"},
+	{"rsa/empty-open-lo/anchor=true", 0, 5, 374, "b0b178f8e8a00da7b5c076ee720c568b043959d3da34a6175e352fcfe2591abb"},
+	{"rsa/empty-open-lo/anchor=false", 0, 14, 707, "09e1e8b62ffc02820c2fc2db6981d66302cd866d7866480c87b290b37d8b79ea"},
+	{"rsa/strict-bounds/anchor=true", 18, 22, 7001, "6ae90ca6a0d0c73ed717153718232b97dce6171679d7f050103224db72cd36b8"},
+	{"rsa/strict-bounds/anchor=false", 18, 18, 6853, "f67f08f385ee1ca9e60a4ccc3d74679a47fb5c2fe9273e9a0dead527e2402097"},
+	{"rsa/overflow-record/anchor=true", 7, 28, 3803, "ce689b17da2211064b329032ad5e41fe3515450fa5adf25d14210e40e5c4d8d3"},
+	{"rsa/overflow-record/anchor=false", 7, 10, 3137, "2251ee9aad63a19712479fbf2763ec2c554aa5654b36a4dd255a5c9f43d92ec0"},
+	{"rsa/filter-no-match/anchor=true", 0, 5, 374, "b0b178f8e8a00da7b5c076ee720c568b043959d3da34a6175e352fcfe2591abb"},
+	{"rsa/filter-no-match/anchor=false", 0, 14, 707, "09e1e8b62ffc02820c2fc2db6981d66302cd866d7866480c87b290b37d8b79ea"},
+}
+
+// TestAnswerBytesMatchParentCommit pins the bytes an edge puts on the
+// wire for a query — built by vbtree.View.AppendAnswer straight from the
+// pages, framed by wire.AppendShardQueryResponse — to the bytes the
+// parent commit built through vo.ResultSet, vo.VO and their Encode
+// methods, for both commitment modes, root-anchored and not. The struct
+// form RunQuery still returns must encode to the same bytes.
+func TestAnswerBytesMatchParentCommit(t *testing.T) {
+	ctx := context.Background()
+	want := goldenAnswers
+	for _, scheme := range []sig.Scheme{sig.SchemeRSAMerkle, sig.SchemeRSAFull} {
+		v, sch := goldenView(t, scheme)
+		for _, c := range goldenCases(sch) {
+			for _, anchor := range []bool{true, false} {
+				name := fmt.Sprintf("%v/%s/anchor=%v", scheme, c.name, anchor)
+				if len(want) == 0 || want[0].name != name {
+					t.Fatalf("golden table out of step at %s", name)
+				}
+				g := want[0]
+				want = want[1:]
+				q, err := query.Compile(sch, c.spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				q.AnchorRoot = anchor
+				voBytes := 0
+				body, err := wire.AppendShardQueryResponse(nil, func(dst []byte) (out, signedMap []byte, err error) {
+					out, voBytes, err = v.AppendAnswer(ctx, q, dst)
+					return out, goldenMap, err
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				sum := sha256.Sum256(body)
+				if got := hex.EncodeToString(sum[:]); len(body) != g.length || got != g.sha256 {
+					t.Errorf("%s: %d bytes, sha256 %s; parent commit: %d bytes, sha256 %s",
+						name, len(body), got, g.length, g.sha256)
+					continue
+				}
+				resp, err := wire.DecodeShardQueryResponse(body)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if rs, w := resp.Resp.Result, resp.Resp.VO; len(rs.Tuples) != g.rows || len(w.DS) != g.ds || w.WireSize() != voBytes {
+					t.Errorf("%s: %d rows, %d D_S entries in a %d-byte VO; parent commit %d rows, %d entries, AppendAnswer reported %d bytes",
+						name, len(rs.Tuples), len(w.DS), w.WireSize(), g.rows, g.ds, voBytes)
+				}
+				rs, w, err := v.RunQuery(ctx, q)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				structForm := (&wire.ShardQueryResponse{Resp: &wire.QueryResponse{Result: rs, VO: w}, SignedMap: goldenMap}).Encode()
+				if string(structForm) != string(body) {
+					t.Errorf("%s: RunQuery's structs encode to different bytes than AppendAnswer wrote", name)
+				}
+			}
+		}
+	}
+	if len(want) != 0 {
+		t.Fatalf("%d golden cases were not run", len(want))
+	}
+}

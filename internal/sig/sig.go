@@ -175,8 +175,6 @@ func GenerateKey(bits int) (*PrivateKey, error) {
 	if bits < MinBits {
 		return nil, fmt.Errorf("sig: key size %d below minimum %d", bits, MinBits)
 	}
-	e := big.NewInt(65537)
-	one := big.NewInt(1)
 	for {
 		p, err := rand.Prime(rand.Reader, bits/2)
 		if err != nil {
@@ -186,33 +184,36 @@ func GenerateKey(bits int) (*PrivateKey, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sig: generating prime: %w", err)
 		}
-		if p.Cmp(q) == 0 {
-			continue
+		if k := keyFromPrimes(p, q); k != nil && k.pub.N.BitLen() == bits {
+			return k, nil
 		}
-		n := new(big.Int).Mul(p, q)
-		if n.BitLen() != bits {
-			continue
-		}
-		pm1 := new(big.Int).Sub(p, one)
-		qm1 := new(big.Int).Sub(q, one)
-		phi := new(big.Int).Mul(pm1, qm1)
-		d := new(big.Int).ModInverse(e, phi)
-		if d == nil {
-			continue // e not coprime to phi; re-draw primes
-		}
-		k := &PrivateKey{
-			pub:  PublicKey{N: n, E: new(big.Int).Set(e)},
-			d:    d,
-			p:    p,
-			q:    q,
-			dp:   new(big.Int).Mod(d, pm1),
-			dq:   new(big.Int).Mod(d, qm1),
-			qinv: new(big.Int).ModInverse(q, p),
-		}
-		if k.qinv == nil {
-			continue
-		}
-		return k, nil
+	}
+}
+
+// keyFromPrimes assembles the key pair over N = p·q with e = 65537, or
+// returns nil when the primes do not make one (equal, or e not coprime
+// to φ(N)); GenerateKey then draws again.
+func keyFromPrimes(p, q *big.Int) *PrivateKey {
+	if p.Cmp(q) == 0 {
+		return nil
+	}
+	e := big.NewInt(65537)
+	one := big.NewInt(1)
+	pm1 := new(big.Int).Sub(p, one)
+	qm1 := new(big.Int).Sub(q, one)
+	d := new(big.Int).ModInverse(e, new(big.Int).Mul(pm1, qm1))
+	qinv := new(big.Int).ModInverse(q, p)
+	if d == nil || qinv == nil {
+		return nil
+	}
+	return &PrivateKey{
+		pub:  PublicKey{N: new(big.Int).Mul(p, q), E: e},
+		d:    d,
+		p:    p,
+		q:    q,
+		dp:   new(big.Int).Mod(d, pm1),
+		dq:   new(big.Int).Mod(d, qm1),
+		qinv: qinv,
 	}
 }
 

@@ -48,6 +48,8 @@ type BufferPool struct {
 }
 
 // NewBufferPool wraps pager with an LRU cache of at most frames pages.
+// frames is a cap, not a size hint: the frame table grows with the pages
+// actually cached, so a generous cap over a small table costs nothing.
 func NewBufferPool(pager Pager, frames int) (*BufferPool, error) {
 	if frames < 1 {
 		return nil, fmt.Errorf("storage: buffer pool needs at least 1 frame, got %d", frames)
@@ -55,7 +57,7 @@ func NewBufferPool(pager Pager, frames int) (*BufferPool, error) {
 	return &BufferPool{
 		pager:  pager,
 		cap:    frames,
-		frames: make(map[PageID]*Frame, frames),
+		frames: make(map[PageID]*Frame),
 		lru:    list.New(),
 	}, nil
 }

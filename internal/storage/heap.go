@@ -218,9 +218,13 @@ func NewHeapReader(pr PageReader, pages []PageID) *HeapReader {
 	return &HeapReader{pr: pr, pages: pages}
 }
 
-// Get returns a copy of the record at rid, reassembling overflow chains.
-func (h *HeapReader) Get(rid RecordID) ([]byte, error) {
-	return heapGet(h.pr, rid)
+// View returns the record at rid without copying it: an inline record is
+// a slice of the page the reader returned, to be read only and valid
+// until that page can change — for a Snapshot, until the pin is released;
+// an overflow chain is reassembled into memory the caller owns.
+func (h *HeapReader) View(rid RecordID) ([]byte, error) {
+	rec, _, err := heapView(h.pr, rid)
+	return rec, err
 }
 
 // Scan calls fn for every live record in heap order, as HeapFile.Scan.
@@ -228,15 +232,25 @@ func (h *HeapReader) Scan(fn func(rid RecordID, rec []byte) bool) error {
 	return heapScan(h.pr, h.pages, fn)
 }
 
-// heapGet reads one record through a page view.
+// heapGet returns a copy of one record read through a page view.
 func heapGet(pr PageReader, rid RecordID) ([]byte, error) {
+	rec, owned, err := heapView(pr, rid)
+	if err != nil || owned {
+		return rec, err
+	}
+	return append([]byte(nil), rec...), nil
+}
+
+// heapView reads one record through a page view; owned is false when rec
+// aliases the page.
+func heapView(pr PageReader, rid RecordID) (rec []byte, owned bool, err error) {
 	buf, err := pr.View(rid.Page)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	cell, err := AsPage(buf).Cell(int(rid.Slot))
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	return resolveCell(pr, cell)
 }
@@ -258,7 +272,7 @@ func heapScan(pr PageReader, pages []PageID, fn func(rid RecordID, rec []byte) b
 			if err != nil {
 				return err
 			}
-			rec, err := resolveCell(pr, cell)
+			rec, _, err := resolveCell(pr, cell)
 			if err != nil {
 				return err
 			}
@@ -270,19 +284,19 @@ func heapScan(pr PageReader, pages []PageID, fn func(rid RecordID, rec []byte) b
 	return nil
 }
 
-// resolveCell decodes a record cell, following overflow chains.
-func resolveCell(pr PageReader, cell []byte) ([]byte, error) {
+// resolveCell decodes a record cell. An inline record is returned as a
+// slice of the cell (owned false); an overflow chain is followed and
+// reassembled into fresh memory (owned true).
+func resolveCell(pr PageReader, cell []byte) (rec []byte, owned bool, err error) {
 	if len(cell) < 1 {
-		return nil, errors.New("storage: empty record cell")
+		return nil, false, errors.New("storage: empty record cell")
 	}
 	switch cell[0] {
 	case recInline:
-		out := make([]byte, len(cell)-1)
-		copy(out, cell[1:])
-		return out, nil
+		return cell[1:], false, nil
 	case recOverflow:
 		if len(cell) != 1+4+4 {
-			return nil, errors.New("storage: malformed overflow descriptor")
+			return nil, false, errors.New("storage: malformed overflow descriptor")
 		}
 		total := int(binary.BigEndian.Uint32(cell[1:5]))
 		next := PageID(binary.BigEndian.Uint32(cell[5:9]))
@@ -290,23 +304,23 @@ func resolveCell(pr PageReader, cell []byte) ([]byte, error) {
 		for next != InvalidPageID {
 			buf, err := pr.View(next)
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
 			n := int(binary.BigEndian.Uint16(buf[5:7]))
 			if overflowHeader+n > len(buf) {
-				return nil, errors.New("storage: corrupt overflow chunk")
+				return nil, false, errors.New("storage: corrupt overflow chunk")
 			}
 			out = append(out, buf[overflowHeader:overflowHeader+n]...)
 			next = PageID(binary.BigEndian.Uint32(buf[1:5]))
 			if len(out) > total {
-				return nil, errors.New("storage: overflow chain longer than declared")
+				return nil, false, errors.New("storage: overflow chain longer than declared")
 			}
 		}
 		if len(out) != total {
-			return nil, fmt.Errorf("storage: overflow chain yields %d bytes, want %d", len(out), total)
+			return nil, false, fmt.Errorf("storage: overflow chain yields %d bytes, want %d", len(out), total)
 		}
-		return out, nil
+		return out, true, nil
 	default:
-		return nil, fmt.Errorf("storage: unknown record tag %d", cell[0])
+		return nil, false, fmt.Errorf("storage: unknown record tag %d", cell[0])
 	}
 }

@@ -166,8 +166,29 @@ func (ps *PageStore) getBuf() []byte {
 	return make([]byte, ps.pageSize)
 }
 
+// poisonOnRecycle is the test mode SetPoisonOnRecycle switches.
+var poisonOnRecycle atomic.Bool
+
+// poisonByte fills a recycled buffer in the poison-on-recycle test mode:
+// a page type no decoder accepts and a slot count no page can hold.
+const poisonByte = 0xDB
+
+// SetPoisonOnRecycle switches the poison-on-recycle test mode for every
+// PageStore in the process and returns the previous setting. While on, a
+// page buffer is overwritten with 0xDB the moment its last snapshot
+// drains, so a page view that outlived its pin reads garbage at once —
+// and, under the race detector, is reported as a race with the
+// overwrite — where it would otherwise read stale but well-formed bytes
+// until the buffer happened to be reused.
+func SetPoisonOnRecycle(on bool) (was bool) { return poisonOnRecycle.Swap(on) }
+
 func (ps *PageStore) putBufLocked(buf []byte) {
 	ps.recycled++
+	if poisonOnRecycle.Load() {
+		for i := range buf {
+			buf[i] = poisonByte
+		}
+	}
 	if len(ps.free) < maxFreeBuffers {
 		ps.free = append(ps.free, buf)
 	}

@@ -275,10 +275,10 @@ func TestHeapReaderOverSnapshot(t *testing.T) {
 	snap := ov.Publish(nil)
 	defer snap.Release()
 	hr := NewHeapReader(snap, h.Pages())
-	if got, err := hr.Get(ridS); err != nil || !bytes.Equal(got, small) {
+	if got, err := hr.View(ridS); err != nil || !bytes.Equal(got, small) {
 		t.Fatalf("inline record through snapshot: %q, %v", got, err)
 	}
-	if got, err := hr.Get(ridL); err != nil || !bytes.Equal(got, large) {
+	if got, err := hr.View(ridL); err != nil || !bytes.Equal(got, large) {
 		t.Fatalf("overflow record through snapshot: %d bytes, %v", len(got), err)
 	}
 	n := 0

@@ -270,6 +270,25 @@ func StaleKeyReplay(oldVersion uint32) Attack {
 	}
 }
 
+// RelabelKeyVersion presents an old answer under the key version the
+// central has since rotated to, signatures untouched. The version field
+// of a VO is not signed, so only the signature check under the NEW key
+// catches it — which a client that remembers proven signatures by their
+// bytes alone would skip.
+func RelabelKeyVersion(newVersion uint32) Attack {
+	return Attack{
+		Name:        "relabel-key-version",
+		Description: "present signatures made under a retired key as the current key version's",
+		Apply: func(rs *vo.ResultSet, w *vo.VO) error {
+			if w.KeyVersion == newVersion {
+				return ErrNotApplicable
+			}
+			w.KeyVersion = newVersion
+			return nil
+		},
+	}
+}
+
 // BackdateTimestamp rewinds the VO's timestamp by a year — the §3.4
 // attack where a compromised edge masquerades stale data as current by
 // stamping the response into a retired key's validity window. A client

@@ -205,6 +205,34 @@ func TestStaleKeyReplayDetectedViaRegistry(t *testing.T) {
 	}
 }
 
+// TestRelabelKeyVersionMissesTheSignatureCache: the client has verified
+// (and cached the signatures of) an answer under key version 0; the
+// central rotates to version 1, a different key; the edge replays the old
+// answer relabelled as version 1. The cached proofs were made under
+// version 0 and must not vouch for it.
+func TestRelabelKeyVersionMissesTheSignatureCache(t *testing.T) {
+	h := newHarness(t, 100)
+	rs, w := h.freshResponse(t, true)
+	reg := sig.NewRegistry()
+	reg.Put(signer(t).Public()) // version 0
+	rotated := sig.MustGenerateKey(512).Public()
+	rotated.Version = 1
+	reg.Put(rotated)
+	ver := &verify.Verifier{Keys: reg, Acc: h.ver.Acc, Schema: h.ver.Schema}
+	if err := ver.Verify(rs, w); err != nil {
+		t.Fatalf("baseline with registry: %v", err)
+	}
+	if err := RelabelKeyVersion(1).Apply(rs, w); err != nil {
+		t.Fatal(err)
+	}
+	if err := ver.Verify(rs, w); !errors.Is(err, verify.ErrBadSignature) {
+		t.Fatalf("relabelled answer: %v, want ErrBadSignature", err)
+	}
+	if err := RelabelKeyVersion(1).Apply(rs, w); !errors.Is(err, ErrNotApplicable) {
+		t.Fatalf("relabel to the version already named: %v", err)
+	}
+}
+
 // TestBackdateTimestampAttack pins the §3.4 freshness fix: the rewound
 // timestamp was ACCEPTED under the old semantics (key validity resolved
 // at the edge-supplied VO timestamp — emulated here by pinning the

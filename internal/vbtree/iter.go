@@ -11,13 +11,15 @@ import (
 // bounded runs. It is shaped to serve as a TupleSource for
 // BuildFromSource: resharding pins a parent snapshot, wraps it in a
 // View, and streams one key range of it into a child build while the
-// live shard keeps committing.
+// live shard keeps committing. The iterator keeps a cursor on a page of
+// the view between calls, so the view's pages must not change for as
+// long as it is used (the snapshot stays pinned); the tuples it yields
+// are owned by the caller.
 type TupleIter struct {
 	v       *View
 	lo      []byte // inclusive lower bound, nil = open
 	hiEx    []byte // exclusive upper bound, nil = open
-	pid     storage.PageID
-	idx     int
+	cur     leafCursor
 	started bool
 	done    bool
 }
@@ -34,31 +36,6 @@ func (it *TupleIter) Source() TupleSource {
 	return it.Next
 }
 
-func (it *TupleIter) start() error {
-	pid := it.v.root
-	for {
-		pt, err := it.v.pageType(pid)
-		if err != nil {
-			return err
-		}
-		if pt != storage.PageVBInternal {
-			break
-		}
-		n, err := it.v.fetchInternal(pid)
-		if err != nil {
-			return err
-		}
-		if it.lo == nil {
-			pid = n.children[0]
-		} else {
-			pid = n.children[n.childIndex(it.lo)]
-		}
-	}
-	it.pid = pid
-	it.started = true
-	return nil
-}
-
 // Next yields the next run of at most limit tuples; an empty slice ends
 // the stream. It satisfies TupleSource.
 func (it *TupleIter) Next(limit int) ([]schema.Tuple, error) {
@@ -66,42 +43,47 @@ func (it *TupleIter) Next(limit int) ([]schema.Tuple, error) {
 		return nil, nil
 	}
 	if !it.started {
-		if err := it.start(); err != nil {
-			return nil, err
-		}
-	}
-	var out []schema.Tuple
-	for it.pid != storage.InvalidPageID && len(out) < limit {
-		n, err := it.v.fetchLeaf(it.pid)
+		_, buf, err := it.v.leafFor(it.lo)
 		if err != nil {
 			return nil, err
 		}
-		start := it.idx
-		if start == 0 && it.lo != nil {
-			start = n.search(it.lo)
+		if it.cur, err = openLeaf(buf); err != nil {
+			return nil, err
 		}
-		for i := start; i < len(n.keys); i++ {
-			if it.hiEx != nil && compare(n.keys[i], it.hiEx) >= 0 {
+		it.started = true
+	}
+	var out []schema.Tuple
+	for len(out) < limit {
+		ok, err := it.cur.advance()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			if it.cur.next == storage.InvalidPageID {
 				it.done = true
-				return out, nil
+				break
 			}
-			st, err := it.v.loadStored(n.rids[i])
+			buf, err := it.v.page(it.cur.next)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, st.Tuple)
-			if len(out) == limit {
-				it.idx = i + 1
-				if it.idx >= len(n.keys) {
-					it.pid, it.idx, it.lo = n.next, 0, nil
-				}
-				return out, nil
+			if it.cur, err = openLeaf(buf); err != nil {
+				return nil, err
 			}
+			continue
 		}
-		it.pid, it.idx, it.lo = n.next, 0, nil
-	}
-	if it.pid == storage.InvalidPageID {
-		it.done = true
+		if it.lo != nil && compare(it.cur.key, it.lo) < 0 {
+			continue
+		}
+		if it.hiEx != nil && compare(it.cur.key, it.hiEx) >= 0 {
+			it.done = true
+			break
+		}
+		st, err := it.v.loadStored(it.cur.rid)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, st.Tuple)
 	}
 	return out, nil
 }
@@ -109,20 +91,24 @@ func (it *TupleIter) Next(limit int) ([]schema.Tuple, error) {
 // KeyCount walks the leaf chain and returns the view's total tuple
 // count without touching the heap.
 func (v *View) KeyCount() (int, error) {
-	pid, err := v.leftmostLeaf()
+	_, buf, err := v.leafFor(nil)
 	if err != nil {
 		return 0, err
 	}
 	n := 0
-	for pid != storage.InvalidPageID {
-		leaf, err := v.fetchLeaf(pid)
+	for {
+		c, err := openLeaf(buf)
 		if err != nil {
 			return 0, err
 		}
-		n += len(leaf.keys)
-		pid = leaf.next
+		n += c.left
+		if c.next == storage.InvalidPageID {
+			return n, nil
+		}
+		if buf, err = v.page(c.next); err != nil {
+			return 0, err
+		}
 	}
-	return n, nil
 }
 
 // TupleAt returns the i-th tuple (0-based) in key order — the key-median
@@ -131,43 +117,34 @@ func (v *View) TupleAt(i int) (schema.Tuple, error) {
 	if i < 0 {
 		return schema.Tuple{}, fmt.Errorf("vbtree: tuple index %d out of range", i)
 	}
-	pid, err := v.leftmostLeaf()
+	_, buf, err := v.leafFor(nil)
 	if err != nil {
 		return schema.Tuple{}, err
 	}
 	seen := 0
-	for pid != storage.InvalidPageID {
-		leaf, err := v.fetchLeaf(pid)
+	for {
+		c, err := openLeaf(buf)
 		if err != nil {
 			return schema.Tuple{}, err
 		}
-		if i < seen+len(leaf.keys) {
-			st, err := v.loadStored(leaf.rids[i-seen])
+		if i < seen+c.left {
+			for skip := i - seen; skip >= 0; skip-- {
+				if _, err := c.advance(); err != nil {
+					return schema.Tuple{}, err
+				}
+			}
+			st, err := v.loadStored(c.rid)
 			if err != nil {
 				return schema.Tuple{}, err
 			}
 			return st.Tuple, nil
 		}
-		seen += len(leaf.keys)
-		pid = leaf.next
-	}
-	return schema.Tuple{}, fmt.Errorf("vbtree: tuple index %d out of range", i)
-}
-
-func (v *View) leftmostLeaf() (storage.PageID, error) {
-	pid := v.root
-	for {
-		pt, err := v.pageType(pid)
-		if err != nil {
-			return storage.InvalidPageID, err
+		seen += c.left
+		if c.next == storage.InvalidPageID {
+			return schema.Tuple{}, fmt.Errorf("vbtree: tuple index %d out of range", i)
 		}
-		if pt != storage.PageVBInternal {
-			return pid, nil
+		if buf, err = v.page(c.next); err != nil {
+			return schema.Tuple{}, err
 		}
-		n, err := v.fetchInternal(pid)
-		if err != nil {
-			return storage.InvalidPageID, err
-		}
-		pid = n.children[0]
 	}
 }

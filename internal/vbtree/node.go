@@ -1,6 +1,7 @@
 package vbtree
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -229,22 +230,145 @@ func spanIntersects(clo, chi, qlo, qhi []byte) bool {
 	return true
 }
 
-func compare(a, b []byte) int {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
+func compare(a, b []byte) int { return bytes.Compare(a, b) }
+
+// The read path does not decode nodes into vbLeaf/vbInternal: it walks
+// the page bytes with the two cursors below, which copy nothing. Every
+// slice a cursor exposes (key, sig, lo, hi) is a slice of the page it was
+// opened on — valid, and to be read only, until that page can change:
+// for a page of a pinned storage.Snapshot, until the pin is released.
+
+// leafCursor walks a VB leaf's entries in key order.
+type leafCursor struct {
+	buf  []byte
+	off  int
+	left int // entries not yet read
+	next storage.PageID
+	// The current entry, set by advance.
+	key []byte
+	rid storage.RecordID
+	sig []byte // D_T
+}
+
+func openLeaf(buf []byte) (leafCursor, error) {
+	if storage.PageType(buf[0]) != storage.PageVBLeaf {
+		return leafCursor{}, fmt.Errorf("vbtree: page type %d is not a VB leaf", buf[0])
+	}
+	return leafCursor{
+		buf:  buf,
+		off:  vbLeafHeader,
+		left: int(binary.BigEndian.Uint16(buf[5:7])),
+		next: storage.PageID(binary.BigEndian.Uint32(buf[1:5])),
+	}, nil
+}
+
+// advance moves to the next entry; false means the leaf is exhausted.
+func (c *leafCursor) advance() (bool, error) {
+	if c.left == 0 {
+		return false, nil
+	}
+	buf, off := c.buf, c.off
+	if off+2 > len(buf) {
+		return false, fmt.Errorf("vbtree: leaf entry truncated at offset %d", off)
+	}
+	kl := int(binary.BigEndian.Uint16(buf[off:]))
+	off += 2
+	if off+kl+6+2 > len(buf) {
+		return false, fmt.Errorf("vbtree: leaf entry truncated at offset %d", off)
+	}
+	c.key = buf[off : off+kl : off+kl]
+	off += kl
+	c.rid = storage.RecordID{
+		Page: storage.PageID(binary.BigEndian.Uint32(buf[off:])),
+		Slot: binary.BigEndian.Uint16(buf[off+4:]),
+	}
+	off += 6
+	sl := int(binary.BigEndian.Uint16(buf[off:]))
+	off += 2
+	if off+sl > len(buf) {
+		return false, fmt.Errorf("vbtree: leaf signature truncated at offset %d", off)
+	}
+	c.sig = buf[off : off+sl : off+sl]
+	c.off = off + sl
+	c.left--
+	return true, nil
+}
+
+// internalCursor walks a VB internal node's children left to right.
+type internalCursor struct {
+	buf  []byte
+	off  int
+	left int // children not yet read
+	// The current child, set by advance: its page, the digest stored with
+	// its pointer, and the key interval [lo, hi) it covers (nil =
+	// unbounded on that side).
+	child  storage.PageID
+	sig    []byte
+	lo, hi []byte
+}
+
+func openInternal(buf []byte) (internalCursor, error) {
+	if storage.PageType(buf[0]) != storage.PageVBInternal {
+		return internalCursor{}, fmt.Errorf("vbtree: page type %d is not a VB internal node", buf[0])
+	}
+	return internalCursor{
+		buf:  buf,
+		off:  vbInternalHeader,
+		left: int(binary.BigEndian.Uint16(buf[1:3])) + 1,
+	}, nil
+}
+
+// advance moves to the next child; false means the node is exhausted.
+func (c *internalCursor) advance() (bool, error) {
+	if c.left == 0 {
+		return false, nil
+	}
+	buf, off := c.buf, c.off
+	if off+4+2 > len(buf) {
+		return false, fmt.Errorf("vbtree: internal child truncated at offset %d", off)
+	}
+	c.child = storage.PageID(binary.BigEndian.Uint32(buf[off:]))
+	sl := int(binary.BigEndian.Uint16(buf[off+4:]))
+	off += 6
+	if off+sl > len(buf) {
+		return false, fmt.Errorf("vbtree: internal digest truncated at offset %d", off)
+	}
+	c.sig = buf[off : off+sl : off+sl]
+	off += sl
+	c.left--
+	c.lo, c.hi = c.hi, nil
+	if c.left > 0 {
+		// The separator key after this child is its upper bound.
+		if off+2 > len(buf) {
+			return false, fmt.Errorf("vbtree: internal key truncated at offset %d", off)
+		}
+		kl := int(binary.BigEndian.Uint16(buf[off:]))
+		off += 2
+		if off+kl > len(buf) {
+			return false, fmt.Errorf("vbtree: internal key truncated at offset %d", off)
+		}
+		c.hi = buf[off : off+kl : off+kl]
+		off += kl
+	}
+	c.off = off
+	return true, nil
+}
+
+// seek advances to the child covering key k (the leftmost child for a
+// nil k): the first whose upper bound lies above k.
+func (c *internalCursor) seek(k []byte) error {
+	for {
+		ok, err := c.advance()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return fmt.Errorf("vbtree: internal node has no children")
+		}
+		if k == nil || c.hi == nil || compare(c.hi, k) > 0 {
+			return nil
 		}
 	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
 }
 
 // fetchLeaf / fetchInternal decode a pinned page and release the pin.

@@ -13,8 +13,12 @@ type Query struct {
 	Lo, Hi *schema.Datum
 	// Filter, when non-nil, is an additional non-key predicate evaluated
 	// on full base tuples; non-matching tuples inside the range become
-	// "gaps" covered by D_S digests.
+	// "gaps" covered by D_S digests. The tuple is valid for the call only.
 	Filter func(schema.Tuple) bool
+	// FilterCols lists the schema indices of the columns Filter reads;
+	// the tuple it is shown has only those values decoded. Nil means
+	// every column.
+	FilterCols []int
 	// Project lists the columns to return; nil means all columns.
 	// Filtered-out attributes are covered by D_P digests.
 	Project []string
@@ -26,12 +30,6 @@ type Query struct {
 	// tops out at the root. Costs a few extra D_S sibling digests along
 	// the root path.
 	AnchorRoot bool
-}
-
-// matched is one qualifying tuple with everything the VO needs.
-type matched struct {
-	keyBytes []byte
-	st       *vo.StoredTuple
 }
 
 // The Tree's read operations delegate to a View over the live buffer

@@ -130,389 +130,461 @@ func NewView(cfg ViewConfig) (*View, error) {
 	}, nil
 }
 
-// page-decode helpers over the immutable view.
-
-func (v *View) pageType(pid storage.PageID) (storage.PageType, error) {
-	buf, err := v.pr.View(pid)
-	if err != nil {
-		return 0, err
-	}
-	return storage.PageType(buf[0]), nil
+// page returns a page of the view. The slice is the reader's own buffer:
+// valid until the reader's pages can change (see storage.PageReader).
+func (v *View) page(pid storage.PageID) ([]byte, error) {
+	return v.pr.View(pid)
 }
 
-func (v *View) fetchLeaf(pid storage.PageID) (*vbLeaf, error) {
-	buf, err := v.pr.View(pid)
-	if err != nil {
-		return nil, err
-	}
-	return decodeVBLeaf(buf)
-}
-
-func (v *View) fetchInternal(pid storage.PageID) (*vbInternal, error) {
-	buf, err := v.pr.View(pid)
-	if err != nil {
-		return nil, err
-	}
-	return decodeVBInternal(buf)
-}
-
+// loadStored decodes the stored tuple at rid into memory the caller owns.
 func (v *View) loadStored(rid storage.RecordID) (*vo.StoredTuple, error) {
-	rec, err := v.heap.Get(rid)
+	rec, err := v.heap.View(rid)
 	if err != nil {
 		return nil, err
 	}
-	st, _, err := vo.DecodeStoredTuple(rec)
+	st, _, err := vo.DecodeStoredTuple(append([]byte(nil), rec...))
 	return st, err
+}
+
+// rootNode names the root as the top of an envelope.
+func (v *View) rootNode() envelopeTop {
+	return envelopeTop{pid: v.root, level: v.height, sig: v.rootSig}
+}
+
+// leafFor descends to the leaf covering key k (the leftmost leaf for a
+// nil k) and returns it with its page.
+func (v *View) leafFor(k []byte) (envelopeTop, []byte, error) {
+	n := v.rootNode()
+	for {
+		buf, err := v.page(n.pid)
+		if err != nil {
+			return envelopeTop{}, nil, err
+		}
+		if storage.PageType(buf[0]) != storage.PageVBInternal {
+			return n, buf, nil
+		}
+		c, err := openInternal(buf)
+		if err != nil {
+			return envelopeTop{}, nil, err
+		}
+		if err := c.seek(k); err != nil {
+			return envelopeTop{}, nil, err
+		}
+		n = envelopeTop{pid: c.child, level: n.level - 1, sig: c.sig}
+	}
 }
 
 // Search returns the stored tuple with the given key, or found=false.
 func (v *View) Search(key schema.Datum) (*vo.StoredTuple, bool, error) {
 	kb := key.KeyBytes()
-	pid := v.root
+	_, buf, err := v.leafFor(kb)
+	if err != nil {
+		return nil, false, err
+	}
+	c, err := openLeaf(buf)
+	if err != nil {
+		return nil, false, err
+	}
 	for {
-		pt, err := v.pageType(pid)
-		if err != nil {
+		ok, err := c.advance()
+		if err != nil || !ok {
 			return nil, false, err
 		}
-		if pt == storage.PageVBInternal {
-			n, err := v.fetchInternal(pid)
-			if err != nil {
-				return nil, false, err
-			}
-			pid = n.children[n.childIndex(kb)]
-			continue
-		}
-		n, err := v.fetchLeaf(pid)
-		if err != nil {
-			return nil, false, err
-		}
-		i := n.search(kb)
-		if i >= len(n.keys) || compare(n.keys[i], kb) != 0 {
+		switch cmp := compare(c.key, kb); {
+		case cmp > 0:
 			return nil, false, nil
+		case cmp == 0:
+			st, err := v.loadStored(c.rid)
+			return st, err == nil, err
 		}
-		st, err := v.loadStored(n.rids[i])
-		if err != nil {
-			return nil, false, err
-		}
-		return st, true, nil
 	}
 }
 
 // RunQuery executes q and returns the verifiable result: the projected
 // tuples and the VO over the enveloping subtree. This is the operation an
-// edge server performs for every client query (paper §3.3). ctx is
-// checked between page visits, so a disconnected or cancelled client
-// stops the traversal and the VO crypto early.
+// edge server performs for every client query (paper §3.3), in struct
+// form: the answer AppendAnswer builds, decoded from a buffer private to
+// this call, so the caller owns everything returned. ctx is checked
+// between page visits, so a disconnected or cancelled client stops the
+// traversal early.
 func (v *View) RunQuery(ctx context.Context, q Query) (*vo.ResultSet, *vo.VO, error) {
-	var loB, hiB []byte
+	body, _, err := v.AppendAnswer(ctx, q, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return vo.DecodeAnswer(body)
+}
+
+// AppendAnswer executes q and appends the verifiable result to dst in
+// its wire form (a vo answer: the result set, then the VO over the
+// enveloping subtree). One traversal reads keys, digests and heap records
+// in place on the view's pages and copies each field the answer carries
+// exactly once, into dst — so the view's pages must not change before
+// AppendAnswer returns (a Snapshot stays pinned across the call); the
+// returned buffer holds no reference to them. voBytes is the encoded size
+// of the answer's VO.
+func (v *View) AppendAnswer(ctx context.Context, q Query, dst []byte) (out []byte, voBytes int, err error) {
+	w := answerWalk{v: v, ctx: ctx, filter: q.Filter, filterCols: q.FilterCols}
 	if q.Lo != nil {
-		loB = q.Lo.KeyBytes()
+		w.lo = q.Lo.KeyBytes()
 	}
 	if q.Hi != nil {
-		hiB = q.Hi.KeyBytes()
+		w.hi = q.Hi.KeyBytes()
 	}
-	if loB != nil && hiB != nil && compare(loB, hiB) > 0 {
-		return nil, nil, errors.New("vbtree: query range is inverted")
+	if w.lo != nil && w.hi != nil && compare(w.lo, w.hi) > 0 {
+		return nil, 0, errors.New("vbtree: query range is inverted")
 	}
-
-	// Resolve the projection.
-	projIdx, projCols, err := v.resolveProjection(q.Project)
+	cols, err := w.resolveProjection(q.Project)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
-
-	// Phase 1: scan the key range, apply the filter, collect matches.
-	matches, err := v.collectMatches(ctx, loB, hiB, q.Filter)
-	if err != nil {
-		return nil, nil, err
+	if w.filter != nil {
+		w.scratch = make([]schema.Datum, len(v.sch.Columns))
+		if w.filterCols == nil {
+			// The query does not say which columns the filter reads.
+			w.filterCols = make([]int, len(w.scratch))
+			for ci := range w.filterCols {
+				w.filterCols[ci] = ci
+			}
+		}
 	}
-
-	// Phase 2: locate the enveloping subtree and assemble the D_S set.
+	// Room for a short answer; a long one grows these by doubling.
+	w.matches, w.ds = make([][]byte, 0, 32), make([]dsRef, 0, 32)
 	// Under a Merkle scheme only the root digest is signed, so the VO must
 	// anchor there regardless of what the query asked for.
-	w, err := v.buildVO(ctx, matches, loB, q.AnchorRoot || v.merkle)
+	anchorRoot := q.AnchorRoot || v.merkle
+	env, err := w.walk(v.rootNode())
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
+	}
+	switch {
+	case anchorRoot:
+		// The envelope is the whole tree: its top digest recovers to the
+		// root digest, whatever the rows span.
+		env = envelope{top: v.rootNode(), to: len(w.ds)}
+	case len(w.matches) == 0:
+		if env, err = w.envelopeEmpty(); err != nil {
+			return nil, 0, err
+		}
+	}
+	ds, top := w.ds[env.from:env.to], env.top
+	for _, d := range ds {
+		w.sizes.DS(len(d.sig))
 	}
 
-	// Phase 3: assemble the projected result set and the D_P digests.
-	rs := &vo.ResultSet{
-		DB:      v.sch.DB,
-		Table:   v.sch.Table,
-		Columns: projCols,
-	}
-	for _, m := range matches {
-		rs.Keys = append(rs.Keys, m.st.Tuple.Key(v.sch))
-		vals := make([]schema.Datum, len(projIdx))
-		for i, ci := range projIdx {
-			vals[i] = m.st.Tuple.Values[ci]
-		}
-		rs.Tuples = append(rs.Tuples, schema.Tuple{Values: vals})
-		// Filtered attributes -> D_P (paper Figure 7).
-		if len(projIdx) != len(v.sch.Columns) {
-			inProj := make([]bool, len(v.sch.Columns))
-			for _, ci := range projIdx {
-				inProj[ci] = true
-			}
-			for ci := range v.sch.Columns {
-				if !inProj[ci] {
-					w.DP = append(w.DP, m.st.AttrSigs[ci].Clone())
-				}
-			}
-		}
-	}
-	return rs, w, nil
-}
-
-// resolveProjection maps q.Project to column indices; nil means identity.
-func (v *View) resolveProjection(cols []string) ([]int, []string, error) {
-	if cols == nil {
-		idx := make([]int, len(v.sch.Columns))
-		names := make([]string, len(v.sch.Columns))
-		for i, c := range v.sch.Columns {
-			idx[i] = i
-			names[i] = c.Name
-		}
-		return idx, names, nil
-	}
-	if len(cols) == 0 {
-		return nil, nil, errors.New("vbtree: empty projection")
-	}
-	idx := make([]int, len(cols))
-	seen := make(map[string]bool, len(cols))
-	for i, name := range cols {
-		ci := v.sch.ColumnIndex(name)
-		if ci < 0 {
-			return nil, nil, fmt.Errorf("vbtree: unknown column %q", name)
-		}
-		if seen[name] {
-			return nil, nil, fmt.Errorf("vbtree: duplicate projected column %q", name)
-		}
-		seen[name] = true
-		idx[i] = ci
-	}
-	return idx, cols, nil
-}
-
-// collectMatches walks the leaf chain across [lo,hi], loads each tuple and
-// applies the filter.
-func (v *View) collectMatches(ctx context.Context, lo, hi []byte, filter func(schema.Tuple) bool) ([]matched, error) {
-	pid := v.root
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		pt, err := v.pageType(pid)
-		if err != nil {
-			return nil, err
-		}
-		if pt != storage.PageVBInternal {
-			break
-		}
-		n, err := v.fetchInternal(pid)
-		if err != nil {
-			return nil, err
-		}
-		if lo == nil {
-			pid = n.children[0]
-		} else {
-			pid = n.children[n.childIndex(lo)]
-		}
-	}
-	var out []matched
-	for pid != storage.InvalidPageID {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		n, err := v.fetchLeaf(pid)
-		if err != nil {
-			return nil, err
-		}
-		start := 0
-		if lo != nil {
-			start = n.search(lo)
-		}
-		for i := start; i < len(n.keys); i++ {
-			if hi != nil && compare(n.keys[i], hi) > 0 {
-				return out, nil
-			}
-			st, err := v.loadStored(n.rids[i])
-			if err != nil {
-				return nil, err
-			}
-			if filter != nil && !filter(st.Tuple) {
-				continue
-			}
-			out = append(out, matched{keyBytes: n.keys[i], st: st})
-		}
-		pid = n.next
-	}
-	return out, nil
-}
-
-// buildVO locates the enveloping subtree of the matches and assembles the
-// D_S set. For an empty result it envelopes the leaf where lo would land,
-// proving (to the extent the paper's model allows) what that region holds.
-// With anchorRoot the envelope is pinned at the root regardless of the
-// span, so the VO's top digest recovers to the root digest.
-func (v *View) buildVO(ctx context.Context, matches []matched, lo []byte, anchorRoot bool) (*vo.VO, error) {
-	w := &vo.VO{
+	hdr := vo.VO{
 		KeyVersion: v.pub.Version,
 		Timestamp:  v.now(),
+		TopLevel:   uint8(top.level),
+		TopDigest:  top.sig,
 	}
-
-	var spanLo, spanHi []byte
-	if len(matches) > 0 {
-		spanLo = matches[0].keyBytes
-		spanHi = matches[len(matches)-1].keyBytes
-	} else if lo != nil {
-		spanLo, spanHi = lo, lo
-	} // else: empty result with open lo — envelope the leftmost leaf.
-
-	// Membership index for leaf-level checks.
-	inResult := make(map[string]bool, len(matches))
-	for _, m := range matches {
-		inResult[string(m.keyBytes)] = true
-	}
-
-	// Descend to the enveloping top: the highest node where the span no
-	// longer fits inside a single child.
-	pid := v.root
-	level := v.height
-	topSig := v.rootSig
-	for !anchorRoot {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		pt, err := v.pageType(pid)
-		if err != nil {
-			return nil, err
-		}
-		if pt != storage.PageVBInternal {
-			break
-		}
-		n, err := v.fetchInternal(pid)
-		if err != nil {
-			return nil, err
-		}
-		loIdx := 0
-		if spanLo != nil {
-			loIdx = n.childIndex(spanLo)
-		}
-		hiIdx := 0
-		if spanHi != nil {
-			hiIdx = n.childIndex(spanHi)
-		}
-		if loIdx != hiIdx {
-			break // the span straddles children: this node is the top
-		}
-		pid = n.children[loIdx]
-		topSig = n.sigs[loIdx]
-		level--
-	}
-	w.TopLevel = uint8(level)
 	if v.merkle {
 		// The top digest travels in the clear (there is no message
 		// recovery); the root signature over it rides in RootSig. The
 		// client recomputes the digest from the D_S/result product and
 		// verifies exactly one signature.
-		u, err := v.merkleNodeDigest(pid)
+		u, err := v.merkleNodeDigest(top.pid)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		w.TopDigest = sig.Signature(u)
-		w.RootSig = topSig.Clone()
-	} else {
-		w.TopDigest = topSig.Clone()
+		hdr.TopDigest, hdr.RootSig = sig.Signature(u), top.sig
 	}
+	var aw vo.AnswerWriter
+	aw.Begin(dst, &vo.ResultSet{DB: v.sch.DB, Table: v.sch.Table, Columns: cols}, &hdr, w.sizes)
+	for _, d := range ds {
+		aw.DS(d.sig, uint8(top.level-int(d.level)))
+	}
+	for _, rec := range w.matches {
+		if err := w.sv.Parse(rec); err != nil {
+			return nil, 0, err
+		}
+		aw.Row(w.sv.Value(v.sch.Key), len(w.proj))
+		for _, ci := range w.proj {
+			aw.Value(w.sv.Value(ci))
+		}
+		// Filtered attributes -> D_P (paper Figure 7).
+		for _, ci := range w.dropped {
+			aw.DP(w.sv.AttrSig(ci))
+		}
+	}
+	if out, err = aw.Finish(); err != nil {
+		return nil, 0, err
+	}
+	return out, aw.VOBytes(), nil
+}
 
-	// Walk the subtree flat-collecting D_S entries.
-	topLevel := level
-	var walk func(pid storage.PageID, level int) (bool, []vo.Entry, error)
-	walk = func(pid storage.PageID, level int) (bool, []vo.Entry, error) {
-		if err := ctx.Err(); err != nil {
-			return false, nil, err
+// answerWalk is the state of one AppendAnswer traversal. Everything it
+// collects is a slice of a page of the view (or, for a record that
+// spilled into an overflow chain, of memory the walk owns): nothing is
+// copied until AppendAnswer writes the answer out.
+type answerWalk struct {
+	v          *View
+	ctx        context.Context
+	lo, hi     []byte // closed key range, nil = unbounded
+	filter     func(schema.Tuple) bool
+	filterCols []int
+
+	proj    []int // schema index of each returned column, in answer order
+	dropped []int // schema indices projected away, ascending (the D_P columns)
+
+	sv      vo.StoredView
+	scratch []schema.Datum // the tuple shown to filter
+
+	matches [][]byte // stored-tuple records of the result rows, in key order
+	ds      []dsRef
+	sizes   vo.AnswerSizes
+}
+
+// dsRef is one D_S entry before its lift is known: the digest of a
+// filtered tuple (level 0) or of a non-overlapping branch rooted at the
+// given level. An entry is lifted by the distance to the envelope's top.
+type dsRef struct {
+	sig   []byte
+	level uint8
+}
+
+// envelopeTop is the top node of an enveloping subtree: its page, its
+// level (leaf = 1) and the digest stored for it in its parent.
+type envelopeTop struct {
+	pid   storage.PageID
+	level int
+	sig   []byte
+}
+
+// envelope is the smallest enveloping subtree of the result rows found so
+// far: its top, and the run w.ds[from:to] that is its D_S set.
+type envelope struct {
+	top      envelopeTop
+	from, to int
+}
+
+// resolveProjection maps q.Project to column indices (nil means every
+// column) and returns the answer's column names.
+func (w *answerWalk) resolveProjection(cols []string) ([]string, error) {
+	sch := w.v.sch
+	if cols == nil {
+		w.proj = make([]int, len(sch.Columns))
+		names := make([]string, len(sch.Columns))
+		for i, c := range sch.Columns {
+			w.proj[i] = i
+			names[i] = c.Name
 		}
-		pt, err := v.pageType(pid)
+		return names, nil
+	}
+	if len(cols) == 0 {
+		return nil, errors.New("vbtree: empty projection")
+	}
+	w.proj = make([]int, len(cols))
+	taken := make([]bool, len(sch.Columns))
+	for i, name := range cols {
+		ci := sch.ColumnIndex(name)
+		if ci < 0 {
+			return nil, fmt.Errorf("vbtree: unknown column %q", name)
+		}
+		if taken[ci] {
+			return nil, fmt.Errorf("vbtree: duplicate projected column %q", name)
+		}
+		taken[ci] = true
+		w.proj[i] = ci
+	}
+	w.dropped = make([]int, 0, len(taken)-len(cols))
+	for ci, t := range taken {
+		if !t {
+			w.dropped = append(w.dropped, ci)
+		}
+	}
+	return cols, nil
+}
+
+// walk visits the subtree under node n in key order. Result rows join
+// w.matches; everything else joins w.ds as the digest that covers it — a
+// filtered tuple's, or, for a child subtree holding no result row, the
+// one branch digest that is cheaper than its constituent tuple digests (a
+// child outside the key range is not even visited).
+//
+// It returns the smallest envelope of the rows under n: the lowest node
+// whose subtree holds them all, with the part of w.ds collected beneath
+// it. A node with rows under exactly one child passes that child's
+// envelope up unchanged; a node with rows under several is their
+// envelope itself. The zero envelope (no node sits at level 0) means no
+// rows: the caller replaces what the visit added to w.ds by n's digest.
+func (w *answerWalk) walk(n envelopeTop) (envelope, error) {
+	if err := w.ctx.Err(); err != nil {
+		return envelope{}, err
+	}
+	buf, err := w.v.page(n.pid)
+	if err != nil {
+		return envelope{}, err
+	}
+	start := len(w.ds)
+	if storage.PageType(buf[0]) == storage.PageVBLeaf {
+		c, err := openLeaf(buf)
 		if err != nil {
-			return false, nil, err
+			return envelope{}, err
 		}
-		if pt == storage.PageVBLeaf {
-			n, err := v.fetchLeaf(pid)
+		has := false
+		for {
+			ok, err := c.advance()
 			if err != nil {
-				return false, nil, err
+				return envelope{}, err
 			}
-			var entries []vo.Entry
-			has := false
-			for i := range n.keys {
-				if inResult[string(n.keys[i])] {
+			if !ok {
+				break
+			}
+			if (w.lo == nil || compare(c.key, w.lo) >= 0) && (w.hi == nil || compare(c.key, w.hi) <= 0) {
+				matched, err := w.match(c.rid)
+				if err != nil {
+					return envelope{}, err
+				}
+				if matched {
 					has = true
 					continue
 				}
-				entries = append(entries, vo.Entry{Sig: n.sigs[i].Clone(), Lift: uint8(topLevel)})
 			}
-			return has, entries, nil
+			w.ds = append(w.ds, dsRef{sig: c.sig})
 		}
-		n, err := v.fetchInternal(pid)
-		if err != nil {
-			return false, nil, err
+		if !has {
+			return envelope{}, nil
 		}
-		var entries []vo.Entry
-		has := false
-		childLift := uint8(topLevel - (level - 1))
-		for i := range n.children {
-			clo, chi := n.childSpan(i)
-			if !spanIntersects(clo, chi, spanLo, spanHi) {
-				entries = append(entries, vo.Entry{Sig: n.sigs[i].Clone(), Lift: childLift})
-				continue
-			}
-			h, es, err := walk(n.children[i], level-1)
-			if err != nil {
-				return false, nil, err
-			}
-			if !h {
-				// The child intersects the span but holds no result tuple
-				// (a "gap" from a non-key filter): one branch digest is
-				// cheaper than its constituent tuple digests.
-				entries = append(entries, vo.Entry{Sig: n.sigs[i].Clone(), Lift: childLift})
-				continue
-			}
-			has = true
-			entries = append(entries, es...)
-		}
-		return has, entries, nil
+		return envelope{top: n, from: start, to: len(w.ds)}, nil
 	}
-	_, entries, err := walk(pid, level)
+
+	c, err := openInternal(buf)
 	if err != nil {
-		return nil, err
+		return envelope{}, err
 	}
-	w.DS = entries
-	return w, nil
+	withRows := 0
+	var only envelope // the envelope of the one child with rows
+	for {
+		ok, err := c.advance()
+		if err != nil {
+			return envelope{}, err
+		}
+		if !ok {
+			break
+		}
+		child := envelopeTop{pid: c.child, level: n.level - 1, sig: c.sig}
+		branch := dsRef{sig: c.sig, level: uint8(child.level)}
+		if !spanIntersects(c.lo, c.hi, w.lo, w.hi) {
+			w.ds = append(w.ds, branch)
+			continue
+		}
+		mark := len(w.ds)
+		env, err := w.walk(child)
+		if err != nil {
+			return envelope{}, err
+		}
+		if env.top.level == 0 {
+			w.ds = append(w.ds[:mark], branch)
+			continue
+		}
+		withRows++
+		only = env
+	}
+	switch withRows {
+	case 0:
+		return envelope{}, nil
+	case 1:
+		return only, nil
+	}
+	return envelope{top: n, from: start, to: len(w.ds)}, nil
+}
+
+// match reads the stored tuple at rid in place and applies the filter. A
+// qualifying tuple joins the result, with its row and D_P sizes counted.
+func (w *answerWalk) match(rid storage.RecordID) (bool, error) {
+	rec, err := w.v.heap.View(rid)
+	if err != nil {
+		return false, err
+	}
+	sv, sch := &w.sv, w.v.sch
+	if err := sv.Parse(rec); err != nil {
+		return false, err
+	}
+	if sv.NumColumns() != len(sch.Columns) {
+		return false, fmt.Errorf("vbtree: stored tuple %v has %d values for %d columns", rid, sv.NumColumns(), len(sch.Columns))
+	}
+	if w.filter != nil {
+		// The filter sees a tuple with the columns it reads decoded.
+		for _, ci := range w.filterCols {
+			if w.scratch[ci], err = sv.Datum(ci); err != nil {
+				return false, err
+			}
+		}
+		if !w.filter(schema.Tuple{Values: w.scratch}) {
+			return false, nil
+		}
+	}
+	values := 0
+	for _, ci := range w.proj {
+		values += len(sv.Value(ci))
+	}
+	w.sizes.Row(len(sv.Value(sch.Key)), values)
+	for _, ci := range w.dropped {
+		w.sizes.DP(len(sv.AttrSig(ci)))
+	}
+	w.matches = append(w.matches, rec)
+	return true, nil
+}
+
+// envelopeEmpty builds the envelope of an empty result that is not
+// anchored at the root: the leaf where lo would land (the leftmost for an
+// open range), every entry a D_S digest — proving, to the extent the
+// paper's model allows, what that region holds.
+func (w *answerWalk) envelopeEmpty() (envelope, error) {
+	top, buf, err := w.v.leafFor(w.lo)
+	if err != nil {
+		return envelope{}, err
+	}
+	c, err := openLeaf(buf)
+	if err != nil {
+		return envelope{}, err
+	}
+	w.ds = w.ds[:0]
+	for {
+		ok, err := c.advance()
+		if err != nil {
+			return envelope{}, err
+		}
+		if !ok {
+			return envelope{top: top, to: len(w.ds)}, nil
+		}
+		w.ds = append(w.ds, dsRef{sig: c.sig})
+	}
 }
 
 // merkleNodeDigest recombines a node's unsigned digest from its raw
 // child entries — pure combiner arithmetic, no signature operations.
 func (v *View) merkleNodeDigest(pid storage.PageID) (digest.Value, error) {
-	pt, err := v.pageType(pid)
+	buf, err := v.page(pid)
 	if err != nil {
 		return nil, err
 	}
-	var sigs []sig.Signature
-	if pt == storage.PageVBLeaf {
-		n, err := v.fetchLeaf(pid)
+	// One loop over either kind of node: next moves to the following
+	// entry and returns its digest.
+	var next func() ([]byte, bool, error)
+	if storage.PageType(buf[0]) == storage.PageVBLeaf {
+		c, err := openLeaf(buf)
 		if err != nil {
 			return nil, err
 		}
-		sigs = n.sigs
+		next = func() ([]byte, bool, error) { ok, err := c.advance(); return c.sig, ok, err }
 	} else {
-		n, err := v.fetchInternal(pid)
+		c, err := openInternal(buf)
 		if err != nil {
 			return nil, err
 		}
-		sigs = n.sigs
+		next = func() ([]byte, bool, error) { ok, err := c.advance(); return c.sig, ok, err }
 	}
 	acc := v.acc.NewAcc()
-	for _, s := range sigs {
+	for {
+		s, ok, err := next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return acc.Value(), nil
+		}
 		if len(s) != v.acc.Len() {
 			return nil, fmt.Errorf("vbtree: merkle entry has %d bytes, want %d", len(s), v.acc.Len())
 		}
@@ -520,41 +592,40 @@ func (v *View) merkleNodeDigest(pid storage.PageID) (digest.Value, error) {
 			return nil, err
 		}
 	}
-	return acc.Value(), nil
 }
 
 // ScanAll returns every stored tuple in key order (a full-table helper for
 // examples and tests; not part of the authenticated protocol).
 func (v *View) ScanAll() ([]*vo.StoredTuple, error) {
-	pid := v.root
-	for {
-		pt, err := v.pageType(pid)
-		if err != nil {
-			return nil, err
-		}
-		if pt != storage.PageVBInternal {
-			break
-		}
-		n, err := v.fetchInternal(pid)
-		if err != nil {
-			return nil, err
-		}
-		pid = n.children[0]
+	_, buf, err := v.leafFor(nil)
+	if err != nil {
+		return nil, err
 	}
 	var out []*vo.StoredTuple
-	for pid != storage.InvalidPageID {
-		n, err := v.fetchLeaf(pid)
+	for {
+		c, err := openLeaf(buf)
 		if err != nil {
 			return nil, err
 		}
-		for i := range n.keys {
-			st, err := v.loadStored(n.rids[i])
+		for {
+			ok, err := c.advance()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+			st, err := v.loadStored(c.rid)
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, st)
 		}
-		pid = n.next
+		if c.next == storage.InvalidPageID {
+			return out, nil
+		}
+		if buf, err = v.page(c.next); err != nil {
+			return nil, err
+		}
 	}
-	return out, nil
 }

@@ -2,7 +2,6 @@ package verify
 
 import (
 	"bytes"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -16,28 +15,38 @@ const DefaultCacheSize = 1024
 
 // sigCache remembers which payload a signature was proven to carry, so
 // repeat queries over the same tree region (the common case: hot ranges,
-// unchanged shards) skip the signature work entirely. Keyed by the raw
-// signature bytes; an entry is only ever written after a successful
-// recovery or detached verification, so a hit is as trustworthy as the
-// original check. Bounded by random-ish eviction (map iteration order):
-// the cache is an amortizer, not a store, and any eviction policy keeps
-// it correct.
+// unchanged shards) skip the signature work entirely. Keyed by the key
+// version the proof was made under and the raw signature bytes — the
+// version a VO or map names is not itself signed, so an entry proven
+// under one key must never answer a lookup made under another; an entry
+// is only ever written after a successful recovery or detached
+// verification, so a hit is as trustworthy as the original check. Keys
+// and values are copies: an entry outlives the frame the signature
+// arrived in. Bounded by random-ish eviction (map iteration order): the
+// cache is an amortizer, not a store, and any eviction policy keeps it
+// correct.
 type sigCache struct {
 	mu     sync.Mutex
-	m      map[string]digest.Value
+	m      map[sigKey]digest.Value
 	max    int
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
-func newSigCache(max int) *sigCache {
-	return &sigCache{m: make(map[string]digest.Value, max), max: max}
+type sigKey struct {
+	version uint32
+	sig     string
 }
 
-// lookup returns the proven payload for a signature, if cached.
-func (c *sigCache) lookup(key string) (digest.Value, bool) {
+func newSigCache(max int) *sigCache {
+	return &sigCache{m: make(map[sigKey]digest.Value, max), max: max}
+}
+
+// lookup returns the payload s was proven to carry under key version
+// version, if cached.
+func (c *sigCache) lookup(version uint32, s sig.Signature) (digest.Value, bool) {
 	c.mu.Lock()
-	u, ok := c.m[key]
+	u, ok := c.m[sigKey{version, string(s)}]
 	c.mu.Unlock()
 	if ok {
 		c.hits.Add(1)
@@ -47,9 +56,9 @@ func (c *sigCache) lookup(key string) (digest.Value, bool) {
 	return nil, false
 }
 
-// store records a proven (signature, payload) pair, evicting arbitrary
-// entries at capacity.
-func (c *sigCache) store(key string, u digest.Value) {
+// store records a proven (key version, signature, payload) triple,
+// evicting arbitrary entries at capacity.
+func (c *sigCache) store(version uint32, s sig.Signature, u digest.Value) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.m) >= c.max {
@@ -60,7 +69,7 @@ func (c *sigCache) store(key string, u digest.Value) {
 			}
 		}
 	}
-	c.m[key] = append(digest.Value(nil), u...)
+	c.m[sigKey{version, string(s)}] = append(digest.Value(nil), u...)
 }
 
 // CacheStats reports the verified-digest cache's hit/miss ledger.
@@ -99,38 +108,34 @@ func (v *Verifier) cachedRecover(pub *sig.PublicKey, s sig.Signature) (digest.Va
 	if c == nil {
 		return recoverDigest(pub, v.Acc, s)
 	}
-	if u, ok := c.lookup(string(s)); ok {
+	if u, ok := c.lookup(pub.Version, s); ok {
 		return u, nil
 	}
 	u, err := recoverDigest(pub, v.Acc, s)
 	if err != nil {
 		return nil, err
 	}
-	c.store(string(s), u)
+	c.store(pub.Version, s, u)
 	return u, nil
 }
 
-// cachedVerifySig checks that s authenticates want (detached form),
-// consulting the cache first. Used for Merkle root signatures, where the
-// payload travels in the clear.
+// cachedVerifySig checks that s authenticates want (detached form) under
+// pub, consulting the cache first. Used where the payload travels in the
+// clear: Merkle root signatures and shard-map signatures. The error is
+// pub.Verify's own; callers wrap it in their sentinel.
 func (v *Verifier) cachedVerifySig(pub *sig.PublicKey, s sig.Signature, want []byte) error {
 	c := v.cache()
 	if c == nil {
-		if err := pub.Verify(s, want); err != nil {
-			return fmt.Errorf("%w: %v", ErrBadSignature, err)
-		}
+		return pub.Verify(s, want)
+	}
+	if u, ok := c.lookup(pub.Version, s); ok && bytes.Equal(u, want) {
 		return nil
 	}
-	if u, ok := c.lookup(string(s)); ok {
-		if bytes.Equal(u, want) {
-			return nil
-		}
-		// Same signature bytes claimed over a different payload: fall
-		// through to the real check (it will fail for a forgery).
-	}
+	// A miss, or the same signature bytes claimed over a different
+	// payload: the real check decides (it fails for a forgery).
 	if err := pub.Verify(s, want); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSignature, err)
+		return err
 	}
-	c.store(string(s), digest.Value(want))
+	c.store(pub.Version, s, digest.Value(want))
 	return nil
 }

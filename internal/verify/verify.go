@@ -260,7 +260,7 @@ func (v *Verifier) anchor(rs *vo.ResultSet, w *vo.VO) (*anchored, error) {
 			return nil, fmt.Errorf("%w: merkle VO is missing the root signature", ErrBadSignature)
 		}
 		if err := v.cachedVerifySig(pub, w.RootSig, w.TopDigest); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %v", ErrBadSignature, err)
 		}
 		topU = digest.Value(w.TopDigest)
 	} else {
@@ -296,15 +296,20 @@ func (v *Verifier) envelopeDigest(an *anchored, rs *vo.ResultSet, w *vo.VO) (dig
 		levels[k] = v.Acc.NewAcc()
 	}
 	attrs := levels[L+1]
+	// One key, one value and one digest buffer serve every attribute: Add
+	// folds the digest into the product and keeps nothing of it.
+	var keyBytes, valBytes []byte
+	var d digest.Value
 	for j := range rs.Tuples {
-		keyBytes := rs.Keys[j].KeyBytes()
+		keyBytes = rs.Keys[j].EncodeKey(keyBytes[:0])
 		for i, ci := range an.colIdx {
 			val := rs.Tuples[j].Values[i]
 			if val.Type != v.Schema.Columns[ci].Type {
 				return nil, fmt.Errorf("%w: tuple %d column %q has type %v, want %v",
 					ErrMalformed, j, rs.Columns[i], val.Type, v.Schema.Columns[ci].Type)
 			}
-			d := v.Acc.HashAttribute(rs.DB, rs.Table, v.Schema.Columns[ci].Name, keyBytes, val.CanonicalBytes())
+			valBytes = val.Canonical(valBytes[:0])
+			d = v.Acc.HashAttributeTo(d, rs.DB, rs.Table, v.Schema.Columns[ci].Name, keyBytes, valBytes)
 			if err := attrs.Add(d); err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 			}

@@ -56,7 +56,9 @@ func (s *StoredTuple) EncodeBytes() []byte {
 	return s.Encode(make([]byte, 0, s.WireSize()))
 }
 
-// DecodeStoredTuple parses a stored tuple, returning bytes consumed.
+// DecodeStoredTuple parses a stored tuple, returning bytes consumed. The
+// attribute signatures are slices of data: valid until data is modified
+// or reused.
 func DecodeStoredTuple(data []byte) (*StoredTuple, int, error) {
 	t, off, err := schema.DecodeTuple(data)
 	if err != nil {
@@ -67,6 +69,9 @@ func DecodeStoredTuple(data []byte) (*StoredTuple, int, error) {
 	}
 	n := int(binary.BigEndian.Uint16(data[off : off+2]))
 	off += 2
+	if n > len(data[off:])/minDPEntry {
+		return nil, 0, errors.New("vo: implausible signature count")
+	}
 	st := &StoredTuple{Tuple: t, AttrSigs: make([]sig.Signature, 0, n)}
 	for i := 0; i < n; i++ {
 		s, used, err := readSig(data[off:])
@@ -81,3 +86,75 @@ func DecodeStoredTuple(data []byte) (*StoredTuple, int, error) {
 	}
 	return st, off, nil
 }
+
+// StoredView is a stored tuple parsed to offsets: where each column's
+// encoded value and each attribute signature sits in the record, with
+// nothing decoded or copied. The query path reads heap records through
+// it and copies the fields an answer needs straight into the response.
+// Every slice a StoredView returns is a slice of the record last given
+// to Parse: valid until that record is — for a record read in place from
+// a pinned page, until the pin is released. The zero value is ready to
+// use, and Parse reuses its offset tables from one record to the next.
+type StoredView struct {
+	rec []byte
+	// val[i]..val[i+1] bounds column i's encoded datum; sig[i]..sig[i+1]
+	// bounds attribute i's signature with its length prefix.
+	val, sig []int
+}
+
+// Parse points the view at an encoded stored tuple.
+func (sv *StoredView) Parse(rec []byte) error {
+	if len(rec) < 2 {
+		return errors.New("vo: stored tuple: truncated tuple header")
+	}
+	n := int(binary.BigEndian.Uint16(rec[:2]))
+	if n > len(rec)/schema.MinDatumSize {
+		return errors.New("vo: stored tuple: implausible value count")
+	}
+	sv.rec = rec
+	if cap(sv.val) <= n {
+		sv.val, sv.sig = make([]int, 0, n+1), make([]int, 0, n+1)
+	}
+	sv.val, sv.sig = append(sv.val[:0], 2), sv.sig[:0]
+	off := 2
+	for i := 0; i < n; i++ {
+		used, err := schema.DatumSize(rec[off:])
+		if err != nil {
+			return fmt.Errorf("vo: stored tuple: value %d: %w", i, err)
+		}
+		off += used
+		sv.val = append(sv.val, off)
+	}
+	if len(rec[off:]) < 2 {
+		return errors.New("vo: truncated signature count")
+	}
+	if ns := int(binary.BigEndian.Uint16(rec[off : off+2])); ns != n {
+		return fmt.Errorf("vo: stored tuple has %d signatures for %d values", ns, n)
+	}
+	off += 2
+	sv.sig = append(sv.sig, off)
+	for i := 0; i < n; i++ {
+		_, used, err := readSig(rec[off:])
+		if err != nil {
+			return fmt.Errorf("vo: attr signature %d: %w", i, err)
+		}
+		off += used
+		sv.sig = append(sv.sig, off)
+	}
+	return nil
+}
+
+// NumColumns returns how many values (and signatures) the record holds.
+func (sv *StoredView) NumColumns() int { return len(sv.val) - 1 }
+
+// Value returns column i's value in its wire encoding (schema.Datum.Encode).
+func (sv *StoredView) Value(i int) []byte { return sv.rec[sv.val[i]:sv.val[i+1]] }
+
+// Datum decodes column i's value; the datum owns its payload.
+func (sv *StoredView) Datum(i int) (schema.Datum, error) {
+	d, _, err := schema.DecodeDatum(sv.Value(i))
+	return d, err
+}
+
+// AttrSig returns attribute i's signed digest.
+func (sv *StoredView) AttrSig(i int) []byte { return sv.rec[sv.sig[i]+4 : sv.sig[i+1]] }

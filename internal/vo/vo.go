@@ -20,6 +20,15 @@
 // the tuple's primary key, so the result set always carries each tuple's
 // key, even when the key column itself is projected away (its value digest
 // then travels in D_P like any other filtered attribute).
+//
+// # Lifetime of decoded values
+//
+// The decoders (DecodeVO, DecodeResultSet, DecodeAnswer, DecodeStoredTuple,
+// StoredView.Parse) copy nothing: every digest, signature and bytes value
+// they return is a slice of the input, and string values share one
+// conversion of it. What they return is valid, and must be treated as
+// read-only, for as long as the input buffer is neither modified nor
+// reused; a caller that keeps a digest past that point clones it.
 package vo
 
 import (
@@ -94,6 +103,8 @@ func appendSig(dst []byte, s sig.Signature) []byte {
 	return append(dst, s...)
 }
 
+// readSig returns the length-prefixed signature at the start of data as a
+// slice of data.
 func readSig(data []byte) (sig.Signature, int, error) {
 	if len(data) < 4 {
 		return nil, 0, errors.New("vo: truncated signature length")
@@ -102,9 +113,7 @@ func readSig(data []byte) (sig.Signature, int, error) {
 	if n < 0 || len(data) < 4+n {
 		return nil, 0, errors.New("vo: truncated signature")
 	}
-	s := make(sig.Signature, n)
-	copy(s, data[4:4+n])
-	return s, 4 + n, nil
+	return sig.Signature(data[4 : 4+n : 4+n]), 4 + n, nil
 }
 
 // Encode appends the VO wire form.
@@ -132,7 +141,18 @@ func (v *VO) Encode(dst []byte) []byte {
 	return dst
 }
 
-// DecodeVO parses a VO, returning bytes consumed.
+// Shortest encodings of the repeated parts, by which the decoders bound a
+// claimed count before allocating for it: a D_S entry is a length, an
+// empty signature and a lift; a D_P entry a length; a result row a key
+// datum and a value count.
+const (
+	minDSEntry = 4 + 1
+	minDPEntry = 4
+	minRow     = schema.MinDatumSize + 2
+)
+
+// DecodeVO parses a VO, returning bytes consumed. The VO's digests are
+// slices of data: valid until data is modified or reused.
 func DecodeVO(data []byte) (*VO, int, error) {
 	if len(data) < 4+8+1 {
 		return nil, 0, errors.New("vo: truncated VO header")
@@ -162,7 +182,7 @@ func DecodeVO(data []byte) (*VO, int, error) {
 	}
 	dsCount := int(binary.BigEndian.Uint32(data[off : off+4]))
 	off += 4
-	if dsCount < 0 || dsCount > len(data) { // cheap bound against corrupt counts
+	if dsCount < 0 || dsCount > len(data[off:])/minDSEntry {
 		return nil, 0, errors.New("vo: implausible DS count")
 	}
 	v.DS = make([]Entry, 0, dsCount)
@@ -172,7 +192,7 @@ func DecodeVO(data []byte) (*VO, int, error) {
 			return nil, 0, fmt.Errorf("vo: DS entry %d: %w", i, err)
 		}
 		off += n
-		if off >= len(data)+1 || len(data[off:]) < 1 {
+		if len(data[off:]) < 1 {
 			return nil, 0, errors.New("vo: truncated DS lift")
 		}
 		v.DS = append(v.DS, Entry{Sig: s, Lift: data[off]})
@@ -183,7 +203,7 @@ func DecodeVO(data []byte) (*VO, int, error) {
 	}
 	dpCount := int(binary.BigEndian.Uint32(data[off : off+4]))
 	off += 4
-	if dpCount < 0 || dpCount > len(data) {
+	if dpCount < 0 || dpCount > len(data[off:])/minDPEntry {
 		return nil, 0, errors.New("vo: implausible DP count")
 	}
 	v.DP = make([]sig.Signature, 0, dpCount)
@@ -249,17 +269,6 @@ func appendStr16(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-func readStr16(data []byte) (string, int, error) {
-	if len(data) < 2 {
-		return "", 0, errors.New("vo: truncated string length")
-	}
-	n := int(binary.BigEndian.Uint16(data[:2]))
-	if len(data) < 2+n {
-		return "", 0, errors.New("vo: truncated string")
-	}
-	return string(data[2 : 2+n]), 2 + n, nil
-}
-
 // Encode appends the result-set wire form.
 func (r *ResultSet) Encode(dst []byte) []byte {
 	dst = appendStr16(dst, r.DB)
@@ -280,32 +289,40 @@ func (r *ResultSet) Encode(dst []byte) []byte {
 	return dst
 }
 
-// DecodeResultSet parses a result set, returning bytes consumed.
+// DecodeResultSet parses a result set, returning bytes consumed. Names and
+// string values are substrings of one string conversion of data, the
+// values of all rows sit in one slab, and bytes values are slices of
+// data: valid until data is modified or reused.
 func DecodeResultSet(data []byte) (*ResultSet, int, error) {
+	str := string(data)
 	r := &ResultSet{}
-	db, off, err := readStr16(data)
+	n, err := strLen16(data)
 	if err != nil {
 		return nil, 0, fmt.Errorf("vo: db name: %w", err)
 	}
-	r.DB = db
-	tbl, n, err := readStr16(data[off:])
+	r.DB = str[2:n]
+	off := n
+	n, err = strLen16(data[off:])
 	if err != nil {
 		return nil, 0, fmt.Errorf("vo: table name: %w", err)
 	}
-	r.Table = tbl
+	r.Table = str[off+2 : off+n]
 	off += n
 	if len(data[off:]) < 2 {
 		return nil, 0, errors.New("vo: truncated column count")
 	}
 	nc := int(binary.BigEndian.Uint16(data[off : off+2]))
 	off += 2
+	if nc > len(data[off:])/2 {
+		return nil, 0, errors.New("vo: implausible column count")
+	}
 	r.Columns = make([]string, nc)
 	for i := 0; i < nc; i++ {
-		c, n, err := readStr16(data[off:])
+		n, err := strLen16(data[off:])
 		if err != nil {
 			return nil, 0, fmt.Errorf("vo: column %d: %w", i, err)
 		}
-		r.Columns[i] = c
+		r.Columns[i] = str[off+2 : off+n]
 		off += n
 	}
 	if len(data[off:]) < 4 {
@@ -313,24 +330,54 @@ func DecodeResultSet(data []byte) (*ResultSet, int, error) {
 	}
 	nt := int(binary.BigEndian.Uint32(data[off : off+4]))
 	off += 4
-	if nt < 0 || nt > len(data) {
+	if nt < 0 || nt > len(data[off:])/minRow {
 		return nil, 0, errors.New("vo: implausible tuple count")
 	}
 	r.Keys = make([]schema.Datum, 0, nt)
 	r.Tuples = make([]schema.Tuple, 0, nt)
+	// One slab for every row's values, sized for the honest case of nc
+	// values a row; a row that claims more than is left gets its own.
+	slab := make([]schema.Datum, 0, min(nt*nc, len(data[off:])/schema.MinDatumSize))
 	for i := 0; i < nt; i++ {
-		k, n, err := schema.DecodeDatum(data[off:])
+		k, n, err := schema.DecodeDatumView(data[off:], str[off:])
 		if err != nil {
 			return nil, 0, fmt.Errorf("vo: key %d: %w", i, err)
 		}
 		off += n
-		t, n, err := schema.DecodeTuple(data[off:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("vo: tuple %d: %w", i, err)
+		if len(data[off:]) < 2 {
+			return nil, 0, fmt.Errorf("vo: tuple %d: truncated tuple header", i)
 		}
-		off += n
+		nv := int(binary.BigEndian.Uint16(data[off : off+2]))
+		off += 2
+		if nv > len(data[off:])/schema.MinDatumSize {
+			return nil, 0, fmt.Errorf("vo: tuple %d: implausible value count", i)
+		}
+		if nv > cap(slab)-len(slab) {
+			slab = make([]schema.Datum, 0, nv)
+		}
+		vals := slab[len(slab) : len(slab)+nv : len(slab)+nv]
+		slab = slab[:len(slab)+nv]
+		for j := range vals {
+			if vals[j], n, err = schema.DecodeDatumView(data[off:], str[off:]); err != nil {
+				return nil, 0, fmt.Errorf("vo: tuple %d: value %d: %w", i, j, err)
+			}
+			off += n
+		}
 		r.Keys = append(r.Keys, k)
-		r.Tuples = append(r.Tuples, t)
+		r.Tuples = append(r.Tuples, schema.Tuple{Values: vals})
 	}
 	return r, off, nil
+}
+
+// strLen16 returns the encoded length (prefix included) of the u16-length
+// string at the start of data.
+func strLen16(data []byte) (int, error) {
+	if len(data) < 2 {
+		return 0, errors.New("vo: truncated string length")
+	}
+	n := int(binary.BigEndian.Uint16(data[:2]))
+	if len(data) < 2+n {
+		return 0, errors.New("vo: truncated string")
+	}
+	return 2 + n, nil
 }

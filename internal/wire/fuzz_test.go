@@ -80,6 +80,9 @@ func FuzzDecodeQueryResponse(f *testing.F) {
 		if q.Result == nil || q.VO == nil {
 			t.Fatal("accepted query response with nil parts")
 		}
+		if !bytes.Equal(q.Encode(), data) {
+			t.Fatal("query-response round-trip mismatch")
+		}
 	})
 }
 

@@ -86,28 +86,16 @@ type QueryResponse struct {
 	VO     *vo.VO
 }
 
-// Encode serializes the response.
+// Encode serializes the response (a vo answer).
 func (q *QueryResponse) Encode() []byte {
-	rs := q.Result.Encode(nil)
-	vb := q.VO.Encode(nil)
-	out := appendBytes(nil, rs)
-	out = appendBytes(out, vb)
-	return out
+	return vo.AppendAnswer(nil, q.Result, q.VO)
 }
 
-// DecodeQueryResponse parses a QueryResponse.
+// DecodeQueryResponse parses a QueryResponse. The result set and the VO
+// are views of body (see vo.DecodeAnswer): valid until body is modified
+// or reused.
 func DecodeQueryResponse(body []byte) (*QueryResponse, error) {
-	r := &reader{data: body}
-	rsb := r.bytes("result set")
-	vb := r.bytes("verification object")
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	rs, _, err := vo.DecodeResultSet(rsb)
-	if err != nil {
-		return nil, err
-	}
-	w, _, err := vo.DecodeVO(vb)
+	rs, w, err := vo.DecodeAnswer(body)
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,13 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
 
 	"edgeauth/internal/schema"
+	"edgeauth/internal/vo"
 )
 
 // Shard-scoped replication and query frames.
@@ -126,7 +128,7 @@ func (r *ShardQueryRequest) Encode() []byte {
 func DecodeShardQueryRequest(body []byte) (*ShardQueryRequest, error) {
 	r := &reader{data: body}
 	shard := r.u32("shard")
-	qb := r.bytes("query")
+	qb := r.view("query")
 	if err := r.done(); err != nil {
 		return nil, err
 	}
@@ -150,15 +152,37 @@ type ShardQueryResponse struct {
 
 // Encode serializes the response.
 func (r *ShardQueryResponse) Encode() []byte {
-	out := appendBytes(nil, r.Resp.Encode())
-	return appendBytes(out, r.SignedMap)
+	out, _ := AppendShardQueryResponse(nil, func(dst []byte) ([]byte, []byte, error) {
+		return vo.AppendAnswer(dst, r.Resp.Result, r.Resp.VO), r.SignedMap, nil
+	})
+	return out
 }
 
-// DecodeShardQueryResponse parses a ShardQueryResponse.
+// AppendShardQueryResponse appends a ShardQueryResponse encoding whose
+// answer section is written in place: answer appends a vo answer to the
+// buffer it is given and returns it with the signed map to attach. This
+// is how an edge builds the response straight from its pages, with no
+// struct in between.
+func AppendShardQueryResponse(dst []byte, answer func(dst []byte) (out, signedMap []byte, err error)) ([]byte, error) {
+	at := len(dst)
+	dst, signedMap, err := answer(append(dst, 0, 0, 0, 0))
+	if err != nil {
+		return nil, err
+	}
+	binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	return appendBytes(dst, signedMap), nil
+}
+
+// DecodeShardQueryResponse parses a ShardQueryResponse. Everything in it
+// — the result set, the VO's digests, SignedMap — is a view of body:
+// valid until body is modified or reused. A frame body from ReadFrameV2
+// belongs to the frame's receiver, so a client keeps the response as
+// long as it likes; what it caches beyond (a decoded shard map, proven
+// signatures) copies what it keeps.
 func DecodeShardQueryResponse(body []byte) (*ShardQueryResponse, error) {
 	r := &reader{data: body}
-	qb := r.bytes("query response")
-	mb := r.bytes("signed map")
+	qb := r.view("query response")
+	mb := r.view("signed map")
 	if err := r.done(); err != nil {
 		return nil, err
 	}

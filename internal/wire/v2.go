@@ -72,23 +72,44 @@ func DecodeHelloCaps(body []byte) (version, caps uint32, err error) {
 	return version, caps, nil
 }
 
+// FrameHeaderSize is the length of a numbered frame's header.
+const FrameHeaderSize = 4 + 1 + 4
+
 // WriteFrameV2 writes one numbered frame: u32 len | u8 type | u32 reqID | body.
 func WriteFrameV2(w io.Writer, t MsgType, reqID uint32, body []byte) error {
-	if len(body)+5 > MaxFrameSize {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(body))
-	}
-	var hdr [9]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(body)+5))
-	hdr[4] = byte(t)
-	binary.BigEndian.PutUint32(hdr[5:9], reqID)
-	if _, err := w.Write(hdr[:]); err != nil {
+	var hdr [FrameHeaderSize]byte
+	if err := putFrameHeader(hdr[:], t, reqID, len(body)); err != nil {
 		return err
 	}
-	_, err := w.Write(body)
+	return writeTogether(w, hdr[:], body)
+}
+
+// WriteFramed writes a numbered frame whose body was built in place:
+// frame is FrameHeaderSize bytes of room for the header followed by the
+// body, and leaves in a single Write with no copy. A server hands its
+// handlers such a buffer to append the response to.
+func WriteFramed(w io.Writer, t MsgType, reqID uint32, frame []byte) error {
+	if err := putFrameHeader(frame, t, reqID, len(frame)-FrameHeaderSize); err != nil {
+		return err
+	}
+	_, err := w.Write(frame)
 	return err
 }
 
-// ReadFrameV2 reads one numbered frame, returning its type, request ID and body.
+func putFrameHeader(hdr []byte, t MsgType, reqID uint32, bodyLen int) error {
+	if bodyLen+5 > MaxFrameSize {
+		return fmt.Errorf("wire: frame of %d bytes exceeds limit", bodyLen)
+	}
+	binary.BigEndian.PutUint32(hdr[0:4], uint32(bodyLen+5))
+	hdr[4] = byte(t)
+	binary.BigEndian.PutUint32(hdr[5:9], reqID)
+	return nil
+}
+
+// ReadFrameV2 reads one numbered frame, returning its type, request ID and
+// body. The body is a buffer allocated for this frame alone, which is
+// what lets the decoders of this package and of package vo return views
+// of it: whoever receives the body owns it.
 func ReadFrameV2(r io.Reader) (MsgType, uint32, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -96,3 +96,39 @@ func TestToWireError(t *testing.T) {
 		t.Fatalf("plain error coerced to %+v", got)
 	}
 }
+
+// TestWriteFramedMatchesWriteFrameV2: a frame built in place — header
+// room, then the body — goes out as the bytes WriteFrameV2 writes for the
+// same body, in a single Write.
+func TestWriteFramedMatchesWriteFrameV2(t *testing.T) {
+	body := []byte("response body built in place")
+	var want bytes.Buffer
+	if err := WriteFrameV2(&want, MsgShardQueryResp, 77, body); err != nil {
+		t.Fatal(err)
+	}
+	frame := append(make([]byte, FrameHeaderSize), body...)
+	var w countingWriter
+	if err := WriteFramed(&w, MsgShardQueryResp, 77, frame); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(w.buf.Bytes(), want.Bytes()) {
+		t.Fatalf("WriteFramed wrote %x, WriteFrameV2 %x", w.buf.Bytes(), want.Bytes())
+	}
+	if w.writes != 1 {
+		t.Fatalf("WriteFramed made %d writes, want 1", w.writes)
+	}
+	mt, id, got, err := ReadFrameV2(&w.buf)
+	if err != nil || mt != MsgShardQueryResp || id != 77 || !bytes.Equal(got, body) {
+		t.Fatalf("read back %v %d %q, %v", mt, id, got, err)
+	}
+}
+
+type countingWriter struct {
+	buf    bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.buf.Write(p)
+}

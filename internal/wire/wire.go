@@ -48,6 +48,20 @@
 // integers are big-endian, and a hard frame cap bounds allocation from
 // untrusted peers.
 //
+// # Lifetime of decoded values
+//
+// ReadFrameV2 allocates a fresh buffer for every frame and hands it to
+// the caller, which is what lets the query-path decoders copy nothing:
+// DecodeShardQueryResponse and DecodeQueryResponse (through package vo)
+// return structs whose digests, bytes values and signed map are slices of
+// the frame body, and whose strings share one conversion of it. They are
+// valid, and to be treated as read-only, until that body is modified or
+// reused — for a frame read off a connection, for as long as the caller
+// keeps them. The other decoders copy what they return. On the serving
+// side the direction is reversed: a handler appends its response to a
+// buffer the connection lends and recycles (see rpc.Handler), so what it
+// appended must not be referenced once it has returned.
+//
 // There is one protocol generation: the handshake rejects any peer that
 // does not speak it, and no frame exists only for interoperability.
 // MsgType and ErrCode values are an in-flight vocabulary, not a stored
@@ -151,7 +165,23 @@ func WriteFrame(w io.Writer, t MsgType, body []byte) error {
 	var hdr [5]byte
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(body)+1))
 	hdr[4] = byte(t)
-	if _, err := w.Write(hdr[:]); err != nil {
+	return writeTogether(w, hdr[:], body)
+}
+
+// joinBelow is the body size under which writeTogether copies header and
+// body into one buffer: requests, acknowledgements and error frames.
+const joinBelow = 4 << 10
+
+// writeTogether writes a frame's header and body. A small frame is joined
+// and leaves in one Write — one system call and, with TCP_NODELAY, one
+// segment, where two writes made two of each; a large body (a snapshot, a
+// delta) spans many segments anyway and follows its header uncopied.
+func writeTogether(w io.Writer, hdr, body []byte) error {
+	if len(body) < joinBelow {
+		_, err := w.Write(append(append(make([]byte, 0, len(hdr)+len(body)), hdr...), body...))
+		return err
+	}
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(body)
@@ -252,15 +282,24 @@ func (r *reader) str(what string) string {
 }
 
 func (r *reader) bytes(what string) []byte {
+	v := r.view(what)
+	if r.err != nil {
+		return nil
+	}
+	return append(make([]byte, 0, len(v)), v...)
+}
+
+// view is bytes without the copy: the result is a slice of the frame
+// body, valid until that is modified or reused.
+func (r *reader) view(what string) []byte {
 	n := int(r.u32(what))
 	if r.err != nil || n < 0 || r.off+n > len(r.data) {
 		r.fail(what)
 		return nil
 	}
-	b := make([]byte, n)
-	copy(b, r.data[r.off:r.off+n])
+	v := r.data[r.off : r.off+n : r.off+n]
 	r.off += n
-	return b
+	return v
 }
 
 func (r *reader) done() error {
