@@ -12,23 +12,14 @@ package edgeauth_test
 
 import (
 	"context"
-	"fmt"
 	"math/big"
-	"net"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"edgeauth/internal/central"
-	"edgeauth/internal/client"
 	"edgeauth/internal/costmodel"
 	"edgeauth/internal/digest"
-	"edgeauth/internal/edge"
 	"edgeauth/internal/experiments"
 	"edgeauth/internal/naive"
-	"edgeauth/internal/query"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
 	"edgeauth/internal/storage"
@@ -451,603 +442,5 @@ func BenchmarkVBQueryPath(b *testing.B) {
 		if _, _, err := e.Tree.RunQuery(context.Background(), vbtree.Query{Lo: &lo, Hi: &hi}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkBatchInsert quantifies the group-commit write pipeline: the
-// same insert stream pushed through the per-tuple path (one WAL fsync,
-// one snapshot publish and one root-to-leaf RSA re-sign chain per tuple)
-// versus ApplyBatch at sizes 1/16/256 (those costs paid once per batch,
-// node re-signs once per dirtied node, per-tuple signatures produced by
-// the parallel worker pool). ns/op is per TUPLE in every variant, so the
-// ratios read directly as throughput multipliers; tuples/sec is also
-// reported as a metric.
-//
-// The table is a thin two-column index at a small page size — the shape
-// that isolates the pipeline costs batching can amortize from the
-// per-tuple attribute-signing floor (formula (1) signatures scale with
-// column count and no batching can remove them; on wide rows they bound
-// the speedup).
-func BenchmarkBatchInsert(b *testing.B) {
-	sch := &schema.Schema{
-		DB: "benchdb", Table: "thin",
-		Columns: []schema.Column{
-			{Name: "id", Type: schema.TypeInt64},
-			{Name: "val", Type: schema.TypeString},
-		},
-	}
-	baseRows := func() []schema.Tuple {
-		tuples := make([]schema.Tuple, 8_000)
-		for i := range tuples {
-			tuples[i] = schema.Tuple{Values: []schema.Datum{
-				schema.Int64(int64(i)), schema.Str(fmt.Sprintf("row-%08d", i)),
-			}}
-		}
-		return tuples
-	}
-	newServer := func(b *testing.B) *central.Server {
-		b.Helper()
-		srv, err := central.NewServerWithKey(central.Options{
-			PageSize:         512,
-			WALDir:           b.TempDir(),
-			BuildParallelism: 8,
-		}, benchDeltaKey(b))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := srv.AddTable(sch, baseRows()); err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { srv.Close() })
-		return srv
-	}
-	var nextID atomic.Int64
-	nextID.Store(1 << 40)
-	row := func() schema.Tuple {
-		id := nextID.Add(1)
-		return schema.Tuple{Values: []schema.Datum{
-			schema.Int64(id), schema.Str(fmt.Sprintf("row-%08d", id&0xFFFFFF)),
-		}}
-	}
-
-	b.Run("per-tuple", func(b *testing.B) {
-		srv := newServer(b)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := srv.Insert("thin", row()); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tuples/sec")
-	})
-	for _, batch := range []int{1, 16, 256} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			srv := newServer(b)
-			b.ResetTimer()
-			for done := 0; done < b.N; {
-				n := batch
-				if rem := b.N - done; n > rem {
-					n = rem
-				}
-				tuples := make([]schema.Tuple, n)
-				for i := range tuples {
-					tuples[i] = row()
-				}
-				opErrs, err := srv.ApplyBatch("thin", tuples)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, e := range opErrs {
-					if e != nil {
-						b.Fatal(e)
-					}
-				}
-				done += n
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tuples/sec")
-		})
-	}
-
-	// The wire-level view — what a client actually experiences. The
-	// per-tuple baseline pays one round trip AND one full commit per
-	// tuple; InsertBatch ships one frame and commits once.
-	newClient := func(b *testing.B) *client.Client {
-		b.Helper()
-		srv := newServer(b)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		go srv.Serve(ln)
-		cl, err := client.Dial(context.Background(), client.Config{
-			EdgeAddr:    ln.Addr().String(), // queries unused; reuse central
-			CentralAddr: ln.Addr().String(),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(cl.Close)
-		return cl
-	}
-	b.Run("wire/per-tuple", func(b *testing.B) {
-		cl := newClient(b)
-		ctx := context.Background()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := cl.Insert(ctx, "thin", row()); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tuples/sec")
-	})
-	b.Run("wire/batch=256", func(b *testing.B) {
-		cl := newClient(b)
-		ctx := context.Background()
-		b.ResetTimer()
-		for done := 0; done < b.N; {
-			n := 256
-			if rem := b.N - done; n > rem {
-				n = rem
-			}
-			tuples := make([]schema.Tuple, n)
-			for i := range tuples {
-				tuples[i] = row()
-			}
-			opErrs, err := cl.InsertBatch(ctx, "thin", tuples)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, e := range opErrs {
-				if e != nil {
-					b.Fatal(e)
-				}
-			}
-			done += n
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tuples/sec")
-	})
-}
-
-// BenchmarkRefreshDeltaVsSnapshot measures the wire bytes of edge-replica
-// refresh under the two propagation modes: a signed delta carrying only
-// the pages dirtied by a small update batch, versus re-shipping the full
-// snapshot. Delta bytes track the batch size (O(batch × tree height)
-// pages); snapshot bytes track the table size — the asymptotic gap that
-// makes periodic propagation viable at scale.
-func BenchmarkRefreshDeltaVsSnapshot(b *testing.B) {
-	for _, rows := range []int{1_000, 4_000} {
-		for _, batch := range []int{1, 16} {
-			b.Run(fmt.Sprintf("rows=%d/batch=%d", rows, batch), func(b *testing.B) {
-				srv, err := central.NewServerWithKey(
-					central.Options{PageSize: 1024},
-					benchDeltaKey(b),
-				)
-				if err != nil {
-					b.Fatal(err)
-				}
-				spec := workload.DefaultSpec(rows)
-				sch, err := spec.Schema()
-				if err != nil {
-					b.Fatal(err)
-				}
-				tuples, err := spec.Tuples()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := srv.AddTable(sch, tuples); err != nil {
-					b.Fatal(err)
-				}
-				base, err := srv.Version("items")
-				if err != nil {
-					b.Fatal(err)
-				}
-				epoch, err := srv.TableEpoch("items")
-				if err != nil {
-					b.Fatal(err)
-				}
-				for i := 0; i < batch; i++ {
-					vals := make([]schema.Datum, len(sch.Columns))
-					vals[0] = schema.Int64(int64(1_000_000 + i))
-					for c := 1; c < len(vals); c++ {
-						vals[c] = schema.Str("bench-delta-payload-")
-					}
-					if err := srv.Insert("items", schema.Tuple{Values: vals}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				var deltaBytes, snapBytes int
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					d, err := srv.ShardDelta("items", 0, base, epoch)
-					if err != nil {
-						b.Fatal(err)
-					}
-					deltaBytes = len(d.Encode())
-					snap, err := srv.ShardSnapshot("items", 0)
-					if err != nil {
-						b.Fatal(err)
-					}
-					snapBytes = len(snap.Encode())
-				}
-				b.ReportMetric(float64(deltaBytes), "delta-B")
-				b.ReportMetric(float64(snapBytes), "snapshot-B")
-				b.ReportMetric(float64(snapBytes)/float64(deltaBytes), "saving-x")
-			})
-		}
-	}
-}
-
-var (
-	deltaKeyOnce sync.Once
-	deltaKey     *sig.PrivateKey
-)
-
-func benchDeltaKey(b *testing.B) *sig.PrivateKey {
-	b.Helper()
-	deltaKeyOnce.Do(func() { deltaKey = sig.MustGenerateKey(512) })
-	return deltaKey
-}
-
-// BenchmarkConcurrentQueries measures N goroutines issuing verified
-// queries through one shared Client: requests pipeline over one
-// multiplexed connection and responses return out of order.
-func BenchmarkConcurrentQueries(b *testing.B) {
-	ctx := context.Background()
-	srv, err := central.NewServerWithKey(central.Options{PageSize: 1024}, benchDeltaKey(b))
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec := workload.DefaultSpec(2_000)
-	sch, err := spec.Schema()
-	if err != nil {
-		b.Fatal(err)
-	}
-	tuples, err := spec.Tuples()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := srv.AddTable(sch, tuples); err != nil {
-		b.Fatal(err)
-	}
-	centralLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go srv.Serve(centralLn)
-	defer srv.Close()
-
-	eg := edge.NewWithOptions(centralLn.Addr().String(), edge.Options{MaxConcurrent: 64})
-	if err := eg.PullAll(ctx); err != nil {
-		b.Fatal(err)
-	}
-	edgeLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go eg.Serve(edgeLn)
-	defer eg.Close()
-
-	preds := []query.Predicate{
-		{Column: "id", Op: query.OpGE, Value: schema.Int64(100)},
-		{Column: "id", Op: query.OpLE, Value: schema.Int64(119)},
-	}
-	for _, goroutines := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("goroutines=%d", goroutines), func(b *testing.B) {
-			cl, err := client.Dial(ctx, client.Config{
-				EdgeAddr:    edgeLn.Addr().String(),
-				CentralAddr: centralLn.Addr().String(),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cl.Close()
-			if err := cl.FetchTrustedKey(ctx); err != nil {
-				b.Fatal(err)
-			}
-			// Prime the verifier cache outside the timed region.
-			if _, err := cl.Query(ctx, "items", preds, nil); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			errCh := make(chan error, goroutines)
-			per := b.N / goroutines
-			if b.N%goroutines != 0 {
-				per++
-			}
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						if _, err := cl.Query(ctx, "items", preds, nil); err != nil {
-							errCh <- err
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			close(errCh)
-			for err := range errCh {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// BenchmarkQueryTailUnderRefresh quantifies the snapshot-isolated storage
-// refactor: p50/p99 query latency on an edge replica while a continuous
-// delta-refresh loop races the queries. Before the refactor every query
-// held the replica lock for its whole traversal+VO build and each delta
-// apply took the write lock, so refresh cadence fed straight into query
-// tail latency; with copy-on-write snapshots the two are independent and
-// p99 stays flat no matter how hot the refresh loop runs.
-func BenchmarkQueryTailUnderRefresh(b *testing.B) {
-	ctx := context.Background()
-	srv, err := central.NewServerWithKey(central.Options{PageSize: 1024}, benchDeltaKey(b))
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec := workload.DefaultSpec(2_000)
-	sch, err := spec.Schema()
-	if err != nil {
-		b.Fatal(err)
-	}
-	tuples, err := spec.Tuples()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := srv.AddTable(sch, tuples); err != nil {
-		b.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go srv.Serve(ln)
-	defer srv.Close()
-	eg := edge.New(ln.Addr().String())
-	if err := eg.PullAll(ctx); err != nil {
-		b.Fatal(err)
-	}
-	defer eg.Close()
-
-	var nextID atomic.Int64
-	nextID.Store(5_000_000)
-	for _, goroutines := range []int{8, 64} {
-		b.Run(fmt.Sprintf("goroutines=%d", goroutines), func(b *testing.B) {
-			stop := make(chan struct{})
-			var refreshes atomic.Int64
-			var refWg sync.WaitGroup
-			refWg.Add(1)
-			go func() {
-				defer refWg.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					vals := make([]schema.Datum, len(sch.Columns))
-					vals[0] = schema.Int64(nextID.Add(1))
-					for c := 1; c < len(vals); c++ {
-						vals[c] = schema.Str("tail-bench-payload----")
-					}
-					if err := srv.Insert("items", schema.Tuple{Values: vals}); err != nil {
-						b.Error(err)
-						return
-					}
-					if _, err := eg.Refresh(ctx, "items"); err != nil {
-						b.Error(err)
-						return
-					}
-					refreshes.Add(1)
-				}
-			}()
-
-			lats := make([][]time.Duration, goroutines)
-			per := b.N / goroutines
-			if b.N%goroutines != 0 {
-				per++
-			}
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					lats[g] = make([]time.Duration, 0, per)
-					for i := 0; i < per; i++ {
-						lo := schema.Int64(int64((g*53 + i) % 1900))
-						hi := schema.Int64(lo.I + 20)
-						start := time.Now()
-						if _, _, _, err := eg.RunShardQuery(ctx, "items", 0, vbtree.Query{Lo: &lo, Hi: &hi}); err != nil {
-							b.Error(err)
-							return
-						}
-						lats[g] = append(lats[g], time.Since(start))
-					}
-				}(g)
-			}
-			wg.Wait()
-			b.StopTimer()
-			close(stop)
-			refWg.Wait()
-
-			var all []time.Duration
-			for _, l := range lats {
-				all = append(all, l...)
-			}
-			sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-			if len(all) > 0 {
-				p50 := all[len(all)/2]
-				p99 := all[len(all)*99/100]
-				b.ReportMetric(float64(p50.Microseconds()), "p50-us")
-				b.ReportMetric(float64(p99.Microseconds()), "p99-us")
-			}
-			b.ReportMetric(float64(refreshes.Load()), "refreshes")
-		})
-	}
-}
-
-// BenchmarkShardedIngest measures group-committed batch ingest as the
-// table's shard count grows. Each batch strides across the whole key
-// space so every shard receives a sub-batch, and the per-shard
-// InsertBatch calls (WAL append, tree repair, root re-sign, snapshot
-// publish) run in parallel — the RSA-bound write path scales with
-// cores instead of serializing on one signed root. On a single-core
-// runner the curve is flat (sharding adds no overhead); on multicore
-// the tuples/sec column grows with the shard count.
-func BenchmarkShardedIngest(b *testing.B) {
-	sch := &schema.Schema{
-		DB: "benchdb", Table: "thin",
-		Columns: []schema.Column{
-			{Name: "id", Type: schema.TypeInt64},
-			{Name: "val", Type: schema.TypeString},
-		},
-	}
-	const baseRows = 8_000
-	newServer := func(b *testing.B, shards int) *central.Server {
-		b.Helper()
-		srv, err := central.NewServerWithKey(central.Options{
-			PageSize:         512,
-			Shards:           shards,
-			BuildParallelism: 8,
-		}, benchDeltaKey(b))
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Build on even keys so odd keys interleave across every shard.
-		tuples := make([]schema.Tuple, baseRows)
-		for i := range tuples {
-			tuples[i] = schema.Tuple{Values: []schema.Datum{
-				schema.Int64(int64(2 * i)), schema.Str(fmt.Sprintf("row-%08d", i)),
-			}}
-		}
-		if err := srv.AddTable(sch, tuples); err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { srv.Close() })
-		return srv
-	}
-	const batch = 256
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			srv := newServer(b, shards)
-			next := 0
-			b.ResetTimer()
-			for done := 0; done < b.N; {
-				n := batch
-				if rem := b.N - done; n > rem {
-					n = rem
-				}
-				tuples := make([]schema.Tuple, n)
-				for i := range tuples {
-					// Odd keys, strided so one batch spans all shards.
-					k := (next*4099 + 1) % baseRows
-					next++
-					tuples[i] = schema.Tuple{Values: []schema.Datum{
-						schema.Int64(int64(2*k + 1)), schema.Str(fmt.Sprintf("row-%08d", k)),
-					}}
-				}
-				opErrs, err := srv.ApplyBatch("thin", tuples)
-				if err != nil {
-					b.Fatal(err)
-				}
-				_ = opErrs // duplicate odd keys after wraparound fail per-op, harmlessly
-				done += n
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tuples/sec")
-			b.ReportMetric(float64(srv.Stats().SignOps), "sign-ops")
-		})
-	}
-}
-
-// BenchmarkShardedRangeQuery measures the client-observable cost of
-// verified scatter-gather range queries as the shard count grows: the
-// per-shard requests pipeline concurrently over one connection, each
-// answer carries a root-anchored VO bound to the signed shard map, and
-// the client verifies + stitches. Reports p50/p99 latency and the
-// summed VO bytes per query.
-func BenchmarkShardedRangeQuery(b *testing.B) {
-	const rows = 4_000
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			srv, err := central.NewServerWithKey(central.Options{
-				PageSize:         1024,
-				Shards:           shards,
-				BuildParallelism: 8,
-			}, benchDeltaKey(b))
-			if err != nil {
-				b.Fatal(err)
-			}
-			spec := workload.DefaultSpec(rows)
-			sch, err := spec.Schema()
-			if err != nil {
-				b.Fatal(err)
-			}
-			tuples, err := spec.Tuples()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := srv.AddTable(sch, tuples); err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { srv.Close() })
-			centralLn, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			go srv.Serve(centralLn)
-			eg := edge.New(centralLn.Addr().String())
-			if err := eg.PullAll(context.Background()); err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { eg.Close() })
-			edgeLn, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			go eg.Serve(edgeLn)
-			cl, err := client.Dial(context.Background(), client.Config{
-				EdgeAddr:    edgeLn.Addr().String(),
-				CentralAddr: centralLn.Addr().String(),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(cl.Close)
-			if err := cl.FetchTrustedKey(context.Background()); err != nil {
-				b.Fatal(err)
-			}
-
-			// A cross-shard range covering the middle half of the table.
-			preds := []query.Predicate{
-				{Column: "id", Op: query.OpGE, Value: schema.Int64(rows / 4)},
-				{Column: "id", Op: query.OpLE, Value: schema.Int64(3*rows/4 - 1)},
-			}
-			lats := make([]time.Duration, 0, b.N)
-			var voBytes int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				start := time.Now()
-				res, err := cl.Query(context.Background(), "items", preds, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				lats = append(lats, time.Since(start))
-				if len(res.Result.Tuples) != rows/2 {
-					b.Fatalf("got %d rows, want %d", len(res.Result.Tuples), rows/2)
-				}
-				voBytes += res.VOBytes
-			}
-			b.StopTimer()
-			sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-			b.ReportMetric(float64(lats[len(lats)/2].Microseconds()), "p50-us")
-			b.ReportMetric(float64(lats[len(lats)*99/100].Microseconds()), "p99-us")
-			b.ReportMetric(float64(voBytes)/float64(b.N), "vo-bytes")
-		})
 	}
 }

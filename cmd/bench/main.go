@@ -11,9 +11,6 @@
 //	bench -exp F10,F12     # selected experiments
 //	bench -rows 20000      # larger measured tables
 //	bench -model-only      # skip the measured runs (instant)
-//	bench -json            # machine-readable compact run (tuples/sec,
-//	                       # VO bytes, query p50/p99) for BENCH_*.json
-//	                       # artifacts; ignores -exp/-model-only
 package main
 
 import (
@@ -35,16 +32,8 @@ func main() {
 		smallRows = flag.Int("small", 2_000, "measured table size for per-point rebuilds")
 		keyBits   = flag.Int("keybits", 512, "RSA signing key size for measured runs")
 		modelOnly = flag.Bool("model-only", false, "print only the analytic model (no measured runs)")
-		jsonOut   = flag.Bool("json", false, "emit a machine-readable compact benchmark (JSON on stdout)")
 	)
 	flag.Parse()
-
-	if *jsonOut {
-		if err := runJSON(os.Stdout, *rows, *keyBits, 4096, []int{1, 4}); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	want := map[string]bool{}
 	for _, e := range strings.Split(*expList, ",") {

@@ -63,10 +63,11 @@ func batchServerRow(t testing.TB, id int64) schema.Tuple {
 }
 
 // TestApplyBatchCommitsOnce pins the group-commit invariants: one version
-// bump, one changelog entry and one WAL record per batch — with the WAL
-// record still replaying as the full per-tuple logical history.
+// bump, one changelog entry, one WAL record and — under a root-signing
+// scheme — two signatures (the shard's root and the map) per batch, with
+// the WAL record still replaying as the full per-tuple logical history.
 func TestApplyBatchCommitsOnce(t *testing.T) {
-	srv := newBatchServer(t, 200, Options{PageSize: 1024, WALDir: t.TempDir()})
+	srv := newReshardServer(t, 200, 1, Options{WALDir: t.TempDir()})
 	base, err := srv.Version("items")
 	if err != nil {
 		t.Fatal(err)
@@ -80,6 +81,7 @@ func TestApplyBatchCommitsOnce(t *testing.T) {
 	for i := int64(0); i < 48; i++ {
 		rows = append(rows, batchServerRow(t, 10_000+i))
 	}
+	signsBefore := srv.Stats().SignOps
 	opErrs, err := srv.ApplyBatch("items", rows)
 	if err != nil {
 		t.Fatal(err)
@@ -88,6 +90,9 @@ func TestApplyBatchCommitsOnce(t *testing.T) {
 		if e != nil {
 			t.Fatalf("op %d failed: %v", i, e)
 		}
+	}
+	if delta := srv.Stats().SignOps - signsBefore; delta != 2 {
+		t.Fatalf("batch of %d tuples paid %d signatures, want 2 (one root + the map)", len(rows), delta)
 	}
 
 	// One version bump for 48 tuples.

@@ -240,9 +240,6 @@ type shard struct {
 	// id is the shard's stable identity (see shardmap.ShardState.ID):
 	// partition indices shift across splits/merges, IDs never do.
 	id uint64
-	// walPath remembers where this shard's log lives — transition-created
-	// shards are named by ID, not index, because their index can change.
-	walPath string
 
 	mu      sync.RWMutex
 	tree    *vbtree.Tree
@@ -404,11 +401,10 @@ func (s *Server) AddTable(sch *schema.Schema, tuples []schema.Tuple) error {
 	t := &table{sch: sch, epoch: epoch}
 	part := &partition{boundaries: boundaries, mapEpoch: 1}
 	for i, group := range groups {
-		sh, err := s.buildShard(sch, group, epoch, 0, walName(sch.Table, i))
+		sh, err := s.buildShard(sch, group, epoch, uint64(i+1))
 		if err != nil {
 			return err
 		}
-		sh.id = uint64(i + 1)
 		part.shards = append(part.shards, sh)
 	}
 	t.nextShardID = uint64(len(part.shards) + 1)
@@ -427,14 +423,9 @@ func (s *Server) AddTable(sch *schema.Schema, tuples []schema.Tuple) error {
 	return nil
 }
 
-// buildShard constructs one shard's tree, publishes its baseline
-// snapshot (at startVersion) and opens its WAL at walPath. Transition-
-// created shards pass a startVersion above every version the table has
-// ever published, so an edge holding a retired shard's store at the same
-// index can never be served a delta that silently splices two histories
-// (its fromVersion falls below the new shard's baseline and answers
-// SnapshotNeeded).
-func (s *Server) buildShard(sch *schema.Schema, tuples []schema.Tuple, epoch, startVersion uint64, walPath string) (*shard, error) {
+// buildShard constructs one build-time shard's tree under the stable ID
+// id, publishes its baseline snapshot (version 0) and opens its WAL.
+func (s *Server) buildShard(sch *schema.Schema, tuples []schema.Tuple, epoch, id uint64) (*shard, error) {
 	mem, err := storage.NewMemPager(s.opts.PageSize)
 	if err != nil {
 		return nil, err
@@ -470,7 +461,7 @@ func (s *Server) buildShard(sch *schema.Schema, tuples []schema.Tuple, epoch, st
 	if err != nil {
 		return nil, err
 	}
-	sh := &shard{tree: tree, pool: pool, heap: heap, store: store, version: startVersion}
+	sh := &shard{id: id, tree: tree, pool: pool, heap: heap, store: store}
 	if sh.rootDigest, err = tree.RootDigest(); err != nil {
 		return nil, err
 	}
@@ -481,7 +472,7 @@ func (s *Server) buildShard(sch *schema.Schema, tuples []schema.Tuple, epoch, st
 	for id := 1; id < pager.NumPages(); id++ {
 		baseline = append(baseline, storage.PageID(id))
 	}
-	if err := s.publishShard(sh, startVersion, epoch, baseline); err != nil {
+	if err := s.publishShard(sh, 0, epoch, baseline); err != nil {
 		return nil, err
 	}
 	if s.retention() > 0 {
@@ -490,30 +481,20 @@ func (s *Server) buildShard(sch *schema.Schema, tuples []schema.Tuple, epoch, st
 		pool.EnableJournal()
 	}
 	if s.opts.WALDir != "" {
-		log, err := wal.Create(filepath.Join(s.opts.WALDir, walPath))
+		log, err := wal.Create(filepath.Join(s.opts.WALDir, walName(sch.Table, id)))
 		if err != nil {
 			return nil, err
 		}
 		sh.log = log
-		sh.walPath = walPath
 	}
 	return sh, nil
 }
 
-// walName keeps shard 0 on the pre-sharding file name so single-shard
-// deployments read the same logs across upgrades. Build-time shards are
-// named by index; transition-created shards use idWalName, because their
-// index can shift under later transitions while their ID cannot.
-func walName(table string, shard int) string {
-	if shard == 0 {
-		return table + ".wal"
-	}
-	return fmt.Sprintf("%s.shard%d.wal", table, shard)
-}
-
-// idWalName names a transition-created shard's log by its stable ID.
-func idWalName(table string, id uint64) string {
-	return fmt.Sprintf("%s.sid%d.wal", table, id)
+// walName names a shard's log by its stable ID — build-time and
+// transition-created shards alike: a shard's index shifts under later
+// transitions, its ID never does.
+func walName(table string, id uint64) string {
+	return fmt.Sprintf("%s.shard%d.wal", table, id)
 }
 
 // newEpoch draws a random nonzero table-incarnation id. Replica versions
@@ -774,6 +755,24 @@ func (s *Server) shard(name string, idx uint32) (*table, *shard, error) {
 	return t, part.shards[idx], nil
 }
 
+// shardByID resolves one shard of a table's current partition by its
+// stable ID — how replication names a shard (indices shift across
+// splits and merges; see wire.ShardRef). An ID the partition no longer
+// holds — retired by a transition since the requester fetched its map —
+// answers the typed shard-moved refusal.
+func (s *Server) shardByID(name string, id uint64) (*table, *shard, error) {
+	t, err := s.table(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, sh := range t.part.Load().shards {
+		if sh.id == id {
+			return t, sh, nil
+		}
+	}
+	return nil, nil, wire.ShardMoved(name, fmt.Sprintf("central: table %q holds no shard with ID %d", name, id))
+}
+
 // Tables lists registered tables in sorted order.
 func (s *Server) Tables() []string {
 	s.mu.RLock()
@@ -963,7 +962,8 @@ func (s *Server) snapshotOf(t *table, sh *shard) (*wire.Snapshot, error) {
 	return snap, nil
 }
 
-// ShardSnapshot captures one shard's replica image.
+// ShardSnapshot captures the replica image of the shard at partition
+// index idx.
 func (s *Server) ShardSnapshot(tableName string, idx uint32) (*wire.Snapshot, error) {
 	t, sh, err := s.shard(tableName, idx)
 	if err != nil {
@@ -972,10 +972,21 @@ func (s *Server) ShardSnapshot(tableName string, idx uint32) (*wire.Snapshot, er
 	return s.snapshotOf(t, sh)
 }
 
+// ShardSnapshotByID captures the replica image of the shard with stable
+// ID id (the replication frames' addressing).
+func (s *Server) ShardSnapshotByID(tableName string, id uint64) (*wire.Snapshot, error) {
+	t, sh, err := s.shardByID(tableName, id)
+	if err != nil {
+		return nil, err
+	}
+	return s.snapshotOf(t, sh)
+}
+
 // deltaOf builds the incremental update that takes a shard replica at
-// fromVersion to the shard's current version. ref is the value bound
-// into the signed Table field (the shard ref).
-func (s *Server) deltaOf(sh *shard, ref string, fromVersion, epoch uint64) (*wire.Delta, error) {
+// fromVersion to the shard's current version. The shard's stable ID is
+// bound into the signed Table field (wire.ShardRef), so the delta cannot
+// be applied to any other shard's replica.
+func (s *Server) deltaOf(t *table, sh *shard, fromVersion, epoch uint64) (*wire.Delta, error) {
 	// Pin the version the delta will take the replica to; page content is
 	// read from this immutable snapshot, so updates committing while the
 	// delta is assembled cannot leak into it.
@@ -985,7 +996,7 @@ func (s *Server) deltaOf(sh *shard, ref string, fromVersion, epoch uint64) (*wir
 	}
 	defer pinned.Release()
 	d := &wire.Delta{
-		Table:       ref,
+		Table:       wire.ShardRef(t.sch.Table, sh.id),
 		FromVersion: fromVersion,
 		ToVersion:   st.Version,
 		Epoch:       st.Epoch,
@@ -1045,15 +1056,24 @@ func (s *Server) deltaOf(sh *shard, ref string, fromVersion, epoch uint64) (*wir
 	return s.signDelta(d)
 }
 
-// ShardDelta serves one shard's incremental refresh. The shard index is
-// bound into the signed payload via the shard ref, so a delta for one
-// shard cannot be replayed against another.
+// ShardDelta serves the incremental refresh of the shard at partition
+// index idx.
 func (s *Server) ShardDelta(tableName string, idx uint32, fromVersion, epoch uint64) (*wire.Delta, error) {
-	_, sh, err := s.shard(tableName, idx)
+	t, sh, err := s.shard(tableName, idx)
 	if err != nil {
 		return nil, err
 	}
-	return s.deltaOf(sh, wire.ShardRef(tableName, idx), fromVersion, epoch)
+	return s.deltaOf(t, sh, fromVersion, epoch)
+}
+
+// ShardDeltaByID serves the incremental refresh of the shard with stable
+// ID id (the replication frames' addressing).
+func (s *Server) ShardDeltaByID(tableName string, id, fromVersion, epoch uint64) (*wire.Delta, error) {
+	t, sh, err := s.shardByID(tableName, id)
+	if err != nil {
+		return nil, err
+	}
+	return s.deltaOf(t, sh, fromVersion, epoch)
 }
 
 // signDelta stamps the central server's signature on a delta so edges can
@@ -1083,7 +1103,7 @@ func (s *Server) LoggedOps(tableName string) ([]wal.Op, error) {
 		if err := sh.log.Sync(); err != nil {
 			return nil, err
 		}
-		path := filepath.Join(s.opts.WALDir, sh.walPath)
+		path := filepath.Join(s.opts.WALDir, walName(tableName, sh.id))
 		if err := wal.ReplayOps(path, func(op wal.Op) error {
 			ops = append(ops, op)
 			return nil
@@ -1325,7 +1345,7 @@ func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body, _ []byte) 
 		if err != nil {
 			return 0, nil, err
 		}
-		snap, err := s.ShardSnapshot(req.Table, req.Shard)
+		snap, err := s.ShardSnapshotByID(req.Table, req.ShardID)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -1338,7 +1358,7 @@ func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body, _ []byte) 
 		if err != nil {
 			return 0, nil, err
 		}
-		d, err := s.ShardDelta(req.Table, req.Shard, req.FromVersion, req.Epoch)
+		d, err := s.ShardDeltaByID(req.Table, req.ShardID, req.FromVersion, req.Epoch)
 		if err != nil {
 			return 0, nil, err
 		}

@@ -122,7 +122,7 @@ func TestWALRecordsUpdates(t *testing.T) {
 	srv.Close() // closes the logs
 
 	var types []wal.RecordType
-	if err := wal.ReplayAll(filepath.Join(dir, "items.wal"), func(r wal.Record) error {
+	if err := wal.ReplayAll(filepath.Join(dir, walName("items", 1)), func(r wal.Record) error {
 		types = append(types, r.Type)
 		return nil
 	}); err != nil {

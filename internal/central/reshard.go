@@ -509,10 +509,8 @@ func (s *Server) carveShardStream(t *table, src vbtree.TupleSource, id uint64) (
 		return nil, err
 	}
 	var log *wal.Log
-	walPath := ""
 	if s.opts.WALDir != "" {
-		walPath = idWalName(t.sch.Table, id)
-		if log, err = wal.Create(filepath.Join(s.opts.WALDir, walPath)); err != nil {
+		if log, err = wal.Create(filepath.Join(s.opts.WALDir, walName(t.sch.Table, id))); err != nil {
 			return nil, err
 		}
 	}
@@ -549,7 +547,7 @@ func (s *Server) carveShardStream(t *table, src vbtree.TupleSource, id uint64) (
 	if err != nil {
 		return fail(err)
 	}
-	sh := &shard{id: id, walPath: walPath, tree: tree, pool: pool, heap: heap, log: log, store: store}
+	sh := &shard{id: id, tree: tree, pool: pool, heap: heap, log: log, store: store}
 	if sh.rootDigest, err = tree.RootDigest(); err != nil {
 		return fail(err)
 	}
@@ -680,9 +678,9 @@ func (s *Server) replayTail(tr *preparedTransition, ops []tailOp) (int, error) {
 // version once and each participating shard's version once, so
 // shardVersion <= mapVersion always holds — the newborn version is
 // therefore strictly above every version any shard of this table has
-// ever published. An edge holding a retired shard's replica at the same
-// partition index can never splice histories: its delta fromVersion
-// falls below the new shard's baseline and answers SnapshotNeeded.
+// ever published. (What keeps a replica of one shard from being fed
+// another's history is the stable ID replication addresses by, not this
+// ordering — see shardByID.)
 func (t *table) transitionStartVersion() uint64 {
 	t.commitMu.Lock()
 	defer t.commitMu.Unlock()

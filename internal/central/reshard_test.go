@@ -215,30 +215,62 @@ func TestReshardWALReplay(t *testing.T) {
 	}
 }
 
-// TestRetiredShardDeltaFailsClosed pins the no-history-splice property:
-// an edge that pinned a pre-split replica for shard index 0 and asks
-// for a delta from its old version gets SnapshotNeeded, never a delta
-// from the unrelated new shard occupying the index.
+// TestRetiredShardDeltaFailsClosed pins the no-history-splice property
+// for a replica whose map predates a transition. Replication names a
+// shard by stable ID, so a request for a shard the transition retired is
+// refused with the typed ShardMoved, and a request for a surviving
+// neighbour that the transition shifted to another position still
+// reaches that neighbour — never the shard now sitting at its old index.
 func TestRetiredShardDeltaFailsClosed(t *testing.T) {
-	srv := newReshardServer(t, 100, 2, Options{})
-	epoch, err := srv.TableEpoch("items")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm0, err := srv.SignedShardMap("items")
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldVersion := sm0.Map.Shards[0].Version
-	if _, err := srv.SplitShard(context.Background(), "items", 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	d, err := srv.ShardDelta("items", 0, oldVersion, epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.SnapshotNeeded {
-		t.Fatal("delta from a pre-split version against the carved shard did not demand a snapshot")
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name       string
+		transition func(*Server) error
+	}{
+		{"split", func(srv *Server) error { _, err := srv.SplitShard(ctx, "items", 0, nil); return err }},
+		{"merge", func(srv *Server) error { _, err := srv.MergeShards(ctx, "items", 0); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := newReshardServer(t, 150, 3, Options{})
+			epoch, err := srv.TableEpoch("items")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sm0, err := srv.SignedShardMap("items")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The last shard commits once, so a replica at sm0 has a real
+			// delta to ask for; it survives both transitions but moves
+			// (index 2 -> 3 under the split of 0, 2 -> 1 under the merge).
+			if err := srv.Insert("items", batchServerRow(t, 100000)); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.transition(srv); err != nil {
+				t.Fatal(err)
+			}
+			retired, survivor := sm0.Map.Shards[0], sm0.Map.Shards[2]
+
+			if _, err := srv.ShardDeltaByID("items", retired.ID, retired.Version, epoch); !errors.Is(err, wire.ErrShardMoved) {
+				t.Fatalf("delta for the retired shard: %v, want wire.ErrShardMoved", err)
+			}
+			if _, err := srv.ShardSnapshotByID("items", retired.ID); !errors.Is(err, wire.ErrShardMoved) {
+				t.Fatalf("snapshot of the retired shard: %v, want wire.ErrShardMoved", err)
+			}
+
+			d, err := srv.ShardDeltaByID("items", survivor.ID, survivor.Version, epoch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.SnapshotNeeded || d.Table != wire.ShardRef("items", survivor.ID) || d.ToVersion != survivor.Version+1 {
+				t.Fatalf("survivor's delta: ref %q, to v%d, snapshotNeeded=%v", d.Table, d.ToVersion, d.SnapshotNeeded)
+			}
+			// Whatever now sits at the survivor's old index signs its deltas
+			// under its own ID, so a replica of the survivor rejects them.
+			if at, err := srv.ShardDelta("items", 2, 0, epoch); err == nil && at.Table == d.Table {
+				t.Fatalf("old index 2 still answers as shard ID %d", survivor.ID)
+			}
+		})
 	}
 }
 

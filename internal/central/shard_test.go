@@ -62,9 +62,10 @@ func TestShardedTableBuildAndMap(t *testing.T) {
 
 // TestShardedApplyBatch: a batch spanning every shard commits each
 // sub-batch on its own tree, bumps only the touched shards' versions,
-// and republishes the map once.
+// republishes the map once, and signs one root per touched shard plus
+// the map.
 func TestShardedApplyBatch(t *testing.T) {
-	srv := newBatchServer(t, 400, Options{PageSize: 1024, Shards: 4, WALDir: t.TempDir()})
+	srv := newReshardServer(t, 400, 4, Options{WALDir: t.TempDir()})
 	before, err := srv.SignedShardMap("items")
 	if err != nil {
 		t.Fatal(err)
@@ -79,6 +80,7 @@ func TestShardedApplyBatch(t *testing.T) {
 	// All-new keys land in the last shard only under the default split of
 	// 0..399; also add keys inside earlier shards.
 	rows = append(rows, batchServerRow(t, 401), batchServerRow(t, 402))
+	signsBefore := srv.Stats().SignOps
 	opErrs, err := srv.ApplyBatch("items", rows)
 	if err != nil {
 		t.Fatal(err)
@@ -88,6 +90,7 @@ func TestShardedApplyBatch(t *testing.T) {
 			t.Fatalf("op %d: %v", i, e)
 		}
 	}
+	signsDelta := srv.Stats().SignOps - signsBefore
 	after, err := srv.SignedShardMap("items")
 	if err != nil {
 		t.Fatal(err)
@@ -113,6 +116,9 @@ func TestShardedApplyBatch(t *testing.T) {
 	}
 	if changed != 1 {
 		t.Fatalf("%d shard roots changed, want 1 (all new keys beyond the last boundary)", changed)
+	}
+	if uint64(changed)+1 != signsDelta {
+		t.Fatalf("batch touching %d shard(s) paid %d signatures, want one per touched shard + the map", changed, signsDelta)
 	}
 
 	// Every inserted row is queryable through the merged read path.
@@ -172,12 +178,17 @@ func TestShardRequestsRangeCheck(t *testing.T) {
 	}
 }
 
-// TestShardDeltaBindsShardIndex: a delta generated for shard 0 must not
-// verify as a delta for shard 1 — the shard ref rides inside the signed
+// TestShardDeltaBindsShardID: a delta generated for one shard must not
+// verify as a delta for another — the shard's stable ID (not its
+// position, which shifts under splits and merges) rides inside the signed
 // Table field.
-func TestShardDeltaBindsShardIndex(t *testing.T) {
+func TestShardDeltaBindsShardID(t *testing.T) {
 	srv := newBatchServer(t, 200, Options{PageSize: 1024, Shards: 2})
 	epoch, _ := srv.TableEpoch("items")
+	sm, err := srv.SignedShardMap("items")
+	if err != nil {
+		t.Fatal(err)
+	}
 	// A fresh key below the first boundary lands in shard 0.
 	if err := srv.Insert("items", batchServerRow(t, -5)); err != nil {
 		t.Fatal(err)
@@ -189,11 +200,11 @@ func TestShardDeltaBindsShardIndex(t *testing.T) {
 	if d.SnapshotNeeded {
 		t.Fatal("expected a real delta")
 	}
-	if d.Table != wire.ShardRef("items", 0) {
+	if d.Table != wire.ShardRef("items", sm.Map.Shards[0].ID) {
 		t.Fatalf("delta table ref = %q", d.Table)
 	}
 	// Re-labelling the delta for another shard breaks the signature.
-	d.Table = wire.ShardRef("items", 1)
+	d.Table = wire.ShardRef("items", sm.Map.Shards[1].ID)
 	if err := srv.PublicKey().Verify(d.Sig, d.SigPayload()); err == nil {
 		t.Fatal("re-labelled shard delta still verifies")
 	}

@@ -80,8 +80,9 @@ type Client struct {
 	smaps map[string]*shardmap.Signed
 	// mapGens is the partition-epoch high-water mark per table: the
 	// freshest (incarnation, map epoch) this client has verified. A
-	// correctly signed map regressing below it is the replay-pre-split
-	// attack and fails closed (verify.ErrMapReplay), never retried.
+	// correctly signed map regressing below the mark its request was
+	// issued under is the replay-pre-split attack and fails closed
+	// (verify.ErrMapReplay), never retried; see noteMapEpoch.
 	mapGens map[string]mapGen
 }
 
@@ -226,28 +227,26 @@ func (c *Client) Query(ctx context.Context, table string, preds []query.Predicat
 	if err != nil {
 		return nil, err
 	}
-	sm, err := c.shardMap(ctx, v, table, false)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.queryShards(ctx, v, sm, table, preds, project)
-	for retry := 0; retry < maxShardDriftRetries && err != nil && errors.Is(err, errShardDrift); retry++ {
-		// The gather straddled an edge refresh (answers from two map
-		// generations), raced an online split/merge, or our cached
-		// routing map described a dead partition. Refetch the routing
-		// map and retry: drift is benign racing as long as it stops —
-		// under a busy edge republishing every tick, several gathers
-		// can straddle back to back — so the retry is a bounded loop,
-		// and only drift that persists through it surfaces as the
-		// tampering verdict. Every retry re-verifies from scratch;
-		// an attacker steering the loop gains nothing but delay.
-		sm, rerr := c.shardMap(ctx, v, table, true)
-		if rerr != nil {
-			return nil, rerr
+	for attempt := 0; ; attempt++ {
+		// A retry refetches the routing map: the gather straddled an edge
+		// refresh (answers from two map generations), raced an online
+		// split/merge, was overtaken by a newer generation verified on
+		// another goroutine, or the cached routing map described a dead
+		// partition. Drift is benign racing as long as it stops — under a
+		// busy edge republishing every tick, several gathers can straddle
+		// back to back — so the retry is a bounded loop, and only drift
+		// that persists through it surfaces as the tampering verdict.
+		// Every retry re-verifies from scratch; an attacker steering the
+		// loop gains nothing but delay.
+		var res *QueryResult
+		sm, err := c.shardMap(ctx, v, table, attempt > 0)
+		if err == nil {
+			res, err = c.queryShards(ctx, v, sm, table, preds, project)
 		}
-		res, err = c.queryShards(ctx, v, sm, table, preds, project)
+		if err == nil || !errors.Is(err, errShardDrift) || attempt >= maxShardDriftRetries {
+			return res, err
+		}
 	}
-	return res, err
 }
 
 // maxShardDriftRetries bounds the benign-drift retry loop: each retry

@@ -3,11 +3,13 @@ package client
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"edgeauth/internal/shardmap"
 	"edgeauth/internal/tamper"
 	"edgeauth/internal/verify"
+	"edgeauth/internal/vo"
 	"edgeauth/internal/wire"
 )
 
@@ -24,6 +26,13 @@ func TestQuerySurvivesReshardEpochRace(t *testing.T) {
 	res, err := d.client.Query(ctx, "items", rangePreds(0, 399), nil)
 	if err != nil || res.ShardsQueried != 4 {
 		t.Fatalf("pre-split query: shards=%d err=%v", res.ShardsQueried, err)
+	}
+	// A fixed hot range inside shard 1: what its proof costs before and
+	// after that shard splits is a deterministic byte count (the carved
+	// half is a smaller tree with a shorter proof).
+	hot, err := d.client.Query(ctx, "items", rangePreds(110, 129), nil)
+	if err != nil || hot.VOBytes != 1611 {
+		t.Fatalf("hot range before the split: VO %d bytes, err=%v", hot.VOBytes, err)
 	}
 
 	// Split through the client's admin path; the edge follows on its
@@ -44,6 +53,9 @@ func TestQuerySurvivesReshardEpochRace(t *testing.T) {
 	fresh := d.freshClient(t)
 	if res, err := fresh.Query(ctx, "items", rangePreds(0, 399), nil); err != nil || res.ShardsQueried != 5 {
 		t.Fatalf("post-split query: shards=%d err=%v", res.ShardsQueried, err)
+	}
+	if hot, err = fresh.Query(ctx, "items", rangePreds(110, 129), nil); err != nil || hot.VOBytes != 1335 {
+		t.Fatalf("hot range after the split: VO %d bytes, err=%v", hot.VOBytes, err)
 	}
 	if _, err := d.central.MergeShards(ctx, "items", 1); err != nil {
 		t.Fatal(err)
@@ -99,6 +111,85 @@ func TestReplayPreSplitMapFailsClosed(t *testing.T) {
 	d.edge.SetMapTamper(nil)
 	if res, err := d.client.Query(ctx, "items", rangePreds(0, 399), nil); err != nil || len(res.Result.Tuples) != 400 {
 		t.Fatalf("post-attack honest query: rows=%d err=%v", len(res.Result.Tuples), err)
+	}
+}
+
+// TestAnswerOvertakenByNewerEpochRetries: two goroutines share one
+// Client; an honest answer pinned before a split is still on the wire
+// when the other goroutine verifies the post-split map and ratchets the
+// client past it. Judged against the mark at arrival that answer was
+// indistinguishable from the replay above (the false ErrTampered of the
+// rebalance soak); judged against the mark captured when its request was
+// issued it is drift, and the one retry — issued under the new mark —
+// either verifies (honest edge) or, if the edge really does keep serving
+// the pre-split map, fails closed on it.
+func TestAnswerOvertakenByNewerEpochRetries(t *testing.T) {
+	for _, hostile := range []bool{false, true} {
+		name := "honest"
+		if hostile {
+			name = "replaying"
+		}
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			d := deploySharded(t, 400, 4)
+			if _, err := d.client.Query(ctx, "items", rangePreds(0, 399), nil); err != nil {
+				t.Fatal(err)
+			}
+			old, err := d.edge.SignedShardMap("items")
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// The edge holds the first answer it computes — on its pinned
+			// pre-split set — until released.
+			held, release := make(chan struct{}), make(chan struct{})
+			var first atomic.Bool
+			d.edge.SetTamper(func(*vo.ResultSet, *vo.VO) error {
+				if first.CompareAndSwap(false, true) {
+					close(held)
+					<-release
+				}
+				return nil
+			})
+			type outcome struct {
+				res *QueryResult
+				err error
+			}
+			late := make(chan outcome, 1)
+			go func() {
+				res, err := d.client.Query(ctx, "items", rangePreds(310, 329), nil)
+				late <- outcome{res, err}
+			}()
+			<-held
+
+			if _, err := d.central.SplitShard(ctx, "items", 0, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.edge.Refresh(ctx, "items"); err != nil {
+				t.Fatal(err)
+			}
+			if res, err := d.client.Query(ctx, "items", rangePreds(0, 399), nil); err != nil || res.ShardsQueried != 5 {
+				t.Fatalf("post-split query on the other goroutine: shards=%d err=%v", res.ShardsQueried, err)
+			}
+			if hostile {
+				d.edge.SetMapTamper(func(*shardmap.Signed) *shardmap.Signed { return old })
+			}
+			close(release)
+
+			got := <-late
+			if hostile {
+				if !errors.Is(got.err, ErrTampered) || !errors.Is(got.err, verify.ErrMapReplay) {
+					t.Fatalf("edge replaying the pre-split map on the retry returned %v, want ErrTampered+ErrMapReplay", got.err)
+				}
+				return
+			}
+			if got.err != nil {
+				t.Fatalf("honest answer overtaken in flight: %v", got.err)
+			}
+			if len(got.res.Result.Tuples) != 20 {
+				t.Fatalf("retried query returned %d rows, want 20", len(got.res.Result.Tuples))
+			}
+		})
 	}
 }
 

@@ -47,6 +47,7 @@ func (c *Client) shardMap(ctx context.Context, v *verify.Verifier, table string,
 		return sm, nil
 	}
 
+	issued := c.mapMark(table)
 	body, err := c.edge.Call(ctx, wire.MsgShardMapReq, []byte(table), wire.MsgShardMapResp, true)
 	if err != nil {
 		return nil, err
@@ -58,7 +59,7 @@ func (c *Client) shardMap(ctx context.Context, v *verify.Verifier, table string,
 	if err := c.verifyMap(ctx, v, sm, table); err != nil {
 		return nil, err
 	}
-	if err := c.noteMapEpoch(table, sm.Map); err != nil {
+	if err := c.noteMapEpoch(table, issued, sm.Map); err != nil {
 		return nil, err
 	}
 	c.smu.Lock()
@@ -67,17 +68,36 @@ func (c *Client) shardMap(ctx context.Context, v *verify.Verifier, table string,
 	return sm, nil
 }
 
+// mapMark reads the table's partition-epoch high-water mark. A request
+// whose answer carries a shard map captures it BEFORE the request is
+// issued: what counts as a replay is a map older than what the client
+// had verified when it asked, not older than what another goroutine has
+// verified by the time the answer arrives.
+func (c *Client) mapMark(table string) mapGen {
+	c.smu.Lock()
+	defer c.smu.Unlock()
+	return c.mapGens[table]
+}
+
 // noteMapEpoch ratchets the table's partition-epoch high-water mark
-// forward and fails closed when a verified map regresses below it: a
-// signed pre-split map replayed by the edge would otherwise route
-// queries over dead boundaries and hide the shards a split created.
-// Must be called only with maps that already passed verifyMap.
-func (c *Client) noteMapEpoch(table string, m *shardmap.Map) error {
+// forward and fails closed when a verified map regresses below the mark
+// captured when its request was issued: a signed pre-split map replayed
+// by the edge would otherwise route queries over dead boundaries and
+// hide the shards a split created. A map at or above the issue-time mark
+// but below the current one was overtaken in flight — another goroutine
+// on this client verified a newer generation while this answer was on
+// the wire — which is retryable drift: the retry is issued under the
+// newer mark, so an edge that keeps presenting the old map fails closed
+// on it. Must be called only with maps that already passed verifyMap.
+func (c *Client) noteMapEpoch(table string, issued mapGen, m *shardmap.Map) error {
+	if err := verify.CheckMapSuccession(issued.epoch, issued.mapEpoch, m); err != nil {
+		return fmt.Errorf("%w: %w", ErrTampered, err)
+	}
 	c.smu.Lock()
 	defer c.smu.Unlock()
 	g := c.mapGens[table]
 	if err := verify.CheckMapSuccession(g.epoch, g.mapEpoch, m); err != nil {
-		return fmt.Errorf("%w: %w", ErrTampered, err)
+		return fmt.Errorf("%w: %w: overtaken in flight: %v", ErrTampered, errShardDrift, err)
 	}
 	if g.epoch != m.Epoch || m.MapEpoch > g.mapEpoch {
 		c.mapGens[table] = mapGen{epoch: m.Epoch, mapEpoch: m.MapEpoch}
@@ -131,6 +151,7 @@ func (c *Client) queryShards(ctx context.Context, v *verify.Verifier, routing *s
 	first, last := routing.Map.ShardsForRange(q.Lo, q.Hi)
 	n := last - first + 1
 
+	issued := c.mapMark(table)
 	answers := make([]shardAnswer, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -191,10 +212,10 @@ func (c *Client) queryShards(ctx context.Context, v *verify.Verifier, routing *s
 	if err := c.verifyMap(ctx, v, bound, table); err != nil {
 		return nil, err
 	}
-	// The replay ratchet applies to the attached map too: a signed
-	// pre-split map served alongside the answers fails closed here, it
-	// never reaches the drift retry below.
-	if err := c.noteMapEpoch(table, bound.Map); err != nil {
+	// The replay ratchet applies to the attached map too: a signed map
+	// from before a split this client had already verified when it
+	// scattered fails closed here, it never reaches the drift retry.
+	if err := c.noteMapEpoch(table, issued, bound.Map); err != nil {
 		return nil, err
 	}
 	// The attached map must describe the same partition the routing map

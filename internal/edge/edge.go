@@ -232,12 +232,12 @@ func (r *replica) rebuildSet(smap *shardmap.Signed, stores []*storage.PageStore)
 	return nil
 }
 
-// errShardRange marks a shard index outside the published set — after
-// an online merge shrank the partition, a caller routing on an older
-// map can legitimately address a position that no longer exists, so
-// serving paths surface this as the typed shard-moved refusal rather
+// errShardRange marks a shard index (or stable ID) outside the published
+// set — after an online split or merge, a caller routing on an older map
+// can legitimately address a position or a shard that no longer exists,
+// so serving paths surface this as the typed shard-moved refusal rather
 // than an internal error.
-var errShardRange = errors.New("edge: shard index outside the published set")
+var errShardRange = errors.New("edge: shard outside the published set")
 
 // pinShard takes a reader's pin on shard i of the current set. The
 // caller must Release the returned snapshot. RCU: if the set drains
@@ -258,6 +258,37 @@ func (r *replica) pinShard(i int) (*tableSet, *shardReplica, error) {
 		// The set was superseded and fully drained between Load and
 		// Retain; the new current set is already published.
 	}
+}
+
+// pinShardID is pinShard for a caller that names the shard by stable ID
+// (a downstream edge's replication request): the position is looked up
+// in the same set the pin is taken on, so an online transition landing
+// between the two cannot hand back a neighbour.
+func (r *replica) pinShardID(id uint64) (*shardReplica, error) {
+	for {
+		set := r.set.Load()
+		if set == nil {
+			return nil, errors.New("edge: replica has no published set")
+		}
+		i := set.indexOfID(id)
+		if i < 0 {
+			return nil, fmt.Errorf("%w: no shard with ID %d", errShardRange, id)
+		}
+		if sr := set.shards[i]; sr.snap.Retain() {
+			return sr, nil
+		}
+	}
+}
+
+// indexOfID returns the position of the shard with stable ID id in this
+// set's partition, or -1.
+func (ts *tableSet) indexOfID(id uint64) int {
+	for i := range ts.smap.Map.Shards {
+		if ts.smap.Map.Shards[i].ID == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // New creates an edge server that replicates from centralAddr.
@@ -361,7 +392,8 @@ func (s *Server) pull(ctx context.Context, tableName string) (int, error) {
 }
 
 // pullAttempt is pull with a bounded retry for the (rare) case of the
-// central switching table epochs mid-pull.
+// central switching table epochs, or retiring a shard of the fetched map
+// in a split or merge, mid-pull.
 func (s *Server) pullAttempt(ctx context.Context, tableName string, retries int) (int, error) {
 	sm, n, err := s.fetchVerifiedMap(ctx, tableName)
 	if err != nil {
@@ -373,6 +405,9 @@ func (s *Server) pullAttempt(ctx context.Context, tableName string, retries int)
 	for i := range sm.Map.Shards {
 		body, store, snap, err := s.pullShardStore(ctx, tableName, i, sm)
 		if err != nil {
+			if errors.Is(err, wire.ErrShardMoved) && retries > 0 {
+				return s.pullAttempt(ctx, tableName, retries-1)
+			}
 			return 0, err
 		}
 		if rep.sch == nil {
@@ -426,7 +461,7 @@ func (s *Server) pullShardStore(ctx context.Context, tableName string, idx int, 
 		}
 		return n, store, snap, nil
 	}
-	req := &wire.ShardSnapshotRequest{Table: tableName, Shard: uint32(idx)}
+	req := &wire.ShardSnapshotRequest{Table: tableName, ShardID: sm.Map.Shards[idx].ID}
 	body, err := s.central.Call(ctx, wire.MsgShardSnapshotReq, req.Encode(), wire.MsgSnapshotResp, true)
 	if err != nil {
 		return 0, nil, nil, err
@@ -779,9 +814,9 @@ func sameIDs(a, b []uint64) bool {
 // identified by ids onto sm's partition, matching by stable shard ID:
 // shards that survived the transition carry their stores (and pinned
 // pages) over untouched, shards the transition created are
-// snapshot-installed, and relay cache entries for positions whose
-// identity changed are dropped so peers are never served a dead
-// shard's deltas under a live position.
+// snapshot-installed, and the relay cache lets go of the retired shards'
+// deltas (replication addresses by ID, so nothing can ask for them
+// again).
 func (s *Server) remapStores(ctx context.Context, tableName string, sm *shardmap.Signed, stores []*storage.PageStore, ids []uint64) (outStores []*storage.PageStore, bytes int, err error) {
 	byID := make(map[uint64]*storage.PageStore, len(ids))
 	for i, id := range ids {
@@ -794,6 +829,7 @@ func (s *Server) remapStores(ctx context.Context, tableName string, sm *shardmap
 	for i, id := range mapIDs {
 		if st, ok := byID[id]; ok {
 			outStores[i] = st
+			delete(byID, id)
 			continue
 		}
 		n, store, _, err := s.pullShardStore(ctx, tableName, i, sm)
@@ -803,13 +839,8 @@ func (s *Server) remapStores(ctx context.Context, tableName string, sm *shardmap
 		outStores[i] = store
 		bytes += n
 	}
-	// Positions whose identity changed or vanished may have cached
-	// deltas for the retired shard; those must never be relayed as the
-	// new occupant's history.
-	for i, id := range ids {
-		if i >= len(mapIDs) || mapIDs[i] != id {
-			s.relay.Drop(wire.ShardRef(tableName, uint32(i)))
-		}
+	for id := range byID {
+		s.relay.Drop(wire.ShardRef(tableName, id))
 	}
 	s.stats.reshardsApplied.Add(1)
 	return outStores, bytes, nil
@@ -826,18 +857,23 @@ func (s *Server) remapStores(ctx context.Context, tableName string, sm *shardmap
 // laid out for. When sm describes a different partition of the same
 // table incarnation (an online split or merge), stores are re-bound by
 // ID — surviving shards carry over, new shards snapshot-install — so a
-// reshard never discards unaffected state. Returns the map the stores
-// ended aligned to and the (possibly resized) store slice.
+// reshard never discards unaffected state. A transition that lands
+// between the map fetch and a shard request shows as the central's typed
+// ShardMoved (it no longer holds a shard sm names): sm is a superseded
+// generation, and that too is answered by refetching the map. Returns
+// the map the stores ended aligned to and the (possibly resized) store
+// slice.
 func (s *Server) alignShards(ctx context.Context, tableName string, sm *shardmap.Signed, stores []*storage.PageStore, ids []uint64) (final *shardmap.Signed, outStores []*storage.PageStore, bytes, refreshed int, snapshotted bool, err error) {
-	for attempt := 0; ; attempt++ {
+	// pass runs one alignment pass against sm and reports whether every
+	// store ended on the version sm pins.
+	pass := func() (bool, error) {
 		if mapIDs := shardIDs(sm); !sameIDs(mapIDs, ids) {
 			newStores, n, err := s.remapStores(ctx, tableName, sm, stores, ids)
-			if err != nil {
-				return nil, stores, bytes, refreshed, snapshotted, err
-			}
-			stores = newStores
-			ids = mapIDs
 			bytes += n
+			if err != nil {
+				return false, err
+			}
+			stores, ids = newStores, mapIDs
 			refreshed++
 			snapshotted = true
 		}
@@ -845,22 +881,22 @@ func (s *Server) alignShards(ctx context.Context, tableName string, sm *shardmap
 		for i := range stores {
 			head, err := storeState(stores[i])
 			if err != nil {
-				return nil, stores, bytes, refreshed, snapshotted, err
+				return false, err
 			}
 			if head.Epoch != sm.Map.Epoch {
-				return nil, stores, bytes, refreshed, snapshotted, fmt.Errorf("%w: map epoch %d, shard %d epoch %d", errEpochChanged, sm.Map.Epoch, i, head.Epoch)
+				return false, fmt.Errorf("%w: map epoch %d, shard %d epoch %d", errEpochChanged, sm.Map.Epoch, i, head.Epoch)
 			}
 			if sm.Map.Shards[i].Version > head.Version {
 				n, mode, store, err := s.refreshShard(ctx, tableName, stores[i], i, head, sm)
 				if err != nil {
-					return nil, stores, bytes, refreshed, snapshotted, err
+					return false, err
 				}
 				stores[i] = store
 				bytes += n
 				refreshed++
 				snapshotted = snapshotted || mode == "snapshot"
 				if head, err = storeState(stores[i]); err != nil {
-					return nil, stores, bytes, refreshed, snapshotted, err
+					return false, err
 				}
 			}
 			if head.Version != sm.Map.Shards[i].Version {
@@ -869,7 +905,14 @@ func (s *Server) alignShards(ctx context.Context, tableName string, sm *shardmap
 				aligned = false
 			}
 		}
-		if aligned {
+		return aligned, nil
+	}
+	for attempt := 0; ; attempt++ {
+		aligned, err := pass()
+		if err != nil && !errors.Is(err, wire.ErrShardMoved) {
+			return nil, stores, bytes, refreshed, snapshotted, err
+		}
+		if err == nil && aligned {
 			return sm, stores, bytes, refreshed, snapshotted, nil
 		}
 		if attempt >= maxAlignAttempts {
@@ -891,7 +934,8 @@ func (s *Server) alignShards(ctx context.Context, tableName string, sm *shardmap
 // toward it or is failed over — and the central finishes whatever the
 // peers could not cover.
 func (s *Server) refreshShard(ctx context.Context, tableName string, store *storage.PageStore, idx int, st *vbtree.TableState, sm *shardmap.Signed) (int, string, *storage.PageStore, error) {
-	ref := wire.ShardRef(tableName, uint32(idx))
+	id := sm.Map.Shards[idx].ID
+	ref := wire.ShardRef(tableName, id)
 	var total int
 	var peerMode string
 	if s.peers.Len() > 0 {
@@ -910,7 +954,7 @@ func (s *Server) refreshShard(ctx context.Context, tableName string, store *stor
 			return total, peerMode, store, nil
 		}
 	}
-	req := &wire.ShardDeltaRequest{Table: tableName, Shard: uint32(idx), FromVersion: st.Version, Epoch: st.Epoch}
+	req := &wire.ShardDeltaRequest{Table: tableName, ShardID: id, FromVersion: st.Version, Epoch: st.Epoch}
 	body, err := s.central.Call(ctx, wire.MsgShardDeltaReq, req.Encode(), wire.MsgDeltaResp, true)
 	if err != nil {
 		return 0, "", nil, err
@@ -924,7 +968,7 @@ func (s *Server) refreshShard(ctx context.Context, tableName string, store *stor
 		return 0, "", nil, err
 	}
 	if d.SnapshotNeeded {
-		sreq := &wire.ShardSnapshotRequest{Table: tableName, Shard: uint32(idx)}
+		sreq := &wire.ShardSnapshotRequest{Table: tableName, ShardID: id}
 		sbody, err := s.central.Call(ctx, wire.MsgShardSnapshotReq, sreq.Encode(), wire.MsgSnapshotResp, true)
 		if err != nil {
 			return 0, "", nil, err

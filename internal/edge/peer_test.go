@@ -166,8 +166,12 @@ func TestPeerDeltaGapSnapshotCatchup(t *testing.T) {
 	}
 	// Evict the relayable history: the peer stays current but can no
 	// longer answer tier-2's from-version with a delta.
-	for i := 0; i < 2; i++ {
-		t1.relay.Drop(wire.ShardRef("items", uint32(i)))
+	sm, err := t1.SignedShardMap("items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range shardIDs(sm) {
+		t1.relay.Drop(wire.ShardRef("items", id))
 	}
 	preServed := t1.Stats().PeerPayloadsServed
 	st, err := t2.Refresh(ctx, "items")
@@ -195,19 +199,31 @@ func TestServePeerTypedErrors(t *testing.T) {
 
 	// A requester at (or past) the peer's head: Behind, never an empty
 	// delta.
-	req := &wire.ShardDeltaRequest{Table: "items", Shard: 0, FromVersion: 0, Epoch: mustEpochOf(t, t1)}
+	req := &wire.ShardDeltaRequest{Table: "items", ShardID: 1, FromVersion: 0, Epoch: mustEpochOf(t, t1)}
 	_, _, err := t1.servePeer(ctx, wire.MsgShardDeltaReq, req.Encode())
 	if !errors.Is(err, wire.ErrBehind) {
 		t.Fatalf("delta at head: %v, want wire.ErrBehind", err)
 	}
 	// A requester from a different incarnation: also Behind (fail over).
-	req = &wire.ShardDeltaRequest{Table: "items", Shard: 0, FromVersion: 0, Epoch: mustEpochOf(t, t1) + 1}
+	req = &wire.ShardDeltaRequest{Table: "items", ShardID: 1, FromVersion: 0, Epoch: mustEpochOf(t, t1) + 1}
 	_, _, err = t1.servePeer(ctx, wire.MsgShardDeltaReq, req.Encode())
 	if !errors.Is(err, wire.ErrBehind) {
 		t.Fatalf("delta across epochs: %v, want wire.ErrBehind", err)
 	}
+	// A shard ID the replica's partition does not hold (retired by a
+	// split or merge, or not created yet here): ShardMoved, for deltas
+	// and snapshots alike — never a neighbour's payload.
+	req = &wire.ShardDeltaRequest{Table: "items", ShardID: 99, Epoch: mustEpochOf(t, t1)}
+	_, _, err = t1.servePeer(ctx, wire.MsgShardDeltaReq, req.Encode())
+	if !errors.Is(err, wire.ErrShardMoved) {
+		t.Fatalf("delta for an unknown shard ID: %v, want wire.ErrShardMoved", err)
+	}
+	_, _, err = t1.servePeer(ctx, wire.MsgShardSnapshotReq, (&wire.ShardSnapshotRequest{Table: "items", ShardID: 99}).Encode())
+	if !errors.Is(err, wire.ErrShardMoved) {
+		t.Fatalf("snapshot of an unknown shard ID: %v, want wire.ErrShardMoved", err)
+	}
 	// Unknown table stays the classic typed error.
-	req = &wire.ShardDeltaRequest{Table: "nope", Shard: 0}
+	req = &wire.ShardDeltaRequest{Table: "nope", ShardID: 1}
 	_, _, err = t1.servePeer(ctx, wire.MsgShardDeltaReq, req.Encode())
 	if !errors.Is(err, wire.ErrUnknownTable) {
 		t.Fatalf("unknown table: %v", err)

@@ -102,13 +102,13 @@ func (s *Server) servePeer(ctx context.Context, mt wire.MsgType, body []byte) (w
 		if err != nil {
 			return 0, nil, err
 		}
-		return s.servePeerSnapshot(req.Table, int(req.Shard))
+		return s.servePeerSnapshot(req.Table, req.ShardID)
 	case wire.MsgShardDeltaReq:
 		req, err := wire.DecodeShardDeltaRequest(body)
 		if err != nil {
 			return 0, nil, err
 		}
-		return s.servePeerDelta(req.Table, int(req.Shard), req.FromVersion, req.Epoch)
+		return s.servePeerDelta(req.Table, req.ShardID, req.FromVersion, req.Epoch)
 	}
 	return 0, nil, wire.Unsupported("edge", mt)
 }
@@ -117,12 +117,12 @@ func (s *Server) servePeer(ctx context.Context, mt wire.MsgType, body []byte) (w
 // set as a wire snapshot — the same pinned state client queries read,
 // so the snapshot a downstream installs is exactly what this edge
 // serves.
-func (s *Server) servePeerSnapshot(table string, idx int) (wire.MsgType, []byte, error) {
+func (s *Server) servePeerSnapshot(table string, id uint64) (wire.MsgType, []byte, error) {
 	rep := s.replica(table)
 	if rep == nil {
 		return 0, nil, wire.UnknownTable("edge", table)
 	}
-	_, sr, err := rep.pinShard(idx)
+	sr, err := rep.pinShardID(id)
 	if err != nil {
 		if errors.Is(err, errShardRange) {
 			return 0, nil, wire.ShardMoved(table, err.Error())
@@ -152,7 +152,7 @@ func (s *Server) servePeerSnapshot(table string, idx int) (wire.MsgType, []byte,
 		snap.PageIDs = append(snap.PageIDs, storage.PageID(id))
 		snap.PageData = append(snap.PageData, cp)
 	}
-	out := s.tamperedPeerBody(wire.MsgSnapshotResp, wire.ShardRef(table, uint32(idx)), snap.Encode())
+	out := s.tamperedPeerBody(wire.MsgSnapshotResp, wire.ShardRef(table, id), snap.Encode())
 	s.stats.peerPayloadsServed.Add(1)
 	s.stats.peerBytesServed.Add(uint64(len(out)))
 	return wire.MsgSnapshotResp, out, nil
@@ -164,7 +164,7 @@ func (s *Server) servePeerSnapshot(table string, idx int) (wire.MsgType, []byte,
 // a typed Behind — never a fabricated empty delta — so it fails over
 // instead of spinning; a requester inside our history that the relay
 // cache cannot cover gets a typed DeltaGap steering it to a snapshot.
-func (s *Server) servePeerDelta(table string, idx int, from, epoch uint64) (wire.MsgType, []byte, error) {
+func (s *Server) servePeerDelta(table string, id, from, epoch uint64) (wire.MsgType, []byte, error) {
 	rep := s.replica(table)
 	if rep == nil {
 		return 0, nil, wire.UnknownTable("edge", table)
@@ -173,8 +173,9 @@ func (s *Server) servePeerDelta(table string, idx int, from, epoch uint64) (wire
 	if set == nil {
 		return 0, nil, errors.New("edge: replica has no published set")
 	}
-	if idx < 0 || idx >= len(set.shards) {
-		return 0, nil, fmt.Errorf("edge: shard %d out of range (replica has %d)", idx, len(set.shards))
+	idx := set.indexOfID(id)
+	if idx < 0 {
+		return 0, nil, wire.ShardMoved(table, fmt.Sprintf("edge: replica of %q holds no shard with ID %d", table, id))
 	}
 	head := set.shards[idx].state
 	if epoch != head.Epoch {
@@ -183,7 +184,7 @@ func (s *Server) servePeerDelta(table string, idx int, from, epoch uint64) (wire
 	if from >= head.Version {
 		return 0, nil, wire.Behind(table, fmt.Sprintf("edge: requester at v%d, peer replica head at v%d", from, head.Version))
 	}
-	ref := wire.ShardRef(table, uint32(idx))
+	ref := wire.ShardRef(table, id)
 	body, _, ok := s.relay.Get(ref, epoch, from)
 	if !ok {
 		return 0, nil, wire.DeltaGap(table, fmt.Sprintf("edge: no relayable delta from v%d for %q; take a snapshot or fall back to the central", from, ref))
@@ -206,7 +207,7 @@ func (s *Server) servePeerDelta(table string, idx int, from, epoch uint64) (wire
 // verifyAlignedStores). Returns the wire size, the installed store and
 // the verified snapshot.
 func (s *Server) pullPeerSnapshot(ctx context.Context, src *peer.Source, tableName string, idx int, sm *shardmap.Signed) (int, *storage.PageStore, *wire.Snapshot, error) {
-	req := &wire.ShardSnapshotRequest{Table: tableName, Shard: uint32(idx)}
+	req := &wire.ShardSnapshotRequest{Table: tableName, ShardID: sm.Map.Shards[idx].ID}
 	body, err := src.Conn().Call(ctx, wire.MsgShardSnapshotReq, req.Encode(), wire.MsgSnapshotResp, true)
 	if err != nil {
 		return 0, nil, nil, err
@@ -241,7 +242,8 @@ func (s *Server) pullPeerSnapshot(ctx context.Context, src *peer.Source, tableNa
 // store — the caller finishes from the central if the map's pin is
 // still ahead of the store.
 func (s *Server) refreshShardFromPeers(ctx context.Context, tableName string, store *storage.PageStore, idx int, st *vbtree.TableState, sm *shardmap.Signed) (int, string, *storage.PageStore, error) {
-	ref := wire.ShardRef(tableName, uint32(idx))
+	id := sm.Map.Shards[idx].ID
+	ref := wire.ShardRef(tableName, id)
 	target := sm.Map.Shards[idx].Version
 	var total int
 	var mode string
@@ -250,7 +252,7 @@ func (s *Server) refreshShardFromPeers(ctx context.Context, tableName string, st
 			if err := ctx.Err(); err != nil {
 				return total, mode, store, err
 			}
-			req := &wire.ShardDeltaRequest{Table: tableName, Shard: uint32(idx), FromVersion: st.Version, Epoch: st.Epoch}
+			req := &wire.ShardDeltaRequest{Table: tableName, ShardID: id, FromVersion: st.Version, Epoch: st.Epoch}
 			body, err := src.Conn().Call(ctx, wire.MsgShardDeltaReq, req.Encode(), wire.MsgDeltaResp, true)
 			if errors.Is(err, wire.ErrDeltaGap) {
 				// The peer is current but cannot bridge our gap with a

@@ -10,6 +10,7 @@ import (
 	"edgeauth/internal/client"
 	"edgeauth/internal/query"
 	"edgeauth/internal/schema"
+	"edgeauth/internal/sig"
 	"edgeauth/internal/wire"
 	"edgeauth/internal/workload"
 )
@@ -18,7 +19,14 @@ import (
 // WAL) for the refresh tests.
 func startCentralOpts(t *testing.T, rows int, opts central.Options) (*central.Server, string) {
 	t.Helper()
-	srv, err := central.NewServerWithKey(opts, serverKey(t))
+	return startCentralKey(t, rows, opts, serverKey(t))
+}
+
+// startCentralKey is startCentralOpts under a caller-chosen signing key
+// (a scheme-retagged one, say).
+func startCentralKey(t *testing.T, rows int, opts central.Options, key *sig.PrivateKey) (*central.Server, string) {
+	t.Helper()
+	srv, err := central.NewServerWithKey(opts, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +298,7 @@ func TestRefreshRejectsForgedDelta(t *testing.T) {
 	rep := eg.replica("items")
 	bogus := *d
 	bogus.FromVersion = 7
-	if err := applyDelta(rep.set.Load().shards[0].store, &bogus, wire.ShardRef("items", 0)); err == nil || !strings.Contains(err.Error(), "version") {
+	if err := applyDelta(rep.set.Load().shards[0].store, &bogus, wire.ShardRef("items", 1)); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("version-mismatched delta applied: %v", err)
 	}
 }

@@ -5,6 +5,11 @@ import (
 	"testing"
 
 	"edgeauth/internal/central"
+	"edgeauth/internal/schema"
+	"edgeauth/internal/sig"
+	"edgeauth/internal/storage"
+	"edgeauth/internal/vbtree"
+	"edgeauth/internal/verify"
 	"edgeauth/internal/wire"
 )
 
@@ -88,7 +93,7 @@ func TestShardedRefreshRecoversFromPartialFailure(t *testing.T) {
 	if d.SnapshotNeeded {
 		t.Fatal("expected a shard delta")
 	}
-	if err := applyDelta(cur.shards[1].store, d, wire.ShardRef("items", 1)); err != nil {
+	if err := applyDelta(cur.shards[1].store, d, wire.ShardRef("items", cur.smap.Map.Shards[1].ID)); err != nil {
 		t.Fatal(err)
 	}
 	// Sanity: the store is now ahead of the published set.
@@ -125,5 +130,112 @@ func TestShardedRefreshRecoversFromPartialFailure(t *testing.T) {
 	}
 	if st, err := eg.Refresh(ctx, "items"); err != nil || st.Mode != "delta" {
 		t.Fatalf("post-recovery refresh: mode=%q err=%v", st.Mode, err)
+	}
+}
+
+// TestRefreshRacingSplitKeepsShardsApart is the deterministic form of the
+// rebalance soak's storage faults. A refresh fetches its map just before
+// a split shifts the surviving shards one position to the right, then
+// asks for the delta of the shard it knows as position 2. Addressed by
+// position, the central answered with the history of whichever shard sat
+// there now — authentically signed, covered by that shard's changelog —
+// and the edge applied it to another shard's store; a later delta of the
+// right shard then landed on the spliced pages and the set published with
+// tree nodes pointing into a neighbour's heap. Addressed by stable ID the
+// request reaches the shard it names or a typed ShardMoved.
+func TestRefreshRacingSplitKeepsShardsApart(t *testing.T) {
+	ctx := context.Background()
+	key, err := serverKey(t).WithScheme(sig.SchemeRSAMerkle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := startCentralKey(t, 300, central.Options{PageSize: 1024, Shards: 3}, key)
+	eg := New(addr)
+	t.Cleanup(func() { eg.Close() })
+	if err := eg.PullAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	rows := 300
+	next := int64(1000)
+	commitOnLast := func() {
+		t.Helper()
+		batch := make([]schema.Tuple, 8)
+		for i := range batch {
+			batch[i] = freshRow(t, next)
+			next++
+		}
+		opErrs, err := srv.ApplyBatch("items", batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range opErrs {
+			if e != nil {
+				t.Fatal(e)
+			}
+		}
+		rows += len(batch)
+	}
+
+	// [A,B,C]: C moves ahead of the edge, and the refresh takes its map.
+	commitOnLast()
+	smOld, err := srv.SignedShardMap("items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// B moves too, then A splits: B slides into position 2, C to 3.
+	for _, k := range []int64{150, 160, 170} {
+		lo, hi := schema.Int64(k), schema.Int64(k)
+		if n, err := srv.DeleteRange("items", &lo, &hi); err != nil || n != 1 {
+			t.Fatalf("delete %d: n=%d err=%v", k, n, err)
+		}
+		rows--
+	}
+	if _, err := srv.SplitShard(ctx, "items", 0, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	// The refresh that raced the split resumes with its pre-split map.
+	cur := eg.replica("items").set.Load()
+	stores := make([]*storage.PageStore, len(cur.shards))
+	for i, sr := range cur.shards {
+		stores[i] = sr.store
+	}
+	// (Errors up to the final scan are reported without stopping, so a
+	// regression shows what the edge ends up serving, not only the first
+	// refresh that noticed.)
+	if _, _, _, _, _, err := eg.alignShards(ctx, "items", smOld, stores, shardIDs(cur.smap)); err != nil {
+		t.Errorf("raced refresh: %v", err)
+	}
+	for round := 0; round < 4; round++ {
+		commitOnLast()
+		if _, err := eg.Refresh(ctx, "items"); err != nil {
+			t.Errorf("refresh round %d: %v", round, err)
+		}
+	}
+
+	// Every shard of the published set answers a verified full scan.
+	sch, _ := eg.Schema("items")
+	ver := &verify.Verifier{Key: srv.PublicKey(), Acc: srv.Accumulator(), Schema: sch}
+	sm, err := eg.SignedShardMap("items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sm.Map.Shards) != 4 {
+		t.Fatalf("edge serves %d shards, want 4", len(sm.Map.Shards))
+	}
+	got := 0
+	for i := range sm.Map.Shards {
+		rs, w, _, err := eg.RunShardQuery(ctx, "items", uint32(i), vbtree.Query{})
+		if err != nil {
+			t.Fatalf("honest edge, shard %d: %v", i, err)
+		}
+		if err := ver.VerifyAnchored(rs, w, sm.Map.Shards[i].RootDigest); err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		got += len(rs.Tuples)
+	}
+	if got != rows {
+		t.Fatalf("shards hold %d rows, want %d", got, rows)
 	}
 }

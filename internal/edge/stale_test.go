@@ -83,7 +83,7 @@ func (f *fakeCentral) dispatch(ctx context.Context, mt wire.MsgType, body, _ []b
 		if err != nil {
 			return 0, nil, err
 		}
-		snap, err := srv.ShardSnapshot(req.Table, req.Shard)
+		snap, err := srv.ShardSnapshotByID(req.Table, req.ShardID)
 		if err != nil {
 			return 0, nil, err
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"edgeauth/internal/schema"
 	"edgeauth/internal/vo"
@@ -16,63 +15,56 @@ import (
 // (internal/shardmap). Replication and queries address one shard at a
 // time:
 //
-//	edge   → central: ShardMapReq        (table)          → ShardMapResp (signed map)
-//	edge   → central: ShardSnapshotReq   (table, shard)   → SnapshotResp
-//	edge   → central: ShardDeltaReq      (table, shard,…) → DeltaResp
-//	client → edge:    ShardMapReq        (table)          → ShardMapResp
-//	client → edge:    ShardQueryReq      (shard, query)   → ShardQueryResp
+//	edge   → central: ShardMapReq        (table)              → ShardMapResp (signed map)
+//	edge   → central: ShardSnapshotReq   (table, shard ID)    → SnapshotResp
+//	edge   → central: ShardDeltaReq      (table, shard ID,…)  → DeltaResp
+//	client → edge:    ShardMapReq        (table)              → ShardMapResp
+//	client → edge:    ShardQueryReq      (shard index, query) → ShardQueryResp
 //
-// Shard deltas bind the shard index into the signed Table field (see
-// ShardRef) so a delta for shard 0 cannot be replayed against shard 3.
+// Replication names a shard by its stable ID (shardmap.ShardState.ID)
+// from the requester's verified map: partition indices shift when a
+// split or merge lands, IDs are never reused, so a request that raced a
+// transition is answered for the shard it meant or with a typed
+// ShardMoved — never with a neighbour's history. Shard deltas bind the ID
+// into the signed Table field (see ShardRef) so a delta for one shard
+// cannot be replayed against another. Queries address by index under the
+// signed map attached to the answer.
 //
 // These are the only replication and query frames: a one-shard table
-// uses them with shard 0. A server that does not serve a request (an
-// edge without Options.ServePeers asked for a snapshot, say) answers
-// with a typed CodeUnsupported error, which callers report — there is no
-// other protocol to fall back to.
+// uses them with its single shard. A server that does not serve a
+// request (an edge without Options.ServePeers asked for a snapshot, say)
+// answers with a typed CodeUnsupported error, which callers report —
+// there is no other protocol to fall back to.
 
 // ShardMapResp bodies are the shardmap.Signed encoding; the wire
 // package treats them as opaque bytes so it does not depend on the
 // shardmap package's types.
 
-// ShardRef names one shard of a table inside signed payloads (delta
-// signatures cover the Table field, so embedding the index there binds
-// the delta to its shard).
-func ShardRef(table string, shard uint32) string {
-	return table + "#" + strconv.FormatUint(uint64(shard), 10)
-}
-
-// ParseShardRef splits a ShardRef back into table and shard index.
-func ParseShardRef(ref string) (table string, shard uint32, err error) {
-	i := strings.LastIndexByte(ref, '#')
-	if i < 0 {
-		return "", 0, fmt.Errorf("wire: %q is not a shard ref", ref)
-	}
-	n, err := strconv.ParseUint(ref[i+1:], 10, 32)
-	if err != nil {
-		return "", 0, fmt.Errorf("wire: bad shard index in %q: %w", ref, err)
-	}
-	return ref[:i], uint32(n), nil
+// ShardRef names one shard of a table, by stable shard ID, inside signed
+// payloads (delta signatures cover the Table field, so embedding the ID
+// there binds the delta to its shard).
+func ShardRef(table string, shardID uint64) string {
+	return table + "#" + strconv.FormatUint(shardID, 10)
 }
 
 // ShardSnapshotRequest asks the central server for one shard's full
 // snapshot.
 type ShardSnapshotRequest struct {
-	Table string
-	Shard uint32
+	Table   string
+	ShardID uint64
 }
 
 // Encode serializes the request.
 func (r *ShardSnapshotRequest) Encode() []byte {
 	out := appendStr(nil, r.Table)
-	return appendU32(out, r.Shard)
+	return appendU64(out, r.ShardID)
 }
 
 // DecodeShardSnapshotRequest parses a ShardSnapshotRequest.
 func DecodeShardSnapshotRequest(body []byte) (*ShardSnapshotRequest, error) {
 	r := &reader{data: body}
 	q := &ShardSnapshotRequest{Table: r.str("table")}
-	q.Shard = r.u32("shard")
+	q.ShardID = r.u64("shard id")
 	if err := r.done(); err != nil {
 		return nil, err
 	}
@@ -83,7 +75,7 @@ func DecodeShardSnapshotRequest(body []byte) (*ShardSnapshotRequest, error) {
 // replica is missing.
 type ShardDeltaRequest struct {
 	Table       string
-	Shard       uint32
+	ShardID     uint64
 	FromVersion uint64
 	Epoch       uint64
 }
@@ -91,7 +83,7 @@ type ShardDeltaRequest struct {
 // Encode serializes the request.
 func (r *ShardDeltaRequest) Encode() []byte {
 	out := appendStr(nil, r.Table)
-	out = appendU32(out, r.Shard)
+	out = appendU64(out, r.ShardID)
 	out = appendU64(out, r.FromVersion)
 	return appendU64(out, r.Epoch)
 }
@@ -100,7 +92,7 @@ func (r *ShardDeltaRequest) Encode() []byte {
 func DecodeShardDeltaRequest(body []byte) (*ShardDeltaRequest, error) {
 	r := &reader{data: body}
 	q := &ShardDeltaRequest{Table: r.str("table")}
-	q.Shard = r.u32("shard")
+	q.ShardID = r.u64("shard id")
 	q.FromVersion = r.u64("from version")
 	q.Epoch = r.u64("epoch")
 	if err := r.done(); err != nil {

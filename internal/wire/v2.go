@@ -155,7 +155,8 @@ const (
 	// holds no delta covering the requester's version; the requester can
 	// take a snapshot from this peer (catch-up) or fail over.
 	CodeDeltaGap
-	// CodeShardMoved means the request addressed a shard index that an
+	// CodeShardMoved means the request addressed a shard — by index on
+	// the query path, by stable ID on the replication path — that an
 	// online split/merge has since re-numbered or retired; the caller
 	// should refetch the shard map (a newer epoch) and re-route.
 	CodeShardMoved
@@ -307,9 +308,9 @@ func DeltaGap(table, msg string) *WireError {
 	return &WireError{Code: CodeDeltaGap, Table: table, Msg: msg}
 }
 
-// ShardMoved builds the typed error for a shard index that an online
-// partition transition has re-numbered or retired since the caller
-// fetched its map.
+// ShardMoved builds the typed error for a shard (index or stable ID)
+// that an online partition transition has re-numbered or retired since
+// the caller fetched its map.
 func ShardMoved(table, msg string) *WireError {
 	return &WireError{Code: CodeShardMoved, Table: table, Msg: msg}
 }
