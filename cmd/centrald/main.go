@@ -25,7 +25,8 @@
 // to maxbatch per round, with the round's leader waiting up to maxdelay
 // for stragglers. Explicit batch requests (client.InsertBatch, multi-row
 // INSERT ... VALUES (...),(...) in vbquery) commit as one batch
-// regardless of these knobs.
+// regardless of these knobs, at their arrival position in the same
+// queue. Negative values of -maxbatch and -deltaretention are refused.
 //
 // -shards range-partitions every table into that many independently
 // signed VB-tree shards bound by a central-signed shard map; insert
@@ -71,12 +72,12 @@ func main() {
 		pageSz  = flag.Int("pagesize", 4096, "VB-tree node size")
 		walDir  = flag.String("waldir", "", "directory for write-ahead logs (empty = disabled)")
 		join    = flag.Bool("join", false, "also materialize the users/orders join view")
-		deltas  = flag.Int("deltaretention", 0, "updates retained per table for edge delta refresh (0 = default, <0 = disabled)")
+		deltas  = flag.Int("deltaretention", 0, "updates retained per table for edge delta refresh (0 = default; negative values are refused)")
 		idle    = flag.Duration("idletimeout", 0, "drop connections idle past this (0 = default, <0 = never)")
 		// Group-commit front door: concurrent single-insert requests for a
 		// table are coalesced and committed together — one WAL fsync, one
 		// version bump, one tree re-sign pass per round.
-		maxBatch = flag.Int("maxbatch", 0, "max inserts group-committed per round (0 = default 128, <0 = disable coalescing)")
+		maxBatch = flag.Int("maxbatch", 0, "max inserts group-committed per round (0 = default 128; negative values are refused)")
 		maxDelay = flag.Duration("maxdelay", 0, "how long a group-commit leader waits for stragglers before committing (0 = commit immediately with whatever queued)")
 		// Range partitioning: independently-signed VB-tree shards bound
 		// by a central-signed shard map.

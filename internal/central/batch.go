@@ -26,34 +26,34 @@ import (
 // and signed root. The RSA-bound repair phase, which PR 4 left
 // serialized on a single root, now scales with cores.
 //
-// The group-commit front door makes the win transparent to unmodified
-// clients: concurrent single-op dispatches for the same table are
-// coalesced by a leader/follower protocol. The first arrival becomes the
-// leader, optionally waits MaxDelay for stragglers, then commits
-// everything queued (up to MaxBatch inserts per round) and distributes
-// the per-op results; arrivals during a commit queue up for the next
-// round. Deletes flow through the same ordered queue: a delete acts as a
-// barrier — the leader first commits the inserts that arrived before it,
-// then runs the delete — so a delete can never commit ahead of an
-// earlier coalesced insert on the same table. With MaxDelay zero a lone
-// op commits immediately — coalescing only kicks in under concurrency,
-// so the idle latency cost is nil.
+// Every mutation that arrives over the wire — single insert, batch,
+// delete, reshard — enters through one ordered per-table queue, the
+// group-commit front door, and commits in arrival order. Concurrent
+// single-insert dispatches are coalesced by a leader/follower protocol,
+// which makes the win transparent to unmodified clients: the first
+// arrival becomes the leader, optionally waits MaxDelay for stragglers,
+// then commits everything queued (up to MaxBatch inserts per round) and
+// distributes the per-op results; arrivals during a commit queue up for
+// the next round. A batch, a delete and a reshard are barriers: the
+// leader first commits the inserts that arrived before one, then runs it
+// alone at its queue position — so a delete can never commit ahead of an
+// earlier insert on the same table, coalesced or batched. With MaxDelay
+// zero a lone op becomes leader at once and commits immediately —
+// coalescing only kicks in under concurrency, so the idle latency cost
+// is nil. (Server.Insert, DeleteRange and ApplyBatch called directly are
+// the in-process form: they commit on the caller's goroutine.)
 
 // DefaultMaxBatch bounds one group-committed round when Options.MaxBatch
 // is zero.
 const DefaultMaxBatch = 128
 
-// maxBatch resolves Options.MaxBatch: 0 = default, negative = disabled
-// (every dispatch commits by itself).
+// maxBatch resolves Options.MaxBatch (validated non-negative at
+// construction): 0 = default.
 func (s *Server) maxBatch() int {
-	switch {
-	case s.opts.MaxBatch == 0:
+	if s.opts.MaxBatch == 0 {
 		return DefaultMaxBatch
-	case s.opts.MaxBatch < 0:
-		return 1
-	default:
-		return s.opts.MaxBatch
 	}
+	return s.opts.MaxBatch
 }
 
 // ApplyBatch inserts tuples into a table as one group commit and returns
@@ -195,11 +195,13 @@ func (s *Server) applyShardBatch(t *table, sh *shard, tuples []schema.Tuple) (in
 	return stats.Applied, opErrs, s.commitShard(t, sh, lsn)
 }
 
-// pendingOp is one coalesced dispatch (insert, delete or reshard)
-// awaiting its group commit's outcome.
+// pendingOp is one queued dispatch (insert, batch, delete or reshard)
+// awaiting its commit's outcome.
 type pendingOp struct {
-	// insert payload (when delete is false and reshard is nil)
+	// insert payload (when no barrier payload is set)
 	tup schema.Tuple
+	// batch payload (non-empty): committed as one ApplyBatch of its own.
+	batch []schema.Tuple
 	// delete payload
 	delete bool
 	lo, hi *schema.Datum
@@ -224,26 +226,27 @@ type reshardCmd struct {
 
 // barrier reports whether the op must commit alone at its queue
 // position instead of coalescing into an insert round.
-func (op *pendingOp) barrier() bool { return op.delete || op.reshard != nil }
+func (op *pendingOp) barrier() bool { return op.delete || op.reshard != nil || op.batch != nil }
 
 // opResult carries an op's outcome back to its waiting dispatcher.
 type opResult struct {
-	n       int // deleted-row count for deletes
+	n       int     // deleted-row count for deletes
+	opErrs  []error // per-op errors for batches
 	reshard *wire.ReshardResponse
 	err     error
 }
 
 // groupCommitter is the per-table coalescing queue. Ops commit in
 // arrival order: runs of inserts coalesce into ApplyBatch rounds,
-// deletes execute alone at their queue position.
+// barrier ops execute alone at their queue position.
 type groupCommitter struct {
 	mu      sync.Mutex
 	queue   []*pendingOp
 	leading bool
 	// full is signalled (capacity 1, never blocking) when a waiting
-	// leader's round has filled to MaxBatch (or a delete arrived, which
-	// the leader should not sit on), so it commits immediately instead
-	// of sleeping out its MaxDelay.
+	// leader's round has filled to MaxBatch (or a barrier op arrived,
+	// which the leader should not sit on), so it commits immediately
+	// instead of sleeping out its MaxDelay.
 	full chan struct{}
 }
 
@@ -251,9 +254,6 @@ type groupCommitter struct {
 // committer. The calling goroutine either becomes the leader (committing
 // every queued op, its own included) or waits for a leader's result.
 func (s *Server) enqueueInsert(ctx context.Context, tableName string, tup schema.Tuple) error {
-	if s.maxBatch() <= 1 {
-		return s.Insert(tableName, tup)
-	}
 	res, err := s.enqueueOp(ctx, tableName, &pendingOp{tup: tup, done: make(chan opResult, 1)})
 	if err != nil {
 		return err
@@ -264,14 +264,26 @@ func (s *Server) enqueueInsert(ctx context.Context, tableName string, tup schema
 // enqueueDelete routes a range delete through the same ordered queue, so
 // it cannot commit ahead of inserts that arrived before it.
 func (s *Server) enqueueDelete(ctx context.Context, tableName string, lo, hi *schema.Datum) (int, error) {
-	if s.maxBatch() <= 1 {
-		return s.DeleteRange(tableName, lo, hi)
-	}
 	res, err := s.enqueueOp(ctx, tableName, &pendingOp{delete: true, lo: lo, hi: hi, done: make(chan opResult, 1)})
 	if err != nil {
 		return 0, err
 	}
 	return res.n, res.err
+}
+
+// enqueueBatch routes a client-assembled batch through the same ordered
+// queue: it commits as one ApplyBatch at its arrival position, after
+// every op that arrived before it and ahead of every op that arrives
+// later.
+func (s *Server) enqueueBatch(ctx context.Context, tableName string, tuples []schema.Tuple) ([]error, error) {
+	if len(tuples) == 0 {
+		return s.ApplyBatch(tableName, tuples)
+	}
+	res, err := s.enqueueOp(ctx, tableName, &pendingOp{batch: tuples, done: make(chan opResult, 1)})
+	if err != nil {
+		return nil, err
+	}
+	return res.opErrs, res.err
 }
 
 func (s *Server) enqueueOp(ctx context.Context, tableName string, op *pendingOp) (opResult, error) {
@@ -340,7 +352,7 @@ func (s *Server) awaitStragglers(gc *groupCommitter) {
 
 // leadCommits drains the queue in arrival order until it is empty, then
 // steps down. Each round is either a run of consecutive inserts (at most
-// MaxBatch, committed via ApplyBatch) or a single delete. Arrivals
+// MaxBatch, committed via ApplyBatch) or a single barrier op. Arrivals
 // during a round queue for the next one.
 func (s *Server) leadCommits(tableName string, gc *groupCommitter) {
 	limit := s.maxBatch()
@@ -352,20 +364,23 @@ func (s *Server) leadCommits(tableName string, gc *groupCommitter) {
 			return
 		}
 		if gc.queue[0].barrier() {
-			// Barrier op (delete or reshard): commit it alone, in its
-			// arrival position.
+			// Barrier op: commit it alone, in its arrival position.
 			op := gc.queue[0]
 			gc.queue = append(gc.queue[:0:0], gc.queue[1:]...)
 			gc.mu.Unlock()
-			if op.reshard != nil {
+			switch {
+			case op.reshard != nil:
 				// The transition was prepared and caught up before it was
 				// queued; the barrier position only orders its swap against
-				// the coalesced writes around it.
+				// the writes around it.
 				resp, err := s.finishReshard(op.reshard.tr)
 				op.done <- opResult{reshard: resp, err: err}
-			} else {
+			case op.delete:
 				n, err := s.DeleteRange(tableName, op.lo, op.hi)
 				op.done <- opResult{n: n, err: err}
+			default:
+				opErrs, err := s.ApplyBatch(tableName, op.batch)
+				op.done <- opResult{opErrs: opErrs, err: err}
 			}
 			continue
 		}

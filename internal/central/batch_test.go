@@ -256,17 +256,144 @@ func TestGroupCommitFullRoundCommitsEarly(t *testing.T) {
 	}
 }
 
-// TestGroupCommitDisabled checks MaxBatch < 0 restores per-insert
-// commits.
-func TestGroupCommitDisabled(t *testing.T) {
-	srv := newBatchServer(t, 50, Options{PageSize: 1024, MaxBatch: -1})
-	base, _ := srv.Version("items")
-	for i := int64(0); i < 4; i++ {
-		if err := srv.enqueueInsert(context.Background(), "items", batchServerRow(t, 40_000+i)); err != nil {
+// TestBatchOrdersInTheQueue pins the one-front-door guarantee for the
+// batch frame: a batch and a delete of its keys, queued behind a leader
+// that is still busy, commit in their arrival order — whichever came
+// first. (Before, MsgBatchReq called ApplyBatch directly and overtook
+// everything queued.)
+func TestBatchOrdersInTheQueue(t *testing.T) {
+	keys := []int64{90_000, 90_001, 90_002}
+	lo, hi := schema.Int64(90_000), schema.Int64(90_002)
+	for _, tc := range []struct {
+		name        string
+		batchFirst  bool
+		wantDeleted int
+		wantLeft    int
+	}{
+		{"batch then delete", true, len(keys), 0},
+		{"delete then batch", false, 0, len(keys)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := newBatchServer(t, 40, Options{PageSize: 1024})
+			tb, err := srv.table("items")
+			if err != nil {
+				t.Fatal(err)
+			}
+			gc := &tb.gc
+			// Hold the leadership: arrivals queue up as followers until this
+			// test, standing in for the busy leader, drains them.
+			gc.mu.Lock()
+			gc.leading = true
+			gc.mu.Unlock()
+			queued := func(n int) {
+				t.Helper()
+				for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+					gc.mu.Lock()
+					got := len(gc.queue)
+					gc.mu.Unlock()
+					if got >= n {
+						return
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("only %d of %d ops queued", got, n)
+					}
+				}
+			}
+
+			var batch []schema.Tuple
+			for _, k := range keys {
+				batch = append(batch, batchServerRow(t, k))
+			}
+			var wg sync.WaitGroup
+			var opErrs []error
+			var batchErr, delErr error
+			var deleted int
+			sendBatch := func() {
+				defer wg.Done()
+				opErrs, batchErr = srv.enqueueBatch(context.Background(), "items", batch)
+			}
+			sendDelete := func() {
+				defer wg.Done()
+				deleted, delErr = srv.enqueueDelete(context.Background(), "items", &lo, &hi)
+			}
+			first, second := sendBatch, sendDelete
+			if !tc.batchFirst {
+				first, second = sendDelete, sendBatch
+			}
+			wg.Add(2)
+			go first()
+			queued(1)
+			go second()
+			queued(2)
+			srv.leadCommits("items", gc)
+			wg.Wait()
+
+			if batchErr != nil || delErr != nil {
+				t.Fatalf("batch err %v, delete err %v", batchErr, delErr)
+			}
+			for i, e := range opErrs {
+				if e != nil {
+					t.Fatalf("batch op %d: %v", i, e)
+				}
+			}
+			if deleted != tc.wantDeleted {
+				t.Fatalf("delete removed %d rows, want %d", deleted, tc.wantDeleted)
+			}
+			resp, err := srv.RunQuery(context.Background(), "items", vbtree.Query{Lo: &lo, Hi: &hi})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if left := len(resp.Result.Tuples); left != tc.wantLeft {
+				t.Fatalf("%d batch rows left, want %d", left, tc.wantLeft)
+			}
+		})
+	}
+}
+
+// TestSingleInsertSignOps: Insert is an ApplyBatch of one and signs
+// exactly what the per-tuple insert path it replaced signed — numbers
+// measured at the parent commit on this table (200 rows, 2 shards,
+// 1 KB pages): per-node rsa re-signs the leaf-to-root path plus the
+// tuple, its attributes and the map; the Merkle schemes sign one root
+// and the map.
+func TestSingleInsertSignOps(t *testing.T) {
+	for _, tc := range []struct {
+		scheme sig.Scheme
+		want   [3]uint64
+	}{
+		{sig.SchemeRSAFull, [3]uint64{15, 14, 14}},
+		{sig.SchemeRSAMerkle, [3]uint64{2, 2, 2}},
+		{sig.SchemeEd25519, [3]uint64{2, 2, 2}},
+	} {
+		key, err := sig.Generate(tc.scheme, 512)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if v, _ := srv.Version("items"); v != base+4 {
-		t.Fatalf("disabled coalescing: version went %d -> %d, want one bump per insert", base, v)
+		srv, err := NewServerWithKey(Options{PageSize: 1024, Shards: 2}, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		spec := workload.DefaultSpec(200)
+		sch, err := spec.Schema()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuples, err := spec.Tuples()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.AddTable(sch, tuples); err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range []int64{-5, 10_000, 10_001} {
+			before := srv.Stats().SignOps
+			if err := srv.Insert("items", batchServerRow(t, id)); err != nil {
+				t.Fatal(err)
+			}
+			if got := srv.Stats().SignOps - before; got != tc.want[i] {
+				t.Errorf("%v: insert of id %d paid %d signatures, want %d", tc.scheme, id, got, tc.want[i])
+			}
+		}
 	}
 }

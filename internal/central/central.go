@@ -68,28 +68,22 @@ type Options struct {
 	// WALDir, when non-empty, enables write-ahead logging of updates (one
 	// log per shard) in that directory.
 	WALDir string
-	// BuildParallelism bounds signing workers during table builds.
-	BuildParallelism int
 	// DeltaRetention bounds the per-shard changelog used to serve
 	// incremental updates to edge servers: the dirtied-page sets of the
 	// most recent DeltaRetention committed updates are retained. Edges
 	// whose replica version has fallen out of the window are told to pull
-	// a full snapshot. 0 selects DefaultDeltaRetention; negative disables
-	// delta serving entirely (every DeltaReq answers SnapshotNeeded).
+	// a full snapshot. 0 selects DefaultDeltaRetention; a negative value
+	// is refused.
 	DeltaRetention int
 	// IdleTimeout disconnects a peer that sends no complete request
 	// within the window, so a hung or slowloris connection cannot pin a
 	// server goroutine forever. 0 selects rpc.DefaultIdleTimeout;
 	// negative disables the deadline.
 	IdleTimeout time.Duration
-	// MaxConcurrent bounds the requests executing concurrently on one
-	// connection. 0 selects rpc.DefaultMaxConcurrent.
-	MaxConcurrent int
 	// MaxBatch bounds one group-committed round of the coalescing write
 	// front door: concurrent single-insert dispatches for a table are
 	// committed together, up to MaxBatch per round. 0 selects
-	// DefaultMaxBatch; negative disables coalescing (every insert commits
-	// by itself, the pre-batching behaviour).
+	// DefaultMaxBatch; a negative value is refused.
 	MaxBatch int
 	// MaxDelay is how long a group-commit leader waits for stragglers
 	// before committing its round. 0 (the default) commits immediately
@@ -111,13 +105,6 @@ type Options struct {
 	// Interval a background loop ticks every table; with Interval zero
 	// the caller drives AutoReshardTick manually.
 	AutoReshard *AutoReshardOptions
-	// ReshardTailBound caps how many delta-tail tuples a transition may
-	// replay inside the partition write lock: while the tail measured
-	// outside the lock exceeds the bound, extra catch-up rounds replay
-	// it lock-free before the barrier is taken. 0 selects
-	// DefaultReshardTailBound; negative disables the pre-barrier
-	// catch-up (the whole tail replays under the lock).
-	ReshardTailBound int
 	// ReshardCheckpointEvery, when positive, writes a partition
 	// checkpoint into the table's meta log after every N committed
 	// transitions, so replaying a long split/merge history is truncated
@@ -330,6 +317,12 @@ func NewServerWithKey(opts Options, key *sig.PrivateKey) (*Server, error) {
 	if opts.Shards < 0 {
 		return nil, fmt.Errorf("central: negative shard count %d", opts.Shards)
 	}
+	if opts.MaxBatch < 0 {
+		return nil, fmt.Errorf("central: negative Options.MaxBatch %d", opts.MaxBatch)
+	}
+	if opts.DeltaRetention < 0 {
+		return nil, fmt.Errorf("central: negative Options.DeltaRetention %d", opts.DeltaRetention)
+	}
 	if _, err := shardmap.ParseStrategy(string(opts.ShardSplit)); err != nil {
 		return nil, err
 	}
@@ -401,7 +394,7 @@ func (s *Server) AddTable(sch *schema.Schema, tuples []schema.Tuple) error {
 	t := &table{sch: sch, epoch: epoch}
 	part := &partition{boundaries: boundaries, mapEpoch: 1}
 	for i, group := range groups {
-		sh, err := s.buildShard(sch, group, epoch, uint64(i+1))
+		sh, err := s.newShard(sch, vbtree.SliceSource(group), epoch, uint64(i+1), false)
 		if err != nil {
 			return err
 		}
@@ -423,9 +416,15 @@ func (s *Server) AddTable(sch *schema.Schema, tuples []schema.Tuple) error {
 	return nil
 }
 
-// buildShard constructs one build-time shard's tree under the stable ID
-// id, publishes its baseline snapshot (version 0) and opens its WAL.
-func (s *Server) buildShard(sch *schema.Schema, tuples []schema.Tuple, epoch, id uint64) (*shard, error) {
+// newShard is the one shard constructor: it streams src — a build-time
+// tuple group or a pinned parent view — through the presign/build pool
+// into a fresh pager, publishes the result as the shard's baseline
+// snapshot at version 0 and opens its WAL under the stable ID id. With
+// seedWAL the log is seeded in the same pass, one record per build chunk,
+// and synced, so restart replay reconstructs a transition-created shard
+// without the retired parent's log; a build-time shard's baseline is the
+// table the caller loaded, and its log starts empty.
+func (s *Server) newShard(sch *schema.Schema, src vbtree.TupleSource, epoch, id uint64, seedWAL bool) (*shard, error) {
 	mem, err := storage.NewMemPager(s.opts.PageSize)
 	if err != nil {
 		return nil, err
@@ -437,6 +436,25 @@ func (s *Server) buildShard(sch *schema.Schema, tuples []schema.Tuple, epoch, id
 	heap, err := storage.NewHeapFile(pool)
 	if err != nil {
 		return nil, err
+	}
+	var log *wal.Log
+	if s.opts.WALDir != "" {
+		if log, err = wal.Create(filepath.Join(s.opts.WALDir, walName(sch.Table, id))); err != nil {
+			return nil, err
+		}
+	}
+	fail := func(err error) (*shard, error) {
+		if log != nil {
+			log.Close()
+		}
+		return nil, err
+	}
+	onChunk := func(tuples []schema.Tuple) error {
+		if !seedWAL || log == nil || len(tuples) == 0 {
+			return nil
+		}
+		_, err := log.Append(wal.RecBatch, wal.EncodeBatchPayload(tuples))
+		return err
 	}
 	cfg := vbtree.Config{
 		Pool:   pool,
@@ -450,20 +468,19 @@ func (s *Server) buildShard(sch *schema.Schema, tuples []schema.Tuple, epoch, id
 		// under the table-wide lock space would make parallel shard
 		// commits falsely contend (and falsely deadlock) on unrelated
 		// pages that happen to share an ID.
-		Locks:            lock.NewManager(0),
-		BuildParallelism: s.opts.BuildParallelism,
+		Locks: lock.NewManager(0),
 	}
-	tree, err := vbtree.Build(cfg, tuples, 1.0)
+	tree, err := vbtree.BuildFromSource(cfg, 1.0, vbtree.DefaultBuildChunk, src, onChunk)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	store, err := storage.NewPageStore(s.opts.PageSize)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
-	sh := &shard{id: id, tree: tree, pool: pool, heap: heap, store: store}
+	sh := &shard{id: id, tree: tree, pool: pool, heap: heap, log: log, store: store}
 	if sh.rootDigest, err = tree.RootDigest(); err != nil {
-		return nil, err
+		return fail(err)
 	}
 	// Publish the built shard as its baseline snapshot: every page of the
 	// pager becomes the read-path baseline.
@@ -473,19 +490,15 @@ func (s *Server) buildShard(sch *schema.Schema, tuples []schema.Tuple, epoch, id
 		baseline = append(baseline, storage.PageID(id))
 	}
 	if err := s.publishShard(sh, 0, epoch, baseline); err != nil {
-		return nil, err
+		return fail(err)
 	}
-	if s.retention() > 0 {
-		// The initial build is the snapshot baseline; journal only the
-		// pages later updates dirty.
-		pool.EnableJournal()
-	}
-	if s.opts.WALDir != "" {
-		log, err := wal.Create(filepath.Join(s.opts.WALDir, walName(sch.Table, id)))
-		if err != nil {
-			return nil, err
+	// The build is the snapshot baseline; journal only the pages later
+	// updates dirty.
+	pool.EnableJournal()
+	if seedWAL && log != nil {
+		if err := log.Sync(); err != nil {
+			return fail(err)
 		}
-		sh.log = log
 	}
 	return sh, nil
 }
@@ -513,17 +526,13 @@ func newEpoch() (uint64, error) {
 	}
 }
 
-// retention resolves Options.DeltaRetention: 0 = default, negative =
-// disabled.
+// retention resolves Options.DeltaRetention (validated non-negative at
+// construction): 0 = default.
 func (s *Server) retention() int {
-	switch {
-	case s.opts.DeltaRetention == 0:
+	if s.opts.DeltaRetention == 0 {
 		return DefaultDeltaRetention
-	case s.opts.DeltaRetention < 0:
-		return 0
-	default:
-		return s.opts.DeltaRetention
 	}
+	return s.opts.DeltaRetention
 }
 
 // commitChange attributes the pages journaled since the last call to the
@@ -818,52 +827,14 @@ func (s *Server) TableEpoch(name string) (uint64, error) {
 	return t.epoch, nil
 }
 
-// Insert logs and applies a tuple insert on the key's shard, then
-// republishes the signed shard map. The partition read lock spans
-// routing through republish, so an online split/merge cannot retire the
-// routed shard mid-apply.
+// Insert logs and applies one tuple insert: an ApplyBatch of one,
+// returning its per-op error.
 func (s *Server) Insert(tableName string, tup schema.Tuple) error {
-	t, err := s.table(tableName)
+	opErrs, err := s.ApplyBatch(tableName, []schema.Tuple{tup})
 	if err != nil {
 		return err
 	}
-	if len(tup.Values) <= t.sch.Key {
-		return fmt.Errorf("central: tuple has no key column for table %q", tableName)
-	}
-	t.partMu.RLock()
-	defer t.partMu.RUnlock()
-	part := t.part.Load()
-	sh := part.shards[part.shardFor(tup.Key(t.sch))]
-	if err := s.insertShard(t, sh, tup); err != nil {
-		return err
-	}
-	sh.ingestLoad.Add(1)
-	s.stats.insertsApplied.Add(1)
-	return s.republishMap(t)
-}
-
-func (s *Server) insertShard(t *table, sh *shard, tup schema.Tuple) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	var lsn uint64
-	var err error
-	if sh.log != nil {
-		if lsn, err = sh.log.Append(wal.RecInsert, wal.EncodeInsertPayload(tup)); err != nil {
-			return err
-		}
-		if err := sh.log.Sync(); err != nil {
-			return err
-		}
-	}
-	if err := sh.tree.Insert(tup); err != nil {
-		sh.stashJournal()
-		return err
-	}
-	if sh.tail != nil {
-		sh.tail.recordInserts([]schema.Tuple{tup})
-	}
-	sh.sketch.observe(tup.Key(t.sch))
-	return s.commitShard(t, sh, lsn)
+	return opErrs[0]
 }
 
 // DeleteRange logs and applies a key-range delete across every shard the
@@ -935,28 +906,9 @@ func (s *Server) snapshotOf(t *table, sh *shard) (*wire.Snapshot, error) {
 		return nil, err
 	}
 	defer pinned.Release()
-	snap := &wire.Snapshot{
-		Schema:     t.sch,
-		AccParams:  wire.AccParamsFrom(s.acc),
-		Root:       st.Root,
-		Height:     uint32(st.Height),
-		RootSig:    st.RootSig,
-		PageSize:   uint32(pinned.PageSize()),
-		HeapPages:  st.HeapPages,
-		KeyVersion: st.KeyVersion,
-		Scheme:     uint8(st.Scheme),
-		Version:    st.Version,
-		Epoch:      st.Epoch,
-	}
-	for id := 1; id < pinned.NumPages(); id++ {
-		buf, err := pinned.View(storage.PageID(id))
-		if err != nil {
-			return nil, err
-		}
-		cp := make([]byte, len(buf))
-		copy(cp, buf)
-		snap.PageIDs = append(snap.PageIDs, storage.PageID(id))
-		snap.PageData = append(snap.PageData, cp)
+	snap, err := wire.NewSnapshot(pinned, st, t.sch, wire.AccParamsFrom(s.acc))
+	if err != nil {
+		return nil, err
 	}
 	s.stats.snapshotsServed.Add(1)
 	return snap, nil
@@ -1319,9 +1271,8 @@ func (s *Server) doClose() error {
 // requests concurrently until it disconnects or idles out.
 func (s *Server) handleConn(conn net.Conn) {
 	rpc.ServeConn(conn, s.dispatch, rpc.ServeOptions{
-		IdleTimeout:   s.opts.IdleTimeout,
-		MaxConcurrent: s.opts.MaxConcurrent,
-		BaseContext:   s.baseCtx,
+		IdleTimeout: s.opts.IdleTimeout,
+		BaseContext: s.baseCtx,
 	})
 }
 
@@ -1403,7 +1354,9 @@ func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body, _ []byte) 
 		if err != nil {
 			return 0, nil, err
 		}
-		opErrs, err := s.ApplyBatch(req.Table, req.Tuples)
+		// A batch takes its place in the same ordered queue as single
+		// inserts and deletes (see batch.go).
+		opErrs, err := s.enqueueBatch(ctx, req.Table, req.Tuples)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -1432,9 +1385,9 @@ func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body, _ []byte) 
 		if req.HasHi {
 			hi = &req.Hi
 		}
-		// Deletes flow through the same ordered front door as coalesced
-		// inserts, so a delete cannot commit ahead of inserts that
-		// arrived before it (see batch.go).
+		// Deletes flow through the same ordered front door as inserts,
+		// so a delete cannot commit ahead of inserts that arrived before
+		// it (see batch.go).
 		n, err := s.enqueueDelete(ctx, req.Table, lo, hi)
 		if err != nil {
 			return 0, nil, err

@@ -3,6 +3,7 @@ package central
 import (
 	"context"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -128,8 +129,23 @@ func TestWALRecordsUpdates(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(types) != 2 || types[0] != wal.RecInsert || types[1] != wal.RecDelete {
+	// A single insert is a batch of one: the raw record is RecBatch
+	// (wal.ReplayOps flattens it back to a per-tuple RecInsert op).
+	if len(types) != 2 || types[0] != wal.RecBatch || types[1] != wal.RecDelete {
 		t.Fatalf("WAL records = %v", types)
+	}
+}
+
+// TestNegativeOptionsRefused: out-of-range option values are rejected
+// with an error naming the field, not silently mapped to some mode.
+func TestNegativeOptionsRefused(t *testing.T) {
+	for field, opts := range map[string]Options{
+		"MaxBatch":       {MaxBatch: -1},
+		"DeltaRetention": {DeltaRetention: -1},
+	} {
+		if _, err := NewServerWithKey(opts, batchServerKey(t)); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("Options{%s: -1}: err = %v, want a refusal naming the field", field, err)
+		}
 	}
 }
 

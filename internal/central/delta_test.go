@@ -153,22 +153,6 @@ func TestDeltaFallsBackPastRetention(t *testing.T) {
 	}
 }
 
-func TestDeltaDisabledRetention(t *testing.T) {
-	srv := newDeltaServer(t, 40, -1, "")
-	base, err := srv.Version("items")
-	if err != nil {
-		t.Fatal(err)
-	}
-	insertRow(t, srv, 30_000)
-	d, err := srv.ShardDelta("items", 0, base, tableEpoch(t, srv))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.SnapshotNeeded {
-		t.Fatal("disabled retention still served a delta")
-	}
-}
-
 func TestDeltaRejectsForeignEpoch(t *testing.T) {
 	// Two incarnations of the same table (same key, same rows — the
 	// central-restart scenario): versions are not comparable across them,

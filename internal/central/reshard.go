@@ -3,11 +3,9 @@ package central
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"time"
 
-	"edgeauth/internal/lock"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/shardmap"
 	"edgeauth/internal/storage"
@@ -41,32 +39,17 @@ import (
 // throughout — they run lock-free against pinned snapshots of whichever
 // partition generation they loaded.
 
-// DefaultReshardTailBound caps the in-lock tail replay when
-// Options.ReshardTailBound is zero.
+// DefaultReshardTailBound caps how many delta-tail tuples a transition
+// may replay inside the partition write lock: while the tail measured
+// outside the lock exceeds the bound, extra catch-up rounds replay it
+// lock-free before the barrier is taken.
 const DefaultReshardTailBound = 64
-
-// reshardBuildChunk is the streaming granularity of phase-1 child
-// builds: tuples per presign/pack round and per WAL seed record.
-const reshardBuildChunk = 1024
 
 // maxCatchupRounds bounds the pre-barrier catch-up loop: under a write
 // rate that re-fills the tail faster than a round drains it, more
 // lock-free rounds cannot converge, so the barrier takes whatever tail
 // remains (the soak shows it stays near one round's arrivals).
 const maxCatchupRounds = 8
-
-// reshardTailBound resolves Options.ReshardTailBound: 0 = default,
-// negative = no pre-barrier catch-up.
-func (s *Server) reshardTailBound() int {
-	switch {
-	case s.opts.ReshardTailBound == 0:
-		return DefaultReshardTailBound
-	case s.opts.ReshardTailBound < 0:
-		return -1
-	default:
-		return s.opts.ReshardTailBound
-	}
-}
 
 // AutoReshardOptions configures the hot-shard detector: an EWMA over
 // each shard's per-tick ingest+query counters, compared against the
@@ -243,9 +226,8 @@ func (tr *preparedTransition) uninstallTails() {
 }
 
 // runReshard drives one transition end to end: prepare (pin + unlocked
-// child builds), lock-free catch-up, then the barrier — directly when
-// group commit is disabled, else as a barrier op through the ordered
-// queue so it cannot reorder around earlier coalesced writes.
+// child builds), lock-free catch-up, then the barrier — as a barrier op
+// through the ordered queue, so it cannot reorder around earlier writes.
 func (s *Server) runReshard(ctx context.Context, tableName string, cmd *reshardCmd) (*wire.ReshardResponse, error) {
 	t, err := s.table(tableName)
 	if err != nil {
@@ -260,9 +242,6 @@ func (s *Server) runReshard(ctx context.Context, tableName string, cmd *reshardC
 	if err := s.preCatchUp(tr); err != nil {
 		s.abortTransition(tr)
 		return nil, err
-	}
-	if s.maxBatch() <= 1 {
-		return s.finishReshard(tr)
 	}
 	cmd.tr = tr
 	res, err := s.enqueueOp(ctx, tableName, &pendingOp{reshard: cmd, done: make(chan opResult, 1)})
@@ -396,20 +375,31 @@ func (s *Server) prepareTransition(t *table, cmd *reshardCmd) (tr *preparedTrans
 		tr.begun = true
 	}
 
+	// A transition-created shard is streamed from the pinned parent view
+	// with its WAL seeded in the same pass, and published at a provisional
+	// version 0 — invisible until the barrier republishes it at its final
+	// version.
+	carve := func(src vbtree.TupleSource, id uint64) (*shard, error) {
+		sh, err := s.newShard(t.sch, src, t.epoch, id, true)
+		if err == nil {
+			s.stats.reshardPagesMoved.Add(uint64(sh.pool.Pager().NumPages() - 1))
+		}
+		return sh, err
+	}
 	buildStart := time.Now()
 	if cmd.split {
-		left, cerr := s.carveShardStream(t, views[0].Tuples(nil, boundaryKey).Next, op.NewIDs[0])
+		left, cerr := carve(views[0].Tuples(nil, boundaryKey).Next, op.NewIDs[0])
 		if cerr != nil {
 			return nil, cerr
 		}
 		tr.children = append(tr.children, left)
-		right, cerr := s.carveShardStream(t, views[0].Tuples(boundaryKey, nil).Next, op.NewIDs[1])
+		right, cerr := carve(views[0].Tuples(boundaryKey, nil).Next, op.NewIDs[1])
 		if cerr != nil {
 			return nil, cerr
 		}
 		tr.children = append(tr.children, right)
 	} else {
-		merged, cerr := s.carveShardStream(t, chainSources(views[0].Tuples(nil, nil).Next, views[1].Tuples(nil, nil).Next), op.NewIDs[0])
+		merged, cerr := carve(chainSources(views[0].Tuples(nil, nil).Next, views[1].Tuples(nil, nil).Next), op.NewIDs[0])
 		if cerr != nil {
 			return nil, cerr
 		}
@@ -489,99 +479,11 @@ func chainSources(srcs ...vbtree.TupleSource) vbtree.TupleSource {
 	}
 }
 
-// carveShardStream builds one transition-created shard by streaming src
-// (a pinned parent view) through the presign/build pool, seeding the
-// child's WAL chunk-by-chunk in the same pass so restart replay
-// reconstructs the shard without the retired parent's log. The shard is
-// published at a provisional version 0 — invisible until the barrier
-// republishes it at its final version.
-func (s *Server) carveShardStream(t *table, src vbtree.TupleSource, id uint64) (*shard, error) {
-	mem, err := storage.NewMemPager(s.opts.PageSize)
-	if err != nil {
-		return nil, err
-	}
-	pool, err := storage.NewBufferPool(mem, 1<<20) // generous: pages stay resident
-	if err != nil {
-		return nil, err
-	}
-	heap, err := storage.NewHeapFile(pool)
-	if err != nil {
-		return nil, err
-	}
-	var log *wal.Log
-	if s.opts.WALDir != "" {
-		if log, err = wal.Create(filepath.Join(s.opts.WALDir, walName(t.sch.Table, id))); err != nil {
-			return nil, err
-		}
-	}
-	fail := func(err error) (*shard, error) {
-		if log != nil {
-			log.Close()
-		}
-		return nil, err
-	}
-	onChunk := func(tuples []schema.Tuple) error {
-		if log == nil || len(tuples) == 0 {
-			return nil
-		}
-		_, err := log.Append(wal.RecBatch, wal.EncodeBatchPayload(tuples))
-		return err
-	}
-	cfg := vbtree.Config{
-		Pool:   pool,
-		Heap:   heap,
-		Schema: t.sch,
-		Acc:    s.acc,
-		Signer: s.key,
-		Pub:    s.key.Public(),
-		// Independent lock manager per shard, as in buildShard: buffer
-		// pools' page IDs overlap across shards.
-		Locks:            lock.NewManager(0),
-		BuildParallelism: s.opts.BuildParallelism,
-	}
-	tree, err := vbtree.BuildFromSource(cfg, 1.0, reshardBuildChunk, src, onChunk)
-	if err != nil {
-		return fail(err)
-	}
-	store, err := storage.NewPageStore(s.opts.PageSize)
-	if err != nil {
-		return fail(err)
-	}
-	sh := &shard{id: id, tree: tree, pool: pool, heap: heap, log: log, store: store}
-	if sh.rootDigest, err = tree.RootDigest(); err != nil {
-		return fail(err)
-	}
-	pager := pool.Pager()
-	baseline := make([]storage.PageID, 0, pager.NumPages()-1)
-	for id := 1; id < pager.NumPages(); id++ {
-		baseline = append(baseline, storage.PageID(id))
-	}
-	if err := s.publishShard(sh, 0, t.epoch, baseline); err != nil {
-		return fail(err)
-	}
-	if s.retention() > 0 {
-		// The carved build is the snapshot baseline; journal only the
-		// pages the tail replay dirties.
-		pool.EnableJournal()
-	}
-	if log != nil {
-		if err := log.Sync(); err != nil {
-			return fail(err)
-		}
-	}
-	s.stats.reshardPagesMoved.Add(uint64(pager.NumPages() - 1))
-	return sh, nil
-}
-
 // preCatchUp replays the delta tail into the children outside any lock
-// until it fits the configured bound (or the round budget runs out), so
-// the barrier's in-lock replay is O(bound).
+// until it fits DefaultReshardTailBound (or the round budget runs out),
+// so the barrier's in-lock replay is O(bound).
 func (s *Server) preCatchUp(tr *preparedTransition) error {
-	bound := s.reshardTailBound()
-	if bound < 0 {
-		return nil
-	}
-	for round := 0; round < maxCatchupRounds && tr.tail.size() > bound; round++ {
+	for round := 0; round < maxCatchupRounds && tr.tail.size() > DefaultReshardTailBound; round++ {
 		n, err := s.replayTail(tr, tr.tail.drain())
 		if err != nil {
 			return err
@@ -689,25 +591,14 @@ func (t *table) transitionStartVersion() uint64 {
 
 // publishChild seats one transition child at a version: refresh its
 // cached root digest and publish a snapshot carrying the pages dirtied
-// since the last publish (the whole store when journaling is off).
+// since the last publish.
 func (s *Server) publishChild(t *table, c *shard, version uint64) error {
 	rd, err := c.tree.RootDigest()
 	if err != nil {
 		return err
 	}
 	c.rootDigest = rd
-	var pages []storage.PageID
-	if s.retention() > 0 {
-		pages = c.pool.DrainJournal()
-	} else {
-		// Journaling is off (delta serving disabled): republish every
-		// page so the snapshot reflects all replayed tail updates.
-		pager := c.pool.Pager()
-		for id := 1; id < pager.NumPages(); id++ {
-			pages = append(pages, storage.PageID(id))
-		}
-	}
-	return s.publishShard(c, version, t.epoch, pages)
+	return s.publishShard(c, version, t.epoch, c.pool.DrainJournal())
 }
 
 // finishReshard is phase 2, the barrier: under the partition write lock

@@ -283,7 +283,7 @@ func (p Params) MergeCost(nLeft, nRight int) ReshardCost {
 // constant signatures. The build itself — O(shard) — runs outside the
 // lock and never appears here: the stall is O(tail), with the bound on
 // `tail` set by the server's catch-up rounds (central's
-// ReshardTailBound). Observed counterpart: the ReshardTailReplayed stat
+// DefaultReshardTailBound). Observed counterpart: the ReshardTailReplayed stat
 // is the realized `tail`, ReshardBarrierStallMs the realized wall time.
 func (p Params) BarrierComp(tail int) float64 {
 	if tail < 0 {

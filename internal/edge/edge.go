@@ -67,9 +67,6 @@ type Options struct {
 	// within the window (slowloris protection). 0 selects
 	// rpc.DefaultIdleTimeout; negative disables the deadline.
 	IdleTimeout time.Duration
-	// MaxConcurrent bounds the requests executing concurrently on one
-	// client connection. 0 selects rpc.DefaultMaxConcurrent.
-	MaxConcurrent int
 	// Upstreams are peer edge addresses tried in order — before the
 	// central server — for bulk refresh payloads (deltas, snapshots).
 	// The signed shard map and the central public key always come from
@@ -372,123 +369,18 @@ func (s *Server) PullAll(ctx context.Context) error {
 		return err
 	}
 	for _, name := range names {
-		if _, err := s.pull(ctx, name); err != nil {
+		if err := s.Pull(ctx, name); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Pull replicates (or refreshes) one table with full snapshots.
+// Pull replicates one table from nothing: every shard is
+// snapshot-installed and a fresh replica replaces whatever was there.
 func (s *Server) Pull(ctx context.Context, tableName string) error {
-	_, err := s.pull(ctx, tableName)
+	_, err := s.replicate(ctx, tableName, nil)
 	return err
-}
-
-// pull replicates one table shard by shard and returns the combined
-// wire size.
-func (s *Server) pull(ctx context.Context, tableName string) (int, error) {
-	return s.pullAttempt(ctx, tableName, 1)
-}
-
-// pullAttempt is pull with a bounded retry for the (rare) case of the
-// central switching table epochs, or retiring a shard of the fetched map
-// in a split or merge, mid-pull.
-func (s *Server) pullAttempt(ctx context.Context, tableName string, retries int) (int, error) {
-	sm, n, err := s.fetchVerifiedMap(ctx, tableName)
-	if err != nil {
-		return 0, err
-	}
-	total := n
-	rep := &replica{}
-	var stores []*storage.PageStore
-	for i := range sm.Map.Shards {
-		body, store, snap, err := s.pullShardStore(ctx, tableName, i, sm)
-		if err != nil {
-			if errors.Is(err, wire.ErrShardMoved) && retries > 0 {
-				return s.pullAttempt(ctx, tableName, retries-1)
-			}
-			return 0, err
-		}
-		if rep.sch == nil {
-			acc, err := digest.New(snap.AccParams.ToDigestParams())
-			if err != nil {
-				return 0, err
-			}
-			rep.sch = snap.Schema
-			rep.acc = acc
-			rep.params = snap.AccParams
-		}
-		stores = append(stores, store)
-		total += body
-	}
-	// Commits racing the per-shard snapshot loop can leave a store ahead
-	// of the map we fetched first; align before publishing so the set's
-	// map always pins exactly the data it is served with.
-	final, stores, abytes, _, _, err := s.alignShards(ctx, tableName, sm, stores, shardIDs(sm))
-	total += abytes
-	if err != nil {
-		if errors.Is(err, errEpochChanged) && retries > 0 {
-			return s.pullAttempt(ctx, tableName, retries-1)
-		}
-		return 0, err
-	}
-	if err := s.verifyAlignedStores(ctx, final, stores); err != nil {
-		return 0, err
-	}
-	if err := rep.rebuildSet(final, stores); err != nil {
-		return 0, err
-	}
-	s.setReplica(tableName, rep)
-	return total, nil
-}
-
-// pullShardStore fetches, verifies, and installs one shard's snapshot.
-// Configured upstream peers are tried first (bootstrap catch-up: a
-// late-joining edge takes its bulk from the nearest peer and only the
-// signed map and key from the central); a peer snapshot must land
-// exactly on the verified map's pin, so any failure — including a
-// replayed stale snapshot — falls through to the central.
-func (s *Server) pullShardStore(ctx context.Context, tableName string, idx int, sm *shardmap.Signed) (int, *storage.PageStore, *wire.Snapshot, error) {
-	for _, src := range s.peers.Available() {
-		if ctx.Err() != nil {
-			break
-		}
-		n, store, snap, err := s.pullPeerSnapshot(ctx, src, tableName, idx, sm)
-		if err != nil {
-			s.peerFail(src)
-			continue
-		}
-		return n, store, snap, nil
-	}
-	req := &wire.ShardSnapshotRequest{Table: tableName, ShardID: sm.Map.Shards[idx].ID}
-	body, err := s.central.Call(ctx, wire.MsgShardSnapshotReq, req.Encode(), wire.MsgSnapshotResp, true)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	s.countCentralPull(len(body))
-	snap, err := wire.DecodeSnapshot(body)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	// The verified map pins this shard's root digest: a snapshot on the
-	// map's version must recover to exactly it. A central commit racing
-	// the pull can leave the snapshot ahead of the map — then only the
-	// signature's shape is checked here, and the binding against the
-	// final map happens in verifyAlignedStores before publish.
-	var pinned []byte
-	if snap.Epoch == sm.Map.Epoch && snap.Version == sm.Map.Shards[idx].Version {
-		pinned = sm.Map.Shards[idx].RootDigest
-	}
-	if err := s.verifySnapshot(ctx, snap, pinned); err != nil {
-		return 0, nil, nil, err
-	}
-	store, err := installStore(snap)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	s.stats.snapshotsInstalled.Add(1)
-	return len(body), store, snap, nil
 }
 
 // fetchVerifiedMap pulls the table's signed shard map from the central
@@ -506,31 +398,35 @@ func (s *Server) fetchVerifiedMap(ctx context.Context, tableName string) (*shard
 	if sm.Map.Table != tableName {
 		return nil, 0, fmt.Errorf("edge: shard map names table %q, requested %q", sm.Map.Table, tableName)
 	}
-	pub, err := s.centralKey(ctx)
-	if err != nil {
+	if err := s.verifyMap(ctx, sm); err != nil {
 		return nil, 0, err
 	}
-	// Route through the verified-signature cache: an idle table serves
-	// the same signed map every tick, so steady-state refreshes skip the
-	// public-key operation entirely.
-	if err := s.verifySigCached(pub, sm.Sig, sm.Map.SigPayload()); err != nil {
-		// The central server may have rotated or regenerated its key;
-		// refetch once over the authenticated channel before rejecting.
-		if pub, err = s.refetchCentralKey(ctx); err != nil {
-			return nil, 0, err
-		}
-		if err := s.verifySigCached(pub, sm.Sig, sm.Map.SigPayload()); err != nil {
-			return nil, 0, fmt.Errorf("edge: shard map signature rejected: %w", err)
-		}
-	}
-	s.countCentralPull(len(body))
+	s.countPull(nil, len(body))
 	return sm, len(body), nil
 }
 
-// installStore builds a shard's page store from a snapshot.
+// installStore builds a shard's page store from a snapshot. Only the
+// root signature of a snapshot is signed, so everything that sizes an
+// allocation — the page size, the largest page ID — is checked against
+// the pages the snapshot actually carries before anything is allocated:
+// a relay cannot make the edge reserve more than it was sent.
 func installStore(snap *wire.Snapshot) (*storage.PageStore, error) {
 	if snap.PageSize < storage.MinPageSize {
 		return nil, errors.New("edge: snapshot page size too small")
+	}
+	var maxID storage.PageID
+	for i, id := range snap.PageIDs {
+		if len(snap.PageData[i]) != int(snap.PageSize) {
+			return nil, fmt.Errorf("edge: page %d has %d bytes, want %d", id, len(snap.PageData[i]), snap.PageSize)
+		}
+		if id > maxID {
+			maxID = id
+		}
+	}
+	// A snapshot lists every page of its shard, so its largest ID is its
+	// page count (and it has at least the root's page).
+	if maxID == 0 || int(maxID) > len(snap.PageIDs) {
+		return nil, fmt.Errorf("edge: snapshot names page %d but carries %d pages", maxID, len(snap.PageIDs))
 	}
 	store, err := storage.NewPageStore(int(snap.PageSize))
 	if err != nil {
@@ -539,19 +435,10 @@ func installStore(snap *wire.Snapshot) (*storage.PageStore, error) {
 	ov := store.Begin()
 	defer ov.Abort() // no-op once published
 	// Recreate the page address space, then overlay the snapshot pages.
-	var maxID storage.PageID
-	for _, id := range snap.PageIDs {
-		if id > maxID {
-			maxID = id
-		}
-	}
 	for ov.NumPages() <= int(maxID) {
 		ov.Allocate()
 	}
 	for i, id := range snap.PageIDs {
-		if len(snap.PageData[i]) != int(snap.PageSize) {
-			return nil, fmt.Errorf("edge: page %d has %d bytes, want %d", id, len(snap.PageData[i]), snap.PageSize)
-		}
 		if err := ov.WritePage(id, snap.PageData[i]); err != nil {
 			return nil, err
 		}
@@ -698,30 +585,15 @@ func (s *Server) RefreshAll(ctx context.Context) ([]RefreshStat, error) {
 }
 
 // Refresh brings one replica up to date (per-shard deltas if possible,
-// snapshots otherwise) and reports what was transferred.
+// snapshots otherwise) and reports what was transferred. A table this
+// edge does not replicate yet is bootstrapped.
 func (s *Server) Refresh(ctx context.Context, tableName string) (RefreshStat, error) {
-	rep := s.replica(tableName)
-	if rep == nil {
-		n, err := s.pull(ctx, tableName)
-		if err != nil {
-			return RefreshStat{}, err
-		}
-		return s.statFor(tableName, "snapshot", n, 1), nil
-	}
-	rep.refreshMu.Lock()
-	defer rep.refreshMu.Unlock()
-	cur := rep.set.Load()
-	if cur == nil {
-		// Displaced replica (a concurrent pull swapped in a successor);
-		// the registry's current replica will serve.
-		return s.statFor(tableName, "noop", 0, 0), nil
-	}
-	return s.refreshSharded(ctx, tableName, rep, cur)
+	return s.replicate(ctx, tableName, s.replica(tableName))
 }
 
-// errEpochChanged reports a shard map from a different table
-// incarnation (or a repartition) observed mid-alignment.
-var errEpochChanged = errors.New("edge: table epoch or partition changed")
+// errEpochChanged reports a shard store whose version history descends
+// from a different table incarnation than the signed map's.
+var errEpochChanged = errors.New("edge: table epoch changed")
 
 // maxAlignAttempts bounds the map-refetch loop when central commits
 // race the refresh; each attempt converges unless yet another commit
@@ -730,60 +602,93 @@ var errEpochChanged = errors.New("edge: table epoch or partition changed")
 // serving).
 const maxAlignAttempts = 4
 
-// refreshSharded refreshes a replica: one signed map fetch, a delta per
-// stale shard (aligned so the map pins exactly the data), then one atomic
-// set publish.
-func (s *Server) refreshSharded(ctx context.Context, tableName string, rep *replica, cur *tableSet) (RefreshStat, error) {
-	next, n, err := s.fetchVerifiedMap(ctx, tableName)
-	if err != nil {
-		return RefreshStat{}, err
-	}
-	stat := RefreshStat{Table: tableName, Mode: "noop", Bytes: n,
-		FromVersion: cur.smap.Map.MapVersion}
-	stores := make([]*storage.PageStore, len(cur.shards))
-	for i, sr := range cur.shards {
-		stores[i] = sr.store
-	}
-	final, stores, bytes, refreshed, snapshotted, err := s.alignShards(ctx, tableName, next, stores, shardIDs(cur.smap))
-	stat.Bytes += bytes
-	if errors.Is(err, errEpochChanged) {
-		// Different incarnation (or repartitioned): this replica's
-		// history is dead. Flag it so queries report staleness, then
-		// install a fresh replica from scratch.
-		rep.diverged.Store(true)
-		pn, perr := s.pull(ctx, tableName)
-		if perr != nil {
-			return RefreshStat{}, perr
+// maxEpochRestarts bounds how often one replicate call starts over from
+// no stores because the table's incarnation changed under it.
+const maxEpochRestarts = 2
+
+// maxDeltaHops bounds how many consecutive deltas one shard accepts from
+// one source — a guard rail, not a protocol limit (each accepted hop must
+// advance the store, so the loop already cannot cycle).
+const maxDeltaHops = 64
+
+// replicate is the one replication loop: it brings tableName's shard
+// stores to a verified signed map and publishes them as one set. The
+// starting stores are an input, not a mode — rep's published stores when
+// rep is non-nil (a refresh: stale stores, or stores laid out for an
+// earlier partition), none when it is nil (a bootstrap: the result is
+// installed as a fresh replica). Stores from a dead table incarnation
+// flag rep diverged, so queries report staleness instead of answering
+// from it, and the loop starts again from none.
+func (s *Server) replicate(ctx context.Context, tableName string, rep *replica) (RefreshStat, error) {
+	stat := RefreshStat{Table: tableName, Mode: "noop"}
+	var stores []*storage.PageStore
+	var ids []uint64
+	if rep != nil {
+		rep.refreshMu.Lock()
+		defer rep.refreshMu.Unlock()
+		cur := rep.set.Load()
+		if cur == nil {
+			// Displaced replica (a concurrent pull swapped in a successor);
+			// the registry's current replica will serve.
+			return stat, nil
 		}
-		stat.Mode = "snapshot"
-		stat.Bytes += pn
-		stat.ShardsRefreshed = len(next.Map.Shards)
-		s.stats.refreshesApplied.Add(1)
-		return stat, nil
+		stat.FromVersion = cur.smap.Map.MapVersion
+		ids = shardIDs(cur.smap)
+		for _, sr := range cur.shards {
+			stores = append(stores, sr.store)
+		}
 	}
-	if err != nil {
-		return RefreshStat{}, err
-	}
-	stat.ToVersion = final.Map.MapVersion
-	stat.ShardsRefreshed = refreshed
-	switch {
-	case refreshed == 0:
-		stat.Mode = "noop"
-	case snapshotted:
-		stat.Mode = "snapshot"
-	default:
-		stat.Mode = "delta"
+	var a alignment
+	for restarts := 0; ; restarts++ {
+		sm, n, err := s.fetchVerifiedMap(ctx, tableName)
+		if err != nil {
+			return RefreshStat{}, err
+		}
+		stat.Bytes += n
+		a, err = s.alignShards(ctx, tableName, sm, stores, ids)
+		stat.Bytes += a.bytes
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, errEpochChanged) || restarts >= maxEpochRestarts {
+			return RefreshStat{}, err
+		}
+		if stores != nil {
+			rep.diverged.Store(true)
+			stores, ids = nil, nil
+		}
 	}
 	// One atomic publish: the new map and the shard snapshots it pins
 	// become visible together, so a query can never pair an answer with
 	// a map from a different refresh generation.
-	if err := s.verifyAlignedStores(ctx, final, stores); err != nil {
+	if err := s.verifyAlignedStores(ctx, a.smap, a.stores); err != nil {
 		return RefreshStat{}, err
 	}
-	if err := rep.rebuildSet(final, stores); err != nil {
+	target := rep
+	if stores == nil {
+		// Started from none: the stores become a fresh replica.
+		acc, err := digest.New(a.params.ToDigestParams())
+		if err != nil {
+			return RefreshStat{}, err
+		}
+		target = &replica{sch: a.sch, acc: acc, params: a.params}
+	}
+	if err := target.rebuildSet(a.smap, a.stores); err != nil {
 		return RefreshStat{}, err
 	}
-	if stat.ShardsRefreshed > 0 {
+	if target != rep {
+		s.setReplica(tableName, target)
+	}
+	stat.ToVersion = a.smap.Map.MapVersion
+	stat.ShardsRefreshed = a.refreshed
+	switch {
+	case a.refreshed == 0:
+	case a.snapshotted:
+		stat.Mode = "snapshot"
+	default:
+		stat.Mode = "delta"
+	}
+	if rep != nil && a.refreshed > 0 {
 		s.stats.refreshesApplied.Add(1)
 	}
 	return stat, nil
@@ -810,98 +715,82 @@ func sameIDs(a, b []uint64) bool {
 	return true
 }
 
-// remapStores rebinds a store slice laid out for the partition
-// identified by ids onto sm's partition, matching by stable shard ID:
-// shards that survived the transition carry their stores (and pinned
-// pages) over untouched, shards the transition created are
-// snapshot-installed, and the relay cache lets go of the retired shards'
-// deltas (replication addresses by ID, so nothing can ask for them
-// again).
-func (s *Server) remapStores(ctx context.Context, tableName string, sm *shardmap.Signed, stores []*storage.PageStore, ids []uint64) (outStores []*storage.PageStore, bytes int, err error) {
-	byID := make(map[uint64]*storage.PageStore, len(ids))
-	for i, id := range ids {
-		if i < len(stores) {
-			byID[id] = stores[i]
-		}
-	}
-	mapIDs := shardIDs(sm)
-	outStores = make([]*storage.PageStore, len(mapIDs))
-	for i, id := range mapIDs {
-		if st, ok := byID[id]; ok {
-			outStores[i] = st
-			delete(byID, id)
-			continue
-		}
-		n, store, _, err := s.pullShardStore(ctx, tableName, i, sm)
-		if err != nil {
-			return nil, bytes, err
-		}
-		outStores[i] = store
-		bytes += n
-	}
-	for id := range byID {
-		s.relay.Drop(wire.ShardRef(tableName, id))
-	}
-	s.stats.reshardsApplied.Add(1)
-	return outStores, bytes, nil
+// alignment is what one alignShards call produced: the map the stores
+// ended aligned to, the stores in that map's partition order, and what
+// it cost to get there.
+type alignment struct {
+	smap   *shardmap.Signed
+	stores []*storage.PageStore
+	// sch and params describe the table as the first snapshot installed
+	// along the way declared it (a bootstrap builds its replica from
+	// them; sch is nil when no snapshot was installed).
+	sch    *schema.Schema
+	params wire.AccParams
+	// bytes is the wire size of the payloads that carried state,
+	// refreshed how many shards shipped pages, snapshotted whether any of
+	// them was snapshot-installed.
+	bytes, refreshed int
+	snapshotted      bool
 }
 
-// alignShards brings every store to exactly the shard versions sm pins,
-// refetching the map (bounded) when a central commit racing the refresh
-// leaves a store ahead of the map — published sets must never pair a
-// map with data from a different version. Deltas are negotiated from
-// each store's HEAD (not the published set), so a refresh that failed
-// partway resumes cleanly instead of wedging on version mismatches.
+// alignShards brings a table's stores to exactly the shard versions sm
+// pins by walking the map's stable shard IDs: an ID with no store gets a
+// snapshot, a store behind its pin gets deltas (refreshShard), and a
+// store ahead of its pin — a central commit raced the refresh — or a
+// typed ShardMoved — a split or merge retired a shard sm names, so sm is
+// a superseded generation — refetches the map (bounded); published sets
+// must never pair a map with data from a different version. Deltas are
+// negotiated from each store's HEAD (not the published set), so a
+// refresh that failed partway resumes cleanly instead of wedging on
+// version mismatches.
 //
-// ids is the stable shard-ID sequence of the partition the stores were
-// laid out for. When sm describes a different partition of the same
-// table incarnation (an online split or merge), stores are re-bound by
-// ID — surviving shards carry over, new shards snapshot-install — so a
-// reshard never discards unaffected state. A transition that lands
-// between the map fetch and a shard request shows as the central's typed
-// ShardMoved (it no longer holds a shard sm names): sm is a superseded
-// generation, and that too is answered by refetching the map. Returns
-// the map the stores ended aligned to and the (possibly resized) store
-// slice.
-func (s *Server) alignShards(ctx context.Context, tableName string, sm *shardmap.Signed, stores []*storage.PageStore, ids []uint64) (final *shardmap.Signed, outStores []*storage.PageStore, bytes, refreshed int, snapshotted bool, err error) {
-	// pass runs one alignment pass against sm and reports whether every
-	// store ended on the version sm pins.
-	pass := func() (bool, error) {
-		if mapIDs := shardIDs(sm); !sameIDs(mapIDs, ids) {
-			newStores, n, err := s.remapStores(ctx, tableName, sm, stores, ids)
-			bytes += n
-			if err != nil {
-				return false, err
-			}
-			stores, ids = newStores, mapIDs
-			refreshed++
-			snapshotted = true
+// stores is the starting state, laid out for the partition whose stable
+// shard-ID sequence is ids; both are empty for a bootstrap. Stores are
+// matched to sm by ID, so when sm describes a different partition of the
+// same table incarnation (an online split or merge) surviving shards
+// carry their stores over untouched, only the shards the transition
+// created are snapshot-installed, and the relay cache lets go of the
+// retired shards' deltas (replication addresses by ID, so nothing can
+// ask for them again).
+func (s *Server) alignShards(ctx context.Context, tableName string, sm *shardmap.Signed, stores []*storage.PageStore, ids []uint64) (alignment, error) {
+	var a alignment
+	held := make(map[uint64]*storage.PageStore, len(ids))
+	for i, id := range ids {
+		if i < len(stores) {
+			held[id] = stores[i]
 		}
+	}
+	// pass walks sm once and reports whether every store ended on the
+	// version sm pins.
+	pass := func() (bool, error) {
 		aligned := true
-		for i := range stores {
-			head, err := storeState(stores[i])
-			if err != nil {
-				return false, err
+		for i := range sm.Map.Shards {
+			pin := &sm.Map.Shards[i]
+			var head *vbtree.TableState
+			var err error
+			store := held[pin.ID]
+			if store != nil {
+				if head, err = storeState(store); err != nil {
+					return false, err
+				}
+			}
+			if head == nil || head.Epoch == sm.Map.Epoch && head.Version < pin.Version {
+				if store, err = s.refreshShard(ctx, tableName, sm, i, store, &a); err != nil {
+					return false, err
+				}
+				held[pin.ID] = store
+				a.refreshed++
+				if head, err = storeState(store); err != nil {
+					return false, err
+				}
 			}
 			if head.Epoch != sm.Map.Epoch {
 				return false, fmt.Errorf("%w: map epoch %d, shard %d epoch %d", errEpochChanged, sm.Map.Epoch, i, head.Epoch)
 			}
-			if sm.Map.Shards[i].Version > head.Version {
-				n, mode, store, err := s.refreshShard(ctx, tableName, stores[i], i, head, sm)
-				if err != nil {
-					return false, err
-				}
-				stores[i] = store
-				bytes += n
-				refreshed++
-				snapshotted = snapshotted || mode == "snapshot"
-				if head, err = storeState(stores[i]); err != nil {
-					return false, err
-				}
-			}
-			if head.Version != sm.Map.Shards[i].Version {
-				// The store ended ahead of this map (a commit raced us):
-				// a newer signed map pinning the head exists — fetch it.
+			if head.Version != pin.Version {
+				// The store is not where this map pins it (ahead: a commit
+				// raced us): a newer signed map pinning the head exists —
+				// fetch it.
 				aligned = false
 			}
 		}
@@ -910,163 +799,266 @@ func (s *Server) alignShards(ctx context.Context, tableName string, sm *shardmap
 	for attempt := 0; ; attempt++ {
 		aligned, err := pass()
 		if err != nil && !errors.Is(err, wire.ErrShardMoved) {
-			return nil, stores, bytes, refreshed, snapshotted, err
+			return a, err
 		}
 		if err == nil && aligned {
-			return sm, stores, bytes, refreshed, snapshotted, nil
+			break
 		}
 		if attempt >= maxAlignAttempts {
-			return nil, stores, bytes, refreshed, snapshotted, fmt.Errorf("edge: central commits kept racing the refresh of %q; retrying next tick", tableName)
+			return a, fmt.Errorf("edge: central commits kept racing the refresh of %q; retrying next tick", tableName)
 		}
 		next, n, err := s.fetchVerifiedMap(ctx, tableName)
 		if err != nil {
-			return nil, stores, bytes, refreshed, snapshotted, err
+			return a, err
 		}
-		bytes += n
+		a.bytes += n
 		sm = next
 	}
+	a.smap = sm
+	a.stores = make([]*storage.PageStore, len(sm.Map.Shards))
+	for i := range sm.Map.Shards {
+		id := sm.Map.Shards[i].ID
+		a.stores[i] = held[id]
+		delete(held, id)
+	}
+	for id := range held {
+		s.relay.Drop(wire.ShardRef(tableName, id))
+	}
+	if len(ids) > 0 && !sameIDs(ids, shardIDs(sm)) {
+		s.stats.reshardsApplied.Add(1)
+	}
+	return a, nil
 }
 
-// refreshShard brings one shard's store up to date via delta, falling
-// back to a shard snapshot (which replaces the store). Configured
-// upstream peers are drained first — sm is the central-verified map
-// naming the target, so a peer either makes verified forward progress
-// toward it or is failed over — and the central finishes whatever the
-// peers could not cover.
-func (s *Server) refreshShard(ctx context.Context, tableName string, store *storage.PageStore, idx int, st *vbtree.TableState, sm *shardmap.Signed) (int, string, *storage.PageStore, error) {
-	id := sm.Map.Shards[idx].ID
-	ref := wire.ShardRef(tableName, id)
-	var total int
-	var peerMode string
-	if s.peers.Len() > 0 {
-		n, pmode, fresh, err := s.refreshShardFromPeers(ctx, tableName, store, idx, st, sm)
-		total += n
-		if err != nil {
-			return 0, "", nil, err
-		}
-		if pmode != "" {
-			peerMode, store = pmode, fresh
-			if st, err = storeState(store); err != nil {
-				return 0, "", nil, err
+// sources lists where a bulk payload (snapshot, delta) is asked for, in
+// order: the available upstream peers, then the central server (nil).
+// Trust anchors — the signed shard map and the central public key —
+// always come from the central.
+func (s *Server) sources() []*peer.Source {
+	return append(s.peers.Available(), nil)
+}
+
+// connOf returns the connection to a source (nil: the central).
+func (s *Server) connOf(src *peer.Source) *rpc.Conn {
+	if src == nil {
+		return s.central
+	}
+	return src.Conn()
+}
+
+// refreshShard moves shard idx of sm to its pin and returns the store
+// holding the result: store itself, advanced by deltas hop by hop, or —
+// when there is no store to start from, or the source says no delta can
+// bridge the gap (the central's signed SnapshotNeeded, a peer's typed
+// DeltaGap) — a snapshot-installed replacement. Sources are tried in
+// order; a peer that fails in any way (unreachable, typed behind, bad
+// signature, source rule) is backed off and the next source continues
+// from wherever the store got to, so a malicious or wedged peer costs
+// latency, never correctness. Only the central's failure, ctx expiry or
+// a local store fault aborts.
+func (s *Server) refreshShard(ctx context.Context, tableName string, sm *shardmap.Signed, idx int, store *storage.PageStore, a *alignment) (*storage.PageStore, error) {
+	target := sm.Map.Shards[idx].Version
+	for _, src := range s.sources() {
+		for hops := 0; hops < maxDeltaHops; hops++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
-		}
-		if st.Version >= sm.Map.Shards[idx].Version {
-			return total, peerMode, store, nil
+			var err error
+			gap := store == nil
+			if !gap {
+				head, herr := storeState(store)
+				if herr != nil {
+					return nil, herr
+				}
+				if head.Version >= target {
+					return store, nil
+				}
+				var d *wire.Delta
+				d, err = s.fetchDelta(ctx, src, tableName, sm.Map.Shards[idx].ID, store, head, a)
+				if err == nil && !d.SnapshotNeeded {
+					if d.ToVersion == head.Version {
+						// The central has nothing past the head although sm
+						// pins more: sm is not its map; alignShards refetches.
+						return store, nil
+					}
+					continue
+				}
+				gap = err == nil || errors.Is(err, wire.ErrDeltaGap)
+			}
+			if gap {
+				var fresh *storage.PageStore
+				if fresh, err = s.fetchSnapshot(ctx, src, tableName, sm, idx, a); err == nil {
+					return fresh, nil
+				}
+			}
+			if src == nil {
+				return nil, err
+			}
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, cerr
+			}
+			s.peerFail(src)
+			break
 		}
 	}
-	req := &wire.ShardDeltaRequest{Table: tableName, ShardID: id, FromVersion: st.Version, Epoch: st.Epoch}
-	body, err := s.central.Call(ctx, wire.MsgShardDeltaReq, req.Encode(), wire.MsgDeltaResp, true)
+	return store, nil
+}
+
+// fetchSnapshot asks src for the snapshot of shard idx of sm and installs
+// it as a new store — the request, decode, source rule, signature check,
+// install, relay-cache and counter updates of every snapshot this edge
+// takes, whoever serves it and whatever it is for.
+//
+// Source rule: a peer's snapshot must land exactly on the verified map's
+// pin (same epoch, the pinned version, a root signature authenticating
+// the pinned digest), so a replayed stale snapshot or another shard's
+// payload fails here. Only the central itself may serve state the map
+// cannot vouch for yet — a commit racing the pull leaves its snapshot
+// ahead of the map; then only the signature's shape is checked here and
+// verifyAlignedStores binds the store to the final map before publish.
+func (s *Server) fetchSnapshot(ctx context.Context, src *peer.Source, tableName string, sm *shardmap.Signed, idx int, a *alignment) (*storage.PageStore, error) {
+	pin := &sm.Map.Shards[idx]
+	req := &wire.ShardSnapshotRequest{Table: tableName, ShardID: pin.ID}
+	body, err := s.connOf(src).Call(ctx, wire.MsgShardSnapshotReq, req.Encode(), wire.MsgSnapshotResp, true)
 	if err != nil {
-		return 0, "", nil, err
+		return nil, err
 	}
-	s.countCentralPull(len(body))
+	snap, err := wire.DecodeSnapshot(body)
+	if err != nil {
+		return nil, err
+	}
+	var pinned []byte
+	if snap.Epoch == sm.Map.Epoch && snap.Version == pin.Version {
+		pinned = pin.RootDigest
+	} else if src != nil {
+		return nil, wire.Behind(tableName, fmt.Sprintf(
+			"edge: peer snapshot at epoch %d v%d, verified map pins epoch %d v%d",
+			snap.Epoch, snap.Version, sm.Map.Epoch, pin.Version))
+	}
+	if err := s.verifySnapshot(ctx, snap, pinned); err != nil {
+		return nil, err
+	}
+	store, err := installStore(snap)
+	if err != nil {
+		return nil, err
+	}
+	// The store's history restarts here: relayable deltas below it no
+	// longer chain to anything this edge serves.
+	s.relay.Drop(wire.ShardRef(tableName, pin.ID))
+	s.stats.snapshotsInstalled.Add(1)
+	s.countPull(src, len(body))
+	a.bytes += len(body)
+	a.snapshotted = true
+	if a.sch == nil {
+		a.sch, a.params = snap.Schema, snap.AccParams
+	}
+	return store, nil
+}
+
+// fetchDelta asks src for the delta that continues shard id's store from
+// its head and applies it — the request, decode, signature check, source
+// rule, apply, relay-cache and counter updates of every delta this edge
+// takes. The verified delta is returned so the caller can tell progress
+// from the central's two other answers.
+//
+// Source rule: a relayed delta must anchor at the store's exact head and
+// move it strictly forward. SnapshotNeeded markers and noops are
+// central-only answers — from a peer they could replay forever, so they
+// count as a failed source instead.
+func (s *Server) fetchDelta(ctx context.Context, src *peer.Source, tableName string, id uint64, store *storage.PageStore, head *vbtree.TableState, a *alignment) (*wire.Delta, error) {
+	ref := wire.ShardRef(tableName, id)
+	req := &wire.ShardDeltaRequest{Table: tableName, ShardID: id, FromVersion: head.Version, Epoch: head.Epoch}
+	body, err := s.connOf(src).Call(ctx, wire.MsgShardDeltaReq, req.Encode(), wire.MsgDeltaResp, true)
+	if err != nil {
+		return nil, err
+	}
 	d, err := wire.DecodeDelta(body)
 	if err != nil {
-		return 0, "", nil, err
+		return nil, err
 	}
 	if err := s.verifyDelta(ctx, d, body); err != nil {
-		return 0, "", nil, err
+		return nil, err
 	}
-	if d.SnapshotNeeded {
-		sreq := &wire.ShardSnapshotRequest{Table: tableName, ShardID: id}
-		sbody, err := s.central.Call(ctx, wire.MsgShardSnapshotReq, sreq.Encode(), wire.MsgSnapshotResp, true)
-		if err != nil {
-			return 0, "", nil, err
-		}
-		s.countCentralPull(len(sbody))
-		snap, err := wire.DecodeSnapshot(sbody)
-		if err != nil {
-			return 0, "", nil, err
-		}
-		// The delta is whole-body signed and already verified, and signing
-		// is deterministic: when it carries root metadata and the fallback
-		// snapshot lands on its target version, the root signature must be
-		// byte-identical. Otherwise (SnapshotNeeded deltas omit the root,
-		// or the central committed again) the signature is shape-checked
-		// now and bound to the final map in verifyAlignedStores.
-		if len(d.RootSig) > 0 && snap.Version == d.ToVersion && snap.Epoch == d.Epoch {
-			if !bytes.Equal(snap.RootSig, d.RootSig) {
-				return 0, "", nil, errors.New("edge: fallback snapshot root signature does not match the verified delta")
-			}
-		} else if err := s.verifySnapshot(ctx, snap, nil); err != nil {
-			return 0, "", nil, err
-		}
-		fresh, err := installStore(snap)
-		if err != nil {
-			return 0, "", nil, err
-		}
-		s.relay.Drop(ref)
-		s.stats.snapshotsInstalled.Add(1)
-		return total + len(body) + len(sbody), "snapshot", fresh, nil
+	if src != nil && (d.Table != ref || d.SnapshotNeeded || d.Epoch != head.Epoch ||
+		d.FromVersion != head.Version || d.ToVersion <= head.Version) {
+		return nil, fmt.Errorf("edge: peer delta for %q (epoch %d, v%d→v%d, snapshot-needed %t) makes no progress from %q epoch %d v%d",
+			d.Table, d.Epoch, d.FromVersion, d.ToVersion, d.SnapshotNeeded, ref, head.Epoch, head.Version)
 	}
-	if d.ToVersion == st.Version {
-		mode := "noop"
-		if peerMode != "" {
-			mode = peerMode
+	if !d.SnapshotNeeded && d.ToVersion != head.Version {
+		if err := applyDelta(store, d, ref); err != nil {
+			return nil, err
 		}
-		return total + len(body), mode, store, nil
+		s.relay.Put(ref, d.Epoch, d.FromVersion, d.ToVersion, body)
+		s.stats.deltasApplied.Add(1)
 	}
-	if err := applyDelta(store, d, ref); err != nil {
-		return 0, "", nil, err
-	}
-	s.relay.Put(ref, d.Epoch, d.FromVersion, d.ToVersion, body)
-	s.stats.deltasApplied.Add(1)
-	mode := "delta"
-	if peerMode == "snapshot" {
-		mode = "snapshot"
-	}
-	return total + len(body), mode, store, nil
+	s.countPull(src, len(body))
+	a.bytes += len(body)
+	return d, nil
 }
 
-// verifyDelta signature-checks a delta against the central key,
-// refetching the key once on mismatch (the central may have rotated).
+// underCentralKey runs check under the cached central key and — the
+// central may have rotated or regenerated its key since the cache was
+// filled — once more under a key refetched over the authenticated
+// channel before the rejection stands.
+func (s *Server) underCentralKey(ctx context.Context, check func(*sig.PublicKey) error) error {
+	pub, err := s.centralKey(ctx)
+	if err != nil {
+		return err
+	}
+	if check(pub) == nil {
+		return nil
+	}
+	if pub, err = s.refetchCentralKey(ctx); err != nil {
+		return err
+	}
+	return check(pub)
+}
+
+// verifyMap signature-checks a fetched shard map. It goes through the
+// verified-signature cache: an idle table serves the same signed map
+// every tick, so steady-state refreshes skip the public-key operation
+// entirely.
+func (s *Server) verifyMap(ctx context.Context, sm *shardmap.Signed) error {
+	return s.underCentralKey(ctx, func(pub *sig.PublicKey) error {
+		if err := s.verifySigCached(pub, sm.Sig, sm.Map.SigPayload()); err != nil {
+			return fmt.Errorf("edge: shard map signature rejected: %w", err)
+		}
+		return nil
+	})
+}
+
+// verifyDelta signature-checks a delta's received bytes.
 func (s *Server) verifyDelta(ctx context.Context, d *wire.Delta, body []byte) error {
 	payload, err := d.SigPayloadOfBody(body)
 	if err != nil {
 		return err
 	}
-	pub, err := s.centralKey(ctx)
-	if err != nil {
-		return err
-	}
-	if err := pub.Verify(d.Sig, payload); err != nil {
-		if pub, err = s.refetchCentralKey(ctx); err != nil {
-			return err
-		}
+	return s.underCentralKey(ctx, func(pub *sig.PublicKey) error {
 		if err := pub.Verify(d.Sig, payload); err != nil {
 			return fmt.Errorf("edge: delta signature rejected: %w", err)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // verifySnapshot anchors a pulled snapshot in the central key before any
 // of its pages are installed, closing the asymmetry with the delta path
 // (deltas are whole-body signed and checked by verifyDelta; snapshots
 // carry the tree's signed root digest). The root signature must recover
-// to a digest of the right shape under the central key — refetching the
-// key once on rejection, like verifyDelta — and when pinned is non-nil
-// (a root digest vouched for by already-verified material, such as the
-// signed shard map) the recovered digest must equal it.
+// to a digest of the right shape under the central key and, when pinned
+// is non-nil (a root digest vouched for by already-verified material,
+// such as the signed shard map), the recovered digest must equal it.
 func (s *Server) verifySnapshot(ctx context.Context, snap *wire.Snapshot, pinned []byte) error {
 	acc, err := digest.New(snap.AccParams.ToDigestParams())
 	if err != nil {
 		return err
 	}
-	pub, err := s.centralKey(ctx)
-	if err != nil {
-		return err
-	}
-	if recoverPinned(pub, acc, snap.RootSig, pinned) == nil {
+	return s.underCentralKey(ctx, func(pub *sig.PublicKey) error {
+		if err := recoverPinned(pub, acc, snap.RootSig, pinned); err != nil {
+			return fmt.Errorf("edge: snapshot root signature rejected: %w", err)
+		}
 		return nil
-	}
-	if pub, err = s.refetchCentralKey(ctx); err != nil {
-		return err
-	}
-	if err := recoverPinned(pub, acc, snap.RootSig, pinned); err != nil {
-		return fmt.Errorf("edge: snapshot root signature rejected: %w", err)
-	}
-	return nil
+	})
 }
 
 // recoverPinned checks a root signature under pub — and binds it to a
@@ -1105,30 +1097,26 @@ func recoverPinned(pub *sig.PublicKey, acc *digest.Accumulator, rootSig, pinned 
 // recover, under the central key, to exactly the root digest the
 // verified map pins for that shard. One public-exponent RSA operation
 // per shard — the cost the central itself pays per commit for
-// Tree.RootDigest. This is the binding pullShardStore defers when a
-// racing commit leaves a snapshot ahead of the map it was pulled with.
+// Tree.RootDigest. This is the binding fetchSnapshot defers when a
+// racing commit leaves a central snapshot ahead of the map it was pulled
+// with.
 func (s *Server) verifyAlignedStores(ctx context.Context, sm *shardmap.Signed, stores []*storage.PageStore) error {
-	pub, err := s.centralKey(ctx)
-	if err != nil {
-		return err
-	}
+	heads := make([]*vbtree.TableState, len(stores))
 	for i, store := range stores {
 		st, err := storeState(store)
 		if err != nil {
 			return err
 		}
-		if err := s.verifySigCached(pub, st.RootSig, sm.Map.Shards[i].RootDigest); err != nil {
-			// The central may have rotated keys since the cache was
-			// filled; retry once with a fresh key before condemning.
-			if pub, err = s.refetchCentralKey(ctx); err != nil {
-				return err
-			}
+		heads[i] = st
+	}
+	return s.underCentralKey(ctx, func(pub *sig.PublicKey) error {
+		for i, st := range heads {
 			if err := s.verifySigCached(pub, st.RootSig, sm.Map.Shards[i].RootDigest); err != nil {
 				return fmt.Errorf("edge: shard %d of %q: root signature does not authenticate the digest its signed map pins", i, sm.Map.Table)
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // edgeSigCacheMax bounds the verified-signature cache: refresh ticks
@@ -1175,17 +1163,6 @@ func appendCacheKey(version uint32, sg sig.Signature) []byte {
 	out := make([]byte, 0, 4+len(sg))
 	out = append(out, byte(version>>24), byte(version>>16), byte(version>>8), byte(version))
 	return append(out, sg...)
-}
-
-func (s *Server) statFor(tableName, mode string, bytes, shards int) RefreshStat {
-	st := RefreshStat{Table: tableName, Mode: mode, Bytes: bytes, ShardsRefreshed: shards}
-	if rep := s.replica(tableName); rep != nil {
-		if set := rep.set.Load(); set != nil {
-			st.ToVersion = set.smap.Map.MapVersion
-			st.ShardsRefreshed = len(set.shards)
-		}
-	}
-	return st
 }
 
 // centralKey fetches (once) the central server's public key over the
@@ -1402,10 +1379,9 @@ func (s *Server) helloCaps() uint32 {
 // requests concurrently until it disconnects or idles out.
 func (s *Server) handleConn(conn net.Conn) {
 	rpc.ServeConn(conn, s.dispatch, rpc.ServeOptions{
-		IdleTimeout:   s.opts.IdleTimeout,
-		MaxConcurrent: s.opts.MaxConcurrent,
-		BaseContext:   s.baseCtx,
-		Capabilities:  s.helloCaps(),
+		IdleTimeout:  s.opts.IdleTimeout,
+		BaseContext:  s.baseCtx,
+		Capabilities: s.helloCaps(),
 	})
 }
 

@@ -112,6 +112,15 @@ func TestInstallStoreValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A page ID the snapshot's own page count cannot justify (pages are
+	// not signed, so a relay could splice one in).
+	last := len(snap.PageIDs) - 1
+	id := snap.PageIDs[last]
+	snap.PageIDs[last] = 1 << 30
+	if _, err := installStore(snap); err == nil {
+		t.Fatal("sparse page ID accepted")
+	}
+	snap.PageIDs[last] = id
 	// Corrupt page length.
 	snap.PageData[0] = snap.PageData[0][:10]
 	if _, err := installStore(snap); err == nil {

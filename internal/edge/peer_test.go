@@ -9,6 +9,7 @@ import (
 	"edgeauth/internal/client"
 	"edgeauth/internal/query"
 	"edgeauth/internal/schema"
+	"edgeauth/internal/sig"
 	"edgeauth/internal/wire"
 )
 
@@ -18,7 +19,13 @@ import (
 // Only the tier-1 edge has pulled; the caller decides when tier-2 does.
 func startPeerTier(t *testing.T, rows, shards int) (srv *central.Server, centralAddr string, t1 *Server, t2 *Server) {
 	t.Helper()
-	srv, centralAddr = startCentralOpts(t, rows, central.Options{PageSize: 1024, Shards: shards})
+	return startPeerTierKey(t, rows, shards, serverKey(t))
+}
+
+// startPeerTierKey is startPeerTier under a caller-chosen signing key.
+func startPeerTierKey(t *testing.T, rows, shards int, key *sig.PrivateKey) (srv *central.Server, centralAddr string, t1 *Server, t2 *Server) {
+	t.Helper()
+	srv, centralAddr = startCentralKey(t, rows, central.Options{PageSize: 1024, Shards: shards}, key)
 	t1 = NewWithOptions(centralAddr, Options{ServePeers: true})
 	if err := t1.PullAll(context.Background()); err != nil {
 		t.Fatal(err)
@@ -51,65 +58,79 @@ func verifiedCount(t *testing.T, edgeAddr, centralAddr string, loID int64) int {
 	return len(res.Result.Tuples)
 }
 
-// TestPeerTierBootstrapAndDeltaRelay is the tier's happy path: a
-// late-joining edge bootstraps its shard snapshots from a peer (only
-// the signed map and key come from the central), and subsequent commits
-// reach it as relayed deltas the peer itself pulled — with the central
-// egressing bulk once, to tier-1.
+// TestPeerTierBootstrapAndDeltaRelay is the tier's happy path, under
+// every signature scheme: a late-joining edge bootstraps its shard
+// snapshots from a peer (only the signed map and key come from the
+// central), and subsequent commits reach it as relayed deltas the peer
+// itself pulled — with the central egressing bulk once, to tier-1. What
+// tier-2 then serves must verify at a client: a relayed snapshot that
+// loses the scheme makes an honest edge's Merkle answers look tampered.
 func TestPeerTierBootstrapAndDeltaRelay(t *testing.T) {
-	ctx := context.Background()
-	srv, centralAddr, t1, t2 := startPeerTier(t, 300, 2)
+	for _, scheme := range []sig.Scheme{sig.SchemeRSAFull, sig.SchemeRSAMerkle, sig.SchemeEd25519} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			key, err := sig.Generate(scheme, 512)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			srv, centralAddr, t1, t2 := startPeerTierKey(t, 300, 2, key)
 
-	// Bootstrap: both shard snapshots come from the peer.
-	if err := t2.PullAll(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := t2.Stats().PeerPayloadsPulled; got != 2 {
-		t.Fatalf("tier-2 pulled %d payloads from peers during bootstrap, want 2 snapshots", got)
-	}
-	if got := t1.Stats().PeerPayloadsServed; got != 2 {
-		t.Fatalf("tier-1 served %d peer payloads, want 2", got)
-	}
-	if got := t2.Stats().PeerFailovers; got != 0 {
-		t.Fatalf("clean bootstrap recorded %d failovers", got)
-	}
+			// Bootstrap: both shard snapshots come from the peer.
+			if err := t2.PullAll(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if got := t2.Stats().PeerPayloadsPulled; got != 2 {
+				t.Fatalf("tier-2 pulled %d payloads from peers during bootstrap, want 2 snapshots", got)
+			}
+			if got := t1.Stats().PeerPayloadsServed; got != 2 {
+				t.Fatalf("tier-1 served %d peer payloads, want 2", got)
+			}
+			if got := t2.Stats().PeerFailovers; got != 0 {
+				t.Fatalf("clean bootstrap recorded %d failovers", got)
+			}
+			t2Addr := startEdge(t, t2)
+			if n := verifiedCount(t, t2Addr, centralAddr, 0); n != 300 {
+				t.Fatalf("verified rows through the peer-bootstrapped edge = %d, want 300", n)
+			}
 
-	// A commit propagates tier by tier: tier-1 pulls the central delta
-	// (and caches the raw body), tier-2 gets it relayed.
-	if err := srv.Insert("items", freshRow(t, 500_000)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := t1.Refresh(ctx, "items"); err != nil {
-		t.Fatal(err)
-	}
-	preCentral := t2.Stats().CentralPayloadsPulled
-	st, err := t2.Refresh(ctx, "items")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Mode != "delta" || st.ShardsRefreshed != 1 {
-		t.Fatalf("tier-2 refresh: mode=%q shards=%d, want delta/1", st.Mode, st.ShardsRefreshed)
-	}
-	// The only central payload in the round is the signed shard map; the
-	// delta came from the peer.
-	if got := t2.Stats().CentralPayloadsPulled - preCentral; got != 1 {
-		t.Fatalf("tier-2 pulled %d central payloads in the refresh round, want 1 (the map)", got)
-	}
-	if got := t2.Stats().PeerPayloadsPulled; got != 3 {
-		t.Fatalf("tier-2 peer payloads after refresh = %d, want 3", got)
-	}
+			// A commit propagates tier by tier: tier-1 pulls the central delta
+			// (and caches the raw body), tier-2 gets it relayed.
+			if err := srv.Insert("items", freshRow(t, 500_000)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := t1.Refresh(ctx, "items"); err != nil {
+				t.Fatal(err)
+			}
+			preCentral := t2.Stats().CentralPayloadsPulled
+			st, err := t2.Refresh(ctx, "items")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Mode != "delta" || st.ShardsRefreshed != 1 {
+				t.Fatalf("tier-2 refresh: mode=%q shards=%d, want delta/1", st.Mode, st.ShardsRefreshed)
+			}
+			// The only central payload in the round is the signed shard map; the
+			// delta came from the peer.
+			if got := t2.Stats().CentralPayloadsPulled - preCentral; got != 1 {
+				t.Fatalf("tier-2 pulled %d central payloads in the refresh round, want 1 (the map)", got)
+			}
+			if got := t2.Stats().PeerPayloadsPulled; got != 3 {
+				t.Fatalf("tier-2 peer payloads after refresh = %d, want 3", got)
+			}
 
-	// Tier-2 is exactly where the central is, and client queries against
-	// it verify end to end.
-	want, err := srv.Version("items")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := t2.Version("items"); v != want {
-		t.Fatalf("tier-2 at v%d, central at v%d", v, want)
-	}
-	if n := verifiedCount(t, startEdge(t, t2), centralAddr, 499_999); n != 1 {
-		t.Fatalf("verified rows = %d, want 1", n)
+			// Tier-2 is exactly where the central is, and client queries against
+			// it verify end to end.
+			want, err := srv.Version("items")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, _ := t2.Version("items"); v != want {
+				t.Fatalf("tier-2 at v%d, central at v%d", v, want)
+			}
+			if n := verifiedCount(t, t2Addr, centralAddr, 0); n != 301 {
+				t.Fatalf("verified rows after the relayed delta = %d, want 301", n)
+			}
+		})
 	}
 }
 

@@ -11,17 +11,21 @@ package edge
 // downstream edge verifies a relayed payload with the same code paths,
 // against the same central key, as one the central served directly.
 //
-// Pulling side (Options.Upstreams): the refresh loop walks the
-// configured upstreams in order for bulk payloads and keeps the central
-// as the implicit last resort. Trust anchors — the signed shard map and
-// the central public key — always come from the central: a peer cannot
-// prove freshness, only relay integrity-protected bytes. Every
-// peer-served payload must verify AND make strict forward progress
-// against the already-verified map; any failure (unreachable, typed
-// behind/gap, bad signature, wrong shard, no progress) backs the source
-// off and the refresh falls over to the next source, ending at the
-// central. A malicious or wedged peer can therefore cost latency, never
-// correctness and never a silent freeze.
+// Pulling side (Options.Upstreams): the replication loop (edge.go) asks
+// its ordered sources — the available upstreams, then the central as the
+// implicit last resort — for every bulk payload through the same two
+// fetchers, and each holds one source rule. Trust anchors — the signed
+// shard map and the central public key — always come from the central:
+// a peer cannot prove freshness, only relay integrity-protected bytes.
+// So a peer-served snapshot must land exactly on the pin of the
+// already-verified map, and a peer-served delta must verify AND make
+// strict forward progress from the store's head; only the central may
+// answer SnapshotNeeded or a noop, or serve a snapshot ahead of the map
+// (bound to the final map before publish). Any peer failure
+// (unreachable, typed behind/gap, bad signature, wrong shard, no
+// progress) backs the source off and the refresh falls over to the next
+// source, ending at the central. A malicious or wedged peer can
+// therefore cost latency, never correctness and never a silent freeze.
 
 import (
 	"context"
@@ -29,9 +33,6 @@ import (
 	"fmt"
 
 	"edgeauth/internal/peer"
-	"edgeauth/internal/shardmap"
-	"edgeauth/internal/storage"
-	"edgeauth/internal/vbtree"
 	"edgeauth/internal/wire"
 )
 
@@ -60,15 +61,14 @@ func (s *Server) PeerStats() []peer.SourceStats { return s.peers.Stats() }
 // RelayStats reports the relay cache's lookup counters.
 func (s *Server) RelayStats() peer.CacheStats { return s.relay.Stats() }
 
-// countCentralPull accounts one replication payload pulled from the
-// central server.
-func (s *Server) countCentralPull(n int) {
-	s.stats.centralPayloadsPulled.Add(1)
-	s.stats.centralBytesPulled.Add(uint64(n))
-}
-
-// countPeerPull accounts one verified payload pulled from a peer.
-func (s *Server) countPeerPull(src *peer.Source, n int) {
+// countPull accounts one verified replication payload of n bytes pulled
+// from src (nil: the central server).
+func (s *Server) countPull(src *peer.Source, n int) {
+	if src == nil {
+		s.stats.centralPayloadsPulled.Add(1)
+		s.stats.centralBytesPulled.Add(uint64(n))
+		return
+	}
 	s.stats.peerPayloadsPulled.Add(1)
 	s.stats.peerBytesPulled.Add(uint64(n))
 	src.ReportSuccess(n)
@@ -79,11 +79,6 @@ func (s *Server) peerFail(src *peer.Source) {
 	s.peers.Fail(src)
 	s.stats.peerFailovers.Add(1)
 }
-
-// maxPeerHops bounds how many consecutive deltas one refresh accepts
-// from one source — a guard rail, not a protocol limit (each accepted
-// hop must advance the store, so the loop already cannot cycle).
-const maxPeerHops = 64
 
 // ---------------------------------------------------------------------
 // Serving side.
@@ -130,27 +125,9 @@ func (s *Server) servePeerSnapshot(table string, id uint64) (wire.MsgType, []byt
 		return 0, nil, err
 	}
 	defer sr.snap.Release()
-	snap := &wire.Snapshot{
-		Schema:     rep.sch,
-		AccParams:  rep.params,
-		Root:       sr.state.Root,
-		Height:     uint32(sr.state.Height),
-		RootSig:    sr.state.RootSig,
-		PageSize:   uint32(sr.snap.PageSize()),
-		HeapPages:  sr.state.HeapPages,
-		KeyVersion: sr.state.KeyVersion,
-		Version:    sr.state.Version,
-		Epoch:      sr.state.Epoch,
-	}
-	for id := 1; id < sr.snap.NumPages(); id++ {
-		buf, err := sr.snap.View(storage.PageID(id))
-		if err != nil {
-			return 0, nil, err
-		}
-		cp := make([]byte, len(buf))
-		copy(cp, buf)
-		snap.PageIDs = append(snap.PageIDs, storage.PageID(id))
-		snap.PageData = append(snap.PageData, cp)
+	snap, err := wire.NewSnapshot(sr.snap, sr.state, rep.sch, rep.params)
+	if err != nil {
+		return 0, nil, err
 	}
 	out := s.tamperedPeerBody(wire.MsgSnapshotResp, wire.ShardRef(table, id), snap.Encode())
 	s.stats.peerPayloadsServed.Add(1)
@@ -193,126 +170,4 @@ func (s *Server) servePeerDelta(table string, id, from, epoch uint64) (wire.MsgT
 	s.stats.peerPayloadsServed.Add(1)
 	s.stats.peerBytesServed.Add(uint64(len(body)))
 	return wire.MsgDeltaResp, body, nil
-}
-
-// ---------------------------------------------------------------------
-// Pulling side.
-
-// pullPeerSnapshot fetches one shard snapshot from a peer and verifies
-// it strictly against the central-verified map: same epoch, the exact
-// pinned version, and a root signature recovering to the pinned digest.
-// A replayed stale snapshot or a wrong-shard payload fails here and the
-// caller fails over — only the central itself may serve state the map
-// cannot vouch for yet (commits racing a pull; bound later by
-// verifyAlignedStores). Returns the wire size, the installed store and
-// the verified snapshot.
-func (s *Server) pullPeerSnapshot(ctx context.Context, src *peer.Source, tableName string, idx int, sm *shardmap.Signed) (int, *storage.PageStore, *wire.Snapshot, error) {
-	req := &wire.ShardSnapshotRequest{Table: tableName, ShardID: sm.Map.Shards[idx].ID}
-	body, err := src.Conn().Call(ctx, wire.MsgShardSnapshotReq, req.Encode(), wire.MsgSnapshotResp, true)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	snap, err := wire.DecodeSnapshot(body)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	if snap.Epoch != sm.Map.Epoch || snap.Version != sm.Map.Shards[idx].Version {
-		return 0, nil, nil, wire.Behind(tableName, fmt.Sprintf(
-			"edge: peer snapshot at epoch %d v%d, verified map pins epoch %d v%d",
-			snap.Epoch, snap.Version, sm.Map.Epoch, sm.Map.Shards[idx].Version))
-	}
-	if err := s.verifySnapshot(ctx, snap, sm.Map.Shards[idx].RootDigest); err != nil {
-		return 0, nil, nil, err
-	}
-	store, err := installStore(snap)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	s.stats.snapshotsInstalled.Add(1)
-	s.countPeerPull(src, len(body))
-	return len(body), store, snap, nil
-}
-
-// refreshShardFromPeers drains verified forward progress for one shard
-// from the upstream peers: relayed deltas hop by hop, or a pinned
-// snapshot when a current peer's relay cache cannot cover the gap
-// (catch-up). Per-source failures back the source off and move to the
-// next; only ctx expiry (or a local store fault) aborts. Returns the
-// bytes pulled, "" / "delta" / "snapshot", and the (possibly replaced)
-// store — the caller finishes from the central if the map's pin is
-// still ahead of the store.
-func (s *Server) refreshShardFromPeers(ctx context.Context, tableName string, store *storage.PageStore, idx int, st *vbtree.TableState, sm *shardmap.Signed) (int, string, *storage.PageStore, error) {
-	id := sm.Map.Shards[idx].ID
-	ref := wire.ShardRef(tableName, id)
-	target := sm.Map.Shards[idx].Version
-	var total int
-	var mode string
-	for _, src := range s.peers.Available() {
-		for hops := 0; st.Version < target && hops < maxPeerHops; hops++ {
-			if err := ctx.Err(); err != nil {
-				return total, mode, store, err
-			}
-			req := &wire.ShardDeltaRequest{Table: tableName, ShardID: id, FromVersion: st.Version, Epoch: st.Epoch}
-			body, err := src.Conn().Call(ctx, wire.MsgShardDeltaReq, req.Encode(), wire.MsgDeltaResp, true)
-			if errors.Is(err, wire.ErrDeltaGap) {
-				// The peer is current but cannot bridge our gap with a
-				// relayed delta: bootstrap-style catch-up from its pinned
-				// snapshot instead.
-				n, fresh, _, serr := s.pullPeerSnapshot(ctx, src, tableName, idx, sm)
-				total += n
-				if serr != nil {
-					if cerr := ctx.Err(); cerr != nil {
-						return total, mode, store, cerr
-					}
-					s.peerFail(src)
-					break
-				}
-				return total, "snapshot", fresh, nil
-			}
-			if err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return total, mode, store, cerr
-				}
-				s.peerFail(src)
-				break
-			}
-			d, err := wire.DecodeDelta(body)
-			if err != nil {
-				s.peerFail(src)
-				break
-			}
-			if err := s.verifyDelta(ctx, d, body); err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return total, mode, store, cerr
-				}
-				s.peerFail(src)
-				break
-			}
-			// A relayed delta must anchor at our exact head and move it
-			// strictly forward. SnapshotNeeded markers and noops are
-			// central-only answers — from a peer they could replay
-			// forever, so they count as a failed source instead.
-			if d.Table != ref || d.SnapshotNeeded || d.Epoch != st.Epoch ||
-				d.FromVersion != st.Version || d.ToVersion <= st.Version {
-				s.peerFail(src)
-				break
-			}
-			if err := applyDelta(store, d, ref); err != nil {
-				s.peerFail(src)
-				break
-			}
-			s.relay.Put(ref, d.Epoch, d.FromVersion, d.ToVersion, body)
-			s.stats.deltasApplied.Add(1)
-			s.countPeerPull(src, len(body))
-			total += len(body)
-			mode = "delta"
-			if st, err = storeState(store); err != nil {
-				return total, mode, store, err
-			}
-		}
-		if st.Version >= target {
-			break
-		}
-	}
-	return total, mode, store, nil
 }

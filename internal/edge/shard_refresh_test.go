@@ -1,7 +1,9 @@
 package edge
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"testing"
 
 	"edgeauth/internal/central"
@@ -13,51 +15,100 @@ import (
 	"edgeauth/internal/wire"
 )
 
-// TestShardedRefreshAndPull covers the per-shard replication path: a
-// sharded central replicates shard by shard, a commit ships only the
-// touched shard's delta, and the published set's map always pins
-// exactly the shard versions it is served with.
+// TestShardedRefreshAndPull covers the per-shard replication path and
+// pins its wire traffic: a bootstrap is the replication loop started
+// from no stores, so PullAll and a first RefreshAll are the same walk —
+// one map and one snapshot per shard, ending on byte-identical sets — a
+// commit ships only the touched shard's delta, an idle tick only the
+// map, and the published set's map always pins exactly the shard
+// versions it is served with.
 func TestShardedRefreshAndPull(t *testing.T) {
 	ctx := context.Background()
 	srv, addr := startCentralOpts(t, 400, central.Options{PageSize: 1024, Shards: 4})
-	eg := New(addr)
-	t.Cleanup(func() { eg.Close() })
-	if err := eg.PullAll(ctx); err != nil {
-		t.Fatal(err)
+
+	// served reports what the central served since the last call.
+	last := srv.Stats()
+	served := func() (maps, snapshots, deltas uint64) {
+		now := srv.Stats()
+		defer func() { last = now }()
+		return now.ShardMapsServed - last.ShardMapsServed, now.SnapshotsServed - last.SnapshotsServed, now.DeltasServed - last.DeltasServed
 	}
-	if n, _ := eg.NumShards("items"); n != 4 {
-		t.Fatalf("replicated %d shards, want 4", n)
+
+	boots := map[string]func(*Server) error{
+		"PullAll": func(eg *Server) error { return eg.PullAll(ctx) },
+		"RefreshAll": func(eg *Server) error {
+			stats, err := eg.RefreshAll(ctx)
+			if err == nil && (len(stats) != 1 || stats[0].Mode != "snapshot" || stats[0].ShardsRefreshed != 4) {
+				err = fmt.Errorf("bootstrapping RefreshAll reported %+v, want one 4-shard snapshot", stats)
+			}
+			return err
+		},
+	}
+	edges := make(map[string]*Server)
+	for name, boot := range boots {
+		eg := New(addr)
+		t.Cleanup(func() { eg.Close() })
+		if err := boot(eg); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if maps, snaps, deltas := served(); maps != 1 || snaps != 4 || deltas != 0 {
+			t.Fatalf("%s bootstrap cost %d maps, %d snapshots, %d deltas; want 1, 4, 0", name, maps, snaps, deltas)
+		}
+		if st := eg.Stats(); st.SnapshotsInstalled != 4 || st.ReshardsApplied != 0 || st.SigCacheMisses != 5 {
+			t.Fatalf("%s bootstrap: %d snapshots installed, %d reshards applied, %d signature checks; want 4, 0, 5",
+				name, st.SnapshotsInstalled, st.ReshardsApplied, st.SigCacheMisses)
+		}
+		if n, _ := eg.NumShards("items"); n != 4 {
+			t.Fatalf("%s replicated %d shards, want 4", name, n)
+		}
+		edges[name] = eg
+	}
+	eg, other := edges["PullAll"], edges["RefreshAll"]
+	set, otherSet := eg.replica("items").set.Load(), other.replica("items").set.Load()
+	if !bytes.Equal(set.smapBytes, otherSet.smapBytes) {
+		t.Fatal("PullAll and RefreshAll bootstraps published different signed maps")
+	}
+	for i, sr := range set.shards {
+		o := otherSet.shards[i].state
+		if sr.state.Version != o.Version || sr.state.Epoch != o.Epoch || !bytes.Equal(sr.state.RootSig, o.RootSig) {
+			t.Fatalf("shard %d differs between the two bootstraps: v%d/epoch %d vs v%d/epoch %d", i, sr.state.Version, sr.state.Epoch, o.Version, o.Epoch)
+		}
 	}
 
 	// One insert dirties one shard; the refresh ships one shard delta.
 	if err := srv.Insert("items", freshRow(t, 500_000)); err != nil {
 		t.Fatal(err)
 	}
-	st, err := eg.Refresh(ctx, "items")
+	stats, err := eg.RefreshAll(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Mode != "delta" || st.ShardsRefreshed != 1 {
-		t.Fatalf("refresh after one insert: mode=%q shards=%d, want delta/1", st.Mode, st.ShardsRefreshed)
+	if len(stats) != 1 || stats[0].Mode != "delta" || stats[0].ShardsRefreshed != 1 {
+		t.Fatalf("refresh after one insert: %+v, want delta/1", stats)
+	}
+	if maps, snaps, deltas := served(); maps != 1 || snaps != 0 || deltas != 1 {
+		t.Fatalf("refresh after one insert cost %d maps, %d snapshots, %d deltas; want 1, 0, 1", maps, snaps, deltas)
 	}
 
 	// The published set is internally consistent: map pins == pinned
 	// shard snapshot versions.
-	rep := eg.replica("items")
-	set := rep.set.Load()
+	set = eg.replica("items").set.Load()
 	for i, sr := range set.shards {
 		if set.smap.Map.Shards[i].Version != sr.state.Version {
 			t.Fatalf("shard %d: map pins v%d, snapshot at v%d", i, set.smap.Map.Shards[i].Version, sr.state.Version)
 		}
 	}
 
-	// Idle tick: noop.
-	st, err = eg.Refresh(ctx, "items")
+	// Idle tick: noop, and only the map crosses the wire.
+	stats, err = eg.RefreshAll(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Mode != "noop" || st.ShardsRefreshed != 0 {
-		t.Fatalf("idle refresh: mode=%q shards=%d", st.Mode, st.ShardsRefreshed)
+	if len(stats) != 1 || stats[0].Mode != "noop" || stats[0].ShardsRefreshed != 0 {
+		t.Fatalf("idle refresh: %+v, want noop/0", stats)
+	}
+	if maps, snaps, deltas := served(); maps != 1 || snaps != 0 || deltas != 0 {
+		t.Fatalf("idle refresh cost %d maps, %d snapshots, %d deltas; want 1, 0, 0", maps, snaps, deltas)
 	}
 }
 
@@ -204,7 +255,7 @@ func TestRefreshRacingSplitKeepsShardsApart(t *testing.T) {
 	// (Errors up to the final scan are reported without stopping, so a
 	// regression shows what the edge ends up serving, not only the first
 	// refresh that noticed.)
-	if _, _, _, _, _, err := eg.alignShards(ctx, "items", smOld, stores, shardIDs(cur.smap)); err != nil {
+	if _, err := eg.alignShards(ctx, "items", smOld, stores, shardIDs(cur.smap)); err != nil {
 		t.Errorf("raced refresh: %v", err)
 	}
 	for round := 0; round < 4; round++ {

@@ -3,7 +3,6 @@ package edge
 import (
 	"context"
 	"errors"
-	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,7 +10,6 @@ import (
 	"edgeauth/internal/central"
 	"edgeauth/internal/client"
 	"edgeauth/internal/query"
-	"edgeauth/internal/rpc"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/vbtree"
 	"edgeauth/internal/wire"
@@ -36,24 +34,7 @@ func newFakeCentral(backend *central.Server) *fakeCentral {
 
 func (f *fakeCentral) serve(t *testing.T) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				rpc.ServeConn(conn, f.dispatch, rpc.ServeOptions{})
-			}()
-		}
-	}()
-	t.Cleanup(func() { ln.Close() })
-	return ln.Addr().String()
+	return serveHandler(t, f.dispatch)
 }
 
 func (f *fakeCentral) dispatch(ctx context.Context, mt wire.MsgType, body, _ []byte) (wire.MsgType, []byte, error) {

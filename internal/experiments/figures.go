@@ -6,7 +6,6 @@ import (
 	"math"
 	"time"
 
-	"edgeauth/internal/btree"
 	"edgeauth/internal/costmodel"
 	"edgeauth/internal/digest"
 	"edgeauth/internal/naive"
@@ -33,10 +32,18 @@ func (e *Env) MeasuredFig8() costmodel.Figure {
 	for i := 0; i <= 8; i++ {
 		kl := 1 << i
 		f.X = append(f.X, float64(i))
-		f.Series[0].Y = append(f.Series[0].Y, float64(btree.MaxInternalFanOut(e.Cfg.PageSize, kl)))
+		f.Series[0].Y = append(f.Series[0].Y, float64(btreeFanOut(e.Cfg.PageSize, kl)))
 		f.Series[1].Y = append(f.Series[1].Y, float64(vbtree.MaxInternalFanOut(e.Cfg.PageSize, kl, sigLen)))
 	}
 	return f
+}
+
+// btreeFanOut is the plain B-tree's children per internal node for
+// fixed-size keys — the "B-tree" series the VB-tree is measured against.
+// Layout: a node header of type(1) + count(2) + child0(4) = 7 bytes, then
+// one keyLen(2) + key + child(4) entry per further child.
+func btreeFanOut(pageSize, keyLen int) int {
+	return 1 + (pageSize-7)/(2+keyLen+4)
 }
 
 // MeasuredFig9 reports tree heights versus key length at the paper's 1M
@@ -62,7 +69,7 @@ func (e *Env) MeasuredFig9() costmodel.Figure {
 	for i := 0; i <= 8; i++ {
 		kl := 1 << i
 		f.X = append(f.X, float64(i))
-		f.Series[0].Y = append(f.Series[0].Y, heightFor(btree.MaxInternalFanOut(e.Cfg.PageSize, kl)))
+		f.Series[0].Y = append(f.Series[0].Y, heightFor(btreeFanOut(e.Cfg.PageSize, kl)))
 		f.Series[1].Y = append(f.Series[1].Y, heightFor(vbtree.MaxInternalFanOut(e.Cfg.PageSize, kl, sigLen)))
 	}
 	return f

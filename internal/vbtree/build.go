@@ -30,22 +30,20 @@ type TupleSource func(limit int) ([]schema.Tuple, error)
 // central server" — so attribute/tuple signatures are produced by a small
 // worker pool.
 func Build(cfg Config, tuples []schema.Tuple, fill float64) (*Tree, error) {
-	i := 0
-	src := func(limit int) ([]schema.Tuple, error) {
-		if i >= len(tuples) {
-			return nil, nil
-		}
-		j := i + limit
-		if j > len(tuples) {
-			j = len(tuples)
-		}
-		out := tuples[i:j]
-		i = j
-		return out, nil
-	}
 	// One chunk: the slice is already materialized, so present it to the
 	// presign pool whole, exactly as the pre-streaming builder did.
-	return BuildFromSource(cfg, fill, len(tuples), src, nil)
+	return BuildFromSource(cfg, fill, len(tuples), SliceSource(tuples), nil)
+}
+
+// SliceSource streams an in-memory tuple slice (already in strictly
+// increasing key order) as a TupleSource.
+func SliceSource(tuples []schema.Tuple) TupleSource {
+	return func(limit int) ([]schema.Tuple, error) {
+		n := min(limit, len(tuples))
+		out := tuples[:n]
+		tuples = tuples[n:]
+		return out, nil
+	}
 }
 
 // BuildFromSource constructs a fully packed VB-tree by streaming tuples

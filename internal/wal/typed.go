@@ -33,9 +33,6 @@ type Op struct {
 	Checkpoint *PartitionCheckpoint
 }
 
-// EncodeInsertPayload serializes an insert's payload.
-func EncodeInsertPayload(tup schema.Tuple) []byte { return tup.EncodeBytes() }
-
 // EncodeBatchPayload serializes a group-committed insert batch:
 // u32 count, then each tuple's encoding.
 func EncodeBatchPayload(tuples []schema.Tuple) []byte {

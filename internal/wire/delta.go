@@ -104,7 +104,12 @@ func DecodeDelta(body []byte) (*Delta, error) {
 	d.FromVersion = r.u64("from version")
 	d.ToVersion = r.u64("to version")
 	d.Epoch = r.u64("epoch")
-	d.SnapshotNeeded = r.u8("snapshot-needed flag") == 1
+	flag := r.u8("snapshot-needed flag")
+	if r.err == nil && flag > 1 {
+		// One encoding per delta: an accepted body re-encodes to itself.
+		return nil, errors.New("wire: snapshot-needed flag is neither 0 nor 1")
+	}
+	d.SnapshotNeeded = flag == 1
 	d.Root = storage.PageID(r.u32("root"))
 	d.Height = r.u32("height")
 	d.RootSig = r.bytes("root sig")

@@ -9,6 +9,7 @@ import (
 	"edgeauth/internal/query"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/storage"
+	"edgeauth/internal/vbtree"
 	"edgeauth/internal/vo"
 )
 
@@ -128,6 +129,41 @@ type Snapshot struct {
 	// Epoch identifies the table incarnation (fresh per AddTable), so a
 	// rebuilt central cannot serve deltas against a divergent history.
 	Epoch uint64
+}
+
+// NewSnapshot materializes one shard's replica image from a pinned
+// snapshot of its page store and the tree anchor published with it — the
+// one place a served Snapshot is assembled, at the central server and at
+// a relaying edge alike, so the two cannot disagree on what a replica
+// needs. Page contents are copied out: the result holds no reference to
+// the pinned pages once this returns.
+func NewSnapshot(pinned *storage.Snapshot, st *vbtree.TableState, sch *schema.Schema, params AccParams) (*Snapshot, error) {
+	snap := &Snapshot{
+		Schema:     sch,
+		AccParams:  params,
+		Root:       st.Root,
+		Height:     uint32(st.Height),
+		RootSig:    st.RootSig,
+		PageSize:   uint32(pinned.PageSize()),
+		HeapPages:  st.HeapPages,
+		KeyVersion: st.KeyVersion,
+		Scheme:     uint8(st.Scheme),
+		Version:    st.Version,
+		Epoch:      st.Epoch,
+	}
+	if n := pinned.NumPages() - 1; n > 0 {
+		snap.PageIDs = make([]storage.PageID, 0, n)
+		snap.PageData = make([][]byte, 0, n)
+	}
+	for id := 1; id < pinned.NumPages(); id++ {
+		buf, err := pinned.View(storage.PageID(id))
+		if err != nil {
+			return nil, err
+		}
+		snap.PageIDs = append(snap.PageIDs, storage.PageID(id))
+		snap.PageData = append(snap.PageData, append([]byte(nil), buf...))
+	}
+	return snap, nil
 }
 
 // AccParams serializes digest.Params across the wire.
