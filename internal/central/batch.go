@@ -42,6 +42,11 @@ import (
 // coalescing only kicks in under concurrency, so the idle latency cost
 // is nil. (Server.Insert, DeleteRange and ApplyBatch called directly are
 // the in-process form: they commit on the caller's goroutine.)
+//
+// The back half — what a commit costs to reach the edges — is appendDelta
+// (central.go): each shard's changelog window becomes one signed body,
+// serialised once into the frame buffer of the connection that asked, and
+// an edge asks for all of a table's dirtied shards at the same time.
 
 // DefaultMaxBatch bounds one group-committed round when Options.MaxBatch
 // is zero.

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -934,17 +935,21 @@ func (s *Server) ShardSnapshotByID(tableName string, id uint64) (*wire.Snapshot,
 	return s.snapshotOf(t, sh)
 }
 
-// deltaOf builds the incremental update that takes a shard replica at
-// fromVersion to the shard's current version. The shard's stable ID is
-// bound into the signed Table field (wire.ShardRef), so the delta cannot
-// be applied to any other shard's replica.
-func (s *Server) deltaOf(t *table, sh *shard, fromVersion, epoch uint64) (*wire.Delta, error) {
+// appendDelta builds the incremental update that takes a shard replica at
+// fromVersion to the shard's current version, appends its signed wire
+// body to dst and returns it with the delta it encodes (whose PageData
+// are views of that body). The shard's stable ID is bound into the signed
+// Table field (wire.ShardRef), so the delta cannot be applied to any other
+// shard's replica. The body is serialised once: every dirtied page goes
+// from the pinned snapshot straight into its place in the body, and the
+// signature is made over the bytes there (wire.Delta.AppendSigned).
+func (s *Server) appendDelta(dst []byte, t *table, sh *shard, fromVersion, epoch uint64) ([]byte, *wire.Delta, error) {
 	// Pin the version the delta will take the replica to; page content is
 	// read from this immutable snapshot, so updates committing while the
 	// delta is assembled cannot leak into it.
 	pinned, st, err := sh.snapState()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer pinned.Release()
 	d := &wire.Delta{
@@ -953,59 +958,53 @@ func (s *Server) deltaOf(t *table, sh *shard, fromVersion, epoch uint64) (*wire.
 		ToVersion:   st.Version,
 		Epoch:       st.Epoch,
 	}
-	if epoch != st.Epoch || fromVersion > st.Version {
-		// The replica descends from a different table incarnation (or
-		// claims a future version): its history has diverged from ours,
-		// so a delta would silently corrupt it.
-		d.SnapshotNeeded = true
-		return s.signDelta(d)
-	}
-	// Only the changelog needs the shard lock, and only briefly.
-	sh.mu.RLock()
-	// Changelog entries carry contiguous versions ending at sh.version, so
-	// coverage is a simple window check.
-	oldestCovered := sh.version - uint64(len(sh.changes))
-	covered := fromVersion >= oldestCovered
-	seen := make(map[storage.PageID]struct{})
+	// A replica that descends from a different table incarnation (or claims
+	// a future version) has a history that diverged from ours, so a delta
+	// would silently corrupt it; so would one the changelog no longer
+	// covers.
+	covered := epoch == st.Epoch && fromVersion <= st.Version
 	if covered {
-		for _, e := range sh.changes {
-			if e.version <= fromVersion || e.version > st.Version {
-				continue
+		// Only the changelog needs the shard lock, and only briefly. Its
+		// entries carry contiguous versions ending at sh.version, so coverage
+		// is a simple window check.
+		sh.mu.RLock()
+		covered = fromVersion >= sh.version-uint64(len(sh.changes))
+		if covered {
+			inWindow := func(e *changeEntry) bool { return e.version > fromVersion && e.version <= st.Version }
+			n := 0
+			for i := range sh.changes {
+				if e := &sh.changes[i]; inWindow(e) {
+					n += len(e.pages)
+				}
 			}
-			for _, id := range e.pages {
-				seen[id] = struct{}{}
+			d.PageIDs = make([]storage.PageID, 0, n)
+			for i := range sh.changes {
+				if e := &sh.changes[i]; inWindow(e) {
+					d.PageIDs = append(d.PageIDs, e.pages...)
+				}
 			}
 		}
+		sh.mu.RUnlock()
 	}
-	sh.mu.RUnlock()
 	if !covered {
 		d.SnapshotNeeded = true
-		return s.signDelta(d)
+	} else {
+		slices.Sort(d.PageIDs)
+		d.PageIDs = slices.Compact(d.PageIDs)
+		d.Root = st.Root
+		d.Height = uint32(st.Height)
+		d.RootSig = st.RootSig
+		d.HeapPages = st.HeapPages
+		d.NumPages = uint32(pinned.NumPages())
+		d.KeyVersion = st.KeyVersion
+		d.Scheme = uint8(st.Scheme)
+		s.stats.deltasServed.Add(1)
 	}
-	ids := make([]storage.PageID, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
+	body, err := d.AppendSigned(dst, pinned, s.key)
+	if err != nil {
+		return nil, nil, err
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		buf, err := pinned.View(id)
-		if err != nil {
-			return nil, err
-		}
-		cp := make([]byte, len(buf))
-		copy(cp, buf)
-		d.PageIDs = append(d.PageIDs, id)
-		d.PageData = append(d.PageData, cp)
-	}
-	d.Root = st.Root
-	d.Height = uint32(st.Height)
-	d.RootSig = st.RootSig
-	d.HeapPages = st.HeapPages
-	d.NumPages = uint32(pinned.NumPages())
-	d.KeyVersion = st.KeyVersion
-	d.Scheme = uint8(st.Scheme)
-	s.stats.deltasServed.Add(1)
-	return s.signDelta(d)
+	return body, d, nil
 }
 
 // ShardDelta serves the incremental refresh of the shard at partition
@@ -1015,7 +1014,8 @@ func (s *Server) ShardDelta(tableName string, idx uint32, fromVersion, epoch uin
 	if err != nil {
 		return nil, err
 	}
-	return s.deltaOf(t, sh, fromVersion, epoch)
+	_, d, err := s.appendDelta(nil, t, sh, fromVersion, epoch)
+	return d, err
 }
 
 // ShardDeltaByID serves the incremental refresh of the shard with stable
@@ -1025,18 +1025,8 @@ func (s *Server) ShardDeltaByID(tableName string, id, fromVersion, epoch uint64)
 	if err != nil {
 		return nil, err
 	}
-	return s.deltaOf(t, sh, fromVersion, epoch)
-}
-
-// signDelta stamps the central server's signature on a delta so edges can
-// reject forged or corrupted updates.
-func (s *Server) signDelta(d *wire.Delta) (*wire.Delta, error) {
-	sg, err := s.key.Sign(d.SigPayload())
-	if err != nil {
-		return nil, err
-	}
-	d.Sig = sg
-	return d, nil
+	_, d, err := s.appendDelta(nil, t, sh, fromVersion, epoch)
+	return d, err
 }
 
 // LoggedOps replays a table's write-ahead logs (post-checkpoint) as typed
@@ -1278,8 +1268,10 @@ func (s *Server) handleConn(conn net.Conn) {
 
 // dispatch executes one request and returns the response frame. It must
 // be safe for concurrent use: connections run requests in parallel.
-// ctx is the connection's context, cancelled when the peer disconnects.
-func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body, _ []byte) (wire.MsgType, []byte, error) {
+// ctx is the connection's context, cancelled when the peer disconnects;
+// out is the buffer the connection lends for the response (see
+// rpc.Handler): a delta is built in it.
+func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body, out []byte) (wire.MsgType, []byte, error) {
 	switch mt {
 	case wire.MsgPubKeyReq:
 		blob, err := s.key.Public().MarshalBinary()
@@ -1309,11 +1301,15 @@ func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body, _ []byte) 
 		if err != nil {
 			return 0, nil, err
 		}
-		d, err := s.ShardDeltaByID(req.Table, req.ShardID, req.FromVersion, req.Epoch)
+		t, sh, err := s.shardByID(req.Table, req.ShardID)
 		if err != nil {
 			return 0, nil, err
 		}
-		enc := d.Encode()
+		// The delta is built in the frame buffer the connection lends.
+		enc, _, err := s.appendDelta(out, t, sh, req.FromVersion, req.Epoch)
+		if err != nil {
+			return 0, nil, err
+		}
 		s.stats.deltaBytes.Add(uint64(len(enc)))
 		return wire.MsgDeltaResp, enc, nil
 

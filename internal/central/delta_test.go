@@ -1,10 +1,15 @@
 package central
 
 import (
+	"bytes"
+	"context"
+	"runtime"
 	"testing"
 
+	"edgeauth/internal/israce"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/wal"
+	"edgeauth/internal/wire"
 	"edgeauth/internal/workload"
 )
 
@@ -205,5 +210,94 @@ func TestLoggedOpsMatchChangelog(t *testing.T) {
 	plain := newDeltaServer(t, 10, 0, "")
 	if _, err := plain.LoggedOps("items"); err == nil {
 		t.Fatal("LoggedOps without WALDir succeeded")
+	}
+}
+
+// TestDeltaServeAllocationBudget: a served delta's body is built once. In
+// a frame buffer with room for it (what a connection lends once it has
+// sent a delta) nothing the size of the body is allocated at all; with no
+// buffer to build in there is exactly one allocation of exactly the body's
+// size. Either way the number of allocations does not grow with the
+// number of pages the delta carries — no page is copied anywhere but into
+// the body — and the body is what the struct form encodes to.
+func TestDeltaServeAllocationBudget(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	ctx := context.Background()
+	srv := newDeltaServer(t, 2000, 0, "")
+	epoch := tableEpoch(t, srv)
+	base, err := srv.Version("items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(req, out []byte) []byte {
+		mt, body, err := srv.dispatch(ctx, wire.MsgShardDeltaReq, req, out)
+		if err != nil || mt != wire.MsgDeltaResp {
+			t.Fatalf("dispatch: %v, %v", mt, err)
+		}
+		return body
+	}
+	frame := make([]byte, 0, 1<<21)
+	var allocs [2]float64
+	// One insert dirties a handful of pages, the delete after it hundreds.
+	for i, commit := range []func(){
+		func() { insertRow(t, srv, 100_000) },
+		func() {
+			lo, hi := schema.Int64(0), schema.Int64(1500)
+			if _, err := srv.DeleteRange("items", &lo, &hi); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		commit()
+		req := (&wire.ShardDeltaRequest{Table: "items", ShardID: 1, FromVersion: base + uint64(i), Epoch: epoch}).Encode()
+		body := serve(req, frame)
+		if &body[0] != &frame[:1][0] {
+			t.Fatal("the delta was not built in the buffer the transport lent")
+		}
+		d, err := wire.DecodeDelta(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.PublicKey().Verify(d.Sig, d.SigPayload()); err != nil {
+			t.Fatalf("served body does not verify: %v", err)
+		}
+		sd, err := srv.ShardDelta("items", 0, d.FromVersion, epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sd.Encode(), body) {
+			t.Fatal("ShardDelta's struct does not encode to the served body")
+		}
+
+		const runs = 50
+		allocs[i] = testing.AllocsPerRun(runs, func() { serve(req, frame) })
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for r := 0; r < runs; r++ {
+			serve(req, frame)
+		}
+		runtime.ReadMemStats(&after)
+		lent := int(after.TotalAlloc-before.TotalAlloc) / runs
+		runtime.ReadMemStats(&before)
+		for r := 0; r < runs; r++ {
+			if fresh := serve(req, nil); cap(fresh) != len(body) {
+				t.Fatalf("a %d-byte body was built in a %d-byte allocation", len(body), cap(fresh))
+			}
+		}
+		runtime.ReadMemStats(&after)
+		unlent := int(after.TotalAlloc-before.TotalAlloc) / runs
+		// Besides the body: the page-ID list and the views of the pages (28
+		// bytes a page), the signature and what making it costs, and the
+		// rounding of one large allocation to its size class.
+		if slack := 28*len(d.PageIDs) + 16384; lent > slack || unlent > len(body)+slack {
+			t.Errorf("%d-page delta of %d bytes: %d bytes allocated building it in place, %d building it fresh; budget %d and %d",
+				len(d.PageIDs), len(body), lent, unlent, slack, len(body)+slack)
+		}
+		t.Logf("%d-page delta of %d bytes: %.0f allocations, %d bytes in place, %d bytes fresh", len(d.PageIDs), len(body), allocs[i], lent, unlent)
+	}
+	if allocs[0] != allocs[1] || allocs[1] > 64 {
+		t.Errorf("%.0f allocations for the small delta, %.0f for the large one; want the same number, at most 64", allocs[0], allocs[1])
 	}
 }

@@ -8,7 +8,13 @@
 // snapshot-isolated storage.PageStore, its own delta stream) and relays
 // the central-signed shard map to clients, which verify it and
 // scatter-gather per-shard queries. Per-shard refresh means one hot shard
-// ships only its own pages — a cold shard costs nothing per refresh tick.
+// ships only its own pages — a cold shard costs nothing per refresh tick
+// — and the shards of a table that do need a payload are fetched at the
+// same time, each into its own store and its own result (alignShards), so
+// a round that dirtied all of them costs the slowest exchange, not the
+// sum. A delta's pages are copied once on this side: the decoder hands
+// out views of the received body and Overlay.WritePage copies them into
+// the store.
 //
 // Replica storage is snapshot-isolated and set-consistent: a refresh
 // builds successor shard snapshots off to the side and then publishes
@@ -715,6 +721,21 @@ func sameIDs(a, b []uint64) bool {
 	return true
 }
 
+// shardFetch is what bringing one shard to its pin produced. Every
+// concurrent refreshShard fills its own; alignShards merges them after the
+// join.
+type shardFetch struct {
+	// store holds the result: the store the fetch started from, advanced,
+	// or a snapshot-installed replacement (nil when the fetch failed).
+	store *storage.PageStore
+	// sch and params describe the table as the snapshot installed by this
+	// fetch declared it (sch is nil when it installed none).
+	sch    *schema.Schema
+	params wire.AccParams
+	// bytes is the wire size of the payloads that carried state.
+	bytes int
+}
+
 // alignment is what one alignShards call produced: the map the stores
 // ended aligned to, the stores in that map's partition order, and what
 // it cost to get there.
@@ -733,6 +754,11 @@ type alignment struct {
 	snapshotted      bool
 }
 
+// maxShardFetches bounds how many shards of one table are refreshed at
+// the same time: each fetch in flight holds one decoded payload, so the
+// bound is also the number of snapshots a bootstrap keeps in memory.
+const maxShardFetches = 8
+
 // alignShards brings a table's stores to exactly the shard versions sm
 // pins by walking the map's stable shard IDs: an ID with no store gets a
 // snapshot, a store behind its pin gets deltas (refreshShard), and a
@@ -743,6 +769,16 @@ type alignment struct {
 // negotiated from each store's HEAD (not the published set), so a
 // refresh that failed partway resumes cleanly instead of wedging on
 // version mismatches.
+//
+// The shards that need a payload are fetched at the same time (at most
+// maxShardFetches of them): a round that dirtied every shard costs the
+// slowest shard's exchange, not their sum. The fetches share nothing they
+// write — each works on its own store and fills its own shardFetch, which
+// is merged here after all have returned; what they do share is safe for
+// concurrent use (the pipelined connections, the source set's health, the
+// relay cache, the key and signature caches, the counters). The first
+// failure cancels the others. Whatever those had already applied stays
+// in their stores, which is where the next pass resumes.
 //
 // stores is the starting state, laid out for the partition whose stable
 // shard-ID sequence is ids; both are empty for a bootstrap. Stores are
@@ -763,31 +799,55 @@ func (s *Server) alignShards(ctx context.Context, tableName string, sm *shardmap
 	// pass walks sm once and reports whether every store ended on the
 	// version sm pins.
 	pass := func() (bool, error) {
+		shards := sm.Map.Shards
+		heads := make([]*vbtree.TableState, len(shards))
+		epochChanged := func(i int) error {
+			return fmt.Errorf("%w: map epoch %d, shard %d epoch %d", errEpochChanged, sm.Map.Epoch, i, heads[i].Epoch)
+		}
+		var behind []int
+		for i := range shards {
+			if store := held[shards[i].ID]; store != nil {
+				var err error
+				if heads[i], err = storeState(store); err != nil {
+					return false, err
+				}
+				if heads[i].Epoch != sm.Map.Epoch {
+					return false, epochChanged(i)
+				}
+			}
+			if heads[i] == nil || heads[i].Version < shards[i].Version {
+				behind = append(behind, i)
+			}
+		}
+		fetched, err := s.refreshShards(ctx, tableName, sm, behind, held)
+		for k, i := range behind {
+			f := &fetched[k]
+			a.bytes += f.bytes
+			if f.sch != nil {
+				a.snapshotted = true
+				if a.sch == nil {
+					a.sch, a.params = f.sch, f.params
+				}
+			}
+			if f.store == nil {
+				continue
+			}
+			held[shards[i].ID] = f.store
+			a.refreshed++
+			var herr error
+			if heads[i], herr = storeState(f.store); herr != nil && err == nil {
+				err = herr
+			}
+		}
+		if err != nil {
+			return false, err
+		}
 		aligned := true
-		for i := range sm.Map.Shards {
-			pin := &sm.Map.Shards[i]
-			var head *vbtree.TableState
-			var err error
-			store := held[pin.ID]
-			if store != nil {
-				if head, err = storeState(store); err != nil {
-					return false, err
-				}
+		for i := range shards {
+			if heads[i].Epoch != sm.Map.Epoch {
+				return false, epochChanged(i)
 			}
-			if head == nil || head.Epoch == sm.Map.Epoch && head.Version < pin.Version {
-				if store, err = s.refreshShard(ctx, tableName, sm, i, store, &a); err != nil {
-					return false, err
-				}
-				held[pin.ID] = store
-				a.refreshed++
-				if head, err = storeState(store); err != nil {
-					return false, err
-				}
-			}
-			if head.Epoch != sm.Map.Epoch {
-				return false, fmt.Errorf("%w: map epoch %d, shard %d epoch %d", errEpochChanged, sm.Map.Epoch, i, head.Epoch)
-			}
-			if head.Version != pin.Version {
+			if heads[i].Version != shards[i].Version {
 				// The store is not where this map pins it (ahead: a commit
 				// raced us): a newer signed map pinning the head exists —
 				// fetch it.
@@ -830,6 +890,39 @@ func (s *Server) alignShards(ctx context.Context, tableName string, sm *shardmap
 	return a, nil
 }
 
+// refreshShards runs refreshShard for the shards of sm at the positions in
+// behind, at most maxShardFetches at a time, and returns one shardFetch
+// per position once all of them have returned. The error is the first
+// failure (or the caller's cancellation): it cancels the fetches still
+// running and keeps those not yet started from starting, and their
+// entries have no store. held is only read.
+func (s *Server) refreshShards(ctx context.Context, tableName string, sm *shardmap.Signed, behind []int, held map[uint64]*storage.PageStore) ([]shardFetch, error) {
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	fetched := make([]shardFetch, len(behind))
+	slots := make(chan struct{}, maxShardFetches)
+	var wg sync.WaitGroup
+launch:
+	for k, idx := range behind {
+		select {
+		case slots <- struct{}{}:
+		case <-ctx.Done():
+			break launch
+		}
+		wg.Add(1)
+		go func(f *shardFetch, idx int, store *storage.PageStore) {
+			defer wg.Done()
+			defer func() { <-slots }()
+			var err error
+			if f.store, err = s.refreshShard(ctx, tableName, sm, idx, store, f); err != nil {
+				cancel(err)
+			}
+		}(&fetched[k], idx, held[sm.Map.Shards[idx].ID])
+	}
+	wg.Wait()
+	return fetched, context.Cause(ctx)
+}
+
 // sources lists where a bulk payload (snapshot, delta) is asked for, in
 // order: the available upstream peers, then the central server (nil).
 // Trust anchors — the signed shard map and the central public key —
@@ -855,8 +948,10 @@ func (s *Server) connOf(src *peer.Source) *rpc.Conn {
 // signature, source rule) is backed off and the next source continues
 // from wherever the store got to, so a malicious or wedged peer costs
 // latency, never correctness. Only the central's failure, ctx expiry or
-// a local store fault aborts.
-func (s *Server) refreshShard(ctx context.Context, tableName string, sm *shardmap.Signed, idx int, store *storage.PageStore, a *alignment) (*storage.PageStore, error) {
+// a local store fault aborts. It runs beside the refreshShard calls of the
+// table's other shards: what it fetched is accounted in f, which like
+// store is its own.
+func (s *Server) refreshShard(ctx context.Context, tableName string, sm *shardmap.Signed, idx int, store *storage.PageStore, f *shardFetch) (*storage.PageStore, error) {
 	target := sm.Map.Shards[idx].Version
 	for _, src := range s.sources() {
 		for hops := 0; hops < maxDeltaHops; hops++ {
@@ -874,7 +969,7 @@ func (s *Server) refreshShard(ctx context.Context, tableName string, sm *shardma
 					return store, nil
 				}
 				var d *wire.Delta
-				d, err = s.fetchDelta(ctx, src, tableName, sm.Map.Shards[idx].ID, store, head, a)
+				d, err = s.fetchDelta(ctx, src, tableName, sm.Map.Shards[idx].ID, store, head, f)
 				if err == nil && !d.SnapshotNeeded {
 					if d.ToVersion == head.Version {
 						// The central has nothing past the head although sm
@@ -887,7 +982,7 @@ func (s *Server) refreshShard(ctx context.Context, tableName string, sm *shardma
 			}
 			if gap {
 				var fresh *storage.PageStore
-				if fresh, err = s.fetchSnapshot(ctx, src, tableName, sm, idx, a); err == nil {
+				if fresh, err = s.fetchSnapshot(ctx, src, tableName, sm, idx, f); err == nil {
 					return fresh, nil
 				}
 			}
@@ -916,7 +1011,7 @@ func (s *Server) refreshShard(ctx context.Context, tableName string, sm *shardma
 // cannot vouch for yet — a commit racing the pull leaves its snapshot
 // ahead of the map; then only the signature's shape is checked here and
 // verifyAlignedStores binds the store to the final map before publish.
-func (s *Server) fetchSnapshot(ctx context.Context, src *peer.Source, tableName string, sm *shardmap.Signed, idx int, a *alignment) (*storage.PageStore, error) {
+func (s *Server) fetchSnapshot(ctx context.Context, src *peer.Source, tableName string, sm *shardmap.Signed, idx int, f *shardFetch) (*storage.PageStore, error) {
 	pin := &sm.Map.Shards[idx]
 	req := &wire.ShardSnapshotRequest{Table: tableName, ShardID: pin.ID}
 	body, err := s.connOf(src).Call(ctx, wire.MsgShardSnapshotReq, req.Encode(), wire.MsgSnapshotResp, true)
@@ -947,11 +1042,8 @@ func (s *Server) fetchSnapshot(ctx context.Context, src *peer.Source, tableName 
 	s.relay.Drop(wire.ShardRef(tableName, pin.ID))
 	s.stats.snapshotsInstalled.Add(1)
 	s.countPull(src, len(body))
-	a.bytes += len(body)
-	a.snapshotted = true
-	if a.sch == nil {
-		a.sch, a.params = snap.Schema, snap.AccParams
-	}
+	f.bytes += len(body)
+	f.sch, f.params = snap.Schema, snap.AccParams
 	return store, nil
 }
 
@@ -965,7 +1057,7 @@ func (s *Server) fetchSnapshot(ctx context.Context, src *peer.Source, tableName 
 // move it strictly forward. SnapshotNeeded markers and noops are
 // central-only answers — from a peer they could replay forever, so they
 // count as a failed source instead.
-func (s *Server) fetchDelta(ctx context.Context, src *peer.Source, tableName string, id uint64, store *storage.PageStore, head *vbtree.TableState, a *alignment) (*wire.Delta, error) {
+func (s *Server) fetchDelta(ctx context.Context, src *peer.Source, tableName string, id uint64, store *storage.PageStore, head *vbtree.TableState, f *shardFetch) (*wire.Delta, error) {
 	ref := wire.ShardRef(tableName, id)
 	req := &wire.ShardDeltaRequest{Table: tableName, ShardID: id, FromVersion: head.Version, Epoch: head.Epoch}
 	body, err := s.connOf(src).Call(ctx, wire.MsgShardDeltaReq, req.Encode(), wire.MsgDeltaResp, true)
@@ -992,7 +1084,7 @@ func (s *Server) fetchDelta(ctx context.Context, src *peer.Source, tableName str
 		s.stats.deltasApplied.Add(1)
 	}
 	s.countPull(src, len(body))
-	a.bytes += len(body)
+	f.bytes += len(body)
 	return d, nil
 }
 

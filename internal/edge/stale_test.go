@@ -69,6 +69,16 @@ func (f *fakeCentral) dispatch(ctx context.Context, mt wire.MsgType, body, _ []b
 			return 0, nil, err
 		}
 		return wire.MsgSnapshotResp, snap.Encode(), nil
+	case wire.MsgShardDeltaReq:
+		req, err := wire.DecodeShardDeltaRequest(body)
+		if err != nil {
+			return 0, nil, err
+		}
+		d, err := srv.ShardDeltaByID(req.Table, req.ShardID, req.FromVersion, req.Epoch)
+		if err != nil {
+			return 0, nil, err
+		}
+		return wire.MsgDeltaResp, d.Encode(), nil
 	default:
 		return 0, nil, wire.Unsupported("fake-central", mt)
 	}

@@ -2,8 +2,14 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
+	"edgeauth/internal/sig"
 	"edgeauth/internal/storage"
 )
 
@@ -93,5 +99,168 @@ func TestDeltaDecodeRejectsTruncation(t *testing.T) {
 	}
 	if _, err := DecodeDelta(append(enc, 0)); err == nil {
 		t.Fatal("trailing byte accepted")
+	}
+}
+
+// pageMap is a storage.PageReader over decoded page contents.
+type pageMap struct {
+	size  int
+	pages map[storage.PageID][]byte
+}
+
+func (m pageMap) PageSize() int { return m.size }
+func (m pageMap) View(id storage.PageID) ([]byte, error) {
+	p, ok := m.pages[id]
+	if !ok {
+		return nil, fmt.Errorf("no page %d", id)
+	}
+	return p, nil
+}
+
+// replaySigner stands in for a signing key the fixtures cannot carry: it
+// hands out the signature the parent commit made, and only for the
+// payload that signature authenticates.
+type replaySigner struct {
+	pub *sig.PublicKey
+	sg  sig.Signature
+}
+
+func (r replaySigner) Len() int { return len(r.sg) }
+func (r replaySigner) Sign(payload []byte) (sig.Signature, error) {
+	if err := r.pub.Verify(r.sg, payload); err != nil {
+		return nil, fmt.Errorf("digest taken in place is not the one the parent commit signed: %w", err)
+	}
+	return r.sg, nil
+}
+
+// TestDeltaBytesMatchParentCommit pins the wire format across the
+// encode-once rewrite. testdata/parent-cc58d1a holds what a central at
+// the parent commit (cc58d1a) served for a 40-row table under each scheme
+// — (*Delta).Encode() of a real delta, of a SnapshotNeeded marker and of
+// a noop, made when the core was serialised twice from a nil slice. Every
+// body must decode, carry a signature that verifies over the received
+// bytes, re-encode to itself through the struct-form encoder, and come
+// out of the serving side's AppendSigned byte for byte — into a fresh
+// buffer and in place behind bytes already in a lent one.
+// (edge.TestDeltaFromParentCommitApplies applies the same bodies.)
+func TestDeltaBytesMatchParentCommit(t *testing.T) {
+	for _, scheme := range []string{"rsa", "rsa-merkle", "ed25519"} {
+		read := func(name string) []byte {
+			t.Helper()
+			b, err := os.ReadFile(filepath.Join("testdata", "parent-cc58d1a", scheme, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		pub := new(sig.PublicKey)
+		if err := pub.UnmarshalBinary(read("key.pub")); err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []string{"delta", "marker", "noop"} {
+			t.Run(scheme+"/"+kind, func(t *testing.T) {
+				parent := read(kind + ".bin")
+				d, err := DecodeDelta(parent)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if real := !d.SnapshotNeeded && d.ToVersion > d.FromVersion && len(d.PageIDs) > 0; real != (kind == "delta") ||
+					d.SnapshotNeeded != (kind == "marker") {
+					t.Fatalf("fixture is not a %s: %d pages, v%d→v%d, snapshot-needed %t", kind, len(d.PageIDs), d.FromVersion, d.ToVersion, d.SnapshotNeeded)
+				}
+				payload, err := d.SigPayloadOfBody(parent)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := pub.Verify(d.Sig, payload); err != nil {
+					t.Fatalf("parent-encoded body does not verify: %v", err)
+				}
+				if !bytes.Equal(d.SigPayload(), payload) {
+					t.Fatal("SigPayload of the decoded struct differs from the digest of the received bytes")
+				}
+				if !bytes.Equal(d.Encode(), parent) {
+					t.Fatal("Encode of the decoded struct differs from the parent commit's bytes")
+				}
+
+				src := pageMap{size: 1024, pages: make(map[storage.PageID][]byte)}
+				for i, id := range d.PageIDs {
+					src.pages[id] = d.PageData[i]
+				}
+				hdr := *d
+				hdr.PageData, hdr.Sig = nil, nil
+				body, err := hdr.AppendSigned(nil, src, replaySigner{pub, d.Sig})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(body, parent) {
+					t.Fatal("AppendSigned differs from the parent commit's bytes")
+				}
+				if cap(body) != len(parent) {
+					t.Fatalf("AppendSigned reserved %d bytes for a %d-byte body", cap(body), len(parent))
+				}
+				if !bytes.Equal(hdr.Encode(), parent) {
+					t.Fatal("the struct AppendSigned completed does not encode to the body it appended")
+				}
+
+				lent := append(make([]byte, 0, 3+len(parent)), "hdr"...)
+				hdr.PageData, hdr.Sig = nil, nil
+				framed, err := hdr.AppendSigned(lent, src, replaySigner{pub, d.Sig})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if &framed[0] != &lent[0] {
+					t.Fatal("AppendSigned left a buffer that had room for the body")
+				}
+				if string(framed[:3]) != "hdr" || !bytes.Equal(framed[3:], parent) {
+					t.Fatal("AppendSigned behind a prefix differs from the parent commit's bytes")
+				}
+			})
+		}
+	}
+}
+
+// TestDecodeDeltaBoundsItsAllocations: the two counts that size a slice
+// are checked against the bytes left in the body before anything is
+// reserved, so a 1 KB body that claims 2³¹ heap pages or 2³¹ changed pages
+// is refused after allocating about its own size, not gigabytes.
+func TestDecodeDeltaBoundsItsAllocations(t *testing.T) {
+	hostile := func(heapPages, changedPages uint32) []byte {
+		d := &Delta{Table: "items", FromVersion: 1, ToVersion: 2, RootSig: []byte{1, 2, 3}}
+		out := appendStr(nil, d.Table)
+		out = appendU64(out, d.FromVersion)
+		out = appendU64(out, d.ToVersion)
+		out = appendU64(out, d.Epoch)
+		out = appendU8(out, 0)
+		out = appendU32(out, 2)
+		out = appendU32(out, 1)
+		out = appendBytes(out, d.RootSig)
+		out = appendU32(out, heapPages)
+		if heapPages == 0 {
+			out = appendU32(out, 9) // page count after ops
+			out = appendU32(out, 1) // key version
+			out = appendU8(out, 0)  // scheme
+			out = appendU32(out, changedPages)
+		}
+		return append(out, make([]byte, 1024-len(out))...)
+	}
+	// 250 heap pages (1,000 bytes) and 125 changed pages (1,000 bytes at the
+	// least) are under the body's length but over what is left of it where
+	// the count stands: the parent commit's decoder compared with the former.
+	for name, body := range map[string][]byte{
+		"2^31 heap pages":    hostile(1<<31, 0),
+		"2^31 changed pages": hostile(0, 1<<31),
+		"250 heap pages":     hostile(250, 0),
+		"125 changed pages":  hostile(0, 125),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeDelta(body)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "implausible") {
+			t.Errorf("%s: a hostile %d-byte body got %v, want the count refused before it sizes anything", name, len(body), err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 2*uint64(len(body)) {
+			t.Errorf("%s: decoding a %d-byte body allocated %d bytes", name, len(body), got)
+		}
 	}
 }
