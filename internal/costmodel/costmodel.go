@@ -158,10 +158,15 @@ func (p Params) DPCount(qr int) int { return qr * (p.NC - p.QC) }
 // attributes each.
 func (p Params) ResultBytes(qr int) int { return qr * p.QC * p.AttrSize }
 
+// VODigestBytes is formula (9)'s digest term for a VO of dp D_P and ds
+// D_S digests: those and the top-node digest, |D| bytes each. A VO on the
+// wire carries exactly these digest bytes (vo.VO.WireSize).
+func (p Params) VODigestBytes(dp, ds int) int { return (dp + ds + 1) * p.D }
+
 // CommVB is formula (9): result bytes + |D_P| digests + |D_S| digests +
 // the top-node digest.
 func (p Params) CommVB(qr int) int {
-	return p.ResultBytes(qr) + (p.DPCount(qr)+p.DSCount(qr)+1)*p.D
+	return p.ResultBytes(qr) + p.VODigestBytes(p.DPCount(qr), p.DSCount(qr))
 }
 
 // CommNaive is the Appendix communication formula: result bytes + one

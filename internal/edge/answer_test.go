@@ -75,10 +75,13 @@ func merkleEdge(t *testing.T, rows int) (*central.Server, *Server) {
 }
 
 // TestShardAnswerAllocationBudget: from the request body to the response
-// body, the edge allocates a bounded number of objects and no more bytes
-// than twice the response — the answer is read in place on pinned pages
-// and copied once, into the frame buffer the transport lends. (At the
-// parent commit the same request cost ~9,000 objects and ~0.9 MB.)
+// body, the edge allocates a fixed number of objects and a small fraction
+// of the response in bytes — the answer is read in place on pinned pages
+// and copied once, into the frame buffer the transport lends, and what
+// the traversal collects on the way (vbtree's walkScratch) is recycled
+// from one answer to the next. The count is deterministic, so it is
+// pinned: 35 (44 objects and 25 KB before the scratch was pooled). A
+// change that moves it says so here.
 func TestShardAnswerAllocationBudget(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -115,8 +118,8 @@ func TestShardAnswerAllocationBudget(t *testing.T) {
 
 	const runs = 100
 	allocs := testing.AllocsPerRun(runs, func() { answer() })
-	if allocs > 64 {
-		t.Errorf("%.0f allocations per answer, budget 64", allocs)
+	if allocs != 35 {
+		t.Errorf("%.0f allocations per answer, want 35", allocs)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -125,8 +128,8 @@ func TestShardAnswerAllocationBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	per := int(after.TotalAlloc-before.TotalAlloc) / runs
-	if per > 2*len(resp) {
-		t.Errorf("%d bytes allocated per %d-byte answer, budget twice the answer", per, len(resp))
+	if per > len(resp)/8 {
+		t.Errorf("%d bytes allocated per %d-byte answer, budget an eighth of the answer", per, len(resp))
 	}
 	t.Logf("%d-byte answer: %.0f allocations, %d bytes", len(resp), allocs, per)
 }

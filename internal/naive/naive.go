@@ -111,16 +111,18 @@ func (v *VO) NumDigests() int {
 }
 
 // WireSize returns the encoded payload size: the byte accounting used for
-// the Figure 10/11 comparison.
+// the Figure 10/11 comparison. Digests count at their width, behind one
+// 2-byte width for the whole VO, as vo.VO.WireSize counts the VB-tree's:
+// the two sides of the comparison pay for framing alike.
 func (v *VO) WireSize() int {
-	sz := 4 + 4
+	sz := 4 + 4 + 2
 	for _, s := range v.TupleSigs {
-		sz += 4 + len(s)
+		sz += len(s)
 	}
 	for _, fs := range v.FilteredSigs {
 		sz += 4
 		for _, s := range fs {
-			sz += 4 + len(s)
+			sz += len(s)
 		}
 	}
 	return sz

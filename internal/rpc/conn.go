@@ -236,7 +236,7 @@ func (c *Conn) dialAndHandshake(ctx context.Context) (*session, error) {
 	// Hello and its reply travel in bare framing; everything after is
 	// numbered.
 	nc.SetDeadline(time.Now().Add(c.opts.dialTimeout()))
-	if err := wire.WriteFrame(nc, wire.MsgHello, wire.EncodeHelloCaps(wire.ProtocolV2, c.opts.Capabilities)); err != nil {
+	if err := wire.WriteFrame(nc, wire.MsgHello, wire.EncodeHelloCaps(wire.ProtocolVersion, c.opts.Capabilities)); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("rpc: hello: %w", err)
 	}
@@ -262,7 +262,7 @@ func (c *Conn) dialAndHandshake(ctx context.Context) (*session, error) {
 }
 
 // checkHelloResp validates the server's reply to our Hello — a HelloResp
-// negotiating wire.ProtocolV2 — and returns the server's capabilities.
+// negotiating wire.ProtocolVersion — and returns the server's capabilities.
 // Anything else, including the error frame a refusing server sends, is a
 // dial error: there is no other protocol to continue in.
 func checkHelloResp(mt wire.MsgType, body []byte) (caps uint32, err error) {
@@ -277,9 +277,9 @@ func checkHelloResp(mt wire.MsgType, body []byte) (caps uint32, err error) {
 	if err != nil {
 		return 0, err
 	}
-	if v != wire.ProtocolV2 {
+	if v != wire.ProtocolVersion {
 		return 0, &wire.WireError{Code: wire.CodeUnsupported,
-			Msg: fmt.Sprintf("rpc: server negotiated protocol %d, this build speaks only %d", v, wire.ProtocolV2)}
+			Msg: fmt.Sprintf("rpc: server negotiated protocol %d, this build speaks only %d", v, wire.ProtocolVersion)}
 	}
 	return caps, nil
 }

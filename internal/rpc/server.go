@@ -84,7 +84,7 @@ func (o ServeOptions) maxConcurrent() int {
 // decode on this (reader) goroutine and execute concurrently on a bounded
 // worker pool, each response written under the connection write lock and
 // tagged with its request ID. A peer whose first frame is not a
-// well-formed Hello offering wire.ProtocolV2 gets one typed error frame
+// well-formed Hello offering wire.ProtocolVersion gets one typed error frame
 // and ServeConn returns (the caller closes the connection). ServeConn
 // also returns when the peer disconnects, idles out, or sends a malformed
 // frame; in-flight workers are drained before it returns.
@@ -109,14 +109,14 @@ func ServeConn(conn net.Conn, h Handler, o ServeOptions) {
 		return
 	}
 	setWriteDeadline(conn, idle)
-	if err := wire.WriteFrame(conn, wire.MsgHelloResp, wire.EncodeHelloCaps(wire.ProtocolV2, o.Capabilities)); err != nil {
+	if err := wire.WriteFrame(conn, wire.MsgHelloResp, wire.EncodeHelloCaps(wire.ProtocolVersion, o.Capabilities)); err != nil {
 		return
 	}
 	serve(ctx, conn, h, o, idle)
 }
 
 // checkHello validates a connection's first frame: a Hello whose sender
-// speaks at least wire.ProtocolV2.
+// speaks at least wire.ProtocolVersion.
 func checkHello(mt wire.MsgType, body []byte) *wire.WireError {
 	if mt != wire.MsgHello {
 		return wire.Unsupported("rpc", mt)
@@ -125,9 +125,9 @@ func checkHello(mt wire.MsgType, body []byte) *wire.WireError {
 	if err != nil {
 		return &wire.WireError{Code: wire.CodeBadRequest, Msg: "rpc: " + err.Error()}
 	}
-	if theirMax < wire.ProtocolV2 {
+	if theirMax < wire.ProtocolVersion {
 		return &wire.WireError{Code: wire.CodeUnsupported,
-			Msg: fmt.Sprintf("rpc: peer speaks protocol %d at most, this build speaks only %d", theirMax, wire.ProtocolV2)}
+			Msg: fmt.Sprintf("rpc: peer speaks protocol %d at most, this build speaks only %d", theirMax, wire.ProtocolVersion)}
 	}
 	return nil
 }

@@ -3,18 +3,21 @@ package sig_test
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math/big"
 	"strings"
 	"testing"
 
+	"edgeauth/internal/costmodel"
 	"edgeauth/internal/digest"
 	"edgeauth/internal/query"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
 	"edgeauth/internal/storage"
 	"edgeauth/internal/vbtree"
+	"edgeauth/internal/vo"
 	"edgeauth/internal/wire"
 	"edgeauth/internal/workload"
 )
@@ -138,10 +141,12 @@ func goldenCases(sch *schema.Schema) []goldenCase {
 
 var goldenMap = []byte("golden signed map bytes (opaque to the wire layer)")
 
-// goldenAnswers holds, for every golden case, what the PARENT commit
-// (679c42a: copying traversal, struct-form encoders) produced when run
-// over goldenView: rows, D_S entries, and the length and SHA-256 of
-// (&wire.ShardQueryResponse{Resp: {rs, w}, SignedMap: goldenMap}).Encode().
+// goldenAnswers holds, for every golden case, what a commit that put a
+// length in front of every VO digest (captured at 679c42a, unchanged up
+// to d5690c2) produced when run over goldenView: rows, D_S entries, and
+// the length and SHA-256 of
+// (&wire.ShardQueryResponse{Resp: {rs, w}, SignedMap: goldenMap}).Encode()
+// — the layout parentBody still writes.
 var goldenAnswers = []struct {
 	name     string
 	rows, ds int
@@ -190,12 +195,43 @@ var goldenAnswers = []struct {
 	{"rsa/filter-no-match/anchor=false", 0, 14, 707, "09e1e8b62ffc02820c2fc2db6981d66302cd866d7866480c87b290b37d8b79ea"},
 }
 
-// TestAnswerBytesMatchParentCommit pins the bytes an edge puts on the
-// wire for a query — built by vbtree.View.AppendAnswer straight from the
-// pages, framed by wire.AppendShardQueryResponse — to the bytes the
-// parent commit built through vo.ResultSet, vo.VO and their Encode
-// methods, for both commitment modes, root-anchored and not. The struct
-// form RunQuery still returns must encode to the same bytes.
+// parentBody is the ShardQueryResponse body the PARENT commit (d5690c2)
+// wrote for an answer: the same framing and result set as today, and a VO
+// whose every D_S and D_P digest sits behind its own 4-byte length, with
+// no width in front of the runs. It is kept as the reference the goldens
+// were captured with: an answer that transcodes to the parent's bytes
+// carries the parent's content.
+func parentBody(rs *vo.ResultSet, w *vo.VO, signedMap []byte) []byte {
+	u32 := binary.BigEndian.AppendUint32
+	lenPrefixed := func(dst, b []byte) []byte { return append(u32(dst, uint32(len(b))), b...) }
+
+	pvo := u32(nil, w.KeyVersion)
+	pvo = binary.BigEndian.AppendUint64(pvo, uint64(w.Timestamp))
+	pvo = append(pvo, w.TopLevel)
+	pvo = lenPrefixed(pvo, w.TopDigest)
+	pvo = lenPrefixed(pvo, w.RootSig)
+	pvo = u32(pvo, uint32(len(w.DS)))
+	for _, e := range w.DS {
+		pvo = append(lenPrefixed(pvo, e.Sig), e.Lift)
+	}
+	pvo = u32(pvo, uint32(len(w.DP)))
+	for _, d := range w.DP {
+		pvo = lenPrefixed(pvo, d)
+	}
+
+	answer := lenPrefixed(lenPrefixed(nil, rs.Encode(nil)), pvo)
+	return lenPrefixed(lenPrefixed(nil, answer), signedMap)
+}
+
+// TestAnswerBytesMatchParentCommit pins what an edge puts on the wire for
+// a query — built by vbtree.View.AppendAnswer straight from the pages,
+// framed by wire.AppendShardQueryResponse — to what the parent commit
+// sent, for both commitment modes, root-anchored and not: the same
+// content, fewer bytes. The decoded answer, written back out in the
+// parent's VO layout (parentBody), has the parent's length and SHA-256;
+// the body itself is shorter by the 4-byte length the parent put in front
+// of each D_S and D_P digest, less the 2-byte width that replaces them.
+// The struct form RunQuery still returns must encode to the same bytes.
 func TestAnswerBytesMatchParentCommit(t *testing.T) {
 	ctx := context.Background()
 	want := goldenAnswers
@@ -222,21 +258,26 @@ func TestAnswerBytesMatchParentCommit(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				sum := sha256.Sum256(body)
-				if got := hex.EncodeToString(sum[:]); len(body) != g.length || got != g.sha256 {
-					t.Errorf("%s: %d bytes, sha256 %s; parent commit: %d bytes, sha256 %s",
-						name, len(body), got, g.length, g.sha256)
-					continue
-				}
 				resp, err := wire.DecodeShardQueryResponse(body)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if rs, w := resp.Resp.Result, resp.Resp.VO; len(rs.Tuples) != g.rows || len(w.DS) != g.ds || w.WireSize() != voBytes {
+				rs, w := resp.Resp.Result, resp.Resp.VO
+				if len(rs.Tuples) != g.rows || len(w.DS) != g.ds || w.WireSize() != voBytes {
 					t.Errorf("%s: %d rows, %d D_S entries in a %d-byte VO; parent commit %d rows, %d entries, AppendAnswer reported %d bytes",
 						name, len(rs.Tuples), len(w.DS), w.WireSize(), g.rows, g.ds, voBytes)
 				}
-				rs, w, err := v.RunQuery(ctx, q)
+				parent := parentBody(rs, w, resp.SignedMap)
+				sum := sha256.Sum256(parent)
+				if got := hex.EncodeToString(sum[:]); len(parent) != g.length || got != g.sha256 {
+					t.Errorf("%s: in the parent's layout %d bytes, sha256 %s; parent commit: %d bytes, sha256 %s",
+						name, len(parent), got, g.length, g.sha256)
+				}
+				if wantLen := g.length - 4*(len(w.DS)+len(w.DP)) + 2; len(body) != wantLen {
+					t.Errorf("%s: %d bytes with %d D_S and %d D_P entries, want the parent's %d less 4 an entry plus 2 = %d",
+						name, len(body), len(w.DS), len(w.DP), g.length, wantLen)
+				}
+				rs, w, err = v.RunQuery(ctx, q)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -249,5 +290,55 @@ func TestAnswerBytesMatchParentCommit(t *testing.T) {
 	}
 	if len(want) != 0 {
 		t.Fatalf("%d golden cases were not run", len(want))
+	}
+}
+
+// TestVOBytesMatchFormula9 ties the paper's communication cost to the
+// wire, over every golden shape: formula (9) charges a VO
+// (|D_P| + |D_S| + 1)·D bytes of digests, and those are the digest bytes
+// a VO carries — each D_S and D_P digest at the VO's one width, the top
+// digest once. What a VO takes beyond the formula is a lift per D_S
+// entry, the root signature of a Merkle scheme and 31 bytes of header;
+// |D_P| is q_r·(N_C − Q_C) exactly.
+func TestVOBytesMatchFormula9(t *testing.T) {
+	ctx := context.Background()
+	for _, scheme := range []sig.Scheme{sig.SchemeRSAMerkle, sig.SchemeRSAFull} {
+		v, sch := goldenView(t, scheme)
+		for _, c := range goldenCases(sch) {
+			for _, anchor := range []bool{true, false} {
+				name := fmt.Sprintf("%v/%s/anchor=%v", scheme, c.name, anchor)
+				q, err := query.Compile(sch, c.spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				q.AnchorRoot = anchor
+				rs, w, err := v.RunQuery(ctx, q)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				// Every digest of a scheme has one length: the accumulator's
+				// under Merkle, the key's under per-node rsa.
+				width := len(w.TopDigest)
+				for i, e := range w.DS {
+					if len(e.Sig) != width {
+						t.Fatalf("%s: D_S entry %d has %d bytes, the top digest %d", name, i, len(e.Sig), width)
+					}
+				}
+				digestBytes := (len(w.DP)+len(w.DS))*width + len(w.TopDigest)
+				if got, want := w.WireSize(), digestBytes+len(w.DS)+len(w.RootSig)+31; got != want || got != len(w.Encode(nil)) {
+					t.Errorf("%s: VO of %d D_S and %d D_P entries is %d bytes (%d encoded), want %d",
+						name, len(w.DS), len(w.DP), got, len(w.Encode(nil)), want)
+				}
+				p := costmodel.Default()
+				p.D, p.NC, p.QC = width, len(sch.Columns), len(rs.Columns)
+				if got := p.DPCount(len(rs.Tuples)); got != len(w.DP) {
+					t.Errorf("%s: model predicts |D_P| = %d for %d rows of %d of %d columns, the VO carries %d",
+						name, got, len(rs.Tuples), p.QC, p.NC, len(w.DP))
+				}
+				if got := p.VODigestBytes(len(w.DP), len(w.DS)); got != digestBytes {
+					t.Errorf("%s: formula (9) charges %d digest bytes, the VO carries %d", name, got, digestBytes)
+				}
+			}
+		}
 	}
 }

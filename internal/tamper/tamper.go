@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/big"
 	"math/rand"
 
 	"edgeauth/internal/digest"
@@ -323,6 +324,59 @@ func SwapProjectionDigest() Attack {
 	}
 }
 
+// CompensateDigest rewrites a returned attribute value and rebalances
+// the product so the verification equation still holds: the combiner is
+// a product in Z*_m, the rewritten value's hash h(old) sits in it at the
+// same level as every D_P digest, so multiplying D_P[0] by
+// h(old)·h(new)⁻¹ mod m cancels the change. The result set must project
+// at least one column away (D_P non-empty).
+//
+// Under per-node rsa every D_S and D_P entry is a signature and the
+// rebalanced bytes are not one, so the answer is rejected. Under the
+// Merkle schemes the entries are raw, unsigned digests — only the root
+// is signed — and the answer VERIFIES: a known gap (ROADMAP item 8),
+// which is why this attack is not in All(). It is recorded here so that
+// whatever closes the gap has a test to turn green.
+func CompensateDigest() Attack {
+	return Attack{
+		Name:        "compensate-digest",
+		Description: "rewrite a returned value and rebalance an unsigned D_P digest by h(old)·h(new)⁻¹",
+		Apply: func(rs *vo.ResultSet, w *vo.VO) error {
+			if len(rs.Tuples) == 0 || len(w.DP) == 0 {
+				return ErrNotApplicable
+			}
+			col := len(rs.Columns) - 1
+			v := &rs.Tuples[0].Values[col]
+			acc := digest.MustNew(digest.DefaultParams())
+			key := rs.Keys[0].EncodeKey(nil)
+			hash := func() *big.Int {
+				d := acc.HashAttribute(rs.DB, rs.Table, rs.Columns[col], key, v.Canonical(nil))
+				return new(big.Int).SetBytes(d)
+			}
+			hOld := hash()
+			switch v.Type {
+			case schema.TypeInt64:
+				v.I += 1_000_000
+			case schema.TypeString:
+				v.S += "!"
+			default:
+				return ErrNotApplicable
+			}
+			m := acc.Modulus()
+			inv := new(big.Int).ModInverse(hash(), m)
+			if inv == nil {
+				return ErrNotApplicable // attribute hashes are units; not reached
+			}
+			// The entry's bytes as a residue, rebalanced, at the entry's own
+			// width: under a Merkle scheme that is the digest itself.
+			x := new(big.Int).SetBytes(w.DP[0])
+			x.Mul(x, hOld).Mul(x, inv).Mod(x, m)
+			w.DP[0] = sig.Signature(x.FillBytes(make([]byte, len(w.DP[0]))))
+			return nil
+		},
+	}
+}
+
 // ReplayStaleShard substitutes a previously-captured shard answer for
 // the current one — the stale-single-shard attack on a range-partitioned
 // table. A compromised edge serves three fresh shards and one frozen
@@ -554,7 +608,9 @@ func MapAttacks() []MapAttack {
 }
 
 // All returns the full catalogue (attacks needing parameters get
-// placeholder arguments suitable for single-table deployments).
+// placeholder arguments suitable for single-table deployments) of attacks
+// a client rejects under every scheme. CompensateDigest is not among
+// them: see its comment.
 func All() []Attack {
 	return []Attack{
 		MutateValue(),

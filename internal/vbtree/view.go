@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"edgeauth/internal/digest"
@@ -224,7 +225,9 @@ func (v *View) RunQuery(ctx context.Context, q Query) (*vo.ResultSet, *vo.VO, er
 // returned buffer holds no reference to them. voBytes is the encoded size
 // of the answer's VO.
 func (v *View) AppendAnswer(ctx context.Context, q Query, dst []byte) (out []byte, voBytes int, err error) {
-	w := answerWalk{v: v, ctx: ctx, filter: q.Filter, filterCols: q.FilterCols}
+	sc := walkScratchPool.Get().(*walkScratch)
+	defer sc.recycle()
+	w := answerWalk{v: v, ctx: ctx, filter: q.Filter, filterCols: q.FilterCols, walkScratch: sc}
 	if q.Lo != nil {
 		w.lo = q.Lo.KeyBytes()
 	}
@@ -248,8 +251,6 @@ func (v *View) AppendAnswer(ctx context.Context, q Query, dst []byte) (out []byt
 			}
 		}
 	}
-	// Room for a short answer; a long one grows these by doubling.
-	w.matches, w.ds = make([][]byte, 0, 32), make([]dsRef, 0, 32)
 	// Under a Merkle scheme only the root digest is signed, so the VO must
 	// anchor there regardless of what the query asked for.
 	anchorRoot := q.AnchorRoot || v.merkle
@@ -268,8 +269,17 @@ func (v *View) AppendAnswer(ctx context.Context, q Query, dst []byte) (out []byt
 		}
 	}
 	ds, top := w.ds[env.from:env.to], env.top
-	for _, d := range ds {
-		w.sizes.DS(len(d.sig))
+	w.sizes.DS(len(ds))
+	// Every D_S and D_P digest of a VO has one width (vo.VO.Encode): the
+	// first one's. The writer refuses the answer if a later one differs.
+	stride := 2 * (len(v.sch.Columns) + 1)
+	width := 0
+	switch {
+	case len(ds) > 0:
+		width = len(ds[0].sig)
+	case len(w.matches) > 0 && len(w.dropped) > 0:
+		first := vo.StoredViewAt(w.matches[0], w.offsets[:stride])
+		width = len(first.AttrSig(w.dropped[0]))
 	}
 
 	hdr := vo.VO{
@@ -290,21 +300,20 @@ func (v *View) AppendAnswer(ctx context.Context, q Query, dst []byte) (out []byt
 		hdr.TopDigest, hdr.RootSig = sig.Signature(u), top.sig
 	}
 	var aw vo.AnswerWriter
-	aw.Begin(dst, &vo.ResultSet{DB: v.sch.DB, Table: v.sch.Table, Columns: cols}, &hdr, w.sizes)
+	aw.Begin(dst, &vo.ResultSet{DB: v.sch.DB, Table: v.sch.Table, Columns: cols}, &hdr, w.sizes, width)
 	for _, d := range ds {
 		aw.DS(d.sig, uint8(top.level-int(d.level)))
 	}
-	for _, rec := range w.matches {
-		if err := w.sv.Parse(rec); err != nil {
-			return nil, 0, err
-		}
-		aw.Row(w.sv.Value(v.sch.Key), len(w.proj))
+	for i, rec := range w.matches {
+		// The offsets match found: the record is parsed once.
+		sv := vo.StoredViewAt(rec, w.offsets[i*stride:(i+1)*stride])
+		aw.Row(sv.Value(v.sch.Key), len(w.proj))
 		for _, ci := range w.proj {
-			aw.Value(w.sv.Value(ci))
+			aw.Value(sv.Value(ci))
 		}
 		// Filtered attributes -> D_P (paper Figure 7).
 		for _, ci := range w.dropped {
-			aw.DP(w.sv.AttrSig(ci))
+			aw.DP(sv.AttrSig(ci))
 		}
 	}
 	if out, err = aw.Finish(); err != nil {
@@ -327,12 +336,36 @@ type answerWalk struct {
 	proj    []int // schema index of each returned column, in answer order
 	dropped []int // schema indices projected away, ascending (the D_P columns)
 
-	sv      vo.StoredView
 	scratch []schema.Datum // the tuple shown to filter
-
-	matches [][]byte // stored-tuple records of the result rows, in key order
-	ds      []dsRef
 	sizes   vo.AnswerSizes
+
+	*walkScratch
+}
+
+// walkScratch is what a traversal collects, kept from one AppendAnswer to
+// the next so that a point read does not grow it from nothing every time.
+type walkScratch struct {
+	sv      vo.StoredView
+	matches [][]byte // stored-tuple records of the result rows, in key order
+	// offsets holds sv's offset table for every record in matches, one
+	// after the other, 2·(columns+1) entries each.
+	offsets []int
+	// ds never holds a page reference past its length: a truncation clears
+	// what it cuts off, so recycle has only the length to clear.
+	ds []dsRef
+}
+
+var walkScratchPool = sync.Pool{New: func() any { return new(walkScratch) }}
+
+// recycle returns the scratch to the pool holding no reference to a
+// page: whoever takes it next must not keep this traversal's snapshot
+// reachable after its pin is released.
+func (sc *walkScratch) recycle() {
+	sc.sv = vo.StoredViewAt(nil, sc.sv.Offsets()[:0])
+	clear(sc.matches)
+	clear(sc.ds)
+	sc.matches, sc.offsets, sc.ds = sc.matches[:0], sc.offsets[:0], sc.ds[:0]
+	walkScratchPool.Put(sc)
 }
 
 // dsRef is one D_S entry before its lift is known: the digest of a
@@ -475,6 +508,7 @@ func (w *answerWalk) walk(n envelopeTop) (envelope, error) {
 			return envelope{}, err
 		}
 		if env.top.level == 0 {
+			clear(w.ds[mark:])
 			w.ds = append(w.ds[:mark], branch)
 			continue
 		}
@@ -520,10 +554,9 @@ func (w *answerWalk) match(rid storage.RecordID) (bool, error) {
 		values += len(sv.Value(ci))
 	}
 	w.sizes.Row(len(sv.Value(sch.Key)), values)
-	for _, ci := range w.dropped {
-		w.sizes.DP(len(sv.AttrSig(ci)))
-	}
+	w.sizes.DP(len(w.dropped))
 	w.matches = append(w.matches, rec)
+	w.offsets = append(w.offsets, sv.Offsets()...)
 	return true, nil
 }
 
@@ -540,6 +573,7 @@ func (w *answerWalk) envelopeEmpty() (envelope, error) {
 	if err != nil {
 		return envelope{}, err
 	}
+	clear(w.ds)
 	w.ds = w.ds[:0]
 	for {
 		ok, err := c.advance()

@@ -76,8 +76,7 @@ func section(data []byte) ([]byte, int, error) {
 // lay the whole answer out before the first field is copied in.
 type AnswerSizes struct {
 	rows, rowBytes int
-	ds, dsBytes    int
-	dp, dpBytes    int
+	ds, dp         int
 }
 
 // Row counts one result row whose key datum and projected values take
@@ -87,17 +86,11 @@ func (s *AnswerSizes) Row(keyLen, valuesLen int) {
 	s.rowBytes += keyLen + 2 + valuesLen
 }
 
-// DS counts one D_S entry with a digest of sigLen bytes.
-func (s *AnswerSizes) DS(sigLen int) {
-	s.ds++
-	s.dsBytes += 4 + sigLen + 1
-}
+// DS counts n D_S entries.
+func (s *AnswerSizes) DS(n int) { s.ds += n }
 
-// DP counts one D_P entry with a digest of sigLen bytes.
-func (s *AnswerSizes) DP(sigLen int) {
-	s.dp++
-	s.dpBytes += 4 + sigLen
-}
+// DP counts n D_P entries.
+func (s *AnswerSizes) DP(n int) { s.dp += n }
 
 // AnswerWriter writes one answer field by field. Result rows, D_S
 // entries and D_P entries may arrive interleaved — a traversal meets
@@ -110,21 +103,29 @@ type AnswerWriter struct {
 	ds, dsEnd   int
 	dp, dpEnd   int
 	voBytes     int
+	// width is the one width of the D_S and D_P digests; ragged records
+	// that DS or DP was handed a digest of another.
+	width  int
+	ragged bool
 }
 
 // Begin lays the answer out at the end of dst and writes everything but
 // the rows and digests: rs supplies the relation identity and column
 // names, w the key version, timestamp, top level, top digest and root
 // signature (their Keys, Tuples, DS and DP are not read), sz what Row,
-// DS and DP will then be called with.
-func (a *AnswerWriter) Begin(dst []byte, rs *ResultSet, w *VO, sz AnswerSizes) {
+// DS and DP will then be called with, width the one width of every
+// digest DS and DP will be handed (see VO.Encode).
+func (a *AnswerWriter) Begin(dst []byte, rs *ResultSet, w *VO, sz AnswerSizes, width int) {
 	rsHead := 2 + len(rs.DB) + 2 + len(rs.Table) + 2
 	for _, c := range rs.Columns {
 		rsHead += 2 + len(c)
 	}
 	rsLen := rsHead + 4 + sz.rowBytes
-	voHead := 4 + 8 + 1 + 4 + len(w.TopDigest) + 4 + len(w.RootSig)
-	a.voBytes = voHead + 4 + sz.dsBytes + 4 + sz.dpBytes
+	dsBytes, dpBytes := sz.ds*(width+1), sz.dp*width
+	a.voBytes = voFixedSize + len(w.TopDigest) + len(w.RootSig) + dsBytes + dpBytes
+	// A width the layout cannot carry fails Finish like a digest of the
+	// wrong one.
+	a.width, a.ragged = width, !widthFits(width, sz.ds+sz.dp)
 
 	buf := slices.Grow(dst, 4+rsLen+4+a.voBytes)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(rsLen))
@@ -139,16 +140,11 @@ func (a *AnswerWriter) Begin(dst []byte, rs *ResultSet, w *VO, sz AnswerSizes) {
 	buf = buf[:a.rowEnd]
 
 	buf = binary.BigEndian.AppendUint32(buf, uint32(a.voBytes))
-	buf = binary.BigEndian.AppendUint32(buf, w.KeyVersion)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(w.Timestamp))
-	buf = append(buf, w.TopLevel)
-	buf = appendSig(buf, w.TopDigest)
-	buf = appendSig(buf, w.RootSig)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(sz.ds))
-	a.ds, a.dsEnd = len(buf), len(buf)+sz.dsBytes
+	buf = w.appendHead(buf, width, sz.ds)
+	a.ds, a.dsEnd = len(buf), len(buf)+dsBytes
 	buf = buf[:a.dsEnd]
 	buf = binary.BigEndian.AppendUint32(buf, uint32(sz.dp))
-	a.dp, a.dpEnd = len(buf), len(buf)+sz.dpBytes
+	a.dp, a.dpEnd = len(buf), len(buf)+dpBytes
 	a.buf = buf[:a.dpEnd]
 }
 
@@ -173,19 +169,15 @@ func (a *AnswerWriter) Value(enc []byte) { a.put(&a.row, a.rowEnd, enc) }
 
 // DS appends one D_S entry.
 func (a *AnswerWriter) DS(digest []byte, lift uint8) {
-	a.putLen(&a.ds, a.dsEnd, len(digest))
+	a.ragged = a.ragged || len(digest) != a.width
 	a.put(&a.ds, a.dsEnd, digest)
 	a.put(&a.ds, a.dsEnd, []byte{lift})
 }
 
 // DP appends one D_P entry.
 func (a *AnswerWriter) DP(digest []byte) {
-	a.putLen(&a.dp, a.dpEnd, len(digest))
+	a.ragged = a.ragged || len(digest) != a.width
 	a.put(&a.dp, a.dpEnd, digest)
-}
-
-func (a *AnswerWriter) putLen(at *int, end int, n int) {
-	a.put(at, end, []byte{byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n)})
 }
 
 // VOBytes returns the encoded size of the answer's VO.
@@ -193,8 +185,12 @@ func (a *AnswerWriter) VOBytes() int { return a.voBytes }
 
 // Finish returns the buffer Begin was given with the answer appended. It
 // fails if the fields written do not add up to the sizes Begin was
-// given — a bug in the caller, caught before a malformed frame leaves.
+// given, or a digest was not of the width Begin was given — a bug in the
+// caller or a corrupt page, caught before a malformed frame leaves.
 func (a *AnswerWriter) Finish() ([]byte, error) {
+	if a.ragged {
+		return nil, fmt.Errorf("vo: answer digests are not all %d bytes wide, the one width its layout has", a.width)
+	}
 	if a.row != a.rowEnd || a.ds != a.dsEnd || a.dp != a.dpEnd {
 		return nil, fmt.Errorf("vo: answer fields do not fill their layout (rows %+d, D_S %+d, D_P %+d bytes)",
 			a.row-a.rowEnd, a.ds-a.dsEnd, a.dp-a.dpEnd)

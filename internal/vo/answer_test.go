@@ -45,14 +45,11 @@ func TestAnswerWriterMatchesStructEncoders(t *testing.T) {
 		}
 		sz.Row(len(enc(rs.Keys[i])), values)
 	}
-	for _, e := range w.DS {
-		sz.DS(len(e.Sig))
-	}
-	for _, s := range w.DP {
-		sz.DP(len(s))
-	}
+	sz.DS(len(w.DS))
+	sz.DP(len(w.DP))
+	width := len(w.DS[0].Sig)
 	var a AnswerWriter
-	a.Begin(append([]byte(nil), prefix...), rs, w, sz)
+	a.Begin(append([]byte(nil), prefix...), rs, w, sz, width)
 	a.DP(w.DP[0])
 	a.Row(enc(rs.Keys[0]), 2)
 	a.DS(w.DS[0].Sig, w.DS[0].Lift)
@@ -76,10 +73,30 @@ func TestAnswerWriterMatchesStructEncoders(t *testing.T) {
 
 	// A field the sizes did not count must fail Finish, not spill into
 	// the next run.
-	a.Begin(nil, rs, w, sz)
+	a.Begin(nil, rs, w, sz, width)
 	a.DS(bytes.Repeat([]byte{9}, 64), 1)
 	if _, err := a.Finish(); err == nil {
 		t.Fatal("an over-long D_S entry was accepted")
+	}
+	// Nor may digests of other widths cancel out inside a run: one byte
+	// short and one byte long fill the D_P run exactly.
+	a.Begin(nil, rs, w, sz, width)
+	a.DS(w.DS[0].Sig, 1)
+	a.DS(w.DS[1].Sig, 1)
+	a.DP(w.DP[0][:width-1])
+	a.DP(append(w.DP[1].Clone(), 0))
+	for i, tup := range rs.Tuples {
+		a.Row(enc(rs.Keys[i]), 2)
+		a.Value(enc(tup.Values[0]))
+		a.Value(enc(tup.Values[1]))
+	}
+	if _, err := a.Finish(); err == nil {
+		t.Fatal("two D_P entries of the wrong widths were accepted")
+	}
+	// A width that contradicts the counts is refused as well.
+	a.Begin(nil, rs, &VO{}, AnswerSizes{}, width)
+	if _, err := a.Finish(); err == nil {
+		t.Fatal("a digest width with no digests was accepted")
 	}
 }
 
@@ -182,8 +199,8 @@ func TestHostileCountsAllocateInProportionToInput(t *testing.T) {
 	pad := func(b []byte) []byte { return append(b, make([]byte, size-len(b))...) }
 	u32 := func(b []byte, v int) []byte { return binary.BigEndian.AppendUint32(b[:len(b):len(b)], uint32(v)) }
 
-	voHead := append(make([]byte, 13), 0, 0, 0, 0, 0, 0, 0, 0) // header, empty top digest and root signature
-	rsHead := []byte{0, 1, 'd', 0, 1, 't', 0, 1, 0, 1, 'c'}    // db, table, one column
+	voHead := append(make([]byte, 13), 0, 0, 0, 0, 0, 0, 0, 0, 0, 16) // header, empty top digest and root signature, 16-byte digests
+	rsHead := []byte{0, 1, 'd', 0, 1, 't', 0, 1, 0, 1, 'c'}           // db, table, one column
 	cases := []struct {
 		name   string
 		body   []byte
@@ -191,8 +208,8 @@ func TestHostileCountsAllocateInProportionToInput(t *testing.T) {
 	}{
 		{"VO claiming 2^32-1 D_S entries", pad(u32(voHead, 0xFFFFFFFF)), decodeVOErr},
 		{"VO claiming as many D_S entries as bytes", pad(u32(voHead, size)), decodeVOErr},
-		{"VO claiming the most D_S entries that could fit", pad(u32(voHead, (size-len(voHead)-4)/5)), decodeVOErr},
-		{"VO claiming the most D_P entries that could fit", pad(u32(u32(voHead, 0), (size-len(voHead)-8)/4)), decodeVOErr},
+		{"VO claiming the most D_S entries that could fit", pad(u32(voHead, (size-len(voHead)-4)/17)), decodeVOErr},
+		{"VO claiming the most D_P entries that could fit", pad(u32(u32(voHead, 0), (size-len(voHead)-8)/16)), decodeVOErr},
 		{"result set claiming as many rows as bytes", pad(u32(rsHead, size)), decodeRSErr},
 		{"result set claiming the most rows that could fit", pad(u32(rsHead, (size-len(rsHead)-4)/7)), decodeRSErr},
 		{"result set claiming 65535 columns", pad([]byte{0, 1, 'd', 0, 1, 't', 0xFF, 0xFF}), decodeRSErr},
@@ -211,6 +228,52 @@ func TestHostileCountsAllocateInProportionToInput(t *testing.T) {
 		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 32*size {
 			t.Errorf("%s: decoding %d bytes allocated %d", c.name, size, per)
 		}
+	}
+}
+
+// TestDecodeVOBoundsItsAllocations: the width and the two counts that
+// size the D_S and D_P slices are checked against the bytes left in the
+// body before anything is reserved, so a 1 KB body that claims 2³¹
+// entries, entries of no width, or entries wider than the body is refused
+// after allocating about its own size.
+func TestDecodeVOBoundsItsAllocations(t *testing.T) {
+	hostile := func(width uint16, ds, dp uint32) []byte {
+		out := append(make([]byte, 13), 0, 0, 0, 0, 0, 0, 0, 0) // header, empty top digest and root signature
+		out = binary.BigEndian.AppendUint16(out, width)
+		out = binary.BigEndian.AppendUint32(out, ds)
+		if ds == 0 {
+			out = binary.BigEndian.AppendUint32(out, dp)
+		}
+		return append(out, make([]byte, 1024-len(out))...)
+	}
+	// 59 D_S entries of 16 bytes and a lift are 1,003 bytes, 63 D_P entries
+	// 1,008: under the body's length, over what is left of it where the
+	// count stands (997 and 993).
+	for name, body := range map[string][]byte{
+		"2^31 D_S entries":              hostile(16, 1<<31, 0),
+		"2^31 D_P entries":              hostile(16, 0, 1<<31),
+		"2^31 D_S entries of one byte":  hostile(1, 1<<31, 0),
+		"59 D_S entries":                hostile(16, 59, 0),
+		"63 D_P entries":                hostile(16, 0, 63),
+		"a D_S count at width 0":        hostile(0, 1000, 0),
+		"a D_P count at width 0":        hostile(0, 0, 1000),
+		"one D_S entry of width 65,535": hostile(65535, 1, 0),
+		"one D_P entry of width 65,535": hostile(65535, 0, 1),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := DecodeVO(body)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "implausible") {
+			t.Errorf("%s: a hostile %d-byte body got %v, want the count refused before it sizes anything", name, len(body), err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 2*uint64(len(body)) {
+			t.Errorf("%s: decoding a %d-byte body allocated %d bytes", name, len(body), got)
+		}
+	}
+	// The one shape the counts cannot catch: a width, and nothing of it.
+	if _, _, err := DecodeVO(hostile(16, 0, 0)); err == nil || !strings.Contains(err.Error(), "no digests") {
+		t.Errorf("a digest width with two empty runs got %v, want it refused: it has a second encoding at width 0", err)
 	}
 }
 

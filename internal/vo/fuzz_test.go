@@ -21,9 +21,9 @@ func seedVO() *VO {
 		TopDigest:  sig.Signature{1, 2, 3, 4},
 		DS: []Entry{
 			{Sig: sig.Signature{5, 6}, Lift: 1},
-			{Sig: sig.Signature{7}, Lift: 2},
+			{Sig: sig.Signature{7, 8}, Lift: 2},
 		},
-		DP: []sig.Signature{{8, 9, 10}},
+		DP: []sig.Signature{{9, 10}},
 	}
 }
 

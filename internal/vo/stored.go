@@ -69,7 +69,7 @@ func DecodeStoredTuple(data []byte) (*StoredTuple, int, error) {
 	}
 	n := int(binary.BigEndian.Uint16(data[off : off+2]))
 	off += 2
-	if n > len(data[off:])/minDPEntry {
+	if n > len(data[off:])/minStoredSig {
 		return nil, 0, errors.New("vo: implausible signature count")
 	}
 	st := &StoredTuple{Tuple: t, AttrSigs: make([]sig.Signature, 0, n)}
@@ -94,12 +94,14 @@ func DecodeStoredTuple(data []byte) (*StoredTuple, int, error) {
 // Every slice a StoredView returns is a slice of the record last given
 // to Parse: valid until that record is — for a record read in place from
 // a pinned page, until the pin is released. The zero value is ready to
-// use, and Parse reuses its offset tables from one record to the next.
+// use, and Parse reuses its offset table from one record to the next.
 type StoredView struct {
 	rec []byte
-	// val[i]..val[i+1] bounds column i's encoded datum; sig[i]..sig[i+1]
-	// bounds attribute i's signature with its length prefix.
-	val, sig []int
+	// off holds, for a record of n columns, n+1 value bounds and then n+1
+	// signature bounds: off[i]..off[i+1] bounds column i's encoded datum,
+	// off[n+1+i]..off[n+2+i] attribute i's signature with its length
+	// prefix.
+	off []int
 }
 
 // Parse points the view at an encoded stored tuple.
@@ -112,10 +114,10 @@ func (sv *StoredView) Parse(rec []byte) error {
 		return errors.New("vo: stored tuple: implausible value count")
 	}
 	sv.rec = rec
-	if cap(sv.val) <= n {
-		sv.val, sv.sig = make([]int, 0, n+1), make([]int, 0, n+1)
+	if cap(sv.off) < 2*(n+1) {
+		sv.off = make([]int, 0, 2*(n+1))
 	}
-	sv.val, sv.sig = append(sv.val[:0], 2), sv.sig[:0]
+	sv.off = append(sv.off[:0], 2)
 	off := 2
 	for i := 0; i < n; i++ {
 		used, err := schema.DatumSize(rec[off:])
@@ -123,7 +125,7 @@ func (sv *StoredView) Parse(rec []byte) error {
 			return fmt.Errorf("vo: stored tuple: value %d: %w", i, err)
 		}
 		off += used
-		sv.val = append(sv.val, off)
+		sv.off = append(sv.off, off)
 	}
 	if len(rec[off:]) < 2 {
 		return errors.New("vo: truncated signature count")
@@ -132,23 +134,36 @@ func (sv *StoredView) Parse(rec []byte) error {
 		return fmt.Errorf("vo: stored tuple has %d signatures for %d values", ns, n)
 	}
 	off += 2
-	sv.sig = append(sv.sig, off)
+	sv.off = append(sv.off, off)
 	for i := 0; i < n; i++ {
 		_, used, err := readSig(rec[off:])
 		if err != nil {
 			return fmt.Errorf("vo: attr signature %d: %w", i, err)
 		}
 		off += used
-		sv.sig = append(sv.sig, off)
+		sv.off = append(sv.off, off)
 	}
 	return nil
 }
 
+// Offsets returns the table Parse filled, 2·(NumColumns()+1) entries, valid
+// until the next Parse. A caller that will read the record's fields
+// again later keeps a copy and hands it to StoredViewAt instead of
+// parsing the record a second time.
+func (sv *StoredView) Offsets() []int { return sv.off }
+
+// StoredViewAt returns the view of rec that a Parse of rec filled
+// offsets from (see Offsets). The view shares offsets: it is for reading
+// fields, not for parsing another record.
+func StoredViewAt(rec []byte, offsets []int) StoredView {
+	return StoredView{rec: rec, off: offsets}
+}
+
 // NumColumns returns how many values (and signatures) the record holds.
-func (sv *StoredView) NumColumns() int { return len(sv.val) - 1 }
+func (sv *StoredView) NumColumns() int { return len(sv.off)/2 - 1 }
 
 // Value returns column i's value in its wire encoding (schema.Datum.Encode).
-func (sv *StoredView) Value(i int) []byte { return sv.rec[sv.val[i]:sv.val[i+1]] }
+func (sv *StoredView) Value(i int) []byte { return sv.rec[sv.off[i]:sv.off[i+1]] }
 
 // Datum decodes column i's value; the datum owns its payload.
 func (sv *StoredView) Datum(i int) (schema.Datum, error) {
@@ -157,4 +172,7 @@ func (sv *StoredView) Datum(i int) (schema.Datum, error) {
 }
 
 // AttrSig returns attribute i's signed digest.
-func (sv *StoredView) AttrSig(i int) []byte { return sv.rec[sv.sig[i]+4 : sv.sig[i+1]] }
+func (sv *StoredView) AttrSig(i int) []byte {
+	s := sv.off[len(sv.off)/2:]
+	return sv.rec[s[i]+4 : s[i+1]]
+}

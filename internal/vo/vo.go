@@ -21,6 +21,21 @@
 // key, even when the key column itself is projected away (its value digest
 // then travels in D_P like any other filtered attribute).
 //
+// # Wire layout
+//
+// Formula (9) charges a VO (|D_P| + |D_S| + 1)·D bytes of digests, and
+// those are the digest bytes it carries: D_S and D_P travel as fixed-width
+// runs behind one width W (see VO.Encode), not each digest behind its own
+// length.
+//
+//	u32 keyVersion | i64 timestamp | u8 topLevel
+//	u32 len + TopDigest | u32 len + RootSig
+//	u16 W | u32 nDS | nDS × (W bytes, u8 lift) | u32 nDP | nDP × W bytes
+//
+// A VO is (|D_P| + |D_S|)·W + |D_S| + len(TopDigest) + len(RootSig) + 31
+// bytes: 4·(|D_S| + |D_P|) − 2 fewer than when every digest carried a
+// 4-byte length.
+//
 // # Lifetime of decoded values
 //
 // The decoders (DecodeVO, DecodeResultSet, DecodeAnswer, DecodeStoredTuple,
@@ -83,23 +98,33 @@ type VO struct {
 // accounting unit).
 func (v *VO) NumDigests() int { return 1 + len(v.DS) + len(v.DP) }
 
-// WireSize returns the exact encoded size in bytes.
+// voFixedSize is what a VO takes up beside its digests, lifts and root
+// signature: key version, timestamp, top level, the lengths of the top
+// digest and the root signature, the digest width and the two counts.
+const voFixedSize = 4 + 8 + 1 + 4 + 4 + 2 + 4 + 4
+
+// width returns the width of the VO's D_S and D_P digests — that of the
+// first one it holds, 0 when it holds none.
+func (v *VO) width() int {
+	switch {
+	case len(v.DS) > 0:
+		return len(v.DS[0].Sig)
+	case len(v.DP) > 0:
+		return len(v.DP[0])
+	}
+	return 0
+}
+
+// WireSize returns the exact encoded size in bytes: formula (9)'s
+// (|D_P| + |D_S| + 1)·D plus a lift per D_S entry, the root signature and
+// voFixedSize.
 func (v *VO) WireSize() int {
-	sz := 4 + 8 + 1 + 4 + len(v.TopDigest) + 4 + len(v.RootSig) + 4
-	for _, e := range v.DS {
-		sz += 4 + len(e.Sig) + 1
-	}
-	sz += 4
-	for _, s := range v.DP {
-		sz += 4 + len(s)
-	}
-	return sz
+	w := v.width()
+	return voFixedSize + len(v.TopDigest) + len(v.RootSig) + len(v.DS)*(w+1) + len(v.DP)*w
 }
 
 func appendSig(dst []byte, s sig.Signature) []byte {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(len(s)))
-	dst = append(dst, b[:]...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
 	return append(dst, s...)
 }
 
@@ -116,39 +141,62 @@ func readSig(data []byte) (sig.Signature, int, error) {
 	return sig.Signature(data[4 : 4+n : 4+n]), 4 + n, nil
 }
 
-// Encode appends the VO wire form.
-func (v *VO) Encode(dst []byte) []byte {
-	var b8 [8]byte
-	var b4 [4]byte
-	binary.BigEndian.PutUint32(b4[:], v.KeyVersion)
-	dst = append(dst, b4[:]...)
-	binary.BigEndian.PutUint64(b8[:], uint64(v.Timestamp))
-	dst = append(dst, b8[:]...)
+// widthFits reports whether w can be the digest width of a VO holding
+// the given number of D_S and D_P entries: it fits the u16 that carries
+// it, and is 0 exactly when there is no entry.
+func widthFits(w, entries int) bool { return w <= 0xFFFF && (w == 0) == (entries == 0) }
+
+// appendHead appends the VO wire form up to and including the D_S count:
+// everything in front of the first digest.
+func (v *VO) appendHead(dst []byte, width, nDS int) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, v.KeyVersion)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(v.Timestamp))
 	dst = append(dst, v.TopLevel)
 	dst = appendSig(dst, v.TopDigest)
 	dst = appendSig(dst, v.RootSig)
-	binary.BigEndian.PutUint32(b4[:], uint32(len(v.DS)))
-	dst = append(dst, b4[:]...)
-	for _, e := range v.DS {
-		dst = appendSig(dst, e.Sig)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(width))
+	return binary.BigEndian.AppendUint32(dst, uint32(nDS))
+}
+
+// Encode appends the VO wire form (the package comment has the layout).
+// D_S and D_P travel as fixed-width runs: W is the one width of every
+// digest in them (the accumulator's digest length under a Merkle scheme,
+// the key length under per-node rsa), 0 exactly when both are empty. The
+// top digest and the root signature keep their own lengths. A VO whose
+// D_S and D_P digests are not all of one non-zero width that fits a u16
+// has no wire form, and Encode panics on it: the schemes produce none,
+// and writing one anyway would hand the peer digests cut at the wrong
+// places.
+func (v *VO) Encode(dst []byte) []byte {
+	w := v.width()
+	if !widthFits(w, len(v.DS)+len(v.DP)) {
+		panic(fmt.Sprintf("vo: VO digests of %d bytes have no wire form", w))
+	}
+	dst = v.appendHead(dst, w, len(v.DS))
+	for i, e := range v.DS {
+		if len(e.Sig) != w {
+			panic(fmt.Sprintf("vo: D_S entry %d has %d bytes in a VO of %d-byte digests", i, len(e.Sig), w))
+		}
+		dst = append(dst, e.Sig...)
 		dst = append(dst, e.Lift)
 	}
-	binary.BigEndian.PutUint32(b4[:], uint32(len(v.DP)))
-	dst = append(dst, b4[:]...)
-	for _, s := range v.DP {
-		dst = appendSig(dst, s)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(v.DP)))
+	for i, s := range v.DP {
+		if len(s) != w {
+			panic(fmt.Sprintf("vo: D_P entry %d has %d bytes in a VO of %d-byte digests", i, len(s), w))
+		}
+		dst = append(dst, s...)
 	}
 	return dst
 }
 
-// Shortest encodings of the repeated parts, by which the decoders bound a
-// claimed count before allocating for it: a D_S entry is a length, an
-// empty signature and a lift; a D_P entry a length; a result row a key
-// datum and a value count.
+// Shortest encodings of the repeated parts that carry their own length,
+// by which the decoders bound a claimed count before allocating for it: a
+// stored attribute signature is a length; a result row a key datum and a
+// value count. (A VO's D_S and D_P entries are bounded by their width.)
 const (
-	minDSEntry = 4 + 1
-	minDPEntry = 4
-	minRow     = schema.MinDatumSize + 2
+	minStoredSig = 4
+	minRow       = schema.MinDatumSize + 2
 )
 
 // DecodeVO parses a VO, returning bytes consumed. The VO's digests are
@@ -177,43 +225,41 @@ func DecodeVO(data []byte) (*VO, int, error) {
 		v.RootSig = s
 	}
 	off += n
-	if len(data[off:]) < 4 {
-		return nil, 0, errors.New("vo: truncated DS count")
+	if len(data[off:]) < 2+4 {
+		return nil, 0, errors.New("vo: truncated digest width and DS count")
 	}
-	dsCount := int(binary.BigEndian.Uint32(data[off : off+4]))
-	off += 4
-	if dsCount < 0 || dsCount > len(data[off:])/minDSEntry {
+	w := int(binary.BigEndian.Uint16(data[off : off+2]))
+	dsCount := int(binary.BigEndian.Uint32(data[off+2 : off+6]))
+	off += 6
+	// Each count is checked against the bytes left before anything is
+	// allocated for it. At width 0 nothing would bound a count, and none
+	// is allowed: the width is 0 exactly when both runs are empty.
+	fits := func(count, entrySize int) bool {
+		return count >= 0 && (count == 0 || w > 0 && count <= len(data[off:])/entrySize)
+	}
+	if !fits(dsCount, w+1) {
 		return nil, 0, errors.New("vo: implausible DS count")
 	}
-	v.DS = make([]Entry, 0, dsCount)
-	for i := 0; i < dsCount; i++ {
-		s, n, err := readSig(data[off:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("vo: DS entry %d: %w", i, err)
-		}
-		off += n
-		if len(data[off:]) < 1 {
-			return nil, 0, errors.New("vo: truncated DS lift")
-		}
-		v.DS = append(v.DS, Entry{Sig: s, Lift: data[off]})
-		off++
+	v.DS = make([]Entry, dsCount)
+	for i := range v.DS {
+		v.DS[i] = Entry{Sig: sig.Signature(data[off : off+w : off+w]), Lift: data[off+w]}
+		off += w + 1
 	}
 	if len(data[off:]) < 4 {
 		return nil, 0, errors.New("vo: truncated DP count")
 	}
 	dpCount := int(binary.BigEndian.Uint32(data[off : off+4]))
 	off += 4
-	if dpCount < 0 || dpCount > len(data[off:])/minDPEntry {
+	if !fits(dpCount, w) {
 		return nil, 0, errors.New("vo: implausible DP count")
 	}
-	v.DP = make([]sig.Signature, 0, dpCount)
-	for i := 0; i < dpCount; i++ {
-		s, n, err := readSig(data[off:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("vo: DP entry %d: %w", i, err)
-		}
-		v.DP = append(v.DP, s)
-		off += n
+	if !widthFits(w, dsCount+dpCount) {
+		return nil, 0, fmt.Errorf("vo: digest width %d with no digests", w)
+	}
+	v.DP = make([]sig.Signature, dpCount)
+	for i := range v.DP {
+		v.DP[i] = sig.Signature(data[off : off+w : off+w])
+		off += w
 	}
 	return v, off, nil
 }

@@ -18,9 +18,9 @@ func sampleVO() *VO {
 		TopDigest:  sigOf(1, 2, 3, 4, 5, 6, 7, 8),
 		DS: []Entry{
 			{Sig: sigOf(9, 9, 9), Lift: 4},
-			{Sig: sigOf(8, 8), Lift: 1},
+			{Sig: sigOf(8, 8, 8), Lift: 1},
 		},
-		DP: []sig.Signature{sigOf(7), sigOf(6, 6)},
+		DP: []sig.Signature{sigOf(7, 7, 7), sigOf(6, 6, 6)},
 	}
 }
 
@@ -55,7 +55,7 @@ func TestVOEncodeDecodeRoundTrip(t *testing.T) {
 	// Entries are opaque to the codec. One no accumulator would call
 	// canonical — all ones, above any modulus of its length — comes back
 	// byte for byte, so verify refuses what the edge actually sent.
-	v.DS[0] = Entry{Sig: bytes.Repeat([]byte{0xFF}, 33), Lift: 255}
+	v.DS[0] = Entry{Sig: bytes.Repeat([]byte{0xFF}, 3), Lift: 255}
 	got, _, err = DecodeVO(v.Encode(nil))
 	if err != nil {
 		t.Fatal(err)
@@ -77,6 +77,43 @@ func TestVOEmptySets(t *testing.T) {
 	}
 	if got.NumDigests() != 1 {
 		t.Fatalf("NumDigests = %d, want 1", got.NumDigests())
+	}
+	// Each run may be empty on its own: the width is that of the other.
+	for _, v := range []*VO{
+		{TopLevel: 1, DS: sampleVO().DS},
+		{TopLevel: 1, DP: sampleVO().DP},
+	} {
+		enc := v.Encode(nil)
+		got, n, err := DecodeVO(enc)
+		if err != nil || n != len(enc) || len(got.DS) != len(v.DS) || len(got.DP) != len(v.DP) || v.WireSize() != len(enc) {
+			t.Fatalf("one empty run: %+v, %d of %d bytes (WireSize %d), %v", got, n, len(enc), v.WireSize(), err)
+		}
+	}
+}
+
+// TestVOEncodeRefusesRaggedDigests: the wire form has one digest width, so
+// a VO whose D_S and D_P digests differ in length — or are empty — cannot
+// be written. Encode says so instead of cutting digests at the wrong
+// places.
+func TestVOEncodeRefusesRaggedDigests(t *testing.T) {
+	for name, mutate := range map[string]func(*VO){
+		"short D_S entry":       func(v *VO) { v.DS[1].Sig = sigOf(8, 8) },
+		"long D_P entry":        func(v *VO) { v.DP[1] = sigOf(6, 6, 6, 6) },
+		"D_P narrower":          func(v *VO) { v.DP = []sig.Signature{sigOf(7), sigOf(6)} },
+		"empty digests":         func(v *VO) { v.DS, v.DP = []Entry{{Lift: 1}}, nil },
+		"wider than the u16":    func(v *VO) { v.DS, v.DP = nil, []sig.Signature{make(sig.Signature, 1<<16)} },
+		"first D_S the odd one": func(v *VO) { v.DS[0].Sig = sigOf(9) },
+	} {
+		v := sampleVO()
+		mutate(v)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Encode wrote a VO it cannot express", name)
+				}
+			}()
+			v.Encode(nil)
+		}()
 	}
 }
 

@@ -6,15 +6,15 @@ import (
 )
 
 func TestHelloCapsRoundTrip(t *testing.T) {
-	v, caps, err := DecodeHelloCaps(EncodeHelloCaps(ProtocolV2, CapPeerServe))
-	if err != nil || v != ProtocolV2 || caps != CapPeerServe {
+	v, caps, err := DecodeHelloCaps(EncodeHelloCaps(ProtocolVersion, CapPeerServe))
+	if err != nil || v != ProtocolVersion || caps != CapPeerServe {
 		t.Fatalf("round trip: v=%d caps=%#x err=%v", v, caps, err)
 	}
 	// The capability word is mandatory: a bare 4-byte version is rejected.
-	if _, _, err := DecodeHelloCaps(appendU32(nil, ProtocolV2)); err == nil {
+	if _, _, err := DecodeHelloCaps(appendU32(nil, ProtocolVersion)); err == nil {
 		t.Fatal("4-byte hello accepted")
 	}
-	if _, _, err := DecodeHelloCaps(append(EncodeHelloCaps(ProtocolV2, 0), 0)); err == nil {
+	if _, _, err := DecodeHelloCaps(append(EncodeHelloCaps(ProtocolVersion, 0), 0)); err == nil {
 		t.Fatal("hello with trailing bytes accepted")
 	}
 	if _, _, err := DecodeHelloCaps([]byte{1, 2}); err == nil {

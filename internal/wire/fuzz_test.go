@@ -108,8 +108,8 @@ func FuzzDecodeBatchResponse(f *testing.F) {
 // FuzzDecodeHelloCaps covers the first bytes a server parses from any
 // dialer: exactly a version word and a capability word, nothing else.
 func FuzzDecodeHelloCaps(f *testing.F) {
-	f.Add(EncodeHelloCaps(ProtocolV2, CapPeerServe))
-	f.Add(appendU32(nil, ProtocolV2)) // the retired 4-byte form
+	f.Add(EncodeHelloCaps(ProtocolVersion, CapPeerServe))
+	f.Add(appendU32(nil, ProtocolVersion)) // the retired 4-byte form
 	f.Add(EncodeHelloCaps(0, 0))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

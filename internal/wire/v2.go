@@ -16,10 +16,10 @@ package wire
 // highest protocol version it speaks and its capability bits; the server
 // replies HelloResp with the negotiated version and its own capabilities,
 // and both sides switch to numbered frames. This build speaks exactly
-// ProtocolV2: a server answers anything else — a first frame that is not
-// a Hello, a malformed Hello, a maximum version below 2 — with one typed
-// error frame and closes, and a dialer treats any reply other than a
-// HelloResp negotiating ProtocolV2 as a dial error.
+// ProtocolVersion: a server answers anything else — a first frame that is
+// not a Hello, a malformed Hello, a maximum version below its own — with
+// one typed error frame and closes, and a dialer treats any reply other
+// than a HelloResp negotiating ProtocolVersion as a dial error.
 //
 // # Typed errors
 //
@@ -34,9 +34,13 @@ import (
 	"io"
 )
 
-// ProtocolV2 is the one protocol version this build speaks; the Hello
-// handshake carries it in both directions.
-const ProtocolV2 = 2
+// ProtocolVersion is the one protocol version this build speaks; the Hello
+// handshake carries it in both directions. It is raised whenever the
+// bytes of a message change, so that a build from before the change is
+// turned away at dial with CodeUnsupported instead of being sent bodies
+// it would misparse: 3 is the generation whose VOs carry their digests
+// as fixed-width runs (vo.VO.Encode); 2 put a length in front of each.
+const ProtocolVersion = 3
 
 // Capability bits carried in the Hello exchange (both directions). They
 // are advisory: a peer that lacks a capability still answers the

@@ -131,7 +131,7 @@ func TestQueryResponseRoundTrip(t *testing.T) {
 		VO: &vo.VO{
 			KeyVersion: 2, Timestamp: 99, TopLevel: 3,
 			TopDigest: sig.Signature{1, 2, 3},
-			DS:        []vo.Entry{{Sig: sig.Signature{4}, Lift: 2}},
+			DS:        []vo.Entry{{Sig: sig.Signature{4, 4}, Lift: 2}},
 			DP:        []sig.Signature{{5, 6}},
 		},
 	}
