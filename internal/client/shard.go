@@ -138,8 +138,8 @@ type shardAnswer struct {
 }
 
 // queryShards runs the scatter-gather: one ShardQueryReq per qualifying
-// shard (concurrently — the requests pipeline over the one multiplexed
-// edge connection), then per-shard verification anchored at the
+// shard (several go out concurrently — the requests pipeline over the one
+// multiplexed edge connection), then per-shard verification anchored at the
 // attached, mutually-identical signed map, then a key-ordered stitch.
 func (c *Client) queryShards(ctx context.Context, v *verify.Verifier, routing *shardmap.Signed, table string, preds []query.Predicate, project []string) (*QueryResult, error) {
 	// Compile locally to learn the key range; the edge compiles the same
@@ -153,32 +153,41 @@ func (c *Client) queryShards(ctx context.Context, v *verify.Verifier, routing *s
 
 	issued := c.mapMark(table)
 	answers := make([]shardAnswer, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			req := &wire.ShardQueryRequest{
-				Shard: uint32(first + i),
-				Query: &wire.QueryRequest{
-					Table:      table,
-					Predicates: preds,
-					Project:    project,
-					ProjectAll: project == nil,
-				},
-			}
-			a := shardAnswer{shard: first + i}
-			body, err := c.edge.Call(ctx, wire.MsgShardQueryReq, req.Encode(), wire.MsgShardQueryResp, true)
-			if err != nil {
-				a.err = err
-			} else {
-				a.bytes = len(body)
-				a.resp, a.err = wire.DecodeShardQueryResponse(body)
-			}
-			answers[i] = a
-		}(i)
+	ask := func(i int) {
+		req := &wire.ShardQueryRequest{
+			Shard: uint32(first + i),
+			Query: &wire.QueryRequest{
+				Table:      table,
+				Predicates: preds,
+				Project:    project,
+				ProjectAll: project == nil,
+			},
+		}
+		a := shardAnswer{shard: first + i}
+		body, err := c.edge.Call(ctx, wire.MsgShardQueryReq, req.Encode(), wire.MsgShardQueryResp, true)
+		if err != nil {
+			a.err = err
+		} else {
+			a.bytes = len(body)
+			a.resp, a.err = wire.DecodeShardQueryResponse(body)
+		}
+		answers[i] = a
 	}
-	wg.Wait()
+	if n == 1 {
+		// Nothing to overlap: the call runs on the caller's goroutine (every
+		// point read, and every range that stays inside one shard).
+		ask(0)
+	} else {
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				ask(i)
+			}(i)
+		}
+		wg.Wait()
+	}
 
 	// A transport failure or refusal for any qualifying shard fails the
 	// whole query: an incomplete range answer must never look complete.

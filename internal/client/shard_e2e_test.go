@@ -19,6 +19,13 @@ import (
 // deploySharded is deploy with a range-partitioned central server.
 func deploySharded(t *testing.T, rows, shards int) *deployment {
 	t.Helper()
+	return deployShardedBehind(t, rows, shards, func(l net.Listener) net.Listener { return l })
+}
+
+// deployShardedBehind is deploySharded with the edge's listener wrapped
+// by the caller (to watch the connections the client makes).
+func deployShardedBehind(t *testing.T, rows, shards int, wrap func(net.Listener) net.Listener) *deployment {
+	t.Helper()
 	srv, err := central.NewServerWithKey(central.Options{PageSize: 1024, Shards: shards}, centralKey(t))
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +56,7 @@ func deploySharded(t *testing.T, rows, shards int) *deployment {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go eg.Serve(edgeLn)
+	go eg.Serve(wrap(edgeLn))
 
 	cl, err := Dial(context.Background(), Config{
 		EdgeAddr:    edgeLn.Addr().String(),

@@ -152,7 +152,7 @@ func TestDeltaFromParentCommitApplies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pinned, err := pinCurrent(store)
+			pinned, err := (&replica{sch: snap.Schema, acc: acc}).pinCurrent(store)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,11 +160,7 @@ func TestDeltaFromParentCommitApplies(t *testing.T) {
 			if pinned.state.Version != sm.Map.Shards[0].Version {
 				t.Fatalf("store at v%d, the parent's map pins v%d", pinned.state.Version, sm.Map.Shards[0].Version)
 			}
-			view, err := pinned.state.ViewOver(pinned.snap, snap.Schema, acc, placeholderPub(pinned.state.KeyVersion, pinned.state.Scheme))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rs, w, err := view.RunQuery(ctx, vbtree.Query{AnchorRoot: true})
+			rs, w, err := pinned.view.RunQuery(ctx, vbtree.Query{AnchorRoot: true})
 			if err != nil {
 				t.Fatal(err)
 			}

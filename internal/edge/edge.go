@@ -174,17 +174,27 @@ type shardReplica struct {
 	store *storage.PageStore
 	snap  *storage.Snapshot
 	state *vbtree.TableState
+	// view is the read view over snap, built once when the snapshot is
+	// pinned and shared by every query that retains it: a query needs
+	// nothing of its own but its pin.
+	view *vbtree.View
 }
 
-// pinCurrent pins a store's current snapshot and decodes its anchor.
-func pinCurrent(store *storage.PageStore) (*shardReplica, error) {
+// pinCurrent pins a store's current snapshot, decodes its anchor and
+// builds the view queries run on.
+func (r *replica) pinCurrent(store *storage.PageStore) (*shardReplica, error) {
 	snap := store.Acquire()
 	st, ok := snap.Meta().(*vbtree.TableState)
 	if !ok {
 		snap.Release()
 		return nil, errors.New("edge: replica has no published version")
 	}
-	return &shardReplica{store: store, snap: snap, state: st}, nil
+	view, err := st.ViewOver(snap, r.sch, r.acc, placeholderPub(st.KeyVersion, st.Scheme))
+	if err != nil {
+		snap.Release()
+		return nil, err
+	}
+	return &shardReplica{store: store, snap: snap, state: st, view: view}, nil
 }
 
 // storeState reads a store's current (head) anchor without keeping a
@@ -222,7 +232,7 @@ func (r *replica) publishSet(next *tableSet) {
 func (r *replica) rebuildSet(smap *shardmap.Signed, stores []*storage.PageStore) error {
 	next := &tableSet{smap: smap, smapBytes: smap.Encode()}
 	for _, store := range stores {
-		sr, err := pinCurrent(store)
+		sr, err := r.pinCurrent(store)
 		if err != nil {
 			for _, prev := range next.shards {
 				prev.snap.Release()
@@ -1356,10 +1366,12 @@ func (s *Server) RunShardQuery(ctx context.Context, tableName string, idx uint32
 
 // appendAnswer runs q against one shard of the current set and appends
 // the answer (vo.AppendAnswer's layout) to dst, returning the set it was
-// answered under. The shard's snapshot is pinned from the first page
-// read to the last byte copied: the traversal reads keys, digests and
-// heap records in place on the snapshot's pages, and dst holds no
-// reference to them once this returns.
+// answered under. The query runs on the view the set built over the
+// shard's snapshot when it pinned it (shardReplica.view); the request adds
+// only its own pin, held from the first page read to the last byte
+// copied: the traversal reads keys, digests and heap records in place on
+// the snapshot's pages, and dst holds no reference to them once this
+// returns.
 func (s *Server) appendAnswer(ctx context.Context, dst []byte, tableName string, idx uint32, q vbtree.Query) ([]byte, *tableSet, error) {
 	rep := s.replica(tableName)
 	if rep == nil {
@@ -1377,12 +1389,8 @@ func (s *Server) appendAnswer(ctx context.Context, dst []byte, tableName string,
 		return nil, nil, err
 	}
 	defer sr.snap.Release()
-	v, err := sr.state.ViewOver(sr.snap, rep.sch, rep.acc, placeholderPub(sr.state.KeyVersion, sr.state.Scheme))
-	if err != nil {
-		return nil, nil, err
-	}
 	q.AnchorRoot = true
-	out, voBytes, err := v.AppendAnswer(ctx, q, dst)
+	out, voBytes, err := sr.view.AppendAnswer(ctx, q, dst)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -5,9 +5,17 @@
 // multiplexed dispatch loop). Both ends open with a Hello handshake and
 // refuse a peer that does not speak this build's protocol (see
 // internal/wire/v2.go for the framing).
+//
+// A request's cost in goroutines and reads is fixed per connection, not
+// paid per frame: each end reads numbered frames through one buffered
+// reader (a frame that fits it is one read of the socket), a server
+// connection runs its handlers on workers that live as long as it does,
+// and a Conn's caller writes its own request and waits for the reader
+// goroutine's hand-off — no goroutine is started for a call.
 package rpc
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -233,6 +241,12 @@ func (c *Conn) dialAndHandshake(ctx context.Context) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
+	return c.handshake(nc)
+}
+
+// handshake negotiates the protocol on a fresh connection and starts the
+// session's reader; it closes nc when the peer is refused.
+func (c *Conn) handshake(nc net.Conn) (*session, error) {
 	// Hello and its reply travel in bare framing; everything after is
 	// numbered.
 	nc.SetDeadline(time.Now().Add(c.opts.dialTimeout()))
@@ -296,10 +310,13 @@ func (c *Conn) dropSession(s *session) {
 
 // readLoop is the demultiplexer: it owns the connection's read side
 // and routes each response frame to the in-flight call that owns its
-// request ID. Responses may arrive in any order.
+// request ID. Responses may arrive in any order. The handshake read its
+// one frame unbuffered and exactly, so the buffer starts at the first
+// numbered frame.
 func (s *session) readLoop() {
+	br := bufio.NewReaderSize(s.nc, readBufSize)
 	for {
-		mt, id, body, err := wire.ReadFrameV2(s.nc)
+		mt, id, body, err := wire.ReadFrameV2(br)
 		if err != nil {
 			s.failAll(fmt.Errorf("rpc: connection lost: %w", err))
 			return

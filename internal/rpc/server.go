@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"net"
@@ -25,6 +26,13 @@ const (
 // frame instead; return a *wire.WireError to control the code the client
 // sees.
 //
+// A handler runs on one of its connection's workers — goroutines that
+// live as long as the connection and run one request after another (see
+// serve). It must not assume a goroutine of its own: anything it leaves
+// on the goroutine (a held lock, a runtime.LockOSThread) meets the
+// connection's next request, and a handler that never returns takes one
+// of the connection's MaxConcurrent workers with it.
+//
 // out is an empty buffer the connection recycles from response to
 // response, with room for the frame header in front of it. A handler
 // that builds its response by appending to out and returns the result
@@ -42,7 +50,8 @@ type ServeOptions struct {
 	// negative disables the deadline.
 	IdleTimeout time.Duration
 	// MaxConcurrent bounds the requests executing concurrently on one
-	// connection. 0 selects DefaultMaxConcurrent.
+	// connection, and with them the worker goroutines the connection
+	// starts. 0 selects DefaultMaxConcurrent.
 	MaxConcurrent int
 	// BaseContext, when non-nil, parents every connection context, so
 	// cancelling it (server shutdown) stops in-flight handlers across
@@ -81,9 +90,11 @@ func (o ServeOptions) maxConcurrent() int {
 
 // ServeConn drives one accepted connection until it closes: it completes
 // the Hello handshake, then dispatches requests through h. Requests
-// decode on this (reader) goroutine and execute concurrently on a bounded
-// worker pool, each response written under the connection write lock and
-// tagged with its request ID. A peer whose first frame is not a
+// decode on this (reader) goroutine and execute concurrently on the
+// connection's own workers — at most MaxConcurrent goroutines, started as
+// the connection's concurrency calls for them and kept until it closes —
+// each response written under the connection write lock and tagged with
+// its request ID. A peer whose first frame is not a
 // well-formed Hello offering wire.ProtocolVersion gets one typed error frame
 // and ServeConn returns (the caller closes the connection). ServeConn
 // also returns when the peer disconnects, idles out, or sends a malformed
@@ -162,63 +173,107 @@ const (
 	maxPooledFrame = 1 << 18
 )
 
-// serve is the multiplexed loop: decode on this goroutine, execute on a
-// bounded pool, write under writeMu tagged with the request ID. When the
-// read loop exits (peer gone), ctx is cancelled before the worker drain,
-// so stuck handlers unblock instead of pinning the drain.
+// readBufSize is the per-connection read buffer of both ends. Numbered
+// frames are read through it, so the length word and the body of a frame
+// that fits — every request, every point answer — cost one read of the
+// connection; the part of a larger body that does not fit is read
+// straight into the body's own allocation (see wire.ReadFrameV2).
+const readBufSize = 8 << 10
+
+// request is one decoded frame on its way from the reader to a worker.
+type request struct {
+	mt   wire.MsgType
+	id   uint32
+	body []byte
+}
+
+// serve is the multiplexed loop: decode on this goroutine, execute on the
+// connection's workers, write under writeMu tagged with the request ID.
+//
+// A worker is a goroutine that lives as long as the connection and runs
+// one request after another, so a connection's steady traffic runs on
+// stacks that have already grown to its handlers' depth. The reader hands
+// a frame to a free worker over work; it starts another only when none is
+// free and fewer than MaxConcurrent exist, and waits for one otherwise —
+// the connection's back-pressure. When the read loop exits (peer gone),
+// ctx is cancelled before the worker drain, so stuck handlers unblock
+// instead of pinning the drain.
 func serve(ctx context.Context, conn net.Conn, h Handler, o ServeOptions, idle time.Duration) {
 	var (
-		writeMu sync.Mutex
-		wg      sync.WaitGroup
-		sem     = make(chan struct{}, o.maxConcurrent())
+		writeMu    sync.Mutex
+		wg         sync.WaitGroup
+		work       = make(chan request)
+		workers    int
+		maxWorkers = o.maxConcurrent()
+		// free counts the workers that have no handler running, less the
+		// requests the reader has committed to them. A worker counts from
+		// the moment its handler returns: all it has left is a response
+		// write the write lock serialises anyway, and counting it then is
+		// what makes a caller's next request find the worker that answered
+		// its last one.
+		free atomic.Int64
 		// largest is the longest poolable response body this connection
 		// has sent: the next handler's buffer is at least that large, so a
 		// connection's steady traffic is answered in place.
 		largest atomic.Int64
 	)
+	handle := func(req request) {
+		fb := framePool.Get().(*frameBuf)
+		defer framePool.Put(fb)
+		if need := wire.FrameHeaderSize + max(int(largest.Load()), minFrameBuf); cap(fb.b) < need {
+			fb.b = make([]byte, need)
+		}
+		frame := fb.b[:cap(fb.b)]
+		respType, resp, err := h(ctx, req.mt, req.body, frame[wire.FrameHeaderSize:wire.FrameHeaderSize])
+		if err != nil {
+			respType, resp = wire.MsgError, wire.ToWireError(err).Encode()
+		}
+		free.Add(1)
+		writeMu.Lock()
+		setWriteDeadline(conn, idle)
+		var werr error
+		if len(resp) > 0 && &resp[0] == &frame[wire.FrameHeaderSize] {
+			// Built in place: the header goes in front and the frame
+			// leaves as it is.
+			werr = wire.WriteFramed(conn, respType, req.id, frame[:wire.FrameHeaderSize+len(resp)])
+		} else {
+			werr = wire.WriteFrameV2(conn, respType, req.id, resp)
+		}
+		writeMu.Unlock()
+		if werr != nil {
+			// The peer is gone; the read loop will notice shortly.
+			conn.Close()
+		}
+		if n := int64(len(resp)); n <= maxPooledFrame {
+			for seen := largest.Load(); n > seen && !largest.CompareAndSwap(seen, n); seen = largest.Load() {
+			}
+		}
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer wg.Wait()
 	defer cancel()
+	defer close(work)
+	br := bufio.NewReaderSize(conn, readBufSize)
 	for {
 		setIdleDeadline(conn, idle)
-		mt, id, body, err := wire.ReadFrameV2(conn)
+		mt, id, body, err := wire.ReadFrameV2(br)
 		if err != nil {
 			return
 		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(mt wire.MsgType, id uint32, body []byte) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			fb := framePool.Get().(*frameBuf)
-			defer framePool.Put(fb)
-			if need := wire.FrameHeaderSize + max(int(largest.Load()), minFrameBuf); cap(fb.b) < need {
-				fb.b = make([]byte, need)
-			}
-			frame := fb.b[:cap(fb.b)]
-			respType, resp, err := h(ctx, mt, body, frame[wire.FrameHeaderSize:wire.FrameHeaderSize])
-			if err != nil {
-				respType, resp = wire.MsgError, wire.ToWireError(err).Encode()
-			}
-			writeMu.Lock()
-			setWriteDeadline(conn, idle)
-			var werr error
-			if len(resp) > 0 && &resp[0] == &frame[wire.FrameHeaderSize] {
-				// Built in place: the header goes in front and the frame
-				// leaves as it is.
-				werr = wire.WriteFramed(conn, respType, id, frame[:wire.FrameHeaderSize+len(resp)])
-			} else {
-				werr = wire.WriteFrameV2(conn, respType, id, resp)
-			}
-			writeMu.Unlock()
-			if werr != nil {
-				// The peer is gone; the read loop will notice shortly.
-				conn.Close()
-			}
-			if n := int64(len(resp)); n <= maxPooledFrame {
-				for seen := largest.Load(); n > seen && !largest.CompareAndSwap(seen, n); seen = largest.Load() {
+		req := request{mt: mt, id: id, body: body}
+		if free.Load() <= 0 && workers < maxWorkers {
+			workers++
+			wg.Add(1)
+			go func(first request) {
+				defer wg.Done()
+				handle(first)
+				for req := range work {
+					handle(req)
 				}
-			}
-		}(mt, id, body)
+			}(req)
+			continue
+		}
+		free.Add(-1)
+		work <- req
 	}
 }

@@ -1,7 +1,9 @@
 package vbtree
 
 import (
+	"bytes"
 	"context"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -189,5 +191,84 @@ func TestMerkleTreesStayVerifiable(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestViewSharedByConcurrentQueries: one View serves every query of a
+// published snapshot (the edge keeps one beside each shard's pin). Queries
+// that reach a cold view together all return the bytes a view of their own
+// would have produced, and once the view is warm an answer costs no
+// combiner arithmetic at all — the Merkle root digest was recombined when
+// first asked for and is not recombined again.
+func TestViewSharedByConcurrentQueries(t *testing.T) {
+	ctx := context.Background()
+	h := newSchemeHarness(t, 300, 1024, sig.SchemeRSAMerkle)
+	var counters digest.Counters
+	params := digest.DefaultParams()
+	params.Counters = &counters
+	view := func() *View {
+		tr := h.tree
+		v, err := NewView(ViewConfig{
+			Pages: tr.bp, HeapPages: tr.heap.Pages(), Schema: tr.sch, Acc: digest.MustNew(params),
+			Pub: tr.pub, Now: tr.now, Root: tr.root, Height: tr.height, RootSig: tr.rootSig,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	queries := make([]Query, 12)
+	want := make([][]byte, len(queries))
+	for i := range queries {
+		lo, hi := schema.Int64(int64(i*20)), schema.Int64(int64(i*20+i))
+		queries[i] = Query{Lo: &lo, Hi: &hi, Project: []string{"id"}}
+		var err error
+		if want[i], _, err = view().AppendAnswer(ctx, queries[i], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perColdAnswer := counters.Snapshot().CombineOps / int64(len(queries))
+	if perColdAnswer == 0 {
+		t.Fatal("a cold view recombined nothing: the counter is not on the path this test is about")
+	}
+
+	shared := view()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range queries {
+				qi := (i + g) % len(queries)
+				got, _, err := shared.AppendAnswer(ctx, queries[qi], nil)
+				if err != nil {
+					t.Errorf("shared view, query %d: %v", qi, err)
+					return
+				}
+				if !bytes.Equal(got, want[qi]) {
+					t.Errorf("shared view, query %d: answer differs from a private view's", qi)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	counters.Reset()
+	for i, q := range queries {
+		got, _, err := shared.AppendAnswer(ctx, q, nil)
+		if err != nil || !bytes.Equal(got, want[i]) {
+			t.Fatalf("warm view, query %d: err %v, same bytes: %v", i, err, bytes.Equal(got, want[i]))
+		}
+	}
+	if n := counters.Snapshot().CombineOps; n != 0 {
+		t.Errorf("%d combines over %d answers from a warm view, want 0 (a cold one costs %d each)", n, len(queries), perColdAnswer)
+	}
+	rs, w, err := shared.RunQuery(ctx, queries[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.ver.Verify(rs, w); err != nil {
+		t.Fatalf("an answer from the shared view does not verify: %v", err)
 	}
 }

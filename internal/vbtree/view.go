@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"edgeauth/internal/digest"
@@ -83,8 +84,12 @@ type ViewConfig struct {
 // ScanAll over an immutable page view. Because the pages can never change
 // underneath it, a View takes no locks at all — the paper's §3.4 S-lock
 // protocol collapses away once queries run against snapshots instead of
-// shared mutable pages. A View is cheap to construct (per query) and safe
-// for concurrent use.
+// shared mutable pages. A View is safe for concurrent use and meant to be
+// built once per published snapshot and shared by the queries that pin it
+// (the edge keeps one beside each shard's pin): what it derives from the
+// pages alone — the Merkle root digest — is computed on first use and
+// kept. Constructing one per query is still correct, it just pays for that
+// again.
 type View struct {
 	pr      storage.PageReader
 	heap    *storage.HeapReader
@@ -99,6 +104,10 @@ type View struct {
 	// are always root-anchored, carry the raw root digest as TopDigest,
 	// and the root signature rides alongside in RootSig.
 	merkle bool
+	// merkleRoot is the unsigned root digest every Merkle VO carries as
+	// its TopDigest, nil until the first answer computes it. Read-only
+	// once stored.
+	merkleRoot atomic.Pointer[digest.Value]
 }
 
 // NewView validates the config and assembles a read view.
@@ -293,7 +302,7 @@ func (v *View) AppendAnswer(ctx context.Context, q Query, dst []byte) (out []byt
 		// recovery); the root signature over it rides in RootSig. The
 		// client recomputes the digest from the D_S/result product and
 		// verifies exactly one signature.
-		u, err := v.merkleNodeDigest(top.pid)
+		u, err := v.merkleRootDigest()
 		if err != nil {
 			return nil, 0, err
 		}
@@ -587,10 +596,16 @@ func (w *answerWalk) envelopeEmpty() (envelope, error) {
 	}
 }
 
-// merkleNodeDigest recombines a node's unsigned digest from its raw
-// child entries — pure combiner arithmetic, no signature operations.
-func (v *View) merkleNodeDigest(pid storage.PageID) (digest.Value, error) {
-	buf, err := v.page(pid)
+// merkleRootDigest recombines the root's unsigned digest from its raw
+// child entries — pure combiner arithmetic, no signature operations —
+// once per view: the pages cannot change, so neither can the digest.
+// Views racing for the first answer each compute the same value; a failed
+// read is not kept.
+func (v *View) merkleRootDigest() (digest.Value, error) {
+	if u := v.merkleRoot.Load(); u != nil {
+		return *u, nil
+	}
+	buf, err := v.page(v.root)
 	if err != nil {
 		return nil, err
 	}
@@ -617,7 +632,9 @@ func (v *View) merkleNodeDigest(pid storage.PageID) (digest.Value, error) {
 			return nil, err
 		}
 		if !ok {
-			return acc.Value(), nil
+			u := acc.Value()
+			v.merkleRoot.Store(&u)
+			return u, nil
 		}
 		if len(s) != v.acc.Len() {
 			return nil, fmt.Errorf("vbtree: merkle entry has %d bytes, want %d", len(s), v.acc.Len())

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -252,14 +253,21 @@ func TestDecodeDeltaBoundsItsAllocations(t *testing.T) {
 		"250 heap pages":     hostile(250, 0),
 		"125 changed pages":  hostile(0, 125),
 	} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := DecodeDelta(body)
-		runtime.ReadMemStats(&after)
-		if err == nil || !strings.Contains(err.Error(), "implausible") {
-			t.Errorf("%s: a hostile %d-byte body got %v, want the count refused before it sizes anything", name, len(body), err)
+		// TotalAlloc is the whole process's: the least of three passes is
+		// the decoder's own, without whatever the runtime allocated beside
+		// one of them (seen once: 4 KB as the first GC cycle started).
+		got := uint64(math.MaxUint64)
+		for pass := 0; pass < 3; pass++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := DecodeDelta(body)
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), "implausible") {
+				t.Errorf("%s: a hostile %d-byte body got %v, want the count refused before it sizes anything", name, len(body), err)
+			}
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
 		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > 2*uint64(len(body)) {
+		if got > 2*uint64(len(body)) {
 			t.Errorf("%s: decoding a %d-byte body allocated %d bytes", name, len(body), got)
 		}
 	}

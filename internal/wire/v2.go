@@ -111,9 +111,13 @@ func putFrameHeader(hdr []byte, t MsgType, reqID uint32, bodyLen int) error {
 }
 
 // ReadFrameV2 reads one numbered frame, returning its type, request ID and
-// body. The body is a buffer allocated for this frame alone, which is
-// what lets the decoders of this package and of package vo return views
-// of it: whoever receives the body owns it.
+// body. The body is a buffer allocated for this frame alone (see
+// readBody), which is what lets the decoders of this package and of
+// package vo return views of it: whoever receives the body owns it. That
+// holds over a buffered r too — internal/rpc reads through a
+// bufio.Reader so that a small frame costs one read of the connection:
+// the body is copied out of r's buffer, and whatever does not fit there
+// is read straight into the body.
 func ReadFrameV2(r io.Reader) (MsgType, uint32, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -123,9 +127,9 @@ func ReadFrameV2(r io.Reader) (MsgType, uint32, []byte, error) {
 	if n < 5 || n > MaxFrameSize {
 		return 0, 0, nil, fmt.Errorf("wire: frame length %d out of range", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, 0, nil, fmt.Errorf("wire: short frame: %w", err)
+	buf, err := readBody(r, int(n))
+	if err != nil {
+		return 0, 0, nil, err
 	}
 	return MsgType(buf[0]), binary.BigEndian.Uint32(buf[1:5]), buf[5:], nil
 }

@@ -198,11 +198,38 @@ func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 	if n < 1 || n > MaxFrameSize {
 		return 0, nil, fmt.Errorf("wire: frame length %d out of range", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, fmt.Errorf("wire: short frame: %w", err)
+	buf, err := readBody(r, int(n))
+	if err != nil {
+		return 0, nil, err
 	}
 	return MsgType(buf[0]), buf[1:], nil
+}
+
+// bodyChunk is the most a frame's length word makes a reader allocate
+// before any of the body has arrived. It covers every query answer, so
+// the read path's frames are one allocation filled by the reads
+// themselves; only bulk replication payloads grow past it.
+const bodyChunk = 64 << 10
+
+// readBody reads the n bytes that follow a frame's length word into a
+// buffer allocated for this frame alone. The length is the sender's claim:
+// past bodyChunk the buffer doubles only as bytes actually arrive, so a
+// peer costs memory in proportion to what it sent, not to what it
+// announced.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, bodyChunk))
+	got := 0
+	for {
+		if _, err := io.ReadFull(r, buf[got:]); err != nil {
+			return nil, fmt.Errorf("wire: short frame: %w", err)
+		}
+		if got = len(buf); got == n {
+			return buf, nil
+		}
+		grown := make([]byte, min(n, 2*got))
+		copy(grown, buf)
+		buf = grown
+	}
 }
 
 // --- primitive encoding helpers shared by the message codecs ---
