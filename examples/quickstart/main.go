@@ -98,7 +98,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nprojection+filter (cat=%s): %d tuples VERIFIED, %d filtered-attribute digests in D_P\n",
-		workload.CategoryName(5), len(res.Result.Tuples), len(res.VO.DP))
+		workload.CategoryName(5), len(res.Result.Tuples), res.VO.NumDP())
 
 	// 4. Compromise the edge and watch the client catch it.
 	eg.SetTamper(func(rs *vo.ResultSet, w *vo.VO) error {

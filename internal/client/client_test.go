@@ -129,7 +129,7 @@ func TestEndToEndProjectionAndFilter(t *testing.T) {
 			t.Fatalf("filter leaked tuple %v", tp)
 		}
 	}
-	if len(res.VO.DP) == 0 {
+	if res.VO.NumDP() == 0 {
 		t.Fatal("projection produced no DP digests")
 	}
 }
@@ -176,8 +176,8 @@ func TestEndToEndTamperDetected(t *testing.T) {
 			return nil
 		},
 		"swap digest": func(rs *vo.ResultSet, w *vo.VO) error {
-			if len(w.DS) > 0 {
-				w.DS[0].Sig[0] ^= 0xFF
+			if w.NumDS() > 0 {
+				w.DSDigest(0)[0] ^= 0xFF
 			}
 			return nil
 		},

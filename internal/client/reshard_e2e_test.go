@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync/atomic"
@@ -113,6 +114,64 @@ func TestReplayPreSplitMapFailsClosed(t *testing.T) {
 	d.edge.SetMapTamper(nil)
 	if res, err := d.client.Query(ctx, "items", rangePreds(0, 399), nil); err != nil || len(res.Result.Tuples) != 400 {
 		t.Fatalf("post-attack honest query: rows=%d err=%v", len(res.Result.Tuples), err)
+	}
+}
+
+// TestMemoisedMapFailsClosed: the verifier checks an attached map once
+// per distinct bytes, and what it reuses is only what those bytes decide.
+// One flipped byte is other bytes, checked in full and refused as
+// tampering; and a pre-split map the verifier has memoised still meets
+// the partition-epoch ratchet, which runs on every answer after the map
+// check, hit or miss.
+func TestMemoisedMapFailsClosed(t *testing.T) {
+	ctx := context.Background()
+	d := deploySharded(t, 400, 4)
+	v, err := d.client.verifier(ctx, "items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := d.edge.SignedShardMap("items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldRaw := old.Encode()
+	memo, err := d.client.verifyMap(ctx, v, oldRaw, "items")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	flipped := bytes.Clone(oldRaw)
+	flipped[len(flipped)/2] ^= 0x40
+	if _, err := d.client.verifyMap(ctx, v, flipped, "items"); !errors.Is(err, ErrTampered) {
+		t.Fatalf("attached map with one flipped byte: %v, want ErrTampered", err)
+	}
+	if sm, err := d.client.verifyMap(ctx, v, oldRaw, "items"); err != nil || sm != memo {
+		t.Fatalf("the honest map after a refused one: %v (memo hit %v)", err, sm == memo)
+	}
+
+	// The client ratchets to the post-split partition…
+	if _, err := d.central.SplitShard(ctx, "items", 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.edge.Refresh(ctx, "items"); err != nil {
+		t.Fatal(err)
+	}
+	split, err := d.edge.SignedShardMap("items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.client.noteMapEpoch("items", d.client.mapMark("items"), split.Map); err != nil {
+		t.Fatal(err)
+	}
+	// …and the pre-split bytes, still what the verifier last checked, are
+	// a memo hit that the ratchet refuses.
+	issued := d.client.mapMark("items")
+	sm, err := d.client.verifyMap(ctx, v, oldRaw, "items")
+	if err != nil || sm != memo {
+		t.Fatalf("the memoised pre-split map: %v (memo hit %v)", err, sm == memo)
+	}
+	if err := d.client.noteMapEpoch("items", issued, sm.Map); !errors.Is(err, ErrTampered) || !errors.Is(err, verify.ErrMapReplay) {
+		t.Fatalf("replayed pre-split map on a memo hit: %v, want ErrTampered+ErrMapReplay", err)
 	}
 }
 

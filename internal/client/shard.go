@@ -52,11 +52,7 @@ func (c *Client) shardMap(ctx context.Context, v *verify.Verifier, table string,
 	if err != nil {
 		return nil, err
 	}
-	sm, err = shardmap.DecodeSigned(body)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTampered, err)
-	}
-	if err := c.verifyMap(ctx, v, sm, table); err != nil {
+	if sm, err = c.verifyMap(ctx, v, body, table); err != nil {
 		return nil, err
 	}
 	if err := c.noteMapEpoch(table, issued, sm.Map); err != nil {
@@ -105,20 +101,23 @@ func (c *Client) noteMapEpoch(table string, issued mapGen, m *shardmap.Map) erro
 	return nil
 }
 
-// verifyMap checks a signed map, refetching the trusted key once when
-// the map is signed under an unknown (possibly rotated-to) key version.
-func (c *Client) verifyMap(ctx context.Context, v *verify.Verifier, sm *shardmap.Signed, table string) error {
-	err := v.VerifyShardMap(sm, table)
+// verifyMap decodes and checks a signed map from the bytes it arrived
+// in (verify.VerifySignedMap: once per distinct bytes, the key's validity
+// on every call), refetching the trusted key once when the map is signed
+// under an unknown (possibly rotated-to) key version. The map returned is
+// read-only.
+func (c *Client) verifyMap(ctx context.Context, v *verify.Verifier, raw []byte, table string) (*shardmap.Signed, error) {
+	sm, err := v.VerifySignedMap(raw, table)
 	if err != nil && errors.Is(err, verify.ErrKeyVersion) && !errors.Is(err, verify.ErrFreshness) {
 		if kerr := c.FetchTrustedKey(ctx); kerr != nil {
-			return fmt.Errorf("client: refetching trusted key after %v: %w", err, kerr)
+			return nil, fmt.Errorf("client: refetching trusted key after %v: %w", err, kerr)
 		}
-		err = v.VerifyShardMap(sm, table)
+		sm, err = v.VerifySignedMap(raw, table)
 	}
 	if err != nil {
-		return fmt.Errorf("%w: shard map: %v", ErrTampered, err)
+		return nil, fmt.Errorf("%w: shard map: %v", ErrTampered, err)
 	}
-	return nil
+	return sm, nil
 }
 
 // InvalidateShardMap drops the cached routing map for a table (tests and
@@ -214,11 +213,8 @@ func (c *Client) queryShards(ctx context.Context, v *verify.Verifier, routing *s
 				ErrTampered, errShardDrift, answers[0].shard, a.shard)
 		}
 	}
-	bound, err := shardmap.DecodeSigned(answers[0].resp.SignedMap)
+	bound, err := c.verifyMap(ctx, v, answers[0].resp.SignedMap, table)
 	if err != nil {
-		return nil, fmt.Errorf("%w: attached shard map: %v", ErrTampered, err)
-	}
-	if err := c.verifyMap(ctx, v, bound, table); err != nil {
 		return nil, err
 	}
 	// The replay ratchet applies to the attached map too: a signed map

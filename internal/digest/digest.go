@@ -24,10 +24,13 @@
 // low limbs of every product with math/bits.Mul64/Add64, never forms the
 // high half, and the bits of the top limb above 8·Size are dropped when a
 // residue is written out. There is no division, no allocation, and one
-// code path for every Size from 4 to 512 bytes. Hashed digests are forced
-// odd, the odd residues being exactly the units of Z_{2^k}, which makes
-// the accumulator invertible (Remove, by Newton iteration); every
-// Size-byte string is a canonical residue, units or not.
+// code path for every Size from 4 to 512 bytes — beside which a digest
+// folded into an Acc (Add, AddRun) takes a straight-line 128-bit multiply
+// when the residue fits two limbs (Size 9–16, Table 1's default among
+// them). Hashed digests are forced odd, the odd residues being exactly
+// the units of Z_{2^k}, which makes the accumulator invertible (Remove,
+// by Newton iteration); every Size-byte string is a canonical residue,
+// units or not.
 //
 // ModBig is a caller-supplied odd modulus (e.g. an RSA modulus), trading
 // speed and size for a hardened multiplicative group. Reducing modulo an
@@ -536,10 +539,50 @@ func (acc *Acc) mulInto(w int, d Value, invert bool) error {
 // Add multiplies g(d) into the accumulator: d joins the pending product,
 // to which g is applied when Value is next read.
 func (acc *Acc) Add(d Value) error {
-	if err := acc.mulInto(winPending, d, false); err != nil {
+	if err := acc.a.checkLen(d); err != nil {
 		return err
 	}
-	acc.dirty = true
+	return acc.addRun(d, len(d), 1)
+}
+
+// AddRun is Add for every digest of a strided run, in place: run is
+// len(run)/stride records of stride bytes, each beginning with a
+// Len()-byte digest — a VO's D_P run has stride Len(), its D_S run
+// Len()+1, a lift riding behind each digest. The run's shape is checked
+// once, not per digest, and the combines are counted once; under ModBig
+// every digest is still checked to be canonical (below m).
+func (acc *Acc) AddRun(run []byte, stride int) error {
+	if size := acc.a.size; stride < size || len(run)%stride != 0 {
+		return fmt.Errorf("digest: %d bytes are not a run of %d-byte records holding %d-byte digests", len(run), stride, size)
+	}
+	return acc.addRun(run, stride, len(run)/stride)
+}
+
+// addRun folds the n digests of a run whose shape its caller checked.
+func (acc *Acc) addRun(run []byte, stride, n int) error {
+	a := acc.a
+	switch {
+	case a.mode == ModBig:
+		for i := 0; i < n; i++ {
+			if err := a.big.mulInto(acc.bigPending, Value(run[i*stride:i*stride+a.size]), false); err != nil {
+				// What was folded before the refused digest stays folded.
+				acc.dirty = acc.dirty || i > 0
+				a.countCombine(int64(i))
+				return err
+			}
+		}
+	case a.limbs == 2:
+		p := acc.win(winPending)
+		p[0], p[1] = mulRun2(p[0], p[1], run, stride, a.size)
+	default:
+		x, p := acc.win(winOperand), acc.win(winPending)
+		for off := 0; off < len(run); off += stride {
+			load(x, run[off:off+a.size])
+			mulBy(p, x)
+		}
+	}
+	acc.dirty = acc.dirty || n > 0
+	a.countCombine(int64(n))
 	return nil
 }
 

@@ -87,6 +87,31 @@ func mulBy(x, y []uint64) {
 	}
 }
 
+// mulRun2 is the run fold for residues of two limbs (Size 9–16, Table 1's
+// 16-byte default among them): it returns p·Π d mod 2^128, p = p1·2^64 +
+// p0 and d the size-byte digest at the start of each stride-byte record
+// of run. Of the four partial products of a 128-bit multiply only the
+// low one needs both halves; the two cross terms land wholly in the high
+// limb and the top one wholly above it. len(run) is a multiple of stride
+// and stride ≥ size.
+func mulRun2(p0, p1 uint64, run []byte, stride, size int) (uint64, uint64) {
+	for off := 0; off < len(run); off += stride {
+		d := run[off : off+size]
+		y0 := binary.BigEndian.Uint64(d[size-8:])
+		var y1 uint64
+		if size == 16 {
+			y1 = binary.BigEndian.Uint64(d[:8])
+		} else {
+			for _, b := range d[:size-8] {
+				y1 = y1<<8 | uint64(b)
+			}
+		}
+		hi, lo := bits.Mul64(p0, y0)
+		p0, p1 = lo, hi+p0*y1+p1*y0
+	}
+	return p0, p1
+}
+
 // expTo sets dst = x^e mod 2^(64·n) by left-to-right square-and-multiply
 // over the bits of e (e ≥ 1). dst, x and tmp are distinct n-limb slices.
 func expTo(dst, x []uint64, e uint64, tmp []uint64) {

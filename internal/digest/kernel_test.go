@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -124,6 +125,7 @@ func diffCheck(t testing.TB, p Params, vals []Value) {
 		}
 		eq(fmt.Sprintf("Acc.Value after Remove(%x)", []byte(v)), acc.Value(), nil, racc.value())
 	}
+	runCheck(t, a, r, vals)
 	// The incremental-update shape: resume from a combined digest, swap
 	// one factor for another.
 	for i, v := range vals {
@@ -145,6 +147,73 @@ func diffCheck(t testing.TB, p Params, vals []Value) {
 	}
 }
 
+// runCheck folds vals as a run — packed at stride Len(), as a D_P run
+// travels, and at stride Len()+1 behind a lift byte, as a D_S run does —
+// into a fresh Acc and into one that already holds a digest and a
+// combined factor, and requires the bytes the math/big reference gets by
+// folding each digest on its own.
+func runCheck(t testing.TB, a *Accumulator, r *ref, vals []Value) {
+	t.Helper()
+	size := a.Len()
+	// A zero digest would zero every product folded after it and so hide
+	// the rest of the run from the comparison; the single-digest checks
+	// above cover zero.
+	vals = slices.DeleteFunc(slices.Clone(vals), func(v Value) bool {
+		return new(big.Int).SetBytes(v).Sign() == 0
+	})
+	for _, stride := range []int{size, size + 1} {
+		run := make([]byte, 0, len(vals)*stride)
+		for i, v := range vals {
+			run = append(run, v...)
+			if stride > size {
+				run = append(run, byte(i)) // the lift: not part of the digest
+			}
+		}
+		acc, racc := a.NewAcc(), r.newAcc()
+		if err := acc.AddRun(run, stride); err != nil {
+			t.Fatalf("AddRun (size %d, stride %d): %v", size, stride, err)
+		}
+		for _, v := range vals {
+			racc.add(v)
+		}
+		if got, want := acc.Value(), racc.value(); !bytes.Equal(got, want) {
+			t.Fatalf("AddRun (size %d, stride %d, %d digests):\n kernel %x\n    big %x", size, stride, len(vals), []byte(got), []byte(want))
+		}
+		// Folded on top of what an Acc already holds, in two pieces.
+		acc, racc = a.NewAcc(), r.newAcc()
+		first, last := vals[0], vals[len(vals)-1]
+		if err := acc.Add(last); err != nil {
+			t.Fatal(err)
+		}
+		if err := acc.AddCombined(first); err != nil {
+			t.Fatal(err)
+		}
+		racc.add(last)
+		racc.addCombined(first)
+		half := len(vals) / 2 * stride
+		for _, part := range [][]byte{run[:half], run[half:]} {
+			if err := acc.AddRun(part, stride); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, v := range vals {
+			racc.add(v)
+		}
+		if got, want := acc.Value(), racc.value(); !bytes.Equal(got, want) {
+			t.Fatalf("Add, AddCombined, AddRun ×2 (size %d, stride %d):\n kernel %x\n    big %x", size, stride, []byte(got), []byte(want))
+		}
+		// A run that is not whole records of whole digests is refused.
+		if len(run) > 0 {
+			if err := a.NewAcc().AddRun(run[:len(run)-1], stride); err == nil {
+				t.Fatalf("AddRun (size %d, stride %d) took a run one byte short", size, stride)
+			}
+		}
+		if err := a.NewAcc().AddRun(run, size-1); err == nil {
+			t.Fatalf("AddRun (size %d) took records narrower than a digest", size)
+		}
+	}
+}
+
 // TestKernelMatchesBig is the differential property: for every size and
 // exponent, on the boundary inputs and on random ones, the limb kernel
 // and math/big agree on every byte.
@@ -157,6 +226,13 @@ func TestKernelMatchesBig(t *testing.T) {
 			vals = append(vals, randomValues(rng, size, 16)...)
 			diffCheck(t, p, vals)
 		}
+	}
+	// The run fold has a kernel of its own for two-limb residues and takes
+	// each digest where it lies in the run: every size, both strides.
+	for size := 4; size <= 8*maxLimbs; size++ {
+		p := Params{Size: size, Exponent: 3, Mode: Mod2K}
+		vals := append(boundaryValues(size)[:6], randomValues(rng, size, 6)...)
+		runCheck(t, MustNew(p), newRef(p), vals)
 	}
 }
 
@@ -250,6 +326,10 @@ func TestAccAllocations(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { _ = acc.Remove(d) }); n != 0 {
 			t.Errorf("size %d: Acc.Remove allocates %v times, want 0", size, n)
 		}
+		run := bytes.Repeat(append(d.Clone(), 1), 64) // a D_S run: digest, lift
+		if n := testing.AllocsPerRun(100, func() { _ = acc.AddRun(run, size+1) }); n != 0 {
+			t.Errorf("size %d: Acc.AddRun allocates %v times, want 0", size, n)
+		}
 		perAcc := func(adds int) float64 {
 			return testing.AllocsPerRun(50, func() {
 				acc := a.NewAcc()
@@ -280,6 +360,22 @@ func BenchmarkAccAdd(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := acc.Add(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+	benchSink = acc.Value()
+}
+
+// BenchmarkAccAddRun folds the D_P run of a read.range answer: 256 rows
+// × 7 projected-out columns of 16-byte digests.
+func BenchmarkAccAddRun(b *testing.B) {
+	a := MustNew(DefaultParams())
+	run := bytes.Repeat(a.HashBytes("bench", []byte("d")), 256*7)
+	acc := a.NewAcc()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(run)))
+	for i := 0; i < b.N; i++ {
+		if err := acc.AddRun(run, a.Len()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -70,15 +70,16 @@ func (s *Schema) Validate() error {
 	if len(s.Columns) == 0 {
 		return errors.New("schema: at least one column required")
 	}
-	seen := make(map[string]bool, len(s.Columns))
+	// Every query.Compile runs this, on the client and on the edge, and a
+	// schema has tens of columns: duplicates are found by looking back,
+	// not through a map built per call.
 	for i, c := range s.Columns {
 		if c.Name == "" {
 			return fmt.Errorf("schema: column %d has empty name", i)
 		}
-		if seen[c.Name] {
+		if s.ColumnIndex(c.Name) != i {
 			return fmt.Errorf("schema: duplicate column %q", c.Name)
 		}
-		seen[c.Name] = true
 		switch c.Type {
 		case TypeInt64, TypeFloat64, TypeString, TypeBytes:
 		default:

@@ -210,13 +210,13 @@ func parentBody(rs *vo.ResultSet, w *vo.VO, signedMap []byte) []byte {
 	pvo = append(pvo, w.TopLevel)
 	pvo = lenPrefixed(pvo, w.TopDigest)
 	pvo = lenPrefixed(pvo, w.RootSig)
-	pvo = u32(pvo, uint32(len(w.DS)))
-	for _, e := range w.DS {
-		pvo = append(lenPrefixed(pvo, e.Sig), e.Lift)
+	pvo = u32(pvo, uint32(w.NumDS()))
+	for i := 0; i < w.NumDS(); i++ {
+		pvo = append(lenPrefixed(pvo, w.DSDigest(i)), w.DSLift(i))
 	}
-	pvo = u32(pvo, uint32(len(w.DP)))
-	for _, d := range w.DP {
-		pvo = lenPrefixed(pvo, d)
+	pvo = u32(pvo, uint32(w.NumDP()))
+	for i := 0; i < w.NumDP(); i++ {
+		pvo = lenPrefixed(pvo, w.DPDigest(i))
 	}
 
 	answer := lenPrefixed(lenPrefixed(nil, rs.Encode(nil)), pvo)
@@ -263,9 +263,9 @@ func TestAnswerBytesMatchParentCommit(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				rs, w := resp.Resp.Result, resp.Resp.VO
-				if len(rs.Tuples) != g.rows || len(w.DS) != g.ds || w.WireSize() != voBytes {
+				if len(rs.Tuples) != g.rows || w.NumDS() != g.ds || w.WireSize() != voBytes {
 					t.Errorf("%s: %d rows, %d D_S entries in a %d-byte VO; parent commit %d rows, %d entries, AppendAnswer reported %d bytes",
-						name, len(rs.Tuples), len(w.DS), w.WireSize(), g.rows, g.ds, voBytes)
+						name, len(rs.Tuples), w.NumDS(), w.WireSize(), g.rows, g.ds, voBytes)
 				}
 				parent := parentBody(rs, w, resp.SignedMap)
 				sum := sha256.Sum256(parent)
@@ -273,9 +273,9 @@ func TestAnswerBytesMatchParentCommit(t *testing.T) {
 					t.Errorf("%s: in the parent's layout %d bytes, sha256 %s; parent commit: %d bytes, sha256 %s",
 						name, len(parent), got, g.length, g.sha256)
 				}
-				if wantLen := g.length - 4*(len(w.DS)+len(w.DP)) + 2; len(body) != wantLen {
+				if wantLen := g.length - 4*(w.NumDS()+w.NumDP()) + 2; len(body) != wantLen {
 					t.Errorf("%s: %d bytes with %d D_S and %d D_P entries, want the parent's %d less 4 an entry plus 2 = %d",
-						name, len(body), len(w.DS), len(w.DP), g.length, wantLen)
+						name, len(body), w.NumDS(), w.NumDP(), g.length, wantLen)
 				}
 				rs, w, err = v.RunQuery(ctx, q)
 				if err != nil {
@@ -319,23 +319,21 @@ func TestVOBytesMatchFormula9(t *testing.T) {
 				// Every digest of a scheme has one length: the accumulator's
 				// under Merkle, the key's under per-node rsa.
 				width := len(w.TopDigest)
-				for i, e := range w.DS {
-					if len(e.Sig) != width {
-						t.Fatalf("%s: D_S entry %d has %d bytes, the top digest %d", name, i, len(e.Sig), width)
-					}
+				if w.NumDS()+w.NumDP() > 0 && w.Width != width {
+					t.Fatalf("%s: D_S and D_P digests have %d bytes, the top digest %d", name, w.Width, width)
 				}
-				digestBytes := (len(w.DP)+len(w.DS))*width + len(w.TopDigest)
-				if got, want := w.WireSize(), digestBytes+len(w.DS)+len(w.RootSig)+31; got != want || got != len(w.Encode(nil)) {
+				digestBytes := (w.NumDP()+w.NumDS())*width + len(w.TopDigest)
+				if got, want := w.WireSize(), digestBytes+w.NumDS()+len(w.RootSig)+31; got != want || got != len(w.Encode(nil)) {
 					t.Errorf("%s: VO of %d D_S and %d D_P entries is %d bytes (%d encoded), want %d",
-						name, len(w.DS), len(w.DP), got, len(w.Encode(nil)), want)
+						name, w.NumDS(), w.NumDP(), got, len(w.Encode(nil)), want)
 				}
 				p := costmodel.Default()
 				p.D, p.NC, p.QC = width, len(sch.Columns), len(rs.Columns)
-				if got := p.DPCount(len(rs.Tuples)); got != len(w.DP) {
+				if got := p.DPCount(len(rs.Tuples)); got != w.NumDP() {
 					t.Errorf("%s: model predicts |D_P| = %d for %d rows of %d of %d columns, the VO carries %d",
-						name, got, len(rs.Tuples), p.QC, p.NC, len(w.DP))
+						name, got, len(rs.Tuples), p.QC, p.NC, w.NumDP())
 				}
-				if got := p.VODigestBytes(len(w.DP), len(w.DS)); got != digestBytes {
+				if got := p.VODigestBytes(w.NumDP(), w.NumDS()); got != digestBytes {
 					t.Errorf("%s: formula (9) charges %d digest bytes, the VO carries %d", name, got, digestBytes)
 				}
 			}

@@ -129,10 +129,11 @@ func CorruptVODigest() Attack {
 		Name:        "corrupt-vo-digest",
 		Description: "alter a signed digest inside the VO",
 		Apply: func(rs *vo.ResultSet, w *vo.VO) error {
-			if len(w.DS) == 0 {
+			if w.NumDS() == 0 {
 				return ErrNotApplicable
 			}
-			w.DS[0].Sig[len(w.DS[0].Sig)/2] ^= 0x55
+			d := w.DSDigest(0)
+			d[len(d)/2] ^= 0x55
 			return nil
 		},
 	}
@@ -144,10 +145,10 @@ func DropVODigest() Attack {
 		Name:        "drop-vo-digest",
 		Description: "omit a D_S digest from the VO",
 		Apply: func(rs *vo.ResultSet, w *vo.VO) error {
-			if len(w.DS) == 0 {
+			if w.NumDS() == 0 {
 				return ErrNotApplicable
 			}
-			w.DS = w.DS[1:]
+			w.DS = w.DS[w.Width+1:]
 			return nil
 		},
 	}
@@ -182,7 +183,7 @@ func ForgeInteriorNode() Attack {
 		Description: "graft an unsigned fabricated subtree digest into a Merkle VO",
 		Apply: func(rs *vo.ResultSet, w *vo.VO) error {
 			acc := digest.MustNew(digest.DefaultParams())
-			if len(w.RootSig) == 0 || len(w.TopDigest) != acc.Len() {
+			if len(w.RootSig) == 0 || len(w.TopDigest) != acc.Len() || w.NumDS()+w.NumDP() > 0 && w.Width != acc.Len() {
 				return ErrNotApplicable // not a Merkle-shaped VO
 			}
 			forged := acc.HashBytes("tamper:forged-interior", []byte("spurious subtree"))
@@ -194,7 +195,7 @@ func ForgeInteriorNode() Attack {
 			if err != nil {
 				return err
 			}
-			w.DS = append(w.DS, vo.Entry{Sig: sig.Signature(forged), Lift: 1})
+			w.AppendDS(forged, 1)
 			w.TopDigest = sig.Signature(top)
 			return nil
 		},
@@ -234,10 +235,10 @@ func MisliftDS() Attack {
 		Name:        "mislift-ds",
 		Description: "change the level tag of a D_S digest",
 		Apply: func(rs *vo.ResultSet, w *vo.VO) error {
-			if len(w.DS) == 0 {
+			if w.NumDS() == 0 {
 				return ErrNotApplicable
 			}
-			w.DS[0].Lift++
+			w.SetDSLift(0, w.DSLift(0)+1)
 			return nil
 		},
 	}
@@ -313,12 +314,12 @@ func SwapProjectionDigest() Attack {
 		Name:        "swap-projection-digest",
 		Description: "move a filtered-attribute digest into the tuple set",
 		Apply: func(rs *vo.ResultSet, w *vo.VO) error {
-			if len(w.DP) == 0 {
+			if w.NumDP() == 0 {
 				return ErrNotApplicable
 			}
-			moved := w.DP[0]
-			w.DP = w.DP[1:]
-			w.DS = append(w.DS, vo.Entry{Sig: moved, Lift: w.TopLevel})
+			moved := w.DPDigest(0)
+			w.DP = w.DP[w.Width:]
+			w.AppendDS(moved, w.TopLevel)
 			return nil
 		},
 	}
@@ -342,7 +343,7 @@ func CompensateDigest() Attack {
 		Name:        "compensate-digest",
 		Description: "rewrite a returned value and rebalance an unsigned D_P digest by h(old)·h(new)⁻¹",
 		Apply: func(rs *vo.ResultSet, w *vo.VO) error {
-			if len(rs.Tuples) == 0 || len(w.DP) == 0 {
+			if len(rs.Tuples) == 0 || w.NumDP() == 0 {
 				return ErrNotApplicable
 			}
 			col := len(rs.Columns) - 1
@@ -369,9 +370,10 @@ func CompensateDigest() Attack {
 			}
 			// The entry's bytes as a residue, rebalanced, at the entry's own
 			// width: under a Merkle scheme that is the digest itself.
-			x := new(big.Int).SetBytes(w.DP[0])
+			d := w.DPDigest(0)
+			x := new(big.Int).SetBytes(d)
 			x.Mul(x, hOld).Mul(x, inv).Mod(x, m)
-			w.DP[0] = sig.Signature(x.FillBytes(make([]byte, len(w.DP[0]))))
+			x.FillBytes(d)
 			return nil
 		},
 	}
@@ -408,14 +410,9 @@ func ReplayStaleShard(staleRS *vo.ResultSet, staleVO *vo.VO) Attack {
 			w.KeyVersion = staleVO.KeyVersion
 			w.TopLevel = staleVO.TopLevel
 			w.TopDigest = staleVO.TopDigest.Clone()
-			w.DS = nil
-			for _, e := range staleVO.DS {
-				w.DS = append(w.DS, vo.Entry{Sig: e.Sig.Clone(), Lift: e.Lift})
-			}
-			w.DP = nil
-			for _, s := range staleVO.DP {
-				w.DP = append(w.DP, s.Clone())
-			}
+			w.Width = staleVO.Width
+			w.DS = bytes.Clone(staleVO.DS)
+			w.DP = bytes.Clone(staleVO.DP)
 			// Keep the current timestamp: the attack is the stale CONTENT,
 			// not a backdated clock (that one is BackdateTimestamp).
 			return nil

@@ -127,8 +127,8 @@ func TestPropertyProjectionSubsetsVerify(t *testing.T) {
 			t.Fatalf("projection %v failed verification: %v", project, err)
 		}
 		wantDP := 31 * (len(cols) - len(project))
-		if len(w.DP) != wantDP {
-			t.Fatalf("projection %v: DP=%d, want %d", project, len(w.DP), wantDP)
+		if w.NumDP() != wantDP {
+			t.Fatalf("projection %v: DP=%d, want %d", project, w.NumDP(), wantDP)
 		}
 	}
 }

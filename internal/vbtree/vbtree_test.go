@@ -1,6 +1,7 @@
 package vbtree
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -276,15 +277,15 @@ func TestProjectionVerifies(t *testing.T) {
 		t.Fatalf("columns = %v", rs.Columns)
 	}
 	// 2 filtered attributes per tuple.
-	if len(w.DP) != 31*2 {
-		t.Fatalf("DP size = %d, want 62", len(w.DP))
+	if w.NumDP() != 31*2 {
+		t.Fatalf("DP size = %d, want 62", w.NumDP())
 	}
 	h.mustVerify(t, rs, w)
 
 	// Projection excluding the key column still verifies (keys ride along).
 	rs2, w2 := h.query(t, Query{Lo: i64(50), Hi: i64(60), Project: []string{"customer"}})
-	if len(w2.DP) != 11*3 {
-		t.Fatalf("DP size = %d, want 33", len(w2.DP))
+	if w2.NumDP() != 11*3 {
+		t.Fatalf("DP size = %d, want 33", w2.NumDP())
 	}
 	h.mustVerify(t, rs2, w2)
 }
@@ -322,8 +323,8 @@ func TestFilterQueryVerifies(t *testing.T) {
 		t.Fatalf("filter matched %d, want %d", len(rs.Tuples), want)
 	}
 	// Gaps inside the range must be covered by extra D_S digests.
-	if len(w.DS) <= want {
-		t.Fatalf("D_S (%d) suspiciously small for a gappy result", len(w.DS))
+	if w.NumDS() <= want {
+		t.Fatalf("D_S (%d) suspiciously small for a gappy result", w.NumDS())
 	}
 	h.mustVerify(t, rs, w)
 
@@ -417,11 +418,11 @@ func TestDroppedTupleRejected(t *testing.T) {
 func TestForgedVORejected(t *testing.T) {
 	h := newHarness(t, 300, 1024, false)
 	rs, w := h.query(t, Query{Lo: i64(10), Hi: i64(40)})
-	if len(w.DS) == 0 {
+	if w.NumDS() == 0 {
 		t.Skip("no DS entries to tamper with")
 	}
 	// Flip a byte in a D_S signature.
-	w.DS[0].Sig[3] ^= 0xFF
+	w.DSDigest(0)[3] ^= 0xFF
 	if err := h.ver.Verify(rs, w); err == nil {
 		t.Fatal("forged DS signature accepted")
 	}
@@ -677,14 +678,14 @@ func TestVerifierRejectsMalformedInputs(t *testing.T) {
 		t.Fatal("zero top level accepted")
 	}
 	bad2 := *w
-	bad2.DP = []sig.Signature{w.TopDigest}
+	bad2.DP = w.TopDigest.Clone()
 	if err := h.ver.Verify(rs, &bad2); err == nil {
 		t.Fatal("DP count mismatch accepted")
 	}
 	bad3 := *w
-	if len(bad3.DS) > 0 {
-		bad3.DS = append([]vo.Entry(nil), bad3.DS...)
-		bad3.DS[0].Lift = 200
+	if bad3.NumDS() > 0 {
+		bad3.DS = bytes.Clone(bad3.DS)
+		bad3.SetDSLift(0, 200)
 		if err := h.ver.Verify(rs, &bad3); err == nil {
 			t.Fatal("absurd lift accepted")
 		}

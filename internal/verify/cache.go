@@ -15,14 +15,15 @@ const DefaultCacheSize = 1024
 
 // sigCache remembers which payload a signature was proven to carry, so
 // repeat queries over the same tree region (the common case: hot ranges,
-// unchanged shards) skip the signature work entirely. Keyed by the key
-// version the proof was made under and the raw signature bytes — the
-// version a VO or map names is not itself signed, so an entry proven
-// under one key must never answer a lookup made under another; an entry
-// is only ever written after a successful recovery or detached
-// verification, so a hit is as trustworthy as the original check. Keys
-// and values are copies: an entry outlives the frame the signature
-// arrived in. Bounded by random-ish eviction (map iteration order): the
+// unchanged shards) skip the signature work entirely. Keyed by the
+// trusted key the proof was made under — the very key, not its version:
+// the version a VO or map names is not itself signed, and a version the
+// registry has since bound to another key is another key, so an entry
+// proven under one key must never answer a lookup made under another —
+// and the raw signature bytes. An entry is only ever written after a
+// successful recovery or detached verification, so a hit is as
+// trustworthy as the original check. Signature bytes and payloads are
+// copies: an entry outlives the frame the signature arrived in. Bounded by random-ish eviction (map iteration order): the
 // cache is an amortizer, not a store, and any eviction policy keeps it
 // correct.
 type sigCache struct {
@@ -34,19 +35,18 @@ type sigCache struct {
 }
 
 type sigKey struct {
-	version uint32
-	sig     string
+	pub *sig.PublicKey
+	sig string
 }
 
 func newSigCache(max int) *sigCache {
 	return &sigCache{m: make(map[sigKey]digest.Value, max), max: max}
 }
 
-// lookup returns the payload s was proven to carry under key version
-// version, if cached.
-func (c *sigCache) lookup(version uint32, s sig.Signature) (digest.Value, bool) {
+// lookup returns the payload s was proven to carry under pub, if cached.
+func (c *sigCache) lookup(pub *sig.PublicKey, s sig.Signature) (digest.Value, bool) {
 	c.mu.Lock()
-	u, ok := c.m[sigKey{version, string(s)}]
+	u, ok := c.m[sigKey{pub, string(s)}]
 	c.mu.Unlock()
 	if ok {
 		c.hits.Add(1)
@@ -56,9 +56,9 @@ func (c *sigCache) lookup(version uint32, s sig.Signature) (digest.Value, bool) 
 	return nil, false
 }
 
-// store records a proven (key version, signature, payload) triple,
-// evicting arbitrary entries at capacity.
-func (c *sigCache) store(version uint32, s sig.Signature, u digest.Value) {
+// store records a proven (key, signature, payload) triple, evicting
+// arbitrary entries at capacity.
+func (c *sigCache) store(pub *sig.PublicKey, s sig.Signature, u digest.Value) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.m) >= c.max {
@@ -69,7 +69,7 @@ func (c *sigCache) store(version uint32, s sig.Signature, u digest.Value) {
 			}
 		}
 	}
-	c.m[sigKey{version, string(s)}] = append(digest.Value(nil), u...)
+	c.m[sigKey{pub, string(s)}] = append(digest.Value(nil), u...)
 }
 
 // CacheStats reports the verified-digest cache's hit/miss ledger.
@@ -108,14 +108,14 @@ func (v *Verifier) cachedRecover(pub *sig.PublicKey, s sig.Signature) (digest.Va
 	if c == nil {
 		return recoverDigest(pub, v.Acc, s)
 	}
-	if u, ok := c.lookup(pub.Version, s); ok {
+	if u, ok := c.lookup(pub, s); ok {
 		return u, nil
 	}
 	u, err := recoverDigest(pub, v.Acc, s)
 	if err != nil {
 		return nil, err
 	}
-	c.store(pub.Version, s, u)
+	c.store(pub, s, u)
 	return u, nil
 }
 
@@ -128,7 +128,7 @@ func (v *Verifier) cachedVerifySig(pub *sig.PublicKey, s sig.Signature, want []b
 	if c == nil {
 		return pub.Verify(s, want)
 	}
-	if u, ok := c.lookup(pub.Version, s); ok && bytes.Equal(u, want) {
+	if u, ok := c.lookup(pub, s); ok && bytes.Equal(u, want) {
 		return nil
 	}
 	// A miss, or the same signature bytes claimed over a different
@@ -136,6 +136,6 @@ func (v *Verifier) cachedVerifySig(pub *sig.PublicKey, s sig.Signature, want []b
 	if err := pub.Verify(s, want); err != nil {
 		return err
 	}
-	c.store(pub.Version, s, digest.Value(want))
+	c.store(pub, s, digest.Value(want))
 	return nil
 }

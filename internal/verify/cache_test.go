@@ -51,8 +51,9 @@ func TestSigCacheIsKeyedByKeyVersion(t *testing.T) {
 		TopLevel:   1,
 		TopDigest:  sig.Signature(uLeaf),
 		RootSig:    oldKey.MustSign(uLeaf),
-		DS:         []vo.Entry{{Sig: sig.Signature(h.uT[1]), Lift: 1}, {Sig: sig.Signature(h.uT[3]), Lift: 1}},
 	}
+	w.AppendDS(h.uT[1], 1)
+	w.AppendDS(h.uT[3], 1)
 	for i := 0; i < 2; i++ {
 		if err := v.Verify(rs, w); err != nil {
 			t.Fatalf("authentic answer under version 1: %v", err)
@@ -86,8 +87,9 @@ func TestSigCacheIsKeyedByKeyVersion(t *testing.T) {
 		Timestamp:  time.Now().Unix(),
 		TopLevel:   1,
 		TopDigest:  h.sign(t, uLeaf),
-		DS:         []vo.Entry{{Sig: h.dT[1], Lift: 1}, {Sig: h.dT[3], Lift: 1}},
 	}
+	w.AppendDS(h.dT[1], 1)
+	w.AppendDS(h.dT[3], 1)
 	if err := v.Verify(rs, w); err != nil {
 		t.Fatalf("authentic legacy answer under version 1: %v", err)
 	}

@@ -52,8 +52,8 @@ func flatVerify(v *Verifier, rs *vo.ResultSet, w *vo.VO) error {
 			}
 		}
 	}
-	for _, ds := range w.DP {
-		u, err := v.entryDigest(an.pub, ds)
+	for i := 0; i < w.NumDP(); i++ {
+		u, err := v.entryDigest(an.pub, w.DPDigest(i))
 		if err != nil {
 			return err
 		}
@@ -61,15 +61,16 @@ func flatVerify(v *Verifier, rs *vo.ResultSet, w *vo.VO) error {
 			return err
 		}
 	}
-	for _, e := range w.DS {
-		if int(e.Lift) < 1 || int(e.Lift) > L {
+	for i := 0; i < w.NumDS(); i++ {
+		lift := int(w.DSLift(i))
+		if lift < 1 || lift > L {
 			return ErrMalformed
 		}
-		u, err := v.entryDigest(an.pub, e.Sig)
+		u, err := v.entryDigest(an.pub, w.DSDigest(i))
 		if err != nil {
 			return err
 		}
-		if err := fold(u, int(e.Lift)); err != nil {
+		if err := fold(u, lift); err != nil {
 			return err
 		}
 	}
@@ -162,8 +163,8 @@ func TestHornerAndFlatOrderAgree(t *testing.T) {
 	honest := tamper.Attack{Name: "honest", Apply: func(*vo.ResultSet, *vo.VO) error { return nil }}
 	maxLift := tamper.Attack{Name: "every-lift-255", Apply: func(_ *vo.ResultSet, w *vo.VO) error {
 		w.TopLevel = 255
-		for i := range w.DS {
-			w.DS[i].Lift = 255
+		for i := 0; i < w.NumDS(); i++ {
+			w.SetDSLift(i, 255)
 		}
 		return nil
 	}}
@@ -206,8 +207,8 @@ func TestCombineOpsPerVO(t *testing.T) {
 		rs, w := b.query(t, 20, 80, tc.project)
 		if tc.hostile {
 			w.TopLevel = 255
-			for i := range w.DS {
-				w.DS[i].Lift = 255
+			for i := 0; i < w.NumDS(); i++ {
+				w.SetDSLift(i, 255)
 			}
 		}
 		before := c.Snapshot()
@@ -216,10 +217,10 @@ func TestCombineOpsPerVO(t *testing.T) {
 			t.Fatalf("project %v, hostile %v: %v", tc.project, tc.hostile, err)
 		}
 		L := int(w.TopLevel)
-		want := int64(len(rs.Tuples)*len(b.sch.Columns) + len(w.DS) + 2*L + 1)
+		want := int64(len(rs.Tuples)*len(b.sch.Columns) + w.NumDS() + 2*L + 1)
 		if got := c.Snapshot().Sub(before).CombineOps; got != want {
 			t.Errorf("project %v, hostile %v: %d combine ops, want %d = %d·%d + |D_S| %d + 2·%d + 1",
-				tc.project, tc.hostile, got, want, len(rs.Tuples), len(b.sch.Columns), len(w.DS), L)
+				tc.project, tc.hostile, got, want, len(rs.Tuples), len(b.sch.Columns), w.NumDS(), L)
 		}
 	}
 }
@@ -253,11 +254,9 @@ func TestNonCanonicalDigestRejected(t *testing.T) {
 		TopLevel:  1,
 		TopDigest: sig.Signature(uLeaf),
 		RootSig:   rootSig,
-		DS: []vo.Entry{
-			{Sig: sig.Signature(h.uT[1]), Lift: 1},
-			{Sig: sig.Signature(h.uT[3]), Lift: 1},
-		},
 	}
+	w.AppendDS(h.uT[1], 1)
+	w.AppendDS(h.uT[3], 1)
 	ver := &Verifier{Key: key.Public(), Acc: acc, Schema: h.sch}
 	if err := ver.Verify(rs, w); err != nil {
 		t.Fatalf("honest ModBig Merkle VO rejected: %v", err)
@@ -266,7 +265,7 @@ func TestNonCanonicalDigestRejected(t *testing.T) {
 	// encoding has 264 bits.
 	alias := new(big.Int).SetBytes(h.uT[1])
 	alias.Add(alias, m)
-	w.DS[0].Sig = alias.FillBytes(make(sig.Signature, acc.Len()))
+	alias.FillBytes(w.DSDigest(0))
 	// The VO codec must deliver the bytes as sent, or the check below
 	// would be testing the codec's canonicalisation instead.
 	decoded, _, err := vo.DecodeVO(w.Encode(nil))
@@ -275,6 +274,30 @@ func TestNonCanonicalDigestRejected(t *testing.T) {
 	}
 	if err := ver.Verify(rs, decoded); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("non-canonical D_S digest: %v, want ErrMalformed", err)
+	}
+}
+
+// TestMerkleRunsAreTheAccumulatorsWidth: a Merkle VO's D_S and D_P are
+// folded where they lie, one width check for the whole VO. Runs of wider
+// records — every digest followed by a byte the fold would not read —
+// are refused, not folded on their leading bytes: each such VO would be
+// another spelling of the honest one.
+func TestMerkleRunsAreTheAccumulatorsWidth(t *testing.T) {
+	b := buildTree(t, 300, 1024, sig.SchemeRSAMerkle, nil)
+	rs, w := b.query(t, 20, 80, []string{"id", "cat"})
+	if err := b.ver.Verify(rs, w); err != nil {
+		t.Fatal(err)
+	}
+	padded := *w
+	padded.DS, padded.DP = nil, nil
+	for i := 0; i < w.NumDS(); i++ {
+		padded.AppendDS(append(w.DSDigest(i).Clone(), 0), w.DSLift(i))
+	}
+	for i := 0; i < w.NumDP(); i++ {
+		padded.AppendDP(append(w.DPDigest(i).Clone(), 0))
+	}
+	if err := b.ver.Verify(rs, &padded); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("runs of %d-byte records under a %d-byte accumulator: %v, want ErrBadSignature", padded.Width, b.ver.Acc.Len(), err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"edgeauth/internal/shardmap"
+	"edgeauth/internal/sig"
 	"edgeauth/internal/vo"
 )
 
@@ -16,7 +17,8 @@ import (
 //
 //  1. The map itself verifies: central signature over the boundary keys
 //     and per-shard root digests, key version resolved at the client's
-//     own clock (VerifyShardMap).
+//     own clock (VerifyShardMap; VerifySignedMap from the map's bytes,
+//     checking each distinct bytes once).
 //  2. Each per-shard VO verifies AND anchors at exactly the root digest
 //     the map pins for that shard (VerifyAnchored). The edge builds
 //     shard VOs with the envelope forced to the root, so the recovered
@@ -66,39 +68,88 @@ func CheckMapSuccession(prevEpoch, prevMapEpoch uint64, m *shardmap.Map) error {
 // validity-checked at the verifier's own clock, and the map must name
 // the expected table with digests sized for the accumulator.
 func (v *Verifier) VerifyShardMap(sm *shardmap.Signed, table string) error {
+	_, err := v.verifyShardMap(sm, table)
+	return err
+}
+
+// verifyShardMap is VerifyShardMap returning the key the signature was
+// checked under.
+func (v *Verifier) verifyShardMap(sm *shardmap.Signed, table string) (*sig.PublicKey, error) {
 	if v.Acc == nil {
-		return errors.New("verify: verifier not configured")
+		return nil, errors.New("verify: verifier not configured")
 	}
 	if sm == nil || sm.Map == nil {
-		return fmt.Errorf("%w: missing shard map", ErrMalformed)
+		return nil, fmt.Errorf("%w: missing shard map", ErrMalformed)
 	}
 	if err := sm.Map.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrMalformed, err)
+		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
 	if sm.Map.Table != table {
-		return fmt.Errorf("%w: shard map names table %q, want %q", ErrMalformed, sm.Map.Table, table)
+		return nil, fmt.Errorf("%w: shard map names table %q, want %q", ErrMalformed, sm.Map.Table, table)
 	}
 	for i, sh := range sm.Map.Shards {
 		if len(sh.RootDigest) != v.Acc.Len() {
-			return fmt.Errorf("%w: shard %d root digest has %d bytes, want %d",
+			return nil, fmt.Errorf("%w: shard %d root digest has %d bytes, want %d",
 				ErrMalformed, i, len(sh.RootDigest), v.Acc.Len())
 		}
 	}
 	pub, err := v.resolveKey(sm.Map.KeyVersion, v.now())
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// The attached map of every answer is byte-identical until the next
-	// refresh, so its signature goes through the verified-digest cache:
-	// one public-key operation per map, not per answer. Everything above
-	// still runs on every call.
+	// The signature goes through the verified-digest cache: one public-key
+	// operation per map, not per call. Everything above still runs on
+	// every call.
 	if len(sm.Sig) == 0 {
-		return fmt.Errorf("%w: shardmap: signed map missing payload or signature", ErrVerification)
+		return nil, fmt.Errorf("%w: shardmap: signed map missing payload or signature", ErrVerification)
 	}
 	if err := v.cachedVerifySig(pub, sm.Sig, sm.Map.SigPayload()); err != nil {
-		return fmt.Errorf("%w: shardmap: signature does not verify: %v", ErrVerification, err)
+		return nil, fmt.Errorf("%w: shardmap: signature does not verify: %v", ErrVerification, err)
 	}
-	return nil
+	return pub, nil
+}
+
+// mapMemo is the signed shard map a Verifier last checked in full: its
+// exact bytes (a copy — the frame they arrived in is the caller's), the
+// table it was checked for, what the bytes decode to, and the key its
+// signature was checked under.
+type mapMemo struct {
+	raw   []byte
+	table string
+	sm    *shardmap.Signed
+	pub   *sig.PublicKey
+}
+
+// VerifySignedMap decodes the signed shard map in raw and checks it as
+// VerifyShardMap does. Every answer carries the map, byte-identical until
+// the next refresh, and decoding, validation, the table check and the
+// signature check are functions of those bytes: when raw equals the bytes
+// the last full check passed on, their outcome is reused. The clock is
+// not: the map's key version is resolved at the verifier's clock on every
+// call, and reuse also requires it to resolve to the very key the
+// signature was checked under — anything else runs the full check. The
+// returned map may be shared by concurrent callers and is read-only.
+func (v *Verifier) VerifySignedMap(raw []byte, table string) (*shardmap.Signed, error) {
+	if m := v.mapMemo.Load(); m != nil && m.table == table && bytes.Equal(m.raw, raw) {
+		pub, err := v.resolveKey(m.sm.Map.KeyVersion, v.now())
+		if err != nil {
+			return nil, err
+		}
+		if pub == m.pub {
+			return m.sm, nil
+		}
+	}
+	raw = bytes.Clone(raw)
+	sm, err := shardmap.DecodeSigned(raw)
+	if err != nil {
+		return nil, fmt.Errorf("%w: shard map: %v", ErrMalformed, err)
+	}
+	pub, err := v.verifyShardMap(sm, table)
+	if err != nil {
+		return nil, err
+	}
+	v.mapMemo.Store(&mapMemo{raw: raw, table: table, sm: sm, pub: pub})
+	return sm, nil
 }
 
 // VerifyAnchored runs the standard VO verification and additionally

@@ -22,12 +22,26 @@
 // returned value, any dropped digest, or any spurious tuple breaks the
 // equation with overwhelming probability; a forged signature fails
 // structural recovery.
+//
+// What a verified answer costs is what formula (10) charges — hashes,
+// combines, signature recoveries — and little besides. D_S and D_P are
+// read where they lie in the answer's frame (vo.VO holds them as the
+// fixed-width runs they travel as): under a Merkle scheme, where they are
+// the raw digests, the VO's one width is checked against the accumulator
+// once and each run — D_P, and each stretch of D_S entries sharing a
+// lift — is folded in place (digest.Acc.AddRun); under per-node rsa every
+// entry is still recovered, through the verified-digest cache. The signed
+// shard map every answer carries is a function of its bytes up to the
+// clock: VerifySignedMap decodes and checks each distinct map once and
+// resolves its key at the verifier's clock on every call.
 package verify
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"edgeauth/internal/digest"
@@ -92,6 +106,8 @@ type Verifier struct {
 
 	cacheOnce   sync.Once
 	digestCache *sigCache
+	// mapMemo is the shard map VerifySignedMap last checked in full.
+	mapMemo atomic.Pointer[mapMemo]
 }
 
 // now resolves the verifier's clock.
@@ -225,22 +241,24 @@ func (v *Verifier) anchor(rs *vo.ResultSet, w *vo.VO) (*anchored, error) {
 	}
 
 	// Map result columns to schema columns, and find which are filtered.
+	// A schema has tens of columns: a duplicate is found by looking back.
 	colIdx := make([]int, len(rs.Columns))
-	seen := make(map[int]bool, len(rs.Columns))
 	for i, name := range rs.Columns {
 		ci := v.Schema.ColumnIndex(name)
 		if ci < 0 {
 			return nil, fmt.Errorf("%w: unknown column %q", ErrMalformed, name)
 		}
-		if seen[ci] {
+		if slices.Contains(colIdx[:i], ci) {
 			return nil, fmt.Errorf("%w: duplicate column %q", ErrMalformed, name)
 		}
-		seen[ci] = true
 		colIdx[i] = ci
 	}
+	if err := w.CheckRuns(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+	}
 	nFilteredPerTuple := len(v.Schema.Columns) - len(rs.Columns)
-	if want := nFilteredPerTuple * len(rs.Tuples); len(w.DP) != want {
-		return nil, fmt.Errorf("%w: D_P carries %d digests, want %d", ErrMalformed, len(w.DP), want)
+	if want := nFilteredPerTuple * len(rs.Tuples); w.NumDP() != want {
+		return nil, fmt.Errorf("%w: D_P carries %d digests, want %d", ErrMalformed, w.NumDP(), want)
 	}
 
 	// Anchor the envelope. The verification shape is derived from the
@@ -315,26 +333,12 @@ func (v *Verifier) envelopeDigest(an *anchored, rs *vo.ResultSet, w *vo.VO) (dig
 			}
 		}
 	}
-	for _, ds := range w.DP {
-		u, err := v.entryDigest(an.pub, ds)
-		if err != nil {
+	if an.pub.Scheme.Merkle() {
+		if err := v.foldRawRuns(levels, w); err != nil {
 			return nil, err
 		}
-		if err := attrs.Add(u); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-	}
-	for i, e := range w.DS {
-		if int(e.Lift) < 1 || int(e.Lift) > L {
-			return nil, fmt.Errorf("%w: D_S entry %d has lift %d outside [1,%d]", ErrMalformed, i, e.Lift, L)
-		}
-		u, err := v.entryDigest(an.pub, e.Sig)
-		if err != nil {
-			return nil, err
-		}
-		if err := levels[e.Lift].Add(u); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
+	} else if err := v.foldSignedRuns(an.pub, levels, w); err != nil {
+		return nil, err
 	}
 	// Horner's rule on the equation above, B_k the product at level k:
 	//
@@ -349,6 +353,71 @@ func (v *Verifier) envelopeDigest(an *anchored, rs *vo.ResultSet, w *vo.VO) (dig
 		}
 	}
 	return levels[1].Value(), nil
+}
+
+// foldRawRuns multiplies a Merkle VO's D_P and D_S digests into their
+// levels where they lie in the runs: they are the raw digests, so there
+// is no signature work, and one width check covers them all. A run of
+// consecutive D_S entries with one lift — a traversal emits them in tree
+// order, so most of a level's entries are such a run — folds at once.
+func (v *Verifier) foldRawRuns(levels []*digest.Acc, w *vo.VO) error {
+	n := w.NumDS()
+	if n+w.NumDP() == 0 {
+		return nil
+	}
+	if w.Width != v.Acc.Len() {
+		return fmt.Errorf("%w: merkle entries have %d bytes, want %d", ErrBadSignature, w.Width, v.Acc.Len())
+	}
+	L := len(levels) - 2
+	if err := levels[L+1].AddRun(w.DP, w.Width); err != nil {
+		return fmt.Errorf("%w: %v", ErrMalformed, err)
+	}
+	stride := w.Width + 1
+	for i := 0; i < n; {
+		lift := w.DSLift(i)
+		j := i + 1
+		for j < n && w.DSLift(j) == lift {
+			j++
+		}
+		if lift < 1 || int(lift) > L {
+			return fmt.Errorf("%w: D_S entry %d has lift %d outside [1,%d]", ErrMalformed, i, lift, L)
+		}
+		if err := levels[lift].AddRun(w.DS[i*stride:j*stride], stride); err != nil {
+			return fmt.Errorf("%w: %v", ErrMalformed, err)
+		}
+		i = j
+	}
+	return nil
+}
+
+// foldSignedRuns is foldRawRuns under per-node rsa: every entry is a
+// signature, recovered (through the verified-digest cache) to the digest
+// it commits to before it is multiplied in.
+func (v *Verifier) foldSignedRuns(pub *sig.PublicKey, levels []*digest.Acc, w *vo.VO) error {
+	L := len(levels) - 2
+	for i := 0; i < w.NumDP(); i++ {
+		u, err := v.cachedRecover(pub, w.DPDigest(i))
+		if err != nil {
+			return err
+		}
+		if err := levels[L+1].Add(u); err != nil {
+			return fmt.Errorf("%w: %v", ErrMalformed, err)
+		}
+	}
+	for i := 0; i < w.NumDS(); i++ {
+		lift := w.DSLift(i)
+		if lift < 1 || int(lift) > L {
+			return fmt.Errorf("%w: D_S entry %d has lift %d outside [1,%d]", ErrMalformed, i, lift, L)
+		}
+		u, err := v.cachedRecover(pub, w.DSDigest(i))
+		if err != nil {
+			return err
+		}
+		if err := levels[lift].Add(u); err != nil {
+			return fmt.Errorf("%w: %v", ErrMalformed, err)
+		}
+	}
+	return nil
 }
 
 // entryDigest reads the unsigned digest committed by a VO entry: a

@@ -136,11 +136,9 @@ func TestHandBuiltLeafLevelVO(t *testing.T) {
 		Timestamp: time.Now().Unix(),
 		TopLevel:  1,
 		TopDigest: h.sign(t, uLeaf),
-		DS: []vo.Entry{
-			{Sig: h.dT[1], Lift: 1},
-			{Sig: h.dT[3], Lift: 1},
-		},
 	}
+	w.AppendDS(h.dT[1], 1)
+	w.AppendDS(h.dT[3], 1)
 	if err := h.verifier().Verify(rs, w); err != nil {
 		t.Fatalf("hand-built leaf VO rejected: %v", err)
 	}
@@ -169,8 +167,8 @@ func TestHandBuiltTwoLevelVO(t *testing.T) {
 		Timestamp: time.Now().Unix(),
 		TopLevel:  2,
 		TopDigest: h.sign(t, uRoot),
-		DS:        []vo.Entry{{Sig: h.sign(t, uL2), Lift: 1}},
 	}
+	w.AppendDS(h.sign(t, uL2), 1)
 	if err := h.verifier().Verify(rs, w); err != nil {
 		t.Fatalf("hand-built two-level VO rejected: %v", err)
 	}
@@ -186,16 +184,14 @@ func TestHandBuiltTwoLevelVO(t *testing.T) {
 		Timestamp: time.Now().Unix(),
 		TopLevel:  2,
 		TopDigest: h.sign(t, uRoot),
-		DS: []vo.Entry{
-			{Sig: h.dT[1], Lift: 2},
-			{Sig: h.sign(t, uL2), Lift: 1},
-		},
 	}
+	w2.AppendDS(h.dT[1], 2)
+	w2.AppendDS(h.sign(t, uL2), 1)
 	if err := h.verifier().Verify(rs2, w2); err != nil {
 		t.Fatalf("mixed-lift VO rejected: %v", err)
 	}
 	// Wrong lift on the filtered tuple must fail.
-	w2.DS[0].Lift = 1
+	w2.SetDSLift(0, 1)
 	if err := h.verifier().Verify(rs2, w2); err == nil {
 		t.Fatal("wrong lift accepted")
 	}
@@ -219,18 +215,21 @@ func TestHandBuiltProjectionVO(t *testing.T) {
 		Timestamp: time.Now().Unix(),
 		TopLevel:  1,
 		TopDigest: h.sign(t, uLeaf),
-		DP:        []sig.Signature{h.aSigs[0][1], h.aSigs[1][1]},
 	}
+	w.AppendDP(h.aSigs[0][1])
+	w.AppendDP(h.aSigs[1][1])
 	if err := h.verifier().Verify(rs, w); err != nil {
 		t.Fatalf("hand-built projection VO rejected: %v", err)
 	}
 	// D_P digests are order-free (commutativity): swapped order passes.
-	w.DP[0], w.DP[1] = w.DP[1], w.DP[0]
+	w.DP = nil
+	w.AppendDP(h.aSigs[1][1])
+	w.AppendDP(h.aSigs[0][1])
 	if err := h.verifier().Verify(rs, w); err != nil {
 		t.Fatalf("reordered D_P rejected: %v", err)
 	}
 	// Dropping one D_P digest fails the count check.
-	w.DP = w.DP[:1]
+	w.DP = w.DP[:w.Width]
 	if err := h.verifier().Verify(rs, w); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("short D_P: %v, want ErrMalformed", err)
 	}

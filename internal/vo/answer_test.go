@@ -45,20 +45,20 @@ func TestAnswerWriterMatchesStructEncoders(t *testing.T) {
 		}
 		sz.Row(len(enc(rs.Keys[i])), values)
 	}
-	sz.DS(len(w.DS))
-	sz.DP(len(w.DP))
-	width := len(w.DS[0].Sig)
+	sz.DS(w.NumDS())
+	sz.DP(w.NumDP())
+	width := w.Width
 	var a AnswerWriter
 	a.Begin(append([]byte(nil), prefix...), rs, w, sz, width)
-	a.DP(w.DP[0])
+	a.DP(w.DPDigest(0))
 	a.Row(enc(rs.Keys[0]), 2)
-	a.DS(w.DS[0].Sig, w.DS[0].Lift)
+	a.DS(w.DSDigest(0), w.DSLift(0))
 	a.Value(enc(rs.Tuples[0].Values[0]))
 	a.Value(enc(rs.Tuples[0].Values[1]))
-	a.DP(w.DP[1])
+	a.DP(w.DPDigest(1))
 	a.Row(enc(rs.Keys[1]), 2)
 	a.Value(enc(rs.Tuples[1].Values[0]))
-	a.DS(w.DS[1].Sig, w.DS[1].Lift)
+	a.DS(w.DSDigest(1), w.DSLift(1))
 	a.Value(enc(rs.Tuples[1].Values[1]))
 	got, err := a.Finish()
 	if err != nil {
@@ -81,10 +81,10 @@ func TestAnswerWriterMatchesStructEncoders(t *testing.T) {
 	// Nor may digests of other widths cancel out inside a run: one byte
 	// short and one byte long fill the D_P run exactly.
 	a.Begin(nil, rs, w, sz, width)
-	a.DS(w.DS[0].Sig, 1)
-	a.DS(w.DS[1].Sig, 1)
-	a.DP(w.DP[0][:width-1])
-	a.DP(append(w.DP[1].Clone(), 0))
+	a.DS(w.DSDigest(0), 1)
+	a.DS(w.DSDigest(1), 1)
+	a.DP(w.DPDigest(0)[:width-1])
+	a.DP(append(w.DPDigest(1).Clone(), 0))
 	for i, tup := range rs.Tuples {
 		a.Row(enc(rs.Keys[i]), 2)
 		a.Value(enc(tup.Values[0]))
@@ -113,15 +113,18 @@ func TestDecodeAnswerIsStrictAndAliases(t *testing.T) {
 		t.Fatal("decoded answer does not re-encode to its input")
 	}
 	// Digests and bytes values are slices of body…
-	at := bytes.Index(body, w.DP[1])
+	at := bytes.Index(body, w.DPDigest(1))
 	body[at] ^= 0xFF
-	if gw.DP[1][0] == w.DP[1][0] {
+	if gw.DPDigest(1)[0] == w.DPDigest(1)[0] {
 		t.Fatal("decoded D_P digest is a copy, not a view of the input")
 	}
 	body[at] ^= 0xFF
-	// …with no room to grow into their neighbours.
+	// …with no room to grow into their neighbours: not a digest, and not
+	// a run, whatever is appended to it.
 	grs.Tuples[0].Values[1].B = append(grs.Tuples[0].Values[1].B, 0xEE)
-	_ = append(gw.DS[0].Sig, 0xEE)
+	_ = append(gw.DSDigest(0), 0xEE)
+	gw.AppendDS(w.DSDigest(0), 1)
+	_ = append(gw.DP, 0xEE)
 	if !bytes.Equal(AppendAnswer(nil, rs, w), body) {
 		t.Fatal("appending to a decoded value wrote into the input")
 	}

@@ -2,6 +2,7 @@ package vo
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"edgeauth/internal/schema"
@@ -14,17 +15,16 @@ import (
 // a decoder that "repairs" attacker input would be a verification hazard.
 
 func seedVO() *VO {
-	return &VO{
+	v := &VO{
 		KeyVersion: 3,
 		Timestamp:  1_700_000_000,
 		TopLevel:   2,
 		TopDigest:  sig.Signature{1, 2, 3, 4},
-		DS: []Entry{
-			{Sig: sig.Signature{5, 6}, Lift: 1},
-			{Sig: sig.Signature{7, 8}, Lift: 2},
-		},
-		DP: []sig.Signature{{9, 10}},
 	}
+	v.AppendDS([]byte{5, 6}, 1)
+	v.AppendDS([]byte{7, 8}, 2)
+	v.AppendDP([]byte{9, 10})
+	return v
 }
 
 func FuzzDecodeVO(f *testing.F) {
@@ -45,6 +45,19 @@ func FuzzDecodeVO(f *testing.F) {
 		}
 		if v.WireSize() != len(re) {
 			t.Fatalf("WireSize %d != encoded size %d", v.WireSize(), len(re))
+		}
+		if err := v.CheckRuns(); err != nil || len(v.DS) != v.NumDS()*(v.Width+1) || len(v.DP) != v.NumDP()*v.Width {
+			t.Fatalf("decoded runs are not whole entries: %d D_S, %d D_P bytes at width %d (%v)", len(v.DS), len(v.DP), v.Width, err)
+		}
+		// A count the bytes left cannot hold is refused: one D_P digest
+		// more than the VO carries, or the VO one byte short.
+		more := append([]byte(nil), data[:n]...)
+		binary.BigEndian.PutUint32(more[n-len(v.DP)-4:], uint32(v.NumDP()+1))
+		if _, _, err := DecodeVO(more); err == nil {
+			t.Fatalf("a D_P count of %d over %d bytes was accepted", v.NumDP()+1, len(v.DP))
+		}
+		if _, _, err := DecodeVO(data[:n-1]); err == nil {
+			t.Fatal("a VO one byte short was accepted")
 		}
 	})
 }

@@ -36,14 +36,24 @@
 // bytes: 4·(|D_S| + |D_P|) − 2 fewer than when every digest carried a
 // 4-byte length.
 //
+// The VO struct holds D_S and D_P in that same shape: VO.DS is the
+// nDS × (W bytes, u8 lift) run and VO.DP the nDP × W run, each one []byte,
+// with W in VO.Width. NumDS, DSDigest, DSLift, NumDP and DPDigest read
+// them; AppendDS and AppendDP build them. A verifier folds a run of
+// digests where it lies (digest.Acc.AddRun), and decoding a VO costs one
+// allocation whatever it carries — no slice header per digest for the
+// collector to scan.
+//
 // # Lifetime of decoded values
 //
 // The decoders (DecodeVO, DecodeResultSet, DecodeAnswer, DecodeStoredTuple,
-// StoredView.Parse) copy nothing: every digest, signature and bytes value
-// they return is a slice of the input, and string values share one
+// StoredView.Parse) copy nothing: every digest, signature, run and bytes
+// value they return is a slice of the input, and string values share one
 // conversion of it. What they return is valid, and must be treated as
 // read-only, for as long as the input buffer is neither modified nor
-// reused; a caller that keeps a digest past that point clones it.
+// reused; a caller that keeps a digest past that point clones it. Every
+// such slice is capped at its own end, so appending to a decoded run
+// (AppendDS, AppendDP) copies it rather than writing into the input.
 package vo
 
 import (
@@ -54,17 +64,6 @@ import (
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
 )
-
-// Entry is one signed digest in the D_S set: a filtered tuple or a
-// non-overlapping branch of the enveloping subtree.
-type Entry struct {
-	// Sig is the signed digest.
-	Sig sig.Signature
-	// Lift is how many times the verifier applies g before multiplying
-	// this digest into the product: L for filtered tuples in boundary
-	// leaves, L - level for filtered branches.
-	Lift uint8
-}
 
 // VO is the verification object for one query result.
 type VO struct {
@@ -87,40 +86,104 @@ type VO struct {
 	// client decides which shape to expect from its TRUSTED registry
 	// key's scheme, never from the VO itself.
 	RootSig sig.Signature
-	// DS holds digests for filtered tuples and non-overlapping branches
-	// (signed under the legacy scheme, raw under Merkle).
-	DS []Entry
-	// DP holds digests for attributes filtered out by projection.
-	DP []sig.Signature
+	// Width is W, the one width of every D_S and D_P digest: the
+	// accumulator's digest length under a Merkle scheme, the key length
+	// under per-node rsa. It means nothing while both runs are empty.
+	Width int
+	// DS is the D_S set — digests of filtered tuples and non-overlapping
+	// branches, signed under the legacy scheme, raw under Merkle — as it
+	// travels: NumDS() entries of Width digest bytes, each followed by
+	// its lift, how many times the verifier applies g before multiplying
+	// the digest in (L for filtered tuples in boundary leaves, L − level
+	// for filtered branches).
+	DS []byte
+	// DP is the D_P set — digests of the attributes filtered out by
+	// projection — as it travels: NumDP() digests of Width bytes.
+	DP []byte
+}
+
+// NumDS returns how many D_S entries the VO carries.
+func (v *VO) NumDS() int { return len(v.DS) / (v.Width + 1) }
+
+// NumDP returns how many D_P digests the VO carries.
+func (v *VO) NumDP() int {
+	if v.Width <= 0 {
+		return 0
+	}
+	return len(v.DP) / v.Width
+}
+
+// DSDigest returns the digest of D_S entry i, a view of the run: writing
+// to it rewrites the entry.
+func (v *VO) DSDigest(i int) sig.Signature {
+	at := i * (v.Width + 1)
+	return sig.Signature(v.DS[at : at+v.Width : at+v.Width])
+}
+
+// DSLift returns the lift of D_S entry i.
+func (v *VO) DSLift(i int) uint8 { return v.DS[i*(v.Width+1)+v.Width] }
+
+// SetDSLift rewrites the lift of D_S entry i.
+func (v *VO) SetDSLift(i int, lift uint8) { v.DS[i*(v.Width+1)+v.Width] = lift }
+
+// DPDigest returns D_P digest i, a view of the run: writing to it
+// rewrites the digest.
+func (v *VO) DPDigest(i int) sig.Signature {
+	at := i * v.Width
+	return sig.Signature(v.DP[at : at+v.Width : at+v.Width])
+}
+
+// AppendDS appends a D_S entry.
+func (v *VO) AppendDS(digest []byte, lift uint8) {
+	v.fitWidth(digest)
+	v.DS = append(append(v.DS, digest...), lift)
+}
+
+// AppendDP appends a D_P digest.
+func (v *VO) AppendDP(digest []byte) {
+	v.fitWidth(digest)
+	v.DP = append(v.DP, digest...)
+}
+
+// fitWidth makes d's length the VO's width if d is its first digest, and
+// panics if it is not and d is of another width: the runs have one width,
+// so a VO cannot hold such a digest at all.
+func (v *VO) fitWidth(d []byte) {
+	switch {
+	case len(v.DS) == 0 && len(v.DP) == 0:
+		v.Width = len(d)
+	case len(d) != v.Width:
+		panic(fmt.Sprintf("vo: a %d-byte digest in a VO of %d-byte digests", len(d), v.Width))
+	}
+}
+
+// CheckRuns reports whether DS and DP are whole runs of one non-zero
+// width that fits the u16 carrying it on the wire — always so for a
+// decoded VO and for one built by AppendDS and AppendDP.
+func (v *VO) CheckRuns() error {
+	if len(v.DS) == 0 && len(v.DP) == 0 {
+		return nil
+	}
+	if w := v.Width; w < 1 || w > 0xFFFF || len(v.DS)%(w+1) != 0 || len(v.DP)%w != 0 {
+		return fmt.Errorf("vo: %d bytes of D_S and %d of D_P are not runs of %d-byte digests", len(v.DS), len(v.DP), w)
+	}
+	return nil
 }
 
 // NumDigests returns the total signed digests carried (the paper's VO size
 // accounting unit).
-func (v *VO) NumDigests() int { return 1 + len(v.DS) + len(v.DP) }
+func (v *VO) NumDigests() int { return 1 + v.NumDS() + v.NumDP() }
 
 // voFixedSize is what a VO takes up beside its digests, lifts and root
 // signature: key version, timestamp, top level, the lengths of the top
 // digest and the root signature, the digest width and the two counts.
 const voFixedSize = 4 + 8 + 1 + 4 + 4 + 2 + 4 + 4
 
-// width returns the width of the VO's D_S and D_P digests — that of the
-// first one it holds, 0 when it holds none.
-func (v *VO) width() int {
-	switch {
-	case len(v.DS) > 0:
-		return len(v.DS[0].Sig)
-	case len(v.DP) > 0:
-		return len(v.DP[0])
-	}
-	return 0
-}
-
 // WireSize returns the exact encoded size in bytes: formula (9)'s
 // (|D_P| + |D_S| + 1)·D plus a lift per D_S entry, the root signature and
 // voFixedSize.
 func (v *VO) WireSize() int {
-	w := v.width()
-	return voFixedSize + len(v.TopDigest) + len(v.RootSig) + len(v.DS)*(w+1) + len(v.DP)*w
+	return voFixedSize + len(v.TopDigest) + len(v.RootSig) + len(v.DS) + len(v.DP)
 }
 
 func appendSig(dst []byte, s sig.Signature) []byte {
@@ -158,49 +221,40 @@ func (v *VO) appendHead(dst []byte, width, nDS int) []byte {
 	return binary.BigEndian.AppendUint32(dst, uint32(nDS))
 }
 
-// Encode appends the VO wire form (the package comment has the layout).
-// D_S and D_P travel as fixed-width runs: W is the one width of every
-// digest in them (the accumulator's digest length under a Merkle scheme,
-// the key length under per-node rsa), 0 exactly when both are empty. The
-// top digest and the root signature keep their own lengths. A VO whose
-// D_S and D_P digests are not all of one non-zero width that fits a u16
-// has no wire form, and Encode panics on it: the schemes produce none,
-// and writing one anyway would hand the peer digests cut at the wrong
-// places.
+// Encode appends the VO wire form (the package comment has the layout):
+// the two runs as they are, behind their width and counts — 0 and two
+// empty runs when the VO holds no D_S or D_P digest. The top digest and
+// the root signature keep their own lengths. A VO whose runs fail
+// CheckRuns has no wire form, and Encode panics on it: the schemes
+// produce none, and writing one anyway would hand the peer digests cut
+// at the wrong places.
 func (v *VO) Encode(dst []byte) []byte {
-	w := v.width()
-	if !widthFits(w, len(v.DS)+len(v.DP)) {
-		panic(fmt.Sprintf("vo: VO digests of %d bytes have no wire form", w))
+	if err := v.CheckRuns(); err != nil {
+		panic(err.Error())
 	}
-	dst = v.appendHead(dst, w, len(v.DS))
-	for i, e := range v.DS {
-		if len(e.Sig) != w {
-			panic(fmt.Sprintf("vo: D_S entry %d has %d bytes in a VO of %d-byte digests", i, len(e.Sig), w))
-		}
-		dst = append(dst, e.Sig...)
-		dst = append(dst, e.Lift)
+	w := v.Width
+	if len(v.DS) == 0 && len(v.DP) == 0 {
+		w = 0
 	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(v.DP)))
-	for i, s := range v.DP {
-		if len(s) != w {
-			panic(fmt.Sprintf("vo: D_P entry %d has %d bytes in a VO of %d-byte digests", i, len(s), w))
-		}
-		dst = append(dst, s...)
-	}
-	return dst
+	dst = v.appendHead(dst, w, v.NumDS())
+	dst = append(dst, v.DS...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(v.NumDP()))
+	return append(dst, v.DP...)
 }
 
 // Shortest encodings of the repeated parts that carry their own length,
 // by which the decoders bound a claimed count before allocating for it: a
 // stored attribute signature is a length; a result row a key datum and a
-// value count. (A VO's D_S and D_P entries are bounded by their width.)
+// value count. (A VO's D_S and D_P runs are bounded by their width and
+// allocate nothing.)
 const (
 	minStoredSig = 4
 	minRow       = schema.MinDatumSize + 2
 )
 
-// DecodeVO parses a VO, returning bytes consumed. The VO's digests are
-// slices of data: valid until data is modified or reused.
+// DecodeVO parses a VO, returning bytes consumed. The VO's digests and
+// runs are slices of data: valid until data is modified or reused. Only
+// the VO itself is allocated, however many digests it carries.
 func DecodeVO(data []byte) (*VO, int, error) {
 	if len(data) < 4+8+1 {
 		return nil, 0, errors.New("vo: truncated VO header")
@@ -231,36 +285,34 @@ func DecodeVO(data []byte) (*VO, int, error) {
 	w := int(binary.BigEndian.Uint16(data[off : off+2]))
 	dsCount := int(binary.BigEndian.Uint32(data[off+2 : off+6]))
 	off += 6
-	// Each count is checked against the bytes left before anything is
-	// allocated for it. At width 0 nothing would bound a count, and none
-	// is allowed: the width is 0 exactly when both runs are empty.
-	fits := func(count, entrySize int) bool {
-		return count >= 0 && (count == 0 || w > 0 && count <= len(data[off:])/entrySize)
+	// Each count is checked against the bytes left before it sizes a run.
+	// At width 0 nothing would bound a count, and none is allowed: the
+	// width is 0 exactly when both runs are empty.
+	run := func(count, entrySize int) ([]byte, bool) {
+		if count < 0 || count > 0 && (w == 0 || count > len(data[off:])/entrySize) {
+			return nil, false
+		}
+		end := off + count*entrySize
+		r := data[off:end:end]
+		off = end
+		return r, true
 	}
-	if !fits(dsCount, w+1) {
+	var ok bool
+	if v.DS, ok = run(dsCount, w+1); !ok {
 		return nil, 0, errors.New("vo: implausible DS count")
-	}
-	v.DS = make([]Entry, dsCount)
-	for i := range v.DS {
-		v.DS[i] = Entry{Sig: sig.Signature(data[off : off+w : off+w]), Lift: data[off+w]}
-		off += w + 1
 	}
 	if len(data[off:]) < 4 {
 		return nil, 0, errors.New("vo: truncated DP count")
 	}
 	dpCount := int(binary.BigEndian.Uint32(data[off : off+4]))
 	off += 4
-	if !fits(dpCount, w) {
+	if v.DP, ok = run(dpCount, w); !ok {
 		return nil, 0, errors.New("vo: implausible DP count")
 	}
 	if !widthFits(w, dsCount+dpCount) {
 		return nil, 0, fmt.Errorf("vo: digest width %d with no digests", w)
 	}
-	v.DP = make([]sig.Signature, dpCount)
-	for i := range v.DP {
-		v.DP[i] = sig.Signature(data[off : off+w : off+w])
-		off += w
-	}
+	v.Width = w
 	return v, off, nil
 }
 

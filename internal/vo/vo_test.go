@@ -11,17 +11,17 @@ import (
 func sigOf(b ...byte) sig.Signature { return sig.Signature(b) }
 
 func sampleVO() *VO {
-	return &VO{
+	v := &VO{
 		KeyVersion: 3,
 		Timestamp:  1717000000,
 		TopLevel:   4,
 		TopDigest:  sigOf(1, 2, 3, 4, 5, 6, 7, 8),
-		DS: []Entry{
-			{Sig: sigOf(9, 9, 9), Lift: 4},
-			{Sig: sigOf(8, 8, 8), Lift: 1},
-		},
-		DP: []sig.Signature{sigOf(7, 7, 7), sigOf(6, 6, 6)},
 	}
+	v.AppendDS(sigOf(9, 9, 9), 4)
+	v.AppendDS(sigOf(8, 8, 8), 1)
+	v.AppendDP(sigOf(7, 7, 7))
+	v.AppendDP(sigOf(6, 6, 6))
+	return v
 }
 
 func TestVOEncodeDecodeRoundTrip(t *testing.T) {
@@ -43,11 +43,11 @@ func TestVOEncodeDecodeRoundTrip(t *testing.T) {
 	if !got.TopDigest.Equal(v.TopDigest) {
 		t.Fatal("top digest mismatch")
 	}
-	if len(got.DS) != 2 || got.DS[0].Lift != 4 || !got.DS[1].Sig.Equal(v.DS[1].Sig) {
-		t.Fatalf("DS mismatch: %+v", got.DS)
+	if got.NumDS() != 2 || got.DSLift(0) != 4 || !got.DSDigest(1).Equal(v.DSDigest(1)) {
+		t.Fatalf("DS mismatch: %x", got.DS)
 	}
-	if len(got.DP) != 2 || !got.DP[1].Equal(v.DP[1]) {
-		t.Fatalf("DP mismatch: %+v", got.DP)
+	if got.NumDP() != 2 || !got.DPDigest(1).Equal(v.DPDigest(1)) {
+		t.Fatalf("DP mismatch: %x", got.DP)
 	}
 	if got.NumDigests() != 5 {
 		t.Fatalf("NumDigests = %d, want 5", got.NumDigests())
@@ -55,13 +55,14 @@ func TestVOEncodeDecodeRoundTrip(t *testing.T) {
 	// Entries are opaque to the codec. One no accumulator would call
 	// canonical — all ones, above any modulus of its length — comes back
 	// byte for byte, so verify refuses what the edge actually sent.
-	v.DS[0] = Entry{Sig: bytes.Repeat([]byte{0xFF}, 3), Lift: 255}
+	copy(v.DSDigest(0), bytes.Repeat([]byte{0xFF}, 3))
+	v.SetDSLift(0, 255)
 	got, _, err = DecodeVO(v.Encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.DS[0].Lift != 255 || !got.DS[0].Sig.Equal(v.DS[0].Sig) {
-		t.Fatalf("non-canonical entry did not round-trip: %+v", got.DS[0])
+	if got.DSLift(0) != 255 || !got.DSDigest(0).Equal(v.DSDigest(0)) {
+		t.Fatalf("non-canonical entry did not round-trip: %x", got.DS)
 	}
 }
 
@@ -72,7 +73,7 @@ func TestVOEmptySets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.DS) != 0 || len(got.DP) != 0 {
+	if got.NumDS() != 0 || got.NumDP() != 0 {
 		t.Fatal("empty sets did not round-trip")
 	}
 	if got.NumDigests() != 1 {
@@ -80,40 +81,61 @@ func TestVOEmptySets(t *testing.T) {
 	}
 	// Each run may be empty on its own: the width is that of the other.
 	for _, v := range []*VO{
-		{TopLevel: 1, DS: sampleVO().DS},
-		{TopLevel: 1, DP: sampleVO().DP},
+		{TopLevel: 1, Width: 3, DS: sampleVO().DS},
+		{TopLevel: 1, Width: 3, DP: sampleVO().DP},
 	} {
 		enc := v.Encode(nil)
 		got, n, err := DecodeVO(enc)
-		if err != nil || n != len(enc) || len(got.DS) != len(v.DS) || len(got.DP) != len(v.DP) || v.WireSize() != len(enc) {
+		if err != nil || n != len(enc) || got.NumDS() != v.NumDS() || got.NumDP() != v.NumDP() || v.WireSize() != len(enc) {
 			t.Fatalf("one empty run: %+v, %d of %d bytes (WireSize %d), %v", got, n, len(enc), v.WireSize(), err)
 		}
 	}
 }
 
 // TestVOEncodeRefusesRaggedDigests: the wire form has one digest width, so
-// a VO whose D_S and D_P digests differ in length — or are empty — cannot
-// be written. Encode says so instead of cutting digests at the wrong
-// places.
+// a VO cannot hold D_S and D_P digests that differ in length — appending
+// one panics — and one whose runs are not whole digests of one non-zero
+// width that fits a u16 cannot be written. Encode says so instead of
+// cutting digests at the wrong places.
 func TestVOEncodeRefusesRaggedDigests(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: a VO took digests it cannot express", name)
+			}
+		}()
+		f()
+	}
 	for name, mutate := range map[string]func(*VO){
-		"short D_S entry":       func(v *VO) { v.DS[1].Sig = sigOf(8, 8) },
-		"long D_P entry":        func(v *VO) { v.DP[1] = sigOf(6, 6, 6, 6) },
-		"D_P narrower":          func(v *VO) { v.DP = []sig.Signature{sigOf(7), sigOf(6)} },
-		"empty digests":         func(v *VO) { v.DS, v.DP = []Entry{{Lift: 1}}, nil },
-		"wider than the u16":    func(v *VO) { v.DS, v.DP = nil, []sig.Signature{make(sig.Signature, 1<<16)} },
-		"first D_S the odd one": func(v *VO) { v.DS[0].Sig = sigOf(9) },
+		"short D_S entry":       func(v *VO) { v.AppendDS(sigOf(8, 8), 1) },
+		"long D_P entry":        func(v *VO) { v.AppendDP(sigOf(6, 6, 6, 6)) },
+		"D_P narrower":          func(v *VO) { v.DP = nil; v.AppendDP(sigOf(7)) },
+		"first D_S the odd one": func(v *VO) { v.DS, v.DP = nil, nil; v.AppendDS(sigOf(9), 1); v.AppendDP(sigOf(6, 6, 6)) },
+	} {
+		v := sampleVO()
+		mustPanic(name, func() { mutate(v) })
+	}
+	for name, mutate := range map[string]func(*VO){
+		"empty digests":      func(v *VO) { v.DS, v.DP = nil, nil; v.AppendDS(nil, 1) },
+		"wider than the u16": func(v *VO) { v.DS, v.DP = nil, nil; v.AppendDP(make(sig.Signature, 1<<16)) },
+		"D_S cut short":      func(v *VO) { v.DS = v.DS[:len(v.DS)-1] },
+		"D_P cut short":      func(v *VO) { v.DP = v.DP[:len(v.DP)-1] },
+		"width 0":            func(v *VO) { v.Width = 0 },
 	} {
 		v := sampleVO()
 		mutate(v)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: Encode wrote a VO it cannot express", name)
-				}
-			}()
-			v.Encode(nil)
-		}()
+		if v.CheckRuns() == nil {
+			t.Errorf("%s: CheckRuns passed runs the wire form cannot carry", name)
+		}
+		mustPanic(name, func() { v.Encode(nil) })
+	}
+	// Dropping every entry leaves a VO with nothing to carry a width for:
+	// it encodes as width 0, the one spelling of two empty runs.
+	v := sampleVO()
+	v.DS, v.DP = v.DS[:0], nil
+	if got, _, err := DecodeVO(v.Encode(nil)); err != nil || got.Width != 0 {
+		t.Fatalf("a VO emptied of its entries: %+v, %v", got, err)
 	}
 }
 

@@ -131,8 +131,9 @@ func TestQueryResponseRoundTrip(t *testing.T) {
 		VO: &vo.VO{
 			KeyVersion: 2, Timestamp: 99, TopLevel: 3,
 			TopDigest: sig.Signature{1, 2, 3},
-			DS:        []vo.Entry{{Sig: sig.Signature{4, 4}, Lift: 2}},
-			DP:        []sig.Signature{{5, 6}},
+			Width:     2,
+			DS:        []byte{4, 4, 2}, // one entry: digest 4 4, lift 2
+			DP:        []byte{5, 6},
 		},
 	}
 	got, err := DecodeQueryResponse(resp.Encode())
@@ -142,7 +143,7 @@ func TestQueryResponseRoundTrip(t *testing.T) {
 	if got.Result.Table != "t" || len(got.Result.Tuples) != 1 {
 		t.Fatalf("result: %+v", got.Result)
 	}
-	if got.VO.TopLevel != 3 || len(got.VO.DS) != 1 || got.VO.DS[0].Lift != 2 {
+	if got.VO.TopLevel != 3 || got.VO.NumDS() != 1 || got.VO.DSLift(0) != 2 {
 		t.Fatalf("vo: %+v", got.VO)
 	}
 }
