@@ -35,7 +35,7 @@
 // divides the key interval evenly.
 //
 // -autoreshard arms the online hot-shard detector: every interval an
-// EWMA over per-shard ingest+query load picks a shard to split (above
+// EWMA over per-shard ingest load picks a shard to split (above
 // -split-fraction of the table's total) or an adjacent pair to merge
 // (below -merge-fraction together), committing the transition as a new
 // signed map epoch under live traffic. Manually commanded transitions

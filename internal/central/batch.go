@@ -217,14 +217,15 @@ type pendingOp struct {
 	done chan opResult // buffered; the leader always delivers exactly once
 }
 
-// reshardCmd is one queued partition transition: a split of shard
-// `shard` (at boundary, or its load/key median when nil) or a merge of
-// `shard` with its right neighbor. By the time a cmd reaches the
-// barrier queue its transition is already prepared — the children are
-// built and caught up — so tr carries the work to the leader.
+// reshardCmd is one queued partition transition over `parents` shards
+// starting at `shard`: one parent is split (at boundary, or its
+// load/key median when nil), two adjacent parents are merged. By the
+// time a cmd reaches the barrier queue its transition is already
+// prepared — the children are built and caught up — so tr carries the
+// work to the leader.
 type reshardCmd struct {
-	split    bool
 	shard    uint32
+	parents  int
 	boundary *schema.Datum
 	tr       *preparedTransition
 }

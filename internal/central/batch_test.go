@@ -133,14 +133,10 @@ func TestApplyBatchCommitsOnce(t *testing.T) {
 		}
 	}
 
-	// The published snapshot serves the new rows.
+	// The table holds the new rows.
 	lo, hi := schema.Int64(10_000), schema.Int64(10_047)
-	resp, err := srv.RunQuery(context.Background(), "items", vbtree.Query{Lo: &lo, Hi: &hi})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Result.Tuples) != len(rows) {
-		t.Fatalf("snapshot serves %d of %d batch rows", len(resp.Result.Tuples), len(rows))
+	if n := len(rowsIn(t, srv, "items", &lo, &hi)); n != len(rows) {
+		t.Fatalf("table holds %d of %d batch rows", n, len(rows))
 	}
 }
 
@@ -219,12 +215,8 @@ func TestGroupCommitCoalesces(t *testing.T) {
 
 	// All rows landed.
 	lo, hi := schema.Int64(30_000), schema.Int64(30_000+inserts-1)
-	resp, err := srv.RunQuery(context.Background(), "items", vbtree.Query{Lo: &lo, Hi: &hi})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Result.Tuples) != inserts {
-		t.Fatalf("found %d of %d coalesced rows", len(resp.Result.Tuples), inserts)
+	if n := len(rowsIn(t, srv, "items", &lo, &hi)); n != inserts {
+		t.Fatalf("found %d of %d coalesced rows", n, inserts)
 	}
 }
 
@@ -339,11 +331,7 @@ func TestBatchOrdersInTheQueue(t *testing.T) {
 			if deleted != tc.wantDeleted {
 				t.Fatalf("delete removed %d rows, want %d", deleted, tc.wantDeleted)
 			}
-			resp, err := srv.RunQuery(context.Background(), "items", vbtree.Query{Lo: &lo, Hi: &hi})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if left := len(resp.Result.Tuples); left != tc.wantLeft {
+			if left := len(rowsIn(t, srv, "items", &lo, &hi)); left != tc.wantLeft {
 				t.Fatalf("%d batch rows left, want %d", left, tc.wantLeft)
 			}
 		})

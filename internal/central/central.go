@@ -18,7 +18,7 @@
 //
 // Every committed update additionally publishes an immutable snapshot of
 // the shard's page space (the same storage.PageStore mechanism the edges
-// use), so queries, edge snapshot pulls and delta serves read pinned
+// use), so edge snapshot pulls and delta serves read pinned
 // versions instead of contending with update batches for the shard lock.
 package central
 
@@ -100,7 +100,7 @@ type Options struct {
 	// evenly.
 	ShardSplit shardmap.Strategy
 	// AutoReshard, when non-nil, arms the hot-shard detector: an EWMA
-	// over per-shard ingest/query counters that splits a shard carrying
+	// over per-shard ingest counters that splits a shard carrying
 	// a disproportionate load share and merges cold adjacent pairs,
 	// online, under live traffic (see reshard.go). With a positive
 	// Interval a background loop ticks every table; with Interval zero
@@ -154,7 +154,7 @@ type table struct {
 	// path (Insert, DeleteRange, ApplyBatch) holds the read lock from
 	// shard routing through map republish, so a split/merge (write lock)
 	// never swaps the shard set out from under a half-applied batch.
-	// Read-only paths (queries, snapshots, deltas) skip the lock and
+	// Read-only paths (snapshots, deltas) skip the lock and
 	// run against whatever partition pointer they load — they read
 	// pinned snapshots, so a concurrent transition only means they
 	// describe the generation they loaded. Lock order: partMu before
@@ -236,11 +236,10 @@ type shard struct {
 	log     *wal.Log
 	version uint64 // bumped on every committed update to this shard
 
-	// ingestLoad / queryLoad count tuples applied and shard queries
-	// served since the hot-shard detector's last tick; ewma is the
-	// detector's smoothed per-tick rate (guarded by table.detMu).
+	// ingestLoad counts tuples applied since the hot-shard detector's
+	// last tick; ewma is the detector's smoothed per-tick rate (guarded
+	// by table.detMu).
 	ingestLoad atomic.Uint64
-	queryLoad  atomic.Uint64
 	ewma       float64
 
 	// sketch samples the keys this shard's load actually touches, so a
@@ -260,8 +259,8 @@ type shard struct {
 	rootDigest digest.Value
 
 	// store republishes the shard as immutable snapshots, one per
-	// committed version: queries and replication reads pin a version and
-	// proceed without the shard lock.
+	// committed version: replication reads pin a version and proceed
+	// without the shard lock.
 	store *storage.PageStore
 
 	// changes is the retained changelog: one entry per committed update,
@@ -1117,73 +1116,6 @@ func (s *Server) SchemaResponse(tableName string) (*wire.SchemaResponse, error) 
 		KeyVersion: s.key.Public().Version,
 		Scheme:     uint8(s.key.Public().Scheme),
 	}, nil
-}
-
-// RunQuery answers a query directly at the central server (trusted path,
-// used by tools and tests; production queries go through edges). Like the
-// edge path it runs lock-free over the current published snapshots. For
-// partitioned tables the per-shard results are concatenated and the VO
-// of the last shard queried is returned — central answers are trusted,
-// so the caller is not expected to verify them; clients that need
-// verifiable cross-shard answers use the edge scatter-gather path.
-func (s *Server) RunQuery(ctx context.Context, tableName string, q vbtree.Query) (*wire.QueryResponse, error) {
-	t, err := s.table(tableName)
-	if err != nil {
-		return nil, err
-	}
-	s.stats.queriesServed.Add(1)
-	part := t.part.Load()
-	first, last := part.shardsForRange(q.Lo, q.Hi)
-	var merged *wire.QueryResponse
-	for i := first; i <= last; i++ {
-		resp, err := s.runShardQuery(ctx, t, part.shards[i], q)
-		if err != nil {
-			return nil, err
-		}
-		if merged == nil {
-			merged = resp
-			continue
-		}
-		merged.Result.Keys = append(merged.Result.Keys, resp.Result.Keys...)
-		merged.Result.Tuples = append(merged.Result.Tuples, resp.Result.Tuples...)
-		merged.VO = resp.VO
-	}
-	return merged, nil
-}
-
-// RunShardQuery answers a query against one shard, with the VO anchored
-// at the shard's root (the form clients verify against the shard map).
-func (s *Server) RunShardQuery(ctx context.Context, tableName string, idx uint32, q vbtree.Query) (*wire.QueryResponse, error) {
-	t, sh, err := s.shard(tableName, idx)
-	if err != nil {
-		return nil, err
-	}
-	q.AnchorRoot = true
-	s.stats.queriesServed.Add(1)
-	return s.runShardQuery(ctx, t, sh, q)
-}
-
-func (s *Server) runShardQuery(ctx context.Context, t *table, sh *shard, q vbtree.Query) (*wire.QueryResponse, error) {
-	// Sample a fraction of query lower bounds into the load sketch so
-	// read-heavy hotspots steer split boundaries too, without a mutex
-	// acquisition on every query.
-	if n := sh.queryLoad.Add(1); n%8 == 0 && q.Lo != nil {
-		sh.sketch.observe(*q.Lo)
-	}
-	pinned, st, err := sh.snapState()
-	if err != nil {
-		return nil, err
-	}
-	defer pinned.Release()
-	v, err := st.ViewOver(pinned, t.sch, s.acc, s.key.Public())
-	if err != nil {
-		return nil, err
-	}
-	rs, w, err := v.RunQuery(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	return &wire.QueryResponse{Result: rs, VO: w}, nil
 }
 
 // Serve accepts connections until the listener is closed.

@@ -1,7 +1,7 @@
 package central
 
 import (
-	"context"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -9,7 +9,6 @@ import (
 
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
-	"edgeauth/internal/vbtree"
 	"edgeauth/internal/wal"
 	"edgeauth/internal/workload"
 )
@@ -44,6 +43,28 @@ func newServer(t *testing.T, rows int, walDir string) *Server {
 		t.Fatal(err)
 	}
 	return srv
+}
+
+// rowsIn reads the rows of table with keys in [lo, hi] (nil =
+// unbounded) through scanTuples.
+func rowsIn(t *testing.T, srv *Server, table string, lo, hi *schema.Datum) []schema.Tuple {
+	t.Helper()
+	tb, err := srv.table(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := scanTuples(tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []schema.Tuple
+	for _, tup := range all {
+		k := tup.Key(tb.sch)
+		if (lo == nil || k.Compare(*lo) >= 0) && (hi == nil || k.Compare(*hi) <= 0) {
+			out = append(out, tup)
+		}
+	}
+	return out
 }
 
 func mkTuple(t *testing.T, srv *Server, id int) schema.Tuple {
@@ -185,31 +206,13 @@ func TestMaterializeJoinValidation(t *testing.T) {
 		t.Fatalf("self-join rejected: %v", err)
 	}
 	lo, hi := schema.Int64(0), schema.Int64(5)
-	resp, err := srv.RunQuery(context.Background(), "selfjoin", vbtree.Query{Lo: &lo, Hi: &hi})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Result.Tuples) != 6 {
-		t.Fatalf("self-join view query returned %d tuples, want 6", len(resp.Result.Tuples))
+	rows := rowsIn(t, srv, "selfjoin", &lo, &hi)
+	if len(rows) != 6 {
+		t.Fatalf("self-join view holds %d rows in [0,5], want 6", len(rows))
 	}
 	// Each view row: rowid + 10 left cols + 10 right prefixed cols.
-	if got := len(resp.Result.Tuples[0].Values); got != 21 {
+	if got := len(rows[0].Values); got != 21 {
 		t.Fatalf("view row has %d columns, want 21", got)
-	}
-}
-
-func TestRunQueryDirect(t *testing.T) {
-	srv := newServer(t, 80, "")
-	lo, hi := schema.Int64(10), schema.Int64(19)
-	resp, err := srv.RunQuery(context.Background(), "items", vbtree.Query{Lo: &lo, Hi: &hi})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Result.Tuples) != 10 {
-		t.Fatalf("got %d tuples", len(resp.Result.Tuples))
-	}
-	if _, err := srv.RunQuery(context.Background(), "ghost", vbtree.Query{}); err == nil {
-		t.Fatal("query of unknown table succeeded")
 	}
 }
 
@@ -229,22 +232,36 @@ func TestKeyValidityStamping(t *testing.T) {
 	}
 }
 
+// TestConcurrentQueriesAndUpdates races the central's read path — edge
+// snapshot pulls, each served from a pinned version — against inserts:
+// every pull is a whole page image of one version, versions never go
+// backwards, and the table ends with every row.
 func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	srv := newServer(t, 400, "")
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
+			var last uint64
 			for i := 0; i < 10; i++ {
-				lo, hi := schema.Int64(int64(g*50)), schema.Int64(int64(g*50+30))
-				if _, err := srv.RunQuery(context.Background(), "items", vbtree.Query{Lo: &lo, Hi: &hi}); err != nil {
+				snap, err := srv.ShardSnapshot("items", 0)
+				if err != nil {
 					errs <- err
 					return
 				}
+				if len(snap.PageIDs) == 0 || len(snap.PageIDs) != len(snap.PageData) {
+					errs <- fmt.Errorf("pull %d: %d page ids, %d page blobs", i, len(snap.PageIDs), len(snap.PageData))
+					return
+				}
+				if snap.Version < last {
+					errs <- fmt.Errorf("pull %d went back from v%d to v%d", i, last, snap.Version)
+					return
+				}
+				last = snap.Version
 			}
-		}(g)
+		}()
 	}
 	wg.Add(1)
 	go func() {
@@ -261,13 +278,14 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	// Digests remain consistent after the concurrent run.
-	lo, hi := schema.Int64(0), schema.Int64(20000)
-	resp, err := srv.RunQuery(context.Background(), "items", vbtree.Query{Lo: &lo, Hi: &hi})
+	if n := scanCount(t, srv); n != 410 {
+		t.Fatalf("final count = %d, want 410", n)
+	}
+	snap, err := srv.ShardSnapshot("items", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Result.Tuples) != 410 {
-		t.Fatalf("final count = %d, want 410", len(resp.Result.Tuples))
+	if v, _ := srv.Version("items"); snap.Version != v {
+		t.Fatalf("final pull at v%d, table at v%d", snap.Version, v)
 	}
 }

@@ -3,6 +3,8 @@ package central
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -15,10 +17,13 @@ import (
 )
 
 // Online resharding: splitting a hot shard in two (or merging a cold
-// adjacent pair) under live traffic. A transition re-signs exactly the
-// affected shard roots plus the map — never the whole table — and
-// commits as one new map epoch with an explicit parent link, so a
-// replayed pre-transition map fails closed at every verifier.
+// adjacent pair) under live traffic. Both are one transition shape: the
+// parent shards [i, i+p) give way to children built from the parents'
+// pinned tuples, cut at the transition's cut keys — a split is one
+// parent and one cut, a merge two parents and no cut. A transition
+// re-signs exactly the children's roots plus the map — never the whole
+// table — and commits as one new map epoch with an explicit parent
+// link, so a replayed pre-transition map fails closed at every verifier.
 //
 // Transitions are incremental: the expensive part — streaming the child
 // VB-tree builds out of the parent shard(s) — runs against a pinned
@@ -35,9 +40,9 @@ import (
 // Through the group-commit front door the barrier is still a queue
 // barrier, exactly like a delete: it commits alone at its arrival
 // position, so it can never reorder around coalesced inserts on the
-// same table. Queries, snapshot pulls and delta serves are untouched
-// throughout — they run lock-free against pinned snapshots of whichever
-// partition generation they loaded.
+// same table. Snapshot pulls and delta serves are untouched throughout
+// — they run lock-free against pinned snapshots of whichever partition
+// generation they loaded.
 
 // DefaultReshardTailBound caps how many delta-tail tuples a transition
 // may replay inside the partition write lock: while the tail measured
@@ -51,9 +56,12 @@ const DefaultReshardTailBound = 64
 // remains (the soak shows it stays near one round's arrivals).
 const maxCatchupRounds = 8
 
+// detectorAlpha is the hot-shard detector's EWMA smoothing factor.
+const detectorAlpha = 0.3
+
 // AutoReshardOptions configures the hot-shard detector: an EWMA over
-// each shard's per-tick ingest+query counters, compared against the
-// table-wide total.
+// each shard's per-tick ingest counter, compared against the table-wide
+// total.
 type AutoReshardOptions struct {
 	// Interval between detector ticks (and the EWMA's time base).
 	// Required for the background loop; AutoReshardTick can be driven
@@ -65,46 +73,9 @@ type AutoReshardOptions struct {
 	// MergeFraction trips a merge when an adjacent pair together carries
 	// less than this fraction. 0 selects 0.05.
 	MergeFraction float64
-	// MinShards/MaxShards bound the partition size the detector will
-	// steer to. Zero selects 1 and 64.
-	MinShards, MaxShards int
-	// Alpha is the EWMA smoothing factor in (0,1]; 0 selects 0.3.
-	Alpha float64
-}
-
-func (o AutoReshardOptions) splitFraction() float64 {
-	if o.SplitFraction == 0 {
-		return 0.6
-	}
-	return o.SplitFraction
-}
-
-func (o AutoReshardOptions) mergeFraction() float64 {
-	if o.MergeFraction == 0 {
-		return 0.05
-	}
-	return o.MergeFraction
-}
-
-func (o AutoReshardOptions) minShards() int {
-	if o.MinShards <= 0 {
-		return 1
-	}
-	return o.MinShards
-}
-
-func (o AutoReshardOptions) maxShards() int {
-	if o.MaxShards <= 0 {
-		return 64
-	}
-	return o.MaxShards
-}
-
-func (o AutoReshardOptions) alpha() float64 {
-	if o.Alpha <= 0 || o.Alpha > 1 {
-		return 0.3
-	}
-	return o.Alpha
+	// MaxShards bounds the partition size the detector will split up
+	// to. Zero selects 64.
+	MaxShards int
 }
 
 // Reshard executes one admin-commanded partition transition (the
@@ -131,14 +102,14 @@ func (s *Server) Reshard(ctx context.Context, req *wire.ReshardRequest) (*wire.R
 // roots plus the map, WALs a typed RecReshard record and commits the
 // new generation at a bounded catch-up barrier.
 func (s *Server) SplitShard(ctx context.Context, tableName string, idx uint32, boundary *schema.Datum) (*wire.ReshardResponse, error) {
-	return s.runReshard(ctx, tableName, &reshardCmd{split: true, shard: idx, boundary: boundary})
+	return s.runReshard(ctx, tableName, &reshardCmd{shard: idx, parents: 1, boundary: boundary})
 }
 
 // MergeShards merges shard idx with its right neighbor idx+1 — the
 // inverse transition: one new tree over the pair's union, one root
 // re-sign plus the map, one new map epoch.
 func (s *Server) MergeShards(ctx context.Context, tableName string, idx uint32) (*wire.ReshardResponse, error) {
-	return s.runReshard(ctx, tableName, &reshardCmd{shard: idx})
+	return s.runReshard(ctx, tableName, &reshardCmd{shard: idx, parents: 2})
 }
 
 // tailOp is one committed parent update recorded after the transition's
@@ -197,12 +168,12 @@ func (rt *reshardTail) size() int {
 // phase to the barrier.
 type preparedTransition struct {
 	t    *table
-	cmd  *reshardCmd
 	part *partition // the generation the snapshots were pinned in
-	idx  int
-	// boundary is the resolved split key (splits only).
-	boundary schema.Datum
-	parents  []*shard
+	// parents are part.shards[idx : idx+len(parents)]; child j covers
+	// [cuts[j-1], cuts[j]) of their union, open at either end.
+	idx     int
+	parents []*shard
+	cuts    []schema.Datum
 	// installed lists the parents that had the tail hooked (for rollback).
 	installed []*shard
 	children  []*shard
@@ -254,36 +225,23 @@ func (s *Server) runReshard(ctx context.Context, tableName string, cmd *reshardC
 	return res.reshard, res.err
 }
 
-// prepareTransition is phase 1: validate, pin the parent snapshot(s)
-// and hook the delta tail (one shard-lock acquisition each — O(1), no
-// scan), resolve the boundary, allocate the child IDs, make the
+// prepareTransition is phase 1: validate, pin the parent snapshots and
+// hook the delta tail (one shard-lock acquisition each — O(1), no
+// scan), resolve a lone parent's cut, allocate the child IDs, make the
 // transition's begin record durable and stream the child builds from
 // the pinned views. No partition lock is held; concurrent batches keep
 // committing against the parents and land in the tail.
 func (s *Server) prepareTransition(t *table, cmd *reshardCmd) (tr *preparedTransition, err error) {
 	part := t.part.Load()
 	idx := int(cmd.shard)
-	if cmd.split {
-		if idx < 0 || idx >= len(part.shards) {
-			return nil, &wire.WireError{Code: wire.CodeBadRequest, Table: t.sch.Table,
-				Msg: fmt.Sprintf("central: split shard %d out of range (table has %d shards)", idx, len(part.shards))}
-		}
-	} else {
-		if idx < 0 || idx+1 >= len(part.shards) {
-			return nil, &wire.WireError{Code: wire.CodeBadRequest, Table: t.sch.Table,
-				Msg: fmt.Sprintf("central: merge pair (%d,%d) out of range (table has %d shards)", idx, idx+1, len(part.shards))}
-		}
-	}
-	var parents []*shard
-	if cmd.split {
-		parents = []*shard{part.shards[idx]}
-	} else {
-		parents = []*shard{part.shards[idx], part.shards[idx+1]}
+	if idx < 0 || idx+cmd.parents > len(part.shards) {
+		return nil, &wire.WireError{Code: wire.CodeBadRequest, Table: t.sch.Table,
+			Msg: fmt.Sprintf("central: shards [%d,%d) out of range (table has %d shards)", idx, idx+cmd.parents, len(part.shards))}
 	}
 
 	// pt stays valid in the cleanup closure even on `return nil, err`
 	// paths (which zero the named return).
-	pt := &preparedTransition{t: t, cmd: cmd, part: part, idx: idx, parents: parents, tail: &reshardTail{}}
+	pt := &preparedTransition{t: t, part: part, idx: idx, parents: part.shards[idx : idx+cmd.parents], tail: &reshardTail{}}
 	tr = pt
 	var pins []*storage.Snapshot
 	defer func() {
@@ -298,13 +256,13 @@ func (s *Server) prepareTransition(t *table, cmd *reshardCmd) (tr *preparedTrans
 	// Pin + hook, atomically per parent w.r.t. its writers: everything
 	// committed so far is in the pin, everything after lands in the tail
 	// — no gap, no double count.
-	states := make([]*vbtree.TableState, 0, len(parents))
-	for _, p := range parents {
+	views := make([]*vbtree.View, len(tr.parents))
+	for i, p := range tr.parents {
 		p.mu.Lock()
 		if p.tail != nil {
 			p.mu.Unlock()
 			return nil, &wire.WireError{Code: wire.CodeBadRequest, Table: t.sch.Table,
-				Msg: fmt.Sprintf("central: shard %d already has a transition in progress", idx)}
+				Msg: fmt.Sprintf("central: shard %d already has a transition in progress", idx+i)}
 		}
 		pin, st, serr := p.snapState()
 		if serr != nil {
@@ -315,26 +273,19 @@ func (s *Server) prepareTransition(t *table, cmd *reshardCmd) (tr *preparedTrans
 		p.mu.Unlock()
 		tr.installed = append(tr.installed, p)
 		pins = append(pins, pin)
-		states = append(states, st)
-	}
-
-	views := make([]*vbtree.View, len(parents))
-	for i, st := range states {
-		v, verr := st.ViewOver(pins[i], t.sch, s.acc, s.key.Public())
-		if verr != nil {
-			return nil, verr
+		if views[i], err = st.ViewOver(pin, t.sch, s.acc, s.key.Public()); err != nil {
+			return nil, err
 		}
-		views[i] = v
 	}
 
-	var boundaryKey []byte
-	if cmd.split {
-		b, berr := s.resolveBoundary(t, part, idx, parents[0], views[0], cmd.boundary)
+	// A transition must change the shard count: a lone parent is cut in
+	// two, adjacent parents become one child.
+	if len(tr.parents) == 1 {
+		b, berr := s.resolveBoundary(t, part, idx, tr.parents[0], views[0], cmd.boundary)
 		if berr != nil {
 			return nil, berr
 		}
-		tr.boundary = b
-		boundaryKey = b.KeyBytes()
+		tr.cuts = []schema.Datum{b}
 	}
 
 	// IDs are allocated only after validation succeeds (a rejected
@@ -342,27 +293,23 @@ func (s *Server) prepareTransition(t *table, cmd *reshardCmd) (tr *preparedTrans
 	// lock — the allocator's guard.
 	t.partMu.Lock()
 	firstID := t.nextShardID
-	if cmd.split {
-		t.nextShardID += 2
-	} else {
-		t.nextShardID++
-	}
+	t.nextShardID += uint64(len(tr.cuts) + 1)
 	t.partMu.Unlock()
 
 	op := &wal.ReshardOp{
-		Split:       cmd.split,
+		Split:       len(tr.cuts) > 0,
 		Shard:       cmd.shard,
 		MapEpoch:    part.mapEpoch + 1,
 		ParentEpoch: part.mapEpoch,
 	}
-	if cmd.split {
-		b := tr.boundary
-		op.Boundary = &b
-		op.RetiredIDs = []uint64{parents[0].id}
-		op.NewIDs = []uint64{firstID, firstID + 1}
-	} else {
-		op.RetiredIDs = []uint64{parents[0].id, parents[1].id}
-		op.NewIDs = []uint64{firstID}
+	if op.Split {
+		op.Boundary = &tr.cuts[0]
+	}
+	for _, p := range tr.parents {
+		op.RetiredIDs = append(op.RetiredIDs, p.id)
+	}
+	for j := 0; j <= len(tr.cuts); j++ {
+		op.NewIDs = append(op.NewIDs, firstID+uint64(j))
 	}
 	tr.op = op
 	if t.metaLog != nil {
@@ -375,35 +322,29 @@ func (s *Server) prepareTransition(t *table, cmd *reshardCmd) (tr *preparedTrans
 		tr.begun = true
 	}
 
-	// A transition-created shard is streamed from the pinned parent view
+	// A transition-created shard is streamed from the pinned parent views
 	// with its WAL seeded in the same pass, and published at a provisional
 	// version 0 — invisible until the barrier republishes it at its final
 	// version.
-	carve := func(src vbtree.TupleSource, id uint64) (*shard, error) {
-		sh, err := s.newShard(t.sch, src, t.epoch, id, true)
-		if err == nil {
-			s.stats.reshardPagesMoved.Add(uint64(sh.pool.Pager().NumPages() - 1))
-		}
-		return sh, err
-	}
 	buildStart := time.Now()
-	if cmd.split {
-		left, cerr := carve(views[0].Tuples(nil, boundaryKey).Next, op.NewIDs[0])
+	for j, id := range op.NewIDs {
+		var lo, hi []byte
+		if j > 0 {
+			lo = tr.cuts[j-1].KeyBytes()
+		}
+		if j < len(tr.cuts) {
+			hi = tr.cuts[j].KeyBytes()
+		}
+		srcs := make([]vbtree.TupleSource, len(views))
+		for i, v := range views {
+			srcs[i] = v.Tuples(lo, hi).Next
+		}
+		child, cerr := s.newShard(t.sch, chainSources(srcs...), t.epoch, id, true)
 		if cerr != nil {
 			return nil, cerr
 		}
-		tr.children = append(tr.children, left)
-		right, cerr := carve(views[0].Tuples(boundaryKey, nil).Next, op.NewIDs[1])
-		if cerr != nil {
-			return nil, cerr
-		}
-		tr.children = append(tr.children, right)
-	} else {
-		merged, cerr := carve(chainSources(views[0].Tuples(nil, nil).Next, views[1].Tuples(nil, nil).Next), op.NewIDs[0])
-		if cerr != nil {
-			return nil, cerr
-		}
-		tr.children = append(tr.children, merged)
+		s.stats.reshardPagesMoved.Add(uint64(child.pool.Pager().NumPages() - 1))
+		tr.children = append(tr.children, child)
 	}
 	s.stats.reshardBuildNanos.Add(uint64(time.Since(buildStart)))
 	return tr, nil
@@ -461,7 +402,8 @@ func (s *Server) resolveBoundary(t *table, part *partition, idx int, parent *sha
 }
 
 // chainSources concatenates tuple sources (adjacent ascending ranges,
-// so the chain stays key-ordered — the merge build input).
+// so the chain stays key-ordered — a child's build input over its
+// parents in partition order).
 func chainSources(srcs ...vbtree.TupleSource) vbtree.TupleSource {
 	i := 0
 	return func(limit int) ([]schema.Tuple, error) {
@@ -495,10 +437,12 @@ func (s *Server) preCatchUp(tr *preparedTransition) error {
 }
 
 // replayTail applies recorded parent updates to the children in commit
-// order: consecutive insert runs coalesce into one routed InsertBatch
-// per child, deletes apply to every child (their ranges may straddle
-// the boundary). Each replayed op is appended to the child WALs (synced
-// once, at the barrier). Returns how many tail entries were replayed.
+// order: consecutive insert runs coalesce into one InsertBatch per
+// child, routed by the cuts (a key equal to a cut belongs to the child
+// on its right); deletes apply to every child (their ranges may
+// straddle a cut). Each replayed op is appended to the child WALs
+// (synced once, at the barrier). Returns how many tail entries were
+// replayed.
 func (s *Server) replayTail(tr *preparedTransition, ops []tailOp) (int, error) {
 	if len(ops) == 0 {
 		return 0, nil
@@ -511,16 +455,10 @@ func (s *Server) replayTail(tr *preparedTransition, ops []tailOp) (int, error) {
 			return nil
 		}
 		groups := make([][]schema.Tuple, len(tr.children))
-		if tr.cmd.split {
-			for _, tup := range run {
-				ci := 0
-				if tup.Key(t.sch).Compare(tr.boundary) >= 0 {
-					ci = 1
-				}
-				groups[ci] = append(groups[ci], tup)
-			}
-		} else {
-			groups[0] = run
+		for _, tup := range run {
+			key := tup.Key(t.sch)
+			ci := sort.Search(len(tr.cuts), func(k int) bool { return key.Compare(tr.cuts[k]) < 0 })
+			groups[ci] = append(groups[ci], tup)
 		}
 		for ci, group := range groups {
 			if len(group) == 0 {
@@ -671,44 +609,25 @@ func (s *Server) finishReshard(tr *preparedTransition) (*wire.ReshardResponse, e
 		}
 	}
 
-	// Inherit the detector's smoothed load so a just-carved shard is not
-	// immediately re-split (or re-merged) on stale history.
+	// Inherit the detector's smoothed load, shared evenly, so a
+	// just-carved shard is not immediately re-split (or re-merged) on
+	// stale history.
 	t.detMu.Lock()
-	if tr.cmd.split {
-		tr.children[0].ewma = tr.parents[0].ewma / 2
-		tr.children[1].ewma = tr.parents[0].ewma / 2
-	} else {
-		tr.children[0].ewma = tr.parents[0].ewma + tr.parents[1].ewma
+	load := 0.0
+	for _, p := range tr.parents {
+		load += p.ewma
+	}
+	for _, c := range tr.children {
+		c.ewma = load / float64(len(tr.children))
 	}
 	t.detMu.Unlock()
 
 	part, idx := tr.part, tr.idx
-	var next *partition
-	if tr.cmd.split {
-		next = &partition{
-			boundaries:  make([]schema.Datum, 0, len(part.boundaries)+1),
-			shards:      make([]*shard, 0, len(part.shards)+1),
-			mapEpoch:    part.mapEpoch + 1,
-			parentEpoch: part.mapEpoch,
-		}
-		next.boundaries = append(next.boundaries, part.boundaries[:idx]...)
-		next.boundaries = append(next.boundaries, tr.boundary)
-		next.boundaries = append(next.boundaries, part.boundaries[idx:]...)
-		next.shards = append(next.shards, part.shards[:idx]...)
-		next.shards = append(next.shards, tr.children[0], tr.children[1])
-		next.shards = append(next.shards, part.shards[idx+1:]...)
-	} else {
-		next = &partition{
-			boundaries:  make([]schema.Datum, 0, len(part.boundaries)-1),
-			shards:      make([]*shard, 0, len(part.shards)-1),
-			mapEpoch:    part.mapEpoch + 1,
-			parentEpoch: part.mapEpoch,
-		}
-		next.boundaries = append(next.boundaries, part.boundaries[:idx]...)
-		next.boundaries = append(next.boundaries, part.boundaries[idx+1:]...)
-		next.shards = append(next.shards, part.shards[:idx]...)
-		next.shards = append(next.shards, tr.children[0])
-		next.shards = append(next.shards, part.shards[idx+2:]...)
+	next := &partition{
+		boundaries:  slices.Replace(slices.Clone(part.boundaries), idx, idx+len(tr.parents)-1, tr.cuts...),
+		shards:      slices.Replace(slices.Clone(part.shards), idx, idx+len(tr.parents), tr.children...),
+		mapEpoch:    part.mapEpoch + 1,
+		parentEpoch: part.mapEpoch,
 	}
 
 	if err := s.commitTransition(t, next, tr.op, tr.parents...); err != nil {
@@ -719,13 +638,12 @@ func (s *Server) finishReshard(tr *preparedTransition) (*wire.ReshardResponse, e
 		return nil, err
 	}
 	s.maybeCheckpointMeta(t, next)
-	if tr.cmd.split {
+	if tr.op.Split {
 		s.stats.splits.Add(1)
-		s.stats.reshardResigns.Add(2)
 	} else {
 		s.stats.merges.Add(1)
-		s.stats.reshardResigns.Add(1)
 	}
+	s.stats.reshardResigns.Add(uint64(len(tr.children)))
 	s.stats.reshardBarrierNanos.Add(uint64(time.Since(barrierStart)))
 	t.partMu.Unlock()
 	return &wire.ReshardResponse{MapEpoch: next.mapEpoch, NumShards: uint32(len(next.shards))}, nil
@@ -782,8 +700,8 @@ func (s *Server) commitTransition(t *table, next *partition, op *wal.ReshardOp, 
 	t.commitMu.Unlock()
 	for _, sh := range retired {
 		if sh.log != nil {
-			// Writers are excluded by partMu and queries never touch the
-			// log, so the retired logs are quiescent.
+			// Writers are excluded by partMu and snapshot readers never
+			// touch the log, so the retired logs are quiescent.
 			if err := sh.log.Close(); err != nil {
 				return err
 			}
@@ -827,13 +745,13 @@ func (s *Server) maybeCheckpointMeta(t *table, next *partition) {
 }
 
 // AutoReshardTick runs one detector pass over a table: it folds the
-// per-shard ingest/query counters accumulated since the last tick into
-// each shard's EWMA, then splits the hottest shard (load-median
-// boundary when its sketch is warm) if its load share exceeds
-// SplitFraction, or merges the coldest adjacent pair if their combined
-// share falls below MergeFraction. Returns the committed transition, or
-// nil if the partition was left alone. Safe to drive manually when no
-// background interval is configured.
+// per-shard ingest counters accumulated since the last tick into each
+// shard's EWMA, then splits the hottest shard (load-median boundary
+// when its sketch is warm) if its load share exceeds SplitFraction, or
+// merges the coldest adjacent pair if their combined share falls below
+// MergeFraction. Returns the committed transition, or nil if the
+// partition was left alone. Safe to drive manually when no background
+// interval is configured.
 func (s *Server) AutoReshardTick(ctx context.Context, tableName string) (*wire.ReshardResponse, error) {
 	opts := s.opts.AutoReshard
 	if opts == nil {
@@ -843,14 +761,23 @@ func (s *Server) AutoReshardTick(ctx context.Context, tableName string) (*wire.R
 	if err != nil {
 		return nil, err
 	}
+	splitFraction, mergeFraction, maxShards := 0.6, 0.05, 64
+	if opts.SplitFraction != 0 {
+		splitFraction = opts.SplitFraction
+	}
+	if opts.MergeFraction != 0 {
+		mergeFraction = opts.MergeFraction
+	}
+	if opts.MaxShards > 0 {
+		maxShards = opts.MaxShards
+	}
 	part := t.part.Load()
-	alpha := opts.alpha()
 
 	t.detMu.Lock()
 	total := 0.0
 	for _, sh := range part.shards {
-		load := float64(sh.ingestLoad.Swap(0) + sh.queryLoad.Swap(0))
-		sh.ewma = alpha*load + (1-alpha)*sh.ewma
+		load := float64(sh.ingestLoad.Swap(0))
+		sh.ewma = detectorAlpha*load + (1-detectorAlpha)*sh.ewma
 		total += sh.ewma
 	}
 	split, merge := -1, -1
@@ -861,9 +788,9 @@ func (s *Server) AutoReshardTick(ctx context.Context, tableName string) (*wire.R
 				hotIdx, hot = i+1, sh.ewma
 			}
 		}
-		if hot/total > opts.splitFraction() && len(part.shards) < opts.maxShards() {
+		if hot/total > splitFraction && len(part.shards) < maxShards {
 			split = hotIdx
-		} else if len(part.shards) > opts.minShards() && len(part.shards) >= 2 {
+		} else if len(part.shards) >= 2 {
 			coldIdx, cold := -1, 0.0
 			for i := 0; i+1 < len(part.shards); i++ {
 				pair := part.shards[i].ewma + part.shards[i+1].ewma
@@ -871,7 +798,7 @@ func (s *Server) AutoReshardTick(ctx context.Context, tableName string) (*wire.R
 					coldIdx, cold = i, pair
 				}
 			}
-			if coldIdx >= 0 && cold/total < opts.mergeFraction() {
+			if coldIdx >= 0 && cold/total < mergeFraction {
 				merge = coldIdx
 			}
 		}

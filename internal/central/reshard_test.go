@@ -8,7 +8,6 @@ import (
 	"edgeauth/internal/schema"
 	"edgeauth/internal/shardmap"
 	"edgeauth/internal/sig"
-	"edgeauth/internal/vbtree"
 	"edgeauth/internal/wire"
 	"edgeauth/internal/workload"
 )
@@ -45,15 +44,7 @@ func newReshardServer(t *testing.T, rows, shards int, opts Options) *Server {
 
 func scanCount(t *testing.T, srv *Server) int {
 	t.Helper()
-	tb, err := srv.table("items")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuples, err := scanTuples(tb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return len(tuples)
+	return len(rowsIn(t, srv, "items", nil, nil))
 }
 
 // TestSplitShardCommitsNewEpoch pins the whole split contract: one new
@@ -148,6 +139,114 @@ func TestMergeShardsCommitsNewEpoch(t *testing.T) {
 	}
 	if got := scanCount(t, srv); got != rows0 {
 		t.Fatalf("merge lost tuples: %d -> %d", rows0, got)
+	}
+}
+
+// TestReshardSplicesAtPartitionEdges runs the one transition shape at
+// both ends of a 4-shard partition — splits of the first and last shard,
+// merges of the first and last pair — with one insert landing in the
+// delta tail between the pin and the barrier. Its key is the split's cut
+// (or the boundary the merge removes), so it must reach the child whose
+// range starts at that key.
+func TestReshardSplicesAtPartitionEdges(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		idx, parents int
+	}{
+		{"split first shard", 0, 1},
+		{"split last shard", 3, 1},
+		{"merge first pair", 0, 2},
+		{"merge last pair", 2, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := newReshardServer(t, 200, 4, Options{})
+			tb, err := srv.table("items")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sm0, err := srv.SignedShardMap("items")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Keys are 0..199, 50 to a shard. A split cuts its parent
+			// halfway and the cut key belongs to the right child; a merge's
+			// one child takes the removed boundary key.
+			var key schema.Datum
+			var boundary *schema.Datum
+			wantChild := 0
+			if tc.parents == 1 {
+				lo := int64(0)
+				if tc.idx > 0 {
+					lo = sm0.Map.Boundaries[tc.idx-1].I
+				}
+				key = schema.Int64(lo + 25)
+				boundary = &key
+				wantChild = 1
+			} else {
+				key = sm0.Map.Boundaries[tc.idx]
+			}
+			if n, err := srv.DeleteRange("items", &key, &key); err != nil || n != 1 {
+				t.Fatalf("delete %v: n=%d err=%v", key, n, err)
+			}
+
+			load := 0.0
+			tb.detMu.Lock()
+			for i, sh := range tb.part.Load().shards {
+				sh.ewma = float64(3 + 2*i)
+				if i >= tc.idx && i < tc.idx+tc.parents {
+					load += sh.ewma
+				}
+			}
+			tb.detMu.Unlock()
+
+			tr, err := srv.prepareTransition(tb, &reshardCmd{shard: uint32(tc.idx), parents: tc.parents, boundary: boundary})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Insert("items", batchServerRow(t, key.I)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := srv.finishReshard(tr); err != nil {
+				t.Fatal(err)
+			}
+			if got := srv.Stats().ReshardTailReplayed; got != 1 {
+				t.Fatalf("barrier replayed %d tail tuples, want the one insert", got)
+			}
+
+			sm1, err := srv.SignedShardMap("items")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := shardmap.ValidateTransition(sm0.Map, sm1.Map); err != nil {
+				t.Fatalf("committed transition fails validation: %v", err)
+			}
+			if n := scanCount(t, srv); n != 200 {
+				t.Fatalf("transition left %d rows, want 200", n)
+			}
+			retired := make(map[uint64]bool)
+			for _, sh := range sm0.Map.Shards {
+				retired[sh.ID] = true
+			}
+			for j, c := range tr.children {
+				if retired[c.id] || sm1.Map.Shards[tc.idx+j].ID != c.id {
+					t.Fatalf("child %d has ID %d; want a fresh ID at map position %d", j, c.id, tc.idx+j)
+				}
+				if want := load / float64(len(tr.children)); c.ewma != want {
+					t.Fatalf("child %d inherited EWMA %v, want %v", j, c.ewma, want)
+				}
+				rows, err := scanShard(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				has := false
+				for _, r := range rows {
+					has = has || r.Key(tb.sch).Compare(key) == 0
+				}
+				if has != (j == wantChild) {
+					t.Fatalf("child %d holds the tail key %v: %v, want %v", j, key, has, j == wantChild)
+				}
+			}
+		})
 	}
 }
 
@@ -275,11 +374,11 @@ func TestRetiredShardDeltaFailsClosed(t *testing.T) {
 }
 
 // TestAutoReshardDetector drives the EWMA detector by hand: skewed
-// ingest trips a split of the hot shard, then an idle table with the
-// load gone trips a merge back down.
+// ingest trips a split of the hot shard, and an idle tick afterwards
+// commits nothing.
 func TestAutoReshardDetector(t *testing.T) {
 	srv := newReshardServer(t, 200, 2, Options{
-		AutoReshard: &AutoReshardOptions{SplitFraction: 0.8, MergeFraction: 0.9, MinShards: 2, MaxShards: 4, Alpha: 1.0},
+		AutoReshard: &AutoReshardOptions{SplitFraction: 0.8, MaxShards: 4},
 	})
 	ctx := context.Background()
 	// All new load lands in shard 1 (keys above every build key).
@@ -295,8 +394,10 @@ func TestAutoReshardDetector(t *testing.T) {
 	if resp == nil || resp.NumShards != 3 {
 		t.Fatalf("skewed load did not split the hot shard: %+v", resp)
 	}
-	// With the counters drained and fully-decayed EWMA (alpha 1), the
-	// next tick sees zero total load and must leave the partition alone.
+	// With the counters drained, the next tick only decays the EWMA: the
+	// split children share the hot load evenly (share 0.5 < 0.8), and the
+	// coldest adjacent pair still carries half of it (0.5 > 0.05), so the
+	// partition is left alone.
 	resp, err = srv.AutoReshardTick(ctx, "items")
 	if err != nil {
 		t.Fatal(err)
@@ -307,8 +408,8 @@ func TestAutoReshardDetector(t *testing.T) {
 }
 
 // TestReshardThroughWire drives the admin frame end to end through the
-// dispatcher: a MsgReshardReq splits, and a query for the moved range
-// still answers correctly afterwards.
+// dispatcher: a MsgReshardReq splits, and every row is still there
+// afterwards.
 func TestReshardThroughWire(t *testing.T) {
 	srv := newReshardServer(t, 100, 2, Options{})
 	req := &wire.ReshardRequest{Table: "items", Op: wire.ReshardSplit, Shard: 0}
@@ -326,13 +427,8 @@ func TestReshardThroughWire(t *testing.T) {
 	if resp.NumShards != 3 {
 		t.Fatalf("wire split left %d shards, want 3", resp.NumShards)
 	}
-	lo, hi := schema.Int64(0), schema.Int64(1000000)
-	qr, err := srv.RunQuery(context.Background(), "items", vbtree.Query{Lo: &lo, Hi: &hi})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(qr.Result.Tuples) != 100 {
-		t.Fatalf("post-split full scan returned %d tuples, want 100", len(qr.Result.Tuples))
+	if n := scanCount(t, srv); n != 100 {
+		t.Fatalf("post-split full scan returned %d tuples, want 100", n)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"edgeauth/internal/schema"
-	"edgeauth/internal/vbtree"
 	"edgeauth/internal/wire"
 )
 
@@ -44,17 +43,14 @@ func TestShardedTableBuildAndMap(t *testing.T) {
 		}
 		seen[string(shs.RootDigest)] = true
 	}
-	// Cross-shard range query at the (trusted) central still sees every
-	// row exactly once.
-	resp, err := srv.RunQuery(context.Background(), "items", vbtree.Query{})
-	if err != nil {
-		t.Fatal(err)
+	// The shards' scans, concatenated in partition order, see every row
+	// exactly once and in key order.
+	rows := rowsIn(t, srv, "items", nil, nil)
+	if len(rows) != 400 {
+		t.Fatalf("cross-shard scan returned %d of 400 rows", len(rows))
 	}
-	if len(resp.Result.Tuples) != 400 {
-		t.Fatalf("cross-shard scan returned %d of 400 rows", len(resp.Result.Tuples))
-	}
-	for i := 1; i < len(resp.Result.Keys); i++ {
-		if resp.Result.Keys[i-1].Compare(resp.Result.Keys[i]) >= 0 {
+	for i := 1; i < len(rows); i++ {
+		if rows[i-1].Values[0].Compare(rows[i].Values[0]) >= 0 {
 			t.Fatalf("merged scan out of key order at %d", i)
 		}
 	}
@@ -121,14 +117,10 @@ func TestShardedApplyBatch(t *testing.T) {
 		t.Fatalf("batch touching %d shard(s) paid %d signatures, want one per touched shard + the map", changed, signsDelta)
 	}
 
-	// Every inserted row is queryable through the merged read path.
+	// Every inserted row landed.
 	lo := schema.Int64(401)
-	resp, err := srv.RunQuery(context.Background(), "items", vbtree.Query{Lo: &lo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Result.Tuples) != len(rows) {
-		t.Fatalf("found %d of %d batch rows", len(resp.Result.Tuples), len(rows))
+	if n := len(rowsIn(t, srv, "items", &lo, nil)); n != len(rows) {
+		t.Fatalf("found %d of %d batch rows", n, len(rows))
 	}
 }
 
@@ -152,12 +144,8 @@ func TestShardedDeleteRange(t *testing.T) {
 	if after.Map.MapVersion != sm.Map.MapVersion+1 {
 		t.Fatalf("map version went %d -> %d after delete", sm.Map.MapVersion, after.Map.MapVersion)
 	}
-	resp, err := srv.RunQuery(context.Background(), "items", vbtree.Query{Lo: &lo, Hi: &hi})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Result.Tuples) != 0 {
-		t.Fatalf("deleted range still serves %d rows", len(resp.Result.Tuples))
+	if n := len(rowsIn(t, srv, "items", &lo, &hi)); n != 0 {
+		t.Fatalf("deleted range still holds %d rows", n)
 	}
 }
 
@@ -244,11 +232,7 @@ func TestDeleteOrdersAfterCoalescedInserts(t *testing.T) {
 	}
 
 	// And the row is gone.
-	resp, err := srv.RunQuery(context.Background(), "items", vbtree.Query{Lo: &lo, Hi: &hi})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Result.Tuples) != 0 {
+	if n := len(rowsIn(t, srv, "items", &lo, &hi)); n != 0 {
 		t.Fatalf("row survived its delete")
 	}
 }
@@ -286,11 +270,7 @@ func TestConcurrentMixedOpsOrdered(t *testing.T) {
 		}
 	}
 	lo, hi := schema.Int64(80_000), schema.Int64(80_000+workers)
-	resp, err := srv.RunQuery(context.Background(), "items", vbtree.Query{Lo: &lo, Hi: &hi})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Result.Tuples) != 0 {
-		t.Fatalf("%d rows survived their deletes", len(resp.Result.Tuples))
+	if n := len(rowsIn(t, srv, "items", &lo, &hi)); n != 0 {
+		t.Fatalf("%d rows survived their deletes", n)
 	}
 }

@@ -8,11 +8,11 @@ import (
 )
 
 // loadSketch is a per-shard reservoir sample of the keys the shard's
-// load actually touches (every applied insert, a fraction of query lower
-// bounds). The detector-driven split reads its median so a hot shard is
-// cut where the *traffic* concentrates, not at the key-count midpoint —
-// a shard whose load all lands in the top decile of its key range splits
-// there, moving half the load instead of half the keys.
+// load actually touches (every applied insert). The detector-driven
+// split reads its median so a hot shard is cut where the *traffic*
+// concentrates, not at the key-count midpoint — a shard whose load all
+// lands in the top decile of its key range splits there, moving half
+// the load instead of half the keys.
 //
 // The mutex is a leaf lock: observe/median/reset call nothing that can
 // block or sign, so it is safe under any shard or table lock.

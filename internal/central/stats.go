@@ -10,7 +10,6 @@ import (
 // Everything is atomic: the counters are bumped on hot paths and read by
 // the Stats snapshot (exposed over expvar by centrald's -debug-addr).
 type serverCounters struct {
-	queriesServed   atomic.Uint64
 	snapshotsServed atomic.Uint64
 	deltasServed    atomic.Uint64
 	mapsServed      atomic.Uint64
@@ -67,7 +66,6 @@ func (c *serverCounters) observeRound(n int) {
 // Stats is a point-in-time snapshot of the server's counters. The JSON
 // field names are the expvar keys.
 type Stats struct {
-	QueriesServed   uint64 `json:"queries_served"`
 	SnapshotsServed uint64 `json:"snapshots_served"`
 	DeltasServed    uint64 `json:"deltas_served"`
 	ShardMapsServed uint64 `json:"shard_maps_served"`
@@ -131,7 +129,6 @@ func (s *Server) Stats() Stats {
 		perCommit = float64(signOps) / float64(commits)
 	}
 	return Stats{
-		QueriesServed:       s.stats.queriesServed.Load(),
 		SnapshotsServed:     s.stats.snapshotsServed.Load(),
 		DeltasServed:        s.stats.deltasServed.Load(),
 		ShardMapsServed:     s.stats.mapsServed.Load(),

@@ -13,7 +13,6 @@ import (
 	"edgeauth/internal/query"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
-	"edgeauth/internal/vbtree"
 	"edgeauth/internal/vo"
 	"edgeauth/internal/workload"
 )
@@ -329,31 +328,4 @@ func TestEndToEndErrors(t *testing.T) {
 	if len(tables) != 1 || tables[0] != "items" {
 		t.Fatalf("edge tables = %v", tables)
 	}
-}
-
-func TestCentralDirectQueryPath(t *testing.T) {
-	// The trusted path: central answers queries itself (for tools).
-	d := deploy(t, 50)
-	q, err := compileRange(d, 5, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := d.central.RunQuery(context.Background(), "items", q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Result.Tuples) != 11 {
-		t.Fatalf("central query returned %d tuples", len(resp.Result.Tuples))
-	}
-}
-
-func compileRange(d *deployment, lo, hi int) (q2 vbtree.Query, err error) {
-	sch, err := d.client.Schema(context.Background(), "items")
-	if err != nil {
-		return q2, err
-	}
-	return query.Compile(sch, query.Spec{Predicates: []query.Predicate{
-		{Column: "id", Op: query.OpGE, Value: schema.Int64(int64(lo))},
-		{Column: "id", Op: query.OpLE, Value: schema.Int64(int64(hi))},
-	}})
 }

@@ -226,8 +226,8 @@ func (p Params) DeleteCost(qr int) float64 {
 // constant signature component plus a page-copy and re-digest component
 // linear in the tuples that change shards.
 type ReshardCost struct {
-	// RootsResigned is the number of new shard roots signed: 2 for a
-	// split (left and right child), 1 for a merge.
+	// RootsResigned is the number of new shard roots signed, one per
+	// child: 2 for a split, 1 for a merge.
 	RootsResigned int
 	// SignOps adds the one map signature every transition commits on
 	// top of the root re-signs.
@@ -266,35 +266,35 @@ func (p Params) reshardBuild(n int) (pages int, comp float64) {
 	return pages, comp
 }
 
-// SplitCost models splitting one shard at a boundary that sends nLeft
-// tuples to the left child and nRight to the right: both children are
-// rebuilt, and exactly two roots plus the map are signed.
-func (p Params) SplitCost(nLeft, nRight int) ReshardCost {
-	lp, lc := p.reshardBuild(nLeft)
-	rp, rc := p.reshardBuild(nRight)
-	return ReshardCost{RootsResigned: 2, SignOps: 3, PagesMoved: lp + rp, Comp: lc + rc}
-}
-
-// MergeCost models merging two adjacent shards of nLeft and nRight
-// tuples into one rebuilt shard: one root plus the map signed.
-func (p Params) MergeCost(nLeft, nRight int) ReshardCost {
-	pg, c := p.reshardBuild(nLeft + nRight)
-	return ReshardCost{RootsResigned: 1, SignOps: 2, PagesMoved: pg, Comp: c}
+// TransitionCost models a transition whose children carry the given
+// tuple counts: a split of a shard into nLeft and nRight tuples is
+// TransitionCost(nLeft, nRight), a merge of two adjacent shards
+// TransitionCost(nLeft+nRight). Every child is rebuilt and its root
+// signed, plus the one map signature.
+func (p Params) TransitionCost(children ...int) ReshardCost {
+	c := ReshardCost{RootsResigned: len(children), SignOps: len(children) + 1}
+	for _, n := range children {
+		pg, comp := p.reshardBuild(n)
+		c.PagesMoved += pg
+		c.Comp += comp
+	}
+	return c
 }
 
 // BarrierComp models the in-lock stall of an incremental transition's
 // catch-up barrier: replaying `tail` buffered updates into the children
 // (each one insert's digest work, formula (11)) plus the transition's
-// constant signatures. The build itself — O(shard) — runs outside the
-// lock and never appears here: the stall is O(tail), with the bound on
-// `tail` set by the server's catch-up rounds (central's
-// DefaultReshardTailBound). Observed counterpart: the ReshardTailReplayed stat
-// is the realized `tail`, ReshardBarrierStallMs the realized wall time.
-func (p Params) BarrierComp(tail int) float64 {
+// signatures — one root per child plus the map. The build itself —
+// O(shard) — runs outside the lock and never appears here: the stall is
+// O(tail), with the bound on `tail` set by the server's catch-up rounds
+// (central's DefaultReshardTailBound). Observed counterpart: the
+// ReshardTailReplayed stat is the realized `tail`,
+// ReshardBarrierStallMs the realized wall time.
+func (p Params) BarrierComp(children, tail int) float64 {
 	if tail < 0 {
 		tail = 0
 	}
-	return float64(tail)*p.InsertCost() + float64(3)*p.CostS()
+	return float64(tail)*p.InsertCost() + float64(children+1)*p.CostS()
 }
 
 // QRForSelectivity converts a selectivity percentage into a result size.

@@ -70,7 +70,7 @@ func observedTransitions(t *testing.T, rows int) (split, merge reshardObs) {
 	return split, merge
 }
 
-// TestReshardCostTiesToObservedStats pins the split/merge cost formula
+// TestReshardCostTiesToObservedStats pins the transition cost formula
 // against a live server: signature counts must match exactly (they are
 // the minimal-resigning contract), and the modeled page floor must sit
 // below the observed page writes by no more than the slotted-page
@@ -83,8 +83,8 @@ func TestReshardCostTiesToObservedStats(t *testing.T) {
 	p.NR = rows
 	// Shard 0 holds rows/2 tuples; the median split carves rows/4 each
 	// side, and the merge rebuilds their union.
-	ms := p.SplitCost(rows/4, rows/4)
-	mm := p.MergeCost(rows/4, rows/4)
+	ms := p.TransitionCost(rows/4, rows/4)
+	mm := p.TransitionCost(rows / 2)
 
 	if uint64(ms.RootsResigned) != obsSplit.resigns || uint64(ms.SignOps) != obsSplit.signs {
 		t.Errorf("split signatures: model %d roots / %d signs, observed %d / %d",
@@ -115,7 +115,7 @@ func TestReshardCostTiesToObservedStats(t *testing.T) {
 		t.Errorf("quiescent transitions replayed a tail: split %d, merge %d, want 0/0",
 			obsSplit.tailReplayed, obsMerge.tailReplayed)
 	}
-	if got, want := p.BarrierComp(int(obsSplit.tailReplayed)), p.BarrierComp(0); got != want {
+	if got, want := p.BarrierComp(ms.RootsResigned, int(obsSplit.tailReplayed)), p.BarrierComp(ms.RootsResigned, 0); got != want {
 		t.Errorf("observed barrier comp %v, want the constant term %v", got, want)
 	}
 	if obsSplit.buildMs <= 0 || obsMerge.buildMs <= 0 {
@@ -126,7 +126,7 @@ func TestReshardCostTiesToObservedStats(t *testing.T) {
 	// Linearity: doubling the table doubles the carved tuple count, and
 	// observed pages must track the model's ratio.
 	obsSplit2, _ := observedTransitions(t, 2*rows)
-	ms2 := p.SplitCost(rows/2, rows/2)
+	ms2 := p.TransitionCost(rows/2, rows/2)
 	obsRatio := float64(obsSplit2.pages) / float64(obsSplit.pages)
 	modelRatio := float64(ms2.PagesMoved) / float64(ms.PagesMoved)
 	if r := obsRatio / modelRatio; r < 0.75 || r > 1.25 {
@@ -139,11 +139,11 @@ func TestReshardCostTiesToObservedStats(t *testing.T) {
 // server involved.
 func TestReshardCostShape(t *testing.T) {
 	p := costmodel.Default()
-	if c := p.SplitCost(0, 0); c.PagesMoved != 0 || c.Comp != 0 {
+	if c := p.TransitionCost(0, 0); c.PagesMoved != 0 || c.Comp != 0 {
 		t.Errorf("empty split costs %+v, want zero pages and comp", c)
 	}
-	s := p.SplitCost(500, 500)
-	m := p.MergeCost(500, 500)
+	s := p.TransitionCost(500, 500)
+	m := p.TransitionCost(1000)
 	if s.RootsResigned != 2 || s.SignOps != 3 || m.RootsResigned != 1 || m.SignOps != 2 {
 		t.Errorf("signature constants: split %+v, merge %+v", s, m)
 	}
@@ -153,7 +153,7 @@ func TestReshardCostShape(t *testing.T) {
 		t.Errorf("split pages %d below merge pages %d for the same tuples", s.PagesMoved, m.PagesMoved)
 	}
 	// Both components grow with the carved tuple count.
-	s2 := p.SplitCost(1000, 1000)
+	s2 := p.TransitionCost(1000, 1000)
 	if s2.PagesMoved <= s.PagesMoved || s2.Comp <= s.Comp {
 		t.Errorf("cost did not grow with carved tuples: %+v -> %+v", s, s2)
 	}
@@ -162,14 +162,17 @@ func TestReshardCostShape(t *testing.T) {
 	if s2.RootsResigned != s.RootsResigned || s2.SignOps != s.SignOps {
 		t.Errorf("signature count grew with shard size: %+v -> %+v", s, s2)
 	}
-	// The barrier stall model: constant signatures at an empty tail,
-	// linear in the tail thereafter, and independent of the shard size —
-	// the build term never enters it.
-	if got, want := p.BarrierComp(0), 3*p.CostS(); got != want {
-		t.Errorf("empty-tail barrier comp %v, want the 3-signature constant %v", got, want)
+	// The barrier stall model: the transition's own signatures at an
+	// empty tail (a split's three, a merge's two), linear in the tail
+	// thereafter, and independent of the shard size — the build term
+	// never enters it.
+	for _, c := range []costmodel.ReshardCost{s, m} {
+		if got, want := p.BarrierComp(c.RootsResigned, 0), float64(c.SignOps)*p.CostS(); got != want {
+			t.Errorf("%d-child empty-tail barrier comp %v, want the %d-signature constant %v", c.RootsResigned, got, c.SignOps, want)
+		}
 	}
-	b1 := p.BarrierComp(100) - p.BarrierComp(0)
-	b2 := p.BarrierComp(200) - p.BarrierComp(0)
+	b1 := p.BarrierComp(2, 100) - p.BarrierComp(2, 0)
+	b2 := p.BarrierComp(2, 200) - p.BarrierComp(2, 0)
 	if b1 <= 0 || b2 != 2*b1 {
 		t.Errorf("barrier comp not linear in the tail: +100 -> %v, +200 -> %v", b1, b2)
 	}

@@ -14,8 +14,6 @@ package shardmap
 import (
 	"errors"
 	"fmt"
-
-	"edgeauth/internal/schema"
 )
 
 // ErrBadTransition reports a child map that does not follow from its
@@ -23,98 +21,13 @@ import (
 // failure, not an I/O failure: callers must fail closed.
 var ErrBadTransition = errors.New("shardmap: invalid epoch transition")
 
-// SplitAt derives the child map of splitting shard i of m at boundary b:
-// shard i is replaced by left (keys < b) and right (keys >= b), b is
-// inserted into the boundary set, and the partition generation advances
-// with a parent link back to m. Shard versions, digests and the map
-// version/signature fields of the result are the caller's to fill in for
-// the unaffected shards they are carried over verbatim. b must lie
-// strictly inside shard i's interval and left/right must carry fresh,
-// distinct IDs.
-func (m *Map) SplitAt(i int, b schema.Datum, left, right ShardState) (*Map, error) {
-	if i < 0 || i >= len(m.Shards) {
-		return nil, fmt.Errorf("%w: split shard %d of %d", ErrBadTransition, i, len(m.Shards))
-	}
-	if b.IsZero() {
-		return nil, fmt.Errorf("%w: zero split boundary", ErrBadTransition)
-	}
-	lo, hi := m.Range(i)
-	if lo != nil && lo.Compare(b) >= 0 || hi != nil && b.Compare(*hi) >= 0 {
-		return nil, fmt.Errorf("%w: boundary outside shard %d", ErrBadTransition, i)
-	}
-	if left.ID == 0 || right.ID == 0 || left.ID == right.ID {
-		return nil, fmt.Errorf("%w: split needs two fresh shard IDs", ErrBadTransition)
-	}
-	for _, s := range m.Shards {
-		if s.ID == left.ID || s.ID == right.ID {
-			return nil, fmt.Errorf("%w: split reuses shard ID %d", ErrBadTransition, s.ID)
-		}
-	}
-	child := &Map{
-		Table:       m.Table,
-		Epoch:       m.Epoch,
-		MapVersion:  m.MapVersion,
-		KeyVersion:  m.KeyVersion,
-		SignedAt:    m.SignedAt,
-		MapEpoch:    m.MapEpoch + 1,
-		ParentEpoch: m.MapEpoch,
-	}
-	child.Boundaries = append(child.Boundaries, m.Boundaries[:i]...)
-	child.Boundaries = append(child.Boundaries, b)
-	child.Boundaries = append(child.Boundaries, m.Boundaries[i:]...)
-	child.Shards = append(child.Shards, m.Shards[:i]...)
-	child.Shards = append(child.Shards, left, right)
-	child.Shards = append(child.Shards, m.Shards[i+1:]...)
-	if err := child.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadTransition, err)
-	}
-	return child, nil
-}
-
-// MergeAt derives the child map of merging shards i and i+1 of m into
-// merged: boundary i is removed and the pair is replaced by one shard.
-// merged must carry a fresh ID — the combined tree is rebuilt and
-// re-signed, so it is a new shard, not a continuation of either input.
-func (m *Map) MergeAt(i int, merged ShardState) (*Map, error) {
-	if i < 0 || i+1 >= len(m.Shards) {
-		return nil, fmt.Errorf("%w: merge shards %d,%d of %d", ErrBadTransition, i, i+1, len(m.Shards))
-	}
-	if merged.ID == 0 {
-		return nil, fmt.Errorf("%w: merge needs a fresh shard ID", ErrBadTransition)
-	}
-	for _, s := range m.Shards {
-		if s.ID == merged.ID {
-			return nil, fmt.Errorf("%w: merge reuses shard ID %d", ErrBadTransition, s.ID)
-		}
-	}
-	child := &Map{
-		Table:       m.Table,
-		Epoch:       m.Epoch,
-		MapVersion:  m.MapVersion,
-		KeyVersion:  m.KeyVersion,
-		SignedAt:    m.SignedAt,
-		MapEpoch:    m.MapEpoch + 1,
-		ParentEpoch: m.MapEpoch,
-	}
-	child.Boundaries = append(child.Boundaries, m.Boundaries[:i]...)
-	child.Boundaries = append(child.Boundaries, m.Boundaries[i+1:]...)
-	child.Shards = append(child.Shards, m.Shards[:i]...)
-	child.Shards = append(child.Shards, merged)
-	child.Shards = append(child.Shards, m.Shards[i+2:]...)
-	if err := child.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadTransition, err)
-	}
-	return child, nil
-}
-
 // ValidateTransition checks that child follows from parent by exactly
 // one legal split or merge. Both maps are untrusted input here: the
 // check is structural (table, incarnation epoch, generation link,
 // single-boundary delta, shard-ID carry-over) and deliberately ignores
 // shard versions and digests, which legitimately advance between the
-// two signings. It is the oracle for the transition fuzz target and the
-// client's cross-check when it observes adjacent generations in one
-// scatter-gather.
+// two signings. It is the oracle the central's transition tests and the
+// transition fuzz target check maps against.
 func ValidateTransition(parent, child *Map) error {
 	if err := parent.Validate(); err != nil {
 		return fmt.Errorf("%w: parent: %v", ErrBadTransition, err)

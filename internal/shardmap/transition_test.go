@@ -48,92 +48,68 @@ func TestValidateEpochRules(t *testing.T) {
 	}
 }
 
-func TestSplitAtAndValidateTransition(t *testing.T) {
-	parent := testMap() // boundaries 100,200,300; shards 1..4
-	child, err := parent.SplitAt(1, schema.Int64(150),
-		ShardState{RootDigest: []byte{5, 5, 5, 5}, ID: 5},
-		ShardState{RootDigest: []byte{6, 6, 6, 6}, ID: 6})
-	if err != nil {
-		t.Fatalf("SplitAt: %v", err)
-	}
-	if child.MapEpoch != 6 || child.ParentEpoch != 5 {
-		t.Fatalf("child generation: %d<-%d", child.MapEpoch, child.ParentEpoch)
-	}
-	if len(child.Shards) != 5 || len(child.Boundaries) != 4 {
-		t.Fatalf("child shape: %d shards, %d boundaries", len(child.Shards), len(child.Boundaries))
-	}
-	if child.Boundaries[1].I != 150 {
-		t.Fatalf("inserted boundary = %v", child.Boundaries[1])
-	}
-	wantIDs := []uint64{1, 5, 6, 3, 4}
-	for i, s := range child.Shards {
-		if s.ID != wantIDs[i] {
-			t.Fatalf("child shard IDs = %v at %d, want %v", s.ID, i, wantIDs)
-		}
-	}
-	if err := ValidateTransition(parent, child); err != nil {
-		t.Fatalf("ValidateTransition(split): %v", err)
-	}
-
-	// The merge that undoes the split (fresh ID for the merged shard).
-	merged, err := child.MergeAt(1, ShardState{RootDigest: []byte{7, 7, 7, 7}, ID: 7})
-	if err != nil {
-		t.Fatalf("MergeAt: %v", err)
-	}
-	if err := ValidateTransition(child, merged); err != nil {
-		t.Fatalf("ValidateTransition(merge): %v", err)
-	}
-	if len(merged.Shards) != 4 || merged.Shards[1].ID != 7 {
-		t.Fatalf("merged shape: %+v", merged.Shards)
-	}
-
-	// Unaffected shards may advance versions between signings.
-	advanced := child.Clone()
-	advanced.Shards[3].Version += 10
-	advanced.Shards[3].RootDigest = []byte{9, 9, 9, 9}
-	if err := ValidateTransition(parent, advanced); err != nil {
-		t.Fatalf("transition with advanced sibling rejected: %v", err)
+// splitChild is testMap's successor by a split of shard 1 (ID 2) at 150
+// into the fresh shards 5 and 6.
+func splitChild() *Map {
+	return &Map{
+		Table:       "items",
+		Epoch:       7,
+		MapVersion:  42,
+		KeyVersion:  3,
+		SignedAt:    1_700_000_000,
+		MapEpoch:    6,
+		ParentEpoch: 5,
+		Boundaries:  []schema.Datum{schema.Int64(100), schema.Int64(150), schema.Int64(200), schema.Int64(300)},
+		Shards: []ShardState{
+			{RootDigest: []byte{1, 1, 1, 1}, Version: 9, ID: 1},
+			{RootDigest: []byte{5, 5, 5, 5}, ID: 5},
+			{RootDigest: []byte{6, 6, 6, 6}, ID: 6},
+			{RootDigest: []byte{3, 3, 3, 3}, Version: 0, ID: 3},
+			{RootDigest: []byte{4, 4, 4, 4}, Version: 12, ID: 4},
+		},
 	}
 }
 
-func TestSplitAtRejects(t *testing.T) {
-	parent := testMap()
-	fresh := func(id uint64) ShardState { return ShardState{RootDigest: []byte{8, 8, 8, 8}, ID: id} }
-	if _, err := parent.SplitAt(9, schema.Int64(150), fresh(5), fresh(6)); err == nil {
-		t.Error("out-of-range shard accepted")
+// mergeChild is splitChild's successor by a merge of its shards 1 and 2
+// (IDs 5 and 6) into the fresh shard 7.
+func mergeChild() *Map {
+	return &Map{
+		Table:       "items",
+		Epoch:       7,
+		MapVersion:  42,
+		KeyVersion:  3,
+		SignedAt:    1_700_000_000,
+		MapEpoch:    7,
+		ParentEpoch: 6,
+		Boundaries:  []schema.Datum{schema.Int64(100), schema.Int64(200), schema.Int64(300)},
+		Shards: []ShardState{
+			{RootDigest: []byte{1, 1, 1, 1}, Version: 9, ID: 1},
+			{RootDigest: []byte{7, 7, 7, 7}, ID: 7},
+			{RootDigest: []byte{3, 3, 3, 3}, Version: 0, ID: 3},
+			{RootDigest: []byte{4, 4, 4, 4}, Version: 12, ID: 4},
+		},
 	}
-	// Boundary on or outside the shard interval.
-	if _, err := parent.SplitAt(1, schema.Int64(100), fresh(5), fresh(6)); err == nil {
-		t.Error("boundary at shard lo accepted")
+}
+
+func TestValidateTransitionAccepts(t *testing.T) {
+	if err := ValidateTransition(testMap(), splitChild()); err != nil {
+		t.Fatalf("ValidateTransition(split): %v", err)
 	}
-	if _, err := parent.SplitAt(1, schema.Int64(200), fresh(5), fresh(6)); err == nil {
-		t.Error("boundary at shard hi accepted")
+	if err := ValidateTransition(splitChild(), mergeChild()); err != nil {
+		t.Fatalf("ValidateTransition(merge): %v", err)
 	}
-	if _, err := parent.SplitAt(1, schema.Int64(150), fresh(3), fresh(6)); err == nil {
-		t.Error("reused shard ID accepted")
-	}
-	if _, err := parent.SplitAt(1, schema.Int64(150), fresh(5), fresh(5)); err == nil {
-		t.Error("duplicate fresh IDs accepted")
-	}
-	if _, err := parent.MergeAt(3, fresh(5)); err == nil {
-		t.Error("merge past last pair accepted")
-	}
-	if _, err := parent.MergeAt(0, fresh(4)); err == nil {
-		t.Error("merge reusing live ID accepted")
+
+	// Unaffected shards may advance versions between signings.
+	advanced := splitChild()
+	advanced.Shards[3].Version += 10
+	advanced.Shards[3].RootDigest = []byte{9, 9, 9, 9}
+	if err := ValidateTransition(testMap(), advanced); err != nil {
+		t.Fatalf("transition with advanced sibling rejected: %v", err)
 	}
 }
 
 func TestValidateTransitionRejects(t *testing.T) {
 	parent := testMap()
-	mk := func() *Map {
-		c, err := parent.SplitAt(1, schema.Int64(150),
-			ShardState{RootDigest: []byte{5, 5, 5, 5}, ID: 5},
-			ShardState{RootDigest: []byte{6, 6, 6, 6}, ID: 6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
 	cases := []struct {
 		name   string
 		mutate func(*Map)
@@ -144,12 +120,26 @@ func TestValidateTransitionRejects(t *testing.T) {
 		{"broken parent link", func(c *Map) { c.ParentEpoch-- }},
 		{"dropped carry-over", func(c *Map) { c.Shards[3].ID = 8 }},
 		{"moved boundary", func(c *Map) { c.Boundaries[3] = schema.Int64(310) }},
+		{"cut on the shard's lower bound", func(c *Map) { c.Boundaries[1] = schema.Int64(100) }},
+		{"cut on the shard's upper bound", func(c *Map) { c.Boundaries[1] = schema.Int64(200) }},
+		{"child reuses the retired ID", func(c *Map) { c.Shards[1].ID = 2 }},
+		{"child reuses a live ID", func(c *Map) { c.Shards[1].ID = 3 }},
+		{"children share an ID", func(c *Map) { c.Shards[2].ID = 5 }},
 	}
 	for _, tc := range cases {
-		c := mk()
+		c := splitChild()
 		tc.mutate(c)
 		if err := ValidateTransition(parent, c); !errors.Is(err, ErrBadTransition) {
 			t.Errorf("%s: got %v, want ErrBadTransition", tc.name, err)
+		}
+	}
+	// A merged shard must be a new identity, not a continuation of either
+	// input.
+	for _, id := range []uint64{5, 6, 3} {
+		m := mergeChild()
+		m.Shards[1].ID = id
+		if err := ValidateTransition(splitChild(), m); !errors.Is(err, ErrBadTransition) {
+			t.Errorf("merged shard reusing ID %d: got %v, want ErrBadTransition", id, err)
 		}
 	}
 	// Same shard count is never a transition.
