@@ -20,13 +20,12 @@
 // ignored for ed25519.
 //
 // -maxbatch and -maxdelay tune the group-commit front door: concurrent
-// single-insert requests for a table are coalesced and committed as one
-// batch (one WAL fsync, one version bump, one VB-tree re-sign pass), up
-// to maxbatch per round, with the round's leader waiting up to maxdelay
-// for stragglers. Explicit batch requests (client.InsertBatch, multi-row
-// INSERT ... VALUES (...),(...) in vbquery) commit as one batch
-// regardless of these knobs, at their arrival position in the same
-// queue. Negative values of -maxbatch and -deltaretention are refused.
+// insert requests for a table — one tuple or many each — are coalesced
+// and committed as one batch (one WAL fsync, one version bump, one
+// VB-tree re-sign pass), up to maxbatch tuples per round, with the
+// round's leader waiting up to maxdelay for stragglers. A request larger
+// than maxbatch commits in a round of its own. Negative values of
+// -maxbatch and -deltaretention are refused.
 //
 // -shards range-partitions every table into that many independently
 // signed VB-tree shards bound by a central-signed shard map; insert
@@ -74,10 +73,10 @@ func main() {
 		join    = flag.Bool("join", false, "also materialize the users/orders join view")
 		deltas  = flag.Int("deltaretention", 0, "updates retained per table for edge delta refresh (0 = default; negative values are refused)")
 		idle    = flag.Duration("idletimeout", 0, "drop connections idle past this (0 = default, <0 = never)")
-		// Group-commit front door: concurrent single-insert requests for a
-		// table are coalesced and committed together — one WAL fsync, one
+		// Group-commit front door: concurrent insert requests for a table
+		// are coalesced and committed together — one WAL fsync, one
 		// version bump, one tree re-sign pass per round.
-		maxBatch = flag.Int("maxbatch", 0, "max inserts group-committed per round (0 = default 128; negative values are refused)")
+		maxBatch = flag.Int("maxbatch", 0, "max tuples group-committed per round (0 = default 128; negative values are refused)")
 		maxDelay = flag.Duration("maxdelay", 0, "how long a group-commit leader waits for stragglers before committing (0 = commit immediately with whatever queued)")
 		// Range partitioning: independently-signed VB-tree shards bound
 		// by a central-signed shard map.

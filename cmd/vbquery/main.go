@@ -93,15 +93,8 @@ func runStatement(ctx context.Context, cl *client.Client, sql string) error {
 			}
 			tuples[i] = tup
 		}
-		if len(tuples) == 1 {
-			if err := cl.Insert(ctx, s.Table, tuples[0]); err != nil {
-				return err
-			}
-			fmt.Println("INSERT ok (applied at central server; edges see it after refresh)")
-			return nil
-		}
-		// Multi-row VALUES lists ride the batched write path: one frame,
-		// one group commit, per-row results.
+		// A VALUES list of any length is one frame, one group commit,
+		// per-row results.
 		opErrs, err := cl.InsertBatch(ctx, s.Table, tuples)
 		if err != nil {
 			return err

@@ -13,35 +13,35 @@ import (
 	"edgeauth/internal/wire"
 )
 
-// Group-committed writes: the batched front half of the central write
-// path.
+// Group-committed writes: the front half of the central write path.
 //
-// The per-tuple Insert pays one WAL fsync, one changelog entry, one
-// published snapshot and one root-to-leaf re-sign chain per tuple.
-// ApplyBatch pays each of those once per shard per batch: the batch is
+// Every insert is a batch — a client's single insert is a batch of one —
+// and ApplyBatch commits one once per shard: the batch is
 // range-partitioned, each shard group commits as one unit (one RecBatch
 // WAL record + fsync, one shard version bump, one snapshot publish, one
-// RSA re-sign per dirtied node via vbtree.InsertBatch) — and the shard
-// groups commit in parallel, because every shard has its own tree, lock
-// and signed root. The RSA-bound repair phase, which PR 4 left
-// serialized on a single root, now scales with cores.
+// vbtree.InsertBatch, which re-signs each dirtied node once and for a
+// batch of one is the paper's incremental insert) — and the shard groups
+// commit in parallel, because every shard has its own tree, lock and
+// signed root.
 //
-// Every mutation that arrives over the wire — single insert, batch,
-// delete, reshard — enters through one ordered per-table queue, the
-// group-commit front door, and commits in arrival order. Concurrent
-// single-insert dispatches are coalesced by a leader/follower protocol,
-// which makes the win transparent to unmodified clients: the first
-// arrival becomes the leader, optionally waits MaxDelay for stragglers,
-// then commits everything queued (up to MaxBatch inserts per round) and
-// distributes the per-op results; arrivals during a commit queue up for
-// the next round. A batch, a delete and a reshard are barriers: the
-// leader first commits the inserts that arrived before one, then runs it
-// alone at its queue position — so a delete can never commit ahead of an
-// earlier insert on the same table, coalesced or batched. With MaxDelay
-// zero a lone op becomes leader at once and commits immediately —
-// coalescing only kicks in under concurrency, so the idle latency cost
-// is nil. (Server.Insert, DeleteRange and ApplyBatch called directly are
-// the in-process form: they commit on the caller's goroutine.)
+// Every mutation that arrives over the wire — insert, delete, reshard —
+// enters through one ordered per-table queue, the group-commit front
+// door, and commits in arrival order. Concurrent insert requests of any
+// size are coalesced by a leader/follower protocol, which makes the win
+// transparent to unmodified clients: the first arrival becomes the
+// leader, optionally waits MaxDelay for stragglers, then commits the run
+// of inserts queued (up to MaxBatch tuples per round; a larger request
+// commits alone) and hands each request its own per-op results;
+// arrivals during a commit queue up for the next round. A delete and a
+// reshard are barriers: the leader first commits the inserts that
+// arrived before one, then runs it alone at its queue position — so a
+// delete can never commit ahead of an earlier insert on the same table.
+// A request that cannot join a round (a tuple without a key column) is
+// refused before it is queued, so it fails alone. With MaxDelay zero a
+// lone op becomes leader at once and commits immediately — coalescing
+// only kicks in under concurrency, so the idle latency cost is nil.
+// (Server.Insert, DeleteRange and ApplyBatch called directly are the
+// in-process form: they commit on the caller's goroutine.)
 //
 // The back half — what a commit costs to reach the edges — is appendDelta
 // (central.go): each shard's changelog window becomes one signed body,
@@ -74,11 +74,8 @@ func (s *Server) ApplyBatch(tableName string, tuples []schema.Tuple) ([]error, e
 	if len(tuples) == 0 {
 		return nil, nil
 	}
-	for i, tup := range tuples {
-		if len(tup.Values) <= t.sch.Key {
-			return nil, &wire.WireError{Code: wire.CodeBadRequest, Table: tableName,
-				Msg: "central: batch tuple " + strconv.Itoa(i) + " has no key column"}
-		}
+	if err := t.checkKeys(tuples); err != nil {
+		return nil, err
 	}
 
 	// The partition read lock spans routing through republish: an online
@@ -156,9 +153,8 @@ func (s *Server) applyShardBatch(t *table, sh *shard, tuples []schema.Tuple) (in
 	var lsn uint64
 	var err error
 	if sh.log != nil {
-		// One record, one fsync, for the whole sub-batch. Replay flattens
-		// the record back into per-tuple inserts; tuples that fail per-op
-		// here fail identically (and as harmlessly) on replay.
+		// One record, one fsync, for the whole sub-batch. Tuples that fail
+		// per-op here fail identically (and as harmlessly) on replay.
 		if lsn, err = sh.log.Append(wal.RecBatch, wal.EncodeBatchPayload(tuples)); err != nil {
 			return 0, nil, err
 		}
@@ -200,13 +196,12 @@ func (s *Server) applyShardBatch(t *table, sh *shard, tuples []schema.Tuple) (in
 	return stats.Applied, opErrs, s.commitShard(t, sh, lsn)
 }
 
-// pendingOp is one queued dispatch (insert, batch, delete or reshard)
-// awaiting its commit's outcome.
+// pendingOp is one queued dispatch (insert, delete or reshard) awaiting
+// its commit's outcome.
 type pendingOp struct {
-	// insert payload (when no barrier payload is set)
-	tup schema.Tuple
-	// batch payload (non-empty): committed as one ApplyBatch of its own.
-	batch []schema.Tuple
+	// insert payload: the request's tuples, committed in one round with
+	// the inserts queued beside it.
+	tuples []schema.Tuple
 	// delete payload
 	delete bool
 	lo, hi *schema.Datum
@@ -232,12 +227,12 @@ type reshardCmd struct {
 
 // barrier reports whether the op must commit alone at its queue
 // position instead of coalescing into an insert round.
-func (op *pendingOp) barrier() bool { return op.delete || op.reshard != nil || op.batch != nil }
+func (op *pendingOp) barrier() bool { return op.delete || op.reshard != nil }
 
 // opResult carries an op's outcome back to its waiting dispatcher.
 type opResult struct {
 	n       int     // deleted-row count for deletes
-	opErrs  []error // per-op errors for batches
+	opErrs  []error // per-tuple errors for inserts
 	reshard *wire.ReshardResponse
 	err     error
 }
@@ -246,25 +241,16 @@ type opResult struct {
 // arrival order: runs of inserts coalesce into ApplyBatch rounds,
 // barrier ops execute alone at their queue position.
 type groupCommitter struct {
-	mu      sync.Mutex
-	queue   []*pendingOp
+	mu    sync.Mutex
+	queue []*pendingOp
+	// queued counts the tuples the queue's insert ops carry.
+	queued  int
 	leading bool
 	// full is signalled (capacity 1, never blocking) when a waiting
-	// leader's round has filled to MaxBatch (or a barrier op arrived,
+	// leader's round has filled to MaxBatch tuples (or a barrier op arrived,
 	// which the leader should not sit on), so it commits immediately
 	// instead of sleeping out its MaxDelay.
 	full chan struct{}
-}
-
-// enqueueInsert routes one single-insert dispatch through the group
-// committer. The calling goroutine either becomes the leader (committing
-// every queued op, its own included) or waits for a leader's result.
-func (s *Server) enqueueInsert(ctx context.Context, tableName string, tup schema.Tuple) error {
-	res, err := s.enqueueOp(ctx, tableName, &pendingOp{tup: tup, done: make(chan opResult, 1)})
-	if err != nil {
-		return err
-	}
-	return res.err
 }
 
 // enqueueDelete routes a range delete through the same ordered queue, so
@@ -277,19 +263,41 @@ func (s *Server) enqueueDelete(ctx context.Context, tableName string, lo, hi *sc
 	return res.n, res.err
 }
 
-// enqueueBatch routes a client-assembled batch through the same ordered
-// queue: it commits as one ApplyBatch at its arrival position, after
-// every op that arrived before it and ahead of every op that arrives
-// later.
+// enqueueBatch routes an insert request — one tuple or many — through the
+// ordered queue: it commits after every op that arrived before it, in one
+// round with the inserts queued beside it, and returns its own per-tuple
+// errors. The calling goroutine either becomes the leader (committing
+// every queued op, its own included) or waits for a leader's result. A
+// request holding a tuple without a key column is refused here, before it
+// could fail a round it shares.
 func (s *Server) enqueueBatch(ctx context.Context, tableName string, tuples []schema.Tuple) ([]error, error) {
-	if len(tuples) == 0 {
-		return s.ApplyBatch(tableName, tuples)
+	t, err := s.table(tableName)
+	if err != nil {
+		return nil, err
 	}
-	res, err := s.enqueueOp(ctx, tableName, &pendingOp{batch: tuples, done: make(chan opResult, 1)})
+	if len(tuples) == 0 {
+		return nil, nil
+	}
+	if err := t.checkKeys(tuples); err != nil {
+		return nil, err
+	}
+	res, err := s.enqueueOp(ctx, tableName, &pendingOp{tuples: tuples, done: make(chan opResult, 1)})
 	if err != nil {
 		return nil, err
 	}
 	return res.opErrs, res.err
+}
+
+// checkKeys refuses tuples that are too short to hold the table's key
+// column — they cannot be routed to a shard.
+func (t *table) checkKeys(tuples []schema.Tuple) error {
+	for i, tup := range tuples {
+		if len(tup.Values) <= t.sch.Key {
+			return &wire.WireError{Code: wire.CodeBadRequest, Table: t.sch.Table,
+				Msg: "central: batch tuple " + strconv.Itoa(i) + " has no key column"}
+		}
+	}
+	return nil
 }
 
 func (s *Server) enqueueOp(ctx context.Context, tableName string, op *pendingOp) (opResult, error) {
@@ -303,8 +311,9 @@ func (s *Server) enqueueOp(ctx context.Context, tableName string, op *pendingOp)
 		gc.full = make(chan struct{}, 1)
 	}
 	gc.queue = append(gc.queue, op)
+	gc.queued += len(op.tuples)
 	if gc.leading {
-		if len(gc.queue) >= s.maxBatch() || op.barrier() {
+		if gc.queued >= s.maxBatch() || op.barrier() {
 			// Fill the round (or stop a waiting leader sitting on a
 			// barrier op longer than it must).
 			select {
@@ -343,7 +352,7 @@ func (s *Server) awaitStragglers(gc *groupCommitter) {
 	default:
 	}
 	gc.mu.Lock()
-	full := len(gc.queue) >= s.maxBatch()
+	full := gc.queued >= s.maxBatch()
 	gc.mu.Unlock()
 	if full {
 		return
@@ -357,9 +366,9 @@ func (s *Server) awaitStragglers(gc *groupCommitter) {
 }
 
 // leadCommits drains the queue in arrival order until it is empty, then
-// steps down. Each round is either a run of consecutive inserts (at most
-// MaxBatch, committed via ApplyBatch) or a single barrier op. Arrivals
-// during a round queue for the next one.
+// steps down. Each round is either a run of consecutive insert ops (at
+// most MaxBatch tuples, or one larger op alone, committed via ApplyBatch)
+// or a single barrier op. Arrivals during a round queue for the next one.
 func (s *Server) leadCommits(tableName string, gc *groupCommitter) {
 	limit := s.maxBatch()
 	for {
@@ -374,43 +383,47 @@ func (s *Server) leadCommits(tableName string, gc *groupCommitter) {
 			op := gc.queue[0]
 			gc.queue = append(gc.queue[:0:0], gc.queue[1:]...)
 			gc.mu.Unlock()
-			switch {
-			case op.reshard != nil:
+			if op.reshard != nil {
 				// The transition was prepared and caught up before it was
 				// queued; the barrier position only orders its swap against
 				// the writes around it.
 				resp, err := s.finishReshard(op.reshard.tr)
 				op.done <- opResult{reshard: resp, err: err}
-			case op.delete:
+			} else {
 				n, err := s.DeleteRange(tableName, op.lo, op.hi)
 				op.done <- opResult{n: n, err: err}
-			default:
-				opErrs, err := s.ApplyBatch(tableName, op.batch)
-				op.done <- opResult{opErrs: opErrs, err: err}
 			}
 			continue
 		}
-		// Take the longest prefix of inserts, bounded by the round limit.
-		n := 0
-		for n < len(gc.queue) && n < limit && !gc.queue[n].barrier() {
-			n++
+		// Take the longest run of insert ops that fits the round.
+		n, size := 0, 0
+		for n < len(gc.queue) && !gc.queue[n].barrier() {
+			k := len(gc.queue[n].tuples)
+			if n > 0 && size+k > limit {
+				break
+			}
+			n, size = n+1, size+k
 		}
 		batch := make([]*pendingOp, n)
 		copy(batch, gc.queue[:n])
 		gc.queue = append(gc.queue[:0:0], gc.queue[n:]...)
+		gc.queued -= size
 		gc.mu.Unlock()
 
-		tuples := make([]schema.Tuple, n)
-		for i, op := range batch {
-			tuples[i] = op.tup
+		tuples := make([]schema.Tuple, 0, size)
+		for _, op := range batch {
+			tuples = append(tuples, op.tuples...)
 		}
 		opErrs, err := s.ApplyBatch(tableName, tuples)
-		for i, op := range batch {
-			e := err
-			if e == nil && opErrs != nil {
-				e = opErrs[i]
+		// Split the per-tuple errors back by each op's offset in the round.
+		off := 0
+		for _, op := range batch {
+			res := opResult{err: err}
+			if opErrs != nil {
+				res.opErrs = opErrs[off : off+len(op.tuples)]
 			}
-			op.done <- opResult{err: e}
+			off += len(op.tuples)
+			op.done <- res
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"edgeauth/internal/sig"
 	"edgeauth/internal/vbtree"
 	"edgeauth/internal/wal"
+	"edgeauth/internal/wire"
 	"edgeauth/internal/workload"
 )
 
@@ -65,7 +66,7 @@ func batchServerRow(t testing.TB, id int64) schema.Tuple {
 // TestApplyBatchCommitsOnce pins the group-commit invariants: one version
 // bump, one changelog entry, one WAL record and — under a root-signing
 // scheme — two signatures (the shard's root and the map) per batch, with
-// the WAL record still replaying as the full per-tuple logical history.
+// the WAL record replaying as the one batch it was written as.
 func TestApplyBatchCommitsOnce(t *testing.T) {
 	srv := newReshardServer(t, 200, 1, Options{WALDir: t.TempDir()})
 	base, err := srv.Version("items")
@@ -116,21 +117,13 @@ func TestApplyBatchCommitsOnce(t *testing.T) {
 		t.Fatal("batch committed but delta carries no pages")
 	}
 
-	// The WAL holds the batch as one record that replays per-tuple.
+	// The WAL holds the batch as one record, and replays it as one.
 	ops, err := srv.LoggedOps("items")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ops) != len(rows) {
-		t.Fatalf("replayed %d logical ops, want %d", len(ops), len(rows))
-	}
-	for i, op := range ops {
-		if op.Kind != wal.RecInsert {
-			t.Fatalf("op %d kind = %v, want insert", i, op.Kind)
-		}
-		if op.LSN != ops[0].LSN {
-			t.Fatalf("batch ops span LSNs %d and %d, want one record", ops[0].LSN, op.LSN)
-		}
+	if len(ops) != 1 || ops[0].Kind != wal.RecBatch || len(ops[0].Tuples) != len(rows) {
+		t.Fatalf("replayed %+v, want one batch of %d tuples", ops, len(rows))
 	}
 
 	// The table holds the new rows.
@@ -178,6 +171,16 @@ func TestApplyBatchPerOpErrors(t *testing.T) {
 	}
 }
 
+// insertOne sends one tuple through the front door, as a client's insert
+// arrives: a batch of one.
+func insertOne(srv *Server, tup schema.Tuple) error {
+	opErrs, err := srv.enqueueBatch(context.Background(), "items", []schema.Tuple{tup})
+	if err != nil {
+		return err
+	}
+	return opErrs[0]
+}
+
 // TestGroupCommitCoalesces drives concurrent single inserts through the
 // coalescing front door and checks they commit in far fewer rounds than
 // one per tuple, with every caller still seeing its own result.
@@ -192,7 +195,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = srv.enqueueInsert(context.Background(), "items", batchServerRow(t, 30_000+int64(i)))
+			errs[i] = insertOne(srv, batchServerRow(t, 30_000+int64(i)))
 		}(i)
 	}
 	wg.Wait()
@@ -209,7 +212,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	t.Logf("%d concurrent inserts coalesced into %d group commits", inserts, rounds)
 
 	// A duplicate routed through the front door still reports per-op.
-	if err := srv.enqueueInsert(context.Background(), "items", batchServerRow(t, 30_000)); !errors.Is(err, vbtree.ErrDuplicateKey) {
+	if err := insertOne(srv, batchServerRow(t, 30_000)); !errors.Is(err, vbtree.ErrDuplicateKey) {
 		t.Fatalf("coalesced duplicate: %v, want ErrDuplicateKey", err)
 	}
 
@@ -233,7 +236,7 @@ func TestGroupCommitFullRoundCommitsEarly(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = srv.enqueueInsert(context.Background(), "items", batchServerRow(t, 50_000+int64(i)))
+			errs[i] = insertOne(srv, batchServerRow(t, 50_000+int64(i)))
 		}(i)
 	}
 	wg.Wait()
@@ -381,6 +384,120 @@ func TestSingleInsertSignOps(t *testing.T) {
 			}
 			if got := srv.Stats().SignOps - before; got != tc.want[i] {
 				t.Errorf("%v: insert of id %d paid %d signatures, want %d", tc.scheme, id, got, tc.want[i])
+			}
+		}
+	}
+}
+
+// TestKeylessInsertFailsAlone: a request holding a tuple with no key
+// column arrives among concurrent good inserts while the leader waits
+// out MaxDelay. It is refused with CodeBadRequest before it is queued;
+// the good inserts still fill one round and commit together.
+func TestKeylessInsertFailsAlone(t *testing.T) {
+	const good = 8
+	srv := newBatchServer(t, 50, Options{PageSize: 1024, MaxBatch: good, MaxDelay: 2 * time.Second})
+	base, _ := srv.Version("items")
+	var wg sync.WaitGroup
+	errs := make([]error, good)
+	var badErr error
+	wg.Add(good + 1)
+	go func() {
+		defer wg.Done()
+		_, badErr = srv.enqueueBatch(context.Background(), "items", []schema.Tuple{{}})
+	}()
+	for i := 0; i < good; i++ {
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = insertOne(srv, batchServerRow(t, 60_000+int64(i)))
+		}(i)
+	}
+	wg.Wait()
+	var we *wire.WireError
+	if !errors.As(badErr, &we) || we.Code != wire.CodeBadRequest {
+		t.Fatalf("key-less insert: %v, want CodeBadRequest", badErr)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("good insert %d failed beside a key-less one: %v", i, err)
+		}
+	}
+	if v, _ := srv.Version("items"); v != base+1 {
+		t.Fatalf("%d good inserts committed in %d rounds, want 1", good, v-base)
+	}
+}
+
+// TestInsertRequestsCoalesceBySize: insert requests of any size share a
+// round up to MaxBatch tuples, a request larger than that commits in a
+// round of its own, and each request gets back exactly its own per-tuple
+// errors.
+func TestInsertRequestsCoalesceBySize(t *testing.T) {
+	srv := newBatchServer(t, 40, Options{PageSize: 1024, MaxBatch: 8})
+	tb, err := srv.table("items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gc := &tb.gc
+	// Hold the leadership so the requests queue in a known order.
+	gc.mu.Lock()
+	gc.leading = true
+	gc.mu.Unlock()
+
+	rows := func(ids ...int64) []schema.Tuple {
+		out := make([]schema.Tuple, len(ids))
+		for i, id := range ids {
+			out[i] = batchServerRow(t, id)
+		}
+		return out
+	}
+	big := make([]int64, 20)
+	for i := range big {
+		big[i] = 71_000 + int64(i)
+	}
+	requests := [][]schema.Tuple{
+		rows(70_000, 5, 70_001), // 5 is already in the table
+		rows(70_002),
+		rows(big...),         // more than MaxBatch: a round of its own
+		rows(70_001, 70_003), // 70_001 duplicates the first request's third
+	}
+	results := make([][]error, len(requests))
+	var wg sync.WaitGroup
+	for i, req := range requests {
+		wg.Add(1)
+		go func(i int, req []schema.Tuple) {
+			defer wg.Done()
+			var err error
+			if results[i], err = srv.enqueueBatch(context.Background(), "items", req); err != nil {
+				t.Errorf("request %d: %v", i, err)
+			}
+		}(i, req)
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			gc.mu.Lock()
+			n := len(gc.queue)
+			gc.mu.Unlock()
+			if n > i {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("request %d never queued", i)
+			}
+		}
+	}
+	base, _ := srv.Version("items")
+	srv.leadCommits("items", gc)
+	wg.Wait()
+
+	// Rounds: requests 0+1 (4 tuples), request 2 alone, request 3.
+	if v, _ := srv.Version("items"); v != base+3 {
+		t.Fatalf("committed in %d rounds, want 3", v-base)
+	}
+	for i, req := range requests {
+		if len(results[i]) != len(req) {
+			t.Fatalf("request %d got %d results for %d tuples", i, len(results[i]), len(req))
+		}
+		for j, e := range results[i] {
+			dup := (i == 0 && j == 1) || (i == 3 && j == 0)
+			if dup != errors.Is(e, vbtree.ErrDuplicateKey) {
+				t.Errorf("request %d tuple %d: error %v, duplicate expected %v", i, j, e, dup)
 			}
 		}
 	}

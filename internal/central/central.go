@@ -82,9 +82,10 @@ type Options struct {
 	// negative disables the deadline.
 	IdleTimeout time.Duration
 	// MaxBatch bounds one group-committed round of the coalescing write
-	// front door: concurrent single-insert dispatches for a table are
-	// committed together, up to MaxBatch per round. 0 selects
-	// DefaultMaxBatch; a negative value is refused.
+	// front door, in tuples: concurrent insert requests for a table are
+	// committed together, up to MaxBatch tuples per round (a larger
+	// request commits in a round of its own). 0 selects DefaultMaxBatch;
+	// a negative value is refused.
 	MaxBatch int
 	// MaxDelay is how long a group-commit leader waits for stragglers
 	// before committing its round. 0 (the default) commits immediately
@@ -1262,28 +1263,14 @@ func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body, out []byte
 		}
 		return wire.MsgSchemaResp, resp.Encode(), nil
 
-	case wire.MsgInsertReq:
-		req, err := wire.DecodeInsertRequest(body)
-		if err != nil {
-			return 0, nil, err
-		}
-		// Concurrent single inserts coalesce into group commits behind
-		// this call; lone inserts commit by themselves.
-		if err := s.enqueueInsert(ctx, req.Table, req.Tuple); err != nil {
-			if errors.Is(err, vbtree.ErrDuplicateKey) {
-				return 0, nil, wire.DuplicateKey(req.Table, err.Error())
-			}
-			return 0, nil, err
-		}
-		return wire.MsgInsertResp, nil, nil
-
 	case wire.MsgBatchReq:
 		req, err := wire.DecodeBatchRequest(body)
 		if err != nil {
 			return 0, nil, err
 		}
-		// A batch takes its place in the same ordered queue as single
-		// inserts and deletes (see batch.go).
+		// Every insert is a batch. It takes its place in the ordered queue
+		// beside deletes and reshards, and concurrent ones coalesce into
+		// one group commit (see batch.go).
 		opErrs, err := s.enqueueBatch(ctx, req.Table, req.Tuples)
 		if err != nil {
 			return 0, nil, err

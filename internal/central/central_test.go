@@ -150,8 +150,7 @@ func TestWALRecordsUpdates(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// A single insert is a batch of one: the raw record is RecBatch
-	// (wal.ReplayOps flattens it back to a per-tuple RecInsert op).
+	// A single insert is a batch of one: the record is a RecBatch.
 	if len(types) != 2 || types[0] != wal.RecBatch || types[1] != wal.RecDelete {
 		t.Fatalf("WAL records = %v", types)
 	}

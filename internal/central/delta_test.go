@@ -200,7 +200,7 @@ func TestLoggedOpsMatchChangelog(t *testing.T) {
 	if len(ops) != 2 {
 		t.Fatalf("logged %d ops, want 2", len(ops))
 	}
-	if ops[0].Kind != wal.RecInsert || ops[0].Tuple.Values[0].I != 40_000 {
+	if ops[0].Kind != wal.RecBatch || len(ops[0].Tuples) != 1 || ops[0].Tuples[0].Values[0].I != 40_000 {
 		t.Fatalf("op0 = %+v", ops[0])
 	}
 	if ops[1].Kind != wal.RecDelete || ops[1].Lo.I != 5 || ops[1].Hi.I != 5 {

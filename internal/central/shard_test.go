@@ -208,7 +208,7 @@ func TestDeleteOrdersAfterCoalescedInserts(t *testing.T) {
 
 	insertErr := make(chan error, 1)
 	go func() {
-		insertErr <- srv.enqueueInsert(context.Background(), "items", batchServerRow(t, 70_000))
+		insertErr <- insertOne(srv, batchServerRow(t, 70_000))
 	}()
 	// Let the insert take leadership and start waiting for stragglers.
 	time.Sleep(50 * time.Millisecond)
@@ -250,7 +250,7 @@ func TestConcurrentMixedOpsOrdered(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			key := int64(80_000 + w)
-			if err := srv.enqueueInsert(context.Background(), "items", batchServerRow(t, key)); err != nil {
+			if err := insertOne(srv, batchServerRow(t, key)); err != nil {
 				t.Errorf("insert %d: %v", w, err)
 				return
 			}

@@ -256,18 +256,22 @@ func (c *Client) Query(ctx context.Context, table string, preds []query.Predicat
 // cannot or will not produce a consistent gather (tampering verdict).
 const maxShardDriftRetries = 6
 
-// Insert sends a tuple insert to the central server. Inserts are not
-// idempotent, so a connection failure after the request may have been
-// sent is reported instead of retried.
+// Insert sends a tuple insert to the central server: a batch of one,
+// returning that tuple's error. Inserts are not idempotent, so a
+// connection failure after the request may have been sent is reported
+// instead of retried.
 func (c *Client) Insert(ctx context.Context, table string, tup schema.Tuple) error {
-	req := &wire.InsertRequest{Table: table, Tuple: tup}
-	_, err := c.central.Call(ctx, wire.MsgInsertReq, req.Encode(), wire.MsgInsertResp, false)
-	return err
+	opErrs, err := c.InsertBatch(ctx, table, []schema.Tuple{tup})
+	if err != nil {
+		return err
+	}
+	return opErrs[0]
 }
 
 // InsertBatch ships tuples to the central server in one frame, where they
-// commit as a single group (one WAL fsync, one version bump, one tree
-// re-sign pass). The returned slice is index-aligned with tuples: a nil
+// commit in one group (one WAL fsync, one version bump, one tree re-sign
+// pass), together with any other client's inserts that arrive at the same
+// time. The returned slice is index-aligned with tuples: a nil
 // entry means inserted, a non-nil entry carries that tuple's typed
 // failure (errors.Is-matchable, e.g. wire.ErrDuplicateKey) without
 // affecting its neighbours. The error return is transport- or

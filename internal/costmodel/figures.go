@@ -307,7 +307,7 @@ func UpdateDeleteCost(base Params) Figure {
 // The figure plots, per batch of B inserts versus shard count: the total
 // signing work (grows mildly, +n·H_VB(N_R/n) root paths) and the signing
 // critical path with ≥n cores (drops roughly as 1/n) — the analytic
-// counterpart of BenchmarkShardedIngest. Signing cost is taken as
+// counterpart of the central's sharded ApplyBatch. Signing cost is taken as
 // 10000·Cost_h per re-signed node, batch size B = 256.
 func ShardedUpdateCost(base Params) Figure {
 	const (

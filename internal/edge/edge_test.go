@@ -241,8 +241,8 @@ func TestServeProtocolDispatch(t *testing.T) {
 	// A message the edge does not serve — a central-only request, and a
 	// type this build does not define — gets a typed error frame, and the
 	// connection stays usable.
-	for _, mt := range []wire.MsgType{wire.MsgInsertReq, wire.MsgType(200)} {
-		if _, err := conn.Call(ctx, mt, []byte("items"), wire.MsgInsertResp, true); !errors.Is(err, wire.ErrUnsupported) {
+	for _, mt := range []wire.MsgType{wire.MsgBatchReq, wire.MsgType(200)} {
+		if _, err := conn.Call(ctx, mt, []byte("items"), wire.MsgBatchResp, true); !errors.Is(err, wire.ErrUnsupported) {
 			t.Fatalf("%v: %v, want wire.ErrUnsupported", mt, err)
 		}
 	}

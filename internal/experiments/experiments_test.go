@@ -251,3 +251,39 @@ func TestMeasureUpdates(t *testing.T) {
 		t.Errorf("delete combines shrank with range size: %+v", deletes)
 	}
 }
+
+// TestMeasureUpdatesMatchesParentCommit pins Figure 12's rows — hashes,
+// combines and recoveries of the insert (formula (11)), the deletes
+// (formula (12)) and the Audit baseline — to what the commit that still
+// carried a separate per-tuple insert path measured on the same trees.
+// The insert row is N_C hashes and N_C + 3H combines for a tree of
+// height H (vbtree.TestInsertCostIsFormula11 derives the count); the
+// Merkle tree is a level lower at each size because its entries are
+// 16-byte digests, not 64-byte signatures.
+func TestMeasureUpdatesMatchesParentCommit(t *testing.T) {
+	for _, tc := range []struct {
+		scheme sig.Scheme
+		rows   int
+		want   [][3]int64 // insert, deletes of 1/10/100, Audit
+	}{
+		{sig.SchemeRSAFull, 400, [][3]int64{{10, 19, 2}, {0, 18, 13}, {0, 8, 3}, {0, 25, 20}, {2900, 3537, 3219}}},
+		{sig.SchemeRSAFull, 2000, [][3]int64{{10, 22, 3}, {0, 21, 14}, {0, 11, 4}, {0, 28, 21}, {18900, 23029, 20965}}},
+		{sig.SchemeRSAMerkle, 400, [][3]int64{{10, 16, 0}, {0, 32, 0}, {0, 22, 0}, {0, 12, 0}, {2900, 3503, 1}}},
+		{sig.SchemeRSAMerkle, 2000, [][3]int64{{10, 19, 0}, {0, 35, 0}, {0, 25, 0}, {0, 15, 0}, {18900, 22819, 1}}},
+	} {
+		cfg := testConfig()
+		cfg.SmallRows = tc.rows
+		pts, err := measureUpdates(cfg, tc.scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pts) != len(tc.want) {
+			t.Fatalf("%v/%d: got %d update points, want %d", tc.scheme, tc.rows, len(pts), len(tc.want))
+		}
+		for i, p := range pts {
+			if got := [3]int64{p.HashOps, p.Combines, p.Recovers}; got != tc.want[i] {
+				t.Errorf("%v/%d %s: hash/combine/recover = %v, parent commit %v", tc.scheme, tc.rows, p.Label, got, tc.want[i])
+			}
+		}
+	}
+}

@@ -275,7 +275,11 @@ type UpdatePoint struct {
 // insert and range-delete costs, plus the full-recompute (Audit) baseline
 // the incremental scheme avoids.
 func MeasureUpdates(cfg Config) ([]UpdatePoint, error) {
-	key, err := sig.GenerateKey(cfg.KeyBits)
+	return measureUpdates(cfg, sig.SchemeRSAFull)
+}
+
+func measureUpdates(cfg Config, scheme sig.Scheme) ([]UpdatePoint, error) {
+	key, err := sig.Generate(scheme, cfg.KeyBits)
 	if err != nil {
 		return nil, err
 	}

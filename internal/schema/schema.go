@@ -437,6 +437,9 @@ func DecodeTuple(data []byte) (Tuple, int, error) {
 	}
 	n := int(binary.BigEndian.Uint16(data[0:2]))
 	off := 2
+	if n*MinDatumSize > len(data)-off {
+		return Tuple{}, 0, fmt.Errorf("schema: tuple claims %d values in %d bytes", n, len(data)-off)
+	}
 	vals := make([]Datum, n)
 	for i := 0; i < n; i++ {
 		d, used, err := DecodeDatum(data[off:])

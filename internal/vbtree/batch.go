@@ -11,30 +11,47 @@ import (
 	"edgeauth/internal/storage"
 )
 
-// Batched inserts: the group-commit write path of the central server.
+// Inserts: one path, the central server's, for one tuple or many.
 //
-// The per-tuple Insert maintains every digest on the root-to-leaf path
-// incrementally and re-signs each of those nodes for every tuple, so N
-// inserts spend N·height RSA signatures on node digests — the root alone
-// is re-signed N times. InsertBatch splits the work into three phases:
+// The paper's insert (§3.4) multiplies the new tuple's digest into each
+// node digest on its root-to-leaf path — the commutative combiner makes
+// that a constant amount of work per level (formula (11)):
+//
+//	D_N' = s( s⁻¹(D_N) · g^(d+1)(U_T) )   for the node d levels above the leaf.
+//
+// InsertBatch does that for a whole batch in three phases:
 //
 //  1. presign (parallel): each tuple's attribute and tuple-digest
 //     signatures (formulas (1)-(2)) are computed by the same bounded
 //     worker pool Build uses — they depend only on the schema and key,
 //     not on tree state, and they are the irreducible per-tuple cost.
 //  2. structural (serial, under the tree lock): tuples are placed into
-//     leaves, nodes split, the root grows — with NO digest work at all,
-//     only a dirty-set of touched nodes.
-//  3. repair: each dirty node's unsigned digest is recomputed once,
-//     bottom-up, from its (mostly cached) constituents, then signed
-//     exactly once — shared ancestors, the root above all, amortize the
-//     RSA cost across the whole batch.
+//     leaves, nodes split, the root grows — with no digest work beyond
+//     reading each descended node's pre-batch digest once, from its
+//     parent's entry.
+//  3. repair: each dirty node's digest is computed once, bottom-up, and
+//     sealed once. A node that split or was created in the batch is
+//     recomputed from its entries; every other dirty node resumes from
+//     its pre-batch digest, multiplies in the tuples placed in it (a
+//     leaf) or swaps each changed child's old factor for its new one (an
+//     internal node). Shared ancestors, the root above all, are re-signed
+//     once per batch, not once per tuple.
 //
-// The commutative combiner makes the result provably identical to N
-// per-tuple inserts: a node digest is an order-free product of its
-// children's lifted digests, so recomputing it once is the same value as
-// incrementally folding N times (the equivalence test pins byte-equal
-// root signatures).
+// A batch of one is therefore exactly the paper's incremental insert: N_C
+// attribute hashes, H folds and H−1 digest recoveries for a tree of height
+// H (the root's digest is kept unsigned in memory). The commutative
+// combiner makes any batch provably identical to N inserts of one: a node
+// digest is an order-free product of its children's lifted digests.
+
+// Insert adds one tuple at the central server: a batch of one, returning
+// that op's error (ErrDuplicateKey for a key already present).
+func (t *Tree) Insert(tup schema.Tuple) error {
+	_, opErrs, err := t.InsertBatch([]schema.Tuple{tup})
+	if err != nil {
+		return err
+	}
+	return opErrs[0]
+}
 
 // BatchStats reports what one committed batch cost.
 type BatchStats struct {
@@ -45,17 +62,15 @@ type BatchStats struct {
 	// each dirtied node exactly once, however many tuples landed in it.
 	NodesResigned int
 	// RootResigns counts root re-signs: 1 for any batch that applied at
-	// least one tuple, 0 otherwise. The per-tuple path re-signs the root
-	// once per tuple; this field existing at all is the point.
+	// least one tuple, 0 otherwise — however many tuples it applied.
 	RootResigns int
 }
 
 // InsertBatch inserts tuples as one batch and returns per-op errors
 // (index-aligned with tuples; nil = inserted) alongside the batch stats.
 // A non-nil error is a storage-level failure that may leave the tree
-// inconsistent — the same contract as a failed Insert. Tuples that fail
-// individually (duplicate key, schema mismatch, oversized entry) do not
-// abort the rest of the batch.
+// inconsistent. Tuples that fail individually (duplicate key, schema
+// mismatch, oversized entry) do not abort the rest of the batch.
 func (t *Tree) InsertBatch(tuples []schema.Tuple) (BatchStats, []error, error) {
 	if t.signer == nil {
 		return BatchStats{}, nil, ErrReadOnly
@@ -71,10 +86,16 @@ func (t *Tree) InsertBatch(tuples []schema.Tuple) (BatchStats, []error, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
+	rootU, err := t.currentRootU()
+	if err != nil {
+		return BatchStats{}, opErrs, err
+	}
 	b := &treeBatch{
 		t:      t,
 		leaves: make(map[storage.PageID]*vbLeaf),
 		inners: make(map[storage.PageID]*vbInternal),
+		old:    map[storage.PageID]digest.Value{t.root: rootU},
+		whole:  make(map[storage.PageID]bool),
 		u:      make(map[storage.PageID]digest.Value),
 		dirty:  make(map[storage.PageID]bool),
 		tupU:   make(map[string]digest.Value),
@@ -112,7 +133,6 @@ func (t *Tree) InsertBatch(tuples []schema.Tuple) (BatchStats, []error, error) {
 	// Phase 3: repair — recompute each dirty node's digest once
 	// (bottom-up), sign it once (in parallel), install, flush.
 	stats := BatchStats{Applied: applied, RootResigns: 1}
-	var err error
 	stats.NodesResigned, err = b.repair()
 	if err != nil {
 		return BatchStats{}, opErrs, err
@@ -133,43 +153,55 @@ type preparedTuple struct {
 // opErrs and leave the slot unused.
 func (t *Tree) presignTuples(tuples []schema.Tuple, opErrs []error) []preparedTuple {
 	prep := make([]preparedTuple, len(tuples))
+	parallel(len(tuples), t.buildPar, func(i int) {
+		attrs, ut, err := t.tupleDigests(tuples[i])
+		if err != nil {
+			opErrs[i] = opError(err)
+			return
+		}
+		st, err := t.makeStored(tuples[i], attrs)
+		if err != nil {
+			opErrs[i] = opError(err)
+			return
+		}
+		dt, err := t.sealDigest(ut)
+		if err != nil {
+			opErrs[i] = opError(err)
+			return
+		}
+		kb := tuples[i].Key(t.sch).KeyBytes()
+		if maxEntry := vbLeafHeader + 2 + len(kb) + 6 + 2 + len(dt); maxEntry > t.bp.PageSize() {
+			opErrs[i] = opError(fmt.Errorf("vbtree: leaf entry of %d bytes exceeds page size", maxEntry))
+			return
+		}
+		prep[i] = preparedTuple{keyBytes: kb, stored: st.EncodeBytes(), ut: ut, dt: dt}
+	})
+	return prep
+}
+
+// parallel calls fn for 0..n-1 on min(par, n) workers; a single item runs
+// on the caller's goroutine, so an insert of one starts none.
+func parallel(n, par int, fn func(i int)) {
+	if n == 1 {
+		fn(0)
+		return
+	}
 	var wg sync.WaitGroup
 	work := make(chan int)
-	for w := 0; w < t.buildPar; w++ {
+	for w := 0; w < min(par, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				attrs, ut, err := t.tupleDigests(tuples[i])
-				if err != nil {
-					opErrs[i] = opError(err)
-					continue
-				}
-				st, err := t.makeStored(tuples[i], attrs)
-				if err != nil {
-					opErrs[i] = opError(err)
-					continue
-				}
-				dt, err := t.sealDigest(ut)
-				if err != nil {
-					opErrs[i] = opError(err)
-					continue
-				}
-				kb := tuples[i].Key(t.sch).KeyBytes()
-				if maxEntry := vbLeafHeader + 2 + len(kb) + 6 + 2 + len(dt); maxEntry > t.bp.PageSize() {
-					opErrs[i] = opError(fmt.Errorf("vbtree: leaf entry of %d bytes exceeds page size", maxEntry))
-					continue
-				}
-				prep[i] = preparedTuple{keyBytes: kb, stored: st.EncodeBytes(), ut: ut, dt: dt}
+				fn(i)
 			}
 		}()
 	}
-	for i := range tuples {
+	for i := 0; i < n; i++ {
 		work <- i
 	}
 	close(work)
 	wg.Wait()
-	return prep
 }
 
 // batchOpError marks failures scoped to one tuple of a batch; the rest of
@@ -189,23 +221,38 @@ func isOpError(err error) bool {
 }
 
 // treeBatch is the in-flight state of one InsertBatch: decoded nodes, the
-// dirty set, and digest caches used by repair. The decoded node caches
-// are authoritative over the page bytes until repair flushes them.
+// dirty set, and what repair needs to compute each dirty node's digest.
+// The decoded node caches are authoritative over the page bytes until
+// repair flushes them.
 type treeBatch struct {
 	t      *Tree
 	leaves map[storage.PageID]*vbLeaf
 	inners map[storage.PageID]*vbInternal
-	// u caches unsigned node digests: recovered once for clean nodes,
-	// recomputed bottom-up for dirty ones during repair.
+	// old holds the pre-batch digest of each pre-existing node the batch
+	// descended into: the root's from the tree, a child's read from its
+	// parent's entry on first descent, before any entry shifts.
+	old map[storage.PageID]digest.Value
+	// whole marks nodes that split or were created in this batch; repair
+	// recomputes them from their entries instead of from old.
+	whole map[storage.PageID]bool
+	// u caches unsigned node digests computed (or, for clean children of
+	// whole nodes, read) during repair.
 	u map[storage.PageID]digest.Value
 	// dirty marks nodes whose subtree changed; exactly these are
 	// recomputed and re-signed. Dirtiness propagates to the root.
 	dirty map[storage.PageID]bool
-	// tupU caches unsigned tuple digests by signature bytes, so leaf
-	// recomputation recovers each pre-existing entry at most once per
-	// batch (new entries are known without any recovery).
+	// tupU maps the stored entry of each tuple placed by this batch to its
+	// unsigned digest: what a leaf that did not split multiplies in, and
+	// what a whole leaf need not recover.
 	tupU map[string]digest.Value
 	txn  lock.TxnID
+}
+
+// vbSplit carries a split's separator and new right sibling to the
+// parent.
+type vbSplit struct {
+	sep   []byte
+	right storage.PageID
 }
 
 // placeholderSig reserves exactly one stored entry's worth of space in a
@@ -272,7 +319,17 @@ func (b *treeBatch) insertAt(pid storage.PageID, pt *preparedTuple) (*vbSplit, e
 		return nil, err
 	}
 	ci := n.childIndex(pt.keyBytes)
-	split, err := b.insertAt(n.children[ci], pt)
+	child := n.children[ci]
+	// A pre-existing child's entry still holds its pre-batch digest until
+	// repair; a node this batch created has no pre-batch digest.
+	if _, seen := b.old[child]; !seen && !b.whole[child] {
+		u, err := b.t.childU(n.sigs[ci])
+		if err != nil {
+			return nil, err
+		}
+		b.old[child] = u
+	}
+	split, err := b.insertAt(child, pt)
 	if err != nil {
 		return nil, err
 	}
@@ -336,6 +393,7 @@ func (b *treeBatch) insertLeaf(pid storage.PageID, pt *preparedTuple) (*vbSplit,
 	}
 	b.leaves[rightPid] = right
 	b.dirty[rightPid] = true
+	b.whole[pid], b.whole[rightPid] = true, true
 	return &vbSplit{sep: append([]byte(nil), right.keys[0]...), right: rightPid}, nil
 }
 
@@ -362,6 +420,7 @@ func (b *treeBatch) splitInner(pid storage.PageID, n *vbInternal) (*vbSplit, err
 	}
 	b.inners[rightPid] = right
 	b.dirty[rightPid] = true
+	b.whole[pid], b.whole[rightPid] = true, true
 	return &vbSplit{sep: upKey, right: rightPid}, nil
 }
 
@@ -383,28 +442,43 @@ func (b *treeBatch) growRoot(split *vbSplit) error {
 		sigs: []sig.Signature{b.placeholderSig(), b.placeholderSig()},
 	}
 	b.dirty[newRootPid] = true
+	b.whole[newRootPid] = true
 	b.t.root = newRootPid
 	b.t.height++
 	return nil
 }
 
-// computeU returns a dirty node's recomputed unsigned digest, recursing
-// bottom-up; clean constituents are recovered from their stored (still
-// valid) signatures at most once per batch.
+// computeU returns a dirty node's unsigned digest, recursing bottom-up. A
+// whole node combines all its entries (pre-existing ones recovered from
+// their stored, still valid entries); any other node resumes from its
+// pre-batch digest — a leaf multiplies in the tuples placed in it, an
+// internal node swaps each dirty pre-existing child's old factor for its
+// new one and multiplies in each child this batch created.
 func (b *treeBatch) computeU(pid storage.PageID) (digest.Value, error) {
 	if u, ok := b.u[pid]; ok {
 		return u, nil
 	}
+	whole := b.whole[pid]
+	var acc *digest.Acc
+	if whole {
+		acc = b.t.acc.NewAcc()
+	} else {
+		var err error
+		if acc, err = b.t.acc.AccFrom(b.old[pid]); err != nil {
+			return nil, err
+		}
+	}
 	if n, ok := b.leaves[pid]; ok {
-		acc := b.t.acc.NewAcc()
 		for _, s := range n.sigs {
-			u, ok := b.tupU[string(s)]
-			if !ok {
+			u, placed := b.tupU[string(s)]
+			switch {
+			case !placed && !whole:
+				continue
+			case !placed:
 				var err error
 				if u, err = b.t.childU(s); err != nil {
 					return nil, err
 				}
-				b.tupU[string(s)] = u
 			}
 			if err := acc.Add(u); err != nil {
 				return nil, err
@@ -418,14 +492,21 @@ func (b *treeBatch) computeU(pid storage.PageID) (digest.Value, error) {
 	if !ok {
 		return nil, fmt.Errorf("vbtree: dirty node %d missing from batch cache", pid)
 	}
-	acc := b.t.acc.NewAcc()
 	for i, child := range n.children {
 		var u digest.Value
 		var err error
-		if b.dirty[child] {
+		switch {
+		case b.dirty[child]:
+			if old, ok := b.old[child]; ok && !whole {
+				if err := acc.Remove(old); err != nil {
+					return nil, err
+				}
+			}
 			u, err = b.computeU(child)
-		} else {
+		case whole:
 			u, err = b.cleanU(child, n.sigs[i])
+		default:
+			continue
 		}
 		if err != nil {
 			return nil, err
@@ -477,35 +558,16 @@ func (b *treeBatch) repair() (int, error) {
 			sigs[pid] = sig.Signature(append([]byte(nil), b.u[pid]...))
 		}
 	} else {
-		var sigMu sync.Mutex
-		var firstErr error
-		var wg sync.WaitGroup
-		work := make(chan storage.PageID)
-		for w := 0; w < b.t.buildPar; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for pid := range work {
-					s, err := b.t.sign(b.u[pid])
-					sigMu.Lock()
-					if err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-					} else {
-						sigs[pid] = s
-					}
-					sigMu.Unlock()
-				}
-			}()
-		}
-		for _, pid := range dirty {
-			work <- pid
-		}
-		close(work)
-		wg.Wait()
-		if firstErr != nil {
-			return 0, firstErr
+		out := make([]sig.Signature, len(dirty))
+		errs := make([]error, len(dirty))
+		parallel(len(dirty), b.t.buildPar, func(i int) {
+			out[i], errs[i] = b.t.sign(b.u[dirty[i]])
+		})
+		for i, pid := range dirty {
+			if errs[i] != nil {
+				return 0, errs[i]
+			}
+			sigs[pid] = out[i]
 		}
 	}
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -289,5 +290,196 @@ func TestInsertBatchEmptyAndReadOnly(t *testing.T) {
 	}
 	if _, _, err := replica.InsertBatch([]schema.Tuple{batchRow(sch, 60_000)}); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("read-only batch insert: %v, want ErrReadOnly", err)
+	}
+}
+
+// newSchemeTree builds a rows-row workload tree under scheme whose
+// accumulator, public key and signer all count into the returned
+// counters.
+func newSchemeTree(t testing.TB, scheme sig.Scheme, rows int, fill float64) (*Tree, *schema.Schema, *digest.Counters) {
+	t.Helper()
+	k, err := batchSigner(t).WithScheme(scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctr := &digest.Counters{}
+	k.SetCounters(ctr)
+	p := digest.DefaultParams()
+	p.Counters = ctr
+	pub := k.Public()
+	pub.Counters = ctr
+	spec := workload.DefaultSpec(rows)
+	sch, err := spec.Schema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples, err := spec.Tuples()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := storage.NewMemPager(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp, err := storage.NewBufferPool(mem, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap, err := storage.NewHeapFile(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := Build(Config{
+		Pool: bp, Heap: heap, Schema: sch, Acc: digest.MustNew(p),
+		Signer: k, Pub: pub, BuildParallelism: 4,
+	}, tuples, fill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree, sch, ctr
+}
+
+// TestInsertCostIsFormula11 ties formula (11) to the live counters: an
+// insert that splits nothing, into a tree of height H over N_C columns,
+// hashes exactly the N_C attributes, folds the tuple digest once into
+// each of the H nodes on its path, and recovers only the H−1 pre-insert
+// digests it reads from parent entries (the root's is kept unsigned in
+// memory; under a Merkle scheme an entry is the raw digest, so none).
+//
+// costmodel.InsertCost prices N_C·C_h + (N_C + H)·C_k: N_C multiplies into
+// the tuple digest and one fold per level. The combine counter also sees
+// what the model leaves out of a fold: one application of g per digest
+// read out (the tuple's and each node's, H+1) and, at each of the H−1
+// internal nodes, the division that takes the child's old factor out —
+// N_C + H + (H+1) + (H−1) = N_C + 3H in all.
+func TestInsertCostIsFormula11(t *testing.T) {
+	for _, scheme := range []sig.Scheme{sig.SchemeRSAFull, sig.SchemeRSAMerkle} {
+		for _, rows := range []int{200, 2000} {
+			tree, sch, ctr := newSchemeTree(t, scheme, rows, 0.7)
+			before, err := tree.Stats(9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nc, h := int64(len(sch.Columns)), int64(before.Height)
+			ctr.Reset()
+			if err := tree.Insert(batchRow(sch, 10_001)); err != nil {
+				t.Fatal(err)
+			}
+			got := ctr.Snapshot()
+			after, err := tree.Stats(9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.LeafNodes != before.LeafNodes || after.Height != before.Height {
+				t.Fatalf("%v/%d: the insert split a node (%+v -> %+v)", scheme, rows, before, after)
+			}
+			wantRecovers, wantSigns := h-1, nc+1+h
+			if scheme.Merkle() {
+				wantRecovers, wantSigns = 0, 1
+			}
+			if got.HashOps != nc || got.CombineOps != nc+3*h || got.RecoverOps != wantRecovers || got.SignOps != wantSigns {
+				t.Errorf("%v/%d rows (H=%d): hash/combine/recover/sign = %d/%d/%d/%d, want %d/%d/%d/%d",
+					scheme, rows, h, got.HashOps, got.CombineOps, got.RecoverOps, got.SignOps,
+					nc, nc+3*h, wantRecovers, wantSigns)
+			}
+		}
+	}
+}
+
+// TestSplittingInsertCostsNoMoreThanParent: an insert that splits
+// recomputes the split halves from their entries. The ceilings are what
+// the per-tuple insert path this one replaced spent on the same trees
+// (1 KB pages, packed full, key -1 into the first leaf): a leaf split, a
+// leaf and internal split, and a root leaf that grows the tree.
+func TestSplittingInsertCostsNoMoreThanParent(t *testing.T) {
+	for _, tc := range []struct {
+		scheme sig.Scheme
+		rows   int
+		grows  bool
+		// hash, combine, recover, sign at the parent commit
+		ceil [4]int64
+	}{
+		{sig.SchemeRSAFull, 12, true, [4]int64{10, 29, 13, 14}},
+		{sig.SchemeRSAFull, 40, false, [4]int64{10, 30, 14, 14}},
+		{sig.SchemeRSAFull, 200, false, [4]int64{10, 49, 28, 16}},
+		{sig.SchemeRSAFull, 2000, false, [4]int64{10, 68, 42, 18}},
+		{sig.SchemeRSAMerkle, 29, true, [4]int64{10, 46, 0, 1}},
+		{sig.SchemeRSAMerkle, 200, false, [4]int64{10, 47, 0, 1}},
+		{sig.SchemeRSAMerkle, 2000, false, [4]int64{10, 86, 0, 1}},
+	} {
+		tree, sch, ctr := newSchemeTree(t, tc.scheme, tc.rows, 1.0)
+		before, err := tree.Stats(9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctr.Reset()
+		if err := tree.Insert(batchRow(sch, -1)); err != nil {
+			t.Fatal(err)
+		}
+		s := ctr.Snapshot()
+		after, err := tree.Stats(9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.LeafNodes != before.LeafNodes+1 || (after.Height > before.Height) != tc.grows {
+			t.Fatalf("%v/%d: shape %+v -> %+v, want one leaf split (root growth %v)", tc.scheme, tc.rows, before, after, tc.grows)
+		}
+		got := [4]int64{s.HashOps, s.CombineOps, s.RecoverOps, s.SignOps}
+		for i, name := range []string{"hashes", "combines", "recoveries", "signatures"} {
+			if got[i] > tc.ceil[i] {
+				t.Errorf("%v/%d: splitting insert spent %d %s, the per-tuple path spent %d", tc.scheme, tc.rows, got[i], name, tc.ceil[i])
+			}
+		}
+		if _, err := tree.Audit(); err != nil {
+			t.Fatalf("%v/%d: audit after split: %v", tc.scheme, tc.rows, err)
+		}
+	}
+}
+
+// TestInsertBatchRandomMatchesOneAtATime feeds two trees the same random
+// tuples — one in batches of 1–300, the other one tuple at a time — from
+// a single leaf until the tree is several levels deep, so leaf splits,
+// internal splits and root growth all land inside batches. After every
+// batch the batched tree audits clean and its root digest and per-op
+// errors equal the one-at-a-time tree's.
+func TestInsertBatchRandomMatchesOneAtATime(t *testing.T) {
+	for _, scheme := range []sig.Scheme{sig.SchemeRSAFull, sig.SchemeRSAMerkle} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			batched, sch, _ := newSchemeTree(t, scheme, 0, 1.0)
+			single, _, _ := newSchemeTree(t, scheme, 0, 1.0)
+			rng := rand.New(rand.NewSource(29))
+			for round := 0; round < 10; round++ {
+				rows := make([]schema.Tuple, 1+rng.Intn(300))
+				for i := range rows {
+					rows[i] = batchRow(sch, rng.Int63n(5000)-1000)
+				}
+				_, opErrs, err := batched.InsertBatch(rows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, r := range rows {
+					if err := single.Insert(r); !errors.Is(err, opErrs[i]) {
+						t.Fatalf("round %d op %d: batched error %v, one at a time %v", round, i, opErrs[i], err)
+					}
+				}
+				if _, err := batched.Audit(); err != nil {
+					t.Fatalf("round %d (%d tuples): audit: %v", round, len(rows), err)
+				}
+				bu, err := batched.RootDigest()
+				if err != nil {
+					t.Fatal(err)
+				}
+				su, err := single.RootDigest()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bu.Equal(su) {
+					t.Fatalf("round %d (%d tuples): batched root %v, one at a time %v", round, len(rows), bu, su)
+				}
+			}
+			if h := batched.Height(); h < 3 {
+				t.Fatalf("tree reached height %d; the rounds must grow it past one internal level", h)
+			}
+		})
 	}
 }

@@ -1,319 +1,16 @@
 package vbtree
 
 import (
-	"fmt"
-
 	"edgeauth/internal/digest"
 	"edgeauth/internal/lock"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
 	"edgeauth/internal/storage"
-	"edgeauth/internal/vo"
 )
-
-// Insert adds a tuple at the central server (paper §3.4, Insert). The new
-// tuple's digest is *multiplied into* each node digest on the root-to-leaf
-// path — the commutative combiner makes this a constant amount of work per
-// level:
-//
-//	D_N' = s( s⁻¹(D_N) · g^(d+1)(U_T) )   for the node d levels above the leaf.
-//
-// Nodes on the path are X-locked while their digests are modified. A node
-// split recomputes the digests of the two halves from their entries.
-func (t *Tree) Insert(tup schema.Tuple) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.signer == nil {
-		return ErrReadOnly
-	}
-	attrs, ut, err := t.tupleDigests(tup)
-	if err != nil {
-		return err
-	}
-	st, err := t.makeStored(tup, attrs)
-	if err != nil {
-		return err
-	}
-	dt, err := t.sealDigest(ut)
-	if err != nil {
-		return err
-	}
-	keyBytes := tup.Key(t.sch).KeyBytes()
-
-	maxEntry := vbLeafHeader + 2 + len(keyBytes) + 6 + 2 + len(dt)
-	if maxEntry > t.bp.PageSize() {
-		return fmt.Errorf("vbtree: leaf entry of %d bytes exceeds page size", maxEntry)
-	}
-
-	var txn lock.TxnID
-	if t.locks != nil {
-		txn = t.locks.Begin()
-		defer t.locks.ReleaseAll(txn)
-	}
-
-	rootOldU, err := t.currentRootU()
-	if err != nil {
-		return err
-	}
-	res, err := t.insertAt(t.root, rootOldU, keyBytes, st, ut, dt, txn)
-	if err != nil {
-		return err
-	}
-	if res.split == nil {
-		rs, err := t.sign(res.newU)
-		if err != nil {
-			return err
-		}
-		t.rootSig = rs
-		t.rootU = res.newU
-		return nil
-	}
-	// Root split: a new root over (old root, right).
-	leftSig, err := t.sealDigest(res.newU)
-	if err != nil {
-		return err
-	}
-	rightSig, err := t.sealDigest(res.split.rightU)
-	if err != nil {
-		return err
-	}
-	f, err := t.bp.NewPage(storage.PageVBInternal)
-	if err != nil {
-		return err
-	}
-	newRoot := &vbInternal{
-		keys:     [][]byte{res.split.sep},
-		children: []storage.PageID{t.root, res.split.right},
-		sigs:     []sig.Signature{leftSig, rightSig},
-	}
-	if err := newRoot.encode(f.Page().Bytes()); err != nil {
-		t.bp.Unpin(f, false)
-		return err
-	}
-	t.root = f.ID()
-	t.bp.Unpin(f, true)
-	t.height++
-	acc := t.acc.NewAcc()
-	if err := acc.Add(res.newU); err != nil {
-		return err
-	}
-	if err := acc.Add(res.split.rightU); err != nil {
-		return err
-	}
-	rs, err := t.sign(acc.Value())
-	if err != nil {
-		return err
-	}
-	t.rootSig = rs
-	t.rootU = acc.Value()
-	return nil
-}
-
-// insertResult carries a node's new unsigned digest (and split info) back
-// to its parent, which owns the signed copy.
-type insertResult struct {
-	newU  digest.Value
-	split *vbSplit
-}
-
-type vbSplit struct {
-	sep    []byte
-	right  storage.PageID
-	rightU digest.Value
-}
-
-func (t *Tree) insertAt(pid storage.PageID, myOldU digest.Value, keyBytes []byte,
-	st *vo.StoredTuple, ut digest.Value, dt sig.Signature, txn lock.TxnID) (insertResult, error) {
-
-	if err := t.xlock(txn, pid); err != nil {
-		return insertResult{}, err
-	}
-	pt, err := t.pageType(pid)
-	if err != nil {
-		return insertResult{}, err
-	}
-	if pt == storage.PageVBLeaf {
-		return t.insertLeaf(pid, myOldU, keyBytes, st, ut, dt)
-	}
-
-	n, err := t.fetchInternal(pid)
-	if err != nil {
-		return insertResult{}, err
-	}
-	ci := n.childIndex(keyBytes)
-	childOldU, err := t.childU(n.sigs[ci])
-	if err != nil {
-		return insertResult{}, err
-	}
-	childRes, err := t.insertAt(n.children[ci], childOldU, keyBytes, st, ut, dt, txn)
-	if err != nil {
-		return insertResult{}, err
-	}
-	// Refresh: the child call may have dirtied our page only via its own
-	// pages; our decoded copy is still valid because only this goroutine
-	// mutates the tree (t.mu is held).
-	childNewSig, err := t.sealDigest(childRes.newU)
-	if err != nil {
-		return insertResult{}, err
-	}
-	n.sigs[ci] = childNewSig
-
-	// My digest: swap the child's factor.
-	acc, err := t.acc.AccFrom(myOldU)
-	if err != nil {
-		return insertResult{}, err
-	}
-	if err := acc.Remove(childOldU); err != nil {
-		return insertResult{}, err
-	}
-	if err := acc.Add(childRes.newU); err != nil {
-		return insertResult{}, err
-	}
-	if childRes.split != nil {
-		rightSig, err := t.sealDigest(childRes.split.rightU)
-		if err != nil {
-			return insertResult{}, err
-		}
-		// Insert the new separator/child after ci.
-		n.keys = insertKey(n.keys, ci, childRes.split.sep)
-		n.children = insertChild(n.children, ci+1, childRes.split.right)
-		n.sigs = insertSig(n.sigs, ci+1, rightSig)
-		if err := acc.Add(childRes.split.rightU); err != nil {
-			return insertResult{}, err
-		}
-	}
-	myNewU := acc.Value()
-
-	if n.encodedSize() <= t.bp.PageSize() {
-		if err := t.writeInternal(pid, n); err != nil {
-			return insertResult{}, err
-		}
-		return insertResult{newU: myNewU}, nil
-	}
-
-	// Split this internal node; recompute both halves' digests from the
-	// (recovered) child digests.
-	mid := len(n.keys) / 2
-	upKey := append([]byte(nil), n.keys[mid]...)
-	right := &vbInternal{
-		keys:     append([][]byte(nil), n.keys[mid+1:]...),
-		children: append([]storage.PageID(nil), n.children[mid+1:]...),
-		sigs:     append([]sig.Signature(nil), n.sigs[mid+1:]...),
-	}
-	n.keys = n.keys[:mid]
-	n.children = n.children[:mid+1]
-	n.sigs = n.sigs[:mid+1]
-
-	leftU, err := t.combineChildSigs(n.sigs)
-	if err != nil {
-		return insertResult{}, err
-	}
-	rightU, err := t.combineChildSigs(right.sigs)
-	if err != nil {
-		return insertResult{}, err
-	}
-	rf, err := t.bp.NewPage(storage.PageVBInternal)
-	if err != nil {
-		return insertResult{}, err
-	}
-	if err := right.encode(rf.Page().Bytes()); err != nil {
-		t.bp.Unpin(rf, false)
-		return insertResult{}, err
-	}
-	rightPid := rf.ID()
-	t.bp.Unpin(rf, true)
-	if err := t.xlock(txn, rightPid); err != nil {
-		return insertResult{}, err
-	}
-	if err := t.writeInternal(pid, n); err != nil {
-		return insertResult{}, err
-	}
-	return insertResult{
-		newU:  leftU,
-		split: &vbSplit{sep: upKey, right: rightPid, rightU: rightU},
-	}, nil
-}
-
-func (t *Tree) insertLeaf(pid storage.PageID, myOldU digest.Value, keyBytes []byte,
-	st *vo.StoredTuple, ut digest.Value, dt sig.Signature) (insertResult, error) {
-
-	n, err := t.fetchLeaf(pid)
-	if err != nil {
-		return insertResult{}, err
-	}
-	i := n.search(keyBytes)
-	if i < len(n.keys) && compare(n.keys[i], keyBytes) == 0 {
-		return insertResult{}, ErrDuplicateKey
-	}
-	rid, err := t.heap.Insert(st.EncodeBytes())
-	if err != nil {
-		return insertResult{}, err
-	}
-	n.keys = insertKey(n.keys, i, keyBytes)
-	n.rids = insertRID(n.rids, i, rid)
-	n.sigs = insertSig(n.sigs, i, dt)
-
-	if n.encodedSize() <= t.bp.PageSize() {
-		// The paper's incremental update: U' = U · g(U_T).
-		acc, err := t.acc.AccFrom(myOldU)
-		if err != nil {
-			return insertResult{}, err
-		}
-		if err := acc.Add(ut); err != nil {
-			return insertResult{}, err
-		}
-		if err := t.writeLeaf(pid, n); err != nil {
-			return insertResult{}, err
-		}
-		return insertResult{newU: acc.Value()}, nil
-	}
-
-	// Split; recompute both halves from their tuple digests.
-	mid := len(n.keys) / 2
-	rf, err := t.bp.NewPage(storage.PageVBLeaf)
-	if err != nil {
-		return insertResult{}, err
-	}
-	right := &vbLeaf{
-		next: n.next,
-		keys: append([][]byte(nil), n.keys[mid:]...),
-		rids: append([]storage.RecordID(nil), n.rids[mid:]...),
-		sigs: append([]sig.Signature(nil), n.sigs[mid:]...),
-	}
-	n.keys = n.keys[:mid]
-	n.rids = n.rids[:mid]
-	n.sigs = n.sigs[:mid]
-	n.next = rf.ID()
-	if err := right.encode(rf.Page().Bytes()); err != nil {
-		t.bp.Unpin(rf, false)
-		return insertResult{}, err
-	}
-	rightPid := rf.ID()
-	t.bp.Unpin(rf, true)
-	if err := t.writeLeaf(pid, n); err != nil {
-		return insertResult{}, err
-	}
-	leftU, err := t.combineChildSigs(n.sigs)
-	if err != nil {
-		return insertResult{}, err
-	}
-	rightU, err := t.combineChildSigs(right.sigs)
-	if err != nil {
-		return insertResult{}, err
-	}
-	return insertResult{
-		newU: leftU,
-		split: &vbSplit{
-			sep:    append([]byte(nil), right.keys[0]...),
-			right:  rightPid,
-			rightU: rightU,
-		},
-	}, nil
-}
 
 // combineChildSigs reads each stored entry's digest (recovering it under
 // the legacy scheme) and combines them — the from-scratch recomputation
-// used after splits and deletes.
+// used after deletes and when a tree is opened.
 func (t *Tree) combineChildSigs(sigs []sig.Signature) (digest.Value, error) {
 	acc := t.acc.NewAcc()
 	for _, s := range sigs {

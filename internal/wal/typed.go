@@ -17,8 +17,6 @@ import (
 type Op struct {
 	LSN  uint64
 	Kind RecordType
-	// Tuple is set for RecInsert.
-	Tuple schema.Tuple
 	// Tuples is set for RecBatch (a group-committed insert batch).
 	Tuples []schema.Tuple
 	// Lo/Hi bound the key range for RecDelete; nil means unbounded.
@@ -115,15 +113,6 @@ func DecodeDeletePayload(payload []byte) (lo, hi *schema.Datum, err error) {
 func ParseOp(r Record) (Op, error) {
 	op := Op{LSN: r.LSN, Kind: r.Type}
 	switch r.Type {
-	case RecInsert:
-		tup, used, err := schema.DecodeTuple(r.Payload)
-		if err != nil {
-			return Op{}, fmt.Errorf("wal: insert record %d: %w", r.LSN, err)
-		}
-		if used != len(r.Payload) {
-			return Op{}, fmt.Errorf("wal: insert record %d has trailing bytes", r.LSN)
-		}
-		op.Tuple = tup
 	case RecDelete:
 		lo, hi, err := DecodeDeletePayload(r.Payload)
 		if err != nil {
@@ -157,22 +146,12 @@ func ParseOp(r Record) (Op, error) {
 }
 
 // ReplayOps calls fn with the typed form of every record after the last
-// checkpoint, in LSN order. Batch records are flattened into one RecInsert
-// op per tuple (sharing the batch's LSN), so consumers replay the same
-// logical history whether the writes were group-committed or not.
+// checkpoint, in LSN order: one op per record, a batch as it was written.
 func ReplayOps(path string, fn func(Op) error) error {
 	return Replay(path, func(r Record) error {
 		op, err := ParseOp(r)
 		if err != nil {
 			return err
-		}
-		if op.Kind == RecBatch {
-			for _, tup := range op.Tuples {
-				if err := fn(Op{LSN: op.LSN, Kind: RecInsert, Tuple: tup}); err != nil {
-					return err
-				}
-			}
-			return nil
 		}
 		return fn(op)
 	})

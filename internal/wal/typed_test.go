@@ -17,10 +17,9 @@ func TestTypedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A RecInsert payload is the bare tuple encoding; nothing writes the
-	// record any more (every insert commits as a RecBatch), the decoder
-	// stays for logs that hold one.
-	if _, err := l.Append(RecInsert, testTuple(7, "seven").EncodeBytes()); err != nil {
+	// Every insert commits as a RecBatch, one tuple or many.
+	batch := []schema.Tuple{testTuple(7, "seven"), testTuple(8, "eight")}
+	if _, err := l.Append(RecBatch, EncodeBatchPayload(batch)); err != nil {
 		t.Fatal(err)
 	}
 	lo, hi := schema.Int64(3), schema.Int64(9)
@@ -48,11 +47,12 @@ func TestTypedRoundTrip(t *testing.T) {
 	if len(ops) != 4 {
 		t.Fatalf("replayed %d ops, want 4", len(ops))
 	}
-	if ops[0].Kind != RecInsert || ops[0].LSN != 1 {
+	// The batch replays as the one op it was written as.
+	if ops[0].Kind != RecBatch || ops[0].LSN != 1 || len(ops[0].Tuples) != 2 {
 		t.Fatalf("op0 = %+v", ops[0])
 	}
-	if got := ops[0].Tuple.Values[0].I; got != 7 {
-		t.Fatalf("insert key = %d", got)
+	if got := ops[0].Tuples[1].Values[0].I; got != 8 {
+		t.Fatalf("second batch key = %d", got)
 	}
 	if ops[1].Kind != RecDelete || ops[1].Lo == nil || ops[1].Hi != nil {
 		t.Fatalf("op1 = %+v", ops[1])
@@ -66,8 +66,12 @@ func TestTypedRoundTrip(t *testing.T) {
 }
 
 func TestParseOpRejectsGarbage(t *testing.T) {
-	if _, err := ParseOp(Record{LSN: 1, Type: RecInsert, Payload: []byte{0xFF}}); err == nil {
-		t.Fatal("garbage insert payload accepted")
+	if _, err := ParseOp(Record{LSN: 1, Type: RecBatch, Payload: []byte{0, 0, 0, 1, 0xFF}}); err == nil {
+		t.Fatal("garbage batch payload accepted")
+	}
+	// Type 1, the retired single-tuple insert, has no reader.
+	if _, err := ParseOp(Record{LSN: 1, Type: RecordType(1), Payload: testTuple(7, "seven").EncodeBytes()}); err == nil {
+		t.Fatal("retired single-insert record accepted")
 	}
 	if _, err := ParseOp(Record{LSN: 1, Type: RecDelete, Payload: []byte{1}}); err == nil {
 		t.Fatal("truncated delete payload accepted")

@@ -1,7 +1,7 @@
 // Package wal implements a write-ahead log for the central server's
-// update transactions. Inserts and deletes are logged before the VB-tree
-// and its digests are modified, so a crash mid-update can be recovered by
-// replaying the log against the last snapshot (redo logging).
+// update transactions. Insert batches and deletes are logged before the
+// VB-tree and its digests are modified, so a crash mid-update can be
+// recovered by replaying the log against the last snapshot (redo logging).
 //
 // Record format (all big-endian):
 //
@@ -26,8 +26,10 @@ import (
 type RecordType uint8
 
 const (
-	// RecInsert logs a tuple insert; payload is the encoded tuple.
-	RecInsert RecordType = iota + 1
+	// Type 1 logged a single-tuple insert, which no writer has produced
+	// since every insert became a RecBatch. It stays reserved: the other
+	// types' values are on disk.
+	_ RecordType = iota + 1
 	// RecDelete logs a key-range delete; payload encodes the range.
 	RecDelete
 	// RecCheckpoint marks that all prior records are reflected in a
@@ -53,8 +55,6 @@ const (
 
 func (r RecordType) String() string {
 	switch r {
-	case RecInsert:
-		return "insert"
 	case RecDelete:
 		return "delete"
 	case RecCheckpoint:

@@ -16,7 +16,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 	var want []Record
 	for i := 0; i < 20; i++ {
-		typ := RecInsert
+		typ := RecBatch
 		if i%3 == 0 {
 			typ = RecDelete
 		}
@@ -62,10 +62,10 @@ func TestReplayFromCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mustAppend(RecInsert, "old-1")
-	mustAppend(RecInsert, "old-2")
+	mustAppend(RecBatch, "old-1")
+	mustAppend(RecBatch, "old-2")
 	mustAppend(RecCheckpoint, "")
-	mustAppend(RecInsert, "new-1")
+	mustAppend(RecBatch, "new-1")
 	mustAppend(RecDelete, "new-2")
 	l.Close()
 
@@ -85,7 +85,7 @@ func TestOpenResumesLSN(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "resume.wal")
 	l, _ := Create(path)
 	for i := 0; i < 5; i++ {
-		if _, err := l.Append(RecInsert, []byte{byte(i)}); err != nil {
+		if _, err := l.Append(RecBatch, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,7 +112,7 @@ func TestTornTailTruncated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "torn.wal")
 	l, _ := Create(path)
 	for i := 0; i < 3; i++ {
-		if _, err := l.Append(RecInsert, []byte(fmt.Sprintf("rec-%d", i))); err != nil {
+		if _, err := l.Append(RecBatch, []byte(fmt.Sprintf("rec-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -147,7 +147,7 @@ func TestTornTailTruncated(t *testing.T) {
 	if re.NextLSN() != 3 {
 		t.Fatalf("NextLSN after torn tail = %d, want 3", re.NextLSN())
 	}
-	if _, err := re.Append(RecInsert, []byte("fresh")); err != nil {
+	if _, err := re.Append(RecBatch, []byte("fresh")); err != nil {
 		t.Fatal(err)
 	}
 	var all []string
@@ -166,7 +166,7 @@ func TestTornTailTruncated(t *testing.T) {
 func TestTruncatedHeaderTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "short.wal")
 	l, _ := Create(path)
-	if _, err := l.Append(RecInsert, []byte("full")); err != nil {
+	if _, err := l.Append(RecBatch, []byte("full")); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -188,7 +188,7 @@ func TestClosedLogRejectsAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "closed.wal")
 	l, _ := Create(path)
 	l.Close()
-	if _, err := l.Append(RecInsert, nil); err == nil {
+	if _, err := l.Append(RecBatch, nil); err == nil {
 		t.Fatal("append on closed log succeeded")
 	}
 	if err := l.Sync(); err == nil {
@@ -202,7 +202,7 @@ func TestClosedLogRejectsAppend(t *testing.T) {
 func TestReplayErrorPropagates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "err.wal")
 	l, _ := Create(path)
-	l.Append(RecInsert, []byte("x"))
+	l.Append(RecBatch, []byte("x"))
 	l.Close()
 	wantErr := fmt.Errorf("boom")
 	err := ReplayAll(path, func(Record) error { return wantErr })
@@ -212,7 +212,7 @@ func TestReplayErrorPropagates(t *testing.T) {
 }
 
 func TestRecordTypeString(t *testing.T) {
-	if RecInsert.String() != "insert" || RecDelete.String() != "delete" || RecCheckpoint.String() != "checkpoint" {
+	if RecBatch.String() != "batch" || RecDelete.String() != "delete" || RecCheckpoint.String() != "checkpoint" {
 		t.Fatal("RecordType rendering")
 	}
 	if RecordType(99).String() == "" {

@@ -7,13 +7,15 @@ import (
 	"edgeauth/internal/schema"
 )
 
-// Batched inserts on the wire.
+// Inserts on the wire.
 //
-// A BatchRequest ships N tuples for one table in a single frame; the
-// central server applies them as one group commit — one WAL record, one
-// fsync, one version bump, one node re-sign per dirtied tree node — and
-// answers with typed per-op results, so a duplicate key in op 3 does not
-// hide the success of ops 0-2.
+// A BatchRequest ships N ≥ 1 tuples for one table in a single frame — a
+// single insert is a batch of one; there is no other insert frame. The
+// central server applies them in one group commit, with whatever other
+// inserts arrive beside them — one WAL record, one fsync, one version
+// bump, one node re-sign per dirtied tree node — and answers with typed
+// per-op results, so a duplicate key in op 3 does not hide the success
+// of ops 0-2.
 
 // BatchRequest sends an insert batch to the central server.
 type BatchRequest struct {
@@ -31,19 +33,21 @@ func (b *BatchRequest) Encode() []byte {
 	return out
 }
 
-// DecodeBatchRequest parses a BatchRequest.
+// DecodeBatchRequest parses a BatchRequest. It is the central server's
+// only insert decoder, and its input comes from any client.
 func DecodeBatchRequest(body []byte) (*BatchRequest, error) {
 	r := &reader{data: body}
 	b := &BatchRequest{Table: r.str("table")}
-	n := int(r.u32("tuple count"))
+	n := uint64(r.u32("tuple count"))
 	if r.err != nil {
 		return nil, r.err
 	}
-	if n > len(body) {
+	// A tuple takes at least its 2-byte value count.
+	if n*2 > uint64(len(body)-r.off) {
 		return nil, errors.New("wire: implausible batch tuple count")
 	}
 	b.Tuples = make([]schema.Tuple, 0, n)
-	for i := 0; i < n; i++ {
+	for i := 0; i < int(n); i++ {
 		tup, used, err := schema.DecodeTuple(body[r.off:])
 		if err != nil {
 			return nil, fmt.Errorf("wire: batch tuple %d: %w", i, err)
@@ -66,8 +70,8 @@ type BatchOpResult struct {
 	Msg  string
 }
 
-// Err returns nil for successful ops and the typed error otherwise, so
-// callers get the same errors.Is-matchable failures as single inserts.
+// Err returns nil for successful ops and the typed error otherwise,
+// errors.Is-matchable against the wire sentinels (e.g. ErrDuplicateKey).
 func (r BatchOpResult) Err() error {
 	if r.OK {
 		return nil

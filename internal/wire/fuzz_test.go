@@ -105,6 +105,28 @@ func FuzzDecodeBatchResponse(f *testing.F) {
 	})
 }
 
+// FuzzDecodeBatchRequest covers the central server's one insert decoder,
+// fed by any client.
+func FuzzDecodeBatchRequest(f *testing.F) {
+	req := &BatchRequest{Table: "items", Tuples: []schema.Tuple{
+		schema.NewTuple(schema.Int64(7), schema.Str("seven"), schema.Bytes([]byte{1, 2})),
+		schema.NewTuple(schema.Float64(0.5)),
+	}}
+	f.Add(req.Encode())
+	f.Add((&BatchRequest{Table: "t"}).Encode())
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, 32))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := DecodeBatchRequest(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(b.Encode(), data) {
+			t.Fatal("batch-request round-trip mismatch")
+		}
+	})
+}
+
 // FuzzDecodeHelloCaps covers the first bytes a server parses from any
 // dialer: exactly a version word and a capability word, nothing else.
 func FuzzDecodeHelloCaps(f *testing.F) {

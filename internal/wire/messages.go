@@ -322,35 +322,6 @@ func DecodeSnapshot(body []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// InsertRequest sends a tuple insert to the central server.
-type InsertRequest struct {
-	Table string
-	Tuple schema.Tuple
-}
-
-// Encode serializes the request.
-func (i *InsertRequest) Encode() []byte {
-	out := appendStr(nil, i.Table)
-	return i.Tuple.Encode(out)
-}
-
-// DecodeInsertRequest parses an InsertRequest.
-func DecodeInsertRequest(body []byte) (*InsertRequest, error) {
-	r := &reader{data: body}
-	tbl := r.str("table")
-	if r.err != nil {
-		return nil, r.err
-	}
-	tup, used, err := schema.DecodeTuple(body[r.off:])
-	if err != nil {
-		return nil, err
-	}
-	if r.off+used != len(body) {
-		return nil, errors.New("wire: trailing bytes in insert request")
-	}
-	return &InsertRequest{Table: tbl, Tuple: tup}, nil
-}
-
 // DeleteRequest sends a key-range delete to the central server.
 type DeleteRequest struct {
 	Table string

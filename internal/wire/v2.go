@@ -38,9 +38,11 @@ import (
 // handshake carries it in both directions. It is raised whenever the
 // bytes of a message change, so that a build from before the change is
 // turned away at dial with CodeUnsupported instead of being sent bodies
-// it would misparse: 3 is the generation whose VOs carry their digests
-// as fixed-width runs (vo.VO.Encode); 2 put a length in front of each.
-const ProtocolVersion = 3
+// it would misparse: 4 is the generation in which every insert travels
+// as a MsgBatchReq (the single-insert frame is gone and the message types
+// after it renumbered); 3 first carried a VO's digests as fixed-width
+// runs (vo.VO.Encode); 2 put a length in front of each.
+const ProtocolVersion = 4
 
 // Capability bits carried in the Hello exchange (both directions). They
 // are advisory: a peer that lacks a capability still answers the
@@ -152,7 +154,7 @@ const (
 	// CodeUnsupported means the server does not handle the message type.
 	CodeUnsupported
 	// CodeDuplicateKey means an insert collided with an existing primary
-	// key (reported per-op inside batch responses, or for single inserts).
+	// key (reported per-op inside batch responses).
 	CodeDuplicateKey
 	// CodeBehind means the serving peer's replicated state is no newer
 	// than what the requester already holds (or descends from a different
@@ -296,11 +298,6 @@ func UnknownTable(server, table string) *WireError {
 // StaleReplica builds the typed error for a version/epoch divergence.
 func StaleReplica(table, msg string) *WireError {
 	return &WireError{Code: CodeStaleReplica, Table: table, Msg: msg}
-}
-
-// DuplicateKey builds the typed error for a primary-key collision.
-func DuplicateKey(table, msg string) *WireError {
-	return &WireError{Code: CodeDuplicateKey, Table: table, Msg: msg}
 }
 
 // Behind builds the typed error a serving peer returns when its state is

@@ -14,8 +14,8 @@
 //	                                      (signed incremental update)
 //	edge   → edge:    ShardSnapshotReq / ShardDeltaReq (the peer tier relays
 //	                                      the central's signed payloads)
-//	client → central: InsertReq/BatchReq/DeleteReq (updates go to the
-//	                                      trusted server)
+//	client → central: BatchReq/DeleteReq  (updates go to the trusted
+//	                                      server; an insert is a batch)
 //	client → central: PubKeyReq           (the PKI stand-in: an authenticated
 //	                                       channel to the signer's public key)
 //
@@ -91,16 +91,15 @@ const (
 	MsgPubKeyResp
 	MsgSchemaReq
 	MsgSchemaResp
-	MsgInsertReq
-	MsgInsertResp
 	MsgDeleteReq
 	MsgDeleteResp
 	// MsgHello / MsgHelloResp open every connection (see v2.go). They are
 	// the only frames exchanged without a request ID.
 	MsgHello
 	MsgHelloResp
-	// MsgBatchReq / MsgBatchResp carry a group-committed insert batch to
-	// the central server and its typed per-op results back (see batch.go).
+	// MsgBatchReq / MsgBatchResp carry every insert — one tuple or many —
+	// to the central server and its typed per-op results back (see
+	// batch.go).
 	MsgBatchReq
 	MsgBatchResp
 	// Shard-scoped replication and query frames (see shard.go).
@@ -128,8 +127,6 @@ var msgTypeNames = [...]string{
 	MsgPubKeyResp:       "pubkey-resp",
 	MsgSchemaReq:        "schema-req",
 	MsgSchemaResp:       "schema-resp",
-	MsgInsertReq:        "insert-req",
-	MsgInsertResp:       "insert-resp",
 	MsgDeleteReq:        "delete-req",
 	MsgDeleteResp:       "delete-resp",
 	MsgHello:            "hello",

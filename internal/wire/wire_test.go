@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -237,21 +239,50 @@ func TestAccParamsModBig(t *testing.T) {
 	}
 }
 
-func TestInsertRequestRoundTrip(t *testing.T) {
-	req := &InsertRequest{
-		Table: "t",
-		Tuple: schema.NewTuple(schema.Int64(1), schema.Str("x")),
+// TestDecodeBatchRequestBoundsItsAllocations: the tuple count is checked
+// against the bytes left in the body before the tuple slice is sized, so
+// a 1 KB body that claims 2³¹ tuples — or 600, more than its remaining
+// bytes can hold at two bytes the least each — is refused after
+// allocating about its own size, not gigabytes. 600 is under the body's
+// length, which is what the count was compared with before.
+func TestDecodeBatchRequestBoundsItsAllocations(t *testing.T) {
+	hostile := func(count uint32) []byte {
+		out := appendU32(appendStr(nil, "items"), count)
+		return append(out, make([]byte, 1024-len(out))...)
 	}
-	got, err := DecodeInsertRequest(req.Encode())
+	for name, body := range map[string][]byte{
+		"2^31 tuples": hostile(1 << 31),
+		"600 tuples":  hostile(600),
+	} {
+		// TotalAlloc is the whole process's: the least of three passes is
+		// the decoder's own.
+		got := uint64(math.MaxUint64)
+		for pass := 0; pass < 3; pass++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := DecodeBatchRequest(body)
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), "implausible") {
+				t.Errorf("%s: a hostile %d-byte body got %v, want the count refused before it sizes anything", name, len(body), err)
+			}
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+		if got > 2*uint64(len(body)) {
+			t.Errorf("%s: decoding a %d-byte body allocated %d bytes", name, len(body), got)
+		}
+	}
+
+	// What the bound admits still decodes: an honest batch round-trips.
+	req := &BatchRequest{Table: "items", Tuples: []schema.Tuple{
+		schema.NewTuple(schema.Int64(1), schema.Str("x")),
+		schema.NewTuple(),
+	}}
+	got, err := DecodeBatchRequest(req.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Table != "t" || len(got.Tuple.Values) != 2 || !got.Tuple.Values[1].Equal(schema.Str("x")) {
-		t.Fatalf("decoded: %+v", got)
-	}
-	// Trailing garbage rejected.
-	if _, err := DecodeInsertRequest(append(req.Encode(), 0xEE)); err == nil {
-		t.Fatal("trailing bytes accepted")
+	if !bytes.Equal(got.Encode(), req.Encode()) {
+		t.Fatal("batch request round-trip mismatch")
 	}
 }
 
