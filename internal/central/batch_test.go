@@ -64,9 +64,10 @@ func batchServerRow(t testing.TB, id int64) schema.Tuple {
 }
 
 // TestApplyBatchCommitsOnce pins the group-commit invariants: one version
-// bump, one changelog entry, one WAL record and — under a root-signing
-// scheme — two signatures (the shard's root and the map) per batch, with
-// the WAL record replaying as the one batch it was written as.
+// bump, one changelog entry, one WAL record and — under a Merkle scheme —
+// no signature at the commit, the shard's root signed once by the delta
+// that first ships the batch, with the WAL record replaying as the one
+// batch it was written as.
 func TestApplyBatchCommitsOnce(t *testing.T) {
 	srv := newReshardServer(t, 200, 1, Options{WALDir: t.TempDir()})
 	base, err := srv.Version("items")
@@ -92,8 +93,8 @@ func TestApplyBatchCommitsOnce(t *testing.T) {
 			t.Fatalf("op %d failed: %v", i, e)
 		}
 	}
-	if delta := srv.Stats().SignOps - signsBefore; delta != 2 {
-		t.Fatalf("batch of %d tuples paid %d signatures, want 2 (one root + the map)", len(rows), delta)
+	if delta := srv.Stats().SignOps - signsBefore; delta != 0 {
+		t.Fatalf("batch of %d tuples paid %d signatures at the commit, want 0", len(rows), delta)
 	}
 
 	// One version bump for 48 tuples.
@@ -105,16 +106,23 @@ func TestApplyBatchCommitsOnce(t *testing.T) {
 		t.Fatalf("version went %d -> %d, want exactly one bump", base, v)
 	}
 
-	// One changelog entry: a delta from base covers the whole batch.
-	d, err := srv.ShardDelta("items", 0, base, epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.SnapshotNeeded || d.ToVersion != v {
-		t.Fatalf("delta after batch: snapshotNeeded=%v to=%d want to=%d", d.SnapshotNeeded, d.ToVersion, v)
-	}
-	if len(d.PageIDs) == 0 {
-		t.Fatal("batch committed but delta carries no pages")
+	// One changelog entry: a delta from base covers the whole batch. The
+	// first one shipped signs the root and its body, the next its body.
+	for i, want := range []uint64{2, 1} {
+		signsBefore = srv.Stats().SignOps
+		d, err := srv.ShardDelta("items", 0, base, epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.SnapshotNeeded || d.ToVersion != v {
+			t.Fatalf("delta after batch: snapshotNeeded=%v to=%d want to=%d", d.SnapshotNeeded, d.ToVersion, v)
+		}
+		if len(d.PageIDs) == 0 {
+			t.Fatal("batch committed but delta carries no pages")
+		}
+		if got := srv.Stats().SignOps - signsBefore; got != want {
+			t.Fatalf("delta %d shipping the batch paid %d signatures, want %d", i+1, got, want)
+		}
 	}
 
 	// The WAL holds the batch as one record, and replays it as one.
@@ -341,20 +349,20 @@ func TestBatchOrdersInTheQueue(t *testing.T) {
 	}
 }
 
-// TestSingleInsertSignOps: Insert is an ApplyBatch of one and signs
-// exactly what the per-tuple insert path it replaced signed — numbers
-// measured at the parent commit on this table (200 rows, 2 shards,
-// 1 KB pages): per-node rsa re-signs the leaf-to-root path plus the
-// tuple, its attributes and the map; the Merkle schemes sign one root
-// and the map.
+// TestSingleInsertSignOps: Insert is an ApplyBatch of one and signs, at
+// the commit, exactly what the per-tuple insert path it replaced stored
+// signed — numbers measured on this table (200 rows, 2 shards, 1 KB
+// pages): per-node rsa re-signs the leaf-to-root path plus the tuple and
+// its attributes; the Merkle schemes sign nothing. The map, and a Merkle
+// root, are signed when first shipped (TestShipLedger).
 func TestSingleInsertSignOps(t *testing.T) {
 	for _, tc := range []struct {
 		scheme sig.Scheme
 		want   [3]uint64
 	}{
-		{sig.SchemeRSAFull, [3]uint64{15, 14, 14}},
-		{sig.SchemeRSAMerkle, [3]uint64{2, 2, 2}},
-		{sig.SchemeEd25519, [3]uint64{2, 2, 2}},
+		{sig.SchemeRSAFull, [3]uint64{14, 13, 13}},
+		{sig.SchemeRSAMerkle, [3]uint64{0, 0, 0}},
+		{sig.SchemeEd25519, [3]uint64{0, 0, 0}},
 	} {
 		key, err := sig.Generate(tc.scheme, 512)
 		if err != nil {

@@ -10,11 +10,19 @@
 // independent VB-tree shards, each with its own signed root, buffer
 // pool, heap, WAL and delta changelog. A signed shard map
 // (internal/shardmap) binds the shards back into one verifiable
-// relation: the central server re-signs it on every commit, and clients
-// verify it before trusting any per-shard answer. Because each shard
-// root is signed independently, insert batches that land on different
-// shards re-sign in parallel — the RSA-bound write path scales with
-// cores instead of serializing on one root.
+// relation: every commit publishes a new one, and clients verify it
+// before trusting any per-shard answer. Because each shard root is
+// independent, insert batches that land on different shards commit in
+// parallel.
+//
+// A signature exists so that what is shipped can be checked, so the
+// server signs what it ships, not what it commits: a map version is
+// signed the first time any replica pulls it, and so — under the Merkle
+// schemes, where a commit signs nothing — is a shard version's root
+// (shipState). Every signature is minted once however many replicas are
+// shipped it, and never for a version no replica asks for. Under per-node
+// rsa the trees still sign their dirtied nodes, the root among them, at
+// commit.
 //
 // Every committed update additionally publishes an immutable snapshot of
 // the shard's page space (the same storage.PageStore mechanism the edges
@@ -174,13 +182,23 @@ type table struct {
 	// table. Guarded by partMu's write lock (transitions are serialized).
 	metaLog *wal.Log
 
-	// commitMu serializes shard-map version bumps and re-signs. It is
+	// commitMu serializes shard-map version bumps and republishes. It is
 	// never held while taking a shard's write lock (commits release
 	// their shard locks before republishing the map), so the two lock
 	// orders cannot deadlock.
 	commitMu   sync.Mutex
 	mapVersion uint64 // guarded by commitMu
-	smap       atomic.Pointer[shardmap.Signed]
+	// smap is the current map, unsigned: its contents are fixed under
+	// commitMu when it is stored, and SignedShardMap signs it when a
+	// replica first asks for it.
+	smap atomic.Pointer[shardmap.Map]
+	// mapSig memoizes the last map signed. Its lock is its own, so no
+	// signature is made under commitMu or any shard lock.
+	mapSig struct {
+		mu     sync.Mutex
+		from   *shardmap.Map // the unsigned map it was minted from
+		signed *shardmap.Signed
+	}
 
 	// gc coalesces concurrent single-op dispatches into group commits.
 	gc groupCommitter
@@ -256,8 +274,18 @@ type shard struct {
 	tail *reshardTail
 
 	// rootDigest caches the unsigned root digest after each commit, so
-	// map re-signs don't pay an RSA recovery per shard.
+	// map republishes don't pay an RSA recovery per shard.
 	rootDigest digest.Value
+
+	// anchor memoizes, under a Merkle scheme, the root signature of the
+	// last published version shipped (shipState). Its lock is its own, so
+	// no signature is made under mu.
+	anchor struct {
+		mu         sync.Mutex
+		state      *vbtree.TableState // the published version it signs
+		keyVersion uint32             // the key version it was minted under
+		sig        sig.Signature
+	}
 
 	// store republishes the shard as immutable snapshots, one per
 	// committed version: replication reads pin a version and proceed
@@ -355,6 +383,11 @@ func NewServerWithKey(opts Options, key *sig.PrivateKey) (*Server, error) {
 // PublicKey returns the server's public key.
 func (s *Server) PublicKey() *sig.PublicKey { return s.key.Public() }
 
+// merkle reports whether the signing key's scheme commits to tree
+// interiors by hash, so that a commit signs nothing and each shard root
+// is signed when first shipped.
+func (s *Server) merkle() bool { return s.key.Scheme().Merkle() }
+
 // Accumulator returns the digest accumulator.
 func (s *Server) Accumulator() *digest.Accumulator { return s.acc }
 
@@ -410,7 +443,7 @@ func (s *Server) AddTable(sch *schema.Schema, tuples []schema.Tuple) error {
 		}
 		t.metaLog = ml
 	}
-	if err := s.signMapLocked(t, part); err != nil {
+	if err := storeMap(t, s.mapOf(t, part, t.mapVersion, false)); err != nil {
 		return err
 	}
 	s.tables[sch.Table] = t
@@ -553,8 +586,11 @@ func (sh *shard) commitChange(version, lsn uint64, retention int) []storage.Page
 // publishShard copies the given (just-dirtied) pages out of the live
 // buffer pool into a copy-on-write overlay and publishes the result as
 // the shard's next immutable snapshot, carrying the tree anchor for the
-// committed version. Callers hold sh.mu (or have exclusive access during
-// AddTable), which is what makes the copied pages a consistent cut.
+// committed version: the root's signature under per-node rsa, the root
+// digest sh.rootDigest holds under a Merkle scheme — shipState signs it
+// when a replica is first shipped the version. Callers hold sh.mu (or
+// have exclusive access), which is what makes the copied pages a
+// consistent cut, and is why nothing here may sign.
 func (s *Server) publishShard(sh *shard, version, epoch uint64, pages []storage.PageID) error {
 	ov := sh.store.Begin()
 	defer ov.Abort() // no-op once published
@@ -571,10 +607,14 @@ func (s *Server) publishShard(sh *shard, version, epoch uint64, pages []storage.
 			return err
 		}
 	}
+	anchor := sig.Signature(sh.rootDigest)
+	if !s.merkle() {
+		anchor = sh.tree.RootSig()
+	}
 	ov.Publish(&vbtree.TableState{
 		Root:       sh.tree.Root(),
 		Height:     sh.tree.Height(),
-		RootSig:    sh.tree.RootSig(),
+		RootSig:    anchor,
 		HeapPages:  sh.heap.Pages(),
 		KeyVersion: s.key.Public().Version,
 		Scheme:     s.key.Public().Scheme,
@@ -614,16 +654,15 @@ func (sh *shard) stashJournal() {
 }
 
 // mapOf builds the unsigned map for one partition generation at the
-// given map version. Callers either have exclusive access (AddTable,
-// transitions under partMu) or take brief shard read locks via
-// lockShards to make each (rootDigest, version) pair consistent.
+// given map version; KeyVersion and SignedAt are stamped when it is
+// signed. Callers either have exclusive access (AddTable, transitions
+// under partMu) or take brief shard read locks via lockShards to make
+// each (rootDigest, version) pair consistent.
 func (s *Server) mapOf(t *table, p *partition, mapVersion uint64, lockShards bool) *shardmap.Map {
 	m := &shardmap.Map{
 		Table:       t.sch.Table,
 		Epoch:       t.epoch,
 		MapVersion:  mapVersion,
-		KeyVersion:  s.key.Public().Version,
-		SignedAt:    time.Now().Unix(),
 		MapEpoch:    p.mapEpoch,
 		ParentEpoch: p.parentEpoch,
 		Boundaries:  p.boundaries,
@@ -644,18 +683,19 @@ func (s *Server) mapOf(t *table, p *partition, mapVersion uint64, lockShards boo
 	return m
 }
 
-// signMapLocked builds and signs the table's shard map from the shards'
-// current states. The caller has exclusive access (AddTable).
-func (s *Server) signMapLocked(t *table, p *partition) error {
-	signed, err := shardmap.Sign(s.mapOf(t, p, t.mapVersion, false), s.key)
-	if err != nil {
+// storeMap makes m the table's current map, unsigned. Its contents are
+// final from here on: the signature SignedShardMap makes later covers
+// exactly what was stored. The caller holds commitMu or has exclusive
+// access (AddTable).
+func storeMap(t *table, m *shardmap.Map) error {
+	if err := m.Validate(); err != nil {
 		return err
 	}
-	t.smap.Store(signed)
+	t.smap.Store(m)
 	return nil
 }
 
-// republishMap re-signs the shard map after one or more shard commits.
+// republishMap publishes the shard map after one or more shard commits.
 // It must not be called while holding any shard write lock (commit paths
 // release their shards first); the brief read locks make each
 // (rootDigest, version) pair consistent. Callers on the write path hold
@@ -664,25 +704,36 @@ func (s *Server) republishMap(t *table) error {
 	t.commitMu.Lock()
 	defer t.commitMu.Unlock()
 	t.mapVersion++
-	signed, err := shardmap.Sign(s.mapOf(t, t.part.Load(), t.mapVersion, true), s.key)
-	if err != nil {
-		return err
-	}
-	t.smap.Store(signed)
-	return nil
+	return storeMap(t, s.mapOf(t, t.part.Load(), t.mapVersion, true))
 }
 
-// SignedShardMap returns the table's current signed shard map.
+// SignedShardMap returns the table's current shard map, signed. The
+// first call for a map version signs it, stamping the key version and
+// time it is signed under; later calls, concurrent ones included, get
+// that same signed map until the map or the key version changes.
 func (s *Server) SignedShardMap(tableName string) (*shardmap.Signed, error) {
 	t, err := s.table(tableName)
 	if err != nil {
 		return nil, err
 	}
-	sm := t.smap.Load()
-	if sm == nil {
+	ms := &t.mapSig
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	m := t.smap.Load()
+	if m == nil {
 		return nil, errors.New("central: table has no shard map")
 	}
-	return sm, nil
+	kv := s.key.Public().Version
+	if ms.from != m || ms.signed.Map.KeyVersion != kv {
+		stamped := *m
+		stamped.KeyVersion, stamped.SignedAt = kv, time.Now().Unix()
+		signed, err := shardmap.Sign(&stamped, s.key)
+		if err != nil {
+			return nil, err
+		}
+		ms.from, ms.signed = m, signed
+	}
+	return ms.signed, nil
 }
 
 // MaterializeJoin computes left ⋈ right on lcol = rcol and registers the
@@ -812,11 +863,11 @@ func (s *Server) Version(name string) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	sm := t.smap.Load()
-	if sm == nil {
+	m := t.smap.Load()
+	if m == nil {
 		return 0, errors.New("central: table has no shard map")
 	}
-	return sm.Map.MapVersion, nil
+	return m.MapVersion, nil
 }
 
 // TableEpoch returns a table's incarnation id.
@@ -900,6 +951,33 @@ func (s *Server) deleteShardRange(t *table, sh *shard, lo, hi *schema.Datum) (in
 	return n, nil
 }
 
+// shipState returns the tree anchor a replica of the published version st
+// is shipped with. Under per-node rsa that is st itself: the tree signed
+// its root at commit. Under a Merkle scheme st holds the bare root digest,
+// and the anchor shipped is a copy carrying the signature over it and the
+// key version that signature was minted under — minted the first time any
+// replica is shipped st, and reused for every replica after until the key
+// version changes. The caller must not hold sh.mu.
+func (s *Server) shipState(sh *shard, st *vbtree.TableState) (*vbtree.TableState, error) {
+	if !s.merkle() {
+		return st, nil
+	}
+	a := &sh.anchor
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	kv := s.key.Public().Version
+	if a.state != st || a.keyVersion != kv {
+		rs, err := s.key.Sign(st.RootSig)
+		if err != nil {
+			return nil, err
+		}
+		a.state, a.keyVersion, a.sig = st, kv, rs
+	}
+	shipped := *st
+	shipped.RootSig, shipped.KeyVersion = a.sig, a.keyVersion
+	return &shipped, nil
+}
+
 // snapshotOf captures one shard's replica image.
 func (s *Server) snapshotOf(t *table, sh *shard) (*wire.Snapshot, error) {
 	pinned, st, err := sh.snapState()
@@ -907,6 +985,9 @@ func (s *Server) snapshotOf(t *table, sh *shard) (*wire.Snapshot, error) {
 		return nil, err
 	}
 	defer pinned.Release()
+	if st, err = s.shipState(sh, st); err != nil {
+		return nil, err
+	}
 	snap, err := wire.NewSnapshot(pinned, st, t.sch, wire.AccParamsFrom(s.acc))
 	if err != nil {
 		return nil, err
@@ -989,6 +1070,9 @@ func (s *Server) appendDelta(dst []byte, t *table, sh *shard, fromVersion, epoch
 	if !covered {
 		d.SnapshotNeeded = true
 	} else {
+		if st, err = s.shipState(sh, st); err != nil {
+			return nil, nil, err
+		}
 		slices.Sort(d.PageIDs)
 		d.PageIDs = slices.Compact(d.PageIDs)
 		d.Root = st.Root

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"edgeauth/internal/schema"
-	"edgeauth/internal/shardmap"
 	"edgeauth/internal/storage"
 	"edgeauth/internal/vbtree"
 	"edgeauth/internal/wal"
@@ -21,9 +20,13 @@ import (
 // parent shards [i, i+p) give way to children built from the parents'
 // pinned tuples, cut at the transition's cut keys — a split is one
 // parent and one cut, a merge two parents and no cut. A transition
-// re-signs exactly the children's roots plus the map — never the whole
+// replaces exactly the children's roots plus the map — never the whole
 // table — and commits as one new map epoch with an explicit parent
 // link, so a replayed pre-transition map fails closed at every verifier.
+// The barrier signs none of them: their contents are final at the
+// barrier, and each is signed the first time a replica is shipped it
+// (under per-node rsa the child trees sign their roots as they are
+// built, outside the lock).
 //
 // Transitions are incremental: the expensive part — streaming the child
 // VB-tree builds out of the parent shard(s) — runs against a pinned
@@ -31,8 +34,7 @@ import (
 // delta tail records every update that commits on the parents after the
 // pin. The partition lock is taken only at the final barrier, which
 // replays the (bounded) tail into the children, assigns their final
-// version, re-signs nothing beyond what the swap itself requires, WALs
-// the RecReshard and swaps the generation. If the tail outgrows the
+// version, signs nothing, WALs the RecReshard and swaps the generation. If the tail outgrows the
 // configured bound, catch-up rounds replay it outside the lock first,
 // so the in-lock stall is O(tail bound), never O(shard pages).
 //
@@ -98,7 +100,7 @@ func (s *Server) Reshard(ctx context.Context, req *wire.ReshardRequest) (*wire.R
 // SplitShard splits shard idx at boundary (nil = the shard's load
 // median when the sketch is warm, else its key median), committing a
 // new map epoch. The children are streamed from the parent's pinned
-// state outside the partition lock; the swap re-signs exactly their two
+// state outside the partition lock; the swap fixes exactly their two
 // roots plus the map, WALs a typed RecReshard record and commits the
 // new generation at a bounded catch-up barrier.
 func (s *Server) SplitShard(ctx context.Context, tableName string, idx uint32, boundary *schema.Datum) (*wire.ReshardResponse, error) {
@@ -106,8 +108,8 @@ func (s *Server) SplitShard(ctx context.Context, tableName string, idx uint32, b
 }
 
 // MergeShards merges shard idx with its right neighbor idx+1 — the
-// inverse transition: one new tree over the pair's union, one root
-// re-sign plus the map, one new map epoch.
+// inverse transition: one new tree over the pair's union, one new root
+// plus the map, one new map epoch.
 func (s *Server) MergeShards(ctx context.Context, tableName string, idx uint32) (*wire.ReshardResponse, error) {
 	return s.runReshard(ctx, tableName, &reshardCmd{shard: idx, parents: 2})
 }
@@ -543,7 +545,7 @@ func (s *Server) publishChild(t *table, c *shard, version uint64) error {
 // — with writers excluded and the tail frozen — replay the remaining
 // tail, seat the children at their final version, splice the new
 // partition generation, WAL the RecReshard and swap. The lock is held
-// for O(tail) + a constant number of signatures — never O(shard pages):
+// for O(tail) and no signature — never O(shard pages):
 // the children's snapshots are pre-published at the predicted final
 // version before the lock, so the usual barrier skips the republish
 // entirely.
@@ -673,8 +675,9 @@ func (s *Server) abortTransition(tr *preparedTransition) {
 
 // commitTransition makes a built transition durable and visible: the
 // typed RecReshard record is WAL-logged and synced first, then — under
-// commitMu, in one step — the map version bumps, the new epoch's map is
-// signed and both the signed map and the partition pointer swap. The
+// commitMu, in one step — the map version bumps and both the new
+// epoch's map (unsigned until first shipped) and the partition pointer
+// swap. The
 // retired shards' logs are closed (their history lives on in the
 // carved shards' seed batches).
 func (s *Server) commitTransition(t *table, next *partition, op *wal.ReshardOp, retired ...*shard) error {
@@ -690,12 +693,10 @@ func (s *Server) commitTransition(t *table, next *partition, op *wal.ReshardOp, 
 	t.mapVersion++
 	// No shard locks are needed building the map: the caller holds partMu
 	// exclusively, so no shard can commit concurrently.
-	signed, err := shardmap.Sign(s.mapOf(t, next, t.mapVersion, false), s.key)
-	if err != nil {
+	if err := storeMap(t, s.mapOf(t, next, t.mapVersion, false)); err != nil {
 		t.commitMu.Unlock()
 		return err
 	}
-	t.smap.Store(signed)
 	t.part.Store(next)
 	t.commitMu.Unlock()
 	for _, sh := range retired {

@@ -50,8 +50,9 @@ func scanCount(t *testing.T, srv *Server) int {
 // TestSplitShardCommitsNewEpoch pins the whole split contract: one new
 // map epoch with the parent link, one more shard, fresh stable IDs, all
 // data retained, the transition validating under the shardmap rules —
-// and the split paying exactly the affected signatures (two carved
-// roots plus one map under ed25519), never a whole-table re-sign.
+// and exactly the affected signatures (two carved roots plus one map
+// under ed25519), never a whole-table re-sign: none by the split
+// itself, all of them by the first pull that ships them.
 func TestSplitShardCommitsNewEpoch(t *testing.T) {
 	srv := newReshardServer(t, 200, 2, Options{})
 	before := srv.SignedShardMap
@@ -69,14 +70,16 @@ func TestSplitShardCommitsNewEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	signsDelta := srv.Stats().SignOps - signsBefore
-	if signsDelta != 3 {
-		t.Fatalf("split re-signed %d times; want exactly 3 (left root + right root + map)", signsDelta)
+	if signsDelta := srv.Stats().SignOps - signsBefore; signsDelta != 0 {
+		t.Fatalf("split signed %d times; want 0 (nothing is signed before it is shipped)", signsDelta)
 	}
 	if resp.MapEpoch != 2 || resp.NumShards != 3 {
 		t.Fatalf("split response = epoch %d, %d shards; want 2, 3", resp.MapEpoch, resp.NumShards)
 	}
 
+	if got := pull(t, srv, replicaOf(sm0)); got != 3 {
+		t.Fatalf("first pull of the new generation signed %d times; want exactly 3 (left root + right root + map)", got)
+	}
 	sm1, err := srv.SignedShardMap("items")
 	if err != nil {
 		t.Fatal(err)
@@ -124,11 +127,14 @@ func TestMergeShardsCommitsNewEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if delta := srv.Stats().SignOps - signsBefore; delta != 2 {
-		t.Fatalf("merge re-signed %d times; want exactly 2 (merged root + map)", delta)
+	if delta := srv.Stats().SignOps - signsBefore; delta != 0 {
+		t.Fatalf("merge signed %d times; want 0 (nothing is signed before it is shipped)", delta)
 	}
 	if resp.MapEpoch != 2 || resp.NumShards != 2 {
 		t.Fatalf("merge response = epoch %d, %d shards; want 2, 2", resp.MapEpoch, resp.NumShards)
+	}
+	if got := pull(t, srv, replicaOf(sm0)); got != 2 {
+		t.Fatalf("first pull of the new generation signed %d times; want exactly 2 (merged root + map)", got)
 	}
 	sm1, err := srv.SignedShardMap("items")
 	if err != nil {

@@ -58,8 +58,8 @@ func TestShardedTableBuildAndMap(t *testing.T) {
 
 // TestShardedApplyBatch: a batch spanning every shard commits each
 // sub-batch on its own tree, bumps only the touched shards' versions,
-// republishes the map once, and signs one root per touched shard plus
-// the map.
+// republishes the map once and signs nothing; the map is signed once,
+// when first asked for.
 func TestShardedApplyBatch(t *testing.T) {
 	srv := newReshardServer(t, 400, 4, Options{WALDir: t.TempDir()})
 	before, err := srv.SignedShardMap("items")
@@ -87,9 +87,18 @@ func TestShardedApplyBatch(t *testing.T) {
 		}
 	}
 	signsDelta := srv.Stats().SignOps - signsBefore
+	if signsDelta != 0 {
+		t.Fatalf("batch paid %d signatures at the commit, want 0", signsDelta)
+	}
 	after, err := srv.SignedShardMap("items")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := srv.SignedShardMap("items"); err != nil {
+		t.Fatal(err)
+	}
+	if signsDelta = srv.Stats().SignOps - signsBefore; signsDelta != 1 {
+		t.Fatalf("two fetches of the new map paid %d signatures, want 1", signsDelta)
 	}
 	if after.Map.MapVersion != before.Map.MapVersion+1 {
 		t.Fatalf("map version went %d -> %d, want one bump per batch", before.Map.MapVersion, after.Map.MapVersion)
@@ -112,9 +121,6 @@ func TestShardedApplyBatch(t *testing.T) {
 	}
 	if changed != 1 {
 		t.Fatalf("%d shard roots changed, want 1 (all new keys beyond the last boundary)", changed)
-	}
-	if uint64(changed)+1 != signsDelta {
-		t.Fatalf("batch touching %d shard(s) paid %d signatures, want one per touched shard + the map", changed, signsDelta)
 	}
 
 	// Every inserted row landed.

@@ -26,12 +26,12 @@ type serverCounters struct {
 	batchOps       atomic.Uint64
 	maxRound       atomic.Uint64
 	// commits counts committed shard updates — the denominator of the
-	// signatures-per-commit ratio the Merkle schemes drive toward 1.
+	// signatures-per-commit ratio.
 	commits atomic.Uint64
 
 	// Online resharding: transitions committed and the per-transition
-	// work they paid (the costmodel's observables — shard roots re-signed
-	// and pages copied into the carved-out trees).
+	// work they paid (the costmodel's observables — new shard roots and
+	// pages copied into the carved-out trees).
 	splits            atomic.Uint64
 	merges            atomic.Uint64
 	reshardResigns    atomic.Uint64
@@ -79,16 +79,20 @@ type Stats struct {
 	// Scheme names the signing key's signature scheme; SignOps and
 	// RecoverOps below are this scheme's totals.
 	Scheme string `json:"scheme"`
-	// SignOps counts signature generations — the currency the sharded
-	// write path parallelizes and the Merkle schemes take off the
-	// per-node path entirely.
+	// SignOps counts signature generations, wherever they are made: at
+	// commit (per-node rsa's dirtied nodes and inserted digests; nothing
+	// under the Merkle schemes) and when a replica is first shipped what
+	// a signature covers (each map version, each Merkle shard root) or is
+	// shipped a delta body (signed for each puller).
 	SignOps uint64 `json:"sign_ops"`
 	// RecoverOps counts signature recoveries/verifications performed with
 	// the key (audits, self-checks).
 	RecoverOps uint64 `json:"recover_ops"`
 	// Commits counts committed shard updates; SigsPerCommit =
-	// SignOps/Commits is O(dirtied nodes) under rsa-full and ~1 under the
-	// Merkle schemes.
+	// SignOps/Commits is what the commits and their shipping cost
+	// together, per commit: O(dirtied nodes) under rsa-full; under the
+	// Merkle schemes the shipped roots, maps and delta bodies alone, so
+	// a commit no replica pulls before the next one costs nothing.
 	Commits       uint64  `json:"commits"`
 	SigsPerCommit float64 `json:"signatures_per_commit"`
 	// BatchRounds / BatchOps describe the group-commit front door:
@@ -97,10 +101,11 @@ type Stats struct {
 	BatchRounds uint64 `json:"group_commit_rounds"`
 	BatchOps    uint64 `json:"group_commit_ops"`
 	MaxRound    uint64 `json:"group_commit_max_round"`
-	// Online resharding: committed partition transitions, the shard-root
-	// re-signs they paid (a split re-signs exactly the two carved roots,
-	// never the whole table), and the pages copied building the new
-	// shards' trees.
+	// Online resharding: committed partition transitions, the new shard
+	// roots they made (a split exactly the two carved roots, never the
+	// whole table; under the Merkle schemes each is signed when a replica
+	// is first shipped it, not by the transition), and the pages copied
+	// building the new shards' trees.
 	Splits            uint64 `json:"reshard_splits"`
 	Merges            uint64 `json:"reshard_merges"`
 	ReshardResigns    uint64 `json:"reshard_root_resigns"`

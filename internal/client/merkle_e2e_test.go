@@ -155,28 +155,30 @@ func TestMerkleVerifyCacheHits(t *testing.T) {
 	}
 }
 
-// TestMerkleTamperFailsClosed drives the interior-forgery and scheme-
-// confusion attacks (plus the classic catalogue) against Merkle-scheme
-// deployments: every applicable attack must surface as ErrTampered.
+// TestMerkleTamperFailsClosed drives the whole answer-tampering
+// catalogue — the interior-forgery and scheme-confusion attacks among it —
+// against Merkle-scheme deployments whose roots and maps were signed when
+// first shipped: every attack must apply to a projected Merkle answer and
+// surface as ErrTampered.
 func TestMerkleTamperFailsClosed(t *testing.T) {
 	ctx := context.Background()
 	preds := []query.Predicate{
 		{Column: "id", Op: query.OpGE, Value: schema.Int64(10)},
 		{Column: "id", Op: query.OpLE, Value: schema.Int64(60)},
 	}
+	project := []string{"id", "cat"}
 	for _, scheme := range merkleSchemes() {
 		t.Run(scheme.String(), func(t *testing.T) {
 			d := deployScheme(t, 200, scheme, 1)
-			attacks := []tamper.Attack{
-				tamper.ForgeInteriorNode(),
-				tamper.CrossSchemeConfusion(),
-				tamper.MutateValue(),
-				tamper.DropTuple(),
-				tamper.InjectTuple(),
-				tamper.ForgeTopDigest(),
-				tamper.MisliftDS(),
+			// One commit shipped by delta, so the answers anchor at a root
+			// and a map both signed by the refresh that pulled them.
+			if err := d.central.Insert("items", rotationRow(t, 90_000)); err != nil {
+				t.Fatal(err)
 			}
-			for _, a := range attacks {
+			if _, err := d.edge.Refresh(ctx, "items"); err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range tamper.All() {
 				t.Run(a.Name, func(t *testing.T) {
 					applied := false
 					d.edge.SetTamper(func(rs *vo.ResultSet, w *vo.VO) error {
@@ -190,7 +192,7 @@ func TestMerkleTamperFailsClosed(t *testing.T) {
 						return nil
 					})
 					defer d.edge.SetTamper(nil)
-					_, err := d.client.Query(ctx, "items", preds, nil)
+					_, err := d.client.Query(ctx, "items", preds, project)
 					if !applied {
 						t.Fatalf("attack %q did not apply to a Merkle VO", a.Name)
 					}

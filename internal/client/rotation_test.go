@@ -18,11 +18,12 @@ import (
 	"edgeauth/internal/workload"
 )
 
-// freshDeploy is deploy with a private (non-shared) signing key, so tests
-// may rotate it without contaminating the package's shared key.
+// freshDeploy is deploy with a private (non-shared) signing key of
+// opts.Scheme, so tests may rotate it without contaminating the package's
+// shared key.
 func freshDeploy(t *testing.T, rows int, opts central.Options) *deployment {
 	t.Helper()
-	key, err := sig.GenerateKey(512)
+	key, err := sig.Generate(opts.Scheme, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,49 +94,94 @@ func rotationRow(t testing.TB, id int64) schema.Tuple {
 // key version, responses carry a key version the client has never seen.
 // The client must refetch the trusted key once over the authenticated
 // channel and re-verify — not report tampering until restart.
+//
+// The rotation lands between a commit and the refresh that first ships
+// it, so what is shipped must name the key it was minted under: the map,
+// signed when the edge first pulls it, carries the new version and a
+// signing time after the commit; the shard root carries the new version
+// under a Merkle scheme, where it too is signed when first shipped, and
+// the old one under per-node rsa, where the tree signed it at the commit.
 func TestQuerySurvivesKeyRotation(t *testing.T) {
-	ctx := context.Background()
-	d := freshDeploy(t, 200, central.Options{PageSize: 1024})
+	for _, scheme := range []sig.Scheme{sig.SchemeRSAFull, sig.SchemeRSAMerkle, sig.SchemeEd25519} {
+		scheme := scheme
+		t.Run(scheme.String(), func(t *testing.T) {
+			t.Parallel() // each waits out a second of wall clock
+			ctx := context.Background()
+			d := freshDeploy(t, 200, central.Options{PageSize: 1024, Scheme: scheme})
 
-	preds := []query.Predicate{
-		{Column: "id", Op: query.OpGE, Value: schema.Int64(10)},
-		{Column: "id", Op: query.OpLE, Value: schema.Int64(19)},
-	}
-	if _, err := d.client.Query(ctx, "items", preds, nil); err != nil {
-		t.Fatalf("pre-rotation query: %v", err)
-	}
+			preds := []query.Predicate{
+				{Column: "id", Op: query.OpGE, Value: schema.Int64(10)},
+				{Column: "id", Op: query.OpLE, Value: schema.Int64(19)},
+			}
+			if _, err := d.client.Query(ctx, "items", preds, nil); err != nil {
+				t.Fatalf("pre-rotation query: %v", err)
+			}
 
-	// Rotate: bump the key version with a fresh validity window, commit an
-	// update under the new version, propagate it to the edge.
-	now := time.Now().Unix()
-	d.central.SetKeyValidity(2, now-60, 0)
-	if err := d.central.Insert("items", rotationRow(t, 90_000)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.edge.Refresh(ctx, "items"); err != nil {
-		t.Fatal(err)
-	}
+			// Commit an update under version 0, let the clock pass the
+			// commit's second, rotate to version 2 with a fresh validity
+			// window, then propagate the update to the edge.
+			if err := d.central.Insert("items", rotationRow(t, 90_000)); err != nil {
+				t.Fatal(err)
+			}
+			committed := time.Now().Unix()
+			for time.Now().Unix() == committed {
+				time.Sleep(10 * time.Millisecond)
+			}
+			d.central.SetKeyValidity(2, time.Now().Unix()-60, 0)
+			if _, err := d.edge.Refresh(ctx, "items"); err != nil {
+				t.Fatal(err)
+			}
+			sm, err := d.edge.SignedShardMap("items")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sm.Map.KeyVersion != 2 || sm.Map.SignedAt <= committed {
+				t.Errorf("shipped map names key version %d, signed at %d; want 2, after the commit at %d", sm.Map.KeyVersion, sm.Map.SignedAt, committed)
+			}
 
-	// The next query's VO is stamped with version 2, which this client has
-	// never fetched. It must recover transparently.
-	res, err := d.client.Query(ctx, "items", preds, nil)
-	if err != nil {
-		t.Fatalf("post-rotation query reported: %v (the pre-fix client returned ErrTampered forever)", err)
-	}
-	if len(res.Result.Tuples) != 10 {
-		t.Fatalf("post-rotation query returned %d tuples, want 10", len(res.Result.Tuples))
-	}
+			// The next query's answer carries the new map, which this
+			// client has never seen the key of. It must recover
+			// transparently.
+			shipped := make(chan vo.VO, 1)
+			d.edge.SetTamper(func(rs *vo.ResultSet, w *vo.VO) error {
+				select {
+				case shipped <- vo.VO{KeyVersion: w.KeyVersion, TopDigest: w.TopDigest.Clone(), RootSig: w.RootSig.Clone()}:
+				default:
+				}
+				return nil
+			})
+			res, err := d.client.Query(ctx, "items", preds, nil)
+			if err != nil {
+				t.Fatalf("post-rotation query reported: %v (the pre-fix client returned ErrTampered forever)", err)
+			}
+			if len(res.Result.Tuples) != 10 {
+				t.Fatalf("post-rotation query returned %d tuples, want 10", len(res.Result.Tuples))
+			}
+			w := <-shipped
+			wantKey := uint32(0)
+			if scheme.Merkle() {
+				wantKey = 2
+				if err := d.central.PublicKey().Verify(w.RootSig, w.TopDigest); err != nil {
+					t.Errorf("shipped root signature: %v", err)
+				}
+			}
+			if w.KeyVersion != wantKey {
+				t.Errorf("shipped root names key version %d, want %d, the version it was signed under", w.KeyVersion, wantKey)
+			}
 
-	// The refetch must not become a hole: a VO stamped with a key version
-	// the central server never served still fails as tampering.
-	d.edge.SetTamper(func(rs *vo.ResultSet, w *vo.VO) error {
-		w.KeyVersion = 99
-		return nil
-	})
-	if _, err := d.client.Query(ctx, "items", preds, nil); !errors.Is(err, ErrTampered) {
-		t.Fatalf("forged key version after rotation: %v, want ErrTampered", err)
+			// The refetch must not become a hole: a VO stamped with a key
+			// version the central server never served still fails as
+			// tampering.
+			d.edge.SetTamper(func(rs *vo.ResultSet, w *vo.VO) error {
+				w.KeyVersion = 99
+				return nil
+			})
+			if _, err := d.client.Query(ctx, "items", preds, nil); !errors.Is(err, ErrTampered) {
+				t.Fatalf("forged key version after rotation: %v, want ErrTampered", err)
+			}
+			d.edge.SetTamper(nil)
+		})
 	}
-	d.edge.SetTamper(nil)
 }
 
 // TestInsertBatchEndToEnd drives the batched write path over real TCP:

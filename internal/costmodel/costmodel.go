@@ -219,19 +219,51 @@ func (p Params) DeleteCost(qr int) float64 {
 	return boundary + upper
 }
 
+// The signature ledger of the central server. A signature exists so that
+// what is shipped can be checked (§3), so the central signs what it ships,
+// when a replica is first shipped it, not what it commits: a commit signs
+// only what the paper's per-node scheme stores signed, and a new map
+// version — and, under a Merkle scheme, each new shard root — is signed
+// once, by the first pull that ships it.
+
+// CommitSignOps is what one commit signs: under the paper's per-node
+// scheme an attribute and a tuple signature per tuple inserted (N_C + 1)
+// and one per tree node the commit dirtied, each shard's root among them;
+// under a Merkle scheme nothing.
+func (p Params) CommitSignOps(merkle bool, inserted, dirtied int) int {
+	if merkle {
+		return 0
+	}
+	return inserted*(p.NC+1) + dirtied
+}
+
+// PullSignOps is what the first replica pull of a new map version signs:
+// the map; under a Merkle scheme each shard root the pull ships that no
+// replica was shipped before (a per-node tree signed its root at commit);
+// and one signature per delta body — a body is signed for each puller, so
+// a second puller of the same versions pays only its bodies. A snapshot
+// carries no signature of its own, only its root's.
+func PullSignOps(merkle bool, roots, bodies int) int {
+	if merkle {
+		return 1 + roots + bodies
+	}
+	return 1 + bodies
+}
+
 // ReshardCost is the cost of one online partition transition — the
 // dynamic-resharding extension (the paper's trees are static). A
-// transition rebuilds only the carved shard(s) and re-signs exactly the
+// transition rebuilds only the carved shard(s) and replaces exactly the
 // new roots plus the shard map, never the whole table, so the cost is a
 // constant signature component plus a page-copy and re-digest component
-// linear in the tuples that change shards.
+// linear in the tuples that change shards. The transition itself signs
+// none of the constant component: the new roots and map are final at
+// its barrier, and the first pull that ships them signs them —
+// PullSignOps(merkle, RootsResigned, 0), a replica taking a shard it
+// never held as a snapshot.
 type ReshardCost struct {
-	// RootsResigned is the number of new shard roots signed, one per
-	// child: 2 for a split, 1 for a merge.
+	// RootsResigned is the number of new shard roots, one per child: 2
+	// for a split, 1 for a merge.
 	RootsResigned int
-	// SignOps adds the one map signature every transition commits on
-	// top of the root re-signs.
-	SignOps int
 	// PagesMoved is the modeled page-write floor for building the
 	// carved stores: perfectly packed tuple+leaf bytes plus the internal
 	// levels' geometric overhead. The implementation's observed count
@@ -269,10 +301,10 @@ func (p Params) reshardBuild(n int) (pages int, comp float64) {
 // TransitionCost models a transition whose children carry the given
 // tuple counts: a split of a shard into nLeft and nRight tuples is
 // TransitionCost(nLeft, nRight), a merge of two adjacent shards
-// TransitionCost(nLeft+nRight). Every child is rebuilt and its root
-// signed, plus the one map signature.
+// TransitionCost(nLeft+nRight). Every child is rebuilt and has a new
+// root.
 func (p Params) TransitionCost(children ...int) ReshardCost {
-	c := ReshardCost{RootsResigned: len(children), SignOps: len(children) + 1}
+	c := ReshardCost{RootsResigned: len(children)}
 	for _, n := range children {
 		pg, comp := p.reshardBuild(n)
 		c.PagesMoved += pg
@@ -282,19 +314,19 @@ func (p Params) TransitionCost(children ...int) ReshardCost {
 }
 
 // BarrierComp models the in-lock stall of an incremental transition's
-// catch-up barrier: replaying `tail` buffered updates into the children
-// (each one insert's digest work, formula (11)) plus the transition's
-// signatures — one root per child plus the map. The build itself —
-// O(shard) — runs outside the lock and never appears here: the stall is
-// O(tail), with the bound on `tail` set by the server's catch-up rounds
-// (central's DefaultReshardTailBound). Observed counterpart: the
+// catch-up barrier: replaying `tail` buffered updates into the children,
+// each one insert's digest work (formula (11)). The transition's
+// signatures are not in it — they are made when first shipped — and
+// neither is the build — O(shard) — which runs outside the lock: the
+// stall is O(tail), with the bound on `tail` set by the server's catch-up
+// rounds (central's DefaultReshardTailBound). Observed counterpart: the
 // ReshardTailReplayed stat is the realized `tail`,
 // ReshardBarrierStallMs the realized wall time.
-func (p Params) BarrierComp(children, tail int) float64 {
+func (p Params) BarrierComp(tail int) float64 {
 	if tail < 0 {
 		tail = 0
 	}
-	return float64(tail)*p.InsertCost() + float64(children+1)*p.CostS()
+	return float64(tail) * p.InsertCost()
 }
 
 // QRForSelectivity converts a selectivity percentage into a result size.

@@ -10,16 +10,21 @@ import (
 	"edgeauth/internal/workload"
 )
 
-// reshardObs is one transition's observed stats deltas.
+// reshardObs is one transition's observed stats deltas: signs is what
+// the transition itself signed, pullSigns what the first pull of the new
+// generation signed after it.
 type reshardObs struct {
 	resigns, signs, pages uint64
+	pullSigns             uint64
 	tailReplayed          uint64
 	buildMs               float64
 }
 
 // observedTransitions runs a median split of shard 0 followed by a merge
 // of its children on a live central server (ed25519, so SignOps counts
-// signatures 1:1) and returns each transition's stats deltas.
+// signatures 1:1), each followed by the pull a replica makes of the new
+// generation — the signed map, then a snapshot of every shard it has not
+// held — and returns each transition's stats deltas.
 func observedTransitions(t *testing.T, rows int) (split, merge reshardObs) {
 	t.Helper()
 	key, err := sig.Generate(sig.SchemeEd25519, 0)
@@ -44,35 +49,57 @@ func observedTransitions(t *testing.T, rows int) (split, merge reshardObs) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	s0 := srv.Stats()
-	if _, err := srv.SplitShard(ctx, sch.Table, 0, nil); err != nil {
-		t.Fatalf("split: %v", err)
+	held := map[uint64]bool{}
+	pull := func() uint64 {
+		t.Helper()
+		before := srv.Stats().SignOps
+		sm, err := srv.SignedShardMap(sch.Table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range sm.Map.Shards {
+			if held[sh.ID] {
+				continue
+			}
+			if _, err := srv.ShardSnapshotByID(sch.Table, sh.ID); err != nil {
+				t.Fatal(err)
+			}
+			held[sh.ID] = true
+		}
+		return srv.Stats().SignOps - before
 	}
-	s1 := srv.Stats()
-	if _, err := srv.MergeShards(ctx, sch.Table, 0); err != nil {
-		t.Fatalf("merge: %v", err)
+	pull()
+	observe := func(name string, transition func() error) reshardObs {
+		t.Helper()
+		s0 := srv.Stats()
+		if err := transition(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		s1 := srv.Stats()
+		return reshardObs{
+			resigns:      s1.ReshardResigns - s0.ReshardResigns,
+			signs:        s1.SignOps - s0.SignOps,
+			pages:        s1.ReshardPagesMoved - s0.ReshardPagesMoved,
+			pullSigns:    pull(),
+			tailReplayed: s1.ReshardTailReplayed - s0.ReshardTailReplayed,
+			buildMs:      s1.ReshardBuildMs - s0.ReshardBuildMs,
+		}
 	}
-	s2 := srv.Stats()
-	split = reshardObs{
-		resigns:      s1.ReshardResigns - s0.ReshardResigns,
-		signs:        s1.SignOps - s0.SignOps,
-		pages:        s1.ReshardPagesMoved - s0.ReshardPagesMoved,
-		tailReplayed: s1.ReshardTailReplayed - s0.ReshardTailReplayed,
-		buildMs:      s1.ReshardBuildMs - s0.ReshardBuildMs,
-	}
-	merge = reshardObs{
-		resigns:      s2.ReshardResigns - s1.ReshardResigns,
-		signs:        s2.SignOps - s1.SignOps,
-		pages:        s2.ReshardPagesMoved - s1.ReshardPagesMoved,
-		tailReplayed: s2.ReshardTailReplayed - s1.ReshardTailReplayed,
-		buildMs:      s2.ReshardBuildMs - s1.ReshardBuildMs,
-	}
+	split = observe("split", func() error {
+		_, err := srv.SplitShard(ctx, sch.Table, 0, nil)
+		return err
+	})
+	merge = observe("merge", func() error {
+		_, err := srv.MergeShards(ctx, sch.Table, 0)
+		return err
+	})
 	return split, merge
 }
 
 // TestReshardCostTiesToObservedStats pins the transition cost formula
 // against a live server: signature counts must match exactly (they are
-// the minimal-resigning contract), and the modeled page floor must sit
+// the minimal-resigning contract: nothing at the barrier, the map and
+// one root per child on the first pull), and the modeled page floor must sit
 // below the observed page writes by no more than the slotted-page
 // overhead factor, scaling linearly with the carved tuple count.
 func TestReshardCostTiesToObservedStats(t *testing.T) {
@@ -86,13 +113,16 @@ func TestReshardCostTiesToObservedStats(t *testing.T) {
 	ms := p.TransitionCost(rows/4, rows/4)
 	mm := p.TransitionCost(rows / 2)
 
-	if uint64(ms.RootsResigned) != obsSplit.resigns || uint64(ms.SignOps) != obsSplit.signs {
-		t.Errorf("split signatures: model %d roots / %d signs, observed %d / %d",
-			ms.RootsResigned, ms.SignOps, obsSplit.resigns, obsSplit.signs)
-	}
-	if uint64(mm.RootsResigned) != obsMerge.resigns || uint64(mm.SignOps) != obsMerge.signs {
-		t.Errorf("merge signatures: model %d roots / %d signs, observed %d / %d",
-			mm.RootsResigned, mm.SignOps, obsMerge.resigns, obsMerge.signs)
+	for _, c := range []struct {
+		name  string
+		model costmodel.ReshardCost
+		obs   reshardObs
+	}{{"split", ms, obsSplit}, {"merge", mm, obsMerge}} {
+		pull := costmodel.PullSignOps(true, c.model.RootsResigned, 0)
+		if uint64(c.model.RootsResigned) != c.obs.resigns || c.obs.signs != 0 || uint64(pull) != c.obs.pullSigns {
+			t.Errorf("%s signatures: model %d roots, 0 at the barrier, %d on the first pull; observed %d / %d / %d",
+				c.name, c.model.RootsResigned, pull, c.obs.resigns, c.obs.signs, c.obs.pullSigns)
+		}
 	}
 
 	checkPages := func(name string, model int, observed uint64) {
@@ -109,14 +139,14 @@ func TestReshardCostTiesToObservedStats(t *testing.T) {
 
 	// Incremental transitions on a quiescent table: the delta tail is
 	// empty, so the observed in-lock replay is zero and the modeled
-	// barrier collapses to its constant signature term — while the
-	// O(shard) build work shows up as unlocked build wall time.
+	// barrier collapses to nothing — while the O(shard) build work shows
+	// up as unlocked build wall time.
 	if obsSplit.tailReplayed != 0 || obsMerge.tailReplayed != 0 {
 		t.Errorf("quiescent transitions replayed a tail: split %d, merge %d, want 0/0",
 			obsSplit.tailReplayed, obsMerge.tailReplayed)
 	}
-	if got, want := p.BarrierComp(ms.RootsResigned, int(obsSplit.tailReplayed)), p.BarrierComp(ms.RootsResigned, 0); got != want {
-		t.Errorf("observed barrier comp %v, want the constant term %v", got, want)
+	if got := p.BarrierComp(int(obsSplit.tailReplayed)); got != 0 {
+		t.Errorf("observed barrier comp %v, want 0", got)
 	}
 	if obsSplit.buildMs <= 0 || obsMerge.buildMs <= 0 {
 		t.Errorf("transitions recorded no unlocked build time: split %.3fms, merge %.3fms",
@@ -144,8 +174,20 @@ func TestReshardCostShape(t *testing.T) {
 	}
 	s := p.TransitionCost(500, 500)
 	m := p.TransitionCost(1000)
-	if s.RootsResigned != 2 || s.SignOps != 3 || m.RootsResigned != 1 || m.SignOps != 2 {
-		t.Errorf("signature constants: split %+v, merge %+v", s, m)
+	if s.RootsResigned != 2 || m.RootsResigned != 1 {
+		t.Errorf("new roots: split %+v, merge %+v", s, m)
+	}
+	// The first pull of the new generation signs the map and, under a
+	// Merkle scheme, each new root; per-node trees signed theirs as they
+	// were built.
+	for _, tc := range []struct {
+		merkle bool
+		c      costmodel.ReshardCost
+		want   int
+	}{{true, s, 3}, {true, m, 2}, {false, s, 1}, {false, m, 1}} {
+		if got := costmodel.PullSignOps(tc.merkle, tc.c.RootsResigned, 0); got != tc.want {
+			t.Errorf("first pull after a %d-child transition (merkle %v) signs %d, want %d", tc.c.RootsResigned, tc.merkle, got, tc.want)
+		}
 	}
 	// A split writes the same tuple bytes as the inverse merge plus one
 	// extra store header, so its page count is >= the merge's.
@@ -159,20 +201,17 @@ func TestReshardCostShape(t *testing.T) {
 	}
 	// The signature component does NOT grow — that is the whole point of
 	// the minimal re-signing design.
-	if s2.RootsResigned != s.RootsResigned || s2.SignOps != s.SignOps {
-		t.Errorf("signature count grew with shard size: %+v -> %+v", s, s2)
+	if s2.RootsResigned != s.RootsResigned {
+		t.Errorf("new-root count grew with shard size: %+v -> %+v", s, s2)
 	}
-	// The barrier stall model: the transition's own signatures at an
-	// empty tail (a split's three, a merge's two), linear in the tail
-	// thereafter, and independent of the shard size — the build term
-	// never enters it.
-	for _, c := range []costmodel.ReshardCost{s, m} {
-		if got, want := p.BarrierComp(c.RootsResigned, 0), float64(c.SignOps)*p.CostS(); got != want {
-			t.Errorf("%d-child empty-tail barrier comp %v, want the %d-signature constant %v", c.RootsResigned, got, c.SignOps, want)
-		}
+	// The barrier stall model: nothing at an empty tail — no signature is
+	// made inside the barrier — linear in the tail thereafter, and
+	// independent of the shard size — the build term never enters it.
+	if got := p.BarrierComp(0); got != 0 {
+		t.Errorf("empty-tail barrier comp %v, want 0", got)
 	}
-	b1 := p.BarrierComp(2, 100) - p.BarrierComp(2, 0)
-	b2 := p.BarrierComp(2, 200) - p.BarrierComp(2, 0)
+	b1 := p.BarrierComp(100)
+	b2 := p.BarrierComp(200)
 	if b1 <= 0 || b2 != 2*b1 {
 		t.Errorf("barrier comp not linear in the tail: +100 -> %v, +200 -> %v", b1, b2)
 	}

@@ -23,7 +23,11 @@ func (t *Tree) Audit() (int, error) {
 	}
 	// Scheme-agnostic root check: recover-and-compare under RSA, detached
 	// verify under Ed25519.
-	if err := t.pub.Verify(t.rootSig, u); err != nil {
+	rs, err := t.rootSigLocked()
+	if err != nil {
+		return n, err
+	}
+	if err := t.pub.Verify(rs, u); err != nil {
 		return n, fmt.Errorf("vbtree: root signature does not match recomputed digest: %w", err)
 	}
 	return n, nil

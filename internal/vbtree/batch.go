@@ -34,8 +34,9 @@ import (
 //     recomputed from its entries; every other dirty node resumes from
 //     its pre-batch digest, multiplies in the tuples placed in it (a
 //     leaf) or swaps each changed child's old factor for its new one (an
-//     internal node). Shared ancestors, the root above all, are re-signed
-//     once per batch, not once per tuple.
+//     internal node). Shared ancestors, the root above all, are resealed
+//     once per batch, not once per tuple (re-signed under the legacy
+//     scheme; a Merkle tree signs nothing here).
 //
 // A batch of one is therefore exactly the paper's incremental insert: N_C
 // attribute hashes, H folds and H−1 digest recoveries for a tree of height
@@ -59,11 +60,10 @@ type BatchStats struct {
 	// duplicate keys are skipped and reported in the error slice).
 	Applied int
 	// NodesResigned counts the tree nodes whose digest was re-signed —
-	// each dirtied node exactly once, however many tuples landed in it.
+	// under the legacy scheme each dirtied node, the root included,
+	// exactly once however many tuples landed in it; under a Merkle
+	// scheme none (the root is signed when first asked for).
 	NodesResigned int
-	// RootResigns counts root re-signs: 1 for any batch that applied at
-	// least one tuple, 0 otherwise — however many tuples it applied.
-	RootResigns int
 }
 
 // InsertBatch inserts tuples as one batch and returns per-op errors
@@ -86,15 +86,11 @@ func (t *Tree) InsertBatch(tuples []schema.Tuple) (BatchStats, []error, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
-	rootU, err := t.currentRootU()
-	if err != nil {
-		return BatchStats{}, opErrs, err
-	}
 	b := &treeBatch{
 		t:      t,
 		leaves: make(map[storage.PageID]*vbLeaf),
 		inners: make(map[storage.PageID]*vbInternal),
-		old:    map[storage.PageID]digest.Value{t.root: rootU},
+		old:    map[storage.PageID]digest.Value{t.root: t.rootU},
 		whole:  make(map[storage.PageID]bool),
 		u:      make(map[storage.PageID]digest.Value),
 		dirty:  make(map[storage.PageID]bool),
@@ -131,13 +127,12 @@ func (t *Tree) InsertBatch(tuples []schema.Tuple) (BatchStats, []error, error) {
 	}
 
 	// Phase 3: repair — recompute each dirty node's digest once
-	// (bottom-up), sign it once (in parallel), install, flush.
-	stats := BatchStats{Applied: applied, RootResigns: 1}
-	stats.NodesResigned, err = b.repair()
+	// (bottom-up), seal it once (signing in parallel), install, flush.
+	resigned, err := b.repair()
 	if err != nil {
 		return BatchStats{}, opErrs, err
 	}
-	return stats, opErrs, nil
+	return BatchStats{Applied: applied, NodesResigned: resigned}, opErrs, nil
 }
 
 // preparedTuple carries one tuple's pre-computed crypto into the
@@ -537,10 +532,10 @@ func (b *treeBatch) cleanU(pid storage.PageID, stored sig.Signature) (digest.Val
 // repair recomputes each dirty node's digest once (bottom-up from the
 // root's dirty spine), seals each exactly once, installs the fresh
 // entries into parents and the root anchor, and flushes every dirtied
-// page. Under the legacy scheme each dirty node is re-signed (in
-// parallel); under a Merkle scheme the entries are the raw digests and
-// exactly ONE signature is produced — over the root. Returns how many
-// signatures the repair spent.
+// page. Under the legacy scheme each dirty node, the root included, is
+// re-signed (in parallel); under a Merkle scheme every entry is the raw
+// digest and no signature is produced — the root's is made when first
+// asked for. Returns how many signatures the repair spent.
 func (b *treeBatch) repair() (int, error) {
 	if _, err := b.computeU(b.t.root); err != nil {
 		return 0, err
@@ -553,7 +548,7 @@ func (b *treeBatch) repair() (int, error) {
 	sigs := make(map[storage.PageID]sig.Signature, len(dirty))
 	signed := len(dirty)
 	if b.t.merkle {
-		signed = 1
+		signed = 0
 		for _, pid := range dirty {
 			sigs[pid] = sig.Signature(append([]byte(nil), b.u[pid]...))
 		}
@@ -595,15 +590,6 @@ func (b *treeBatch) repair() (int, error) {
 			return 0, err
 		}
 	}
-	if b.t.merkle {
-		rs, err := b.t.sign(b.u[b.t.root])
-		if err != nil {
-			return 0, err
-		}
-		b.t.rootSig = rs
-	} else {
-		b.t.rootSig = sigs[b.t.root]
-	}
-	b.t.rootU = b.u[b.t.root]
+	b.t.setRoot(b.u[b.t.root], sigs[b.t.root])
 	return signed, nil
 }

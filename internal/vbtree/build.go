@@ -185,7 +185,7 @@ func (b *streamBuilder) add(p *preparedTuple) error {
 }
 
 // finish flushes the last leaf, chains the leaf level, packs the
-// internal levels and signs the root — exactly once, however many
+// internal levels and seals the root — exactly once, however many
 // chunks fed the builder.
 func (b *streamBuilder) finish() (*Tree, error) {
 	t := b.t
@@ -209,12 +209,9 @@ func (b *streamBuilder) finish() (*Tree, error) {
 		t.root = f.ID()
 		t.bp.Unpin(f, true)
 		t.height = 1
-		rs, err := t.sign(t.acc.Identity())
-		if err != nil {
+		if err := t.sealRoot(t.acc.Identity()); err != nil {
 			return nil, err
 		}
-		t.rootSig = rs
-		t.rootU = t.acc.Identity()
 		return t, nil
 	}
 	// Chain the leaves.
@@ -296,11 +293,8 @@ func (b *streamBuilder) finish() (*Tree, error) {
 		t.height++
 	}
 	t.root = level[0].pid
-	rs, err := t.sign(level[0].u)
-	if err != nil {
+	if err := t.sealRoot(level[0].u); err != nil {
 		return nil, err
 	}
-	t.rootSig = rs
-	t.rootU = level[0].u
 	return t, nil
 }

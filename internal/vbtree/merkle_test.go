@@ -129,14 +129,18 @@ func TestMerkleRootSigMatchesLegacy(t *testing.T) {
 }
 
 // TestMerkleBatchSignsOnlyRoot pins the headline accounting: in Merkle
-// mode a batch commit re-signs exactly one digest (the root), no matter
-// how many nodes it dirties; the legacy tree re-signs every dirty node.
+// mode a batch commit signs nothing, no matter how many nodes it dirties,
+// and the one digest a Merkle tree signs — the root — is signed once, by
+// the first RootSig after the commit; the legacy tree re-signs every
+// dirty node at the commit.
 func TestMerkleBatchSignsOnlyRoot(t *testing.T) {
 	batch := make([]schema.Tuple, 64)
 	for i := range batch {
 		batch[i] = mkTuple(5000 + i*3)
 	}
 	merkle := newSchemeHarness(t, 200, 1024, sig.SchemeRSAMerkle)
+	var ctr digest.Counters
+	merkle.key.SetCounters(&ctr)
 	st, opErrs, err := merkle.tree.InsertBatch(batch)
 	if err != nil {
 		t.Fatal(err)
@@ -146,8 +150,19 @@ func TestMerkleBatchSignsOnlyRoot(t *testing.T) {
 			t.Fatal(e)
 		}
 	}
-	if st.Applied != len(batch) || st.NodesResigned != 1 || st.RootResigns != 1 {
-		t.Fatalf("merkle batch stats = %+v, want Applied=%d NodesResigned=1", st, len(batch))
+	if st.Applied != len(batch) || st.NodesResigned != 0 || ctr.SignOps.Load() != 0 {
+		t.Fatalf("merkle batch stats = %+v after %d signatures, want Applied=%d, nothing signed", st, ctr.SignOps.Load(), len(batch))
+	}
+	first := merkle.tree.RootSig()
+	if !merkle.tree.RootSig().Equal(first) || ctr.SignOps.Load() != 1 {
+		t.Fatalf("two RootSig calls after the commit signed %d times, want the root once", ctr.SignOps.Load())
+	}
+	u, err := merkle.tree.RootDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := merkle.key.Public().Verify(first, u); err != nil {
+		t.Fatalf("the root signature does not authenticate the root digest: %v", err)
 	}
 	legacy := newSchemeHarness(t, 200, 1024, sig.SchemeRSAFull)
 	lst, _, err := legacy.tree.InsertBatch(batch)
@@ -210,7 +225,7 @@ func TestViewSharedByConcurrentQueries(t *testing.T) {
 		tr := h.tree
 		v, err := NewView(ViewConfig{
 			Pages: tr.bp, HeapPages: tr.heap.Pages(), Schema: tr.sch, Acc: digest.MustNew(params),
-			Pub: tr.pub, Now: tr.now, Root: tr.root, Height: tr.height, RootSig: tr.rootSig,
+			Pub: tr.pub, Now: tr.now, Root: tr.root, Height: tr.height, RootSig: tr.RootSig(),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"edgeauth/internal/schema"
+	"edgeauth/internal/sig"
 	"edgeauth/internal/vo"
 )
 
@@ -39,8 +40,10 @@ type Query struct {
 // construct Views directly over pinned immutable snapshots and take no
 // locks at all; see NewView.
 
-// viewLocked assembles the read view; callers hold t.mu.
-func (t *Tree) viewLocked() (*View, error) {
+// viewLocked assembles the read view anchored at rootSig: the root's
+// sealed entry serves a view that only reads tuples, a view whose VOs
+// ship needs the root's signature (rootSigLocked). Callers hold t.mu.
+func (t *Tree) viewLocked(rootSig sig.Signature) (*View, error) {
 	return NewView(ViewConfig{
 		Pages:     t.bp,
 		HeapPages: t.heap.Pages(),
@@ -50,7 +53,7 @@ func (t *Tree) viewLocked() (*View, error) {
 		Now:       t.now,
 		Root:      t.root,
 		Height:    t.height,
-		RootSig:   t.rootSig,
+		RootSig:   rootSig,
 	})
 }
 
@@ -58,7 +61,7 @@ func (t *Tree) viewLocked() (*View, error) {
 func (t *Tree) Search(key schema.Datum) (*vo.StoredTuple, bool, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	v, err := t.viewLocked()
+	v, err := t.viewLocked(t.rootSig)
 	if err != nil {
 		return nil, false, err
 	}
@@ -72,7 +75,11 @@ func (t *Tree) Search(key schema.Datum) (*vo.StoredTuple, bool, error) {
 func (t *Tree) RunQuery(ctx context.Context, q Query) (*vo.ResultSet, *vo.VO, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	v, err := t.viewLocked()
+	rs, err := t.rootSigLocked()
+	if err != nil {
+		return nil, nil, err
+	}
+	v, err := t.viewLocked(rs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -84,7 +91,7 @@ func (t *Tree) RunQuery(ctx context.Context, q Query) (*vo.ResultSet, *vo.VO, er
 func (t *Tree) ScanAll() ([]*vo.StoredTuple, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	v, err := t.viewLocked()
+	v, err := t.viewLocked(t.rootSig)
 	if err != nil {
 		return nil, err
 	}

@@ -35,7 +35,7 @@ func TestWalkScratchIsSharedSafely(t *testing.T) {
 	for _, scheme := range []sig.Scheme{sig.SchemeRSAFull, sig.SchemeRSAMerkle} {
 		h := newSchemeHarness(t, 300, 1024, scheme)
 		h.tree.mu.RLock()
-		v, err := h.tree.viewLocked()
+		v, err := h.tree.viewLocked(h.tree.rootSig)
 		h.tree.mu.RUnlock()
 		if err != nil {
 			t.Fatal(err)
@@ -81,7 +81,7 @@ func TestWalkScratchIsSharedSafely(t *testing.T) {
 func TestWalkScratchRecyclesNoPageReference(t *testing.T) {
 	h := newHarness(t, 300, 1024, false)
 	h.tree.mu.RLock()
-	v, err := h.tree.viewLocked()
+	v, err := h.tree.viewLocked(h.tree.rootSig)
 	h.tree.mu.RUnlock()
 	if err != nil {
 		t.Fatal(err)

@@ -60,11 +60,7 @@ func (t *Tree) DeleteRange(lo, hi *schema.Datum) (int, error) {
 		txn = t.locks.Begin()
 		defer t.locks.ReleaseAll(txn)
 	}
-	rootOldU, err := t.currentRootU()
-	if err != nil {
-		return 0, err
-	}
-	res, err := t.deleteAt(t.root, rootOldU, loB, hiB, txn)
+	res, err := t.deleteAt(t.root, t.rootU, loB, hiB, txn)
 	if err != nil {
 		return 0, err
 	}
@@ -85,21 +81,16 @@ func (t *Tree) DeleteRange(lo, hi *schema.Datum) (int, error) {
 		t.root = f.ID()
 		t.bp.Unpin(f, true)
 		t.height = 1
-		rs, err := t.sign(t.acc.Identity())
-		if err != nil {
+		if err := t.sealRoot(t.acc.Identity()); err != nil {
 			return 0, err
 		}
-		t.rootSig = rs
-		t.rootU = t.acc.Identity()
 		return res.removed, nil
 	}
-	rs, err := t.sign(res.newU)
-	if err != nil {
+	if err := t.sealRoot(res.newU); err != nil {
 		return 0, err
 	}
-	t.rootSig = rs
-	t.rootU = res.newU
-	// Collapse trivial roots (an internal root with a single child).
+	// Collapse trivial roots (an internal root with a single child): the
+	// child's stored entry is already its sealed digest.
 	for {
 		pt, err := t.pageType(t.root)
 		if err != nil {
@@ -120,18 +111,7 @@ func (t *Tree) DeleteRange(lo, hi *schema.Datum) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		t.rootU = append(digest.Value(nil), u...)
-		if t.merkle {
-			// The stored entry is a raw digest; the new root still needs a
-			// real signature as the anchor.
-			rs, err := t.sign(t.rootU)
-			if err != nil {
-				return 0, err
-			}
-			t.rootSig = rs
-		} else {
-			t.rootSig = n.sigs[0].Clone()
-		}
+		t.setRoot(append(digest.Value(nil), u...), n.sigs[0].Clone())
 		t.height--
 	}
 	return res.removed, nil

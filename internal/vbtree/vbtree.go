@@ -99,25 +99,36 @@ type Tree struct {
 	locks  *lock.Manager
 	now    func() int64
 
-	root    storage.PageID
-	height  int // levels, leaves = level 1
+	root   storage.PageID
+	height int // levels, leaves = level 1
+	// rootSig is the root's sealed entry, sealed like every other node's
+	// (sealDigest): its signature under the legacy scheme, the raw digest
+	// under a Merkle scheme.
 	rootSig sig.Signature
 
-	// merkle is derived from Pub.Scheme: interior entries (attribute,
-	// tuple and node digests) are stored as raw unsigned digest values and
-	// only the root digest is signed. The stored layout is unchanged —
-	// entries are length-prefixed either way — but every commit spends
-	// exactly one signature instead of one per dirtied node.
+	// merkle is derived from Pub.Scheme: every entry (attribute, tuple and
+	// node digests, the root's included) is stored as the raw unsigned
+	// digest value. The stored layout is unchanged — entries are
+	// length-prefixed either way — but a commit spends no signature at
+	// all: the one signature a Merkle tree needs, over its root, is made
+	// when someone asks for it (RootSig).
 	merkle bool
 	// rootU tracks the unsigned root digest alongside rootSig, so
 	// RootDigest (the per-commit shard-map pin) costs no RSA recovery.
 	rootU digest.Value
 
+	// signed memoizes a Merkle root's signature: minted by the first
+	// RootSig after the root changed (every root change resets it to nil,
+	// under mu's write lock), or carried in by Open. sigMu orders the
+	// readers that mint it under mu's read lock.
+	sigMu  sync.Mutex
+	signed sig.Signature
+
 	buildPar int
 }
 
 // New creates an empty tree (a single empty leaf whose digest is the
-// signed identity). Requires a signer.
+// identity). Requires a signer.
 func New(cfg Config) (*Tree, error) {
 	t, err := attach(cfg)
 	if err != nil {
@@ -138,17 +149,14 @@ func New(cfg Config) (*Tree, error) {
 	t.root = f.ID()
 	t.bp.Unpin(f, true)
 	t.height = 1
-	rs, err := t.signer.Sign(t.acc.Identity())
-	if err != nil {
+	if err := t.sealRoot(t.acc.Identity()); err != nil {
 		return nil, err
 	}
-	t.rootSig = rs
-	t.rootU = t.acc.Identity()
 	return t, nil
 }
 
 // Open reattaches to an existing tree (e.g. an edge replica restored from
-// a snapshot).
+// a snapshot). rootSig is the root's signature, as RootSig returned it.
 func Open(cfg Config, root storage.PageID, height int, rootSig sig.Signature) (*Tree, error) {
 	t, err := attach(cfg)
 	if err != nil {
@@ -159,22 +167,22 @@ func Open(cfg Config, root storage.PageID, height int, rootSig sig.Signature) (*
 	}
 	t.root = root
 	t.height = height
-	t.rootSig = rootSig.Clone()
-	if t.merkle {
-		// No message recovery under a Merkle scheme: recompute the root
-		// digest from the root node's raw child entries.
-		u, err := t.nodeDigest(root)
-		if err != nil {
+	if !t.merkle {
+		t.rootSig = rootSig.Clone()
+		if t.rootU, err = t.recoverDigest(t.rootSig); err != nil {
 			return nil, err
 		}
-		t.rootU = u
-	} else {
-		u, err := t.recoverDigest(t.rootSig)
-		if err != nil {
-			return nil, err
-		}
-		t.rootU = u
+		return t, nil
 	}
+	// No message recovery under a Merkle scheme: recompute the root digest
+	// from the root node's raw child entries, and keep the signature for
+	// RootSig.
+	u, err := t.nodeDigest(root)
+	if err != nil {
+		return nil, err
+	}
+	t.setRoot(u, sig.Signature(u))
+	t.signed = rootSig.Clone()
 	return t, nil
 }
 
@@ -256,23 +264,46 @@ func (t *Tree) Height() int {
 
 // RootSig returns the signed digest of the root node — the value a client
 // ultimately anchors trust in (via the VO's enveloping-subtree digest).
+// Under the legacy scheme the tree signed it when the root last changed;
+// under a Merkle scheme it is signed here, on the first call after the
+// root changed, and kept until the next change. Nil if a Merkle tree
+// opened without a signer has no signature to give.
 func (t *Tree) RootSig() sig.Signature {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.rootSig.Clone()
+	rs, err := t.rootSigLocked()
+	if err != nil {
+		return nil
+	}
+	return rs.Clone()
+}
+
+// rootSigLocked is RootSig for callers holding t.mu; the result is the
+// tree's own and must not be modified.
+func (t *Tree) rootSigLocked() (sig.Signature, error) {
+	if !t.merkle {
+		return t.rootSig, nil
+	}
+	t.sigMu.Lock()
+	defer t.sigMu.Unlock()
+	if t.signed == nil {
+		rs, err := t.sign(t.rootU)
+		if err != nil {
+			return nil, err
+		}
+		t.signed = rs
+	}
+	return t.signed, nil
 }
 
 // RootDigest returns the unsigned root digest — the value a signed shard
-// map pins for this tree. The tree tracks it alongside the root
-// signature, so the per-commit call by the sharded central server costs
-// no RSA recovery.
+// map pins for this tree. The tree tracks it alongside the root's sealed
+// entry, so the per-commit call by the sharded central server costs no
+// RSA recovery.
 func (t *Tree) RootDigest() (digest.Value, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.rootU != nil {
-		return append(digest.Value(nil), t.rootU...), nil
-	}
-	return t.recoverDigest(t.rootSig)
+	return append(digest.Value(nil), t.rootU...), nil
 }
 
 // MerkleMode reports whether interior entries are raw Merkle commitments
@@ -292,29 +323,33 @@ func (t *Tree) sign(u digest.Value) (sig.Signature, error) {
 	return t.signer.Sign(u)
 }
 
-// currentRootU returns the tracked unsigned root digest, recovering it
-// from the root signature if it was never computed. Caller holds t.mu.
-func (t *Tree) currentRootU() (digest.Value, error) {
-	if t.rootU != nil {
-		return t.rootU, nil
-	}
-	u, err := t.recoverDigest(t.rootSig)
-	if err != nil {
-		return nil, err
-	}
-	t.rootU = u
-	return u, nil
-}
-
-// sealDigest produces the stored form of an interior digest: under a
-// Merkle scheme the raw digest itself (a hash-only commitment), under the
-// legacy scheme an RSA signature over it. Roots are always signed with
-// t.sign regardless of mode — they are the anchor of trust.
+// sealDigest produces the stored form of a digest, the root's included:
+// under a Merkle scheme the raw digest itself (a hash-only commitment),
+// under the legacy scheme an RSA signature over it. A Merkle root is the
+// anchor of trust all the same — it is signed when first asked for
+// (RootSig), not when it is sealed.
 func (t *Tree) sealDigest(u digest.Value) (sig.Signature, error) {
 	if t.merkle {
 		return sig.Signature(append([]byte(nil), u...)), nil
 	}
 	return t.sign(u)
+}
+
+// setRoot installs u as the root digest with its sealed entry (what
+// sealDigest made of it) and drops the signature a Merkle root had. The
+// caller holds t.mu for writing, or has the tree to itself.
+func (t *Tree) setRoot(u digest.Value, sealed sig.Signature) {
+	t.rootU, t.rootSig, t.signed = u, sealed, nil
+}
+
+// sealRoot seals u and installs it as the root digest.
+func (t *Tree) sealRoot(u digest.Value) error {
+	sealed, err := t.sealDigest(u)
+	if err != nil {
+		return err
+	}
+	t.setRoot(u, sealed)
+	return nil
 }
 
 // childU returns the unsigned digest committed by a stored interior
