@@ -11,6 +11,7 @@
 package edgeauth_test
 
 import (
+	"bytes"
 	"context"
 	"math/big"
 	"sync"
@@ -337,21 +338,17 @@ func BenchmarkAblationOrderedHash(b *testing.B) {
 }
 
 // BenchmarkAblationModulus compares the paper's m = 2^k combining
-// optimization against an RSA-style big modulus.
+// optimization against an RSA-style 1024-bit odd modulus. Package digest
+// has only the first; the second is the same combine — multiply the
+// digests into one product, apply g once — written out here with
+// math/big over digests as wide as that modulus.
 func BenchmarkAblationModulus(b *testing.B) {
 	fast := digest.MustNew(digest.DefaultParams())
-	m := new(big.Int).Lsh(big.NewInt(1), 1024)
-	m.Add(m, big.NewInt(129))
-	slow := digest.MustNew(digest.Params{Exponent: 15, Mode: digest.ModBig, Modulus: m})
-	mkDigests := func(a *digest.Accumulator) []digest.Value {
-		ds := make([]digest.Value, 32)
-		for i := range ds {
-			ds[i] = a.HashBytes("ablate", []byte{byte(i)})
-		}
-		return ds
+	ds := make([]digest.Value, 32)
+	for i := range ds {
+		ds[i] = fast.HashBytes("ablate", []byte{byte(i)})
 	}
 	b.Run("mod2k", func(b *testing.B) {
-		ds := mkDigests(fast)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := fast.Combine(ds...); err != nil {
@@ -360,12 +357,22 @@ func BenchmarkAblationModulus(b *testing.B) {
 		}
 	})
 	b.Run("modbig-1024", func(b *testing.B) {
-		ds := mkDigests(slow)
+		m := new(big.Int).Lsh(big.NewInt(1), 1024)
+		m.Add(m, big.NewInt(129))
+		e := big.NewInt(15)
+		size := (m.BitLen() + 7) / 8
+		wide := make([][]byte, len(ds))
+		for i, d := range ds {
+			x := new(big.Int).SetBytes(bytes.Repeat(d, size/len(d)+1))
+			wide[i] = x.Mod(x, m).FillBytes(make([]byte, size))
+		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := slow.Combine(ds...); err != nil {
-				b.Fatal(err)
+			p, x := big.NewInt(1), new(big.Int)
+			for _, v := range wide {
+				p.Mul(p, x.SetBytes(v)).Mod(p, m)
 			}
+			p.Exp(p, e, m).FillBytes(make([]byte, size))
 		}
 	})
 }

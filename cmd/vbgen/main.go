@@ -1,9 +1,9 @@
 // Command vbgen generates an authenticated database on disk: a page file
 // holding the table heap and its VB-tree, a metadata file (tree root,
-// height, signed root digest, schema, accumulator parameters), and the
-// public key needed to verify query results. It then re-opens the files,
-// audits every digest, and runs a sample verified query — proving the
-// on-disk artifact is a self-contained verifiable replica.
+// height, signed root digest, schema), and the public key needed to
+// verify query results. It then re-opens the files, audits every digest,
+// and runs a sample verified query — proving the on-disk artifact is a
+// self-contained verifiable replica.
 //
 // Usage:
 //
@@ -103,7 +103,6 @@ func main() {
 	// Persist metadata (a snapshot without page payloads) and the key.
 	meta := &wire.Snapshot{
 		Schema:    sch,
-		AccParams: wire.AccParamsFrom(acc),
 		Scheme:    uint8(sigScheme),
 		Root:      tree.Root(),
 		Height:    uint32(tree.Height()),
@@ -188,10 +187,7 @@ func openFromDisk(pagePath, metaPath, pubPath string) (*reopenedDB, error) {
 	if err != nil {
 		return nil, err
 	}
-	acc, err := digest.New(meta.AccParams.ToDigestParams())
-	if err != nil {
-		return nil, err
-	}
+	acc := digest.MustNew(digest.DefaultParams())
 	tree, err := vbtree.Open(vbtree.Config{
 		Pool: pool, Heap: heap, Schema: meta.Schema, Acc: acc, Pub: pub,
 	}, meta.Root, int(meta.Height), meta.RootSig)

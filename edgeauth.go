@@ -30,7 +30,6 @@ import (
 
 	"edgeauth/internal/central"
 	"edgeauth/internal/client"
-	"edgeauth/internal/digest"
 	"edgeauth/internal/edge"
 	"edgeauth/internal/query"
 	"edgeauth/internal/schema"
@@ -173,10 +172,4 @@ func Dial(ctx context.Context, cfg Config) (*Client, error) {
 // GenerateKey creates an RSA signing key pair of the given size.
 func GenerateKey(bits int) (*PrivateKey, error) {
 	return sig.GenerateKey(bits)
-}
-
-// DefaultDigestParams returns the paper's digest configuration (16-byte
-// digests, g(x) = x^15 mod 2^128).
-func DefaultDigestParams() digest.Params {
-	return digest.DefaultParams()
 }

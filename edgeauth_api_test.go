@@ -109,10 +109,6 @@ func TestFacadeHelpers(t *testing.T) {
 	if _, err := edgeauth.GenerateKey(512); err != nil {
 		t.Fatal(err)
 	}
-	p := edgeauth.DefaultDigestParams()
-	if p.Size != 16 || p.Exponent != 15 {
-		t.Fatalf("digest defaults: %+v", p)
-	}
 	d := edgeauth.Float64(2.5)
 	if d.Type != edgeauth.TypeFloat64 {
 		t.Fatal("facade datum constructor broken")

@@ -71,9 +71,6 @@ type Options struct {
 	Scheme sig.Scheme
 	// PageSize for table storage; 0 selects storage.DefaultPageSize.
 	PageSize int
-	// AccParams configures the digest accumulator; the zero value selects
-	// digest.DefaultParams.
-	AccParams digest.Params
 	// WALDir, when non-empty, enables write-ahead logging of updates (one
 	// log per shard) in that directory.
 	WALDir string
@@ -339,10 +336,6 @@ func NewServerWithKey(opts Options, key *sig.PrivateKey) (*Server, error) {
 	if opts.PageSize == 0 {
 		opts.PageSize = storage.DefaultPageSize
 	}
-	zero := digest.Params{}
-	if opts.AccParams == zero {
-		opts.AccParams = digest.DefaultParams()
-	}
 	if opts.Shards < 0 {
 		return nil, fmt.Errorf("central: negative shard count %d", opts.Shards)
 	}
@@ -355,14 +348,10 @@ func NewServerWithKey(opts Options, key *sig.PrivateKey) (*Server, error) {
 	if _, err := shardmap.ParseStrategy(string(opts.ShardSplit)); err != nil {
 		return nil, err
 	}
-	acc, err := digest.New(opts.AccParams)
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{
 		opts:   opts,
 		key:    key,
-		acc:    acc,
+		acc:    digest.MustNew(digest.DefaultParams()),
 		tables: make(map[string]*table),
 	}
 	// The server's root context: construction has no caller context, and
@@ -988,7 +977,7 @@ func (s *Server) snapshotOf(t *table, sh *shard) (*wire.Snapshot, error) {
 	if st, err = s.shipState(sh, st); err != nil {
 		return nil, err
 	}
-	snap, err := wire.NewSnapshot(pinned, st, t.sch, wire.AccParamsFrom(s.acc))
+	snap, err := wire.NewSnapshot(pinned, st, t.sch)
 	if err != nil {
 		return nil, err
 	}
@@ -1197,7 +1186,6 @@ func (s *Server) SchemaResponse(tableName string) (*wire.SchemaResponse, error) 
 	}
 	return &wire.SchemaResponse{
 		Schema:     t.sch,
-		AccParams:  wire.AccParamsFrom(s.acc),
 		KeyVersion: s.key.Public().Version,
 		Scheme:     uint8(s.key.Public().Scheme),
 	}, nil

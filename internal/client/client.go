@@ -141,11 +141,12 @@ func (c *Client) TrustKey(pk *sig.PublicKey) {
 	c.keys.Put(pk)
 }
 
-// verifier builds (and caches) the verifier for a table using the edge's
-// schema response. The schema and accumulator parameters are not secret —
-// a lying edge only causes verification to fail. Concurrent callers for
-// an uncached table may fetch the schema twice; the last one wins, which
-// is harmless because the response is deterministic.
+// verifier builds (and caches) the verifier for a table from the schema
+// the edge reports. The accumulator is not the edge's to choose: it is a
+// constant of package digest, the same ring the central signs in.
+// Concurrent callers for an uncached table may fetch the schema twice;
+// the last one wins, which is harmless because the response is
+// deterministic.
 func (c *Client) verifier(ctx context.Context, table string) (*verify.Verifier, error) {
 	c.vmu.Lock()
 	v, ok := c.verifiers[table]
@@ -161,11 +162,7 @@ func (c *Client) verifier(ctx context.Context, table string) (*verify.Verifier, 
 	if err != nil {
 		return nil, err
 	}
-	acc, err := digest.New(resp.AccParams.ToDigestParams())
-	if err != nil {
-		return nil, err
-	}
-	v = &verify.Verifier{Keys: c.keys, Acc: acc, Schema: resp.Schema, MaxClockSkew: c.cfg.MaxClockSkew}
+	v = &verify.Verifier{Keys: c.keys, Acc: digest.MustNew(digest.DefaultParams()), Schema: resp.Schema, MaxClockSkew: c.cfg.MaxClockSkew}
 	c.vmu.Lock()
 	c.verifiers[table] = v
 	c.vmu.Unlock()

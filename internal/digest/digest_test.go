@@ -1,7 +1,6 @@
 package digest
 
 import (
-	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -16,29 +15,17 @@ func testAcc(t *testing.T) *Accumulator {
 	return a
 }
 
+// TestNewValidation: the ring is a constant of the code, so every Params
+// builds the same accumulator, counted or not.
 func TestNewValidation(t *testing.T) {
-	cases := []struct {
-		name string
-		p    Params
-		ok   bool
-	}{
-		{"defaults", DefaultParams(), true},
-		{"zero exponent takes default", Params{Size: 16, Mode: Mod2K}, true},
-		{"even exponent", Params{Size: 16, Exponent: 4, Mode: Mod2K}, false},
-		{"negative exponent", Params{Size: 16, Exponent: -3, Mode: Mod2K}, false},
-		{"size too small", Params{Size: 2, Exponent: 3, Mode: Mod2K}, false},
-		{"size too large", Params{Size: 1024, Exponent: 3, Mode: Mod2K}, false},
-		{"modbig missing modulus", Params{Exponent: 3, Mode: ModBig}, false},
-		{"modbig even modulus", Params{Exponent: 3, Mode: ModBig, Modulus: big.NewInt(1 << 30)}, false},
-		{"modbig tiny modulus", Params{Exponent: 3, Mode: ModBig, Modulus: big.NewInt(15)}, false},
-		{"modbig ok", Params{Exponent: 3, Mode: ModBig, Modulus: big.NewInt((1 << 40) + 1)}, true},
-		{"unknown mode", Params{Exponent: 3, Mode: Mode(42)}, false},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			_, err := New(c.p)
-			if (err == nil) != c.ok {
-				t.Fatalf("New(%+v): err=%v, want ok=%v", c.p, err, c.ok)
+	for name, p := range map[string]Params{"defaults": DefaultParams(), "counted": {Counters: new(Counters)}} {
+		t.Run(name, func(t *testing.T) {
+			a, err := New(p)
+			if err != nil {
+				t.Fatalf("New(%+v): %v", p, err)
+			}
+			if a.Len() != 16 || a.Counters() != p.Counters {
+				t.Fatalf("New(%+v): %d-byte digests, counters %p", p, a.Len(), a.Counters())
 			}
 		})
 	}
@@ -82,7 +69,7 @@ func TestDigestsAreUnits(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		d := a.HashBytes("unit-test", []byte{byte(i)})
 		if d[len(d)-1]&1 == 0 {
-			t.Fatalf("digest %d is even under Mod2K: %v", i, d)
+			t.Fatalf("digest %d is even, not a unit: %v", i, d)
 		}
 	}
 }
@@ -240,43 +227,6 @@ func TestAddCombinedMatchesProductAlgebra(t *testing.T) {
 	}
 }
 
-func TestModBigAlgebraMatches(t *testing.T) {
-	// The same commutativity and removal algebra must hold under ModBig.
-	m := new(big.Int).Lsh(big.NewInt(1), 256)
-	m.Add(m, big.NewInt(297)) // odd
-	a, err := New(Params{Exponent: 3, Mode: ModBig, Modulus: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Len() != 33 {
-		t.Fatalf("Len = %d, want 33 for a 257-bit modulus", a.Len())
-	}
-	d1 := a.HashBytes("mb", []byte("p"))
-	d2 := a.HashBytes("mb", []byte("q"))
-	c12, err := a.Combine(d1, d2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c21, err := a.Combine(d2, d1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c12.Equal(c21) {
-		t.Fatal("ModBig combine is not commutative")
-	}
-	acc, err := a.AccFrom(c12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := acc.Remove(d2); err != nil {
-		t.Fatal(err)
-	}
-	want, _ := a.Combine(d1)
-	if !acc.Value().Equal(want) {
-		t.Fatal("ModBig removal did not invert combination")
-	}
-}
-
 func TestValueLengthMismatchRejected(t *testing.T) {
 	a := testAcc(t)
 	if _, err := a.G(Value{1, 2, 3}); err == nil {
@@ -360,34 +310,6 @@ func TestValueCloneIndependent(t *testing.T) {
 	c[0] ^= 0xFF
 	if d.Equal(c) {
 		t.Fatal("Clone shares storage with original")
-	}
-}
-
-func TestModeString(t *testing.T) {
-	if Mod2K.String() != "mod2k" || ModBig.String() != "modbig" {
-		t.Fatal("Mode.String mismatch")
-	}
-	if Mode(9).String() == "" {
-		t.Fatal("unknown mode should still render")
-	}
-}
-
-func TestWideDigestExpansion(t *testing.T) {
-	// A 64-byte digest needs counter-mode expansion beyond one SHA-256 block.
-	a := MustNew(Params{Size: 64, Exponent: 3, Mode: Mod2K})
-	d := a.HashBytes("wide", []byte("payload"))
-	if len(d) != 64 {
-		t.Fatalf("len = %d, want 64", len(d))
-	}
-	allZero := true
-	for _, b := range d[32:] {
-		if b != 0 {
-			allZero = false
-			break
-		}
-	}
-	if allZero {
-		t.Fatal("expanded tail is all zeros; expansion not applied")
 	}
 }
 

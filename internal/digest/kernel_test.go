@@ -9,17 +9,12 @@ import (
 	"testing"
 )
 
-var (
-	kernelSizes     = []int{4, 7, 8, 16, 20, 32, 512}
-	kernelExponents = []int64{1, 3, 15, 65537}
-)
-
 // boundaryValues are the inputs where a limb kernel goes wrong first:
 // all-ones (every carry chain runs to the top), single bits on either
-// side of each limb boundary, a full low limb under an empty rest, and a
-// full top limb over an empty rest. Evens are included on purpose — G,
-// Mul, Add and AddCombined accept non-units.
-func boundaryValues(size int) []Value {
+// side of the limb boundary, a full low limb under an empty high one, and
+// a full high limb over an empty low one. Evens are included on purpose —
+// G, Mul, Add and AddCombined accept non-units.
+func boundaryValues() []Value {
 	mk := func(fill func(v Value)) Value {
 		v := make(Value, size)
 		fill(v)
@@ -36,8 +31,8 @@ func boundaryValues(size int) []Value {
 			}
 		}),
 		mk(func(v Value) { setBit(v, 8*size-1); v[size-1] |= 1 }), // top bit + unit bit
-		mk(func(v Value) { // top limb full, rest empty but odd
-			for i := 0; i < size-8*((size-1)/8); i++ {
+		mk(func(v Value) { // high limb full, low limb empty but odd
+			for i := 0; i < 8; i++ {
 				v[i] = 0xFF
 			}
 			v[size-1] |= 1
@@ -57,28 +52,28 @@ func boundaryValues(size int) []Value {
 	return vals
 }
 
-func randomValues(rng *rand.Rand, size, n int) []Value {
+func randomValues(rng *rand.Rand, n int) []Value {
 	vals := make([]Value, n)
 	for i := range vals {
-		vals[i] = make(Value, size)
+		vals[i] = make(Value, 16)
 		rng.Read(vals[i])
 	}
 	return vals
 }
 
-// diffCheck drives every arithmetic entry point of an Accumulator built
-// from p over vals and requires byte-equality with the math/big reference
-// at each step. vals must be canonical under p.
-func diffCheck(t testing.TB, p Params, vals []Value) {
+// diffCheck drives every arithmetic entry point of the Accumulator over
+// vals and requires byte-equality with the math/big reference at each
+// step.
+func diffCheck(t testing.TB, vals []Value) {
 	t.Helper()
-	a, r := MustNew(p), newRef(p)
+	a, r := MustNew(DefaultParams()), newRef()
 	eq := func(what string, got Value, err error, want Value) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%s (size %d, e %d):\n kernel %x\n    big %x", what, a.Len(), p.Exponent, []byte(got), []byte(want))
+			t.Fatalf("%s:\n kernel %x\n    big %x", what, []byte(got), []byte(want))
 		}
 	}
 	for i, v := range vals {
@@ -154,7 +149,6 @@ func diffCheck(t testing.TB, p Params, vals []Value) {
 // folding each digest on its own.
 func runCheck(t testing.TB, a *Accumulator, r *ref, vals []Value) {
 	t.Helper()
-	size := a.Len()
 	// A zero digest would zero every product folded after it and so hide
 	// the rest of the run from the comparison; the single-digest checks
 	// above cover zero.
@@ -171,13 +165,13 @@ func runCheck(t testing.TB, a *Accumulator, r *ref, vals []Value) {
 		}
 		acc, racc := a.NewAcc(), r.newAcc()
 		if err := acc.AddRun(run, stride); err != nil {
-			t.Fatalf("AddRun (size %d, stride %d): %v", size, stride, err)
+			t.Fatalf("AddRun (stride %d): %v", stride, err)
 		}
 		for _, v := range vals {
 			racc.add(v)
 		}
 		if got, want := acc.Value(), racc.value(); !bytes.Equal(got, want) {
-			t.Fatalf("AddRun (size %d, stride %d, %d digests):\n kernel %x\n    big %x", size, stride, len(vals), []byte(got), []byte(want))
+			t.Fatalf("AddRun (stride %d, %d digests):\n kernel %x\n    big %x", stride, len(vals), []byte(got), []byte(want))
 		}
 		// Folded on top of what an Acc already holds, in two pieces.
 		acc, racc = a.NewAcc(), r.newAcc()
@@ -200,150 +194,107 @@ func runCheck(t testing.TB, a *Accumulator, r *ref, vals []Value) {
 			racc.add(v)
 		}
 		if got, want := acc.Value(), racc.value(); !bytes.Equal(got, want) {
-			t.Fatalf("Add, AddCombined, AddRun ×2 (size %d, stride %d):\n kernel %x\n    big %x", size, stride, []byte(got), []byte(want))
+			t.Fatalf("Add, AddCombined, AddRun ×2 (stride %d):\n kernel %x\n    big %x", stride, []byte(got), []byte(want))
 		}
 		// A run that is not whole records of whole digests is refused.
 		if len(run) > 0 {
 			if err := a.NewAcc().AddRun(run[:len(run)-1], stride); err == nil {
-				t.Fatalf("AddRun (size %d, stride %d) took a run one byte short", size, stride)
+				t.Fatalf("AddRun (stride %d) took a run one byte short", stride)
 			}
 		}
 		if err := a.NewAcc().AddRun(run, size-1); err == nil {
-			t.Fatalf("AddRun (size %d) took records narrower than a digest", size)
+			t.Fatal("AddRun took records narrower than a digest")
 		}
 	}
 }
 
-// TestKernelMatchesBig is the differential property: for every size and
-// exponent, on the boundary inputs and on random ones, the limb kernel
-// and math/big agree on every byte.
+// TestKernelMatchesBig is the differential property: on the boundary
+// inputs and on random ones, the limb kernel and math/big agree on every
+// byte.
 func TestKernelMatchesBig(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	for _, size := range kernelSizes {
-		for _, e := range kernelExponents {
-			p := Params{Size: size, Exponent: e, Mode: Mod2K}
-			vals := boundaryValues(size)
-			vals = append(vals, randomValues(rng, size, 16)...)
-			diffCheck(t, p, vals)
-		}
-	}
-	// The run fold has a kernel of its own for two-limb residues and takes
-	// each digest where it lies in the run: every size, both strides.
-	for size := 4; size <= 8*maxLimbs; size++ {
-		p := Params{Size: size, Exponent: 3, Mode: Mod2K}
-		vals := append(boundaryValues(size)[:6], randomValues(rng, size, 6)...)
-		runCheck(t, MustNew(p), newRef(p), vals)
+	diffCheck(t, append(boundaryValues(), randomValues(rng, 16)...))
+	for i := 0; i < 8; i++ {
+		diffCheck(t, randomValues(rng, 16))
 	}
 }
 
-// TestHashMatchesBig pins the hash path — framing, counter-mode
-// expansion, truncation, unit coercion — to the reference, ModBig
-// included.
+// TestHashMatchesBig pins the hash path — framing, truncation, unit
+// coercion — to the reference.
 func TestHashMatchesBig(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	profiles := []Params{bigProfile()}
-	for _, size := range kernelSizes {
-		profiles = append(profiles, Params{Size: size, Exponent: 3, Mode: Mod2K})
-	}
-	for _, p := range profiles {
-		a, r := MustNew(p), newRef(p)
-		for i := 0; i < 50; i++ {
-			// Long fields push the preimage past the stack buffer.
-			key, val := make([]byte, rng.Intn(40)), make([]byte, rng.Intn(400))
-			rng.Read(key)
-			rng.Read(val)
-			if got, want := a.HashAttribute("db", "table", "attr", key, val), r.hashAttribute("db", "table", "attr", key, val); !bytes.Equal(got, want) {
-				t.Fatalf("HashAttribute (%v, size %d): %x, reference %x", p.Mode, a.Len(), []byte(got), []byte(want))
-			}
-			if got, want := a.HashBytes("domain", val), r.hashBytes("domain", val); !bytes.Equal(got, want) {
-				t.Fatalf("HashBytes (%v, size %d): %x, reference %x", p.Mode, a.Len(), []byte(got), []byte(want))
-			}
+	a, r := MustNew(DefaultParams()), newRef()
+	for i := 0; i < 200; i++ {
+		// Long fields push the preimage past the stack buffer.
+		key, val := make([]byte, rng.Intn(40)), make([]byte, rng.Intn(400))
+		rng.Read(key)
+		rng.Read(val)
+		if got, want := a.HashAttribute("db", "table", "attr", key, val), r.hashAttribute("db", "table", "attr", key, val); !bytes.Equal(got, want) {
+			t.Fatalf("HashAttribute: %x, reference %x", []byte(got), []byte(want))
+		}
+		if got, want := a.HashBytes("domain", val), r.hashBytes("domain", val); !bytes.Equal(got, want) {
+			t.Fatalf("HashBytes: %x, reference %x", []byte(got), []byte(want))
 		}
 	}
 }
 
-// TestModBigMatchesReference: the deferred g is shared by both profiles,
-// so ModBig gets the same differential treatment on canonical inputs.
-func TestModBigMatchesReference(t *testing.T) {
-	p := bigProfile()
-	a := MustNew(p)
-	var vals []Value
-	for i := 0; i < 12; i++ {
-		vals = append(vals, a.HashBytes("modbig", []byte{byte(i)}))
-	}
-	vals = append(vals, a.Identity(), make(Value, a.Len())) // 1 and the non-unit 0
-	diffCheck(t, p, vals)
-}
-
-// FuzzKernelVsBig lets the fuzzer pick the size, the exponent and the
-// operands.
+// FuzzKernelVsBig lets the fuzzer pick the operands.
 func FuzzKernelVsBig(f *testing.F) {
-	// Seeds: sizes 16, 7, 512 and 20 (size = 4 + first argument).
-	f.Add(uint16(12), uint8(2), []byte("seed"))
-	f.Add(uint16(3), uint8(0), bytes.Repeat([]byte{0xFF}, 64))
-	f.Add(uint16(508), uint8(1), []byte{0x80, 0, 0, 0, 0, 0, 0, 0, 1})
-	f.Add(uint16(16), uint8(3), []byte{})
-	f.Fuzz(func(t *testing.T, size uint16, ei uint8, data []byte) {
-		p := Params{
-			Size:     4 + int(size)%(8*maxLimbs-3),
-			Exponent: kernelExponents[int(ei)%len(kernelExponents)],
-			Mode:     Mod2K,
-		}
-		if p.Size > 64 && p.Exponent == 65537 {
-			p.Exponent = 15 // keep the math/big side fast enough to explore
-		}
+	f.Add([]byte("seed"))
+	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	f.Add([]byte{0x80, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
 		// Four operands cut from data, cycling; the first two forced to be
 		// a unit and a non-unit so Remove sees both.
 		vals := make([]Value, 4)
 		for i := range vals {
-			vals[i] = make(Value, p.Size)
+			vals[i] = make(Value, size)
 			for j := range vals[i] {
 				if len(data) > 0 {
-					vals[i][j] = data[(i*p.Size+j)%len(data)] + byte(i)
+					vals[i][j] = data[(i*size+j)%len(data)] + byte(i)
 				}
 			}
 		}
-		vals[0][p.Size-1] |= 1
-		vals[1][p.Size-1] &^= 1
-		diffCheck(t, p, vals)
+		vals[0][size-1] |= 1
+		vals[1][size-1] &^= 1
+		diffCheck(t, vals)
 	})
 }
 
 // TestAccAllocations guards the win where it was made: folding a digest
 // in allocates nothing, and an Acc costs a constant number of allocations
-// however many digests pass through it.
+// however many digests pass through it — two: the Acc, whose done and
+// pending products are inline limbs, and the Value it returns.
 func TestAccAllocations(t *testing.T) {
-	for _, size := range []int{16, 20, 512} {
-		a := MustNew(Params{Size: size, Exponent: 15, Mode: Mod2K})
-		d := a.HashBytes("alloc", []byte("d"))
-		acc := a.NewAcc()
-		if n := testing.AllocsPerRun(100, func() { _ = acc.Add(d) }); n != 0 {
-			t.Errorf("size %d: Acc.Add allocates %v times, want 0", size, n)
-		}
-		if n := testing.AllocsPerRun(100, func() { _ = acc.AddCombined(d) }); n != 0 {
-			t.Errorf("size %d: Acc.AddCombined allocates %v times, want 0", size, n)
-		}
-		if n := testing.AllocsPerRun(100, func() { _ = acc.Remove(d) }); n != 0 {
-			t.Errorf("size %d: Acc.Remove allocates %v times, want 0", size, n)
-		}
-		run := bytes.Repeat(append(d.Clone(), 1), 64) // a D_S run: digest, lift
-		if n := testing.AllocsPerRun(100, func() { _ = acc.AddRun(run, size+1) }); n != 0 {
-			t.Errorf("size %d: Acc.AddRun allocates %v times, want 0", size, n)
-		}
-		perAcc := func(adds int) float64 {
-			return testing.AllocsPerRun(50, func() {
-				acc := a.NewAcc()
-				for i := 0; i < adds; i++ {
-					_ = acc.Add(d)
-				}
-				_ = acc.Value()
-			})
-		}
-		if one, many := perAcc(1), perAcc(200); one != many || one > 3 {
-			t.Errorf("size %d: an Acc costs %v allocations for 1 digest and %v for 200; want equal and ≤ 3 (Acc, limbs, Value)", size, one, many)
-		}
-	}
 	a := testAcc(t)
+	d := a.HashBytes("alloc", []byte("d"))
+	acc := a.NewAcc()
+	if n := testing.AllocsPerRun(100, func() { _ = acc.Add(d) }); n != 0 {
+		t.Errorf("Acc.Add allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = acc.AddCombined(d) }); n != 0 {
+		t.Errorf("Acc.AddCombined allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = acc.Remove(d) }); n != 0 {
+		t.Errorf("Acc.Remove allocates %v times, want 0", n)
+	}
+	run := bytes.Repeat(append(d.Clone(), 1), 64) // a D_S run: digest, lift
+	if n := testing.AllocsPerRun(100, func() { _ = acc.AddRun(run, size+1) }); n != 0 {
+		t.Errorf("Acc.AddRun allocates %v times, want 0", n)
+	}
+	perAcc := func(adds int) float64 {
+		return testing.AllocsPerRun(50, func() {
+			acc := a.NewAcc()
+			for i := 0; i < adds; i++ {
+				_ = acc.Add(d)
+			}
+			_ = acc.Value()
+		})
+	}
+	if one, many := perAcc(1), perAcc(200); one != many || one != 2 {
+		t.Errorf("an Acc costs %v allocations for 1 digest and %v for 200; want 2 for both (Acc with inline limbs, Value)", one, many)
+	}
 	key, val := []byte("0000000000000042"), []byte("some attribute value")
 	if n := testing.AllocsPerRun(100, func() { _ = a.HashAttribute("benchdb", "orders", "amount", key, val) }); n != 1 {
 		t.Errorf("HashAttribute allocates %v times, want 1 (the returned Value)", n)
@@ -396,10 +347,3 @@ func BenchmarkLift(b *testing.B) {
 }
 
 var benchSink Value
-
-// bigProfile is a ModBig accumulator over the odd 257-bit modulus
-// 2^256 + 297.
-func bigProfile() Params {
-	m := new(big.Int).Lsh(big.NewInt(1), 256)
-	return Params{Exponent: 3, Mode: ModBig, Modulus: m.Add(m, big.NewInt(297))}
-}

@@ -11,30 +11,22 @@ import (
 // the test-only reference: every residue a big.Int, g applied to each
 // digest separately, reduction by Mod. Tables, WAL records and signatures
 // already on disk were produced by exactly this code, so "the kernel
-// agrees with ref" is what bit-identity with persisted data means.
+// agrees with ref" is what bit-identity with persisted data means. It
+// computes in the one ring the package has — m = 2^128, e = 15 — from
+// math/big's own constants, not the kernel's.
 type ref struct {
-	size int
 	e, m *big.Int
-	mod  Mode
 }
 
-func newRef(p Params) *ref {
-	r := &ref{e: big.NewInt(p.Exponent), mod: p.Mode}
-	if p.Mode == ModBig {
-		r.m = new(big.Int).Set(p.Modulus)
-		r.size = (r.m.BitLen() + 7) / 8
-	} else {
-		r.size = p.Size
-		r.m = new(big.Int).Lsh(big.NewInt(1), uint(8*p.Size))
-	}
-	return r
+func newRef() *ref {
+	return &ref{e: big.NewInt(15), m: new(big.Int).Lsh(big.NewInt(1), 128)}
 }
 
-func (r *ref) encode(x *big.Int) Value { return x.FillBytes(make(Value, r.size)) }
+func (r *ref) encode(x *big.Int) Value { return x.FillBytes(make(Value, 16)) }
 
 func (r *ref) decode(v Value) *big.Int {
-	if len(v) != r.size {
-		panic(fmt.Sprintf("ref: value length %d, want %d", len(v), r.size))
+	if len(v) != 16 {
+		panic(fmt.Sprintf("ref: value length %d, want 16", len(v)))
 	}
 	return new(big.Int).SetBytes(v)
 }
@@ -111,22 +103,11 @@ func (r *ref) hashBytes(domain string, data []byte) Value {
 	return r.digestFromHash(hw.Sum(nil))
 }
 
+// digestFromHash truncates the hash to 16 bytes, reduces it modulo m and
+// sets the unit bit.
 func (r *ref) digestFromHash(sum []byte) Value {
-	buf := append(make([]byte, 0, r.size), sum...)
-	for ctr := uint32(0); len(buf) < r.size; ctr++ {
-		hw := sha256.New()
-		var cb [4]byte
-		binary.BigEndian.PutUint32(cb[:], ctr)
-		hw.Write(cb[:])
-		hw.Write(sum)
-		buf = hw.Sum(buf)
-	}
-	x := new(big.Int).SetBytes(buf[:r.size])
+	x := new(big.Int).SetBytes(sum[:16])
 	x.Mod(x, r.m)
-	if r.mod == Mod2K {
-		x.SetBit(x, 0, 1)
-	} else if x.Sign() == 0 {
-		x.SetInt64(1)
-	}
+	x.SetBit(x, 0, 1)
 	return r.encode(x)
 }

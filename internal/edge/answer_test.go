@@ -89,7 +89,9 @@ func merkleEdge(t *testing.T, rows int) (*central.Server, *Server) {
 // shifted modulus (5), and the Merkle root recombined per answer: the
 // accumulator, its limbs and the digest it returns (3); the published
 // set now holds one view per pinned snapshot. (44 objects and 25 KB
-// before the scratch was pooled.) A change that moves it says so here.
+// before the scratch was pooled.) Holding an accumulator's limbs inline
+// left it at 22: answering builds no accumulator. A change that moves it
+// says so here.
 func TestShardAnswerAllocationBudget(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts differ under the race detector")

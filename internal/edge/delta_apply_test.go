@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 
-	"edgeauth/internal/digest"
 	"edgeauth/internal/israce"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/shardmap"
@@ -148,11 +147,7 @@ func TestDeltaFromParentCommitApplies(t *testing.T) {
 			if err := pub.Verify(sm.Sig, sm.Map.SigPayload()); err != nil {
 				t.Fatalf("map signature: %v", err)
 			}
-			acc, err := digest.New(snap.AccParams.ToDigestParams())
-			if err != nil {
-				t.Fatal(err)
-			}
-			pinned, err := (&replica{sch: snap.Schema, acc: acc}).pinCurrent(store)
+			pinned, err := (&replica{sch: snap.Schema}).pinCurrent(store)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -136,13 +136,16 @@ type Server struct {
 	closeErr   error
 }
 
+// acc is the one accumulator every replica's views compute with. The ring
+// is a constant of package digest, so nothing a central or a relay sends
+// chooses what the answers served from here verify under.
+var acc = digest.MustNew(digest.DefaultParams())
+
 // replica is one replicated table. Its queryable state lives in an
 // immutable tableSet behind one atomic pointer; refreshMu serializes
 // refreshes building successor sets.
 type replica struct {
-	sch    *schema.Schema
-	acc    *digest.Accumulator
-	params wire.AccParams
+	sch *schema.Schema
 
 	set atomic.Pointer[tableSet]
 
@@ -189,7 +192,7 @@ func (r *replica) pinCurrent(store *storage.PageStore) (*shardReplica, error) {
 		snap.Release()
 		return nil, errors.New("edge: replica has no published version")
 	}
-	view, err := st.ViewOver(snap, r.sch, r.acc, placeholderPub(st.KeyVersion, st.Scheme))
+	view, err := st.ViewOver(snap, r.sch, acc, placeholderPub(st.KeyVersion, st.Scheme))
 	if err != nil {
 		snap.Release()
 		return nil, err
@@ -683,11 +686,7 @@ func (s *Server) replicate(ctx context.Context, tableName string, rep *replica) 
 	target := rep
 	if stores == nil {
 		// Started from none: the stores become a fresh replica.
-		acc, err := digest.New(a.params.ToDigestParams())
-		if err != nil {
-			return RefreshStat{}, err
-		}
-		target = &replica{sch: a.sch, acc: acc, params: a.params}
+		target = &replica{sch: a.sch}
 	}
 	if err := target.rebuildSet(a.smap, a.stores); err != nil {
 		return RefreshStat{}, err
@@ -738,10 +737,9 @@ type shardFetch struct {
 	// store holds the result: the store the fetch started from, advanced,
 	// or a snapshot-installed replacement (nil when the fetch failed).
 	store *storage.PageStore
-	// sch and params describe the table as the snapshot installed by this
-	// fetch declared it (sch is nil when it installed none).
-	sch    *schema.Schema
-	params wire.AccParams
+	// sch is the table's schema as the snapshot installed by this fetch
+	// declared it (nil when it installed none).
+	sch *schema.Schema
 	// bytes is the wire size of the payloads that carried state.
 	bytes int
 }
@@ -752,11 +750,10 @@ type shardFetch struct {
 type alignment struct {
 	smap   *shardmap.Signed
 	stores []*storage.PageStore
-	// sch and params describe the table as the first snapshot installed
-	// along the way declared it (a bootstrap builds its replica from
-	// them; sch is nil when no snapshot was installed).
-	sch    *schema.Schema
-	params wire.AccParams
+	// sch is the table's schema as the first snapshot installed along the
+	// way declared it (a bootstrap builds its replica from it; nil when no
+	// snapshot was installed).
+	sch *schema.Schema
 	// bytes is the wire size of the payloads that carried state,
 	// refreshed how many shards shipped pages, snapshotted whether any of
 	// them was snapshot-installed.
@@ -836,7 +833,7 @@ func (s *Server) alignShards(ctx context.Context, tableName string, sm *shardmap
 			if f.sch != nil {
 				a.snapshotted = true
 				if a.sch == nil {
-					a.sch, a.params = f.sch, f.params
+					a.sch = f.sch
 				}
 			}
 			if f.store == nil {
@@ -1053,7 +1050,7 @@ func (s *Server) fetchSnapshot(ctx context.Context, src *peer.Source, tableName 
 	s.stats.snapshotsInstalled.Add(1)
 	s.countPull(src, len(body))
 	f.bytes += len(body)
-	f.sch, f.params = snap.Schema, snap.AccParams
+	f.sch = snap.Schema
 	return store, nil
 }
 
@@ -1151,12 +1148,8 @@ func (s *Server) verifyDelta(ctx context.Context, d *wire.Delta, body []byte) er
 // is non-nil (a root digest vouched for by already-verified material,
 // such as the signed shard map), the recovered digest must equal it.
 func (s *Server) verifySnapshot(ctx context.Context, snap *wire.Snapshot, pinned []byte) error {
-	acc, err := digest.New(snap.AccParams.ToDigestParams())
-	if err != nil {
-		return err
-	}
 	return s.underCentralKey(ctx, func(pub *sig.PublicKey) error {
-		if err := recoverPinned(pub, acc, snap.RootSig, pinned); err != nil {
+		if err := recoverPinned(pub, snap.RootSig, pinned); err != nil {
 			return fmt.Errorf("edge: snapshot root signature rejected: %w", err)
 		}
 		return nil
@@ -1171,7 +1164,7 @@ func (s *Server) verifySnapshot(ctx context.Context, snap *wire.Snapshot, pinned
 // only the signature's length can be checked here, and the binding
 // happens in verifyAlignedStores against the signed shard map before
 // the store is published.
-func recoverPinned(pub *sig.PublicKey, acc *digest.Accumulator, rootSig, pinned []byte) error {
+func recoverPinned(pub *sig.PublicKey, rootSig, pinned []byte) error {
 	if pub.Scheme == sig.SchemeEd25519 {
 		if pinned != nil {
 			return pub.Verify(sig.Signature(rootSig), pinned)
@@ -1508,7 +1501,6 @@ func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body, out []byte
 		}
 		resp := &wire.SchemaResponse{
 			Schema:     rep.sch,
-			AccParams:  rep.params,
 			KeyVersion: set.shards[0].state.KeyVersion,
 			Scheme:     uint8(set.shards[0].state.Scheme),
 		}

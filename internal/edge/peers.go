@@ -125,7 +125,7 @@ func (s *Server) servePeerSnapshot(table string, id uint64) (wire.MsgType, []byt
 		return 0, nil, err
 	}
 	defer sr.snap.Release()
-	snap, err := wire.NewSnapshot(sr.snap, sr.state, rep.sch, rep.params)
+	snap, err := wire.NewSnapshot(sr.snap, sr.state, rep.sch)
 	if err != nil {
 		return 0, nil, err
 	}

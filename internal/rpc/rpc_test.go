@@ -52,6 +52,9 @@ func startServer(t *testing.T, h Handler, o ServeOptions) string {
 }
 
 func TestHandshakeAndCall(t *testing.T) {
+	if wire.ProtocolVersion != 5 {
+		t.Fatalf("this build speaks protocol %d; the handshake tests are written for 5", wire.ProtocolVersion)
+	}
 	addr := startServer(t, echoHandler, ServeOptions{})
 	c := New(addr, Options{})
 	defer c.Close()
@@ -69,8 +72,9 @@ func TestHandshakeAndCall(t *testing.T) {
 // A server answers a connection that does not open with a well-formed
 // Hello offering ProtocolVersion with one typed error frame and hangs up; a
 // dialer treats any reply but a HelloResp negotiating ProtocolVersion as a
-// dial error. Neither side downgrades — not even to 3, the generation
-// just before, whose message types this build numbers differently.
+// dial error. Neither side downgrades — not even to 4, the generation
+// just before, whose snapshots and schema responses carry an accumulator
+// block this build no longer reads.
 func TestHandshakeRejectsOtherProtocols(t *testing.T) {
 	type frame struct {
 		mt   wire.MsgType
@@ -88,10 +92,12 @@ func TestHandshakeRejectsOtherProtocols(t *testing.T) {
 		{name: "hello max version 1", open: &frame{wire.MsgHello, wire.EncodeHelloCaps(1, 0)}, want: wire.CodeUnsupported},
 		{name: "hello max version 2", open: &frame{wire.MsgHello, wire.EncodeHelloCaps(2, 0)}, want: wire.CodeUnsupported},
 		{name: "hello max version 3", open: &frame{wire.MsgHello, wire.EncodeHelloCaps(3, 0)}, want: wire.CodeUnsupported},
+		{name: "hello max version 4", open: &frame{wire.MsgHello, wire.EncodeHelloCaps(4, 0)}, want: wire.CodeUnsupported},
 		{name: "4-byte hello body", open: &frame{wire.MsgHello, []byte{0, 0, 0, 2}}, want: wire.CodeBadRequest},
 		{name: "hello-resp negotiating 1", reply: &frame{wire.MsgHelloResp, wire.EncodeHelloCaps(1, 0)}, want: wire.CodeUnsupported},
 		{name: "hello-resp negotiating 2", reply: &frame{wire.MsgHelloResp, wire.EncodeHelloCaps(2, 0)}, want: wire.CodeUnsupported},
 		{name: "hello-resp negotiating 3", reply: &frame{wire.MsgHelloResp, wire.EncodeHelloCaps(3, 0)}, want: wire.CodeUnsupported},
+		{name: "hello-resp negotiating 4", reply: &frame{wire.MsgHelloResp, wire.EncodeHelloCaps(4, 0)}, want: wire.CodeUnsupported},
 		{name: "error reply to hello", reply: &frame{wire.MsgError, wire.Unsupported("test", wire.MsgHello).Encode()}, want: wire.CodeUnsupported},
 	}
 	for _, tc := range cases {

@@ -363,7 +363,7 @@ func CompensateDigest() Attack {
 			default:
 				return ErrNotApplicable
 			}
-			m := acc.Modulus()
+			m := new(big.Int).Lsh(big.NewInt(1), 8*uint(acc.Len())) // m = 2^128
 			inv := new(big.Int).ModInverse(hash(), m)
 			if inv == nil {
 				return ErrNotApplicable // attribute hashes are units; not reached

@@ -11,7 +11,8 @@ import (
 
 // Fuzz targets for the frame-body decoders fed by untrusted peers: the
 // delta decoder runs at edge servers on central-impersonating input, and
-// the query-response decoder runs at clients on edge-supplied input.
+// the query-response and schema-response decoders run at clients on
+// edge-supplied input.
 // Invariants: no panics, no unbounded allocation shortcuts, and accepted
 // inputs re-encode byte-identically (signature checks hash the received
 // bytes, so a "repairing" decoder would break authentication).
@@ -82,6 +83,35 @@ func FuzzDecodeQueryResponse(f *testing.F) {
 		}
 		if !bytes.Equal(q.Encode(), data) {
 			t.Fatal("query-response round-trip mismatch")
+		}
+	})
+}
+
+// FuzzDecodeSchemaResponse covers the first answer a client takes from an
+// edge for a table — the schema its verifier is built over.
+func FuzzDecodeSchemaResponse(f *testing.F) {
+	resp := &SchemaResponse{
+		Schema: &schema.Schema{
+			DB: "db", Table: "items",
+			Columns: []schema.Column{{Name: "id", Type: schema.TypeInt64}, {Name: "cat", Type: schema.TypeString}},
+		},
+		KeyVersion: 3,
+		Scheme:     1,
+	}
+	f.Add(resp.Encode())
+	f.Add(withAccBlock(resp.Encode())) // the protocol-4 form
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, 32))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeSchemaResponse(data)
+		if err != nil {
+			return
+		}
+		if err := s.Schema.Validate(); err != nil {
+			t.Fatalf("accepted an invalid schema: %v", err)
+		}
+		if !bytes.Equal(s.Encode(), data) {
+			t.Fatal("schema-response round-trip mismatch")
 		}
 	})
 }

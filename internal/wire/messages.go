@@ -3,7 +3,6 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"math/big"
 
 	"edgeauth/internal/digest"
 	"edgeauth/internal/query"
@@ -104,11 +103,11 @@ func DecodeQueryResponse(body []byte) (*QueryResponse, error) {
 }
 
 // Snapshot replicates a table and its VB-tree to an edge server: the raw
-// pages (tree + heap), the tree metadata, the heap page list, the schema
-// and the accumulator parameters.
+// pages (tree + heap), the tree metadata, the heap page list and the
+// schema. The accumulator is a constant of the code (package digest), so
+// nothing here describes it.
 type Snapshot struct {
 	Schema    *schema.Schema
-	AccParams AccParams
 	Root      storage.PageID
 	Height    uint32
 	RootSig   []byte
@@ -137,10 +136,9 @@ type Snapshot struct {
 // a relaying edge alike, so the two cannot disagree on what a replica
 // needs. Page contents are copied out: the result holds no reference to
 // the pinned pages once this returns.
-func NewSnapshot(pinned *storage.Snapshot, st *vbtree.TableState, sch *schema.Schema, params AccParams) (*Snapshot, error) {
+func NewSnapshot(pinned *storage.Snapshot, st *vbtree.TableState, sch *schema.Schema) (*Snapshot, error) {
 	snap := &Snapshot{
 		Schema:     sch,
-		AccParams:  params,
 		Root:       st.Root,
 		Height:     uint32(st.Height),
 		RootSig:    st.RootSig,
@@ -166,40 +164,18 @@ func NewSnapshot(pinned *storage.Snapshot, st *vbtree.TableState, sch *schema.Sc
 	return snap, nil
 }
 
-// AccParams serializes digest.Params across the wire.
-type AccParams struct {
-	Size     uint32
-	Exponent int64
-	Mode     uint8
-	Modulus  []byte // empty for Mod2K
-}
+// AccParams is what is left of the accumulator parameters that Snapshot
+// and SchemaResponse carried before the accumulator became a constant:
+// nothing, kept off the wire so the benchmark harness, which builds its
+// verifiers through AccParamsFrom(...).ToDigestParams(), still compiles.
+// ROADMAP item 9 deletes it.
+type AccParams struct{}
 
-// ToDigestParams converts to digest.Params.
-func (a AccParams) ToDigestParams() digest.Params {
-	p := digest.Params{
-		Size:     int(a.Size),
-		Exponent: a.Exponent,
-		Mode:     digest.Mode(a.Mode),
-	}
-	if len(a.Modulus) > 0 {
-		p.Modulus = new(big.Int).SetBytes(a.Modulus)
-	}
-	return p
-}
+// ToDigestParams returns digest.DefaultParams().
+func (AccParams) ToDigestParams() digest.Params { return digest.DefaultParams() }
 
-// AccParamsFrom captures an accumulator's parameters.
-func AccParamsFrom(acc *digest.Accumulator) AccParams {
-	a := AccParams{
-		Size:     uint32(acc.Len()),
-		Exponent: acc.Exponent(),
-		Mode:     uint8(acc.Mode()),
-	}
-	if acc.Mode() == digest.ModBig {
-		a.Modulus = acc.Modulus().Bytes()
-		a.Size = 0 // derived from the modulus on the far side
-	}
-	return a
-}
+// AccParamsFrom returns the empty AccParams.
+func AccParamsFrom(*digest.Accumulator) AccParams { return AccParams{} }
 
 // EncodeSchema serializes a schema.
 func EncodeSchema(s *schema.Schema) []byte {
@@ -251,10 +227,6 @@ func decodeSchemaAt(r *reader) (*schema.Schema, error) {
 // Encode serializes the snapshot.
 func (s *Snapshot) Encode() []byte {
 	out := appendBytes(nil, EncodeSchema(s.Schema))
-	out = appendU32(out, s.AccParams.Size)
-	out = appendU64(out, uint64(s.AccParams.Exponent))
-	out = appendU8(out, s.AccParams.Mode)
-	out = appendBytes(out, s.AccParams.Modulus)
 	out = appendU32(out, uint32(s.Root))
 	out = appendU32(out, s.Height)
 	out = appendBytes(out, s.RootSig)
@@ -287,10 +259,6 @@ func DecodeSnapshot(body []byte) (*Snapshot, error) {
 		return nil, err
 	}
 	s := &Snapshot{Schema: sch}
-	s.AccParams.Size = r.u32("acc size")
-	s.AccParams.Exponent = int64(r.u64("acc exponent"))
-	s.AccParams.Mode = r.u8("acc mode")
-	s.AccParams.Modulus = r.bytes("acc modulus")
 	s.Root = storage.PageID(r.u32("root"))
 	s.Height = r.u32("height")
 	s.RootSig = r.bytes("root sig")
@@ -376,11 +344,9 @@ func DecodeDeleteRequest(body []byte) (*DeleteRequest, error) {
 }
 
 // SchemaResponse tells a client how to verify results for a table: the
-// schema, the accumulator parameters, and the signing-key version in
-// force.
+// schema and the signing-key version in force.
 type SchemaResponse struct {
 	Schema     *schema.Schema
-	AccParams  AccParams
 	KeyVersion uint32
 	// Scheme is the signature scheme (sig.Scheme) of the key in force.
 	Scheme uint8
@@ -389,10 +355,6 @@ type SchemaResponse struct {
 // Encode serializes the response.
 func (s *SchemaResponse) Encode() []byte {
 	out := appendBytes(nil, EncodeSchema(s.Schema))
-	out = appendU32(out, s.AccParams.Size)
-	out = appendU64(out, uint64(s.AccParams.Exponent))
-	out = appendU8(out, s.AccParams.Mode)
-	out = appendBytes(out, s.AccParams.Modulus)
 	out = appendU32(out, s.KeyVersion)
 	out = appendU8(out, s.Scheme)
 	return out
@@ -410,10 +372,6 @@ func DecodeSchemaResponse(body []byte) (*SchemaResponse, error) {
 		return nil, err
 	}
 	s := &SchemaResponse{Schema: sch}
-	s.AccParams.Size = r.u32("acc size")
-	s.AccParams.Exponent = int64(r.u64("acc exponent"))
-	s.AccParams.Mode = r.u8("acc mode")
-	s.AccParams.Modulus = r.bytes("acc modulus")
 	s.KeyVersion = r.u32("key version")
 	s.Scheme = r.u8("signature scheme")
 	if err := r.done(); err != nil {

@@ -38,11 +38,14 @@ import (
 // handshake carries it in both directions. It is raised whenever the
 // bytes of a message change, so that a build from before the change is
 // turned away at dial with CodeUnsupported instead of being sent bodies
-// it would misparse: 4 is the generation in which every insert travels
-// as a MsgBatchReq (the single-insert frame is gone and the message types
-// after it renumbered); 3 first carried a VO's digests as fixed-width
-// runs (vo.VO.Encode); 2 put a length in front of each.
-const ProtocolVersion = 4
+// it would misparse: 5 is the generation in which Snapshot and
+// SchemaResponse no longer carry accumulator parameters (the accumulator
+// is a constant, so no edge or relay chooses what a client verifies
+// under); 4 made every insert travel as a MsgBatchReq (the single-insert
+// frame is gone and the message types after it renumbered); 3 first
+// carried a VO's digests as fixed-width runs (vo.VO.Encode); 2 put a
+// length in front of each.
+const ProtocolVersion = 5
 
 // Capability bits carried in the Hello exchange (both directions). They
 // are advisory: a peer that lacks a capability still answers the

@@ -2,12 +2,16 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
-	"edgeauth/internal/digest"
 	"edgeauth/internal/query"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
@@ -174,6 +178,39 @@ func TestSchemaRoundTrip(t *testing.T) {
 	}
 }
 
+// parentAccBlock is the accumulator block every Snapshot and
+// SchemaResponse carried behind its schema blob up to protocol 4: u32 size
+// 16, u64 exponent 15, u8 mode 0 (m = 2^k), a zero-length modulus — the
+// constants the accumulator now is.
+var parentAccBlock = []byte{0, 0, 0, 0x10, 0, 0, 0, 0, 0, 0, 0, 0x0f, 0, 0, 0, 0, 0}
+
+// withAccBlock returns body, a Snapshot or SchemaResponse encoding, with
+// parentAccBlock put back behind its schema blob: what the protocol-4
+// encoder wrote for the same message.
+func withAccBlock(body []byte) []byte {
+	at := 4 + int(binary.BigEndian.Uint32(body))
+	return append(append(append([]byte(nil), body[:at]...), parentAccBlock...), body[at:]...)
+}
+
+// checkAgainstParent: enc is exactly the parent commit's encoding of the
+// same message less the accumulator block, and the parent's bytes — the
+// block still in them — are refused, not read as some other message.
+func checkAgainstParent(t *testing.T, enc []byte, parentHex string, decode func([]byte) error) {
+	t.Helper()
+	parent, err := hex.DecodeString(parentHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(enc) != len(parent)-len(parentAccBlock) || !bytes.Equal(withAccBlock(enc), parent) {
+		t.Fatalf("encoding is not the parent commit's less the %d-byte accumulator block:\n  got %x\n  parent %x", len(parentAccBlock), enc, parent)
+	}
+	if err := decode(parent); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+		t.Fatalf("parent-format body: %v, want it refused for trailing bytes", err)
+	}
+}
+
+// TestSnapshotRoundTrip: a snapshot decodes to what was encoded, in 17
+// bytes fewer than the parent commit (5899259) encoded it.
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := &Snapshot{
 		Schema: &schema.Schema{
@@ -181,7 +218,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			Columns: []schema.Column{{Name: "id", Type: schema.TypeInt64}},
 			Key:     0,
 		},
-		AccParams:  AccParams{Size: 16, Exponent: 15, Mode: 0},
 		Root:       7,
 		Height:     3,
 		RootSig:    []byte{9, 9, 9},
@@ -204,13 +240,59 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if len(got.PageIDs) != 2 || !bytes.Equal(got.PageData[1], []byte{0xBB, 0xCC}) {
 		t.Fatalf("pages: %v %v", got.PageIDs, got.PageData)
 	}
-	// Accumulator params reconstruct.
-	acc, err := digest.New(got.AccParams.ToDigestParams())
+	checkAgainstParent(t, s.Encode(),
+		"0000001a000000026462000000017400000001000000026964010000000000000010000000000000000f000000000000000007000000030000000309090900001000000000050000000000000000000000000000000000000000030000000100000002000000030000000200000001"+
+			"00000001aa0000000200000002bbcc",
+		func(b []byte) error { _, err := DecodeSnapshot(b); return err })
+}
+
+// TestSchemaResponseRoundTrip: the client's verification parameters are a
+// schema, a key version and a scheme — 17 bytes fewer than the parent
+// commit (5899259) encoded them, the accumulator parameters gone.
+func TestSchemaResponseRoundTrip(t *testing.T) {
+	s := &SchemaResponse{
+		Schema: &schema.Schema{
+			DB: "db", Table: "t",
+			Columns: []schema.Column{{Name: "id", Type: schema.TypeInt64}, {Name: "v", Type: schema.TypeString}},
+			Key:     0,
+		},
+		KeyVersion: 5,
+		Scheme:     1,
+	}
+	got, err := DecodeSchemaResponse(s.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc.Len() != 16 || acc.Exponent() != 15 {
-		t.Fatalf("acc params: len=%d e=%d", acc.Len(), acc.Exponent())
+	if got.Schema.Table != "t" || len(got.Schema.Columns) != 2 || got.KeyVersion != 5 || got.Scheme != 1 {
+		t.Fatalf("decoded: %+v", got)
+	}
+	checkAgainstParent(t, s.Encode(),
+		"00000020000000026462000000017400000002000000026964010000000176030000000000000010000000000000000f00000000000000000501",
+		func(b []byte) error { _, err := DecodeSchemaResponse(b); return err })
+}
+
+// TestSnapshotFixturesAreTheParentsLessTheAccumulatorBlock: each
+// testdata/parent-cc58d1a/*/snapshot.bin is what a central at cc58d1a
+// served, with exactly the accumulator block behind its schema blob cut
+// out. Put back, the block restores the served bytes, whose SHA-256 is
+// recorded below. (edge.TestDeltaFromParentCommitApplies installs the
+// fixtures and verifies a query over them.)
+func TestSnapshotFixturesAreTheParentsLessTheAccumulatorBlock(t *testing.T) {
+	for scheme, served := range map[string]string{
+		"rsa":        "9ac84c42f81f6e9500b57b3e3282d8ca88a4ca4a02e7c173aeac237f0cce8572",
+		"rsa-merkle": "d4d36899fd3f5b9f901a4a80b65af2f239dbc084502747dadcfe7589423dab8a",
+		"ed25519":    "7bf59741bd5eea789d1de285dda1b72b069ce3fc9a1f752ff588000b7c181ba7",
+	} {
+		b, err := os.ReadFile(filepath.Join("testdata", "parent-cc58d1a", scheme, "snapshot.bin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(withAccBlock(b)); hex.EncodeToString(sum[:]) != served {
+			t.Errorf("%s: fixture with the accumulator block put back hashes to %x, the served body to %s", scheme, sum, served)
+		}
+		if _, err := DecodeSnapshot(b); err != nil {
+			t.Errorf("%s: %v", scheme, err)
+		}
 	}
 }
 
@@ -228,14 +310,6 @@ func TestSnapshotRejectsCorrupt(t *testing.T) {
 		if _, err := DecodeSnapshot(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
-	}
-}
-
-func TestAccParamsModBig(t *testing.T) {
-	acc := digest.MustNew(digest.DefaultParams())
-	a := AccParamsFrom(acc)
-	if a.Mode != 0 || a.Size != 16 || len(a.Modulus) != 0 {
-		t.Fatalf("Mod2K params: %+v", a)
 	}
 }
 
