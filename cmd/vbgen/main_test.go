@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"os"
 	"path/filepath"
@@ -16,37 +15,30 @@ import (
 )
 
 // TestOpensDatabaseWrittenByParentCommit opens an on-disk database this
-// very command wrote at the PARENT commit (615aa5e: `vbgen -rows 150
-// -scheme rsa-merkle -keybits 512 -pagesize 1024`), when every digest was
-// computed with math/big and one g per digest. Under a Merkle scheme the
-// pages hold raw digests, so the audit recomputes each of them with the
-// two-limb kernel and compares bytes, and the queries check that answers
-// served from those pages verify against the root signature made back
-// then — persisted state outlives the arithmetic that produced it.
+// very command wrote at the PARENT commit (253a3c6: `vbgen -rows 150
+// -scheme rsa -keybits 512 -pagesize 1024`), audits every digest on its
+// pages and checks that answers served from them verify against the root
+// signature made back then — persisted state outlives the code that
+// produced it. The files are the bytes 253a3c6 wrote, by their SHA-256.
 //
-// pages.db and key.pub are the bytes 615aa5e wrote. meta.bin is a
-// wire.Snapshot encoding, so when the snapshot lost its accumulator
-// block (the accumulator became a constant) the fixture lost exactly
-// those 17 bytes; the test puts them back and checks that the result is
-// the file 615aa5e wrote, by its SHA-256.
+// It is a per-node rsa database because that commitment is the paper's
+// and has not changed. The Merkle schemes commit by ordered hashes since
+// protocol 6, so a Merkle database from before then (the 615aa5e fixture
+// this one replaces) holds digests this build does not compute, and is
+// refused by its audit.
 func TestOpensDatabaseWrittenByParentCommit(t *testing.T) {
-	meta, err := os.ReadFile(filepath.Join("testdata", "parent-615aa5e", "meta.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// u32 size 16, u64 exponent 15, u8 mode 0 (m = 2^k), empty modulus.
-	accBlock, _ := hex.DecodeString("00000010" + "000000000000000f" + "00" + "00000000")
-	at := 4 + int(binary.BigEndian.Uint32(meta)) // behind the schema blob
-	written := append(append(append([]byte(nil), meta[:at]...), accBlock...), meta[at:]...)
-	if sum := sha256.Sum256(written); hex.EncodeToString(sum[:]) != "f8b1d08ae5e7cc5a09d98e8ad738514e1413de4b39526b1607dbb02453b9576f" {
-		t.Fatalf("meta.bin with the accumulator block put back hashes to %x, not to the file 615aa5e wrote", sum)
-	}
-
 	dir := t.TempDir()
-	for _, name := range []string{"pages.db", "meta.bin", "key.pub"} {
-		blob, err := os.ReadFile(filepath.Join("testdata", "parent-615aa5e", name))
+	for name, sum := range map[string]string{
+		"pages.db": "c89aa8b6c81bc2fd1d5da30d23507317f0230d081b3a3503d78b04fe71e7aabc",
+		"meta.bin": "96f6e952df7d515ecadcac7d8331b3221ea7b81a0d88b2b4e18e6648f50610e3",
+		"key.pub":  "0da70faf0cfc3938039c475c8a86bfb889ee8476f0c1c6195e260355ba890f28",
+	} {
+		blob, err := os.ReadFile(filepath.Join("testdata", "parent-253a3c6", name))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if got := sha256.Sum256(blob); hex.EncodeToString(got[:]) != sum {
+			t.Fatalf("%s hashes to %x, not to the file 253a3c6 wrote", name, got)
 		}
 		if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
 			t.Fatal(err)
@@ -56,8 +48,8 @@ func TestOpensDatabaseWrittenByParentCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !db.tree.MerkleMode() {
-		t.Fatal("fixture is not a Merkle-scheme database")
+	if db.tree.MerkleMode() {
+		t.Fatal("fixture is not a per-node rsa database")
 	}
 	n, err := db.tree.Audit()
 	if err != nil {

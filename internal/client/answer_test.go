@@ -42,10 +42,14 @@ func range256(lo int64) ([]query.Predicate, []string) {
 // they are now the two runs of the frame they arrived in. Decoding builds
 // no accumulator, so the inline limbs below left that figure where it was.
 //
-// Decoding, checking the map and verifying costs 25 objects, pinned. It
-// was 29 while a digest.Acc kept its running products in a limb array of
-// its own: verifying this VO runs one Acc per level, L+1 = 4 of them, and
-// each now holds its limbs inline.
+// The result set and the VO are one allocation, which is what holds the
+// figure where it was once the VO grew its node records.
+//
+// Decoding, checking the map and verifying costs 19 objects, pinned. It
+// was 25 while the scheme committed by a product: verifying this VO ran
+// one digest.Acc per level, L+1 = 4 of them. An ordered commitment is
+// recomputed node by node with every preimage on the stack, into scratch
+// the verification owns (29 before the Acc held its limbs inline).
 func TestAnswerDecodeAndVerifyAllocationBudget(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -104,8 +108,8 @@ func TestAnswerDecodeAndVerifyAllocationBudget(t *testing.T) {
 		t.Errorf("decoding the answer: %d bytes allocated, want 90,832", decodeBytes)
 	}
 	whole := testing.AllocsPerRun(100, verify)
-	if whole != 25 {
-		t.Errorf("decoding and verifying the answer: %.0f allocations, want 25", whole)
+	if whole != 19 {
+		t.Errorf("decoding and verifying the answer: %.0f allocations, want 19", whole)
 	}
 	t.Logf("%d-byte answer: %.0f allocations (%d bytes) to decode, %.0f to decode, check the map and verify", len(body), decode, decodeBytes, whole)
 }

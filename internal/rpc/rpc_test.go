@@ -52,8 +52,8 @@ func startServer(t *testing.T, h Handler, o ServeOptions) string {
 }
 
 func TestHandshakeAndCall(t *testing.T) {
-	if wire.ProtocolVersion != 5 {
-		t.Fatalf("this build speaks protocol %d; the handshake tests are written for 5", wire.ProtocolVersion)
+	if wire.ProtocolVersion != 6 {
+		t.Fatalf("this build speaks protocol %d; the handshake tests are written for 6", wire.ProtocolVersion)
 	}
 	addr := startServer(t, echoHandler, ServeOptions{})
 	c := New(addr, Options{})
@@ -72,9 +72,10 @@ func TestHandshakeAndCall(t *testing.T) {
 // A server answers a connection that does not open with a well-formed
 // Hello offering ProtocolVersion with one typed error frame and hangs up; a
 // dialer treats any reply but a HelloResp negotiating ProtocolVersion as a
-// dial error. Neither side downgrades — not even to 4, the generation
-// just before, whose snapshots and schema responses carry an accumulator
-// block this build no longer reads.
+// dial error. Neither side downgrades — not even to 5, the generation
+// just before, whose Merkle pages and VOs commit by the combiner where
+// this build commits by ordered hashes, or to 4, whose snapshots and
+// schema responses carry an accumulator block this build no longer reads.
 func TestHandshakeRejectsOtherProtocols(t *testing.T) {
 	type frame struct {
 		mt   wire.MsgType
@@ -93,11 +94,13 @@ func TestHandshakeRejectsOtherProtocols(t *testing.T) {
 		{name: "hello max version 2", open: &frame{wire.MsgHello, wire.EncodeHelloCaps(2, 0)}, want: wire.CodeUnsupported},
 		{name: "hello max version 3", open: &frame{wire.MsgHello, wire.EncodeHelloCaps(3, 0)}, want: wire.CodeUnsupported},
 		{name: "hello max version 4", open: &frame{wire.MsgHello, wire.EncodeHelloCaps(4, 0)}, want: wire.CodeUnsupported},
+		{name: "hello max version 5", open: &frame{wire.MsgHello, wire.EncodeHelloCaps(5, 0)}, want: wire.CodeUnsupported},
 		{name: "4-byte hello body", open: &frame{wire.MsgHello, []byte{0, 0, 0, 2}}, want: wire.CodeBadRequest},
 		{name: "hello-resp negotiating 1", reply: &frame{wire.MsgHelloResp, wire.EncodeHelloCaps(1, 0)}, want: wire.CodeUnsupported},
 		{name: "hello-resp negotiating 2", reply: &frame{wire.MsgHelloResp, wire.EncodeHelloCaps(2, 0)}, want: wire.CodeUnsupported},
 		{name: "hello-resp negotiating 3", reply: &frame{wire.MsgHelloResp, wire.EncodeHelloCaps(3, 0)}, want: wire.CodeUnsupported},
 		{name: "hello-resp negotiating 4", reply: &frame{wire.MsgHelloResp, wire.EncodeHelloCaps(4, 0)}, want: wire.CodeUnsupported},
+		{name: "hello-resp negotiating 5", reply: &frame{wire.MsgHelloResp, wire.EncodeHelloCaps(5, 0)}, want: wire.CodeUnsupported},
 		{name: "error reply to hello", reply: &frame{wire.MsgError, wire.Unsupported("test", wire.MsgHello).Encode()}, want: wire.CodeUnsupported},
 	}
 	for _, tc := range cases {

@@ -11,6 +11,7 @@ package tamper
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
@@ -148,7 +149,7 @@ func DropVODigest() Attack {
 			if w.NumDS() == 0 {
 				return ErrNotApplicable
 			}
-			w.DS = w.DS[w.Width+1:]
+			w.DS = w.DS[w.DSStride():]
 			return nil
 		},
 	}
@@ -171,10 +172,10 @@ func ForgeTopDigest() Attack {
 
 // ForgeInteriorNode attacks the Merkle commitment modes, where interior
 // VO digests are raw (unsigned) values: it grafts a fabricated subtree
-// digest into D_S and rebalances the top digest so the combiner equation
-// still holds — the one forgery hash-only interior commitments would
-// admit if the root were not signed. The doctored top digest no longer
-// matches the root signature, so a client that verifies RootSig over
+// digest into the proof in place of the first sibling and presents a top
+// digest of its own making — the forgery hash-only interior commitments
+// would admit if the root were not signed. The doctored top digest does
+// not match the root signature, so a client that verifies RootSig over
 // TopDigest rejects the answer; the attack is what makes that signature
 // load-bearing.
 func ForgeInteriorNode() Attack {
@@ -183,20 +184,12 @@ func ForgeInteriorNode() Attack {
 		Description: "graft an unsigned fabricated subtree digest into a Merkle VO",
 		Apply: func(rs *vo.ResultSet, w *vo.VO) error {
 			acc := digest.MustNew(digest.DefaultParams())
-			if len(w.RootSig) == 0 || len(w.TopDigest) != acc.Len() || w.NumDS()+w.NumDP() > 0 && w.Width != acc.Len() {
-				return ErrNotApplicable // not a Merkle-shaped VO
+			if len(w.RootSig) == 0 || len(w.TopDigest) != acc.Len() || w.NumDS() == 0 || int(w.Width) != acc.Len() {
+				return ErrNotApplicable // not a Merkle-shaped VO with a sibling to replace
 			}
 			forged := acc.HashBytes("tamper:forged-interior", []byte("spurious subtree"))
-			lifted, err := acc.Lift(forged, 1)
-			if err != nil {
-				return err
-			}
-			top, err := acc.Mul(digest.Value(w.TopDigest), lifted)
-			if err != nil {
-				return err
-			}
-			w.AppendDS(forged, 1)
-			w.TopDigest = sig.Signature(top)
+			copy(w.DSDigest(0), forged)
+			w.TopDigest = sig.Signature(acc.HashBytes("tamper:forged-root", append(forged, w.TopDigest...)))
 			return nil
 		},
 	}
@@ -228,17 +221,37 @@ func CrossSchemeConfusion() Attack {
 	}
 }
 
-// MisliftDS perturbs a D_S lift tag, trying to slot a digest in at the
-// wrong tree level.
+// MisliftDS slots digests in at the wrong place: it perturbs a D_S lift
+// tag (the tree level a digest enters at) or, in the ordered layout, the
+// first position the root's record recomputes.
 func MisliftDS() Attack {
 	return Attack{
 		Name:        "mislift-ds",
-		Description: "change the level tag of a D_S digest",
+		Description: "change the level tag of a D_S digest, or the position of a recomputed entry",
 		Apply: func(rs *vo.ResultSet, w *vo.VO) error {
-			if w.NumDS() == 0 {
+			if !w.Ordered() {
+				if w.NumDS() == 0 {
+					return ErrNotApplicable
+				}
+				w.SetDSLift(0, w.DSLift(0)+1)
+				return nil
+			}
+			w.Nodes = bytes.Clone(w.Nodes)
+			count, runs, _, err := vo.NodeRecord(w.Nodes)
+			if err != nil || len(runs) == 0 {
 				return ErrNotApplicable
 			}
-			w.SetDSLift(0, w.DSLift(0)+1)
+			// The root's first run: u16 start, u16 length.
+			start, n := int(binary.BigEndian.Uint16(runs)), int(binary.BigEndian.Uint16(runs[2:]))
+			switch {
+			case start+n < count:
+				start++
+			case start > 0:
+				start--
+			default:
+				return ErrNotApplicable // every position is recomputed
+			}
+			binary.BigEndian.PutUint16(runs, uint16(start))
 			return nil
 		},
 	}
@@ -326,35 +339,81 @@ func SwapProjectionDigest() Attack {
 }
 
 // CompensateDigest rewrites a returned attribute value and rebalances
-// the product so the verification equation still holds: the combiner is
-// a product in Z*_m, the rewritten value's hash h(old) sits in it at the
-// same level as every D_P digest, so multiplying D_P[0] by
-// h(old)·h(new)⁻¹ mod m cancels the change. The result set must project
-// at least one column away (D_P non-empty).
+// another digest of the VO so that a multiplicative commitment would not
+// notice: were the combiner a product in Z*_m, the rewritten value's hash
+// h(old) would sit in it at the same level as every D_P digest, so
+// multiplying D_P[0] by h(old)·h(new)⁻¹ mod m would cancel the change.
+// The result set must project at least one column away (D_P non-empty).
 //
-// Under per-node rsa every D_S and D_P entry is a signature and the
-// rebalanced bytes are not one, so the answer is rejected. Under the
-// Merkle schemes the entries are raw, unsigned digests — only the root
-// is signed — and the answer VERIFIES: a known gap (ROADMAP item 8),
-// which is why this attack is not in All(). It is recorded here so that
-// whatever closes the gap has a test to turn green.
+// It is the forgery the Merkle schemes admitted while they committed by
+// that product, their entries being raw, unsigned digests. They commit by
+// ordered hashes now, which a rewritten value changes at every level up
+// to the signed root, so every scheme rejects it: per-node rsa because
+// the rebalanced bytes are not a signature.
 func CompensateDigest() Attack {
+	return compensate("compensate-digest",
+		"rewrite a returned value and rebalance an unsigned D_P digest by h(old)·h(new)⁻¹",
+		func(rs *vo.ResultSet, w *vo.VO) ([]byte, int) {
+			if w.NumDP() == 0 {
+				return nil, 0
+			}
+			return w.DPDigest(0), 0
+		})
+}
+
+// CompensateSibling is CompensateDigest rebalancing a D_S sibling
+// instead: the rewritten value's factor enters at level L+1 and a D_S
+// entry of lift l at level l, so the sibling is multiplied by the factor
+// lifted L+1−l more times (g is a homomorphism). An ordered VO has no
+// lift; its first sibling is treated as a tuple digest of a leaf, lift L.
+func CompensateSibling() Attack {
+	return compensate("compensate-ds-sibling",
+		"rewrite a returned value and rebalance an unsigned D_S sibling by the lifted h(old)·h(new)⁻¹",
+		func(rs *vo.ResultSet, w *vo.VO) ([]byte, int) {
+			if w.NumDS() == 0 {
+				return nil, 0
+			}
+			if w.Ordered() {
+				return w.DSDigest(0), 1
+			}
+			return w.DSDigest(0), int(w.TopLevel) + 1 - int(w.DSLift(0))
+		})
+}
+
+// CompensateAcrossRows is CompensateDigest rebalancing the last row's D_P
+// digest for a value rewritten in the first row: a flat product does not
+// know which row a factor belongs to.
+func CompensateAcrossRows() Attack {
+	return compensate("compensate-across-rows",
+		"rewrite a value in one row and rebalance another row's D_P digest by h(old)·h(new)⁻¹",
+		func(rs *vo.ResultSet, w *vo.VO) ([]byte, int) {
+			if len(rs.Tuples) < 2 || w.NumDP() < 2 {
+				return nil, 0
+			}
+			return w.DPDigest(w.NumDP() - 1), 0
+		})
+}
+
+// compensate builds the CompensateDigest family: target picks the digest
+// to rebalance and how many more times g is applied to the factor before
+// it is multiplied in (nil: not applicable).
+func compensate(name, desc string, target func(rs *vo.ResultSet, w *vo.VO) ([]byte, int)) Attack {
 	return Attack{
-		Name:        "compensate-digest",
-		Description: "rewrite a returned value and rebalance an unsigned D_P digest by h(old)·h(new)⁻¹",
+		Name:        name,
+		Description: desc,
 		Apply: func(rs *vo.ResultSet, w *vo.VO) error {
-			if len(rs.Tuples) == 0 || w.NumDP() == 0 {
+			if len(rs.Tuples) == 0 || len(rs.Columns) == 0 {
+				return ErrNotApplicable
+			}
+			d, lifts := target(rs, w)
+			if d == nil {
 				return ErrNotApplicable
 			}
 			col := len(rs.Columns) - 1
 			v := &rs.Tuples[0].Values[col]
 			acc := digest.MustNew(digest.DefaultParams())
 			key := rs.Keys[0].EncodeKey(nil)
-			hash := func() *big.Int {
-				d := acc.HashAttribute(rs.DB, rs.Table, rs.Columns[col], key, v.Canonical(nil))
-				return new(big.Int).SetBytes(d)
-			}
-			hOld := hash()
+			hOld := acc.HashAttribute(rs.DB, rs.Table, rs.Columns[col], key, v.Canonical(nil))
 			switch v.Type {
 			case schema.TypeInt64:
 				v.I += 1_000_000
@@ -363,16 +422,27 @@ func CompensateDigest() Attack {
 			default:
 				return ErrNotApplicable
 			}
+			hNew := acc.HashAttribute(rs.DB, rs.Table, rs.Columns[col], key, v.Canonical(nil))
 			m := new(big.Int).Lsh(big.NewInt(1), 8*uint(acc.Len())) // m = 2^128
-			inv := new(big.Int).ModInverse(hash(), m)
+			inv := new(big.Int).ModInverse(new(big.Int).SetBytes(hNew), m)
 			if inv == nil {
 				return ErrNotApplicable // attribute hashes are units; not reached
 			}
+			r := new(big.Int).SetBytes(hOld)
+			r.Mul(r, inv).Mod(r, m)
+			factor := make(digest.Value, acc.Len())
+			r.FillBytes(factor)
+			lifted, err := acc.Lift(factor, lifts)
+			if err != nil {
+				return err
+			}
 			// The entry's bytes as a residue, rebalanced, at the entry's own
 			// width: under a Merkle scheme that is the digest itself.
-			d := w.DPDigest(0)
 			x := new(big.Int).SetBytes(d)
-			x.Mul(x, hOld).Mul(x, inv).Mod(x, m)
+			x.Mul(x, new(big.Int).SetBytes(lifted)).Mod(x, m)
+			if len(d) < acc.Len() {
+				return ErrNotApplicable
+			}
 			x.FillBytes(d)
 			return nil
 		},
@@ -413,6 +483,7 @@ func ReplayStaleShard(staleRS *vo.ResultSet, staleVO *vo.VO) Attack {
 			w.Width = staleVO.Width
 			w.DS = bytes.Clone(staleVO.DS)
 			w.DP = bytes.Clone(staleVO.DP)
+			w.Nodes = bytes.Clone(staleVO.Nodes)
 			// Keep the current timestamp: the attack is the stale CONTENT,
 			// not a backdated clock (that one is BackdateTimestamp).
 			return nil
@@ -606,8 +677,7 @@ func MapAttacks() []MapAttack {
 
 // All returns the full catalogue (attacks needing parameters get
 // placeholder arguments suitable for single-table deployments) of attacks
-// a client rejects under every scheme. CompensateDigest is not among
-// them: see its comment.
+// a client rejects under every scheme.
 func All() []Attack {
 	return []Attack{
 		MutateValue(),
@@ -623,6 +693,9 @@ func All() []Attack {
 		CrossTableReplay("other_table"),
 		SwapProjectionDigest(),
 		BackdateTimestamp(),
+		CompensateDigest(),
+		CompensateSibling(),
+		CompensateAcrossRows(),
 	}
 }
 

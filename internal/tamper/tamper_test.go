@@ -144,43 +144,36 @@ func TestEveryAttackIsDetected(t *testing.T) {
 	}
 }
 
-// TestCompensateDigest records a forgery the Merkle schemes admit. Their
-// D_S and D_P entries are unsigned and the combiner is a product in Z*_m,
-// so an edge that rewrites a returned value can cancel the change by
-// multiplying any digest of the same level by h(old)·h(new)⁻¹. Per-node
-// rsa rejects it — the rebalanced entry is not a signature. Under
-// rsa-merkle and ed25519 the doctored answer verifies, anchored at the
-// signed root or not: the subtests show that and skip, so the gap stays
-// visible in every run until ROADMAP item 8 closes it and the skip
-// becomes the failure it should be.
+// TestCompensateDigest: the forgery the Merkle schemes admitted while
+// they committed by a product of raw digests — rewrite a returned value,
+// rebalance a D_P digest of the same row, a D_S sibling, or another row's
+// D_P digest by h(old)·h(new)⁻¹ — is rejected under every scheme,
+// anchored at the signed root or not. Per-node rsa rejects it because a
+// rebalanced entry is not a signature; rsa-merkle and ed25519 because an
+// ordered commitment changes with the value at every level up to the
+// root. (The parent commit accepted all three under both Merkle schemes.)
 func TestCompensateDigest(t *testing.T) {
 	for _, scheme := range []sig.Scheme{sig.SchemeRSAFull, sig.SchemeRSAMerkle, sig.SchemeEd25519} {
 		t.Run(scheme.String(), func(t *testing.T) {
 			h := newSchemeHarness(t, 300, scheme)
-			rs, w := h.freshResponse(t, true)
-			before, root := rs.Tuples[0].String(), w.TopDigest.Clone()
-			if err := CompensateDigest().Apply(rs, w); err != nil {
-				t.Fatal(err)
-			}
-			if rs.Tuples[0].String() == before {
-				t.Fatal("the attack rewrote nothing")
-			}
-			err := h.ver.Verify(rs, w)
-			if !scheme.Merkle() {
-				if err == nil {
-					t.Fatal("a rebalanced signature was accepted under per-node rsa")
+			for _, a := range []Attack{CompensateDigest(), CompensateSibling(), CompensateAcrossRows()} {
+				rs, w := h.freshResponse(t, true)
+				before, root := rs.Tuples[0].String(), w.TopDigest.Clone()
+				if err := a.Apply(rs, w); err != nil {
+					t.Fatalf("%s: %v", a.Name, err)
 				}
-				return
+				if rs.Tuples[0].String() == before {
+					t.Fatalf("%s rewrote nothing", a.Name)
+				}
+				if err := h.ver.Verify(rs, w); err == nil {
+					t.Errorf("%s: under %v a client accepts tuple 0 rewritten from %v to %v", a.Name, scheme, before, rs.Tuples[0])
+				}
+				if scheme.Merkle() {
+					if err := h.ver.VerifyAnchored(rs, w, root); err == nil {
+						t.Errorf("%s: VerifyAnchored accepts the rebalanced answer under %v", a.Name, scheme)
+					}
+				}
 			}
-			if err != nil {
-				t.Fatalf("the gap looks closed (%v): move CompensateDigest into All(), drop this skip and strike ROADMAP item 8", err)
-			}
-			// Binding the VO to the root digest the signed shard map pins does
-			// not help: the forgery leaves the root where it was.
-			if err := h.ver.VerifyAnchored(rs, w, root); err != nil {
-				t.Fatalf("VerifyAnchored rejected what Verify accepted: %v", err)
-			}
-			t.Skipf("known gap, ROADMAP item 8: under %v a client accepts tuple 0 rewritten from %v to %v", scheme, before, rs.Tuples[0])
 		})
 	}
 }

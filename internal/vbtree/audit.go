@@ -1,6 +1,7 @@
 package vbtree
 
 import (
+	"bytes"
 	"fmt"
 
 	"edgeauth/internal/digest"
@@ -10,14 +11,16 @@ import (
 
 // Audit recomputes every digest in the tree from the raw tuple data —
 // hashing each attribute, recombining tuple, node and root digests — and
-// checks each against the stored signed digest. It returns the number of
+// checks each against the stored signed digest; under a Merkle scheme it
+// also rehashes every node's in-node group digests and checks them
+// against the ones its page stores. It returns the number of
 // tuples audited. This is the full-recompute path that the paper's
 // incremental insert avoids (the UPD ablation measures the gap), and a
 // useful integrity check for a replica: a tampered edge copy fails it.
 func (t *Tree) Audit() (int, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	u, n, err := t.auditNode(t.root)
+	u, n, err := t.auditNode(t.root, t.height)
 	if err != nil {
 		return n, err
 	}
@@ -33,9 +36,9 @@ func (t *Tree) Audit() (int, error) {
 	return n, nil
 }
 
-// auditNode returns the node's recomputed unsigned digest and the tuple
-// count underneath it.
-func (t *Tree) auditNode(pid storage.PageID) (digest.Value, int, error) {
+// auditNode returns the recomputed unsigned digest of the node pid at the
+// given level and the tuple count underneath it.
+func (t *Tree) auditNode(pid storage.PageID, level int) (digest.Value, int, error) {
 	pt, err := t.pageType(pid)
 	if err != nil {
 		return nil, 0, err
@@ -46,6 +49,7 @@ func (t *Tree) auditNode(pid storage.PageID) (digest.Value, int, error) {
 			return nil, 0, err
 		}
 		acc := t.acc.NewAcc()
+		uts := make([]digest.Value, len(n.keys))
 		for i := range n.keys {
 			rec, err := t.heap.Get(n.rids[i])
 			if err != nil {
@@ -80,9 +84,17 @@ func (t *Tree) auditNode(pid storage.PageID) (digest.Value, int, error) {
 			if !stored.Equal(ut) {
 				return nil, 0, fmt.Errorf("vbtree: leaf %d entry %d tuple digest mismatch", pid, i)
 			}
+			uts[i] = ut
+			if t.merkle {
+				continue
+			}
 			if err := acc.Add(ut); err != nil {
 				return nil, 0, err
 			}
+		}
+		if t.merkle {
+			u, err := t.auditGroups(pid, level, uts, n.groups)
+			return u, len(n.keys), err
 		}
 		return acc.Value(), len(n.keys), nil
 	}
@@ -93,8 +105,9 @@ func (t *Tree) auditNode(pid storage.PageID) (digest.Value, int, error) {
 	}
 	acc := t.acc.NewAcc()
 	total := 0
+	us := make([]digest.Value, len(n.children))
 	for i, child := range n.children {
-		u, cnt, err := t.auditNode(child)
+		u, cnt, err := t.auditNode(child, level-1)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -105,10 +118,28 @@ func (t *Tree) auditNode(pid storage.PageID) (digest.Value, int, error) {
 		if !stored.Equal(u) {
 			return nil, 0, fmt.Errorf("vbtree: node %d child %d digest mismatch", pid, i)
 		}
+		us[i], total = u, total+cnt
+		if t.merkle {
+			continue
+		}
 		if err := acc.Add(u); err != nil {
 			return nil, 0, err
 		}
-		total += cnt
+	}
+	if t.merkle {
+		u, err := t.auditGroups(pid, level, us, n.groups)
+		return u, total, err
 	}
 	return acc.Value(), total, nil
+}
+
+// auditGroups rehashes an ordered node from its recomputed entries and
+// checks the group digests its page stores against the ones it gets.
+func (t *Tree) auditGroups(pid storage.PageID, level int, entries []digest.Value, stored []byte) (digest.Value, error) {
+	groups := make([]byte, digest.StoredBytes(len(entries)))
+	u := digest.CommitNode(t.acc, level, t.sch.DB, t.sch.Table, entries, groups, nil, 0, nil)
+	if !bytes.Equal(groups, stored) {
+		return nil, fmt.Errorf("vbtree: node %d stores group digests that do not match its entries", pid)
+	}
+	return u, nil
 }

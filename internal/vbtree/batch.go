@@ -38,7 +38,14 @@ import (
 //     once per batch, not once per tuple (re-signed under the legacy
 //     scheme; a Merkle tree signs nothing here).
 //
-// A batch of one is therefore exactly the paper's incremental insert: N_C
+// An ordered (Merkle) tree repairs the same dirty nodes bottom-up, but by
+// hashing: a dirty node installs its dirty children's new digests, then
+// rehashes the in-node groups over entries that changed or moved — every
+// group from the lowest insertion point on — and its node hash, keeping
+// the stored digests of the groups before it (computeOrdered). Its cost is
+// formula (11) restated (costmodel.OrderedInsertHashes).
+//
+// A batch of one under per-node rsa is exactly the paper's incremental insert: N_C
 // attribute hashes, H folds and H−1 digest recoveries for a tree of height
 // H (the root's digest is kept unsigned in memory). The commutative
 // combiner makes any batch provably identical to N inserts of one: a node
@@ -95,6 +102,7 @@ func (t *Tree) InsertBatch(tuples []schema.Tuple) (BatchStats, []error, error) {
 		u:      make(map[storage.PageID]digest.Value),
 		dirty:  make(map[storage.PageID]bool),
 		tupU:   make(map[string]digest.Value),
+		shift:  make(map[storage.PageID]int),
 	}
 	if t.locks != nil {
 		b.txn = t.locks.Begin()
@@ -240,7 +248,18 @@ type treeBatch struct {
 	// unsigned digest: what a leaf that did not split multiplies in, and
 	// what a whole leaf need not recover.
 	tupU map[string]digest.Value
-	txn  lock.TxnID
+	// shift holds, for each node an entry was inserted into, the lowest
+	// position an insertion took: every entry at or after it may have
+	// moved, so an ordered node rehashes the groups from there on.
+	shift map[storage.PageID]int
+	txn   lock.TxnID
+}
+
+// insertedAt records an entry inserted at position i of node pid.
+func (b *treeBatch) insertedAt(pid storage.PageID, i int) {
+	if s, ok := b.shift[pid]; !ok || i < s {
+		b.shift[pid] = i
+	}
 }
 
 // vbSplit carries a split's separator and new right sibling to the
@@ -333,6 +352,7 @@ func (b *treeBatch) insertAt(pid storage.PageID, pt *preparedTuple) (*vbSplit, e
 	if split != nil {
 		n.keys = insertKey(n.keys, ci, split.sep)
 		n.children = insertChild(n.children, ci+1, split.right)
+		b.insertedAt(pid, ci+1)
 		// Signature-length placeholder (so size checks are exact); repair
 		// signs the new child once, at the end.
 		n.sigs = insertSig(n.sigs, ci+1, b.placeholderSig())
@@ -359,6 +379,7 @@ func (b *treeBatch) insertLeaf(pid storage.PageID, pt *preparedTuple) (*vbSplit,
 	n.keys = insertKey(n.keys, i, pt.keyBytes)
 	n.rids = insertRID(n.rids, i, rid)
 	n.sigs = insertSig(n.sigs, i, pt.dt)
+	b.insertedAt(pid, i)
 	b.tupU[string(pt.dt)] = pt.ut
 	b.dirty[pid] = true
 
@@ -374,10 +395,11 @@ func (b *treeBatch) insertLeaf(pid storage.PageID, pt *preparedTuple) (*vbSplit,
 	rightPid := rf.ID()
 	b.t.bp.Unpin(rf, true)
 	right := &vbLeaf{
-		next: n.next,
-		keys: append([][]byte(nil), n.keys[mid:]...),
-		rids: append([]storage.RecordID(nil), n.rids[mid:]...),
-		sigs: append([]sig.Signature(nil), n.sigs[mid:]...),
+		ordered: ordered{on: n.on},
+		next:    n.next,
+		keys:    append([][]byte(nil), n.keys[mid:]...),
+		rids:    append([]storage.RecordID(nil), n.rids[mid:]...),
+		sigs:    append([]sig.Signature(nil), n.sigs[mid:]...),
 	}
 	n.keys = n.keys[:mid]
 	n.rids = n.rids[:mid]
@@ -403,6 +425,7 @@ func (b *treeBatch) splitInner(pid storage.PageID, n *vbInternal) (*vbSplit, err
 	rightPid := rf.ID()
 	b.t.bp.Unpin(rf, true)
 	right := &vbInternal{
+		ordered:  ordered{on: n.on},
 		keys:     append([][]byte(nil), n.keys[mid+1:]...),
 		children: append([]storage.PageID(nil), n.children[mid+1:]...),
 		sigs:     append([]sig.Signature(nil), n.sigs[mid+1:]...),
@@ -431,6 +454,7 @@ func (b *treeBatch) growRoot(split *vbSplit) error {
 		return err
 	}
 	b.inners[newRootPid] = &vbInternal{
+		ordered:  ordered{on: b.t.merkle},
 		keys:     [][]byte{split.sep},
 		children: []storage.PageID{b.t.root, split.right},
 		// Repair signs both children once, at the end.
@@ -515,6 +539,58 @@ func (b *treeBatch) computeU(pid storage.PageID) (digest.Value, error) {
 	return u, nil
 }
 
+// computeOrdered is computeU for an ordered tree, for the dirty node pid
+// at the given level: each dirty child's digest is computed and installed
+// in its entry first, then the node rehashes the groups over changed or
+// moved entries (every group, if it split or is new) and its node hash.
+func (b *treeBatch) computeOrdered(pid storage.PageID, level int) (digest.Value, error) {
+	if u, ok := b.u[pid]; ok {
+		return u, nil
+	}
+	whole := b.whole[pid]
+	shift, shifted := b.shift[pid]
+	moved := func(i int) bool { return shifted && i >= shift }
+	var u digest.Value
+	if n, ok := b.leaves[pid]; ok {
+		var dirty []bool
+		if !whole {
+			dirty = make([]bool, len(n.sigs))
+			for i := range dirty {
+				dirty[i] = moved(i)
+			}
+		}
+		u = b.t.commitOrdered(level, n.sigs, &n.ordered, dirty)
+	} else {
+		n, ok := b.inners[pid]
+		if !ok {
+			return nil, fmt.Errorf("vbtree: dirty node %d missing from batch cache", pid)
+		}
+		var dirty []bool
+		if !whole {
+			dirty = make([]bool, len(n.children))
+		}
+		for i, child := range n.children {
+			if !b.dirty[child] {
+				if dirty != nil {
+					dirty[i] = moved(i)
+				}
+				continue
+			}
+			cu, err := b.computeOrdered(child, level-1)
+			if err != nil {
+				return nil, err
+			}
+			n.sigs[i] = sig.Signature(append([]byte(nil), cu...))
+			if dirty != nil {
+				dirty[i] = true
+			}
+		}
+		u = b.t.commitOrdered(level, n.sigs, &n.ordered, dirty)
+	}
+	b.u[pid] = u
+	return u, nil
+}
+
 // cleanU reads an untouched node's digest from its stored entry (one
 // recovery per batch under the legacy scheme, a cast under Merkle).
 func (b *treeBatch) cleanU(pid storage.PageID, stored sig.Signature) (digest.Value, error) {
@@ -537,7 +613,11 @@ func (b *treeBatch) cleanU(pid storage.PageID, stored sig.Signature) (digest.Val
 // digest and no signature is produced — the root's is made when first
 // asked for. Returns how many signatures the repair spent.
 func (b *treeBatch) repair() (int, error) {
-	if _, err := b.computeU(b.t.root); err != nil {
+	compute := b.computeU
+	if b.t.merkle {
+		compute = func(root storage.PageID) (digest.Value, error) { return b.computeOrdered(root, b.t.height) }
+	}
+	if _, err := compute(b.t.root); err != nil {
 		return 0, err
 	}
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"edgeauth/internal/costmodel"
 	"edgeauth/internal/digest"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
@@ -349,6 +350,14 @@ func newSchemeTree(t testing.TB, scheme sig.Scheme, rows int, fill float64) (*Tr
 // read out (the tuple's and each node's, H+1) and, at each of the H−1
 // internal nodes, the division that takes the child's old factor out —
 // N_C + H + (H+1) + (H−1) = N_C + 3H in all.
+//
+// A Merkle tree commits by ordered hashes and combines nothing: formula
+// (11) restated (costmodel.OrderedInsertHashes) is N_C attribute hashes,
+// one tuple hash, and on each node of the path its node hash plus the
+// group digests over the entries that changed or moved — in the leaf
+// every group from the insertion point on, above it one per in-node
+// level. (The parent commit, which folded by the combiner under Merkle
+// too, counted N_C hashes and N_C + 3H combines there.)
 func TestInsertCostIsFormula11(t *testing.T) {
 	for _, scheme := range []sig.Scheme{sig.SchemeRSAFull, sig.SchemeRSAMerkle} {
 		for _, rows := range []int{200, 2000} {
@@ -358,6 +367,7 @@ func TestInsertCostIsFormula11(t *testing.T) {
 				t.Fatal(err)
 			}
 			nc, h := int64(len(sch.Columns)), int64(before.Height)
+			path := insertPath(t, tree, batchRow(sch, 10_001))
 			ctr.Reset()
 			if err := tree.Insert(batchRow(sch, 10_001)); err != nil {
 				t.Fatal(err)
@@ -370,24 +380,61 @@ func TestInsertCostIsFormula11(t *testing.T) {
 			if after.LeafNodes != before.LeafNodes || after.Height != before.Height {
 				t.Fatalf("%v/%d: the insert split a node (%+v -> %+v)", scheme, rows, before, after)
 			}
-			wantRecovers, wantSigns := h-1, nc+1+h
+			wantHashes, wantCombines, wantRecovers, wantSigns := nc, nc+3*h, h-1, nc+1+h
 			if scheme.Merkle() {
-				wantRecovers, wantSigns = 0, 0
+				p := costmodel.Default()
+				p.NC = int(nc)
+				wantHashes, wantCombines, wantRecovers, wantSigns = int64(p.OrderedInsertHashes(path)), 0, 0, 0
 			}
-			if got.HashOps != nc || got.CombineOps != nc+3*h || got.RecoverOps != wantRecovers || got.SignOps != wantSigns {
+			if got.HashOps != wantHashes || got.CombineOps != wantCombines || got.RecoverOps != wantRecovers || got.SignOps != wantSigns {
 				t.Errorf("%v/%d rows (H=%d): hash/combine/recover/sign = %d/%d/%d/%d, want %d/%d/%d/%d",
 					scheme, rows, h, got.HashOps, got.CombineOps, got.RecoverOps, got.SignOps,
-					nc, nc+3*h, wantRecovers, wantSigns)
+					wantHashes, wantCombines, wantRecovers, wantSigns)
 			}
 		}
 	}
 }
 
+// insertPath is the path an insert of tup would take through tree, as
+// costmodel.OrderedInsertHashes prices it: each internal node's child
+// count and the child it descends to, then the leaf's count after the
+// insert and the position the tuple takes.
+func insertPath(t *testing.T, tree *Tree, tup schema.Tuple) []costmodel.InsertStep {
+	t.Helper()
+	key := tup.Key(tree.sch).KeyBytes()
+	var path []costmodel.InsertStep
+	for pid := tree.root; ; {
+		pt, err := tree.pageType(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt == storage.PageVBLeaf {
+			n, err := tree.fetchLeaf(pid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return append(path, costmodel.InsertStep{N: len(n.keys) + 1, Pos: n.search(key), Inserted: true})
+		}
+		n, err := tree.fetchInternal(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ci := n.childIndex(key)
+		path = append(path, costmodel.InsertStep{N: len(n.children), Pos: ci})
+		pid = n.children[ci]
+	}
+}
+
 // TestSplittingInsertCostsNoMoreThanParent: an insert that splits
-// recomputes the split halves from their entries. The ceilings are what
-// the per-tuple insert path this one replaced spent on the same trees
-// (1 KB pages, packed full, key -1 into the first leaf): a leaf split, a
-// leaf and internal split, and a root leaf that grows the tree.
+// recomputes the split halves from their entries. The per-node rsa
+// ceilings are what the per-tuple insert path this one replaced spent on
+// the same trees (1 KB pages, packed full, key -1 into the first leaf): a
+// leaf split, a leaf and internal split, and a root leaf that grows the
+// tree. The rsa-merkle ones are what the ordered commitment spends, which
+// hashes a split node's groups and combines nothing; a 1 KB leaf holds 28
+// entries beside its group digests, so 28 rows are one full leaf. (The
+// parent commit, which combined under Merkle too, spent 10 hashes and 46,
+// 47 and 86 combines on 29, 200 and 2,000 rows.)
 func TestSplittingInsertCostsNoMoreThanParent(t *testing.T) {
 	for _, tc := range []struct {
 		scheme sig.Scheme
@@ -400,9 +447,9 @@ func TestSplittingInsertCostsNoMoreThanParent(t *testing.T) {
 		{sig.SchemeRSAFull, 40, false, [4]int64{10, 30, 14, 14}},
 		{sig.SchemeRSAFull, 200, false, [4]int64{10, 49, 28, 16}},
 		{sig.SchemeRSAFull, 2000, false, [4]int64{10, 68, 42, 18}},
-		{sig.SchemeRSAMerkle, 29, true, [4]int64{10, 46, 0, 1}},
-		{sig.SchemeRSAMerkle, 200, false, [4]int64{10, 47, 0, 1}},
-		{sig.SchemeRSAMerkle, 2000, false, [4]int64{10, 86, 0, 1}},
+		{sig.SchemeRSAMerkle, 28, true, [4]int64{18, 0, 0, 1}},
+		{sig.SchemeRSAMerkle, 200, false, [4]int64{20, 0, 0, 1}},
+		{sig.SchemeRSAMerkle, 2000, false, [4]int64{24, 0, 0, 1}},
 	} {
 		tree, sch, ctr := newSchemeTree(t, tc.scheme, tc.rows, 1.0)
 		before, err := tree.Stats(9)

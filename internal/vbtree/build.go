@@ -130,6 +130,7 @@ func newStreamBuilder(t *Tree, fill float64) *streamBuilder {
 		t:        t,
 		pageSize: pageSize,
 		budget:   int(float64(pageSize) * fill),
+		cur:      *t.newLeaf(),
 		curAcc:   t.acc.NewAcc(),
 		curSize:  vbLeafHeader,
 	}
@@ -141,13 +142,19 @@ func (b *streamBuilder) flushLeaf() error {
 	if err != nil {
 		return err
 	}
+	var u digest.Value
+	if t.merkle {
+		u = t.commitOrdered(1, b.cur.sigs, &b.cur.ordered, nil)
+	} else {
+		u = b.curAcc.Value()
+	}
 	if err := b.cur.encode(f.Page().Bytes()); err != nil {
 		t.bp.Unpin(f, false)
 		return err
 	}
-	b.leaves = append(b.leaves, levelEntry{firstKey: b.cur.keys[0], pid: f.ID(), u: b.curAcc.Value()})
+	b.leaves = append(b.leaves, levelEntry{firstKey: b.cur.keys[0], pid: f.ID(), u: u})
 	t.bp.Unpin(f, true)
-	b.cur = vbLeaf{}
+	b.cur = *t.newLeaf()
 	b.curAcc = t.acc.NewAcc()
 	b.curSize = vbLeafHeader
 	return nil
@@ -167,7 +174,8 @@ func (b *streamBuilder) add(p *preparedTuple) error {
 	if err != nil {
 		return err
 	}
-	if len(b.cur.keys) > 0 && (b.curSize+entry > b.budget || b.curSize+entry > b.pageSize) {
+	grown := b.curSize + entry + b.cur.groupBytes(len(b.cur.keys)+1)
+	if len(b.cur.keys) > 0 && (grown > b.budget || grown > b.pageSize) {
 		if err := b.flushLeaf(); err != nil {
 			return err
 		}
@@ -175,8 +183,10 @@ func (b *streamBuilder) add(p *preparedTuple) error {
 	b.cur.keys = append(b.cur.keys, p.keyBytes)
 	b.cur.rids = append(b.cur.rids, rid)
 	b.cur.sigs = append(b.cur.sigs, p.dt)
-	if err := b.curAcc.Add(p.ut); err != nil {
-		return err
+	if !b.t.merkle {
+		if err := b.curAcc.Add(p.ut); err != nil {
+			return err
+		}
 	}
 	b.curSize += entry
 	b.lastKey = p.keyBytes
@@ -201,7 +211,7 @@ func (b *streamBuilder) finish() (*Tree, error) {
 		if err != nil {
 			return nil, err
 		}
-		empty := &vbLeaf{}
+		empty := t.newLeaf()
 		if err := empty.encode(f.Page().Bytes()); err != nil {
 			t.bp.Unpin(f, false)
 			return nil, err
@@ -209,7 +219,7 @@ func (b *streamBuilder) finish() (*Tree, error) {
 		t.root = f.ID()
 		t.bp.Unpin(f, true)
 		t.height = 1
-		if err := t.sealRoot(t.acc.Identity()); err != nil {
+		if err := t.sealRoot(t.emptyDigest()); err != nil {
 			return nil, err
 		}
 		return t, nil
@@ -231,7 +241,7 @@ func (b *streamBuilder) finish() (*Tree, error) {
 	t.height = 1
 	for len(level) > 1 {
 		var next []levelEntry
-		var node vbInternal
+		node := vbInternal{ordered: ordered{on: t.merkle}}
 		nodeAcc := t.acc.NewAcc()
 		nodeSize := vbInternalHeader
 		var nodeFirst []byte
@@ -240,13 +250,19 @@ func (b *streamBuilder) finish() (*Tree, error) {
 			if err != nil {
 				return err
 			}
+			var u digest.Value
+			if t.merkle {
+				u = t.commitOrdered(t.height+1, node.sigs, &node.ordered, nil)
+			} else {
+				u = nodeAcc.Value()
+			}
 			if err := node.encode(f.Page().Bytes()); err != nil {
 				t.bp.Unpin(f, false)
 				return err
 			}
-			next = append(next, levelEntry{firstKey: nodeFirst, pid: f.ID(), u: nodeAcc.Value()})
+			next = append(next, levelEntry{firstKey: nodeFirst, pid: f.ID(), u: u})
 			t.bp.Unpin(f, true)
-			node = vbInternal{}
+			node = vbInternal{ordered: ordered{on: t.merkle}}
 			nodeAcc = t.acc.NewAcc()
 			nodeSize = vbInternalHeader
 			nodeFirst = nil
@@ -268,11 +284,14 @@ func (b *streamBuilder) finish() (*Tree, error) {
 				node.sigs = append(node.sigs, cs)
 				nodeSize += 2 + len(c.firstKey) + 4 + 2 + len(cs)
 			}
+			if t.merkle {
+				return nil
+			}
 			return nodeAcc.Add(c.u)
 		}
 		for _, child := range level {
-			entrySize := 2 + len(child.firstKey) + 4 + 2 + t.storedLen()
-			if len(node.children) > 0 && (nodeSize+entrySize > b.budget || nodeSize+entrySize > b.pageSize) {
+			grown := nodeSize + 2 + len(child.firstKey) + 4 + 2 + t.storedLen() + node.groupBytes(len(node.children)+1)
+			if len(node.children) > 0 && (grown > b.budget || grown > b.pageSize) {
 				if err := flushInternal(); err != nil {
 					return nil, err
 				}

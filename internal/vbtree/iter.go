@@ -47,7 +47,7 @@ func (it *TupleIter) Next(limit int) ([]schema.Tuple, error) {
 		if err != nil {
 			return nil, err
 		}
-		if it.cur, err = openLeaf(buf); err != nil {
+		if it.cur, err = openLeaf(buf, it.v.merkle); err != nil {
 			return nil, err
 		}
 		it.started = true
@@ -67,7 +67,7 @@ func (it *TupleIter) Next(limit int) ([]schema.Tuple, error) {
 			if err != nil {
 				return nil, err
 			}
-			if it.cur, err = openLeaf(buf); err != nil {
+			if it.cur, err = openLeaf(buf, it.v.merkle); err != nil {
 				return nil, err
 			}
 			continue
@@ -97,7 +97,7 @@ func (v *View) KeyCount() (int, error) {
 	}
 	n := 0
 	for {
-		c, err := openLeaf(buf)
+		c, err := openLeaf(buf, v.merkle)
 		if err != nil {
 			return 0, err
 		}
@@ -123,7 +123,7 @@ func (v *View) TupleAt(i int) (schema.Tuple, error) {
 	}
 	seen := 0
 	for {
-		c, err := openLeaf(buf)
+		c, err := openLeaf(buf, v.merkle)
 		if err != nil {
 			return schema.Tuple{}, err
 		}

@@ -3,6 +3,7 @@ package vbtree
 import (
 	"bytes"
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -69,59 +70,50 @@ func newSchemeHarness(t testing.TB, n, pageSize int, scheme sig.Scheme) *harness
 	}
 }
 
-// TestMerkleRootSigMatchesLegacy is the equivalence property the whole
-// optimization rests on: because digest values are mode-independent, a
-// Merkle-interior tree and a legacy full-sign tree over the same content
-// and key material produce byte-identical root signatures — through
-// builds, inserts, batches and deletes.
-func TestMerkleRootSigMatchesLegacy(t *testing.T) {
+// TestOrderedRootSurvivesMutations: under both Merkle schemes a tree
+// keeps the invariant everything it serves rests on — through builds,
+// inserts, batches and deletes, every stored attribute, tuple, group and
+// node digest is what its content hashes to (Audit), and the root
+// signature verifies over the root digest the tree reports. (Until the
+// Merkle schemes committed by ordered hashes, their root digests equalled
+// per-node rsa's over the same content; they no longer do, by design.)
+func TestOrderedRootSurvivesMutations(t *testing.T) {
 	f := func(seed int64) bool {
-		legacy := newSchemeHarness(t, 50, 1024, sig.SchemeRSAFull)
-		merkle := newSchemeHarness(t, 50, 1024, sig.SchemeRSAMerkle)
-		if !legacy.tree.RootSig().Equal(merkle.tree.RootSig()) {
-			t.Log("root signatures diverge after build")
-			return false
-		}
-		// A mixed mutation sequence derived from the seed.
-		n := int(uint64(seed) % 17)
-		for i := 0; i < 5; i++ {
-			k := 1000 + n*31 + i
-			if err := legacy.tree.Insert(mkTuple(k)); err != nil {
+		for _, scheme := range []sig.Scheme{sig.SchemeRSAMerkle, sig.SchemeEd25519} {
+			h := newSchemeHarness(t, 50, 1024, scheme)
+			n := int(uint64(seed) % 17)
+			for i := 0; i < 5; i++ {
+				if err := h.tree.Insert(mkTuple(1000 + n*31 + i)); err != nil {
+					t.Log(err)
+					return false
+				}
+			}
+			var batch []schema.Tuple
+			for i := 0; i < 8; i++ {
+				batch = append(batch, mkTuple(2000+n+i))
+			}
+			if _, _, err := h.tree.InsertBatch(batch); err != nil {
+				t.Log(err)
 				return false
 			}
-			if err := merkle.tree.Insert(mkTuple(k)); err != nil {
+			if _, err := h.tree.DeleteRange(i64(10), i64(10+n)); err != nil {
+				t.Log(err)
+				return false
+			}
+			if _, err := h.tree.Audit(); err != nil {
+				t.Logf("%v, seed %d: %v", scheme, seed, err)
+				return false
+			}
+			u, err := h.tree.RootDigest()
+			if err != nil {
+				return false
+			}
+			if err := h.key.Public().Verify(h.tree.RootSig(), u); err != nil {
+				t.Logf("%v, seed %d: root signature: %v", scheme, seed, err)
 				return false
 			}
 		}
-		var batch []schema.Tuple
-		for i := 0; i < 8; i++ {
-			batch = append(batch, mkTuple(2000+n+i))
-		}
-		if _, _, err := legacy.tree.InsertBatch(batch); err != nil {
-			return false
-		}
-		if _, _, err := merkle.tree.InsertBatch(batch); err != nil {
-			return false
-		}
-		if _, err := legacy.tree.DeleteRange(i64(10), i64(10+n)); err != nil {
-			return false
-		}
-		if _, err := merkle.tree.DeleteRange(i64(10), i64(10+n)); err != nil {
-			return false
-		}
-		if !legacy.tree.RootSig().Equal(merkle.tree.RootSig()) {
-			t.Logf("seed %d: root signatures diverge after mutations", seed)
-			return false
-		}
-		ru, err := legacy.tree.RootDigest()
-		if err != nil {
-			return false
-		}
-		mu, err := merkle.tree.RootDigest()
-		if err != nil {
-			return false
-		}
-		return ru.Equal(mu)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5}); err != nil {
 		t.Fatal(err)
@@ -213,8 +205,9 @@ func TestMerkleTreesStayVerifiable(t *testing.T) {
 // published snapshot (the edge keeps one beside each shard's pin). Queries
 // that reach a cold view together all return the bytes a view of their own
 // would have produced, and once the view is warm an answer costs no
-// combiner arithmetic at all — the Merkle root digest was recombined when
-// first asked for and is not recombined again.
+// hashing at all — the Merkle root digest was hashed from the root page
+// when first asked for and is not hashed again, and every digest of a
+// proof is copied from a page.
 func TestViewSharedByConcurrentQueries(t *testing.T) {
 	ctx := context.Background()
 	h := newSchemeHarness(t, 300, 1024, sig.SchemeRSAMerkle)
@@ -242,9 +235,9 @@ func TestViewSharedByConcurrentQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	perColdAnswer := counters.Snapshot().CombineOps / int64(len(queries))
+	perColdAnswer := counters.Snapshot().HashOps / int64(len(queries))
 	if perColdAnswer == 0 {
-		t.Fatal("a cold view recombined nothing: the counter is not on the path this test is about")
+		t.Fatal("a cold view hashed nothing: the counter is not on the path this test is about")
 	}
 
 	shared := view()
@@ -276,8 +269,9 @@ func TestViewSharedByConcurrentQueries(t *testing.T) {
 			t.Fatalf("warm view, query %d: err %v, same bytes: %v", i, err, bytes.Equal(got, want[i]))
 		}
 	}
-	if n := counters.Snapshot().CombineOps; n != 0 {
-		t.Errorf("%d combines over %d answers from a warm view, want 0 (a cold one costs %d each)", n, len(queries), perColdAnswer)
+	if c := counters.Snapshot(); c.HashOps+c.CombineOps != 0 {
+		t.Errorf("%d hashes and %d combines over %d answers from a warm view, want 0 (a cold one hashes %d times)",
+			c.HashOps, c.CombineOps, len(queries), perColdAnswer)
 	}
 	rs, w, err := shared.RunQuery(ctx, queries[3])
 	if err != nil {
@@ -285,5 +279,45 @@ func TestViewSharedByConcurrentQueries(t *testing.T) {
 	}
 	if err := h.ver.Verify(rs, w); err != nil {
 		t.Fatalf("an answer from the shared view does not verify: %v", err)
+	}
+}
+
+// TestAuditChecksStoredGroupDigests: an ordered tree's pages store each
+// node's in-node group digests, which answers copy into proofs unhashed,
+// so Audit rehashes them. One flipped bit in one stored group digest of
+// one leaf fails it.
+func TestAuditChecksStoredGroupDigests(t *testing.T) {
+	h := newSchemeHarness(t, 300, 1024, sig.SchemeRSAMerkle)
+	if _, err := h.tree.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	// The leftmost leaf, packed full: more entries than one group holds.
+	pid := h.tree.root
+	for {
+		pt, err := h.tree.pageType(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt == storage.PageVBLeaf {
+			break
+		}
+		n, err := h.tree.fetchInternal(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pid = n.children[0]
+	}
+	f, err := h.tree.bp.Fetch(pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := openLeaf(f.Page().Bytes(), true)
+	if err != nil || len(c.groups) == 0 {
+		t.Fatalf("leaf of %d entries stores %d group bytes (%v)", c.count, len(c.groups), err)
+	}
+	c.groups[len(c.groups)-1] ^= 1
+	h.tree.bp.Unpin(f, true)
+	if _, err := h.tree.Audit(); err == nil || !strings.Contains(err.Error(), "group digests") {
+		t.Fatalf("audit over a flipped group digest: %v", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 
+	"edgeauth/internal/digest"
 	"edgeauth/internal/sig"
 	"edgeauth/internal/storage"
 )
@@ -21,6 +22,11 @@ import (
 // pairs. The digest stored with each child pointer is the *signed* digest
 // of that child's subtree, exactly as the paper prescribes ("the node
 // digest is stored with the corresponding child pointer in the parent").
+//
+// Under a Merkle scheme (an ordered tree) the header is followed by the
+// node's in-node group digests (digest.CommitNode), digest.StoredBytes of
+// the entry count, before the first entry; a per-node rsa page has none
+// and is laid out exactly as above.
 const (
 	vbLeafHeader     = 1 + 4 + 2
 	vbInternalHeader = 1 + 2
@@ -31,21 +37,67 @@ type vbLeaf struct {
 	keys [][]byte
 	rids []storage.RecordID
 	sigs []sig.Signature // D_T per entry
+	ordered
 }
 
 type vbInternal struct {
 	keys     [][]byte
 	children []storage.PageID // len(keys)+1
 	sigs     []sig.Signature  // len(keys)+1, child digests
+	ordered
 }
 
-func decodeVBLeaf(buf []byte) (*vbLeaf, error) {
+// ordered is what a node of an ordered (Merkle) tree stores beside its
+// entries: its in-node group digests, committed for groupsN entries.
+// Under per-node rsa on is false and the rest empty.
+type ordered struct {
+	on      bool
+	groups  []byte
+	groupsN int
+}
+
+// groupBytes is the page space the group digests of n entries take.
+func (o *ordered) groupBytes(n int) int {
+	if !o.on {
+		return 0
+	}
+	return digest.StoredBytes(n)
+}
+
+// readGroups reads the group digests of n entries at buf[off:] and
+// returns the offset of the first entry.
+func (o *ordered) readGroups(buf []byte, off, n int) (int, error) {
+	g := o.groupBytes(n)
+	if off+g > len(buf) {
+		return 0, fmt.Errorf("vbtree: group digests truncated")
+	}
+	o.groups, o.groupsN = append([]byte(nil), buf[off:off+g]...), n
+	return off + g, nil
+}
+
+// writeGroups writes the group digests of n entries at buf[off:] and
+// returns the offset of the first entry. They must have been committed
+// for exactly n entries.
+func (o *ordered) writeGroups(buf []byte, off, n int) (int, error) {
+	if !o.on {
+		return off, nil
+	}
+	if o.groupsN != n || len(o.groups) != o.groupBytes(n) {
+		return 0, fmt.Errorf("vbtree: group digests committed for %d entries, node has %d", o.groupsN, n)
+	}
+	return off + copy(buf[off:], o.groups), nil
+}
+
+func decodeVBLeaf(buf []byte, ord bool) (*vbLeaf, error) {
 	if storage.PageType(buf[0]) != storage.PageVBLeaf {
 		return nil, fmt.Errorf("vbtree: page type %d is not a VB leaf", buf[0])
 	}
-	n := &vbLeaf{next: storage.PageID(binary.BigEndian.Uint32(buf[1:5]))}
+	n := &vbLeaf{next: storage.PageID(binary.BigEndian.Uint32(buf[1:5])), ordered: ordered{on: ord}}
 	count := int(binary.BigEndian.Uint16(buf[5:7]))
-	off := vbLeafHeader
+	off, err := n.readGroups(buf, vbLeafHeader, count)
+	if err != nil {
+		return nil, err
+	}
 	n.keys = make([][]byte, count)
 	n.rids = make([]storage.RecordID, count)
 	n.sigs = make([]sig.Signature, count)
@@ -78,7 +130,7 @@ func decodeVBLeaf(buf []byte) (*vbLeaf, error) {
 }
 
 func (n *vbLeaf) encodedSize() int {
-	sz := vbLeafHeader
+	sz := vbLeafHeader + n.groupBytes(len(n.keys))
 	for i := range n.keys {
 		sz += 2 + len(n.keys[i]) + 6 + 2 + len(n.sigs[i])
 	}
@@ -92,7 +144,10 @@ func (n *vbLeaf) encode(buf []byte) error {
 	buf[0] = byte(storage.PageVBLeaf)
 	binary.BigEndian.PutUint32(buf[1:5], uint32(n.next))
 	binary.BigEndian.PutUint16(buf[5:7], uint16(len(n.keys)))
-	off := vbLeafHeader
+	off, err := n.writeGroups(buf, vbLeafHeader, len(n.keys))
+	if err != nil {
+		return err
+	}
 	for i := range n.keys {
 		binary.BigEndian.PutUint16(buf[off:off+2], uint16(len(n.keys[i])))
 		off += 2
@@ -117,7 +172,7 @@ func (n *vbLeaf) search(k []byte) int {
 	return sort.Search(len(n.keys), func(i int) bool { return compare(n.keys[i], k) >= 0 })
 }
 
-func decodeVBInternal(buf []byte) (*vbInternal, error) {
+func decodeVBInternal(buf []byte, ord bool) (*vbInternal, error) {
 	if storage.PageType(buf[0]) != storage.PageVBInternal {
 		return nil, fmt.Errorf("vbtree: page type %d is not a VB internal node", buf[0])
 	}
@@ -126,8 +181,12 @@ func decodeVBInternal(buf []byte) (*vbInternal, error) {
 		keys:     make([][]byte, count),
 		children: make([]storage.PageID, count+1),
 		sigs:     make([]sig.Signature, count+1),
+		ordered:  ordered{on: ord},
 	}
-	off := vbInternalHeader
+	off, err := n.readGroups(buf, vbInternalHeader, count+1)
+	if err != nil {
+		return nil, err
+	}
 	readChild := func(i int) error {
 		if off+4+2 > len(buf) {
 			return fmt.Errorf("vbtree: internal child %d truncated", i)
@@ -165,7 +224,7 @@ func decodeVBInternal(buf []byte) (*vbInternal, error) {
 }
 
 func (n *vbInternal) encodedSize() int {
-	sz := vbInternalHeader + 4 + 2 + len(n.sigs[0])
+	sz := vbInternalHeader + n.groupBytes(len(n.children)) + 4 + 2 + len(n.sigs[0])
 	for i := range n.keys {
 		sz += 2 + len(n.keys[i]) + 4 + 2 + len(n.sigs[i+1])
 	}
@@ -178,7 +237,10 @@ func (n *vbInternal) encode(buf []byte) error {
 	}
 	buf[0] = byte(storage.PageVBInternal)
 	binary.BigEndian.PutUint16(buf[1:3], uint16(len(n.keys)))
-	off := vbInternalHeader
+	off, err := n.writeGroups(buf, vbInternalHeader, len(n.children))
+	if err != nil {
+		return err
+	}
 	writeChild := func(i int) {
 		binary.BigEndian.PutUint32(buf[off:off+4], uint32(n.children[i]))
 		off += 4
@@ -244,22 +306,46 @@ type leafCursor struct {
 	off  int
 	left int // entries not yet read
 	next storage.PageID
+	// count is the leaf's entry count and groups its stored group digests
+	// (none under per-node rsa).
+	count  int
+	groups []byte
 	// The current entry, set by advance.
 	key []byte
 	rid storage.RecordID
 	sig []byte // D_T
 }
 
-func openLeaf(buf []byte) (leafCursor, error) {
+func openLeaf(buf []byte, ord bool) (leafCursor, error) {
 	if storage.PageType(buf[0]) != storage.PageVBLeaf {
 		return leafCursor{}, fmt.Errorf("vbtree: page type %d is not a VB leaf", buf[0])
 	}
+	count := int(binary.BigEndian.Uint16(buf[5:7]))
+	groups, err := pageGroups(buf, vbLeafHeader, count, ord)
+	if err != nil {
+		return leafCursor{}, err
+	}
 	return leafCursor{
-		buf:  buf,
-		off:  vbLeafHeader,
-		left: int(binary.BigEndian.Uint16(buf[5:7])),
-		next: storage.PageID(binary.BigEndian.Uint32(buf[1:5])),
+		buf:    buf,
+		off:    vbLeafHeader + len(groups),
+		left:   count,
+		next:   storage.PageID(binary.BigEndian.Uint32(buf[1:5])),
+		count:  count,
+		groups: groups,
 	}, nil
+}
+
+// pageGroups returns the stored group digests of a node of n entries
+// whose header ends at off, in place.
+func pageGroups(buf []byte, off, n int, ord bool) ([]byte, error) {
+	if !ord {
+		return nil, nil
+	}
+	g := digest.StoredBytes(n)
+	if off+g > len(buf) {
+		return nil, fmt.Errorf("vbtree: group digests truncated")
+	}
+	return buf[off : off+g : off+g], nil
 }
 
 // advance moves to the next entry; false means the leaf is exhausted.
@@ -299,6 +385,10 @@ type internalCursor struct {
 	buf  []byte
 	off  int
 	left int // children not yet read
+	// count is the node's child count and groups its stored group digests
+	// (none under per-node rsa).
+	count  int
+	groups []byte
 	// The current child, set by advance: its page, the digest stored with
 	// its pointer, and the key interval [lo, hi) it covers (nil =
 	// unbounded on that side).
@@ -307,14 +397,21 @@ type internalCursor struct {
 	lo, hi []byte
 }
 
-func openInternal(buf []byte) (internalCursor, error) {
+func openInternal(buf []byte, ord bool) (internalCursor, error) {
 	if storage.PageType(buf[0]) != storage.PageVBInternal {
 		return internalCursor{}, fmt.Errorf("vbtree: page type %d is not a VB internal node", buf[0])
 	}
+	count := int(binary.BigEndian.Uint16(buf[1:3])) + 1
+	groups, err := pageGroups(buf, vbInternalHeader, count, ord)
+	if err != nil {
+		return internalCursor{}, err
+	}
 	return internalCursor{
-		buf:  buf,
-		off:  vbInternalHeader,
-		left: int(binary.BigEndian.Uint16(buf[1:3])) + 1,
+		buf:    buf,
+		off:    vbInternalHeader + len(groups),
+		left:   count,
+		count:  count,
+		groups: groups,
 	}, nil
 }
 
@@ -377,7 +474,7 @@ func (t *Tree) fetchLeaf(pid storage.PageID) (*vbLeaf, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := decodeVBLeaf(f.Page().Bytes())
+	n, err := decodeVBLeaf(f.Page().Bytes(), t.merkle)
 	t.bp.Unpin(f, false)
 	return n, err
 }
@@ -387,7 +484,7 @@ func (t *Tree) fetchInternal(pid storage.PageID) (*vbInternal, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := decodeVBInternal(f.Page().Bytes())
+	n, err := decodeVBInternal(f.Page().Bytes(), t.merkle)
 	t.bp.Unpin(f, false)
 	return n, err
 }

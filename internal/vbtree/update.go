@@ -60,7 +60,7 @@ func (t *Tree) DeleteRange(lo, hi *schema.Datum) (int, error) {
 		txn = t.locks.Begin()
 		defer t.locks.ReleaseAll(txn)
 	}
-	res, err := t.deleteAt(t.root, t.rootU, loB, hiB, txn)
+	res, err := t.deleteAt(t.root, t.height, t.rootU, loB, hiB, txn)
 	if err != nil {
 		return 0, err
 	}
@@ -73,7 +73,7 @@ func (t *Tree) DeleteRange(lo, hi *schema.Datum) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		empty := &vbLeaf{}
+		empty := t.newLeaf()
 		if err := empty.encode(f.Page().Bytes()); err != nil {
 			t.bp.Unpin(f, false)
 			return 0, err
@@ -81,7 +81,7 @@ func (t *Tree) DeleteRange(lo, hi *schema.Datum) (int, error) {
 		t.root = f.ID()
 		t.bp.Unpin(f, true)
 		t.height = 1
-		if err := t.sealRoot(t.acc.Identity()); err != nil {
+		if err := t.sealRoot(t.emptyDigest()); err != nil {
 			return 0, err
 		}
 		return res.removed, nil
@@ -123,7 +123,10 @@ type deleteResult struct {
 	removed int
 }
 
-func (t *Tree) deleteAt(pid storage.PageID, myOldU digest.Value, lo, hi []byte, txn lock.TxnID) (deleteResult, error) {
+// deleteAt deletes [lo, hi] under the node pid at the given level, whose
+// digest was myOldU. A per-node rsa node divides out each changed child's
+// old factor and multiplies in its new one; an ordered node rehashes.
+func (t *Tree) deleteAt(pid storage.PageID, level int, myOldU digest.Value, lo, hi []byte, txn lock.TxnID) (deleteResult, error) {
 	if err := t.xlock(txn, pid); err != nil {
 		return deleteResult{}, err
 	}
@@ -136,7 +139,7 @@ func (t *Tree) deleteAt(pid storage.PageID, myOldU digest.Value, lo, hi []byte, 
 		if err != nil {
 			return deleteResult{}, err
 		}
-		var keep vbLeaf
+		keep := t.newLeaf()
 		keep.next = n.next
 		removed := 0
 		for i := range n.keys {
@@ -156,15 +159,20 @@ func (t *Tree) deleteAt(pid storage.PageID, myOldU digest.Value, lo, hi []byte, 
 		if removed == 0 {
 			return deleteResult{newU: myOldU}, nil
 		}
-		if err := t.writeLeaf(pid, &keep); err != nil {
+		var newU digest.Value
+		if t.merkle {
+			newU = t.commitOrdered(level, keep.sigs, &keep.ordered, nil)
+		}
+		if err := t.writeLeaf(pid, keep); err != nil {
 			return deleteResult{}, err
 		}
 		if len(keep.keys) == 0 {
 			return deleteResult{empty: true, removed: removed}, nil
 		}
-		newU, err := t.combineChildSigs(keep.sigs)
-		if err != nil {
-			return deleteResult{}, err
+		if !t.merkle {
+			if newU, err = t.combineChildSigs(keep.sigs); err != nil {
+				return deleteResult{}, err
+			}
 		}
 		return deleteResult{newU: newU, removed: removed}, nil
 	}
@@ -188,7 +196,7 @@ func (t *Tree) deleteAt(pid storage.PageID, myOldU digest.Value, lo, hi []byte, 
 		if err != nil {
 			return deleteResult{}, err
 		}
-		res, err := t.deleteAt(n.children[i], childOldU, lo, hi, txn)
+		res, err := t.deleteAt(n.children[i], level-1, childOldU, lo, hi, txn)
 		if err != nil {
 			return deleteResult{}, err
 		}
@@ -196,15 +204,19 @@ func (t *Tree) deleteAt(pid storage.PageID, myOldU digest.Value, lo, hi []byte, 
 		if res.removed == 0 {
 			continue
 		}
-		if err := acc.Remove(childOldU); err != nil {
-			return deleteResult{}, err
+		if !t.merkle {
+			if err := acc.Remove(childOldU); err != nil {
+				return deleteResult{}, err
+			}
 		}
 		if res.empty {
 			detaches = append(detaches, i)
 			continue
 		}
-		if err := acc.Add(res.newU); err != nil {
-			return deleteResult{}, err
+		if !t.merkle {
+			if err := acc.Add(res.newU); err != nil {
+				return deleteResult{}, err
+			}
 		}
 		cs, err := t.sealDigest(res.newU)
 		if err != nil {
@@ -232,10 +244,14 @@ func (t *Tree) deleteAt(pid storage.PageID, myOldU digest.Value, lo, hi []byte, 
 	if len(n.children) == 0 {
 		return deleteResult{empty: true, removed: removed}, nil
 	}
+	newU := acc.Value()
+	if t.merkle {
+		newU = t.commitOrdered(level, n.sigs, &n.ordered, nil)
+	}
 	if err := t.writeInternal(pid, n); err != nil {
 		return deleteResult{}, err
 	}
-	return deleteResult{newU: acc.Value(), removed: removed}, nil
+	return deleteResult{newU: newU, removed: removed}, nil
 }
 
 // xlock X-locks a page when the locking protocol is active.

@@ -6,7 +6,12 @@
 //	tuple:     D_T = s(Π g(d_a unsigned))                   (formula 2)
 //	node:      D_N = s(Π g(U_child))                        (formula 3)
 //
-// — with the root's signed digest kept in the tree metadata. Tuples live
+// — with the root's signed digest kept in the tree metadata. Under the
+// Merkle schemes (rsa-merkle, ed25519), where only the root is signed,
+// the three levels commit by ordered hashes instead (package digest):
+// d_a and D_T are hashes, and D_N is the root of an in-node Merkle tree
+// over the node's ordered entries, whose group digests the node's page
+// stores. Tuples live
 // in a heap file as vo.StoredTuple records (values + signed attribute
 // digests); leaves store (key, record id, D_T); internal nodes store the
 // signed digest of each child alongside the child pointer, exactly as in
@@ -108,8 +113,10 @@ type Tree struct {
 
 	// merkle is derived from Pub.Scheme: every entry (attribute, tuple and
 	// node digests, the root's included) is stored as the raw unsigned
-	// digest value. The stored layout is unchanged — entries are
-	// length-prefixed either way — but a commit spends no signature at
+	// digest value, and the digests are the ordered hashes of package
+	// digest, not the combiner's products: a raw product could be
+	// rebalanced by whoever serves it. Each node's page also stores its
+	// in-node group digests (node.go). A commit spends no signature at
 	// all: the one signature a Merkle tree needs, over its root, is made
 	// when someone asks for it (RootSig).
 	merkle bool
@@ -141,7 +148,7 @@ func New(cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	leaf := &vbLeaf{}
+	leaf := t.newLeaf()
 	if err := leaf.encode(f.Page().Bytes()); err != nil {
 		t.bp.Unpin(f, false)
 		return nil, err
@@ -149,10 +156,32 @@ func New(cfg Config) (*Tree, error) {
 	t.root = f.ID()
 	t.bp.Unpin(f, true)
 	t.height = 1
-	if err := t.sealRoot(t.acc.Identity()); err != nil {
+	if err := t.sealRoot(t.emptyDigest()); err != nil {
 		return nil, err
 	}
 	return t, nil
+}
+
+// newLeaf returns an empty leaf of the tree's kind.
+func (t *Tree) newLeaf() *vbLeaf { return &vbLeaf{ordered: ordered{on: t.merkle}} }
+
+// emptyDigest is the digest of an empty table's root leaf: the combiner's
+// identity under per-node rsa, the ordered hash of no entries under a
+// Merkle scheme.
+func (t *Tree) emptyDigest() digest.Value {
+	if t.merkle {
+		return t.commitOrdered(1, nil, new(ordered), nil)
+	}
+	return t.acc.Identity()
+}
+
+// commitOrdered recomputes an ordered node's group digests and returns its
+// digest (digest.CommitNode; a nil dirty rehashes every group).
+func (t *Tree) commitOrdered(level int, sigs []sig.Signature, o *ordered, dirty []bool) digest.Value {
+	groups := make([]byte, digest.StoredBytes(len(sigs)))
+	u := digest.CommitNode(t.acc, level, t.sch.DB, t.sch.Table, sigs, groups, o.groups, o.groupsN, dirty)
+	o.groups, o.groupsN = groups, len(sigs)
+	return u
 }
 
 // Open reattaches to an existing tree (e.g. an edge replica restored from
@@ -175,9 +204,9 @@ func Open(cfg Config, root storage.PageID, height int, rootSig sig.Signature) (*
 		return t, nil
 	}
 	// No message recovery under a Merkle scheme: recompute the root digest
-	// from the root node's raw child entries, and keep the signature for
-	// RootSig.
-	u, err := t.nodeDigest(root)
+	// from the root page's stored entries and group digests, and keep the
+	// signature for RootSig.
+	u, err := t.nodeDigest(root, height)
 	if err != nil {
 		return nil, err
 	}
@@ -186,34 +215,37 @@ func Open(cfg Config, root storage.PageID, height int, rootSig sig.Signature) (*
 	return t, nil
 }
 
-// nodeDigest recomputes a node's unsigned digest from its stored entries.
-func (t *Tree) nodeDigest(pid storage.PageID) (digest.Value, error) {
+// nodeDigest recomputes an ordered node's digest from its page: one hash
+// over its stored top-level digests.
+func (t *Tree) nodeDigest(pid storage.PageID, level int) (digest.Value, error) {
 	f, err := t.bp.Fetch(pid)
 	if err != nil {
 		return nil, err
 	}
-	buf := f.Page().Bytes()
+	defer t.bp.Unpin(f, false)
+	return pageDigest(t.acc, t.sch, f.Page().Bytes(), level)
+}
+
+// pageDigest is an ordered node's digest as its page commits to it: the
+// node hash over the stored top-level group digests, or over the entries
+// when the node stores none.
+func pageDigest(acc *digest.Accumulator, sch *schema.Schema, buf []byte, level int) (digest.Value, error) {
 	var sigs []sig.Signature
-	switch storage.PageType(buf[0]) {
-	case storage.PageVBLeaf:
-		n, err := decodeVBLeaf(buf)
-		t.bp.Unpin(f, false)
+	var groups []byte
+	if storage.PageType(buf[0]) == storage.PageVBLeaf {
+		n, err := decodeVBLeaf(buf, true)
 		if err != nil {
 			return nil, err
 		}
-		sigs = n.sigs
-	case storage.PageVBInternal:
-		n, err := decodeVBInternal(buf)
-		t.bp.Unpin(f, false)
+		sigs, groups = n.sigs, n.groups
+	} else {
+		n, err := decodeVBInternal(buf, true)
 		if err != nil {
 			return nil, err
 		}
-		sigs = n.sigs
-	default:
-		t.bp.Unpin(f, false)
-		return nil, fmt.Errorf("vbtree: unexpected page type %d", buf[0])
+		sigs, groups = n.sigs, n.groups
 	}
-	return t.combineChildSigs(sigs)
+	return digest.TopOf(acc, level, sch.DB, sch.Table, sigs, groups), nil
 }
 
 func attach(cfg Config) (*Tree, error) {
@@ -306,8 +338,8 @@ func (t *Tree) RootDigest() (digest.Value, error) {
 	return append(digest.Value(nil), t.rootU...), nil
 }
 
-// MerkleMode reports whether interior entries are raw Merkle commitments
-// (only the root digest signed).
+// MerkleMode reports whether interior entries are raw, ordered Merkle
+// commitments (only the root digest signed).
 func (t *Tree) MerkleMode() bool { return t.merkle }
 
 // lockRes names a page in the lock manager's space.
@@ -384,29 +416,34 @@ func (t *Tree) recoverDigest(s sig.Signature) (digest.Value, error) {
 	return digest.Value(payload), nil
 }
 
-// attrDigest computes the unsigned attribute digest of formula (1).
-func (t *Tree) attrDigest(keyBytes []byte, col int, val schema.Datum) digest.Value {
-	return t.acc.HashAttribute(t.sch.DB, t.sch.Table, t.sch.Columns[col].Name, keyBytes, val.CanonicalBytes())
-}
-
 // tupleDigests computes all unsigned attribute digests and the unsigned
-// tuple digest U_T of formula (2).
+// tuple digest: formulas (1) and (2) under per-node rsa, the ordered
+// attribute and tuple hashes under a Merkle scheme (digest.TupleDigest).
 func (t *Tree) tupleDigests(tup schema.Tuple) (attrs []digest.Value, ut digest.Value, err error) {
 	if len(tup.Values) != len(t.sch.Columns) {
 		return nil, nil, fmt.Errorf("vbtree: tuple has %d values for %d columns", len(tup.Values), len(t.sch.Columns))
 	}
 	keyBytes := tup.Key(t.sch).KeyBytes()
 	attrs = make([]digest.Value, len(tup.Values))
+	var flat []byte // the ordered attribute digests, back to back
 	acc := t.acc.NewAcc()
 	for i, v := range tup.Values {
 		if v.Type != t.sch.Columns[i].Type {
 			return nil, nil, fmt.Errorf("vbtree: column %q: value type %v, want %v",
 				t.sch.Columns[i].Name, v.Type, t.sch.Columns[i].Type)
 		}
-		attrs[i] = t.attrDigest(keyBytes, i, v)
+		if t.merkle {
+			attrs[i] = t.acc.AttrDigest(nil, i, v.CanonicalBytes())
+			flat = append(flat, attrs[i]...)
+			continue
+		}
+		attrs[i] = t.acc.HashAttribute(t.sch.DB, t.sch.Table, t.sch.Columns[i].Name, keyBytes, v.CanonicalBytes())
 		if err := acc.Add(attrs[i]); err != nil {
 			return nil, nil, err
 		}
+	}
+	if t.merkle {
+		return attrs, t.acc.TupleDigest(nil, keyBytes, flat), nil
 	}
 	return attrs, acc.Value(), nil
 }
@@ -457,7 +494,7 @@ func (t *Tree) Stats(keyLen int) (Stats, error) {
 		buf := f.Page().Bytes()
 		switch storage.PageType(buf[0]) {
 		case storage.PageVBLeaf:
-			n, err := decodeVBLeaf(buf)
+			n, err := decodeVBLeaf(buf, t.merkle)
 			t.bp.Unpin(f, false)
 			if err != nil {
 				return err
@@ -469,7 +506,7 @@ func (t *Tree) Stats(keyLen int) (Stats, error) {
 			}
 			return nil
 		case storage.PageVBInternal:
-			n, err := decodeVBInternal(buf)
+			n, err := decodeVBInternal(buf, t.merkle)
 			t.bp.Unpin(f, false)
 			if err != nil {
 				return err

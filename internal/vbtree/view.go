@@ -2,6 +2,7 @@ package vbtree
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -173,7 +174,7 @@ func (v *View) leafFor(k []byte) (envelopeTop, []byte, error) {
 		if storage.PageType(buf[0]) != storage.PageVBInternal {
 			return n, buf, nil
 		}
-		c, err := openInternal(buf)
+		c, err := openInternal(buf, v.merkle)
 		if err != nil {
 			return envelopeTop{}, nil, err
 		}
@@ -191,7 +192,7 @@ func (v *View) Search(key schema.Datum) (*vo.StoredTuple, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	c, err := openLeaf(buf)
+	c, err := openLeaf(buf, v.merkle)
 	if err != nil {
 		return nil, false, err
 	}
@@ -260,15 +261,15 @@ func (v *View) AppendAnswer(ctx context.Context, q Query, dst []byte) (out []byt
 			}
 		}
 	}
-	// Under a Merkle scheme only the root digest is signed, so the VO must
-	// anchor there regardless of what the query asked for.
-	anchorRoot := q.AnchorRoot || v.merkle
+	if v.merkle {
+		return w.appendOrdered(dst, cols)
+	}
 	env, err := w.walk(v.rootNode())
 	if err != nil {
 		return nil, 0, err
 	}
 	switch {
-	case anchorRoot:
+	case q.AnchorRoot:
 		// The envelope is the whole tree: its top digest recovers to the
 		// root digest, whatever the rows span.
 		env = envelope{top: v.rootNode(), to: len(w.ds)}
@@ -297,22 +298,19 @@ func (v *View) AppendAnswer(ctx context.Context, q Query, dst []byte) (out []byt
 		TopLevel:   uint8(top.level),
 		TopDigest:  top.sig,
 	}
-	if v.merkle {
-		// The top digest travels in the clear (there is no message
-		// recovery); the root signature over it rides in RootSig. The
-		// client recomputes the digest from the D_S/result product and
-		// verifies exactly one signature.
-		u, err := v.merkleRootDigest()
-		if err != nil {
-			return nil, 0, err
-		}
-		hdr.TopDigest, hdr.RootSig = sig.Signature(u), top.sig
-	}
 	var aw vo.AnswerWriter
 	aw.Begin(dst, &vo.ResultSet{DB: v.sch.DB, Table: v.sch.Table, Columns: cols}, &hdr, w.sizes, width)
 	for _, d := range ds {
 		aw.DS(d.sig, uint8(top.level-int(d.level)))
 	}
+	return w.finish(&aw)
+}
+
+// finish writes the result rows and their D_P digests and completes the
+// answer.
+func (w *answerWalk) finish(aw *vo.AnswerWriter) ([]byte, int, error) {
+	v := w.v
+	stride := 2 * (len(v.sch.Columns) + 1)
 	for i, rec := range w.matches {
 		// The offsets match found: the record is parsed once.
 		sv := vo.StoredViewAt(rec, w.offsets[i*stride:(i+1)*stride])
@@ -325,10 +323,189 @@ func (v *View) AppendAnswer(ctx context.Context, q Query, dst []byte) (out []byt
 			aw.DP(sv.AttrSig(ci))
 		}
 	}
-	if out, err = aw.Finish(); err != nil {
+	out, err := aw.Finish()
+	if err != nil {
 		return nil, 0, err
 	}
 	return out, aw.VOBytes(), nil
+}
+
+// appendOrdered is AppendAnswer under a Merkle scheme: the VO proves the
+// answer against the root digest through the ordered envelope (see
+// package vo) — one node record per node holding a result row, and the
+// root's, each with the in-node proof of the positions it recomputes.
+// Every digest of the proof is copied from a page: entry digests and
+// stored group digests alike. The root's signature rides in RootSig.
+func (w *answerWalk) appendOrdered(dst []byte, cols []string) ([]byte, int, error) {
+	v := w.v
+	if _, err := w.walkOrdered(v.root, -1, 0, 0); err != nil {
+		return nil, 0, err
+	}
+	nodes, nDS := w.nodes[:0], 0
+	for i := range w.recs {
+		r := &w.recs[i]
+		runs := w.runs[r.runs:r.runsEnd]
+		nodes = vo.AppendNodeRecord(nodes, r.count, runs)
+		s := digest.NewShape(r.count)
+		nDS += s.Siblings(runs)
+	}
+	w.nodes = nodes
+	w.sizes.DS(nDS)
+	u, err := v.merkleRootDigest()
+	if err != nil {
+		return nil, 0, err
+	}
+	hdr := vo.VO{
+		KeyVersion: v.pub.Version,
+		Timestamp:  v.now(),
+		TopLevel:   uint8(v.height),
+		TopDigest:  sig.Signature(u),
+		RootSig:    v.rootSig,
+		Nodes:      nodes,
+	}
+	width := 0
+	if nDS > 0 || len(w.matches) > 0 && len(w.dropped) > 0 {
+		width = v.acc.Len()
+	}
+	var aw vo.AnswerWriter
+	aw.Begin(dst, &vo.ResultSet{DB: v.sch.DB, Table: v.sch.Table, Columns: cols}, &hdr, w.sizes, width)
+	for i := range w.recs {
+		w.emitProof(&aw, &w.recs[i])
+	}
+	return w.finish(&aw)
+}
+
+// orderedRec is one node of an ordered envelope as the walk found it.
+type orderedRec struct {
+	count  int
+	groups []byte // its stored group digests, in place
+	// Its entry digests, in place, are w.depthDigs[depth][digs:digs+count].
+	depth, digs int
+	// parent is the record of the node above (-1 for the root), pos this
+	// node's position in it.
+	parent, pos int
+	// runs and runsEnd delimit its positions in the walk's runs.
+	runs, runsEnd int
+}
+
+// walkOrdered visits the node pid, at position pos under record parent
+// (-1: the root) and the given depth, in key order, and reports whether a
+// result row lies under it. The node's record joins w.recs, after its
+// parent's and before its later siblings'; its entry digests join
+// w.depthDigs[depth], where no other node's come between them. A node
+// with no row under it takes both back, unless it is the root.
+func (w *answerWalk) walkOrdered(pid storage.PageID, parent, pos, depth int) (bool, error) {
+	if err := w.ctx.Err(); err != nil {
+		return false, err
+	}
+	buf, err := w.v.page(pid)
+	if err != nil {
+		return false, err
+	}
+	if depth == len(w.depthDigs) {
+		w.depthDigs = append(w.depthDigs, nil)
+	}
+	ri, mark, digs := len(w.recs), len(w.runs), len(w.depthDigs[depth])
+	w.recs = append(w.recs, orderedRec{parent: parent, pos: pos, depth: depth, digs: digs})
+	has := false
+	if storage.PageType(buf[0]) == storage.PageVBLeaf {
+		c, err := openLeaf(buf, true)
+		if err != nil {
+			return false, err
+		}
+		w.recs[ri].count, w.recs[ri].groups = c.count, c.groups
+		for i := 0; ; i++ {
+			ok, err := c.advance()
+			if err != nil {
+				return false, err
+			}
+			if !ok {
+				break
+			}
+			w.depthDigs[depth] = append(w.depthDigs[depth], c.sig)
+			if (w.lo != nil && compare(c.key, w.lo) < 0) || (w.hi != nil && compare(c.key, w.hi) > 0) {
+				continue
+			}
+			matched, err := w.match(c.rid)
+			if err != nil {
+				return false, err
+			}
+			if matched {
+				w.addPos(mark, i)
+				has = true
+			}
+		}
+	} else {
+		c, err := openInternal(buf, true)
+		if err != nil {
+			return false, err
+		}
+		w.recs[ri].count, w.recs[ri].groups = c.count, c.groups
+		for i := 0; ; i++ {
+			ok, err := c.advance()
+			if err != nil {
+				return false, err
+			}
+			if !ok {
+				break
+			}
+			w.depthDigs[depth] = append(w.depthDigs[depth], c.sig)
+			if !spanIntersects(c.lo, c.hi, w.lo, w.hi) {
+				continue
+			}
+			sub, err := w.walkOrdered(c.child, ri, i, depth+1)
+			if err != nil {
+				return false, err
+			}
+			has = has || sub
+		}
+		// The positions recomputed here are the children that kept their
+		// records; their runs were added meanwhile, so this node's go after.
+		mark = len(w.runs)
+		for j := ri + 1; j < len(w.recs); j++ {
+			if w.recs[j].parent == ri {
+				w.addPos(mark, w.recs[j].pos)
+			}
+		}
+	}
+	if !has && parent >= 0 {
+		clear(w.recs[ri:])
+		clear(w.depthDigs[depth][digs:])
+		w.recs, w.runs, w.depthDigs[depth] = w.recs[:ri], w.runs[:mark], w.depthDigs[depth][:digs]
+		return false, nil
+	}
+	w.recs[ri].runs, w.recs[ri].runsEnd = mark, len(w.runs)
+	return has, nil
+}
+
+// addPos adds position i to the runs that begin at w.runs[mark:].
+func (w *answerWalk) addPos(mark, i int) {
+	if n := len(w.runs); n > mark {
+		last := w.runs[n-digest.RunSize:]
+		start, l := binary.BigEndian.Uint16(last), binary.BigEndian.Uint16(last[2:])
+		if int(start)+int(l) == i {
+			binary.BigEndian.PutUint16(last[2:], l+1)
+			return
+		}
+	}
+	w.runs = binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint16(w.runs, uint16(i)), 1)
+}
+
+// emitProof writes one record's in-node proof to the answer: a stored
+// group digest or an entry digest for each subtree it does not recompute.
+func (w *answerWalk) emitProof(aw *vo.AnswerWriter, r *orderedRec) {
+	s := digest.NewShape(r.count)
+	w.sibs = s.AppendSiblings(w.sibs[:0], w.runs[r.runs:r.runsEnd])
+	digs := w.depthDigs[r.depth][r.digs : r.digs+r.count]
+	size := w.v.acc.Len()
+	for _, sb := range w.sibs {
+		if sb.L == 0 {
+			aw.DS(digs[sb.I], 0)
+			continue
+		}
+		at := s.StoredAt(sb.L, sb.I) * size
+		aw.DS(r.groups[at:at+size], 0)
+	}
 }
 
 // answerWalk is the state of one AppendAnswer traversal. Everything it
@@ -362,6 +539,16 @@ type walkScratch struct {
 	// ds never holds a page reference past its length: a truncation clears
 	// what it cuts off, so recycle has only the length to clear.
 	ds []dsRef
+
+	// The ordered walk's: the envelope's records in pre-order, their runs,
+	// the node records as they travel, one record's proof while it is
+	// written, and the entry digests of the records at each depth. recs
+	// and depthDigs, like ds, hold no page reference past their lengths.
+	recs      []orderedRec
+	runs      []byte
+	nodes     []byte
+	sibs      []digest.Sibling
+	depthDigs [][][]byte
 }
 
 var walkScratchPool = sync.Pool{New: func() any { return new(walkScratch) }}
@@ -373,7 +560,13 @@ func (sc *walkScratch) recycle() {
 	sc.sv = vo.StoredViewAt(nil, sc.sv.Offsets()[:0])
 	clear(sc.matches)
 	clear(sc.ds)
+	clear(sc.recs)
+	for d := range sc.depthDigs {
+		clear(sc.depthDigs[d])
+		sc.depthDigs[d] = sc.depthDigs[d][:0]
+	}
 	sc.matches, sc.offsets, sc.ds = sc.matches[:0], sc.offsets[:0], sc.ds[:0]
+	sc.recs, sc.runs, sc.nodes, sc.sibs = sc.recs[:0], sc.runs[:0], sc.nodes[:0], sc.sibs[:0]
 	walkScratchPool.Put(sc)
 }
 
@@ -460,7 +653,7 @@ func (w *answerWalk) walk(n envelopeTop) (envelope, error) {
 	}
 	start := len(w.ds)
 	if storage.PageType(buf[0]) == storage.PageVBLeaf {
-		c, err := openLeaf(buf)
+		c, err := openLeaf(buf, w.v.merkle)
 		if err != nil {
 			return envelope{}, err
 		}
@@ -491,7 +684,7 @@ func (w *answerWalk) walk(n envelopeTop) (envelope, error) {
 		return envelope{top: n, from: start, to: len(w.ds)}, nil
 	}
 
-	c, err := openInternal(buf)
+	c, err := openInternal(buf, w.v.merkle)
 	if err != nil {
 		return envelope{}, err
 	}
@@ -578,7 +771,7 @@ func (w *answerWalk) envelopeEmpty() (envelope, error) {
 	if err != nil {
 		return envelope{}, err
 	}
-	c, err := openLeaf(buf)
+	c, err := openLeaf(buf, w.v.merkle)
 	if err != nil {
 		return envelope{}, err
 	}
@@ -596,11 +789,10 @@ func (w *answerWalk) envelopeEmpty() (envelope, error) {
 	}
 }
 
-// merkleRootDigest recombines the root's unsigned digest from its raw
-// child entries — pure combiner arithmetic, no signature operations —
-// once per view: the pages cannot change, so neither can the digest.
-// Views racing for the first answer each compute the same value; a failed
-// read is not kept.
+// merkleRootDigest computes the root's digest from the root page (one
+// hash over its stored top-level digests) once per view: the pages cannot
+// change, so neither can the digest. Views racing for the first answer
+// each compute the same value; a failed read is not kept.
 func (v *View) merkleRootDigest() (digest.Value, error) {
 	if u := v.merkleRoot.Load(); u != nil {
 		return *u, nil
@@ -609,40 +801,12 @@ func (v *View) merkleRootDigest() (digest.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One loop over either kind of node: next moves to the following
-	// entry and returns its digest.
-	var next func() ([]byte, bool, error)
-	if storage.PageType(buf[0]) == storage.PageVBLeaf {
-		c, err := openLeaf(buf)
-		if err != nil {
-			return nil, err
-		}
-		next = func() ([]byte, bool, error) { ok, err := c.advance(); return c.sig, ok, err }
-	} else {
-		c, err := openInternal(buf)
-		if err != nil {
-			return nil, err
-		}
-		next = func() ([]byte, bool, error) { ok, err := c.advance(); return c.sig, ok, err }
+	u, err := pageDigest(v.acc, v.sch, buf, v.height)
+	if err != nil {
+		return nil, err
 	}
-	acc := v.acc.NewAcc()
-	for {
-		s, ok, err := next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			u := acc.Value()
-			v.merkleRoot.Store(&u)
-			return u, nil
-		}
-		if len(s) != v.acc.Len() {
-			return nil, fmt.Errorf("vbtree: merkle entry has %d bytes, want %d", len(s), v.acc.Len())
-		}
-		if err := acc.Add(digest.Value(s)); err != nil {
-			return nil, err
-		}
-	}
+	v.merkleRoot.Store(&u)
+	return u, nil
 }
 
 // ScanAll returns every stored tuple in key order (a full-table helper for
@@ -654,7 +818,7 @@ func (v *View) ScanAll() ([]*vo.StoredTuple, error) {
 	}
 	var out []*vo.StoredTuple
 	for {
-		c, err := openLeaf(buf)
+		c, err := openLeaf(buf, v.merkle)
 		if err != nil {
 			return nil, err
 		}

@@ -38,7 +38,14 @@ func TestSigCacheIsKeyedByKeyVersion(t *testing.T) {
 	keys.Put(newKey.Public())
 	v := &Verifier{Keys: keys, Acc: h.acc, Schema: h.sch}
 
-	uLeaf := h.combine(t, h.uT...)
+	// The ordered commitment of the one-leaf tree: rows 0 and 2 are
+	// recomputed, the tuple digests of 1 and 3 travel in D_S.
+	var ordered []digest.Value
+	for _, tup := range h.tuples {
+		_, ut := orderedTuple(h.acc, h.sch, tup)
+		ordered = append(ordered, ut)
+	}
+	root := digest.CommitNode(h.acc, 1, "db", "t", ordered, nil, nil, 0, nil)
 	rs := &vo.ResultSet{
 		DB: "db", Table: "t",
 		Columns: []string{"id", "val"},
@@ -49,11 +56,14 @@ func TestSigCacheIsKeyedByKeyVersion(t *testing.T) {
 		KeyVersion: 1,
 		Timestamp:  time.Now().Unix(),
 		TopLevel:   1,
-		TopDigest:  sig.Signature(uLeaf),
-		RootSig:    oldKey.MustSign(uLeaf),
+		TopDigest:  sig.Signature(root),
+		RootSig:    oldKey.MustSign(root),
+		// 4 entries, 2 runs: [0, +1) and [2, +1).
+		Nodes: []byte{0, 4, 0, 2, 0, 0, 0, 1, 0, 2, 0, 1},
 	}
-	w.AppendDS(h.uT[1], 1)
-	w.AppendDS(h.uT[3], 1)
+	w.AppendDS(ordered[1], 0)
+	w.AppendDS(ordered[3], 0)
+	uLeaf := h.combine(t, h.uT...)
 	for i := 0; i < 2; i++ {
 		if err := v.Verify(rs, w); err != nil {
 			t.Fatalf("authentic answer under version 1: %v", err)

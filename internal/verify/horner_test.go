@@ -51,7 +51,7 @@ func flatVerify(v *Verifier, rs *vo.ResultSet, w *vo.VO) error {
 		}
 	}
 	for i := 0; i < w.NumDP(); i++ {
-		u, err := v.entryDigest(an.pub, w.DPDigest(i))
+		u, err := v.cachedRecover(an.pub, w.DPDigest(i))
 		if err != nil {
 			return err
 		}
@@ -64,7 +64,7 @@ func flatVerify(v *Verifier, rs *vo.ResultSet, w *vo.VO) error {
 		if lift < 1 || lift > L {
 			return ErrMalformed
 		}
-		u, err := v.entryDigest(an.pub, w.DSDigest(i))
+		u, err := v.cachedRecover(an.pub, w.DSDigest(i))
 		if err != nil {
 			return err
 		}
@@ -154,9 +154,9 @@ func (b *builtTree) query(t testing.TB, lo, hi int64, project []string) (*vo.Res
 }
 
 // TestHornerAndFlatOrderAgree: across the whole tamper catalogue, under
-// both commitment schemes, projected and not, evaluating the equation
-// level by level accepts exactly what evaluating it digest by digest
-// accepts, and rejects for the same reason.
+// per-node rsa — the one scheme that still combines — projected and not,
+// evaluating the equation level by level accepts exactly what evaluating
+// it digest by digest accepts, and rejects for the same reason.
 func TestHornerAndFlatOrderAgree(t *testing.T) {
 	honest := tamper.Attack{Name: "honest", Apply: func(*vo.ResultSet, *vo.VO) error { return nil }}
 	maxLift := tamper.Attack{Name: "every-lift-255", Apply: func(_ *vo.ResultSet, w *vo.VO) error {
@@ -166,7 +166,7 @@ func TestHornerAndFlatOrderAgree(t *testing.T) {
 		}
 		return nil
 	}}
-	for _, scheme := range []sig.Scheme{sig.SchemeRSAFull, sig.SchemeRSAMerkle} {
+	for _, scheme := range []sig.Scheme{sig.SchemeRSAFull} {
 		b := buildTree(t, 300, 1024, scheme, nil)
 		for _, project := range [][]string{nil, {"id", "cat"}} {
 			for _, a := range append([]tamper.Attack{honest, maxLift}, tamper.All()...) {
@@ -197,7 +197,7 @@ func TestHornerAndFlatOrderAgree(t *testing.T) {
 // digest.
 func TestCombineOpsPerVO(t *testing.T) {
 	var c digest.Counters
-	b := buildTree(t, 300, 1024, sig.SchemeRSAMerkle, &c)
+	b := buildTree(t, 300, 1024, sig.SchemeRSAFull, &c)
 	for _, tc := range []struct {
 		project []string
 		hostile bool
@@ -224,9 +224,9 @@ func TestCombineOpsPerVO(t *testing.T) {
 }
 
 // TestMerkleRunsAreTheAccumulatorsWidth: a Merkle VO's D_S and D_P are
-// folded where they lie, one width check for the whole VO. Runs of wider
-// records — every digest followed by a byte the fold would not read —
-// are refused, not folded on their leading bytes: each such VO would be
+// read where they lie, one width check for the whole VO. Runs of wider
+// records — every digest followed by a byte the verifier would not read —
+// are refused, not read on their leading bytes: each such VO would be
 // another spelling of the honest one.
 func TestMerkleRunsAreTheAccumulatorsWidth(t *testing.T) {
 	b := buildTree(t, 300, 1024, sig.SchemeRSAMerkle, nil)
@@ -237,7 +237,7 @@ func TestMerkleRunsAreTheAccumulatorsWidth(t *testing.T) {
 	padded := *w
 	padded.DS, padded.DP = nil, nil
 	for i := 0; i < w.NumDS(); i++ {
-		padded.AppendDS(append(w.DSDigest(i).Clone(), 0), w.DSLift(i))
+		padded.AppendDS(append(w.DSDigest(i).Clone(), 0), 0)
 	}
 	for i := 0; i < w.NumDP(); i++ {
 		padded.AppendDP(append(w.DPDigest(i).Clone(), 0))
@@ -248,7 +248,8 @@ func TestMerkleRunsAreTheAccumulatorsWidth(t *testing.T) {
 }
 
 // BenchmarkVerifyRange256 is the read.range shape: 256 rows, 3 of 10
-// columns returned, Merkle scheme, root signature already cached.
+// columns returned, Merkle scheme (ordered commitments), root signature
+// already cached.
 func BenchmarkVerifyRange256(b *testing.B) {
 	bt := buildTree(b, 4096, 4096, sig.SchemeRSAMerkle, nil)
 	rs, w := bt.query(b, 1000, 1255, workload.ProjectFirstN(bt.sch, 3))

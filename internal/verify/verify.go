@@ -23,20 +23,27 @@
 // equation with overwhelming probability; a forged signature fails
 // structural recovery.
 //
+// That equation is per-node rsa's, whose every digest is signed. Under a
+// Merkle scheme only the root is, and a product of raw digests could be
+// rebalanced, so the tree commits by ordered hashes and the verifier
+// recomputes the root structurally from the VO's node records instead
+// (ordered.go).
+//
 // What a verified answer costs is what formula (10) charges — hashes,
 // combines, signature recoveries — and little besides. D_S and D_P are
 // read where they lie in the answer's frame (vo.VO holds them as the
 // fixed-width runs they travel as): under a Merkle scheme, where they are
 // the raw digests, the VO's one width is checked against the accumulator
-// once and each run — D_P, and each stretch of D_S entries sharing a
-// lift — is folded in place (digest.Acc.AddRun); under per-node rsa every
-// entry is still recovered, through the verified-digest cache. The signed
+// once and every digest is copied into the preimage it enters; under
+// per-node rsa every entry is recovered, through the verified-digest
+// cache, and folded into its level. The signed
 // shard map every answer carries is a function of its bytes up to the
 // clock: VerifySignedMap decodes and checks each distinct map once and
 // resolves its key at the verifier's clock on every call.
 package verify
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -302,6 +309,12 @@ func (v *Verifier) anchor(rs *vo.ResultSet, w *vo.VO) (*anchored, error) {
 // envelopeDigest computes the untrusted side of the equation: the digest
 // of the enveloping subtree as the result and the VO describe it.
 func (v *Verifier) envelopeDigest(an *anchored, rs *vo.ResultSet, w *vo.VO) (digest.Value, error) {
+	if an.pub.Scheme.Merkle() {
+		return v.orderedDigest(an, rs, w)
+	}
+	if w.Ordered() {
+		return nil, fmt.Errorf("%w: node records in a %v VO", ErrMalformed, an.pub.Scheme)
+	}
 	L := int(w.TopLevel)
 
 	// One running product per level. levels[k] collects the digests that
@@ -333,11 +346,7 @@ func (v *Verifier) envelopeDigest(an *anchored, rs *vo.ResultSet, w *vo.VO) (dig
 			}
 		}
 	}
-	if an.pub.Scheme.Merkle() {
-		if err := v.foldRawRuns(levels, w); err != nil {
-			return nil, err
-		}
-	} else if err := v.foldSignedRuns(an.pub, levels, w); err != nil {
+	if err := v.foldSignedRuns(an.pub, levels, w); err != nil {
 		return nil, err
 	}
 	// Horner's rule on the equation above, B_k the product at level k:
@@ -355,44 +364,10 @@ func (v *Verifier) envelopeDigest(an *anchored, rs *vo.ResultSet, w *vo.VO) (dig
 	return levels[1].Value(), nil
 }
 
-// foldRawRuns multiplies a Merkle VO's D_P and D_S digests into their
-// levels where they lie in the runs: they are the raw digests, so there
-// is no signature work, and one width check covers them all. A run of
-// consecutive D_S entries with one lift — a traversal emits them in tree
-// order, so most of a level's entries are such a run — folds at once.
-func (v *Verifier) foldRawRuns(levels []*digest.Acc, w *vo.VO) error {
-	n := w.NumDS()
-	if n+w.NumDP() == 0 {
-		return nil
-	}
-	if w.Width != v.Acc.Len() {
-		return fmt.Errorf("%w: merkle entries have %d bytes, want %d", ErrBadSignature, w.Width, v.Acc.Len())
-	}
-	L := len(levels) - 2
-	if err := levels[L+1].AddRun(w.DP, w.Width); err != nil {
-		return fmt.Errorf("%w: %v", ErrMalformed, err)
-	}
-	stride := w.Width + 1
-	for i := 0; i < n; {
-		lift := w.DSLift(i)
-		j := i + 1
-		for j < n && w.DSLift(j) == lift {
-			j++
-		}
-		if lift < 1 || int(lift) > L {
-			return fmt.Errorf("%w: D_S entry %d has lift %d outside [1,%d]", ErrMalformed, i, lift, L)
-		}
-		if err := levels[lift].AddRun(w.DS[i*stride:j*stride], stride); err != nil {
-			return fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		i = j
-	}
-	return nil
-}
-
-// foldSignedRuns is foldRawRuns under per-node rsa: every entry is a
-// signature, recovered (through the verified-digest cache) to the digest
-// it commits to before it is multiplied in.
+// foldSignedRuns multiplies a per-node rsa VO's D_P and D_S digests into
+// their levels: every entry is a signature, recovered (through the
+// verified-digest cache) to the digest it commits to before it is
+// multiplied in.
 func (v *Verifier) foldSignedRuns(pub *sig.PublicKey, levels []*digest.Acc, w *vo.VO) error {
 	L := len(levels) - 2
 	for i := 0; i < w.NumDP(); i++ {
@@ -420,21 +395,6 @@ func (v *Verifier) foldSignedRuns(pub *sig.PublicKey, levels []*digest.Acc, w *v
 	return nil
 }
 
-// entryDigest reads the unsigned digest committed by a VO entry: a
-// length-checked cast under a Merkle scheme (the entries are the raw
-// digests — zero signature work), a cached s⁻¹ recovery under the legacy
-// scheme.
-func (v *Verifier) entryDigest(pub *sig.PublicKey, s sig.Signature) (digest.Value, error) {
-	if pub.Scheme.Merkle() {
-		if len(s) != v.Acc.Len() {
-			return nil, fmt.Errorf("%w: merkle entry has %d bytes, want %d",
-				ErrBadSignature, len(s), v.Acc.Len())
-		}
-		return digest.Value(s), nil
-	}
-	return v.cachedRecover(pub, s)
-}
-
 // recoverDigest applies s⁻¹ and validates the digest length.
 func recoverDigest(pub *sig.PublicKey, acc *digest.Accumulator, s sig.Signature) (digest.Value, error) {
 	payload, err := pub.Recover(s)
@@ -458,12 +418,24 @@ func (v *Verifier) VerifyTuple(st *vo.StoredTuple, tupleSig sig.Signature, pub *
 		return fmt.Errorf("%w: tuple has %d values for %d columns",
 			ErrMalformed, len(st.Tuple.Values), len(v.Schema.Columns))
 	}
+	if pub.Scheme.Merkle() {
+		attrs, ut := orderedTuple(v.Acc, v.Schema, st.Tuple)
+		for i, d := range attrs {
+			if !bytes.Equal(st.AttrSigs[i], d) {
+				return fmt.Errorf("%w: attribute %q digest mismatch", ErrVerification, v.Schema.Columns[i].Name)
+			}
+		}
+		if !bytes.Equal(tupleSig, ut) {
+			return fmt.Errorf("%w: tuple digest mismatch", ErrVerification)
+		}
+		return nil
+	}
 	keyBytes := st.Tuple.Key(v.Schema).KeyBytes()
 	acc := v.Acc.NewAcc()
 	for i, val := range st.Tuple.Values {
 		d := v.Acc.HashAttribute(v.Schema.DB, v.Schema.Table, v.Schema.Columns[i].Name, keyBytes, val.CanonicalBytes())
 		// The stored attribute digest must commit to the computed one.
-		u, err := v.entryDigest(pub, st.AttrSigs[i])
+		u, err := v.cachedRecover(pub, st.AttrSigs[i])
 		if err != nil {
 			return err
 		}
@@ -474,7 +446,7 @@ func (v *Verifier) VerifyTuple(st *vo.StoredTuple, tupleSig sig.Signature, pub *
 			return fmt.Errorf("%w: %v", ErrMalformed, err)
 		}
 	}
-	ut, err := v.entryDigest(pub, tupleSig)
+	ut, err := v.cachedRecover(pub, tupleSig)
 	if err != nil {
 		return err
 	}

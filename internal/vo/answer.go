@@ -42,21 +42,25 @@ func DecodeAnswer(data []byte) (*ResultSet, *VO, error) {
 	if n+m != len(data) {
 		return nil, nil, fmt.Errorf("vo: %d trailing bytes after the answer", len(data)-n-m)
 	}
-	rs, used, err := DecodeResultSet(rsb)
+	// The result set and the VO share one allocation.
+	both := new(struct {
+		rs ResultSet
+		w  VO
+	})
+	used, err := both.rs.decode(rsb)
 	if err != nil {
 		return nil, nil, err
 	}
 	if used != len(rsb) {
 		return nil, nil, fmt.Errorf("vo: %d trailing bytes after the result set", len(rsb)-used)
 	}
-	w, used, err := DecodeVO(vb)
-	if err != nil {
+	if used, err = both.w.decode(vb); err != nil {
 		return nil, nil, err
 	}
 	if used != len(vb) {
 		return nil, nil, fmt.Errorf("vo: %d trailing bytes after the VO", len(vb)-used)
 	}
-	return rs, w, nil
+	return &both.rs, &both.w, nil
 }
 
 // section returns the u32-length-prefixed section at the start of data
@@ -107,12 +111,15 @@ type AnswerWriter struct {
 	// that DS or DP was handed a digest of another.
 	width  int
 	ragged bool
+	// ordered: the D_S entries carry no lift (VO.Ordered).
+	ordered bool
 }
 
 // Begin lays the answer out at the end of dst and writes everything but
 // the rows and digests: rs supplies the relation identity and column
 // names, w the key version, timestamp, top level, top digest and root
-// signature (their Keys, Tuples, DS and DP are not read), sz what Row,
+// signature and, in the ordered layout, the node records (their Keys,
+// Tuples, DS and DP are not read), sz what Row,
 // DS and DP will then be called with, width the one width of every
 // digest DS and DP will be handed (see VO.Encode).
 func (a *AnswerWriter) Begin(dst []byte, rs *ResultSet, w *VO, sz AnswerSizes, width int) {
@@ -121,8 +128,13 @@ func (a *AnswerWriter) Begin(dst []byte, rs *ResultSet, w *VO, sz AnswerSizes, w
 		rsHead += 2 + len(c)
 	}
 	rsLen := rsHead + 4 + sz.rowBytes
-	dsBytes, dpBytes := sz.ds*(width+1), sz.dp*width
-	a.voBytes = voFixedSize + len(w.TopDigest) + len(w.RootSig) + dsBytes + dpBytes
+	a.ordered = w.Ordered()
+	stride := width + 1
+	if a.ordered {
+		stride = width
+	}
+	dsBytes, dpBytes := sz.ds*stride, sz.dp*width
+	a.voBytes = voFixedSize + len(w.TopDigest) + len(w.RootSig) + len(w.Nodes) + dsBytes + dpBytes
 	// A width the layout cannot carry fails Finish like a digest of the
 	// wrong one.
 	a.width, a.ragged = width, !widthFits(width, sz.ds+sz.dp)
@@ -167,11 +179,13 @@ func (a *AnswerWriter) Row(key []byte, values int) {
 // Value appends one value, in wire encoding, to the row last started.
 func (a *AnswerWriter) Value(enc []byte) { a.put(&a.row, a.rowEnd, enc) }
 
-// DS appends one D_S entry.
+// DS appends one D_S entry; the ordered layout drops its lift.
 func (a *AnswerWriter) DS(digest []byte, lift uint8) {
 	a.ragged = a.ragged || len(digest) != a.width
 	a.put(&a.ds, a.dsEnd, digest)
-	a.put(&a.ds, a.dsEnd, []byte{lift})
+	if !a.ordered {
+		a.put(&a.ds, a.dsEnd, []byte{lift})
+	}
 }
 
 // DP appends one D_P entry.

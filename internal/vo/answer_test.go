@@ -47,7 +47,7 @@ func TestAnswerWriterMatchesStructEncoders(t *testing.T) {
 	}
 	sz.DS(w.NumDS())
 	sz.DP(w.NumDP())
-	width := w.Width
+	width := int(w.Width)
 	var a AnswerWriter
 	a.Begin(append([]byte(nil), prefix...), rs, w, sz, width)
 	a.DP(w.DPDigest(0))

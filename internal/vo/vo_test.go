@@ -2,6 +2,7 @@ package vo
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"edgeauth/internal/schema"
@@ -284,5 +285,89 @@ func TestStoredTupleDecodeRejectsCorrupt(t *testing.T) {
 		if _, _, err := DecodeStoredTuple(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// TestOrderedVORoundTrip: the ordered layout round-trips, its node
+// records call for the rows it recomputes, and a record that is not
+// canonical is refused.
+func TestOrderedVORoundTrip(t *testing.T) {
+	v := seedOrderedVO()
+	enc := v.Encode(nil)
+	if enc[12] != 2|orderedFlag {
+		t.Fatalf("level byte %#x, want the level with the ordered flag", enc[12])
+	}
+	got, n, err := DecodeVO(enc)
+	if err != nil || n != len(enc) || v.WireSize() != len(enc) {
+		t.Fatalf("decode: %v (%d of %d bytes, WireSize %d)", err, n, len(enc), v.WireSize())
+	}
+	if !got.Ordered() || got.TopLevel != 2 || got.NumDS() != 17 || got.NumDP() != 2 || !bytes.Equal(got.Encode(nil), enc) {
+		t.Fatalf("decoded %+v", got)
+	}
+	if rows, err := got.Envelope(); err != nil || rows != 2 {
+		t.Fatalf("envelope: %d rows, %v; want 2", rows, err)
+	}
+	for name, nodes := range map[string][]byte{
+		"run past the count":     {0, 3, 0, 1, 0, 2, 0, 2, 0, 20, 0, 1, 0, 4, 0, 2},
+		"touching runs":          {0, 3, 0, 2, 0, 0, 0, 1, 0, 1, 0, 1, 0, 20, 0, 1, 0, 4, 0, 2, 0, 20, 0, 1, 0, 4, 0, 2},
+		"empty run":              {0, 3, 0, 1, 0, 1, 0, 0},
+		"child with no position": {0, 3, 0, 1, 0, 1, 0, 1, 0, 20, 0, 0},
+		"missing child record":   {0, 3, 0, 1, 0, 1, 0, 1},
+		"runs cut short":         {0, 3, 0, 2, 0, 1},
+		"record cut short":       {0, 3, 0},
+	} {
+		w := seedOrderedVO()
+		w.Nodes = nodes
+		if _, _, err := DecodeVO(w.Encode(nil)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestDecodeVOBoundsHostileNodeRecords: node records are checked against
+// the bytes left before anything is sized or walked by their counts. A
+// 1 KB VO whose records claim 65,535 entries a node — every one of them
+// recomputed, or as many runs as fit — is decoded or refused for one VO
+// allocation (and its error), however many children, siblings or rows it
+// claims.
+func TestDecodeVOBoundsHostileNodeRecords(t *testing.T) {
+	hostile := func(level uint8, records []byte) []byte {
+		w := &VO{TopLevel: level, TopDigest: make(sig.Signature, 16), RootSig: sig.Signature{1}, Nodes: records}
+		out := w.Encode(nil)
+		return append(out, make([]byte, 1024-len(out))...)
+	}
+	every := []byte{0xFF, 0xFF, 0, 1, 0, 0, 0xFF, 0xFF} // 65,535 entries, all recomputed
+	var scattered []byte                                // 65,535 entries, every other one of the first 480
+	scattered = append(scattered, 0xFF, 0xFF, 0, 240)
+	for i := 0; i < 240; i++ {
+		scattered = binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint16(scattered, uint16(2*i)), 1)
+	}
+	for name, tc := range map[string]struct {
+		body []byte
+		ok   bool
+	}{
+		"65,535 children, all recomputed": {hostile(3, every), false},
+		"65,535 rows in one leaf":         {hostile(1, every), true},
+		"240 runs over 65,535 entries":    {hostile(1, scattered), true},
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(10, func() { _, _, err = DecodeVO(tc.body) })
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: %v", name, err)
+		}
+		if allocs > 2 { // the VO, and the error of a refusal
+			t.Errorf("%s: %.0f allocations to decode 1 KB", name, allocs)
+		}
+	}
+	// Well-formed, the one-leaf claim decodes — and calls for 65,535 rows,
+	// which a verifier checks against the result set before it hashes
+	// anything.
+	w := &VO{TopLevel: 1, TopDigest: make(sig.Signature, 16), RootSig: sig.Signature{1}, Nodes: every}
+	got, _, err := DecodeVO(w.Encode(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := got.Envelope(); err != nil || rows != 0xFFFF {
+		t.Fatalf("envelope: %d rows, %v", rows, err)
 	}
 }

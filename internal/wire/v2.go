@@ -38,14 +38,17 @@ import (
 // handshake carries it in both directions. It is raised whenever the
 // bytes of a message change, so that a build from before the change is
 // turned away at dial with CodeUnsupported instead of being sent bodies
-// it would misparse: 5 is the generation in which Snapshot and
-// SchemaResponse no longer carry accumulator parameters (the accumulator
-// is a constant, so no edge or relay chooses what a client verifies
-// under); 4 made every insert travel as a MsgBatchReq (the single-insert
+// it would misparse: 6 is the generation in which a Merkle-scheme VO
+// carries its envelope's node records and ordered in-node proofs instead
+// of lifted D_S digests (package vo), and a Merkle tree's pages hold its
+// in-node group digests — the same bytes no longer mean the same digests;
+// 5 dropped the accumulator parameters from Snapshot and SchemaResponse
+// (the accumulator is a constant, so no edge or relay chooses what a
+// client verifies under); 4 made every insert travel as a MsgBatchReq (the single-insert
 // frame is gone and the message types after it renumbered); 3 first
 // carried a VO's digests as fixed-width runs (vo.VO.Encode); 2 put a
 // length in front of each.
-const ProtocolVersion = 5
+const ProtocolVersion = 6
 
 // Capability bits carried in the Hello exchange (both directions). They
 // are advisory: a peer that lacks a capability still answers the
