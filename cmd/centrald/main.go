@@ -6,30 +6,29 @@
 // Usage:
 //
 //	centrald -listen :7001 -rows 10000 [-join] [-waldir /tmp/wal]
-//	         [-scheme rsa|rsa-merkle|ed25519] [-keybits 1024]
+//	         [-scheme ed25519|rsa-merkle] [-keybits 1024]
 //	         [-maxbatch 128] [-maxdelay 2ms]
 //	         [-shards 4] [-shard-split count|keyspan]
 //	         [-autoreshard 10s] [-split-fraction 0.6] [-merge-fraction 0.05]
 //	         [-max-shards 64]
 //	         [-debug-addr 127.0.0.1:7101]
 //
-// -scheme selects the signature scheme and commitment mode: "rsa" is the
-// paper's construction (every digest individually signed); "rsa-merkle"
-// and "ed25519" sign only tree roots, leaving interior digests as
-// hash-only Merkle commitments. -keybits sizes the RSA modulus and is
-// ignored for ed25519.
+// -scheme selects the signature scheme of the one signature over each
+// shard root: "ed25519" (the default) or "rsa-merkle" (RSA with message
+// recovery). Either way the VB-trees commit by ordered hashes. -keybits
+// sizes the RSA modulus and is ignored for ed25519.
 //
 // -maxbatch and -maxdelay tune the group-commit front door: concurrent
 // insert requests for a table — one tuple or many each — are coalesced
 // and committed as one batch (one WAL fsync, one version bump, one
-// VB-tree re-sign pass), up to maxbatch tuples per round, with the
+// VB-tree rehash pass), up to maxbatch tuples per round, with the
 // round's leader waiting up to maxdelay for stragglers. A request larger
 // than maxbatch commits in a round of its own. Negative values of
 // -maxbatch and -deltaretention are refused.
 //
 // -shards range-partitions every table into that many independently
 // signed VB-tree shards bound by a central-signed shard map; insert
-// batches then re-sign shard roots in parallel. -shard-split picks the
+// batches then commit to the shards in parallel. -shard-split picks the
 // boundary strategy: "count" balances build rows per shard, "keyspan"
 // divides the key interval evenly.
 //
@@ -66,7 +65,7 @@ func main() {
 	var (
 		listen  = flag.String("listen", "127.0.0.1:7001", "address to serve on")
 		rows    = flag.Int("rows", 10_000, "synthetic table size")
-		scheme  = flag.String("scheme", "rsa", "signature scheme: rsa, rsa-merkle or ed25519")
+		scheme  = flag.String("scheme", "ed25519", "signature scheme: ed25519 or rsa-merkle")
 		keyBits = flag.Int("keybits", 1024, "RSA signing key size (ignored for ed25519)")
 		pageSz  = flag.Int("pagesize", 4096, "VB-tree node size")
 		walDir  = flag.String("waldir", "", "directory for write-ahead logs (empty = disabled)")
@@ -75,7 +74,7 @@ func main() {
 		idle    = flag.Duration("idletimeout", 0, "drop connections idle past this (0 = default, <0 = never)")
 		// Group-commit front door: concurrent insert requests for a table
 		// are coalesced and committed together — one WAL fsync, one
-		// version bump, one tree re-sign pass per round.
+		// version bump, one tree rehash pass per round.
 		maxBatch = flag.Int("maxbatch", 0, "max tuples group-committed per round (0 = default 128; negative values are refused)")
 		maxDelay = flag.Duration("maxdelay", 0, "how long a group-commit leader waits for stragglers before committing (0 = commit immediately with whatever queued)")
 		// Range partitioning: independently-signed VB-tree shards bound

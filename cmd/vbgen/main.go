@@ -7,14 +7,13 @@
 //
 // Usage:
 //
-//	vbgen -out /tmp/vbdb -rows 10000 [-scheme rsa|rsa-merkle|ed25519]
+//	vbgen -out /tmp/vbdb -rows 10000 [-scheme ed25519|rsa-merkle]
 //	      [-keybits 1024] [-pagesize 4096]
 //
-// -scheme selects the signature scheme and commitment mode (same
-// vocabulary as centrald): "rsa" signs every digest individually;
-// "rsa-merkle" and "ed25519" sign only the root, leaving interior
-// digests as hash-only Merkle commitments. The scheme travels in the
-// public-key blob, so the re-open path needs no extra configuration.
+// -scheme selects the signature scheme of the one signature, over the
+// root (same vocabulary as centrald): "ed25519" (the default) or
+// "rsa-merkle". The scheme travels in the public-key blob, so the
+// re-open path needs no extra configuration.
 // -keybits sizes the RSA modulus and is ignored for ed25519.
 package main
 
@@ -41,7 +40,7 @@ func main() {
 	var (
 		out     = flag.String("out", "vbdb", "output directory")
 		rows    = flag.Int("rows", 10_000, "table size")
-		scheme  = flag.String("scheme", "rsa", "signature scheme: rsa, rsa-merkle or ed25519")
+		scheme  = flag.String("scheme", "ed25519", "signature scheme: ed25519 or rsa-merkle")
 		keyBits = flag.Int("keybits", 1024, "RSA signing key size (ignored for ed25519)")
 		pageSz  = flag.Int("pagesize", 4096, "page/node size")
 	)

@@ -9,36 +9,35 @@ import (
 	"testing"
 
 	"edgeauth/internal/schema"
+	"edgeauth/internal/sig"
 	"edgeauth/internal/vbtree"
 	"edgeauth/internal/verify"
 	"edgeauth/internal/workload"
 )
 
 // TestOpensDatabaseWrittenByParentCommit opens an on-disk database this
-// very command wrote at the PARENT commit (253a3c6: `vbgen -rows 150
-// -scheme rsa -keybits 512 -pagesize 1024`), audits every digest on its
-// pages and checks that answers served from them verify against the root
-// signature made back then — persisted state outlives the code that
-// produced it. The files are the bytes 253a3c6 wrote, by their SHA-256.
+// very command wrote at the PARENT commit (27636ac: `vbgen -rows 150
+// -scheme rsa-merkle -keybits 512 -pagesize 1024`), audits every digest
+// on its pages and checks that answers served from them verify against
+// the root signature made back then — persisted state outlives the code
+// that produced it. The files are the bytes 27636ac wrote, by their
+// SHA-256.
 //
-// It is a per-node rsa database because that commitment is the paper's
-// and has not changed. The Merkle schemes commit by ordered hashes since
-// protocol 6, so a Merkle database from before then (the 615aa5e fixture
-// this one replaces) holds digests this build does not compute, and is
-// refused by its audit.
+// It replaces a per-node rsa database written by 253a3c6: that scheme is
+// retired, and its key blob no longer decodes.
 func TestOpensDatabaseWrittenByParentCommit(t *testing.T) {
 	dir := t.TempDir()
 	for name, sum := range map[string]string{
-		"pages.db": "c89aa8b6c81bc2fd1d5da30d23507317f0230d081b3a3503d78b04fe71e7aabc",
-		"meta.bin": "96f6e952df7d515ecadcac7d8331b3221ea7b81a0d88b2b4e18e6648f50610e3",
-		"key.pub":  "0da70faf0cfc3938039c475c8a86bfb889ee8476f0c1c6195e260355ba890f28",
+		"pages.db": "5a1102e00d9f3bc55db99d7d48401104df8d2ebcb549ee197c5895db836db8e8",
+		"meta.bin": "b42ac4dd5231f617bae29ff710a4d5763358d1168226863349c7932a9e72ac96",
+		"key.pub":  "60cf36a27f42e683d2cd4cae045d5813110f2b3fe912691eed9d1d1c2fa2313b",
 	} {
-		blob, err := os.ReadFile(filepath.Join("testdata", "parent-253a3c6", name))
+		blob, err := os.ReadFile(filepath.Join("testdata", "parent-27636ac", name))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := sha256.Sum256(blob); hex.EncodeToString(got[:]) != sum {
-			t.Fatalf("%s hashes to %x, not to the file 253a3c6 wrote", name, got)
+			t.Fatalf("%s hashes to %x, not to the file 27636ac wrote", name, got)
 		}
 		if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
 			t.Fatal(err)
@@ -48,8 +47,8 @@ func TestOpensDatabaseWrittenByParentCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.tree.MerkleMode() {
-		t.Fatal("fixture is not a per-node rsa database")
+	if db.pub.Scheme != sig.SchemeRSAMerkle {
+		t.Fatalf("fixture key is %v, want rsa-merkle", db.pub.Scheme)
 	}
 	n, err := db.tree.Audit()
 	if err != nil {

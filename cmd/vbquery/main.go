@@ -190,7 +190,7 @@ func runSelect(ctx context.Context, cl *client.Client, s *sqlmini.SelectStmt) er
 	if res.ShardsQueried > 1 {
 		shards = fmt.Sprintf(" across %d shards", res.ShardsQueried)
 	}
-	fmt.Printf("-- %d rows VERIFIED in %v (result %d B + VO %d B, %d signed digests%s)\n",
+	fmt.Printf("-- %d rows VERIFIED in %v (result %d B + VO %d B, %d digests%s)\n",
 		len(res.Result.Tuples), elapsed.Round(time.Microsecond),
 		res.ResultBytes, res.VOBytes, res.NumDigests(), shards)
 	return nil

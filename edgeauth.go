@@ -1,9 +1,8 @@
 // Package edgeauth is a Go implementation of "Authenticating Query
 // Results in Edge Computing" (Pang & Tan, ICDE 2004): verifiable B-trees
-// (VB-trees) whose signed digests let untrusted edge servers prove, with a
-// verification object (VO) linear in the result size and independent of
-// the database size, that query results are authentic — values untampered,
-// no spurious tuples.
+// (VB-trees) whose digests, anchored by one signature over the root, let
+// untrusted edge servers prove with a verification object (VO) that query
+// results are authentic — values untampered, no spurious tuples.
 //
 // This package is the public facade over the implementation:
 //
@@ -169,7 +168,18 @@ func Dial(ctx context.Context, cfg Config) (*Client, error) {
 	return client.Dial(ctx, cfg)
 }
 
-// GenerateKey creates an RSA signing key pair of the given size.
-func GenerateKey(bits int) (*PrivateKey, error) {
-	return sig.GenerateKey(bits)
+// Scheme is a signing key's signature scheme. Both sign one root digest
+// per VB-tree version.
+type Scheme = sig.Scheme
+
+// Signature schemes. SchemeEd25519 is what a zero CentralOptions selects.
+const (
+	SchemeEd25519   = sig.SchemeEd25519
+	SchemeRSAMerkle = sig.SchemeRSAMerkle
+)
+
+// GenerateKey creates a signing key pair of the given scheme; bits sizes
+// an rsa-merkle modulus and is ignored for Ed25519.
+func GenerateKey(scheme Scheme, bits int) (*PrivateKey, error) {
+	return sig.Generate(scheme, bits)
 }

@@ -106,7 +106,7 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 
 // TestFacadeHelpers covers the small constructors.
 func TestFacadeHelpers(t *testing.T) {
-	if _, err := edgeauth.GenerateKey(512); err != nil {
+	if _, err := edgeauth.GenerateKey(edgeauth.SchemeRSAMerkle, 512); err != nil {
 		t.Fatal(err)
 	}
 	d := edgeauth.Float64(2.5)

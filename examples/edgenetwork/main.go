@@ -26,7 +26,7 @@ import (
 func main() {
 	ctx := context.Background()
 	// Central server.
-	srv, err := edgeauth.NewCentral(central.Options{KeyBits: 512})
+	srv, err := edgeauth.NewCentral(central.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,7 +23,7 @@ import (
 
 func main() {
 	ctx := context.Background()
-	srv, err := edgeauth.NewCentral(central.Options{KeyBits: 512})
+	srv, err := edgeauth.NewCentral(central.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func main() {
 		}
 		fmt.Printf("  %v\n", t)
 	}
-	fmt.Printf("VO: %d signed digests, %d bytes (gaps from the non-key selection are covered by D_S)\n",
+	fmt.Printf("VO: %d digests, %d bytes (gaps from the non-key selection are covered by D_S)\n",
 		res.VO.NumDigests(), res.VOBytes)
 
 	// A hacked edge inflating an order total is caught on the view too.

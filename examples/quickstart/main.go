@@ -25,7 +25,7 @@ import (
 func main() {
 	ctx := context.Background()
 	// 1. Central server: owns the signing key, builds the VB-tree.
-	srv, err := edgeauth.NewCentral(central.Options{KeyBits: 512})
+	srv, err := edgeauth.NewCentral(central.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func main() {
 	}
 	fmt.Println("  …")
 
-	// Projection: filtered attributes travel as signed digests (D_P).
+	// Projection: filtered attributes travel as digests (D_P).
 	res, err = cl.Query(ctx, "items", []edgeauth.Predicate{
 		{Column: "cat", Op: edgeauth.OpEQ, Value: edgeauth.Str(workload.CategoryName(5))},
 	}, []string{"id", "cat"})

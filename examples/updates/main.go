@@ -29,7 +29,7 @@ func main() {
 	}
 	defer os.RemoveAll(walDir)
 
-	srv, err := edgeauth.NewCentral(central.Options{KeyBits: 512, WALDir: walDir})
+	srv, err := edgeauth.NewCentral(central.Options{WALDir: walDir})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,8 +19,9 @@ import (
 // and ApplyBatch commits one once per shard: the batch is
 // range-partitioned, each shard group commits as one unit (one RecBatch
 // WAL record + fsync, one shard version bump, one snapshot publish, one
-// vbtree.InsertBatch, which re-signs each dirtied node once and for a
-// batch of one is the paper's incremental insert) — and the shard groups
+// vbtree.InsertBatch, which rehashes each dirtied node once and for a
+// batch of one is the paper's incremental insert restated for ordered
+// commitments) — and the shard groups
 // commit in parallel, because every shard has its own tree, lock and
 // signed root.
 //
@@ -144,7 +145,7 @@ func (s *Server) ApplyBatch(tableName string, tuples []schema.Tuple) ([]error, e
 }
 
 // applyShardBatch commits one shard's sub-batch: one WAL record + fsync,
-// one tree InsertBatch (one re-sign per dirtied node), one version bump,
+// one tree InsertBatch (one rehash per dirtied node), one version bump,
 // one snapshot publish. Returns how many tuples applied and the
 // sub-batch's per-op errors (aligned with its tuples).
 func (s *Server) applyShardBatch(t *table, sh *shard, tuples []schema.Tuple) (int, []error, error) {

@@ -23,7 +23,7 @@ var (
 
 func batchServerKey(t testing.TB) *sig.PrivateKey {
 	t.Helper()
-	batchKeyOnce.Do(func() { batchKey = sig.MustGenerateKey(512) })
+	batchKeyOnce.Do(func() { batchKey = sig.MustGenerate(sig.SchemeRSAMerkle, 512) })
 	return batchKey
 }
 
@@ -64,8 +64,8 @@ func batchServerRow(t testing.TB, id int64) schema.Tuple {
 }
 
 // TestApplyBatchCommitsOnce pins the group-commit invariants: one version
-// bump, one changelog entry, one WAL record and — under a Merkle scheme —
-// no signature at the commit, the shard's root signed once by the delta
+// bump, one changelog entry, one WAL record and no signature at the
+// commit, the shard's root signed once by the delta
 // that first ships the batch, with the WAL record replaying as the one
 // batch it was written as.
 func TestApplyBatchCommitsOnce(t *testing.T) {
@@ -349,18 +349,15 @@ func TestBatchOrdersInTheQueue(t *testing.T) {
 	}
 }
 
-// TestSingleInsertSignOps: Insert is an ApplyBatch of one and signs, at
-// the commit, exactly what the per-tuple insert path it replaced stored
-// signed — numbers measured on this table (200 rows, 2 shards, 1 KB
-// pages): per-node rsa re-signs the leaf-to-root path plus the tuple and
-// its attributes; the Merkle schemes sign nothing. The map, and a Merkle
-// root, are signed when first shipped (TestShipLedger).
+// TestSingleInsertSignOps: Insert is an ApplyBatch of one and signs
+// nothing at the commit, under either scheme, on this table (200 rows, 2
+// shards, 1 KB pages). The map and the root are signed when first shipped
+// (TestShipLedger).
 func TestSingleInsertSignOps(t *testing.T) {
 	for _, tc := range []struct {
 		scheme sig.Scheme
 		want   [3]uint64
 	}{
-		{sig.SchemeRSAFull, [3]uint64{14, 13, 13}},
 		{sig.SchemeRSAMerkle, [3]uint64{0, 0, 0}},
 		{sig.SchemeEd25519, [3]uint64{0, 0, 0}},
 	} {

@@ -17,12 +17,10 @@
 //
 // A signature exists so that what is shipped can be checked, so the
 // server signs what it ships, not what it commits: a map version is
-// signed the first time any replica pulls it, and so — under the Merkle
-// schemes, where a commit signs nothing — is a shard version's root
-// (shipState). Every signature is minted once however many replicas are
-// shipped it, and never for a version no replica asks for. Under per-node
-// rsa the trees still sign their dirtied nodes, the root among them, at
-// commit.
+// signed the first time any replica pulls it, and so — a commit signs
+// nothing — is a shard version's root (shipState). Every signature is
+// minted once however many replicas are shipped it, and never for a
+// version no replica asks for.
 //
 // Every committed update additionally publishes an immutable snapshot of
 // the shard's page space (the same storage.PageStore mechanism the edges
@@ -62,11 +60,10 @@ type Options struct {
 	// KeyBits sizes the RSA signing key; 0 selects sig.DefaultBits.
 	// Ignored for SchemeEd25519.
 	KeyBits int
-	// Scheme selects the signature scheme for the generated signing key:
-	// SchemeRSAFull (the default, the paper's every-digest-signed
-	// construction), SchemeRSAMerkle (hash-only interior commitments, one
-	// RSA root signature per shard), or SchemeEd25519 (Merkle commitments
-	// with a detached Ed25519 root signature). Ignored by
+	// Scheme selects the signature scheme for the generated signing key,
+	// which signs one root per shard version: SchemeEd25519 (the zero
+	// value's choice, a detached Ed25519 signature) or SchemeRSAMerkle
+	// (an RSA signature with message recovery). Ignored by
 	// NewServerWithKey, where the key carries its own scheme.
 	Scheme sig.Scheme
 	// PageSize for table storage; 0 selects storage.DefaultPageSize.
@@ -274,8 +271,8 @@ type shard struct {
 	// map republishes don't pay an RSA recovery per shard.
 	rootDigest digest.Value
 
-	// anchor memoizes, under a Merkle scheme, the root signature of the
-	// last published version shipped (shipState). Its lock is its own, so
+	// anchor memoizes the root signature of the last published version
+	// shipped (shipState). Its lock is its own, so
 	// no signature is made under mu.
 	anchor struct {
 		mu         sync.Mutex
@@ -322,6 +319,9 @@ type changeEntry struct {
 func NewServer(opts Options) (*Server, error) {
 	if opts.KeyBits == 0 {
 		opts.KeyBits = sig.DefaultBits
+	}
+	if opts.Scheme == 0 {
+		opts.Scheme = sig.SchemeEd25519
 	}
 	key, err := sig.Generate(opts.Scheme, opts.KeyBits)
 	if err != nil {
@@ -371,11 +371,6 @@ func NewServerWithKey(opts Options, key *sig.PrivateKey) (*Server, error) {
 
 // PublicKey returns the server's public key.
 func (s *Server) PublicKey() *sig.PublicKey { return s.key.Public() }
-
-// merkle reports whether the signing key's scheme commits to tree
-// interiors by hash, so that a commit signs nothing and each shard root
-// is signed when first shipped.
-func (s *Server) merkle() bool { return s.key.Scheme().Merkle() }
 
 // Accumulator returns the digest accumulator.
 func (s *Server) Accumulator() *digest.Accumulator { return s.acc }
@@ -440,7 +435,7 @@ func (s *Server) AddTable(sch *schema.Schema, tuples []schema.Tuple) error {
 }
 
 // newShard is the one shard constructor: it streams src — a build-time
-// tuple group or a pinned parent view — through the presign/build pool
+// tuple group or a pinned parent view — through the hashing/build pool
 // into a fresh pager, publishes the result as the shard's baseline
 // snapshot at version 0 and opens its WAL under the stable ID id. With
 // seedWAL the log is seeded in the same pass, one record per build chunk,
@@ -575,9 +570,8 @@ func (sh *shard) commitChange(version, lsn uint64, retention int) []storage.Page
 // publishShard copies the given (just-dirtied) pages out of the live
 // buffer pool into a copy-on-write overlay and publishes the result as
 // the shard's next immutable snapshot, carrying the tree anchor for the
-// committed version: the root's signature under per-node rsa, the root
-// digest sh.rootDigest holds under a Merkle scheme — shipState signs it
-// when a replica is first shipped the version. Callers hold sh.mu (or
+// committed version: the root digest sh.rootDigest holds — shipState
+// signs it when a replica is first shipped the version. Callers hold sh.mu (or
 // have exclusive access), which is what makes the copied pages a
 // consistent cut, and is why nothing here may sign.
 func (s *Server) publishShard(sh *shard, version, epoch uint64, pages []storage.PageID) error {
@@ -596,14 +590,10 @@ func (s *Server) publishShard(sh *shard, version, epoch uint64, pages []storage.
 			return err
 		}
 	}
-	anchor := sig.Signature(sh.rootDigest)
-	if !s.merkle() {
-		anchor = sh.tree.RootSig()
-	}
 	ov.Publish(&vbtree.TableState{
 		Root:       sh.tree.Root(),
 		Height:     sh.tree.Height(),
-		RootSig:    anchor,
+		RootSig:    sig.Signature(sh.rootDigest),
 		HeapPages:  sh.heap.Pages(),
 		KeyVersion: s.key.Public().Version,
 		Scheme:     s.key.Public().Scheme,
@@ -941,16 +931,12 @@ func (s *Server) deleteShardRange(t *table, sh *shard, lo, hi *schema.Datum) (in
 }
 
 // shipState returns the tree anchor a replica of the published version st
-// is shipped with. Under per-node rsa that is st itself: the tree signed
-// its root at commit. Under a Merkle scheme st holds the bare root digest,
-// and the anchor shipped is a copy carrying the signature over it and the
-// key version that signature was minted under — minted the first time any
-// replica is shipped st, and reused for every replica after until the key
-// version changes. The caller must not hold sh.mu.
+// is shipped with. st holds the bare root digest, and the anchor shipped
+// is a copy carrying the signature over it and the key version that
+// signature was minted under — minted the first time any replica is
+// shipped st, and reused for every replica after until the key version
+// changes. The caller must not hold sh.mu.
 func (s *Server) shipState(sh *shard, st *vbtree.TableState) (*vbtree.TableState, error) {
-	if !s.merkle() {
-		return st, nil
-	}
 	a := &sh.anchor
 	a.mu.Lock()
 	defer a.mu.Unlock()

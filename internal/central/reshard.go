@@ -24,9 +24,7 @@ import (
 // table — and commits as one new map epoch with an explicit parent
 // link, so a replayed pre-transition map fails closed at every verifier.
 // The barrier signs none of them: their contents are final at the
-// barrier, and each is signed the first time a replica is shipped it
-// (under per-node rsa the child trees sign their roots as they are
-// built, outside the lock).
+// barrier, and each is signed the first time a replica is shipped it.
 //
 // Transitions are incremental: the expensive part — streaming the child
 // VB-tree builds out of the parent shard(s) — runs against a pinned

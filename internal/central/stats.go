@@ -79,20 +79,19 @@ type Stats struct {
 	// Scheme names the signing key's signature scheme; SignOps and
 	// RecoverOps below are this scheme's totals.
 	Scheme string `json:"scheme"`
-	// SignOps counts signature generations, wherever they are made: at
-	// commit (per-node rsa's dirtied nodes and inserted digests; nothing
-	// under the Merkle schemes) and when a replica is first shipped what
-	// a signature covers (each map version, each Merkle shard root) or is
-	// shipped a delta body (signed for each puller).
+	// SignOps counts signature generations. A commit makes none; they
+	// are made when a replica is first shipped what a signature covers
+	// (each map version, each shard root) or is shipped a delta body
+	// (signed for each puller).
 	SignOps uint64 `json:"sign_ops"`
 	// RecoverOps counts signature recoveries/verifications performed with
 	// the key (audits, self-checks).
 	RecoverOps uint64 `json:"recover_ops"`
 	// Commits counts committed shard updates; SigsPerCommit =
 	// SignOps/Commits is what the commits and their shipping cost
-	// together, per commit: O(dirtied nodes) under rsa-full; under the
-	// Merkle schemes the shipped roots, maps and delta bodies alone, so
-	// a commit no replica pulls before the next one costs nothing.
+	// together, per commit: the shipped roots, maps and delta bodies
+	// alone, so a commit no replica pulls before the next one costs
+	// nothing.
 	Commits       uint64  `json:"commits"`
 	SigsPerCommit float64 `json:"signatures_per_commit"`
 	// BatchRounds / BatchOps describe the group-commit front door:
@@ -103,8 +102,8 @@ type Stats struct {
 	MaxRound    uint64 `json:"group_commit_max_round"`
 	// Online resharding: committed partition transitions, the new shard
 	// roots they made (a split exactly the two carved roots, never the
-	// whole table; under the Merkle schemes each is signed when a replica
-	// is first shipped it, not by the transition), and the pages copied
+	// whole table; each is signed when a replica is first shipped it,
+	// not by the transition), and the pages copied
 	// building the new shards' trees.
 	Splits            uint64 `json:"reshard_splits"`
 	Merges            uint64 `json:"reshard_merges"`

@@ -24,7 +24,7 @@ var (
 
 func centralKey(t testing.TB) *sig.PrivateKey {
 	t.Helper()
-	keyOnce.Do(func() { testKey = sig.MustGenerateKey(512) })
+	keyOnce.Do(func() { testKey = sig.MustGenerate(sig.SchemeRSAMerkle, 512) })
 	return testKey
 }
 

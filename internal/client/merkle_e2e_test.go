@@ -157,7 +157,7 @@ func TestMerkleVerifyCacheHits(t *testing.T) {
 
 // TestMerkleTamperFailsClosed drives the whole answer-tampering
 // catalogue — the interior-forgery and scheme-confusion attacks among it —
-// against Merkle-scheme deployments whose roots and maps were signed when
+// against deployments of both schemes whose roots and maps were signed when
 // first shipped: every attack must apply to a projected Merkle answer and
 // surface as ErrTampered.
 func TestMerkleTamperFailsClosed(t *testing.T) {
@@ -209,8 +209,10 @@ func TestMerkleTamperFailsClosed(t *testing.T) {
 	}
 }
 
-// TestCrossSchemeConfusionAgainstLegacy covers the other direction: a
-// legacy RSA-full deployment served a Merkle-shaped VO must also reject.
+// TestCrossSchemeConfusionAgainstLegacy: an answer re-presented in the
+// legacy shape of the retired per-node rsa scheme — the root signature in
+// the top-digest slot, none detached — is rejected by an rsa-merkle
+// deployment, whose key could recover a digest from that signature.
 func TestCrossSchemeConfusionAgainstLegacy(t *testing.T) {
 	ctx := context.Background()
 	d := deploy(t, 100)
@@ -221,6 +223,6 @@ func TestCrossSchemeConfusionAgainstLegacy(t *testing.T) {
 		{Column: "id", Op: query.OpGE, Value: schema.Int64(10)},
 	}, nil)
 	if !errors.Is(err, ErrTampered) {
-		t.Fatalf("cross-scheme confusion against rsa-full: err = %v, want ErrTampered", err)
+		t.Fatalf("cross-scheme confusion in the legacy shape: err = %v, want ErrTampered", err)
 	}
 }

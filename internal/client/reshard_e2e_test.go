@@ -30,11 +30,11 @@ func TestQuerySurvivesReshardEpochRace(t *testing.T) {
 	}
 	// A fixed hot range inside shard 1: what its proof costs before and
 	// after that shard splits is a deterministic byte count (the carved
-	// half is a smaller tree with a shorter proof): 22 and then 18 D_S
-	// signatures of 64 bytes and a lift, a 64-byte top digest, 31 bytes of
-	// header.
+	// half is a smaller tree with a shorter proof): the node records and
+	// 16-byte D_S digests of the ordered proof, a 16-byte top digest, the
+	// 64-byte root signature and 31 bytes of header.
 	hot, err := d.client.Query(ctx, "items", rangePreds(110, 129), nil)
-	if err != nil || hot.VOBytes != 1525 {
+	if err != nil || hot.VOBytes != 359 {
 		t.Fatalf("hot range before the split: VO %d bytes, err=%v", hot.VOBytes, err)
 	}
 
@@ -57,7 +57,7 @@ func TestQuerySurvivesReshardEpochRace(t *testing.T) {
 	if res, err := fresh.Query(ctx, "items", rangePreds(0, 399), nil); err != nil || res.ShardsQueried != 5 {
 		t.Fatalf("post-split query: shards=%d err=%v", res.ShardsQueried, err)
 	}
-	if hot, err = fresh.Query(ctx, "items", rangePreds(110, 129), nil); err != nil || hot.VOBytes != 1265 {
+	if hot, err = fresh.Query(ctx, "items", rangePreds(110, 129), nil); err != nil || hot.VOBytes != 311 {
 		t.Fatalf("hot range after the split: VO %d bytes, err=%v", hot.VOBytes, err)
 	}
 	if _, err := d.central.MergeShards(ctx, "items", 1); err != nil {

@@ -23,7 +23,11 @@ import (
 // shared key.
 func freshDeploy(t *testing.T, rows int, opts central.Options) *deployment {
 	t.Helper()
-	key, err := sig.Generate(opts.Scheme, 512)
+	scheme := opts.Scheme
+	if scheme == 0 {
+		scheme = sig.SchemeEd25519 // what NewServer picks for a zero Options
+	}
+	key, err := sig.Generate(scheme, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +103,9 @@ func rotationRow(t testing.TB, id int64) schema.Tuple {
 // it, so what is shipped must name the key it was minted under: the map,
 // signed when the edge first pulls it, carries the new version and a
 // signing time after the commit; the shard root carries the new version
-// under a Merkle scheme, where it too is signed when first shipped, and
-// the old one under per-node rsa, where the tree signed it at the commit.
+// too, signed when first shipped.
 func TestQuerySurvivesKeyRotation(t *testing.T) {
-	for _, scheme := range []sig.Scheme{sig.SchemeRSAFull, sig.SchemeRSAMerkle, sig.SchemeEd25519} {
+	for _, scheme := range []sig.Scheme{sig.SchemeRSAMerkle, sig.SchemeEd25519} {
 		scheme := scheme
 		t.Run(scheme.String(), func(t *testing.T) {
 			t.Parallel() // each waits out a second of wall clock
@@ -158,15 +161,11 @@ func TestQuerySurvivesKeyRotation(t *testing.T) {
 				t.Fatalf("post-rotation query returned %d tuples, want 10", len(res.Result.Tuples))
 			}
 			w := <-shipped
-			wantKey := uint32(0)
-			if scheme.Merkle() {
-				wantKey = 2
-				if err := d.central.PublicKey().Verify(w.RootSig, w.TopDigest); err != nil {
-					t.Errorf("shipped root signature: %v", err)
-				}
+			if err := d.central.PublicKey().Verify(w.RootSig, w.TopDigest); err != nil {
+				t.Errorf("shipped root signature: %v", err)
 			}
-			if w.KeyVersion != wantKey {
-				t.Errorf("shipped root names key version %d, want %d, the version it was signed under", w.KeyVersion, wantKey)
+			if w.KeyVersion != 2 {
+				t.Errorf("shipped root names key version %d, want 2, the version it was signed under", w.KeyVersion)
 			}
 
 			// The refetch must not become a hole: a VO stamped with a key

@@ -222,32 +222,16 @@ func (p Params) DeleteCost(qr int) float64 {
 // The signature ledger of the central server. A signature exists so that
 // what is shipped can be checked (§3), so the central signs what it ships,
 // when a replica is first shipped it, not what it commits: a commit signs
-// only what the paper's per-node scheme stores signed, and a new map
-// version — and, under a Merkle scheme, each new shard root — is signed
-// once, by the first pull that ships it.
-
-// CommitSignOps is what one commit signs: under the paper's per-node
-// scheme an attribute and a tuple signature per tuple inserted (N_C + 1)
-// and one per tree node the commit dirtied, each shard's root among them;
-// under a Merkle scheme nothing.
-func (p Params) CommitSignOps(merkle bool, inserted, dirtied int) int {
-	if merkle {
-		return 0
-	}
-	return inserted*(p.NC+1) + dirtied
-}
+// nothing, and a new map version and each new shard root are signed
+// once, by the first pull that ships them.
 
 // PullSignOps is what the first replica pull of a new map version signs:
-// the map; under a Merkle scheme each shard root the pull ships that no
-// replica was shipped before (a per-node tree signed its root at commit);
-// and one signature per delta body — a body is signed for each puller, so
-// a second puller of the same versions pays only its bodies. A snapshot
-// carries no signature of its own, only its root's.
-func PullSignOps(merkle bool, roots, bodies int) int {
-	if merkle {
-		return 1 + roots + bodies
-	}
-	return 1 + bodies
+// the map, each shard root the pull ships that no replica was shipped
+// before, and one signature per delta body — a body is signed for each
+// puller, so a second puller of the same versions pays only its bodies.
+// A snapshot carries no signature of its own, only its root's.
+func PullSignOps(roots, bodies int) int {
+	return 1 + roots + bodies
 }
 
 // ReshardCost is the cost of one online partition transition — the
@@ -258,7 +242,7 @@ func PullSignOps(merkle bool, roots, bodies int) int {
 // linear in the tuples that change shards. The transition itself signs
 // none of the constant component: the new roots and map are final at
 // its barrier, and the first pull that ships them signs them —
-// PullSignOps(merkle, RootsResigned, 0), a replica taking a shard it
+// PullSignOps(RootsResigned, 0), a replica taking a shard it
 // never held as a snapshot.
 type ReshardCost struct {
 	// RootsResigned is the number of new shard roots, one per child: 2

@@ -2,9 +2,9 @@ package costmodel
 
 import "edgeauth/internal/digest"
 
-// Ordered commitments: the cost model of the Merkle schemes.
+// Ordered commitments: the cost model of the deployed VB-tree.
 //
-// Under rsa-merkle and ed25519 a node commits to its ordered entries
+// A node commits to its ordered entries
 // through an in-node tree of arity A = digest.Arity (package digest), and
 // a VO carries the envelope from the root down: per envelope node its
 // entry count, the runs of positions the answer recomputes, and one

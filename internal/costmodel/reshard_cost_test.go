@@ -118,7 +118,7 @@ func TestReshardCostTiesToObservedStats(t *testing.T) {
 		model costmodel.ReshardCost
 		obs   reshardObs
 	}{{"split", ms, obsSplit}, {"merge", mm, obsMerge}} {
-		pull := costmodel.PullSignOps(true, c.model.RootsResigned, 0)
+		pull := costmodel.PullSignOps(c.model.RootsResigned, 0)
 		if uint64(c.model.RootsResigned) != c.obs.resigns || c.obs.signs != 0 || uint64(pull) != c.obs.pullSigns {
 			t.Errorf("%s signatures: model %d roots, 0 at the barrier, %d on the first pull; observed %d / %d / %d",
 				c.name, c.model.RootsResigned, pull, c.obs.resigns, c.obs.signs, c.obs.pullSigns)
@@ -177,16 +177,14 @@ func TestReshardCostShape(t *testing.T) {
 	if s.RootsResigned != 2 || m.RootsResigned != 1 {
 		t.Errorf("new roots: split %+v, merge %+v", s, m)
 	}
-	// The first pull of the new generation signs the map and, under a
-	// Merkle scheme, each new root; per-node trees signed theirs as they
-	// were built.
+	// The first pull of the new generation signs the map and each new
+	// root.
 	for _, tc := range []struct {
-		merkle bool
-		c      costmodel.ReshardCost
-		want   int
-	}{{true, s, 3}, {true, m, 2}, {false, s, 1}, {false, m, 1}} {
-		if got := costmodel.PullSignOps(tc.merkle, tc.c.RootsResigned, 0); got != tc.want {
-			t.Errorf("first pull after a %d-child transition (merkle %v) signs %d, want %d", tc.c.RootsResigned, tc.merkle, got, tc.want)
+		c    costmodel.ReshardCost
+		want int
+	}{{s, 3}, {m, 2}} {
+		if got := costmodel.PullSignOps(tc.c.RootsResigned, 0); got != tc.want {
+			t.Errorf("first pull after a %d-child transition signs %d, want %d", tc.c.RootsResigned, got, tc.want)
 		}
 	}
 	// A split writes the same tuple bytes as the inverse merge plus one

@@ -7,9 +7,11 @@
 // whose outputs are coalesced with multiplication modulo m = 2^128.
 // Because multiplication is commutative, a set of digests {d1..dn} can be
 // combined in any order without affecting the final digest — the property
-// the paper relies on for (a) order-free verification objects, (b)
-// projection at the edge server, and (c) incremental digest maintenance on
-// insert.
+// the paper relies on for order-free verification objects, projection at
+// the edge server and incremental digest maintenance on insert. The
+// combiner is the Naive baseline's tuple digest; the VB-tree itself
+// commits by the ordered hashes of merkle.go, because a product of raw
+// digests can be rebalanced by whoever serves it.
 //
 // The hash h follows formula (1) of the paper: it binds the database name,
 // table name, attribute name, tuple key and attribute value, so a digest
@@ -26,8 +28,7 @@
 // low 128 bits depend only on the factors' low 128 bits, so the kernel
 // computes them with math/bits.Mul64 and never forms the high half.
 // There is no division and no allocation. Hashed digests are forced odd,
-// the odd residues being exactly the units of Z_{2^128}, which makes the
-// accumulator invertible (Remove, by Newton iteration); every 16-byte
+// the odd residues being exactly the units of Z_{2^128}; every 16-byte
 // string is a canonical residue, units or not.
 //
 // # One g per product
@@ -54,6 +55,10 @@ import (
 
 // size is the digest length in bytes from Table 1 of the paper: m = 2^128.
 const size = 16
+
+// Size is the byte length of every Value: the width of every digest a
+// VO carries.
+const Size = size
 
 // exponent is e in g(x) = x^e mod m. The paper's worked example evaluates
 // x^15 with four squarings and four reductions. It is odd, so g maps
@@ -211,13 +216,6 @@ func appendField[T string | []byte](buf []byte, f T) []byte {
 // with length-prefixed framing of each field, truncated into Z_m and
 // coerced to a unit.
 func (a *Accumulator) HashAttribute(db, table, attr string, key, value []byte) Value {
-	return a.HashAttributeTo(nil, db, table, attr, key, value)
-}
-
-// HashAttributeTo is HashAttribute writing the digest into dst's backing
-// array when that has room for it, so a verifier hashing one attribute
-// after another into an Acc reuses a single Value.
-func (a *Accumulator) HashAttributeTo(dst Value, db, table, attr string, key, value []byte) Value {
 	a.countHash()
 	var stack [256]byte
 	buf := appendField(stack[:0], db)
@@ -225,7 +223,7 @@ func (a *Accumulator) HashAttributeTo(dst Value, db, table, attr string, key, va
 	buf = appendField(buf, attr)
 	buf = appendField(buf, key)
 	buf = appendField(buf, value)
-	return digestFromHash(dst, sha256.Sum256(buf))
+	return digestFromHash(sha256.Sum256(buf))
 }
 
 // HashBytes computes a generic domain-separated one-way digest of data under
@@ -236,19 +234,14 @@ func (a *Accumulator) HashBytes(domain string, data []byte) Value {
 	var stack [256]byte
 	buf := appendField(stack[:0], domain)
 	buf = append(buf, data...)
-	return digestFromHash(nil, sha256.Sum256(buf))
+	return digestFromHash(sha256.Sum256(buf))
 }
 
-// digestFromHash maps a raw hash output into a canonical unit Value (in
-// dst's backing array when it is large enough): the leading 16 bytes of
-// the hash already are a residue, and the odd residues are exactly the
-// units, so the coercion is one bit.
-func digestFromHash(dst Value, sum [sha256.Size]byte) Value {
-	out := dst[:0]
-	if cap(out) < size {
-		out = make(Value, size)
-	}
-	out = out[:size]
+// digestFromHash maps a raw hash output into a canonical unit Value: the
+// leading 16 bytes of the hash already are a residue, and the odd
+// residues are exactly the units, so the coercion is one bit.
+func digestFromHash(sum [sha256.Size]byte) Value {
+	out := make(Value, size)
 	copy(out, sum[:])
 	out[size-1] |= 1
 	return out
@@ -273,14 +266,6 @@ func (a *Accumulator) Combine(vs ...Value) (Value, error) {
 		}
 	}
 	return acc.Value(), nil
-}
-
-// Identity returns the digest of the empty combination (the canonical
-// encoding of 1).
-func (a *Accumulator) Identity() Value {
-	v := make(Value, size)
-	v[size-1] = 1
-	return v
 }
 
 // Lift applies g to v k times: Lift(v, k) = g^k(v). Because g is
@@ -312,24 +297,12 @@ func lift(v Value, k int) (Value, error) {
 	return out, nil
 }
 
-// Mul multiplies two already-combined digests modulo m (no g applied).
-func (a *Accumulator) Mul(u, v Value) (Value, error) {
-	acc, err := a.AccFrom(u)
-	if err != nil {
-		return nil, err
-	}
-	if err := acc.AddCombined(v); err != nil {
-		return nil, err
-	}
-	return acc.Value(), nil
-}
-
 // Acc is a running accumulator over digests. Its value is
 //
 //	done · g(pending)   (mod m)
 //
-// where pending is the product of the raw digests handed to Add (and the
-// inverses of those handed to Remove) since g was last applied, and done
+// where pending is the product of the raw digests handed to Add since g
+// was last applied, and done
 // collects the already-combined factors. g is applied to pending once,
 // when Value is read. Both products are held inline, so an Acc is one
 // allocation however much is folded into it. An Acc is not safe for
@@ -347,47 +320,16 @@ func (a *Accumulator) NewAcc() *Acc {
 	return &Acc{a: a, done: one, pending: one}
 }
 
-// AccFrom resumes accumulation from a previously combined digest. This is
-// the basis of the paper's incremental insert: the central server decodes
-// the current (unsigned) node digest and multiplies in the new tuple's
-// digest.
-func (a *Accumulator) AccFrom(combined Value) (*Acc, error) {
-	if err := checkLen(combined); err != nil {
-		return nil, err
-	}
-	acc := a.NewAcc()
-	acc.done = load(combined)
-	return acc, nil
-}
-
 // Add multiplies g(d) into the accumulator: d joins the pending product,
 // to which g is applied when Value is next read.
 func (acc *Acc) Add(d Value) error {
 	if err := checkLen(d); err != nil {
 		return err
 	}
-	acc.addRun(d, size, 1)
+	acc.pending = mul(acc.pending, load(d))
+	acc.dirty = true
+	acc.a.countCombine(1)
 	return nil
-}
-
-// AddRun is Add for every digest of a strided run, in place: run is
-// len(run)/stride records of stride bytes, each beginning with a 16-byte
-// digest — a VO's D_P run has stride Len(), its D_S run Len()+1, a lift
-// riding behind each digest. The run's shape is checked once, not per
-// digest, and the combines are counted once.
-func (acc *Acc) AddRun(run []byte, stride int) error {
-	if stride < size || len(run)%stride != 0 {
-		return fmt.Errorf("digest: %d bytes are not a run of %d-byte records holding %d-byte digests", len(run), stride, size)
-	}
-	acc.addRun(run, stride, len(run)/stride)
-	return nil
-}
-
-// addRun folds the n digests of a run whose shape its caller checked.
-func (acc *Acc) addRun(run []byte, stride, n int) {
-	acc.pending = mulRun(acc.pending, run, stride)
-	acc.dirty = acc.dirty || n > 0
-	acc.a.countCombine(int64(n))
 }
 
 // AddCombined multiplies an already-combined digest (a product of g-values)
@@ -400,23 +342,6 @@ func (acc *Acc) AddCombined(d Value) error {
 		return err
 	}
 	acc.done = mul(acc.done, load(d))
-	acc.a.countCombine(1)
-	return nil
-}
-
-// Remove divides g(d) out of the accumulator: g(d)⁻¹ = g(d⁻¹), so d⁻¹
-// joins the pending product. It fails if d is not a unit modulo m, i.e.
-// is even (impossible for hashed digests, which are all odd).
-func (acc *Acc) Remove(d Value) error {
-	if err := checkLen(d); err != nil {
-		return err
-	}
-	x := load(d)
-	if x.lo&1 == 0 {
-		return fmt.Errorf("digest: %v is not invertible modulo m", d)
-	}
-	acc.pending = mul(acc.pending, x.inv())
-	acc.dirty = true
 	acc.a.countCombine(1)
 	return nil
 }

@@ -34,16 +34,6 @@ func mul(x, y u128) u128 {
 	return u128{lo: lo, hi: hi + x.lo*y.hi + x.hi*y.lo}
 }
 
-// mulRun returns p·Π d mod 2^128 over d the 16-byte digest at the start
-// of each stride-byte record of run. len(run) is a multiple of stride and
-// stride ≥ 16.
-func mulRun(p u128, run []byte, stride int) u128 {
-	for off := 0; off < len(run); off += stride {
-		p = mul(p, load(run[off:off+size]))
-	}
-	return p
-}
-
 // g returns x^e mod 2^128 by left-to-right square-and-multiply over the
 // bits of e.
 func (x u128) g() u128 {
@@ -55,20 +45,4 @@ func (x u128) g() u128 {
 		}
 	}
 	return y
-}
-
-// inv returns x⁻¹ mod 2^128 for odd x by Newton's iteration
-// y ← y·(2 − x·y), which doubles the number of correct low bits per step.
-// An odd x is its own inverse modulo 8; five steps on the low limb alone
-// reach 96 ≥ 64 correct bits, and one step at full width reaches 128.
-func (x u128) inv() u128 {
-	y := x.lo
-	for i := 0; i < 5; i++ {
-		y *= 2 - x.lo*y
-	}
-	r := u128{lo: y}
-	t := mul(x, r)
-	// 2 − t = ^t + 3 in two's complement.
-	lo, carry := bits.Add64(^t.lo, 3, 0)
-	return mul(r, u128{lo: lo, hi: ^t.hi + carry})
 }

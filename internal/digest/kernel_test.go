@@ -3,9 +3,7 @@ package digest
 import (
 	"bytes"
 	"fmt"
-	"math/big"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -13,7 +11,7 @@ import (
 // all-ones (every carry chain runs to the top), single bits on either
 // side of the limb boundary, a full low limb under an empty high one, and
 // a full high limb over an empty low one. Evens are included on purpose —
-// G, Mul, Add and AddCombined accept non-units.
+// G, Add and AddCombined accept non-units.
 func boundaryValues() []Value {
 	mk := func(fill func(v Value)) Value {
 		v := make(Value, size)
@@ -84,8 +82,12 @@ func diffCheck(t testing.TB, vals []Value) {
 			eq(fmt.Sprintf("Lift(%x, %d)", []byte(v), k), got, err, r.lift(v, k))
 		}
 		w := vals[(i+1)%len(vals)]
-		got, err = a.Mul(v, w)
-		eq(fmt.Sprintf("Mul(%x, %x)", []byte(v), []byte(w)), got, err, r.mul(v, w))
+		prod := a.NewAcc()
+		if err := prod.AddCombined(v); err != nil {
+			t.Fatal(err)
+		}
+		err = prod.AddCombined(w)
+		eq(fmt.Sprintf("AddCombined(%x)·AddCombined(%x)", []byte(v), []byte(w)), prod.Value(), err, r.mul(v, w))
 	}
 	got, err := a.Combine(vals...)
 	eq("Combine", got, err, r.combine(vals...))
@@ -112,100 +114,6 @@ func diffCheck(t testing.TB, vals []Value) {
 		}
 	}
 	eq("Acc.Value", acc.Value(), nil, racc.value())
-	// A non-unit must be refused and leave the accumulator as it was.
-	for _, v := range vals {
-		err := acc.Remove(v)
-		if ok := racc.remove(v); ok != (err == nil) {
-			t.Fatalf("Remove(%x): kernel err %v, reference invertible %v", []byte(v), err, ok)
-		}
-		eq(fmt.Sprintf("Acc.Value after Remove(%x)", []byte(v)), acc.Value(), nil, racc.value())
-	}
-	runCheck(t, a, r, vals)
-	// The incremental-update shape: resume from a combined digest, swap
-	// one factor for another.
-	for i, v := range vals {
-		in, out := vals[(i+1)%len(vals)], vals[(i+2)%len(vals)]
-		from, err := a.AccFrom(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rfrom := r.accFrom(v)
-		eq("AccFrom.Value", from.Value(), nil, rfrom.value())
-		if err := from.Add(in); err != nil {
-			t.Fatal(err)
-		}
-		rfrom.add(in)
-		if err := from.Remove(out); err == nil {
-			rfrom.remove(out)
-		}
-		eq("AccFrom.Add.Remove.Value", from.Value(), nil, rfrom.value())
-	}
-}
-
-// runCheck folds vals as a run — packed at stride Len(), as a D_P run
-// travels, and at stride Len()+1 behind a lift byte, as a D_S run does —
-// into a fresh Acc and into one that already holds a digest and a
-// combined factor, and requires the bytes the math/big reference gets by
-// folding each digest on its own.
-func runCheck(t testing.TB, a *Accumulator, r *ref, vals []Value) {
-	t.Helper()
-	// A zero digest would zero every product folded after it and so hide
-	// the rest of the run from the comparison; the single-digest checks
-	// above cover zero.
-	vals = slices.DeleteFunc(slices.Clone(vals), func(v Value) bool {
-		return new(big.Int).SetBytes(v).Sign() == 0
-	})
-	for _, stride := range []int{size, size + 1} {
-		run := make([]byte, 0, len(vals)*stride)
-		for i, v := range vals {
-			run = append(run, v...)
-			if stride > size {
-				run = append(run, byte(i)) // the lift: not part of the digest
-			}
-		}
-		acc, racc := a.NewAcc(), r.newAcc()
-		if err := acc.AddRun(run, stride); err != nil {
-			t.Fatalf("AddRun (stride %d): %v", stride, err)
-		}
-		for _, v := range vals {
-			racc.add(v)
-		}
-		if got, want := acc.Value(), racc.value(); !bytes.Equal(got, want) {
-			t.Fatalf("AddRun (stride %d, %d digests):\n kernel %x\n    big %x", stride, len(vals), []byte(got), []byte(want))
-		}
-		// Folded on top of what an Acc already holds, in two pieces.
-		acc, racc = a.NewAcc(), r.newAcc()
-		first, last := vals[0], vals[len(vals)-1]
-		if err := acc.Add(last); err != nil {
-			t.Fatal(err)
-		}
-		if err := acc.AddCombined(first); err != nil {
-			t.Fatal(err)
-		}
-		racc.add(last)
-		racc.addCombined(first)
-		half := len(vals) / 2 * stride
-		for _, part := range [][]byte{run[:half], run[half:]} {
-			if err := acc.AddRun(part, stride); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, v := range vals {
-			racc.add(v)
-		}
-		if got, want := acc.Value(), racc.value(); !bytes.Equal(got, want) {
-			t.Fatalf("Add, AddCombined, AddRun ×2 (stride %d):\n kernel %x\n    big %x", stride, []byte(got), []byte(want))
-		}
-		// A run that is not whole records of whole digests is refused.
-		if len(run) > 0 {
-			if err := a.NewAcc().AddRun(run[:len(run)-1], stride); err == nil {
-				t.Fatalf("AddRun (stride %d) took a run one byte short", stride)
-			}
-		}
-		if err := a.NewAcc().AddRun(run, size-1); err == nil {
-			t.Fatal("AddRun took records narrower than a digest")
-		}
-	}
 }
 
 // TestKernelMatchesBig is the differential property: on the boundary
@@ -246,7 +154,7 @@ func FuzzKernelVsBig(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Four operands cut from data, cycling; the first two forced to be
-		// a unit and a non-unit so Remove sees both.
+		// a unit and a non-unit.
 		vals := make([]Value, 4)
 		for i := range vals {
 			vals[i] = make(Value, size)
@@ -276,13 +184,6 @@ func TestAccAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _ = acc.AddCombined(d) }); n != 0 {
 		t.Errorf("Acc.AddCombined allocates %v times, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = acc.Remove(d) }); n != 0 {
-		t.Errorf("Acc.Remove allocates %v times, want 0", n)
-	}
-	run := bytes.Repeat(append(d.Clone(), 1), 64) // a D_S run: digest, lift
-	if n := testing.AllocsPerRun(100, func() { _ = acc.AddRun(run, size+1) }); n != 0 {
-		t.Errorf("Acc.AddRun allocates %v times, want 0", n)
-	}
 	perAcc := func(adds int) float64 {
 		return testing.AllocsPerRun(50, func() {
 			acc := a.NewAcc()
@@ -311,22 +212,6 @@ func BenchmarkAccAdd(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := acc.Add(d); err != nil {
-			b.Fatal(err)
-		}
-	}
-	benchSink = acc.Value()
-}
-
-// BenchmarkAccAddRun folds the D_P run of a read.range answer: 256 rows
-// × 7 projected-out columns of 16-byte digests.
-func BenchmarkAccAddRun(b *testing.B) {
-	a := MustNew(DefaultParams())
-	run := bytes.Repeat(a.HashBytes("bench", []byte("d")), 256*7)
-	acc := a.NewAcc()
-	b.ReportAllocs()
-	b.SetBytes(int64(len(run)))
-	for i := 0; i < b.N; i++ {
-		if err := acc.AddRun(run, a.Len()); err != nil {
 			b.Fatal(err)
 		}
 	}

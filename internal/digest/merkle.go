@@ -7,13 +7,13 @@ import (
 	"fmt"
 )
 
-// Ordered commitments: the Merkle schemes (rsa-merkle and ed25519).
+// Ordered commitments: how the VB-tree commits, under every scheme.
 //
-// Under a Merkle scheme only the root digest is signed, and every other
-// digest travels raw. A product of raw factors can be rebalanced — an edge
-// that rewrites a value multiplies some other factor by h(old)·h(new)⁻¹
-// and the product is unchanged — so the Merkle schemes do not combine by
-// multiplication at any level. Each level commits to an ordered hash of
+// Only the root digest is signed, and every other digest travels raw. A
+// product of raw factors can be rebalanced — an edge that rewrites a
+// value multiplies some other factor by h(old)·h(new)⁻¹ and the product
+// is unchanged — so the tree does not combine by multiplication at any
+// level. Each level commits to an ordered hash of
 // the level below instead, H being SHA-256 truncated to 16 bytes:
 //
 //	attribute: d_i = H(0x01 ‖ u16 i ‖ canonical value)

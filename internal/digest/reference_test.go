@@ -61,7 +61,6 @@ type refAcc struct {
 }
 
 func (r *ref) newAcc() *refAcc           { return &refAcc{r: r, v: big.NewInt(1)} }
-func (r *ref) accFrom(c Value) *refAcc   { return &refAcc{r: r, v: r.decode(c)} }
 func (acc *refAcc) value() Value         { return acc.r.encode(acc.v) }
 func (acc *refAcc) addCombined(d Value)  { acc.mulMod(acc.r.decode(d)) }
 func (acc *refAcc) add(d Value)          { acc.mulMod(acc.gOf(d)) }
@@ -70,16 +69,6 @@ func (acc *refAcc) gOf(d Value) *big.Int { x := acc.r.decode(d); return x.Exp(x,
 func (acc *refAcc) mulMod(x *big.Int) {
 	acc.v.Mul(acc.v, x)
 	acc.v.Mod(acc.v, acc.r.m)
-}
-
-// remove reports false when g(d) has no inverse modulo m.
-func (acc *refAcc) remove(d Value) bool {
-	inv := new(big.Int).ModInverse(acc.gOf(d), acc.r.m)
-	if inv == nil {
-		return false
-	}
-	acc.mulMod(inv)
-	return true
 }
 
 func (r *ref) hashAttribute(db, table, attr string, key, value []byte) Value {

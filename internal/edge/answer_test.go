@@ -11,7 +11,6 @@ import (
 	"edgeauth/internal/israce"
 	"edgeauth/internal/query"
 	"edgeauth/internal/schema"
-	"edgeauth/internal/sig"
 	"edgeauth/internal/storage"
 	"edgeauth/internal/verify"
 	"edgeauth/internal/wire"
@@ -40,10 +39,7 @@ func rangeRequest(t *testing.T, lo, hi int64) []byte {
 // on 4 KB pages (the benchmark's deployment, smaller).
 func merkleEdge(t *testing.T, rows int) (*central.Server, *Server) {
 	t.Helper()
-	key, err := serverKey(t).WithScheme(sig.SchemeRSAMerkle)
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := serverKey(t)
 	srv, err := central.NewServerWithKey(central.Options{}, key)
 	if err != nil {
 		t.Fatal(err)

@@ -99,24 +99,18 @@ func TestDeltaApplyAllocationBudget(t *testing.T) {
 // TestDeltaFromParentCommitApplies: the bodies an earlier central served
 // go through this edge's install, decode, signature check and apply under
 // every scheme, and what the store then holds answers a full scan that
-// verifies against the root digest the earlier signed map pins. Per-node
-// rsa's are what a central at cc58d1a served (see
-// wire.TestDeltaBytesMatchParentCommit). The Merkle schemes' pages have
-// committed by ordered hashes since protocol 6, so a Merkle store from
-// before then holds digests this build does not compute: theirs are what
-// a central at protocol 6 served for the same steps (testdata/ordered-v6:
-// 40 rows on 1 KB pages, one inserted, three deleted).
+// verifies against the root digest the earlier signed map pins. Pages
+// have committed by ordered hashes since protocol 6, so a store from
+// before then holds digests this build does not compute: the bodies are
+// what a central at protocol 6 served (testdata/ordered-v6: 40 rows on
+// 1 KB pages, one inserted, three deleted).
 func TestDeltaFromParentCommitApplies(t *testing.T) {
 	ctx := context.Background()
-	for _, scheme := range []string{"rsa", "rsa-merkle", "ed25519"} {
+	for _, scheme := range []string{"rsa-merkle", "ed25519"} {
 		t.Run(scheme, func(t *testing.T) {
 			read := func(name string) []byte {
 				t.Helper()
-				dir := "parent-cc58d1a"
-				if scheme != "rsa" {
-					dir = "ordered-v6"
-				}
-				b, err := os.ReadFile(filepath.Join("..", "wire", "testdata", dir, scheme, name))
+				b, err := os.ReadFile(filepath.Join("..", "wire", "testdata", "ordered-v6", scheme, name))
 				if err != nil {
 					t.Fatal(err)
 				}

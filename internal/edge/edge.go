@@ -38,7 +38,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/big"
 	"net"
 	"sort"
 	"sync"
@@ -192,7 +191,9 @@ func (r *replica) pinCurrent(store *storage.PageStore) (*shardReplica, error) {
 		snap.Release()
 		return nil, errors.New("edge: replica has no published version")
 	}
-	view, err := st.ViewOver(snap, r.sch, acc, placeholderPub(st.KeyVersion, st.Scheme))
+	// The edge holds no trusted key: the root signature is bytes it serves
+	// back. The view wants a public key only for the VO's key version.
+	view, err := st.ViewOver(snap, r.sch, acc, &sig.PublicKey{Version: st.KeyVersion})
 	if err != nil {
 		snap.Release()
 		return nil, err
@@ -477,21 +478,6 @@ func installStore(snap *wire.Snapshot) (*storage.PageStore, error) {
 	}
 	ov.Publish(st)
 	return store, nil
-}
-
-// placeholderPub builds the stand-in public key an edge replica's view is
-// configured with. The edge holds no trusted key material: signed digests
-// are opaque bytes it serves back to clients, and queries never recover
-// them. The view still wants a public key for the VO's key-version stamp
-// and the scheme (which decides whether VOs are root-anchored Merkle
-// proofs), so the placeholder carries only those.
-func placeholderPub(keyVersion uint32, scheme sig.Scheme) *sig.PublicKey {
-	return &sig.PublicKey{
-		N:       new(big.Int).Lsh(big.NewInt(1), 512),
-		E:       big.NewInt(65537),
-		Version: keyVersion,
-		Scheme:  scheme,
-	}
 }
 
 // applyDelta builds the successor snapshot from a verified delta — the
@@ -1382,7 +1368,6 @@ func (s *Server) appendAnswer(ctx context.Context, dst []byte, tableName string,
 		return nil, nil, err
 	}
 	defer sr.snap.Release()
-	q.AnchorRoot = true
 	out, voBytes, err := sr.view.AppendAnswer(ctx, q, dst)
 	if err != nil {
 		return nil, nil, err

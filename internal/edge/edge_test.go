@@ -25,7 +25,7 @@ var (
 
 func serverKey(t testing.TB) *sig.PrivateKey {
 	t.Helper()
-	keyOnce.Do(func() { testKey = sig.MustGenerateKey(512) })
+	keyOnce.Do(func() { testKey = sig.MustGenerate(sig.SchemeRSAMerkle, 512) })
 	return testKey
 }
 

@@ -66,7 +66,7 @@ func verifiedCount(t *testing.T, edgeAddr, centralAddr string, loID int64) int {
 // tier-2 then serves must verify at a client: a relayed snapshot that
 // loses the scheme makes an honest edge's Merkle answers look tampered.
 func TestPeerTierBootstrapAndDeltaRelay(t *testing.T) {
-	for _, scheme := range []sig.Scheme{sig.SchemeRSAFull, sig.SchemeRSAMerkle, sig.SchemeEd25519} {
+	for _, scheme := range []sig.Scheme{sig.SchemeRSAMerkle, sig.SchemeEd25519} {
 		t.Run(scheme.String(), func(t *testing.T) {
 			key, err := sig.Generate(scheme, 512)
 			if err != nil {

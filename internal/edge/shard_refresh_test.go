@@ -8,7 +8,6 @@ import (
 
 	"edgeauth/internal/central"
 	"edgeauth/internal/schema"
-	"edgeauth/internal/sig"
 	"edgeauth/internal/storage"
 	"edgeauth/internal/vbtree"
 	"edgeauth/internal/verify"
@@ -196,10 +195,7 @@ func TestShardedRefreshRecoversFromPartialFailure(t *testing.T) {
 // request reaches the shard it names or a typed ShardMoved.
 func TestRefreshRacingSplitKeepsShardsApart(t *testing.T) {
 	ctx := context.Background()
-	key, err := serverKey(t).WithScheme(sig.SchemeRSAMerkle)
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := serverKey(t)
 	srv, addr := startCentralKey(t, 300, central.Options{PageSize: 1024, Shards: 3}, key)
 	eg := New(addr)
 	t.Cleanup(func() { eg.Close() })

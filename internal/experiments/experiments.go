@@ -68,10 +68,13 @@ type Env struct {
 	verPub   *sig.PublicKey
 }
 
-// NewEnv builds the measured environment. Signing every attribute, tuple
-// and node digest takes a few seconds at default scale.
+// NewEnv builds the measured environment under an rsa-merkle key, so that
+// the VB-tree's one root signature and the Naive baseline's per-attribute
+// signatures are both RSA recoveries at the client. The Naive store's
+// signing of every attribute and tuple digest takes a few seconds at
+// default scale.
 func NewEnv(cfg Config) (*Env, error) {
-	key, err := sig.GenerateKey(cfg.KeyBits)
+	key, err := sig.Generate(sig.SchemeRSAMerkle, cfg.KeyBits)
 	if err != nil {
 		return nil, err
 	}

@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"context"
-	"math"
 	"sync"
 	"testing"
 
-	"edgeauth/internal/costmodel"
 	"edgeauth/internal/sig"
 )
 
@@ -30,7 +28,7 @@ var (
 func testEnv(t *testing.T) *Env {
 	t.Helper()
 	envOnce.Do(func() {
-		key, err := sig.GenerateKey(512)
+		key, err := sig.Generate(sig.SchemeRSAMerkle, 512)
 		if err != nil {
 			envErr = err
 			return
@@ -96,10 +94,11 @@ func TestMeasureOpsOrdering(t *testing.T) {
 	if p.VBRecover >= p.NaiveRecover {
 		t.Fatalf("VB recoveries %d >= naive %d", p.VBRecover, p.NaiveRecover)
 	}
-	// Both hash every returned attribute.
+	// Both hash every returned attribute; the VB-tree also hashes each
+	// row's tuple digest and the envelope's groups and nodes.
 	wantHashes := int64(p.QR * len(e.Sch.Columns))
-	if p.VBHash != wantHashes || p.NaiveHash != wantHashes {
-		t.Fatalf("hash ops vb=%d naive=%d, want %d", p.VBHash, p.NaiveHash, wantHashes)
+	if p.VBHash < wantHashes+int64(p.QR) || p.NaiveHash != wantHashes {
+		t.Fatalf("hash ops vb=%d naive=%d, want at least %d and exactly %d", p.VBHash, p.NaiveHash, wantHashes+int64(p.QR), wantHashes)
 	}
 	// Weighted cost keeps the ordering for every X the paper sweeps.
 	for _, x := range []float64{5, 10, 100} {
@@ -109,53 +108,16 @@ func TestMeasureOpsOrdering(t *testing.T) {
 	}
 }
 
-// TestCombineOpsMatchCostModel ties formula (10)'s combine term — "one
-// combine per digest folded into the final product", q_r·N_C + |D_S| — to
-// the CombineOps a real verification counts. The verifier spends one
-// multiplication per digest plus 2L+1 for the L+1 applications of g and
-// the L hand-downs between levels; the model's |D_S| is the paper's
-// (F−1)-per-boundary-node bound rather than the VO's actual count. Stated
-// tolerance: within 5% of the model once the result has 40 tuples, never
-// below q_r·N_C, and independent of Q_C (a projected-out attribute's
-// digest arrives in D_P and is folded in exactly like a computed one).
-func TestCombineOpsMatchCostModel(t *testing.T) {
-	e := testEnv(t)
-	cfg := testConfig()
-	model := costmodel.Default()
-	model.B, model.NR, model.NC = cfg.PageSize, cfg.Rows, len(e.Sch.Columns)
-	model.K, model.D = 8, cfg.KeyBits/8 // int64 keys; legacy scheme, so |D| is a signature
-	model.CostH, model.X, model.CostK = 0, 0, 1
-	for _, sel := range []float64{5, 10, 20, 50, 100} {
-		var atFullWidth int64
-		for _, qc := range []int{len(e.Sch.Columns), 3} {
-			p, err := e.MeasureOps(context.Background(), sel, qc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			model.QC = qc
-			predicted := model.CompVB(p.QR)
-			if floor := int64(p.QR * model.NC); p.VBCombine <= floor {
-				t.Errorf("sel %v%% Q_C %d: %d combine ops, below one per attribute digest (%d)", sel, qc, p.VBCombine, floor)
-			}
-			if off := math.Abs(float64(p.VBCombine)-predicted) / predicted; off > 0.05 {
-				t.Errorf("sel %v%% Q_C %d (q_r %d): observed %d combine ops, model predicts %.0f (%.1f%% apart, tolerance 5%%)",
-					sel, qc, p.QR, p.VBCombine, predicted, 100*off)
-			}
-			if atFullWidth == 0 {
-				atFullWidth = p.VBCombine
-			} else if p.VBCombine != atFullWidth {
-				t.Errorf("sel %v%%: %d combine ops at Q_C %d, %d unprojected; projection must not change the count", sel, p.VBCombine, qc, atFullWidth)
-			}
-		}
-	}
-}
-
 func TestMeasuredFigureShapes(t *testing.T) {
 	e := testEnv(t)
+	// A VB-tree entry carries a 16-byte digest a B-tree entry does not,
+	// so its fan-out is below the B-tree's — except where the digests of
+	// a page's entries fit in what the B-tree's entries leave over: at
+	// 256-byte keys on these 1 KB pages both hold 4.
 	f8 := e.MeasuredFig8()
 	for i := range f8.X {
-		if f8.Series[1].Y[i] >= f8.Series[0].Y[i] {
-			t.Errorf("F8: VB fan-out >= B fan-out at x=%v", f8.X[i])
+		if vb, b := f8.Series[1].Y[i], f8.Series[0].Y[i]; vb > b || vb == b && f8.X[i] != 8 {
+			t.Errorf("F8: VB fan-out %v, B fan-out %v at x=%v", vb, b, f8.X[i])
 		}
 	}
 	f9 := e.MeasuredFig9()
@@ -233,65 +195,55 @@ func TestMeasureUpdates(t *testing.T) {
 	}
 	insert := pts[0]
 	audit := pts[len(pts)-1]
-	// Formula (11): an insert hashes N_C attributes and performs a
-	// handful of combines — orders of magnitude below a full recompute.
+	// Formula (11): an insert hashes N_C attributes, its tuple and the
+	// dirty groups and nodes of its path — orders of magnitude below a
+	// full recompute; so does a delete, which rehashes only the nodes it
+	// changed. Nothing combines.
 	if insert.HashOps > 50 {
 		t.Errorf("insert hashed %d times", insert.HashOps)
 	}
 	if audit.HashOps < int64(cfg.SmallRows) {
 		t.Errorf("audit hashed only %d times", audit.HashOps)
 	}
-	if insert.Combines*10 > audit.Combines {
-		t.Errorf("incremental insert (%d combines) not clearly below recompute (%d)",
-			insert.Combines, audit.Combines)
-	}
-	// Delete cost grows (weakly) with the deleted range.
-	deletes := pts[1 : len(pts)-1]
-	if deletes[len(deletes)-1].Combines < deletes[0].Combines {
-		t.Errorf("delete combines shrank with range size: %+v", deletes)
+	for _, p := range pts[:len(pts)-1] {
+		if p.HashOps*10 > audit.HashOps || p.Combines != 0 {
+			t.Errorf("%s: %d hashes and %d combines, not clearly below the recompute's %d hashes",
+				p.Label, p.HashOps, p.Combines, audit.HashOps)
+		}
 	}
 }
 
 // TestMeasureUpdatesMatchesParentCommit pins Figure 12's rows — hashes,
 // combines and recoveries of the insert (formula (11)), the deletes
-// (formula (12)) and the Audit baseline — to what the commit that still
-// carried a separate per-tuple insert path measured on the same trees.
-// The insert row is N_C hashes and N_C + 3H combines for a tree of
-// height H (vbtree.TestInsertCostIsFormula11 derives the count); the
-// Merkle tree is a level lower at each size because its entries are
-// 16-byte digests, not 64-byte signatures.
-//
-// The rsa rows are unchanged. The rsa-merkle rows are this commit's: the
-// Merkle schemes commit by ordered hashes, so they hash and never combine
-// — the insert N_C attribute hashes, a tuple hash and the dirty in-node
-// groups and node hashes of its path (costmodel.OrderedInsertHashes), a
-// delete the rehashed nodes, the Audit every digest of the tree. Each row
-// quotes what the parent commit (253a3c6) measured when they combined.
+// (formula (12)) and the Audit baseline — under the rsa-merkle key the
+// measured figures run: the tree commits by ordered hashes, so it hashes
+// and never combines — the insert N_C attribute hashes, a tuple hash and
+// the dirty in-node groups and node hashes of its path
+// (costmodel.OrderedInsertHashes), a delete the rehashed nodes, the
+// Audit every digest of the tree and its one root recovery. Each row
+// quotes what commit 253a3c6 measured when the tree combined.
 func TestMeasureUpdatesMatchesParentCommit(t *testing.T) {
 	for _, tc := range []struct {
-		scheme sig.Scheme
-		rows   int
-		want   [][3]int64 // insert, deletes of 1/10/100, Audit
+		rows int
+		want [][3]int64 // insert, deletes of 1/10/100, Audit
 	}{
-		{sig.SchemeRSAFull, 400, [][3]int64{{10, 19, 2}, {0, 18, 13}, {0, 8, 3}, {0, 25, 20}, {2900, 3537, 3219}}},
-		{sig.SchemeRSAFull, 2000, [][3]int64{{10, 22, 3}, {0, 21, 14}, {0, 11, 4}, {0, 28, 21}, {18900, 23029, 20965}}},
-		// parent: {10, 16, 0}, {0, 32, 0}, {0, 22, 0}, {0, 12, 0}, {2900, 3503, 1}
-		{sig.SchemeRSAMerkle, 400, [][3]int64{{16, 0, 0}, {8, 0, 0}, {7, 0, 0}, {7, 0, 0}, {3247, 0, 1}}},
-		// parent: {10, 19, 0}, {0, 35, 0}, {0, 25, 0}, {0, 15, 0}, {18900, 22819, 1}
-		{sig.SchemeRSAMerkle, 2000, [][3]int64{{16, 0, 0}, {11, 0, 0}, {10, 0, 0}, {10, 0, 0}, {21143, 0, 1}}},
+		// 253a3c6: {10, 16, 0}, {0, 32, 0}, {0, 22, 0}, {0, 12, 0}, {2900, 3503, 1}
+		{400, [][3]int64{{16, 0, 0}, {8, 0, 0}, {7, 0, 0}, {7, 0, 0}, {3247, 0, 1}}},
+		// 253a3c6: {10, 19, 0}, {0, 35, 0}, {0, 25, 0}, {0, 15, 0}, {18900, 22819, 1}
+		{2000, [][3]int64{{16, 0, 0}, {11, 0, 0}, {10, 0, 0}, {10, 0, 0}, {21143, 0, 1}}},
 	} {
 		cfg := testConfig()
 		cfg.SmallRows = tc.rows
-		pts, err := measureUpdates(cfg, tc.scheme)
+		pts, err := MeasureUpdates(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(pts) != len(tc.want) {
-			t.Fatalf("%v/%d: got %d update points, want %d", tc.scheme, tc.rows, len(pts), len(tc.want))
+			t.Fatalf("%d rows: got %d update points, want %d", tc.rows, len(pts), len(tc.want))
 		}
 		for i, p := range pts {
 			if got := [3]int64{p.HashOps, p.Combines, p.Recovers}; got != tc.want[i] {
-				t.Errorf("%v/%d %s: hash/combine/recover = %v, pinned %v", tc.scheme, tc.rows, p.Label, got, tc.want[i])
+				t.Errorf("%d rows %s: hash/combine/recover = %v, pinned %v", tc.rows, p.Label, got, tc.want[i])
 			}
 		}
 	}

@@ -17,9 +17,9 @@ import (
 )
 
 // MeasuredFig8 reports the implementation's real index fan-outs versus key
-// length: the B-tree and VB-tree node layouts with the deployment's actual
-// signature length (real RSA signatures are wider than the paper's 16-byte
-// |D|, which widens the fan-out gap — same shape, larger constant).
+// length: the B-tree and VB-tree node layouts, the VB-tree's entries
+// carrying the paper's 16-byte |D| and its pages the in-node group
+// digests of the ordered commitment (vbtree.MaxInternalFanOut).
 func (e *Env) MeasuredFig8() costmodel.Figure {
 	f := costmodel.Figure{
 		ID:     "F8-measured",
@@ -28,12 +28,11 @@ func (e *Env) MeasuredFig8() costmodel.Figure {
 		YLabel: "fan-out",
 		Series: []costmodel.Series{{Name: "B-tree"}, {Name: "VB-tree"}},
 	}
-	sigLen := e.Key.Len()
 	for i := 0; i <= 8; i++ {
 		kl := 1 << i
 		f.X = append(f.X, float64(i))
 		f.Series[0].Y = append(f.Series[0].Y, float64(btreeFanOut(e.Cfg.PageSize, kl)))
-		f.Series[1].Y = append(f.Series[1].Y, float64(vbtree.MaxInternalFanOut(e.Cfg.PageSize, kl, sigLen)))
+		f.Series[1].Y = append(f.Series[1].Y, float64(vbtree.MaxInternalFanOut(e.Cfg.PageSize, kl, e.AccLen)))
 	}
 	return f
 }
@@ -58,7 +57,6 @@ func (e *Env) MeasuredFig9() costmodel.Figure {
 		YLabel: "height (levels)",
 		Series: []costmodel.Series{{Name: "B-tree"}, {Name: "VB-tree"}},
 	}
-	sigLen := e.Key.Len()
 	const nr = 1_000_000
 	heightFor := func(fanOut int) float64 {
 		if fanOut < 2 {
@@ -70,7 +68,7 @@ func (e *Env) MeasuredFig9() costmodel.Figure {
 		kl := 1 << i
 		f.X = append(f.X, float64(i))
 		f.Series[0].Y = append(f.Series[0].Y, heightFor(btreeFanOut(e.Cfg.PageSize, kl)))
-		f.Series[1].Y = append(f.Series[1].Y, heightFor(vbtree.MaxInternalFanOut(e.Cfg.PageSize, kl, sigLen)))
+		f.Series[1].Y = append(f.Series[1].Y, heightFor(vbtree.MaxInternalFanOut(e.Cfg.PageSize, kl, e.AccLen)))
 	}
 	return f
 }
@@ -116,7 +114,7 @@ func MeasuredFig11(ctx context.Context, cfg Config) (costmodel.Figure, error) {
 			{Name: "VB-tree(20%)"}, {Name: "VB-tree(80%)"},
 		},
 	}
-	key, err := sig.GenerateKey(cfg.KeyBits)
+	key, err := sig.Generate(sig.SchemeRSAMerkle, cfg.KeyBits)
 	if err != nil {
 		return f, err
 	}
@@ -271,15 +269,11 @@ type UpdatePoint struct {
 	Wall     time.Duration
 }
 
-// MeasureUpdates builds a fresh tree at SmallRows scale and measures
-// insert and range-delete costs, plus the full-recompute (Audit) baseline
-// the incremental scheme avoids.
+// MeasureUpdates builds a fresh tree at SmallRows scale under an
+// rsa-merkle key and measures insert and range-delete costs, plus the
+// full-recompute (Audit) baseline the incremental scheme avoids.
 func MeasureUpdates(cfg Config) ([]UpdatePoint, error) {
-	return measureUpdates(cfg, sig.SchemeRSAFull)
-}
-
-func measureUpdates(cfg Config, scheme sig.Scheme) ([]UpdatePoint, error) {
-	key, err := sig.Generate(scheme, cfg.KeyBits)
+	key, err := sig.Generate(sig.SchemeRSAMerkle, cfg.KeyBits)
 	if err != nil {
 		return nil, err
 	}

@@ -107,7 +107,7 @@ func (s *Schema) KeyColumn() Column { return s.Columns[s.Key] }
 
 // Project returns a new schema restricted to the named columns, in the
 // given order. The key column need not be included (the paper's projection
-// VOs still verify because filtered attributes travel as signed digests),
+// VOs still verify because filtered attributes travel as digests),
 // but if it is, the projected schema keeps it as its key; otherwise Key is
 // -1 and the projected schema is result-only (not indexable).
 func (s *Schema) Project(cols []string) (*Schema, []int, error) {

@@ -103,7 +103,7 @@ func TestShardForAndRange(t *testing.T) {
 }
 
 func TestSignVerifyRoundTrip(t *testing.T) {
-	key := sig.MustGenerateKey(512)
+	key := sig.MustGenerate(sig.SchemeRSAMerkle, 512)
 	sm, err := Sign(testMap(), key)
 	if err != nil {
 		t.Fatalf("sign: %v", err)
@@ -137,7 +137,7 @@ func TestSignVerifyRoundTrip(t *testing.T) {
 		t.Fatal("version-bumped map verified")
 	}
 	// A different key does not verify.
-	other := sig.MustGenerateKey(512)
+	other := sig.MustGenerate(sig.SchemeRSAMerkle, 512)
 	if err := dec.Verify(other.Public()); err == nil {
 		t.Fatal("map verified under the wrong key")
 	}
@@ -241,7 +241,7 @@ func TestParseStrategy(t *testing.T) {
 }
 
 func TestDecodeSignedRejectsMalformed(t *testing.T) {
-	key := sig.MustGenerateKey(512)
+	key := sig.MustGenerate(sig.SchemeRSAMerkle, 512)
 	sm, err := Sign(testMap(), key)
 	if err != nil {
 		t.Fatal(err)

@@ -8,20 +8,15 @@ import (
 	"math/big"
 )
 
-// Wire format of a public key. SchemeRSAFull keys keep the original
-// layout byte for byte, so every key minted by older releases round-trips
-// unchanged:
-//
-//	u32 version | i64 notBefore | i64 notAfter |
-//	u32 len(N) | N bytes | u32 len(E) | E bytes
-//
-// Other schemes reuse the header and mark themselves with len(N) == 0 —
-// unambiguous because the legacy decoder rejects any modulus under
-// MinBits, so a real key can never encode a zero-length N:
+// Wire format of a public key:
 //
 //	u32 version | i64 notBefore | i64 notAfter | u32 0 | u8 scheme |
 //	  scheme == rsa-merkle: u32 len(N) | N bytes | u32 len(E) | E bytes
 //	  scheme == ed25519:    u32 32     | pubkey bytes
+//
+// The zero word marks the scheme tag. Keys of the retired per-node rsa
+// scheme had no tag (their modulus length stood in its place) and named
+// scheme 0; both are refused.
 //
 // Big-endian throughout, matching the rest of the repository's codecs.
 
@@ -43,12 +38,6 @@ func (p *PublicKey) MarshalBinary() ([]byte, error) {
 		out = append(out, vb...)
 	}
 	switch p.Scheme {
-	case SchemeRSAFull:
-		if p.N == nil || p.E == nil {
-			return nil, errors.New("sig: cannot marshal incomplete public key")
-		}
-		appendBig(p.N)
-		appendBig(p.E)
 	case SchemeRSAMerkle:
 		if p.N == nil || p.E == nil {
 			return nil, errors.New("sig: cannot marshal incomplete public key")
@@ -75,7 +64,7 @@ func (p *PublicKey) MarshalBinary() ([]byte, error) {
 // never guess at a verification algorithm.
 func (p *PublicKey) UnmarshalBinary(data []byte) error {
 	const fixed = 4 + 8 + 8
-	if len(data) < fixed+4 {
+	if len(data) < fixed+5 {
 		return errors.New("sig: public key blob truncated")
 	}
 	version := binary.BigEndian.Uint32(data[0:4])
@@ -95,17 +84,13 @@ func (p *PublicKey) UnmarshalBinary(data []byte) error {
 		off += n
 		return v, nil
 	}
-	scheme := SchemeRSAFull
-	if binary.BigEndian.Uint32(data[off:off+4]) == 0 {
-		// Scheme-tagged layout: zero N-length marker, then the scheme byte.
-		if len(data) < off+5 {
-			return errors.New("sig: public key blob truncated")
-		}
-		scheme = Scheme(data[off+4])
-		off += 5
-		if !scheme.Valid() || scheme == SchemeRSAFull {
-			return fmt.Errorf("sig: public key blob names unknown scheme %d", uint8(scheme))
-		}
+	if binary.BigEndian.Uint32(data[off:off+4]) != 0 {
+		return errors.New("sig: public key blob has no scheme tag")
+	}
+	scheme := Scheme(data[off+4])
+	off += 5
+	if !scheme.Valid() {
+		return fmt.Errorf("sig: public key blob names unknown scheme %d", uint8(scheme))
 	}
 	decoded := PublicKey{
 		Scheme:    scheme,
@@ -115,7 +100,7 @@ func (p *PublicKey) UnmarshalBinary(data []byte) error {
 		Counters:  p.Counters,
 	}
 	switch scheme {
-	case SchemeRSAFull, SchemeRSAMerkle:
+	case SchemeRSAMerkle:
 		n, err := readBig()
 		if err != nil {
 			return err

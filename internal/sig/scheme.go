@@ -6,44 +6,31 @@ import (
 	"fmt"
 )
 
-// Scheme identifies a key's signature scheme AND its commitment mode —
-// how the VB-tree's interior digests are authenticated. It travels as
-// key metadata: clients resolve a VO's KeyVersion through the trusted
-// key registry and derive the verification algorithm from the resolved
-// key's scheme, never from attacker-controllable wire bytes (the
-// cross-scheme-confusion attack fails precisely because of this).
+// Scheme identifies a key's signature scheme. Both commit to a VB-tree
+// the same way — by ordered hashes, with one signature over each root —
+// and differ only in the signer. It travels as key metadata: clients
+// resolve a VO's KeyVersion through the trusted key registry and derive
+// the verification algorithm from the resolved key's scheme, never from
+// attacker-controllable wire bytes (the cross-scheme-confusion attack
+// fails precisely because of this). The zero value names no scheme and
+// is refused wherever a scheme travels.
 type Scheme uint8
 
 const (
-	// SchemeRSAFull is the paper's original construction: every
-	// attribute, tuple and node digest is individually RSA-signed with
-	// message recovery (s⁻¹). Keys of this scheme keep byte-identical
-	// wire behavior with all previous releases.
-	SchemeRSAFull Scheme = iota
-	// SchemeRSAMerkle keeps the RSA signer but signs only tree roots:
-	// interior node, tuple and attribute "signatures" become raw
-	// unsigned digests (hash-only Merkle commitments), and one RSA
-	// signature per shard root anchors them all. The root signature is
-	// byte-identical to SchemeRSAFull's root signature over the same
-	// content, because digest values are mode-independent.
-	SchemeRSAMerkle
-	// SchemeEd25519 pairs the Merkle commitment mode with an Ed25519
-	// signer. Ed25519 has no message recovery, so the root digest is
-	// carried in the clear and the signature is verified detached.
+	// SchemeRSAMerkle signs each tree root with RSA, whose signature
+	// carries the root digest (message recovery).
+	SchemeRSAMerkle Scheme = iota + 1
+	// SchemeEd25519 signs each tree root with Ed25519. Ed25519 has no
+	// message recovery, so the root digest is carried in the clear and
+	// the signature is verified detached.
 	SchemeEd25519
 )
 
 // Valid reports whether s names a known scheme.
-func (s Scheme) Valid() bool { return s <= SchemeEd25519 }
-
-// Merkle reports whether interior digests are raw Merkle commitments
-// (only roots signed) under this scheme.
-func (s Scheme) Merkle() bool { return s != SchemeRSAFull }
+func (s Scheme) Valid() bool { return s == SchemeRSAMerkle || s == SchemeEd25519 }
 
 func (s Scheme) String() string {
 	switch s {
-	case SchemeRSAFull:
-		return "rsa"
 	case SchemeRSAMerkle:
 		return "rsa-merkle"
 	case SchemeEd25519:
@@ -57,14 +44,12 @@ func (s Scheme) String() string {
 // centrald and vbgen.
 func ParseScheme(name string) (Scheme, error) {
 	switch name {
-	case "rsa", "rsa-full", "":
-		return SchemeRSAFull, nil
 	case "rsa-merkle", "merkle":
 		return SchemeRSAMerkle, nil
 	case "ed25519":
 		return SchemeEd25519, nil
 	default:
-		return 0, fmt.Errorf("sig: unknown scheme %q (want rsa, rsa-merkle or ed25519)", name)
+		return 0, fmt.Errorf("sig: unknown scheme %q (want rsa-merkle or ed25519)", name)
 	}
 }
 
@@ -85,13 +70,8 @@ var _ Signer = (*PrivateKey)(nil)
 // RSA modulus and is ignored for Ed25519 (fixed 256-bit curve keys).
 func Generate(scheme Scheme, bits int) (*PrivateKey, error) {
 	switch scheme {
-	case SchemeRSAFull, SchemeRSAMerkle:
-		k, err := GenerateKey(bits)
-		if err != nil {
-			return nil, err
-		}
-		k.pub.Scheme = scheme
-		return k, nil
+	case SchemeRSAMerkle:
+		return generateRSA(bits)
 	case SchemeEd25519:
 		edPub, edPriv, err := ed25519.GenerateKey(rand.Reader)
 		if err != nil {
@@ -113,23 +93,4 @@ func MustGenerate(scheme Scheme, bits int) *PrivateKey {
 		panic(err)
 	}
 	return k
-}
-
-// WithScheme returns a copy of the key re-tagged with the given scheme.
-// Only RSA↔RSA retags are allowed (the key material must fit the
-// scheme); it exists so one RSA key can serve both commitment modes —
-// the property test pinning Merkle root signatures byte-equal to legacy
-// full-sign root signatures depends on identical key material.
-func (k *PrivateKey) WithScheme(scheme Scheme) (*PrivateKey, error) {
-	if scheme == SchemeEd25519 || k.pub.Scheme == SchemeEd25519 {
-		if scheme != k.pub.Scheme {
-			return nil, fmt.Errorf("sig: cannot retag %v key as %v", k.pub.Scheme, scheme)
-		}
-	}
-	if !scheme.Valid() {
-		return nil, fmt.Errorf("sig: unknown scheme %v", scheme)
-	}
-	c := *k
-	c.pub.Scheme = scheme
-	return &c, nil
 }

@@ -12,7 +12,7 @@ import (
 // by the original private key.
 func TestSchemeMarshalRoundTrip(t *testing.T) {
 	payload := []byte("round-trip payload")
-	for _, scheme := range []Scheme{SchemeRSAFull, SchemeRSAMerkle, SchemeEd25519} {
+	for _, scheme := range []Scheme{SchemeRSAMerkle, SchemeEd25519} {
 		t.Run(scheme.String(), func(t *testing.T) {
 			for _, version := range []uint32{0, 1, 7, 1 << 20} {
 				k := MustGenerate(scheme, 512)
@@ -48,37 +48,32 @@ func TestSchemeMarshalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRSAFullLayoutIsLegacy pins the compatibility guarantee: an
-// rsa-full key's encoding never contains the scheme-tag marker, so old
-// decoders read it unchanged, and an rsa-merkle retag of the SAME key
-// still decodes on builds that know the tag.
+// TestRSAFullLayoutIsLegacy: the layout keys of the retired per-node rsa
+// scheme were written in — no scheme tag, the modulus length where the
+// tag's zero word stands — is refused, as is that scheme's number, 0,
+// behind a tag. Only the tagged layout of a known scheme decodes.
 func TestRSAFullLayoutIsLegacy(t *testing.T) {
-	k := MustGenerate(SchemeRSAFull, 512)
+	k := MustGenerate(SchemeRSAMerkle, 512)
 	blob, err := k.Public().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Legacy layout: bytes 20..24 are len(N), which must be nonzero.
-	if blob[20] == 0 && blob[21] == 0 && blob[22] == 0 && blob[23] == 0 {
-		t.Fatal("rsa-full key encoded with the scheme-tag marker")
+	// Tagged layout: bytes 20..24 are the zero word, byte 24 the scheme.
+	if !bytes.Equal(blob[20:24], []byte{0, 0, 0, 0}) || Scheme(blob[24]) != SchemeRSAMerkle {
+		t.Fatalf("rsa-merkle key encoded without its tag: % x", blob[20:25])
 	}
-	mk, err := k.WithScheme(SchemeRSAMerkle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mblob, err := mk.Public().MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(blob, mblob) {
-		t.Fatal("rsa-merkle encoding indistinguishable from rsa-full")
-	}
+	legacy := append(append([]byte(nil), blob[:20]...), blob[25:]...)
 	var got PublicKey
-	if err := got.UnmarshalBinary(mblob); err != nil {
-		t.Fatal(err)
+	if err := got.UnmarshalBinary(legacy); err == nil {
+		t.Fatal("an untagged (per-node rsa) key blob was accepted")
 	}
-	if got.Scheme != SchemeRSAMerkle || got.N.Cmp(k.Public().N) != 0 {
-		t.Fatalf("retagged key mangled: scheme %v", got.Scheme)
+	zero := append([]byte(nil), blob...)
+	zero[24] = 0
+	if err := got.UnmarshalBinary(zero); err == nil {
+		t.Fatal("a key blob naming scheme 0 was accepted")
+	}
+	if err := got.UnmarshalBinary(blob); err != nil || got.Scheme != SchemeRSAMerkle || got.N.Cmp(k.Public().N) != 0 {
+		t.Fatalf("tagged key: scheme %v, %v", got.Scheme, err)
 	}
 }
 
@@ -91,7 +86,7 @@ func TestUnmarshalRejectsUnknownScheme(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The scheme byte sits right after the 4-byte zero marker at offset 20.
-	for _, b := range []byte{3, 77, 255, byte(SchemeRSAFull)} {
+	for _, b := range []byte{0, 3, 77, 255} {
 		bad := append([]byte(nil), blob...)
 		bad[24] = b
 		var got PublicKey
@@ -157,35 +152,6 @@ func TestRegistryMixedSchemes(t *testing.T) {
 	}
 }
 
-// TestWithSchemeConstraints: RSA↔RSA retags share key material;
-// Ed25519 retags in either direction are rejected.
-func TestWithSchemeConstraints(t *testing.T) {
-	rsa := MustGenerate(SchemeRSAFull, 512)
-	mk, err := rsa.WithScheme(SchemeRSAMerkle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mk.Scheme() != SchemeRSAMerkle || mk.Public().N.Cmp(rsa.Public().N) != 0 {
-		t.Fatal("retag changed key material")
-	}
-	// Same payload, same key material → byte-identical signatures: the
-	// invariant the Merkle root-signature property test builds on.
-	payload := []byte("shared material")
-	if !rsa.MustSign(payload).Equal(mk.MustSign(payload)) {
-		t.Fatal("retagged key signs differently")
-	}
-	if _, err := rsa.WithScheme(SchemeEd25519); err == nil {
-		t.Fatal("rsa→ed25519 retag accepted")
-	}
-	ed := MustGenerate(SchemeEd25519, 0)
-	if _, err := ed.WithScheme(SchemeRSAFull); err == nil {
-		t.Fatal("ed25519→rsa retag accepted")
-	}
-	if back, err := ed.WithScheme(SchemeEd25519); err != nil || back.Scheme() != SchemeEd25519 {
-		t.Fatalf("identity retag failed: %v", err)
-	}
-}
-
 // TestEd25519SignVerifyQuick drives random payloads through the
 // detached-signature path.
 func TestEd25519SignVerifyQuick(t *testing.T) {
@@ -216,9 +182,6 @@ func TestEd25519SignVerifyQuick(t *testing.T) {
 // vbgen and bench.
 func TestParseSchemeNames(t *testing.T) {
 	for name, want := range map[string]Scheme{
-		"":           SchemeRSAFull,
-		"rsa":        SchemeRSAFull,
-		"rsa-full":   SchemeRSAFull,
 		"rsa-merkle": SchemeRSAMerkle,
 		"merkle":     SchemeRSAMerkle,
 		"ed25519":    SchemeEd25519,
@@ -228,10 +191,16 @@ func TestParseSchemeNames(t *testing.T) {
 			t.Fatalf("ParseScheme(%q) = %v, %v; want %v", name, got, err, want)
 		}
 	}
-	if _, err := ParseScheme("dsa"); err == nil {
-		t.Fatal("unknown scheme name accepted")
+	// The retired per-node scheme's names are unknown now.
+	for _, name := range []string{"dsa", "rsa", "rsa-full", ""} {
+		if _, err := ParseScheme(name); err == nil {
+			t.Fatalf("scheme name %q accepted", name)
+		}
 	}
-	for _, s := range []Scheme{SchemeRSAFull, SchemeRSAMerkle, SchemeEd25519} {
+	if Scheme(0).Valid() {
+		t.Fatal("scheme 0 is valid")
+	}
+	for _, s := range []Scheme{SchemeRSAMerkle, SchemeEd25519} {
 		back, err := ParseScheme(s.String())
 		if err != nil || back != s {
 			t.Fatalf("String/Parse not inverse for %v", s)

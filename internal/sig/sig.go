@@ -4,9 +4,10 @@
 //
 // The paper's verification protocol (formulas (1)–(5)) requires signatures
 // with message recovery — the client "decrypts" each signed digest with the
-// public key to obtain the unsigned digest, then combines the recovered
-// digests with the commutative hash. We therefore implement RSA directly on
-// math/big with deterministic PKCS#1 v1.5-style type-01 padding, so that
+// public key to obtain the unsigned digest. Here an rsa-merkle key signs
+// one VB-tree root per shard version, and the Naive baseline every
+// attribute and tuple digest. We implement RSA directly on math/big with
+// deterministic PKCS#1 v1.5-style type-01 padding, so that
 //
 //	Recover(Sign(d)) = d
 //
@@ -35,7 +36,7 @@ import (
 // DefaultBits is the default RSA modulus size used when no -bits flag is
 // given: 1024 bits matches the paper's 2004-era evaluation so the
 // published cost ratios (sign ≈ 10000× a hash, recover ≈ 100×) stay
-// representative. It applies only to the RSA schemes; Ed25519 keys have a
+// representative. It applies only to rsa-merkle; Ed25519 keys have a
 // fixed 256-bit curve size and ignore it. Tests and benchmarks may pass
 // smaller values down to MinBits.
 const DefaultBits = 1024
@@ -58,9 +59,9 @@ var (
 )
 
 // Signature is a raw signature: big-endian and exactly the modulus
-// length for the RSA schemes, ed25519.SignatureSize for Ed25519. Under a
-// Merkle scheme, interior tree positions store raw digest.Value bytes in
-// Signature-typed slots — only roots hold real signatures.
+// length under rsa-merkle, ed25519.SignatureSize under Ed25519. Interior
+// tree positions store raw digest.Value bytes in Signature-typed slots —
+// only roots hold real signatures.
 type Signature []byte
 
 // Clone returns an independent copy of s.
@@ -78,14 +79,13 @@ func (s Signature) Equal(o Signature) bool { return bytes.Equal(s, o) }
 // broadcast: edge servers cannot masquerade stale data signed under an
 // expired key, because clients check the key version's validity period.
 type PublicKey struct {
-	N *big.Int // modulus (RSA schemes)
-	E *big.Int // public exponent (RSA schemes)
+	N *big.Int // modulus (rsa-merkle)
+	E *big.Int // public exponent (rsa-merkle)
 
-	// Scheme selects the signature algorithm and commitment mode. The
-	// zero value is SchemeRSAFull, so keys from older releases keep
-	// byte-identical behavior. Clients MUST take the scheme from the key
-	// they resolved out of their trusted registry — never from wire
-	// metadata — so a lying edge can only cause verification failure.
+	// Scheme selects the signature algorithm; the zero value names none.
+	// Clients MUST take the scheme from the key they resolved out of
+	// their trusted registry — never from wire metadata — so a lying edge
+	// can only cause verification failure.
 	Scheme Scheme
 	// Ed is the Ed25519 public key when Scheme is SchemeEd25519.
 	Ed ed25519.PublicKey
@@ -170,8 +170,8 @@ func (k *PrivateKey) SetValidity(version uint32, notBefore, notAfter int64) {
 	k.pub.NotAfter = notAfter
 }
 
-// GenerateKey creates a fresh RSA key pair with the given modulus size.
-func GenerateKey(bits int) (*PrivateKey, error) {
+// generateRSA creates a fresh RSA key pair with the given modulus size.
+func generateRSA(bits int) (*PrivateKey, error) {
 	if bits < MinBits {
 		return nil, fmt.Errorf("sig: key size %d below minimum %d", bits, MinBits)
 	}
@@ -190,9 +190,9 @@ func GenerateKey(bits int) (*PrivateKey, error) {
 	}
 }
 
-// keyFromPrimes assembles the key pair over N = p·q with e = 65537, or
-// returns nil when the primes do not make one (equal, or e not coprime
-// to φ(N)); GenerateKey then draws again.
+// keyFromPrimes assembles the RSA key pair over N = p·q with e = 65537,
+// or returns nil when the primes do not make one (equal, or e not
+// coprime to φ(N)); generateRSA then draws again.
 func keyFromPrimes(p, q *big.Int) *PrivateKey {
 	if p.Cmp(q) == 0 {
 		return nil
@@ -207,7 +207,7 @@ func keyFromPrimes(p, q *big.Int) *PrivateKey {
 		return nil
 	}
 	return &PrivateKey{
-		pub:  PublicKey{N: new(big.Int).Mul(p, q), E: e},
+		pub:  PublicKey{N: new(big.Int).Mul(p, q), E: e, Scheme: SchemeRSAMerkle},
 		d:    d,
 		p:    p,
 		q:    q,
@@ -215,15 +215,6 @@ func keyFromPrimes(p, q *big.Int) *PrivateKey {
 		dq:   new(big.Int).Mod(d, qm1),
 		qinv: qinv,
 	}
-}
-
-// MustGenerateKey is GenerateKey panicking on error, for tests and tools.
-func MustGenerateKey(bits int) *PrivateKey {
-	k, err := GenerateKey(bits)
-	if err != nil {
-		panic(err)
-	}
-	return k
 }
 
 // pad builds the deterministic type-01 encoding
@@ -264,7 +255,7 @@ func unpad(em []byte) ([]byte, error) {
 }
 
 // Sign produces the signature over payload: s(payload) = pad(payload)^d
-// mod N for the RSA schemes, a detached Ed25519 signature otherwise.
+// mod N under rsa-merkle, a detached Ed25519 signature otherwise.
 // The payload is normally an unsigned digest (digest.Value).
 func (k *PrivateKey) Sign(payload []byte) (Signature, error) {
 	if k.counters != nil {
@@ -339,7 +330,7 @@ func (p *PublicKey) Recover(s Signature) ([]byte, error) {
 	return out, nil
 }
 
-// Verify checks that s authenticates want: for RSA schemes it recovers
+// Verify checks that s authenticates want: under rsa-merkle it recovers
 // the payload and compares; for Ed25519 it runs a detached verification.
 // Both count one RecoverOp — the client-side Cost_s unit of §4.3.
 func (p *PublicKey) Verify(s Signature, want []byte) error {

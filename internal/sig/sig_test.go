@@ -21,13 +21,13 @@ var (
 
 func testKey(t testing.TB) *PrivateKey {
 	t.Helper()
-	keyOnce.Do(func() { key = MustGenerateKey(testKeyBits) })
+	keyOnce.Do(func() { key = MustGenerate(SchemeRSAMerkle, testKeyBits) })
 	return key
 }
 
 func TestGenerateKeyValidation(t *testing.T) {
-	if _, err := GenerateKey(64); err == nil {
-		t.Fatal("GenerateKey accepted a 64-bit modulus")
+	if _, err := Generate(SchemeRSAMerkle, 64); err == nil {
+		t.Fatal("Generate accepted a 64-bit modulus")
 	}
 	k := testKey(t)
 	if got := k.Len(); got != testKeyBits/8 {
@@ -236,9 +236,10 @@ func TestPublicKeyUnmarshalRejectsCorrupt(t *testing.T) {
 }
 
 func TestMarshalIncompleteKey(t *testing.T) {
-	var pk PublicKey
-	if _, err := pk.MarshalBinary(); err == nil {
-		t.Fatal("marshaled a key with nil modulus")
+	for _, pk := range []PublicKey{{}, {Scheme: SchemeRSAMerkle}, {Scheme: SchemeEd25519}} {
+		if _, err := pk.MarshalBinary(); err == nil {
+			t.Fatalf("marshaled an incomplete %v key", pk.Scheme)
+		}
 	}
 }
 
@@ -275,9 +276,7 @@ func TestRegistryResolve(t *testing.T) {
 }
 
 func TestUnmarshalRejectsWeakKey(t *testing.T) {
-	weak := &PublicKey{N: big.NewInt(12345677), E: big.NewInt(3)}
-	nb := weak.N.Bytes()
-	_ = nb
+	weak := &PublicKey{N: big.NewInt(12345677), E: big.NewInt(3), Scheme: SchemeRSAMerkle}
 	blob, err := weak.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)

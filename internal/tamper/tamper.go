@@ -124,11 +124,11 @@ func DuplicateTuple() Attack {
 	}
 }
 
-// CorruptVODigest flips bits in a D_S signature.
+// CorruptVODigest flips bits in a D_S digest.
 func CorruptVODigest() Attack {
 	return Attack{
 		Name:        "corrupt-vo-digest",
-		Description: "alter a signed digest inside the VO",
+		Description: "alter a digest inside the VO",
 		Apply: func(rs *vo.ResultSet, w *vo.VO) error {
 			if w.NumDS() == 0 {
 				return ErrNotApplicable
@@ -149,7 +149,7 @@ func DropVODigest() Attack {
 			if w.NumDS() == 0 {
 				return ErrNotApplicable
 			}
-			w.DS = w.DS[w.DSStride():]
+			w.DS = w.DS[len(w.DSDigest(0)):]
 			return nil
 		},
 	}
@@ -170,22 +170,22 @@ func ForgeTopDigest() Attack {
 	}
 }
 
-// ForgeInteriorNode attacks the Merkle commitment modes, where interior
-// VO digests are raw (unsigned) values: it grafts a fabricated subtree
-// digest into the proof in place of the first sibling and presents a top
-// digest of its own making — the forgery hash-only interior commitments
-// would admit if the root were not signed. The doctored top digest does
-// not match the root signature, so a client that verifies RootSig over
-// TopDigest rejects the answer; the attack is what makes that signature
+// ForgeInteriorNode attacks the interior of the proof, whose digests are
+// raw (unsigned) values: it grafts a fabricated subtree digest into the
+// proof in place of the first sibling and presents a top digest of its
+// own making — the forgery hash-only interior commitments would admit if
+// the root were not signed. The doctored top digest does not match the
+// root signature, so a client that verifies RootSig over TopDigest
+// rejects the answer; the attack is what makes that signature
 // load-bearing.
 func ForgeInteriorNode() Attack {
 	return Attack{
 		Name:        "forge-interior-node",
-		Description: "graft an unsigned fabricated subtree digest into a Merkle VO",
+		Description: "graft an unsigned fabricated subtree digest into the VO",
 		Apply: func(rs *vo.ResultSet, w *vo.VO) error {
 			acc := digest.MustNew(digest.DefaultParams())
-			if len(w.RootSig) == 0 || len(w.TopDigest) != acc.Len() || w.NumDS() == 0 || int(w.Width) != acc.Len() {
-				return ErrNotApplicable // not a Merkle-shaped VO with a sibling to replace
+			if len(w.RootSig) == 0 || len(w.TopDigest) != acc.Len() || w.NumDS() == 0 {
+				return ErrNotApplicable // no signed root, or no sibling to replace
 			}
 			forged := acc.HashBytes("tamper:forged-interior", []byte("spurious subtree"))
 			copy(w.DSDigest(0), forged)
@@ -195,47 +195,36 @@ func ForgeInteriorNode() Attack {
 	}
 }
 
-// CrossSchemeConfusion re-presents the VO under the OTHER commitment
-// scheme's shape: a Merkle VO masquerading as a legacy recoverable-
-// signature VO (root signature promoted into the top-digest slot), or a
-// legacy VO masquerading as a Merkle one (signed top digest demoted to
-// the detached slot, a raw fabricated digest in its place). A client
-// that derived the expected shape from the VO itself would follow the
-// attacker's lead; one that derives it from the trusted registry key's
-// scheme rejects the mismatched shape outright.
+// CrossSchemeConfusion re-presents the VO in the shape of the retired
+// per-node rsa scheme, whose VOs carried a recoverable signature in the
+// top-digest slot and no detached root signature: the root signature is
+// promoted into the top-digest slot. A client that derived the expected
+// shape from the VO itself would follow the attacker's lead; one that
+// checks the root signature under the trusted registry key's scheme
+// rejects the shape outright.
 func CrossSchemeConfusion() Attack {
 	return Attack{
 		Name:        "cross-scheme-confusion",
-		Description: "present the VO under the other commitment scheme's wire shape",
+		Description: "present the VO in a recoverable-signature scheme's wire shape",
 		Apply: func(rs *vo.ResultSet, w *vo.VO) error {
-			if len(w.RootSig) > 0 {
-				w.TopDigest = w.RootSig.Clone()
-				w.RootSig = nil
-				return nil
+			if len(w.RootSig) == 0 {
+				return ErrNotApplicable
 			}
-			acc := digest.MustNew(digest.DefaultParams())
-			w.RootSig = w.TopDigest.Clone()
-			w.TopDigest = sig.Signature(acc.HashBytes("tamper:confused-root", []byte(rs.Table)))
+			w.TopDigest = w.RootSig.Clone()
+			w.RootSig = nil
 			return nil
 		},
 	}
 }
 
-// MisliftDS slots digests in at the wrong place: it perturbs a D_S lift
-// tag (the tree level a digest enters at) or, in the ordered layout, the
-// first position the root's record recomputes.
+// MisliftDS slots digests in at the wrong place: it moves the first
+// position the root's record recomputes, so the proof's digests enter the
+// in-node tree one place off.
 func MisliftDS() Attack {
 	return Attack{
 		Name:        "mislift-ds",
-		Description: "change the level tag of a D_S digest, or the position of a recomputed entry",
+		Description: "change the position of a recomputed entry",
 		Apply: func(rs *vo.ResultSet, w *vo.VO) error {
-			if !w.Ordered() {
-				if w.NumDS() == 0 {
-					return ErrNotApplicable
-				}
-				w.SetDSLift(0, w.DSLift(0)+1)
-				return nil
-			}
 			w.Nodes = bytes.Clone(w.Nodes)
 			count, runs, _, err := vo.NodeRecord(w.Nodes)
 			if err != nil || len(runs) == 0 {
@@ -331,8 +320,8 @@ func SwapProjectionDigest() Attack {
 				return ErrNotApplicable
 			}
 			moved := w.DPDigest(0)
-			w.DP = w.DP[w.Width:]
-			w.AppendDS(moved, w.TopLevel)
+			w.DP = w.DP[len(moved):]
+			w.AppendDS(moved)
 			return nil
 		},
 	}
@@ -345,11 +334,9 @@ func SwapProjectionDigest() Attack {
 // multiplying D_P[0] by h(old)·h(new)⁻¹ mod m would cancel the change.
 // The result set must project at least one column away (D_P non-empty).
 //
-// It is the forgery the Merkle schemes admitted while they committed by
-// that product, their entries being raw, unsigned digests. They commit by
-// ordered hashes now, which a rewritten value changes at every level up
-// to the signed root, so every scheme rejects it: per-node rsa because
-// the rebalanced bytes are not a signature.
+// It is the forgery the tree admitted while it committed by that product
+// with raw, unsigned entries. It commits by ordered hashes now, which a
+// rewritten value changes at every level up to the signed root.
 func CompensateDigest() Attack {
 	return compensate("compensate-digest",
 		"rewrite a returned value and rebalance an unsigned D_P digest by h(old)·h(new)⁻¹",
@@ -362,10 +349,10 @@ func CompensateDigest() Attack {
 }
 
 // CompensateSibling is CompensateDigest rebalancing a D_S sibling
-// instead: the rewritten value's factor enters at level L+1 and a D_S
-// entry of lift l at level l, so the sibling is multiplied by the factor
-// lifted L+1−l more times (g is a homomorphism). An ordered VO has no
-// lift; its first sibling is treated as a tuple digest of a leaf, lift L.
+// instead: in a product the rewritten value's factor enters one level
+// above a leaf's tuple digests, so the sibling, taken for a tuple digest
+// of a leaf, is multiplied by the factor lifted once more (g is a
+// homomorphism).
 func CompensateSibling() Attack {
 	return compensate("compensate-ds-sibling",
 		"rewrite a returned value and rebalance an unsigned D_S sibling by the lifted h(old)·h(new)⁻¹",
@@ -373,10 +360,7 @@ func CompensateSibling() Attack {
 			if w.NumDS() == 0 {
 				return nil, 0
 			}
-			if w.Ordered() {
-				return w.DSDigest(0), 1
-			}
-			return w.DSDigest(0), int(w.TopLevel) + 1 - int(w.DSLift(0))
+			return w.DSDigest(0), 1
 		})
 }
 
@@ -436,13 +420,9 @@ func compensate(name, desc string, target func(rs *vo.ResultSet, w *vo.VO) ([]by
 			if err != nil {
 				return err
 			}
-			// The entry's bytes as a residue, rebalanced, at the entry's own
-			// width: under a Merkle scheme that is the digest itself.
+			// The digest's bytes as a residue, rebalanced.
 			x := new(big.Int).SetBytes(d)
 			x.Mul(x, new(big.Int).SetBytes(lifted)).Mod(x, m)
-			if len(d) < acc.Len() {
-				return ErrNotApplicable
-			}
 			x.FillBytes(d)
 			return nil
 		},
@@ -480,7 +460,6 @@ func ReplayStaleShard(staleRS *vo.ResultSet, staleVO *vo.VO) Attack {
 			w.KeyVersion = staleVO.KeyVersion
 			w.TopLevel = staleVO.TopLevel
 			w.TopDigest = staleVO.TopDigest.Clone()
-			w.Width = staleVO.Width
 			w.DS = bytes.Clone(staleVO.DS)
 			w.DP = bytes.Clone(staleVO.DP)
 			w.Nodes = bytes.Clone(staleVO.Nodes)

@@ -6,27 +6,24 @@ import (
 )
 
 // TestAnchorRootPinsEnvelope proves the property sharded verification
-// rests on: with Query.AnchorRoot the VO's enveloping subtree is the
-// whole tree, so the top digest recovers to the root digest — even for
-// a narrow query whose minimal envelope would sit several levels down.
+// rests on: a VO proves its answer from the root, so its top digest is
+// the root digest — Tree.RootDigest, what a signed shard map pins — and
+// its root signature is over that digest, even for a narrow query deep
+// in a multi-level tree. Query.AnchorRoot asks for exactly that, and
+// changes no byte of the answer.
 func TestAnchorRootPinsEnvelope(t *testing.T) {
 	h := newHarness(t, 300, 1024, false)
 	height := h.tree.Height()
 	if height < 2 {
 		t.Fatalf("need a multi-level tree, height = %d", height)
 	}
+	rd, err := h.tree.RootDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	narrow := Query{Lo: i64(42), Hi: i64(43)}
-
-	// Without anchoring, a two-tuple query envelopes a low subtree.
 	rs, w := h.query(t, narrow)
-	if len(rs.Tuples) != 2 {
-		t.Fatalf("got %d tuples, want 2", len(rs.Tuples))
-	}
-	if int(w.TopLevel) == height {
-		t.Skip("minimal envelope already at the root; tree too small to distinguish")
-	}
-
 	narrow.AnchorRoot = true
 	rsA, wA := h.query(t, narrow)
 	if len(rsA.Tuples) != 2 {
@@ -35,25 +32,18 @@ func TestAnchorRootPinsEnvelope(t *testing.T) {
 	if int(wA.TopLevel) != height {
 		t.Fatalf("anchored TopLevel = %d, want tree height %d", wA.TopLevel, height)
 	}
-	if !bytes.Equal(wA.TopDigest, h.tree.RootSig()) {
-		t.Fatal("anchored TopDigest is not the root signature")
+	if !bytes.Equal(wA.TopDigest, rd) {
+		t.Fatal("anchored TopDigest is not Tree.RootDigest")
 	}
-	// The anchored VO still verifies with the standard verifier.
+	if err := h.key.Public().Verify(wA.RootSig, wA.TopDigest); err != nil {
+		t.Fatalf("root signature does not cover the top digest: %v", err)
+	}
+	w.Timestamp = wA.Timestamp
+	if !bytes.Equal(rs.Encode(nil), rsA.Encode(nil)) || !bytes.Equal(w.Encode(nil), wA.Encode(nil)) {
+		t.Fatal("AnchorRoot changed the answer")
+	}
+	// The anchored VO verifies with the standard verifier.
 	h.mustVerify(t, rsA, wA)
-
-	// And the recovered top digest equals Tree.RootDigest — the exact
-	// comparison the client performs against the signed shard map.
-	rd, err := h.tree.RootDigest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := h.key.Public().Recover(wA.TopDigest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rd, got) {
-		t.Fatal("recovered top digest differs from Tree.RootDigest")
-	}
 
 	// An anchored empty result also verifies (the whole tree proves the
 	// range holds nothing).
@@ -62,8 +52,8 @@ func TestAnchorRootPinsEnvelope(t *testing.T) {
 	if len(rsE.Tuples) != 0 {
 		t.Fatalf("expected empty result, got %d tuples", len(rsE.Tuples))
 	}
-	if int(wE.TopLevel) != height {
-		t.Fatalf("empty anchored TopLevel = %d, want %d", wE.TopLevel, height)
+	if int(wE.TopLevel) != height || !bytes.Equal(wE.TopDigest, rd) {
+		t.Fatalf("empty anchored TopLevel = %d, want %d, at the root digest", wE.TopLevel, height)
 	}
 	h.mustVerify(t, rsE, wE)
 }

@@ -13,43 +13,25 @@ import (
 
 // Inserts: one path, the central server's, for one tuple or many.
 //
-// The paper's insert (§3.4) multiplies the new tuple's digest into each
-// node digest on its root-to-leaf path — the commutative combiner makes
-// that a constant amount of work per level (formula (11)):
+// InsertBatch places a whole batch in three phases:
 //
-//	D_N' = s( s⁻¹(D_N) · g^(d+1)(U_T) )   for the node d levels above the leaf.
-//
-// InsertBatch does that for a whole batch in three phases:
-//
-//  1. presign (parallel): each tuple's attribute and tuple-digest
-//     signatures (formulas (1)-(2)) are computed by the same bounded
-//     worker pool Build uses — they depend only on the schema and key,
-//     not on tree state, and they are the irreducible per-tuple cost.
+//  1. prepare (parallel): each tuple's attribute and tuple digests are
+//     computed by the same bounded worker pool Build uses — they depend
+//     only on the schema and the tuple, not on tree state, and they are
+//     the irreducible per-tuple cost.
 //  2. structural (serial, under the tree lock): tuples are placed into
-//     leaves, nodes split, the root grows — with no digest work beyond
-//     reading each descended node's pre-batch digest once, from its
-//     parent's entry.
-//  3. repair: each dirty node's digest is computed once, bottom-up, and
-//     sealed once. A node that split or was created in the batch is
-//     recomputed from its entries; every other dirty node resumes from
-//     its pre-batch digest, multiplies in the tuples placed in it (a
-//     leaf) or swaps each changed child's old factor for its new one (an
-//     internal node). Shared ancestors, the root above all, are resealed
-//     once per batch, not once per tuple (re-signed under the legacy
-//     scheme; a Merkle tree signs nothing here).
+//     leaves, nodes split, the root grows — with no digest work at all.
+//  3. repair: the dirty nodes are rehashed once each, bottom-up. A dirty
+//     node installs its dirty children's new digests, then rehashes the
+//     in-node groups over entries that changed or moved — every group
+//     from the lowest insertion point on, every group of a node that
+//     split or is new — and its node hash, keeping the stored digests of
+//     the groups before it (computeOrdered). Shared ancestors, the root
+//     above all, are rehashed once per batch, not once per tuple.
 //
-// An ordered (Merkle) tree repairs the same dirty nodes bottom-up, but by
-// hashing: a dirty node installs its dirty children's new digests, then
-// rehashes the in-node groups over entries that changed or moved — every
-// group from the lowest insertion point on — and its node hash, keeping
-// the stored digests of the groups before it (computeOrdered). Its cost is
-// formula (11) restated (costmodel.OrderedInsertHashes).
-//
-// A batch of one under per-node rsa is exactly the paper's incremental insert: N_C
-// attribute hashes, H folds and H−1 digest recoveries for a tree of height
-// H (the root's digest is kept unsigned in memory). The commutative
-// combiner makes any batch provably identical to N inserts of one: a node
-// digest is an order-free product of its children's lifted digests.
+// The cost is formula (11) restated for ordered commitments
+// (costmodel.OrderedInsertHashes). A commit signs nothing: the root is
+// signed when first asked for (Tree.RootSig).
 
 // Insert adds one tuple at the central server: a batch of one, returning
 // that op's error (ErrDuplicateKey for a key already present).
@@ -66,10 +48,8 @@ type BatchStats struct {
 	// Applied counts the tuples actually inserted (per-op failures such as
 	// duplicate keys are skipped and reported in the error slice).
 	Applied int
-	// NodesResigned counts the tree nodes whose digest was re-signed —
-	// under the legacy scheme each dirtied node, the root included,
-	// exactly once however many tuples landed in it; under a Merkle
-	// scheme none (the root is signed when first asked for).
+	// NodesResigned counts the tree nodes whose digest was re-signed by
+	// the batch: none, since the root is signed when first asked for.
 	NodesResigned int
 }
 
@@ -87,8 +67,8 @@ func (t *Tree) InsertBatch(tuples []schema.Tuple) (BatchStats, []error, error) {
 	}
 	opErrs := make([]error, len(tuples))
 
-	// Phase 1: per-tuple digests and signatures, parallel across tuples.
-	prep := t.presignTuples(tuples, opErrs)
+	// Phase 1: per-tuple digests, parallel across tuples.
+	prep := t.prepareTuples(tuples, opErrs)
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -97,11 +77,8 @@ func (t *Tree) InsertBatch(tuples []schema.Tuple) (BatchStats, []error, error) {
 		t:      t,
 		leaves: make(map[storage.PageID]*vbLeaf),
 		inners: make(map[storage.PageID]*vbInternal),
-		old:    map[storage.PageID]digest.Value{t.root: t.rootU},
 		whole:  make(map[storage.PageID]bool),
-		u:      make(map[storage.PageID]digest.Value),
 		dirty:  make(map[storage.PageID]bool),
-		tupU:   make(map[string]digest.Value),
 		shift:  make(map[storage.PageID]int),
 	}
 	if t.locks != nil {
@@ -135,26 +112,23 @@ func (t *Tree) InsertBatch(tuples []schema.Tuple) (BatchStats, []error, error) {
 	}
 
 	// Phase 3: repair — recompute each dirty node's digest once
-	// (bottom-up), seal it once (signing in parallel), install, flush.
-	resigned, err := b.repair()
-	if err != nil {
+	// (bottom-up), install, flush.
+	if err := b.repair(); err != nil {
 		return BatchStats{}, opErrs, err
 	}
-	return BatchStats{Applied: applied, NodesResigned: resigned}, opErrs, nil
+	return BatchStats{Applied: applied}, opErrs, nil
 }
 
-// preparedTuple carries one tuple's pre-computed crypto into the
-// structural phase.
+// preparedTuple carries one tuple's digests into the structural phase.
 type preparedTuple struct {
 	keyBytes []byte
-	stored   []byte // encoded heap record (tuple + signed attribute digests)
-	ut       digest.Value
-	dt       sig.Signature
+	stored   []byte        // encoded heap record (tuple + attribute digests)
+	dt       sig.Signature // the tuple digest, as the leaf stores it
 }
 
-// presignTuples runs phase 1 with the build worker pool; failures land in
+// prepareTuples runs phase 1 with the build worker pool; failures land in
 // opErrs and leave the slot unused.
-func (t *Tree) presignTuples(tuples []schema.Tuple, opErrs []error) []preparedTuple {
+func (t *Tree) prepareTuples(tuples []schema.Tuple, opErrs []error) []preparedTuple {
 	prep := make([]preparedTuple, len(tuples))
 	parallel(len(tuples), t.buildPar, func(i int) {
 		attrs, ut, err := t.tupleDigests(tuples[i])
@@ -162,22 +136,14 @@ func (t *Tree) presignTuples(tuples []schema.Tuple, opErrs []error) []preparedTu
 			opErrs[i] = opError(err)
 			return
 		}
-		st, err := t.makeStored(tuples[i], attrs)
-		if err != nil {
-			opErrs[i] = opError(err)
-			return
-		}
-		dt, err := t.sealDigest(ut)
-		if err != nil {
-			opErrs[i] = opError(err)
-			return
-		}
+		st := t.makeStored(tuples[i], attrs)
+		dt := sig.Signature(ut)
 		kb := tuples[i].Key(t.sch).KeyBytes()
 		if maxEntry := vbLeafHeader + 2 + len(kb) + 6 + 2 + len(dt); maxEntry > t.bp.PageSize() {
 			opErrs[i] = opError(fmt.Errorf("vbtree: leaf entry of %d bytes exceeds page size", maxEntry))
 			return
 		}
-		prep[i] = preparedTuple{keyBytes: kb, stored: st.EncodeBytes(), ut: ut, dt: dt}
+		prep[i] = preparedTuple{keyBytes: kb, stored: st.EncodeBytes(), dt: dt}
 	})
 	return prep
 }
@@ -231,23 +197,12 @@ type treeBatch struct {
 	t      *Tree
 	leaves map[storage.PageID]*vbLeaf
 	inners map[storage.PageID]*vbInternal
-	// old holds the pre-batch digest of each pre-existing node the batch
-	// descended into: the root's from the tree, a child's read from its
-	// parent's entry on first descent, before any entry shifts.
-	old map[storage.PageID]digest.Value
 	// whole marks nodes that split or were created in this batch; repair
-	// recomputes them from their entries instead of from old.
+	// rehashes every group of them.
 	whole map[storage.PageID]bool
-	// u caches unsigned node digests computed (or, for clean children of
-	// whole nodes, read) during repair.
-	u map[storage.PageID]digest.Value
 	// dirty marks nodes whose subtree changed; exactly these are
-	// recomputed and re-signed. Dirtiness propagates to the root.
+	// rehashed. Dirtiness propagates to the root.
 	dirty map[storage.PageID]bool
-	// tupU maps the stored entry of each tuple placed by this batch to its
-	// unsigned digest: what a leaf that did not split multiplies in, and
-	// what a whole leaf need not recover.
-	tupU map[string]digest.Value
 	// shift holds, for each node an entry was inserted into, the lowest
 	// position an insertion took: every entry at or after it may have
 	// moved, so an ordered node rehashes the groups from there on.
@@ -269,11 +224,11 @@ type vbSplit struct {
 	right storage.PageID
 }
 
-// placeholderSig reserves exactly one stored entry's worth of space in a
-// node entry whose real value is produced by repair, keeping encodedSize
-// checks exact during the structural phase.
+// placeholderSig reserves exactly one stored digest's worth of space in
+// a node entry whose real value is produced by repair, keeping
+// encodedSize checks exact during the structural phase.
 func (b *treeBatch) placeholderSig() sig.Signature {
-	return make(sig.Signature, b.t.storedLen())
+	return make(sig.Signature, b.t.acc.Len())
 }
 
 func (b *treeBatch) leaf(pid storage.PageID) (*vbLeaf, error) {
@@ -333,17 +288,7 @@ func (b *treeBatch) insertAt(pid storage.PageID, pt *preparedTuple) (*vbSplit, e
 		return nil, err
 	}
 	ci := n.childIndex(pt.keyBytes)
-	child := n.children[ci]
-	// A pre-existing child's entry still holds its pre-batch digest until
-	// repair; a node this batch created has no pre-batch digest.
-	if _, seen := b.old[child]; !seen && !b.whole[child] {
-		u, err := b.t.childU(n.sigs[ci])
-		if err != nil {
-			return nil, err
-		}
-		b.old[child] = u
-	}
-	split, err := b.insertAt(child, pt)
+	split, err := b.insertAt(n.children[ci], pt)
 	if err != nil {
 		return nil, err
 	}
@@ -353,8 +298,8 @@ func (b *treeBatch) insertAt(pid storage.PageID, pt *preparedTuple) (*vbSplit, e
 		n.keys = insertKey(n.keys, ci, split.sep)
 		n.children = insertChild(n.children, ci+1, split.right)
 		b.insertedAt(pid, ci+1)
-		// Signature-length placeholder (so size checks are exact); repair
-		// signs the new child once, at the end.
+		// Digest-length placeholder (so size checks are exact); repair
+		// hashes the new child once, at the end.
 		n.sigs = insertSig(n.sigs, ci+1, b.placeholderSig())
 	}
 	if n.encodedSize() <= b.t.bp.PageSize() {
@@ -380,7 +325,6 @@ func (b *treeBatch) insertLeaf(pid storage.PageID, pt *preparedTuple) (*vbSplit,
 	n.rids = insertRID(n.rids, i, rid)
 	n.sigs = insertSig(n.sigs, i, pt.dt)
 	b.insertedAt(pid, i)
-	b.tupU[string(pt.dt)] = pt.ut
 	b.dirty[pid] = true
 
 	if n.encodedSize() <= b.t.bp.PageSize() {
@@ -395,11 +339,10 @@ func (b *treeBatch) insertLeaf(pid storage.PageID, pt *preparedTuple) (*vbSplit,
 	rightPid := rf.ID()
 	b.t.bp.Unpin(rf, true)
 	right := &vbLeaf{
-		ordered: ordered{on: n.on},
-		next:    n.next,
-		keys:    append([][]byte(nil), n.keys[mid:]...),
-		rids:    append([]storage.RecordID(nil), n.rids[mid:]...),
-		sigs:    append([]sig.Signature(nil), n.sigs[mid:]...),
+		next: n.next,
+		keys: append([][]byte(nil), n.keys[mid:]...),
+		rids: append([]storage.RecordID(nil), n.rids[mid:]...),
+		sigs: append([]sig.Signature(nil), n.sigs[mid:]...),
 	}
 	n.keys = n.keys[:mid]
 	n.rids = n.rids[:mid]
@@ -425,7 +368,6 @@ func (b *treeBatch) splitInner(pid storage.PageID, n *vbInternal) (*vbSplit, err
 	rightPid := rf.ID()
 	b.t.bp.Unpin(rf, true)
 	right := &vbInternal{
-		ordered:  ordered{on: n.on},
 		keys:     append([][]byte(nil), n.keys[mid+1:]...),
 		children: append([]storage.PageID(nil), n.children[mid+1:]...),
 		sigs:     append([]sig.Signature(nil), n.sigs[mid+1:]...),
@@ -454,10 +396,9 @@ func (b *treeBatch) growRoot(split *vbSplit) error {
 		return err
 	}
 	b.inners[newRootPid] = &vbInternal{
-		ordered:  ordered{on: b.t.merkle},
 		keys:     [][]byte{split.sep},
 		children: []storage.PageID{b.t.root, split.right},
-		// Repair signs both children once, at the end.
+		// Repair installs both children's digests, at the end.
 		sigs: []sig.Signature{b.placeholderSig(), b.placeholderSig()},
 	}
 	b.dirty[newRootPid] = true
@@ -467,90 +408,14 @@ func (b *treeBatch) growRoot(split *vbSplit) error {
 	return nil
 }
 
-// computeU returns a dirty node's unsigned digest, recursing bottom-up. A
-// whole node combines all its entries (pre-existing ones recovered from
-// their stored, still valid entries); any other node resumes from its
-// pre-batch digest — a leaf multiplies in the tuples placed in it, an
-// internal node swaps each dirty pre-existing child's old factor for its
-// new one and multiplies in each child this batch created.
-func (b *treeBatch) computeU(pid storage.PageID) (digest.Value, error) {
-	if u, ok := b.u[pid]; ok {
-		return u, nil
-	}
-	whole := b.whole[pid]
-	var acc *digest.Acc
-	if whole {
-		acc = b.t.acc.NewAcc()
-	} else {
-		var err error
-		if acc, err = b.t.acc.AccFrom(b.old[pid]); err != nil {
-			return nil, err
-		}
-	}
-	if n, ok := b.leaves[pid]; ok {
-		for _, s := range n.sigs {
-			u, placed := b.tupU[string(s)]
-			switch {
-			case !placed && !whole:
-				continue
-			case !placed:
-				var err error
-				if u, err = b.t.childU(s); err != nil {
-					return nil, err
-				}
-			}
-			if err := acc.Add(u); err != nil {
-				return nil, err
-			}
-		}
-		u := acc.Value()
-		b.u[pid] = u
-		return u, nil
-	}
-	n, ok := b.inners[pid]
-	if !ok {
-		return nil, fmt.Errorf("vbtree: dirty node %d missing from batch cache", pid)
-	}
-	for i, child := range n.children {
-		var u digest.Value
-		var err error
-		switch {
-		case b.dirty[child]:
-			if old, ok := b.old[child]; ok && !whole {
-				if err := acc.Remove(old); err != nil {
-					return nil, err
-				}
-			}
-			u, err = b.computeU(child)
-		case whole:
-			u, err = b.cleanU(child, n.sigs[i])
-		default:
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := acc.Add(u); err != nil {
-			return nil, err
-		}
-	}
-	u := acc.Value()
-	b.u[pid] = u
-	return u, nil
-}
-
-// computeOrdered is computeU for an ordered tree, for the dirty node pid
-// at the given level: each dirty child's digest is computed and installed
-// in its entry first, then the node rehashes the groups over changed or
-// moved entries (every group, if it split or is new) and its node hash.
+// computeOrdered returns the digest of the dirty node pid at the given
+// level: each dirty child's digest is computed and installed in its entry
+// first, then the node rehashes the groups over changed or moved entries
+// (every group, if it split or is new) and its node hash.
 func (b *treeBatch) computeOrdered(pid storage.PageID, level int) (digest.Value, error) {
-	if u, ok := b.u[pid]; ok {
-		return u, nil
-	}
 	whole := b.whole[pid]
 	shift, shifted := b.shift[pid]
 	moved := func(i int) bool { return shifted && i >= shift }
-	var u digest.Value
 	if n, ok := b.leaves[pid]; ok {
 		var dirty []bool
 		if !whole {
@@ -559,107 +424,52 @@ func (b *treeBatch) computeOrdered(pid storage.PageID, level int) (digest.Value,
 				dirty[i] = moved(i)
 			}
 		}
-		u = b.t.commitOrdered(level, n.sigs, &n.ordered, dirty)
-	} else {
-		n, ok := b.inners[pid]
-		if !ok {
-			return nil, fmt.Errorf("vbtree: dirty node %d missing from batch cache", pid)
-		}
-		var dirty []bool
-		if !whole {
-			dirty = make([]bool, len(n.children))
-		}
-		for i, child := range n.children {
-			if !b.dirty[child] {
-				if dirty != nil {
-					dirty[i] = moved(i)
-				}
-				continue
-			}
-			cu, err := b.computeOrdered(child, level-1)
-			if err != nil {
-				return nil, err
-			}
-			n.sigs[i] = sig.Signature(append([]byte(nil), cu...))
+		return b.t.commitOrdered(level, n.sigs, &n.ordered, dirty), nil
+	}
+	n, ok := b.inners[pid]
+	if !ok {
+		return nil, fmt.Errorf("vbtree: dirty node %d missing from batch cache", pid)
+	}
+	var dirty []bool
+	if !whole {
+		dirty = make([]bool, len(n.children))
+	}
+	for i, child := range n.children {
+		if !b.dirty[child] {
 			if dirty != nil {
-				dirty[i] = true
+				dirty[i] = moved(i)
 			}
+			continue
 		}
-		u = b.t.commitOrdered(level, n.sigs, &n.ordered, dirty)
+		cu, err := b.computeOrdered(child, level-1)
+		if err != nil {
+			return nil, err
+		}
+		n.sigs[i] = entry(cu)
+		if dirty != nil {
+			dirty[i] = true
+		}
 	}
-	b.u[pid] = u
-	return u, nil
-}
-
-// cleanU reads an untouched node's digest from its stored entry (one
-// recovery per batch under the legacy scheme, a cast under Merkle).
-func (b *treeBatch) cleanU(pid storage.PageID, stored sig.Signature) (digest.Value, error) {
-	if u, ok := b.u[pid]; ok {
-		return u, nil
-	}
-	u, err := b.t.childU(stored)
-	if err != nil {
-		return nil, err
-	}
-	b.u[pid] = u
-	return u, nil
+	return b.t.commitOrdered(level, n.sigs, &n.ordered, dirty), nil
 }
 
 // repair recomputes each dirty node's digest once (bottom-up from the
-// root's dirty spine), seals each exactly once, installs the fresh
-// entries into parents and the root anchor, and flushes every dirtied
-// page. Under the legacy scheme each dirty node, the root included, is
-// re-signed (in parallel); under a Merkle scheme every entry is the raw
-// digest and no signature is produced — the root's is made when first
-// asked for. Returns how many signatures the repair spent.
-func (b *treeBatch) repair() (int, error) {
-	compute := b.computeU
-	if b.t.merkle {
-		compute = func(root storage.PageID) (digest.Value, error) { return b.computeOrdered(root, b.t.height) }
+// root's dirty spine), installs the fresh entries into parents and the
+// root digest, and flushes every dirtied page. No signature is produced:
+// the root's is made when first asked for.
+func (b *treeBatch) repair() error {
+	u, err := b.computeOrdered(b.t.root, b.t.height)
+	if err != nil {
+		return err
 	}
-	if _, err := compute(b.t.root); err != nil {
-		return 0, err
-	}
-
-	dirty := make([]storage.PageID, 0, len(b.dirty))
-	for pid := range b.dirty {
-		dirty = append(dirty, pid)
-	}
-	sigs := make(map[storage.PageID]sig.Signature, len(dirty))
-	signed := len(dirty)
-	if b.t.merkle {
-		signed = 0
-		for _, pid := range dirty {
-			sigs[pid] = sig.Signature(append([]byte(nil), b.u[pid]...))
-		}
-	} else {
-		out := make([]sig.Signature, len(dirty))
-		errs := make([]error, len(dirty))
-		parallel(len(dirty), b.t.buildPar, func(i int) {
-			out[i], errs[i] = b.t.sign(b.u[dirty[i]])
-		})
-		for i, pid := range dirty {
-			if errs[i] != nil {
-				return 0, errs[i]
-			}
-			sigs[pid] = out[i]
-		}
-	}
-
-	// Install child entries into every cached parent, then flush. Every
-	// dirty node's parent is itself dirty (digest changes propagate to the
-	// root), so walking the cached internals covers all installations.
+	// computeOrdered installed every dirty child's digest in its parent's
+	// entry; flush the dirty pages.
 	for pid, n := range b.inners {
 		if !b.dirty[pid] {
 			continue
 		}
-		for i, child := range n.children {
-			if s, ok := sigs[child]; ok {
-				n.sigs[i] = s
-			}
-		}
 		if err := b.t.writeInternal(pid, n); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	for pid, n := range b.leaves {
@@ -667,9 +477,9 @@ func (b *treeBatch) repair() (int, error) {
 			continue
 		}
 		if err := b.t.writeLeaf(pid, n); err != nil {
-			return 0, err
+			return err
 		}
 	}
-	b.t.setRoot(b.u[b.t.root], sigs[b.t.root])
-	return signed, nil
+	b.t.setRoot(u)
+	return nil
 }

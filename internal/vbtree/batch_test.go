@@ -23,7 +23,7 @@ var (
 
 func batchSigner(t testing.TB) *sig.PrivateKey {
 	t.Helper()
-	batchKeyOnce.Do(func() { batchKey = sig.MustGenerateKey(512) })
+	batchKeyOnce.Do(func() { batchKey = sig.MustGenerate(sig.SchemeRSAMerkle, 512) })
 	return batchKey
 }
 
@@ -150,11 +150,10 @@ func TestInsertBatchVerifiesEndToEnd(t *testing.T) {
 	}
 }
 
-// TestInsertBatchSignerCounting pins the headline accounting: a batch
-// spends (columns+1) signatures per tuple — the per-tuple attribute and
-// tuple digests no batching can avoid — plus exactly one signature per
-// dirtied node, with the root re-signed once per batch instead of once
-// per tuple.
+// TestInsertBatchSignerCounting pins the headline accounting: an insert
+// signs nothing, batched or one at a time, however many tuples and nodes
+// it touches — the one signature a tree makes is over a root digest, made
+// by the first RootSig after the root changed.
 func TestInsertBatchSignerCounting(t *testing.T) {
 	tree, sch, _ := newBatchTree(t, 200, 0.6)
 	k := batchSigner(t)
@@ -176,31 +175,30 @@ func TestInsertBatchSignerCounting(t *testing.T) {
 			t.Fatalf("op %d failed: %v", i, e)
 		}
 	}
-	signs := ctr.Snapshot().SignOps
-	perTupleFloor := int64(stats.Applied) * int64(len(sch.Columns)+1)
-	if got, want := signs, perTupleFloor+int64(stats.NodesResigned); got != want {
-		t.Fatalf("batch spent %d signatures, want %d (= %d per-tuple + %d node re-signs)",
-			got, want, perTupleFloor, stats.NodesResigned)
+	if signs := ctr.Snapshot().SignOps; signs != 0 || stats.NodesResigned != 0 || stats.Applied != len(rows) {
+		t.Fatalf("batch of %d spent %d signatures (stats %+v), want none", len(rows), signs, stats)
 	}
-	// The dirtied-node set must be a batch-level quantity, not a per-tuple
-	// one: far fewer node re-signs than tuples×height.
-	if stats.NodesResigned >= stats.Applied*tree.Height() {
-		t.Fatalf("%d node re-signs for %d tuples at height %d — no amortization",
-			stats.NodesResigned, stats.Applied, tree.Height())
+	tree.RootSig()
+	tree.RootSig()
+	if signs := ctr.Snapshot().SignOps; signs != 1 {
+		t.Fatalf("two RootSig calls after the batch spent %d signatures, want 1", signs)
 	}
 
-	// Reference point: the per-tuple path re-signs every path node (root
-	// included) for every insert.
+	// One tuple at a time: still nothing per tuple, one per root asked for.
 	ctr.Reset()
 	for i := int64(0); i < 8; i++ {
 		if err := tree.Insert(batchRow(sch, 30_000+i*7)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	perSigns := ctr.Snapshot().SignOps
-	wantMin := 8 * int64(len(sch.Columns)+1+tree.Height()) // splits only add to this
-	if perSigns < wantMin {
-		t.Fatalf("per-tuple inserts spent %d signatures, expected at least %d", perSigns, wantMin)
+	if signs := ctr.Snapshot().SignOps; signs != 0 {
+		t.Fatalf("8 single inserts spent %d signatures, want none", signs)
+	}
+	if _, err := tree.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	if signs := ctr.Snapshot().SignOps; signs != 1 {
+		t.Fatalf("an audit after 8 inserts spent %d signatures, want the root's 1", signs)
 	}
 }
 
@@ -293,10 +291,7 @@ func TestInsertBatchEmptyAndReadOnly(t *testing.T) {
 // counters.
 func newSchemeTree(t testing.TB, scheme sig.Scheme, rows int, fill float64) (*Tree, *schema.Schema, *digest.Counters) {
 	t.Helper()
-	k, err := batchSigner(t).WithScheme(scheme)
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := schemeKey(t, scheme)
 	ctr := &digest.Counters{}
 	k.SetCounters(ctr)
 	p := digest.DefaultParams()
@@ -335,31 +330,17 @@ func newSchemeTree(t testing.TB, scheme sig.Scheme, rows int, fill float64) (*Tr
 }
 
 // TestInsertCostIsFormula11 ties formula (11) to the live counters: an
-// insert that splits nothing, into a tree of height H over N_C columns,
-// hashes exactly the N_C attributes, folds the tuple digest once into
-// each of the H nodes on its path, and recovers only the H−1 pre-insert
-// digests it reads from parent entries (the root's is kept unsigned in
-// memory; under a Merkle scheme an entry is the raw digest, so none). It
-// signs the N_C attribute digests, the tuple digest and the H path nodes
-// under the legacy scheme, and nothing at all under a Merkle scheme: the
-// root is signed when first asked for, not at the commit.
-//
-// costmodel.InsertCost prices N_C·C_h + (N_C + H)·C_k: N_C multiplies into
-// the tuple digest and one fold per level. The combine counter also sees
-// what the model leaves out of a fold: one application of g per digest
-// read out (the tuple's and each node's, H+1) and, at each of the H−1
-// internal nodes, the division that takes the child's old factor out —
-// N_C + H + (H+1) + (H−1) = N_C + 3H in all.
-//
-// A Merkle tree commits by ordered hashes and combines nothing: formula
-// (11) restated (costmodel.OrderedInsertHashes) is N_C attribute hashes,
-// one tuple hash, and on each node of the path its node hash plus the
-// group digests over the entries that changed or moved — in the leaf
-// every group from the insertion point on, above it one per in-node
-// level. (The parent commit, which folded by the combiner under Merkle
-// too, counted N_C hashes and N_C + 3H combines there.)
+// insert that splits nothing commits by ordered hashes and combines,
+// recovers and signs nothing — the root is signed when first asked for,
+// not at the commit. Formula (11) restated (costmodel.OrderedInsertHashes)
+// is N_C attribute hashes, one tuple hash, and on each node of the path
+// its node hash plus the group digests over the entries that changed or
+// moved — in the leaf every group from the insertion point on, above it
+// one per in-node level. (The paper's per-node scheme, whose cost
+// costmodel.InsertCost keeps, signs N_C + 1 + H digests and recovers
+// H − 1.)
 func TestInsertCostIsFormula11(t *testing.T) {
-	for _, scheme := range []sig.Scheme{sig.SchemeRSAFull, sig.SchemeRSAMerkle} {
+	for _, scheme := range []sig.Scheme{sig.SchemeRSAMerkle, sig.SchemeEd25519} {
 		for _, rows := range []int{200, 2000} {
 			tree, sch, ctr := newSchemeTree(t, scheme, rows, 0.7)
 			before, err := tree.Stats(9)
@@ -380,12 +361,9 @@ func TestInsertCostIsFormula11(t *testing.T) {
 			if after.LeafNodes != before.LeafNodes || after.Height != before.Height {
 				t.Fatalf("%v/%d: the insert split a node (%+v -> %+v)", scheme, rows, before, after)
 			}
-			wantHashes, wantCombines, wantRecovers, wantSigns := nc, nc+3*h, h-1, nc+1+h
-			if scheme.Merkle() {
-				p := costmodel.Default()
-				p.NC = int(nc)
-				wantHashes, wantCombines, wantRecovers, wantSigns = int64(p.OrderedInsertHashes(path)), 0, 0, 0
-			}
+			p := costmodel.Default()
+			p.NC = int(nc)
+			wantHashes, wantCombines, wantRecovers, wantSigns := int64(p.OrderedInsertHashes(path)), int64(0), int64(0), int64(0)
 			if got.HashOps != wantHashes || got.CombineOps != wantCombines || got.RecoverOps != wantRecovers || got.SignOps != wantSigns {
 				t.Errorf("%v/%d rows (H=%d): hash/combine/recover/sign = %d/%d/%d/%d, want %d/%d/%d/%d",
 					scheme, rows, h, got.HashOps, got.CombineOps, got.RecoverOps, got.SignOps,
@@ -426,15 +404,13 @@ func insertPath(t *testing.T, tree *Tree, tup schema.Tuple) []costmodel.InsertSt
 }
 
 // TestSplittingInsertCostsNoMoreThanParent: an insert that splits
-// recomputes the split halves from their entries. The per-node rsa
-// ceilings are what the per-tuple insert path this one replaced spent on
-// the same trees (1 KB pages, packed full, key -1 into the first leaf): a
-// leaf split, a leaf and internal split, and a root leaf that grows the
-// tree. The rsa-merkle ones are what the ordered commitment spends, which
-// hashes a split node's groups and combines nothing; a 1 KB leaf holds 28
-// entries beside its group digests, so 28 rows are one full leaf. (The
-// parent commit, which combined under Merkle too, spent 10 hashes and 46,
-// 47 and 86 combines on 29, 200 and 2,000 rows.)
+// recomputes the split halves from their entries. The ceilings are what
+// the ordered commitment spends on trees of 1 KB pages, packed full, for
+// key -1 into the first leaf — a root leaf that grows the tree, a leaf
+// split, and a leaf and internal split: it hashes a split node's groups
+// and combines nothing; a 1 KB leaf holds 28 entries beside its group
+// digests, so 28 rows are one full leaf. The one signature is the Audit's
+// root signature.
 func TestSplittingInsertCostsNoMoreThanParent(t *testing.T) {
 	for _, tc := range []struct {
 		scheme sig.Scheme
@@ -443,10 +419,6 @@ func TestSplittingInsertCostsNoMoreThanParent(t *testing.T) {
 		// hash, combine, recover, sign at the parent commit
 		ceil [4]int64
 	}{
-		{sig.SchemeRSAFull, 12, true, [4]int64{10, 29, 13, 14}},
-		{sig.SchemeRSAFull, 40, false, [4]int64{10, 30, 14, 14}},
-		{sig.SchemeRSAFull, 200, false, [4]int64{10, 49, 28, 16}},
-		{sig.SchemeRSAFull, 2000, false, [4]int64{10, 68, 42, 18}},
 		{sig.SchemeRSAMerkle, 28, true, [4]int64{18, 0, 0, 1}},
 		{sig.SchemeRSAMerkle, 200, false, [4]int64{20, 0, 0, 1}},
 		{sig.SchemeRSAMerkle, 2000, false, [4]int64{24, 0, 0, 1}},
@@ -487,7 +459,7 @@ func TestSplittingInsertCostsNoMoreThanParent(t *testing.T) {
 // batch the batched tree audits clean and its root digest and per-op
 // errors equal the one-at-a-time tree's.
 func TestInsertBatchRandomMatchesOneAtATime(t *testing.T) {
-	for _, scheme := range []sig.Scheme{sig.SchemeRSAFull, sig.SchemeRSAMerkle} {
+	for _, scheme := range []sig.Scheme{sig.SchemeRSAMerkle} {
 		t.Run(scheme.String(), func(t *testing.T) {
 			batched, sch, _ := newSchemeTree(t, scheme, 0, 1.0)
 			single, _, _ := newSchemeTree(t, scheme, 0, 1.0)

@@ -9,8 +9,8 @@ import (
 	"edgeauth/internal/storage"
 )
 
-// DefaultBuildChunk is the presign/pack granularity BuildFromSource uses
-// when the caller passes chunkSize <= 0: large enough to keep the presign
+// DefaultBuildChunk is the hash/pack granularity BuildFromSource uses
+// when the caller passes chunkSize <= 0: large enough to keep the hashing
 // worker pool busy, small enough that a streamed build never materializes
 // the whole table.
 const DefaultBuildChunk = 1024
@@ -25,13 +25,13 @@ type TupleSource func(limit int) ([]schema.Tuple, error)
 // increasing primary-key order (the usual way the central server creates
 // the index over an existing table). fill in (0,1] controls node occupancy.
 //
-// Signing dominates build cost — the paper acknowledges that signing every
-// attribute, tuple and node digest "imposes processing overhead on the
-// central server" — so attribute/tuple signatures are produced by a small
-// worker pool.
+// The paper signs every attribute, tuple and node digest, which "imposes
+// processing overhead on the central server"; this tree signs only its
+// root, when first asked. Hashing the attribute and tuple digests is the
+// per-tuple cost, and a small worker pool does it.
 func Build(cfg Config, tuples []schema.Tuple, fill float64) (*Tree, error) {
 	// One chunk: the slice is already materialized, so present it to the
-	// presign pool whole, exactly as the pre-streaming builder did.
+	// hashing pool whole, exactly as the pre-streaming builder did.
 	return BuildFromSource(cfg, fill, len(tuples), SliceSource(tuples), nil)
 }
 
@@ -48,7 +48,7 @@ func SliceSource(tuples []schema.Tuple) TupleSource {
 
 // BuildFromSource constructs a fully packed VB-tree by streaming tuples
 // from src in chunks of chunkSize (<= 0 selects DefaultBuildChunk): each
-// chunk is presigned by the worker pool, packed incrementally, and —
+// chunk is hashed by the worker pool, packed incrementally, and —
 // when onChunk is non-nil — handed to the callback after it is packed,
 // so a caller can e.g. seed the new shard's WAL in the same pass. The
 // source must yield strictly increasing keys across its whole stream.
@@ -78,10 +78,10 @@ func BuildFromSource(cfg Config, fill float64, chunkSize int, src TupleSource, o
 		if len(tuples) == 0 {
 			break
 		}
-		// Digests + signatures, parallel across the chunk (the same
-		// presign pool the batched insert path uses).
+		// Digests, parallel across the chunk (the same pool the batched
+		// insert path uses).
 		opErrs := make([]error, len(tuples))
-		prep := t.presignTuples(tuples, opErrs)
+		prep := t.prepareTuples(tuples, opErrs)
 		for i, e := range opErrs {
 			if e != nil {
 				return nil, fmt.Errorf("vbtree: preparing tuple %d: %w", b.n+i, e)
@@ -105,7 +105,7 @@ func BuildFromSource(cfg Config, fill float64, chunkSize int, src TupleSource, o
 type levelEntry struct {
 	firstKey []byte
 	pid      storage.PageID
-	u        digest.Value // unsigned node digest
+	u        digest.Value // node digest
 }
 
 // streamBuilder packs a VB-tree bottom-up from a strictly-ordered tuple
@@ -118,7 +118,6 @@ type streamBuilder struct {
 	budget   int
 	leaves   []levelEntry
 	cur      vbLeaf
-	curAcc   *digest.Acc
 	curSize  int
 	lastKey  []byte
 	n        int // tuples accepted so far (the error-reporting index)
@@ -130,8 +129,6 @@ func newStreamBuilder(t *Tree, fill float64) *streamBuilder {
 		t:        t,
 		pageSize: pageSize,
 		budget:   int(float64(pageSize) * fill),
-		cur:      *t.newLeaf(),
-		curAcc:   t.acc.NewAcc(),
 		curSize:  vbLeafHeader,
 	}
 }
@@ -142,20 +139,14 @@ func (b *streamBuilder) flushLeaf() error {
 	if err != nil {
 		return err
 	}
-	var u digest.Value
-	if t.merkle {
-		u = t.commitOrdered(1, b.cur.sigs, &b.cur.ordered, nil)
-	} else {
-		u = b.curAcc.Value()
-	}
+	u := t.commitOrdered(1, b.cur.sigs, &b.cur.ordered, nil)
 	if err := b.cur.encode(f.Page().Bytes()); err != nil {
 		t.bp.Unpin(f, false)
 		return err
 	}
 	b.leaves = append(b.leaves, levelEntry{firstKey: b.cur.keys[0], pid: f.ID(), u: u})
 	t.bp.Unpin(f, true)
-	b.cur = *t.newLeaf()
-	b.curAcc = t.acc.NewAcc()
+	b.cur = vbLeaf{}
 	b.curSize = vbLeafHeader
 	return nil
 }
@@ -174,7 +165,7 @@ func (b *streamBuilder) add(p *preparedTuple) error {
 	if err != nil {
 		return err
 	}
-	grown := b.curSize + entry + b.cur.groupBytes(len(b.cur.keys)+1)
+	grown := b.curSize + entry + digest.StoredBytes(len(b.cur.keys)+1)
 	if len(b.cur.keys) > 0 && (grown > b.budget || grown > b.pageSize) {
 		if err := b.flushLeaf(); err != nil {
 			return err
@@ -183,11 +174,6 @@ func (b *streamBuilder) add(p *preparedTuple) error {
 	b.cur.keys = append(b.cur.keys, p.keyBytes)
 	b.cur.rids = append(b.cur.rids, rid)
 	b.cur.sigs = append(b.cur.sigs, p.dt)
-	if !b.t.merkle {
-		if err := b.curAcc.Add(p.ut); err != nil {
-			return err
-		}
-	}
 	b.curSize += entry
 	b.lastKey = p.keyBytes
 	b.n++
@@ -206,20 +192,8 @@ func (b *streamBuilder) finish() (*Tree, error) {
 	}
 	leaves := b.leaves
 	if len(leaves) == 0 {
-		// Empty table: a single empty leaf, identity digest.
-		f, err := t.bp.NewPage(storage.PageVBLeaf)
-		if err != nil {
-			return nil, err
-		}
-		empty := t.newLeaf()
-		if err := empty.encode(f.Page().Bytes()); err != nil {
-			t.bp.Unpin(f, false)
-			return nil, err
-		}
-		t.root = f.ID()
-		t.bp.Unpin(f, true)
-		t.height = 1
-		if err := t.sealRoot(t.emptyDigest()); err != nil {
+		// Empty table: a single empty leaf.
+		if err := t.resetEmpty(); err != nil {
 			return nil, err
 		}
 		return t, nil
@@ -241,8 +215,7 @@ func (b *streamBuilder) finish() (*Tree, error) {
 	t.height = 1
 	for len(level) > 1 {
 		var next []levelEntry
-		node := vbInternal{ordered: ordered{on: t.merkle}}
-		nodeAcc := t.acc.NewAcc()
+		var node vbInternal
 		nodeSize := vbInternalHeader
 		var nodeFirst []byte
 		flushInternal := func() error {
@@ -250,29 +223,20 @@ func (b *streamBuilder) finish() (*Tree, error) {
 			if err != nil {
 				return err
 			}
-			var u digest.Value
-			if t.merkle {
-				u = t.commitOrdered(t.height+1, node.sigs, &node.ordered, nil)
-			} else {
-				u = nodeAcc.Value()
-			}
+			u := t.commitOrdered(t.height+1, node.sigs, &node.ordered, nil)
 			if err := node.encode(f.Page().Bytes()); err != nil {
 				t.bp.Unpin(f, false)
 				return err
 			}
 			next = append(next, levelEntry{firstKey: nodeFirst, pid: f.ID(), u: u})
 			t.bp.Unpin(f, true)
-			node = vbInternal{ordered: ordered{on: t.merkle}}
-			nodeAcc = t.acc.NewAcc()
+			node = vbInternal{}
 			nodeSize = vbInternalHeader
 			nodeFirst = nil
 			return nil
 		}
-		addChild := func(c levelEntry) error {
-			cs, err := t.sealDigest(c.u)
-			if err != nil {
-				return err
-			}
+		addChild := func(c levelEntry) {
+			cs := entry(c.u)
 			if len(node.children) == 0 {
 				node.children = []storage.PageID{c.pid}
 				node.sigs = []sig.Signature{cs}
@@ -284,21 +248,15 @@ func (b *streamBuilder) finish() (*Tree, error) {
 				node.sigs = append(node.sigs, cs)
 				nodeSize += 2 + len(c.firstKey) + 4 + 2 + len(cs)
 			}
-			if t.merkle {
-				return nil
-			}
-			return nodeAcc.Add(c.u)
 		}
 		for _, child := range level {
-			grown := nodeSize + 2 + len(child.firstKey) + 4 + 2 + t.storedLen() + node.groupBytes(len(node.children)+1)
+			grown := nodeSize + 2 + len(child.firstKey) + 4 + 2 + t.acc.Len() + digest.StoredBytes(len(node.children)+1)
 			if len(node.children) > 0 && (grown > b.budget || grown > b.pageSize) {
 				if err := flushInternal(); err != nil {
 					return nil, err
 				}
 			}
-			if err := addChild(child); err != nil {
-				return nil, err
-			}
+			addChild(child)
 		}
 		if len(node.children) > 0 {
 			if err := flushInternal(); err != nil {
@@ -312,8 +270,6 @@ func (b *streamBuilder) finish() (*Tree, error) {
 		t.height++
 	}
 	t.root = level[0].pid
-	if err := t.sealRoot(level[0].u); err != nil {
-		return nil, err
-	}
+	t.setRoot(level[0].u)
 	return t, nil
 }

@@ -43,11 +43,11 @@ func (it *TupleIter) Next(limit int) ([]schema.Tuple, error) {
 		return nil, nil
 	}
 	if !it.started {
-		_, buf, err := it.v.leafFor(it.lo)
+		buf, err := it.v.leafFor(it.lo)
 		if err != nil {
 			return nil, err
 		}
-		if it.cur, err = openLeaf(buf, it.v.merkle); err != nil {
+		if it.cur, err = openLeaf(buf); err != nil {
 			return nil, err
 		}
 		it.started = true
@@ -67,7 +67,7 @@ func (it *TupleIter) Next(limit int) ([]schema.Tuple, error) {
 			if err != nil {
 				return nil, err
 			}
-			if it.cur, err = openLeaf(buf, it.v.merkle); err != nil {
+			if it.cur, err = openLeaf(buf); err != nil {
 				return nil, err
 			}
 			continue
@@ -91,13 +91,13 @@ func (it *TupleIter) Next(limit int) ([]schema.Tuple, error) {
 // KeyCount walks the leaf chain and returns the view's total tuple
 // count without touching the heap.
 func (v *View) KeyCount() (int, error) {
-	_, buf, err := v.leafFor(nil)
+	buf, err := v.leafFor(nil)
 	if err != nil {
 		return 0, err
 	}
 	n := 0
 	for {
-		c, err := openLeaf(buf, v.merkle)
+		c, err := openLeaf(buf)
 		if err != nil {
 			return 0, err
 		}
@@ -117,13 +117,13 @@ func (v *View) TupleAt(i int) (schema.Tuple, error) {
 	if i < 0 {
 		return schema.Tuple{}, fmt.Errorf("vbtree: tuple index %d out of range", i)
 	}
-	_, buf, err := v.leafFor(nil)
+	buf, err := v.leafFor(nil)
 	if err != nil {
 		return schema.Tuple{}, err
 	}
 	seen := 0
 	for {
-		c, err := openLeaf(buf, v.merkle)
+		c, err := openLeaf(buf)
 		if err != nil {
 			return schema.Tuple{}, err
 		}

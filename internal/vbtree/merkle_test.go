@@ -16,21 +16,9 @@ import (
 )
 
 // newSchemeHarness is newHarness with an explicit signature scheme.
-// RSA-backed schemes retag the shared test key, so Merkle and legacy
-// trees built here hold identical key material — the root-signature
-// equivalence tests depend on that.
 func newSchemeHarness(t testing.TB, n, pageSize int, scheme sig.Scheme) *harness {
 	t.Helper()
-	var k *sig.PrivateKey
-	if scheme == sig.SchemeEd25519 {
-		k = sig.MustGenerate(sig.SchemeEd25519, 0)
-	} else {
-		var err error
-		k, err = signer(t).WithScheme(scheme)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	k := schemeKey(t, scheme)
 	mem, err := storage.NewMemPager(pageSize)
 	if err != nil {
 		t.Fatal(err)
@@ -70,13 +58,11 @@ func newSchemeHarness(t testing.TB, n, pageSize int, scheme sig.Scheme) *harness
 	}
 }
 
-// TestOrderedRootSurvivesMutations: under both Merkle schemes a tree
+// TestOrderedRootSurvivesMutations: under both schemes a tree
 // keeps the invariant everything it serves rests on — through builds,
 // inserts, batches and deletes, every stored attribute, tuple, group and
 // node digest is what its content hashes to (Audit), and the root
-// signature verifies over the root digest the tree reports. (Until the
-// Merkle schemes committed by ordered hashes, their root digests equalled
-// per-node rsa's over the same content; they no longer do, by design.)
+// signature verifies over the root digest the tree reports.
 func TestOrderedRootSurvivesMutations(t *testing.T) {
 	f := func(seed int64) bool {
 		for _, scheme := range []sig.Scheme{sig.SchemeRSAMerkle, sig.SchemeEd25519} {
@@ -120,11 +106,10 @@ func TestOrderedRootSurvivesMutations(t *testing.T) {
 	}
 }
 
-// TestMerkleBatchSignsOnlyRoot pins the headline accounting: in Merkle
-// mode a batch commit signs nothing, no matter how many nodes it dirties,
-// and the one digest a Merkle tree signs — the root — is signed once, by
-// the first RootSig after the commit; the legacy tree re-signs every
-// dirty node at the commit.
+// TestMerkleBatchSignsOnlyRoot pins the headline accounting: a batch
+// commit signs nothing, no matter how many nodes it dirties, and the one
+// digest a tree signs — the root — is signed once, by the first RootSig
+// after the commit.
 func TestMerkleBatchSignsOnlyRoot(t *testing.T) {
 	batch := make([]schema.Tuple, 64)
 	for i := range batch {
@@ -156,25 +141,17 @@ func TestMerkleBatchSignsOnlyRoot(t *testing.T) {
 	if err := merkle.key.Public().Verify(first, u); err != nil {
 		t.Fatalf("the root signature does not authenticate the root digest: %v", err)
 	}
-	legacy := newSchemeHarness(t, 200, 1024, sig.SchemeRSAFull)
-	lst, _, err := legacy.tree.InsertBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lst.NodesResigned <= 1 {
-		t.Fatalf("legacy batch re-signed %d nodes; the tree is too shallow to mean anything", lst.NodesResigned)
+	if h := merkle.tree.Height(); h < 2 {
+		t.Fatalf("tree of height %d: the batch dirtied only the root, too little to mean anything", h)
 	}
 }
 
 // TestMerkleTreesStayVerifiable: audits and verified queries pass under
-// both Merkle schemes after a round of mutations.
+// both schemes after a round of mutations.
 func TestMerkleTreesStayVerifiable(t *testing.T) {
 	for _, scheme := range []sig.Scheme{sig.SchemeRSAMerkle, sig.SchemeEd25519} {
 		t.Run(scheme.String(), func(t *testing.T) {
 			h := newSchemeHarness(t, 120, 1024, scheme)
-			if !h.tree.MerkleMode() {
-				t.Fatal("tree not in merkle mode")
-			}
 			if err := h.tree.Insert(mkTuple(900)); err != nil {
 				t.Fatal(err)
 			}
@@ -311,7 +288,7 @@ func TestAuditChecksStoredGroupDigests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := openLeaf(f.Page().Bytes(), true)
+	c, err := openLeaf(f.Page().Bytes())
 	if err != nil || len(c.groups) == 0 {
 		t.Fatalf("leaf of %d entries stores %d group bytes (%v)", c.count, len(c.groups), err)
 	}

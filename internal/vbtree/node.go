@@ -3,6 +3,7 @@ package vbtree
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -13,20 +14,22 @@ import (
 
 // Node serialization (paper Figure 3(b)/(c)):
 //
-//	leaf:     type(1) | next(4) | count(2) |
+//	leaf:     type(1) | next(4) | count(2) | groups |
 //	          { keyLen(2) key rid(6) sigLen(2) D_T }*
-//	internal: type(1) | count(2) | child0(4) sigLen(2) D_0 |
+//	internal: type(1) | count(2) | groups | child0(4) sigLen(2) D_0 |
 //	          { keyLen(2) key child(4) sigLen(2) D }*
 //
 // count is the number of keys; an internal node has count+1 (child, digest)
-// pairs. The digest stored with each child pointer is the *signed* digest
-// of that child's subtree, exactly as the paper prescribes ("the node
-// digest is stored with the corresponding child pointer in the parent").
-//
-// Under a Merkle scheme (an ordered tree) the header is followed by the
+// pairs. The digest stored with each child pointer is the digest of that
+// child's subtree, as the paper prescribes ("the node digest is stored
+// with the corresponding child pointer in the parent"). groups is the
 // node's in-node group digests (digest.CommitNode), digest.StoredBytes of
-// the entry count, before the first entry; a per-node rsa page has none
-// and is laid out exactly as above.
+// the entry count. The tree writes every digest as digest.Size bytes,
+// behind its length.
+//
+// The cursors below are the one parser of this layout: the read path
+// walks a page with them in place, and decodeVBLeaf / decodeVBInternal
+// copy what they yield into a node the write path can change.
 const (
 	vbLeafHeader     = 1 + 4 + 2
 	vbInternalHeader = 1 + 2
@@ -47,90 +50,52 @@ type vbInternal struct {
 	ordered
 }
 
-// ordered is what a node of an ordered (Merkle) tree stores beside its
-// entries: its in-node group digests, committed for groupsN entries.
-// Under per-node rsa on is false and the rest empty.
+// ordered is what a node stores beside its entries: its in-node group
+// digests, committed for groupsN entries.
 type ordered struct {
-	on      bool
 	groups  []byte
 	groupsN int
-}
-
-// groupBytes is the page space the group digests of n entries take.
-func (o *ordered) groupBytes(n int) int {
-	if !o.on {
-		return 0
-	}
-	return digest.StoredBytes(n)
-}
-
-// readGroups reads the group digests of n entries at buf[off:] and
-// returns the offset of the first entry.
-func (o *ordered) readGroups(buf []byte, off, n int) (int, error) {
-	g := o.groupBytes(n)
-	if off+g > len(buf) {
-		return 0, fmt.Errorf("vbtree: group digests truncated")
-	}
-	o.groups, o.groupsN = append([]byte(nil), buf[off:off+g]...), n
-	return off + g, nil
 }
 
 // writeGroups writes the group digests of n entries at buf[off:] and
 // returns the offset of the first entry. They must have been committed
 // for exactly n entries.
 func (o *ordered) writeGroups(buf []byte, off, n int) (int, error) {
-	if !o.on {
-		return off, nil
-	}
-	if o.groupsN != n || len(o.groups) != o.groupBytes(n) {
+	if o.groupsN != n || len(o.groups) != digest.StoredBytes(n) {
 		return 0, fmt.Errorf("vbtree: group digests committed for %d entries, node has %d", o.groupsN, n)
 	}
 	return off + copy(buf[off:], o.groups), nil
 }
 
-func decodeVBLeaf(buf []byte, ord bool) (*vbLeaf, error) {
-	if storage.PageType(buf[0]) != storage.PageVBLeaf {
-		return nil, fmt.Errorf("vbtree: page type %d is not a VB leaf", buf[0])
-	}
-	n := &vbLeaf{next: storage.PageID(binary.BigEndian.Uint32(buf[1:5])), ordered: ordered{on: ord}}
-	count := int(binary.BigEndian.Uint16(buf[5:7]))
-	off, err := n.readGroups(buf, vbLeafHeader, count)
+// decodeVBLeaf copies a leaf page into a node the caller owns.
+func decodeVBLeaf(buf []byte) (*vbLeaf, error) {
+	c, err := openLeaf(buf)
 	if err != nil {
 		return nil, err
 	}
-	n.keys = make([][]byte, count)
-	n.rids = make([]storage.RecordID, count)
-	n.sigs = make([]sig.Signature, count)
-	for i := 0; i < count; i++ {
-		if off+2 > len(buf) {
-			return nil, fmt.Errorf("vbtree: leaf entry %d truncated", i)
-		}
-		kl := int(binary.BigEndian.Uint16(buf[off : off+2]))
-		off += 2
-		if off+kl+6+2 > len(buf) {
-			return nil, fmt.Errorf("vbtree: leaf entry %d truncated", i)
-		}
-		n.keys[i] = append([]byte(nil), buf[off:off+kl]...)
-		off += kl
-		rid, err := storage.DecodeRecordID(buf[off : off+6])
+	n := &vbLeaf{
+		next:    c.next,
+		keys:    make([][]byte, 0, c.count),
+		rids:    make([]storage.RecordID, 0, c.count),
+		sigs:    make([]sig.Signature, 0, c.count),
+		ordered: ordered{groups: bytes.Clone(c.groups), groupsN: c.count},
+	}
+	for {
+		ok, err := c.advance()
 		if err != nil {
 			return nil, err
 		}
-		n.rids[i] = rid
-		off += 6
-		sl := int(binary.BigEndian.Uint16(buf[off : off+2]))
-		off += 2
-		if off+sl > len(buf) {
-			return nil, fmt.Errorf("vbtree: leaf signature %d truncated", i)
+		if !ok {
+			return n, nil
 		}
-		n.sigs[i] = append(sig.Signature(nil), buf[off:off+sl]...)
-		off += sl
+		n.keys = append(n.keys, bytes.Clone(c.key))
+		n.rids = append(n.rids, c.rid)
+		n.sigs = append(n.sigs, bytes.Clone(c.sig))
 	}
-	return n, nil
 }
 
 func (n *vbLeaf) encodedSize() int {
-	sz := vbLeafHeader + n.groupBytes(len(n.keys))
+	sz := vbLeafHeader + digest.StoredBytes(len(n.keys))
 	for i := range n.keys {
 		sz += 2 + len(n.keys[i]) + 6 + 2 + len(n.sigs[i])
 	}
@@ -172,59 +137,37 @@ func (n *vbLeaf) search(k []byte) int {
 	return sort.Search(len(n.keys), func(i int) bool { return compare(n.keys[i], k) >= 0 })
 }
 
-func decodeVBInternal(buf []byte, ord bool) (*vbInternal, error) {
-	if storage.PageType(buf[0]) != storage.PageVBInternal {
-		return nil, fmt.Errorf("vbtree: page type %d is not a VB internal node", buf[0])
-	}
-	count := int(binary.BigEndian.Uint16(buf[1:3]))
-	n := &vbInternal{
-		keys:     make([][]byte, count),
-		children: make([]storage.PageID, count+1),
-		sigs:     make([]sig.Signature, count+1),
-		ordered:  ordered{on: ord},
-	}
-	off, err := n.readGroups(buf, vbInternalHeader, count+1)
+// decodeVBInternal copies an internal node's page into a node the
+// caller owns.
+func decodeVBInternal(buf []byte) (*vbInternal, error) {
+	c, err := openInternal(buf)
 	if err != nil {
 		return nil, err
 	}
-	readChild := func(i int) error {
-		if off+4+2 > len(buf) {
-			return fmt.Errorf("vbtree: internal child %d truncated", i)
-		}
-		n.children[i] = storage.PageID(binary.BigEndian.Uint32(buf[off : off+4]))
-		off += 4
-		sl := int(binary.BigEndian.Uint16(buf[off : off+2]))
-		off += 2
-		if off+sl > len(buf) {
-			return fmt.Errorf("vbtree: internal digest %d truncated", i)
-		}
-		n.sigs[i] = append(sig.Signature(nil), buf[off:off+sl]...)
-		off += sl
-		return nil
+	n := &vbInternal{
+		keys:     make([][]byte, 0, c.count-1),
+		children: make([]storage.PageID, 0, c.count),
+		sigs:     make([]sig.Signature, 0, c.count),
+		ordered:  ordered{groups: bytes.Clone(c.groups), groupsN: c.count},
 	}
-	if err := readChild(0); err != nil {
-		return nil, err
-	}
-	for i := 0; i < count; i++ {
-		if off+2 > len(buf) {
-			return nil, fmt.Errorf("vbtree: internal key %d truncated", i)
-		}
-		kl := int(binary.BigEndian.Uint16(buf[off : off+2]))
-		off += 2
-		if off+kl > len(buf) {
-			return nil, fmt.Errorf("vbtree: internal key %d truncated", i)
-		}
-		n.keys[i] = append([]byte(nil), buf[off:off+kl]...)
-		off += kl
-		if err := readChild(i + 1); err != nil {
+	for {
+		ok, err := c.advance()
+		if err != nil {
 			return nil, err
 		}
+		if !ok {
+			return n, nil
+		}
+		if c.lo != nil {
+			n.keys = append(n.keys, bytes.Clone(c.lo))
+		}
+		n.children = append(n.children, c.child)
+		n.sigs = append(n.sigs, bytes.Clone(c.sig))
 	}
-	return n, nil
 }
 
 func (n *vbInternal) encodedSize() int {
-	sz := vbInternalHeader + n.groupBytes(len(n.children)) + 4 + 2 + len(n.sigs[0])
+	sz := vbInternalHeader + digest.StoredBytes(len(n.children)) + 4 + 2 + len(n.sigs[0])
 	for i := range n.keys {
 		sz += 2 + len(n.keys[i]) + 4 + 2 + len(n.sigs[i+1])
 	}
@@ -306,8 +249,7 @@ type leafCursor struct {
 	off  int
 	left int // entries not yet read
 	next storage.PageID
-	// count is the leaf's entry count and groups its stored group digests
-	// (none under per-node rsa).
+	// count is the leaf's entry count and groups its stored group digests.
 	count  int
 	groups []byte
 	// The current entry, set by advance.
@@ -316,12 +258,15 @@ type leafCursor struct {
 	sig []byte // D_T
 }
 
-func openLeaf(buf []byte, ord bool) (leafCursor, error) {
+func openLeaf(buf []byte) (leafCursor, error) {
+	if len(buf) < vbLeafHeader {
+		return leafCursor{}, errors.New("vbtree: leaf header truncated")
+	}
 	if storage.PageType(buf[0]) != storage.PageVBLeaf {
 		return leafCursor{}, fmt.Errorf("vbtree: page type %d is not a VB leaf", buf[0])
 	}
 	count := int(binary.BigEndian.Uint16(buf[5:7]))
-	groups, err := pageGroups(buf, vbLeafHeader, count, ord)
+	groups, err := pageGroups(buf, vbLeafHeader, count)
 	if err != nil {
 		return leafCursor{}, err
 	}
@@ -337,10 +282,7 @@ func openLeaf(buf []byte, ord bool) (leafCursor, error) {
 
 // pageGroups returns the stored group digests of a node of n entries
 // whose header ends at off, in place.
-func pageGroups(buf []byte, off, n int, ord bool) ([]byte, error) {
-	if !ord {
-		return nil, nil
-	}
+func pageGroups(buf []byte, off, n int) ([]byte, error) {
 	g := digest.StoredBytes(n)
 	if off+g > len(buf) {
 		return nil, fmt.Errorf("vbtree: group digests truncated")
@@ -385,8 +327,7 @@ type internalCursor struct {
 	buf  []byte
 	off  int
 	left int // children not yet read
-	// count is the node's child count and groups its stored group digests
-	// (none under per-node rsa).
+	// count is the node's child count and groups its stored group digests.
 	count  int
 	groups []byte
 	// The current child, set by advance: its page, the digest stored with
@@ -397,12 +338,15 @@ type internalCursor struct {
 	lo, hi []byte
 }
 
-func openInternal(buf []byte, ord bool) (internalCursor, error) {
+func openInternal(buf []byte) (internalCursor, error) {
+	if len(buf) < vbInternalHeader {
+		return internalCursor{}, errors.New("vbtree: internal node header truncated")
+	}
 	if storage.PageType(buf[0]) != storage.PageVBInternal {
 		return internalCursor{}, fmt.Errorf("vbtree: page type %d is not a VB internal node", buf[0])
 	}
 	count := int(binary.BigEndian.Uint16(buf[1:3])) + 1
-	groups, err := pageGroups(buf, vbInternalHeader, count, ord)
+	groups, err := pageGroups(buf, vbInternalHeader, count)
 	if err != nil {
 		return internalCursor{}, err
 	}
@@ -474,7 +418,7 @@ func (t *Tree) fetchLeaf(pid storage.PageID) (*vbLeaf, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := decodeVBLeaf(f.Page().Bytes(), t.merkle)
+	n, err := decodeVBLeaf(f.Page().Bytes())
 	t.bp.Unpin(f, false)
 	return n, err
 }
@@ -484,7 +428,7 @@ func (t *Tree) fetchInternal(pid storage.PageID) (*vbInternal, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := decodeVBInternal(f.Page().Bytes(), t.merkle)
+	n, err := decodeVBInternal(f.Page().Bytes())
 	t.bp.Unpin(f, false)
 	return n, err
 }

@@ -23,13 +23,11 @@ type Query struct {
 	// Project lists the columns to return; nil means all columns.
 	// Filtered-out attributes are covered by D_P digests.
 	Project []string
-	// AnchorRoot forces the VO's enveloping subtree to be the whole
-	// tree, so the VO's TopDigest recovers to the root digest. Sharded
-	// queries set it: the client binds each per-shard answer to the
-	// signed shard map by comparing the recovered top digest against
-	// the root digest the map pins, which only works when the envelope
-	// tops out at the root. Costs a few extra D_S sibling digests along
-	// the root path.
+	// AnchorRoot asks for a VO that proves the answer against the root
+	// digest, the one a signed shard map pins: sharded queries set it, so
+	// the client can bind each per-shard answer to the map. Every VO is
+	// so anchored — the ordered layout proves each answer from the root —
+	// so a query that leaves it unset gets the same answer.
 	AnchorRoot bool
 }
 
@@ -40,9 +38,9 @@ type Query struct {
 // construct Views directly over pinned immutable snapshots and take no
 // locks at all; see NewView.
 
-// viewLocked assembles the read view anchored at rootSig: the root's
-// sealed entry serves a view that only reads tuples, a view whose VOs
-// ship needs the root's signature (rootSigLocked). Callers hold t.mu.
+// viewLocked assembles the read view anchored at rootSig: the root
+// digest serves a view that only reads tuples, a view whose VOs ship
+// needs the root's signature (rootSigLocked). Callers hold t.mu.
 func (t *Tree) viewLocked(rootSig sig.Signature) (*View, error) {
 	return NewView(ViewConfig{
 		Pages:     t.bp,
@@ -61,7 +59,7 @@ func (t *Tree) viewLocked(rootSig sig.Signature) (*View, error) {
 func (t *Tree) Search(key schema.Datum) (*vo.StoredTuple, bool, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	v, err := t.viewLocked(t.rootSig)
+	v, err := t.viewLocked(sig.Signature(t.rootU))
 	if err != nil {
 		return nil, false, err
 	}
@@ -69,7 +67,7 @@ func (t *Tree) Search(key schema.Datum) (*vo.StoredTuple, bool, error) {
 }
 
 // RunQuery executes q and returns the verifiable result: the projected
-// tuples and the VO over the enveloping subtree (paper §3.3). ctx is
+// tuples and the VO proving them against the signed root (paper §3.3). ctx is
 // checked between page visits, so a cancelled caller stops the traversal
 // and VO crypto early.
 func (t *Tree) RunQuery(ctx context.Context, q Query) (*vo.ResultSet, *vo.VO, error) {
@@ -91,7 +89,7 @@ func (t *Tree) RunQuery(ctx context.Context, q Query) (*vo.ResultSet, *vo.VO, er
 func (t *Tree) ScanAll() ([]*vo.StoredTuple, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	v, err := t.viewLocked(t.rootSig)
+	v, err := t.viewLocked(sig.Signature(t.rootU))
 	if err != nil {
 		return nil, err
 	}

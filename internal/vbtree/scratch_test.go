@@ -32,10 +32,10 @@ func scratchQueries() []Query {
 func TestWalkScratchIsSharedSafely(t *testing.T) {
 	ctx := context.Background()
 	defer func() { walkScratchPool = sync.Pool{New: func() any { return new(walkScratch) }} }()
-	for _, scheme := range []sig.Scheme{sig.SchemeRSAFull, sig.SchemeRSAMerkle} {
+	for _, scheme := range []sig.Scheme{sig.SchemeRSAMerkle, sig.SchemeEd25519} {
 		h := newSchemeHarness(t, 300, 1024, scheme)
 		h.tree.mu.RLock()
-		v, err := h.tree.viewLocked(h.tree.rootSig)
+		v, err := h.tree.viewLocked(sig.Signature(h.tree.rootU))
 		h.tree.mu.RUnlock()
 		if err != nil {
 			t.Fatal(err)
@@ -81,7 +81,7 @@ func TestWalkScratchIsSharedSafely(t *testing.T) {
 func TestWalkScratchRecyclesNoPageReference(t *testing.T) {
 	h := newHarness(t, 300, 1024, false)
 	h.tree.mu.RLock()
-	v, err := h.tree.viewLocked(h.tree.rootSig)
+	v, err := h.tree.viewLocked(sig.Signature(h.tree.rootU))
 	h.tree.mu.RUnlock()
 	if err != nil {
 		t.Fatal(err)
@@ -94,8 +94,8 @@ func TestWalkScratchRecyclesNoPageReference(t *testing.T) {
 	}}
 	defer func() { walkScratchPool = sync.Pool{New: func() any { return new(walkScratch) }} }()
 	for i, q := range scratchQueries() {
-		// The empty non-anchored answers and the filtered one cut D_S
-		// entries off again after collecting them.
+		// The walk takes back the records and entry digests of every node
+		// with no result row under it after collecting them.
 		if _, _, err := v.AppendAnswer(context.Background(), q, nil); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -104,15 +104,22 @@ func TestWalkScratchRecyclesNoPageReference(t *testing.T) {
 		t.Fatal("AppendAnswer took no scratch from the pool")
 	}
 	for _, sc := range used {
-		if cap(sc.ds) == 0 || cap(sc.matches) == 0 || cap(sc.offsets) == 0 {
-			t.Errorf("scratch came back without its capacity: ds %d, matches %d, offsets %d", cap(sc.ds), cap(sc.matches), cap(sc.offsets))
+		if cap(sc.recs) == 0 || cap(sc.matches) == 0 || cap(sc.offsets) == 0 {
+			t.Errorf("scratch came back without its capacity: recs %d, matches %d, offsets %d", cap(sc.recs), cap(sc.matches), cap(sc.offsets))
 		}
-		if len(sc.ds) != 0 || len(sc.matches) != 0 || len(sc.offsets) != 0 || len(sc.sv.Offsets()) != 0 {
-			t.Errorf("scratch came back in use: ds %d, matches %d, offsets %d", len(sc.ds), len(sc.matches), len(sc.offsets))
+		if len(sc.recs) != 0 || len(sc.matches) != 0 || len(sc.offsets) != 0 || len(sc.sv.Offsets()) != 0 {
+			t.Errorf("scratch came back in use: recs %d, matches %d, offsets %d", len(sc.recs), len(sc.matches), len(sc.offsets))
 		}
-		for i, d := range sc.ds[:cap(sc.ds)] {
-			if d.sig != nil {
-				t.Fatalf("pooled D_S slot %d still points at a page", i)
+		for i, r := range sc.recs[:cap(sc.recs)] {
+			if r.groups != nil {
+				t.Fatalf("pooled node record %d still points at a page", i)
+			}
+		}
+		for d, digs := range sc.depthDigs {
+			for i, dg := range digs[:cap(digs)] {
+				if dg != nil {
+					t.Fatalf("pooled entry digest %d at depth %d still points at a page", i, d)
+				}
 			}
 		}
 		for i, rec := range sc.matches[:cap(sc.matches)] {

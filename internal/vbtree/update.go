@@ -8,23 +8,6 @@ import (
 	"edgeauth/internal/storage"
 )
 
-// combineChildSigs reads each stored entry's digest (recovering it under
-// the legacy scheme) and combines them — the from-scratch recomputation
-// used after deletes and when a tree is opened.
-func (t *Tree) combineChildSigs(sigs []sig.Signature) (digest.Value, error) {
-	acc := t.acc.NewAcc()
-	for _, s := range sigs {
-		u, err := t.childU(s)
-		if err != nil {
-			return nil, err
-		}
-		if err := acc.Add(u); err != nil {
-			return nil, err
-		}
-	}
-	return acc.Value(), nil
-}
-
 // Delete removes the tuple with the given key. ErrKeyNotFound if absent.
 func (t *Tree) Delete(key schema.Datum) error {
 	n, err := t.DeleteRange(&key, &key)
@@ -60,7 +43,7 @@ func (t *Tree) DeleteRange(lo, hi *schema.Datum) (int, error) {
 		txn = t.locks.Begin()
 		defer t.locks.ReleaseAll(txn)
 	}
-	res, err := t.deleteAt(t.root, t.height, t.rootU, loB, hiB, txn)
+	res, err := t.deleteAt(t.root, t.height, loB, hiB, txn)
 	if err != nil {
 		return 0, err
 	}
@@ -69,28 +52,14 @@ func (t *Tree) DeleteRange(lo, hi *schema.Datum) (int, error) {
 	}
 	if res.empty {
 		// Everything gone: reset to a fresh empty leaf.
-		f, err := t.bp.NewPage(storage.PageVBLeaf)
-		if err != nil {
-			return 0, err
-		}
-		empty := t.newLeaf()
-		if err := empty.encode(f.Page().Bytes()); err != nil {
-			t.bp.Unpin(f, false)
-			return 0, err
-		}
-		t.root = f.ID()
-		t.bp.Unpin(f, true)
-		t.height = 1
-		if err := t.sealRoot(t.emptyDigest()); err != nil {
+		if err := t.resetEmpty(); err != nil {
 			return 0, err
 		}
 		return res.removed, nil
 	}
-	if err := t.sealRoot(res.newU); err != nil {
-		return 0, err
-	}
+	t.setRoot(res.newU)
 	// Collapse trivial roots (an internal root with a single child): the
-	// child's stored entry is already its sealed digest.
+	// child's stored entry is its digest.
 	for {
 		pt, err := t.pageType(t.root)
 		if err != nil {
@@ -107,11 +76,7 @@ func (t *Tree) DeleteRange(lo, hi *schema.Datum) (int, error) {
 			break
 		}
 		t.root = n.children[0]
-		u, err := t.childU(n.sigs[0])
-		if err != nil {
-			return 0, err
-		}
-		t.setRoot(append(digest.Value(nil), u...), n.sigs[0].Clone())
+		t.setRoot(digest.Value(n.sigs[0]))
 		t.height--
 	}
 	return res.removed, nil
@@ -123,10 +88,9 @@ type deleteResult struct {
 	removed int
 }
 
-// deleteAt deletes [lo, hi] under the node pid at the given level, whose
-// digest was myOldU. A per-node rsa node divides out each changed child's
-// old factor and multiplies in its new one; an ordered node rehashes.
-func (t *Tree) deleteAt(pid storage.PageID, level int, myOldU digest.Value, lo, hi []byte, txn lock.TxnID) (deleteResult, error) {
+// deleteAt deletes [lo, hi] under the node pid at the given level and
+// rehashes the node if anything under it was removed.
+func (t *Tree) deleteAt(pid storage.PageID, level int, lo, hi []byte, txn lock.TxnID) (deleteResult, error) {
 	if err := t.xlock(txn, pid); err != nil {
 		return deleteResult{}, err
 	}
@@ -139,8 +103,7 @@ func (t *Tree) deleteAt(pid storage.PageID, level int, myOldU digest.Value, lo, 
 		if err != nil {
 			return deleteResult{}, err
 		}
-		keep := t.newLeaf()
-		keep.next = n.next
+		keep := &vbLeaf{next: n.next}
 		removed := 0
 		for i := range n.keys {
 			inRange := (lo == nil || compare(n.keys[i], lo) >= 0) &&
@@ -157,31 +120,19 @@ func (t *Tree) deleteAt(pid storage.PageID, level int, myOldU digest.Value, lo, 
 			keep.sigs = append(keep.sigs, n.sigs[i])
 		}
 		if removed == 0 {
-			return deleteResult{newU: myOldU}, nil
+			return deleteResult{}, nil
 		}
-		var newU digest.Value
-		if t.merkle {
-			newU = t.commitOrdered(level, keep.sigs, &keep.ordered, nil)
-		}
+		newU := t.commitOrdered(level, keep.sigs, &keep.ordered, nil)
 		if err := t.writeLeaf(pid, keep); err != nil {
 			return deleteResult{}, err
 		}
 		if len(keep.keys) == 0 {
 			return deleteResult{empty: true, removed: removed}, nil
 		}
-		if !t.merkle {
-			if newU, err = t.combineChildSigs(keep.sigs); err != nil {
-				return deleteResult{}, err
-			}
-		}
 		return deleteResult{newU: newU, removed: removed}, nil
 	}
 
 	n, err := t.fetchInternal(pid)
-	if err != nil {
-		return deleteResult{}, err
-	}
-	acc, err := t.acc.AccFrom(myOldU)
 	if err != nil {
 		return deleteResult{}, err
 	}
@@ -192,11 +143,7 @@ func (t *Tree) deleteAt(pid storage.PageID, level int, myOldU digest.Value, lo, 
 		if !spanIntersects(clo, chi, lo, hi) {
 			continue
 		}
-		childOldU, err := t.childU(n.sigs[i])
-		if err != nil {
-			return deleteResult{}, err
-		}
-		res, err := t.deleteAt(n.children[i], level-1, childOldU, lo, hi, txn)
+		res, err := t.deleteAt(n.children[i], level-1, lo, hi, txn)
 		if err != nil {
 			return deleteResult{}, err
 		}
@@ -204,25 +151,11 @@ func (t *Tree) deleteAt(pid storage.PageID, level int, myOldU digest.Value, lo, 
 		if res.removed == 0 {
 			continue
 		}
-		if !t.merkle {
-			if err := acc.Remove(childOldU); err != nil {
-				return deleteResult{}, err
-			}
-		}
 		if res.empty {
 			detaches = append(detaches, i)
 			continue
 		}
-		if !t.merkle {
-			if err := acc.Add(res.newU); err != nil {
-				return deleteResult{}, err
-			}
-		}
-		cs, err := t.sealDigest(res.newU)
-		if err != nil {
-			return deleteResult{}, err
-		}
-		n.sigs[i] = cs
+		n.sigs[i] = entry(res.newU)
 	}
 	// Detach emptied children (highest index first to keep indices valid).
 	for j := len(detaches) - 1; j >= 0; j-- {
@@ -239,15 +172,12 @@ func (t *Tree) deleteAt(pid storage.PageID, level int, myOldU digest.Value, lo, 
 		}
 	}
 	if removed == 0 {
-		return deleteResult{newU: myOldU}, nil
+		return deleteResult{}, nil
 	}
 	if len(n.children) == 0 {
 		return deleteResult{empty: true, removed: removed}, nil
 	}
-	newU := acc.Value()
-	if t.merkle {
-		newU = t.commitOrdered(level, n.sigs, &n.ordered, nil)
-	}
+	newU := t.commitOrdered(level, n.sigs, &n.ordered, nil)
 	if err := t.writeInternal(pid, n); err != nil {
 		return deleteResult{}, err
 	}

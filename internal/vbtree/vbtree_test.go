@@ -23,8 +23,20 @@ var (
 
 func signer(t testing.TB) *sig.PrivateKey {
 	t.Helper()
-	keyOnce.Do(func() { testKey = sig.MustGenerateKey(512) })
+	keyOnce.Do(func() { testKey = sig.MustGenerate(sig.SchemeRSAMerkle, 512) })
 	return testKey
+}
+
+// schemeKey returns a key of the scheme that the caller may change (its
+// counters, its validity): a copy of the shared RSA test key, or a fresh
+// Ed25519 one.
+func schemeKey(t testing.TB, scheme sig.Scheme) *sig.PrivateKey {
+	t.Helper()
+	if scheme == sig.SchemeEd25519 {
+		return sig.MustGenerate(sig.SchemeEd25519, 0)
+	}
+	k := *signer(t)
+	return &k
 }
 
 func testSchema() *schema.Schema {
@@ -178,6 +190,26 @@ func TestBuildRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestConfigRefusesSchemeZero: a tree — built, new or opened — needs a
+// public key of a known scheme; scheme 0, the retired per-node rsa
+// scheme's number, is refused.
+func TestConfigRefusesSchemeZero(t *testing.T) {
+	h := newHarness(t, 20, 1024, false)
+	pub := *h.cfg.Pub
+	pub.Scheme = 0
+	cfg := h.cfg
+	cfg.Pub = &pub
+	if _, err := Build(cfg, []schema.Tuple{mkTuple(1)}, 1.0); err == nil {
+		t.Error("Build accepted a scheme-0 key")
+	}
+	if _, err := New(cfg); err == nil {
+		t.Error("New accepted a scheme-0 key")
+	}
+	if _, err := Open(cfg, h.tree.Root(), h.tree.Height(), h.tree.RootSig()); err == nil {
+		t.Error("Open accepted a scheme-0 key")
+	}
+}
+
 func TestSearch(t *testing.T) {
 	h := newHarness(t, 200, 1024, false)
 	st, found, err := h.tree.Search(schema.Int64(57))
@@ -187,15 +219,26 @@ func TestSearch(t *testing.T) {
 	if !st.Tuple.Values[0].Equal(schema.Int64(57)) {
 		t.Fatalf("wrong tuple: %v", st.Tuple)
 	}
-	if err := h.ver.VerifyTuple(st, mustTupleSig(t, h, 57), h.key.Public()); err != nil {
-		t.Fatalf("VerifyTuple: %v", err)
+	// The stored digests are the tuple's: its attribute digests in the
+	// heap record, its tuple digest in the leaf.
+	attrs, ut, err := h.tree.tupleDigests(st.Tuple)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range attrs {
+		if !bytes.Equal(st.AttrSigs[i], a) {
+			t.Fatalf("attribute %d digest %x, want %x", i, st.AttrSigs[i], a)
+		}
+	}
+	if !bytes.Equal(mustTupleSig(t, h, 57), ut) {
+		t.Fatal("leaf tuple digest is not the tuple's")
 	}
 	if _, found, _ := h.tree.Search(schema.Int64(9999)); found {
 		t.Fatal("found a key that does not exist")
 	}
 }
 
-// mustTupleSig digs the signed tuple digest out of the leaf for key i.
+// mustTupleSig digs the tuple digest out of the leaf for key i.
 func mustTupleSig(t *testing.T, h *harness, i int) sig.Signature {
 	t.Helper()
 	kb := schema.Int64(int64(i)).KeyBytes()
@@ -368,7 +411,9 @@ func TestEmptyTreeQuery(t *testing.T) {
 
 func TestVOSizeIndependentOfTableSize(t *testing.T) {
 	// The paper's headline claim: for a fixed result size, the VO does not
-	// grow with the database (unlike root-anchored Merkle schemes).
+	// grow with the database. A proof from the root grows by the in-node
+	// proofs of the levels a bigger table adds, a few digests each — not
+	// in proportion to the table.
 	sizes := []int{200, 2000}
 	var digests []int
 	for _, n := range sizes {
@@ -430,28 +475,40 @@ func TestForgedVORejected(t *testing.T) {
 
 func TestSwappedDigestRejected(t *testing.T) {
 	h := newHarness(t, 300, 1024, false)
-	// A single-tuple query is enveloped by one leaf; a wide query by an
-	// internal node — their top digests are necessarily different.
+	// Every VO proves from the root, so a top digest from another version
+	// of the tree is the one to swap in: an answer from before an insert,
+	// presented under the root digest — and then also the root signature —
+	// of the version after it.
 	rs1, w1 := h.query(t, Query{Lo: i64(10), Hi: i64(10)})
+	if err := h.tree.Insert(mkTuple(5000)); err != nil {
+		t.Fatal(err)
+	}
 	_, w2 := h.query(t, Query{Lo: i64(100), Hi: i64(240)})
 	if w1.TopDigest.Equal(w2.TopDigest) {
-		t.Fatal("test setup: expected distinct enveloping subtrees")
+		t.Fatal("test setup: expected distinct root digests")
 	}
 	w1.TopDigest = w2.TopDigest
 	if err := h.ver.Verify(rs1, w1); err == nil {
 		t.Fatal("replayed top digest accepted")
 	}
+	w1.RootSig = w2.RootSig
+	if err := h.ver.Verify(rs1, w1); err == nil {
+		t.Fatal("replayed top digest and root signature accepted")
+	}
 }
 
-func TestReorderedResultStillVerifies(t *testing.T) {
-	// Commutativity: tuple order inside the result does not affect the
-	// digest product. (Order verification is a separate concern the paper
-	// does not claim.)
+func TestReorderedResultRejected(t *testing.T) {
+	// The tree commits to its rows in key order, so an answer whose rows
+	// are swapped recomputes another root. (The paper's commutative
+	// product could not tell; a product of unsigned digests is what let
+	// an edge rebalance it.)
 	h := newHarness(t, 300, 1024, false)
 	rs, w := h.query(t, Query{Lo: i64(10), Hi: i64(20)})
 	rs.Keys[0], rs.Keys[1] = rs.Keys[1], rs.Keys[0]
 	rs.Tuples[0], rs.Tuples[1] = rs.Tuples[1], rs.Tuples[0]
-	h.mustVerify(t, rs, w)
+	if err := h.ver.Verify(rs, w); err == nil {
+		t.Fatal("reordered result accepted")
+	}
 }
 
 func TestWrongTableRejected(t *testing.T) {
@@ -657,7 +714,7 @@ func TestFanOutFormulas(t *testing.T) {
 		}
 		prev = f
 	}
-	if MaxLeafEntries(4096, 8, 64) <= 0 {
+	if MaxLeafEntries(4096, 8, 16) <= 0 {
 		t.Fatal("leaf capacity must be positive")
 	}
 }
@@ -684,10 +741,9 @@ func TestVerifierRejectsMalformedInputs(t *testing.T) {
 	}
 	bad3 := *w
 	if bad3.NumDS() > 0 {
-		bad3.DS = bytes.Clone(bad3.DS)
-		bad3.SetDSLift(0, 200)
+		bad3.DS = bad3.DS[len(bad3.DSDigest(0)):]
 		if err := h.ver.Verify(rs, &bad3); err == nil {
-			t.Fatal("absurd lift accepted")
+			t.Fatal("a proof one digest short accepted")
 		}
 	}
 	rs2 := *rs

@@ -88,8 +88,8 @@ type ViewConfig struct {
 // shared mutable pages. A View is safe for concurrent use and meant to be
 // built once per published snapshot and shared by the queries that pin it
 // (the edge keeps one beside each shard's pin): what it derives from the
-// pages alone — the Merkle root digest — is computed on first use and
-// kept. Constructing one per query is still correct, it just pays for that
+// pages alone — the root digest — is computed on first use and kept.
+// Constructing one per query is still correct, it just pays for that
 // again.
 type View struct {
 	pr      storage.PageReader
@@ -101,14 +101,10 @@ type View struct {
 	root    storage.PageID
 	height  int
 	rootSig sig.Signature
-	// merkle mirrors the tree's commitment mode (from Pub.Scheme): VOs
-	// are always root-anchored, carry the raw root digest as TopDigest,
-	// and the root signature rides alongside in RootSig.
-	merkle bool
-	// merkleRoot is the unsigned root digest every Merkle VO carries as
-	// its TopDigest, nil until the first answer computes it. Read-only
-	// once stored.
-	merkleRoot atomic.Pointer[digest.Value]
+	// rootU is the unsigned root digest every VO carries as its
+	// TopDigest, nil until the first answer computes it. Read-only once
+	// stored.
+	rootU atomic.Pointer[digest.Value]
 }
 
 // NewView validates the config and assembles a read view.
@@ -137,7 +133,6 @@ func NewView(cfg ViewConfig) (*View, error) {
 		root:    cfg.Root,
 		height:  cfg.Height,
 		rootSig: cfg.RootSig,
-		merkle:  cfg.Pub.Scheme.Merkle(),
 	}, nil
 }
 
@@ -157,42 +152,37 @@ func (v *View) loadStored(rid storage.RecordID) (*vo.StoredTuple, error) {
 	return st, err
 }
 
-// rootNode names the root as the top of an envelope.
-func (v *View) rootNode() envelopeTop {
-	return envelopeTop{pid: v.root, level: v.height, sig: v.rootSig}
-}
-
 // leafFor descends to the leaf covering key k (the leftmost leaf for a
-// nil k) and returns it with its page.
-func (v *View) leafFor(k []byte) (envelopeTop, []byte, error) {
-	n := v.rootNode()
+// nil k) and returns its page.
+func (v *View) leafFor(k []byte) ([]byte, error) {
+	pid := v.root
 	for {
-		buf, err := v.page(n.pid)
+		buf, err := v.page(pid)
 		if err != nil {
-			return envelopeTop{}, nil, err
+			return nil, err
 		}
 		if storage.PageType(buf[0]) != storage.PageVBInternal {
-			return n, buf, nil
+			return buf, nil
 		}
-		c, err := openInternal(buf, v.merkle)
+		c, err := openInternal(buf)
 		if err != nil {
-			return envelopeTop{}, nil, err
+			return nil, err
 		}
 		if err := c.seek(k); err != nil {
-			return envelopeTop{}, nil, err
+			return nil, err
 		}
-		n = envelopeTop{pid: c.child, level: n.level - 1, sig: c.sig}
+		pid = c.child
 	}
 }
 
 // Search returns the stored tuple with the given key, or found=false.
 func (v *View) Search(key schema.Datum) (*vo.StoredTuple, bool, error) {
 	kb := key.KeyBytes()
-	_, buf, err := v.leafFor(kb)
+	buf, err := v.leafFor(kb)
 	if err != nil {
 		return nil, false, err
 	}
-	c, err := openLeaf(buf, v.merkle)
+	c, err := openLeaf(buf)
 	if err != nil {
 		return nil, false, err
 	}
@@ -212,7 +202,7 @@ func (v *View) Search(key schema.Datum) (*vo.StoredTuple, bool, error) {
 }
 
 // RunQuery executes q and returns the verifiable result: the projected
-// tuples and the VO over the enveloping subtree. This is the operation an
+// tuples and the VO proving them against the root. This is the operation an
 // edge server performs for every client query (paper §3.3), in struct
 // form: the answer AppendAnswer builds, decoded from a buffer private to
 // this call, so the caller owns everything returned. ctx is checked
@@ -227,10 +217,15 @@ func (v *View) RunQuery(ctx context.Context, q Query) (*vo.ResultSet, *vo.VO, er
 }
 
 // AppendAnswer executes q and appends the verifiable result to dst in
-// its wire form (a vo answer: the result set, then the VO over the
-// enveloping subtree). One traversal reads keys, digests and heap records
-// in place on the view's pages and copies each field the answer carries
-// exactly once, into dst — so the view's pages must not change before
+// its wire form (a vo answer: the result set, then the VO). The VO
+// proves the answer against the root digest through the ordered envelope
+// (see package vo) — one node record per node holding a result row, and
+// the root's, each with the in-node proof of the positions it
+// recomputes — and carries the root's signature in RootSig. One
+// traversal reads keys, digests and heap records in place on the view's
+// pages and copies each field the answer carries exactly once, into dst:
+// every digest of the proof is copied from a page, entry digests and
+// stored group digests alike. So the view's pages must not change before
 // AppendAnswer returns (a Snapshot stays pinned across the call); the
 // returned buffer holds no reference to them. voBytes is the encoded size
 // of the answer's VO.
@@ -261,83 +256,6 @@ func (v *View) AppendAnswer(ctx context.Context, q Query, dst []byte) (out []byt
 			}
 		}
 	}
-	if v.merkle {
-		return w.appendOrdered(dst, cols)
-	}
-	env, err := w.walk(v.rootNode())
-	if err != nil {
-		return nil, 0, err
-	}
-	switch {
-	case q.AnchorRoot:
-		// The envelope is the whole tree: its top digest recovers to the
-		// root digest, whatever the rows span.
-		env = envelope{top: v.rootNode(), to: len(w.ds)}
-	case len(w.matches) == 0:
-		if env, err = w.envelopeEmpty(); err != nil {
-			return nil, 0, err
-		}
-	}
-	ds, top := w.ds[env.from:env.to], env.top
-	w.sizes.DS(len(ds))
-	// Every D_S and D_P digest of a VO has one width (vo.VO.Encode): the
-	// first one's. The writer refuses the answer if a later one differs.
-	stride := 2 * (len(v.sch.Columns) + 1)
-	width := 0
-	switch {
-	case len(ds) > 0:
-		width = len(ds[0].sig)
-	case len(w.matches) > 0 && len(w.dropped) > 0:
-		first := vo.StoredViewAt(w.matches[0], w.offsets[:stride])
-		width = len(first.AttrSig(w.dropped[0]))
-	}
-
-	hdr := vo.VO{
-		KeyVersion: v.pub.Version,
-		Timestamp:  v.now(),
-		TopLevel:   uint8(top.level),
-		TopDigest:  top.sig,
-	}
-	var aw vo.AnswerWriter
-	aw.Begin(dst, &vo.ResultSet{DB: v.sch.DB, Table: v.sch.Table, Columns: cols}, &hdr, w.sizes, width)
-	for _, d := range ds {
-		aw.DS(d.sig, uint8(top.level-int(d.level)))
-	}
-	return w.finish(&aw)
-}
-
-// finish writes the result rows and their D_P digests and completes the
-// answer.
-func (w *answerWalk) finish(aw *vo.AnswerWriter) ([]byte, int, error) {
-	v := w.v
-	stride := 2 * (len(v.sch.Columns) + 1)
-	for i, rec := range w.matches {
-		// The offsets match found: the record is parsed once.
-		sv := vo.StoredViewAt(rec, w.offsets[i*stride:(i+1)*stride])
-		aw.Row(sv.Value(v.sch.Key), len(w.proj))
-		for _, ci := range w.proj {
-			aw.Value(sv.Value(ci))
-		}
-		// Filtered attributes -> D_P (paper Figure 7).
-		for _, ci := range w.dropped {
-			aw.DP(sv.AttrSig(ci))
-		}
-	}
-	out, err := aw.Finish()
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, aw.VOBytes(), nil
-}
-
-// appendOrdered is AppendAnswer under a Merkle scheme: the VO proves the
-// answer against the root digest through the ordered envelope (see
-// package vo) — one node record per node holding a result row, and the
-// root's, each with the in-node proof of the positions it recomputes.
-// Every digest of the proof is copied from a page: entry digests and
-// stored group digests alike. The root's signature rides in RootSig.
-func (w *answerWalk) appendOrdered(dst []byte, cols []string) ([]byte, int, error) {
-	v := w.v
 	if _, err := w.walkOrdered(v.root, -1, 0, 0); err != nil {
 		return nil, 0, err
 	}
@@ -351,7 +269,7 @@ func (w *answerWalk) appendOrdered(dst []byte, cols []string) ([]byte, int, erro
 	}
 	w.nodes = nodes
 	w.sizes.DS(nDS)
-	u, err := v.merkleRootDigest()
+	u, err := v.rootDigest()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -363,16 +281,29 @@ func (w *answerWalk) appendOrdered(dst []byte, cols []string) ([]byte, int, erro
 		RootSig:    v.rootSig,
 		Nodes:      nodes,
 	}
-	width := 0
-	if nDS > 0 || len(w.matches) > 0 && len(w.dropped) > 0 {
-		width = v.acc.Len()
-	}
 	var aw vo.AnswerWriter
-	aw.Begin(dst, &vo.ResultSet{DB: v.sch.DB, Table: v.sch.Table, Columns: cols}, &hdr, w.sizes, width)
+	aw.Begin(dst, &vo.ResultSet{DB: v.sch.DB, Table: v.sch.Table, Columns: cols}, &hdr, w.sizes)
 	for i := range w.recs {
 		w.emitProof(&aw, &w.recs[i])
 	}
-	return w.finish(&aw)
+
+	stride := 2 * (len(v.sch.Columns) + 1)
+	for i, rec := range w.matches {
+		// The offsets match found: the record is parsed once.
+		sv := vo.StoredViewAt(rec, w.offsets[i*stride:(i+1)*stride])
+		aw.Row(sv.Value(v.sch.Key), len(w.proj))
+		for _, ci := range w.proj {
+			aw.Value(sv.Value(ci))
+		}
+		// Filtered attributes -> D_P (paper Figure 7).
+		for _, ci := range w.dropped {
+			aw.DP(sv.AttrSig(ci))
+		}
+	}
+	if out, err = aw.Finish(); err != nil {
+		return nil, 0, err
+	}
+	return out, aw.VOBytes(), nil
 }
 
 // orderedRec is one node of an ordered envelope as the walk found it.
@@ -409,7 +340,7 @@ func (w *answerWalk) walkOrdered(pid storage.PageID, parent, pos, depth int) (bo
 	w.recs = append(w.recs, orderedRec{parent: parent, pos: pos, depth: depth, digs: digs})
 	has := false
 	if storage.PageType(buf[0]) == storage.PageVBLeaf {
-		c, err := openLeaf(buf, true)
+		c, err := openLeaf(buf)
 		if err != nil {
 			return false, err
 		}
@@ -436,7 +367,7 @@ func (w *answerWalk) walkOrdered(pid storage.PageID, parent, pos, depth int) (bo
 			}
 		}
 	} else {
-		c, err := openInternal(buf, true)
+		c, err := openInternal(buf)
 		if err != nil {
 			return false, err
 		}
@@ -500,11 +431,11 @@ func (w *answerWalk) emitProof(aw *vo.AnswerWriter, r *orderedRec) {
 	size := w.v.acc.Len()
 	for _, sb := range w.sibs {
 		if sb.L == 0 {
-			aw.DS(digs[sb.I], 0)
+			aw.DS(digs[sb.I])
 			continue
 		}
 		at := s.StoredAt(sb.L, sb.I) * size
-		aw.DS(r.groups[at:at+size], 0)
+		aw.DS(r.groups[at : at+size])
 	}
 }
 
@@ -536,14 +467,12 @@ type walkScratch struct {
 	// offsets holds sv's offset table for every record in matches, one
 	// after the other, 2·(columns+1) entries each.
 	offsets []int
-	// ds never holds a page reference past its length: a truncation clears
-	// what it cuts off, so recycle has only the length to clear.
-	ds []dsRef
 
-	// The ordered walk's: the envelope's records in pre-order, their runs,
-	// the node records as they travel, one record's proof while it is
-	// written, and the entry digests of the records at each depth. recs
-	// and depthDigs, like ds, hold no page reference past their lengths.
+	// The envelope's records in pre-order, their runs, the node records as
+	// they travel, one record's proof while it is written, and the entry
+	// digests of the records at each depth. recs and depthDigs hold no
+	// page reference past their lengths: a truncation clears what it cuts
+	// off, so recycle has only the lengths to clear.
 	recs      []orderedRec
 	runs      []byte
 	nodes     []byte
@@ -559,38 +488,14 @@ var walkScratchPool = sync.Pool{New: func() any { return new(walkScratch) }}
 func (sc *walkScratch) recycle() {
 	sc.sv = vo.StoredViewAt(nil, sc.sv.Offsets()[:0])
 	clear(sc.matches)
-	clear(sc.ds)
 	clear(sc.recs)
 	for d := range sc.depthDigs {
 		clear(sc.depthDigs[d])
 		sc.depthDigs[d] = sc.depthDigs[d][:0]
 	}
-	sc.matches, sc.offsets, sc.ds = sc.matches[:0], sc.offsets[:0], sc.ds[:0]
+	sc.matches, sc.offsets = sc.matches[:0], sc.offsets[:0]
 	sc.recs, sc.runs, sc.nodes, sc.sibs = sc.recs[:0], sc.runs[:0], sc.nodes[:0], sc.sibs[:0]
 	walkScratchPool.Put(sc)
-}
-
-// dsRef is one D_S entry before its lift is known: the digest of a
-// filtered tuple (level 0) or of a non-overlapping branch rooted at the
-// given level. An entry is lifted by the distance to the envelope's top.
-type dsRef struct {
-	sig   []byte
-	level uint8
-}
-
-// envelopeTop is the top node of an enveloping subtree: its page, its
-// level (leaf = 1) and the digest stored for it in its parent.
-type envelopeTop struct {
-	pid   storage.PageID
-	level int
-	sig   []byte
-}
-
-// envelope is the smallest enveloping subtree of the result rows found so
-// far: its top, and the run w.ds[from:to] that is its D_S set.
-type envelope struct {
-	top      envelopeTop
-	from, to int
 }
 
 // resolveProjection maps q.Project to column indices (nil means every
@@ -631,101 +536,6 @@ func (w *answerWalk) resolveProjection(cols []string) ([]string, error) {
 	return cols, nil
 }
 
-// walk visits the subtree under node n in key order. Result rows join
-// w.matches; everything else joins w.ds as the digest that covers it — a
-// filtered tuple's, or, for a child subtree holding no result row, the
-// one branch digest that is cheaper than its constituent tuple digests (a
-// child outside the key range is not even visited).
-//
-// It returns the smallest envelope of the rows under n: the lowest node
-// whose subtree holds them all, with the part of w.ds collected beneath
-// it. A node with rows under exactly one child passes that child's
-// envelope up unchanged; a node with rows under several is their
-// envelope itself. The zero envelope (no node sits at level 0) means no
-// rows: the caller replaces what the visit added to w.ds by n's digest.
-func (w *answerWalk) walk(n envelopeTop) (envelope, error) {
-	if err := w.ctx.Err(); err != nil {
-		return envelope{}, err
-	}
-	buf, err := w.v.page(n.pid)
-	if err != nil {
-		return envelope{}, err
-	}
-	start := len(w.ds)
-	if storage.PageType(buf[0]) == storage.PageVBLeaf {
-		c, err := openLeaf(buf, w.v.merkle)
-		if err != nil {
-			return envelope{}, err
-		}
-		has := false
-		for {
-			ok, err := c.advance()
-			if err != nil {
-				return envelope{}, err
-			}
-			if !ok {
-				break
-			}
-			if (w.lo == nil || compare(c.key, w.lo) >= 0) && (w.hi == nil || compare(c.key, w.hi) <= 0) {
-				matched, err := w.match(c.rid)
-				if err != nil {
-					return envelope{}, err
-				}
-				if matched {
-					has = true
-					continue
-				}
-			}
-			w.ds = append(w.ds, dsRef{sig: c.sig})
-		}
-		if !has {
-			return envelope{}, nil
-		}
-		return envelope{top: n, from: start, to: len(w.ds)}, nil
-	}
-
-	c, err := openInternal(buf, w.v.merkle)
-	if err != nil {
-		return envelope{}, err
-	}
-	withRows := 0
-	var only envelope // the envelope of the one child with rows
-	for {
-		ok, err := c.advance()
-		if err != nil {
-			return envelope{}, err
-		}
-		if !ok {
-			break
-		}
-		child := envelopeTop{pid: c.child, level: n.level - 1, sig: c.sig}
-		branch := dsRef{sig: c.sig, level: uint8(child.level)}
-		if !spanIntersects(c.lo, c.hi, w.lo, w.hi) {
-			w.ds = append(w.ds, branch)
-			continue
-		}
-		mark := len(w.ds)
-		env, err := w.walk(child)
-		if err != nil {
-			return envelope{}, err
-		}
-		if env.top.level == 0 {
-			clear(w.ds[mark:])
-			w.ds = append(w.ds[:mark], branch)
-			continue
-		}
-		withRows++
-		only = env
-	}
-	switch withRows {
-	case 0:
-		return envelope{}, nil
-	case 1:
-		return only, nil
-	}
-	return envelope{top: n, from: start, to: len(w.ds)}, nil
-}
-
 // match reads the stored tuple at rid in place and applies the filter. A
 // qualifying tuple joins the result, with its row and D_P sizes counted.
 func (w *answerWalk) match(rid storage.RecordID) (bool, error) {
@@ -762,39 +572,12 @@ func (w *answerWalk) match(rid storage.RecordID) (bool, error) {
 	return true, nil
 }
 
-// envelopeEmpty builds the envelope of an empty result that is not
-// anchored at the root: the leaf where lo would land (the leftmost for an
-// open range), every entry a D_S digest — proving, to the extent the
-// paper's model allows, what that region holds.
-func (w *answerWalk) envelopeEmpty() (envelope, error) {
-	top, buf, err := w.v.leafFor(w.lo)
-	if err != nil {
-		return envelope{}, err
-	}
-	c, err := openLeaf(buf, w.v.merkle)
-	if err != nil {
-		return envelope{}, err
-	}
-	clear(w.ds)
-	w.ds = w.ds[:0]
-	for {
-		ok, err := c.advance()
-		if err != nil {
-			return envelope{}, err
-		}
-		if !ok {
-			return envelope{top: top, to: len(w.ds)}, nil
-		}
-		w.ds = append(w.ds, dsRef{sig: c.sig})
-	}
-}
-
-// merkleRootDigest computes the root's digest from the root page (one
-// hash over its stored top-level digests) once per view: the pages cannot
+// rootDigest computes the root's digest from the root page (one hash
+// over its stored top-level digests) once per view: the pages cannot
 // change, so neither can the digest. Views racing for the first answer
 // each compute the same value; a failed read is not kept.
-func (v *View) merkleRootDigest() (digest.Value, error) {
-	if u := v.merkleRoot.Load(); u != nil {
+func (v *View) rootDigest() (digest.Value, error) {
+	if u := v.rootU.Load(); u != nil {
 		return *u, nil
 	}
 	buf, err := v.page(v.root)
@@ -805,20 +588,20 @@ func (v *View) merkleRootDigest() (digest.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	v.merkleRoot.Store(&u)
+	v.rootU.Store(&u)
 	return u, nil
 }
 
 // ScanAll returns every stored tuple in key order (a full-table helper for
 // examples and tests; not part of the authenticated protocol).
 func (v *View) ScanAll() ([]*vo.StoredTuple, error) {
-	_, buf, err := v.leafFor(nil)
+	buf, err := v.leafFor(nil)
 	if err != nil {
 		return nil, err
 	}
 	var out []*vo.StoredTuple
 	for {
-		c, err := openLeaf(buf, v.merkle)
+		c, err := openLeaf(buf)
 		if err != nil {
 			return nil, err
 		}

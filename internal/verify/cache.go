@@ -21,11 +21,11 @@ const DefaultCacheSize = 1024
 // registry has since bound to another key is another key, so an entry
 // proven under one key must never answer a lookup made under another —
 // and the raw signature bytes. An entry is only ever written after a
-// successful recovery or detached verification, so a hit is as
-// trustworthy as the original check. Signature bytes and payloads are
-// copies: an entry outlives the frame the signature arrived in. Bounded by random-ish eviction (map iteration order): the
-// cache is an amortizer, not a store, and any eviction policy keeps it
-// correct.
+// successful verification, so a hit is as trustworthy as the original
+// check. Signature bytes and payloads are
+// copies: an entry outlives the frame the signature arrived in. Bounded
+// by random-ish eviction (map iteration order): the cache is an
+// amortizer, not a store, and any eviction policy keeps it correct.
 type sigCache struct {
 	mu     sync.Mutex
 	m      map[sigKey]digest.Value
@@ -102,26 +102,9 @@ func (v *Verifier) CacheStats() CacheStats {
 	return CacheStats{Hits: v.digestCache.hits.Load(), Misses: v.digestCache.misses.Load()}
 }
 
-// cachedRecover is recoverDigest through the verified-digest cache.
-func (v *Verifier) cachedRecover(pub *sig.PublicKey, s sig.Signature) (digest.Value, error) {
-	c := v.cache()
-	if c == nil {
-		return recoverDigest(pub, v.Acc, s)
-	}
-	if u, ok := c.lookup(pub, s); ok {
-		return u, nil
-	}
-	u, err := recoverDigest(pub, v.Acc, s)
-	if err != nil {
-		return nil, err
-	}
-	c.store(pub, s, u)
-	return u, nil
-}
-
 // cachedVerifySig checks that s authenticates want (detached form) under
-// pub, consulting the cache first. Used where the payload travels in the
-// clear: Merkle root signatures and shard-map signatures. The error is
+// pub, consulting the cache first: root signatures and shard-map
+// signatures, whose payloads travel in the clear. The error is
 // pub.Verify's own; callers wrap it in their sentinel.
 func (v *Verifier) cachedVerifySig(pub *sig.PublicKey, s sig.Signature, want []byte) error {
 	c := v.cache()

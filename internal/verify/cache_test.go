@@ -6,22 +6,16 @@ import (
 	"time"
 
 	"edgeauth/internal/digest"
-	"edgeauth/internal/schema"
 	"edgeauth/internal/shardmap"
 	"edgeauth/internal/sig"
 	"edgeauth/internal/vo"
 )
 
-// merkleKey returns the shared test key retagged as a Merkle-scheme key
-// of the given version.
-func merkleKey(t *testing.T, k *sig.PrivateKey, version uint32) *sig.PrivateKey {
-	t.Helper()
-	m, err := k.WithScheme(sig.SchemeRSAMerkle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetValidity(version, 0, 0)
-	return m
+// versioned returns a copy of k with the given key version.
+func versioned(k *sig.PrivateKey, version uint32) *sig.PrivateKey {
+	c := *k
+	c.SetValidity(version, 0, 0)
+	return &c
 }
 
 // TestSigCacheIsKeyedByKeyVersion: the key version a VO names is not
@@ -31,8 +25,8 @@ func merkleKey(t *testing.T, k *sig.PrivateKey, version uint32) *sig.PrivateKey 
 // to fail the real check under the new key.
 func TestSigCacheIsKeyedByKeyVersion(t *testing.T) {
 	h := buildHand(t, []string{"a", "b", "c", "d"})
-	oldKey := merkleKey(t, h.key, 1)
-	newKey := merkleKey(t, sig.MustGenerateKey(512), 2)
+	oldKey := versioned(h.key, 1)
+	newKey := versioned(sig.MustGenerate(sig.SchemeRSAMerkle, 512), 2)
 	keys := sig.NewRegistry()
 	keys.Put(oldKey.Public())
 	keys.Put(newKey.Public())
@@ -40,18 +34,8 @@ func TestSigCacheIsKeyedByKeyVersion(t *testing.T) {
 
 	// The ordered commitment of the one-leaf tree: rows 0 and 2 are
 	// recomputed, the tuple digests of 1 and 3 travel in D_S.
-	var ordered []digest.Value
-	for _, tup := range h.tuples {
-		_, ut := orderedTuple(h.acc, h.sch, tup)
-		ordered = append(ordered, ut)
-	}
-	root := digest.CommitNode(h.acc, 1, "db", "t", ordered, nil, nil, 0, nil)
-	rs := &vo.ResultSet{
-		DB: "db", Table: "t",
-		Columns: []string{"id", "val"},
-		Keys:    []schema.Datum{h.tuples[0].Values[0], h.tuples[2].Values[0]},
-		Tuples:  []schema.Tuple{h.tuples[0], h.tuples[2]},
-	}
+	root := h.node(1, h.uT...)
+	rs := h.rows(0, 2)
 	w := &vo.VO{
 		KeyVersion: 1,
 		Timestamp:  time.Now().Unix(),
@@ -61,9 +45,8 @@ func TestSigCacheIsKeyedByKeyVersion(t *testing.T) {
 		// 4 entries, 2 runs: [0, +1) and [2, +1).
 		Nodes: []byte{0, 4, 0, 2, 0, 0, 0, 1, 0, 2, 0, 1},
 	}
-	w.AppendDS(ordered[1], 0)
-	w.AppendDS(ordered[3], 0)
-	uLeaf := h.combine(t, h.uT...)
+	w.AppendDS(h.uT[1])
+	w.AppendDS(h.uT[3])
 	for i := 0; i < 2; i++ {
 		if err := v.Verify(rs, w); err != nil {
 			t.Fatalf("authentic answer under version 1: %v", err)
@@ -80,32 +63,6 @@ func TestSigCacheIsKeyedByKeyVersion(t *testing.T) {
 	}
 	if cs := v.CacheStats(); cs.Hits != 1 || cs.Misses != 2 {
 		t.Fatalf("the relabelled lookup did not miss the cache: %+v", cs)
-	}
-
-	// The legacy shape, where every digest is a recoverable signature,
-	// goes through the same cache by another door.
-	legacyOld := h.key.Public()
-	legacyOld.Version = 1
-	legacyNew := sig.MustGenerateKey(512).Public()
-	legacyNew.Version = 2
-	keys = sig.NewRegistry()
-	keys.Put(legacyOld)
-	keys.Put(legacyNew)
-	v = &Verifier{Keys: keys, Acc: h.acc, Schema: h.sch}
-	w = &vo.VO{
-		KeyVersion: 1,
-		Timestamp:  time.Now().Unix(),
-		TopLevel:   1,
-		TopDigest:  h.sign(t, uLeaf),
-	}
-	w.AppendDS(h.dT[1], 1)
-	w.AppendDS(h.dT[3], 1)
-	if err := v.Verify(rs, w); err != nil {
-		t.Fatalf("authentic legacy answer under version 1: %v", err)
-	}
-	w.KeyVersion = 2
-	if err := v.Verify(rs, w); !errors.Is(err, ErrBadSignature) {
-		t.Fatalf("legacy signatures relabelled to the new key version: %v, want ErrBadSignature", err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
 	"edgeauth/internal/vo"
 )
@@ -13,20 +12,9 @@ import (
 // freshLeafVO builds a valid single-leaf response over the hand tree.
 func freshLeafVO(t *testing.T, h *handTree, ts int64, keyVersion uint32) (*vo.ResultSet, *vo.VO) {
 	t.Helper()
-	uLeaf := h.combine(t, h.uT...)
-	rs := &vo.ResultSet{
-		DB: "db", Table: "t",
-		Columns: []string{"id", "val"},
-		Keys:    []schema.Datum{h.tuples[0].Values[0], h.tuples[1].Values[0]},
-		Tuples:  []schema.Tuple{h.tuples[0], h.tuples[1]},
-	}
-	w := &vo.VO{
-		KeyVersion: keyVersion,
-		Timestamp:  ts,
-		TopLevel:   1,
-		TopDigest:  h.sign(t, uLeaf),
-	}
-	return rs, w
+	w := h.voAt(t, 1, h.node(1, h.uT...), record(2, 0, 2))
+	w.KeyVersion, w.Timestamp = keyVersion, ts
+	return h.rows(0, 1), w
 }
 
 // TestBackdatedVOResurrectsExpiredKeyOnlyUnderOldSemantics is the §3.4

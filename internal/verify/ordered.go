@@ -5,35 +5,26 @@ import (
 	"slices"
 
 	"edgeauth/internal/digest"
-	"edgeauth/internal/schema"
 	"edgeauth/internal/vo"
 )
 
-// Under a Merkle scheme the tree commits by ordered hashes (package
-// digest), and the VO carries the envelope from the root down (package
-// vo's ordered layout). The verifier recomputes the root digest
-// structurally: each node record's in-node proof is folded bottom-up
-// (digest.Accumulator.Recompute), a recomputed position of a leaf being
-// the next result row's tuple digest — its returned values hashed, its
-// projected-out ones taken from D_P, in column order — and one of an
-// internal node the next record's node. There is no product to rebalance:
-// a changed value, a moved row or a substituted digest changes the root.
+// The tree commits by ordered hashes (package digest), and the VO
+// carries the envelope from the root down (package vo). The verifier
+// recomputes the root digest structurally: each node record's in-node
+// proof is folded bottom-up (digest.Accumulator.Recompute), a recomputed
+// position of a leaf being the next result row's tuple digest — its
+// returned values hashed, its projected-out ones taken from D_P, in
+// column order — and one of an internal node the next record's node.
 
 // orderedDigest computes the root digest the answer and its ordered
 // envelope recompute.
 func (v *Verifier) orderedDigest(an *anchored, rs *vo.ResultSet, w *vo.VO) (digest.Value, error) {
-	if !w.Ordered() {
-		return nil, fmt.Errorf("%w: merkle VO carries no node records", ErrMalformed)
-	}
 	rows, err := w.Envelope()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
 	if rows != len(rs.Tuples) {
 		return nil, fmt.Errorf("%w: the envelope recomputes %d rows, the answer has %d", ErrMalformed, rows, len(rs.Tuples))
-	}
-	if w.NumDS()+w.NumDP() > 0 && int(w.Width) != v.Acc.Len() {
-		return nil, fmt.Errorf("%w: merkle entries have %d bytes, want %d", ErrBadSignature, w.Width, v.Acc.Len())
 	}
 	o := &orderedWalk{
 		v: v, rs: rs,
@@ -145,16 +136,4 @@ func (o *orderedWalk) Entry(int) (digest.Value, error) {
 	}
 	o.d = o.v.Acc.HashTuple(o.d, o.pre)
 	return o.d, nil
-}
-
-// orderedTuple computes a stored tuple's ordered attribute digests and
-// tuple digest (digest.TupleDigest).
-func orderedTuple(acc *digest.Accumulator, sch *schema.Schema, tup schema.Tuple) (attrs []digest.Value, ut digest.Value) {
-	flat := make([]byte, 0, len(tup.Values)*acc.Len())
-	attrs = make([]digest.Value, len(tup.Values))
-	for i, val := range tup.Values {
-		attrs[i] = acc.AttrDigest(nil, i, val.CanonicalBytes())
-		flat = append(flat, attrs[i]...)
-	}
-	return attrs, acc.TupleDigest(nil, tup.Key(sch).KeyBytes(), flat)
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"edgeauth/internal/digest"
-	"edgeauth/internal/sig"
 	"edgeauth/internal/vo"
 )
 
@@ -16,7 +15,7 @@ import (
 // recomputed rows over an answer of a few is refused with no hash spent.
 func TestOrderedEnvelopeCheckedBeforeHashing(t *testing.T) {
 	var c digest.Counters
-	b := buildTree(t, 300, 1024, sig.SchemeRSAMerkle, &c)
+	b := buildTree(t, 300, 1024, &c)
 	rs, w := b.query(t, 20, 24, nil)
 	if err := b.ver.Verify(rs, w); err != nil {
 		t.Fatal(err)
@@ -37,7 +36,7 @@ func TestOrderedEnvelopeCheckedBeforeHashing(t *testing.T) {
 // accepts exactly the honest rows — never a changed value, a moved row or
 // one too many or too few.
 func FuzzVerifyMerkleAnswer(f *testing.F) {
-	b := buildTree(f, 300, 1024, sig.SchemeRSAMerkle, nil)
+	b := buildTree(f, 300, 1024, nil)
 	b.ver.MaxClockSkew = -1
 	var honest [][]byte // each seed answer's result set, as it encodes
 	for _, q := range []struct {

@@ -191,7 +191,7 @@ func TestSignedMapMemoFailsClosed(t *testing.T) {
 	}
 	hit("the honest map after refused ones")
 
-	other := sig.MustGenerateKey(512).Public()
+	other := sig.MustGenerate(sig.SchemeRSAMerkle, 512).Public()
 	other.Version = key.Version
 	keys.Put(other)
 	if _, err := v.VerifySignedMap(raw, "t"); !errors.Is(err, ErrVerification) {

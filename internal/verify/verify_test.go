@@ -12,10 +12,10 @@ import (
 	"edgeauth/internal/vo"
 )
 
-// These tests rebuild the verification equation by hand — attribute
-// hashes, tuple digests, leaf and root digests, signatures — without using
-// the vbtree package, so they cross-check the verifier's lift algebra
-// against an independent derivation of the paper's formulas (1)–(5).
+// These tests rebuild the commitment by hand — attribute and tuple
+// digests, leaf and root digests, the root signature and the node records
+// of a VO — without using the vbtree package, so they cross-check the
+// verifier against an independent derivation of the ordered layout.
 
 var (
 	keyOnce sync.Once
@@ -24,7 +24,7 @@ var (
 
 func signer(t testing.TB) *sig.PrivateKey {
 	t.Helper()
-	keyOnce.Do(func() { testKey = sig.MustGenerateKey(512) })
+	keyOnce.Do(func() { testKey = sig.MustGenerate(sig.SchemeRSAMerkle, 512) })
 	return testKey
 }
 
@@ -40,17 +40,14 @@ func testSchema() *schema.Schema {
 	}
 }
 
-// handTree builds digests for tuples (id=i, val=v[i]) grouped into leaves,
-// exactly per formulas (1)-(3).
+// handTree builds the digests of tuples (id=i, val=v[i]).
 type handTree struct {
 	acc    *digest.Accumulator
 	key    *sig.PrivateKey
 	sch    *schema.Schema
 	tuples []schema.Tuple
-	uT     []digest.Value  // unsigned tuple digests
-	dT     []sig.Signature // signed tuple digests
-	attrs  [][]digest.Value
-	aSigs  [][]sig.Signature
+	uT     []digest.Value   // tuple digests
+	attrs  [][]digest.Value // attribute digests, per tuple
 }
 
 func buildHand(t *testing.T, vals []string) *handTree {
@@ -61,60 +58,69 @@ func buildHand(t *testing.T, vals []string) *handTree {
 // buildHandWith is buildHand under a caller-chosen accumulator.
 func buildHandWith(t *testing.T, acc *digest.Accumulator, vals []string) *handTree {
 	t.Helper()
-	h := &handTree{
-		acc: acc,
-		key: signer(t),
-		sch: testSchema(),
-	}
+	h := &handTree{acc: acc, key: signer(t), sch: testSchema()}
 	for i, v := range vals {
 		tup := schema.NewTuple(schema.Int64(int64(i)), schema.Str(v))
-		kb := tup.Key(h.sch).KeyBytes()
-		var as []digest.Value
-		var asig []sig.Signature
-		acc := h.acc.NewAcc()
-		for c, val := range tup.Values {
-			d := h.acc.HashAttribute(h.sch.DB, h.sch.Table, h.sch.Columns[c].Name, kb, val.CanonicalBytes())
-			as = append(as, d)
-			s, err := h.key.Sign(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			asig = append(asig, s)
-			if err := acc.Add(d); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ut := acc.Value()
-		dt, err := h.key.Sign(ut)
-		if err != nil {
-			t.Fatal(err)
-		}
+		attrs, ut := orderedTuple(h.acc, h.sch, tup)
 		h.tuples = append(h.tuples, tup)
 		h.uT = append(h.uT, ut)
-		h.dT = append(h.dT, dt)
-		h.attrs = append(h.attrs, as)
-		h.aSigs = append(h.aSigs, asig)
+		h.attrs = append(h.attrs, attrs)
 	}
 	return h
 }
 
-// combine folds unsigned digests per formula (3).
-func (h *handTree) combine(t *testing.T, us ...digest.Value) digest.Value {
-	t.Helper()
-	v, err := h.acc.Combine(us...)
-	if err != nil {
-		t.Fatal(err)
+// orderedTuple computes a tuple's attribute digests and tuple digest
+// (digest.AttrDigest, digest.TupleDigest).
+func orderedTuple(acc *digest.Accumulator, sch *schema.Schema, tup schema.Tuple) (attrs []digest.Value, ut digest.Value) {
+	flat := make([]byte, 0, len(tup.Values)*acc.Len())
+	attrs = make([]digest.Value, len(tup.Values))
+	for i, val := range tup.Values {
+		attrs[i] = acc.AttrDigest(nil, i, val.CanonicalBytes())
+		flat = append(flat, attrs[i]...)
 	}
-	return v
+	return attrs, acc.TupleDigest(nil, tup.Key(sch).KeyBytes(), flat)
 }
 
-func (h *handTree) sign(t *testing.T, u digest.Value) sig.Signature {
-	t.Helper()
-	s, err := h.key.Sign(u)
-	if err != nil {
-		t.Fatal(err)
+// node is the digest of a node at the given level over its entries.
+func (h *handTree) node(level int, entries ...digest.Value) digest.Value {
+	groups := make([]byte, digest.StoredBytes(len(entries)))
+	return digest.CommitNode(h.acc, level, h.sch.DB, h.sch.Table, entries, groups, nil, 0, nil)
+}
+
+// record is one node record: its entry count and runs, each a start and
+// a length.
+func record(count int, runs ...int) []byte {
+	out := []byte{byte(count >> 8), byte(count), 0, byte(len(runs) / 2)}
+	for _, r := range runs {
+		out = append(out, byte(r>>8), byte(r))
 	}
-	return s
+	return out
+}
+
+// voAt builds a VO proving from the root digest top of the given level,
+// with its root signature, over the node records.
+func (h *handTree) voAt(t *testing.T, level int, top digest.Value, records ...[]byte) *vo.VO {
+	t.Helper()
+	w := &vo.VO{
+		Timestamp: time.Now().Unix(),
+		TopLevel:  uint8(level),
+		TopDigest: sig.Signature(top),
+		RootSig:   h.key.MustSign(top),
+	}
+	for _, r := range records {
+		w.Nodes = append(w.Nodes, r...)
+	}
+	return w
+}
+
+// rows is the result set of the given tuples over all columns.
+func (h *handTree) rows(idx ...int) *vo.ResultSet {
+	rs := &vo.ResultSet{DB: "db", Table: "t", Columns: []string{"id", "val"}}
+	for _, i := range idx {
+		rs.Keys = append(rs.Keys, h.tuples[i].Values[0])
+		rs.Tuples = append(rs.Tuples, h.tuples[i])
+	}
+	return rs
 }
 
 func (h *handTree) verifier() *Verifier {
@@ -122,23 +128,13 @@ func (h *handTree) verifier() *Verifier {
 }
 
 func TestHandBuiltLeafLevelVO(t *testing.T) {
-	// One leaf holding t0..t3; query returns {t0, t2}; t1 and t3 are
-	// filtered tuples in D_S at lift L = 1.
+	// One leaf holding t0..t3; the query returns {t0, t2}; the tuple
+	// digests of t1 and t3 are the leaf's proof, in D_S.
 	h := buildHand(t, []string{"a", "b", "c", "d"})
-	uLeaf := h.combine(t, h.uT...)
-	rs := &vo.ResultSet{
-		DB: "db", Table: "t",
-		Columns: []string{"id", "val"},
-		Keys:    []schema.Datum{h.tuples[0].Values[0], h.tuples[2].Values[0]},
-		Tuples:  []schema.Tuple{h.tuples[0], h.tuples[2]},
-	}
-	w := &vo.VO{
-		Timestamp: time.Now().Unix(),
-		TopLevel:  1,
-		TopDigest: h.sign(t, uLeaf),
-	}
-	w.AppendDS(h.dT[1], 1)
-	w.AppendDS(h.dT[3], 1)
+	rs := h.rows(0, 2)
+	w := h.voAt(t, 1, h.node(1, h.uT...), record(4, 0, 1, 2, 1))
+	w.AppendDS(h.uT[1])
+	w.AppendDS(h.uT[3])
 	if err := h.verifier().Verify(rs, w); err != nil {
 		t.Fatalf("hand-built leaf VO rejected: %v", err)
 	}
@@ -150,58 +146,39 @@ func TestHandBuiltLeafLevelVO(t *testing.T) {
 }
 
 func TestHandBuiltTwoLevelVO(t *testing.T) {
-	// Two leaves: L1 = {t0,t1}, L2 = {t2,t3}; root combines them.
-	// The query returns the whole of L1; L2 is a filtered branch at
-	// lift = L - 1 = 1; tuples of L1 contribute at implicit lift L = 2.
+	// Two leaves: L1 = {t0,t1}, L2 = {t2,t3}, under a root at level 2.
+	// The query returns the whole of L1: the root's record recomputes
+	// position 0, L1's both rows, and L2's digest is the root's proof.
 	h := buildHand(t, []string{"a", "b", "c", "d"})
-	uL1 := h.combine(t, h.uT[0], h.uT[1])
-	uL2 := h.combine(t, h.uT[2], h.uT[3])
-	uRoot := h.combine(t, uL1, uL2)
-	rs := &vo.ResultSet{
-		DB: "db", Table: "t",
-		Columns: []string{"id", "val"},
-		Keys:    []schema.Datum{h.tuples[0].Values[0], h.tuples[1].Values[0]},
-		Tuples:  []schema.Tuple{h.tuples[0], h.tuples[1]},
-	}
-	w := &vo.VO{
-		Timestamp: time.Now().Unix(),
-		TopLevel:  2,
-		TopDigest: h.sign(t, uRoot),
-	}
-	w.AppendDS(h.sign(t, uL2), 1)
-	if err := h.verifier().Verify(rs, w); err != nil {
+	uL1 := h.node(1, h.uT[0], h.uT[1])
+	uL2 := h.node(1, h.uT[2], h.uT[3])
+	uRoot := h.node(2, uL1, uL2)
+	w := h.voAt(t, 2, uRoot, record(2, 0, 1), record(2, 0, 2))
+	w.AppendDS(uL2)
+	if err := h.verifier().Verify(h.rows(0, 1), w); err != nil {
 		t.Fatalf("hand-built two-level VO rejected: %v", err)
 	}
-	// Mixed lifts: result {t0}, filtered tuple t1 at lift 2, branch L2 at
-	// lift 1.
-	rs2 := &vo.ResultSet{
-		DB: "db", Table: "t",
-		Columns: []string{"id", "val"},
-		Keys:    []schema.Datum{h.tuples[0].Values[0]},
-		Tuples:  []schema.Tuple{h.tuples[0]},
+	// Proofs at two levels: result {t0}, so the root's proof is L2's
+	// digest and L1's is t1's tuple digest — record by record, in order.
+	w2 := h.voAt(t, 2, uRoot, record(2, 0, 1), record(2, 0, 1))
+	w2.AppendDS(uL2)
+	w2.AppendDS(h.uT[1])
+	if err := h.verifier().Verify(h.rows(0), w2); err != nil {
+		t.Fatalf("two-level proof VO rejected: %v", err)
 	}
-	w2 := &vo.VO{
-		Timestamp: time.Now().Unix(),
-		TopLevel:  2,
-		TopDigest: h.sign(t, uRoot),
-	}
-	w2.AppendDS(h.dT[1], 2)
-	w2.AppendDS(h.sign(t, uL2), 1)
-	if err := h.verifier().Verify(rs2, w2); err != nil {
-		t.Fatalf("mixed-lift VO rejected: %v", err)
-	}
-	// Wrong lift on the filtered tuple must fail.
-	w2.SetDSLift(0, 1)
-	if err := h.verifier().Verify(rs2, w2); err == nil {
-		t.Fatal("wrong lift accepted")
+	// The same digests in the other order enter the wrong nodes.
+	w2.DS = nil
+	w2.AppendDS(h.uT[1])
+	w2.AppendDS(uL2)
+	if err := h.verifier().Verify(h.rows(0), w2); err == nil {
+		t.Fatal("proof digests in the wrong nodes accepted")
 	}
 }
 
 func TestHandBuiltProjectionVO(t *testing.T) {
-	// Single leaf; query projects to {id}; "val" digests travel in D_P
-	// (formula (5): they get lift L + 1 via the attribute product).
+	// Single leaf; the query projects to {id}; the "val" digests travel
+	// in D_P, row by row.
 	h := buildHand(t, []string{"a", "b"})
-	uLeaf := h.combine(t, h.uT...)
 	rs := &vo.ResultSet{
 		DB: "db", Table: "t",
 		Columns: []string{"id"},
@@ -211,25 +188,22 @@ func TestHandBuiltProjectionVO(t *testing.T) {
 			{Values: []schema.Datum{h.tuples[1].Values[0]}},
 		},
 	}
-	w := &vo.VO{
-		Timestamp: time.Now().Unix(),
-		TopLevel:  1,
-		TopDigest: h.sign(t, uLeaf),
-	}
-	w.AppendDP(h.aSigs[0][1])
-	w.AppendDP(h.aSigs[1][1])
+	w := h.voAt(t, 1, h.node(1, h.uT...), record(2, 0, 2))
+	w.AppendDP(h.attrs[0][1])
+	w.AppendDP(h.attrs[1][1])
 	if err := h.verifier().Verify(rs, w); err != nil {
 		t.Fatalf("hand-built projection VO rejected: %v", err)
 	}
-	// D_P digests are order-free (commutativity): swapped order passes.
+	// D_P digests belong to their rows: swapped, each row hashes another
+	// row's value digest.
 	w.DP = nil
-	w.AppendDP(h.aSigs[1][1])
-	w.AppendDP(h.aSigs[0][1])
-	if err := h.verifier().Verify(rs, w); err != nil {
-		t.Fatalf("reordered D_P rejected: %v", err)
+	w.AppendDP(h.attrs[1][1])
+	w.AppendDP(h.attrs[0][1])
+	if err := h.verifier().Verify(rs, w); err == nil {
+		t.Fatal("reordered D_P accepted")
 	}
 	// Dropping one D_P digest fails the count check.
-	w.DP = w.DP[:w.Width]
+	w.DP = w.DPDigest(0)
 	if err := h.verifier().Verify(rs, w); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("short D_P: %v, want ErrMalformed", err)
 	}
@@ -238,7 +212,7 @@ func TestHandBuiltProjectionVO(t *testing.T) {
 func TestVerifierConfigErrors(t *testing.T) {
 	h := buildHand(t, []string{"a"})
 	rs := &vo.ResultSet{DB: "db", Table: "t", Columns: []string{"id", "val"}}
-	w := &vo.VO{Timestamp: time.Now().Unix(), TopLevel: 1, TopDigest: h.dT[0]}
+	w := h.voAt(t, 1, h.uT[0], record(1))
 
 	bad := &Verifier{}
 	if err := bad.Verify(rs, w); err == nil {
@@ -257,39 +231,15 @@ func TestVerifierConfigErrors(t *testing.T) {
 	}
 }
 
-func TestVerifyTupleHandBuilt(t *testing.T) {
-	h := buildHand(t, []string{"x"})
-	st := &vo.StoredTuple{Tuple: h.tuples[0], AttrSigs: h.aSigs[0]}
-	v := h.verifier()
-	if err := v.VerifyTuple(st, h.dT[0], h.key.Public()); err != nil {
-		t.Fatalf("VerifyTuple rejected authentic tuple: %v", err)
-	}
-	// Wrong tuple signature.
-	if err := v.VerifyTuple(st, h.aSigs[0][0], h.key.Public()); err == nil {
-		t.Fatal("mismatched tuple signature accepted")
-	}
-	// Tampered value.
-	st.Tuple.Values[1] = schema.Str("oops")
-	if err := v.VerifyTuple(st, h.dT[0], h.key.Public()); err == nil {
-		t.Fatal("tampered tuple accepted")
-	}
-	// Signature count mismatch.
-	st2 := &vo.StoredTuple{Tuple: h.tuples[0], AttrSigs: h.aSigs[0][:1]}
-	if err := v.VerifyTuple(st2, h.dT[0], h.key.Public()); err == nil {
-		t.Fatal("short signature list accepted")
-	}
-}
-
 func TestVerifyRejectsTypeMismatch(t *testing.T) {
 	h := buildHand(t, []string{"a"})
-	uLeaf := h.combine(t, h.uT...)
 	rs := &vo.ResultSet{
 		DB: "db", Table: "t",
 		Columns: []string{"id", "val"},
 		Keys:    []schema.Datum{h.tuples[0].Values[0]},
 		Tuples:  []schema.Tuple{{Values: []schema.Datum{schema.Str("not-an-int"), h.tuples[0].Values[1]}}},
 	}
-	w := &vo.VO{Timestamp: time.Now().Unix(), TopLevel: 1, TopDigest: h.sign(t, uLeaf)}
+	w := h.voAt(t, 1, h.node(1, h.uT...), record(1, 0, 1))
 	if err := h.verifier().Verify(rs, w); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("type-mismatched tuple: %v, want ErrMalformed", err)
 	}

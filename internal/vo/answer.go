@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+
+	"edgeauth/internal/digest"
 )
 
 // An answer is the result set and the VO of one query in the form they
@@ -90,14 +92,14 @@ func (s *AnswerSizes) Row(keyLen, valuesLen int) {
 	s.rowBytes += keyLen + 2 + valuesLen
 }
 
-// DS counts n D_S entries.
+// DS counts n D_S digests.
 func (s *AnswerSizes) DS(n int) { s.ds += n }
 
-// DP counts n D_P entries.
+// DP counts n D_P digests.
 func (s *AnswerSizes) DP(n int) { s.dp += n }
 
 // AnswerWriter writes one answer field by field. Result rows, D_S
-// entries and D_P entries may arrive interleaved — a traversal meets
+// digests and D_P digests may arrive interleaved — a traversal meets
 // them in tree order — because Begin has already placed each of the
 // three runs in the one output buffer.
 type AnswerWriter struct {
@@ -107,37 +109,24 @@ type AnswerWriter struct {
 	ds, dsEnd   int
 	dp, dpEnd   int
 	voBytes     int
-	// width is the one width of the D_S and D_P digests; ragged records
-	// that DS or DP was handed a digest of another.
-	width  int
+	// ragged records that DS or DP was handed a digest that is not
+	// digest.Size bytes.
 	ragged bool
-	// ordered: the D_S entries carry no lift (VO.Ordered).
-	ordered bool
 }
 
 // Begin lays the answer out at the end of dst and writes everything but
 // the rows and digests: rs supplies the relation identity and column
-// names, w the key version, timestamp, top level, top digest and root
-// signature and, in the ordered layout, the node records (their Keys,
-// Tuples, DS and DP are not read), sz what Row,
-// DS and DP will then be called with, width the one width of every
-// digest DS and DP will be handed (see VO.Encode).
-func (a *AnswerWriter) Begin(dst []byte, rs *ResultSet, w *VO, sz AnswerSizes, width int) {
+// names, w the key version, timestamp, top level, top digest, root
+// signature and node records (their Keys, Tuples, DS and DP are not
+// read), sz what Row, DS and DP will then be called with.
+func (a *AnswerWriter) Begin(dst []byte, rs *ResultSet, w *VO, sz AnswerSizes) {
 	rsHead := 2 + len(rs.DB) + 2 + len(rs.Table) + 2
 	for _, c := range rs.Columns {
 		rsHead += 2 + len(c)
 	}
 	rsLen := rsHead + 4 + sz.rowBytes
-	a.ordered = w.Ordered()
-	stride := width + 1
-	if a.ordered {
-		stride = width
-	}
-	dsBytes, dpBytes := sz.ds*stride, sz.dp*width
+	dsBytes, dpBytes := sz.ds*digest.Size, sz.dp*digest.Size
 	a.voBytes = voFixedSize + len(w.TopDigest) + len(w.RootSig) + len(w.Nodes) + dsBytes + dpBytes
-	// A width the layout cannot carry fails Finish like a digest of the
-	// wrong one.
-	a.width, a.ragged = width, !widthFits(width, sz.ds+sz.dp)
 
 	buf := slices.Grow(dst, 4+rsLen+4+a.voBytes)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(rsLen))
@@ -152,7 +141,7 @@ func (a *AnswerWriter) Begin(dst []byte, rs *ResultSet, w *VO, sz AnswerSizes, w
 	buf = buf[:a.rowEnd]
 
 	buf = binary.BigEndian.AppendUint32(buf, uint32(a.voBytes))
-	buf = w.appendHead(buf, width, sz.ds)
+	buf = w.appendHead(buf, sz.ds, sz.dp)
 	a.ds, a.dsEnd = len(buf), len(buf)+dsBytes
 	buf = buf[:a.dsEnd]
 	buf = binary.BigEndian.AppendUint32(buf, uint32(sz.dp))
@@ -179,19 +168,16 @@ func (a *AnswerWriter) Row(key []byte, values int) {
 // Value appends one value, in wire encoding, to the row last started.
 func (a *AnswerWriter) Value(enc []byte) { a.put(&a.row, a.rowEnd, enc) }
 
-// DS appends one D_S entry; the ordered layout drops its lift.
-func (a *AnswerWriter) DS(digest []byte, lift uint8) {
-	a.ragged = a.ragged || len(digest) != a.width
-	a.put(&a.ds, a.dsEnd, digest)
-	if !a.ordered {
-		a.put(&a.ds, a.dsEnd, []byte{lift})
-	}
+// DS appends one D_S digest.
+func (a *AnswerWriter) DS(d []byte) {
+	a.ragged = a.ragged || len(d) != digest.Size
+	a.put(&a.ds, a.dsEnd, d)
 }
 
-// DP appends one D_P entry.
-func (a *AnswerWriter) DP(digest []byte) {
-	a.ragged = a.ragged || len(digest) != a.width
-	a.put(&a.dp, a.dpEnd, digest)
+// DP appends one D_P digest.
+func (a *AnswerWriter) DP(d []byte) {
+	a.ragged = a.ragged || len(d) != digest.Size
+	a.put(&a.dp, a.dpEnd, d)
 }
 
 // VOBytes returns the encoded size of the answer's VO.
@@ -199,11 +185,11 @@ func (a *AnswerWriter) VOBytes() int { return a.voBytes }
 
 // Finish returns the buffer Begin was given with the answer appended. It
 // fails if the fields written do not add up to the sizes Begin was
-// given, or a digest was not of the width Begin was given — a bug in the
-// caller or a corrupt page, caught before a malformed frame leaves.
+// given, or a digest was not digest.Size bytes — a bug in the caller or
+// a corrupt page, caught before a malformed frame leaves.
 func (a *AnswerWriter) Finish() ([]byte, error) {
 	if a.ragged {
-		return nil, fmt.Errorf("vo: answer digests are not all %d bytes wide, the one width its layout has", a.width)
+		return nil, fmt.Errorf("vo: answer digests are not all %d bytes wide, the one width its layout has", digest.Size)
 	}
 	if a.row != a.rowEnd || a.ds != a.dsEnd || a.dp != a.dpEnd {
 		return nil, fmt.Errorf("vo: answer fields do not fill their layout (rows %+d, D_S %+d, D_P %+d bytes)",

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"edgeauth/internal/digest"
 	"edgeauth/internal/israce"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
@@ -47,18 +48,17 @@ func TestAnswerWriterMatchesStructEncoders(t *testing.T) {
 	}
 	sz.DS(w.NumDS())
 	sz.DP(w.NumDP())
-	width := int(w.Width)
 	var a AnswerWriter
-	a.Begin(append([]byte(nil), prefix...), rs, w, sz, width)
+	a.Begin(append([]byte(nil), prefix...), rs, w, sz)
 	a.DP(w.DPDigest(0))
 	a.Row(enc(rs.Keys[0]), 2)
-	a.DS(w.DSDigest(0), w.DSLift(0))
+	a.DS(w.DSDigest(0))
 	a.Value(enc(rs.Tuples[0].Values[0]))
 	a.Value(enc(rs.Tuples[0].Values[1]))
 	a.DP(w.DPDigest(1))
 	a.Row(enc(rs.Keys[1]), 2)
 	a.Value(enc(rs.Tuples[1].Values[0]))
-	a.DS(w.DSDigest(1), w.DSLift(1))
+	a.DS(w.DSDigest(1))
 	a.Value(enc(rs.Tuples[1].Values[1]))
 	got, err := a.Finish()
 	if err != nil {
@@ -73,17 +73,17 @@ func TestAnswerWriterMatchesStructEncoders(t *testing.T) {
 
 	// A field the sizes did not count must fail Finish, not spill into
 	// the next run.
-	a.Begin(nil, rs, w, sz, width)
-	a.DS(bytes.Repeat([]byte{9}, 64), 1)
+	a.Begin(nil, rs, w, sz)
+	a.DS(bytes.Repeat([]byte{9}, 64))
 	if _, err := a.Finish(); err == nil {
-		t.Fatal("an over-long D_S entry was accepted")
+		t.Fatal("an over-long D_S digest was accepted")
 	}
 	// Nor may digests of other widths cancel out inside a run: one byte
 	// short and one byte long fill the D_P run exactly.
-	a.Begin(nil, rs, w, sz, width)
-	a.DS(w.DSDigest(0), 1)
-	a.DS(w.DSDigest(1), 1)
-	a.DP(w.DPDigest(0)[:width-1])
+	a.Begin(nil, rs, w, sz)
+	a.DS(w.DSDigest(0))
+	a.DS(w.DSDigest(1))
+	a.DP(w.DPDigest(0)[:digest.Size-1])
 	a.DP(append(w.DPDigest(1).Clone(), 0))
 	for i, tup := range rs.Tuples {
 		a.Row(enc(rs.Keys[i]), 2)
@@ -91,12 +91,7 @@ func TestAnswerWriterMatchesStructEncoders(t *testing.T) {
 		a.Value(enc(tup.Values[1]))
 	}
 	if _, err := a.Finish(); err == nil {
-		t.Fatal("two D_P entries of the wrong widths were accepted")
-	}
-	// A width that contradicts the counts is refused as well.
-	a.Begin(nil, rs, &VO{}, AnswerSizes{}, width)
-	if _, err := a.Finish(); err == nil {
-		t.Fatal("a digest width with no digests was accepted")
+		t.Fatal("two D_P digests of the wrong widths were accepted")
 	}
 }
 
@@ -123,7 +118,7 @@ func TestDecodeAnswerIsStrictAndAliases(t *testing.T) {
 	// a run, whatever is appended to it.
 	grs.Tuples[0].Values[1].B = append(grs.Tuples[0].Values[1].B, 0xEE)
 	_ = append(gw.DSDigest(0), 0xEE)
-	gw.AppendDS(w.DSDigest(0), 1)
+	gw.AppendDS(w.DSDigest(0))
 	_ = append(gw.DP, 0xEE)
 	if !bytes.Equal(AppendAnswer(nil, rs, w), body) {
 		t.Fatal("appending to a decoded value wrote into the input")
@@ -202,8 +197,10 @@ func TestHostileCountsAllocateInProportionToInput(t *testing.T) {
 	pad := func(b []byte) []byte { return append(b, make([]byte, size-len(b))...) }
 	u32 := func(b []byte, v int) []byte { return binary.BigEndian.AppendUint32(b[:len(b):len(b)], uint32(v)) }
 
-	voHead := append(make([]byte, 13), 0, 0, 0, 0, 0, 0, 0, 0, 0, 16) // header, empty top digest and root signature, 16-byte digests
-	rsHead := []byte{0, 1, 'd', 0, 1, 't', 0, 1, 0, 1, 'c'}           // db, table, one column
+	// Header, empty top digest and root signature, an empty root leaf,
+	// 16-byte digests.
+	voHead := append(make([]byte, 12), 1|orderedFlag, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 16)
+	rsHead := []byte{0, 1, 'd', 0, 1, 't', 0, 1, 0, 1, 'c'} // db, table, one column
 	cases := []struct {
 		name   string
 		body   []byte
@@ -211,7 +208,7 @@ func TestHostileCountsAllocateInProportionToInput(t *testing.T) {
 	}{
 		{"VO claiming 2^32-1 D_S entries", pad(u32(voHead, 0xFFFFFFFF)), decodeVOErr},
 		{"VO claiming as many D_S entries as bytes", pad(u32(voHead, size)), decodeVOErr},
-		{"VO claiming the most D_S entries that could fit", pad(u32(voHead, (size-len(voHead)-4)/17)), decodeVOErr},
+		{"VO claiming the most D_S entries that could fit", pad(u32(voHead, (size-len(voHead)-4)/16)), decodeVOErr},
 		{"VO claiming the most D_P entries that could fit", pad(u32(u32(voHead, 0), (size-len(voHead)-8)/16)), decodeVOErr},
 		{"result set claiming as many rows as bytes", pad(u32(rsHead, size)), decodeRSErr},
 		{"result set claiming the most rows that could fit", pad(u32(rsHead, (size-len(rsHead)-4)/7)), decodeRSErr},
@@ -234,14 +231,14 @@ func TestHostileCountsAllocateInProportionToInput(t *testing.T) {
 	}
 }
 
-// TestDecodeVOBoundsItsAllocations: the width and the two counts that
-// size the D_S and D_P slices are checked against the bytes left in the
-// body before anything is reserved, so a 1 KB body that claims 2³¹
-// entries, entries of no width, or entries wider than the body is refused
-// after allocating about its own size.
+// TestDecodeVOBoundsItsAllocations: the two counts that size the D_S and
+// D_P slices are checked against the bytes left in the body before
+// anything is reserved, so a 1 KB body that claims 2³¹ digests, whatever
+// width it names, is refused after allocating about its own size.
 func TestDecodeVOBoundsItsAllocations(t *testing.T) {
 	hostile := func(width uint16, ds, dp uint32) []byte {
-		out := append(make([]byte, 13), 0, 0, 0, 0, 0, 0, 0, 0) // header, empty top digest and root signature
+		// Header, empty top digest and root signature, an empty root leaf.
+		out := append(make([]byte, 12), 1|orderedFlag, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 		out = binary.BigEndian.AppendUint16(out, width)
 		out = binary.BigEndian.AppendUint32(out, ds)
 		if ds == 0 {
@@ -249,19 +246,17 @@ func TestDecodeVOBoundsItsAllocations(t *testing.T) {
 		}
 		return append(out, make([]byte, 1024-len(out))...)
 	}
-	// 59 D_S entries of 16 bytes and a lift are 1,003 bytes, 63 D_P entries
-	// 1,008: under the body's length, over what is left of it where the
-	// count stands (997 and 993).
+	// 63 digests of 16 bytes are 1,008 bytes: under the body's length,
+	// over what is left of it where either count stands (993 and 989).
 	for name, body := range map[string][]byte{
-		"2^31 D_S entries":              hostile(16, 1<<31, 0),
-		"2^31 D_P entries":              hostile(16, 0, 1<<31),
-		"2^31 D_S entries of one byte":  hostile(1, 1<<31, 0),
-		"59 D_S entries":                hostile(16, 59, 0),
-		"63 D_P entries":                hostile(16, 0, 63),
-		"a D_S count at width 0":        hostile(0, 1000, 0),
-		"a D_P count at width 0":        hostile(0, 0, 1000),
-		"one D_S entry of width 65,535": hostile(65535, 1, 0),
-		"one D_P entry of width 65,535": hostile(65535, 0, 1),
+		"2^31 D_S digests":            hostile(16, 1<<31, 0),
+		"2^31 D_P digests":            hostile(16, 0, 1<<31),
+		"2^31 D_S digests at width 1": hostile(1, 1<<31, 0),
+		"63 D_S digests":              hostile(16, 63, 0),
+		"63 D_P digests":              hostile(16, 0, 63),
+		"a D_S count at width 0":      hostile(0, 1000, 0),
+		"a D_P count at width 0":      hostile(0, 0, 1000),
+		"a D_S count at width 65,535": hostile(65535, 1000, 0),
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -274,9 +269,17 @@ func TestDecodeVOBoundsItsAllocations(t *testing.T) {
 			t.Errorf("%s: decoding a %d-byte body allocated %d bytes", name, len(body), got)
 		}
 	}
-	// The one shape the counts cannot catch: a width, and nothing of it.
-	if _, _, err := DecodeVO(hostile(16, 0, 0)); err == nil || !strings.Contains(err.Error(), "no digests") {
-		t.Errorf("a digest width with two empty runs got %v, want it refused: it has a second encoding at width 0", err)
+	// The shapes the counts cannot catch: a width and nothing of it (a
+	// second spelling of width 0), and digests of another width than
+	// digest.Size, such as a signature's.
+	for name, body := range map[string][]byte{
+		"a width with two empty runs": hostile(16, 0, 0),
+		"one 64-byte D_S digest":      hostile(64, 1, 0),
+		"one 8-byte D_P digest":       hostile(8, 0, 1),
+	} {
+		if _, _, err := DecodeVO(body); err == nil || !strings.Contains(err.Error(), "digest width") {
+			t.Errorf("%s: got %v, want the width refused", name, err)
+		}
 	}
 }
 

@@ -10,14 +10,14 @@ import (
 )
 
 // StoredTuple is the on-heap representation of a base-table row in the
-// paper's Figure 3: the tuple values together with the signed digest of
-// every attribute (formula (1)). Edge servers read these records to build
-// D_P sets for projections, and the Naive baseline ships the signatures
-// directly.
+// paper's Figure 3: the tuple values together with the digest of every
+// attribute — in a VB-tree the raw ordered digest, in the Naive baseline
+// the signed formula-(1) digest, which it ships directly. Edge servers
+// read these records to build D_P sets for projections.
 type StoredTuple struct {
 	Tuple schema.Tuple
-	// AttrSigs holds one signed attribute digest per column, in schema
-	// column order.
+	// AttrSigs holds one attribute digest per column, in schema column
+	// order.
 	AttrSigs []sig.Signature
 }
 
@@ -171,7 +171,7 @@ func (sv *StoredView) Datum(i int) (schema.Datum, error) {
 	return d, err
 }
 
-// AttrSig returns attribute i's signed digest.
+// AttrSig returns attribute i's stored digest.
 func (sv *StoredView) AttrSig(i int) []byte {
 	s := sv.off[len(sv.off)/2:]
 	return sv.rec[s[i]+4 : s[i+1]]

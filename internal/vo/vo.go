@@ -2,66 +2,52 @@
 // exchanged between edge servers and clients, together with their binary
 // wire codecs.
 //
-// A VO proves a query result against the signed digest of the enveloping
-// subtree (paper §3.3). Thanks to the multiplicative combiner
-// g(x) = x^e mod m, the digest of a node at level L of the subtree is a
-// flat product of lifted constituent digests:
+// A VO proves a query result against the signed root digest of the
+// VB-tree. The tree commits by ordered hashes (digest.CommitNode): a
+// node's digest is the root of an in-node Merkle tree over its ordered
+// entries. A VO carries the envelope of the answer from the root down —
+// one record per node holding a result row, and the root's — and, for
+// each, the in-node proof of the positions the answer recomputes: one
+// digest for every in-node subtree holding none of them. The verifier
+// recomputes the root digest from the rows and these digests and checks
+// the one signature, over the root, that the VO carries beside it.
 //
-//	s⁻¹(D_N) = Π g^L(U_T result tuples) · Π g^lift(s⁻¹(d)) for d in D_S
-//	           · Π g^(L+1)(s⁻¹(d)) for d in D_P                    (mod m)
-//
-// where g^k denotes k applications of g, and lift = L − level(entry). The
-// VO therefore carries only *sets* of signed digests plus a small lift tag
-// per D_S entry — no tree structure — which is the paper's headline
-// advantage over root-anchored Merkle schemes. Leaves sit at level 1;
-// tuples contribute at lift L and attribute digests at lift L+1.
-//
-// One practical note the paper leaves implicit: the attribute hash h binds
-// the tuple's primary key, so the result set always carries each tuple's
-// key, even when the key column itself is projected away (its value digest
+// One practical note the paper leaves implicit: the tuple hash binds the
+// tuple's primary key, so the result set always carries each tuple's key,
+// even when the key column itself is projected away (its value digest
 // then travels in D_P like any other filtered attribute).
 //
 // # Wire layout
 //
-// Formula (9) charges a VO (|D_P| + |D_S| + 1)·D bytes of digests, and
-// those are the digest bytes it carries: D_S and D_P travel as fixed-width
-// runs behind one width W (see VO.Encode), not each digest behind its own
-// length.
+//	u32 keyVersion | i64 timestamp | u8 topLevel | 0x80
+//	u32 len + TopDigest | u32 len + RootSig | node records
+//	u16 W | u32 nDS | nDS × W bytes | u32 nDP | nDP × W bytes
 //
-//	u32 keyVersion | i64 timestamp | u8 topLevel
-//	u32 len + TopDigest | u32 len + RootSig
-//	u16 W | u32 nDS | nDS × (W bytes, u8 lift) | u32 nDP | nDP × W bytes
-//
-// A VO is (|D_P| + |D_S|)·W + |D_S| + len(TopDigest) + len(RootSig) + 31
-// bytes: 4·(|D_S| + |D_P|) − 2 fewer than when every digest carried a
-// 4-byte length.
-//
-// # The ordered layout
-//
-// Under a Merkle scheme the tree commits by ordered hashes
-// (digest.CommitNode), and a VO carries the envelope from the root down
-// instead of lifted D_S sets. Its level byte has the high bit set
-// (orderedFlag; levels stay below 128), and the root signature is
-// followed by the envelope's node records, in pre-order:
+// The level byte's high bit (orderedFlag; levels stay below 128) marks
+// the layout, and a VO without it is refused. TopDigest is the raw root
+// digest and RootSig the central's signature over it. The node records
+// follow, in pre-order:
 //
 //	u16 n | u16 nRuns | nRuns × (u16 start, u16 len)
 //
 // one per envelope node: its entry count and the positions the answer
 // recomputes — the result rows of a leaf, the children holding them of an
-// internal node, whose records follow in position order. D_S is then
-// nDS digests with no lift: each node's in-node proof (digest.Shape
-// AppendSiblings), node by node in the records' order. D_P is unchanged.
+// internal node, whose records follow in position order. D_S is each
+// node's in-node proof (digest.Shape AppendSiblings), node by node in the
+// records' order; D_P the digests of the attributes projected away, row
+// by row in column order. Every digest of both is W = digest.Size bytes,
+// and W is 0 exactly when there is none. Formula (9) charges a VO
+// (|D_P| + |D_S| + 1)·D bytes of digests, and those are the digest bytes
+// it carries, behind one width rather than each behind its own length.
 // The records are canonical — runs sorted, non-empty and apart, every
 // record but the root's naming a position — or DecodeVO refuses them; a
 // verifier also refuses a VO whose D_S is not exactly what they call for.
 //
 // The VO struct holds D_S and D_P in that same shape: VO.DS is the
-// nDS × (W bytes, u8 lift) run and VO.DP the nDP × W run, each one []byte,
-// with W in VO.Width. NumDS, DSDigest, DSLift, NumDP and DPDigest read
-// them; AppendDS and AppendDP build them. A verifier folds a run of
-// digests where it lies (digest.Acc.AddRun), and decoding a VO costs one
-// allocation whatever it carries — no slice header per digest for the
-// collector to scan.
+// nDS × W run and VO.DP the nDP × W run, each one []byte. NumDS, DSDigest,
+// NumDP and DPDigest read them; AppendDS and AppendDP build them. Decoding
+// a VO costs one allocation whatever it carries — no slice header per
+// digest for the collector to scan.
 //
 // # Lifetime of decoded values
 //
@@ -91,154 +77,85 @@ type VO struct {
 	// clients check it against the key version's validity window.
 	Timestamp int64
 	// KeyVersion identifies which central-server public key signed the
-	// digests (paper §3.4 key rotation).
+	// root (paper §3.4 key rotation).
 	KeyVersion uint32
-	// Width is W, the one width of every D_S and D_P digest: the
-	// accumulator's digest length under a Merkle scheme, the key length
-	// under per-node rsa. It means nothing while both runs are empty. It
-	// travels as a u16, and is held as one, so that a decoded VO stays one
-	// 128-byte allocation.
-	Width uint16
-	// TopLevel is the level L of the enveloping subtree's top node
-	// (leaf = 1).
+	// TopLevel is the tree's height: the level of the root (leaf = 1).
 	TopLevel uint8
-	// TopDigest is D_N, the digest of the enveloping subtree's top node:
-	// a signed digest under the legacy RSA-full scheme, the raw unsigned
-	// root digest under a Merkle scheme (where RootSig carries the
-	// signature over it).
+	// TopDigest is the raw, unsigned root digest.
 	TopDigest sig.Signature
-	// RootSig, under a Merkle scheme, is the central's signature over the
-	// raw root digest in TopDigest. Empty under the legacy scheme. The
-	// client decides which shape to expect from its TRUSTED registry
-	// key's scheme, never from the VO itself.
+	// RootSig is the central's signature over TopDigest. The client
+	// checks it under the key its TRUSTED registry resolves KeyVersion
+	// to, never under a scheme the VO names.
 	RootSig sig.Signature
-	// DS is the D_S set — digests of filtered tuples and non-overlapping
-	// branches, signed under the legacy scheme, raw under Merkle — as it
-	// travels: NumDS() entries of Width digest bytes, each followed by
-	// its lift, how many times the verifier applies g before multiplying
-	// the digest in (L for filtered tuples in boundary leaves, L − level
-	// for filtered branches). In the ordered layout an entry is the
-	// digest alone.
+	// DS is the D_S set as it travels: the in-node proofs of the node
+	// records, NumDS() digests of digest.Size bytes.
 	DS []byte
 	// DP is the D_P set — digests of the attributes filtered out by
-	// projection — as it travels: NumDP() digests of Width bytes.
+	// projection — as it travels: NumDP() digests of digest.Size bytes.
 	DP []byte
-	// Nodes is the ordered layout's envelope (see the package comment):
-	// empty in a per-node rsa VO, which carries lifts in DS instead.
+	// Nodes is the envelope's node records (see the package comment).
 	Nodes []byte
 }
 
 // orderedFlag marks the ordered layout in the level byte on the wire.
 const orderedFlag = 0x80
 
-// Ordered reports whether the VO has the ordered layout: node records,
-// and D_S digests with no lift.
-func (v *VO) Ordered() bool { return len(v.Nodes) > 0 }
-
-// DSStride is the bytes one D_S entry takes: its digest, and its lift
-// unless the layout is ordered.
-func (v *VO) DSStride() int {
-	if v.Ordered() {
-		return int(v.Width)
-	}
-	return int(v.Width) + 1
-}
-
-// NumDS returns how many D_S entries the VO carries.
-func (v *VO) NumDS() int {
-	if v.DSStride() <= 0 {
-		return 0
-	}
-	return len(v.DS) / v.DSStride()
-}
+// NumDS returns how many D_S digests the VO carries.
+func (v *VO) NumDS() int { return len(v.DS) / digest.Size }
 
 // NumDP returns how many D_P digests the VO carries.
-func (v *VO) NumDP() int {
-	if v.Width == 0 {
-		return 0
-	}
-	return len(v.DP) / int(v.Width)
-}
+func (v *VO) NumDP() int { return len(v.DP) / digest.Size }
 
-// DSDigest returns the digest of D_S entry i, a view of the run: writing
-// to it rewrites the entry.
-func (v *VO) DSDigest(i int) sig.Signature {
-	at := i * v.DSStride()
-	w := int(v.Width)
-	return sig.Signature(v.DS[at : at+w : at+w])
-}
-
-// DSLift returns the lift of D_S entry i of a per-node rsa VO.
-func (v *VO) DSLift(i int) uint8 { return v.DS[(i+1)*v.DSStride()-1] }
-
-// SetDSLift rewrites the lift of D_S entry i of a per-node rsa VO.
-func (v *VO) SetDSLift(i int, lift uint8) { v.DS[(i+1)*v.DSStride()-1] = lift }
+// DSDigest returns D_S digest i, a view of the run: writing to it
+// rewrites the digest.
+func (v *VO) DSDigest(i int) sig.Signature { return runDigest(v.DS, i) }
 
 // DPDigest returns D_P digest i, a view of the run: writing to it
 // rewrites the digest.
-func (v *VO) DPDigest(i int) sig.Signature {
-	w := int(v.Width)
-	at := i * w
-	return sig.Signature(v.DP[at : at+w : at+w])
+func (v *VO) DPDigest(i int) sig.Signature { return runDigest(v.DP, i) }
+
+func runDigest(run []byte, i int) sig.Signature {
+	at := i * digest.Size
+	return sig.Signature(run[at : at+digest.Size : at+digest.Size])
 }
 
-// AppendDS appends a D_S entry; the ordered layout has no lift to keep.
-func (v *VO) AppendDS(digest []byte, lift uint8) {
-	v.fitWidth(digest)
-	v.DS = append(v.DS, digest...)
-	if !v.Ordered() {
-		v.DS = append(v.DS, lift)
-	}
-}
+// AppendDS appends a D_S digest.
+func (v *VO) AppendDS(d []byte) { v.DS = appendDigest(v.DS, d) }
 
 // AppendDP appends a D_P digest.
-func (v *VO) AppendDP(digest []byte) {
-	v.fitWidth(digest)
-	v.DP = append(v.DP, digest...)
-}
+func (v *VO) AppendDP(d []byte) { v.DP = appendDigest(v.DP, d) }
 
-// fitWidth makes d's length the VO's width if d is its first digest, and
-// panics if it is not and d is of another width: the runs have one width,
-// so a VO cannot hold such a digest at all. A first digest wider than the
-// u16 leaves the width 0, which CheckRuns refuses.
-func (v *VO) fitWidth(d []byte) {
-	switch {
-	case len(v.DS) == 0 && len(v.DP) == 0:
-		v.Width = 0
-		if len(d) <= 0xFFFF {
-			v.Width = uint16(len(d))
-		}
-	case len(d) != int(v.Width):
-		panic(fmt.Sprintf("vo: a %d-byte digest in a VO of %d-byte digests", len(d), v.Width))
+// appendDigest appends d to a run, and panics if d is not digest.Size
+// bytes: a run has one width, so a VO cannot hold such a digest at all.
+func appendDigest(run, d []byte) []byte {
+	if len(d) != digest.Size {
+		panic(fmt.Sprintf("vo: a %d-byte digest in a VO of %d-byte digests", len(d), digest.Size))
 	}
+	return append(run, d...)
 }
 
-// CheckRuns reports whether DS and DP are whole runs of one non-zero
-// width that fits the u16 carrying it on the wire — always so for a
-// decoded VO and for one built by AppendDS and AppendDP.
+// CheckRuns reports whether DS and DP are whole runs of digest.Size-byte
+// digests — always so for a decoded VO and for one built by AppendDS and
+// AppendDP.
 func (v *VO) CheckRuns() error {
-	if len(v.DS) == 0 && len(v.DP) == 0 {
-		return nil
-	}
-	if w := int(v.Width); w < 1 || len(v.DS)%v.DSStride() != 0 || len(v.DP)%w != 0 {
-		return fmt.Errorf("vo: %d bytes of D_S and %d of D_P are not runs of %d-byte digests", len(v.DS), len(v.DP), w)
+	if len(v.DS)%digest.Size != 0 || len(v.DP)%digest.Size != 0 {
+		return fmt.Errorf("vo: %d bytes of D_S and %d of D_P are not runs of %d-byte digests", len(v.DS), len(v.DP), digest.Size)
 	}
 	return nil
 }
 
-// NumDigests returns the total signed digests carried (the paper's VO size
+// NumDigests returns the total digests carried (the paper's VO size
 // accounting unit).
 func (v *VO) NumDigests() int { return 1 + v.NumDS() + v.NumDP() }
 
-// voFixedSize is what a VO takes up beside its digests, lifts, node
-// records and root signature: key version, timestamp, top level, the
-// lengths of the top digest and the root signature, the digest width and
-// the two counts.
+// voFixedSize is what a VO takes up beside its digests, node records and
+// root signature: key version, timestamp, top level, the lengths of the
+// top digest and the root signature, the digest width and the two counts.
 const voFixedSize = 4 + 8 + 1 + 4 + 4 + 2 + 4 + 4
 
 // WireSize returns the exact encoded size in bytes: formula (9)'s
-// (|D_P| + |D_S| + 1)·D plus a lift per D_S entry (or, ordered, the node
-// records), the root signature and voFixedSize.
+// (|D_P| + |D_S| + 1)·D plus the node records, the root signature and
+// voFixedSize.
 func (v *VO) WireSize() int {
 	return voFixedSize + len(v.TopDigest) + len(v.RootSig) + len(v.Nodes) + len(v.DS) + len(v.DP)
 }
@@ -261,44 +178,38 @@ func readSig(data []byte) (sig.Signature, int, error) {
 	return sig.Signature(data[4 : 4+n : 4+n]), 4 + n, nil
 }
 
-// widthFits reports whether w can be the digest width of a VO holding
-// the given number of D_S and D_P entries: it fits the u16 that carries
-// it, and is 0 exactly when there is no entry.
-func widthFits(w, entries int) bool { return w <= 0xFFFF && (w == 0) == (entries == 0) }
+// width is the digest width W a VO of this many D_S and D_P digests
+// carries on the wire: 0 exactly when there is none.
+func width(digests int) int {
+	if digests == 0 {
+		return 0
+	}
+	return digest.Size
+}
 
 // appendHead appends the VO wire form up to and including the D_S count:
 // everything in front of the first digest.
-func (v *VO) appendHead(dst []byte, width, nDS int) []byte {
+func (v *VO) appendHead(dst []byte, nDS, nDP int) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, v.KeyVersion)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(v.Timestamp))
-	if v.Ordered() {
-		dst = append(dst, v.TopLevel|orderedFlag)
-	} else {
-		dst = append(dst, v.TopLevel)
-	}
+	dst = append(dst, v.TopLevel|orderedFlag)
 	dst = appendSig(dst, v.TopDigest)
 	dst = appendSig(dst, v.RootSig)
 	dst = append(dst, v.Nodes...)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(width))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(width(nDS+nDP)))
 	return binary.BigEndian.AppendUint32(dst, uint32(nDS))
 }
 
 // Encode appends the VO wire form (the package comment has the layout):
-// the two runs as they are, behind their width and counts — 0 and two
-// empty runs when the VO holds no D_S or D_P digest. The top digest and
-// the root signature keep their own lengths. A VO whose runs fail
-// CheckRuns has no wire form, and Encode panics on it: the schemes
-// produce none, and writing one anyway would hand the peer digests cut
-// at the wrong places.
+// the two runs as they are, behind their width and counts. The top
+// digest and the root signature keep their own lengths. A VO whose runs
+// fail CheckRuns has no wire form, and Encode panics on it: writing one
+// anyway would hand the peer digests cut at the wrong places.
 func (v *VO) Encode(dst []byte) []byte {
 	if err := v.CheckRuns(); err != nil {
 		panic(err.Error())
 	}
-	w := int(v.Width)
-	if len(v.DS) == 0 && len(v.DP) == 0 {
-		w = 0
-	}
-	dst = v.appendHead(dst, w, v.NumDS())
+	dst = v.appendHead(dst, v.NumDS(), v.NumDP())
 	dst = append(dst, v.DS...)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(v.NumDP()))
 	return append(dst, v.DP...)
@@ -331,12 +242,14 @@ func (v *VO) decode(data []byte) (int, error) {
 	if len(data) < 4+8+1 {
 		return 0, errors.New("vo: truncated VO header")
 	}
+	if data[12]&orderedFlag == 0 {
+		return 0, errors.New("vo: VO does not have the ordered layout")
+	}
 	*v = VO{
 		KeyVersion: binary.BigEndian.Uint32(data[0:4]),
 		Timestamp:  int64(binary.BigEndian.Uint64(data[4:12])),
 		TopLevel:   data[12] &^ orderedFlag,
 	}
-	ordered := data[12]&orderedFlag != 0
 	off := 13
 	s, n, err := readSig(data[off:])
 	if err != nil {
@@ -352,14 +265,12 @@ func (v *VO) decode(data []byte) (int, error) {
 		v.RootSig = s
 	}
 	off += n
-	if ordered {
-		n, _, err := walkNodes(data[off:], int(v.TopLevel), true)
-		if err != nil {
-			return 0, err
-		}
-		v.Nodes = data[off : off+n : off+n]
-		off += n
+	n, _, err = walkNodes(data[off:], int(v.TopLevel), true)
+	if err != nil {
+		return 0, err
 	}
+	v.Nodes = data[off : off+n : off+n]
+	off += n
 	if len(data[off:]) < 2+4 {
 		return 0, errors.New("vo: truncated digest width and DS count")
 	}
@@ -367,23 +278,17 @@ func (v *VO) decode(data []byte) (int, error) {
 	dsCount := int(binary.BigEndian.Uint32(data[off+2 : off+6]))
 	off += 6
 	// Each count is checked against the bytes left before it sizes a run.
-	// At width 0 nothing would bound a count, and none is allowed: the
-	// width is 0 exactly when both runs are empty.
-	run := func(count, entrySize int) ([]byte, bool) {
-		if count < 0 || count > 0 && (w == 0 || count > len(data[off:])/entrySize) {
+	run := func(count int) ([]byte, bool) {
+		if count < 0 || count > len(data[off:])/digest.Size {
 			return nil, false
 		}
-		end := off + count*entrySize
+		end := off + count*digest.Size
 		r := data[off:end:end]
 		off = end
 		return r, true
 	}
-	stride := w + 1
-	if ordered {
-		stride = w
-	}
 	var ok bool
-	if v.DS, ok = run(dsCount, stride); !ok {
+	if v.DS, ok = run(dsCount); !ok {
 		return 0, errors.New("vo: implausible DS count")
 	}
 	if len(data[off:]) < 4 {
@@ -391,13 +296,12 @@ func (v *VO) decode(data []byte) (int, error) {
 	}
 	dpCount := int(binary.BigEndian.Uint32(data[off : off+4]))
 	off += 4
-	if v.DP, ok = run(dpCount, w); !ok {
+	if v.DP, ok = run(dpCount); !ok {
 		return 0, errors.New("vo: implausible DP count")
 	}
-	if !widthFits(w, dsCount+dpCount) {
-		return 0, fmt.Errorf("vo: digest width %d with no digests", w)
+	if w != width(dsCount+dpCount) {
+		return 0, fmt.Errorf("vo: digest width %d with %d digests, want %d", w, dsCount+dpCount, width(dsCount+dpCount))
 	}
-	v.Width = uint16(w)
 	return off, nil
 }
 

@@ -5,23 +5,31 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"edgeauth/internal/digest"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
 )
 
 func sigOf(b ...byte) sig.Signature { return sig.Signature(b) }
 
+// dig is a digest.Size-byte digest of one repeated byte.
+func dig(b byte) sig.Signature { return sig.Signature(bytes.Repeat([]byte{b}, digest.Size)) }
+
+// sampleVO proves two rows of a one-leaf tree: a root of 4 entries
+// recomputing positions 1 and 2, its D_S the digests of entries 0 and 3.
 func sampleVO() *VO {
 	v := &VO{
 		KeyVersion: 3,
 		Timestamp:  1717000000,
-		TopLevel:   4,
-		TopDigest:  sigOf(1, 2, 3, 4, 5, 6, 7, 8),
+		TopLevel:   1,
+		TopDigest:  dig(1),
+		RootSig:    sigOf(2, 2, 2),
+		Nodes:      []byte{0, 4, 0, 1, 0, 1, 0, 2},
 	}
-	v.AppendDS(sigOf(9, 9, 9), 4)
-	v.AppendDS(sigOf(8, 8, 8), 1)
-	v.AppendDP(sigOf(7, 7, 7))
-	v.AppendDP(sigOf(6, 6, 6))
+	v.AppendDS(dig(9))
+	v.AppendDS(dig(8))
+	v.AppendDP(dig(7))
+	v.AppendDP(dig(6))
 	return v
 }
 
@@ -44,7 +52,7 @@ func TestVOEncodeDecodeRoundTrip(t *testing.T) {
 	if !got.TopDigest.Equal(v.TopDigest) {
 		t.Fatal("top digest mismatch")
 	}
-	if got.NumDS() != 2 || got.DSLift(0) != 4 || !got.DSDigest(1).Equal(v.DSDigest(1)) {
+	if got.NumDS() != 2 || !got.DSDigest(1).Equal(v.DSDigest(1)) || !bytes.Equal(got.Nodes, v.Nodes) {
 		t.Fatalf("DS mismatch: %x", got.DS)
 	}
 	if got.NumDP() != 2 || !got.DPDigest(1).Equal(v.DPDigest(1)) {
@@ -53,22 +61,21 @@ func TestVOEncodeDecodeRoundTrip(t *testing.T) {
 	if got.NumDigests() != 5 {
 		t.Fatalf("NumDigests = %d, want 5", got.NumDigests())
 	}
-	// Entries are opaque to the codec. One no accumulator would call
-	// canonical — all ones, above any modulus of its length — comes back
-	// byte for byte, so verify refuses what the edge actually sent.
-	copy(v.DSDigest(0), bytes.Repeat([]byte{0xFF}, 3))
-	v.SetDSLift(0, 255)
+	// Digests are opaque to the codec: all ones comes back byte for byte,
+	// so verify refuses what the edge actually sent.
+	copy(v.DSDigest(0), dig(0xFF))
 	got, _, err = DecodeVO(v.Encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.DSLift(0) != 255 || !got.DSDigest(0).Equal(v.DSDigest(0)) {
-		t.Fatalf("non-canonical entry did not round-trip: %x", got.DS)
+	if !got.DSDigest(0).Equal(dig(0xFF)) {
+		t.Fatalf("digest did not round-trip: %x", got.DS)
 	}
 }
 
 func TestVOEmptySets(t *testing.T) {
-	v := &VO{KeyVersion: 1, TopLevel: 1, TopDigest: sigOf(1)}
+	leaf := []byte{0, 0, 0, 0} // an empty root leaf, no position recomputed
+	v := &VO{KeyVersion: 1, TopLevel: 1, TopDigest: sigOf(1), Nodes: leaf}
 	enc := v.Encode(nil)
 	got, _, err := DecodeVO(enc)
 	if err != nil {
@@ -80,10 +87,10 @@ func TestVOEmptySets(t *testing.T) {
 	if got.NumDigests() != 1 {
 		t.Fatalf("NumDigests = %d, want 1", got.NumDigests())
 	}
-	// Each run may be empty on its own: the width is that of the other.
+	// Each run may be empty on its own.
 	for _, v := range []*VO{
-		{TopLevel: 1, Width: 3, DS: sampleVO().DS},
-		{TopLevel: 1, Width: 3, DP: sampleVO().DP},
+		{TopLevel: 1, Nodes: leaf, DS: sampleVO().DS},
+		{TopLevel: 1, Nodes: leaf, DP: sampleVO().DP},
 	} {
 		enc := v.Encode(nil)
 		got, n, err := DecodeVO(enc)
@@ -93,11 +100,11 @@ func TestVOEmptySets(t *testing.T) {
 	}
 }
 
-// TestVOEncodeRefusesRaggedDigests: the wire form has one digest width, so
-// a VO cannot hold D_S and D_P digests that differ in length — appending
-// one panics — and one whose runs are not whole digests of one non-zero
-// width that fits a u16 cannot be written. Encode says so instead of
-// cutting digests at the wrong places.
+// TestVOEncodeRefusesRaggedDigests: the wire form has one digest width,
+// digest.Size, so a VO cannot hold a D_S or D_P digest of another length
+// — appending one panics — and one whose runs are not whole digests
+// cannot be written. Encode says so instead of cutting digests at the
+// wrong places.
 func TestVOEncodeRefusesRaggedDigests(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -109,20 +116,18 @@ func TestVOEncodeRefusesRaggedDigests(t *testing.T) {
 		f()
 	}
 	for name, mutate := range map[string]func(*VO){
-		"short D_S entry":       func(v *VO) { v.AppendDS(sigOf(8, 8), 1) },
-		"long D_P entry":        func(v *VO) { v.AppendDP(sigOf(6, 6, 6, 6)) },
-		"D_P narrower":          func(v *VO) { v.DP = nil; v.AppendDP(sigOf(7)) },
-		"first D_S the odd one": func(v *VO) { v.DS, v.DP = nil, nil; v.AppendDS(sigOf(9), 1); v.AppendDP(sigOf(6, 6, 6)) },
+		"short D_S digest":     func(v *VO) { v.AppendDS(sigOf(8, 8)) },
+		"long D_P digest":      func(v *VO) { v.AppendDP(append(dig(6), 6)) },
+		"first D_P narrower":   func(v *VO) { v.DP = nil; v.AppendDP(sigOf(7)) },
+		"key-width D_S digest": func(v *VO) { v.DS, v.DP = nil, nil; v.AppendDS(make(sig.Signature, 64)) },
+		"empty digest":         func(v *VO) { v.DS, v.DP = nil, nil; v.AppendDS(nil) },
 	} {
 		v := sampleVO()
 		mustPanic(name, func() { mutate(v) })
 	}
 	for name, mutate := range map[string]func(*VO){
-		"empty digests":      func(v *VO) { v.DS, v.DP = nil, nil; v.AppendDS(nil, 1) },
-		"wider than the u16": func(v *VO) { v.DS, v.DP = nil, nil; v.AppendDP(make(sig.Signature, 1<<16)) },
-		"D_S cut short":      func(v *VO) { v.DS = v.DS[:len(v.DS)-1] },
-		"D_P cut short":      func(v *VO) { v.DP = v.DP[:len(v.DP)-1] },
-		"width 0":            func(v *VO) { v.Width = 0 },
+		"D_S cut short": func(v *VO) { v.DS = v.DS[:len(v.DS)-1] },
+		"D_P cut short": func(v *VO) { v.DP = v.DP[:len(v.DP)-1] },
 	} {
 		v := sampleVO()
 		mutate(v)
@@ -131,12 +136,16 @@ func TestVOEncodeRefusesRaggedDigests(t *testing.T) {
 		}
 		mustPanic(name, func() { v.Encode(nil) })
 	}
-	// Dropping every entry leaves a VO with nothing to carry a width for:
+	// Dropping every digest leaves a VO with nothing to carry a width for:
 	// it encodes as width 0, the one spelling of two empty runs.
 	v := sampleVO()
 	v.DS, v.DP = v.DS[:0], nil
-	if got, _, err := DecodeVO(v.Encode(nil)); err != nil || got.Width != 0 {
-		t.Fatalf("a VO emptied of its entries: %+v, %v", got, err)
+	enc := v.Encode(nil)
+	if w := binary.BigEndian.Uint16(enc[len(enc)-10:]); w != 0 {
+		t.Fatalf("a VO emptied of its digests encodes width %d", w)
+	}
+	if got, _, err := DecodeVO(enc); err != nil || got.NumDigests() != 1 {
+		t.Fatalf("a VO emptied of its digests: %+v, %v", got, err)
 	}
 }
 
@@ -301,11 +310,17 @@ func TestOrderedVORoundTrip(t *testing.T) {
 	if err != nil || n != len(enc) || v.WireSize() != len(enc) {
 		t.Fatalf("decode: %v (%d of %d bytes, WireSize %d)", err, n, len(enc), v.WireSize())
 	}
-	if !got.Ordered() || got.TopLevel != 2 || got.NumDS() != 17 || got.NumDP() != 2 || !bytes.Equal(got.Encode(nil), enc) {
+	if got.TopLevel != 2 || got.NumDS() != 17 || got.NumDP() != 2 || !bytes.Equal(got.Encode(nil), enc) {
 		t.Fatalf("decoded %+v", got)
 	}
 	if rows, err := got.Envelope(); err != nil || rows != 2 {
 		t.Fatalf("envelope: %d rows, %v; want 2", rows, err)
+	}
+	// The flag is the layout: a VO without it is refused.
+	flat := bytes.Clone(enc)
+	flat[12] &^= orderedFlag
+	if _, _, err := DecodeVO(flat); err == nil {
+		t.Error("a VO without the ordered flag was accepted")
 	}
 	for name, nodes := range map[string][]byte{
 		"run past the count":     {0, 3, 0, 1, 0, 2, 0, 2, 0, 20, 0, 1, 0, 4, 0, 2},

@@ -37,9 +37,10 @@ type Delta struct {
 	PageData [][]byte
 	// KeyVersion is the signing-key version in force at ToVersion.
 	KeyVersion uint32
-	// Scheme is the signature scheme (sig.Scheme) of that key. It lives
-	// in the signed core, so a relay cannot flip a replica to a weaker
-	// interpretation of the same key version.
+	// Scheme is the signature scheme (sig.Scheme) of that key, valid in
+	// every delta but a SnapshotNeeded marker. It lives in the signed
+	// core, so a relay cannot flip a replica to a weaker interpretation
+	// of the same key version.
 	Scheme uint8
 
 	// Sig is the central server's signature over SigPayload(); edges
@@ -208,6 +209,9 @@ func DecodeDelta(body []byte) (*Delta, error) {
 	d.NumPages = r.u32("page count after ops")
 	d.KeyVersion = r.u32("key version")
 	d.Scheme = r.u8("signature scheme")
+	if r.err == nil && !d.SnapshotNeeded && !sig.Scheme(d.Scheme).Valid() {
+		return nil, fmt.Errorf("wire: delta names unknown signature scheme %d", d.Scheme)
+	}
 	if pn := r.u32("changed page count"); r.err == nil && pn > 0 {
 		if uint64(pn)*8 > uint64(len(body)-r.off) {
 			return nil, errors.New("wire: implausible changed page count")

@@ -27,6 +27,7 @@ func sampleDelta() *Delta {
 		PageIDs:     []storage.PageID{3, 8},
 		PageData:    [][]byte{{1, 2, 3}, {4, 5, 6}},
 		KeyVersion:  1,
+		Scheme:      uint8(sig.SchemeEd25519),
 		Sig:         []byte{0xCC, 0xDD, 0xEE},
 	}
 }
@@ -136,16 +137,16 @@ func (r replaySigner) Sign(payload []byte) (sig.Signature, error) {
 
 // TestDeltaBytesMatchParentCommit pins the wire format across the
 // encode-once rewrite. testdata/parent-cc58d1a holds what a central at
-// the parent commit (cc58d1a) served for a 40-row table under each scheme
-// — (*Delta).Encode() of a real delta, of a SnapshotNeeded marker and of
-// a noop, made when the core was serialised twice from a nil slice. Every
+// the parent commit (cc58d1a) served for a 40-row table under each
+// scheme this build knows — (*Delta).Encode() of a real delta, of a
+// SnapshotNeeded marker and of a noop, made when the core was serialised twice from a nil slice. Every
 // body must decode, carry a signature that verifies over the received
 // bytes, re-encode to itself through the struct-form encoder, and come
 // out of the serving side's AppendSigned byte for byte — into a fresh
 // buffer and in place behind bytes already in a lent one.
 // (edge.TestDeltaFromParentCommitApplies applies the same bodies.)
 func TestDeltaBytesMatchParentCommit(t *testing.T) {
-	for _, scheme := range []string{"rsa", "rsa-merkle", "ed25519"} {
+	for _, scheme := range []string{"rsa-merkle", "ed25519"} {
 		read := func(name string) []byte {
 			t.Helper()
 			b, err := os.ReadFile(filepath.Join("testdata", "parent-cc58d1a", scheme, name))
@@ -239,7 +240,7 @@ func TestDecodeDeltaBoundsItsAllocations(t *testing.T) {
 		if heapPages == 0 {
 			out = appendU32(out, 9) // page count after ops
 			out = appendU32(out, 1) // key version
-			out = appendU8(out, 0)  // scheme
+			out = appendU8(out, 2)  // scheme
 			out = appendU32(out, changedPages)
 		}
 		return append(out, make([]byte, 1024-len(out))...)

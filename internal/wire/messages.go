@@ -7,6 +7,7 @@ import (
 	"edgeauth/internal/digest"
 	"edgeauth/internal/query"
 	"edgeauth/internal/schema"
+	"edgeauth/internal/sig"
 	"edgeauth/internal/storage"
 	"edgeauth/internal/vbtree"
 	"edgeauth/internal/vo"
@@ -265,6 +266,9 @@ func DecodeSnapshot(body []byte) (*Snapshot, error) {
 	s.PageSize = r.u32("page size")
 	s.KeyVersion = r.u32("key version")
 	s.Scheme = r.u8("signature scheme")
+	if r.err == nil && !sig.Scheme(s.Scheme).Valid() {
+		return nil, fmt.Errorf("wire: snapshot names unknown signature scheme %d", s.Scheme)
+	}
 	s.Version = r.u64("table version")
 	s.Epoch = r.u64("table epoch")
 	hn := int(r.u32("heap page count"))
@@ -374,6 +378,9 @@ func DecodeSchemaResponse(body []byte) (*SchemaResponse, error) {
 	s := &SchemaResponse{Schema: sch}
 	s.KeyVersion = r.u32("key version")
 	s.Scheme = r.u8("signature scheme")
+	if r.err == nil && !sig.Scheme(s.Scheme).Valid() {
+		return nil, fmt.Errorf("wire: schema response names unknown signature scheme %d", s.Scheme)
+	}
 	if err := r.done(); err != nil {
 		return nil, err
 	}

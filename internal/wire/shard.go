@@ -102,9 +102,8 @@ func DecodeShardDeltaRequest(body []byte) (*ShardDeltaRequest, error) {
 }
 
 // ShardQueryRequest runs a selection/projection against one shard of a
-// partitioned table. The edge anchors the VO at the shard's root
-// (vbtree.Query.AnchorRoot) so the client can bind the answer to the
-// verified shard map.
+// partitioned table. The VO proves the answer against the shard's root,
+// so the client can bind the answer to the verified shard map.
 type ShardQueryRequest struct {
 	Shard uint32
 	Query *QueryRequest

@@ -38,10 +38,10 @@ import (
 // handshake carries it in both directions. It is raised whenever the
 // bytes of a message change, so that a build from before the change is
 // turned away at dial with CodeUnsupported instead of being sent bodies
-// it would misparse: 6 is the generation in which a Merkle-scheme VO
-// carries its envelope's node records and ordered in-node proofs instead
-// of lifted D_S digests (package vo), and a Merkle tree's pages hold its
-// in-node group digests — the same bytes no longer mean the same digests;
+// it would misparse: 6 is the generation in which a VO carries its
+// envelope's node records and ordered in-node proofs instead of lifted
+// D_S digests (package vo), and a tree's pages hold its in-node group
+// digests — the same bytes no longer mean the same digests;
 // 5 dropped the accumulator parameters from Snapshot and SchemaResponse
 // (the accumulator is a constant, so no edge or relay chooses what a
 // client verifies under); 4 made every insert travel as a MsgBatchReq (the single-insert

@@ -135,11 +135,12 @@ func TestQueryResponseRoundTrip(t *testing.T) {
 			Tuples: []schema.Tuple{schema.NewTuple(schema.Int64(1))},
 		},
 		VO: &vo.VO{
-			KeyVersion: 2, Timestamp: 99, TopLevel: 3,
+			KeyVersion: 2, Timestamp: 99, TopLevel: 1,
 			TopDigest: sig.Signature{1, 2, 3},
-			Width:     2,
-			DS:        []byte{4, 4, 2}, // one entry: digest 4 4, lift 2
-			DP:        []byte{5, 6},
+			RootSig:   sig.Signature{7},
+			Nodes:     []byte{0, 2, 0, 1, 0, 0, 0, 1}, // 2 entries, row 0 recomputed
+			DS:        bytes.Repeat([]byte{4}, 16),
+			DP:        bytes.Repeat([]byte{5}, 16),
 		},
 	}
 	got, err := DecodeQueryResponse(resp.Encode())
@@ -149,7 +150,7 @@ func TestQueryResponseRoundTrip(t *testing.T) {
 	if got.Result.Table != "t" || len(got.Result.Tuples) != 1 {
 		t.Fatalf("result: %+v", got.Result)
 	}
-	if got.VO.TopLevel != 3 || got.VO.NumDS() != 1 || got.VO.DSLift(0) != 2 {
+	if got.VO.TopLevel != 1 || got.VO.NumDS() != 1 || got.VO.DSDigest(0)[0] != 4 || got.VO.NumDP() != 1 {
 		t.Fatalf("vo: %+v", got.VO)
 	}
 }
@@ -194,7 +195,9 @@ func withAccBlock(body []byte) []byte {
 
 // checkAgainstParent: enc is exactly the parent commit's encoding of the
 // same message less the accumulator block, and the parent's bytes — the
-// block still in them — are refused, not read as some other message.
+// block still in them — are refused, not read as some other message:
+// for trailing bytes, or where the decoder reads the block's zero byte as
+// the signature scheme, for naming none.
 func checkAgainstParent(t *testing.T, enc []byte, parentHex string, decode func([]byte) error) {
 	t.Helper()
 	parent, err := hex.DecodeString(parentHex)
@@ -204,7 +207,7 @@ func checkAgainstParent(t *testing.T, enc []byte, parentHex string, decode func(
 	if len(enc) != len(parent)-len(parentAccBlock) || !bytes.Equal(withAccBlock(enc), parent) {
 		t.Fatalf("encoding is not the parent commit's less the %d-byte accumulator block:\n  got %x\n  parent %x", len(parentAccBlock), enc, parent)
 	}
-	if err := decode(parent); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+	if err := decode(parent); err == nil || !strings.Contains(err.Error(), "trailing bytes") && !strings.Contains(err.Error(), "unknown signature scheme 0") {
 		t.Fatalf("parent-format body: %v, want it refused for trailing bytes", err)
 	}
 }
@@ -223,6 +226,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		RootSig:    []byte{9, 9, 9},
 		PageSize:   4096,
 		KeyVersion: 5,
+		Scheme:     2,
 		HeapPages:  []storage.PageID{1, 2, 3},
 		PageIDs:    []storage.PageID{1, 2},
 		PageData:   [][]byte{{0xAA}, {0xBB, 0xCC}},
@@ -241,7 +245,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("pages: %v %v", got.PageIDs, got.PageData)
 	}
 	checkAgainstParent(t, s.Encode(),
-		"0000001a000000026462000000017400000001000000026964010000000000000010000000000000000f000000000000000007000000030000000309090900001000000000050000000000000000000000000000000000000000030000000100000002000000030000000200000001"+
+		"0000001a000000026462000000017400000001000000026964010000000000000010000000000000000f000000000000000007000000030000000309090900001000000000050200000000000000000000000000000000000000030000000100000002000000030000000200000001"+
 			"00000001aa0000000200000002bbcc",
 		func(b []byte) error { _, err := DecodeSnapshot(b); return err })
 }
@@ -279,7 +283,6 @@ func TestSchemaResponseRoundTrip(t *testing.T) {
 // fixtures and verifies a query over them.)
 func TestSnapshotFixturesAreTheParentsLessTheAccumulatorBlock(t *testing.T) {
 	for scheme, served := range map[string]string{
-		"rsa":        "9ac84c42f81f6e9500b57b3e3282d8ca88a4ca4a02e7c173aeac237f0cce8572",
 		"rsa-merkle": "d4d36899fd3f5b9f901a4a80b65af2f239dbc084502747dadcfe7589423dab8a",
 		"ed25519":    "7bf59741bd5eea789d1de285dda1b72b069ce3fc9a1f752ff588000b7c181ba7",
 	} {
@@ -409,5 +412,32 @@ func TestU64RoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeU64(append(EncodeU64(1), 0)); err == nil {
 		t.Fatal("long u64 accepted")
+	}
+}
+
+// TestSchemeZeroRefused: scheme 0 — the number of the retired per-node
+// rsa scheme — is refused wherever a scheme travels: in a snapshot, in a
+// schema response and in every delta but a SnapshotNeeded marker, which
+// names no key at all.
+func TestSchemeZeroRefused(t *testing.T) {
+	sch := &schema.Schema{DB: "db", Table: "t", Columns: []schema.Column{{Name: "id", Type: schema.TypeInt64}}, Key: 0}
+	for _, scheme := range []uint8{0, 3} {
+		snap := &Snapshot{Schema: sch, Root: 1, Height: 1, RootSig: []byte{1}, PageSize: 1024, Scheme: scheme}
+		if _, err := DecodeSnapshot(snap.Encode()); err == nil {
+			t.Errorf("a snapshot naming scheme %d was accepted", scheme)
+		}
+		resp := &SchemaResponse{Schema: sch, KeyVersion: 1, Scheme: scheme}
+		if _, err := DecodeSchemaResponse(resp.Encode()); err == nil {
+			t.Errorf("a schema response naming scheme %d was accepted", scheme)
+		}
+		d := sampleDelta()
+		d.Scheme = scheme
+		if _, err := DecodeDelta(d.Encode()); err == nil {
+			t.Errorf("a delta naming scheme %d was accepted", scheme)
+		}
+	}
+	marker := &Delta{Table: "items", FromVersion: 3, SnapshotNeeded: true, Sig: []byte{1}}
+	if _, err := DecodeDelta(marker.Encode()); err != nil {
+		t.Fatalf("a SnapshotNeeded marker: %v", err)
 	}
 }
