@@ -43,13 +43,18 @@ func range256(lo int64) ([]query.Predicate, []string) {
 // no accumulator, so the inline limbs below left that figure where it was.
 //
 // The result set and the VO are one allocation, which is what holds the
-// figure where it was once the VO grew its node records.
+// figure where it was once the VO grew its node records. Nor did it move
+// when a row's D_P fell from seven digests to three (the column tree):
+// D_P is a view of the frame, so its size costs decoding no allocation.
 //
-// Decoding, checking the map and verifying costs 19 objects, pinned. It
-// was 25 while the scheme committed by a product: verifying this VO ran
-// one digest.Acc per level, L+1 = 4 of them. An ordered commitment is
-// recomputed node by node with every preimage on the stack, into scratch
-// the verification owns (29 before the Acc held its limbs inline).
+// Decoding, checking the map and verifying costs 18 objects, pinned. It
+// was 19 while a row's tuple preimage was laid out in a buffer of its own
+// (b43dc9b): the column tree is recomputed with its preimage on the
+// stack. It was 25 while the scheme committed by a product: verifying
+// this VO ran one digest.Acc per level, L+1 = 4 of them. An ordered
+// commitment is recomputed node by node with every preimage on the
+// stack, into scratch the verification owns (29 before the Acc held its
+// limbs inline).
 func TestAnswerDecodeAndVerifyAllocationBudget(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -108,8 +113,8 @@ func TestAnswerDecodeAndVerifyAllocationBudget(t *testing.T) {
 		t.Errorf("decoding the answer: %d bytes allocated, want 90,832", decodeBytes)
 	}
 	whole := testing.AllocsPerRun(100, verify)
-	if whole != 19 {
-		t.Errorf("decoding and verifying the answer: %.0f allocations, want 19", whole)
+	if whole != 18 {
+		t.Errorf("decoding and verifying the answer: %.0f allocations, want 18", whole)
 	}
 	t.Logf("%d-byte answer: %.0f allocations (%d bytes) to decode, %.0f to decode, check the map and verify", len(body), decode, decodeBytes, whole)
 }

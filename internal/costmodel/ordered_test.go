@@ -65,30 +65,85 @@ func TestOrderedPointReadVOBytes(t *testing.T) {
 }
 
 // TestOrderedInsertHashes walks formula (11) restated for ordered
-// commitments through its cases: a leaf that gains an entry rehashes the
-// groups from the insertion point on, a node above it the one group per
-// in-node level over the changed child, and a leaf whose in-node levels
-// grow rehashes them all.
+// commitments through its cases: the tuple's 9 non-key attribute hashes,
+// its 3 column groups and the tuple hash (13: the key has no attribute
+// digest), then a leaf that gains an entry rehashes the groups from the
+// insertion point on, a node above it the one group per in-node level
+// over the changed child, and a leaf whose in-node levels grow rehashes
+// them all.
 func TestOrderedInsertHashes(t *testing.T) {
 	p := Default()
+	const tuple = 9 + 3 + 1
 	for _, tc := range []struct {
 		path []InsertStep
 		want int
 	}{
-		// N_C + 1, then a leaf of 10 (2 groups) inserted at 3: both groups
-		// and the node.
-		{[]InsertStep{{N: 10, Pos: 3, Inserted: true}}, 10 + 1 + (1 + 2)},
+		// A leaf of 10 (2 groups) inserted at 3: both groups and the node.
+		{[]InsertStep{{N: 10, Pos: 3, Inserted: true}}, tuple + (1 + 2)},
 		// A leaf of 116 (15 groups under 2) inserted at 40: groups 5..14,
 		// both top groups and the node; above it a root of 71 (9 groups
 		// under 2): one group a level and the node.
-		{[]InsertStep{{N: 71, Pos: 20}, {N: 116, Pos: 40, Inserted: true}}, 11 + (1 + 2) + (1 + 10 + 2)},
+		{[]InsertStep{{N: 71, Pos: 20}, {N: 116, Pos: 40, Inserted: true}}, tuple + (1 + 2) + (1 + 10 + 2)},
 		// 8 → 9 entries: the in-node levels grow, both groups are hashed.
-		{[]InsertStep{{N: 9, Pos: 8, Inserted: true}}, 11 + 1 + 2},
+		{[]InsertStep{{N: 9, Pos: 8, Inserted: true}}, tuple + 1 + 2},
 		// 300 entries (38 groups under 5): one group a level above the child.
-		{[]InsertStep{{N: 300, Pos: 100}, {N: 40, Pos: 0, Inserted: true}}, 11 + (1 + 2) + (1 + 5)},
+		{[]InsertStep{{N: 300, Pos: 100}, {N: 40, Pos: 0, Inserted: true}}, tuple + (1 + 2) + (1 + 5)},
 	} {
 		if got := p.OrderedInsertHashes(tc.path); got != tc.want {
 			t.Errorf("%+v: %d hashes, want %d", tc.path, got, tc.want)
+		}
+	}
+}
+
+// TestColumnProofsOfEveryProjection counts the column proof of all 2^10
+// projections of the benchmark's table (workload.DefaultSpec): a
+// projection of Q_C columns ships at most N_C − Q_C digests a row, the
+// benchmark's {id, cat, a2} exactly 3 (d(a3) and the two other groups),
+// a full projection none. Over the 2^9 sets of non-key columns the mean
+// is 3.75 digests a row, where a flat list of digests ships 4.5. Each
+// row's recomputation hashes its returned non-key values, the column
+// groups holding one and the tuple: 13 for a full projection.
+// (verify.TestEveryProjectionShipsItsColumnSiblings ties the counts to
+// real answers.)
+func TestColumnProofsOfEveryProjection(t *testing.T) {
+	const nc = 10
+	total, sets := 0, 0
+	for mask := 1; mask < 1<<nc; mask++ {
+		var cols []int
+		for ci := 0; ci < nc; ci++ {
+			if mask&(1<<ci) != 0 {
+				cols = append(cols, ci)
+			}
+		}
+		pr := ProjectionOf(nc, 0, cols)
+		if got := pr.Siblings(); got > nc-len(cols) {
+			t.Errorf("projection %v ships %d digests a row, more than the %d columns it leaves out", cols, got, nc-len(cols))
+		}
+		if mask&1 == 0 || mask == 1 { // each set of non-key columns once, the empty one included
+			total, sets = total+pr.Siblings(), sets+1
+		}
+	}
+	if sets != 512 || total != 1920 {
+		t.Errorf("%d sets of non-key columns ship %d digests a row in all, want 512 sets and 1,920 (a mean of 3.75)", sets, total)
+	}
+	for _, tc := range []struct {
+		cols             []int
+		siblings, hashes int
+	}{
+		{[]int{0, 1, 2}, 3, 2 + 1 + 1},
+		{[]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 0, 9 + 3 + 1},
+		{[]int{0}, 3, 1},
+		{[]int{1, 5, 9}, 6, 3 + 3 + 1},
+	} {
+		pr := ProjectionOf(nc, 0, tc.cols)
+		if got := pr.Siblings(); got != tc.siblings {
+			t.Errorf("projection %v ships %d digests a row, want %d", tc.cols, got, tc.siblings)
+		}
+		if got := pr.Hashes(); got != tc.hashes {
+			t.Errorf("projection %v hashes %d times a row, want %d", tc.cols, got, tc.hashes)
+		}
+		if got := OrderedDPCount(256, pr); got != 256*tc.siblings {
+			t.Errorf("projection %v: |D_P| of 256 rows = %d, want %d", tc.cols, got, 256*tc.siblings)
 		}
 	}
 }

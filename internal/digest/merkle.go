@@ -17,12 +17,24 @@ import (
 // the level below instead, H being SHA-256 truncated to 16 bytes:
 //
 //	attribute: d_i = H(0x01 ‖ u16 i ‖ canonical value)
-//	tuple:     T   = H(0x02 ‖ u16 len(key) ‖ key ‖ d_1 ‖ … ‖ d_N)
+//	column:    C   = H(0x05 ‖ c_1 ‖ … ‖ c_k)
+//	tuple:     T   = H(0x02 ‖ u16 len(key) ‖ key ‖ c_1 ‖ … ‖ c_k)
 //	group:     G   = H(0x03 ‖ c_1 ‖ … ‖ c_k)
 //	node:      D_N = H(0x04 ‖ u8 level ‖ u16 n ‖ u16 len(db) ‖ db ‖ u16 len(table) ‖ table ‖ c_1 ‖ … ‖ c_k)
 //
 // An attribute's preimage is one SHA-256 block for values up to 52 bytes;
 // the database and table are bound once per node, the key once per tuple.
+//
+// # The column tree
+//
+// A tuple commits to its non-key columns through a Merkle tree of arity
+// ColumnArity over their attribute digests, in schema order (ColumnShape):
+// T covers the tree's top digests, C its column group digests. The key
+// column has no attribute digest, because T binds the key itself. The
+// heap record stores the attribute and column group digests, so a
+// projection copies the proof of the columns it leaves out and never
+// hashes at query time: one digest per maximal column subtree holding no
+// returned column, not one per omitted column.
 //
 // # The in-node tree
 //
@@ -39,7 +51,15 @@ import (
 // of consecutive positions — and carries exactly one digest for each
 // maximal in-node subtree holding none of them (Shape.Siblings), in left
 // to right order. One position costs at most Arity − 1 digests per
-// in-node level, not n − 1.
+// in-node level, not n − 1. A proof of a tuple's columns is the same
+// construction over the column tree.
+
+// CommitmentVersion names the commitment the forms above make. A store
+// written under another one holds digests this code does not compute:
+// version 6 hashed a tuple over the digests of all its columns, the
+// key's included, in one flat list; version 7 hashes it over the column
+// tree. Heap records carry it (vo.StoredTuple).
+const CommitmentVersion = 7
 
 // Arity is the fan-out of the in-node tree, chosen by measurement: at 8,
 // one position's proof is at most 7 digests per in-node level, and a 4 KB
@@ -48,20 +68,35 @@ import (
 // gives 671), at no better verified-read rate.
 const Arity = 8
 
-// Domain tags of the four ordered-hash forms.
+// ColumnArity is the fan-out of a tuple's column tree, chosen by
+// measurement: the largest whose group preimage, a tag and three digests
+// (49 bytes), is one SHA-256 block. Over the nine non-key columns of the
+// benchmark's table a 3-of-10 projection ships 3 digests a row where a
+// flat list ships 7. Arity 2 ships as few but hashes 6 times a row, not
+// 4 (verifying a 256-row answer took 295 µs where 3 took 229); arity 4
+// ships 4 a row (16,855 VO bytes where 3 gives 12,759) in the same 4
+// calls, one of them two blocks long (252 µs).
+const ColumnArity = 3
+
+// maxArity is the widest group any tree hashes.
+const maxArity = max(Arity, ColumnArity)
+
+// Domain tags of the five ordered-hash forms.
 const (
-	tagAttr  = 0x01
-	tagTuple = 0x02
-	tagGroup = 0x03
-	tagNode  = 0x04
+	tagAttr        = 0x01
+	tagTuple       = 0x02
+	tagGroup       = 0x03
+	tagNode        = 0x04
+	tagColumnGroup = 0x05
 )
 
 // MaxEntries is the most entries a node may hold: its count travels as a
 // u16, in the page and in a proof.
 const MaxEntries = 0xFFFF
 
-// maxLevels bounds the in-node levels: 8^6 > MaxEntries.
-const maxLevels = 7
+// maxLevels bounds the levels of a tree over at most MaxEntries entries
+// (a node's) or columns (a tuple's): 8^6 and 3^11 exceed it.
+const maxLevels = 11
 
 // truncate writes the leading 16 bytes of a hash into dst's backing array
 // when it has room.
@@ -97,29 +132,43 @@ func (a *Accumulator) HashAttr(dst Value, preimage []byte) Value {
 	return truncate(dst, sha256.Sum256(preimage))
 }
 
-// TupleDigest computes a tuple's ordered digest T over its key and its
-// attribute digests in column order (attrs holds them back to back), into
-// dst's backing array when it has room.
-func (a *Accumulator) TupleDigest(dst Value, key, attrs []byte) Value {
+// TupleDigest computes a tuple's ordered digest T over its key and the
+// attribute digests of its non-key columns in schema order (attrs holds
+// them back to back), into dst's backing array when it has room. It
+// writes the column tree's group digests into groups, which must hold
+// ColumnShape(len(attrs)/Size).Stored() digests.
+func (a *Accumulator) TupleDigest(dst Value, key, attrs, groups []byte) Value {
+	s := ColumnShape(len(attrs) / size)
+	below := make([][]byte, s.sizes[0])
+	for i := range below {
+		below[i] = attrs[i*size : (i+1)*size]
+	}
 	var stack [256]byte
-	return a.HashTuple(dst, append(AppendTupleHead(stack[:0], key), attrs...))
+	p := appendTupleHead(stack[:0], key)
+	for _, d := range a.commitGroups(&s, nil, below, groups, nil, nil) {
+		p = append(p, d...)
+	}
+	a.countHash()
+	return truncate(dst, sha256.Sum256(p))
 }
 
-// AppendTupleHead appends the head of a tuple hash's preimage — its tag
-// and key — to dst. The attribute digests follow it, in column order: a
-// verifier lays a row's preimage out once and writes each attribute
-// digest into its place, then hashes it whole (HashTuple).
-func AppendTupleHead(dst, key []byte) []byte {
+// ColumnDigests returns how many digests the heap record of a tuple of n
+// values stores: an attribute digest for each of its n − 1 non-key
+// columns and the group digests of the column tree over them.
+func ColumnDigests(n int) int {
+	if n < 1 {
+		return 0
+	}
+	s := ColumnShape(n - 1)
+	return n - 1 + s.Stored()
+}
+
+// appendTupleHead appends the head of a tuple hash's preimage — its tag
+// and key — to dst. The top digests of the column tree follow it.
+func appendTupleHead(dst, key []byte) []byte {
 	dst = append(dst, tagTuple)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(key)))
 	return append(dst, key...)
-}
-
-// HashTuple computes a tuple digest from its whole preimage: its head
-// (AppendTupleHead) and its attribute digests.
-func (a *Accumulator) HashTuple(dst Value, preimage []byte) Value {
-	a.countHash()
-	return truncate(dst, sha256.Sum256(preimage))
 }
 
 // appendNodeHead appends a node hash's preimage up to its first child.
@@ -132,35 +181,47 @@ func appendNodeHead(buf []byte, level, n int, db, table string) []byte {
 	return append(buf, table...)
 }
 
-// Shape is the in-node tree over a node's n entries: sizes[0] = n,
-// sizes[l] = ⌈sizes[l−1]/Arity⌉, up to the first level top whose size is
-// at most Arity — the digests the node hash covers. Levels 1..top are the
-// group digests a page stores, level by level.
+// Shape is a Merkle tree of some arity over n entries — a node's (NewShape)
+// or a tuple's columns (ColumnShape): sizes[0] = n,
+// sizes[l] = ⌈sizes[l−1]/arity⌉, up to the first level top whose size is
+// at most the arity — the digests the node or tuple hash covers. Levels
+// 1..top are the group digests a page or a heap record stores, level by
+// level.
 type Shape struct {
+	arity  int
+	tag    byte // the domain tag of its group hashes
 	sizes  [maxLevels]int
 	offs   [maxLevels]int // offs[l]: index of level l's first stored digest
-	widths [maxLevels]int // widths[l] = Arity^l: the entries under a digest of level l
+	widths [maxLevels]int // widths[l] = arity^l: the entries under a digest of level l
 	top    int
 }
 
-// NewShape returns the shape of a node of n entries, 0 <= n <= MaxEntries.
-func NewShape(n int) Shape {
-	var s Shape
+// NewShape returns the shape of the in-node tree of a node of n entries,
+// 0 <= n <= MaxEntries.
+func NewShape(n int) Shape { return newShape(Arity, tagGroup, n) }
+
+// ColumnShape returns the shape of the column tree of a tuple of n
+// non-key columns, 0 <= n < MaxEntries.
+func ColumnShape(n int) Shape { return newShape(ColumnArity, tagColumnGroup, n) }
+
+func newShape(arity int, tag byte, n int) Shape {
+	s := Shape{arity: arity, tag: tag}
 	s.sizes[0] = n
-	for l, w := 0, 1; l < maxLevels; l, w = l+1, w*Arity {
+	for l, w := 0, 1; l < maxLevels; l, w = l+1, w*arity {
 		s.widths[l] = w
 	}
 	stored := 0
-	for s.sizes[s.top] > Arity {
+	for s.sizes[s.top] > arity {
 		s.top++
-		s.sizes[s.top] = (s.sizes[s.top-1] + Arity - 1) / Arity
+		s.sizes[s.top] = (s.sizes[s.top-1] + arity - 1) / arity
 		s.offs[s.top] = stored
 		stored += s.sizes[s.top]
 	}
 	return s
 }
 
-// Stored returns how many group digests the node's page stores.
+// Stored returns how many group digests the node's page, or the tuple's
+// heap record, stores.
 func (s *Shape) Stored() int {
 	if s.top == 0 {
 		return 0
@@ -169,10 +230,10 @@ func (s *Shape) Stored() int {
 }
 
 // StoredAt returns the index, among the stored group digests, of group i
-// at in-node level l >= 1.
+// at level l >= 1.
 func (s *Shape) StoredAt(l, i int) int { return s.offs[l] + i }
 
-// span returns the entries [lo, hi) under digest i of in-node level l.
+// span returns the entries [lo, hi) under digest i of level l.
 func (s *Shape) span(l, i int) (lo, hi int) {
 	w := s.widths[l]
 	return i * w, min((i+1)*w, s.sizes[0])
@@ -181,7 +242,7 @@ func (s *Shape) span(l, i int) (lo, hi int) {
 // children returns the digests [lo, hi) of level l−1 under digest i of
 // level l.
 func (s *Shape) children(l, i int) (lo, hi int) {
-	return i * Arity, min(i*Arity+Arity, s.sizes[l-1])
+	return i * s.arity, min(i*s.arity+s.arity, s.sizes[l-1])
 }
 
 // StoredBytes returns the page bytes the group digests of a node of n
@@ -205,14 +266,28 @@ func CommitNode[E ~[]byte](a *Accumulator, level int, db, table string, entries 
 	if dirty != nil && (oldShape.top != s.top || len(old) != oldShape.Stored()*size || len(dirty) != len(entries)) {
 		dirty = nil
 	}
-	// below holds the digests of the level under the one being hashed, and
-	// belowDirty which of them changed.
-	var below [][]byte
-	belowDirty := dirty
-	for _, e := range entries {
-		below = append(below, e)
+	below := make([][]byte, len(entries))
+	for i, e := range entries {
+		below[i] = e
 	}
-	var buf [1 + Arity*size]byte
+	var stack [512]byte
+	p := appendNodeHead(stack[:0], level, len(entries), db, table)
+	for _, d := range a.commitGroups(&s, &oldShape, below, groups, old, dirty) {
+		p = append(p, d...)
+	}
+	a.countHash()
+	return truncate(nil, sha256.Sum256(p))
+}
+
+// commitGroups hashes the group digests of s over the entries below into
+// groups, level by level, and returns the top level's digests. With
+// dirty non-nil, a group none of whose entries is dirty is copied from
+// old, stored in the shape oldShape (see CommitNode).
+func (a *Accumulator) commitGroups(s, oldShape *Shape, below [][]byte, groups, old []byte, dirty []bool) [][]byte {
+	// belowDirty marks which digests of the level under the one being
+	// hashed changed.
+	belowDirty := dirty
+	var buf [1 + maxArity*size]byte
 	for l := 1; l <= s.top; l++ {
 		var next [][]byte
 		var nextDirty []bool
@@ -228,7 +303,7 @@ func CommitNode[E ~[]byte](a *Accumulator, level int, db, table string, entries 
 				changed = belowDirty[j]
 			}
 			if changed {
-				p := append(buf[:0], tagGroup)
+				p := append(buf[:0], s.tag)
 				for j := lo; j < hi; j++ {
 					p = append(p, below[j]...)
 				}
@@ -246,13 +321,7 @@ func CommitNode[E ~[]byte](a *Accumulator, level int, db, table string, entries 
 		}
 		below, belowDirty = next, nextDirty
 	}
-	var stack [512]byte
-	p := appendNodeHead(stack[:0], level, len(entries), db, table)
-	for _, d := range below {
-		p = append(p, d...)
-	}
-	a.countHash()
-	return truncate(nil, sha256.Sum256(p))
+	return below
 }
 
 // TopOf returns the digest of a node from its stored page state: the
@@ -274,10 +343,10 @@ func TopOf[E ~[]byte](a *Accumulator, level int, db, table string, entries []E, 
 	return truncate(nil, sha256.Sum256(p))
 }
 
-// Runs are the positions a proof of a node recomputes, as they travel in
-// a VO: RunSize bytes per run, u16 start then u16 length. A canonical
-// list is sorted, every run at least one long, and no two runs overlap or
-// touch — so one set of positions has exactly one spelling.
+// Runs are the positions a proof recomputes, as they travel in a VO: RunSize
+// bytes per run, u16 start then u16 length. A canonical list is sorted,
+// every run at least one long, and no two runs overlap or touch — so one
+// set of positions has exactly one spelling.
 const RunSize = 4
 
 // CheckRuns reports whether runs is a canonical run list over n entries,
@@ -299,6 +368,21 @@ func CheckRuns(runs []byte, n int) (int, error) {
 	return total, nil
 }
 
+// AppendRun adds position i to the canonical runs of which runs[mark:]
+// holds the last ones, i above every position they name: it lengthens
+// the last run if i follows it, and starts a run otherwise.
+func AppendRun(runs []byte, mark, i int) []byte {
+	if n := len(runs); n > mark {
+		last := runs[n-RunSize:]
+		start, l := binary.BigEndian.Uint16(last), binary.BigEndian.Uint16(last[2:])
+		if int(start)+int(l) == i {
+			binary.BigEndian.PutUint16(last[2:], l+1)
+			return runs
+		}
+	}
+	return binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint16(runs, uint16(i)), 1)
+}
+
 // coverage classifies the entries [lo, hi) against canonical runs.
 type coverage uint8
 
@@ -310,8 +394,8 @@ const (
 
 // runCursor classifies entry ranges against canonical runs. The ranges
 // must come in left-to-right order — each lo at least the one before —
-// as a traversal of the in-node tree visits them, so the cursor only
-// moves forward: one step per run, however many ranges it is asked about.
+// as a traversal of the tree visits them, so the cursor only moves
+// forward: one step per run, however many ranges it is asked about.
 type runCursor struct {
 	runs       []byte // the runs not yet reached
 	start, end int    // the current run
@@ -335,15 +419,14 @@ func (c *runCursor) cover(lo, hi int) coverage {
 	return coverPart
 }
 
-// Sibling names one digest of a proof: digest I of in-node level L (0:
-// an entry, otherwise a stored group digest).
+// Sibling names one digest of a proof: digest I of level L (0: an entry,
+// otherwise a stored group digest).
 type Sibling struct{ L, I int }
 
-// Siblings returns how many digests a proof of a node of this shape
-// carries when the runs name the recomputed positions: one per maximal
-// in-node subtree holding no named position. The work is proportional to
-// the digests it visits — the partly recomputed groups' children — not
-// to n.
+// Siblings returns how many digests a proof over this shape carries when
+// the runs name the recomputed positions: one per maximal subtree holding
+// no named position. The work is proportional to the digests it visits —
+// the partly recomputed groups' children — not to n.
 func (s *Shape) Siblings(runs []byte) int {
 	rc := runCursor{runs: runs}
 	c := 0
@@ -394,7 +477,7 @@ func (s *Shape) appendSibling(dst []Sibling, rc *runCursor, l, i int) []Sibling 
 }
 
 // errProof marks a proof whose digests do not fit its shape.
-var errProof = errors.New("digest: proof does not fit the node's shape")
+var errProof = errors.New("digest: proof does not fit the tree's shape")
 
 // EntrySource yields the digests of the positions a proof recomputes, in
 // increasing position order. The digest returned need only stay valid
@@ -409,11 +492,38 @@ type EntrySource interface {
 // order from sibs — which must hold exactly NewShape(n).Siblings(runs) of
 // them. The runs must be canonical (CheckRuns).
 func (a *Accumulator) Recompute(dst Value, level int, db, table string, n int, runs, sibs []byte, src EntrySource) (Value, error) {
-	r := recompute{a: a, s: NewShape(n), runs: runCursor{runs: runs}, sibs: sibs, src: src}
+	s := NewShape(n)
 	var stack [512]byte
-	p := appendNodeHead(stack[:0], level, n, db, table)
-	for i := 0; i < r.s.sizes[r.s.top]; i++ {
-		d, err := r.digest(r.s.top, i)
+	p, err := a.appendTop(appendNodeHead(stack[:0], level, n, db, table), &s, runs, sibs, src)
+	if err != nil {
+		return nil, err
+	}
+	a.countHash()
+	return truncate(dst, sha256.Sum256(p)), nil
+}
+
+// RecomputeTuple computes a tuple's digest from a proof of its columns,
+// into dst's backing array when it has room: its key, the attribute
+// digests of the columns runs names — positions of s, a ColumnShape —
+// yielded by src, and every other digest of the column tree taken in
+// order from sibs, which must hold exactly s.Siblings(runs) of them. The
+// runs must be canonical (CheckRuns).
+func (a *Accumulator) RecomputeTuple(dst Value, key []byte, s *Shape, runs, sibs []byte, src EntrySource) (Value, error) {
+	var stack [256]byte
+	p, err := a.appendTop(appendTupleHead(stack[:0], key), s, runs, sibs, src)
+	if err != nil {
+		return nil, err
+	}
+	a.countHash()
+	return truncate(dst, sha256.Sum256(p)), nil
+}
+
+// appendTop appends to p the top-level digests of s that a proof
+// recomputes.
+func (a *Accumulator) appendTop(p []byte, s *Shape, runs, sibs []byte, src EntrySource) ([]byte, error) {
+	r := recompute{a: a, runs: runCursor{runs: runs}, sibs: sibs, src: src}
+	for i := 0; i < s.sizes[s.top]; i++ {
+		d, err := r.digest(s, s.top, i)
 		if err != nil {
 			return nil, err
 		}
@@ -422,22 +532,23 @@ func (a *Accumulator) Recompute(dst Value, level int, db, table string, n int, r
 	if len(r.sibs) != 0 {
 		return nil, fmt.Errorf("%w: %d digests left over", errProof, len(r.sibs)/size)
 	}
-	a.countHash()
-	return truncate(dst, sha256.Sum256(p)), nil
+	return p, nil
 }
 
+// recompute is one proof's progress. The shape travels beside it, not in
+// it: whatever the EntrySource is handed may escape, and the shape need
+// not.
 type recompute struct {
 	a    *Accumulator
-	s    Shape
 	runs runCursor
 	sibs []byte
 	src  EntrySource
 }
 
-// digest returns in-node digest i of level l. Digests travel by value, so
-// a group's preimage stays on the stack of the call hashing it.
-func (r *recompute) digest(l, i int) (out [size]byte, err error) {
-	lo, hi := r.s.span(l, i)
+// digest returns digest i of level l of s. Digests travel by value, so a
+// group's preimage stays on the stack of the call hashing it.
+func (r *recompute) digest(s *Shape, l, i int) (out [size]byte, err error) {
+	lo, hi := s.span(l, i)
 	c := r.runs.cover(lo, hi)
 	switch {
 	case c == coverNone:
@@ -458,12 +569,12 @@ func (r *recompute) digest(l, i int) (out [size]byte, err error) {
 		copy(out[:], d)
 		return out, nil
 	}
-	var buf [1 + Arity*size]byte
-	buf[0] = tagGroup
+	var buf [1 + maxArity*size]byte
+	buf[0] = s.tag
 	k := 1
-	from, to := r.s.children(l, i)
+	from, to := s.children(l, i)
 	for j := from; j < to; j++ {
-		d, err := r.digest(l-1, j)
+		d, err := r.digest(s, l-1, j)
 		if err != nil {
 			return out, err
 		}

@@ -195,10 +195,10 @@ func TestMeasureUpdates(t *testing.T) {
 	}
 	insert := pts[0]
 	audit := pts[len(pts)-1]
-	// Formula (11): an insert hashes N_C attributes, its tuple and the
-	// dirty groups and nodes of its path — orders of magnitude below a
-	// full recompute; so does a delete, which rehashes only the nodes it
-	// changed. Nothing combines.
+	// Formula (11): an insert hashes N_C − 1 attributes, its column
+	// groups, its tuple and the dirty groups and nodes of its path —
+	// orders of magnitude below a full recompute; so does a delete, which
+	// rehashes only the nodes it changed. Nothing combines.
 	if insert.HashOps > 50 {
 		t.Errorf("insert hashed %d times", insert.HashOps)
 	}
@@ -217,20 +217,23 @@ func TestMeasureUpdates(t *testing.T) {
 // combines and recoveries of the insert (formula (11)), the deletes
 // (formula (12)) and the Audit baseline — under the rsa-merkle key the
 // measured figures run: the tree commits by ordered hashes, so it hashes
-// and never combines — the insert N_C attribute hashes, a tuple hash and
-// the dirty in-node groups and node hashes of its path
-// (costmodel.OrderedInsertHashes), a delete the rehashed nodes, the
-// Audit every digest of the tree and its one root recovery. Each row
-// quotes what commit 253a3c6 measured when the tree combined.
+// and never combines — the insert N_C − 1 attribute hashes, its column
+// groups, a tuple hash and the dirty in-node groups and node hashes of
+// its path (costmodel.OrderedInsertHashes), a delete the rehashed nodes,
+// the Audit every digest of the tree and its one root recovery. Each row
+// quotes what the parent commit (b43dc9b) measured: a tuple costs two
+// hashes more since it commits through a column tree (9 attributes, 3
+// column groups and the tuple, where the parent hashed 10 attributes and
+// the tuple), so the insert and every row of the Audit do.
 func TestMeasureUpdatesMatchesParentCommit(t *testing.T) {
 	for _, tc := range []struct {
 		rows int
 		want [][3]int64 // insert, deletes of 1/10/100, Audit
 	}{
-		// 253a3c6: {10, 16, 0}, {0, 32, 0}, {0, 22, 0}, {0, 12, 0}, {2900, 3503, 1}
-		{400, [][3]int64{{16, 0, 0}, {8, 0, 0}, {7, 0, 0}, {7, 0, 0}, {3247, 0, 1}}},
-		// 253a3c6: {10, 19, 0}, {0, 35, 0}, {0, 25, 0}, {0, 15, 0}, {18900, 22819, 1}
-		{2000, [][3]int64{{16, 0, 0}, {11, 0, 0}, {10, 0, 0}, {10, 0, 0}, {21143, 0, 1}}},
+		// b43dc9b: {16, 0, 0}, {8, 0, 0}, {7, 0, 0}, {7, 0, 0}, {3247, 0, 1}
+		{400, [][3]int64{{18, 0, 0}, {8, 0, 0}, {7, 0, 0}, {7, 0, 0}, {3827, 0, 1}}},
+		// b43dc9b: {16, 0, 0}, {11, 0, 0}, {10, 0, 0}, {10, 0, 0}, {21143, 0, 1}
+		{2000, [][3]int64{{18, 0, 0}, {11, 0, 0}, {10, 0, 0}, {10, 0, 0}, {24923, 0, 1}}},
 	} {
 		cfg := testConfig()
 		cfg.SmallRows = tc.rows

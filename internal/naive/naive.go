@@ -35,8 +35,16 @@ type Store struct {
 	sch     *schema.Schema
 	acc     *digest.Accumulator
 	keys    [][]byte // order-preserving key encodings, ascending
-	stored  []*vo.StoredTuple
+	stored  []storedRow
 	tupSigs []sig.Signature
+}
+
+// storedRow is a tuple as the naive edge keeps it, in memory: its values
+// and the signed formula-(1) digest of every attribute, in schema column
+// order, which a projection ships for the attributes it leaves out.
+type storedRow struct {
+	Tuple    schema.Tuple
+	AttrSigs []sig.Signature
 }
 
 // BuildStore signs every attribute and tuple digest with the central
@@ -54,7 +62,7 @@ func BuildStore(sch *schema.Schema, acc *digest.Accumulator, signer *sig.Private
 			return nil, fmt.Errorf("naive: tuple %d has %d values for %d columns", i, len(tup.Values), len(sch.Columns))
 		}
 		keyBytes := tup.Key(sch).KeyBytes()
-		st := &vo.StoredTuple{Tuple: tup, AttrSigs: make([]sig.Signature, len(tup.Values))}
+		st := storedRow{Tuple: tup, AttrSigs: make([]sig.Signature, len(tup.Values))}
 		tAcc := acc.NewAcc()
 		for c, val := range tup.Values {
 			if val.Type != sch.Columns[c].Type {

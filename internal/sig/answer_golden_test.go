@@ -141,43 +141,44 @@ func goldenCases(sch *schema.Schema) []goldenCase {
 var goldenMap = []byte("golden signed map bytes (opaque to the wire layer)")
 
 // orderedGoldens pins what an edge sends for every golden case under
-// rsa-merkle since the tree commits by ordered hashes: rows, D_S digests,
-// VO bytes, and the length and SHA-256 of the framed body (the
-// ShardQueryResponse with goldenMap). The answer is anchored at the root
-// whatever the query asks, so both anchor settings give the same bytes.
-// Each line ends with what the parent commit (253a3c6) sent, which this
-// layout cannot be transcoded to: its D_S count, VO bytes and body length.
-// On these 1 KB pages a node holds about 20 entries, three in-node
-// groups, so a point read's proof is 20 digests where the parent's was
-// 42, and a 256-row range's 30 where it was 35; at the benchmark's 4 KB
-// pages the in-node tree is what shrinks a point read's VO fivefold.
+// rsa-merkle since a tuple commits to its columns through a column tree:
+// rows, D_S digests, VO bytes, and the length and SHA-256 of the framed
+// body (the ShardQueryResponse with goldenMap). The answer is anchored at
+// the root whatever the query asks, so both anchor settings give the same
+// bytes. Each line ends with what the parent commit (b43dc9b), which
+// hashed a tuple over a flat list of all its attribute digests, sent: its
+// VO bytes and body length (its D_S was the same; the node commitment did
+// not change). A projection's rows now ship one digest per column
+// subtree they leave out instead of one per column: the 256-row 3-of-10
+// answer 3 a row instead of 7, 16,384 bytes less; a full projection, and
+// an answer of no rows, ship what they did.
 var orderedGoldens = []struct {
-	name                             string
-	rows, ds, vo                     int
-	length                           int
-	sha256                           string
-	parentDS, parentVO, parentLength int // quoted, not compared
+	name                 string
+	rows, ds, vo         int
+	length               int
+	sha256               string
+	parentVO, parentBody int // quoted, not compared
 }{
-	{"rsa-merkle/point/anchor=true", 1, 20, 423, 782, "7134f268caaf3508c9ddf1f899ea2f0f263bfd8e52612b9ab7bea21df1e51442", 42, 793, 1152},
-	{"rsa-merkle/point/anchor=false", 1, 20, 423, 782, "7134f268caaf3508c9ddf1f899ea2f0f263bfd8e52612b9ab7bea21df1e51442", 42, 793, 1152},
-	{"rsa-merkle/range256-3of10/anchor=true", 256, 30, 29375, 43811, "b9767eb2fd3fe6f7de586302b6b6e35f500cc2ff54dbba649e84d81ad0d94a3d", 35, 29346, 43782},
-	{"rsa-merkle/range256-3of10/anchor=false", 256, 30, 29375, 43811, "b9767eb2fd3fe6f7de586302b6b6e35f500cc2ff54dbba649e84d81ad0d94a3d", 35, 29346, 43782},
-	{"rsa-merkle/full-projection/anchor=true", 64, 25, 527, 15439, "4d69c48cb44bd37ecd0d16800215d21cbd6238cec77454e22b556d589eed4eef", 35, 674, 15586},
-	{"rsa-merkle/full-projection/anchor=false", 64, 25, 527, 15439, "4d69c48cb44bd37ecd0d16800215d21cbd6238cec77454e22b556d589eed4eef", 35, 674, 15586},
-	{"rsa-merkle/filtered-gaps/anchor=true", 23, 145, 5147, 6535, "6fc91f80b07175a05bf1153ea5da389fa8c7c5b615e1b69c7ff77d2ba78dd971", 268, 7211, 8599},
-	{"rsa-merkle/filtered-gaps/anchor=false", 23, 145, 5147, 6535, "6fc91f80b07175a05bf1153ea5da389fa8c7c5b615e1b69c7ff77d2ba78dd971", 268, 7211, 8599},
-	{"rsa-merkle/empty/anchor=true", 0, 3, 131, 231, "296268fa2c9ee946d66ccf7c32217d648777289d6903557732bbca4c75dd39e1", 3, 130, 230},
-	{"rsa-merkle/empty/anchor=false", 0, 3, 131, 231, "296268fa2c9ee946d66ccf7c32217d648777289d6903557732bbca4c75dd39e1", 3, 130, 230},
-	{"rsa-merkle/open-ended/anchor=true", 81, 6, 9303, 14219, "01f219505b5a7a7c9a07c65b07956674690b7f5c0f2fe21eac48c76c080c11f9", 6, 9253, 14169},
-	{"rsa-merkle/open-ended/anchor=false", 81, 6, 9303, 14219, "01f219505b5a7a7c9a07c65b07956674690b7f5c0f2fe21eac48c76c080c11f9", 6, 9253, 14169},
-	{"rsa-merkle/empty-open-lo/anchor=true", 0, 3, 131, 259, "28b6bc149c5a956788539c32a6c45886d408bb6e2deb536ee56e213fbcb3cb0e", 3, 130, 258},
-	{"rsa-merkle/empty-open-lo/anchor=false", 0, 3, 131, 259, "28b6bc149c5a956788539c32a6c45886d408bb6e2deb536ee56e213fbcb3cb0e", 3, 130, 258},
-	{"rsa-merkle/strict-bounds/anchor=true", 18, 19, 2735, 3677, "d3fb37141cd0bab903f90156edfafb71f865ff6f1509e903de6ab9330ee35167", 32, 2927, 3869},
-	{"rsa-merkle/strict-bounds/anchor=false", 18, 19, 2735, 3677, "d3fb37141cd0bab903f90156edfafb71f865ff6f1509e903de6ab9330ee35167", 32, 2927, 3869},
-	{"rsa-merkle/overflow-record/anchor=true", 7, 11, 1175, 1865, "8ae34ca59a49a4f0974130f2885a9437b6bb78a971383c93e1c09e2708117f8f", 19, 1298, 1988},
-	{"rsa-merkle/overflow-record/anchor=false", 7, 11, 1175, 1865, "8ae34ca59a49a4f0974130f2885a9437b6bb78a971383c93e1c09e2708117f8f", 19, 1298, 1988},
-	{"rsa-merkle/filter-no-match/anchor=true", 0, 3, 131, 259, "28b6bc149c5a956788539c32a6c45886d408bb6e2deb536ee56e213fbcb3cb0e", 3, 130, 258},
-	{"rsa-merkle/filter-no-match/anchor=false", 0, 3, 131, 259, "28b6bc149c5a956788539c32a6c45886d408bb6e2deb536ee56e213fbcb3cb0e", 3, 130, 258},
+	{"rsa-merkle/point/anchor=true", 1, 20, 423, 782, "2d07e1c5e2eaafd082334888dcbc144e374e91e84b43aabdeb56f8ac512effea", 423, 782},
+	{"rsa-merkle/point/anchor=false", 1, 20, 423, 782, "2d07e1c5e2eaafd082334888dcbc144e374e91e84b43aabdeb56f8ac512effea", 423, 782},
+	{"rsa-merkle/range256-3of10/anchor=true", 256, 30, 12991, 27427, "e5270f1fcfda71630947dd723f6046dec2f7756b35a5f0e4c5f269492a5dcd30", 29375, 43811},
+	{"rsa-merkle/range256-3of10/anchor=false", 256, 30, 12991, 27427, "e5270f1fcfda71630947dd723f6046dec2f7756b35a5f0e4c5f269492a5dcd30", 29375, 43811},
+	{"rsa-merkle/full-projection/anchor=true", 64, 25, 527, 15439, "a69cb078d81e8cc566a218a885bfab9de241d1e866e9fa6dd73a508fe3cb7d70", 527, 15439},
+	{"rsa-merkle/full-projection/anchor=false", 64, 25, 527, 15439, "a69cb078d81e8cc566a218a885bfab9de241d1e866e9fa6dd73a508fe3cb7d70", 527, 15439},
+	{"rsa-merkle/filtered-gaps/anchor=true", 23, 145, 3675, 5063, "af2a1938a521e1e5267927223fb02684548b3fafb55ad9a13709285d84c59721", 5147, 6535},
+	{"rsa-merkle/filtered-gaps/anchor=false", 23, 145, 3675, 5063, "af2a1938a521e1e5267927223fb02684548b3fafb55ad9a13709285d84c59721", 5147, 6535},
+	{"rsa-merkle/empty/anchor=true", 0, 3, 131, 231, "53ae4ffcf3a064a6965fcbff2633c51d367fdd476d2f9d7c504bab6d8eb7aaaf", 131, 231},
+	{"rsa-merkle/empty/anchor=false", 0, 3, 131, 231, "53ae4ffcf3a064a6965fcbff2633c51d367fdd476d2f9d7c504bab6d8eb7aaaf", 131, 231},
+	{"rsa-merkle/open-ended/anchor=true", 81, 6, 4119, 9035, "cbbe3a8cfe2fba1ad6fe9fe65a010836e5da623eb5bc8482140fcca46c861185", 9303, 14219},
+	{"rsa-merkle/open-ended/anchor=false", 81, 6, 4119, 9035, "cbbe3a8cfe2fba1ad6fe9fe65a010836e5da623eb5bc8482140fcca46c861185", 9303, 14219},
+	{"rsa-merkle/empty-open-lo/anchor=true", 0, 3, 131, 259, "030518ca9c64547953e65117f04f53a3034fdd3ec62e6acc9d960aacdbd13666", 131, 259},
+	{"rsa-merkle/empty-open-lo/anchor=false", 0, 3, 131, 259, "030518ca9c64547953e65117f04f53a3034fdd3ec62e6acc9d960aacdbd13666", 131, 259},
+	{"rsa-merkle/strict-bounds/anchor=true", 18, 19, 1871, 2813, "593b2037149a9a53a477576f18a87c7de69037efddcff05f0eadf01cddd07f6c", 2735, 3677},
+	{"rsa-merkle/strict-bounds/anchor=false", 18, 19, 1871, 2813, "593b2037149a9a53a477576f18a87c7de69037efddcff05f0eadf01cddd07f6c", 2735, 3677},
+	{"rsa-merkle/overflow-record/anchor=true", 7, 11, 727, 1417, "1697a14df8c6e061fcddf65cb6fb03a88aa29e54acbd4cf12fe1e173248dbb8e", 1175, 1865},
+	{"rsa-merkle/overflow-record/anchor=false", 7, 11, 727, 1417, "1697a14df8c6e061fcddf65cb6fb03a88aa29e54acbd4cf12fe1e173248dbb8e", 1175, 1865},
+	{"rsa-merkle/filter-no-match/anchor=true", 0, 3, 131, 259, "030518ca9c64547953e65117f04f53a3034fdd3ec62e6acc9d960aacdbd13666", 131, 259},
+	{"rsa-merkle/filter-no-match/anchor=false", 0, 3, 131, 259, "030518ca9c64547953e65117f04f53a3034fdd3ec62e6acc9d960aacdbd13666", 131, 259},
 }
 
 // TestAnswerBytesMatchParentCommit pins what an edge puts on the wire for
@@ -260,14 +261,15 @@ func envelope(w *vo.VO) []costmodel.OrderedNode {
 // (|D_P| + |D_S| + 1)·D bytes of digests, and those are the digest bytes
 // a VO carries — each D_S and D_P digest at the VO's one width, the top
 // digest once. What a VO takes beyond the formula is 4 bytes per node
-// record and per run, the root signature and 31 bytes of header; |D_P| is
-// q_r·(N_C − Q_C) exactly. The model also predicts |D_S| itself from the
-// envelope's entry counts and recomputed runs (costmodel.OrderedDSCount),
-// and the VO's bytes from that (OrderedVOBytes); and verifying the answer
-// hashes exactly what formula (10) restated for ordered commitments
-// charges (OrderedVerifyHashes) — for the 256-row, 3-of-10 answer, 768
-// attribute hashes, 256 tuple hashes and the envelope's group and node
-// hashes.
+// record and per run, the root signature and 31 bytes of header. |D_P|
+// is q_r times the projection's column proof (costmodel.OrderedDPCount),
+// never more than the paper's q_r·(N_C − Q_C) (DPCount). The model also
+// predicts |D_S| itself from the envelope's entry counts and recomputed
+// runs (costmodel.OrderedDSCount), and the VO's bytes from both
+// (OrderedVOBytes); and verifying the answer hashes exactly what formula
+// (10) restated for ordered commitments charges (OrderedVerifyHashes) —
+// for the 256-row, 3-of-10 answer, 512 attribute hashes, 256 column group
+// hashes, 256 tuple hashes and the envelope's group and node hashes.
 func TestVOBytesMatchFormula9(t *testing.T) {
 	ctx := context.Background()
 	v, sch, pub := goldenView(t)
@@ -295,9 +297,14 @@ func TestVOBytesMatchFormula9(t *testing.T) {
 			}
 			p := costmodel.Default()
 			p.D, p.NC, p.QC = width, len(sch.Columns), len(rs.Columns)
-			if got := p.DPCount(len(rs.Tuples)); got != w.NumDP() {
-				t.Errorf("%s: model predicts |D_P| = %d for %d rows of %d of %d columns, the VO carries %d",
-					name, got, len(rs.Tuples), p.QC, p.NC, w.NumDP())
+			var cols []int
+			for _, c := range rs.Columns {
+				cols = append(cols, sch.ColumnIndex(c))
+			}
+			pr := costmodel.ProjectionOf(len(sch.Columns), sch.Key, cols)
+			if got := costmodel.OrderedDPCount(len(rs.Tuples), pr); got != w.NumDP() || got > p.DPCount(len(rs.Tuples)) {
+				t.Errorf("%s: model predicts |D_P| = %d for %d rows of %d of %d columns (at most %d), the VO carries %d",
+					name, got, len(rs.Tuples), p.QC, p.NC, p.DPCount(len(rs.Tuples)), w.NumDP())
 			}
 			if got := p.VODigestBytes(w.NumDP(), w.NumDS()); got != digestBytes {
 				t.Errorf("%s: formula (9) charges %d digest bytes, the VO carries %d", name, got, digestBytes)
@@ -314,7 +321,7 @@ func TestVOBytesMatchFormula9(t *testing.T) {
 			if err := ver.Verify(rs, w); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if got, want := ctr.Snapshot(), p.OrderedVerifyHashes(len(rs.Tuples), env); got.HashOps != int64(want) || got.CombineOps != 0 {
+			if got, want := ctr.Snapshot(), costmodel.OrderedVerifyHashes(len(rs.Tuples), pr, env); got.HashOps != int64(want) || got.CombineOps != 0 {
 				t.Errorf("%s: verifying hashed %d times and combined %d, formula (10) charges %d hashes and no combine",
 					name, got.HashOps, got.CombineOps, want)
 			}

@@ -327,6 +327,155 @@ func SwapProjectionDigest() Attack {
 	}
 }
 
+// RelabelKeyType re-presents a row's key as a datum of another type
+// whose key encoding is the same bytes: int64 20 as the eight bytes
+// 0x8000000000000014. A key's encoding is not type-tagged, so the tuple
+// hash cannot tell the two apart; only a check of the key's type against
+// the schema's key column can, and a client without one hands its caller
+// the relabelled key.
+func RelabelKeyType() Attack {
+	return Attack{
+		Name:        "relabel-key-type",
+		Description: "present a row's key as another type with the same key encoding",
+		Apply: func(rs *vo.ResultSet, w *vo.VO) error {
+			if len(rs.Keys) == 0 {
+				return ErrNotApplicable
+			}
+			k := &rs.Keys[0]
+			enc := k.EncodeKey(nil)
+			if k.Type == schema.TypeBytes {
+				*k = schema.Str(string(enc))
+			} else {
+				*k = schema.Bytes(enc)
+			}
+			return nil
+		},
+	}
+}
+
+// MutateKeyColumn rewrites a returned key column and leaves the row's
+// key as it is. The key column is the one column a tuple commits to with
+// no attribute digest — the tuple hash binds the key itself — so only a
+// check that a returned key column is its row's key catches it.
+func MutateKeyColumn() Attack {
+	return Attack{
+		Name:        "mutate-key-column",
+		Description: "rewrite a returned key column, leaving the row's key",
+		Apply: func(rs *vo.ResultSet, w *vo.VO) error {
+			if len(rs.Tuples) == 0 {
+				return ErrNotApplicable
+			}
+			for i := range rs.Tuples[0].Values {
+				v := &rs.Tuples[0].Values[i]
+				if v.Type != rs.Keys[0].Type || !v.Equal(rs.Keys[0]) {
+					continue // not the key column
+				}
+				switch v.Type {
+				case schema.TypeInt64:
+					v.I++
+				case schema.TypeFloat64:
+					v.F = -v.F - 1
+				case schema.TypeString:
+					v.S += "!"
+				default:
+					v.B = append(bytes.Clone(v.B), 0)
+				}
+				return nil
+			}
+			return ErrNotApplicable
+		},
+	}
+}
+
+// The column-proof attacks move the digests of the D_P run, which is
+// each row's column proof, row by row, the same number of digests for
+// every row: one digest for each column subtree the row leaves out, in
+// left to right order — attribute digests of single columns and group
+// digests of several alike.
+
+// dpRow returns how many D_P digests each row of the answer carries, 0
+// if it carries none.
+func dpRow(rs *vo.ResultSet, w *vo.VO) int {
+	if len(rs.Tuples) == 0 || w.NumDP()%len(rs.Tuples) != 0 {
+		return 0
+	}
+	return w.NumDP() / len(rs.Tuples)
+}
+
+// SwapColumnProofDigests trades the first and the last digest of a row's
+// column proof: for a projection of the leftmost columns, an attribute
+// digest and the group digest of the last columns, each then covering the
+// other's columns.
+func SwapColumnProofDigests() Attack {
+	return Attack{
+		Name:        "swap-column-proof-digests",
+		Description: "trade an attribute digest and a column group digest within a row's column proof",
+		Apply: func(rs *vo.ResultSet, w *vo.VO) error {
+			k := dpRow(rs, w)
+			if k < 2 || bytes.Equal(w.DPDigest(0), w.DPDigest(k-1)) {
+				return ErrNotApplicable
+			}
+			w.DP = bytes.Clone(w.DP)
+			first, last := bytes.Clone(w.DPDigest(0)), w.DPDigest(k-1)
+			copy(w.DPDigest(0), last)
+			copy(last, first)
+			return nil
+		},
+	}
+}
+
+// MoveColumnGroupAcrossRows gives the second row the last digest of the
+// first row's column proof — a column group digest, for a projection of
+// the leftmost columns — in place of its own.
+func MoveColumnGroupAcrossRows() Attack {
+	return Attack{
+		Name:        "move-column-group-across-rows",
+		Description: "put one row's column group digest in another row's column proof",
+		Apply: func(rs *vo.ResultSet, w *vo.VO) error {
+			k := dpRow(rs, w)
+			if k == 0 || len(rs.Tuples) < 2 || bytes.Equal(w.DPDigest(k-1), w.DPDigest(2*k-1)) {
+				return ErrNotApplicable
+			}
+			w.DP = bytes.Clone(w.DP)
+			copy(w.DPDigest(2*k-1), w.DPDigest(k-1))
+			return nil
+		},
+	}
+}
+
+// DropDPSibling leaves the last digest of the last row's column proof
+// out: the columns it covered would go unproven.
+func DropDPSibling() Attack {
+	return Attack{
+		Name:        "drop-dp-sibling",
+		Description: "omit one digest of a row's column proof",
+		Apply: func(rs *vo.ResultSet, w *vo.VO) error {
+			if w.NumDP() == 0 {
+				return ErrNotApplicable
+			}
+			w.DP = w.DP[:len(w.DP)-len(w.DPDigest(0))]
+			return nil
+		},
+	}
+}
+
+// DuplicateDPSibling repeats the first digest of the first row's column
+// proof, so every digest after it enters the proof one place late.
+func DuplicateDPSibling() Attack {
+	return Attack{
+		Name:        "duplicate-dp-sibling",
+		Description: "repeat one digest of a row's column proof",
+		Apply: func(rs *vo.ResultSet, w *vo.VO) error {
+			if w.NumDP() == 0 {
+				return ErrNotApplicable
+			}
+			d := w.DPDigest(0)
+			w.DP = append(append(bytes.Clone(w.DP[:len(d)]), d...), w.DP[len(d):]...)
+			return nil
+		},
+	}
+}
+
 // CompensateDigest rewrites a returned attribute value and rebalances
 // another digest of the VO so that a multiplicative commitment would not
 // notice: were the combiner a product in Z*_m, the rewritten value's hash
@@ -675,6 +824,12 @@ func All() []Attack {
 		CompensateDigest(),
 		CompensateSibling(),
 		CompensateAcrossRows(),
+		RelabelKeyType(),
+		MutateKeyColumn(),
+		SwapColumnProofDigests(),
+		MoveColumnGroupAcrossRows(),
+		DropDPSibling(),
+		DuplicateDPSibling(),
 	}
 }
 

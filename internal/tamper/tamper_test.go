@@ -143,6 +143,26 @@ func TestEveryAttackIsDetected(t *testing.T) {
 	}
 }
 
+// TestEveryAttackIsDetectedUnderEd25519 runs the catalogue against the
+// projected answer of an Ed25519 tree: no attack relies on the scheme.
+func TestEveryAttackIsDetectedUnderEd25519(t *testing.T) {
+	h := newSchemeHarness(t, 300, sig.SchemeEd25519)
+	for _, a := range All() {
+		t.Run(a.Name, func(t *testing.T) {
+			rs, w := h.freshResponse(t, true)
+			if err := a.Apply(rs, w); err != nil {
+				if errors.Is(err, ErrNotApplicable) {
+					t.Skipf("attack not applicable: %v", err)
+				}
+				t.Fatal(err)
+			}
+			if err := h.ver.Verify(rs, w); err == nil {
+				t.Fatalf("attack %q went undetected", a.Name)
+			}
+		})
+	}
+}
+
 // TestCompensateDigest: the forgery the tree admitted while it committed
 // by a product of raw digests — rewrite a returned value, rebalance a D_P
 // digest of the same row, a D_S sibling, or another row's D_P digest by

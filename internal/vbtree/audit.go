@@ -10,7 +10,7 @@ import (
 )
 
 // Audit recomputes every digest in the tree from the raw tuple data —
-// hashing each attribute and tuple, rehashing every node's in-node group
+// hashing each attribute, column group and tuple, rehashing every node's in-node group
 // digests and node digest — and checks each against the one the tree
 // stores, and the root's against its signature. It returns the number of
 // tuples audited. This is the full-recompute path that the incremental
@@ -52,21 +52,18 @@ func (t *Tree) auditNode(pid storage.PageID, level int) (digest.Value, int, erro
 			if err != nil {
 				return nil, 0, err
 			}
-			st, _, err := vo.DecodeStoredTuple(rec)
+			st, err := vo.DecodeStoredTuple(rec)
 			if err != nil {
 				return nil, 0, err
 			}
-			attrs, ut, err := t.tupleDigests(st.Tuple)
+			digests, ut, err := t.tupleDigests(st.Tuple)
 			if err != nil {
 				return nil, 0, err
 			}
-			// The stored attribute and tuple digests must be the
+			// The stored column commitment and tuple digest must be the
 			// recomputed ones.
-			for c, as := range st.AttrSigs {
-				if !bytes.Equal(as, attrs[c]) {
-					return nil, 0, fmt.Errorf("vbtree: leaf %d entry %d attr %q digest mismatch",
-						pid, i, t.sch.Columns[c].Name)
-				}
+			if !bytes.Equal(st.Digests, digests) {
+				return nil, 0, fmt.Errorf("vbtree: leaf %d entry %d stores a column commitment that does not match its values", pid, i)
 			}
 			if !bytes.Equal(n.sigs[i], ut) {
 				return nil, 0, fmt.Errorf("vbtree: leaf %d entry %d tuple digest mismatch", pid, i)

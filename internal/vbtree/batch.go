@@ -9,6 +9,7 @@ import (
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
 	"edgeauth/internal/storage"
+	"edgeauth/internal/vo"
 )
 
 // Inserts: one path, the central server's, for one tuple or many.
@@ -122,7 +123,7 @@ func (t *Tree) InsertBatch(tuples []schema.Tuple) (BatchStats, []error, error) {
 // preparedTuple carries one tuple's digests into the structural phase.
 type preparedTuple struct {
 	keyBytes []byte
-	stored   []byte        // encoded heap record (tuple + attribute digests)
+	stored   []byte        // encoded heap record (tuple + column commitment)
 	dt       sig.Signature // the tuple digest, as the leaf stores it
 }
 
@@ -131,12 +132,12 @@ type preparedTuple struct {
 func (t *Tree) prepareTuples(tuples []schema.Tuple, opErrs []error) []preparedTuple {
 	prep := make([]preparedTuple, len(tuples))
 	parallel(len(tuples), t.buildPar, func(i int) {
-		attrs, ut, err := t.tupleDigests(tuples[i])
+		digests, ut, err := t.tupleDigests(tuples[i])
 		if err != nil {
 			opErrs[i] = opError(err)
 			return
 		}
-		st := t.makeStored(tuples[i], attrs)
+		st := &vo.StoredTuple{Tuple: tuples[i], Digests: digests}
 		dt := sig.Signature(ut)
 		kb := tuples[i].Key(t.sch).KeyBytes()
 		if maxEntry := vbLeafHeader + 2 + len(kb) + 6 + 2 + len(dt); maxEntry > t.bp.PageSize() {

@@ -14,11 +14,12 @@ import (
 // TestRootDigestsMatchParentCommit pins the root digest of a seeded
 // 1,000-row table — after Build, after an InsertBatch, after a single
 // Insert and after a DeleteRange. The root digest is a function of every
-// attribute, tuple and node digest below it and of the incremental
-// repairs, so equality here is bit-identity of the whole tree. The roots
-// are what the tree has committed since it commits by ordered hashes;
-// each line quotes what the commit before that (253a3c6) printed, when
-// it committed by the combiner.
+// attribute, column group, tuple and node digest below it and of the
+// incremental repairs, so equality here is bit-identity of the whole
+// tree. The roots are what the tree has committed since a tuple commits
+// to its columns through a column tree (commitment version 7); each line
+// quotes what the parent commit (b43dc9b), which hashed a tuple over all
+// its attribute digests in one flat list, printed.
 func TestRootDigestsMatchParentCommit(t *testing.T) {
 	for _, tc := range []struct {
 		scheme sig.Scheme
@@ -27,10 +28,10 @@ func TestRootDigestsMatchParentCommit(t *testing.T) {
 		roots [4]string
 	}{
 		{sig.SchemeRSAMerkle, 3, [4]string{
-			"9fa66c831d174025730c4e9c3a35836f", // parent: a93a8d22d03998dba2771b0cd31dbd6b
-			"8344fe83a8f9e60509da6aa958220f88", // parent: 93b38d50896067210148dd3fb84579ab
-			"6e125679750ff5848495038f082f9462", // parent: bdd3cef2176b81b55c4abf142c4d6de5
-			"b77bd4b0fea4546edc62de98c6d027b0", // parent: 0864f71b37a9fa973fbd20b058e9fead
+			"68f7fc0cca0874e8624fae793183c262", // parent: 9fa66c831d174025730c4e9c3a35836f
+			"a985e653e6fafe7fc45152bcbce70b68", // parent: 8344fe83a8f9e60509da6aa958220f88
+			"d4770d451264bc38401926e0655f2d83", // parent: 6e125679750ff5848495038f082f9462
+			"9b1805a4441934783d5bf948ecef8161", // parent: b77bd4b0fea4546edc62de98c6d027b0
 		}},
 	} {
 		t.Run(tc.scheme.String(), func(t *testing.T) { rootDigestsMatch(t, tc.scheme, tc.height, tc.roots) })

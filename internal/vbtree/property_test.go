@@ -2,12 +2,17 @@ package vbtree
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"edgeauth/internal/costmodel"
+	"edgeauth/internal/digest"
 	"edgeauth/internal/schema"
+	"edgeauth/internal/storage"
+	"edgeauth/internal/verify"
 )
 
 // TestPropertyRandomOpsStayVerifiable drives random insert/delete/query
@@ -126,7 +131,14 @@ func TestPropertyProjectionSubsetsVerify(t *testing.T) {
 		if err := h.ver.Verify(rs, w); err != nil {
 			t.Fatalf("projection %v failed verification: %v", project, err)
 		}
-		wantDP := 31 * (len(cols) - len(project))
+		// Three non-key columns are three leaves under the tuple hash: a
+		// row ships one digest per non-key column it leaves out, and none
+		// for the key column.
+		nonKey := len(project)
+		if mask&1 != 0 {
+			nonKey--
+		}
+		wantDP := 31 * (len(cols) - 1 - nonKey)
 		if w.NumDP() != wantDP {
 			t.Fatalf("projection %v: DP=%d, want %d", project, w.NumDP(), wantDP)
 		}
@@ -201,5 +213,62 @@ func TestConcurrentQueriesDuringUpdates(t *testing.T) {
 	}
 	if _, err := h.tree.Audit(); err != nil {
 		t.Fatalf("audit after concurrent run: %v", err)
+	}
+}
+
+// TestKeyColumnAnywhereVerifies: the column tree's leaves are the non-key
+// columns in schema order wherever the key column sits, and the edge and
+// the verifier agree on them — every projection of a seven-column table
+// verifies with the key first, in the middle and last, and ships the
+// column proof the model counts.
+func TestKeyColumnAnywhereVerifies(t *testing.T) {
+	const nc = 7
+	for _, key := range []int{0, 3, nc - 1} {
+		sch := &schema.Schema{DB: "db", Table: "wide", Key: key}
+		for ci := 0; ci < nc; ci++ {
+			typ := schema.TypeString
+			if ci == key {
+				typ = schema.TypeInt64
+			}
+			sch.Columns = append(sch.Columns, schema.Column{Name: fmt.Sprintf("c%d", ci), Type: typ})
+		}
+		var tuples []schema.Tuple
+		for i := 0; i < 60; i++ {
+			vals := make([]schema.Datum, nc)
+			for ci := range vals {
+				vals[ci] = schema.Str(fmt.Sprintf("r%d-c%d", i, ci))
+			}
+			vals[key] = schema.Int64(int64(i))
+			tuples = append(tuples, schema.Tuple{Values: vals})
+		}
+		mem, _ := storage.NewMemPager(1024)
+		bp, _ := storage.NewBufferPool(mem, 1024)
+		heap, _ := storage.NewHeapFile(bp)
+		k, acc := signer(t), digest.MustNew(digest.DefaultParams())
+		tree, err := Build(Config{Pool: bp, Heap: heap, Schema: sch, Acc: acc, Signer: k, Pub: k.Public()}, tuples, 1.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ver := &verify.Verifier{Key: k.Public(), Acc: acc, Schema: sch}
+		for mask := 1; mask < 1<<nc; mask++ {
+			var project []string
+			var cols []int
+			for ci := 0; ci < nc; ci++ {
+				if mask&(1<<ci) != 0 {
+					project = append(project, sch.Columns[ci].Name)
+					cols = append(cols, ci)
+				}
+			}
+			rs, w, err := tree.RunQuery(context.Background(), Query{Lo: i64(10), Hi: i64(20), Project: project})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ver.Verify(rs, w); err != nil {
+				t.Fatalf("key %d, projection %v: %v", key, project, err)
+			}
+			if got, want := w.NumDP(), costmodel.OrderedDPCount(len(rs.Tuples), costmodel.ProjectionOf(nc, key, cols)); got != want {
+				t.Fatalf("key %d, projection %v: %d D_P digests, the model counts %d", key, project, got, want)
+			}
+		}
 	}
 }

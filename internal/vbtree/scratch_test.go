@@ -7,8 +7,11 @@ import (
 	"sync"
 	"testing"
 
+	"edgeauth/internal/digest"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
+	"edgeauth/internal/storage"
+	"edgeauth/internal/workload"
 )
 
 // scratchQueries are answers of different shapes — long and short D_S
@@ -128,4 +131,63 @@ func TestWalkScratchRecyclesNoPageReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// BenchmarkAnswerRange256 is the edge's side of the read.range shape: a
+// 256-row answer of 3 of 10 columns from 4 KB pages, built into a
+// reused buffer. It reports the VO's bytes and the hashes the edge
+// spends on an answer beside the time — none: every digest of the proof,
+// row or node, is copied from a page (verify.BenchmarkVerifyRange256 is
+// the client's side).
+func BenchmarkAnswerRange256(b *testing.B) {
+	var c digest.Counters
+	k := schemeKey(b, sig.SchemeEd25519)
+	spec := workload.DefaultSpec(4096)
+	sch, err := spec.Schema()
+	if err != nil {
+		b.Fatal(err)
+	}
+	tuples, err := spec.Tuples()
+	if err != nil {
+		b.Fatal(err)
+	}
+	mem, err := storage.NewMemPager(4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bp, err := storage.NewBufferPool(mem, 1<<16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	heap, err := storage.NewHeapFile(bp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree, err := Build(Config{
+		Pool: bp, Heap: heap, Schema: sch, Acc: digest.MustNew(digest.Params{Counters: &c}),
+		Signer: k, Pub: k.Public(), BuildParallelism: 2,
+	}, tuples, 1.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v, err := tree.viewLocked(tree.RootSig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := Query{Lo: i64(1000), Hi: i64(1255), Project: workload.ProjectFirstN(sch, 3)}
+	ctx := context.Background()
+	buf, voBytes, err := v.AppendAnswer(ctx, q, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	before := c.Snapshot()
+	for i := 0; i < b.N; i++ {
+		if buf, _, err = v.AppendAnswer(ctx, q, buf[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(voBytes), "vo_bytes/op")
+	b.ReportMetric(float64(c.Snapshot().Sub(before).HashOps)/float64(b.N), "hash_ops/op")
 }

@@ -9,10 +9,12 @@
 // hashes instead (package digest): an attribute digest d_a and a tuple
 // digest D_T are hashes, and a node digest D_N is the root of an in-node
 // Merkle tree over the node's ordered entries, whose group digests the
-// node's page stores. Tuples live in a heap file as vo.StoredTuple
-// records (values + attribute digests); leaves store (key, record id,
-// D_T); internal nodes store the digest of each child alongside the child
-// pointer, as in the paper's Figure 3.
+// node's page stores. A tuple digest D_T commits to the tuple's non-key
+// attribute digests through a column tree of its own. Tuples live in a
+// heap file as vo.StoredTuple records (values + attribute and column group
+// digests); leaves store (key, record id, D_T); internal nodes store the
+// digest of each child alongside the child pointer, as in the paper's
+// Figure 3.
 //
 // The tree plays two roles. At the trusted central server (Config.Signer
 // set) it supports construction, insert and delete, rehashing only the
@@ -37,7 +39,6 @@ import (
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
 	"edgeauth/internal/storage"
-	"edgeauth/internal/vo"
 )
 
 // Common errors.
@@ -171,7 +172,10 @@ func (t *Tree) commitOrdered(level int, sigs []sig.Signature, o *ordered, dirty 
 // Open reattaches to an existing tree (e.g. an edge replica restored from
 // a snapshot). rootSig is the root's signature, as RootSig returned it.
 // The root digest is recomputed from the root page's stored entries and
-// group digests.
+// group digests. A heap written under another commitment than this
+// build's is refused here, by the version its records name
+// (vo.ErrCommitmentVersion), not by the first audit or query that would
+// read a digest this build does not compute.
 func Open(cfg Config, root storage.PageID, height int, rootSig sig.Signature) (*Tree, error) {
 	t, err := attach(cfg)
 	if err != nil {
@@ -188,6 +192,13 @@ func Open(cfg Config, root storage.PageID, height int, rootSig sig.Signature) (*
 	}
 	t.setRoot(u)
 	t.signed = rootSig.Clone()
+	v, err := t.viewLocked(t.signed)
+	if err != nil {
+		return nil, err
+	}
+	if err := v.checkRecords(); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
@@ -325,33 +336,30 @@ func (t *Tree) setRoot(u digest.Value) {
 	t.rootU, t.signed = u, nil
 }
 
-// tupleDigests computes a tuple's attribute digests and its tuple digest
-// (digest.AttrDigest, digest.TupleDigest).
-func (t *Tree) tupleDigests(tup schema.Tuple) (attrs []digest.Value, ut digest.Value, err error) {
+// tupleDigests computes a tuple's column commitment as its heap record
+// stores it — the attribute digests of its non-key columns in schema
+// order, then the group digests of the column tree over them
+// (digest.ColumnDigests) — and its tuple digest (digest.AttrDigest,
+// digest.TupleDigest).
+func (t *Tree) tupleDigests(tup schema.Tuple) (digests []byte, ut digest.Value, err error) {
 	if len(tup.Values) != len(t.sch.Columns) {
 		return nil, nil, fmt.Errorf("vbtree: tuple has %d values for %d columns", len(tup.Values), len(t.sch.Columns))
 	}
-	attrs = make([]digest.Value, len(tup.Values))
-	flat := make([]byte, 0, len(tup.Values)*t.acc.Len()) // the attribute digests, back to back
+	size := t.acc.Len()
+	digests = make([]byte, digest.ColumnDigests(len(tup.Values))*size)
+	at := 0
 	for i, v := range tup.Values {
 		if v.Type != t.sch.Columns[i].Type {
 			return nil, nil, fmt.Errorf("vbtree: column %q: value type %v, want %v",
 				t.sch.Columns[i].Name, v.Type, t.sch.Columns[i].Type)
 		}
-		attrs[i] = t.acc.AttrDigest(nil, i, v.CanonicalBytes())
-		flat = append(flat, attrs[i]...)
+		if i == t.sch.Key {
+			continue // the tuple hash binds the key itself
+		}
+		t.acc.AttrDigest(digests[at:at:at+size], i, v.CanonicalBytes())
+		at += size
 	}
-	return attrs, t.acc.TupleDigest(nil, tup.Key(t.sch).KeyBytes(), flat), nil
-}
-
-// makeStored assembles the heap record of a tuple and its attribute
-// digests.
-func (t *Tree) makeStored(tup schema.Tuple, attrs []digest.Value) *vo.StoredTuple {
-	st := &vo.StoredTuple{Tuple: tup, AttrSigs: make([]sig.Signature, len(attrs))}
-	for i, a := range attrs {
-		st.AttrSigs[i] = sig.Signature(a)
-	}
-	return st
+	return digests, t.acc.TupleDigest(nil, tup.Key(t.sch).KeyBytes(), digests[:at], digests[at:]), nil
 }
 
 // Stats describes the tree's physical shape (Figures 8–9 measurements).

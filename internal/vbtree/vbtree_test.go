@@ -219,16 +219,14 @@ func TestSearch(t *testing.T) {
 	if !st.Tuple.Values[0].Equal(schema.Int64(57)) {
 		t.Fatalf("wrong tuple: %v", st.Tuple)
 	}
-	// The stored digests are the tuple's: its attribute digests in the
+	// The stored digests are the tuple's: its column commitment in the
 	// heap record, its tuple digest in the leaf.
-	attrs, ut, err := h.tree.tupleDigests(st.Tuple)
+	digests, ut, err := h.tree.tupleDigests(st.Tuple)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, a := range attrs {
-		if !bytes.Equal(st.AttrSigs[i], a) {
-			t.Fatalf("attribute %d digest %x, want %x", i, st.AttrSigs[i], a)
-		}
+	if !bytes.Equal(st.Digests, digests) {
+		t.Fatalf("column commitment %x, want %x", st.Digests, digests)
 	}
 	if !bytes.Equal(mustTupleSig(t, h, 57), ut) {
 		t.Fatal("leaf tuple digest is not the tuple's")
@@ -325,10 +323,11 @@ func TestProjectionVerifies(t *testing.T) {
 	}
 	h.mustVerify(t, rs, w)
 
-	// Projection excluding the key column still verifies (keys ride along).
+	// Projection excluding the key column still verifies (keys ride
+	// along); the key column has no attribute digest, so it costs none.
 	rs2, w2 := h.query(t, Query{Lo: i64(50), Hi: i64(60), Project: []string{"customer"}})
-	if w2.NumDP() != 11*3 {
-		t.Fatalf("DP size = %d, want 33", w2.NumDP())
+	if w2.NumDP() != 11*2 {
+		t.Fatalf("DP size = %d, want 22", w2.NumDP())
 	}
 	h.mustVerify(t, rs2, w2)
 }

@@ -2,7 +2,6 @@ package vbtree
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -148,8 +147,36 @@ func (v *View) loadStored(rid storage.RecordID) (*vo.StoredTuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, _, err := vo.DecodeStoredTuple(append([]byte(nil), rec...))
-	return st, err
+	return vo.DecodeStoredTuple(append([]byte(nil), rec...))
+}
+
+// checkRecords parses the heap record of the view's first entry, if it
+// has one: it fails on a record of another commitment version.
+func (v *View) checkRecords() error {
+	buf, err := v.leafFor(nil)
+	if err != nil {
+		return err
+	}
+	for {
+		c, err := openLeaf(buf)
+		if err != nil {
+			return err
+		}
+		ok, err := c.advance()
+		if err != nil {
+			return err
+		}
+		if ok {
+			_, err := v.loadStored(c.rid)
+			return err
+		}
+		if c.next == storage.InvalidPageID {
+			return nil
+		}
+		if buf, err = v.page(c.next); err != nil {
+			return err
+		}
+	}
 }
 
 // leafFor descends to the leaf covering key k (the leftmost leaf for a
@@ -287,7 +314,7 @@ func (v *View) AppendAnswer(ctx context.Context, q Query, dst []byte) (out []byt
 		w.emitProof(&aw, &w.recs[i])
 	}
 
-	stride := 2 * (len(v.sch.Columns) + 1)
+	stride := len(v.sch.Columns) + 1
 	for i, rec := range w.matches {
 		// The offsets match found: the record is parsed once.
 		sv := vo.StoredViewAt(rec, w.offsets[i*stride:(i+1)*stride])
@@ -295,9 +322,9 @@ func (v *View) AppendAnswer(ctx context.Context, q Query, dst []byte) (out []byt
 		for _, ci := range w.proj {
 			aw.Value(sv.Value(ci))
 		}
-		// Filtered attributes -> D_P (paper Figure 7).
-		for _, ci := range w.dropped {
-			aw.DP(sv.AttrSig(ci))
+		// The proof of the filtered attributes -> D_P (paper Figure 7).
+		for _, k := range w.dp {
+			aw.DP(sv.Digest(k))
 		}
 	}
 	if out, err = aw.Finish(); err != nil {
@@ -410,17 +437,7 @@ func (w *answerWalk) walkOrdered(pid storage.PageID, parent, pos, depth int) (bo
 }
 
 // addPos adds position i to the runs that begin at w.runs[mark:].
-func (w *answerWalk) addPos(mark, i int) {
-	if n := len(w.runs); n > mark {
-		last := w.runs[n-digest.RunSize:]
-		start, l := binary.BigEndian.Uint16(last), binary.BigEndian.Uint16(last[2:])
-		if int(start)+int(l) == i {
-			binary.BigEndian.PutUint16(last[2:], l+1)
-			return
-		}
-	}
-	w.runs = binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint16(w.runs, uint16(i)), 1)
-}
+func (w *answerWalk) addPos(mark, i int) { w.runs = digest.AppendRun(w.runs, mark, i) }
 
 // emitProof writes one record's in-node proof to the answer: a stored
 // group digest or an entry digest for each subtree it does not recompute.
@@ -450,8 +467,10 @@ type answerWalk struct {
 	filter     func(schema.Tuple) bool
 	filterCols []int
 
-	proj    []int // schema index of each returned column, in answer order
-	dropped []int // schema indices projected away, ascending (the D_P columns)
+	proj []int // schema index of each returned column, in answer order
+	// dp is every row's column proof: the indices, among its heap
+	// record's digests, of the ones D_P carries, in the order they travel.
+	dp []int
 
 	scratch []schema.Datum // the tuple shown to filter
 	sizes   vo.AnswerSizes
@@ -465,8 +484,11 @@ type walkScratch struct {
 	sv      vo.StoredView
 	matches [][]byte // stored-tuple records of the result rows, in key order
 	// offsets holds sv's offset table for every record in matches, one
-	// after the other, 2·(columns+1) entries each.
+	// after the other, columns+1 entries each.
 	offsets []int
+	// colRuns is the returned non-key columns, as runs over the column
+	// tree's leaves.
+	colRuns []byte
 
 	// The envelope's records in pre-order, their runs, the node records as
 	// they travel, one record's proof while it is written, and the entry
@@ -495,11 +517,14 @@ func (sc *walkScratch) recycle() {
 	}
 	sc.matches, sc.offsets = sc.matches[:0], sc.offsets[:0]
 	sc.recs, sc.runs, sc.nodes, sc.sibs = sc.recs[:0], sc.runs[:0], sc.nodes[:0], sc.sibs[:0]
+	sc.colRuns = sc.colRuns[:0]
 	walkScratchPool.Put(sc)
 }
 
 // resolveProjection maps q.Project to column indices (nil means every
-// column) and returns the answer's column names.
+// column), works out the column proof every row of the answer ships in
+// D_P — the same for each, since each has the same projection — and
+// returns the answer's column names.
 func (w *answerWalk) resolveProjection(cols []string) ([]string, error) {
 	sch := w.v.sch
 	if cols == nil {
@@ -527,10 +552,25 @@ func (w *answerWalk) resolveProjection(cols []string) ([]string, error) {
 		taken[ci] = true
 		w.proj[i] = ci
 	}
-	w.dropped = make([]int, 0, len(taken)-len(cols))
+	// The column tree's leaves are the non-key columns in schema order; a
+	// record stores their attribute digests, then the tree's groups.
+	leaves := 0
 	for ci, t := range taken {
-		if !t {
-			w.dropped = append(w.dropped, ci)
+		if ci == sch.Key {
+			continue
+		}
+		if t {
+			w.colRuns = digest.AppendRun(w.colRuns, 0, leaves)
+		}
+		leaves++
+	}
+	s := digest.ColumnShape(leaves)
+	w.sibs = s.AppendSiblings(w.sibs[:0], w.colRuns)
+	w.dp = make([]int, len(w.sibs))
+	for i, sb := range w.sibs {
+		w.dp[i] = sb.I
+		if sb.L > 0 {
+			w.dp[i] = leaves + s.StoredAt(sb.L, sb.I)
 		}
 	}
 	return cols, nil
@@ -566,7 +606,7 @@ func (w *answerWalk) match(rid storage.RecordID) (bool, error) {
 		values += len(sv.Value(ci))
 	}
 	w.sizes.Row(len(sv.Value(sch.Key)), values)
-	w.sizes.DP(len(w.dropped))
+	w.sizes.DP(len(w.dp))
 	w.matches = append(w.matches, rec)
 	w.offsets = append(w.offsets, sv.Offsets()...)
 	return true, nil

@@ -1,8 +1,8 @@
 package verify
 
 import (
+	"bytes"
 	"fmt"
-	"slices"
 
 	"edgeauth/internal/digest"
 	"edgeauth/internal/vo"
@@ -12,9 +12,12 @@ import (
 // carries the envelope from the root down (package vo). The verifier
 // recomputes the root digest structurally: each node record's in-node
 // proof is folded bottom-up (digest.Accumulator.Recompute), a recomputed
-// position of a leaf being the next result row's tuple digest — its
-// returned values hashed, its projected-out ones taken from D_P, in
-// column order — and one of an internal node the next record's node.
+// position of a leaf being the next result row's tuple digest and one of
+// an internal node the next record's node. A row's tuple digest is
+// recomputed the same way over its column tree
+// (digest.Accumulator.RecomputeTuple): a recomputed leaf is a returned
+// non-key value, hashed, and the proof of the others is the row's share
+// of D_P.
 
 // orderedDigest computes the root digest the answer and its ordered
 // envelope recompute.
@@ -27,11 +30,9 @@ func (v *Verifier) orderedDigest(an *anchored, rs *vo.ResultSet, w *vo.VO) (dige
 		return nil, fmt.Errorf("%w: the envelope recomputes %d rows, the answer has %d", ErrMalformed, rows, len(rs.Tuples))
 	}
 	o := &orderedWalk{
-		v: v, rs: rs,
+		v: v, rs: rs, an: an,
 		nodes: w.Nodes, ds: w.DS, dp: w.DP,
 		resCol: make([]int, len(v.Schema.Columns)),
-		// Room for a row's preimage with a key of up to 64 bytes.
-		pre: make([]byte, 0, 3+64+len(v.Schema.Columns)*v.Acc.Len()),
 	}
 	for ci := range o.resCol {
 		o.resCol[ci] = -1
@@ -56,6 +57,7 @@ func (v *Verifier) orderedDigest(an *anchored, rs *vo.ResultSet, w *vo.VO) (dige
 type orderedWalk struct {
 	v      *Verifier
 	rs     *vo.ResultSet
+	an     *anchored
 	nodes  []byte
 	ds, dp []byte
 	row    int
@@ -64,14 +66,14 @@ type orderedWalk struct {
 	// projected away.
 	resCol []int
 	// Per-row scratch: the key, one attribute's preimage
-	// (digest.AppendAttrHead, then the canonical value), the row's tuple
-	// preimage (digest.AppendTupleHead, then each attribute digest in its
-	// place) and its tuple digest.
-	key, val, pre []byte
-	d             digest.Value
+	// (digest.AppendAttrHead, then the canonical value) and its digest,
+	// and the row's tuple digest.
+	key, val []byte
+	attr     [digest.Size]byte
+	d        digest.Value
 	// node receives each node digest: Recompute's caller copies it out
 	// before the next node is recomputed.
-	node [16]byte
+	node [digest.Size]byte
 }
 
 // recompute recomputes the digest of the node whose record is next, at
@@ -110,30 +112,51 @@ func (o *orderedWalk) Entry(int) (digest.Value, error) {
 		return nil, fmt.Errorf("%w: the envelope recomputes more rows than the answer has", ErrMalformed)
 	}
 	o.row++
-	sch, size := o.v.Schema, o.v.Acc.Len()
+	sch := o.v.Schema
 	o.key = o.rs.Keys[j].EncodeKey(o.key[:0])
-	o.pre = digest.AppendTupleHead(o.pre[:0], o.key)
-	head := len(o.pre)
-	// Every attribute slot is written below: grow without clearing.
-	o.pre = slices.Grow(o.pre, len(o.resCol)*size)[:head+len(o.resCol)*size]
-	for ci, i := range o.resCol {
-		at := o.pre[head+ci*size : head+(ci+1)*size]
-		if i < 0 {
-			if len(o.dp) < size {
-				return nil, fmt.Errorf("%w: D_P ends inside row %d", ErrMalformed, j)
-			}
-			copy(at, o.dp[:size])
-			o.dp = o.dp[size:]
-			continue
-		}
+	// The key column has no attribute digest: the tuple hash binds the
+	// key, and a returned key column must be that key, bit for bit.
+	if i := o.resCol[sch.Key]; i >= 0 {
 		val := &o.rs.Tuples[j].Values[i]
-		if val.Type != sch.Columns[ci].Type {
+		if val.Type != sch.KeyColumn().Type {
 			return nil, fmt.Errorf("%w: tuple %d column %q has type %v, want %v",
-				ErrMalformed, j, o.rs.Columns[i], val.Type, sch.Columns[ci].Type)
+				ErrMalformed, j, o.rs.Columns[i], val.Type, sch.KeyColumn().Type)
 		}
-		o.val = val.Canonical(digest.AppendAttrHead(o.val[:0], ci))
-		o.v.Acc.HashAttr(at[:0], o.val)
+		if o.val = val.EncodeKey(o.val[:0]); !bytes.Equal(o.val, o.key) {
+			return nil, fmt.Errorf("%w: tuple %d returns %v in key column %q, its key is %v",
+				ErrVerification, j, *val, o.rs.Columns[i], o.rs.Keys[j])
+		}
 	}
-	o.d = o.v.Acc.HashTuple(o.d, o.pre)
-	return o.d, nil
+	k := o.an.colSibs * o.v.Acc.Len()
+	if k > len(o.dp) {
+		return nil, fmt.Errorf("%w: D_P ends inside row %d", ErrMalformed, j)
+	}
+	sibs := o.dp[:k]
+	o.dp = o.dp[k:]
+	var err error
+	o.d, err = o.v.Acc.RecomputeTuple(o.d, o.key, &o.an.colShape, o.an.colRuns, sibs, (*rowColumns)(o))
+	return o.d, err
+}
+
+// rowColumns yields the leaves the column tree of the row Entry last
+// started recomputes: the attribute digests of its returned non-key
+// values, hashed.
+type rowColumns orderedWalk
+
+// Entry hashes the value of the non-key column at leaf pos.
+func (c *rowColumns) Entry(pos int) (digest.Value, error) {
+	o := (*orderedWalk)(c)
+	sch, j := o.v.Schema, o.row-1
+	ci := pos // the leaves are the non-key columns in schema order
+	if ci >= sch.Key {
+		ci++
+	}
+	i := o.resCol[ci]
+	val := &o.rs.Tuples[j].Values[i]
+	if val.Type != sch.Columns[ci].Type {
+		return nil, fmt.Errorf("%w: tuple %d column %q has type %v, want %v",
+			ErrMalformed, j, o.rs.Columns[i], val.Type, sch.Columns[ci].Type)
+	}
+	o.val = val.Canonical(digest.AppendAttrHead(o.val[:0], ci))
+	return o.v.Acc.HashAttr(o.attr[:0], o.val), nil
 }

@@ -46,6 +46,9 @@ func FuzzVerifyMerkleAnswer(f *testing.F) {
 		{20, 20, nil},
 		{20, 80, []string{"id", "cat"}},
 		{150, 149 + 40, []string{"a2"}},
+		// Each of the three column groups partly returned: a row's
+		// proof is two attribute digests from each.
+		{90, 99, []string{"a5", "cat", "a9"}},
 		{5000, 6000, nil},
 	} {
 		rs, w := b.query(f, q.lo, q.hi, q.project)

@@ -2,8 +2,11 @@ package verify
 
 import (
 	"context"
+	"encoding/binary"
+	"strings"
 	"testing"
 
+	"edgeauth/internal/costmodel"
 	"edgeauth/internal/digest"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/storage"
@@ -92,9 +95,12 @@ func TestMerkleRunsAreTheAccumulatorsWidth(t *testing.T) {
 }
 
 // BenchmarkVerifyRange256 is the read.range shape: 256 rows, 3 of 10
-// columns returned, root signature already cached.
+// columns returned, root signature already cached. It reports what one
+// answer costs beside the time: its VO's bytes and the hashes verifying
+// it takes (vbtree.BenchmarkAnswerRange256 is the edge's side).
 func BenchmarkVerifyRange256(b *testing.B) {
-	bt := buildTree(b, 4096, 4096, nil)
+	var c digest.Counters
+	bt := buildTree(b, 4096, 4096, &c)
 	rs, w := bt.query(b, 1000, 1255, workload.ProjectFirstN(bt.sch, 3))
 	if len(rs.Tuples) != 256 {
 		b.Fatalf("range returned %d rows, want 256", len(rs.Tuples))
@@ -104,9 +110,73 @@ func BenchmarkVerifyRange256(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	before := c.Snapshot()
 	for i := 0; i < b.N; i++ {
 		if err := bt.ver.Verify(rs, w); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(w.WireSize()), "vo_bytes/op")
+	b.ReportMetric(float64(c.Snapshot().Sub(before).HashOps)/float64(b.N), "hash_ops/op")
+}
+
+// TestEveryProjectionShipsItsColumnSiblings ties formula (9)'s D_P term
+// for the deployed tree to real answers over all 2^10 − 1 projections of
+// the benchmark's table: a row carries exactly the column proof
+// costmodel.Projection.Siblings counts — never more than the N_C − Q_C
+// digests a flat list would, 3 for {id, cat, a2}, none for a full
+// projection — and verifying the answer hashes exactly what
+// costmodel.OrderedVerifyHashes charges.
+func TestEveryProjectionShipsItsColumnSiblings(t *testing.T) {
+	var c digest.Counters
+	b := buildTree(t, 300, 1024, &c)
+	nc := len(b.sch.Columns)
+	for mask := 1; mask < 1<<nc; mask++ {
+		var project []string
+		var cols []int
+		for ci := nc - 1; ci >= 0; ci-- { // the answer's column order is not the schema's
+			if mask&(1<<ci) != 0 {
+				project = append(project, b.sch.Columns[ci].Name)
+				cols = append(cols, ci)
+			}
+		}
+		rs, w := b.query(t, 20, 24, project)
+		pr := costmodel.ProjectionOf(nc, b.sch.Key, cols)
+		if got, want := w.NumDP(), costmodel.OrderedDPCount(len(rs.Tuples), pr); got != want || got > len(rs.Tuples)*(nc-len(cols)) {
+			t.Fatalf("projection %v: %d D_P digests for %d rows, the model counts %d", project, got, len(rs.Tuples), want)
+		}
+		before := c.Snapshot()
+		if err := b.ver.Verify(rs, w); err != nil {
+			t.Fatalf("projection %v: %v", project, err)
+		}
+		env := envelopeOf(t, w)
+		if got, want := c.Snapshot().Sub(before).HashOps, costmodel.OrderedVerifyHashes(len(rs.Tuples), pr, env); got != int64(want) {
+			t.Fatalf("projection %v: verifying hashed %d times, the model charges %d", project, got, want)
+		}
+	}
+	for project, want := range map[string]int{"id,cat,a2": 3, "id,cat,a2,a3,a4,a5,a6,a7,a8,a9": 0, "id": 3, "cat": 4, "a9": 4, "cat,a3,a5,a7,a9": 4} {
+		rs, w := b.query(t, 20, 24, strings.Split(project, ","))
+		if got := w.NumDP(); got != want*len(rs.Tuples) {
+			t.Errorf("{%s}: %d D_P digests for %d rows, want %d a row", project, got, len(rs.Tuples), want)
+		}
+	}
+}
+
+// envelopeOf reads a VO's node records as the cost model takes them.
+func envelopeOf(t *testing.T, w *vo.VO) []costmodel.OrderedNode {
+	t.Helper()
+	var env []costmodel.OrderedNode
+	for b := w.Nodes; len(b) > 0; {
+		count, runs, rest, err := vo.NodeRecord(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd := costmodel.OrderedNode{N: count}
+		for ; len(runs) > 0; runs = runs[digest.RunSize:] {
+			start := int(binary.BigEndian.Uint16(runs))
+			nd.Runs = append(nd.Runs, [2]int{start, start + int(binary.BigEndian.Uint16(runs[2:]))})
+		}
+		env, b = append(env, nd), rest
+	}
+	return env
 }

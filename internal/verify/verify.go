@@ -7,12 +7,12 @@
 // the envelope of the answer from the root down (package vo). The
 // verifier recomputes the root structurally (ordered.go): each node
 // record's in-node proof is folded bottom-up, a recomputed position of a
-// leaf being the next result row's tuple digest — its returned values
-// hashed, its projected-out ones taken from D_P, in column order — and
-// one of an internal node the next record's node. There is no product to
-// rebalance: a changed value, a moved row, a dropped or substituted digest
-// or a spurious tuple changes the root, and the one signature over it
-// fails.
+// leaf being the next result row's tuple digest — recomputed over the
+// row's column tree from its returned values, hashed, and the proof of
+// its projected-out ones, taken from D_P — and one of an internal node
+// the next record's node. There is no product to rebalance: a changed
+// value, a moved row, a dropped or substituted digest or a spurious
+// tuple changes the root, and the one signature over it fails.
 //
 // What a verified answer costs is hashes and one signature check. D_S
 // and D_P are read where they lie in the answer's frame (vo.VO holds them
@@ -192,6 +192,14 @@ func (v *Verifier) verify(rs *vo.ResultSet, w *vo.VO) (digest.Value, error) {
 type anchored struct {
 	colIdx []int        // schema index of each result column
 	topU   digest.Value // the root digest the central server signed
+	// The column proof every row carries in D_P: the column tree over the
+	// schema's non-key columns, the returned ones as runs over its leaves
+	// (most answers need no more than colRunsBuf), and how many digests
+	// the proof of the others takes.
+	colShape   digest.Shape
+	colRuns    []byte
+	colRunsBuf [8 * digest.RunSize]byte
+	colSibs    int
 }
 
 // anchor runs every check that does not need a hash — shape, identity,
@@ -229,22 +237,44 @@ func (v *Verifier) anchor(rs *vo.ResultSet, w *vo.VO) (*anchored, error) {
 
 	// Map result columns to schema columns, and find which are filtered.
 	// A schema has tens of columns: a duplicate is found by looking back.
-	colIdx := make([]int, len(rs.Columns))
+	an := &anchored{colIdx: make([]int, len(rs.Columns))}
 	for i, name := range rs.Columns {
 		ci := v.Schema.ColumnIndex(name)
 		if ci < 0 {
 			return nil, fmt.Errorf("%w: unknown column %q", ErrMalformed, name)
 		}
-		if slices.Contains(colIdx[:i], ci) {
+		if slices.Contains(an.colIdx[:i], ci) {
 			return nil, fmt.Errorf("%w: duplicate column %q", ErrMalformed, name)
 		}
-		colIdx[i] = ci
+		an.colIdx[i] = ci
+	}
+	// A key's encoding is not type-tagged, so a key of another type could
+	// hash as this one (int64 20 and the bytes 0x8000000000000014 alike).
+	keyType := v.Schema.KeyColumn().Type
+	for j := range rs.Keys {
+		if rs.Keys[j].Type != keyType {
+			return nil, fmt.Errorf("%w: row %d has a %v key, the key column is %v", ErrMalformed, j, rs.Keys[j].Type, keyType)
+		}
 	}
 	if err := w.CheckRuns(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
-	nFilteredPerTuple := len(v.Schema.Columns) - len(rs.Columns)
-	if want := nFilteredPerTuple * len(rs.Tuples); w.NumDP() != want {
+	// Every row carries the same column proof: the returned non-key
+	// columns are the leaves of the column tree it recomputes.
+	an.colRuns = an.colRunsBuf[:0]
+	leaves := 0
+	for ci := range v.Schema.Columns {
+		if ci == v.Schema.Key {
+			continue
+		}
+		if slices.Contains(an.colIdx, ci) {
+			an.colRuns = digest.AppendRun(an.colRuns, 0, leaves)
+		}
+		leaves++
+	}
+	an.colShape = digest.ColumnShape(leaves)
+	an.colSibs = an.colShape.Siblings(an.colRuns)
+	if want := an.colSibs * len(rs.Tuples); w.NumDP() != want {
 		return nil, fmt.Errorf("%w: D_P carries %d digests, want %d", ErrMalformed, w.NumDP(), want)
 	}
 
@@ -262,5 +292,6 @@ func (v *Verifier) anchor(rs *vo.ResultSet, w *vo.VO) (*anchored, error) {
 	if err := v.cachedVerifySig(pub, w.RootSig, w.TopDigest); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSignature, err)
 	}
-	return &anchored{colIdx: colIdx, topU: digest.Value(w.TopDigest)}, nil
+	an.topU = digest.Value(w.TopDigest)
+	return an, nil
 }

@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
 	"sync"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
 	"edgeauth/internal/vo"
+	"edgeauth/internal/workload"
 )
 
 // These tests rebuild the commitment by hand — attribute and tuple
@@ -69,16 +72,39 @@ func buildHandWith(t *testing.T, acc *digest.Accumulator, vals []string) *handTr
 	return h
 }
 
-// orderedTuple computes a tuple's attribute digests and tuple digest
-// (digest.AttrDigest, digest.TupleDigest).
+// orderedTuple computes a tuple's attribute digests (nil for the key
+// column, which has none) with digest.AttrDigest, and its tuple digest by
+// hand: a column tree of arity 3 over the non-key attribute digests in
+// schema order, its groups hashed under tag 0x05, and the tuple hash
+// under tag 0x02 over the key and the tree's top digests.
 func orderedTuple(acc *digest.Accumulator, sch *schema.Schema, tup schema.Tuple) (attrs []digest.Value, ut digest.Value) {
-	flat := make([]byte, 0, len(tup.Values)*acc.Len())
 	attrs = make([]digest.Value, len(tup.Values))
+	var level [][]byte
 	for i, val := range tup.Values {
-		attrs[i] = acc.AttrDigest(nil, i, val.CanonicalBytes())
-		flat = append(flat, attrs[i]...)
+		if i != sch.Key {
+			attrs[i] = acc.AttrDigest(nil, i, val.CanonicalBytes())
+			level = append(level, attrs[i])
+		}
 	}
-	return attrs, acc.TupleDigest(nil, tup.Key(sch).KeyBytes(), flat)
+	for len(level) > 3 {
+		var next [][]byte
+		for lo := 0; lo < len(level); lo += 3 {
+			p := []byte{0x05}
+			for _, d := range level[lo:min(lo+3, len(level))] {
+				p = append(p, d...)
+			}
+			sum := sha256.Sum256(p)
+			next = append(next, sum[:digest.Size])
+		}
+		level = next
+	}
+	key := tup.Key(sch).KeyBytes()
+	p := append([]byte{0x02, byte(len(key) >> 8), byte(len(key))}, key...)
+	for _, d := range level {
+		p = append(p, d...)
+	}
+	sum := sha256.Sum256(p)
+	return attrs, sum[:digest.Size]
 }
 
 // node is the digest of a node at the given level over its entries.
@@ -206,6 +232,100 @@ func TestHandBuiltProjectionVO(t *testing.T) {
 	w.DP = w.DPDigest(0)
 	if err := h.verifier().Verify(rs, w); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("short D_P: %v, want ErrMalformed", err)
+	}
+}
+
+// TestHandBuiltColumnTreeVO: on the benchmark's ten columns a tuple
+// commits to its nine non-key columns through three column groups,
+// {cat, a2, a3}, {a4, a5, a6} and {a7, a8, a9}. A projection of
+// {id, cat, a2} ships d(a3) and the other two groups a row — the proof
+// derived by hand here — and a 3-of-10 answer is three D_P digests a row.
+func TestHandBuiltColumnTreeVO(t *testing.T) {
+	sch, err := workload.DefaultSpec(2).Schema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples, err := workload.DefaultSpec(2).Tuples()
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := digest.MustNew(digest.DefaultParams())
+	h := &handTree{acc: acc, key: signer(t), sch: sch}
+	group := func(ds ...digest.Value) digest.Value {
+		p := []byte{0x05}
+		for _, d := range ds {
+			p = append(p, d...)
+		}
+		sum := sha256.Sum256(p)
+		return sum[:digest.Size]
+	}
+	rs := &vo.ResultSet{DB: sch.DB, Table: sch.Table, Columns: []string{"id", "cat", "a2"}}
+	var dp [][]digest.Value // each row's proof
+	for _, tup := range tuples {
+		attrs, ut := orderedTuple(acc, sch, tup)
+		h.uT = append(h.uT, ut)
+		rs.Keys = append(rs.Keys, tup.Values[0])
+		rs.Tuples = append(rs.Tuples, schema.NewTuple(tup.Values[0], tup.Values[1], tup.Values[2]))
+		dp = append(dp, []digest.Value{attrs[3], group(attrs[4], attrs[5], attrs[6]), group(attrs[7], attrs[8], attrs[9])})
+	}
+	w := h.voAt(t, 1, h.node(1, h.uT...), record(2, 0, 2))
+	for _, row := range dp {
+		for _, d := range row {
+			w.AppendDP(d)
+		}
+	}
+	if err := h.verifier().Verify(rs, w); err != nil {
+		t.Fatalf("hand-built column proofs rejected: %v", err)
+	}
+	// An attribute digest and a group digest of one row trade places.
+	first, last := w.DPDigest(0), w.DPDigest(2)
+	swapped := append(append(append([]byte(nil), last...), w.DP[digest.Size:2*digest.Size]...), first...)
+	honest := w.DP
+	w.DP = append(swapped, honest[3*digest.Size:]...)
+	if err := h.verifier().Verify(rs, w); err == nil {
+		t.Fatal("a row's column proof out of order accepted")
+	}
+	// One sibling too many or too few is refused before any hash.
+	for _, bad := range [][]byte{honest[digest.Size:], append(bytes.Clone(honest), honest[:digest.Size]...)} {
+		w.DP = bad
+		if err := h.verifier().Verify(rs, w); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("D_P of %d digests: %v, want ErrMalformed", len(bad)/digest.Size, err)
+		}
+	}
+}
+
+// TestKeyTypeIsChecked: a key's encoding is not type-tagged, so int64 20
+// and the eight bytes 0x8000000000000014 hash alike. An answer relabelling
+// its key as bytes is refused, where it was accepted and handed on to the
+// caller (b43dc9b).
+func TestKeyTypeIsChecked(t *testing.T) {
+	b := buildTree(t, 300, 1024, nil)
+	rs, w := b.query(t, 20, 22, []string{"cat"})
+	if err := b.ver.Verify(rs, w); err != nil {
+		t.Fatal(err)
+	}
+	rs.Keys[0] = schema.Bytes(rs.Keys[0].KeyBytes())
+	if err := b.ver.Verify(rs, w); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("a bytes key for an int64 key column: %v, want ErrMalformed", err)
+	}
+}
+
+// TestReturnedKeyColumnIsTheKey: the key column has no attribute digest
+// — the tuple hash binds the key — so a returned key column is checked
+// against the row's key, bit for bit, and a rewritten one is refused.
+func TestReturnedKeyColumnIsTheKey(t *testing.T) {
+	b := buildTree(t, 300, 1024, nil)
+	rs, w := b.query(t, 20, 22, []string{"cat", "id"})
+	if err := b.ver.Verify(rs, w); err != nil {
+		t.Fatal(err)
+	}
+	rs.Tuples[1].Values[1] = schema.Int64(rs.Keys[1].I + 1)
+	if err := b.ver.Verify(rs, w); err == nil {
+		t.Fatal("a returned key column that is not the row's key accepted")
+	}
+	rs.Tuples[1].Values[1] = schema.Str("21")
+	if err := b.ver.Verify(rs, w); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("a string in the int64 key column: %v, want ErrMalformed", err)
 	}
 }
 

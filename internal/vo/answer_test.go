@@ -3,6 +3,7 @@ package vo
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
@@ -10,7 +11,6 @@ import (
 	"edgeauth/internal/digest"
 	"edgeauth/internal/israce"
 	"edgeauth/internal/schema"
-	"edgeauth/internal/sig"
 )
 
 // sampleAnswer is a projected two-row answer with every part populated.
@@ -145,12 +145,24 @@ func slackInSections(body []byte) []byte {
 	return append(out, body[4+n:]...)
 }
 
+// columnRun is a column commitment for a tuple of n values: the digests
+// numbered from one, each filled with its number.
+func columnRun(n int) []byte {
+	run := make([]byte, digest.ColumnDigests(n)*digest.Size)
+	for i := range run {
+		run[i] = byte(1 + i/digest.Size)
+	}
+	return run
+}
+
 // TestStoredViewMatchesDecodeStoredTuple: the offsets StoredView finds
-// are the fields DecodeStoredTuple decodes.
+// are the fields DecodeStoredTuple decodes, and the two refuse the same
+// records: a digest run of the wrong length, or a record of another
+// commitment version, named.
 func TestStoredViewMatchesDecodeStoredTuple(t *testing.T) {
 	st := &StoredTuple{
-		Tuple:    schema.NewTuple(schema.Int64(7), schema.Str("seven"), schema.Float64(7.5), schema.Bytes([]byte{7})),
-		AttrSigs: []sig.Signature{sigOf(1), sigOf(2, 2), sigOf(), sigOf(4, 4, 4, 4)},
+		Tuple:   schema.NewTuple(schema.Int64(7), schema.Str("seven"), schema.Float64(7.5), schema.Bytes([]byte{7}), schema.Str("8")),
+		Digests: columnRun(5),
 	}
 	rec := st.EncodeBytes()
 	var sv StoredView
@@ -158,7 +170,7 @@ func TestStoredViewMatchesDecodeStoredTuple(t *testing.T) {
 		if err := sv.Parse(rec); err != nil {
 			t.Fatal(err)
 		}
-		if sv.NumColumns() != 4 {
+		if sv.NumColumns() != 5 {
 			t.Fatalf("NumColumns = %d", sv.NumColumns())
 		}
 		for i, v := range st.Tuple.Values {
@@ -168,9 +180,20 @@ func TestStoredViewMatchesDecodeStoredTuple(t *testing.T) {
 			if d, err := sv.Datum(i); err != nil || !d.Equal(v) {
 				t.Errorf("datum %d: %v, %v", i, d, err)
 			}
-			if !bytes.Equal(sv.AttrSig(i), st.AttrSigs[i]) {
-				t.Errorf("signature %d: %x", i, sv.AttrSig(i))
+		}
+		// Four non-key columns: four attribute digests and two column groups.
+		for k := 0; k < 6; k++ {
+			if !bytes.Equal(sv.Digest(k), st.Digests[k*digest.Size:(k+1)*digest.Size]) {
+				t.Errorf("digest %d: %x", k, sv.Digest(k))
 			}
+		}
+	}
+	refused := func(rec []byte, want string) {
+		t.Helper()
+		perr := sv.Parse(rec)
+		_, derr := DecodeStoredTuple(rec)
+		if perr == nil || derr == nil || !strings.Contains(perr.Error(), want) || perr.Error() != derr.Error() {
+			t.Errorf("Parse: %v; DecodeStoredTuple: %v; want both to say %q", perr, derr, want)
 		}
 	}
 	for i := range rec {
@@ -178,9 +201,17 @@ func TestStoredViewMatchesDecodeStoredTuple(t *testing.T) {
 			t.Fatalf("record truncated to %d bytes was accepted", i)
 		}
 	}
-	st.AttrSigs = st.AttrSigs[:3]
-	if err := sv.Parse(st.EncodeBytes()); err == nil || !strings.Contains(err.Error(), "3 signatures for 4 values") {
-		t.Fatalf("signature/value count mismatch: %v", err)
+	refused(append(bytes.Clone(rec), 0), "has 97 digest bytes, want 96")
+	st.Digests = st.Digests[:80]
+	refused(st.EncodeBytes(), "has 80 digest bytes, want 96")
+	at := len(rec) - 96 - 2
+	for v, want := range map[uint16]string{5: "commitment version 6", 9: "version 9"} {
+		old := bytes.Clone(rec)
+		binary.BigEndian.PutUint16(old[at:], v)
+		refused(old, want)
+		if _, err := DecodeStoredTuple(old); !errors.Is(err, ErrCommitmentVersion) {
+			t.Errorf("a record naming %d: %v, want ErrCommitmentVersion", v, err)
+		}
 	}
 }
 

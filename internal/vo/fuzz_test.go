@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"edgeauth/internal/digest"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
 )
@@ -101,6 +102,57 @@ func FuzzDecodeResultSet(f *testing.F) {
 		re := rs.Encode(nil)
 		if !bytes.Equal(re, data[:n]) {
 			t.Fatalf("result-set round-trip mismatch at %d bytes", n)
+		}
+	})
+}
+
+// FuzzStoredRecord: heap records reach an edge inside pages it installs
+// from central and peer snapshots and deltas, and the query path parses
+// them in place. StoredView.Parse and DecodeStoredTuple never panic and
+// accept exactly the same records; an accepted record re-encodes byte for
+// byte, its values are where the view says, and its digests are a whole
+// run of digest.Size-byte digests — the column commitment its value count
+// calls for, each of which the view reads.
+func FuzzStoredRecord(f *testing.F) {
+	for _, st := range []*StoredTuple{
+		{Tuple: schema.NewTuple(schema.Int64(7)), Digests: columnRun(1)},
+		{Tuple: schema.NewTuple(schema.Int64(7), schema.Str("seven"), schema.Bytes([]byte{7})), Digests: columnRun(3)},
+		{Tuple: schema.NewTuple(schema.Int64(1), schema.Str("a"), schema.Str("b"), schema.Str("c"), schema.Str("d"),
+			schema.Float64(5), schema.Str("f"), schema.Str("g"), schema.Str("h"), schema.Str("i")), Digests: columnRun(10)},
+	} {
+		f.Add(st.EncodeBytes())
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 1, 0x80, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1})
+	f.Fuzz(func(t *testing.T, rec []byte) {
+		var sv StoredView
+		perr := sv.Parse(rec)
+		st, derr := DecodeStoredTuple(rec)
+		if (perr == nil) != (derr == nil) {
+			t.Fatalf("Parse: %v; DecodeStoredTuple: %v", perr, derr)
+		}
+		if derr != nil {
+			return
+		}
+		if re := st.EncodeBytes(); !bytes.Equal(re, rec) || st.WireSize() != len(rec) {
+			t.Fatalf("accepted record of %d bytes re-encodes to %d (WireSize %d)", len(rec), len(re), st.WireSize())
+		}
+		if err := st.Validate(); err != nil {
+			t.Fatalf("accepted record does not validate: %v", err)
+		}
+		n := len(st.Tuple.Values)
+		if sv.NumColumns() != n || len(st.Digests)%digest.Size != 0 {
+			t.Fatalf("%d values in the view, %d decoded, %d digest bytes", sv.NumColumns(), n, len(st.Digests))
+		}
+		for i, v := range st.Tuple.Values {
+			if !bytes.Equal(sv.Value(i), v.Encode(nil)) {
+				t.Fatalf("value %d: the view reads %x, decoded %v", i, sv.Value(i), v)
+			}
+		}
+		for k := 0; k < len(st.Digests)/digest.Size; k++ {
+			if !bytes.Equal(sv.Digest(k), st.Digests[k*digest.Size:(k+1)*digest.Size]) {
+				t.Fatalf("digest %d: the view reads %x", k, sv.Digest(k))
+			}
 		}
 	})
 }

@@ -5,50 +5,57 @@ import (
 	"errors"
 	"fmt"
 
+	"edgeauth/internal/digest"
 	"edgeauth/internal/schema"
-	"edgeauth/internal/sig"
 )
 
-// StoredTuple is the on-heap representation of a base-table row in the
-// paper's Figure 3: the tuple values together with the digest of every
-// attribute — in a VB-tree the raw ordered digest, in the Naive baseline
-// the signed formula-(1) digest, which it ships directly. Edge servers
-// read these records to build D_P sets for projections.
+// StoredTuple is a VB-tree heap record: a base-table row as the
+// paper's Figure 3 stores it, the tuple values together with its column
+// commitment — the raw ordered digest of every non-key attribute and the
+// group digests of the column tree over them (package digest). Edge
+// servers read these records, in place (StoredView), to copy the D_P
+// proof of a projection. The record is
+//
+//	Tuple.Encode | u16 digest.CommitmentVersion | digests
+//
+// where digests is the attribute digests of the non-key columns in schema
+// order and then the column tree's group digests level by level,
+// digest.ColumnDigests(values) of digest.Size bytes, and nothing follows
+// them.
 type StoredTuple struct {
 	Tuple schema.Tuple
-	// AttrSigs holds one attribute digest per column, in schema column
-	// order.
-	AttrSigs []sig.Signature
+	// Digests is the column commitment as the record stores it, one run
+	// of digest.Size-byte digests.
+	Digests []byte
 }
 
-// Validate checks that the signature count matches the value count.
+// ErrCommitmentVersion marks a heap record written under a commitment
+// this build does not compute.
+var ErrCommitmentVersion = errors.New("vo: heap record of another commitment version")
+
+// storedHead is what a record holds between its values and its digests:
+// the commitment version.
+const storedHead = 2
+
+// Validate checks that the digests are the run the values call for.
 func (s *StoredTuple) Validate() error {
-	if len(s.AttrSigs) != len(s.Tuple.Values) {
-		return fmt.Errorf("vo: stored tuple has %d signatures for %d values",
-			len(s.AttrSigs), len(s.Tuple.Values))
+	if want := digest.ColumnDigests(len(s.Tuple.Values)) * digest.Size; len(s.Digests) != want {
+		return fmt.Errorf("vo: stored tuple of %d values has %d digest bytes, want %d",
+			len(s.Tuple.Values), len(s.Digests), want)
 	}
 	return nil
 }
 
 // WireSize returns the encoded size in bytes.
 func (s *StoredTuple) WireSize() int {
-	sz := s.Tuple.WireSize() + 2
-	for _, as := range s.AttrSigs {
-		sz += 4 + len(as)
-	}
-	return sz
+	return s.Tuple.WireSize() + storedHead + len(s.Digests)
 }
 
-// Encode appends the stored-tuple wire form.
+// Encode appends the stored-tuple record.
 func (s *StoredTuple) Encode(dst []byte) []byte {
 	dst = s.Tuple.Encode(dst)
-	var b2 [2]byte
-	binary.BigEndian.PutUint16(b2[:], uint16(len(s.AttrSigs)))
-	dst = append(dst, b2[:]...)
-	for _, as := range s.AttrSigs {
-		dst = appendSig(dst, as)
-	}
-	return dst
+	dst = binary.BigEndian.AppendUint16(dst, digest.CommitmentVersion)
+	return append(dst, s.Digests...)
 }
 
 // EncodeBytes returns Encode into a fresh slice.
@@ -56,55 +63,62 @@ func (s *StoredTuple) EncodeBytes() []byte {
 	return s.Encode(make([]byte, 0, s.WireSize()))
 }
 
-// DecodeStoredTuple parses a stored tuple, returning bytes consumed. The
-// attribute signatures are slices of data: valid until data is modified
-// or reused.
-func DecodeStoredTuple(data []byte) (*StoredTuple, int, error) {
+// DecodeStoredTuple parses a whole stored-tuple record. The digests are a
+// slice of data: valid until data is modified or reused.
+func DecodeStoredTuple(data []byte) (*StoredTuple, error) {
 	t, off, err := schema.DecodeTuple(data)
 	if err != nil {
-		return nil, 0, fmt.Errorf("vo: stored tuple: %w", err)
+		return nil, fmt.Errorf("vo: stored tuple: %w", err)
 	}
-	if len(data[off:]) < 2 {
-		return nil, 0, errors.New("vo: truncated signature count")
+	ds, err := digestRun(data, off, len(t.Values))
+	if err != nil {
+		return nil, err
 	}
-	n := int(binary.BigEndian.Uint16(data[off : off+2]))
-	off += 2
-	if n > len(data[off:])/minStoredSig {
-		return nil, 0, errors.New("vo: implausible signature count")
+	return &StoredTuple{Tuple: t, Digests: data[ds:len(data):len(data)]}, nil
+}
+
+// digestRun checks the part of a record of n values after its values,
+// which begins at off — the commitment version, then exactly the digests
+// the values call for — and returns where the digests begin.
+func digestRun(rec []byte, off, n int) (int, error) {
+	if len(rec[off:]) < storedHead {
+		return 0, errors.New("vo: stored tuple: truncated commitment version")
 	}
-	st := &StoredTuple{Tuple: t, AttrSigs: make([]sig.Signature, 0, n)}
-	for i := 0; i < n; i++ {
-		s, used, err := readSig(data[off:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("vo: attr signature %d: %w", i, err)
-		}
-		st.AttrSigs = append(st.AttrSigs, s)
-		off += used
+	switch v := int(binary.BigEndian.Uint16(rec[off:])); v {
+	case digest.CommitmentVersion:
+	case n:
+		// Commitment version 6 stored a digest count here, one per value,
+		// and each digest behind a u32 length.
+		return 0, fmt.Errorf("%w: a digest for each of its %d columns, the key's included (commitment version 6); this build computes version %d",
+			ErrCommitmentVersion, n, digest.CommitmentVersion)
+	default:
+		return 0, fmt.Errorf("%w: version %d; this build computes version %d", ErrCommitmentVersion, v, digest.CommitmentVersion)
 	}
-	if err := st.Validate(); err != nil {
-		return nil, 0, err
+	off += storedHead
+	if want := digest.ColumnDigests(n) * digest.Size; len(rec[off:]) != want {
+		return 0, fmt.Errorf("vo: stored tuple of %d values has %d digest bytes, want %d", n, len(rec[off:]), want)
 	}
-	return st, off, nil
+	return off, nil
 }
 
 // StoredView is a stored tuple parsed to offsets: where each column's
-// encoded value and each attribute signature sits in the record, with
-// nothing decoded or copied. The query path reads heap records through
-// it and copies the fields an answer needs straight into the response.
-// Every slice a StoredView returns is a slice of the record last given
-// to Parse: valid until that record is — for a record read in place from
-// a pinned page, until the pin is released. The zero value is ready to
-// use, and Parse reuses its offset table from one record to the next.
+// encoded value and each digest sits in the record, with nothing decoded
+// or copied. The query path reads heap records through it and copies the
+// fields an answer needs straight into the response. Every slice a
+// StoredView returns is a slice of the record last given to Parse: valid
+// until that record is — for a record read in place from a pinned page,
+// until the pin is released. The zero value is ready to use, and Parse
+// reuses its offset table from one record to the next.
 type StoredView struct {
 	rec []byte
-	// off holds, for a record of n columns, n+1 value bounds and then n+1
-	// signature bounds: off[i]..off[i+1] bounds column i's encoded datum,
-	// off[n+1+i]..off[n+2+i] attribute i's signature with its length
-	// prefix.
+	// off holds, for a record of n columns, the n+1 value bounds:
+	// off[i]..off[i+1] bounds column i's encoded datum. The digests begin
+	// storedHead bytes after off[n].
 	off []int
 }
 
-// Parse points the view at an encoded stored tuple.
+// Parse points the view at an encoded stored tuple. It accepts exactly
+// the records DecodeStoredTuple accepts.
 func (sv *StoredView) Parse(rec []byte) error {
 	if len(rec) < 2 {
 		return errors.New("vo: stored tuple: truncated tuple header")
@@ -114,8 +128,8 @@ func (sv *StoredView) Parse(rec []byte) error {
 		return errors.New("vo: stored tuple: implausible value count")
 	}
 	sv.rec = rec
-	if cap(sv.off) < 2*(n+1) {
-		sv.off = make([]int, 0, 2*(n+1))
+	if cap(sv.off) < n+1 {
+		sv.off = make([]int, 0, n+1)
 	}
 	sv.off = append(sv.off[:0], 2)
 	off := 2
@@ -127,26 +141,11 @@ func (sv *StoredView) Parse(rec []byte) error {
 		off += used
 		sv.off = append(sv.off, off)
 	}
-	if len(rec[off:]) < 2 {
-		return errors.New("vo: truncated signature count")
-	}
-	if ns := int(binary.BigEndian.Uint16(rec[off : off+2])); ns != n {
-		return fmt.Errorf("vo: stored tuple has %d signatures for %d values", ns, n)
-	}
-	off += 2
-	sv.off = append(sv.off, off)
-	for i := 0; i < n; i++ {
-		_, used, err := readSig(rec[off:])
-		if err != nil {
-			return fmt.Errorf("vo: attr signature %d: %w", i, err)
-		}
-		off += used
-		sv.off = append(sv.off, off)
-	}
-	return nil
+	_, err := digestRun(rec, off, n)
+	return err
 }
 
-// Offsets returns the table Parse filled, 2·(NumColumns()+1) entries, valid
+// Offsets returns the table Parse filled, NumColumns()+1 entries, valid
 // until the next Parse. A caller that will read the record's fields
 // again later keeps a copy and hands it to StoredViewAt instead of
 // parsing the record a second time.
@@ -159,8 +158,8 @@ func StoredViewAt(rec []byte, offsets []int) StoredView {
 	return StoredView{rec: rec, off: offsets}
 }
 
-// NumColumns returns how many values (and signatures) the record holds.
-func (sv *StoredView) NumColumns() int { return len(sv.off)/2 - 1 }
+// NumColumns returns how many values the record holds.
+func (sv *StoredView) NumColumns() int { return len(sv.off) - 1 }
 
 // Value returns column i's value in its wire encoding (schema.Datum.Encode).
 func (sv *StoredView) Value(i int) []byte { return sv.rec[sv.off[i]:sv.off[i+1]] }
@@ -171,8 +170,9 @@ func (sv *StoredView) Datum(i int) (schema.Datum, error) {
 	return d, err
 }
 
-// AttrSig returns attribute i's stored digest.
-func (sv *StoredView) AttrSig(i int) []byte {
-	s := sv.off[len(sv.off)/2:]
-	return sv.rec[s[i]+4 : s[i+1]]
+// Digest returns digest k of the record's column commitment (see
+// StoredTuple).
+func (sv *StoredView) Digest(k int) []byte {
+	at := sv.off[len(sv.off)-1] + storedHead + k*digest.Size
+	return sv.rec[at : at+digest.Size : at+digest.Size]
 }

@@ -14,8 +14,9 @@
 //
 // One practical note the paper leaves implicit: the tuple hash binds the
 // tuple's primary key, so the result set always carries each tuple's key,
-// even when the key column itself is projected away (its value digest
-// then travels in D_P like any other filtered attribute).
+// even when the key column itself is projected away. The key column has
+// no attribute digest of its own, so it never travels in D_P: a verifier
+// checks a returned key column against the row's key instead.
 //
 // # Wire layout
 //
@@ -34,11 +35,15 @@
 // recomputes — the result rows of a leaf, the children holding them of an
 // internal node, whose records follow in position order. D_S is each
 // node's in-node proof (digest.Shape AppendSiblings), node by node in the
-// records' order; D_P the digests of the attributes projected away, row
-// by row in column order. Every digest of both is W = digest.Size bytes,
-// and W is 0 exactly when there is none. Formula (9) charges a VO
-// (|D_P| + |D_S| + 1)·D bytes of digests, and those are the digest bytes
-// it carries, behind one width rather than each behind its own length.
+// records' order; D_P each row's column proof, row by row: the proof of
+// the projected non-key columns in the tuple's column tree
+// (digest.ColumnShape AppendSiblings), one digest for every column
+// subtree holding none of them — the same number for every row of an
+// answer, since every row has its projection. Every digest of both is
+// W = digest.Size bytes, and W is 0 exactly when there is none. Formula
+// (9) charges a VO (|D_P| + |D_S| + 1)·D bytes of digests, and those are
+// the digest bytes it carries, behind one width rather than each behind
+// its own length.
 // The records are canonical — runs sorted, non-empty and apart, every
 // record but the root's naming a position — or DecodeVO refuses them; a
 // verifier also refuses a VO whose D_S is not exactly what they call for.
@@ -215,15 +220,11 @@ func (v *VO) Encode(dst []byte) []byte {
 	return append(dst, v.DP...)
 }
 
-// Shortest encodings of the repeated parts that carry their own length,
-// by which the decoders bound a claimed count before allocating for it: a
-// stored attribute signature is a length; a result row a key datum and a
-// value count. (A VO's D_S and D_P runs are bounded by their width and
-// allocate nothing.)
-const (
-	minStoredSig = 4
-	minRow       = schema.MinDatumSize + 2
-)
+// minRow is the shortest encoding of a result row, a key datum and a
+// value count, by which the decoder bounds a claimed row count before
+// allocating for it. (A VO's D_S and D_P runs are bounded by their width
+// and allocate nothing.)
+const minRow = schema.MinDatumSize + 2
 
 // DecodeVO parses a VO, returning bytes consumed. The VO's digests and
 // runs are slices of data: valid until data is modified or reused. Only

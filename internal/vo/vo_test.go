@@ -245,8 +245,8 @@ func TestResultSetEmpty(t *testing.T) {
 
 func TestStoredTupleRoundTrip(t *testing.T) {
 	st := &StoredTuple{
-		Tuple:    schema.NewTuple(schema.Int64(5), schema.Str("x")),
-		AttrSigs: []sig.Signature{sigOf(1, 1), sigOf(2, 2, 2)},
+		Tuple:   schema.NewTuple(schema.Int64(5), schema.Str("x")),
+		Digests: columnRun(2),
 	}
 	if err := st.Validate(); err != nil {
 		t.Fatal(err)
@@ -255,43 +255,40 @@ func TestStoredTupleRoundTrip(t *testing.T) {
 	if len(enc) != st.WireSize() {
 		t.Fatalf("encoded %d, WireSize %d", len(enc), st.WireSize())
 	}
-	got, n, err := DecodeStoredTuple(enc)
+	got, err := DecodeStoredTuple(enc)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if n != len(enc) {
-		t.Fatalf("consumed %d of %d", n, len(enc))
 	}
 	if !got.Tuple.Values[1].Equal(schema.Str("x")) {
 		t.Fatal("tuple mismatch")
 	}
-	if !bytes.Equal(got.AttrSigs[1], st.AttrSigs[1]) {
-		t.Fatal("signatures mismatch")
+	if !bytes.Equal(got.Digests, st.Digests) {
+		t.Fatal("digests mismatch")
 	}
 }
 
 func TestStoredTupleValidate(t *testing.T) {
 	st := &StoredTuple{
-		Tuple:    schema.NewTuple(schema.Int64(5), schema.Str("x")),
-		AttrSigs: []sig.Signature{sigOf(1)},
+		Tuple:   schema.NewTuple(schema.Int64(5), schema.Str("x")),
+		Digests: columnRun(3),
 	}
 	if err := st.Validate(); err == nil {
-		t.Fatal("signature count mismatch accepted")
+		t.Fatal("digest count mismatch accepted")
 	}
 	enc := st.EncodeBytes()
-	if _, _, err := DecodeStoredTuple(enc); err == nil {
+	if _, err := DecodeStoredTuple(enc); err == nil {
 		t.Fatal("decode accepted inconsistent stored tuple")
 	}
 }
 
 func TestStoredTupleDecodeRejectsCorrupt(t *testing.T) {
 	st := &StoredTuple{
-		Tuple:    schema.NewTuple(schema.Int64(5)),
-		AttrSigs: []sig.Signature{sigOf(1, 2, 3)},
+		Tuple:   schema.NewTuple(schema.Int64(5), schema.Str("y"), schema.Str("z")),
+		Digests: columnRun(3),
 	}
 	enc := st.EncodeBytes()
 	for cut := 1; cut < len(enc); cut += 2 {
-		if _, _, err := DecodeStoredTuple(enc[:cut]); err == nil {
+		if _, err := DecodeStoredTuple(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}

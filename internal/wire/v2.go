@@ -38,7 +38,11 @@ import (
 // handshake carries it in both directions. It is raised whenever the
 // bytes of a message change, so that a build from before the change is
 // turned away at dial with CodeUnsupported instead of being sent bodies
-// it would misparse: 6 is the generation in which a VO carries its
+// it would misparse: 7 is the generation in which a tuple commits to its
+// columns through a column tree (digest.ColumnShape) — a heap record
+// stores the column group digests, its key column no digest, and a VO's
+// D_P is each row's column proof, not a digest per omitted column;
+// 6 is the generation in which a VO carries its
 // envelope's node records and ordered in-node proofs instead of lifted
 // D_S digests (package vo), and a tree's pages hold its in-node group
 // digests — the same bytes no longer mean the same digests;
@@ -48,7 +52,7 @@ import (
 // frame is gone and the message types after it renumbered); 3 first
 // carried a VO's digests as fixed-width runs (vo.VO.Encode); 2 put a
 // length in front of each.
-const ProtocolVersion = 6
+const ProtocolVersion = 7
 
 // Capability bits carried in the Hello exchange (both directions). They
 // are advisory: a peer that lacks a capability still answers the
