@@ -343,7 +343,7 @@ func BenchmarkAblationOrderedHash(b *testing.B) {
 		if p.QR != qr {
 			b.Fatalf("%d rows, want %d", p.QR, qr)
 		}
-		_, pw, err := e.Tree.RunQuery(ctx, vbtree.Query{Lo: &lo, Hi: &lo})
+		_, pw, err := e.Query(ctx, vbtree.Query{Lo: &lo, Hi: &lo})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -430,8 +430,15 @@ func BenchmarkAblationInsertRecompute(b *testing.B) {
 		}
 	})
 	b.Run("full-recompute", func(b *testing.B) {
+		rootSig, pub := tree.RootSig(), key.Public()
 		for i := 0; i < b.N; i++ {
-			if _, err := tree.Audit(); err != nil {
+			if err := tree.Read(false, func(v *vbtree.View) error {
+				_, root, err := v.Audit()
+				if err != nil {
+					return err
+				}
+				return pub.Verify(rootSig, root)
+			}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -467,7 +474,7 @@ func BenchmarkVBQueryPath(b *testing.B) {
 	lo, hi := schema.Int64(100), schema.Int64(699)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.Tree.RunQuery(context.Background(), vbtree.Query{Lo: &lo, Hi: &hi}); err != nil {
+		if _, _, err := e.Query(context.Background(), vbtree.Query{Lo: &lo, Hi: &hi}); err != nil {
 			b.Fatal(err)
 		}
 	}

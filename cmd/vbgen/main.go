@@ -129,7 +129,7 @@ func main() {
 		log.Fatal(err)
 	}
 	start = time.Now()
-	n, err := reopened.tree.Audit()
+	n, err := reopened.audit()
 	if err != nil {
 		log.Fatalf("audit FAILED: %v", err)
 	}
@@ -137,7 +137,7 @@ func main() {
 
 	// Sample verified query.
 	lo, hi := schema.Int64(int64(*rows/4)), schema.Int64(int64(*rows/4+9))
-	rs, w, err := reopened.tree.RunQuery(context.Background(), vbtree.Query{Lo: &lo, Hi: &hi})
+	rs, w, err := reopened.view.RunQuery(context.Background(), vbtree.Query{Lo: &lo, Hi: &hi})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -150,13 +150,21 @@ func main() {
 		*rows/4, *rows/4+9, len(rs.Tuples), w.NumDigests(), w.WireSize())
 }
 
+// reopenedDB is a database read back from disk: a read view of its pages,
+// anchored at the root signature its metadata holds.
 type reopenedDB struct {
-	tree *vbtree.Tree
-	sch  *schema.Schema
-	acc  *digest.Accumulator
-	pub  *sig.PublicKey
+	view    *vbtree.View
+	rootSig sig.Signature
+	sch     *schema.Schema
+	acc     *digest.Accumulator
+	pub     *sig.PublicKey
 }
 
+// openFromDisk reads a database's metadata and key and opens a view of
+// its pages. A heap written under another commitment than this build's
+// is refused here, by the version its first record names
+// (vo.ErrCommitmentVersion), not by the first audit or query that would
+// read a digest this build does not compute.
 func openFromDisk(pagePath, metaPath, pubPath string) (*reopenedDB, error) {
 	metaBlob, err := os.ReadFile(metaPath)
 	if err != nil {
@@ -182,16 +190,27 @@ func openFromDisk(pagePath, metaPath, pubPath string) (*reopenedDB, error) {
 	if err != nil {
 		return nil, err
 	}
-	heap, err := storage.OpenHeapFile(pool, meta.HeapPages)
-	if err != nil {
-		return nil, err
-	}
 	acc := digest.MustNew(digest.DefaultParams())
-	tree, err := vbtree.Open(vbtree.Config{
-		Pool: pool, Heap: heap, Schema: meta.Schema, Acc: acc, Pub: pub,
-	}, meta.Root, int(meta.Height), meta.RootSig)
+	st := vbtree.TableState{Root: meta.Root, Height: int(meta.Height), RootSig: meta.RootSig}
+	view, err := st.ViewOver(pool, meta.Schema, acc, pub)
 	if err != nil {
 		return nil, err
 	}
-	return &reopenedDB{tree: tree, sch: meta.Schema, acc: acc, pub: pub}, nil
+	if _, err := view.Tuples(nil, nil).Next(1); err != nil {
+		return nil, err
+	}
+	return &reopenedDB{view: view, rootSig: meta.RootSig, sch: meta.Schema, acc: acc, pub: pub}, nil
+}
+
+// audit recomputes every digest on the database's pages and checks the
+// root it gets against the root signature. It returns the tuple count.
+func (db *reopenedDB) audit() (int, error) {
+	n, root, err := db.view.Audit()
+	if err != nil {
+		return n, err
+	}
+	if err := db.pub.Verify(db.rootSig, root); err != nil {
+		return n, fmt.Errorf("root signature does not match the recomputed root digest: %w", err)
+	}
+	return n, nil
 }

@@ -42,7 +42,7 @@ func TestOpensDatabaseWrittenByParentCommit(t *testing.T) {
 	if db.pub.Scheme != sig.SchemeRSAMerkle {
 		t.Fatalf("fixture key is %v, want rsa-merkle", db.pub.Scheme)
 	}
-	n, err := db.tree.Audit()
+	n, err := db.audit()
 	if err != nil {
 		t.Fatalf("audit of the parent commit's pages: %v", err)
 	}
@@ -60,7 +60,7 @@ func TestOpensDatabaseWrittenByParentCommit(t *testing.T) {
 		{1000, 2000, nil}, // empty answer
 	} {
 		lo, hi := schema.Int64(q.lo), schema.Int64(q.hi)
-		rs, w, err := db.tree.RunQuery(context.Background(), vbtree.Query{Lo: &lo, Hi: &hi, Project: q.project})
+		rs, w, err := db.view.RunQuery(context.Background(), vbtree.Query{Lo: &lo, Hi: &hi, Project: q.project})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -267,10 +267,6 @@ type shard struct {
 	// without rescanning the shard. Installed and removed under mu.
 	tail *reshardTail
 
-	// rootDigest caches the unsigned root digest after each commit, so
-	// map republishes don't pay an RSA recovery per shard.
-	rootDigest digest.Value
-
 	// anchor memoizes the root signature of the last published version
 	// shipped (shipState). Its lock is its own, so
 	// no signature is made under mu.
@@ -497,9 +493,6 @@ func (s *Server) newShard(sch *schema.Schema, src vbtree.TupleSource, epoch, id 
 		return fail(err)
 	}
 	sh := &shard{id: id, tree: tree, pool: pool, heap: heap, log: log, store: store}
-	if sh.rootDigest, err = tree.RootDigest(); err != nil {
-		return fail(err)
-	}
 	// Publish the built shard as its baseline snapshot: every page of the
 	// pager becomes the read-path baseline.
 	pager := pool.Pager()
@@ -570,10 +563,10 @@ func (sh *shard) commitChange(version, lsn uint64, retention int) []storage.Page
 // publishShard copies the given (just-dirtied) pages out of the live
 // buffer pool into a copy-on-write overlay and publishes the result as
 // the shard's next immutable snapshot, carrying the tree anchor for the
-// committed version: the root digest sh.rootDigest holds — shipState
-// signs it when a replica is first shipped the version. Callers hold sh.mu (or
-// have exclusive access), which is what makes the copied pages a
-// consistent cut, and is why nothing here may sign.
+// committed version: the tree's root digest — shipState signs it when a
+// replica is first shipped the version. Callers hold sh.mu (or have
+// exclusive access), which is what makes the copied pages a consistent
+// cut, and is why nothing here may sign.
 func (s *Server) publishShard(sh *shard, version, epoch uint64, pages []storage.PageID) error {
 	ov := sh.store.Begin()
 	defer ov.Abort() // no-op once published
@@ -593,7 +586,7 @@ func (s *Server) publishShard(sh *shard, version, epoch uint64, pages []storage.
 	ov.Publish(&vbtree.TableState{
 		Root:       sh.tree.Root(),
 		Height:     sh.tree.Height(),
-		RootSig:    sig.Signature(sh.rootDigest),
+		RootSig:    sig.Signature(sh.tree.RootDigest()),
 		HeapPages:  sh.heap.Pages(),
 		KeyVersion: s.key.Public().Version,
 		Scheme:     s.key.Public().Scheme,
@@ -604,19 +597,14 @@ func (s *Server) publishShard(sh *shard, version, epoch uint64, pages []storage.
 }
 
 // commitShard finishes one shard's committed update: bumps the shard
-// version, refreshes the cached root digest, attributes journaled pages
-// to the changelog and publishes the snapshot. Callers hold sh.mu. A
-// publish failure does not undo the commit — the update is WAL-logged
-// and the version bumped — it only means the published snapshot lags, so
-// the pages are re-staged and the next successful publish carries them.
+// version, attributes journaled pages to the changelog and publishes the
+// snapshot. Callers hold sh.mu. A publish failure does not undo the
+// commit — the update is WAL-logged and the version bumped — it only
+// means the published snapshot lags, so the pages are re-staged and the
+// next successful publish carries them.
 func (s *Server) commitShard(t *table, sh *shard, lsn uint64) error {
 	sh.version++
 	s.stats.commits.Add(1)
-	rd, err := sh.tree.RootDigest()
-	if err != nil {
-		return fmt.Errorf("central: recovering root digest: %w", err)
-	}
-	sh.rootDigest = rd
 	pages := sh.commitChange(sh.version, lsn, s.retention())
 	if err := s.publishShard(sh, sh.version, t.epoch, pages); err != nil {
 		sh.pending = append(sh.pending, pages...)
@@ -636,7 +624,7 @@ func (sh *shard) stashJournal() {
 // given map version; KeyVersion and SignedAt are stamped when it is
 // signed. Callers either have exclusive access (AddTable, transitions
 // under partMu) or take brief shard read locks via lockShards to make
-// each (rootDigest, version) pair consistent.
+// each (root digest, version) pair consistent.
 func (s *Server) mapOf(t *table, p *partition, mapVersion uint64, lockShards bool) *shardmap.Map {
 	m := &shardmap.Map{
 		Table:       t.sch.Table,
@@ -651,7 +639,7 @@ func (s *Server) mapOf(t *table, p *partition, mapVersion uint64, lockShards boo
 			sh.mu.RLock()
 		}
 		m.Shards = append(m.Shards, shardmap.ShardState{
-			RootDigest: append([]byte(nil), sh.rootDigest...),
+			RootDigest: sh.tree.RootDigest(),
 			Version:    sh.version,
 			ID:         sh.id,
 		})
@@ -677,7 +665,7 @@ func storeMap(t *table, m *shardmap.Map) error {
 // republishMap publishes the shard map after one or more shard commits.
 // It must not be called while holding any shard write lock (commit paths
 // release their shards first); the brief read locks make each
-// (rootDigest, version) pair consistent. Callers on the write path hold
+// (root digest, version) pair consistent. Callers on the write path hold
 // partMu.RLock, so the partition cannot transition mid-republish.
 func (s *Server) republishMap(t *table) error {
 	t.commitMu.Lock()
@@ -759,16 +747,16 @@ func scanTuples(t *table) ([]schema.Tuple, error) {
 // scanShard reads one shard's full key-ordered tuple set.
 func scanShard(sh *shard) ([]schema.Tuple, error) {
 	sh.mu.RLock()
-	stored, err := sh.tree.ScanAll()
-	sh.mu.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]schema.Tuple, 0, len(stored))
-	for _, st := range stored {
-		out = append(out, st.Tuple)
-	}
-	return out, nil
+	defer sh.mu.RUnlock()
+	var out []schema.Tuple
+	err := sh.tree.Read(false, func(v *vbtree.View) error {
+		stored, err := v.ScanAll()
+		for _, st := range stored {
+			out = append(out, st.Tuple)
+		}
+		return err
+	})
+	return out, err
 }
 
 func (s *Server) table(name string) (*table, error) {

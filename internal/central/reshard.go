@@ -527,15 +527,9 @@ func (t *table) transitionStartVersion() uint64 {
 	return t.mapVersion + 1
 }
 
-// publishChild seats one transition child at a version: refresh its
-// cached root digest and publish a snapshot carrying the pages dirtied
-// since the last publish.
+// publishChild seats one transition child at a version: publish a
+// snapshot carrying the pages dirtied since the last publish.
 func (s *Server) publishChild(t *table, c *shard, version uint64) error {
-	rd, err := c.tree.RootDigest()
-	if err != nil {
-		return err
-	}
-	c.rootDigest = rd
 	return s.publishShard(c, version, t.epoch, c.pool.DrainJournal())
 }
 

@@ -1175,12 +1175,13 @@ func recoverPinned(pub *sig.PublicKey, rootSig, pinned []byte) error {
 
 // verifyAlignedStores cross-checks the shard stores against the map they
 // are about to be published with: each store's root signature must
-// recover, under the central key, to exactly the root digest the
-// verified map pins for that shard. One public-exponent RSA operation
-// per shard — the cost the central itself pays per commit for
-// Tree.RootDigest. This is the binding fetchSnapshot defers when a
-// racing commit leaves a central snapshot ahead of the map it was pulled
-// with.
+// authenticate, under the central key, exactly the root digest the
+// verified map pins for that shard — one signature check per shard, and
+// none for a binding the signature cache has already proven. The central
+// pays nothing comparable: it signs a root only when a replica first
+// pulls it, and reads the digest from its tree. This is the binding
+// fetchSnapshot defers when a racing commit leaves a central snapshot
+// ahead of the map it was pulled with.
 func (s *Server) verifyAlignedStores(ctx context.Context, sm *shardmap.Signed, stores []*storage.PageStore) error {
 	heads := make([]*vbtree.TableState, len(stores))
 	for i, store := range stores {

@@ -23,6 +23,7 @@ import (
 	"edgeauth/internal/storage"
 	"edgeauth/internal/vbtree"
 	"edgeauth/internal/verify"
+	"edgeauth/internal/vo"
 	"edgeauth/internal/workload"
 )
 
@@ -152,6 +153,16 @@ func (e *Env) rangeFor(sel float64) (lo, hi schema.Datum, qr int) {
 	return schema.Int64(l), schema.Int64(h), q
 }
 
+// Query answers q from a view of the env's tree, anchored at its root
+// signature: the answer an edge would ship.
+func (e *Env) Query(ctx context.Context, q vbtree.Query) (rs *vo.ResultSet, w *vo.VO, err error) {
+	err = e.Tree.Read(true, func(v *vbtree.View) error {
+		rs, w, err = v.RunQuery(ctx, q)
+		return err
+	})
+	return rs, w, err
+}
+
 // CommPoint measures the response bytes of both schemes for one
 // selectivity and projection width.
 type CommPoint struct {
@@ -167,7 +178,7 @@ type CommPoint struct {
 func (e *Env) MeasureComm(ctx context.Context, sel float64, qc int) (CommPoint, error) {
 	lo, hi, qr := e.rangeFor(sel)
 	project := workload.ProjectFirstN(e.Sch, qc)
-	rs, w, err := e.Tree.RunQuery(ctx, vbtree.Query{Lo: &lo, Hi: &hi, Project: project})
+	rs, w, err := e.Query(ctx, vbtree.Query{Lo: &lo, Hi: &hi, Project: project})
 	if err != nil {
 		return CommPoint{}, err
 	}
@@ -221,7 +232,7 @@ func (e *Env) MeasureOps(ctx context.Context, sel float64, qc int) (OpsPoint, er
 	out := OpsPoint{Selectivity: sel, QR: qr}
 
 	// VB scheme.
-	rs, w, err := e.Tree.RunQuery(ctx, vbtree.Query{Lo: &lo, Hi: &hi, Project: project})
+	rs, w, err := e.Query(ctx, vbtree.Query{Lo: &lo, Hi: &hi, Project: project})
 	if err != nil {
 		return out, err
 	}

@@ -75,8 +75,12 @@ func (e *Env) MeasuredFig9() costmodel.Figure {
 
 // BuiltShape returns the measured shape of the env's real tree (height,
 // fan-out, node counts) — the calibration evidence behind Figures 8–9.
-func (e *Env) BuiltShape() (vbtree.Stats, error) {
-	return e.Tree.Stats(8)
+func (e *Env) BuiltShape() (s vbtree.Stats, err error) {
+	err = e.Tree.Read(false, func(v *vbtree.View) error {
+		s, err = v.Stats(8)
+		return err
+	})
+	return s, err
 }
 
 // MeasuredFig10 runs the communication experiment for one Qc across the
@@ -370,8 +374,15 @@ func MeasureUpdates(cfg Config) ([]UpdatePoint, error) {
 		}
 	}
 	if err := measure("full recompute baseline (Audit)", func() error {
-		_, err := tree.Audit()
-		return err
+		rootSig := tree.RootSig()
+		var root digest.Value
+		if err := tree.Read(false, func(v *vbtree.View) (err error) {
+			_, root, err = v.Audit()
+			return err
+		}); err != nil {
+			return err
+		}
+		return pub.Verify(rootSig, root)
 	}); err != nil {
 		return nil, err
 	}

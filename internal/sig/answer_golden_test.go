@@ -31,9 +31,9 @@ import (
 
 // goldenView builds the table the goldens were captured over — 1,000
 // seeded rows on 1 KB pages, then a 40-row batch, one row wider than a
-// page (an overflow chain) and a 31-row delete — and returns a read view
-// of it with a fixed clock and key version, and the rsa-merkle key it is
-// signed under.
+// page (an overflow chain) and a 31-row delete — and returns a signed
+// read view of it with a fixed clock and key version, and the rsa-merkle
+// key it is signed under.
 func goldenView(t *testing.T) (*vbtree.View, *schema.Schema, *sig.PublicKey) {
 	t.Helper()
 	p, _ := new(big.Int).SetString("f2f0784a0c48e633d2f89450354b24ed", 16)
@@ -103,11 +103,10 @@ func goldenView(t *testing.T) (*vbtree.View, *schema.Schema, *sig.PublicKey) {
 	if tree.Height() != 3 {
 		t.Fatalf("height %d, want 3", tree.Height())
 	}
-	v, err := vbtree.NewView(vbtree.ViewConfig{
-		Pages: bp, HeapPages: heap.Pages(), Schema: sch, Acc: tree.Accumulator(), Pub: k.Public(), Now: now,
-		Root: tree.Root(), Height: tree.Height(), RootSig: tree.RootSig(),
-	})
-	if err != nil {
+	// The view keeps the tree's fixed clock. Nothing writes the tree after
+	// this, so the view stays valid once Read returns.
+	var v *vbtree.View
+	if err := tree.Read(true, func(rv *vbtree.View) error { v = rv; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	return v, sch, k.Public()

@@ -36,14 +36,15 @@ func DecodeRecordID(data []byte) (RecordID, error) {
 
 func (r RecordID) String() string { return fmt.Sprintf("%d:%d", r.Page, r.Slot) }
 
-// HeapFile stores variable-length records in slotted pages linked by
-// allocation order. It tracks the last page with free space for appends;
-// records never move once inserted, so RecordIDs are stable.
+// HeapFile writes variable-length records into slotted pages linked by
+// allocation order; a HeapReader reads them. It tracks the last page with
+// free space for appends; records never move once inserted, so RecordIDs
+// are stable.
 //
 // Records larger than a page spill into chained overflow pages: the slot
 // cell holds a one-byte tag, and oversized records store a descriptor
-// (total length + first overflow page) whose payload is reassembled on
-// Get. Overflow pages are dedicated to a single record.
+// (total length + first overflow page) whose payload a read reassembles.
+// Overflow pages are dedicated to a single record.
 type HeapFile struct {
 	bp      *BufferPool
 	pages   []PageID // slotted heap pages, in allocation order
@@ -69,16 +70,6 @@ func NewHeapFile(bp *BufferPool) (*HeapFile, error) {
 	id := f.ID()
 	bp.Unpin(f, true)
 	return &HeapFile{bp: bp, pages: []PageID{id}, current: id}, nil
-}
-
-// OpenHeapFile reattaches to heap pages recorded elsewhere (e.g. in pager
-// metadata).
-func OpenHeapFile(bp *BufferPool, pages []PageID) (*HeapFile, error) {
-	if len(pages) == 0 {
-		return nil, errors.New("storage: heap requires at least one page")
-	}
-	cp := append([]PageID(nil), pages...)
-	return &HeapFile{bp: bp, pages: cp, current: cp[len(cp)-1]}, nil
 }
 
 // Pages returns the heap's page ids in allocation order.
@@ -176,11 +167,6 @@ func (h *HeapFile) insertCell(cell []byte) (RecordID, error) {
 	return rid, nil
 }
 
-// Get returns a copy of the record at rid, reassembling overflow chains.
-func (h *HeapFile) Get(rid RecordID) ([]byte, error) {
-	return heapGet(h.bp, rid)
-}
-
 // Delete tombstones the record at rid.
 func (h *HeapFile) Delete(rid RecordID) error {
 	f, err := h.bp.Fetch(rid.Page)
@@ -191,31 +177,17 @@ func (h *HeapFile) Delete(rid RecordID) error {
 	return f.Page().DeleteCell(int(rid.Slot))
 }
 
-// Scan calls fn for every live record in heap order. fn's record slice is
-// only valid during the call. Scanning stops early if fn returns false.
-func (h *HeapFile) Scan(fn func(rid RecordID, rec []byte) bool) error {
-	return heapScan(h.bp, h.pages, fn)
-}
-
-// Count returns the number of live records (a full scan).
-func (h *HeapFile) Count() (int, error) {
-	n := 0
-	err := h.Scan(func(RecordID, []byte) bool { n++; return true })
-	return n, err
-}
-
-// HeapReader reads a heap file's records through any PageReader — in
-// particular an immutable Snapshot, which is how the lock-free query path
-// loads tuples while refreshes publish successor versions alongside.
+// HeapReader reads a heap file's records through any PageReader — an
+// immutable Snapshot, which is how the lock-free query path loads tuples
+// while refreshes publish successor versions alongside, or the writer's
+// BufferPool. It is the one reader of heap records.
 type HeapReader struct {
-	pr    PageReader
-	pages []PageID
+	pr PageReader
 }
 
-// NewHeapReader wraps a page view and the heap's page list (as recorded
-// in replica metadata).
-func NewHeapReader(pr PageReader, pages []PageID) *HeapReader {
-	return &HeapReader{pr: pr, pages: pages}
+// NewHeapReader reads records through a page view.
+func NewHeapReader(pr PageReader) *HeapReader {
+	return &HeapReader{pr: pr}
 }
 
 // View returns the record at rid without copying it: an inline record is
@@ -225,20 +197,6 @@ func NewHeapReader(pr PageReader, pages []PageID) *HeapReader {
 func (h *HeapReader) View(rid RecordID) ([]byte, error) {
 	rec, _, err := heapView(h.pr, rid)
 	return rec, err
-}
-
-// Scan calls fn for every live record in heap order, as HeapFile.Scan.
-func (h *HeapReader) Scan(fn func(rid RecordID, rec []byte) bool) error {
-	return heapScan(h.pr, h.pages, fn)
-}
-
-// heapGet returns a copy of one record read through a page view.
-func heapGet(pr PageReader, rid RecordID) ([]byte, error) {
-	rec, owned, err := heapView(pr, rid)
-	if err != nil || owned {
-		return rec, err
-	}
-	return append([]byte(nil), rec...), nil
 }
 
 // heapView reads one record through a page view; owned is false when rec
@@ -253,35 +211,6 @@ func heapView(pr PageReader, rid RecordID) (rec []byte, owned bool, err error) {
 		return nil, false, err
 	}
 	return resolveCell(pr, cell)
-}
-
-// heapScan walks the heap pages through a page view.
-func heapScan(pr PageReader, pages []PageID, fn func(rid RecordID, rec []byte) bool) error {
-	for _, pid := range pages {
-		buf, err := pr.View(pid)
-		if err != nil {
-			return err
-		}
-		p := AsPage(buf)
-		n := p.NumSlots()
-		for i := 0; i < n; i++ {
-			if p.IsDeleted(i) {
-				continue
-			}
-			cell, err := p.Cell(i)
-			if err != nil {
-				return err
-			}
-			rec, _, err := resolveCell(pr, cell)
-			if err != nil {
-				return err
-			}
-			if !fn(RecordID{Page: pid, Slot: uint16(i)}, rec) {
-				return nil
-			}
-		}
-	}
-	return nil
 }
 
 // resolveCell decodes a record cell. An inline record is returned as a
@@ -299,28 +228,66 @@ func resolveCell(pr PageReader, cell []byte) (rec []byte, owned bool, err error)
 			return nil, false, errors.New("storage: malformed overflow descriptor")
 		}
 		total := int(binary.BigEndian.Uint32(cell[1:5]))
-		next := PageID(binary.BigEndian.Uint32(cell[5:9]))
+		first := PageID(binary.BigEndian.Uint32(cell[5:9]))
+		if err := checkOverflow(pr, first, total); err != nil {
+			return nil, false, err
+		}
 		out := make([]byte, 0, total)
-		for next != InvalidPageID {
+		for next := first; next != InvalidPageID; {
 			buf, err := pr.View(next)
 			if err != nil {
 				return nil, false, err
 			}
-			n := int(binary.BigEndian.Uint16(buf[5:7]))
-			if overflowHeader+n > len(buf) {
-				return nil, false, errors.New("storage: corrupt overflow chunk")
+			var chunk []byte
+			if chunk, next, err = overflowChunk(buf); err != nil {
+				return nil, false, err
 			}
-			out = append(out, buf[overflowHeader:overflowHeader+n]...)
-			next = PageID(binary.BigEndian.Uint32(buf[1:5]))
-			if len(out) > total {
-				return nil, false, errors.New("storage: overflow chain longer than declared")
-			}
-		}
-		if len(out) != total {
-			return nil, false, fmt.Errorf("storage: overflow chain yields %d bytes, want %d", len(out), total)
+			out = append(out, chunk...)
 		}
 		return out, true, nil
 	default:
 		return nil, false, fmt.Errorf("storage: unknown record tag %d", cell[0])
 	}
+}
+
+// checkOverflow walks the overflow chain from first before anything is
+// copied out of it: every chunk but the last fills its page, as
+// HeapFile.writeOverflow writes them, and the chunks hold exactly total
+// bytes. A chain that loops never ends, so it fails once it passes total,
+// and a declared length is allocated only once pages hold it.
+func checkOverflow(pr PageReader, first PageID, total int) error {
+	n := 0
+	for next := first; next != InvalidPageID; {
+		buf, err := pr.View(next)
+		if err != nil {
+			return err
+		}
+		var chunk []byte
+		if chunk, next, err = overflowChunk(buf); err != nil {
+			return err
+		}
+		if next != InvalidPageID && len(chunk) != len(buf)-overflowHeader {
+			return errors.New("storage: overflow chunk short of its page before the end of the chain")
+		}
+		if n += len(chunk); n > total {
+			return errors.New("storage: overflow chain longer than declared")
+		}
+	}
+	if n != total {
+		return fmt.Errorf("storage: overflow chain yields %d bytes, want %d", n, total)
+	}
+	return nil
+}
+
+// overflowChunk parses an overflow page: its chunk, in place, and the
+// next page of the chain.
+func overflowChunk(buf []byte) (chunk []byte, next PageID, err error) {
+	if len(buf) < overflowHeader {
+		return nil, 0, errors.New("storage: overflow page truncated")
+	}
+	n := int(binary.BigEndian.Uint16(buf[5:7]))
+	if overflowHeader+n > len(buf) {
+		return nil, 0, errors.New("storage: corrupt overflow chunk")
+	}
+	return buf[overflowHeader : overflowHeader+n], PageID(binary.BigEndian.Uint32(buf[1:5])), nil
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -458,6 +459,13 @@ func newTestHeap(t *testing.T) *HeapFile {
 	return h
 }
 
+// readRecord reads the record at rid through a HeapReader over the
+// heap's pool, copied out of the page.
+func readRecord(h *HeapFile, rid RecordID) ([]byte, error) {
+	rec, err := NewHeapReader(h.bp).View(rid)
+	return bytes.Clone(rec), err
+}
+
 func TestHeapInsertGet(t *testing.T) {
 	h := newTestHeap(t)
 	recs := make(map[RecordID][]byte)
@@ -472,25 +480,21 @@ func TestHeapInsertGet(t *testing.T) {
 	if len(h.Pages()) < 2 {
 		t.Fatal("expected heap to span multiple pages")
 	}
+	if len(recs) != 50 {
+		t.Fatalf("%d distinct record ids for 50 inserts", len(recs))
+	}
 	for rid, want := range recs {
-		got, err := h.Get(rid)
+		got, err := readRecord(h, rid)
 		if err != nil {
-			t.Fatalf("Get(%v): %v", rid, err)
+			t.Fatalf("View(%v): %v", rid, err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("Get(%v) = %q, want %q", rid, got, want)
+			t.Fatalf("View(%v) = %q, want %q", rid, got, want)
 		}
-	}
-	n, err := h.Count()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 50 {
-		t.Fatalf("Count = %d, want 50", n)
 	}
 }
 
-func TestHeapDeleteAndScan(t *testing.T) {
+func TestHeapDelete(t *testing.T) {
 	h := newTestHeap(t)
 	var rids []RecordID
 	for i := 0; i < 10; i++ {
@@ -505,37 +509,17 @@ func TestHeapDeleteAndScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var seen []byte
-	if err := h.Scan(func(_ RecordID, rec []byte) bool {
-		seen = append(seen, rec[0])
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(seen, []byte{1, 3, 5, 7, 9}) {
-		t.Fatalf("survivors = %v", seen)
-	}
-	if _, err := h.Get(rids[0]); err == nil {
-		t.Fatal("Get of deleted record succeeded")
-	}
-}
-
-func TestHeapScanEarlyStop(t *testing.T) {
-	h := newTestHeap(t)
-	for i := 0; i < 5; i++ {
-		if _, err := h.Insert([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
+	for i, rid := range rids {
+		got, err := readRecord(h, rid)
+		if i%2 == 0 {
+			if err == nil {
+				t.Fatalf("deleted record %d still readable: %v", i, got)
+			}
+			continue
 		}
-	}
-	count := 0
-	if err := h.Scan(func(RecordID, []byte) bool {
-		count++
-		return count < 3
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count != 3 {
-		t.Fatalf("scan visited %d records, want 3", count)
+		if err != nil || !bytes.Equal(got, []byte{byte(i)}) {
+			t.Fatalf("survivor %d = %v, %v", i, got, err)
+		}
 	}
 }
 
@@ -568,37 +552,79 @@ func TestHeapOverflowRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range all {
-		got, err := h.Get(s.rid)
+		got, err := readRecord(h, s.rid)
 		if err != nil {
-			t.Fatalf("Get(%d bytes): %v", len(s.rec), err)
+			t.Fatalf("View(%d bytes): %v", len(s.rec), err)
 		}
 		if !bytes.Equal(got, s.rec) {
 			t.Fatalf("overflow record of %d bytes corrupted", len(s.rec))
 		}
 	}
-	if got, err := h.Get(smallRid); err != nil || string(got) != "small" {
+	if got, err := readRecord(h, smallRid); err != nil || string(got) != "small" {
 		t.Fatalf("small record after overflow: %q %v", got, err)
-	}
-	// Scan resolves overflow chains too.
-	seen := 0
-	if err := h.Scan(func(rid RecordID, rec []byte) bool {
-		seen++
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if seen != len(all)+1 {
-		t.Fatalf("scan saw %d records, want %d", seen, len(all)+1)
 	}
 	// Deleting an overflow record's descriptor hides it.
 	if err := h.Delete(all[2].rid); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Get(all[2].rid); err == nil {
+	if _, err := readRecord(h, all[2].rid); err == nil {
 		t.Fatal("deleted overflow record still readable")
 	}
 }
 
+// TestHeapReaderRejectsHostileOverflow: an overflow descriptor and chain
+// come off pages a replica did not write. A chain that loops back on
+// itself, one that stops short of its declared length, and a descriptor
+// declaring gigabytes over one page all fail the read, at no more cost
+// than the pages they name.
+func TestHeapReaderRejectsHostileOverflow(t *testing.T) {
+	h := newTestHeap(t) // 256-byte pages
+	rec := bytes.Repeat([]byte{0xAB}, 1000)
+	rid, err := h.Insert(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := func(id PageID) []byte {
+		f, err := h.bp.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.bp.Unpin(f, true)
+		return f.Page().Bytes()
+	}
+	cell, err := AsPage(page(rid.Page)).Cell(int(rid.Slot))
+	if err != nil || cell[0] != recOverflow {
+		t.Fatalf("a 1000-byte record on 256-byte pages is not an overflow record (%v)", err)
+	}
+	first := PageID(binary.BigEndian.Uint32(cell[5:9]))
+	second := PageID(binary.BigEndian.Uint32(page(first)[1:5]))
+
+	for _, tc := range []struct {
+		name   string
+		mutate func()
+	}{
+		{"loop", func() { binary.BigEndian.PutUint32(page(second)[1:5], uint32(first)) }},
+		{"short chain", func() { binary.BigEndian.PutUint32(page(second)[1:5], uint32(InvalidPageID)) }},
+		{"short chunk", func() { binary.BigEndian.PutUint16(page(first)[5:7], 10) }},
+		{"4 GB declared", func() { binary.BigEndian.PutUint32(cell[1:5], 1<<32-1) }},
+	} {
+		saved := [][]byte{bytes.Clone(page(rid.Page)), bytes.Clone(page(first)), bytes.Clone(page(second))}
+		tc.mutate()
+		if got, err := readRecord(h, rid); err == nil {
+			t.Errorf("%s: read %d bytes, want an error", tc.name, len(got))
+		}
+		copy(page(rid.Page), saved[0])
+		copy(page(first), saved[1])
+		copy(page(second), saved[2])
+		if got, err := readRecord(h, rid); err != nil || !bytes.Equal(got, rec) {
+			t.Fatalf("%s: restored record reads %d bytes, %v", tc.name, len(got), err)
+		}
+	}
+}
+
+// TestHeapReopen: records stay readable by their ids after the pool that
+// wrote them is gone — a reader over a fresh pool on the same pager reads
+// them, as a replica reads the page ids its metadata records.
 func TestHeapReopen(t *testing.T) {
 	mem, _ := NewMemPager(256)
 	bp, _ := NewBufferPool(mem, 8)
@@ -610,21 +636,19 @@ func TestHeapReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pages := h.Pages()
-
-	h2, err := OpenHeapFile(bp, pages)
+	if err := bp.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	bp2, err := NewBufferPool(mem, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := h2.Get(rid)
+	got, err := NewHeapReader(bp2).View(rid)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != "survivor" {
-		t.Fatalf("reopened heap Get = %q", got)
-	}
-	if _, err := OpenHeapFile(bp, nil); err == nil {
-		t.Fatal("OpenHeapFile with no pages accepted")
+		t.Fatalf("reopened heap View = %q", got)
 	}
 }
 
@@ -632,6 +656,7 @@ func TestHeapRandomizedWorkload(t *testing.T) {
 	h := newTestHeap(t)
 	rng := rand.New(rand.NewSource(42))
 	live := make(map[RecordID][]byte)
+	var deleted []RecordID
 	for op := 0; op < 500; op++ {
 		if len(live) == 0 || rng.Intn(3) > 0 {
 			rec := make([]byte, 1+rng.Intn(40))
@@ -647,24 +672,26 @@ func TestHeapRandomizedWorkload(t *testing.T) {
 					t.Fatal(err)
 				}
 				delete(live, rid)
+				deleted = append(deleted, rid)
 				break
 			}
 		}
 	}
-	n, err := h.Count()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(live) {
-		t.Fatalf("Count = %d, want %d", n, len(live))
-	}
 	for rid, want := range live {
-		got, err := h.Get(rid)
+		got, err := readRecord(h, rid)
 		if err != nil {
-			t.Fatalf("Get(%v): %v", rid, err)
+			t.Fatalf("View(%v): %v", rid, err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("Get(%v) mismatch", rid)
+			t.Fatalf("View(%v) mismatch", rid)
+		}
+	}
+	for _, rid := range deleted {
+		if _, reused := live[rid]; reused {
+			continue
+		}
+		if _, err := readRecord(h, rid); err == nil {
+			t.Fatalf("deleted record %v still readable", rid)
 		}
 	}
 }

@@ -77,7 +77,7 @@ func (h *harness) freshResponse(t *testing.T, projected bool) (*vo.ResultSet, *v
 	if projected {
 		q.Project = []string{"id", "cat"}
 	}
-	rs, w, err := h.tree.RunQuery(context.Background(), q)
+	rs, w, err := h.query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,6 +85,16 @@ func (h *harness) freshResponse(t *testing.T, projected bool) (*vo.ResultSet, *v
 		t.Fatalf("baseline verification failed: %v", err)
 	}
 	return rs, w
+}
+
+// query answers q as an edge would: from a view of the tree's pages,
+// anchored at its root signature.
+func (h *harness) query(q vbtree.Query) (rs *vo.ResultSet, w *vo.VO, err error) {
+	err = h.tree.Read(true, func(v *vbtree.View) error {
+		rs, w, err = v.RunQuery(context.Background(), q)
+		return err
+	})
+	return rs, w, err
 }
 
 func TestCatalogueIsValid(t *testing.T) {
@@ -217,7 +227,7 @@ func TestEveryAttackIsDetectedUnprojected(t *testing.T) {
 func TestAttacksOnEmptyResultMostlyInapplicable(t *testing.T) {
 	h := newHarness(t, 100)
 	lo, hi := schema.Int64(5000), schema.Int64(6000)
-	rs, w, err := h.tree.RunQuery(context.Background(), vbtree.Query{Lo: &lo, Hi: &hi})
+	rs, w, err := h.query(vbtree.Query{Lo: &lo, Hi: &hi})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,7 @@ func TestAnchorRootPinsEnvelope(t *testing.T) {
 	if height < 2 {
 		t.Fatalf("need a multi-level tree, height = %d", height)
 	}
-	rd, err := h.tree.RootDigest()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rd := h.tree.RootDigest()
 
 	narrow := Query{Lo: i64(42), Hi: i64(43)}
 	rs, w := h.query(t, narrow)

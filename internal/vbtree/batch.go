@@ -60,9 +60,6 @@ type BatchStats struct {
 // inconsistent. Tuples that fail individually (duplicate key, schema
 // mismatch, oversized entry) do not abort the rest of the batch.
 func (t *Tree) InsertBatch(tuples []schema.Tuple) (BatchStats, []error, error) {
-	if t.signer == nil {
-		return BatchStats{}, nil, ErrReadOnly
-	}
 	if len(tuples) == 0 {
 		return BatchStats{}, nil, nil
 	}
@@ -132,7 +129,7 @@ type preparedTuple struct {
 func (t *Tree) prepareTuples(tuples []schema.Tuple, opErrs []error) []preparedTuple {
 	prep := make([]preparedTuple, len(tuples))
 	parallel(len(tuples), t.buildPar, func(i int) {
-		digests, ut, err := t.tupleDigests(tuples[i])
+		digests, ut, err := tupleDigests(t.acc, t.sch, tuples[i])
 		if err != nil {
 			opErrs[i] = opError(err)
 			return

@@ -1,7 +1,6 @@
 package vbtree
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -105,7 +104,7 @@ func TestInsertBatchMatchesPerTuple(t *testing.T) {
 	if perTuple.Height() != batched.Height() {
 		t.Fatalf("heights diverge: %d vs %d", perTuple.Height(), batched.Height())
 	}
-	if _, err := batched.Audit(); err != nil {
+	if _, err := audit(batched); err != nil {
 		t.Fatalf("audit after batch: %v", err)
 	}
 }
@@ -133,12 +132,12 @@ func TestInsertBatchVerifiesEndToEnd(t *testing.T) {
 	if stats.Applied != len(rows) {
 		t.Fatalf("applied %d of %d", stats.Applied, len(rows))
 	}
-	if n, err := tree.Audit(); err != nil || n != len(tuples)+len(rows) {
+	if n, err := audit(tree); err != nil || n != len(tuples)+len(rows) {
 		t.Fatalf("audit: n=%d err=%v, want %d tuples", n, err, len(tuples)+len(rows))
 	}
 
 	lo, hi := schema.Int64(50_010), schema.Int64(50_030)
-	rs, w, err := tree.RunQuery(context.Background(), Query{Lo: &lo, Hi: &hi})
+	rs, w, err := runQuery(tree, Query{Lo: &lo, Hi: &hi})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,11 +193,17 @@ func TestInsertBatchSignerCounting(t *testing.T) {
 	if signs := ctr.Snapshot().SignOps; signs != 0 {
 		t.Fatalf("8 single inserts spent %d signatures, want none", signs)
 	}
-	if _, err := tree.Audit(); err != nil {
+	if _, err := audit(tree); err != nil {
+		t.Fatal(err)
+	}
+	if signs := ctr.Snapshot().SignOps; signs != 0 {
+		t.Fatalf("an audit after 8 inserts spent %d signatures, want none: it ships no VO", signs)
+	}
+	if _, _, err := runQuery(tree, Query{}); err != nil {
 		t.Fatal(err)
 	}
 	if signs := ctr.Snapshot().SignOps; signs != 1 {
-		t.Fatalf("an audit after 8 inserts spent %d signatures, want the root's 1", signs)
+		t.Fatalf("a query after 8 inserts spent %d signatures, want the root's 1", signs)
 	}
 }
 
@@ -235,12 +240,12 @@ func TestInsertBatchPerOpErrors(t *testing.T) {
 	if opErrs[4] == nil {
 		t.Fatal("wrong-arity tuple accepted")
 	}
-	if _, err := tree.Audit(); err != nil {
+	if _, err := audit(tree); err != nil {
 		t.Fatalf("audit after partial batch: %v", err)
 	}
 	// The applied rows are queryable; the failed ones did not corrupt.
 	for _, id := range []int64{40_000, 40_001, 40_003} {
-		if _, found, err := tree.Search(schema.Int64(id)); err != nil || !found {
+		if _, found, err := search(tree, schema.Int64(id)); err != nil || !found {
 			t.Fatalf("row %d missing after batch (err=%v)", id, err)
 		}
 	}
@@ -273,16 +278,12 @@ func TestInsertBatchEmptyAndReadOnly(t *testing.T) {
 		t.Fatal("no-op batch changed the root signature")
 	}
 
-	// Edge replicas cannot batch-insert.
+	// A replica has no tree to batch-insert into: without a signer there
+	// is no Tree, only a View of one.
 	k := batchSigner(t)
-	replica, err := Open(Config{
-		Pool: tree.bp, Heap: tree.heap, Schema: tree.sch, Acc: tree.acc, Pub: k.Public(),
-	}, tree.Root(), tree.Height(), tree.RootSig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := replica.InsertBatch([]schema.Tuple{batchRow(sch, 60_000)}); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("read-only batch insert: %v, want ErrReadOnly", err)
+	cfg := Config{Pool: tree.bp, Heap: tree.heap, Schema: tree.sch, Acc: tree.acc, Pub: k.Public()}
+	if _, err := Build(cfg, []schema.Tuple{batchRow(sch, 60_000)}, 1.0); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("signer-less build: %v, want ErrReadOnly", err)
 	}
 }
 
@@ -344,7 +345,7 @@ func TestInsertCostIsFormula11(t *testing.T) {
 	for _, scheme := range []sig.Scheme{sig.SchemeRSAMerkle, sig.SchemeEd25519} {
 		for _, rows := range []int{200, 2000} {
 			tree, sch, ctr := newSchemeTree(t, scheme, rows, 0.7)
-			before, err := tree.Stats(9)
+			before, err := stats(tree, 9)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -355,7 +356,7 @@ func TestInsertCostIsFormula11(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := ctr.Snapshot()
-			after, err := tree.Stats(9)
+			after, err := stats(tree, 9)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -428,7 +429,7 @@ func TestSplittingInsertCostsNoMoreThanParent(t *testing.T) {
 		{sig.SchemeRSAMerkle, 2000, false, [4]int64{26, 0, 0, 1}},
 	} {
 		tree, sch, ctr := newSchemeTree(t, tc.scheme, tc.rows, 1.0)
-		before, err := tree.Stats(9)
+		before, err := stats(tree, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -437,7 +438,7 @@ func TestSplittingInsertCostsNoMoreThanParent(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := ctr.Snapshot()
-		after, err := tree.Stats(9)
+		after, err := stats(tree, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,7 +451,7 @@ func TestSplittingInsertCostsNoMoreThanParent(t *testing.T) {
 				t.Errorf("%v/%d: splitting insert spent %d %s, ceiling %d", tc.scheme, tc.rows, got[i], name, tc.ceil[i])
 			}
 		}
-		if _, err := tree.Audit(); err != nil {
+		if _, err := audit(tree); err != nil {
 			t.Fatalf("%v/%d: audit after split: %v", tc.scheme, tc.rows, err)
 		}
 	}
@@ -482,17 +483,11 @@ func TestInsertBatchRandomMatchesOneAtATime(t *testing.T) {
 						t.Fatalf("round %d op %d: batched error %v, one at a time %v", round, i, opErrs[i], err)
 					}
 				}
-				if _, err := batched.Audit(); err != nil {
+				if _, err := audit(batched); err != nil {
 					t.Fatalf("round %d (%d tuples): audit: %v", round, len(rows), err)
 				}
-				bu, err := batched.RootDigest()
-				if err != nil {
-					t.Fatal(err)
-				}
-				su, err := single.RootDigest()
-				if err != nil {
-					t.Fatal(err)
-				}
+				bu := batched.RootDigest()
+				su := single.RootDigest()
 				if !bu.Equal(su) {
 					t.Fatalf("round %d (%d tuples): batched root %v, one at a time %v", round, len(rows), bu, su)
 				}

@@ -60,9 +60,6 @@ func BuildFromSource(cfg Config, fill float64, chunkSize int, src TupleSource, o
 	if err != nil {
 		return nil, err
 	}
-	if t.signer == nil {
-		return nil, ErrReadOnly
-	}
 	if fill <= 0 || fill > 1 {
 		return nil, fmt.Errorf("vbtree: fill factor %v out of (0,1]", fill)
 	}

@@ -86,14 +86,11 @@ func TestOrderedRootSurvivesMutations(t *testing.T) {
 				t.Log(err)
 				return false
 			}
-			if _, err := h.tree.Audit(); err != nil {
+			if _, err := audit(h.tree); err != nil {
 				t.Logf("%v, seed %d: %v", scheme, seed, err)
 				return false
 			}
-			u, err := h.tree.RootDigest()
-			if err != nil {
-				return false
-			}
+			u := h.tree.RootDigest()
 			if err := h.key.Public().Verify(h.tree.RootSig(), u); err != nil {
 				t.Logf("%v, seed %d: root signature: %v", scheme, seed, err)
 				return false
@@ -134,10 +131,7 @@ func TestMerkleBatchSignsOnlyRoot(t *testing.T) {
 	if !merkle.tree.RootSig().Equal(first) || ctr.SignOps.Load() != 1 {
 		t.Fatalf("two RootSig calls after the commit signed %d times, want the root once", ctr.SignOps.Load())
 	}
-	u, err := merkle.tree.RootDigest()
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := merkle.tree.RootDigest()
 	if err := merkle.key.Public().Verify(first, u); err != nil {
 		t.Fatalf("the root signature does not authenticate the root digest: %v", err)
 	}
@@ -158,10 +152,10 @@ func TestMerkleTreesStayVerifiable(t *testing.T) {
 			if _, err := h.tree.DeleteRange(i64(20), i64(29)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := h.tree.Audit(); err != nil {
+			if _, err := audit(h.tree); err != nil {
 				t.Fatal(err)
 			}
-			rs, w, err := h.tree.RunQuery(context.Background(), Query{Lo: i64(10), Hi: i64(60)})
+			rs, w, err := runQuery(h.tree, Query{Lo: i64(10), Hi: i64(60)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,13 +187,12 @@ func TestViewSharedByConcurrentQueries(t *testing.T) {
 	params.Counters = &counters
 	view := func() *View {
 		tr := h.tree
-		v, err := NewView(ViewConfig{
-			Pages: tr.bp, HeapPages: tr.heap.Pages(), Schema: tr.sch, Acc: digest.MustNew(params),
-			Pub: tr.pub, Now: tr.now, Root: tr.root, Height: tr.height, RootSig: tr.RootSig(),
-		})
+		st := TableState{Root: tr.root, Height: tr.height, RootSig: tr.RootSig()}
+		v, err := st.ViewOver(tr.bp, tr.sch, digest.MustNew(params), tr.pub)
 		if err != nil {
 			t.Fatal(err)
 		}
+		v.now = tr.now
 		return v
 	}
 	queries := make([]Query, 12)
@@ -265,7 +258,7 @@ func TestViewSharedByConcurrentQueries(t *testing.T) {
 // one leaf fails it.
 func TestAuditChecksStoredGroupDigests(t *testing.T) {
 	h := newSchemeHarness(t, 300, 1024, sig.SchemeRSAMerkle)
-	if _, err := h.tree.Audit(); err != nil {
+	if _, err := audit(h.tree); err != nil {
 		t.Fatal(err)
 	}
 	// The leftmost leaf, packed full: more entries than one group holds.
@@ -294,7 +287,7 @@ func TestAuditChecksStoredGroupDigests(t *testing.T) {
 	}
 	c.groups[len(c.groups)-1] ^= 1
 	h.tree.bp.Unpin(f, true)
-	if _, err := h.tree.Audit(); err == nil || !strings.Contains(err.Error(), "group digests") {
+	if _, err := audit(h.tree); err == nil || !strings.Contains(err.Error(), "group digests") {
 		t.Fatalf("audit over a flipped group digest: %v", err)
 	}
 }

@@ -88,7 +88,7 @@ func TestCapacityFormulasMatchBuild(t *testing.T) {
 	} {
 		tree := buildEd25519(t, tc.rows, tc.pageSize)
 		keyLen := len(schema.Int64(0).KeyBytes())
-		st, err := tree.Stats(keyLen)
+		st, err := stats(tree, keyLen)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package vbtree
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -72,7 +71,7 @@ func TestPropertyRandomOpsStayVerifiable(t *testing.T) {
 			case 3: // verified query over a random range
 				lo := rng.Intn(500)
 				hi := lo + rng.Intn(100)
-				rs, w, err := h.tree.RunQuery(context.Background(), Query{Lo: i64(lo), Hi: i64(hi)})
+				rs, w, err := runQuery(h.tree, Query{Lo: i64(lo), Hi: i64(hi)})
 				if err != nil {
 					t.Logf("seed %d: query: %v", seed, err)
 					return false
@@ -95,7 +94,7 @@ func TestPropertyRandomOpsStayVerifiable(t *testing.T) {
 			}
 		}
 		// Final invariant: full audit passes and counts match the model.
-		n, err := h.tree.Audit()
+		n, err := audit(h.tree)
 		if err != nil {
 			t.Logf("seed %d: audit: %v", seed, err)
 			return false
@@ -124,7 +123,7 @@ func TestPropertyProjectionSubsetsVerify(t *testing.T) {
 				project = append(project, c)
 			}
 		}
-		rs, w, err := h.tree.RunQuery(context.Background(), Query{Lo: i64(30), Hi: i64(60), Project: project})
+		rs, w, err := runQuery(h.tree, Query{Lo: i64(30), Hi: i64(60), Project: project})
 		if err != nil {
 			t.Fatalf("projection %v: %v", project, err)
 		}
@@ -151,7 +150,7 @@ func TestPropertyQueryBoundaryAlignment(t *testing.T) {
 	h := newHarness(t, 200, 1024, false)
 	for lo := 0; lo < 40; lo++ {
 		for width := 0; width < 25; width += 3 {
-			rs, w, err := h.tree.RunQuery(context.Background(), Query{Lo: i64(lo), Hi: i64(lo + width)})
+			rs, w, err := runQuery(h.tree, Query{Lo: i64(lo), Hi: i64(lo + width)})
 			if err != nil {
 				t.Fatalf("[%d,%d]: %v", lo, lo+width, err)
 			}
@@ -180,7 +179,7 @@ func TestConcurrentQueriesDuringUpdates(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 15; i++ {
 				lo, hi := g*80, g*80+40
-				rs, w, err := h.tree.RunQuery(context.Background(), Query{Lo: i64(lo), Hi: i64(hi)})
+				rs, w, err := runQuery(h.tree, Query{Lo: i64(lo), Hi: i64(hi)})
 				if err != nil {
 					errs <- err
 					return
@@ -211,7 +210,7 @@ func TestConcurrentQueriesDuringUpdates(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if _, err := h.tree.Audit(); err != nil {
+	if _, err := audit(h.tree); err != nil {
 		t.Fatalf("audit after concurrent run: %v", err)
 	}
 }
@@ -259,7 +258,7 @@ func TestKeyColumnAnywhereVerifies(t *testing.T) {
 					cols = append(cols, ci)
 				}
 			}
-			rs, w, err := tree.RunQuery(context.Background(), Query{Lo: i64(10), Hi: i64(20), Project: project})
+			rs, w, err := runQuery(tree, Query{Lo: i64(10), Hi: i64(20), Project: project})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,11 +1,8 @@
 package vbtree
 
 import (
-	"context"
-
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
-	"edgeauth/internal/vo"
 )
 
 // Query describes a selection/projection over the indexed table.
@@ -31,67 +28,29 @@ type Query struct {
 	AnchorRoot bool
 }
 
-// The Tree's read operations delegate to a View over the live buffer
-// pool, holding the tree's read lock for the duration — the classic
-// shared-mutable-pages mode used where the tree is also being updated in
-// place (the central build path, disk-backed tools). Replicas instead
-// construct Views directly over pinned immutable snapshots and take no
-// locks at all; see NewView.
-
-// viewLocked assembles the read view anchored at rootSig: the root
-// digest serves a view that only reads tuples, a view whose VOs ship
-// needs the root's signature (rootSigLocked). Callers hold t.mu.
-func (t *Tree) viewLocked(rootSig sig.Signature) (*View, error) {
-	return NewView(ViewConfig{
-		Pages:     t.bp,
-		HeapPages: t.heap.Pages(),
-		Schema:    t.sch,
-		Acc:       t.acc,
-		Pub:       t.pub,
-		Now:       t.now,
-		Root:      t.root,
-		Height:    t.height,
-		RootSig:   rootSig,
-	})
-}
-
-// Search returns the stored tuple with the given key, or found=false.
-func (t *Tree) Search(key schema.Datum) (*vo.StoredTuple, bool, error) {
+// Read runs fn on a View of the tree's live pages, holding the tree's
+// read lock until fn returns, so no write changes a page under it; the
+// view must not be used after fn returns. A view whose VOs ship is
+// anchored at the root's signature (signed, which mints it when the root
+// changed since it was last asked for, as RootSig does); a view that only
+// reads tuples, walks the shape or audits is anchored at the root digest,
+// and the read signs nothing. Replicas read pinned snapshots through
+// TableState.ViewOver instead, and take no lock at all.
+func (t *Tree) Read(signed bool, fn func(v *View) error) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	v, err := t.viewLocked(sig.Signature(t.rootU))
-	if err != nil {
-		return nil, false, err
+	anchor := sig.Signature(t.rootU)
+	if signed {
+		var err error
+		if anchor, err = t.rootSigLocked(); err != nil {
+			return err
+		}
 	}
-	return v.Search(key)
-}
-
-// RunQuery executes q and returns the verifiable result: the projected
-// tuples and the VO proving them against the signed root (paper §3.3). ctx is
-// checked between page visits, so a cancelled caller stops the traversal
-// and VO crypto early.
-func (t *Tree) RunQuery(ctx context.Context, q Query) (*vo.ResultSet, *vo.VO, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	rs, err := t.rootSigLocked()
+	st := TableState{Root: t.root, Height: t.height, RootSig: anchor}
+	v, err := st.ViewOver(t.bp, t.sch, t.acc, t.pub)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	v, err := t.viewLocked(rs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return v.RunQuery(ctx, q)
-}
-
-// ScanAll returns every stored tuple in key order (a full-table helper for
-// examples and tests; not part of the authenticated protocol).
-func (t *Tree) ScanAll() ([]*vo.StoredTuple, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	v, err := t.viewLocked(sig.Signature(t.rootU))
-	if err != nil {
-		return nil, err
-	}
-	return v.ScanAll()
+	v.now = t.now
+	return fn(v)
 }

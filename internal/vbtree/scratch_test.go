@@ -29,6 +29,17 @@ func scratchQueries() []Query {
 	}
 }
 
+// liveView returns a view of the tree's live pages (Tree.Read), for a test
+// that writes nothing to the tree while it reads.
+func liveView(t testing.TB, tree *Tree, signed bool) *View {
+	t.Helper()
+	var v *View
+	if err := tree.Read(signed, func(rv *View) error { v = rv; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 // TestWalkScratchIsSharedSafely: the scratch AppendAnswer recycles through
 // walkScratchPool changes no answer, whichever traversal used it last and
 // however many run at once.
@@ -37,14 +48,10 @@ func TestWalkScratchIsSharedSafely(t *testing.T) {
 	defer func() { walkScratchPool = sync.Pool{New: func() any { return new(walkScratch) }} }()
 	for _, scheme := range []sig.Scheme{sig.SchemeRSAMerkle, sig.SchemeEd25519} {
 		h := newSchemeHarness(t, 300, 1024, scheme)
-		h.tree.mu.RLock()
-		v, err := h.tree.viewLocked(sig.Signature(h.tree.rootU))
-		h.tree.mu.RUnlock()
-		if err != nil {
-			t.Fatal(err)
-		}
+		v := liveView(t, h.tree, false)
 		queries := scratchQueries()
 		want := make([][]byte, len(queries))
+		var err error
 		for i, q := range queries {
 			// A fresh scratch for every reference answer.
 			walkScratchPool = sync.Pool{New: func() any { return new(walkScratch) }}
@@ -83,12 +90,7 @@ func TestWalkScratchIsSharedSafely(t *testing.T) {
 // been recycled.
 func TestWalkScratchRecyclesNoPageReference(t *testing.T) {
 	h := newHarness(t, 300, 1024, false)
-	h.tree.mu.RLock()
-	v, err := h.tree.viewLocked(sig.Signature(h.tree.rootU))
-	h.tree.mu.RUnlock()
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := liveView(t, h.tree, false)
 	var used []*walkScratch
 	walkScratchPool = sync.Pool{New: func() any {
 		sc := new(walkScratch)
@@ -170,10 +172,7 @@ func BenchmarkAnswerRange256(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	v, err := tree.viewLocked(tree.RootSig())
-	if err != nil {
-		b.Fatal(err)
-	}
+	v := liveView(b, tree, true)
 	q := Query{Lo: i64(1000), Hi: i64(1255), Project: workload.ProjectFirstN(sch, 3)}
 	ctx := context.Background()
 	buf, voBytes, err := v.AppendAnswer(ctx, q, nil)

@@ -24,13 +24,11 @@ func (t *Tree) Delete(key schema.Datum) error {
 // and returns how many were removed. Following the paper, the transaction
 // X-locks all digests on the paths to the affected leaves, deletes the
 // tuples, then recomputes the digests back up to the root. Nodes are
-// detached only when they become empty.
+// detached only when they become empty, and the leaf before the detached
+// leaves then names the one after them as its next.
 func (t *Tree) DeleteRange(lo, hi *schema.Datum) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.signer == nil {
-		return 0, ErrReadOnly
-	}
 	var loB, hiB []byte
 	if lo != nil {
 		loB = lo.KeyBytes()
@@ -43,7 +41,8 @@ func (t *Tree) DeleteRange(lo, hi *schema.Datum) (int, error) {
 		txn = t.locks.Begin()
 		defer t.locks.ReleaseAll(txn)
 	}
-	res, err := t.deleteAt(t.root, t.height, loB, hiB, txn)
+	var chain chainGap
+	res, err := t.deleteAt(t.root, t.height, loB, hiB, txn, &chain)
 	if err != nil {
 		return 0, err
 	}
@@ -58,6 +57,9 @@ func (t *Tree) DeleteRange(lo, hi *schema.Datum) (int, error) {
 		return res.removed, nil
 	}
 	t.setRoot(res.newU)
+	if err := t.closeGap(&chain, txn); err != nil {
+		return 0, err
+	}
 	// Collapse trivial roots (an internal root with a single child): the
 	// child's stored entry is its digest.
 	for {
@@ -88,9 +90,53 @@ type deleteResult struct {
 	removed int
 }
 
+// chainGap is the run of leaves a range delete empties — adjacent in key
+// order, since they hold only keys of one range — and the leaves on
+// either side of it, which the leaf chain must join.
+type chainGap struct {
+	first storage.PageID // the first emptied leaf; InvalidPageID if none
+	// prev is the leaf before first; found is false until it is known,
+	// and stays false when first is the leftmost leaf.
+	prev  storage.PageID
+	found bool
+	next  storage.PageID // what the last emptied leaf names as next
+}
+
+// closeGap points the leaf before a run of emptied leaves at the leaf
+// after it. The chain is not committed by any digest, so nothing is
+// rehashed.
+func (t *Tree) closeGap(g *chainGap, txn lock.TxnID) error {
+	if !g.found {
+		return nil
+	}
+	if err := t.xlock(txn, g.prev); err != nil {
+		return err
+	}
+	n, err := t.fetchLeaf(g.prev)
+	if err != nil {
+		return err
+	}
+	n.next = g.next
+	return t.writeLeaf(g.prev, n)
+}
+
+// rightmostLeaf descends from the node pid at the given level to the last
+// leaf under it.
+func (t *Tree) rightmostLeaf(pid storage.PageID, level int) (storage.PageID, error) {
+	for ; level > 1; level-- {
+		n, err := t.fetchInternal(pid)
+		if err != nil {
+			return storage.InvalidPageID, err
+		}
+		pid = n.children[len(n.children)-1]
+	}
+	return pid, nil
+}
+
 // deleteAt deletes [lo, hi] under the node pid at the given level and
-// rehashes the node if anything under it was removed.
-func (t *Tree) deleteAt(pid storage.PageID, level int, lo, hi []byte, txn lock.TxnID) (deleteResult, error) {
+// rehashes the node if anything under it was removed. It records in gap
+// the leaves it empties.
+func (t *Tree) deleteAt(pid storage.PageID, level int, lo, hi []byte, txn lock.TxnID, gap *chainGap) (deleteResult, error) {
 	if err := t.xlock(txn, pid); err != nil {
 		return deleteResult{}, err
 	}
@@ -127,6 +173,10 @@ func (t *Tree) deleteAt(pid storage.PageID, level int, lo, hi []byte, txn lock.T
 			return deleteResult{}, err
 		}
 		if len(keep.keys) == 0 {
+			if gap.first == storage.InvalidPageID {
+				gap.first = pid
+			}
+			gap.next = n.next
 			return deleteResult{empty: true, removed: removed}, nil
 		}
 		return deleteResult{newU: newU, removed: removed}, nil
@@ -143,9 +193,18 @@ func (t *Tree) deleteAt(pid storage.PageID, level int, lo, hi []byte, txn lock.T
 		if !spanIntersects(clo, chi, lo, hi) {
 			continue
 		}
-		res, err := t.deleteAt(n.children[i], level-1, lo, hi, txn)
+		emptied := gap.first != storage.InvalidPageID
+		res, err := t.deleteAt(n.children[i], level-1, lo, hi, txn, gap)
 		if err != nil {
 			return deleteResult{}, err
+		}
+		if !emptied && gap.first != storage.InvalidPageID && !gap.found && i > 0 {
+			// The run of emptied leaves begins in child i, so the leaf
+			// before it ends child i-1, which kept its leaves.
+			if gap.prev, err = t.rightmostLeaf(n.children[i-1], level-1); err != nil {
+				return deleteResult{}, err
+			}
+			gap.found = true
 		}
 		removed += res.removed
 		if res.removed == 0 {

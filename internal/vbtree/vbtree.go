@@ -16,11 +16,15 @@
 // digest of each child alongside the child pointer, as in the paper's
 // Figure 3.
 //
-// The tree plays two roles. At the trusted central server (Config.Signer
-// set) it supports construction, insert and delete, rehashing only the
-// nodes an update dirties. At an untrusted edge server (Signer nil) it
-// answers range/filter/projection queries, producing a verification
-// object that proves the answer against the signed root (paper §3.3).
+// A Tree writes and a View reads. The Tree, held by the trusted central
+// server with its signing key, supports construction, insert and delete,
+// rehashing only the nodes an update dirties. A View answers
+// range/filter/projection queries over a page space that does not change
+// under it, producing a verification object that proves the answer
+// against the signed root (paper §3.3), and audits every digest: an
+// untrusted edge server reads its pinned snapshots through one
+// (TableState.ViewOver), and so does the central, over its live pages
+// (Tree.Read).
 //
 // When a lock.Manager is configured, operations follow the paper's §3.4
 // protocol: queries S-lock the nodes of their enveloping subtree, updates
@@ -32,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"edgeauth/internal/digest"
 	"edgeauth/internal/lock"
@@ -45,7 +48,7 @@ import (
 var (
 	ErrDuplicateKey = errors.New("vbtree: duplicate key")
 	ErrKeyNotFound  = errors.New("vbtree: key not found")
-	ErrReadOnly     = errors.New("vbtree: tree has no signer (edge replica is read-only)")
+	ErrReadOnly     = errors.New("vbtree: tree has no signer (a reader reads through a View)")
 )
 
 // Config assembles a tree's dependencies.
@@ -59,7 +62,7 @@ type Config struct {
 	// Acc is the digest accumulator (the ordered hashes of package
 	// digest, and their counters).
 	Acc *digest.Accumulator
-	// Signer is the central server's private key; nil for edge replicas.
+	// Signer is the central server's private key; required.
 	Signer *sig.PrivateKey
 	// Pub is the central server's public key, of a valid scheme; required.
 	Pub *sig.PublicKey
@@ -116,9 +119,9 @@ type Tree struct {
 	rootU digest.Value
 
 	// signed memoizes the root's signature: minted by the first RootSig
-	// after the root changed (every root change resets it to nil, under
-	// mu's write lock), or carried in by Open. sigMu orders the readers
-	// that mint it under mu's read lock.
+	// or signed Read after the root changed (every root change resets it
+	// to nil, under mu's write lock). sigMu orders the readers that mint
+	// it under mu's read lock.
 	sigMu  sync.Mutex
 	signed sig.Signature
 
@@ -130,9 +133,6 @@ func New(cfg Config) (*Tree, error) {
 	t, err := attach(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if t.signer == nil {
-		return nil, ErrReadOnly
 	}
 	if err := t.resetEmpty(); err != nil {
 		return nil, err
@@ -169,50 +169,6 @@ func (t *Tree) commitOrdered(level int, sigs []sig.Signature, o *ordered, dirty 
 	return u
 }
 
-// Open reattaches to an existing tree (e.g. an edge replica restored from
-// a snapshot). rootSig is the root's signature, as RootSig returned it.
-// The root digest is recomputed from the root page's stored entries and
-// group digests. A heap written under another commitment than this
-// build's is refused here, by the version its records name
-// (vo.ErrCommitmentVersion), not by the first audit or query that would
-// read a digest this build does not compute.
-func Open(cfg Config, root storage.PageID, height int, rootSig sig.Signature) (*Tree, error) {
-	t, err := attach(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if root == storage.InvalidPageID || height < 1 || len(rootSig) == 0 {
-		return nil, errors.New("vbtree: invalid tree metadata")
-	}
-	t.root = root
-	t.height = height
-	u, err := t.nodeDigest(root, height)
-	if err != nil {
-		return nil, err
-	}
-	t.setRoot(u)
-	t.signed = rootSig.Clone()
-	v, err := t.viewLocked(t.signed)
-	if err != nil {
-		return nil, err
-	}
-	if err := v.checkRecords(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// nodeDigest recomputes a node's digest from its page: one hash over its
-// stored top-level digests.
-func (t *Tree) nodeDigest(pid storage.PageID, level int) (digest.Value, error) {
-	f, err := t.bp.Fetch(pid)
-	if err != nil {
-		return nil, err
-	}
-	defer t.bp.Unpin(f, false)
-	return pageDigest(t.acc, t.sch, f.Page().Bytes(), level)
-}
-
 // pageDigest is a node's digest as its page commits to it: the node hash
 // over the stored top-level group digests, or over the entries when the
 // node stores none.
@@ -235,13 +191,18 @@ func pageDigest(acc *digest.Accumulator, sch *schema.Schema, buf []byte, level i
 	return digest.TopOf(acc, level, sch.DB, sch.Table, sigs, groups), nil
 }
 
+// attach checks cfg and assembles a tree over it; the caller lays out its
+// pages. A tree without a signer could not write, so there is none.
 func attach(cfg Config) (*Tree, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	if cfg.Signer == nil {
+		return nil, ErrReadOnly
+	}
 	now := cfg.Now
 	if now == nil {
-		now = func() int64 { return time.Now().Unix() }
+		now = unixNow
 	}
 	par := cfg.BuildParallelism
 	if par <= 0 {
@@ -282,8 +243,8 @@ func (t *Tree) Height() int {
 
 // RootSig returns the signature over the root digest — the value a
 // client ultimately anchors trust in. It is signed here, on the first
-// call after the root changed, and kept until the next change. Nil if a
-// tree opened without a signer has no signature to give.
+// call after the root changed, and kept until the next change. Nil if
+// signing fails.
 func (t *Tree) RootSig() sig.Signature {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -300,9 +261,6 @@ func (t *Tree) rootSigLocked() (sig.Signature, error) {
 	t.sigMu.Lock()
 	defer t.sigMu.Unlock()
 	if t.signed == nil {
-		if t.signer == nil {
-			return nil, ErrReadOnly
-		}
 		rs, err := t.signer.Sign(t.rootU)
 		if err != nil {
 			return nil, err
@@ -314,10 +272,10 @@ func (t *Tree) rootSigLocked() (sig.Signature, error) {
 
 // RootDigest returns the unsigned root digest — the value a signed shard
 // map pins for this tree.
-func (t *Tree) RootDigest() (digest.Value, error) {
+func (t *Tree) RootDigest() digest.Value {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return append(digest.Value(nil), t.rootU...), nil
+	return t.rootU.Clone()
 }
 
 // lockRes names a page in the lock manager's space.
@@ -340,95 +298,27 @@ func (t *Tree) setRoot(u digest.Value) {
 // stores it — the attribute digests of its non-key columns in schema
 // order, then the group digests of the column tree over them
 // (digest.ColumnDigests) — and its tuple digest (digest.AttrDigest,
-// digest.TupleDigest).
-func (t *Tree) tupleDigests(tup schema.Tuple) (digests []byte, ut digest.Value, err error) {
-	if len(tup.Values) != len(t.sch.Columns) {
-		return nil, nil, fmt.Errorf("vbtree: tuple has %d values for %d columns", len(tup.Values), len(t.sch.Columns))
+// digest.TupleDigest). Writes commit a tuple with it, and View.Audit
+// recomputes one.
+func tupleDigests(acc *digest.Accumulator, sch *schema.Schema, tup schema.Tuple) (digests []byte, ut digest.Value, err error) {
+	if len(tup.Values) != len(sch.Columns) {
+		return nil, nil, fmt.Errorf("vbtree: tuple has %d values for %d columns", len(tup.Values), len(sch.Columns))
 	}
-	size := t.acc.Len()
+	size := acc.Len()
 	digests = make([]byte, digest.ColumnDigests(len(tup.Values))*size)
 	at := 0
 	for i, v := range tup.Values {
-		if v.Type != t.sch.Columns[i].Type {
+		if v.Type != sch.Columns[i].Type {
 			return nil, nil, fmt.Errorf("vbtree: column %q: value type %v, want %v",
-				t.sch.Columns[i].Name, v.Type, t.sch.Columns[i].Type)
+				sch.Columns[i].Name, v.Type, sch.Columns[i].Type)
 		}
-		if i == t.sch.Key {
+		if i == sch.Key {
 			continue // the tuple hash binds the key itself
 		}
-		t.acc.AttrDigest(digests[at:at:at+size], i, v.CanonicalBytes())
+		acc.AttrDigest(digests[at:at:at+size], i, v.CanonicalBytes())
 		at += size
 	}
-	return digests, t.acc.TupleDigest(nil, tup.Key(t.sch).KeyBytes(), digests[:at], digests[at:]), nil
-}
-
-// Stats describes the tree's physical shape (Figures 8–9 measurements).
-type Stats struct {
-	Height            int
-	InternalNodes     int
-	LeafNodes         int
-	Entries           int
-	AvgInternalFanOut float64
-	MaxLeafEntries    int
-	MaxInternalFanOut int
-}
-
-// Stats walks the tree. keyLen parameterizes the analytic capacity bounds
-// (formula (6): VB-tree fan-out for a given key length).
-func (t *Tree) Stats(keyLen int) (Stats, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	s := Stats{
-		MaxLeafEntries:    MaxLeafEntries(t.bp.PageSize(), keyLen, t.acc.Len()),
-		MaxInternalFanOut: MaxInternalFanOut(t.bp.PageSize(), keyLen, t.acc.Len()),
-	}
-	var totalChildren int
-	var walk func(pid storage.PageID, depth int) error
-	walk = func(pid storage.PageID, depth int) error {
-		f, err := t.bp.Fetch(pid)
-		if err != nil {
-			return err
-		}
-		buf := f.Page().Bytes()
-		switch storage.PageType(buf[0]) {
-		case storage.PageVBLeaf:
-			n, err := decodeVBLeaf(buf)
-			t.bp.Unpin(f, false)
-			if err != nil {
-				return err
-			}
-			s.LeafNodes++
-			s.Entries += len(n.keys)
-			if depth+1 > s.Height {
-				s.Height = depth + 1
-			}
-			return nil
-		case storage.PageVBInternal:
-			n, err := decodeVBInternal(buf)
-			t.bp.Unpin(f, false)
-			if err != nil {
-				return err
-			}
-			s.InternalNodes++
-			totalChildren += len(n.children)
-			for _, c := range n.children {
-				if err := walk(c, depth+1); err != nil {
-					return err
-				}
-			}
-			return nil
-		default:
-			t.bp.Unpin(f, false)
-			return fmt.Errorf("vbtree: unexpected page type %d", buf[0])
-		}
-	}
-	if err := walk(t.root, 0); err != nil {
-		return Stats{}, err
-	}
-	if s.InternalNodes > 0 {
-		s.AvgInternalFanOut = float64(totalChildren) / float64(s.InternalNodes)
-	}
-	return s, nil
+	return digests, acc.TupleDigest(nil, tup.Key(sch).KeyBytes(), digests[:at], digests[at:]), nil
 }
 
 // MaxLeafEntries is the leaf capacity for fixed key and digest lengths:

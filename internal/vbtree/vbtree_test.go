@@ -125,11 +125,57 @@ func i64(v int) *schema.Datum {
 
 func (h *harness) query(t testing.TB, q Query) (*vo.ResultSet, *vo.VO) {
 	t.Helper()
-	rs, w, err := h.tree.RunQuery(context.Background(), q)
+	rs, w, err := runQuery(h.tree, q)
 	if err != nil {
 		t.Fatalf("RunQuery: %v", err)
 	}
 	return rs, w
+}
+
+// runQuery answers q from a view of the tree's live pages, signed so its
+// VO verifies.
+func runQuery(tree *Tree, q Query) (rs *vo.ResultSet, w *vo.VO, err error) {
+	err = tree.Read(true, func(v *View) error {
+		rs, w, err = v.RunQuery(context.Background(), q)
+		return err
+	})
+	return rs, w, err
+}
+
+// search looks key up in a view of the tree's live pages.
+func search(tree *Tree, key schema.Datum) (st *vo.StoredTuple, found bool, err error) {
+	err = tree.Read(false, func(v *View) error {
+		st, found, err = v.Search(key)
+		return err
+	})
+	return st, found, err
+}
+
+// stats walks a view of the tree's live pages.
+func stats(tree *Tree, keyLen int) (s Stats, err error) {
+	err = tree.Read(false, func(v *View) error {
+		s, err = v.Stats(keyLen)
+		return err
+	})
+	return s, err
+}
+
+// audit runs View.Audit over the tree's live pages and checks the root
+// digest it recomputes against the one the tree holds.
+func audit(tree *Tree) (int, error) {
+	var n int
+	var root digest.Value
+	err := tree.Read(false, func(v *View) (err error) {
+		n, root, err = v.Audit()
+		return err
+	})
+	if err != nil {
+		return n, err
+	}
+	if want := tree.RootDigest(); !root.Equal(want) {
+		return n, fmt.Errorf("audit recomputed root %x, the tree holds %x", root, want)
+	}
+	return n, nil
 }
 
 func (h *harness) mustVerify(t testing.TB, rs *vo.ResultSet, w *vo.VO) {
@@ -141,7 +187,7 @@ func (h *harness) mustVerify(t testing.TB, rs *vo.ResultSet, w *vo.VO) {
 
 func TestBuildShape(t *testing.T) {
 	h := newHarness(t, 300, 1024, false)
-	st, err := h.tree.Stats(8)
+	st, err := stats(h.tree, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,9 +236,9 @@ func TestBuildRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestConfigRefusesSchemeZero: a tree — built, new or opened — needs a
-// public key of a known scheme; scheme 0, the retired per-node rsa
-// scheme's number, is refused.
+// TestConfigRefusesSchemeZero: a tree — built or new — needs a public
+// key of a known scheme; scheme 0, the retired per-node rsa scheme's
+// number, is refused.
 func TestConfigRefusesSchemeZero(t *testing.T) {
 	h := newHarness(t, 20, 1024, false)
 	pub := *h.cfg.Pub
@@ -205,14 +251,11 @@ func TestConfigRefusesSchemeZero(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Error("New accepted a scheme-0 key")
 	}
-	if _, err := Open(cfg, h.tree.Root(), h.tree.Height(), h.tree.RootSig()); err == nil {
-		t.Error("Open accepted a scheme-0 key")
-	}
 }
 
 func TestSearch(t *testing.T) {
 	h := newHarness(t, 200, 1024, false)
-	st, found, err := h.tree.Search(schema.Int64(57))
+	st, found, err := search(h.tree, schema.Int64(57))
 	if err != nil || !found {
 		t.Fatalf("Search(57): found=%v err=%v", found, err)
 	}
@@ -221,7 +264,7 @@ func TestSearch(t *testing.T) {
 	}
 	// The stored digests are the tuple's: its column commitment in the
 	// heap record, its tuple digest in the leaf.
-	digests, ut, err := h.tree.tupleDigests(st.Tuple)
+	digests, ut, err := tupleDigests(h.tree.acc, h.tree.sch, st.Tuple)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +274,7 @@ func TestSearch(t *testing.T) {
 	if !bytes.Equal(mustTupleSig(t, h, 57), ut) {
 		t.Fatal("leaf tuple digest is not the tuple's")
 	}
-	if _, found, _ := h.tree.Search(schema.Int64(9999)); found {
+	if _, found, _ := search(h.tree, schema.Int64(9999)); found {
 		t.Fatal("found a key that does not exist")
 	}
 }
@@ -267,7 +310,7 @@ func mustTupleSig(t *testing.T, h *harness, i int) sig.Signature {
 
 func TestScanAll(t *testing.T) {
 	h := newHarness(t, 150, 1024, false)
-	all, err := h.tree.ScanAll()
+	all, err := liveView(t, h.tree, false).ScanAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,16 +377,16 @@ func TestProjectionVerifies(t *testing.T) {
 
 func TestProjectionValidation(t *testing.T) {
 	h := newHarness(t, 50, 1024, false)
-	if _, _, err := h.tree.RunQuery(context.Background(), Query{Project: []string{"ghost"}}); err == nil {
+	if _, _, err := runQuery(h.tree, Query{Project: []string{"ghost"}}); err == nil {
 		t.Fatal("unknown column accepted")
 	}
-	if _, _, err := h.tree.RunQuery(context.Background(), Query{Project: []string{}}); err == nil {
+	if _, _, err := runQuery(h.tree, Query{Project: []string{}}); err == nil {
 		t.Fatal("empty projection accepted")
 	}
-	if _, _, err := h.tree.RunQuery(context.Background(), Query{Project: []string{"id", "id"}}); err == nil {
+	if _, _, err := runQuery(h.tree, Query{Project: []string{"id", "id"}}); err == nil {
 		t.Fatal("duplicate projection accepted")
 	}
-	if _, _, err := h.tree.RunQuery(context.Background(), Query{Lo: i64(10), Hi: i64(5)}); err == nil {
+	if _, _, err := runQuery(h.tree, Query{Lo: i64(10), Hi: i64(5)}); err == nil {
 		t.Fatal("inverted range accepted")
 	}
 }
@@ -532,7 +575,7 @@ func TestInsertMaintainsDigests(t *testing.T) {
 		rs, w := h.query(t, Query{Lo: i64(r[0]), Hi: i64(r[1])})
 		h.mustVerify(t, rs, w)
 	}
-	if _, found, _ := h.tree.Search(schema.Int64(560)); !found {
+	if _, found, _ := search(h.tree, schema.Int64(560)); !found {
 		t.Fatal("inserted tuple missing")
 	}
 }
@@ -552,7 +595,7 @@ func TestInsertManySplitsVerify(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		// Interleaved order to exercise splits at both ends.
 		k := (i*7 + 3) % 1000
-		if _, found, _ := h.tree.Search(schema.Int64(int64(k))); found {
+		if _, found, _ := search(h.tree, schema.Int64(int64(k))); found {
 			continue
 		}
 		if err := h.tree.Insert(mkTuple(k)); err != nil {
@@ -571,7 +614,7 @@ func TestDeleteMaintainsDigests(t *testing.T) {
 	if err := h.tree.Delete(schema.Int64(150)); err != nil {
 		t.Fatal(err)
 	}
-	if _, found, _ := h.tree.Search(schema.Int64(150)); found {
+	if _, found, _ := search(h.tree, schema.Int64(150)); found {
 		t.Fatal("deleted key still present")
 	}
 	if err := h.tree.Delete(schema.Int64(150)); err != ErrKeyNotFound {
@@ -663,39 +706,50 @@ func TestUpdatesWithLockingProtocol(t *testing.T) {
 	h.mustVerify(t, rs, w)
 }
 
+// TestReadOnlyEdgeReplica: an edge reads the tree's pages through a View
+// of the anchor it was shipped — no signer, and no write to make — and
+// its answers verify under the central's key.
 func TestReadOnlyEdgeReplica(t *testing.T) {
 	h := newHarness(t, 100, 1024, false)
-	// Re-open the same pages without a signer, as an edge server would.
-	edgeCfg := h.cfg
-	edgeCfg.Signer = nil
-	edge, err := Open(edgeCfg, h.tree.Root(), h.tree.Height(), h.tree.RootSig())
+	st := TableState{Root: h.tree.Root(), Height: h.tree.Height(), RootSig: h.tree.RootSig()}
+	edge, err := st.ViewOver(h.cfg.Pool, h.cfg.Schema, h.cfg.Acc, &sig.PublicKey{Version: h.key.Public().Version})
 	if err != nil {
 		t.Fatal(err)
 	}
+	edge.now = h.tree.now
 	rs, w, err := edge.RunQuery(context.Background(), Query{Lo: i64(10), Hi: i64(30)})
 	if err != nil {
 		t.Fatalf("edge query: %v", err)
 	}
 	h.mustVerify(t, rs, w)
-	// Mutations are rejected.
-	if err := edge.Insert(mkTuple(999)); err != ErrReadOnly {
-		t.Fatalf("edge insert: %v, want ErrReadOnly", err)
-	}
-	if _, err := edge.DeleteRange(nil, nil); err != ErrReadOnly {
-		t.Fatalf("edge delete: %v, want ErrReadOnly", err)
+	if n, root, err := edge.Audit(); err != nil || n != 100 || !root.Equal(h.tree.RootDigest()) {
+		t.Fatalf("edge audit: %d tuples, root %x, %v; want 100 at %x", n, root, err, h.tree.RootDigest())
 	}
 }
 
-func TestOpenValidation(t *testing.T) {
+// TestViewOverValidation: a view needs a root page, at least one level, a
+// root signature, and its pages, schema, accumulator and key.
+func TestViewOverValidation(t *testing.T) {
 	h := newHarness(t, 10, 1024, false)
-	if _, err := Open(h.cfg, storage.InvalidPageID, 1, h.tree.RootSig()); err == nil {
-		t.Fatal("invalid root accepted")
+	good := TableState{Root: h.tree.Root(), Height: h.tree.Height(), RootSig: h.tree.RootSig()}
+	bp, sch, acc, pub := h.cfg.Pool, h.cfg.Schema, h.cfg.Acc, h.cfg.Pub
+	if _, err := good.ViewOver(bp, sch, acc, pub); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Open(h.cfg, h.tree.Root(), 0, h.tree.RootSig()); err == nil {
-		t.Fatal("zero height accepted")
+	for name, st := range map[string]TableState{
+		"invalid root":     {Root: storage.InvalidPageID, Height: 1, RootSig: good.RootSig},
+		"zero height":      {Root: good.Root, Height: 0, RootSig: good.RootSig},
+		"missing root sig": {Root: good.Root, Height: good.Height},
+	} {
+		if _, err := st.ViewOver(bp, sch, acc, pub); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
-	if _, err := Open(h.cfg, h.tree.Root(), 1, nil); err == nil {
-		t.Fatal("missing root sig accepted")
+	if _, err := good.ViewOver(nil, sch, acc, pub); err == nil {
+		t.Error("a view without pages accepted")
+	}
+	if _, err := good.ViewOver(bp, sch, acc, nil); err == nil {
+		t.Error("a view without a key accepted")
 	}
 }
 
@@ -779,7 +833,7 @@ func TestKeyVersionEnforced(t *testing.T) {
 
 func TestAuditCleanTree(t *testing.T) {
 	h := newHarness(t, 200, 1024, false)
-	n, err := h.tree.Audit()
+	n, err := audit(h.tree)
 	if err != nil {
 		t.Fatalf("Audit of clean tree: %v", err)
 	}
@@ -793,7 +847,7 @@ func TestAuditCleanTree(t *testing.T) {
 	if _, err := h.tree.DeleteRange(i64(10), i64(20)); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := h.tree.Audit(); err != nil || n != 190 {
+	if n, err := audit(h.tree); err != nil || n != 190 {
 		t.Fatalf("Audit after updates: n=%d err=%v", n, err)
 	}
 }
@@ -802,7 +856,7 @@ func TestAuditDetectsHeapTampering(t *testing.T) {
 	h := newHarness(t, 100, 1024, false)
 	// Corrupt a stored tuple's bytes behind the tree's back, as a hacked
 	// edge with disk access would.
-	st, found, err := h.tree.Search(schema.Int64(42))
+	st, found, err := search(h.tree, schema.Int64(42))
 	if err != nil || !found {
 		t.Fatal("setup: tuple 42 missing")
 	}
@@ -835,7 +889,7 @@ func TestAuditDetectsHeapTampering(t *testing.T) {
 	}
 	// The tombstoned record makes the audit fail loudly (a missing tuple
 	// is as bad as a modified one).
-	if _, err := h.tree.Audit(); err == nil {
+	if _, err := audit(h.tree); err == nil {
 		t.Fatal("audit passed over a corrupted heap")
 	}
 }

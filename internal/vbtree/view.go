@@ -41,61 +41,49 @@ func (st *TableState) Validate() error {
 	return nil
 }
 
-// ViewOver assembles the lock-free read view for this state over an
-// immutable page space.
+// ViewOver assembles the read view of this state over a page space that
+// does not change while the view is used: a pinned snapshot (replicas,
+// reshard builds), or the writer's live pool under its read lock
+// (Tree.Read). It is the one way to read a VB-tree.
 func (st *TableState) ViewOver(pages storage.PageReader, sch *schema.Schema, acc *digest.Accumulator, pub *sig.PublicKey) (*View, error) {
-	return NewView(ViewConfig{
-		Pages:     pages,
-		HeapPages: st.HeapPages,
-		Schema:    sch,
-		Acc:       acc,
-		Pub:       pub,
-		Root:      st.Root,
-		Height:    st.Height,
-		RootSig:   st.RootSig,
-	})
+	if pages == nil || sch == nil || acc == nil || pub == nil {
+		return nil, errors.New("vbtree: view requires pages, schema, accumulator and key")
+	}
+	if err := st.Validate(); err != nil {
+		return nil, err
+	}
+	return &View{
+		pr:      pages,
+		heap:    storage.NewHeapReader(pages),
+		sch:     sch,
+		acc:     acc,
+		pub:     pub,
+		now:     unixNow,
+		root:    st.Root,
+		height:  st.Height,
+		rootSig: st.RootSig,
+	}, nil
 }
 
-// ViewConfig anchors a read view: an immutable page space plus the tree
-// metadata that makes it interpretable.
-type ViewConfig struct {
-	// Pages is the immutable page view (typically a pinned
-	// storage.Snapshot; the live BufferPool under the tree's own lock also
-	// qualifies).
-	Pages storage.PageReader
-	// HeapPages lists the heap file's pages, as recorded in replica
-	// metadata.
-	HeapPages []storage.PageID
-	// Schema describes the indexed table.
-	Schema *schema.Schema
-	// Acc is the digest accumulator (hash h + combiner g).
-	Acc *digest.Accumulator
-	// Pub stamps the VO's key version (edge replicas use a placeholder).
-	Pub *sig.PublicKey
-	// Now supplies VO timestamps; defaults to time.Now.
-	Now func() int64
-	// Root, Height, RootSig anchor the tree inside the page space.
-	Root    storage.PageID
-	Height  int
-	RootSig sig.Signature
-}
-
-// View is the lock-free read path of the VB-tree: Search, RunQuery and
-// ScanAll over an immutable page view. Because the pages can never change
-// underneath it, a View takes no locks at all — the paper's §3.4 S-lock
-// protocol collapses away once queries run against snapshots instead of
-// shared mutable pages. A View is safe for concurrent use and meant to be
-// built once per published snapshot and shared by the queries that pin it
-// (the edge keeps one beside each shard's pin): what it derives from the
-// pages alone — the root digest — is computed on first use and kept.
+// View is the read path of the VB-tree: queries, scans and the audit over
+// an immutable page view. Because the pages can never change underneath
+// it, a View takes no locks at all — the paper's §3.4 S-lock protocol
+// collapses away once queries run against snapshots instead of shared
+// mutable pages. A View is safe for concurrent use and meant to be built
+// once per published snapshot and shared by the queries that pin it (the
+// edge keeps one beside each shard's pin): what it derives from the pages
+// alone — the root digest — is computed on first use and kept.
 // Constructing one per query is still correct, it just pays for that
 // again.
 type View struct {
-	pr      storage.PageReader
-	heap    *storage.HeapReader
-	sch     *schema.Schema
-	acc     *digest.Accumulator
-	pub     *sig.PublicKey
+	pr   storage.PageReader
+	heap *storage.HeapReader
+	sch  *schema.Schema
+	acc  *digest.Accumulator
+	// pub stamps the VO's key version (edge replicas use a placeholder).
+	pub *sig.PublicKey
+	// now supplies VO timestamps: the tree's Config.Now for Tree.Read,
+	// the wall clock otherwise.
 	now     func() int64
 	root    storage.PageID
 	height  int
@@ -106,34 +94,8 @@ type View struct {
 	rootU atomic.Pointer[digest.Value]
 }
 
-// NewView validates the config and assembles a read view.
-func NewView(cfg ViewConfig) (*View, error) {
-	if cfg.Pages == nil {
-		return nil, errors.New("vbtree: view requires Pages")
-	}
-	if cfg.Schema == nil || cfg.Acc == nil || cfg.Pub == nil {
-		return nil, errors.New("vbtree: view requires Schema, Acc and Pub")
-	}
-	anchor := TableState{Root: cfg.Root, Height: cfg.Height, RootSig: cfg.RootSig}
-	if err := anchor.Validate(); err != nil {
-		return nil, err
-	}
-	now := cfg.Now
-	if now == nil {
-		now = func() int64 { return time.Now().Unix() }
-	}
-	return &View{
-		pr:      cfg.Pages,
-		heap:    storage.NewHeapReader(cfg.Pages, cfg.HeapPages),
-		sch:     cfg.Schema,
-		acc:     cfg.Acc,
-		pub:     cfg.Pub,
-		now:     now,
-		root:    cfg.Root,
-		height:  cfg.Height,
-		rootSig: cfg.RootSig,
-	}, nil
-}
+// unixNow is the wall clock in Unix seconds, the default VO timestamp.
+func unixNow() int64 { return time.Now().Unix() }
 
 // page returns a page of the view. The slice is the reader's own buffer:
 // valid until the reader's pages can change (see storage.PageReader).
@@ -148,35 +110,6 @@ func (v *View) loadStored(rid storage.RecordID) (*vo.StoredTuple, error) {
 		return nil, err
 	}
 	return vo.DecodeStoredTuple(append([]byte(nil), rec...))
-}
-
-// checkRecords parses the heap record of the view's first entry, if it
-// has one: it fails on a record of another commitment version.
-func (v *View) checkRecords() error {
-	buf, err := v.leafFor(nil)
-	if err != nil {
-		return err
-	}
-	for {
-		c, err := openLeaf(buf)
-		if err != nil {
-			return err
-		}
-		ok, err := c.advance()
-		if err != nil {
-			return err
-		}
-		if ok {
-			_, err := v.loadStored(c.rid)
-			return err
-		}
-		if c.next == storage.InvalidPageID {
-			return nil
-		}
-		if buf, err = v.page(c.next); err != nil {
-			return err
-		}
-	}
 }
 
 // leafFor descends to the leaf covering key k (the leftmost leaf for a

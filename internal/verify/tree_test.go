@@ -62,7 +62,12 @@ func buildTree(t testing.TB, rows, pageSize int, counters *digest.Counters) *bui
 func (b *builtTree) query(t testing.TB, lo, hi int64, project []string) (*vo.ResultSet, *vo.VO) {
 	t.Helper()
 	l, h := schema.Int64(lo), schema.Int64(hi)
-	rs, w, err := b.tree.RunQuery(context.Background(), vbtree.Query{Lo: &l, Hi: &h, Project: project})
+	var rs *vo.ResultSet
+	var w *vo.VO
+	err := b.tree.Read(true, func(v *vbtree.View) (err error) {
+		rs, w, err = v.RunQuery(context.Background(), vbtree.Query{Lo: &l, Hi: &h, Project: project})
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
