@@ -359,22 +359,25 @@ func BenchmarkAblationOrderedHash(b *testing.B) {
 }
 
 // BenchmarkAblationModulus compares the paper's m = 2^k combining
-// optimization against an RSA-style 1024-bit odd modulus. Package digest
-// has only the first; the second is the same combine — multiply the
-// digests into one product, apply g once — written out here with
+// optimization against an RSA-style 1024-bit odd modulus. Package naive's
+// combiner has only the first; the second is the same combine — multiply
+// the digests into one product, apply g once — written out here with
 // math/big over digests as wide as that modulus.
 func BenchmarkAblationModulus(b *testing.B) {
-	fast := digest.MustNew(digest.DefaultParams())
 	ds := make([]digest.Value, 32)
 	for i := range ds {
-		ds[i] = fast.HashBytes("ablate", []byte{byte(i)})
+		ds[i] = naive.HashAttribute(nil, "bench", "ablate", "col", nil, []byte{byte(i)})
 	}
 	b.Run("mod2k", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := fast.Combine(ds...); err != nil {
-				b.Fatal(err)
+			acc := naive.NewAcc(nil)
+			for _, d := range ds {
+				if err := acc.Add(d); err != nil {
+					b.Fatal(err)
+				}
 			}
+			acc.Value()
 		}
 	})
 	b.Run("modbig-1024", func(b *testing.B) {

@@ -1,7 +1,10 @@
 // Command vetauth checks this module's domain invariants: signature
 // verification before trust (trustflow), snapshot pin/release pairing
 // (pinpair), no RSA signing under shard locks and no commit-lock order
-// inversions (locksign), and context plumbing discipline (ctxflow).
+// inversions (locksign), context plumbing discipline (ctxflow), and a
+// serving path that imports only the standard library and itself, never
+// the Naive baseline, the cost model, the experiments, the adversary or
+// the generators (boundary).
 //
 // Run it through the vet driver so test files and build-tag variants
 // are covered:
@@ -18,6 +21,7 @@
 package main
 
 import (
+	"edgeauth/internal/analysis/boundary"
 	"edgeauth/internal/analysis/ctxflow"
 	"edgeauth/internal/analysis/driver"
 	"edgeauth/internal/analysis/locksign"
@@ -31,5 +35,6 @@ func main() {
 		pinpair.Analyzer,
 		locksign.Analyzer,
 		ctxflow.Analyzer,
+		boundary.Analyzer,
 	)
 }

@@ -1,8 +1,8 @@
 // Package analysis is a small, dependency-free re-implementation of the
 // golang.org/x/tools/go/analysis core: just enough Analyzer/Pass/
 // Diagnostic surface for this repository's domain-invariant checkers
-// (trustflow, pinpair, locksign, ctxflow) and the cmd/vetauth driver
-// that runs them, standalone or under `go vet -vettool`.
+// (trustflow, pinpair, locksign, ctxflow, boundary) and the cmd/vetauth
+// driver that runs them, standalone or under `go vet -vettool`.
 //
 // The x/tools module is deliberately not a dependency — the module is
 // stdlib-only — so the framework here re-creates the three pieces the

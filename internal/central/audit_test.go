@@ -11,13 +11,14 @@ import (
 	"edgeauth/internal/workload"
 )
 
-// auditShards runs View.Audit over every shard's live pages, read as the
-// central reads its trees, and checks each recomputed root against the
-// tree's own root digest and the one the current map pins. It returns the
-// tuples audited.
-func auditShards(t *testing.T, srv *Server, stage string) int {
+// auditShards runs View.Audit over every shard of the table's live pages,
+// read as the central reads its trees, and checks each recomputed root
+// against the tree's own root digest and the one the current map pins.
+// stage names the publish audited ("split 2"), so a failure reads as the
+// publish that produced garbage. It returns the tuples audited.
+func auditShards(t *testing.T, srv *Server, table, stage string) int {
 	t.Helper()
-	tb, err := srv.table("items")
+	tb, err := srv.table(table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestShardTreesAuditToTheirRoots(t *testing.T) {
 	ctx := context.Background()
 	srv := newReshardServer(t, 400, 4, Options{})
 	rows := 400
-	if n := auditShards(t, srv, "build"); n != rows {
+	if n := auditShards(t, srv, "items", "build"); n != rows {
 		t.Fatalf("build: audited %d tuples, want %d", n, rows)
 	}
 	sch, err := workload.DefaultSpec(1).Schema()
@@ -77,7 +78,7 @@ func TestShardTreesAuditToTheirRoots(t *testing.T) {
 		}
 	}
 	rows += len(batch)
-	if n := auditShards(t, srv, "batch"); n != rows {
+	if n := auditShards(t, srv, "items", "batch"); n != rows {
 		t.Fatalf("batch: audited %d tuples, want %d", n, rows)
 	}
 	lo, hi := schema.Int64(120), schema.Int64(190)
@@ -86,19 +87,19 @@ func TestShardTreesAuditToTheirRoots(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows -= n
-	if got := auditShards(t, srv, "delete"); got != rows {
+	if got := auditShards(t, srv, "items", "delete"); got != rows {
 		t.Fatalf("delete: audited %d tuples, want %d", got, rows)
 	}
 	if _, err := srv.SplitShard(ctx, "items", 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := auditShards(t, srv, "split"); got != rows {
+	if got := auditShards(t, srv, "items", "split"); got != rows {
 		t.Fatalf("split: audited %d tuples, want %d", got, rows)
 	}
 	if _, err := srv.MergeShards(ctx, "items", 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := auditShards(t, srv, "merge"); got != rows {
+	if got := auditShards(t, srv, "items", "merge"); got != rows {
 		t.Fatalf("merge: audited %d tuples, want %d", got, rows)
 	}
 }

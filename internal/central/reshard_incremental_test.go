@@ -36,6 +36,7 @@ func TestSplitBoundaryFollowsLoadSketch(t *testing.T) {
 	if _, err := srv.SplitShard(context.Background(), "items", 1, nil); err != nil {
 		t.Fatal(err)
 	}
+	auditShards(t, srv, "items", "split 1")
 	sm, err := srv.SignedShardMap("items")
 	if err != nil {
 		t.Fatal(err)
@@ -49,6 +50,9 @@ func TestSplitBoundaryFollowsLoadSketch(t *testing.T) {
 	oldBoundary := sm.Map.Boundaries[0]
 	if _, err := srv.SplitShard(context.Background(), "items", 0, nil); err != nil {
 		t.Fatal(err)
+	}
+	if got := auditShards(t, srv, "items", "split 2"); got != 200 {
+		t.Fatalf("split 2: audited %d tuples, want 200", got)
 	}
 	sm2, err := srv.SignedShardMap("items")
 	if err != nil {
@@ -78,15 +82,19 @@ func TestReshardCheckpointTruncatesHistory(t *testing.T) {
 	if _, err := srv.SplitShard(ctx, "items", 0, nil); err != nil {
 		t.Fatal(err)
 	}
+	auditShards(t, srv, "items", "split 1")
 	if _, err := srv.SplitShard(ctx, "items", 2, nil); err != nil {
 		t.Fatal(err)
 	}
+	auditShards(t, srv, "items", "split 2")
 	if _, err := srv.MergeShards(ctx, "items", 0); err != nil {
 		t.Fatal(err)
 	}
+	auditShards(t, srv, "items", "merge 3")
 	if _, err := srv.SplitShard(ctx, "items", 1, nil); err != nil {
 		t.Fatal(err)
 	}
+	auditShards(t, srv, "items", "split 4")
 
 	hist, err := srv.ReshardHistory("items")
 	if err != nil {
@@ -132,6 +140,9 @@ func TestReshardCheckpointTruncatesHistory(t *testing.T) {
 	// A fifth transition lands after the checkpoint and replays again.
 	if _, err := srv.MergeShards(ctx, "items", 0); err != nil {
 		t.Fatal(err)
+	}
+	if got := auditShards(t, srv, "items", "merge 5"); got != 400 {
+		t.Fatalf("merge 5: audited %d tuples, want 400", got)
 	}
 	hist, err = srv.ReshardHistory("items")
 	if err != nil {
@@ -216,6 +227,9 @@ func TestReshardStallBoundedOnLargeShard(t *testing.T) {
 
 	if got, want := scanCount(t, srv), rows+int(inserted.Load()); got != want {
 		t.Fatalf("conservation failed across the transition: %d rows, want %d", got, want)
+	}
+	if got, want := auditShards(t, srv, "items", "split 1 under concurrent batches"), rows+int(inserted.Load()); got != want {
+		t.Fatalf("audited %d tuples, want %d", got, want)
 	}
 	st := srv.Stats()
 	if st.Splits != 1 {

@@ -3,6 +3,7 @@ package central
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"edgeauth/internal/schema"
@@ -73,6 +74,7 @@ func TestSplitShardCommitsNewEpoch(t *testing.T) {
 	if signsDelta := srv.Stats().SignOps - signsBefore; signsDelta != 0 {
 		t.Fatalf("split signed %d times; want 0 (nothing is signed before it is shipped)", signsDelta)
 	}
+	auditShards(t, srv, "items", "split 1")
 	if resp.MapEpoch != 2 || resp.NumShards != 3 {
 		t.Fatalf("split response = epoch %d, %d shards; want 2, 3", resp.MapEpoch, resp.NumShards)
 	}
@@ -112,6 +114,9 @@ func TestSplitShardCommitsNewEpoch(t *testing.T) {
 	if got := scanCount(t, srv); got != rows0+1 {
 		t.Fatalf("post-split insert lost: %d tuples, want %d", got, rows0+1)
 	}
+	if got := auditShards(t, srv, "items", "insert 2"); got != rows0+1 {
+		t.Fatalf("insert 2: audited %d tuples, want %d", got, rows0+1)
+	}
 }
 
 func TestMergeShardsCommitsNewEpoch(t *testing.T) {
@@ -129,6 +134,9 @@ func TestMergeShardsCommitsNewEpoch(t *testing.T) {
 	}
 	if delta := srv.Stats().SignOps - signsBefore; delta != 0 {
 		t.Fatalf("merge signed %d times; want 0 (nothing is signed before it is shipped)", delta)
+	}
+	if got := auditShards(t, srv, "items", "merge 1"); got != rows0 {
+		t.Fatalf("merge 1: audited %d tuples, want %d", got, rows0)
 	}
 	if resp.MapEpoch != 2 || resp.NumShards != 2 {
 		t.Fatalf("merge response = epoch %d, %d shards; want 2, 2", resp.MapEpoch, resp.NumShards)
@@ -194,6 +202,7 @@ func TestReshardSplicesAtPartitionEdges(t *testing.T) {
 			if n, err := srv.DeleteRange("items", &key, &key); err != nil || n != 1 {
 				t.Fatalf("delete %v: n=%d err=%v", key, n, err)
 			}
+			auditShards(t, srv, "items", "delete 1")
 
 			load := 0.0
 			tb.detMu.Lock()
@@ -212,8 +221,12 @@ func TestReshardSplicesAtPartitionEdges(t *testing.T) {
 			if err := srv.Insert("items", batchServerRow(t, key.I)); err != nil {
 				t.Fatal(err)
 			}
+			auditShards(t, srv, "items", "insert 2")
 			if _, err := srv.finishReshard(tr); err != nil {
 				t.Fatal(err)
+			}
+			if got := auditShards(t, srv, "items", tc.name+" 3"); got != 200 {
+				t.Fatalf("%s: audited %d tuples, want 200", tc.name, got)
 			}
 			if got := srv.Stats().ReshardTailReplayed; got != 1 {
 				t.Fatalf("barrier replayed %d tail tuples, want the one insert", got)
@@ -278,6 +291,9 @@ func TestSplitShardRejectsBadRequests(t *testing.T) {
 	if _, err := srv.SplitShard(ctx, "nope", 0, nil); !errors.Is(err, wire.ErrUnknownTable) {
 		t.Fatalf("split of unknown table: got %v, want ErrUnknownTable", err)
 	}
+	if got := auditShards(t, srv, "items", "rejected transitions"); got != 50 {
+		t.Fatalf("rejected transitions: audited %d tuples, want 50", got)
+	}
 }
 
 // TestReshardWALReplay pins the durability story: the transition lands
@@ -290,6 +306,7 @@ func TestReshardWALReplay(t *testing.T) {
 	if _, err := srv.SplitShard(context.Background(), "items", 0, nil); err != nil {
 		t.Fatal(err)
 	}
+	auditShards(t, srv, "items", "split 1")
 	hist, err := srv.ReshardHistory("items")
 	if err != nil {
 		t.Fatal(err)
@@ -396,6 +413,7 @@ func TestAutoReshardDetector(t *testing.T) {
 		if err := srv.Insert("items", batchServerRow(t, int64(100000+i))); err != nil {
 			t.Fatal(err)
 		}
+		auditShards(t, srv, "items", fmt.Sprintf("insert %d", i+1))
 	}
 	resp, err := srv.AutoReshardTick(ctx, "items")
 	if err != nil {
@@ -403,6 +421,9 @@ func TestAutoReshardDetector(t *testing.T) {
 	}
 	if resp == nil || resp.NumShards != 3 {
 		t.Fatalf("skewed load did not split the hot shard: %+v", resp)
+	}
+	if got := auditShards(t, srv, "items", "split 41"); got != 240 {
+		t.Fatalf("split 41: audited %d tuples, want 240", got)
 	}
 	// With the counters drained, the next tick only decays the EWMA: the
 	// split children share the hot load evenly (share 0.5 < 0.8), and the
@@ -437,6 +458,7 @@ func TestReshardThroughWire(t *testing.T) {
 	if resp.NumShards != 3 {
 		t.Fatalf("wire split left %d shards, want 3", resp.NumShards)
 	}
+	auditShards(t, srv, "items", "split 1")
 	if n := scanCount(t, srv); n != 100 {
 		t.Fatalf("post-split full scan returned %d tuples, want 100", n)
 	}
@@ -466,5 +488,8 @@ func TestReshardIsGroupCommitBarrier(t *testing.T) {
 	}
 	if got := scanCount(t, srv); got != rows0+extra {
 		t.Fatalf("after concurrent inserts + split: %d tuples, want %d", got, rows0+extra)
+	}
+	if got := auditShards(t, srv, "items", "split 1 and 20 concurrent inserts"); got != rows0+extra {
+		t.Fatalf("audited %d tuples, want %d", got, rows0+extra)
 	}
 }

@@ -24,6 +24,7 @@ func TestRefreshFollowsSplitWithoutRepull(t *testing.T) {
 	if err := eg.PullAll(ctx); err != nil {
 		t.Fatal(err)
 	}
+	auditSet(t, eg, "refresh 1")
 	edgeAddr := startEdge(t, eg)
 	cl, err := client.Dial(ctx, client.Config{EdgeAddr: edgeAddr, CentralAddr: centralAddr})
 	if err != nil {
@@ -44,6 +45,9 @@ func TestRefreshFollowsSplitWithoutRepull(t *testing.T) {
 	}
 	if st.Mode != "snapshot" {
 		t.Fatalf("refresh mode = %q, want snapshot (new shards installed)", st.Mode)
+	}
+	if got := auditSet(t, eg, "refresh 2"); got != 400 {
+		t.Fatalf("refresh 2: audited %d tuples, want 400", got)
 	}
 	if n, _ := eg.NumShards("items"); n != 5 {
 		t.Fatalf("edge serves %d shards after split, want 5", n)
@@ -93,6 +97,9 @@ func TestRefreshFollowsSplitWithoutRepull(t *testing.T) {
 	if _, err := eg.Refresh(ctx, "items"); err != nil {
 		t.Fatalf("refresh across a merge: %v", err)
 	}
+	if got := auditSet(t, eg, "refresh 3"); got != 400 {
+		t.Fatalf("refresh 3: audited %d tuples, want 400", got)
+	}
 	if n, _ := eg.NumShards("items"); n != 4 {
 		t.Fatalf("edge serves %d shards after merge, want 4", n)
 	}
@@ -115,5 +122,8 @@ func TestRefreshFollowsSplitWithoutRepull(t *testing.T) {
 	}
 	if st.Mode != "delta" || st.ShardsRefreshed != 1 {
 		t.Fatalf("post-reshard refresh: mode=%q shards=%d, want delta/1", st.Mode, st.ShardsRefreshed)
+	}
+	if got := auditSet(t, eg, "refresh 4"); got != 401 {
+		t.Fatalf("refresh 4: audited %d tuples, want 401", got)
 	}
 }

@@ -60,6 +60,9 @@ func TestShardedRefreshAndPull(t *testing.T) {
 		if n, _ := eg.NumShards("items"); n != 4 {
 			t.Fatalf("%s replicated %d shards, want 4", name, n)
 		}
+		if got := auditSet(t, eg, "refresh 1 ("+name+")"); got != 400 {
+			t.Fatalf("%s: audited %d tuples, want 400", name, got)
+		}
 		edges[name] = eg
 	}
 	eg, other := edges["PullAll"], edges["RefreshAll"]
@@ -85,6 +88,9 @@ func TestShardedRefreshAndPull(t *testing.T) {
 	if len(stats) != 1 || stats[0].Mode != "delta" || stats[0].ShardsRefreshed != 1 {
 		t.Fatalf("refresh after one insert: %+v, want delta/1", stats)
 	}
+	if got := auditSet(t, eg, "refresh 2"); got != 401 {
+		t.Fatalf("refresh 2: audited %d tuples, want 401", got)
+	}
 	if maps, snaps, deltas := served(); maps != 1 || snaps != 0 || deltas != 1 {
 		t.Fatalf("refresh after one insert cost %d maps, %d snapshots, %d deltas; want 1, 0, 1", maps, snaps, deltas)
 	}
@@ -106,6 +112,7 @@ func TestShardedRefreshAndPull(t *testing.T) {
 	if len(stats) != 1 || stats[0].Mode != "noop" || stats[0].ShardsRefreshed != 0 {
 		t.Fatalf("idle refresh: %+v, want noop/0", stats)
 	}
+	auditSet(t, eg, "refresh 3")
 	if maps, snaps, deltas := served(); maps != 1 || snaps != 0 || deltas != 0 {
 		t.Fatalf("idle refresh cost %d maps, %d snapshots, %d deltas; want 1, 0, 0", maps, snaps, deltas)
 	}
@@ -124,6 +131,7 @@ func TestShardedRefreshRecoversFromPartialFailure(t *testing.T) {
 	if err := eg.PullAll(ctx); err != nil {
 		t.Fatal(err)
 	}
+	auditSet(t, eg, "refresh 1")
 
 	// Commit to shard 1 (key above the boundary).
 	if err := srv.Insert("items", freshRow(t, 500_000)); err != nil {
@@ -160,6 +168,9 @@ func TestShardedRefreshRecoversFromPartialFailure(t *testing.T) {
 	if st.Mode == "snapshot" {
 		t.Fatalf("recovery forced a snapshot; a set republish sufficed (mode=%q)", st.Mode)
 	}
+	if got := auditSet(t, eg, "refresh 2"); got != 201 {
+		t.Fatalf("refresh 2: audited %d tuples, want 201", got)
+	}
 	set := rep.set.Load()
 	for i, sr := range set.shards {
 		if set.smap.Map.Shards[i].Version != sr.state.Version {
@@ -180,6 +191,9 @@ func TestShardedRefreshRecoversFromPartialFailure(t *testing.T) {
 	}
 	if st, err := eg.Refresh(ctx, "items"); err != nil || st.Mode != "delta" {
 		t.Fatalf("post-recovery refresh: mode=%q err=%v", st.Mode, err)
+	}
+	if got := auditSet(t, eg, "refresh 3"); got != 202 {
+		t.Fatalf("refresh 3: audited %d tuples, want 202", got)
 	}
 }
 
@@ -202,6 +216,7 @@ func TestRefreshRacingSplitKeepsShardsApart(t *testing.T) {
 	if err := eg.PullAll(ctx); err != nil {
 		t.Fatal(err)
 	}
+	auditSet(t, eg, "refresh 1")
 
 	rows := 300
 	next := int64(1000)
@@ -258,6 +273,9 @@ func TestRefreshRacingSplitKeepsShardsApart(t *testing.T) {
 		commitOnLast()
 		if _, err := eg.Refresh(ctx, "items"); err != nil {
 			t.Errorf("refresh round %d: %v", round, err)
+		}
+		if got := auditSet(t, eg, fmt.Sprintf("refresh %d", round+2)); got != rows {
+			t.Errorf("refresh %d: audited %d tuples, want %d", round+2, got, rows)
 		}
 	}
 

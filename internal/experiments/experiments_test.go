@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"edgeauth/internal/costmodel"
 	"edgeauth/internal/sig"
 )
 
@@ -105,6 +106,38 @@ func TestMeasureOpsOrdering(t *testing.T) {
 		if p.Cost("vb", 1, x) >= p.Cost("naive", 1, x) {
 			t.Errorf("X=%v: VB cost not below naive", x)
 		}
+	}
+}
+
+// TestNaiveOpsMatchAppendix ties the Appendix's Naive cost to the counts
+// naive.Verify makes, == for every projection width: a hash per returned
+// attribute, a recovery per filtered attribute and per tuple, and a
+// combine per attribute digest plus the one g each tuple's product owes.
+// CompNaive charges q·N_C combines; the measured count is q·(N_C + 1).
+func TestNaiveOpsMatchAppendix(t *testing.T) {
+	e := testEnv(t)
+	nc := len(e.Sch.Columns)
+	for _, qc := range []int{nc, 3, 1} {
+		p, err := e.MeasureOps(context.Background(), 50, qc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := costmodel.Default()
+		m.NC, m.QC = nc, qc
+		q := p.QR
+		if q == 0 {
+			t.Fatalf("Q_C=%d: an empty answer ties nothing", qc)
+		}
+		if want := int64(q * qc); p.NaiveHash != want {
+			t.Errorf("Q_C=%d: %d hashes, want q·Q_C = %d", qc, p.NaiveHash, want)
+		}
+		if want := int64(q + m.DPCount(q)); p.NaiveRecover != want {
+			t.Errorf("Q_C=%d: %d recoveries, want q + |D_P| = %d", qc, p.NaiveRecover, want)
+		}
+		if want := int64(q * (nc + 1)); p.NaiveCombine != want {
+			t.Errorf("Q_C=%d: %d combines, want q·(N_C + 1) = %d", qc, p.NaiveCombine, want)
+		}
+		t.Logf("q=%d N_C=%d Q_C=%d: %d hashes, %d recoveries, %d combines", q, nc, qc, p.NaiveHash, p.NaiveRecover, p.NaiveCombine)
 	}
 }
 

@@ -1,8 +1,10 @@
-package digest
+package naive
 
 import (
 	"encoding/binary"
 	"math/bits"
+
+	"edgeauth/internal/digest"
 )
 
 // The kernel: arithmetic in Z_{2^128} on two little-endian uint64 limbs.
@@ -17,13 +19,13 @@ var one = u128{lo: 1}
 
 // load decodes a 16-byte big-endian digest.
 func load(v []byte) u128 {
-	return u128{lo: binary.BigEndian.Uint64(v[8:size]), hi: binary.BigEndian.Uint64(v[:8])}
+	return u128{lo: binary.BigEndian.Uint64(v[8:digest.Size]), hi: binary.BigEndian.Uint64(v[:8])}
 }
 
 // store writes x into v as 16 big-endian bytes.
 func (x u128) store(v []byte) {
 	binary.BigEndian.PutUint64(v[:8], x.hi)
-	binary.BigEndian.PutUint64(v[8:size], x.lo)
+	binary.BigEndian.PutUint64(v[8:digest.Size], x.lo)
 }
 
 // mul returns x·y mod 2^128. Of the four partial products of a 128-bit

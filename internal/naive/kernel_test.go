@@ -1,17 +1,37 @@
-package digest
+package naive
 
 import (
 	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"edgeauth/internal/digest"
 )
+
+// size is the digest width the kernel's limbs hold.
+const size = digest.Size
+
+// Value is the digest type the kernel loads and stores.
+type Value = digest.Value
+
+// lift applies g to v k times, g^k(v), over the kernel: how a verifier of
+// the paper's multi-level products lifted a subtree's combined digest.
+func lift(v Value, k int) Value {
+	x := load(v)
+	for i := 0; i < k; i++ {
+		x = x.g()
+	}
+	out := make(Value, size)
+	x.store(out)
+	return out
+}
 
 // boundaryValues are the inputs where a limb kernel goes wrong first:
 // all-ones (every carry chain runs to the top), single bits on either
 // side of the limb boundary, a full low limb under an empty high one, and
 // a full high limb over an empty low one. Evens are included on purpose —
-// G, Add and AddCombined accept non-units.
+// g, mul and Add accept non-units.
 func boundaryValues() []Value {
 	mk := func(fill func(v Value)) Value {
 		v := make(Value, size)
@@ -59,61 +79,48 @@ func randomValues(rng *rand.Rand, n int) []Value {
 	return vals
 }
 
-// diffCheck drives every arithmetic entry point of the Accumulator over
-// vals and requires byte-equality with the math/big reference at each
-// step.
+// diffCheck drives every arithmetic entry point of the kernel and the Acc
+// over vals and requires byte-equality with the math/big reference at
+// each step.
 func diffCheck(t testing.TB, vals []Value) {
 	t.Helper()
-	a, r := MustNew(DefaultParams()), newRef()
-	eq := func(what string, got Value, err error, want Value) {
+	r := newRef()
+	eq := func(what string, got, want Value) {
 		t.Helper()
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s:\n kernel %x\n    big %x", what, []byte(got), []byte(want))
 		}
 	}
 	for i, v := range vals {
-		got, err := a.G(v)
-		eq(fmt.Sprintf("G(%x)", []byte(v)), got, err, r.g(v))
+		eq(fmt.Sprintf("g(%x)", []byte(v)), lift(v, 1), r.g(v))
 		for k := 0; k <= 3; k++ {
-			got, err = a.Lift(v, k)
-			eq(fmt.Sprintf("Lift(%x, %d)", []byte(v), k), got, err, r.lift(v, k))
+			eq(fmt.Sprintf("lift(%x, %d)", []byte(v), k), lift(v, k), r.lift(v, k))
 		}
 		w := vals[(i+1)%len(vals)]
-		prod := a.NewAcc()
-		if err := prod.AddCombined(v); err != nil {
+		prod := make(Value, size)
+		mul(load(v), load(w)).store(prod)
+		eq(fmt.Sprintf("mul(%x, %x)", []byte(v), []byte(w)), prod, r.mul(v, w))
+	}
+	got, err := combine(nil, vals...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eq("combine", got, r.combine(vals...))
+
+	// One Acc, its value read (and so g applied) at uneven points,
+	// against a reference that never defers anything.
+	acc, racc := NewAcc(nil), r.newAcc()
+	eq("NewAcc.Value", acc.Value(), racc.value())
+	for i, v := range vals {
+		if err := acc.Add(v); err != nil {
 			t.Fatal(err)
 		}
-		err = prod.AddCombined(w)
-		eq(fmt.Sprintf("AddCombined(%x)·AddCombined(%x)", []byte(v), []byte(w)), prod.Value(), err, r.mul(v, w))
-	}
-	got, err := a.Combine(vals...)
-	eq("Combine", got, err, r.combine(vals...))
-
-	// One Acc through every operation, its value read (and so g applied)
-	// at uneven points, against a reference that never defers anything.
-	acc, racc := a.NewAcc(), r.newAcc()
-	eq("NewAcc.Value", acc.Value(), nil, racc.value())
-	for i, v := range vals {
-		switch i % 3 {
-		case 0, 1:
-			if err := acc.Add(v); err != nil {
-				t.Fatal(err)
-			}
-			racc.add(v)
-		case 2:
-			if err := acc.AddCombined(v); err != nil {
-				t.Fatal(err)
-			}
-			racc.addCombined(v)
-		}
+		racc.add(v)
 		if i%4 == 3 {
-			eq(fmt.Sprintf("Acc.Value after %d", i+1), acc.Value(), nil, racc.value())
+			eq(fmt.Sprintf("Acc.Value after %d", i+1), acc.Value(), racc.value())
 		}
 	}
-	eq("Acc.Value", acc.Value(), nil, racc.value())
+	eq("Acc.Value", acc.Value(), racc.value())
 }
 
 // TestKernelMatchesBig is the differential property: on the boundary
@@ -131,17 +138,14 @@ func TestKernelMatchesBig(t *testing.T) {
 // coercion — to the reference.
 func TestHashMatchesBig(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	a, r := MustNew(DefaultParams()), newRef()
+	r := newRef()
 	for i := 0; i < 200; i++ {
 		// Long fields push the preimage past the stack buffer.
 		key, val := make([]byte, rng.Intn(40)), make([]byte, rng.Intn(400))
 		rng.Read(key)
 		rng.Read(val)
-		if got, want := a.HashAttribute("db", "table", "attr", key, val), r.hashAttribute("db", "table", "attr", key, val); !bytes.Equal(got, want) {
+		if got, want := HashAttribute(nil, "db", "table", "attr", key, val), r.hashAttribute("db", "table", "attr", key, val); !bytes.Equal(got, want) {
 			t.Fatalf("HashAttribute: %x, reference %x", []byte(got), []byte(want))
-		}
-		if got, want := a.HashBytes("domain", val), r.hashBytes("domain", val); !bytes.Equal(got, want) {
-			t.Fatalf("HashBytes: %x, reference %x", []byte(got), []byte(want))
 		}
 	}
 }
@@ -175,18 +179,14 @@ func FuzzKernelVsBig(f *testing.F) {
 // however many digests pass through it — two: the Acc, whose done and
 // pending products are inline limbs, and the Value it returns.
 func TestAccAllocations(t *testing.T) {
-	a := testAcc(t)
-	d := a.HashBytes("alloc", []byte("d"))
-	acc := a.NewAcc()
+	d := hashBytes("alloc", []byte("d"))
+	acc := NewAcc(nil)
 	if n := testing.AllocsPerRun(100, func() { _ = acc.Add(d) }); n != 0 {
 		t.Errorf("Acc.Add allocates %v times, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = acc.AddCombined(d) }); n != 0 {
-		t.Errorf("Acc.AddCombined allocates %v times, want 0", n)
-	}
 	perAcc := func(adds int) float64 {
 		return testing.AllocsPerRun(50, func() {
-			acc := a.NewAcc()
+			acc := NewAcc(nil)
 			for i := 0; i < adds; i++ {
 				_ = acc.Add(d)
 			}
@@ -197,18 +197,14 @@ func TestAccAllocations(t *testing.T) {
 		t.Errorf("an Acc costs %v allocations for 1 digest and %v for 200; want 2 for both (Acc with inline limbs, Value)", one, many)
 	}
 	key, val := []byte("0000000000000042"), []byte("some attribute value")
-	if n := testing.AllocsPerRun(100, func() { _ = a.HashAttribute("benchdb", "orders", "amount", key, val) }); n != 1 {
+	if n := testing.AllocsPerRun(100, func() { _ = HashAttribute(nil, "benchdb", "orders", "amount", key, val) }); n != 1 {
 		t.Errorf("HashAttribute allocates %v times, want 1 (the returned Value)", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { _ = a.HashBytes("bench", val) }); n != 1 {
-		t.Errorf("HashBytes allocates %v times, want 1 (the returned Value)", n)
 	}
 }
 
 func BenchmarkAccAdd(b *testing.B) {
-	a := MustNew(DefaultParams())
-	d := a.HashBytes("bench", []byte("d"))
-	acc := a.NewAcc()
+	d := hashBytes("bench", []byte("d"))
+	acc := NewAcc(nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := acc.Add(d); err != nil {
@@ -216,19 +212,6 @@ func BenchmarkAccAdd(b *testing.B) {
 		}
 	}
 	benchSink = acc.Value()
-}
-
-func BenchmarkLift(b *testing.B) {
-	a := MustNew(DefaultParams())
-	d := a.HashBytes("bench", []byte("d"))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		v, err := a.Lift(d, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink = v
-	}
 }
 
 var benchSink Value

@@ -16,6 +16,43 @@
 // no defense against spurious tuples — any properly signed tuple from the
 // table passes — which is part of what the VB-tree's enveloping subtree
 // adds.
+//
+// # The combiner
+//
+// A tuple digest combines formula (1)'s attribute hashes (HashAttribute)
+// by the paper's §3.2 g(x) = x^15 mod 2^128, coalesced with multiplication
+// modulo m = 2^128 (Acc), so they combine in any order. The VB-tree
+// commits by ordered hashes instead, and vetauth keeps this package off
+// the serving path.
+//
+// # The ring
+//
+// m, e and the digest width are constants of the code, not parameters:
+// m = 2^k is the paper's choice (§3.2: "we can implement g by picking
+// m = 2^k ... to optimize the modulo operation"), k = 128 is Table 1's
+// 16-byte digest, and e = 15 is the exponent of its worked example. A
+// digest is a residue as 16 big-endian bytes; the kernel holds it as two
+// little-endian uint64 limbs (kernel.go). Reduction is free: a product's
+// low 128 bits depend only on the factors' low 128 bits, so the kernel
+// computes them with math/bits.Mul64 and never forms the high half.
+// There is no division and no allocation. Hashed digests are forced odd,
+// the odd residues being exactly the units of Z_{2^128}; every 16-byte
+// string is a canonical residue, units or not.
+//
+// # One g per product
+//
+// g is a homomorphism of the multiplicative monoid of Z_m:
+//
+//	Π g(dᵢ) = Π dᵢ^e = (Π dᵢ)^e = g(Π dᵢ)   (mod m)
+//
+// in any commutative ring, units or not. An Acc therefore multiplies the
+// raw digests handed to Add into a pending product and applies g to that
+// product once, when Value is read — one multiplication per digest and
+// one exponentiation per combination, not one exponentiation per digest.
+// The residue it arrives at is the same element of Z_m, so every digest
+// and signature is bit-identical to what exponentiating each digest
+// separately produces. A tuple's verification therefore counts N_C + 1
+// combines: one per attribute digest and the one g.
 package naive
 
 import (
@@ -63,12 +100,12 @@ func BuildStore(sch *schema.Schema, acc *digest.Accumulator, signer *sig.Private
 		}
 		keyBytes := tup.Key(sch).KeyBytes()
 		st := storedRow{Tuple: tup, AttrSigs: make([]sig.Signature, len(tup.Values))}
-		tAcc := acc.NewAcc()
+		tAcc := NewAcc(acc.Counters())
 		for c, val := range tup.Values {
 			if val.Type != sch.Columns[c].Type {
 				return nil, fmt.Errorf("naive: tuple %d column %q type mismatch", i, sch.Columns[c].Name)
 			}
-			d := acc.HashAttribute(sch.DB, sch.Table, sch.Columns[c].Name, keyBytes, val.CanonicalBytes())
+			d := HashAttribute(acc.Counters(), sch.DB, sch.Table, sch.Columns[c].Name, keyBytes, val.CanonicalBytes())
 			as, err := signer.Sign(d)
 			if err != nil {
 				return nil, err
@@ -232,14 +269,12 @@ func Verify(sch *schema.Schema, acc *digest.Accumulator, pub *sig.PublicKey, rs 
 		return fmt.Errorf("naive: VO carries %d tuple digests for %d tuples", len(nv.TupleSigs), len(rs.Tuples))
 	}
 	colIdx := make([]int, len(rs.Columns))
-	inProj := make([]bool, len(sch.Columns))
 	for i, name := range rs.Columns {
 		ci := sch.ColumnIndex(name)
 		if ci < 0 {
 			return fmt.Errorf("naive: unknown column %q", name)
 		}
 		colIdx[i] = ci
-		inProj[ci] = true
 	}
 	nFiltered := len(sch.Columns) - len(rs.Columns)
 	for j := range rs.Tuples {
@@ -247,13 +282,13 @@ func Verify(sch *schema.Schema, acc *digest.Accumulator, pub *sig.PublicKey, rs 
 			return fmt.Errorf("naive: tuple %d ships %d filtered digests, want %d", j, len(nv.FilteredSigs[j]), nFiltered)
 		}
 		keyBytes := rs.Keys[j].KeyBytes()
-		tAcc := acc.NewAcc()
+		tAcc := NewAcc(acc.Counters())
 		for i, ci := range colIdx {
 			val := rs.Tuples[j].Values[i]
 			if val.Type != sch.Columns[ci].Type {
 				return fmt.Errorf("naive: tuple %d column %q type mismatch", j, rs.Columns[i])
 			}
-			d := acc.HashAttribute(sch.DB, sch.Table, sch.Columns[ci].Name, keyBytes, val.CanonicalBytes())
+			d := HashAttribute(acc.Counters(), sch.DB, sch.Table, sch.Columns[ci].Name, keyBytes, val.CanonicalBytes())
 			if err := tAcc.Add(d); err != nil {
 				return err
 			}
@@ -263,11 +298,8 @@ func Verify(sch *schema.Schema, acc *digest.Accumulator, pub *sig.PublicKey, rs 
 			if err != nil {
 				return fmt.Errorf("naive: tuple %d filtered attribute: %w", j, err)
 			}
-			if len(u) != acc.Len() {
-				return fmt.Errorf("naive: tuple %d: recovered digest wrong length", j)
-			}
 			if err := tAcc.Add(digest.Value(u)); err != nil {
-				return err
+				return fmt.Errorf("naive: tuple %d filtered attribute: %w", j, err)
 			}
 		}
 		ut, err := pub.Recover(nv.TupleSigs[j])

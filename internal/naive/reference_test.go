@@ -1,4 +1,4 @@
-package digest
+package naive
 
 import (
 	"crypto/sha256"
@@ -9,11 +9,11 @@ import (
 
 // ref is the arithmetic this package used before the limb kernel, kept as
 // the test-only reference: every residue a big.Int, g applied to each
-// digest separately, reduction by Mod. Tables, WAL records and signatures
-// already on disk were produced by exactly this code, so "the kernel
-// agrees with ref" is what bit-identity with persisted data means. It
-// computes in the one ring the package has — m = 2^128, e = 15 — from
-// math/big's own constants, not the kernel's.
+// digest separately, reduction by Mod. Digests and signatures produced
+// before the kernel came from exactly this code, so "the kernel agrees
+// with ref" is what bit-identity with them means. It computes in the one
+// ring the combiner has — m = 2^128, e = 15 — from math/big's own
+// constants, not the kernel's.
 type ref struct {
 	e, m *big.Int
 }
@@ -62,7 +62,6 @@ type refAcc struct {
 
 func (r *ref) newAcc() *refAcc           { return &refAcc{r: r, v: big.NewInt(1)} }
 func (acc *refAcc) value() Value         { return acc.r.encode(acc.v) }
-func (acc *refAcc) addCombined(d Value)  { acc.mulMod(acc.r.decode(d)) }
 func (acc *refAcc) add(d Value)          { acc.mulMod(acc.gOf(d)) }
 func (acc *refAcc) gOf(d Value) *big.Int { x := acc.r.decode(d); return x.Exp(x, acc.r.e, acc.r.m) }
 
@@ -79,16 +78,6 @@ func (r *ref) hashAttribute(db, table, attr string, key, value []byte) Value {
 		hw.Write(lenbuf[:])
 		hw.Write(f)
 	}
-	return r.digestFromHash(hw.Sum(nil))
-}
-
-func (r *ref) hashBytes(domain string, data []byte) Value {
-	hw := sha256.New()
-	var lenbuf [4]byte
-	binary.BigEndian.PutUint32(lenbuf[:], uint32(len(domain)))
-	hw.Write(lenbuf[:])
-	hw.Write([]byte(domain))
-	hw.Write(data)
 	return r.digestFromHash(hw.Sum(nil))
 }
 

@@ -11,6 +11,7 @@ package tamper
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -18,6 +19,7 @@ import (
 	"math/rand"
 
 	"edgeauth/internal/digest"
+	"edgeauth/internal/naive"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/shardmap"
 	"edgeauth/internal/sig"
@@ -183,13 +185,13 @@ func ForgeInteriorNode() Attack {
 		Name:        "forge-interior-node",
 		Description: "graft an unsigned fabricated subtree digest into the VO",
 		Apply: func(rs *vo.ResultSet, w *vo.VO) error {
-			acc := digest.MustNew(digest.DefaultParams())
-			if len(w.RootSig) == 0 || len(w.TopDigest) != acc.Len() || w.NumDS() == 0 {
+			if len(w.RootSig) == 0 || len(w.TopDigest) != digest.Size || w.NumDS() == 0 {
 				return ErrNotApplicable // no signed root, or no sibling to replace
 			}
-			forged := acc.HashBytes("tamper:forged-interior", []byte("spurious subtree"))
-			copy(w.DSDigest(0), forged)
-			w.TopDigest = sig.Signature(acc.HashBytes("tamper:forged-root", append(forged, w.TopDigest...)))
+			forged := sha256.Sum256([]byte("tamper:forged-interior spurious subtree"))
+			copy(w.DSDigest(0), forged[:digest.Size])
+			root := sha256.Sum256(append(forged[:digest.Size:digest.Size], w.TopDigest...))
+			w.TopDigest = sig.Signature(root[:digest.Size])
 			return nil
 		},
 	}
@@ -544,9 +546,8 @@ func compensate(name, desc string, target func(rs *vo.ResultSet, w *vo.VO) ([]by
 			}
 			col := len(rs.Columns) - 1
 			v := &rs.Tuples[0].Values[col]
-			acc := digest.MustNew(digest.DefaultParams())
 			key := rs.Keys[0].EncodeKey(nil)
-			hOld := acc.HashAttribute(rs.DB, rs.Table, rs.Columns[col], key, v.Canonical(nil))
+			hOld := naive.HashAttribute(nil, rs.DB, rs.Table, rs.Columns[col], key, v.Canonical(nil))
 			switch v.Type {
 			case schema.TypeInt64:
 				v.I += 1_000_000
@@ -555,23 +556,21 @@ func compensate(name, desc string, target func(rs *vo.ResultSet, w *vo.VO) ([]by
 			default:
 				return ErrNotApplicable
 			}
-			hNew := acc.HashAttribute(rs.DB, rs.Table, rs.Columns[col], key, v.Canonical(nil))
-			m := new(big.Int).Lsh(big.NewInt(1), 8*uint(acc.Len())) // m = 2^128
+			hNew := naive.HashAttribute(nil, rs.DB, rs.Table, rs.Columns[col], key, v.Canonical(nil))
+			m := new(big.Int).Lsh(big.NewInt(1), 8*digest.Size) // m = 2^128
 			inv := new(big.Int).ModInverse(new(big.Int).SetBytes(hNew), m)
 			if inv == nil {
 				return ErrNotApplicable // attribute hashes are units; not reached
 			}
 			r := new(big.Int).SetBytes(hOld)
 			r.Mul(r, inv).Mod(r, m)
-			factor := make(digest.Value, acc.Len())
-			r.FillBytes(factor)
-			lifted, err := acc.Lift(factor, lifts)
-			if err != nil {
-				return err
+			// Lift the factor: g(x) = x^15 mod m, the combiner's g, lifts times.
+			for e := big.NewInt(15); lifts > 0; lifts-- {
+				r.Exp(r, e, m)
 			}
 			// The digest's bytes as a residue, rebalanced.
 			x := new(big.Int).SetBytes(d)
-			x.Mul(x, new(big.Int).SetBytes(lifted)).Mod(x, m)
+			x.Mul(x, r).Mod(x, m)
 			x.FillBytes(d)
 			return nil
 		},

@@ -74,12 +74,18 @@ func DecodeReshardPayload(payload []byte) (*ReshardOp, error) {
 	if !need(5) {
 		return nil, errors.New("wal: truncated reshard payload")
 	}
+	if payload[off] > 1 {
+		return nil, fmt.Errorf("wal: reshard split byte %d", payload[off])
+	}
 	op.Split = payload[off] == 1
 	off++
 	op.Shard = binary.BigEndian.Uint32(payload[off:])
 	off += 4
 	if !need(1) {
 		return nil, errors.New("wal: truncated reshard payload")
+	}
+	if payload[off] > 1 {
+		return nil, fmt.Errorf("wal: reshard boundary presence byte %d", payload[off])
 	}
 	hasBoundary := payload[off] == 1
 	off++

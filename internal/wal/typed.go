@@ -92,6 +92,9 @@ func DecodeDeletePayload(payload []byte) (lo, hi *schema.Datum, err error) {
 		}
 		present := payload[off]
 		off++
+		if present > 1 {
+			return nil, nil, fmt.Errorf("wal: delete bound %d presence byte %d", i, present)
+		}
 		if present == 0 {
 			continue
 		}

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"path/filepath"
 	"testing"
 
@@ -83,4 +84,58 @@ func TestParseOpRejectsGarbage(t *testing.T) {
 	if err != nil || op.LSN != 5 || op.Kind != RecCheckpoint {
 		t.Fatalf("checkpoint parse: %+v, %v", op, err)
 	}
+}
+
+// TestDecodersRejectNonCanonicalFlags: a flag or presence byte is 0 or 1.
+// Any other value would decode to an op that re-encodes to other bytes —
+// a split read as a merge that carries a boundary, say.
+func TestDecodersRejectNonCanonicalFlags(t *testing.T) {
+	b := schema.Int64(5)
+	split := EncodeReshardPayload(&ReshardOp{Split: true, Shard: 1, Boundary: &b, RetiredIDs: []uint64{1}, NewIDs: []uint64{2, 3}, MapEpoch: 2, ParentEpoch: 1})
+	for _, at := range []int{0, 5} { // the split byte, the boundary presence byte
+		bad := append([]byte(nil), split...)
+		bad[at] = 2
+		if op, err := DecodeReshardPayload(bad); err == nil {
+			t.Errorf("reshard payload with byte %d = 2 decoded to %+v", at, op)
+		}
+	}
+	del := EncodeDeletePayload(&b, nil)
+	for _, at := range []int{0, len(del) - 1} { // lo's presence byte, hi's
+		bad := append([]byte(nil), del...)
+		bad[at] = 2
+		if lo, hi, err := DecodeDeletePayload(bad); err == nil {
+			t.Errorf("delete payload with byte %d = 2 decoded to %v, %v", at, lo, hi)
+		}
+	}
+}
+
+// FuzzRecordPayloads runs every payload decoder a restart replays over
+// the same bytes. None may panic, and whatever one accepts must re-encode
+// to exactly the bytes it read.
+func FuzzRecordPayloads(f *testing.F) {
+	lo, hi := schema.Int64(3), schema.Str("nine")
+	f.Add(EncodeBatchPayload([]schema.Tuple{testTuple(7, "seven"), testTuple(8, "eight")}))
+	f.Add(EncodeDeletePayload(&lo, &hi))
+	f.Add(EncodeReshardPayload(&ReshardOp{Split: true, Shard: 1, Boundary: &lo, RetiredIDs: []uint64{4}, NewIDs: []uint64{5, 6}, MapEpoch: 3, ParentEpoch: 2}))
+	f.Add(EncodePartitionCheckpoint(&PartitionCheckpoint{MapEpoch: 3, NextShardID: 7, ShardIDs: []uint64{5, 6}, Boundaries: []schema.Datum{lo}}))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		reencoded := func(what string, got []byte) {
+			t.Helper()
+			if !bytes.Equal(got, payload) {
+				t.Fatalf("%s payload accepted and re-encoded differently:\n read %x\n  out %x", what, payload, got)
+			}
+		}
+		if tuples, err := DecodeBatchPayload(payload); err == nil {
+			reencoded("batch", EncodeBatchPayload(tuples))
+		}
+		if lo, hi, err := DecodeDeletePayload(payload); err == nil {
+			reencoded("delete", EncodeDeletePayload(lo, hi))
+		}
+		if op, err := DecodeReshardPayload(payload); err == nil {
+			reencoded("reshard", EncodeReshardPayload(op))
+		}
+		if cp, err := DecodePartitionCheckpoint(payload); err == nil {
+			reencoded("checkpoint", EncodePartitionCheckpoint(cp))
+		}
+	})
 }

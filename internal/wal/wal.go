@@ -213,8 +213,15 @@ func replay(path string, fn func(Record) error, fromCheckpoint bool) error {
 }
 
 // scan reads the valid record prefix, returning the records and the byte
-// length of the valid prefix.
+// length of the valid prefix. A record whose declared length runs past
+// the end of the file is a torn tail, found before its buffer is
+// allocated.
 func scan(f *os.File) ([]Record, int64, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return nil, 0, fmt.Errorf("wal: sizing log: %w", err)
+	}
+	size := st.Size()
 	var recs []Record
 	var off int64
 	hdr := make([]byte, headerSize)
@@ -226,8 +233,8 @@ func scan(f *os.File) ([]Record, int64, error) {
 			return nil, 0, fmt.Errorf("wal: reading header: %w", err)
 		}
 		plen := int(binary.BigEndian.Uint32(hdr[4:8]))
-		if plen < 0 || plen > 1<<30 {
-			return recs, off, nil // corrupt length: treat as torn tail
+		if plen > 1<<30 || int64(headerSize+plen) > size-off {
+			return recs, off, nil // corrupt length, or past EOF: treat as torn tail
 		}
 		buf := make([]byte, headerSize+plen)
 		if _, err := f.ReadAt(buf, off); err != nil {

@@ -2,9 +2,11 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -217,5 +219,53 @@ func TestRecordTypeString(t *testing.T) {
 	}
 	if RecordType(99).String() == "" {
 		t.Fatal("unknown type should render")
+	}
+}
+
+// TestOpenBoundsTornLengthByFileSize: a torn tail whose header claims a
+// gigabyte is found torn before anything of that size is allocated.
+func TestOpenBoundsTornLengthByFileSize(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "huge.wal")
+	l, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(RecBatch, []byte("good")); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	good, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := make([]byte, headerSize)
+	binary.BigEndian.PutUint32(hdr[4:8], 1<<30)
+	binary.BigEndian.PutUint64(hdr[8:16], 2)
+	hdr[16] = byte(RecBatch)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(hdr); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	re, err := Open(path)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("Open allocated %d bytes for a torn 1 GiB header, want < 1 MiB", grew)
+	}
+	if re.NextLSN() != 2 {
+		t.Fatalf("NextLSN = %d, want 2: the good record kept, the torn one dropped", re.NextLSN())
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != good.Size() {
+		t.Fatalf("log is %v bytes after Open (err %v), want the good record's %d", st.Size(), err, good.Size())
 	}
 }
