@@ -6,17 +6,14 @@
 // the Naive baseline, the cost model, the experiments, the adversary or
 // the generators (boundary).
 //
-// Run it through the vet driver so test files and build-tag variants
-// are covered:
+// It runs only as a vet tool, so test files and build-tag variants are
+// covered:
 //
 //	go build -o bin/vetauth ./cmd/vetauth
 //	go vet -vettool=$PWD/bin/vetauth ./...
 //
-// or standalone over package patterns (library sources only):
-//
-//	go run ./cmd/vetauth ./...
-//
-// Findings exit nonzero. Intentional exceptions are annotated in the
+// Run by hand without the package config go vet passes, it prints this
+// usage and exits 2. Findings exit nonzero. Intentional exceptions are annotated in the
 // source with //vetauth:ignore <analyzer> <reason>.
 package main
 

@@ -2,14 +2,14 @@
 // golang.org/x/tools/go/analysis core: just enough Analyzer/Pass/
 // Diagnostic surface for this repository's domain-invariant checkers
 // (trustflow, pinpair, locksign, ctxflow, boundary) and the cmd/vetauth
-// driver that runs them, standalone or under `go vet -vettool`.
+// driver that runs them under `go vet -vettool`.
 //
 // The x/tools module is deliberately not a dependency — the module is
 // stdlib-only — so the framework here re-creates the three pieces the
 // suite needs: the analyzer abstraction (this file), the `go vet`
-// unitchecker command protocol and a `go list`-based standalone loader
-// (internal/analysis/driver), and a fixture test harness with
-// `// want` comment matching (internal/analysis/analyzertest).
+// unitchecker command protocol (internal/analysis/driver), and a fixture
+// test harness with `// want` comment matching
+// (internal/analysis/analyzertest).
 //
 // Suppressions: a diagnostic is dropped when the offending line (or the
 // line above it) carries a comment of the form

@@ -1,8 +1,7 @@
-// Package driver runs an analysis suite either as a `go vet -vettool`
-// backend or as a standalone command over package patterns.
-//
-// The vettool side speaks cmd/go's unit-checking protocol, the same
-// one golang.org/x/tools/go/analysis/unitchecker implements:
+// Package driver runs an analysis suite as a `go vet -vettool` backend,
+// so test files and build-tag variants are analysed as cmd/go builds
+// them. It speaks cmd/go's unit-checking protocol, the same one
+// golang.org/x/tools/go/analysis/unitchecker implements:
 //
 //	vetauth -V=full          print a tool identity ending in a
 //	                         content-derived buildID= field
@@ -13,9 +12,7 @@
 //
 // Imports are type-checked from the compiler export data files listed
 // in the config's PackageFile map, so a unit run never rebuilds
-// dependencies. The standalone mode recovers the same information with
-// `go list -e -export -deps -json`, which works offline through the
-// build cache.
+// dependencies.
 package driver
 
 import (
@@ -29,7 +26,6 @@ import (
 	"go/types"
 	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 
@@ -42,10 +38,8 @@ func Main(analyzers ...*analysis.Analyzer) {
 	if err := analysis.Validate(analyzers); err != nil {
 		fatalf("%v", err)
 	}
-	args := os.Args[1:]
-	var patterns []string
 	cfgFile := ""
-	for _, arg := range args {
+	for _, arg := range os.Args[1:] {
 		switch {
 		case arg == "-V=full" || arg == "--V=full":
 			printVersion()
@@ -60,30 +54,24 @@ func Main(analyzers ...*analysis.Analyzer) {
 		case strings.HasPrefix(arg, "-"):
 			fatalf("unrecognized flag %s", arg)
 		default:
-			patterns = append(patterns, arg)
+			fatalf("unexpected argument %s\n%s", arg, usage())
 		}
 	}
-	switch {
-	case cfgFile != "":
-		findings, err := runUnit(cfgFile, analyzers)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if findings {
-			os.Exit(1)
-		}
-	default:
-		if len(patterns) == 0 {
-			patterns = []string{"./..."}
-		}
-		findings, err := runStandalone(patterns, analyzers)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if findings {
-			os.Exit(1)
-		}
+	if cfgFile == "" {
+		fatalf("no package config\n%s", usage())
 	}
+	findings, err := runUnit(cfgFile, analyzers)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if findings {
+		os.Exit(1)
+	}
+}
+
+// usage says how the tool is run: by go vet, never by hand.
+func usage() string {
+	return fmt.Sprintf("usage: go vet -vettool=/path/to/%s ./...", progname())
 }
 
 func fatalf(format string, args ...any) {
@@ -232,103 +220,4 @@ func printDiags(fset *token.FileSet, diags []analysis.Diagnostic) {
 	for _, d := range diags {
 		fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", fset.Position(d.Pos), d.Message, d.Analyzer)
 	}
-}
-
-// listPackage is the subset of `go list -json` output the standalone
-// loader needs.
-type listPackage struct {
-	ImportPath string
-	Name       string
-	Dir        string
-	GoFiles    []string
-	CgoFiles   []string
-	DepOnly    bool
-	Standard   bool
-	Export     string
-	Module     *struct{ Path string }
-	Error      *struct{ Err string }
-}
-
-// runStandalone analyzes the packages matching the patterns, resolving
-// imports through build-cache export data discovered with `go list`.
-func runStandalone(patterns []string, analyzers []*analysis.Analyzer) (findings bool, err error) {
-	args := append([]string{"list", "-e", "-export", "-deps", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return false, fmt.Errorf("go list: %v", err)
-	}
-	exports := make(map[string]string)
-	var roots []*listPackage
-	dec := json.NewDecoder(strings.NewReader(string(out)))
-	for dec.More() {
-		p := new(listPackage)
-		if err := dec.Decode(p); err != nil {
-			return false, fmt.Errorf("go list output: %v", err)
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.DepOnly && !p.Standard {
-			roots = append(roots, p)
-		}
-	}
-
-	for _, p := range roots {
-		if p.Error != nil {
-			fmt.Fprintf(os.Stderr, "%s: %s\n", p.ImportPath, p.Error.Err)
-			findings = true
-			continue
-		}
-		if len(p.CgoFiles) > 0 {
-			// cgo packages need the generated intermediate sources; skip
-			// rather than typecheck something that isn't what compiles.
-			fmt.Fprintf(os.Stderr, "%s: skipping cgo package\n", p.ImportPath)
-			continue
-		}
-		n, err := runListed(p, exports, analyzers)
-		if err != nil {
-			return findings, fmt.Errorf("%s: %v", p.ImportPath, err)
-		}
-		if n > 0 {
-			findings = true
-		}
-	}
-	return findings, nil
-}
-
-func runListed(p *listPackage, exports map[string]string, analyzers []*analysis.Analyzer) (int, error) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range p.GoFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return 0, err
-		}
-		files = append(files, f)
-	}
-	compilerImporter := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	imp := importerFunc(func(importPath string) (*types.Package, error) {
-		if importPath == "unsafe" {
-			return types.Unsafe, nil
-		}
-		return compilerImporter.Import(importPath)
-	})
-	pkg, info, err := typecheck(fset, p.ImportPath, files, imp, "")
-	if err != nil {
-		return 0, err
-	}
-	diags, err := analysis.Run(&analysis.Package{Fset: fset, Files: files, Types: pkg, Info: info}, analyzers)
-	if err != nil {
-		return 0, err
-	}
-	printDiags(fset, diags)
-	return len(diags), nil
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // A Package bundles the type-checked inputs a Pass needs. Drivers (the
-// vet-protocol unit runner, the standalone loader, the test harness)
+// vet-protocol unit runner, the test harness)
 // construct one and hand it to Run.
 type Package struct {
 	Fset  *token.FileSet

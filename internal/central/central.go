@@ -1031,7 +1031,11 @@ func (s *Server) appendDelta(dst []byte, t *table, sh *shard, fromVersion, epoch
 		sh.mu.RUnlock()
 	}
 	if !covered {
+		// The marker is signed like any delta and names the key that
+		// signs it, so a replica resolves that key by version.
+		pub := s.key.Public()
 		d.SnapshotNeeded = true
+		d.KeyVersion, d.Scheme = pub.Version, uint8(pub.Scheme)
 	} else {
 		if st, err = s.shipState(sh, st); err != nil {
 			return nil, nil, err

@@ -231,6 +231,64 @@ func TestKeyValidityStamping(t *testing.T) {
 	}
 }
 
+// TestSetKeyValidityBesideTheServingPath: a key rotation restamps the
+// signing key while the serving path reads its public half (every map
+// signing reads the key version). Under -race the two must not race, and
+// the map signed after the last rotation names its version.
+func TestSetKeyValidityBesideTheServingPath(t *testing.T) {
+	srv, err := NewServerWithKey(Options{PageSize: 1024}, sig.MustGenerate(sig.SchemeEd25519, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	spec := workload.DefaultSpec(20)
+	sch, err := spec.Schema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples, err := spec.Tuples()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.AddTable(sch, tuples); err != nil {
+		t.Fatal(err)
+	}
+	started, done := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for n := 0; ; n++ {
+			if n == 1 {
+				close(started)
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, err := srv.SignedShardMap("items"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	<-started
+	const last = 200
+	for v := uint32(1); v <= last; v++ {
+		srv.SetKeyValidity(v, 0, 0)
+	}
+	close(done)
+	wg.Wait()
+	sm, err := srv.SignedShardMap("items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sm.Map.KeyVersion != last {
+		t.Fatalf("map signed after the last rotation names key version %d, want %d", sm.Map.KeyVersion, last)
+	}
+}
+
 // TestConcurrentQueriesAndUpdates races the central's read path — edge
 // snapshot pulls, each served from a pinned version — against inserts:
 // every pull is a whole page image of one version, versions never go

@@ -32,6 +32,14 @@ func auditSet(t *testing.T, eg *Server, stage string) int {
 	return total
 }
 
+// auditRows is auditSet asserting how many tuples the set holds.
+func auditRows(t *testing.T, eg *Server, stage string, rows int) {
+	t.Helper()
+	if n := auditSet(t, eg, stage); n != rows {
+		t.Fatalf("%s: audited %d tuples, want %d", stage, n, rows)
+	}
+}
+
 // TestPublishedViewsAuditToTheirPins: whatever an edge publishes —
 // bootstrap snapshots, a delta that detaches a leaf, the children of a
 // split, the shard of a merge — audits digest by digest, through the

@@ -34,7 +34,6 @@
 package edge
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -53,6 +52,7 @@ import (
 	"edgeauth/internal/sig"
 	"edgeauth/internal/storage"
 	"edgeauth/internal/vbtree"
+	"edgeauth/internal/verify"
 	"edgeauth/internal/vo"
 	"edgeauth/internal/wire"
 )
@@ -111,13 +111,12 @@ type Server struct {
 	// peerTamper is the malicious-relay hook (see SetPeerTamper).
 	peerTamper atomic.Pointer[PeerTamperFn]
 
-	pubMu      sync.Mutex
-	centralPub *sig.PublicKey
-
-	// sigCache remembers (key version, signature) -> proven payload for
-	// refresh-path signature checks; see verifySigCached.
-	sigCacheMu sync.Mutex
-	sigCache   map[string][]byte
+	// keys holds the central's public keys by version, filled from the
+	// central itself (underCentralKey). ver checks every central signature
+	// this edge installs — shard maps, delta bodies, shard roots — against
+	// it, through one verified-signature cache.
+	keys *sig.Registry
+	ver  *verify.Verifier
 
 	stats edgeCounters
 
@@ -315,10 +314,13 @@ func New(centralAddr string) *Server {
 
 // NewWithOptions creates an edge server with explicit serving options.
 func NewWithOptions(centralAddr string, opts Options) *Server {
+	keys := sig.NewRegistry()
 	s := &Server{
 		opts:    opts,
 		central: rpc.New(centralAddr, rpc.Options{}),
 		relay:   peer.NewCache(0),
+		keys:    keys,
+		ver:     &verify.Verifier{Keys: keys, Acc: acc},
 	}
 	if len(opts.Upstreams) > 0 {
 		s.peers = peer.NewSet(opts.Upstreams, rpc.Options{Capabilities: s.helloCaps()})
@@ -404,22 +406,22 @@ func (s *Server) Pull(ctx context.Context, tableName string) error {
 }
 
 // fetchVerifiedMap pulls the table's signed shard map from the central
-// server and signature-checks it before anything trusts its shape.
-// Returns the wire size alongside.
+// server and checks it — table, shape, key window and signature — before
+// anything trusts it. An idle table serves the same bytes every tick, and
+// the verifier checks each distinct map once. The map returned may be
+// shared and is read-only. Returns the wire size alongside.
 func (s *Server) fetchVerifiedMap(ctx context.Context, tableName string) (*shardmap.Signed, int, error) {
 	body, err := s.central.Call(ctx, wire.MsgShardMapReq, []byte(tableName), wire.MsgShardMapResp, true)
 	if err != nil {
 		return nil, 0, err
 	}
-	sm, err := shardmap.DecodeSigned(body)
+	var sm *shardmap.Signed
+	err = s.underCentralKey(ctx, func() (err error) {
+		sm, err = s.ver.VerifySignedMap(body, tableName)
+		return err
+	})
 	if err != nil {
-		return nil, 0, err
-	}
-	if sm.Map.Table != tableName {
-		return nil, 0, fmt.Errorf("edge: shard map names table %q, requested %q", sm.Map.Table, tableName)
-	}
-	if err := s.verifyMap(ctx, sm); err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("edge: shard map rejected: %w", err)
 	}
 	s.countPull(nil, len(body))
 	return sm, len(body), nil
@@ -769,7 +771,7 @@ const maxShardFetches = 8
 // write — each works on its own store and fills its own shardFetch, which
 // is merged here after all have returned; what they do share is safe for
 // concurrent use (the pipelined connections, the source set's health, the
-// relay cache, the key and signature caches, the counters). The first
+// relay cache, the key registry and the verifier, the counters). The first
 // failure cancels the others. Whatever those had already applied stays
 // in their stores, which is where the next pass resumes.
 //
@@ -1081,35 +1083,25 @@ func (s *Server) fetchDelta(ctx context.Context, src *peer.Source, tableName str
 	return d, nil
 }
 
-// underCentralKey runs check under the cached central key and — the
-// central may have rotated or regenerated its key since the cache was
-// filled — once more under a key refetched over the authenticated
-// channel before the rejection stands.
-func (s *Server) underCentralKey(ctx context.Context, check func(*sig.PublicKey) error) error {
-	pub, err := s.centralKey(ctx)
+// underCentralKey runs check against the key registry and — the central
+// may have rotated or regenerated its key since the registry was filled,
+// and an empty registry holds no key at all — once more after fetching
+// the central's current key over the replication connection, the edge's
+// authenticated channel, before the rejection stands.
+func (s *Server) underCentralKey(ctx context.Context, check func() error) error {
+	if check() == nil {
+		return nil
+	}
+	body, err := s.central.Call(ctx, wire.MsgPubKeyReq, nil, wire.MsgPubKeyResp, true)
 	if err != nil {
 		return err
 	}
-	if check(pub) == nil {
-		return nil
-	}
-	if pub, err = s.refetchCentralKey(ctx); err != nil {
+	var pub sig.PublicKey
+	if err := pub.UnmarshalBinary(body); err != nil {
 		return err
 	}
-	return check(pub)
-}
-
-// verifyMap signature-checks a fetched shard map. It goes through the
-// verified-signature cache: an idle table serves the same signed map
-// every tick, so steady-state refreshes skip the public-key operation
-// entirely.
-func (s *Server) verifyMap(ctx context.Context, sm *shardmap.Signed) error {
-	return s.underCentralKey(ctx, func(pub *sig.PublicKey) error {
-		if err := s.verifySigCached(pub, sm.Sig, sm.Map.SigPayload()); err != nil {
-			return fmt.Errorf("edge: shard map signature rejected: %w", err)
-		}
-		return nil
-	})
+	s.keys.Put(&pub)
+	return check()
 }
 
 // verifyDelta signature-checks a delta's received bytes.
@@ -1118,8 +1110,8 @@ func (s *Server) verifyDelta(ctx context.Context, d *wire.Delta, body []byte) er
 	if err != nil {
 		return err
 	}
-	return s.underCentralKey(ctx, func(pub *sig.PublicKey) error {
-		if err := pub.Verify(d.Sig, payload); err != nil {
+	return s.underCentralKey(ctx, func() error {
+		if err := s.ver.VerifySigned(d.KeyVersion, d.Sig, payload); err != nil {
 			return fmt.Errorf("edge: delta signature rejected: %w", err)
 		}
 		return nil
@@ -1127,61 +1119,34 @@ func (s *Server) verifyDelta(ctx context.Context, d *wire.Delta, body []byte) er
 }
 
 // verifySnapshot anchors a pulled snapshot in the central key before any
-// of its pages are installed, closing the asymmetry with the delta path
-// (deltas are whole-body signed and checked by verifyDelta; snapshots
-// carry the tree's signed root digest). The root signature must recover
-// to a digest of the right shape under the central key and, when pinned
-// is non-nil (a root digest vouched for by already-verified material,
-// such as the signed shard map), the recovered digest must equal it.
+// of its pages are installed, when the caller holds the root digest it
+// must carry: pinned is vouched for by already-verified material (the
+// signed shard map), and the snapshot's root signature must authenticate
+// exactly it. Without a pin nothing is checked here — only the central
+// may serve a snapshot the map cannot vouch for yet — and
+// verifyAlignedStores binds the installed store to the final map before
+// it is published.
 func (s *Server) verifySnapshot(ctx context.Context, snap *wire.Snapshot, pinned []byte) error {
-	return s.underCentralKey(ctx, func(pub *sig.PublicKey) error {
-		if err := recoverPinned(pub, snap.RootSig, pinned); err != nil {
+	if pinned == nil {
+		return nil
+	}
+	return s.underCentralKey(ctx, func() error {
+		if err := s.ver.VerifySigned(snap.KeyVersion, snap.RootSig, pinned); err != nil {
 			return fmt.Errorf("edge: snapshot root signature rejected: %w", err)
 		}
 		return nil
 	})
 }
 
-// recoverPinned checks a root signature under pub — and binds it to a
-// pinned digest, when the caller holds one. RSA schemes recover the
-// digest from the signature (message recovery), so shape and pin can
-// both be checked even without a pin in hand. Ed25519 has no recovery:
-// with a pin the signature is verified detached against it; without one
-// only the signature's length can be checked here, and the binding
-// happens in verifyAlignedStores against the signed shard map before
-// the store is published.
-func recoverPinned(pub *sig.PublicKey, rootSig, pinned []byte) error {
-	if pub.Scheme == sig.SchemeEd25519 {
-		if pinned != nil {
-			return pub.Verify(sig.Signature(rootSig), pinned)
-		}
-		if len(rootSig) != pub.Len() {
-			return fmt.Errorf("root signature is %d bytes, want %d", len(rootSig), pub.Len())
-		}
-		return nil
-	}
-	u, err := pub.Recover(sig.Signature(rootSig))
-	if err != nil {
-		return err
-	}
-	if len(u) != acc.Len() {
-		return fmt.Errorf("recovered %d bytes, want a %d-byte digest", len(u), acc.Len())
-	}
-	if pinned != nil && !bytes.Equal(u, pinned) {
-		return errors.New("root digest does not match its verified pin")
-	}
-	return nil
-}
-
 // verifyAlignedStores cross-checks the shard stores against the map they
 // are about to be published with: each store's root signature must
 // authenticate, under the central key, exactly the root digest the
 // verified map pins for that shard — one signature check per shard, and
-// none for a binding the signature cache has already proven. The central
-// pays nothing comparable: it signs a root only when a replica first
-// pulls it, and reads the digest from its tree. This is the binding
-// fetchSnapshot defers when a racing commit leaves a central snapshot
-// ahead of the map it was pulled with.
+// none for a binding the verifier's cache has already proven (a pinned
+// snapshot's, say). The central pays nothing comparable: it signs a root
+// only when a replica first pulls it, and reads the digest from its tree.
+// This is the binding fetchSnapshot defers when a racing commit leaves a
+// central snapshot ahead of the map it was pulled with.
 func (s *Server) verifyAlignedStores(ctx context.Context, sm *shardmap.Signed, stores []*storage.PageStore) error {
 	heads := make([]*vbtree.TableState, len(stores))
 	for i, store := range stores {
@@ -1191,94 +1156,14 @@ func (s *Server) verifyAlignedStores(ctx context.Context, sm *shardmap.Signed, s
 		}
 		heads[i] = st
 	}
-	return s.underCentralKey(ctx, func(pub *sig.PublicKey) error {
+	return s.underCentralKey(ctx, func() error {
 		for i, st := range heads {
-			if err := s.verifySigCached(pub, st.RootSig, sm.Map.Shards[i].RootDigest); err != nil {
-				return fmt.Errorf("edge: shard %d of %q: root signature does not authenticate the digest its signed map pins", i, sm.Map.Table)
+			if err := s.ver.VerifySigned(st.KeyVersion, st.RootSig, sm.Map.Shards[i].RootDigest); err != nil {
+				return fmt.Errorf("edge: shard %d of %q: root signature does not authenticate the digest its signed map pins: %w", i, sm.Map.Table, err)
 			}
 		}
 		return nil
 	})
-}
-
-// edgeSigCacheMax bounds the verified-signature cache: refresh ticks
-// re-check the same (root signature, root digest) bindings every round
-// while a shard is quiet, so a small cache absorbs the steady state.
-const edgeSigCacheMax = 256
-
-// verifySigCached checks that sg authenticates payload under pub (works
-// for every scheme: RSA verifies by recovery-and-compare, Ed25519
-// detached), consulting a bounded cache of previously-proven bindings
-// first. Entries are keyed by key version + signature bytes and only
-// written after a successful verification.
-func (s *Server) verifySigCached(pub *sig.PublicKey, sg sig.Signature, payload []byte) error {
-	key := string(appendCacheKey(pub.Version, sg))
-	s.sigCacheMu.Lock()
-	cached, ok := s.sigCache[key]
-	s.sigCacheMu.Unlock()
-	if ok && bytes.Equal(cached, payload) {
-		s.stats.sigCacheHits.Add(1)
-		return nil
-	}
-	s.stats.sigCacheMisses.Add(1)
-	if err := pub.Verify(sg, payload); err != nil {
-		return err
-	}
-	s.sigCacheMu.Lock()
-	if s.sigCache == nil {
-		s.sigCache = make(map[string][]byte, edgeSigCacheMax)
-	}
-	if len(s.sigCache) >= edgeSigCacheMax {
-		for k := range s.sigCache {
-			delete(s.sigCache, k)
-			if len(s.sigCache) < edgeSigCacheMax {
-				break
-			}
-		}
-	}
-	s.sigCache[key] = append([]byte(nil), payload...)
-	s.sigCacheMu.Unlock()
-	return nil
-}
-
-func appendCacheKey(version uint32, sg sig.Signature) []byte {
-	out := make([]byte, 0, 4+len(sg))
-	out = append(out, byte(version>>24), byte(version>>16), byte(version>>8), byte(version))
-	return append(out, sg...)
-}
-
-// centralKey fetches (once) the central server's public key over the
-// replication connection — the edge's authenticated channel — so deltas
-// and shard maps can be signature-checked before they touch a replica.
-func (s *Server) centralKey(ctx context.Context) (*sig.PublicKey, error) {
-	s.pubMu.Lock()
-	defer s.pubMu.Unlock()
-	if s.centralPub != nil {
-		return s.centralPub, nil
-	}
-	return s.fetchCentralKeyLocked(ctx)
-}
-
-// refetchCentralKey discards the cached key and fetches the current one
-// (the central server may have rotated keys since the cache was filled).
-func (s *Server) refetchCentralKey(ctx context.Context) (*sig.PublicKey, error) {
-	s.pubMu.Lock()
-	defer s.pubMu.Unlock()
-	s.centralPub = nil
-	return s.fetchCentralKeyLocked(ctx)
-}
-
-func (s *Server) fetchCentralKeyLocked(ctx context.Context) (*sig.PublicKey, error) {
-	body, err := s.central.Call(ctx, wire.MsgPubKeyReq, nil, wire.MsgPubKeyResp, true)
-	if err != nil {
-		return nil, err
-	}
-	var pk sig.PublicKey
-	if err := pk.UnmarshalBinary(body); err != nil {
-		return nil, err
-	}
-	s.centralPub = &pk
-	return s.centralPub, nil
 }
 
 // Version reports a replica's update version (the shard-map version).

@@ -1,16 +1,20 @@
 package edge
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync"
 	"testing"
 
 	"edgeauth/internal/central"
+	"edgeauth/internal/digest"
 	"edgeauth/internal/rpc"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
+	"edgeauth/internal/storage"
 	"edgeauth/internal/vbtree"
 	"edgeauth/internal/verify"
 	"edgeauth/internal/vo"
@@ -125,6 +129,61 @@ func TestInstallStoreValidation(t *testing.T) {
 	snap.PageData[0] = snap.PageData[0][:10]
 	if _, err := installStore(snap); err == nil {
 		t.Fatal("short page accepted")
+	}
+}
+
+// TestQueryOverOverclaimedHeapPageFails: a snapshot's pages are not
+// signed one by one — the map pins the root signature, not the pages — so
+// a peer can ship a heap page whose header claims more slots than the page
+// holds, and a leaf naming a slot past the page. A query reaching that
+// record must fail, not read past the page and take the edge down.
+func TestQueryOverOverclaimedHeapPageFails(t *testing.T) {
+	ctx := context.Background()
+	srv, _ := startCentral(t, 60)
+	snap, err := srv.ShardSnapshot("items", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := func(id storage.PageID) []byte {
+		for i := range snap.PageIDs {
+			if snap.PageIDs[i] == id {
+				snap.PageData[i] = bytes.Clone(snap.PageData[i])
+				return snap.PageData[i]
+			}
+		}
+		t.Fatalf("snapshot carries no page %d", id)
+		return nil
+	}
+	// The first entry of a leaf: header, group digests, then
+	// keyLen(2) key rid(6), the rid a page ID and a slot.
+	var leaf []byte
+	for i, data := range snap.PageData {
+		if storage.PageType(data[0]) == storage.PageVBLeaf {
+			leaf = page(snap.PageIDs[i])
+			break
+		}
+	}
+	if leaf == nil {
+		t.Fatal("snapshot carries no leaf")
+	}
+	off := 1 + 4 + 2 + digest.StoredBytes(int(binary.BigEndian.Uint16(leaf[5:7])))
+	off += 2 + int(binary.BigEndian.Uint16(leaf[off:]))
+	heap := page(storage.PageID(binary.BigEndian.Uint32(leaf[off:])))
+	binary.BigEndian.PutUint16(leaf[off+4:], 300)
+	binary.BigEndian.PutUint16(heap[2:4], 0xFFFF)
+
+	store, err := installStore(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := &replica{sch: snap.Schema}
+	sr, err := rep.pinCurrent(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sr.snap.Release()
+	if _, _, err := sr.view.AppendAnswer(ctx, vbtree.Query{}, nil); err == nil {
+		t.Fatal("a query over a record in slot 300 of a 1 KiB page succeeded")
 	}
 }
 

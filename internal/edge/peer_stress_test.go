@@ -2,6 +2,7 @@ package edge
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -47,11 +48,13 @@ func TestPeerFanoutStress(t *testing.T) {
 	if err := base.PullAll(ctx); err != nil {
 		t.Fatal(err)
 	}
+	auditRows(t, base, "baseline edge, bootstrap", 300)
 	commitBatch(1_000_000)
 	preBase := srv.Stats().EgressDeltaBytes
 	if st, err := base.Refresh(ctx, "items"); err != nil || st.Mode != "delta" {
 		t.Fatalf("baseline refresh: %+v, %v", st, err)
 	}
+	auditRows(t, base, "baseline edge, round 1", 320)
 	baseline := srv.Stats().EgressDeltaBytes - preBase
 	if baseline == 0 {
 		t.Fatal("baseline produced no delta egress")
@@ -68,6 +71,7 @@ func TestPeerFanoutStress(t *testing.T) {
 		if err := tier1[i].PullAll(ctx); err != nil {
 			t.Fatal(err)
 		}
+		auditRows(t, tier1[i], fmt.Sprintf("tier-1 edge %d, bootstrap", i), 320)
 		tier1Addrs[i] = startEdge(t, tier1[i])
 	}
 	tier2 := make([]*Server, edges-tier1Count)
@@ -91,6 +95,9 @@ func TestPeerFanoutStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	for i, eg := range tier2 {
+		auditRows(t, eg, fmt.Sprintf("tier-2 edge %d, bootstrap", i), 320)
 	}
 
 	// The measured round: one batch commit, tier-1 refreshes from the
@@ -120,6 +127,12 @@ func TestPeerFanoutStress(t *testing.T) {
 	refreshAll(tier1)
 	refreshAll(tier2)
 	egress := srv.Stats().EgressDeltaBytes - preDelta
+	for i, eg := range tier1 {
+		auditRows(t, eg, fmt.Sprintf("tier-1 edge %d, round 1", i), 340)
+	}
+	for i, eg := range tier2 {
+		auditRows(t, eg, fmt.Sprintf("tier-2 edge %d, round 1", i), 340)
+	}
 
 	// The CDN bound: central bulk egress for the whole fleet stays
 	// within 3× what ONE direct edge costs (tier-1 is two edges; the

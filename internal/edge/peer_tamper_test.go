@@ -30,6 +30,8 @@ func TestMaliciousPeerBitFlipDelta(t *testing.T) {
 	if err := t2.PullAll(ctx); err != nil {
 		t.Fatal(err)
 	}
+	auditRows(t, t1, "tier-1, bootstrap", 300)
+	auditRows(t, t2, "tier-2, bootstrap", 300)
 	t1.SetPeerTamper(attackByName(t, "bit-flip-delta").NewHook())
 
 	if err := srv.Insert("items", freshRow(t, 500_000)); err != nil {
@@ -38,10 +40,12 @@ func TestMaliciousPeerBitFlipDelta(t *testing.T) {
 	if _, err := t1.Refresh(ctx, "items"); err != nil {
 		t.Fatal(err)
 	}
+	auditRows(t, t1, "tier-1, round 1", 301)
 	st, err := t2.Refresh(ctx, "items")
 	if err != nil {
 		t.Fatalf("refresh against corrupting peer: %v", err)
 	}
+	auditRows(t, t2, "tier-2, round 1", 301)
 	if st.Mode != "delta" {
 		t.Fatalf("refresh mode = %q, want delta (healed from central)", st.Mode)
 	}
@@ -72,6 +76,8 @@ func TestMaliciousPeerReplayStaleSnapshot(t *testing.T) {
 	if err := t2.PullAll(ctx); err != nil {
 		t.Fatal(err)
 	}
+	auditRows(t, t1, "tier-1, bootstrap", 300)
+	auditRows(t, t2, "tier-2, bootstrap", 300)
 
 	// The table moves on and tier-1 keeps up.
 	if err := srv.Insert("items", freshRow(t, 500_000)); err != nil {
@@ -80,6 +86,7 @@ func TestMaliciousPeerReplayStaleSnapshot(t *testing.T) {
 	if _, err := t1.Refresh(ctx, "items"); err != nil {
 		t.Fatal(err)
 	}
+	auditRows(t, t1, "tier-1, round 1", 301)
 
 	// A late joiner bootstraps through the compromised relay: the
 	// replayed body fails the map pin for the shard that moved, and the
@@ -89,6 +96,7 @@ func TestMaliciousPeerReplayStaleSnapshot(t *testing.T) {
 	if err := late.PullAll(ctx); err != nil {
 		t.Fatalf("bootstrap against replaying peer: %v", err)
 	}
+	auditRows(t, late, "late edge, bootstrap in round 1", 301)
 	if got := late.Stats().PeerFailovers; got == 0 {
 		t.Fatal("replayed snapshot was not scored as a failover")
 	}
@@ -112,6 +120,8 @@ func TestMaliciousPeerWrongShardRelay(t *testing.T) {
 	if err := t2.PullAll(ctx); err != nil {
 		t.Fatal(err)
 	}
+	auditRows(t, t1, "tier-1, bootstrap", 300)
+	auditRows(t, t2, "tier-2, bootstrap", 300)
 	t1.SetPeerTamper(attackByName(t, "wrong-shard-relay").NewHook())
 
 	// Dirty BOTH shards so the refresh requests two different refs —
@@ -125,10 +135,12 @@ func TestMaliciousPeerWrongShardRelay(t *testing.T) {
 	if _, err := t1.Refresh(ctx, "items"); err != nil {
 		t.Fatal(err)
 	}
+	auditRows(t, t1, "tier-1, round 1", 302)
 	st, err := t2.Refresh(ctx, "items")
 	if err != nil {
 		t.Fatalf("refresh against cross-serving peer: %v", err)
 	}
+	auditRows(t, t2, "tier-2, round 1", 302)
 	if st.ShardsRefreshed != 2 {
 		t.Fatalf("refreshed %d shards, want 2", st.ShardsRefreshed)
 	}

@@ -16,11 +16,6 @@ type edgeCounters struct {
 	// only the transition's new shards were snapshot-installed.
 	reshardsApplied atomic.Uint64
 
-	// Verified-signature cache ledger (see verifySigCached): hits are
-	// public-key operations the refresh path skipped.
-	sigCacheHits   atomic.Uint64
-	sigCacheMisses atomic.Uint64
-
 	// Peer distribution tier: replication payloads split by which side
 	// of the tier moved them. Served = this edge acting as an upstream;
 	// pulled = this edge refreshing, split peer vs central so the CDN
@@ -46,8 +41,8 @@ type Stats struct {
 	DeltasApplied      uint64 `json:"deltas_applied"`
 	SnapshotsInstalled uint64 `json:"snapshots_installed"`
 	ReshardsApplied    uint64 `json:"reshards_applied"`
-	// SigCacheHits/Misses ledger the verified-signature cache on the
-	// refresh path: each hit is a signature verification skipped.
+	// SigCacheHits/Misses ledger the verifier's verified-signature cache
+	// on the refresh path: each hit is a signature verification skipped.
 	SigCacheHits   uint64 `json:"sig_cache_hits"`
 	SigCacheMisses uint64 `json:"sig_cache_misses"`
 	// Peer tier counters (zero on edges not participating in the tier).
@@ -64,6 +59,7 @@ type Stats struct {
 
 // Stats snapshots the server's counters.
 func (s *Server) Stats() Stats {
+	cache := s.ver.CacheStats()
 	return Stats{
 		QueriesServed:         s.stats.queriesServed.Load(),
 		VOBytes:               s.stats.voBytes.Load(),
@@ -71,8 +67,8 @@ func (s *Server) Stats() Stats {
 		DeltasApplied:         s.stats.deltasApplied.Load(),
 		SnapshotsInstalled:    s.stats.snapshotsInstalled.Load(),
 		ReshardsApplied:       s.stats.reshardsApplied.Load(),
-		SigCacheHits:          s.stats.sigCacheHits.Load(),
-		SigCacheMisses:        s.stats.sigCacheMisses.Load(),
+		SigCacheHits:          uint64(cache.Hits),
+		SigCacheMisses:        uint64(cache.Misses),
 		PeerPayloadsServed:    s.stats.peerPayloadsServed.Load(),
 		PeerBytesServed:       s.stats.peerBytesServed.Load(),
 		PeerPayloadsPulled:    s.stats.peerPayloadsPulled.Load(),

@@ -77,10 +77,9 @@ func Generate(scheme Scheme, bits int) (*PrivateKey, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sig: generating ed25519 key: %w", err)
 		}
-		return &PrivateKey{
-			pub: PublicKey{Scheme: SchemeEd25519, Ed: edPub},
-			ed:  edPriv,
-		}, nil
+		k := &PrivateKey{ed: edPriv}
+		k.pub.Store(&PublicKey{Scheme: SchemeEd25519, Ed: edPub})
+		return k, nil
 	default:
 		return nil, fmt.Errorf("sig: cannot generate key for unknown scheme %v", scheme)
 	}

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"sync/atomic"
 
 	"edgeauth/internal/digest"
 )
@@ -129,7 +130,9 @@ func (p *PublicKey) ValidAt(unix int64) bool {
 
 // PrivateKey signs digests. It retains CRT precomputation for fast signing.
 type PrivateKey struct {
-	pub  PublicKey
+	// pub is the public half. SetValidity swaps in a restamped copy, so
+	// Public can run beside a rotation without a lock.
+	pub  atomic.Pointer[PublicKey]
 	d    *big.Int // private exponent
 	p, q *big.Int // prime factors
 	dp   *big.Int // d mod (p-1)
@@ -151,23 +154,24 @@ func (k *PrivateKey) SetCounters(c *digest.Counters) { k.counters = c }
 // Public returns the public half of the key. The returned value shares the
 // modulus but carries its own Counters slot.
 func (k *PrivateKey) Public() *PublicKey {
-	p := k.pub
+	p := *k.pub.Load()
 	return &p
 }
 
 // Len returns the signature length in bytes.
-func (k *PrivateKey) Len() int { return k.pub.Len() }
+func (k *PrivateKey) Len() int { return k.pub.Load().Len() }
 
 // Scheme returns the key's signature scheme.
-func (k *PrivateKey) Scheme() Scheme { return k.pub.Scheme }
+func (k *PrivateKey) Scheme() Scheme { return k.pub.Load().Scheme }
 
 // SetValidity stamps the key pair's version and validity window (paper
 // §3.4: "the central server can include the timestamp or version number in
-// its public key").
+// its public key"). It may run beside Public: readers see the old stamp
+// or the new one, never a mix.
 func (k *PrivateKey) SetValidity(version uint32, notBefore, notAfter int64) {
-	k.pub.Version = version
-	k.pub.NotBefore = notBefore
-	k.pub.NotAfter = notAfter
+	p := *k.pub.Load()
+	p.Version, p.NotBefore, p.NotAfter = version, notBefore, notAfter
+	k.pub.Store(&p)
 }
 
 // generateRSA creates a fresh RSA key pair with the given modulus size.
@@ -184,7 +188,7 @@ func generateRSA(bits int) (*PrivateKey, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sig: generating prime: %w", err)
 		}
-		if k := keyFromPrimes(p, q); k != nil && k.pub.N.BitLen() == bits {
+		if k := keyFromPrimes(p, q); k != nil && k.pub.Load().N.BitLen() == bits {
 			return k, nil
 		}
 	}
@@ -206,8 +210,7 @@ func keyFromPrimes(p, q *big.Int) *PrivateKey {
 	if d == nil || qinv == nil {
 		return nil
 	}
-	return &PrivateKey{
-		pub:  PublicKey{N: new(big.Int).Mul(p, q), E: e, Scheme: SchemeRSAMerkle},
+	k := &PrivateKey{
 		d:    d,
 		p:    p,
 		q:    q,
@@ -215,6 +218,8 @@ func keyFromPrimes(p, q *big.Int) *PrivateKey {
 		dq:   new(big.Int).Mod(d, qm1),
 		qinv: qinv,
 	}
+	k.pub.Store(&PublicKey{N: new(big.Int).Mul(p, q), E: e, Scheme: SchemeRSAMerkle})
+	return k
 }
 
 // pad builds the deterministic type-01 encoding
@@ -261,7 +266,7 @@ func (k *PrivateKey) Sign(payload []byte) (Signature, error) {
 	if k.counters != nil {
 		k.counters.SignOps.Add(1)
 	}
-	if k.pub.Scheme == SchemeEd25519 {
+	if k.Scheme() == SchemeEd25519 {
 		if k.ed == nil {
 			return nil, errors.New("sig: ed25519 key has no private half")
 		}

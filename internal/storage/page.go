@@ -96,6 +96,14 @@ func (p Page) setFreeEnd(v uint16)   { binary.BigEndian.PutUint16(p.buf[6:8], v)
 // NumSlots returns the slot-directory length, including tombstoned slots.
 func (p Page) NumSlots() int { return p.numSlots() }
 
+// slots is the slot count bounded by the directory entries the buffer can
+// hold. A page whose header claims a directory running past its end is
+// corrupt (a relayed page is not signed page by page), and no slot past
+// the buffer is ever read.
+func (p Page) slots() int {
+	return min(p.numSlots(), (len(p.buf)-pageHeaderSize)/slotSize)
+}
+
 // FreeSpace returns the bytes available for one new cell plus its slot.
 func (p Page) FreeSpace() int {
 	free := int(p.freeEnd()) - int(p.freeStart())
@@ -142,8 +150,8 @@ func (p Page) InsertCell(cell []byte) (int, error) {
 // Cell returns the cell at slot i, or an error if i is out of range or
 // tombstoned. The returned slice aliases the page buffer.
 func (p Page) Cell(i int) ([]byte, error) {
-	if i < 0 || i >= p.numSlots() {
-		return nil, fmt.Errorf("storage: slot %d out of range [0,%d)", i, p.numSlots())
+	if i < 0 || i >= p.slots() {
+		return nil, fmt.Errorf("storage: slot %d out of range [0,%d)", i, p.slots())
 	}
 	off, ln := p.slotAt(i)
 	if off == tombstone {
@@ -157,8 +165,8 @@ func (p Page) Cell(i int) ([]byte, error) {
 
 // DeleteCell tombstones slot i. The space is reclaimed by Compact.
 func (p Page) DeleteCell(i int) error {
-	if i < 0 || i >= p.numSlots() {
-		return fmt.Errorf("storage: slot %d out of range [0,%d)", i, p.numSlots())
+	if i < 0 || i >= p.slots() {
+		return fmt.Errorf("storage: slot %d out of range [0,%d)", i, p.slots())
 	}
 	off, _ := p.slotAt(i)
 	if off == tombstone {
@@ -170,7 +178,7 @@ func (p Page) DeleteCell(i int) error {
 
 // IsDeleted reports whether slot i is tombstoned.
 func (p Page) IsDeleted(i int) bool {
-	if i < 0 || i >= p.numSlots() {
+	if i < 0 || i >= p.slots() {
 		return true
 	}
 	off, _ := p.slotAt(i)
@@ -207,7 +215,7 @@ func (p Page) Compact() {
 // LiveCells returns the number of non-tombstoned slots.
 func (p Page) LiveCells() int {
 	n := 0
-	for i := 0; i < p.numSlots(); i++ {
+	for i := 0; i < p.slots(); i++ {
 		if !p.IsDeleted(i) {
 			n++
 		}

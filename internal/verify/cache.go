@@ -43,17 +43,19 @@ func newSigCache(max int) *sigCache {
 	return &sigCache{m: make(map[sigKey]digest.Value, max), max: max}
 }
 
-// lookup returns the payload s was proven to carry under pub, if cached.
-func (c *sigCache) lookup(pub *sig.PublicKey, s sig.Signature) (digest.Value, bool) {
+// proven reports whether s was proven to carry want under pub. A hit is
+// a proof of exactly want: the same signature bytes cached over another
+// payload count as a miss, and the real check decides.
+func (c *sigCache) proven(pub *sig.PublicKey, s sig.Signature, want []byte) bool {
 	c.mu.Lock()
 	u, ok := c.m[sigKey{pub, string(s)}]
 	c.mu.Unlock()
-	if ok {
+	if ok && bytes.Equal(u, want) {
 		c.hits.Add(1)
-		return u, true
+		return true
 	}
 	c.misses.Add(1)
-	return nil, false
+	return false
 }
 
 // store records a proven (key, signature, payload) triple, evicting
@@ -95,11 +97,14 @@ func (v *Verifier) cache() *sigCache {
 }
 
 // CacheStats returns the verifier's cache ledger (zeros when disabled).
+// It may run beside verifications: it reaches the cache through the same
+// once-guarded initialisation they do.
 func (v *Verifier) CacheStats() CacheStats {
-	if v.CacheSize < 0 || v.digestCache == nil {
+	c := v.cache()
+	if c == nil {
 		return CacheStats{}
 	}
-	return CacheStats{Hits: v.digestCache.hits.Load(), Misses: v.digestCache.misses.Load()}
+	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
 }
 
 // cachedVerifySig checks that s authenticates want (detached form) under
@@ -111,11 +116,9 @@ func (v *Verifier) cachedVerifySig(pub *sig.PublicKey, s sig.Signature, want []b
 	if c == nil {
 		return pub.Verify(s, want)
 	}
-	if u, ok := c.lookup(pub, s); ok && bytes.Equal(u, want) {
+	if c.proven(pub, s, want) {
 		return nil
 	}
-	// A miss, or the same signature bytes claimed over a different
-	// payload: the real check decides (it fails for a forgery).
 	if err := pub.Verify(s, want); err != nil {
 		return err
 	}

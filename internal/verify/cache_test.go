@@ -11,11 +11,12 @@ import (
 	"edgeauth/internal/vo"
 )
 
-// versioned returns a copy of k with the given key version.
-func versioned(k *sig.PrivateKey, version uint32) *sig.PrivateKey {
-	c := *k
-	c.SetValidity(version, 0, 0)
-	return &c
+// versioned returns a fresh key stamped with the given key version.
+func versioned(t *testing.T, version uint32) *sig.PrivateKey {
+	t.Helper()
+	k := sig.MustGenerate(sig.SchemeRSAMerkle, 512)
+	k.SetValidity(version, 0, 0)
+	return k
 }
 
 // TestSigCacheIsKeyedByKeyVersion: the key version a VO names is not
@@ -25,8 +26,8 @@ func versioned(k *sig.PrivateKey, version uint32) *sig.PrivateKey {
 // to fail the real check under the new key.
 func TestSigCacheIsKeyedByKeyVersion(t *testing.T) {
 	h := buildHand(t, []string{"a", "b", "c", "d"})
-	oldKey := versioned(h.key, 1)
-	newKey := versioned(sig.MustGenerate(sig.SchemeRSAMerkle, 512), 2)
+	oldKey := versioned(t, 1)
+	newKey := versioned(t, 2)
 	keys := sig.NewRegistry()
 	keys.Put(oldKey.Public())
 	keys.Put(newKey.Public())
@@ -119,5 +120,96 @@ func TestShardMapSignatureGoesThroughTheCache(t *testing.T) {
 	}
 	if n := ops.RecoverOps.Load(); n != 3 {
 		t.Fatalf("%d signature recoveries after a refreshed map, want 3", n)
+	}
+}
+
+// TestCacheHitProvesThePayload: the ledger counts a hit only for a proof
+// of the very payload asked about. The same signature bytes presented
+// over another payload run the real check, which fails — a miss, not a
+// hit followed by a public-key operation anyway.
+func TestCacheHitProvesThePayload(t *testing.T) {
+	key := signer(t)
+	pub := key.Public()
+	v := &Verifier{Key: pub}
+	payload := []byte("a shard root the map pins.......")
+	s := key.MustSign(payload)
+	if err := v.cachedVerifySig(pub, s, payload); err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), payload...)
+	flipped[0] ^= 1
+	if err := v.cachedVerifySig(pub, s, flipped); err == nil {
+		t.Fatal("a signature over one payload accepted over another")
+	}
+	if cs := v.CacheStats(); cs != (CacheStats{Hits: 0, Misses: 2}) {
+		t.Fatalf("cache ledger %+v, want {Hits:0 Misses:2}", cs)
+	}
+	if err := v.cachedVerifySig(pub, s, payload); err != nil {
+		t.Fatal(err)
+	}
+	if cs := v.CacheStats(); cs != (CacheStats{Hits: 1, Misses: 2}) {
+		t.Fatalf("cache ledger %+v after the proven payload again, want {Hits:1 Misses:2}", cs)
+	}
+}
+
+// TestVerifySignedResolvesTheKeyAtTheClock: a detached signature names
+// its key by version, and VerifySigned resolves that version in the
+// registry at the verifier's own clock before it checks anything —
+// an unknown version or a closed validity window is ErrKeyVersion, a
+// signature that does not check is ErrBadSignature, and a proven
+// binding is answered from the cache.
+func TestVerifySignedResolvesTheKeyAtTheClock(t *testing.T) {
+	key := versioned(t, 7)
+	keys := sig.NewRegistry()
+	keys.Put(key.Public())
+	now := int64(1_000)
+	v := &Verifier{Keys: keys, Now: func() int64 { return now }}
+	payload := []byte("the hash of a delta body........")
+	s := key.MustSign(payload)
+
+	for i := 0; i < 2; i++ {
+		if err := v.VerifySigned(7, s, payload); err != nil {
+			t.Fatalf("authentic signature: %v", err)
+		}
+	}
+	if cs := v.CacheStats(); cs != (CacheStats{Hits: 1, Misses: 1}) {
+		t.Fatalf("two checks of one binding: %+v, want one miss then one hit", cs)
+	}
+	if err := v.VerifySigned(6, s, payload); !errors.Is(err, ErrKeyVersion) {
+		t.Fatalf("unknown key version: %v, want ErrKeyVersion", err)
+	}
+	bad := append(sig.Signature(nil), s...)
+	bad[len(bad)-1] ^= 1
+	if err := v.VerifySigned(7, bad, payload); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("flipped signature: %v, want ErrBadSignature", err)
+	}
+
+	// The window closes: the cached proof does not outlive the key.
+	key.SetValidity(7, 0, now-1)
+	keys.Put(key.Public())
+	if err := v.VerifySigned(7, s, payload); !errors.Is(err, ErrKeyVersion) {
+		t.Fatalf("expired key: %v, want ErrKeyVersion", err)
+	}
+}
+
+// TestCacheStatsBesideVerification: an edge reports its verifier's ledger
+// from Stats while refreshes verify on other goroutines, so reading the
+// ledger must not race the cache's lazy creation.
+func TestCacheStatsBesideVerification(t *testing.T) {
+	key := signer(t)
+	pub := key.Public()
+	v := &Verifier{Key: pub}
+	payload := []byte("a shard root the map pins.......")
+	s := key.MustSign(payload)
+	done := make(chan error, 1)
+	go func() { done <- v.cachedVerifySig(pub, s, payload) }()
+	for i := 0; i < 100; i++ {
+		v.CacheStats()
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if cs := v.CacheStats(); cs != (CacheStats{Misses: 1}) {
+		t.Fatalf("cache ledger %+v, want one miss", cs)
 	}
 }

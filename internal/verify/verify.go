@@ -65,6 +65,8 @@ var (
 const DefaultMaxClockSkew = 5 * time.Minute
 
 // Verifier checks query results against the central server's public keys.
+// An edge checks what it installs through one as well: signed shard maps,
+// delta bodies and shard root signatures (VerifySignedMap, VerifySigned).
 type Verifier struct {
 	// Keys resolves key versions. Either Keys or Key must be set.
 	Keys *sig.Registry
@@ -160,6 +162,23 @@ func (v *Verifier) resolveKey(keyVersion uint32, atUnix int64) (*sig.PublicKey, 
 		return nil, fmt.Errorf("%w: trusted key expired", ErrKeyVersion)
 	}
 	return v.Key, nil
+}
+
+// VerifySigned checks that s authenticates payload under the key version
+// keyVersion names, resolved and validity-checked at the verifier's own
+// clock (§3.4) — the check for a signature whose payload travels beside
+// it in the clear: a delta body's hash, a shard root a verified map pins.
+// A binding already proven is answered from the verified-digest cache.
+// Errors wrap ErrKeyVersion or ErrBadSignature.
+func (v *Verifier) VerifySigned(keyVersion uint32, s sig.Signature, payload []byte) error {
+	pub, err := v.resolveKey(keyVersion, v.now())
+	if err != nil {
+		return err
+	}
+	if err := v.cachedVerifySig(pub, s, payload); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadSignature, err)
+	}
+	return nil
 }
 
 // Verify checks rs against w. A nil error means the result is authentic:
