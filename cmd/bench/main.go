@@ -17,6 +17,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -41,42 +42,8 @@ func main() {
 	}
 	sel := func(id string) bool { return want["ALL"] || want[id] }
 
-	params := costmodel.Default()
 	out := os.Stdout
-
-	fmt.Fprintln(out, "=== Analytic model (paper Table 1 defaults, N_R = 1,000,000) ===")
-	fmt.Fprintln(out)
-	if sel("T1") {
-		costmodel.RenderTable1(out, params)
-	}
-	if sel("F8") {
-		costmodel.Fig8FanOut(params).Render(out)
-	}
-	if sel("F9") {
-		costmodel.Fig9Height(params).Render(out)
-	}
-	if sel("F10") {
-		for _, qc := range []int{2, 5, 8} {
-			costmodel.Fig10Communication(params, qc).Render(out)
-		}
-	}
-	if sel("F11") {
-		costmodel.Fig11AttrFactor(params).Render(out)
-	}
-	if sel("F12") {
-		for _, x := range []float64{5, 10, 100} {
-			costmodel.Fig12Computation(params, x).Render(out)
-		}
-	}
-	if sel("F13") {
-		costmodel.Fig13aCostK(params).Render(out)
-		costmodel.Fig13bQc(params).Render(out)
-	}
-	if sel("UPD") {
-		costmodel.UpdateInsertCost(params).Render(out)
-		costmodel.UpdateDeleteCost(params).Render(out)
-		costmodel.ShardedUpdateCost(params).Render(out)
-	}
+	renderModel(out, sel)
 	if *modelOnly {
 		return
 	}
@@ -156,6 +123,45 @@ func main() {
 				p.Label, p.HashOps, p.Combines, p.Recovers, p.Wall.Round(time.Microsecond))
 		}
 		fmt.Fprintln(out)
+	}
+}
+
+// renderModel writes the analytic model's block: the experiments sel
+// picks, at the paper's defaults. It is all of -model-only's output.
+func renderModel(out io.Writer, sel func(id string) bool) {
+	params := costmodel.Default()
+	fmt.Fprintln(out, "=== Analytic model (paper Table 1 defaults, N_R = 1,000,000) ===")
+	fmt.Fprintln(out)
+	if sel("T1") {
+		costmodel.RenderTable1(out, params)
+	}
+	if sel("F8") {
+		costmodel.Fig8FanOut(params).Render(out)
+	}
+	if sel("F9") {
+		costmodel.Fig9Height(params).Render(out)
+	}
+	if sel("F10") {
+		for _, qc := range []int{2, 5, 8} {
+			costmodel.Fig10Communication(params, qc).Render(out)
+		}
+	}
+	if sel("F11") {
+		costmodel.Fig11AttrFactor(params).Render(out)
+	}
+	if sel("F12") {
+		for _, x := range []float64{5, 10, 100} {
+			costmodel.Fig12Computation(params, x).Render(out)
+		}
+	}
+	if sel("F13") {
+		costmodel.Fig13aCostK(params).Render(out)
+		costmodel.Fig13bQc(params).Render(out)
+	}
+	if sel("UPD") {
+		costmodel.UpdateInsertCost(params).Render(out)
+		costmodel.UpdateDeleteCost(params).Render(out)
+		costmodel.ShardedUpdateCost(params).Render(out)
 	}
 }
 

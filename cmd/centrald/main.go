@@ -40,7 +40,9 @@
 // via the reshard admin frame are always available, detector or not.
 //
 // -debug-addr serves expvar (including the server's live counters under
-// the "central" key) at http://ADDR/debug/vars.
+// the "central" key) at http://ADDR/debug/vars, and net/http/pprof's
+// profiles at http://ADDR/debug/pprof/ (for example
+// `go tool pprof http://ADDR/debug/pprof/profile?seconds=10`).
 package main
 
 import (
@@ -50,6 +52,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	_ "net/http/pprof" // the profiler, on DefaultServeMux beside expvar
 	"os"
 	"os/signal"
 	"syscall"
@@ -88,7 +91,7 @@ func main() {
 		splitFrac   = flag.Float64("split-fraction", 0, "EWMA load share that trips a split (0 = default 0.6)")
 		mergeFrac   = flag.Float64("merge-fraction", 0, "combined adjacent load share that trips a merge (0 = default 0.05)")
 		maxShards   = flag.Int("max-shards", 0, "shard-count ceiling the detector steers under (0 = default 64)")
-		debugAddr   = flag.String("debug-addr", "", "serve expvar counters at http://ADDR/debug/vars (empty = disabled)")
+		debugAddr   = flag.String("debug-addr", "", "serve expvar counters at http://ADDR/debug/vars and the profiler at http://ADDR/debug/pprof/ (empty = disabled)")
 	)
 	flag.Parse()
 
@@ -170,12 +173,13 @@ func main() {
 	if *debugAddr != "" {
 		expvar.Publish("central", expvar.Func(func() any { return srv.Stats() }))
 		go func() {
-			// DefaultServeMux carries expvar's /debug/vars handler.
+			// DefaultServeMux carries expvar's /debug/vars and the
+			// profiler's /debug/pprof/ handlers.
 			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
 				log.Printf("debug server: %v", err)
 			}
 		}()
-		log.Printf("expvar counters at http://%s/debug/vars", *debugAddr)
+		log.Printf("expvar counters at http://%s/debug/vars, profiler at http://%s/debug/pprof/", *debugAddr, *debugAddr)
 	}
 
 	ln, err := net.Listen("tcp", *listen)

@@ -31,7 +31,8 @@
 //
 // -debug-addr serves expvar (including the edge's live counters under
 // the "edge" key, and per-upstream pull counters under "edge_peers")
-// at http://ADDR/debug/vars.
+// at http://ADDR/debug/vars, and net/http/pprof's profiles at
+// http://ADDR/debug/pprof/.
 package main
 
 import (
@@ -42,6 +43,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	_ "net/http/pprof" // the profiler, on DefaultServeMux beside expvar
 	"os"
 	"os/signal"
 	"strings"
@@ -63,7 +65,7 @@ func main() {
 		tamperName  = flag.String("tamper", "", "simulate a compromised edge with the named attack (see internal/tamper)")
 		upstream    = flag.String("upstream", "", "comma-separated peer edge addresses to pull refresh payloads from (tried in order before the central)")
 		servePeers  = flag.Bool("serve-peers", false, "answer other edges' replication requests from this edge's replicas")
-		debugAddr   = flag.String("debug-addr", "", "serve expvar counters at http://ADDR/debug/vars (empty = disabled)")
+		debugAddr   = flag.String("debug-addr", "", "serve expvar counters at http://ADDR/debug/vars and the profiler at http://ADDR/debug/pprof/ (empty = disabled)")
 	)
 	flag.Parse()
 
@@ -142,12 +144,13 @@ func main() {
 			expvar.Publish("edge_relay", expvar.Func(func() any { return srv.RelayStats() }))
 		}
 		go func() {
-			// DefaultServeMux carries expvar's /debug/vars handler.
+			// DefaultServeMux carries expvar's /debug/vars and the
+			// profiler's /debug/pprof/ handlers.
 			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
 				log.Printf("debug server: %v", err)
 			}
 		}()
-		log.Printf("expvar counters at http://%s/debug/vars", *debugAddr)
+		log.Printf("expvar counters at http://%s/debug/vars, profiler at http://%s/debug/pprof/", *debugAddr, *debugAddr)
 	}
 
 	// The refresh loop owns its ticker and stops when the server shuts

@@ -32,6 +32,7 @@ import (
 	"edgeauth/internal/storage"
 	"edgeauth/internal/vbtree"
 	"edgeauth/internal/verify"
+	"edgeauth/internal/vo"
 	"edgeauth/internal/wire"
 	"edgeauth/internal/workload"
 )
@@ -163,8 +164,10 @@ type reopenedDB struct {
 // openFromDisk reads a database's metadata and key and opens a view of
 // its pages. A heap written under another commitment than this build's
 // is refused here, by the version its first record names
-// (vo.ErrCommitmentVersion), not by the first audit or query that would
-// read a digest this build does not compute.
+// (vo.ErrCommitmentVersion), before any node is read: the commitment
+// fixes a node's layout too (its group digests), so a tree walk would
+// fail first, on a page it cannot parse, and an audit on a digest this
+// build does not compute.
 func openFromDisk(pagePath, metaPath, pubPath string) (*reopenedDB, error) {
 	metaBlob, err := os.ReadFile(metaPath)
 	if err != nil {
@@ -190,16 +193,41 @@ func openFromDisk(pagePath, metaPath, pubPath string) (*reopenedDB, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := checkCommitment(pool, meta.HeapPages); err != nil {
+		return nil, err
+	}
 	acc := digest.MustNew(digest.DefaultParams())
 	st := vbtree.TableState{Root: meta.Root, Height: int(meta.Height), RootSig: meta.RootSig}
 	view, err := st.ViewOver(pool, meta.Schema, acc, pub)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := view.Tuples(nil, nil).Next(1); err != nil {
-		return nil, err
-	}
 	return &reopenedDB{view: view, rootSig: meta.RootSig, sch: meta.Schema, acc: acc, pub: pub}, nil
+}
+
+// checkCommitment parses the first live record of the heap, which
+// names the commitment version the database was written under.
+func checkCommitment(pages storage.PageReader, heapPages []storage.PageID) error {
+	heap := storage.NewHeapReader(pages)
+	for _, id := range heapPages {
+		buf, err := pages.View(id)
+		if err != nil {
+			return err
+		}
+		p := storage.AsPage(buf)
+		for slot := 0; slot < p.NumSlots(); slot++ {
+			if p.IsDeleted(slot) {
+				continue
+			}
+			rec, err := heap.View(storage.RecordID{Page: id, Slot: uint16(slot)})
+			if err != nil {
+				return err
+			}
+			_, err = vo.DecodeStoredTuple(rec)
+			return err
+		}
+	}
+	return nil
 }
 
 // audit recomputes every digest on the database's pages and checks the

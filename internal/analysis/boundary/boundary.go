@@ -6,6 +6,11 @@
 // sqlmini) out of reach. Every serving package is checked, so the rule
 // holds transitively.
 //
+// One standard package is refused as well: net/http/pprof, whose import
+// registers the profiler's handlers on http.DefaultServeMux in every
+// binary that links it. The daemons import it in cmd/, behind their
+// -debug-addr.
+//
 // Test files are exempt, since tier-1 tests tie serving code to the cost
 // model; so are cmd/ and examples/, which are not serving packages (edged
 // links tamper for its demo mode). The check reads each non-test file's
@@ -51,6 +56,9 @@ var serving = map[string]bool{
 	module + "/internal/israce":   true,
 }
 
+// profiler is the standard package no serving package may import.
+const profiler = "net/http/pprof"
+
 // isStandard reports whether path names a standard-library package: its
 // first element is neither a domain nor this module.
 func isStandard(path string) bool {
@@ -68,6 +76,10 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 		for _, spec := range f.Imports {
 			path, err := strconv.Unquote(spec.Path.Value)
+			if path == profiler {
+				pass.Reportf(spec.Pos(), "serving package %s imports %s, which serves the profiler from every binary linking it", pass.Pkg.Path(), path)
+				continue
+			}
 			if err != nil || isStandard(path) || serving[path] {
 				continue
 			}

@@ -233,22 +233,57 @@ func TestGroupCommitCoalesces(t *testing.T) {
 
 // TestGroupCommitFullRoundCommitsEarly: a leader waiting out MaxDelay
 // must commit the moment its round fills to MaxBatch, not sleep the
-// delay out.
+// delay out. Exactly one full round queues: the test holds the leadership
+// while the first MaxBatch − 1 inserts queue as followers, then leads
+// the way enqueueOp would — waiting for stragglers, then committing — and
+// the last insert arrives while it waits, filling the round.
 func TestGroupCommitFullRoundCommitsEarly(t *testing.T) {
-	srv := newBatchServer(t, 50, Options{PageSize: 1024, MaxBatch: 8, MaxDelay: 2 * time.Second})
-	const inserts = 16
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, inserts)
-	for i := 0; i < inserts; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = insertOne(srv, batchServerRow(t, 50_000+int64(i)))
-		}(i)
+	const maxBatch = 8
+	srv := newBatchServer(t, 50, Options{PageSize: 1024, MaxBatch: maxBatch, MaxDelay: 2 * time.Second})
+	tb, err := srv.table("items")
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
+	gc := &tb.gc
+	gc.mu.Lock()
+	gc.leading = true
+	gc.mu.Unlock()
+	var wg sync.WaitGroup
+	errs := make([]error, maxBatch)
+	insert := func(i int) {
+		row := batchServerRow(t, 50_000+int64(i))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = insertOne(srv, row)
+		}()
+	}
+	for i := 0; i < maxBatch-1; i++ {
+		insert(i)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		gc.mu.Lock()
+		queued := gc.queued
+		gc.mu.Unlock()
+		if queued == maxBatch-1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d inserts queued", queued, maxBatch-1)
+		}
+	}
+	before := srv.Stats().BatchRounds
+	start := time.Now()
+	led := make(chan struct{})
+	go func() {
+		defer close(led)
+		srv.awaitStragglers(gc)
+		srv.leadCommits("items", gc)
+	}()
+	insert(maxBatch - 1)
+	<-led
 	elapsed := time.Since(start)
+	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("insert %d failed: %v", i, err)
@@ -256,6 +291,9 @@ func TestGroupCommitFullRoundCommitsEarly(t *testing.T) {
 	}
 	if elapsed >= 2*time.Second {
 		t.Fatalf("full round slept out MaxDelay (%v elapsed)", elapsed)
+	}
+	if rounds := srv.Stats().BatchRounds - before; rounds != 1 {
+		t.Fatalf("%d inserts committed in %d rounds, want one full round", maxBatch, rounds)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // Σ_l (group size − 1) ≤ (A − 1)·⌈log_A n⌉ of them.
 //
 // A tuple commits to its N_C − 1 non-key columns the same way, through
-// a column tree of arity digest.ColumnArity, and a row of a projection
+// a column tree of the same arity, and a row of a projection
 // ships one digest per maximal column subtree holding no returned
 // column: formula (9)'s |D_P| = Q_R·(N_C − Q_C) becomes Q_R times the
 // projection's siblings (Projection.Siblings) — 3 for the benchmark's
@@ -91,17 +91,17 @@ func (pr Projection) Hashes() int {
 	return n + pr.tree().groupsHashed()
 }
 
-func (pr Projection) tree() tree { return tree{n: pr.N, arity: digest.ColumnArity, runs: pr.Runs} }
+func (pr Projection) tree() tree { return tree{n: pr.N, runs: pr.Runs} }
 
-// tree is a Merkle tree of some arity over n entries — a node's or a
-// tuple's columns — and the runs [start, end) of the entries a proof
+// tree is a Merkle tree of arity digest.Arity over n entries — a node's
+// or a tuple's columns — and the runs [start, end) of the entries a proof
 // recomputes.
 type tree struct {
-	n, arity int
-	runs     [][2]int
+	n    int
+	runs [][2]int
 }
 
-func (nd OrderedNode) tree() tree { return tree{n: nd.N, arity: digest.Arity, runs: nd.Runs} }
+func (nd OrderedNode) tree() tree { return tree{n: nd.N, runs: nd.Runs} }
 
 func (tr tree) cover(lo, hi int) coverage {
 	covered := 0
@@ -117,25 +117,23 @@ func (tr tree) cover(lo, hi int) coverage {
 	return part
 }
 
-// levels returns the level sizes of a tree of this arity over n entries:
-// n, then ⌈·/arity⌉ until at most arity remain (the digests the node or
-// tuple hash covers).
-func levels(n, arity int) []int {
+// levels returns the level sizes of a tree over n entries: n, then
+// ⌈·/A⌉ until at most A remain (the digests the node or tuple hash
+// covers).
+func levels(n int) []int {
+	const a = digest.Arity
 	sizes := []int{n}
-	for sizes[len(sizes)-1] > arity {
-		sizes = append(sizes, (sizes[len(sizes)-1]+arity-1)/arity)
+	for sizes[len(sizes)-1] > a {
+		sizes = append(sizes, (sizes[len(sizes)-1]+a-1)/a)
 	}
 	return sizes
 }
-
-// inNodeLevels returns the in-node level sizes over n entries.
-func inNodeLevels(n int) []int { return levels(n, digest.Arity) }
 
 // eachDigest calls fn for every digest i of level l with the coverage of
 // its entries and of its parent's (all for the top level, whose parent is
 // the node or tuple hash).
 func (tr tree) eachDigest(fn func(l int, c, parent coverage)) {
-	sizes := levels(tr.n, tr.arity)
+	sizes := levels(tr.n)
 	top := len(sizes) - 1
 	w := 1
 	for l := 0; l <= top; l++ {
@@ -143,8 +141,8 @@ func (tr tree) eachDigest(fn func(l int, c, parent coverage)) {
 			c := tr.cover(i*w, min((i+1)*w, tr.n))
 			parent := all
 			if l < top {
-				pw := w * tr.arity
-				p := i / tr.arity
+				pw := w * digest.Arity
+				p := i / digest.Arity
 				parent = tr.cover(p*pw, min((p+1)*pw, tr.n))
 				if parent == all {
 					parent = part // reached either way: the parent is hashed
@@ -152,7 +150,7 @@ func (tr tree) eachDigest(fn func(l int, c, parent coverage)) {
 			}
 			fn(l, c, parent)
 		}
-		w *= tr.arity
+		w *= digest.Arity
 	}
 }
 
@@ -249,9 +247,9 @@ func (p Params) OrderedInsertHashes(path []InsertStep) int {
 	// The tuple costs what a row returning every column does to verify.
 	n := Projection{N: p.NC - 1, Runs: [][2]int{{0, p.NC - 1}}}.Hashes()
 	for _, s := range path {
-		sizes := inNodeLevels(s.N)
+		sizes := levels(s.N)
 		n++
-		if s.Inserted && len(inNodeLevels(s.N-1)) != len(sizes) {
+		if s.Inserted && len(levels(s.N-1)) != len(sizes) {
 			for _, sz := range sizes[1:] {
 				n += sz
 			}

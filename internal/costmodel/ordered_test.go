@@ -37,30 +37,32 @@ func TestOrderedSiblingsMatchTheProofs(t *testing.T) {
 
 // TestOrderedPointReadVOBytes is the benchmark's read.point VO as the
 // model prices it. A shard holds 8,192 rows on 4 KB pages: a leaf packs
-// 112 entries (34 bytes each) beside its 16 group digests — 14 groups of
-// 8 entries and 2 above them — so 74 leaves sit under a root of 74
-// entries. A point read recomputes one entry of each; at a position among
-// the first 64 of a node its proof is 7 entries, 7 groups and 1 group
-// above them: 15 digests a node, 30 in all. With two 8-byte node records,
-// the 16-byte top digest, the 1024-bit root signature and 31 bytes of
-// header its VO is 671 bytes — the median the benchmark measures (its
-// mean is lower: a row further right in a node ships fewer). The parent
-// commit's flat commitment shipped F − 1 digests a level: 187 of 17
-// bytes, 3,354 in all.
+// 96 entries (34 bytes each) beside its 49 group digests — 32 groups of
+// 3 entries, 11, 4 and 2 above them — so 86 leaves sit under a root of 86
+// entries. A point read recomputes one entry of each; at a position whose
+// groups are all full its proof is 2 digests on each of the four levels
+// below the top and 1 top digest: 9 digests a node, 18 in all. With two
+// 8-byte node records, the 16-byte top digest, the 1024-bit root
+// signature and 31 bytes of header its VO is 479 bytes — what the
+// benchmark measures. sig.TestBenchmarkShardPointReadVOBytes ties it to
+// answers from that shard. An in-node tree of arity 8 shipped 7 digests a
+// level, 15 a node: 671 bytes; the flat commitment before it F − 1
+// digests a level: 187 of 17 bytes, 3,354 in all.
 func TestOrderedPointReadVOBytes(t *testing.T) {
 	p := Default()
-	env := []OrderedNode{{N: 74, Runs: [][2]int{{20, 21}}}, {N: 112, Runs: [][2]int{{40, 41}}}}
-	if got := OrderedDSCount(env); got != 30 {
-		t.Fatalf("|D_S| = %d, want 15 + 15 = 30", got)
+	env := []OrderedNode{{N: 86, Runs: [][2]int{{20, 21}}}, {N: 96, Runs: [][2]int{{40, 41}}}}
+	if got := OrderedDSCount(env); got != 18 {
+		t.Fatalf("|D_S| = %d, want 9 + 9 = 18", got)
 	}
-	if got := p.OrderedVOBytes(env, 0, 128); got != 671 {
-		t.Fatalf("point read VO = %d bytes, want 671", got)
+	if got := p.OrderedVOBytes(env, 0, 128); got != 479 {
+		t.Fatalf("point read VO = %d bytes, want 479", got)
 	}
-	// A row among a leaf's last 48 entries (6 groups under the second
-	// top digest) ships 7 entries, 5 groups and 1 top digest there.
-	env[1].Runs = [][2]int{{100, 101}}
-	if got := OrderedDSCount(env); got != 7+5+1+15 {
-		t.Fatalf("|D_S| = %d, want 28", got)
+	// A row among a leaf's last 15 entries (under the one level-3 digest
+	// that has no sibling) ships 2 entries, 1 digest on each of the two
+	// levels above, none on level 3 and 1 top digest there.
+	env[1].Runs = [][2]int{{90, 91}}
+	if got := OrderedDSCount(env); got != 9+2+1+1+0+1 {
+		t.Fatalf("|D_S| = %d, want 14", got)
 	}
 }
 
@@ -78,16 +80,20 @@ func TestOrderedInsertHashes(t *testing.T) {
 		path []InsertStep
 		want int
 	}{
-		// A leaf of 10 (2 groups) inserted at 3: both groups and the node.
-		{[]InsertStep{{N: 10, Pos: 3, Inserted: true}}, tuple + (1 + 2)},
-		// A leaf of 116 (15 groups under 2) inserted at 40: groups 5..14,
-		// both top groups and the node; above it a root of 71 (9 groups
-		// under 2): one group a level and the node.
-		{[]InsertStep{{N: 71, Pos: 20}, {N: 116, Pos: 40, Inserted: true}}, tuple + (1 + 2) + (1 + 10 + 2)},
-		// 8 → 9 entries: the in-node levels grow, both groups are hashed.
-		{[]InsertStep{{N: 9, Pos: 8, Inserted: true}}, tuple + 1 + 2},
-		// 300 entries (38 groups under 5): one group a level above the child.
-		{[]InsertStep{{N: 300, Pos: 100}, {N: 40, Pos: 0, Inserted: true}}, tuple + (1 + 2) + (1 + 5)},
+		// A leaf of 12 (4 groups under 2) inserted at 3: groups 1..3,
+		// both top groups and the node.
+		{[]InsertStep{{N: 12, Pos: 3, Inserted: true}}, tuple + (1 + 3 + 2)},
+		// A leaf of 116 (39 groups under 13, 5 and 2) inserted at 40:
+		// groups 13..38, 4..12, 1..4, both top groups and the node; above
+		// it a root of 71 (24 groups under 8 and 3): one group a level and
+		// the node.
+		{[]InsertStep{{N: 71, Pos: 20}, {N: 116, Pos: 40, Inserted: true}}, tuple + (1 + 3) + (1 + 26 + 9 + 4 + 2)},
+		// 9 → 10 entries: the in-node levels grow (3 groups become 4
+		// under 2), all 6 groups are hashed.
+		{[]InsertStep{{N: 10, Pos: 9, Inserted: true}}, tuple + 1 + 6},
+		// 300 entries (100 groups under 34, 12, 4 and 2): one group a
+		// level above the child; the child, inserted at 0, every group.
+		{[]InsertStep{{N: 300, Pos: 100}, {N: 40, Pos: 0, Inserted: true}}, tuple + (1 + 5) + (1 + 14 + 5 + 2)},
 	} {
 		if got := p.OrderedInsertHashes(tc.path); got != tc.want {
 			t.Errorf("%+v: %d hashes, want %d", tc.path, got, tc.want)

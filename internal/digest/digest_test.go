@@ -70,3 +70,26 @@ func TestValueCloneIndependent(t *testing.T) {
 		t.Fatal("Clone shares storage with original")
 	}
 }
+
+// TestStoredCountsMatchTheShapes: ColumnDigests and StoredBytes count the
+// digests a heap record and a page store without building a Shape, and
+// agree with the shapes a proof is read against for every size a node
+// or a tuple can have.
+func TestStoredCountsMatchTheShapes(t *testing.T) {
+	if ColumnDigests(0) != 0 {
+		t.Fatalf("ColumnDigests(0) = %d, want 0", ColumnDigests(0))
+	}
+	for n := 0; n <= MaxEntries; n++ {
+		node := newShape(tagGroup, n)
+		if got, want := StoredBytes(n), node.Stored()*Size; got != want {
+			t.Fatalf("StoredBytes(%d) = %d, the shape stores %d", n, got, want)
+		}
+		if n == 0 {
+			continue
+		}
+		cols := newShape(tagColumnGroup, n-1)
+		if got, want := ColumnDigests(n), n-1+cols.Stored(); got != want {
+			t.Fatalf("ColumnDigests(%d) = %d, the shape stores %d beside %d attribute digests", n, got, cols.Stored(), n-1)
+		}
+	}
+}

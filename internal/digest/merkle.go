@@ -28,7 +28,7 @@ import (
 // # The column tree
 //
 // A tuple commits to its non-key columns through a Merkle tree of arity
-// ColumnArity over their attribute digests, in schema order (ColumnShape):
+// Arity over their attribute digests, in schema order (ColumnShape):
 // T covers the tree's top digests, C its column group digests. The key
 // column has no attribute digest, because T binds the key itself. The
 // heap record stores the attribute and column group digests, so a
@@ -58,28 +58,34 @@ import (
 // written under another one holds digests this code does not compute:
 // version 6 hashed a tuple over the digests of all its columns, the
 // key's included, in one flat list; version 7 hashes it over the column
-// tree. Heap records carry it (vo.StoredTuple).
-const CommitmentVersion = 7
+// tree; version 8 builds the in-node tree at arity 3 where 7 built it at
+// 8, so its pages hold other group digests and its nodes other digests.
+// Heap records carry it (vo.StoredTuple).
+const CommitmentVersion = 8
 
-// Arity is the fan-out of the in-node tree, chosen by measurement: at 8,
-// one position's proof is at most 7 digests per in-node level, and a 4 KB
-// leaf of 112 entries stores 16 group digests. Arity 16 stored half as
-// many and shipped a quarter more (a point read's VO 847 bytes where 8
-// gives 671), at no better verified-read rate.
-const Arity = 8
-
-// ColumnArity is the fan-out of a tuple's column tree, chosen by
-// measurement: the largest whose group preimage, a tag and three digests
-// (49 bytes), is one SHA-256 block. Over the nine non-key columns of the
-// benchmark's table a 3-of-10 projection ships 3 digests a row where a
-// flat list ships 7. Arity 2 ships as few but hashes 6 times a row, not
-// 4 (verifying a 256-row answer took 295 µs where 3 took 229); arity 4
-// ships 4 a row (16,855 VO bytes where 3 gives 12,759) in the same 4
-// calls, one of them two blocks long (252 µs).
-const ColumnArity = 3
-
-// maxArity is the widest group any tree hashes.
-const maxArity = max(Arity, ColumnArity)
+// Arity is the fan-out of both trees — a node's in-node tree and a
+// tuple's column tree — chosen by measurement: the widest group whose
+// preimage, a tag and Arity digests (49 bytes at 3), is one SHA-256
+// block. A point read's proof carries at most Arity − 1 digests per
+// in-node level. Over the benchmark's shard (8,192 rows of
+// workload.DefaultSpec on 4 KB pages, a 1024-bit root signature), with
+// both trees at each arity, the VO of a point read (row 1,960) and of a
+// 256-row, 3-of-10 range (rows 1,000–1,255), the hashes verifying that
+// range takes, and the entries a 4 KB leaf and internal node hold beside
+// their group digests were:
+//
+//	arity   point VO    range VO       range hashes   4 KB leaf / children
+//	8       671 bytes   29,271 bytes   1,069          112 / 119
+//	4       511 bytes   16,919 bytes   1,123          103 / 109
+//	3       479 bytes   12,791 bytes   1,169           96 / 102
+//	2       439 bytes   12,671 bytes   1,807           80 / 84
+//
+// Arity 4 and above take a second SHA-256 block a group, and the column
+// tree then ships 4 or more digests a row of the range where 3 ships 3 (a
+// flat list over the nine non-key columns ships 7). Arity 2 ships the
+// fewest, but a page stores twice the group digests it stores at 3 and
+// the range hashes half as often again.
+const Arity = 3
 
 // Domain tags of the five ordered-hash forms.
 const (
@@ -95,7 +101,7 @@ const (
 const MaxEntries = 0xFFFF
 
 // maxLevels bounds the levels of a tree over at most MaxEntries entries
-// (a node's) or columns (a tuple's): 8^6 and 3^11 exceed it.
+// (a node's) or columns (a tuple's): 3^11 exceeds it.
 const maxLevels = 11
 
 // truncate writes the leading 16 bytes of a hash into dst's backing array
@@ -159,8 +165,7 @@ func ColumnDigests(n int) int {
 	if n < 1 {
 		return 0
 	}
-	s := ColumnShape(n - 1)
-	return n - 1 + s.Stored()
+	return n - 1 + stored(n-1)
 }
 
 // appendTupleHead appends the head of a tuple hash's preimage — its tag
@@ -181,43 +186,56 @@ func appendNodeHead(buf []byte, level, n int, db, table string) []byte {
 	return append(buf, table...)
 }
 
-// Shape is a Merkle tree of some arity over n entries — a node's (NewShape)
-// or a tuple's columns (ColumnShape): sizes[0] = n,
-// sizes[l] = ⌈sizes[l−1]/arity⌉, up to the first level top whose size is
-// at most the arity — the digests the node or tuple hash covers. Levels
+// Shape is a Merkle tree of arity Arity over n entries — a node's
+// (NewShape) or a tuple's columns (ColumnShape): sizes[0] = n,
+// sizes[l] = ⌈sizes[l−1]/Arity⌉, up to the first level top whose size is
+// at most Arity — the digests the node or tuple hash covers. Levels
 // 1..top are the group digests a page or a heap record stores, level by
 // level.
 type Shape struct {
-	arity  int
 	tag    byte // the domain tag of its group hashes
 	sizes  [maxLevels]int
 	offs   [maxLevels]int // offs[l]: index of level l's first stored digest
-	widths [maxLevels]int // widths[l] = arity^l: the entries under a digest of level l
+	widths [maxLevels]int // widths[l] = Arity^l: the entries under a digest of level l
 	top    int
 }
 
 // NewShape returns the shape of the in-node tree of a node of n entries,
 // 0 <= n <= MaxEntries.
-func NewShape(n int) Shape { return newShape(Arity, tagGroup, n) }
+func NewShape(n int) Shape { return newShape(tagGroup, n) }
 
 // ColumnShape returns the shape of the column tree of a tuple of n
 // non-key columns, 0 <= n < MaxEntries.
-func ColumnShape(n int) Shape { return newShape(ColumnArity, tagColumnGroup, n) }
+func ColumnShape(n int) Shape { return newShape(tagColumnGroup, n) }
 
-func newShape(arity int, tag byte, n int) Shape {
-	s := Shape{arity: arity, tag: tag}
+func newShape(tag byte, n int) Shape {
+	s := Shape{tag: tag}
 	s.sizes[0] = n
-	for l, w := 0, 1; l < maxLevels; l, w = l+1, w*arity {
+	for l, w := 0, 1; l < maxLevels; l, w = l+1, w*Arity {
 		s.widths[l] = w
 	}
 	stored := 0
-	for s.sizes[s.top] > arity {
+	for s.sizes[s.top] > Arity {
 		s.top++
-		s.sizes[s.top] = (s.sizes[s.top-1] + arity - 1) / arity
+		s.sizes[s.top] = (s.sizes[s.top-1] + Arity - 1) / Arity
 		s.offs[s.top] = stored
 		stored += s.sizes[s.top]
 	}
 	return s
+}
+
+// stored returns how many group digests a tree over n entries stores —
+// NewShape(n).Stored() — without building its shape. An answer counts
+// the digests of every heap record it reads (ColumnDigests): on the
+// benchmark's read.range (2 vCPUs), building a Shape for each took the
+// edge's time a query from about 160 µs to 188.
+func stored(n int) int {
+	c := 0
+	for n > Arity {
+		n = (n + Arity - 1) / Arity
+		c += n
+	}
+	return c
 }
 
 // Stored returns how many group digests the node's page, or the tuple's
@@ -242,15 +260,12 @@ func (s *Shape) span(l, i int) (lo, hi int) {
 // children returns the digests [lo, hi) of level l−1 under digest i of
 // level l.
 func (s *Shape) children(l, i int) (lo, hi int) {
-	return i * s.arity, min(i*s.arity+s.arity, s.sizes[l-1])
+	return i * Arity, min(i*Arity+Arity, s.sizes[l-1])
 }
 
 // StoredBytes returns the page bytes the group digests of a node of n
 // entries take up.
-func StoredBytes(n int) int {
-	s := NewShape(n)
-	return s.Stored() * size
-}
+func StoredBytes(n int) int { return stored(n) * size }
 
 // CommitNode computes the digest of a node at the given level (leaf = 1)
 // over its entries in order, and its group digests into groups, which
@@ -287,7 +302,7 @@ func (a *Accumulator) commitGroups(s, oldShape *Shape, below [][]byte, groups, o
 	// belowDirty marks which digests of the level under the one being
 	// hashed changed.
 	belowDirty := dirty
-	var buf [1 + maxArity*size]byte
+	var buf [1 + Arity*size]byte
 	for l := 1; l <= s.top; l++ {
 		var next [][]byte
 		var nextDirty []bool
@@ -569,7 +584,7 @@ func (r *recompute) digest(s *Shape, l, i int) (out [size]byte, err error) {
 		copy(out[:], d)
 		return out, nil
 	}
-	var buf [1 + maxArity*size]byte
+	var buf [1 + Arity*size]byte
 	buf[0] = s.tag
 	k := 1
 	from, to := s.children(l, i)

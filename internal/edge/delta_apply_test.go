@@ -99,19 +99,19 @@ func TestDeltaApplyAllocationBudget(t *testing.T) {
 // TestDeltaFromParentCommitApplies: the bodies a central served go
 // through this edge's install, decode, signature check and apply under
 // every scheme, and what the store then holds answers a full scan that
-// verifies against the root digest the signed map pins. Heap records
-// have committed through a column tree since protocol 7, so a store from
-// before then holds digests this build does not compute: the bodies are
-// what a central at protocol 7 served (testdata/column-v7: 40 rows on
-// 1 KB pages, one inserted, three deleted), and the next commitment to
-// change re-derives them again.
+// verifies against the root digest the signed map pins. Nodes have
+// committed through an in-node tree of arity 3 since protocol 8, so a
+// store from before then holds group digests this build does not compute:
+// the bodies are what a central at protocol 8 served (testdata/arity3-v8:
+// 40 rows on 1 KB pages, one inserted, three deleted), and the next
+// commitment to change re-derives them again.
 func TestDeltaFromParentCommitApplies(t *testing.T) {
 	ctx := context.Background()
 	for _, scheme := range []string{"rsa-merkle", "ed25519"} {
 		t.Run(scheme, func(t *testing.T) {
 			read := func(name string) []byte {
 				t.Helper()
-				b, err := os.ReadFile(filepath.Join("..", "wire", "testdata", "column-v7", scheme, name))
+				b, err := os.ReadFile(filepath.Join("..", "wire", "testdata", "arity3-v8", scheme, name))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -254,19 +254,22 @@ func TestMeasureUpdates(t *testing.T) {
 // groups, a tuple hash and the dirty in-node groups and node hashes of
 // its path (costmodel.OrderedInsertHashes), a delete the rehashed nodes,
 // the Audit every digest of the tree and its one root recovery. Each row
-// quotes what the parent commit (b43dc9b) measured: a tuple costs two
-// hashes more since it commits through a column tree (9 attributes, 3
-// column groups and the tuple, where the parent hashed 10 attributes and
-// the tuple), so the insert and every row of the Audit do.
+// quotes what the parent commit (2c6ee41), whose in-node tree had arity
+// 8, measured. At arity 3 a node stores about n/2 group digests where it
+// stored n/7, each one SHA-256 block where an arity-8 group took three:
+// the Audit hashes every one of them, and a delete, which shifts the
+// entries after the first one it removes, rehashes every group from
+// there on in the leaf — so the deletes and the Audit hash more often.
+// The insert hashes one more time.
 func TestMeasureUpdatesMatchesParentCommit(t *testing.T) {
 	for _, tc := range []struct {
 		rows int
 		want [][3]int64 // insert, deletes of 1/10/100, Audit
 	}{
-		// b43dc9b: {16, 0, 0}, {8, 0, 0}, {7, 0, 0}, {7, 0, 0}, {3247, 0, 1}
-		{400, [][3]int64{{18, 0, 0}, {8, 0, 0}, {7, 0, 0}, {7, 0, 0}, {3827, 0, 1}}},
-		// b43dc9b: {16, 0, 0}, {11, 0, 0}, {10, 0, 0}, {10, 0, 0}, {21143, 0, 1}
-		{2000, [][3]int64{{18, 0, 0}, {11, 0, 0}, {10, 0, 0}, {10, 0, 0}, {24923, 0, 1}}},
+		// 2c6ee41: {18, 0, 0}, {8, 0, 0}, {7, 0, 0}, {7, 0, 0}, {3827, 0, 1}
+		{400, [][3]int64{{19, 0, 0}, {21, 0, 0}, {17, 0, 0}, {16, 0, 0}, {3923, 0, 1}}},
+		// 2c6ee41: {18, 0, 0}, {11, 0, 0}, {10, 0, 0}, {10, 0, 0}, {24923, 0, 1}
+		{2000, [][3]int64{{19, 0, 0}, {28, 0, 0}, {24, 0, 0}, {23, 0, 0}, {25558, 0, 1}}},
 	} {
 		cfg := testConfig()
 		cfg.SmallRows = tc.rows

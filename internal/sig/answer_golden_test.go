@@ -140,17 +140,17 @@ func goldenCases(sch *schema.Schema) []goldenCase {
 var goldenMap = []byte("golden signed map bytes (opaque to the wire layer)")
 
 // orderedGoldens pins what an edge sends for every golden case under
-// rsa-merkle since a tuple commits to its columns through a column tree:
-// rows, D_S digests, VO bytes, and the length and SHA-256 of the framed
-// body (the ShardQueryResponse with goldenMap). The answer is anchored at
-// the root whatever the query asks, so both anchor settings give the same
-// bytes. Each line ends with what the parent commit (b43dc9b), which
-// hashed a tuple over a flat list of all its attribute digests, sent: its
-// VO bytes and body length (its D_S was the same; the node commitment did
-// not change). A projection's rows now ship one digest per column
-// subtree they leave out instead of one per column: the 256-row 3-of-10
-// answer 3 a row instead of 7, 16,384 bytes less; a full projection, and
-// an answer of no rows, ship what they did.
+// rsa-merkle since a node commits to its entries through an in-node tree
+// of arity 3: rows, D_S digests, VO bytes, and the length and SHA-256 of
+// the framed body (the ShardQueryResponse with goldenMap). The answer is
+// anchored at the root whatever the query asks, so both anchor settings
+// give the same bytes. Each line ends with what the parent commit
+// (2c6ee41), whose in-node tree had arity 8, sent: its VO bytes and body
+// length. A proof now carries at most 2 digests per in-node level where
+// it carried 7, and a 1 KB leaf holds 24 entries where it held 28: the
+// point read ships 13 D_S digests instead of 20, and only open-ended,
+// whose 81 rows now span one more leaf, ships more (one node record and
+// one digest).
 var orderedGoldens = []struct {
 	name                 string
 	rows, ds, vo         int
@@ -158,26 +158,26 @@ var orderedGoldens = []struct {
 	sha256               string
 	parentVO, parentBody int // quoted, not compared
 }{
-	{"rsa-merkle/point/anchor=true", 1, 20, 423, 782, "2d07e1c5e2eaafd082334888dcbc144e374e91e84b43aabdeb56f8ac512effea", 423, 782},
-	{"rsa-merkle/point/anchor=false", 1, 20, 423, 782, "2d07e1c5e2eaafd082334888dcbc144e374e91e84b43aabdeb56f8ac512effea", 423, 782},
-	{"rsa-merkle/range256-3of10/anchor=true", 256, 30, 12991, 27427, "e5270f1fcfda71630947dd723f6046dec2f7756b35a5f0e4c5f269492a5dcd30", 29375, 43811},
-	{"rsa-merkle/range256-3of10/anchor=false", 256, 30, 12991, 27427, "e5270f1fcfda71630947dd723f6046dec2f7756b35a5f0e4c5f269492a5dcd30", 29375, 43811},
-	{"rsa-merkle/full-projection/anchor=true", 64, 25, 527, 15439, "a69cb078d81e8cc566a218a885bfab9de241d1e866e9fa6dd73a508fe3cb7d70", 527, 15439},
-	{"rsa-merkle/full-projection/anchor=false", 64, 25, 527, 15439, "a69cb078d81e8cc566a218a885bfab9de241d1e866e9fa6dd73a508fe3cb7d70", 527, 15439},
-	{"rsa-merkle/filtered-gaps/anchor=true", 23, 145, 3675, 5063, "af2a1938a521e1e5267927223fb02684548b3fafb55ad9a13709285d84c59721", 5147, 6535},
-	{"rsa-merkle/filtered-gaps/anchor=false", 23, 145, 3675, 5063, "af2a1938a521e1e5267927223fb02684548b3fafb55ad9a13709285d84c59721", 5147, 6535},
-	{"rsa-merkle/empty/anchor=true", 0, 3, 131, 231, "53ae4ffcf3a064a6965fcbff2633c51d367fdd476d2f9d7c504bab6d8eb7aaaf", 131, 231},
-	{"rsa-merkle/empty/anchor=false", 0, 3, 131, 231, "53ae4ffcf3a064a6965fcbff2633c51d367fdd476d2f9d7c504bab6d8eb7aaaf", 131, 231},
-	{"rsa-merkle/open-ended/anchor=true", 81, 6, 4119, 9035, "cbbe3a8cfe2fba1ad6fe9fe65a010836e5da623eb5bc8482140fcca46c861185", 9303, 14219},
-	{"rsa-merkle/open-ended/anchor=false", 81, 6, 4119, 9035, "cbbe3a8cfe2fba1ad6fe9fe65a010836e5da623eb5bc8482140fcca46c861185", 9303, 14219},
-	{"rsa-merkle/empty-open-lo/anchor=true", 0, 3, 131, 259, "030518ca9c64547953e65117f04f53a3034fdd3ec62e6acc9d960aacdbd13666", 131, 259},
-	{"rsa-merkle/empty-open-lo/anchor=false", 0, 3, 131, 259, "030518ca9c64547953e65117f04f53a3034fdd3ec62e6acc9d960aacdbd13666", 131, 259},
-	{"rsa-merkle/strict-bounds/anchor=true", 18, 19, 1871, 2813, "593b2037149a9a53a477576f18a87c7de69037efddcff05f0eadf01cddd07f6c", 2735, 3677},
-	{"rsa-merkle/strict-bounds/anchor=false", 18, 19, 1871, 2813, "593b2037149a9a53a477576f18a87c7de69037efddcff05f0eadf01cddd07f6c", 2735, 3677},
-	{"rsa-merkle/overflow-record/anchor=true", 7, 11, 727, 1417, "1697a14df8c6e061fcddf65cb6fb03a88aa29e54acbd4cf12fe1e173248dbb8e", 1175, 1865},
-	{"rsa-merkle/overflow-record/anchor=false", 7, 11, 727, 1417, "1697a14df8c6e061fcddf65cb6fb03a88aa29e54acbd4cf12fe1e173248dbb8e", 1175, 1865},
-	{"rsa-merkle/filter-no-match/anchor=true", 0, 3, 131, 259, "030518ca9c64547953e65117f04f53a3034fdd3ec62e6acc9d960aacdbd13666", 131, 259},
-	{"rsa-merkle/filter-no-match/anchor=false", 0, 3, 131, 259, "030518ca9c64547953e65117f04f53a3034fdd3ec62e6acc9d960aacdbd13666", 131, 259},
+	{"rsa-merkle/point/anchor=true", 1, 13, 311, 670, "0528ba45df05d9ee5f9f2eaed750cfde88f407d1e3c703f5e1475d646edfb5bd", 423, 782},
+	{"rsa-merkle/point/anchor=false", 1, 13, 311, 670, "0528ba45df05d9ee5f9f2eaed750cfde88f407d1e3c703f5e1475d646edfb5bd", 423, 782},
+	{"rsa-merkle/range256-3of10/anchor=true", 256, 12, 12711, 27147, "20cc8606aa4b9ded2dbefdbd156c9dc818807174239b0e04528f075c57900467", 12991, 27427},
+	{"rsa-merkle/range256-3of10/anchor=false", 256, 12, 12711, 27147, "20cc8606aa4b9ded2dbefdbd156c9dc818807174239b0e04528f075c57900467", 12991, 27427},
+	{"rsa-merkle/full-projection/anchor=true", 64, 11, 303, 15215, "40ac72ead93837f30742e8ac90d4e353bb759578624550b046f50f6c1394f1ea", 527, 15439},
+	{"rsa-merkle/full-projection/anchor=false", 64, 11, 303, 15215, "40ac72ead93837f30742e8ac90d4e353bb759578624550b046f50f6c1394f1ea", 527, 15439},
+	{"rsa-merkle/filtered-gaps/anchor=true", 23, 99, 2951, 4339, "31e491bcdfc76b64c00625e97416807b9cee4450d5c927f130586bea65886bae", 3675, 5063},
+	{"rsa-merkle/filtered-gaps/anchor=false", 23, 99, 2951, 4339, "31e491bcdfc76b64c00625e97416807b9cee4450d5c927f130586bea65886bae", 3675, 5063},
+	{"rsa-merkle/empty/anchor=true", 0, 2, 115, 215, "f7ac488935d7638e3abde6e382412b1f4a17dc91b5882b59c05d63ecc0491fa4", 131, 231},
+	{"rsa-merkle/empty/anchor=false", 0, 2, 115, 215, "f7ac488935d7638e3abde6e382412b1f4a17dc91b5882b59c05d63ecc0491fa4", 131, 231},
+	{"rsa-merkle/open-ended/anchor=true", 81, 7, 4143, 9059, "dab7bc9f6cdce1426559b2acd34dc9ae7a34b407c2237d73f62dc6ec7194b010", 4119, 9035},
+	{"rsa-merkle/open-ended/anchor=false", 81, 7, 4143, 9059, "dab7bc9f6cdce1426559b2acd34dc9ae7a34b407c2237d73f62dc6ec7194b010", 4119, 9035},
+	{"rsa-merkle/empty-open-lo/anchor=true", 0, 2, 115, 243, "a4b4c0a979b29d4753dd2d2379ddaa39fa89b04c55c8d7f91cf8856cf75650da", 131, 259},
+	{"rsa-merkle/empty-open-lo/anchor=false", 0, 2, 115, 243, "a4b4c0a979b29d4753dd2d2379ddaa39fa89b04c55c8d7f91cf8856cf75650da", 131, 259},
+	{"rsa-merkle/strict-bounds/anchor=true", 18, 14, 1783, 2725, "e0c3a7d8715a29dc46a02affe3ba1e2694ac0965d27a6e3c893c1ef0a2ae8b21", 1871, 2813},
+	{"rsa-merkle/strict-bounds/anchor=false", 18, 14, 1783, 2725, "e0c3a7d8715a29dc46a02affe3ba1e2694ac0965d27a6e3c893c1ef0a2ae8b21", 1871, 2813},
+	{"rsa-merkle/overflow-record/anchor=true", 7, 6, 647, 1337, "fe695cd5d4f1245c6ab5d1db29491ceaa8f11d1cb6af864809e7789a8f0e60e2", 727, 1417},
+	{"rsa-merkle/overflow-record/anchor=false", 7, 6, 647, 1337, "fe695cd5d4f1245c6ab5d1db29491ceaa8f11d1cb6af864809e7789a8f0e60e2", 727, 1417},
+	{"rsa-merkle/filter-no-match/anchor=true", 0, 2, 115, 243, "a4b4c0a979b29d4753dd2d2379ddaa39fa89b04c55c8d7f91cf8856cf75650da", 131, 259},
+	{"rsa-merkle/filter-no-match/anchor=false", 0, 2, 115, 243, "a4b4c0a979b29d4753dd2d2379ddaa39fa89b04c55c8d7f91cf8856cf75650da", 131, 259},
 }
 
 // TestAnswerBytesMatchParentCommit pins what an edge puts on the wire for
@@ -325,5 +325,79 @@ func TestVOBytesMatchFormula9(t *testing.T) {
 					name, got.HashOps, got.CombineOps, want)
 			}
 		}
+	}
+}
+
+// TestBenchmarkShardPointReadVOBytes builds the shard the benchmark's
+// read.point queries — 8,192 rows of workload.DefaultSpec on 4 KB pages
+// under a 1024-bit rsa-merkle key — and ties formula (9)'s VO bytes `==`
+// to real point reads across it. The model's envelope comes from the
+// capacity formula alone: Build packs MaxLeafEntries rows a leaf in key
+// order, so row k sits at position k mod L of leaf ⌊k/L⌋, under a root
+// of ⌈8,192/L⌉ entries. Row 1,960 is costmodel.TestOrderedPointReadVOBytes's
+// position 40 of leaf 20: 479 bytes.
+func TestBenchmarkShardPointReadVOBytes(t *testing.T) {
+	const rows, pageSize = 8192, 4096
+	k, err := sig.Generate(sig.SchemeRSAMerkle, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := workload.DefaultSpec(rows)
+	sch, err := spec.Schema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples, err := spec.Tuples()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := storage.NewMemPager(pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp, err := storage.NewBufferPool(mem, 1<<16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap, err := storage.NewHeapFile(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := vbtree.Build(vbtree.Config{
+		Pool: bp, Heap: heap, Schema: sch, Acc: digest.MustNew(digest.DefaultParams()),
+		Signer: k, Pub: k.Public(),
+	}, tuples, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := vbtree.MaxLeafEntries(pageSize, len(schema.Int64(0).KeyBytes()), digest.Size)
+	leaves := (rows + leaf - 1) / leaf
+	if leaf != 96 || leaves != 86 {
+		t.Fatalf("%d-entry leaves, %d of them; costmodel.TestOrderedPointReadVOBytes prices 96 and 86", leaf, leaves)
+	}
+	p := costmodel.Default()
+	err = tree.Read(true, func(v *vbtree.View) error {
+		for _, id := range []int{0, 1, 95, 96, 1960, 4000, 4095, 6143, 8159, 8160, 8191} {
+			i := schema.Int64(int64(id))
+			_, w, err := v.RunQuery(context.Background(), vbtree.Query{Lo: &i, Hi: &i})
+			if err != nil {
+				return err
+			}
+			at := id / leaf
+			env := []costmodel.OrderedNode{
+				{N: leaves, Runs: [][2]int{{at, at + 1}}},
+				{N: min(leaf, rows-at*leaf), Runs: [][2]int{{id % leaf, id%leaf + 1}}},
+			}
+			if got, want := w.WireSize(), p.OrderedVOBytes(env, 0, len(w.RootSig)); got != want {
+				t.Errorf("row %d: a %d-byte VO, formula (9) over %+v prices %d", id, got, env, want)
+			}
+			if id == 1960 && w.WireSize() != 479 {
+				t.Errorf("row 1960: a %d-byte VO, want 479", w.WireSize())
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -167,14 +167,16 @@ func (h *HeapFile) insertCell(cell []byte) (RecordID, error) {
 	return rid, nil
 }
 
-// Delete tombstones the record at rid.
+// Delete tombstones the record at rid. A refused delete leaves the page
+// clean, so no delta ships it.
 func (h *HeapFile) Delete(rid RecordID) error {
 	f, err := h.bp.Fetch(rid.Page)
 	if err != nil {
 		return err
 	}
-	defer h.bp.Unpin(f, true)
-	return f.Page().DeleteCell(int(rid.Slot))
+	err = f.Page().DeleteCell(int(rid.Slot))
+	h.bp.Unpin(f, err == nil)
+	return err
 }
 
 // HeapReader reads a heap file's records through any PageReader — an

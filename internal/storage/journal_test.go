@@ -59,3 +59,38 @@ func TestBufferPoolJournal(t *testing.T) {
 		t.Fatalf("clean fetch journaled %v", got)
 	}
 }
+
+// TestRefusedHeapDeleteJournalsNothing: deleting a record twice changes
+// its page once. The second delete is refused, and the page it left as it
+// was must not be journaled, or the next delta would ship it unchanged.
+func TestRefusedHeapDeleteJournalsNothing(t *testing.T) {
+	mem, err := NewMemPager(MinPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp, err := NewBufferPool(mem, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap, err := NewHeapFile(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rid, err := heap.Insert([]byte("record"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp.EnableJournal()
+	if err := heap.Delete(rid); err != nil {
+		t.Fatal(err)
+	}
+	if got := bp.DrainJournal(); len(got) != 1 || got[0] != rid.Page {
+		t.Fatalf("delete journaled %v, want [%d]", got, rid.Page)
+	}
+	if err := heap.Delete(rid); err == nil {
+		t.Fatal("second delete of one record accepted")
+	}
+	if got := bp.DrainJournal(); got != nil {
+		t.Fatalf("refused delete journaled %v", got)
+	}
+}

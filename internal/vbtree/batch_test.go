@@ -410,12 +410,25 @@ func insertPath(t *testing.T, tree *Tree, tup schema.Tuple) []costmodel.InsertSt
 // the ordered commitment spends on trees of 1 KB pages, packed full, for
 // key -1 into the first leaf — a root leaf that grows the tree, a leaf
 // split, and a leaf and internal split: it hashes a split node's groups
-// and combines nothing; a 1 KB leaf holds 28 entries beside its group
-// digests, so 28 rows are one full leaf. The one signature is the Audit's
-// root signature. Each ceiling is the parent commit's (b43dc9b: 18, 20
-// and 24 hashes) plus the two hashes the column tree adds to a tuple: 9
-// attribute hashes, 3 column groups and the tuple hash, where the parent
-// hashed 10 attributes and the tuple.
+// and combines nothing; a 1 KB leaf holds 24 entries beside its group
+// digests, so 24 rows are one full leaf. The one signature is the Audit's
+// root signature. Each ceiling is formula (11)'s count with the splits
+// priced in: 13 for the tuple (9 attribute hashes, 3 column groups, the
+// tuple hash), every group and the node hash of each split half, and the
+// parent's insert of the new half:
+//   - 24 rows: halves of 12 and 13 entries (6 and 7 groups) and a new
+//     root of 2: 13 + 7 + 8 + 1 = 29;
+//   - 200 rows: the same halves, and a root of 9 children grows to 10,
+//     which adds an in-node level, so all 6 of its groups: 13 + 15 + 7 = 35;
+//   - 2000 rows: the same halves, an internal node of 26 children split
+//     into 13 and 14 (7 groups each), and a root of 4 gaining a child at
+//     1 (2 groups): 13 + 15 + 16 + 3 = 47.
+//
+// The ceilings are these exact arity-3 counts, not the parent commit's,
+// which they exceed. The parent commit (2c6ee41), whose in-node groups
+// held 8 entries, spent 20, 22 and 26 hashes on 28, 200 and 2,000 rows — 27, 31 and 41
+// SHA-256 blocks, where these take 30, 36 and 48: an arity-3 group is
+// one block, an arity-8 group three.
 func TestSplittingInsertCostsNoMoreThanParent(t *testing.T) {
 	for _, tc := range []struct {
 		scheme sig.Scheme
@@ -424,9 +437,9 @@ func TestSplittingInsertCostsNoMoreThanParent(t *testing.T) {
 		// hash, combine, recover, sign
 		ceil [4]int64
 	}{
-		{sig.SchemeRSAMerkle, 28, true, [4]int64{20, 0, 0, 1}},
-		{sig.SchemeRSAMerkle, 200, false, [4]int64{22, 0, 0, 1}},
-		{sig.SchemeRSAMerkle, 2000, false, [4]int64{26, 0, 0, 1}},
+		{sig.SchemeRSAMerkle, 24, true, [4]int64{29, 0, 0, 1}},
+		{sig.SchemeRSAMerkle, 200, false, [4]int64{35, 0, 0, 1}},
+		{sig.SchemeRSAMerkle, 2000, false, [4]int64{47, 0, 0, 1}},
 	} {
 		tree, sch, ctr := newSchemeTree(t, tc.scheme, tc.rows, 1.0)
 		before, err := stats(tree, 9)

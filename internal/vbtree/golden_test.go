@@ -16,10 +16,10 @@ import (
 // Insert and after a DeleteRange. The root digest is a function of every
 // attribute, column group, tuple and node digest below it and of the
 // incremental repairs, so equality here is bit-identity of the whole
-// tree. The roots are what the tree has committed since a tuple commits
-// to its columns through a column tree (commitment version 7); each line
-// quotes what the parent commit (b43dc9b), which hashed a tuple over all
-// its attribute digests in one flat list, printed.
+// tree. The roots are what the tree has committed since a node commits
+// to its entries through an in-node tree of arity 3 (commitment version
+// 8); each line quotes what the parent commit (2c6ee41), whose in-node
+// tree had arity 8, printed.
 func TestRootDigestsMatchParentCommit(t *testing.T) {
 	for _, tc := range []struct {
 		scheme sig.Scheme
@@ -28,10 +28,10 @@ func TestRootDigestsMatchParentCommit(t *testing.T) {
 		roots [4]string
 	}{
 		{sig.SchemeRSAMerkle, 3, [4]string{
-			"68f7fc0cca0874e8624fae793183c262", // parent: 9fa66c831d174025730c4e9c3a35836f
-			"a985e653e6fafe7fc45152bcbce70b68", // parent: 8344fe83a8f9e60509da6aa958220f88
-			"d4770d451264bc38401926e0655f2d83", // parent: 6e125679750ff5848495038f082f9462
-			"9b1805a4441934783d5bf948ecef8161", // parent: b77bd4b0fea4546edc62de98c6d027b0
+			"3c716708bcfe4f286313779c88ddb93a", // parent: 68f7fc0cca0874e8624fae793183c262
+			"9ab5effa3008a0993ff095ab070ec6ef", // parent: a985e653e6fafe7fc45152bcbce70b68
+			"c183a62be8129829d6053da7ac88c37a", // parent: d4770d451264bc38401926e0655f2d83
+			"84b2bb1664d841dee5835f92744ce86d", // parent: 9b1805a4441934783d5bf948ecef8161
 		}},
 	} {
 		t.Run(tc.scheme.String(), func(t *testing.T) { rootDigestsMatch(t, tc.scheme, tc.height, tc.roots) })

@@ -83,8 +83,8 @@ func TestCapacityFormulasMatchBuild(t *testing.T) {
 		pageSize, rows int
 		leaf, fanOut   int
 	}{
-		{1024, 2_000, 28, 30},
-		{4096, 15_000, 112, 119},
+		{1024, 2_000, 24, 26},
+		{4096, 15_000, 96, 102},
 	} {
 		tree := buildEd25519(t, tc.rows, tc.pageSize)
 		keyLen := len(schema.Int64(0).KeyBytes())

@@ -34,7 +34,8 @@ func TestSigCacheIsKeyedByKeyVersion(t *testing.T) {
 	v := &Verifier{Keys: keys, Acc: h.acc, Schema: h.sch}
 
 	// The ordered commitment of the one-leaf tree: rows 0 and 2 are
-	// recomputed, the tuple digests of 1 and 3 travel in D_S.
+	// recomputed; t1's tuple digest and the digest of the group holding
+	// only t3 travel in D_S.
 	root := h.node(1, h.uT...)
 	rs := h.rows(0, 2)
 	w := &vo.VO{
@@ -47,7 +48,7 @@ func TestSigCacheIsKeyedByKeyVersion(t *testing.T) {
 		Nodes: []byte{0, 4, 0, 2, 0, 0, 0, 1, 0, 2, 0, 1},
 	}
 	w.AppendDS(h.uT[1])
-	w.AppendDS(h.uT[3])
+	w.AppendDS(group(h.uT[3]))
 	for i := 0; i < 2; i++ {
 		if err := v.Verify(rs, w); err != nil {
 			t.Fatalf("authentic answer under version 1: %v", err)

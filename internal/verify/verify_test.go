@@ -107,6 +107,17 @@ func orderedTuple(acc *digest.Accumulator, sch *schema.Schema, tup schema.Tuple)
 	return attrs, sum[:digest.Size]
 }
 
+// group is an in-node group digest computed by hand: SHA-256 under tag
+// 0x03 over its entries, truncated.
+func group(entries ...digest.Value) digest.Value {
+	p := []byte{0x03}
+	for _, e := range entries {
+		p = append(p, e...)
+	}
+	sum := sha256.Sum256(p)
+	return sum[:digest.Size]
+}
+
 // node is the digest of a node at the given level over its entries.
 func (h *handTree) node(level int, entries ...digest.Value) digest.Value {
 	groups := make([]byte, digest.StoredBytes(len(entries)))
@@ -154,13 +165,14 @@ func (h *handTree) verifier() *Verifier {
 }
 
 func TestHandBuiltLeafLevelVO(t *testing.T) {
-	// One leaf holding t0..t3; the query returns {t0, t2}; the tuple
-	// digests of t1 and t3 are the leaf's proof, in D_S.
+	// One leaf holding t0..t3, in-node groups {t0, t1, t2} and {t3};
+	// the query returns {t0, t2}. The leaf's proof, in D_S, is t1's tuple
+	// digest and the digest of the group holding only t3.
 	h := buildHand(t, []string{"a", "b", "c", "d"})
 	rs := h.rows(0, 2)
 	w := h.voAt(t, 1, h.node(1, h.uT...), record(4, 0, 1, 2, 1))
 	w.AppendDS(h.uT[1])
-	w.AppendDS(h.uT[3])
+	w.AppendDS(group(h.uT[3]))
 	if err := h.verifier().Verify(rs, w); err != nil {
 		t.Fatalf("hand-built leaf VO rejected: %v", err)
 	}
