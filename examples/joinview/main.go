@@ -78,7 +78,9 @@ func main() {
 	}
 
 	// "All orders of user 42, with the user's attributes" — a join query,
-	// answered from the view with selection + projection at the edge.
+	// answered from the view. user_id is not the view's key, so the edge
+	// ships every row of the view with the projected columns and user_id,
+	// and the client keeps the verified rows of user 42.
 	res, err := cl.Query(ctx, "user_orders", []edgeauth.Predicate{
 		{Column: "user_id", Op: edgeauth.OpEQ, Value: edgeauth.Int64(42)},
 	}, []string{"oid", "total", "users_id", "users_cat"})
@@ -93,8 +95,8 @@ func main() {
 		}
 		fmt.Printf("  %v\n", t)
 	}
-	fmt.Printf("VO: %d digests, %d bytes (gaps from the non-key selection are covered by D_S)\n",
-		res.VO.NumDigests(), res.VOBytes)
+	fmt.Printf("VO: %d digests, %d bytes; result: %d bytes, the whole view, filtered by the client\n",
+		res.VO.NumDigests(), res.VOBytes, res.ResultBytes)
 
 	// A hacked edge inflating an order total is caught on the view too.
 	eg.SetTamper(func(rs *vo.ResultSet, w *vo.VO) error {

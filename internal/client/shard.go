@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"edgeauth/internal/query"
@@ -141,9 +142,11 @@ type shardAnswer struct {
 // multiplexed edge connection), then per-shard verification anchored at the
 // attached, mutually-identical signed map, then a key-ordered stitch.
 func (c *Client) queryShards(ctx context.Context, v *verify.Verifier, routing *shardmap.Signed, table string, preds []query.Predicate, project []string) (*QueryResult, error) {
-	// Compile locally to learn the key range; the edge compiles the same
-	// spec per shard (compilation is deterministic over the schema).
-	q, err := query.Compile(v.Schema, query.Spec{Predicates: preds, Project: project})
+	// Compile locally to learn the key range and the answer's columns; the
+	// edge compiles the same spec per shard (compilation is deterministic
+	// over the schema).
+	spec := query.Spec{Predicates: preds, Project: project}
+	q, err := query.Compile(v.Schema, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +273,7 @@ func (c *Client) queryShards(ctx context.Context, v *verify.Verifier, routing *s
 		switch {
 		case out.Result == nil:
 			out.Result = rs
-		case !sameColumns(out.Result.Columns, rs.Columns):
+		case !slices.Equal(out.Result.Columns, rs.Columns):
 			return nil, fmt.Errorf("%w: shard %d returned columns %v, shard %d returned %v",
 				ErrTampered, answers[0].shard, out.Result.Columns, a.shard, rs.Columns)
 		default:
@@ -283,6 +286,11 @@ func (c *Client) queryShards(ctx context.Context, v *verify.Verifier, routing *s
 	}
 	if n == 1 {
 		out.VO = out.ShardVOs[0]
+	}
+	// The verified rows are the key range's; the rest of the query is
+	// applied here, to them.
+	if err := query.Finish(v.Schema, spec, q, out.Result); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrTampered, err)
 	}
 	return out, nil
 }
@@ -316,18 +324,6 @@ func boundariesEqual(a, b []schema.Datum) bool {
 	}
 	for i := range a {
 		if a[i].Compare(b[i]) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func sameColumns(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
 			return false
 		}
 	}

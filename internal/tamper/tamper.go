@@ -389,6 +389,29 @@ func MutateKeyColumn() Attack {
 	}
 }
 
+// ReorderProjection swaps the first two result columns, their names and
+// every row's values together. Each value still sits under its own
+// column's name, so every digest recomputes: the VO proves the values,
+// not the order the query asked for them in. Only a client that checks
+// the answer's columns against its query catches it.
+func ReorderProjection() Attack {
+	return Attack{
+		Name:        "reorder-projection",
+		Description: "swap two result columns, names and values alike",
+		Apply: func(rs *vo.ResultSet, w *vo.VO) error {
+			if len(rs.Columns) < 2 {
+				return ErrNotApplicable
+			}
+			rs.Columns = append([]string(nil), rs.Columns...)
+			rs.Columns[0], rs.Columns[1] = rs.Columns[1], rs.Columns[0]
+			for _, t := range rs.Tuples {
+				t.Values[0], t.Values[1] = t.Values[1], t.Values[0]
+			}
+			return nil
+		},
+	}
+}
+
 // The column-proof attacks move the digests of the D_P run, which is
 // each row's column proof, row by row, the same number of digests for
 // every row: one digest for each column subtree the row leaves out, in
@@ -825,6 +848,7 @@ func All() []Attack {
 		CompensateAcrossRows(),
 		RelabelKeyType(),
 		MutateKeyColumn(),
+		ReorderProjection(),
 		SwapColumnProofDigests(),
 		MoveColumnGroupAcrossRows(),
 		DropDPSibling(),

@@ -5,20 +5,15 @@ import (
 	"edgeauth/internal/sig"
 )
 
-// Query describes a selection/projection over the indexed table.
+// Query describes what an edge answers: every row whose key lies in a
+// closed range, projected. There is no filter: the client evaluates the
+// rest of its query on the verified rows (query.Finish), so the one
+// answer shape is a contiguous key range.
 type Query struct {
 	// Lo/Hi bound the primary key (closed interval); nil means unbounded.
 	Lo, Hi *schema.Datum
-	// Filter, when non-nil, is an additional non-key predicate evaluated
-	// on full base tuples; non-matching tuples inside the range become
-	// "gaps" covered by D_S digests. The tuple is valid for the call only.
-	Filter func(schema.Tuple) bool
-	// FilterCols lists the schema indices of the columns Filter reads;
-	// the tuple it is shown has only those values decoded. Nil means
-	// every column.
-	FilterCols []int
 	// Project lists the columns to return; nil means all columns.
-	// Filtered-out attributes are covered by D_P digests.
+	// The attributes left out are covered by D_P digests.
 	Project []string
 	// AnchorRoot asks for a VO that proves the answer against the root
 	// digest, the one a signed shard map pins: sharded queries set it, so

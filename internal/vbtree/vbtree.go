@@ -19,7 +19,7 @@
 // A Tree writes and a View reads. The Tree, held by the trusted central
 // server with its signing key, supports construction, insert and delete,
 // rehashing only the nodes an update dirties. A View answers
-// range/filter/projection queries over a page space that does not change
+// range/projection queries over a page space that does not change
 // under it, producing a verification object that proves the answer
 // against the signed root (paper §3.3), and audits every digest: an
 // untrusted edge server reads its pinned snapshots through one

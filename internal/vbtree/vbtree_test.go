@@ -391,49 +391,8 @@ func TestProjectionValidation(t *testing.T) {
 	}
 }
 
-func TestFilterQueryVerifies(t *testing.T) {
-	h := newHarness(t, 400, 1024, false)
-	// Non-key selection: keep only tuples whose customer ends in "-003".
-	rs, w := h.query(t, Query{
-		Lo: i64(0), Hi: i64(399),
-		Filter: func(tp schema.Tuple) bool { return tp.Values[1].S == "cust-003" },
-	})
-	want := 0
-	for i := 0; i < 400; i++ {
-		if i%7 == 3 {
-			want++
-		}
-	}
-	if len(rs.Tuples) != want {
-		t.Fatalf("filter matched %d, want %d", len(rs.Tuples), want)
-	}
-	// Gaps inside the range must be covered by extra D_S digests.
-	if w.NumDS() <= want {
-		t.Fatalf("D_S (%d) suspiciously small for a gappy result", w.NumDS())
-	}
-	h.mustVerify(t, rs, w)
-
-	// Filter plus projection.
-	rs2, w2 := h.query(t, Query{
-		Lo: i64(100), Hi: i64(300),
-		Filter:  func(tp schema.Tuple) bool { return tp.Values[2].F > 200 },
-		Project: []string{"id", "customer"},
-	})
-	h.mustVerify(t, rs2, w2)
-}
-
 func TestEmptyResultVerifies(t *testing.T) {
 	h := newHarness(t, 200, 1024, false)
-	// A filter nothing matches.
-	rs, w := h.query(t, Query{
-		Lo: i64(0), Hi: i64(199),
-		Filter: func(schema.Tuple) bool { return false },
-	})
-	if len(rs.Tuples) != 0 {
-		t.Fatal("expected empty result")
-	}
-	h.mustVerify(t, rs, w)
-
 	// A key range beyond the data.
 	rs2, w2 := h.query(t, Query{Lo: i64(1000), Hi: i64(2000)})
 	if len(rs2.Tuples) != 0 {

@@ -192,7 +192,7 @@ func (v *View) RunQuery(ctx context.Context, q Query) (*vo.ResultSet, *vo.VO, er
 func (v *View) AppendAnswer(ctx context.Context, q Query, dst []byte) (out []byte, voBytes int, err error) {
 	sc := walkScratchPool.Get().(*walkScratch)
 	defer sc.recycle()
-	w := answerWalk{v: v, ctx: ctx, filter: q.Filter, filterCols: q.FilterCols, walkScratch: sc}
+	w := answerWalk{v: v, ctx: ctx, walkScratch: sc}
 	if q.Lo != nil {
 		w.lo = q.Lo.KeyBytes()
 	}
@@ -205,16 +205,6 @@ func (v *View) AppendAnswer(ctx context.Context, q Query, dst []byte) (out []byt
 	cols, err := w.resolveProjection(q.Project)
 	if err != nil {
 		return nil, 0, err
-	}
-	if w.filter != nil {
-		w.scratch = make([]schema.Datum, len(v.sch.Columns))
-		if w.filterCols == nil {
-			// The query does not say which columns the filter reads.
-			w.filterCols = make([]int, len(w.scratch))
-			for ci := range w.filterCols {
-				w.filterCols[ci] = ci
-			}
-		}
 	}
 	if _, err := w.walkOrdered(v.root, -1, 0, 0); err != nil {
 		return nil, 0, err
@@ -255,7 +245,7 @@ func (v *View) AppendAnswer(ctx context.Context, q Query, dst []byte) (out []byt
 		for _, ci := range w.proj {
 			aw.Value(sv.Value(ci))
 		}
-		// The proof of the filtered attributes -> D_P (paper Figure 7).
+		// The proof of the attributes projected away -> D_P (paper Figure 7).
 		for _, k := range w.dp {
 			aw.DP(sv.Digest(k))
 		}
@@ -317,14 +307,11 @@ func (w *answerWalk) walkOrdered(pid storage.PageID, parent, pos, depth int) (bo
 			if (w.lo != nil && compare(c.key, w.lo) < 0) || (w.hi != nil && compare(c.key, w.hi) > 0) {
 				continue
 			}
-			matched, err := w.match(c.rid)
-			if err != nil {
+			if err := w.match(c.rid); err != nil {
 				return false, err
 			}
-			if matched {
-				w.addPos(mark, i)
-				has = true
-			}
+			w.addPos(mark, i)
+			has = true
 		}
 	} else {
 		c, err := openInternal(buf)
@@ -394,19 +381,16 @@ func (w *answerWalk) emitProof(aw *vo.AnswerWriter, r *orderedRec) {
 // spilled into an overflow chain, of memory the walk owns): nothing is
 // copied until AppendAnswer writes the answer out.
 type answerWalk struct {
-	v          *View
-	ctx        context.Context
-	lo, hi     []byte // closed key range, nil = unbounded
-	filter     func(schema.Tuple) bool
-	filterCols []int
+	v      *View
+	ctx    context.Context
+	lo, hi []byte // closed key range, nil = unbounded
 
 	proj []int // schema index of each returned column, in answer order
 	// dp is every row's column proof: the indices, among its heap
 	// record's digests, of the ones D_P carries, in the order they travel.
 	dp []int
 
-	scratch []schema.Datum // the tuple shown to filter
-	sizes   vo.AnswerSizes
+	sizes vo.AnswerSizes
 
 	*walkScratch
 }
@@ -509,30 +493,19 @@ func (w *answerWalk) resolveProjection(cols []string) ([]string, error) {
 	return cols, nil
 }
 
-// match reads the stored tuple at rid in place and applies the filter. A
-// qualifying tuple joins the result, with its row and D_P sizes counted.
-func (w *answerWalk) match(rid storage.RecordID) (bool, error) {
+// match reads the stored tuple at rid in place: it joins the result,
+// with its row and D_P sizes counted.
+func (w *answerWalk) match(rid storage.RecordID) error {
 	rec, err := w.v.heap.View(rid)
 	if err != nil {
-		return false, err
+		return err
 	}
 	sv, sch := &w.sv, w.v.sch
 	if err := sv.Parse(rec); err != nil {
-		return false, err
+		return err
 	}
 	if sv.NumColumns() != len(sch.Columns) {
-		return false, fmt.Errorf("vbtree: stored tuple %v has %d values for %d columns", rid, sv.NumColumns(), len(sch.Columns))
-	}
-	if w.filter != nil {
-		// The filter sees a tuple with the columns it reads decoded.
-		for _, ci := range w.filterCols {
-			if w.scratch[ci], err = sv.Datum(ci); err != nil {
-				return false, err
-			}
-		}
-		if !w.filter(schema.Tuple{Values: w.scratch}) {
-			return false, nil
-		}
+		return fmt.Errorf("vbtree: stored tuple %v has %d values for %d columns", rid, sv.NumColumns(), len(sch.Columns))
 	}
 	values := 0
 	for _, ci := range w.proj {
@@ -542,7 +515,7 @@ func (w *answerWalk) match(rid storage.RecordID) (bool, error) {
 	w.sizes.DP(len(w.dp))
 	w.matches = append(w.matches, rec)
 	w.offsets = append(w.offsets, sv.Offsets()...)
-	return true, nil
+	return nil
 }
 
 // rootDigest computes the root's digest from the root page (one hash

@@ -33,21 +33,21 @@ func TestSigCacheIsKeyedByKeyVersion(t *testing.T) {
 	keys.Put(newKey.Public())
 	v := &Verifier{Keys: keys, Acc: h.acc, Schema: h.sch}
 
-	// The ordered commitment of the one-leaf tree: rows 0 and 2 are
-	// recomputed; t1's tuple digest and the digest of the group holding
+	// The ordered commitment of the one-leaf tree: rows 1 and 2 are
+	// recomputed; t0's tuple digest and the digest of the group holding
 	// only t3 travel in D_S.
 	root := h.node(1, h.uT...)
-	rs := h.rows(0, 2)
+	rs := h.rows(1, 2)
 	w := &vo.VO{
 		KeyVersion: 1,
 		Timestamp:  time.Now().Unix(),
 		TopLevel:   1,
 		TopDigest:  sig.Signature(root),
 		RootSig:    oldKey.MustSign(root),
-		// 4 entries, 2 runs: [0, +1) and [2, +1).
-		Nodes: []byte{0, 4, 0, 2, 0, 0, 0, 1, 0, 2, 0, 1},
+		// 4 entries, 1 run: [1, +2).
+		Nodes: []byte{0, 4, 0, 1, 0, 1, 0, 2},
 	}
-	w.AppendDS(h.uT[1])
+	w.AppendDS(h.uT[0])
 	w.AppendDS(group(h.uT[3]))
 	for i := 0; i < 2; i++ {
 		if err := v.Verify(rs, w); err != nil {

@@ -166,12 +166,12 @@ func (h *handTree) verifier() *Verifier {
 
 func TestHandBuiltLeafLevelVO(t *testing.T) {
 	// One leaf holding t0..t3, in-node groups {t0, t1, t2} and {t3};
-	// the query returns {t0, t2}. The leaf's proof, in D_S, is t1's tuple
-	// digest and the digest of the group holding only t3.
+	// the query returns {t1, t2}, one run. The leaf's proof, in D_S, is
+	// t0's tuple digest and the digest of the group holding only t3.
 	h := buildHand(t, []string{"a", "b", "c", "d"})
-	rs := h.rows(0, 2)
-	w := h.voAt(t, 1, h.node(1, h.uT...), record(4, 0, 1, 2, 1))
-	w.AppendDS(h.uT[1])
+	rs := h.rows(1, 2)
+	w := h.voAt(t, 1, h.node(1, h.uT...), record(4, 1, 2))
+	w.AppendDS(h.uT[0])
 	w.AppendDS(group(h.uT[3]))
 	if err := h.verifier().Verify(rs, w); err != nil {
 		t.Fatalf("hand-built leaf VO rejected: %v", err)
@@ -180,6 +180,16 @@ func TestHandBuiltLeafLevelVO(t *testing.T) {
 	rs.Tuples[0].Values[1] = schema.Str("tampered")
 	if err := h.verifier().Verify(rs, w); err == nil {
 		t.Fatal("tampered hand-built result accepted")
+	}
+
+	// {t0, t2} recomputes the right root from two runs, and is refused
+	// for them: an answer is a key range, one run a node, and a gap in
+	// it would be a row left out.
+	gapped := h.voAt(t, 1, h.node(1, h.uT...), record(4, 0, 1, 2, 1))
+	gapped.AppendDS(h.uT[1])
+	gapped.AppendDS(group(h.uT[3]))
+	if err := h.verifier().Verify(h.rows(0, 2), gapped); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("a leaf record of two runs: %v, want ErrMalformed", err)
 	}
 }
 

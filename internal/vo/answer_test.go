@@ -177,7 +177,7 @@ func TestStoredViewMatchesDecodeStoredTuple(t *testing.T) {
 			if !bytes.Equal(sv.Value(i), v.Encode(nil)) {
 				t.Errorf("value %d: %x", i, sv.Value(i))
 			}
-			if d, err := sv.Datum(i); err != nil || !d.Equal(v) {
+			if d, _, err := schema.DecodeDatum(sv.Value(i)); err != nil || !d.Equal(v) {
 				t.Errorf("datum %d: %v, %v", i, d, err)
 			}
 		}

@@ -164,12 +164,6 @@ func (sv *StoredView) NumColumns() int { return len(sv.off) - 1 }
 // Value returns column i's value in its wire encoding (schema.Datum.Encode).
 func (sv *StoredView) Value(i int) []byte { return sv.rec[sv.off[i]:sv.off[i+1]] }
 
-// Datum decodes column i's value; the datum owns its payload.
-func (sv *StoredView) Datum(i int) (schema.Datum, error) {
-	d, _, err := schema.DecodeDatum(sv.Value(i))
-	return d, err
-}
-
 // Digest returns digest k of the record's column commitment (see
 // StoredTuple).
 func (sv *StoredView) Digest(k int) []byte {

@@ -44,9 +44,11 @@
 // (9) charges a VO (|D_P| + |D_S| + 1)·D bytes of digests, and those are
 // the digest bytes it carries, behind one width rather than each behind
 // its own length.
-// The records are canonical — runs sorted, non-empty and apart, every
+// The records are canonical — at most one run each, non-empty, every
 // record but the root's naming a position — or DecodeVO refuses them; a
 // verifier also refuses a VO whose D_S is not exactly what they call for.
+// An answer is every row of a contiguous key range (the client applies
+// the rest of a query), which recomputes one run in each node.
 //
 // The VO struct holds D_S and D_P in that same shape: VO.DS is the
 // nDS × W run and VO.DP the nDP × W run, each one []byte. NumDS, DSDigest,
@@ -362,6 +364,9 @@ func walkNodes(data []byte, level int, root bool) (n, rows int, err error) {
 		return 0, 0, err
 	}
 	n = len(data) - len(rest)
+	if len(runs) > digest.RunSize {
+		return 0, 0, errors.New("vo: a node record names more than one run")
+	}
 	pos, err := digest.CheckRuns(runs, count)
 	if err != nil {
 		return 0, 0, fmt.Errorf("vo: %w", err)

@@ -36,10 +36,13 @@ import (
 
 // ProtocolVersion is the one protocol version this build speaks; the Hello
 // handshake carries it in both directions. It is raised whenever the
-// bytes of a message change, so that a build from before the change is
-// turned away at dial with CodeUnsupported instead of being sent bodies
-// it would misparse: 8 is the generation in which a node's in-node tree
-// has arity 3 (digest.Arity), not 8 — a page stores other group digests
+// bytes or the meaning of a message change, so that a build from before
+// the change is turned away at dial with CodeUnsupported instead of being
+// sent bodies it would misparse or misread: 9 is the generation in which
+// an edge answers a query's closed key range with the columns its
+// predicates read, and the client evaluates every predicate
+// (query.Finish) — a version-8 client would take those rows as filtered;
+// 8 is the generation in which a node's in-node tree has arity 3 (digest.Arity), not 8 — a page stores other group digests
 // and a VO's in-node proof carries at most 2 digests per in-node level;
 // 7 is the generation in which a tuple commits to its
 // columns through a column tree (digest.ColumnShape) — a heap record
@@ -55,7 +58,7 @@ import (
 // frame is gone and the message types after it renumbered); 3 first
 // carried a VO's digests as fixed-width runs (vo.VO.Encode); 2 put a
 // length in front of each.
-const ProtocolVersion = 8
+const ProtocolVersion = 9
 
 // Capability bits carried in the Hello exchange (both directions). They
 // are advisory: a peer that lacks a capability still answers the
