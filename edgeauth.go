@@ -156,7 +156,7 @@ func NewEdge(centralAddr string) *Edge {
 }
 
 // NewEdgeWithOptions creates an edge server with explicit serving options
-// (idle timeout, per-connection concurrency bound).
+// (idle timeout, upstream peer edges, serving peers).
 func NewEdgeWithOptions(centralAddr string, opts EdgeOptions) *Edge {
 	return edge.NewWithOptions(centralAddr, opts)
 }

@@ -27,7 +27,6 @@ type Result[S any] struct {
 	an       *Analysis[S]
 	in       []S
 	reached  []bool
-	exitIdx  int
 	hasState func(int) bool
 }
 
@@ -41,7 +40,6 @@ func Solve[S any](g *Graph, an *Analysis[S]) *Result[S] {
 		an:      an,
 		in:      make([]S, n),
 		reached: make([]bool, n),
-		exitIdx: g.Exit.index,
 	}
 	r.in[g.Entry.index] = an.Init
 	r.reached[g.Entry.index] = true
@@ -109,17 +107,6 @@ func (r *Result[S]) At(blk *Block) (S, bool) {
 		return zero, false
 	}
 	return r.in[blk.index], true
-}
-
-// AtExit returns the joined state over every function exit (return
-// statements and falling off the end). ok=false when no exit is
-// reachable (the function always panics or loops forever).
-func (r *Result[S]) AtExit() (S, bool) {
-	if !r.reached[r.exitIdx] {
-		var zero S
-		return zero, false
-	}
-	return r.in[r.exitIdx], true
 }
 
 // Returns calls fn with the state immediately before each reachable

@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"edgeauth/internal/digest"
-	"edgeauth/internal/lock"
 	"edgeauth/internal/query"
 	"edgeauth/internal/rpc"
 	"edgeauth/internal/schema"
@@ -438,6 +437,11 @@ func (s *Server) AddTable(sch *schema.Schema, tuples []schema.Tuple) error {
 // and synced, so restart replay reconstructs a transition-created shard
 // without the retired parent's log; a build-time shard's baseline is the
 // table the caller loaded, and its log starts empty.
+//
+// The shard's tree takes no page locks. Every write to it holds the
+// tree's own write lock for its whole length, after queueing on the group
+// committer (inserts) and sh.mu, and readers query published snapshots,
+// so the paper's §3.4 S/X protocol would guard nothing.
 func (s *Server) newShard(sch *schema.Schema, src vbtree.TupleSource, epoch, id uint64, seedWAL bool) (*shard, error) {
 	mem, err := storage.NewMemPager(s.opts.PageSize)
 	if err != nil {
@@ -477,12 +481,6 @@ func (s *Server) newShard(sch *schema.Schema, src vbtree.TupleSource, epoch, id 
 		Acc:    s.acc,
 		Signer: s.key,
 		Pub:    s.key.Public(),
-		// Each shard gets its own lock manager: shards have independent
-		// buffer pools whose page IDs overlap, so sharing one manager
-		// under the table-wide lock space would make parallel shard
-		// commits falsely contend (and falsely deadlock) on unrelated
-		// pages that happen to share an ID.
-		Locks: lock.NewManager(0),
 	}
 	tree, err := vbtree.BuildFromSource(cfg, 1.0, vbtree.DefaultBuildChunk, src, onChunk)
 	if err != nil {

@@ -88,6 +88,13 @@ func TestAnswerDecodeAndVerifyAllocationBudget(t *testing.T) {
 		}
 	}
 	verify() // check the map and warm the signature cache, as the second answer of a session finds them
+	// What is measured below needs only body and v. runtime.MemStats counts
+	// every goroutine's allocations, so the deployment is closed, and the
+	// passes run on one P, as testing.AllocsPerRun runs its own.
+	d.client.Close()
+	d.edge.Close()
+	d.central.Close()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
 	decode := testing.AllocsPerRun(100, func() {
 		if _, err := wire.DecodeShardQueryResponse(body); err != nil {
@@ -97,7 +104,7 @@ func TestAnswerDecodeAndVerifyAllocationBudget(t *testing.T) {
 	if decode > 40 {
 		t.Errorf("decoding the answer: %.0f allocations, budget 40", decode)
 	}
-	// The least of three passes: anything else the deployment allocates
+	// The least of three passes: anything else the runtime allocates
 	// meanwhile can only add to a pass.
 	decodeBytes := uint64(math.MaxUint64)
 	for pass := 0; pass < 3; pass++ {

@@ -42,17 +42,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns laptop-scale defaults.
-func DefaultConfig() Config {
-	return Config{
-		Rows:      10_000,
-		SmallRows: 2_000,
-		KeyBits:   512,
-		PageSize:  storage.DefaultPageSize,
-		Seed:      42,
-	}
-}
-
 // Env is a built deployment reused across measurements: the same table
 // indexed by a VB-tree and mirrored in a Naive store.
 type Env struct {

@@ -1,284 +1,14 @@
-// Package lock implements a shared/exclusive lock manager with FIFO
-// queuing and timeout-based deadlock recovery. It realizes the paper's
-// §3.4 concurrency protocol at the central server:
-//
-//   - insert transactions X-lock each node digest on their root-to-leaf
-//     path as it is modified;
-//   - delete transactions X-lock all digests on the paths to the affected
-//     leaves before recomputing them;
-//   - queries S-lock the digests in their enveloping subtree, so they can
-//     proceed concurrently with a delete whenever the subtrees do not
-//     overlap — the property the paper highlights over root-anchored
-//     schemes.
-//
-// Resources are (space, id) pairs; the VB-tree uses its table name as the
-// space and page ids as resource ids.
+// Package lock is a shim with no behaviour. The paper's §3.4 S/X page-lock
+// protocol it once implemented is gone: the VB-tree serialises its writers
+// under its own write lock and readers query snapshots. NewManager remains
+// only because the benchmark harness still sets vbtree.Config.Locks, which
+// the tree ignores.
 package lock
 
-import (
-	"container/list"
-	"errors"
-	"fmt"
-	"sync"
-	"time"
-)
+import "time"
 
-// Mode is the lock mode.
-type Mode int
+// Manager is an empty lock table.
+type Manager struct{}
 
-const (
-	// Shared permits concurrent readers.
-	Shared Mode = iota
-	// Exclusive permits a single owner.
-	Exclusive
-)
-
-func (m Mode) String() string {
-	if m == Shared {
-		return "S"
-	}
-	return "X"
-}
-
-// TxnID identifies a lock owner (a transaction or query).
-type TxnID uint64
-
-// Resource names a lockable object.
-type Resource struct {
-	Space string
-	ID    uint64
-}
-
-func (r Resource) String() string { return fmt.Sprintf("%s/%d", r.Space, r.ID) }
-
-// ErrTimeout is returned when a lock cannot be acquired within the
-// manager's timeout — the deadlock-recovery mechanism.
-var ErrTimeout = errors.New("lock: acquisition timed out (possible deadlock)")
-
-// DefaultTimeout bounds lock waits.
-const DefaultTimeout = 2 * time.Second
-
-// Manager is the lock table. The zero value is not usable; call NewManager.
-type Manager struct {
-	mu      sync.Mutex
-	timeout time.Duration
-	table   map[Resource]*entry
-	held    map[TxnID]map[Resource]Mode // reverse index for ReleaseAll
-	nextTxn TxnID
-}
-
-type entry struct {
-	holders map[TxnID]Mode
-	queue   *list.List // of *waiter, FIFO
-}
-
-type waiter struct {
-	txn   TxnID
-	mode  Mode
-	ready chan struct{}
-}
-
-// NewManager creates a lock manager. timeout <= 0 selects DefaultTimeout.
-func NewManager(timeout time.Duration) *Manager {
-	if timeout <= 0 {
-		timeout = DefaultTimeout
-	}
-	return &Manager{
-		timeout: timeout,
-		table:   make(map[Resource]*entry),
-		held:    make(map[TxnID]map[Resource]Mode),
-	}
-}
-
-// Begin allocates a fresh transaction id.
-func (m *Manager) Begin() TxnID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.nextTxn++
-	return m.nextTxn
-}
-
-// compatible reports whether txn may take mode on e right now, considering
-// current holders only (queue fairness is handled by the caller).
-func (e *entry) compatible(txn TxnID, mode Mode) bool {
-	for t, hm := range e.holders {
-		if t == txn {
-			continue // self; upgrades handled explicitly
-		}
-		if mode == Exclusive || hm == Exclusive {
-			return false
-		}
-	}
-	return true
-}
-
-// Acquire takes the lock in the given mode, blocking up to the manager's
-// timeout. Re-acquiring a mode already held is a no-op; acquiring
-// Exclusive while holding Shared upgrades when possible.
-func (m *Manager) Acquire(txn TxnID, res Resource, mode Mode) error {
-	m.mu.Lock()
-	e, ok := m.table[res]
-	if !ok {
-		e = &entry{holders: make(map[TxnID]Mode), queue: list.New()}
-		m.table[res] = e
-	}
-	if cur, holding := e.holders[txn]; holding {
-		if cur == Exclusive || cur == mode {
-			m.mu.Unlock()
-			return nil
-		}
-		// Upgrade S -> X: allowed immediately when txn is the only holder
-		// and no exclusive waiter is queued ahead.
-		if len(e.holders) == 1 && e.queue.Len() == 0 {
-			e.holders[txn] = Exclusive
-			m.held[txn][res] = Exclusive
-			m.mu.Unlock()
-			return nil
-		}
-		// Otherwise wait like a normal waiter; grant logic knows the
-		// holder set still includes us with S.
-	} else if e.compatible(txn, mode) && e.queue.Len() == 0 {
-		e.holders[txn] = mode
-		m.noteHeld(txn, res, mode)
-		m.mu.Unlock()
-		return nil
-	}
-
-	w := &waiter{txn: txn, mode: mode, ready: make(chan struct{})}
-	elem := e.queue.PushBack(w)
-	m.mu.Unlock()
-
-	timer := time.NewTimer(m.timeout)
-	defer timer.Stop()
-	select {
-	case <-w.ready:
-		return nil
-	case <-timer.C:
-		m.mu.Lock()
-		// Either grant raced the timeout, or we must dequeue ourselves.
-		select {
-		case <-w.ready:
-			m.mu.Unlock()
-			return nil
-		default:
-		}
-		e.queue.Remove(elem)
-		m.grantLocked(res, e)
-		m.mu.Unlock()
-		return fmt.Errorf("%w: txn %d waiting for %v on %v", ErrTimeout, txn, mode, res)
-	}
-}
-
-func (m *Manager) noteHeld(txn TxnID, res Resource, mode Mode) {
-	hm, ok := m.held[txn]
-	if !ok {
-		hm = make(map[Resource]Mode)
-		m.held[txn] = hm
-	}
-	hm[res] = mode
-}
-
-// Release drops txn's lock on res.
-func (m *Manager) Release(txn TxnID, res Resource) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.table[res]
-	if !ok {
-		return
-	}
-	if _, holding := e.holders[txn]; !holding {
-		return
-	}
-	delete(e.holders, txn)
-	if hm, ok := m.held[txn]; ok {
-		delete(hm, res)
-		if len(hm) == 0 {
-			delete(m.held, txn)
-		}
-	}
-	m.grantLocked(res, e)
-}
-
-// ReleaseAll drops every lock held by txn (end of transaction in 2PL).
-func (m *Manager) ReleaseAll(txn TxnID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	hm, ok := m.held[txn]
-	if !ok {
-		return
-	}
-	delete(m.held, txn)
-	for res := range hm {
-		if e, ok := m.table[res]; ok {
-			delete(e.holders, txn)
-			m.grantLocked(res, e)
-		}
-	}
-}
-
-// grantLocked wakes queued waiters in FIFO order while compatible.
-func (m *Manager) grantLocked(res Resource, e *entry) {
-	for e.queue.Len() > 0 {
-		front := e.queue.Front()
-		w := front.Value.(*waiter)
-		// An upgrader (already holds S) needs to be the only other holder.
-		if cur, holding := e.holders[w.txn]; holding && cur == Shared && w.mode == Exclusive {
-			if len(e.holders) != 1 {
-				return
-			}
-			e.holders[w.txn] = Exclusive
-			m.noteHeld(w.txn, res, Exclusive)
-			e.queue.Remove(front)
-			close(w.ready)
-			continue
-		}
-		if !e.compatible(w.txn, w.mode) {
-			return
-		}
-		e.holders[w.txn] = w.mode
-		m.noteHeld(w.txn, res, w.mode)
-		e.queue.Remove(front)
-		close(w.ready)
-	}
-	if len(e.holders) == 0 && e.queue.Len() == 0 {
-		delete(m.table, res)
-	}
-}
-
-// AcquireMany locks all resources in order, releasing everything acquired
-// so far if any acquisition fails. Resources should be pre-sorted by the
-// caller in a global order to avoid deadlocks between like transactions.
-func (m *Manager) AcquireMany(txn TxnID, ress []Resource, mode Mode) error {
-	for i, r := range ress {
-		if err := m.Acquire(txn, r, mode); err != nil {
-			for j := 0; j < i; j++ {
-				m.Release(txn, ress[j])
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// Holders reports the current holder count and queue length for a
-// resource, for tests and introspection.
-func (m *Manager) Holders(res Resource) (holders, queued int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.table[res]
-	if !ok {
-		return 0, 0
-	}
-	return len(e.holders), e.queue.Len()
-}
-
-// HeldBy lists the resources currently held by txn.
-func (m *Manager) HeldBy(txn TxnID) []Resource {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []Resource
-	for res := range m.held[txn] {
-		out = append(out, res)
-	}
-	return out
-}
+// NewManager returns an empty Manager; the timeout is ignored.
+func NewManager(time.Duration) *Manager { return &Manager{} }

@@ -185,18 +185,6 @@ func (m *Map) ShardsForRange(lo, hi *schema.Datum) (first, last int) {
 	return first, last
 }
 
-// Range returns shard i's covering interval as (lo, hi) datum pointers;
-// nil means open-ended. hi is exclusive.
-func (m *Map) Range(i int) (lo, hi *schema.Datum) {
-	if i > 0 {
-		lo = &m.Boundaries[i-1]
-	}
-	if i < len(m.Boundaries) {
-		hi = &m.Boundaries[i]
-	}
-	return lo, hi
-}
-
 // --- binary codec (the client-side decoder is fuzzed) ---
 
 // encoding helpers (the wire package's primitives, duplicated here so
@@ -318,27 +306,33 @@ func Decode(body []byte) (*Map, error) {
 	m.SignedAt = int64(r.u64("signed-at"))
 	m.MapEpoch = r.u64("map epoch")
 	m.ParentEpoch = r.u64("parent epoch")
-	bn := int(r.u32("boundary count"))
-	if r.err == nil && bn > len(body) {
-		return nil, errors.New("shardmap: implausible boundary count")
-	}
-	for i := 0; i < bn && r.err == nil; i++ {
-		d, used, err := schema.DecodeDatum(r.data[r.off:])
-		if err != nil {
-			return nil, fmt.Errorf("shardmap: boundary %d: %w", i, err)
+	// A boundary takes at least 5 bytes (an empty string datum), a shard
+	// at least 20 (digest length, version, id).
+	if bn := r.u32("boundary count"); r.err == nil && bn > 0 {
+		if uint64(bn)*5 > uint64(len(body)-r.off) {
+			return nil, errors.New("shardmap: implausible boundary count")
 		}
-		r.off += used
-		m.Boundaries = append(m.Boundaries, d)
+		m.Boundaries = make([]schema.Datum, bn)
+		for i := range m.Boundaries {
+			d, used, err := schema.DecodeDatum(r.data[r.off:])
+			if err != nil {
+				return nil, fmt.Errorf("shardmap: boundary %d: %w", i, err)
+			}
+			r.off += used
+			m.Boundaries[i] = d
+		}
 	}
-	sn := int(r.u32("shard count"))
-	if r.err == nil && sn > len(body) {
-		return nil, errors.New("shardmap: implausible shard count")
-	}
-	for i := 0; i < sn && r.err == nil; i++ {
-		s := ShardState{RootDigest: r.bytes("root digest")}
-		s.Version = r.u64("shard version")
-		s.ID = r.u64("shard id")
-		m.Shards = append(m.Shards, s)
+	if sn := r.u32("shard count"); r.err == nil && sn > 0 {
+		if uint64(sn)*20 > uint64(len(body)-r.off) {
+			return nil, errors.New("shardmap: implausible shard count")
+		}
+		m.Shards = make([]ShardState, sn)
+		for i := range m.Shards {
+			s := &m.Shards[i]
+			s.RootDigest = r.bytes("root digest")
+			s.Version = r.u64("shard version")
+			s.ID = r.u64("shard id")
+		}
 	}
 	if err := r.done(); err != nil {
 		return nil, err

@@ -1,11 +1,27 @@
 package shardmap
 
 import (
+	"math"
+	"runtime"
+	"strings"
 	"testing"
 
+	"edgeauth/internal/israce"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
 )
+
+// Range returns shard i's covering interval as (lo, hi) datum pointers;
+// nil means open-ended. hi is exclusive.
+func (m *Map) Range(i int) (lo, hi *schema.Datum) {
+	if i > 0 {
+		lo = &m.Boundaries[i-1]
+	}
+	if i < len(m.Boundaries) {
+		hi = &m.Boundaries[i]
+	}
+	return lo, hi
+}
 
 // testMap is a four-shard map at partition generation 5 descending from
 // 4, with shard IDs 1..4.
@@ -257,5 +273,82 @@ func TestDecodeSignedRejectsMalformed(t *testing.T) {
 	}
 	if _, err := DecodeSigned(nil); err == nil {
 		t.Fatal("nil accepted")
+	}
+}
+
+// TestDecodeSignedBoundsItsAllocations: the boundary and shard counts are
+// checked against the bytes left where each stands before anything is
+// sized, so a 1 KB signed map that claims 2³¹ of either, or more than
+// what is left can hold, is refused after allocating about its own size
+// (the payload's copy). The second claim of each pair is under the
+// payload's length, which is what the count was compared with before,
+// when entries were appended one by one until the payload ran out.
+func TestDecodeSignedBoundsItsAllocations(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation sizes differ under the race detector")
+	}
+	const size = 1024
+	sg := make([]byte, 64)
+	// signed wraps payload, padded so the whole body is size bytes.
+	signed := func(payload []byte) []byte {
+		payload = append(payload, make([]byte, size-8-len(sg)-len(payload))...)
+		return appendBytes(appendBytes(nil, payload), sg)
+	}
+	// head is a payload up to and including its boundary count.
+	head := func(boundaries uint32) []byte {
+		out := appendStr(nil, "items")
+		out = appendU64(out, 7)             // epoch
+		out = appendU64(out, 42)            // map version
+		out = appendU32(out, 3)             // key version
+		out = appendU64(out, 1_700_000_000) // signed at
+		out = appendU64(out, 5)             // map epoch
+		out = appendU64(out, 4)             // parent epoch
+		return appendU32(out, boundaries)
+	}
+	leastAllocated := func(body []byte) (uint64, error) {
+		var err error
+		got := uint64(math.MaxUint64)
+		for pass := 0; pass < 3; pass++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = DecodeSigned(body)
+			runtime.ReadMemStats(&after)
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+		return got, err
+	}
+	for name, body := range map[string][]byte{
+		"2^31 boundaries": signed(head(1 << 31)),
+		"250 boundaries":  signed(head(250)),
+		"2^31 shards":     signed(appendU32(head(0), 1<<31)),
+		"60 shards":       signed(appendU32(head(0), 60)),
+	} {
+		if len(body) != size {
+			t.Fatalf("%s: body is %d bytes", name, len(body))
+		}
+		got, err := leastAllocated(body)
+		if err == nil || !strings.Contains(err.Error(), "implausible") {
+			t.Errorf("%s: a hostile %d-byte body got %v, want the count refused before it sizes anything", name, size, err)
+		}
+		if got > 2*size {
+			t.Errorf("%s: decoding a %d-byte body allocated %d bytes", name, size, got)
+		}
+	}
+
+	// The most boundaries the body can hold, every one an empty string:
+	// 64 bytes of schema.Datum for each 5 received, and the payload's copy.
+	// Validate refuses them (they do not ascend), after they are decoded.
+	n := (size - 8 - len(sg) - len(head(0)) - 4) / 5
+	payload := head(uint32(n))
+	for i := 0; i < n; i++ {
+		payload = schema.Str("").Encode(payload)
+	}
+	body := signed(appendU32(payload, 0))
+	got, err := leastAllocated(body)
+	if err == nil {
+		t.Fatalf("%d equal boundaries accepted", n)
+	}
+	if got > 16*size {
+		t.Errorf("%d empty boundaries: decoding a %d-byte body allocated %d bytes", n, size, got)
 	}
 }

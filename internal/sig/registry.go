@@ -51,14 +51,3 @@ func (r *Registry) Resolve(version uint32, atUnix int64) (*PublicKey, error) {
 	}
 	return k, nil
 }
-
-// Versions returns the registered versions in unspecified order.
-func (r *Registry) Versions() []uint32 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]uint32, 0, len(r.keys))
-	for v := range r.keys {
-		out = append(out, v)
-	}
-	return out
-}

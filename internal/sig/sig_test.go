@@ -10,6 +10,17 @@ import (
 	"edgeauth/internal/digest"
 )
 
+// Versions returns the registered versions in unspecified order.
+func (r *Registry) Versions() []uint32 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]uint32, 0, len(r.keys))
+	for v := range r.keys {
+		out = append(out, v)
+	}
+	return out
+}
+
 // testKeyBits keeps unit tests fast; the padding and algebra are size-
 // independent.
 const testKeyBits = 512

@@ -30,7 +30,7 @@ func (f *Frame) Page() Page { return AsPage(f.buf) }
 
 // BufferPool caches pages over a Pager with LRU replacement of unpinned
 // frames. It is safe for concurrent use; page-content synchronization is
-// the caller's concern (the lock manager handles logical locking).
+// the caller's concern (the VB-tree writes under its own lock).
 type BufferPool struct {
 	mu     sync.Mutex
 	pager  Pager
@@ -210,14 +210,6 @@ func (bp *BufferPool) Unpin(f *Frame, dirty bool) {
 	if f.pins == 0 {
 		f.elem = bp.lru.PushFront(f.id)
 	}
-}
-
-// MarkDirty flags a pinned frame as modified.
-func (bp *BufferPool) MarkDirty(f *Frame) {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	f.dirty = true
-	bp.recordLocked(f.id)
 }
 
 // FlushAll writes every dirty frame back to the pager and syncs it.

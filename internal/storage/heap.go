@@ -12,9 +12,6 @@ type RecordID struct {
 	Slot uint16
 }
 
-// IsValid reports whether the RecordID refers to a real page.
-func (r RecordID) IsValid() bool { return r.Page != InvalidPageID }
-
 // Encode appends the 6-byte wire form.
 func (r RecordID) Encode(dst []byte) []byte {
 	var b [6]byte

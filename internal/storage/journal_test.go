@@ -2,6 +2,14 @@ package storage
 
 import "testing"
 
+// MarkDirty flags a pinned frame as modified.
+func (bp *BufferPool) MarkDirty(f *Frame) {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	f.dirty = true
+	bp.recordLocked(f.id)
+}
+
 func TestBufferPoolJournal(t *testing.T) {
 	mem, err := NewMemPager(MinPageSize)
 	if err != nil {

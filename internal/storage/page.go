@@ -77,9 +77,6 @@ func InitPage(buf []byte, t PageType) Page {
 // Type returns the page type tag.
 func (p Page) Type() PageType { return PageType(p.buf[0]) }
 
-// SetType updates the page type tag.
-func (p Page) SetType(t PageType) { p.buf[0] = byte(t) }
-
 // Size returns the page size in bytes.
 func (p Page) Size() int { return len(p.buf) }
 
@@ -210,15 +207,4 @@ func (p Page) Compact() {
 		p.setSlotAt(c.slot, end, uint16(len(c.data)))
 	}
 	p.setFreeEnd(end)
-}
-
-// LiveCells returns the number of non-tombstoned slots.
-func (p Page) LiveCells() int {
-	n := 0
-	for i := 0; i < p.slots(); i++ {
-		if !p.IsDeleted(i) {
-			n++
-		}
-	}
-	return n
 }

@@ -5,6 +5,20 @@ import (
 	"testing"
 )
 
+// SetType updates the page type tag.
+func (p Page) SetType(t PageType) { p.buf[0] = byte(t) }
+
+// LiveCells returns the number of non-tombstoned slots.
+func (p Page) LiveCells() int {
+	n := 0
+	for i := 0; i < p.slots(); i++ {
+		if !p.IsDeleted(i) {
+			n++
+		}
+	}
+	return n
+}
+
 // overclaimedPage is an honest heap page of size bytes holding cells
 // whose header then claims 0xFFFF slots: a directory running far past the
 // page, as a corrupted or forged replica page can carry.

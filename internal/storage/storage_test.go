@@ -10,6 +10,9 @@ import (
 	"testing"
 )
 
+// IsValid reports whether the RecordID refers to a real page.
+func (r RecordID) IsValid() bool { return r.Page != InvalidPageID }
+
 func TestInitPageLayout(t *testing.T) {
 	buf := make([]byte, 256)
 	p := InitPage(buf, PageBTreeLeaf)

@@ -12,7 +12,7 @@ import (
 // in a multi-level tree. Query.AnchorRoot asks for exactly that, and
 // changes no byte of the answer.
 func TestAnchorRootPinsEnvelope(t *testing.T) {
-	h := newHarness(t, 300, 1024, false)
+	h := newHarness(t, 300, 1024)
 	height := h.tree.Height()
 	if height < 2 {
 		t.Fatalf("need a multi-level tree, height = %d", height)

@@ -97,7 +97,7 @@ func TestAuditChecksWhatNoDigestCommits(t *testing.T) {
 		}, "outside the separators"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h := newHarness(t, 200, 1024, false)
+			h := newHarness(t, 200, 1024)
 			if h.tree.Height() != 2 {
 				t.Fatalf("height %d, want 2", h.tree.Height())
 			}
@@ -141,7 +141,7 @@ func mustWriteInternal(t *testing.T, tree *Tree, pid storage.PageID, n *vbIntern
 // right end — so the chain holds exactly the tree's leaves in key order
 // and the audit passes after every delete.
 func TestDeleteRangeKeepsLeafChain(t *testing.T) {
-	h := newHarness(t, 2000, 1024, false)
+	h := newHarness(t, 2000, 1024)
 	if h.tree.Height() < 3 {
 		t.Fatalf("height %d, want at least 3", h.tree.Height())
 	}

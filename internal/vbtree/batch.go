@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"edgeauth/internal/digest"
-	"edgeauth/internal/lock"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
 	"edgeauth/internal/storage"
@@ -78,10 +77,6 @@ func (t *Tree) InsertBatch(tuples []schema.Tuple) (BatchStats, []error, error) {
 		whole:  make(map[storage.PageID]bool),
 		dirty:  make(map[storage.PageID]bool),
 		shift:  make(map[storage.PageID]int),
-	}
-	if t.locks != nil {
-		b.txn = t.locks.Begin()
-		defer t.locks.ReleaseAll(b.txn)
 	}
 
 	// Phase 2: structural inserts; digests untouched, dirty set grows.
@@ -205,7 +200,6 @@ type treeBatch struct {
 	// position an insertion took: every entry at or after it may have
 	// moved, so an ordered node rehashes the groups from there on.
 	shift map[storage.PageID]int
-	txn   lock.TxnID
 }
 
 // insertedAt records an entry inserted at position i of node pid.
@@ -270,9 +264,6 @@ func (b *treeBatch) nodeType(pid storage.PageID) (storage.PageType, error) {
 // returned split carries the new right sibling; digests are repaired
 // after the whole batch has been placed.
 func (b *treeBatch) insertAt(pid storage.PageID, pt *preparedTuple) (*vbSplit, error) {
-	if err := b.t.xlock(b.txn, pid); err != nil {
-		return nil, err
-	}
 	nt, err := b.nodeType(pid)
 	if err != nil {
 		return nil, err
@@ -346,9 +337,6 @@ func (b *treeBatch) insertLeaf(pid storage.PageID, pt *preparedTuple) (*vbSplit,
 	n.rids = n.rids[:mid]
 	n.sigs = n.sigs[:mid]
 	n.next = rightPid
-	if err := b.t.xlock(b.txn, rightPid); err != nil {
-		return nil, err
-	}
 	b.leaves[rightPid] = right
 	b.dirty[rightPid] = true
 	b.whole[pid], b.whole[rightPid] = true, true
@@ -373,9 +361,6 @@ func (b *treeBatch) splitInner(pid storage.PageID, n *vbInternal) (*vbSplit, err
 	n.keys = n.keys[:mid]
 	n.children = n.children[:mid+1]
 	n.sigs = n.sigs[:mid+1]
-	if err := b.t.xlock(b.txn, rightPid); err != nil {
-		return nil, err
-	}
 	b.inners[rightPid] = right
 	b.dirty[rightPid] = true
 	b.whole[pid], b.whole[rightPid] = true, true
@@ -390,9 +375,6 @@ func (b *treeBatch) growRoot(split *vbSplit) error {
 	}
 	newRootPid := f.ID()
 	b.t.bp.Unpin(f, true)
-	if err := b.t.xlock(b.txn, newRootPid); err != nil {
-		return err
-	}
 	b.inners[newRootPid] = &vbInternal{
 		keys:     [][]byte{split.sep},
 		children: []storage.PageID{b.t.root, split.right},

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"edgeauth/internal/digest"
-	"edgeauth/internal/lock"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
 	"edgeauth/internal/storage"
@@ -34,7 +33,7 @@ func buildEd25519(t testing.TB, n, pageSize int) *Tree {
 	}
 	tree, err := Build(Config{
 		Pool: bp, Heap: heap, Schema: testSchema(), Acc: digest.MustNew(digest.DefaultParams()),
-		Signer: k, Pub: k.Public(), Locks: lock.NewManager(0),
+		Signer: k, Pub: k.Public(),
 	}, tuples, 1.0)
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ func TestPropertyRandomOpsStayVerifiable(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		h := newHarness(t, 60, 1024, false)
+		h := newHarness(t, 60, 1024)
 		live := make(map[int]bool)
 		for i := 0; i < 60; i++ {
 			live[i] = true
@@ -113,7 +113,7 @@ func TestPropertyRandomOpsStayVerifiable(t *testing.T) {
 // TestPropertyProjectionSubsetsVerify checks that every projection subset
 // of a query verifies, not just the full row.
 func TestPropertyProjectionSubsetsVerify(t *testing.T) {
-	h := newHarness(t, 120, 1024, false)
+	h := newHarness(t, 120, 1024)
 	cols := []string{"id", "customer", "amount", "notes"}
 	// All non-empty subsets of the 4 columns.
 	for mask := 1; mask < 16; mask++ {
@@ -147,7 +147,7 @@ func TestPropertyProjectionSubsetsVerify(t *testing.T) {
 // TestPropertyQueryBoundaryAlignment sweeps range boundaries across leaf
 // boundaries (the off-by-one hotspot of enveloping-subtree computation).
 func TestPropertyQueryBoundaryAlignment(t *testing.T) {
-	h := newHarness(t, 200, 1024, false)
+	h := newHarness(t, 200, 1024)
 	for lo := 0; lo < 40; lo++ {
 		for width := 0; width < 25; width += 3 {
 			rs, w, err := runQuery(h.tree, Query{Lo: i64(lo), Hi: i64(lo + width)})
@@ -164,11 +164,13 @@ func TestPropertyQueryBoundaryAlignment(t *testing.T) {
 	}
 }
 
-// TestConcurrentQueriesDuringUpdates exercises the §3.4 protocol end to
-// end: concurrent verified queries and updates with the lock manager
-// enabled, then a full audit.
+// TestConcurrentQueriesDuringUpdates runs verified queries through
+// Tree.Read beside a writer inserting and deleting, with no page locks:
+// Tree.mu alone orders them (readers under its read lock, the writer
+// under its write lock), and -race checks that it is enough. A full
+// audit follows.
 func TestConcurrentQueriesDuringUpdates(t *testing.T) {
-	h := newHarness(t, 300, 1024, true)
+	h := newHarness(t, 300, 1024)
 	var wg sync.WaitGroup
 	errs := make(chan error, 32)
 

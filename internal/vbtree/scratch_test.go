@@ -87,7 +87,7 @@ func TestWalkScratchIsSharedSafely(t *testing.T) {
 // released — nor hand the next traversal a view of pages that have since
 // been recycled.
 func TestWalkScratchRecyclesNoPageReference(t *testing.T) {
-	h := newHarness(t, 300, 1024, false)
+	h := newHarness(t, 300, 1024)
 	v := liveView(t, h.tree, false)
 	var used []*walkScratch
 	walkScratchPool = sync.Pool{New: func() any {

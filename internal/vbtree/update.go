@@ -2,7 +2,6 @@ package vbtree
 
 import (
 	"edgeauth/internal/digest"
-	"edgeauth/internal/lock"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
 	"edgeauth/internal/storage"
@@ -21,9 +20,9 @@ func (t *Tree) Delete(key schema.Datum) error {
 }
 
 // DeleteRange removes every tuple with lo <= key <= hi (nil = unbounded)
-// and returns how many were removed. Following the paper, the transaction
-// X-locks all digests on the paths to the affected leaves, deletes the
-// tuples, then recomputes the digests back up to the root. Nodes are
+// and returns how many were removed. It deletes the tuples, then
+// recomputes the digests on the paths to the affected leaves back up to
+// the root, under the tree's write lock. Nodes are
 // detached only when they become empty, and the leaf before the detached
 // leaves then names the one after them as its next.
 func (t *Tree) DeleteRange(lo, hi *schema.Datum) (int, error) {
@@ -36,13 +35,8 @@ func (t *Tree) DeleteRange(lo, hi *schema.Datum) (int, error) {
 	if hi != nil {
 		hiB = hi.KeyBytes()
 	}
-	var txn lock.TxnID
-	if t.locks != nil {
-		txn = t.locks.Begin()
-		defer t.locks.ReleaseAll(txn)
-	}
 	var chain chainGap
-	res, err := t.deleteAt(t.root, t.height, loB, hiB, txn, &chain)
+	res, err := t.deleteAt(t.root, t.height, loB, hiB, &chain)
 	if err != nil {
 		return 0, err
 	}
@@ -57,7 +51,7 @@ func (t *Tree) DeleteRange(lo, hi *schema.Datum) (int, error) {
 		return res.removed, nil
 	}
 	t.setRoot(res.newU)
-	if err := t.closeGap(&chain, txn); err != nil {
+	if err := t.closeGap(&chain); err != nil {
 		return 0, err
 	}
 	// Collapse trivial roots (an internal root with a single child): the
@@ -105,12 +99,9 @@ type chainGap struct {
 // closeGap points the leaf before a run of emptied leaves at the leaf
 // after it. The chain is not committed by any digest, so nothing is
 // rehashed.
-func (t *Tree) closeGap(g *chainGap, txn lock.TxnID) error {
+func (t *Tree) closeGap(g *chainGap) error {
 	if !g.found {
 		return nil
-	}
-	if err := t.xlock(txn, g.prev); err != nil {
-		return err
 	}
 	n, err := t.fetchLeaf(g.prev)
 	if err != nil {
@@ -136,10 +127,7 @@ func (t *Tree) rightmostLeaf(pid storage.PageID, level int) (storage.PageID, err
 // deleteAt deletes [lo, hi] under the node pid at the given level and
 // rehashes the node if anything under it was removed. It records in gap
 // the leaves it empties.
-func (t *Tree) deleteAt(pid storage.PageID, level int, lo, hi []byte, txn lock.TxnID, gap *chainGap) (deleteResult, error) {
-	if err := t.xlock(txn, pid); err != nil {
-		return deleteResult{}, err
-	}
+func (t *Tree) deleteAt(pid storage.PageID, level int, lo, hi []byte, gap *chainGap) (deleteResult, error) {
 	pt, err := t.pageType(pid)
 	if err != nil {
 		return deleteResult{}, err
@@ -194,7 +182,7 @@ func (t *Tree) deleteAt(pid storage.PageID, level int, lo, hi []byte, txn lock.T
 			continue
 		}
 		emptied := gap.first != storage.InvalidPageID
-		res, err := t.deleteAt(n.children[i], level-1, lo, hi, txn, gap)
+		res, err := t.deleteAt(n.children[i], level-1, lo, hi, gap)
 		if err != nil {
 			return deleteResult{}, err
 		}
@@ -241,14 +229,6 @@ func (t *Tree) deleteAt(pid storage.PageID, level int, lo, hi []byte, txn lock.T
 		return deleteResult{}, err
 	}
 	return deleteResult{newU: newU, removed: removed}, nil
-}
-
-// xlock X-locks a page when the locking protocol is active.
-func (t *Tree) xlock(txn lock.TxnID, pid storage.PageID) error {
-	if t.locks == nil {
-		return nil
-	}
-	return t.locks.Acquire(txn, t.lockRes(pid), lock.Exclusive)
 }
 
 func insertKey(s [][]byte, i int, v []byte) [][]byte {

@@ -26,10 +26,10 @@
 // (TableState.ViewOver), and so does the central, over its live pages
 // (Tree.Read).
 //
-// When a lock.Manager is configured, operations follow the paper's §3.4
-// protocol: queries S-lock the nodes of their enveloping subtree, updates
-// X-lock the nodes on their root-to-leaf paths, so non-overlapping queries
-// and updates proceed concurrently.
+// The paper's §3.4 protocol (queries S-lock their enveloping subtree,
+// updates X-lock their root-to-leaf paths) is not used: a write holds the
+// Tree's write lock for its whole length, and readers query snapshots
+// through a View, so no page lock could ever be contended.
 package vbtree
 
 import (
@@ -66,7 +66,8 @@ type Config struct {
 	Signer *sig.PrivateKey
 	// Pub is the central server's public key, of a valid scheme; required.
 	Pub *sig.PublicKey
-	// Locks, when non-nil, enables the §3.4 locking protocol.
+	// Locks is ignored. It is a shim that keeps the benchmark harness
+	// compiling; the tree takes no page locks (see the package doc).
 	Locks *lock.Manager
 	// Now supplies timestamps for VOs; defaults to time.Now.
 	Now func() int64
@@ -106,7 +107,6 @@ type Tree struct {
 	acc    *digest.Accumulator
 	signer *sig.PrivateKey
 	pub    *sig.PublicKey
-	locks  *lock.Manager
 	now    func() int64
 
 	root   storage.PageID
@@ -215,7 +215,6 @@ func attach(cfg Config) (*Tree, error) {
 		acc:      cfg.Acc,
 		signer:   cfg.Signer,
 		pub:      cfg.Pub,
-		locks:    cfg.Locks,
 		now:      now,
 		buildPar: par,
 	}, nil
@@ -276,11 +275,6 @@ func (t *Tree) RootDigest() digest.Value {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.rootU.Clone()
-}
-
-// lockRes names a page in the lock manager's space.
-func (t *Tree) lockRes(id storage.PageID) lock.Resource {
-	return lock.Resource{Space: "vb:" + t.sch.Table, ID: uint64(id)}
 }
 
 // entry is the stored form of a digest: the digest itself, in a

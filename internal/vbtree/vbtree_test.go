@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"edgeauth/internal/digest"
-	"edgeauth/internal/lock"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
 	"edgeauth/internal/storage"
@@ -71,7 +70,7 @@ type harness struct {
 
 // newHarness builds a VB-tree over n sequential tuples with small pages so
 // even modest n produces a multi-level tree.
-func newHarness(t testing.TB, n, pageSize int, withLocks bool) *harness {
+func newHarness(t testing.TB, n, pageSize int) *harness {
 	t.Helper()
 	k := signer(t)
 	mem, err := storage.NewMemPager(pageSize)
@@ -95,9 +94,6 @@ func newHarness(t testing.TB, n, pageSize int, withLocks bool) *harness {
 		Signer: k,
 		Pub:    k.Public(),
 		Now:    func() int64 { return 1_700_000_000 },
-	}
-	if withLocks {
-		cfg.Locks = lock.NewManager(0)
 	}
 	tuples := make([]schema.Tuple, n)
 	for i := 0; i < n; i++ {
@@ -186,7 +182,7 @@ func (h *harness) mustVerify(t testing.TB, rs *vo.ResultSet, w *vo.VO) {
 }
 
 func TestBuildShape(t *testing.T) {
-	h := newHarness(t, 300, 1024, false)
+	h := newHarness(t, 300, 1024)
 	st, err := stats(h.tree, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +205,7 @@ func TestBuildShape(t *testing.T) {
 }
 
 func TestBuildRejectsBadInput(t *testing.T) {
-	h := newHarness(t, 0, 1024, false)
+	h := newHarness(t, 0, 1024)
 	// Unsorted tuples.
 	if _, err := Build(h.cfg, []schema.Tuple{mkTuple(2), mkTuple(1)}, 1.0); err == nil {
 		t.Fatal("unsorted build accepted")
@@ -240,7 +236,7 @@ func TestBuildRejectsBadInput(t *testing.T) {
 // key of a known scheme; scheme 0, the retired per-node rsa scheme's
 // number, is refused.
 func TestConfigRefusesSchemeZero(t *testing.T) {
-	h := newHarness(t, 20, 1024, false)
+	h := newHarness(t, 20, 1024)
 	pub := *h.cfg.Pub
 	pub.Scheme = 0
 	cfg := h.cfg
@@ -254,7 +250,7 @@ func TestConfigRefusesSchemeZero(t *testing.T) {
 }
 
 func TestSearch(t *testing.T) {
-	h := newHarness(t, 200, 1024, false)
+	h := newHarness(t, 200, 1024)
 	st, found, err := search(h.tree, schema.Int64(57))
 	if err != nil || !found {
 		t.Fatalf("Search(57): found=%v err=%v", found, err)
@@ -309,7 +305,7 @@ func mustTupleSig(t *testing.T, h *harness, i int) sig.Signature {
 }
 
 func TestScanAll(t *testing.T) {
-	h := newHarness(t, 150, 1024, false)
+	h := newHarness(t, 150, 1024)
 	all, err := liveView(t, h.tree, false).ScanAll()
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +321,7 @@ func TestScanAll(t *testing.T) {
 }
 
 func TestRangeQueryVerifies(t *testing.T) {
-	h := newHarness(t, 500, 1024, false)
+	h := newHarness(t, 500, 1024)
 	cases := []struct {
 		name   string
 		lo, hi *schema.Datum
@@ -352,7 +348,7 @@ func TestRangeQueryVerifies(t *testing.T) {
 }
 
 func TestProjectionVerifies(t *testing.T) {
-	h := newHarness(t, 300, 1024, false)
+	h := newHarness(t, 300, 1024)
 	rs, w := h.query(t, Query{Lo: i64(50), Hi: i64(80), Project: []string{"id", "amount"}})
 	if len(rs.Tuples) != 31 {
 		t.Fatalf("got %d tuples", len(rs.Tuples))
@@ -376,7 +372,7 @@ func TestProjectionVerifies(t *testing.T) {
 }
 
 func TestProjectionValidation(t *testing.T) {
-	h := newHarness(t, 50, 1024, false)
+	h := newHarness(t, 50, 1024)
 	if _, _, err := runQuery(h.tree, Query{Project: []string{"ghost"}}); err == nil {
 		t.Fatal("unknown column accepted")
 	}
@@ -392,7 +388,7 @@ func TestProjectionValidation(t *testing.T) {
 }
 
 func TestEmptyResultVerifies(t *testing.T) {
-	h := newHarness(t, 200, 1024, false)
+	h := newHarness(t, 200, 1024)
 	// A key range beyond the data.
 	rs2, w2 := h.query(t, Query{Lo: i64(1000), Hi: i64(2000)})
 	if len(rs2.Tuples) != 0 {
@@ -402,7 +398,7 @@ func TestEmptyResultVerifies(t *testing.T) {
 }
 
 func TestEmptyTreeQuery(t *testing.T) {
-	h := newHarness(t, 0, 1024, false)
+	h := newHarness(t, 0, 1024)
 	rs, w := h.query(t, Query{})
 	if len(rs.Tuples) != 0 {
 		t.Fatal("expected empty result from empty tree")
@@ -418,7 +414,7 @@ func TestVOSizeIndependentOfTableSize(t *testing.T) {
 	sizes := []int{200, 2000}
 	var digests []int
 	for _, n := range sizes {
-		h := newHarness(t, n, 1024, false)
+		h := newHarness(t, n, 1024)
 		_, w := h.query(t, Query{Lo: i64(50), Hi: i64(99)})
 		digests = append(digests, w.NumDigests())
 	}
@@ -430,7 +426,7 @@ func TestVOSizeIndependentOfTableSize(t *testing.T) {
 }
 
 func TestTamperedValueRejected(t *testing.T) {
-	h := newHarness(t, 300, 1024, false)
+	h := newHarness(t, 300, 1024)
 	rs, w := h.query(t, Query{Lo: i64(10), Hi: i64(40)})
 	rs.Tuples[5].Values[2] = schema.Float64(999999) // inflate an amount
 	if err := h.ver.Verify(rs, w); err == nil {
@@ -439,7 +435,7 @@ func TestTamperedValueRejected(t *testing.T) {
 }
 
 func TestSpuriousTupleRejected(t *testing.T) {
-	h := newHarness(t, 300, 1024, false)
+	h := newHarness(t, 300, 1024)
 	rs, w := h.query(t, Query{Lo: i64(10), Hi: i64(40)})
 	// Inject a plausible but fake tuple.
 	fake := mkTuple(35)
@@ -452,7 +448,7 @@ func TestSpuriousTupleRejected(t *testing.T) {
 }
 
 func TestDroppedTupleRejected(t *testing.T) {
-	h := newHarness(t, 300, 1024, false)
+	h := newHarness(t, 300, 1024)
 	rs, w := h.query(t, Query{Lo: i64(10), Hi: i64(40)})
 	rs.Keys = rs.Keys[:len(rs.Keys)-1]
 	rs.Tuples = rs.Tuples[:len(rs.Tuples)-1]
@@ -462,7 +458,7 @@ func TestDroppedTupleRejected(t *testing.T) {
 }
 
 func TestForgedVORejected(t *testing.T) {
-	h := newHarness(t, 300, 1024, false)
+	h := newHarness(t, 300, 1024)
 	rs, w := h.query(t, Query{Lo: i64(10), Hi: i64(40)})
 	if w.NumDS() == 0 {
 		t.Skip("no DS entries to tamper with")
@@ -475,7 +471,7 @@ func TestForgedVORejected(t *testing.T) {
 }
 
 func TestSwappedDigestRejected(t *testing.T) {
-	h := newHarness(t, 300, 1024, false)
+	h := newHarness(t, 300, 1024)
 	// Every VO proves from the root, so a top digest from another version
 	// of the tree is the one to swap in: an answer from before an insert,
 	// presented under the root digest — and then also the root signature —
@@ -503,7 +499,7 @@ func TestReorderedResultRejected(t *testing.T) {
 	// are swapped recomputes another root. (The paper's commutative
 	// product could not tell; a product of unsigned digests is what let
 	// an edge rebalance it.)
-	h := newHarness(t, 300, 1024, false)
+	h := newHarness(t, 300, 1024)
 	rs, w := h.query(t, Query{Lo: i64(10), Hi: i64(20)})
 	rs.Keys[0], rs.Keys[1] = rs.Keys[1], rs.Keys[0]
 	rs.Tuples[0], rs.Tuples[1] = rs.Tuples[1], rs.Tuples[0]
@@ -513,7 +509,7 @@ func TestReorderedResultRejected(t *testing.T) {
 }
 
 func TestWrongTableRejected(t *testing.T) {
-	h := newHarness(t, 100, 1024, false)
+	h := newHarness(t, 100, 1024)
 	rs, w := h.query(t, Query{Lo: i64(10), Hi: i64(20)})
 	rs.Table = "other"
 	if err := h.ver.Verify(rs, w); err == nil {
@@ -522,7 +518,7 @@ func TestWrongTableRejected(t *testing.T) {
 }
 
 func TestInsertMaintainsDigests(t *testing.T) {
-	h := newHarness(t, 120, 1024, false)
+	h := newHarness(t, 120, 1024)
 	// Insert enough out-of-order tuples to force leaf and internal splits.
 	for _, i := range []int{500, 130, 125, 600, 123, 124, 126, 127, 128, 129, 550, 560, 570} {
 		if err := h.tree.Insert(mkTuple(i)); err != nil {
@@ -540,7 +536,7 @@ func TestInsertMaintainsDigests(t *testing.T) {
 }
 
 func TestInsertDuplicateRejected(t *testing.T) {
-	h := newHarness(t, 50, 1024, false)
+	h := newHarness(t, 50, 1024)
 	if err := h.tree.Insert(mkTuple(25)); err != ErrDuplicateKey {
 		t.Fatalf("duplicate insert: %v", err)
 	}
@@ -550,7 +546,7 @@ func TestInsertDuplicateRejected(t *testing.T) {
 }
 
 func TestInsertManySplitsVerify(t *testing.T) {
-	h := newHarness(t, 0, 1024, false)
+	h := newHarness(t, 0, 1024)
 	for i := 0; i < 300; i++ {
 		// Interleaved order to exercise splits at both ends.
 		k := (i*7 + 3) % 1000
@@ -569,7 +565,7 @@ func TestInsertManySplitsVerify(t *testing.T) {
 }
 
 func TestDeleteMaintainsDigests(t *testing.T) {
-	h := newHarness(t, 300, 1024, false)
+	h := newHarness(t, 300, 1024)
 	if err := h.tree.Delete(schema.Int64(150)); err != nil {
 		t.Fatal(err)
 	}
@@ -587,7 +583,7 @@ func TestDeleteMaintainsDigests(t *testing.T) {
 }
 
 func TestDeleteRangeMaintainsDigests(t *testing.T) {
-	h := newHarness(t, 400, 1024, false)
+	h := newHarness(t, 400, 1024)
 	n, err := h.tree.DeleteRange(i64(100), i64(299))
 	if err != nil {
 		t.Fatal(err)
@@ -609,7 +605,7 @@ func TestDeleteRangeMaintainsDigests(t *testing.T) {
 }
 
 func TestDeleteEverything(t *testing.T) {
-	h := newHarness(t, 150, 1024, false)
+	h := newHarness(t, 150, 1024)
 	n, err := h.tree.DeleteRange(nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -637,7 +633,7 @@ func TestDeleteEverything(t *testing.T) {
 }
 
 func TestInterleavedUpdatesAndQueries(t *testing.T) {
-	h := newHarness(t, 200, 1024, false)
+	h := newHarness(t, 200, 1024)
 	for round := 0; round < 10; round++ {
 		base := 1000 + round*10
 		for i := 0; i < 5; i++ {
@@ -653,8 +649,12 @@ func TestInterleavedUpdatesAndQueries(t *testing.T) {
 	}
 }
 
+// TestUpdatesWithLockingProtocol: an insert and a range delete,
+// serialised by the tree's write lock alone (the tree takes none of
+// §3.4's page locks), leave a tree whose answers verify. CI runs it
+// under -race beside TestConcurrentQueriesDuringUpdates.
 func TestUpdatesWithLockingProtocol(t *testing.T) {
-	h := newHarness(t, 200, 1024, true)
+	h := newHarness(t, 200, 1024)
 	if err := h.tree.Insert(mkTuple(777)); err != nil {
 		t.Fatal(err)
 	}
@@ -669,7 +669,7 @@ func TestUpdatesWithLockingProtocol(t *testing.T) {
 // of the anchor it was shipped — no signer, and no write to make — and
 // its answers verify under the central's key.
 func TestReadOnlyEdgeReplica(t *testing.T) {
-	h := newHarness(t, 100, 1024, false)
+	h := newHarness(t, 100, 1024)
 	st := TableState{Root: h.tree.Root(), Height: h.tree.Height(), RootSig: h.tree.RootSig()}
 	edge, err := st.ViewOver(h.cfg.Pool, h.cfg.Schema, h.cfg.Acc, &sig.PublicKey{Version: h.key.Public().Version})
 	if err != nil {
@@ -689,7 +689,7 @@ func TestReadOnlyEdgeReplica(t *testing.T) {
 // TestViewOverValidation: a view needs a root page, at least one level, a
 // root signature, and its pages, schema, accumulator and key.
 func TestViewOverValidation(t *testing.T) {
-	h := newHarness(t, 10, 1024, false)
+	h := newHarness(t, 10, 1024)
 	good := TableState{Root: h.tree.Root(), Height: h.tree.Height(), RootSig: h.tree.RootSig()}
 	bp, sch, acc, pub := h.cfg.Pool, h.cfg.Schema, h.cfg.Acc, h.cfg.Pub
 	if _, err := good.ViewOver(bp, sch, acc, pub); err != nil {
@@ -732,7 +732,7 @@ func TestFanOutFormulas(t *testing.T) {
 }
 
 func TestVerifierRejectsMalformedInputs(t *testing.T) {
-	h := newHarness(t, 50, 1024, false)
+	h := newHarness(t, 50, 1024)
 	rs, w := h.query(t, Query{Lo: i64(5), Hi: i64(10)})
 
 	if err := h.ver.Verify(nil, w); err == nil {
@@ -766,7 +766,7 @@ func TestVerifierRejectsMalformedInputs(t *testing.T) {
 }
 
 func TestKeyVersionEnforced(t *testing.T) {
-	h := newHarness(t, 50, 1024, false)
+	h := newHarness(t, 50, 1024)
 	rs, w := h.query(t, Query{Lo: i64(5), Hi: i64(10)})
 
 	// Registry-based verifier with an expired key version.
@@ -791,7 +791,7 @@ func TestKeyVersionEnforced(t *testing.T) {
 }
 
 func TestAuditCleanTree(t *testing.T) {
-	h := newHarness(t, 200, 1024, false)
+	h := newHarness(t, 200, 1024)
 	n, err := audit(h.tree)
 	if err != nil {
 		t.Fatalf("Audit of clean tree: %v", err)
@@ -812,7 +812,7 @@ func TestAuditCleanTree(t *testing.T) {
 }
 
 func TestAuditDetectsHeapTampering(t *testing.T) {
-	h := newHarness(t, 100, 1024, false)
+	h := newHarness(t, 100, 1024)
 	// Corrupt a stored tuple's bytes behind the tree's back, as a hacked
 	// edge with disk access would.
 	st, found, err := search(h.tree, schema.Int64(42))

@@ -168,13 +168,6 @@ func (l *Log) Close() error {
 	return err
 }
 
-// NextLSN returns the LSN the next Append will use.
-func (l *Log) NextLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextLSN
-}
-
 // Replay calls fn for every record after the last checkpoint, in order.
 // Use ReplayAll to include pre-checkpoint records.
 func Replay(path string, fn func(Record) error) error {

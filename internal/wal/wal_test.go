@@ -10,6 +10,13 @@ import (
 	"testing"
 )
 
+// NextLSN returns the LSN the next Append will use.
+func (l *Log) NextLSN() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.nextLSN
+}
+
 func TestAppendReplayRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "test.wal")
 	l, err := Create(path)

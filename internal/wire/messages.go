@@ -206,11 +206,15 @@ func DecodeSchema(body []byte) (*schema.Schema, error) {
 
 func decodeSchemaAt(r *reader) (*schema.Schema, error) {
 	s := &schema.Schema{DB: r.str("db"), Table: r.str("table")}
-	n := int(r.u32("column count"))
-	if r.err == nil && n > len(r.data) {
+	// A column takes at least 5 bytes (name length, type).
+	n := r.u32("column count")
+	if r.err == nil && uint64(n)*5 > uint64(len(r.data)-r.off) {
 		return nil, errors.New("wire: implausible column count")
 	}
-	for i := 0; i < n && r.err == nil; i++ {
+	if r.err == nil && n > 0 {
+		s.Columns = make([]schema.Column, 0, n)
+	}
+	for i := uint32(0); i < n && r.err == nil; i++ {
 		name := r.str("column name")
 		typ := schema.Type(r.u8("column type"))
 		s.Columns = append(s.Columns, schema.Column{Name: name, Type: typ})
@@ -271,22 +275,26 @@ func DecodeSnapshot(body []byte) (*Snapshot, error) {
 	}
 	s.Version = r.u64("table version")
 	s.Epoch = r.u64("table epoch")
-	hn := int(r.u32("heap page count"))
-	if r.err == nil && hn > len(body) {
-		return nil, errors.New("wire: implausible heap page count")
+	// A heap page takes 4 bytes, a page at least 8 (id, length).
+	if hn := r.u32("heap page count"); r.err == nil && hn > 0 {
+		if uint64(hn)*4 > uint64(len(body)-r.off) {
+			return nil, errors.New("wire: implausible heap page count")
+		}
+		s.HeapPages = make([]storage.PageID, hn)
+		for i := range s.HeapPages {
+			s.HeapPages[i] = storage.PageID(r.u32("heap page"))
+		}
 	}
-	for i := 0; i < hn && r.err == nil; i++ {
-		s.HeapPages = append(s.HeapPages, storage.PageID(r.u32("heap page")))
-	}
-	pn := int(r.u32("page count"))
-	if r.err == nil && pn > len(body) {
-		return nil, errors.New("wire: implausible page count")
-	}
-	for i := 0; i < pn && r.err == nil; i++ {
-		id := storage.PageID(r.u32("page id"))
-		data := r.bytes("page data")
-		s.PageIDs = append(s.PageIDs, id)
-		s.PageData = append(s.PageData, data)
+	if pn := r.u32("page count"); r.err == nil && pn > 0 {
+		if uint64(pn)*8 > uint64(len(body)-r.off) {
+			return nil, errors.New("wire: implausible page count")
+		}
+		s.PageIDs = make([]storage.PageID, pn)
+		s.PageData = make([][]byte, pn)
+		for i := range s.PageIDs {
+			s.PageIDs[i] = storage.PageID(r.u32("page id"))
+			s.PageData[i] = r.bytes("page data")
+		}
 	}
 	if err := r.done(); err != nil {
 		return nil, err

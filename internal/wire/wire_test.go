@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"edgeauth/internal/israce"
 	"edgeauth/internal/query"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
@@ -331,18 +332,10 @@ func TestDecodeBatchRequestBoundsItsAllocations(t *testing.T) {
 		"2^31 tuples": hostile(1 << 31),
 		"600 tuples":  hostile(600),
 	} {
-		// TotalAlloc is the whole process's: the least of three passes is
-		// the decoder's own.
-		got := uint64(math.MaxUint64)
-		for pass := 0; pass < 3; pass++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			_, err := DecodeBatchRequest(body)
-			runtime.ReadMemStats(&after)
-			if err == nil || !strings.Contains(err.Error(), "implausible") {
-				t.Errorf("%s: a hostile %d-byte body got %v, want the count refused before it sizes anything", name, len(body), err)
-			}
-			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		var err error
+		got := leastAllocated(func() { _, err = DecodeBatchRequest(body) })
+		if err == nil || !strings.Contains(err.Error(), "implausible") {
+			t.Errorf("%s: a hostile %d-byte body got %v, want the count refused before it sizes anything", name, len(body), err)
 		}
 		if got > 2*uint64(len(body)) {
 			t.Errorf("%s: decoding a %d-byte body allocated %d bytes", name, len(body), got)
@@ -360,6 +353,111 @@ func TestDecodeBatchRequestBoundsItsAllocations(t *testing.T) {
 	}
 	if !bytes.Equal(got.Encode(), req.Encode()) {
 		t.Fatal("batch request round-trip mismatch")
+	}
+}
+
+// leastAllocated returns the fewest bytes one of three calls of f
+// allocated. TotalAlloc is the whole process's, so the least pass is f's
+// own, without whatever the runtime allocated beside another.
+func leastAllocated(f func()) uint64 {
+	got := uint64(math.MaxUint64)
+	for pass := 0; pass < 3; pass++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	return got
+}
+
+// TestDecodeSnapshotBoundsItsAllocations: each of a snapshot's three
+// counts — the schema's columns, the heap pages, the pages — is checked
+// against the bytes left where it stands before anything is sized, so a
+// 1 KB body that claims 2³¹ entries, or more than what is left can hold,
+// is refused after allocating about its own size. The second claim of
+// each pair is under the body's length, which is what the count was
+// compared with before, when entries were appended one by one until the
+// body ran out.
+func TestDecodeSnapshotBoundsItsAllocations(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation sizes differ under the race detector")
+	}
+	const size = 1024
+	pad := func(b []byte) []byte { return append(b, make([]byte, size-len(b))...) }
+	sch := EncodeSchema(&schema.Schema{DB: "d", Table: "t", Columns: []schema.Column{{Name: "id", Type: schema.TypeInt64}}})
+	// head is a snapshot up to and including its heap page count.
+	head := func(heapPages uint32) []byte {
+		out := appendBytes(nil, sch)
+		out = appendU32(out, 1)                 // root
+		out = appendU32(out, 1)                 // height
+		out = appendBytes(out, []byte{1, 2, 3}) // root sig
+		out = appendU32(out, 1024)              // page size
+		out = appendU32(out, 1)                 // key version
+		out = appendU8(out, uint8(sig.SchemeEd25519))
+		out = appendU64(out, 1) // version
+		out = appendU64(out, 1) // epoch
+		return appendU32(out, heapPages)
+	}
+	// columns is a snapshot whose schema blob is the whole body.
+	columns := func(n uint32) []byte {
+		blob := appendU32(appendStr(appendStr(nil, "d"), "t"), n)
+		return appendBytes(nil, append(blob, make([]byte, size-4-len(blob))...))
+	}
+	for name, body := range map[string][]byte{
+		"2^31 columns":    columns(1 << 31),
+		"250 columns":     columns(250),
+		"2^31 heap pages": pad(head(1 << 31)),
+		"250 heap pages":  pad(head(250)),
+		"2^31 pages":      pad(appendU32(head(0), 1<<31)),
+		"125 pages":       pad(appendU32(head(0), 125)),
+	} {
+		if len(body) != size {
+			t.Fatalf("%s: body is %d bytes", name, len(body))
+		}
+		var err error
+		got := leastAllocated(func() { _, err = DecodeSnapshot(body) })
+		if err == nil || !strings.Contains(err.Error(), "implausible") {
+			t.Errorf("%s: a hostile %d-byte body got %v, want the count refused before it sizes anything", name, len(body), err)
+		}
+		if got > 2*size {
+			t.Errorf("%s: decoding a %d-byte body allocated %d bytes", name, size, got)
+		}
+	}
+
+	// The most pages the body can hold, every one empty, decode: 28 bytes
+	// of page id and slice header for each 8 bytes received.
+	most := appendU32(head(0), 0)
+	n := (size - len(most)) / 8
+	most = appendU32(head(0), uint32(n))
+	for i := 0; i < n; i++ {
+		most = appendBytes(appendU32(most, uint32(i+2)), nil)
+	}
+	var err error
+	got := leastAllocated(func() { _, err = DecodeSnapshot(most) })
+	if err != nil {
+		t.Fatalf("%d empty pages: %v", n, err)
+	}
+	if got > 4*uint64(len(most)) {
+		t.Errorf("%d empty pages: decoding a %d-byte body allocated %d bytes", n, len(most), got)
+	}
+}
+
+// TestDecodeHelloCapsBoundsItsAllocations: a Hello is two words and
+// nothing else, so a 1 KB one is refused for its trailing bytes at the
+// cost of the error alone.
+func TestDecodeHelloCapsBoundsItsAllocations(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation sizes differ under the race detector")
+	}
+	body := append(EncodeHelloCaps(math.MaxUint32, math.MaxUint32), make([]byte, 1016)...)
+	var err error
+	got := leastAllocated(func() { _, _, err = DecodeHelloCaps(body) })
+	if err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Fatalf("a %d-byte Hello got %v, want its trailing bytes refused", len(body), err)
+	}
+	if got > 256 {
+		t.Errorf("decoding a %d-byte Hello allocated %d bytes", len(body), got)
 	}
 }
 
