@@ -2,6 +2,7 @@ package central
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"edgeauth/internal/schema"
+	"edgeauth/internal/shardmap"
 	"edgeauth/internal/storage"
 	"edgeauth/internal/vbtree"
 	"edgeauth/internal/wal"
@@ -625,6 +627,10 @@ func (s *Server) finishReshard(tr *preparedTransition) (*wire.ReshardResponse, e
 	}
 
 	if err := s.commitTransition(t, next, tr.op, tr.parents...); err != nil {
+		if errors.Is(err, shardmap.ErrBadTransition) {
+			// Refused before anything was logged: abort as usual.
+			return fail(err)
+		}
 		// The RecReshard record's durability is ambiguous here — do NOT
 		// write an abort record over it; surface the error and leave the
 		// parent generation authoritative.
@@ -665,14 +671,22 @@ func (s *Server) abortTransition(tr *preparedTransition) {
 	}
 }
 
-// commitTransition makes a built transition durable and visible: the
-// typed RecReshard record is WAL-logged and synced first, then — under
-// commitMu, in one step — the map version bumps and both the new
-// epoch's map (unsigned until first shipped) and the partition pointer
-// swap. The
-// retired shards' logs are closed (their history lives on in the
-// carved shards' seed batches).
+// commitTransition makes a built transition durable and visible. The
+// new epoch's map must follow from the stored one by one legal split or
+// merge (shardmap.ValidateTransition); one that does not is refused with
+// shardmap.ErrBadTransition before anything is logged. Then the typed
+// RecReshard record is WAL-logged and synced, and — under commitMu, in
+// one step — the map version bumps and both the new map (unsigned until
+// first shipped) and the partition pointer swap. The retired shards'
+// logs are closed (their history lives on in the carved shards' seed
+// batches).
 func (s *Server) commitTransition(t *table, next *partition, op *wal.ReshardOp, retired ...*shard) error {
+	// No shard locks are needed building the map: the caller holds partMu
+	// exclusively, so no shard can commit concurrently.
+	m := s.mapOf(t, next, 0, false)
+	if err := shardmap.ValidateTransition(t.smap.Load(), m); err != nil {
+		return err
+	}
 	if t.metaLog != nil {
 		if _, err := t.metaLog.Append(wal.RecReshard, wal.EncodeReshardPayload(op)); err != nil {
 			return err
@@ -683,9 +697,8 @@ func (s *Server) commitTransition(t *table, next *partition, op *wal.ReshardOp, 
 	}
 	t.commitMu.Lock()
 	t.mapVersion++
-	// No shard locks are needed building the map: the caller holds partMu
-	// exclusively, so no shard can commit concurrently.
-	if err := storeMap(t, s.mapOf(t, next, t.mapVersion, false)); err != nil {
+	m.MapVersion = t.mapVersion
+	if err := storeMap(t, m); err != nil {
 		t.commitMu.Unlock()
 		return err
 	}

@@ -296,6 +296,54 @@ func TestSplitShardRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestTransitionMustChainToStoredMap: the transition commit checks the
+// child map against the table's stored map with
+// shardmap.ValidateTransition and refuses one that does not follow from
+// it. Here the stored map is swapped for one a generation ahead of the
+// partition the split was built from, so the child's parent link points
+// at a map that is no longer the stored one: the split fails with
+// ErrBadTransition, logs nothing, and leaves the partition, the map and
+// every tuple as they were. With the honest map back, the same split
+// commits.
+func TestTransitionMustChainToStoredMap(t *testing.T) {
+	srv := newReshardServer(t, 100, 2, Options{WALDir: t.TempDir()})
+	ctx := context.Background()
+	tbl, err := srv.table("items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest := tbl.smap.Load()
+	ahead := *honest
+	ahead.MapEpoch, ahead.ParentEpoch = honest.MapEpoch+1, honest.MapEpoch
+	tbl.smap.Store(&ahead)
+	part := tbl.part.Load()
+
+	if _, err := srv.SplitShard(ctx, "items", 0, nil); !errors.Is(err, shardmap.ErrBadTransition) {
+		t.Fatalf("split whose child map does not chain to the stored one: %v, want ErrBadTransition", err)
+	}
+	if tbl.part.Load() != part || tbl.smap.Load() != &ahead {
+		t.Fatal("the refused split swapped the partition or the stored map")
+	}
+	if hist, err := srv.ReshardHistory("items"); err != nil || len(hist) != 0 {
+		t.Fatalf("the refused split left %d transitions in the meta log (%v), want none", len(hist), err)
+	}
+
+	tbl.smap.Store(honest)
+	if got := auditShards(t, srv, "items", "refused split"); got != 100 {
+		t.Fatalf("refused split: audited %d tuples, want 100", got)
+	}
+	resp, err := srv.SplitShard(ctx, "items", 0, nil)
+	if err != nil {
+		t.Fatalf("the same split from the honest map: %v", err)
+	}
+	if resp.MapEpoch != honest.MapEpoch+1 || resp.NumShards != 3 {
+		t.Fatalf("split from the honest map = epoch %d, %d shards; want %d, 3", resp.MapEpoch, resp.NumShards, honest.MapEpoch+1)
+	}
+	if got := auditShards(t, srv, "items", "split 1"); got != 100 {
+		t.Fatalf("split 1: audited %d tuples, want 100", got)
+	}
+}
+
 // TestReshardWALReplay pins the durability story: the transition lands
 // as a typed record in the table's meta log, and the carved shards'
 // logs replay their full contents (seeded as one batch record), so a

@@ -32,7 +32,9 @@ func (l *acceptCounter) Accept() (net.Conn, error) {
 // order. The inline call keeps what the per-shard goroutine gave: a
 // context cancelled while it waits for the edge ends the query with the
 // context's error at once, and the connection — still carrying the
-// abandoned request — serves the next query without a redial.
+// abandoned request — serves the next query without a redial. (The
+// scattered query may have opened a second connection: the client's
+// rpc.Conn opens one per processor for calls that overlap.)
 func TestGatherShapes(t *testing.T) {
 	ctx := context.Background()
 	var edgeConns *acceptCounter
@@ -84,6 +86,7 @@ func TestGatherShapes(t *testing.T) {
 	defer d.edge.SetTamper(nil)
 	defer close(release)
 
+	dialled := edgeConns.accepted.Load()
 	waiting, cancel := context.WithCancel(ctx)
 	defer cancel()
 	done := make(chan error, 1)
@@ -108,7 +111,7 @@ func TestGatherShapes(t *testing.T) {
 	if err != nil || len(res.Result.Keys) != 6 {
 		t.Fatalf("query after the cancelled one: %v", err)
 	}
-	if n := edgeConns.accepted.Load(); n != 1 {
-		t.Fatalf("the client has made %d connections to the edge, want the one it started with", n)
+	if n := edgeConns.accepted.Load(); n != dialled {
+		t.Fatalf("the cancelled call left the client dialling: %d connections to the edge, %d before it", n, dialled)
 	}
 }

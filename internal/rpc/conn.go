@@ -12,6 +12,14 @@
 // connection runs its handlers on workers that live as long as it does,
 // and a Conn's caller writes its own request and waits for the reader
 // goroutine's hand-off — no goroutine is started for a call.
+//
+// A Conn spreads concurrent calls over a small pool of sessions — TCP
+// connections, each with its own reader — of at most one per processor
+// (runtime.GOMAXPROCS when the Conn is made). One socket's reader and
+// writer serialise every call on it, so callers that overlap would
+// otherwise queue there while other processors idle. A caller whose
+// calls never overlap, or a process with one processor, keeps to one
+// session.
 package rpc
 
 import (
@@ -20,7 +28,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"edgeauth/internal/wire"
@@ -77,13 +88,17 @@ type frame struct {
 	body []byte
 }
 
-// session is one live connection. Conn replaces its session on redial, so
-// in-flight state never leaks across connection generations.
+// session is one live connection of a Conn's pool. A dead session is
+// dropped from the pool and a fresh one dialled in its place, so
+// in-flight state never leaks across connections.
 type session struct {
 	nc net.Conn
 	// peerCaps is the capability bit set the server advertised in its
 	// HelloResp.
 	peerCaps uint32
+	// calls counts the calls that have taken this session and not yet
+	// returned; the pool hands a new call the session with the fewest.
+	calls atomic.Int32
 
 	// The in-flight request table and the per-connection write slot (a
 	// 1-slot semaphore rather than a mutex, so a caller queued behind a
@@ -97,112 +112,162 @@ type session struct {
 }
 
 // Conn is a context-aware client connection. N goroutines may call Call
-// concurrently: their requests are pipelined over one TCP connection and
-// responses are demultiplexed by request ID. The connection is
-// established lazily and re-established (with backoff) after it dies, so
-// a transient peer outage does not poison the Conn forever.
+// concurrently: each request goes out on one of the Conn's sessions,
+// pipelined behind that session's other requests, and responses are
+// demultiplexed by request ID. Concurrent calls are not ordered with
+// respect to each other, whichever sessions they take.
+//
+// The first session is dialled lazily and a dead one is dropped and
+// replaced (with backoff), so a transient peer outage does not poison
+// the Conn forever. A call takes a session with no call in flight; when
+// every session is busy and the pool is below its bound — one session
+// per processor — the caller dials one more (one dial at a time) while
+// other callers share the least loaded session. A server therefore sees
+// up to GOMAXPROCS connections from one Conn, each bounded by its own
+// ServeOptions.MaxConcurrent.
 type Conn struct {
 	addr string
 	opts Options
+	// maxSessions bounds the pool: runtime.GOMAXPROCS when New ran.
+	maxSessions int
 
-	mu     sync.Mutex // guards sess, closed and dialing
-	sess   *session
-	closed bool
-	// dialing is non-nil while one goroutine runs the dial-with-backoff
-	// loop (outside mu); it is closed when that attempt settles, so
-	// concurrent callers can wait on it or on their own context instead
-	// of queueing behind the mutex for the whole dial.
+	mu       sync.Mutex // guards sessions, closed and dialing
+	sessions []*session
+	closed   bool
+	// dialing is non-nil while one goroutine dials a session (outside
+	// mu); it is closed when that attempt settles, so callers with no
+	// session to take can wait on it or on their own context instead of
+	// queueing behind the mutex for the whole dial.
 	dialing chan struct{}
 }
 
 // New creates a lazily-connecting Conn to addr.
 func New(addr string, opts Options) *Conn {
-	return &Conn{addr: addr, opts: opts}
+	return &Conn{addr: addr, opts: opts, maxSessions: runtime.GOMAXPROCS(0)}
 }
 
 // Addr reports the remote address.
 func (c *Conn) Addr() string { return c.addr }
 
-// Close tears down the connection; subsequent calls fail.
+// Close tears down every session; subsequent calls fail.
 func (c *Conn) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.closed = true
-	if c.sess != nil {
-		err := c.sess.nc.Close()
-		c.sess = nil
-		return err
+	var err error
+	for _, s := range c.sessions {
+		if cerr := s.nc.Close(); err == nil {
+			err = cerr
+		}
 	}
-	return nil
+	c.sessions = nil
+	return err
 }
 
-// Connect eagerly establishes (and handshakes) the connection.
+// Connect eagerly establishes (and handshakes) a session.
 func (c *Conn) Connect(ctx context.Context) error {
-	_, err := c.ensureSession(ctx)
+	s, err := c.take(ctx)
+	if err == nil {
+		s.calls.Add(-1)
+	}
 	return err
 }
 
 // PeerCaps reports the capability bits the remote side advertised in its
-// HelloResp (0 before the first successful connect).
+// HelloResp (0 while no session is open).
 func (c *Conn) PeerCaps() uint32 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.sess == nil {
+	if len(c.sessions) == 0 {
 		return 0
 	}
-	return c.sess.peerCaps
+	return c.sessions[0].peerCaps
 }
 
-// ensureSession returns the live session, dialing and handshaking with
-// backoff if there is none. Only one goroutine dials at a time; the rest
-// wait for that attempt or for their own context, whichever ends first,
-// so a short-deadline caller is never stuck behind a slow dial loop.
-func (c *Conn) ensureSession(ctx context.Context) (*session, error) {
+var errClosed = errors.New("rpc: connection closed")
+
+// take returns a session for one call, counted in its calls until the
+// caller subtracts it: the first session with no call in flight, else a
+// new one this caller dials if the pool is below its bound and no dial
+// is under way, else the least loaded. With no session at all and a dial
+// under way it waits for that dial or for its own context, whichever
+// ends first, so a short-deadline caller is never stuck behind a slow
+// dial loop.
+func (c *Conn) take(ctx context.Context) (*session, error) {
 	for {
 		c.mu.Lock()
 		if c.closed {
 			c.mu.Unlock()
-			return nil, errors.New("rpc: connection closed")
+			return nil, errClosed
 		}
-		if c.sess != nil {
-			s := c.sess
+		s := c.leastLoaded()
+		grow := c.dialing == nil && len(c.sessions) < c.maxSessions
+		if s != nil && (s.calls.Load() == 0 || !grow) {
+			s.calls.Add(1)
 			c.mu.Unlock()
 			return s, nil
 		}
-		if c.dialing == nil {
+		if grow {
 			gate := make(chan struct{})
 			c.dialing = gate
 			c.mu.Unlock()
-
-			s, err := c.dialLoop(ctx)
-
-			c.mu.Lock()
-			c.dialing = nil
-			if err == nil {
-				if c.closed {
-					s.nc.Close()
-					err = errors.New("rpc: connection closed")
-				} else {
-					c.sess = s
-				}
-			}
-			close(gate)
-			c.mu.Unlock()
-			if err != nil {
-				return nil, err
-			}
-			return s, nil
+			return c.dial(ctx, gate)
 		}
+		// No session yet, and another caller is dialing the first.
 		gate := c.dialing
 		c.mu.Unlock()
 		select {
 		case <-gate:
-			// The dialer settled; re-check the session (it may have
-			// failed, in which case this caller becomes the dialer).
+			// The dialer settled; look again (its dial may have failed,
+			// in which case this caller becomes the dialer).
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	}
+}
+
+// leastLoaded returns the first session with no call in flight, else the
+// one with the fewest, else nil. The caller holds mu.
+func (c *Conn) leastLoaded() *session {
+	var least *session
+	for _, s := range c.sessions {
+		n := s.calls.Load()
+		if n == 0 {
+			return s
+		}
+		if least == nil || n < least.calls.Load() {
+			least = s
+		}
+	}
+	return least
+}
+
+// dial opens a session for the calling caller and adds it to the pool,
+// then releases gate. If the dial fails while the pool has sessions, the
+// caller shares the least loaded one instead: the pool serves on what it
+// has.
+func (c *Conn) dial(ctx context.Context, gate chan struct{}) (*session, error) {
+	s, err := c.dialLoop(ctx)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.dialing = nil
+	close(gate)
+	if c.closed {
+		if err == nil {
+			s.nc.Close()
+		}
+		return nil, errClosed
+	}
+	if err != nil {
+		if least := c.leastLoaded(); least != nil {
+			least.calls.Add(1)
+			return least, nil
+		}
+		return nil, err
+	}
+	s.calls.Add(1)
+	c.sessions = append(c.sessions, s)
+	return s, nil
 }
 
 // dialLoop makes up to redialAttempts connect attempts with doubling
@@ -298,11 +363,12 @@ func checkHelloResp(mt wire.MsgType, body []byte) (caps uint32, err error) {
 	return caps, nil
 }
 
-// dropSession discards a dead session (if it is still the current one).
+// dropSession discards a dead session from the pool (if it is still
+// there); the other sessions and their calls are untouched.
 func (c *Conn) dropSession(s *session) {
 	c.mu.Lock()
-	if c.sess == s {
-		c.sess = nil
+	if i := slices.Index(c.sessions, s); i >= 0 {
+		c.sessions = slices.Delete(c.sessions, i, i+1)
 	}
 	c.mu.Unlock()
 	s.nc.Close()
@@ -382,11 +448,12 @@ func (c *Conn) Call(ctx context.Context, t wire.MsgType, body []byte, want wire.
 }
 
 func (c *Conn) callOnce(ctx context.Context, t wire.MsgType, body []byte, want wire.MsgType) ([]byte, error) {
-	s, err := c.ensureSession(ctx)
+	s, err := c.take(ctx)
 	if err != nil {
 		return nil, &errTransport{err: err}
 	}
 	f, err := c.exchange(ctx, s, t, body)
+	s.calls.Add(-1)
 	if err != nil {
 		return nil, err
 	}

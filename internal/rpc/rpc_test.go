@@ -29,18 +29,28 @@ func echoHandler(_ context.Context, mt wire.MsgType, body, _ []byte) (wire.MsgTy
 }
 
 // startServer serves connections with h until the test ends.
-func startServer(t *testing.T, h Handler, o ServeOptions) string {
+func startServer(t testing.TB, h Handler, o ServeOptions) string {
+	t.Helper()
+	addr, _ := startCountedServer(t, h, o)
+	return addr
+}
+
+// startCountedServer is startServer that also counts the connections it
+// accepts: one for each session a Conn has opened to it.
+func startCountedServer(t testing.TB, h Handler, o ServeOptions) (string, *atomic.Int64) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	accepted := new(atomic.Int64)
 	go func() {
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
+			accepted.Add(1)
 			go func() {
 				defer conn.Close()
 				ServeConn(conn, h, o)
@@ -48,7 +58,7 @@ func startServer(t *testing.T, h Handler, o ServeOptions) string {
 		}
 	}()
 	t.Cleanup(func() { ln.Close() })
-	return ln.Addr().String()
+	return ln.Addr().String(), accepted
 }
 
 func TestHandshakeAndCall(t *testing.T) {
@@ -362,11 +372,12 @@ func TestNonIdempotentRetriesWhenNeverSent(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 		c.mu.Lock()
-		s := c.sess
-		c.mu.Unlock()
-		if s == nil {
+		if len(c.sessions) != 1 {
+			c.mu.Unlock()
 			break // a previous call already dropped it
 		}
+		s := c.sessions[0]
+		c.mu.Unlock()
 		s.pendMu.Lock()
 		dead := s.dead != nil
 		s.pendMu.Unlock()

@@ -44,6 +44,19 @@ func (l *workerLog) workers() int {
 	return len(l.seen)
 }
 
+// connOver handshakes over nc and returns a Conn whose one session is
+// nc: it never dials, so a test can hand it any connection.
+func connOver(t *testing.T, nc net.Conn) *Conn {
+	t.Helper()
+	c := &Conn{maxSessions: 1}
+	s, err := c.handshake(nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.sessions = []*session{s}
+	return c
+}
+
 // settleGoroutines waits for the process to be back at (or under) want
 // goroutines: everything a closed connection started has exited.
 func settleGoroutines(t *testing.T, want int) {
@@ -89,7 +102,10 @@ func TestServeReusesWorkers(t *testing.T) {
 		settleGoroutines(t, before)
 	})
 
+	// At one processor a Conn keeps to one session, so all k requests
+	// reach the one server connection whose back-pressure this checks.
 	t.Run("concurrent", func(t *testing.T) {
+		withProcs(t, 1)
 		const k = 5
 		var (
 			log     workerLog
@@ -179,11 +195,7 @@ func TestServeReusesWorkers(t *testing.T) {
 			defer server.Close()
 			ServeConn(server, h, ServeOptions{})
 		}()
-		s, err := (&Conn{}).handshake(client)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := &Conn{sess: s}
+		c := connOver(t, client)
 		for i := 0; i < k; i++ {
 			go c.Call(ctx, wire.MsgShardQueryReq, nil, wire.MsgShardQueryResp, false)
 		}
@@ -274,11 +286,7 @@ func TestOneReadPerFrame(t *testing.T) {
 			ServeConn(server, h, ServeOptions{})
 		}()
 		counted := &countingConn{Conn: client}
-		s, err := (&Conn{}).handshake(counted)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := &Conn{sess: s}
+		c := connOver(t, counted)
 		defer c.Close()
 		if n := counted.reads.Load(); n != 2 {
 			t.Fatalf("the handshake took %d reads, want 2", n)

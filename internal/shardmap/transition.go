@@ -26,8 +26,10 @@ var ErrBadTransition = errors.New("shardmap: invalid epoch transition")
 // check is structural (table, incarnation epoch, generation link,
 // single-boundary delta, shard-ID carry-over) and deliberately ignores
 // shard versions and digests, which legitimately advance between the
-// two signings. It is the oracle the central's transition tests and the
-// transition fuzz target check maps against.
+// two signings. The central's transition commit runs it on the child
+// map against the stored parent and refuses a transition that fails it;
+// the central's transition tests and the transition fuzz target check
+// maps against it too.
 func ValidateTransition(parent, child *Map) error {
 	if err := parent.Validate(); err != nil {
 		return fmt.Errorf("%w: parent: %v", ErrBadTransition, err)

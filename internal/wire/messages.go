@@ -42,13 +42,26 @@ func (q *QueryRequest) Encode() []byte {
 	return out
 }
 
-// DecodeQueryRequest parses a QueryRequest.
+// The smallest encodings of a query request's entries: a predicate is a
+// column name's length word, an operator and a datum; a projected column,
+// like a string list's item, is at least its length word.
+const (
+	minPredicateSize = 4 + 1 + schema.MinDatumSize
+	minStringSize    = 4
+)
+
+// DecodeQueryRequest parses a QueryRequest. Each count is checked against
+// the bytes left over its entries' smallest encoding before its slice is
+// made, once.
 func DecodeQueryRequest(body []byte) (*QueryRequest, error) {
 	r := &reader{data: body}
 	q := &QueryRequest{Table: r.str("table")}
 	n := int(r.u32("predicate count"))
-	if r.err == nil && n > len(body) {
+	if r.err == nil && n > (len(body)-r.off)/minPredicateSize {
 		return nil, errors.New("wire: implausible predicate count")
+	}
+	if n > 0 {
+		q.Predicates = make([]query.Predicate, 0, n)
 	}
 	for i := 0; i < n && r.err == nil; i++ {
 		col := r.str("predicate column")
@@ -68,8 +81,11 @@ func DecodeQueryRequest(body []byte) (*QueryRequest, error) {
 		q.ProjectAll = true
 	} else {
 		pn := int(r.u32("projection count"))
-		if r.err == nil && pn > len(body) {
+		if r.err == nil && pn > (len(body)-r.off)/minStringSize {
 			return nil, errors.New("wire: implausible projection count")
+		}
+		if pn > 0 {
+			q.Project = make([]string, 0, pn)
 		}
 		for i := 0; i < pn && r.err == nil; i++ {
 			q.Project = append(q.Project, r.str("projection column"))
@@ -404,11 +420,13 @@ func EncodeStringList(ss []string) []byte {
 	return out
 }
 
-// DecodeStringList parses a string list.
+// DecodeStringList parses a string list. The count is checked against
+// the bytes left over an item's smallest encoding before the slice is
+// made.
 func DecodeStringList(body []byte) ([]string, error) {
 	r := &reader{data: body}
 	n := int(r.u32("count"))
-	if r.err == nil && n > len(body) {
+	if r.err == nil && n > (len(body)-r.off)/minStringSize {
 		return nil, errors.New("wire: implausible list length")
 	}
 	out := make([]string, 0, n)

@@ -539,3 +539,101 @@ func TestSchemeZeroRefused(t *testing.T) {
 		t.Fatalf("a SnapshotNeeded marker: %v", err)
 	}
 }
+
+// TestDecodeQueryRequestBoundsItsAllocations: the predicate count and
+// the projection count are each checked against the bytes left over
+// their entries' smallest encoding — 10 bytes a predicate, 4 a projected
+// column — before a slice is made, so a 1 KB request that claims 2³¹
+// entries, or more than its remaining bytes can hold, is refused after
+// allocating about its own size. The second claim of each pair is under
+// the body's length, which is what the counts were compared with before,
+// when the body was filled with empty entries appended one by one until
+// it ran out.
+func TestDecodeQueryRequestBoundsItsAllocations(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation sizes differ under the race detector")
+	}
+	const size = 1024
+	emptyPred := schema.Str("").Encode(appendU8(appendStr(nil, ""), 0))
+	if len(emptyPred) != minPredicateSize {
+		t.Fatalf("an empty predicate encodes in %d bytes, not minPredicateSize = %d", len(emptyPred), minPredicateSize)
+	}
+	// fill pads b to size with whole entries, then zeros.
+	fill := func(b, entry []byte) []byte {
+		for len(b)+len(entry) <= size {
+			b = append(b, entry...)
+		}
+		return append(b, make([]byte, size-len(b))...)
+	}
+	preds := func(n uint32) []byte { return fill(appendU32(appendStr(nil, "items"), n), emptyPred) }
+	// project heads a request of no predicates with n projected columns.
+	project := func(n uint32) []byte {
+		return appendU32(appendU8(appendU32(appendStr(nil, "items"), 0), 0), n)
+	}
+	for name, body := range map[string][]byte{
+		"2^31 predicates":        preds(1 << 31),
+		"600 predicates":         preds(600),
+		"2^31 projected columns": fill(project(1<<31), make([]byte, minStringSize)),
+		"600 projected columns":  fill(project(600), make([]byte, minStringSize)),
+	} {
+		var err error
+		got := leastAllocated(func() { _, err = DecodeQueryRequest(body) })
+		if err == nil || !strings.Contains(err.Error(), "implausible") {
+			t.Errorf("%s: a hostile %d-byte body got %v, want the count refused before it sizes anything", name, len(body), err)
+		}
+		if got > 2*size {
+			t.Errorf("%s: decoding a %d-byte body allocated %d bytes", name, size, got)
+		}
+	}
+
+	// The most entries the bytes left can hold decode.
+	head := appendU32(appendStr(nil, "items"), 0)
+	n := (size - len(head) - 1) / minPredicateSize
+	body := appendU32(appendStr(nil, "items"), uint32(n))
+	for i := 0; i < n; i++ {
+		body = append(body, emptyPred...)
+	}
+	q, err := DecodeQueryRequest(append(body, 1))
+	if err != nil || len(q.Predicates) != n || !q.ProjectAll {
+		t.Fatalf("%d empty predicates: %v", n, err)
+	}
+	n = (size - len(project(0))) / minStringSize
+	q, err = DecodeQueryRequest(append(project(uint32(n)), make([]byte, n*minStringSize)...))
+	if err != nil || len(q.Project) != n {
+		t.Fatalf("%d empty projected columns: %v", n, err)
+	}
+}
+
+// TestDecodeStringListBoundsItsAllocations: the item count is checked
+// against the bytes left over an item's 4-byte length word before the
+// slice is made, so a 1 KB list that claims 2³¹ items, or 1,020 — under
+// the body's length, what the count was compared with before, when the
+// slice was sized from the claim — is refused after allocating about its
+// own size.
+func TestDecodeStringListBoundsItsAllocations(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation sizes differ under the race detector")
+	}
+	const size = 1024
+	list := func(n uint32) []byte { return append(appendU32(nil, n), make([]byte, size-4)...) }
+	for name, body := range map[string][]byte{
+		"2^31 items": list(1 << 31),
+		"1020 items": list(1020),
+	} {
+		var err error
+		got := leastAllocated(func() { _, err = DecodeStringList(body) })
+		if err == nil || !strings.Contains(err.Error(), "implausible") {
+			t.Errorf("%s: a hostile %d-byte body got %v, want the count refused before it sizes anything", name, len(body), err)
+		}
+		if got > 2*size {
+			t.Errorf("%s: decoding a %d-byte body allocated %d bytes", name, size, got)
+		}
+	}
+
+	// The most items the body can hold, every one empty, decode.
+	n := (size - 4) / minStringSize
+	got, err := DecodeStringList(list(uint32(n)))
+	if err != nil || len(got) != n {
+		t.Fatalf("%d empty items: %d decoded, %v", n, len(got), err)
+	}
+}
