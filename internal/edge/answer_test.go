@@ -76,10 +76,7 @@ func merkleEdge(t *testing.T, rows int) (*central.Server, *Server) {
 // and copied once, into the frame buffer the transport lends, and what
 // the traversal collects on the way (vbtree's walkScratch) is recycled
 // from one answer to the next. The count is deterministic, so it is
-// pinned: 17. It was 20 while wire.DecodeQueryRequest grew its predicate
-// and projection slices by appending: this request's two predicates and
-// three projected columns cost five objects where the two slices, each
-// made once at its checked count, now cost two. It was 22 while query.Compile kept each key bound in a
+// pinned: 17. It was 22 while query.Compile kept each key bound in a
 // struct of its own before it copied the value out: a range's two bounds
 // cost two objects more. It was 25 while schema.Validate, which query.Compile runs
 // on every request, found duplicate columns through a map: for the ten

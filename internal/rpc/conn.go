@@ -88,8 +88,9 @@ type frame struct {
 	body []byte
 }
 
-// session is one live connection of a Conn's pool. A dead session is
-// dropped from the pool and a fresh one dialled in its place, so
+// session is one live connection of a Conn's pool. A session whose
+// connection fails is dropped from the pool by its own reader, so no
+// later call takes it, and a fresh one is dialled when a call needs it:
 // in-flight state never leaks across connections.
 type session struct {
 	nc net.Conn
@@ -121,19 +122,26 @@ type session struct {
 // replaced (with backoff), so a transient peer outage does not poison
 // the Conn forever. A call takes a session with no call in flight; when
 // every session is busy and the pool is below its bound — one session
-// per processor — the caller dials one more (one dial at a time) while
-// other callers share the least loaded session. A server therefore sees
-// up to GOMAXPROCS connections from one Conn, each bounded by its own
-// ServeOptions.MaxConcurrent.
+// per processor — the caller makes one attempt to dial one more (one
+// dial at a time) while other callers share the least loaded session.
+// If that attempt fails, the pool stops growing until one of its
+// sessions is dropped. A server therefore sees up to GOMAXPROCS
+// connections from one Conn, each bounded by its own
+// ServeOptions.MaxConcurrent. The bound has been measured only at two
+// processors; what a session per processor costs on larger hosts is
+// not known.
 type Conn struct {
 	addr string
 	opts Options
 	// maxSessions bounds the pool: runtime.GOMAXPROCS when New ran.
 	maxSessions int
 
-	mu       sync.Mutex // guards sessions, closed and dialing
+	mu       sync.Mutex // guards sessions, closed, dialing and growHalted
 	sessions []*session
 	closed   bool
+	// growHalted is set when a dial for one more session failed; the
+	// pool grows again once a session is dropped.
+	growHalted bool
 	// dialing is non-nil while one goroutine dials a session (outside
 	// mu); it is closed when that attempt settles, so callers with no
 	// session to take can wait on it or on their own context instead of
@@ -188,8 +196,8 @@ var errClosed = errors.New("rpc: connection closed")
 
 // take returns a session for one call, counted in its calls until the
 // caller subtracts it: the first session with no call in flight, else a
-// new one this caller dials if the pool is below its bound and no dial
-// is under way, else the least loaded. With no session at all and a dial
+// new one this caller dials if the pool is below its bound, has not
+// halted its growth and no dial is under way, else the least loaded. With no session at all and a dial
 // under way it waits for that dial or for its own context, whichever
 // ends first, so a short-deadline caller is never stuck behind a slow
 // dial loop.
@@ -201,7 +209,8 @@ func (c *Conn) take(ctx context.Context) (*session, error) {
 			return nil, errClosed
 		}
 		s := c.leastLoaded()
-		grow := c.dialing == nil && len(c.sessions) < c.maxSessions
+		first := len(c.sessions) == 0
+		grow := c.dialing == nil && (first || len(c.sessions) < c.maxSessions && !c.growHalted)
 		if s != nil && (s.calls.Load() == 0 || !grow) {
 			s.calls.Add(1)
 			c.mu.Unlock()
@@ -211,7 +220,7 @@ func (c *Conn) take(ctx context.Context) (*session, error) {
 			gate := make(chan struct{})
 			c.dialing = gate
 			c.mu.Unlock()
-			return c.dial(ctx, gate)
+			return c.dial(ctx, gate, first)
 		}
 		// No session yet, and another caller is dialing the first.
 		gate := c.dialing
@@ -243,11 +252,18 @@ func (c *Conn) leastLoaded() *session {
 }
 
 // dial opens a session for the calling caller and adds it to the pool,
-// then releases gate. If the dial fails while the pool has sessions, the
-// caller shares the least loaded one instead: the pool serves on what it
-// has.
-func (c *Conn) dial(ctx context.Context, gate chan struct{}) (*session, error) {
-	s, err := c.dialLoop(ctx)
+// then releases gate. The first session gets the whole dial loop; one
+// more for a busy pool gets a single attempt, and if that fails the
+// caller shares the least loaded session instead and the pool stops
+// growing: it serves on what it has.
+func (c *Conn) dial(ctx context.Context, gate chan struct{}, first bool) (*session, error) {
+	var s *session
+	var err error
+	if first {
+		s, err = c.dialLoop(ctx)
+	} else {
+		s, err = c.dialAndHandshake(ctx)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.dialing = nil
@@ -258,8 +274,16 @@ func (c *Conn) dial(ctx context.Context, gate chan struct{}) (*session, error) {
 		}
 		return nil, errClosed
 	}
+	if err == nil {
+		// A session that died before it joined the pool was not there
+		// for its reader to drop: keep it out.
+		s.pendMu.Lock()
+		err = s.dead
+		s.pendMu.Unlock()
+	}
 	if err != nil {
 		if least := c.leastLoaded(); least != nil {
+			c.growHalted = true
 			least.calls.Add(1)
 			return least, nil
 		}
@@ -336,7 +360,7 @@ func (c *Conn) handshake(nc net.Conn) (*session, error) {
 		pending:  make(map[uint32]chan frame),
 		writeSem: make(chan struct{}, 1),
 	}
-	go s.readLoop()
+	go s.readLoop(c)
 	return s, nil
 }
 
@@ -364,11 +388,13 @@ func checkHelloResp(mt wire.MsgType, body []byte) (caps uint32, err error) {
 }
 
 // dropSession discards a dead session from the pool (if it is still
-// there); the other sessions and their calls are untouched.
+// there) and lets the pool grow again; the other sessions and their
+// calls are untouched.
 func (c *Conn) dropSession(s *session) {
 	c.mu.Lock()
 	if i := slices.Index(c.sessions, s); i >= 0 {
 		c.sessions = slices.Delete(c.sessions, i, i+1)
+		c.growHalted = false
 	}
 	c.mu.Unlock()
 	s.nc.Close()
@@ -378,13 +404,16 @@ func (c *Conn) dropSession(s *session) {
 // and routes each response frame to the in-flight call that owns its
 // request ID. Responses may arrive in any order. The handshake read its
 // one frame unbuffered and exactly, so the buffer starts at the first
-// numbered frame.
-func (s *session) readLoop() {
+// numbered frame. When the connection fails, readLoop fails the
+// session's calls and drops it from c's pool, so a session that dies
+// idle — a server's idle timeout or restart — is never handed out.
+func (s *session) readLoop(c *Conn) {
 	br := bufio.NewReaderSize(s.nc, readBufSize)
 	for {
 		mt, id, body, err := wire.ReadFrameV2(br)
 		if err != nil {
 			s.failAll(fmt.Errorf("rpc: connection lost: %w", err))
+			c.dropSession(s)
 			return
 		}
 		s.pendMu.Lock()

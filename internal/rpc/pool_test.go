@@ -233,9 +233,61 @@ func TestPoolDeadSessionFailsOnlyItsCalls(t *testing.T) {
 	}
 }
 
+// TestPoolRedialsWhenEverySessionDiedIdle: sessions that die while idle
+// — here the server's idle timeout closes both of a grown pool at once,
+// as it does to a client that pauses — leave the pool as they die, so
+// the next call dials a fresh session instead of retrying onto a second
+// dead one. Even a non-idempotent call succeeds: it was never sent.
+func TestPoolRedialsWhenEverySessionDiedIdle(t *testing.T) {
+	withProcs(t, 2)
+	held, release := make(chan struct{}), make(chan struct{})
+	addr, accepted := startCountedServer(t, holdingHandler(held, release), ServeOptions{IdleTimeout: 500 * time.Millisecond})
+	c := New(addr, Options{RedialBackoff: 5 * time.Millisecond})
+	defer c.Close()
+
+	done := holdCalls(t, c, 2, held, true)
+	if n := c.sessionCount(); n != 2 {
+		t.Fatalf("two overlapping calls on %d sessions, want 2", n)
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Wait until no live session is left in the pool.
+	deadline := time.Now().Add(5 * time.Second)
+	for live := true; live; {
+		if time.Now().After(deadline) {
+			t.Fatal("the server never idle-dropped the sessions")
+		}
+		time.Sleep(20 * time.Millisecond)
+		c.mu.Lock()
+		live = false
+		for _, s := range c.sessions {
+			s.pendMu.Lock()
+			live = live || s.dead == nil
+			s.pendMu.Unlock()
+		}
+		c.mu.Unlock()
+	}
+	opened := accepted.Load()
+	resp, err := c.Call(context.Background(), wire.MsgShardQueryReq, []byte("after"), wire.MsgShardQueryResp, false)
+	if err != nil {
+		t.Fatalf("non-idempotent call after every session died idle: %v", err)
+	}
+	if string(resp) != "after" {
+		t.Fatalf("resp = %q", resp)
+	}
+	if n := accepted.Load(); n != opened+1 {
+		t.Fatalf("the call opened %d sessions, want 1", n-opened)
+	}
+}
+
 // TestPoolSharesWhenADialFails: when every session is busy and the dial
 // for one more fails, the caller shares a session the pool has instead
-// of failing its call.
+// of failing its call, and the pool stops trying to grow.
 func TestPoolSharesWhenADialFails(t *testing.T) {
 	withProcs(t, 2)
 	held, release := make(chan struct{}), make(chan struct{})
@@ -261,6 +313,12 @@ func TestPoolSharesWhenADialFails(t *testing.T) {
 	second := holdCalls(t, c, 1, held, false)
 	if n := c.sessionCount(); n != 1 {
 		t.Fatalf("the pool holds %d sessions after a refused dial, want 1", n)
+	}
+	c.mu.Lock()
+	halted := c.growHalted
+	c.mu.Unlock()
+	if !halted {
+		t.Fatal("after a refused dial the pool still tries to grow")
 	}
 	close(release)
 	for _, done := range []<-chan error{first, second} {
