@@ -283,7 +283,7 @@ func buildBenchTree(b *testing.B, sch *schema.Schema, key *sig.PrivateKey, tuple
 	}
 	tree, err := vbtree.Build(vbtree.Config{
 		Pool: pool, Heap: heap, Schema: sch, Acc: digest.MustNew(digest.DefaultParams()),
-		Signer: key, Pub: key.Public(), BuildParallelism: 8,
+		Pub: key.Public(), BuildParallelism: 8,
 	}, tuples, 1.0)
 	if err != nil {
 		b.Fatal(err)
@@ -433,9 +433,9 @@ func BenchmarkAblationInsertRecompute(b *testing.B) {
 		}
 	})
 	b.Run("full-recompute", func(b *testing.B) {
-		rootSig, pub := tree.RootSig(), key.Public()
+		rootSig, pub := key.MustSign(tree.RootDigest()), key.Public()
 		for i := 0; i < b.N; i++ {
-			if err := tree.Read(false, func(v *vbtree.View) error {
+			if err := tree.Read(func(v *vbtree.View) error {
 				_, root, err := v.Audit()
 				if err != nil {
 					return err

@@ -88,8 +88,7 @@ func main() {
 	acc := digest.MustNew(digest.DefaultParams())
 	start := time.Now()
 	tree, err := vbtree.Build(vbtree.Config{
-		Pool: pool, Heap: heap, Schema: sch, Acc: acc,
-		Signer: key, Pub: key.Public(), BuildParallelism: 8,
+		Pool: pool, Heap: heap, Schema: sch, Acc: acc, Pub: key.Public(), BuildParallelism: 8,
 	}, tuples, 1.0)
 	if err != nil {
 		log.Fatal(err)
@@ -101,12 +100,16 @@ func main() {
 		*rows, time.Since(start).Round(time.Millisecond), pager.NumPages())
 
 	// Persist metadata (a snapshot without page payloads) and the key.
+	rootSig, err := key.Sign(tree.RootDigest())
+	if err != nil {
+		log.Fatal(err)
+	}
 	meta := &wire.Snapshot{
 		Schema:    sch,
 		Scheme:    uint8(sigScheme),
 		Root:      tree.Root(),
 		Height:    uint32(tree.Height()),
-		RootSig:   tree.RootSig(),
+		RootSig:   rootSig,
 		PageSize:  uint32(*pageSz),
 		HeapPages: heap.Pages(),
 	}
@@ -142,7 +145,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ver := &verify.Verifier{Key: reopened.pub, Acc: reopened.acc, Schema: reopened.sch}
+	keys := sig.NewRegistry()
+	keys.Put(reopened.pub)
+	ver := &verify.Verifier{Keys: keys, Acc: reopened.acc, Schema: reopened.sch}
 	if err := ver.Verify(rs, w); err != nil {
 		log.Fatalf("sample query verification FAILED: %v", err)
 	}

@@ -50,7 +50,7 @@ func TestOpensDatabaseWrittenByParentCommit(t *testing.T) {
 	if n != 150 {
 		t.Fatalf("audited %d tuples, want 150", n)
 	}
-	ver := &verify.Verifier{Key: db.pub, Acc: db.acc, Schema: db.sch}
+	ver := &verify.Verifier{Keys: trusted(db.pub), Acc: db.acc, Schema: db.sch}
 	for _, q := range []struct {
 		lo, hi  int64
 		project []string
@@ -123,4 +123,11 @@ func fixture(t *testing.T, name string, sums map[string]string) string {
 		}
 	}
 	return dir
+}
+
+// trusted returns a registry that trusts pub alone.
+func trusted(pub *sig.PublicKey) *sig.Registry {
+	r := sig.NewRegistry()
+	r.Put(pub)
+	return r
 }

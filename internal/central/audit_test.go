@@ -28,7 +28,7 @@ func auditShards(t *testing.T, srv *Server, table, stage string) int {
 		var n int
 		var root digest.Value
 		sh.mu.RLock()
-		err := sh.tree.Read(false, func(v *vbtree.View) (err error) {
+		err := sh.tree.Read(func(v *vbtree.View) (err error) {
 			n, root, err = v.Audit()
 			return err
 		})

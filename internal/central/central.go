@@ -479,7 +479,6 @@ func (s *Server) newShard(sch *schema.Schema, src vbtree.TupleSource, epoch, id 
 		Heap:   heap,
 		Schema: sch,
 		Acc:    s.acc,
-		Signer: s.key,
 		Pub:    s.key.Public(),
 	}
 	tree, err := vbtree.BuildFromSource(cfg, 1.0, vbtree.DefaultBuildChunk, src, onChunk)
@@ -747,7 +746,7 @@ func scanShard(sh *shard) ([]schema.Tuple, error) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	var out []schema.Tuple
-	err := sh.tree.Read(false, func(v *vbtree.View) error {
+	err := sh.tree.Read(func(v *vbtree.View) error {
 		stored, err := v.ScanAll()
 		for _, st := range stored {
 			out = append(out, st.Tuple)

@@ -39,15 +39,6 @@ type Config struct {
 	// CentralAddr is the trusted central server receiving updates and
 	// serving the public key.
 	CentralAddr string
-	// DialTimeout bounds each TCP connect attempt. 0 selects
-	// rpc.DefaultDialTimeout.
-	DialTimeout time.Duration
-	// RedialAttempts is how many connect attempts are made when a cached
-	// connection has died. 0 selects rpc.DefaultRedialAttempts.
-	RedialAttempts int
-	// RedialBackoff is the wait before the second connect attempt,
-	// doubling per attempt. 0 selects rpc.DefaultRedialBackoff.
-	RedialBackoff time.Duration
 	// MaxClockSkew bounds how far a response's VO timestamp may deviate
 	// from this client's own clock before the result is rejected as
 	// stale or future-dated (the §3.4 freshness check — key validity is
@@ -56,14 +47,6 @@ type Config struct {
 	// timestamp bound (key validity is still checked at the client
 	// clock).
 	MaxClockSkew time.Duration
-}
-
-func (c Config) rpcOptions() rpc.Options {
-	return rpc.Options{
-		DialTimeout:    c.DialTimeout,
-		RedialAttempts: c.RedialAttempts,
-		RedialBackoff:  c.RedialBackoff,
-	}
 }
 
 // Client talks to one edge server and one central server.
@@ -107,8 +90,8 @@ func Dial(ctx context.Context, cfg Config) (*Client, error) {
 func newClient(cfg Config) *Client {
 	return &Client{
 		cfg:       cfg,
-		edge:      rpc.New(cfg.EdgeAddr, cfg.rpcOptions()),
-		central:   rpc.New(cfg.CentralAddr, cfg.rpcOptions()),
+		edge:      rpc.New(cfg.EdgeAddr, rpc.Options{}),
+		central:   rpc.New(cfg.CentralAddr, rpc.Options{}),
 		keys:      sig.NewRegistry(),
 		verifiers: make(map[string]*verify.Verifier),
 		smaps:     make(map[string]*shardmap.Signed),

@@ -210,11 +210,7 @@ func TestClientSurvivesEdgeRestart(t *testing.T) {
 	edgeAddr := edgeLn.Addr().String()
 	go eg.Serve(edgeLn)
 
-	cl, err := Dial(ctx, Config{
-		EdgeAddr:      edgeAddr,
-		CentralAddr:   centralLn.Addr().String(),
-		RedialBackoff: 5 * time.Millisecond,
-	})
+	cl, err := Dial(ctx, Config{EdgeAddr: edgeAddr, CentralAddr: centralLn.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
 	}

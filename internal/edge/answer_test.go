@@ -119,7 +119,7 @@ func TestShardAnswerAllocationBudget(t *testing.T) {
 	}
 	sch, _ := eg.Schema("items")
 	sm, _ := eg.SignedShardMap("items")
-	ver := &verify.Verifier{Key: srv.PublicKey(), Acc: srv.Accumulator(), Schema: sch}
+	ver := &verify.Verifier{Keys: trusted(srv.PublicKey()), Acc: srv.Accumulator(), Schema: sch}
 	if err := ver.VerifyAnchored(dec.Resp.Result, dec.Resp.VO, sm.Map.Shards[0].RootDigest); err != nil {
 		t.Fatal(err)
 	}

@@ -163,7 +163,7 @@ func TestDeltaFromParentCommitApplies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ver := &verify.Verifier{Key: pub, Acc: acc, Schema: snap.Schema}
+			ver := &verify.Verifier{Keys: trusted(pub), Acc: acc, Schema: snap.Schema}
 			if err := ver.VerifyAnchored(rs, w, sm.Map.Shards[0].RootDigest); err != nil {
 				t.Fatal(err)
 			}

@@ -92,7 +92,7 @@ func TestPullAndQueryLocally(t *testing.T) {
 		t.Fatal(err)
 	}
 	ver := &verify.Verifier{
-		Key:    srv.PublicKey(),
+		Keys:   trusted(srv.PublicKey()),
 		Acc:    srv.Accumulator(),
 		Schema: sch,
 	}
@@ -308,4 +308,11 @@ func TestServeProtocolDispatch(t *testing.T) {
 	if _, err := conn.Call(ctx, wire.MsgListTablesReq, nil, wire.MsgListTablesResp, true); err != nil {
 		t.Fatalf("connection unusable after error frame: %v", err)
 	}
+}
+
+// trusted returns a registry that trusts pub alone.
+func trusted(pub *sig.PublicKey) *sig.Registry {
+	r := sig.NewRegistry()
+	r.Put(pub)
+	return r
 }

@@ -281,7 +281,7 @@ func TestRefreshRacingSplitKeepsShardsApart(t *testing.T) {
 
 	// Every shard of the published set answers a verified full scan.
 	sch, _ := eg.Schema("items")
-	ver := &verify.Verifier{Key: srv.PublicKey(), Acc: srv.Accumulator(), Schema: sch}
+	ver := &verify.Verifier{Keys: trusted(srv.PublicKey()), Acc: srv.Accumulator(), Schema: sch}
 	sm, err := eg.SignedShardMap("items")
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,7 @@ func TestQueriesVerifyUnderConcurrentRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ver := &verify.Verifier{Key: srv.PublicKey(), Acc: srv.Accumulator(), Schema: sch}
+	ver := &verify.Verifier{Keys: trusted(srv.PublicKey()), Acc: srv.Accumulator(), Schema: sch}
 
 	const queryWorkers = 8
 	const refreshes = 30

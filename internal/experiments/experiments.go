@@ -14,6 +14,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"edgeauth/internal/digest"
@@ -56,6 +57,12 @@ type Env struct {
 	counters *digest.Counters
 	verAcc   *digest.Accumulator
 	verPub   *sig.PublicKey
+
+	// signedRoot is the root digest Key last signed, and rootSig that
+	// signature: Query signs once per root, as the central server does.
+	rootMu     sync.Mutex
+	signedRoot digest.Value
+	rootSig    sig.Signature
 }
 
 // NewEnv builds the measured environment under an rsa-merkle key, so that
@@ -130,7 +137,6 @@ func buildTree(cfg Config, sch *schema.Schema, acc *digest.Accumulator, key *sig
 		Heap:             heap,
 		Schema:           sch,
 		Acc:              acc,
-		Signer:           key,
 		Pub:              key.Public(),
 		BuildParallelism: 8,
 	}, tuples, 1.0)
@@ -142,14 +148,35 @@ func (e *Env) rangeFor(sel float64) (lo, hi schema.Datum, qr int) {
 	return schema.Int64(l), schema.Int64(h), q
 }
 
-// Query answers q from a view of the env's tree, anchored at its root
-// signature: the answer an edge would ship.
+// Query answers q from a view of the env's tree, and signs the root
+// digest its VO carries with Key: the answer an edge would ship.
 func (e *Env) Query(ctx context.Context, q vbtree.Query) (rs *vo.ResultSet, w *vo.VO, err error) {
-	err = e.Tree.Read(true, func(v *vbtree.View) error {
+	err = e.Tree.Read(func(v *vbtree.View) error {
 		rs, w, err = v.RunQuery(ctx, q)
 		return err
 	})
-	return rs, w, err
+	if err != nil {
+		return nil, nil, err
+	}
+	if w.RootSig, err = e.signRoot(w.TopDigest); err != nil {
+		return nil, nil, err
+	}
+	return rs, w, nil
+}
+
+// signRoot returns Key's signature over the root digest u, signing only
+// when u is not the root it signed last.
+func (e *Env) signRoot(u digest.Value) (sig.Signature, error) {
+	e.rootMu.Lock()
+	defer e.rootMu.Unlock()
+	if !u.Equal(e.signedRoot) {
+		s, err := e.Key.Sign(u)
+		if err != nil {
+			return nil, err
+		}
+		e.signedRoot, e.rootSig = u.Clone(), s
+	}
+	return e.rootSig, nil
 }
 
 // CommPoint measures the response bytes of both schemes for one
@@ -225,7 +252,9 @@ func (e *Env) MeasureOps(ctx context.Context, sel float64, qc int) (OpsPoint, er
 	if err != nil {
 		return out, err
 	}
-	ver := &verify.Verifier{Key: e.verPub, Acc: e.verAcc, Schema: e.Sch}
+	keys := sig.NewRegistry()
+	keys.Put(e.verPub)
+	ver := &verify.Verifier{Keys: keys, Acc: e.verAcc, Schema: e.Sch}
 	before := e.counters.Snapshot()
 	start := time.Now()
 	if err := ver.Verify(rs, w); err != nil {

@@ -6,7 +6,11 @@ import (
 	"testing"
 
 	"edgeauth/internal/costmodel"
+	"edgeauth/internal/digest"
+	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
+	"edgeauth/internal/vbtree"
+	"edgeauth/internal/verify"
 )
 
 // Small scales keep the test suite fast; shapes are scale-independent.
@@ -213,6 +217,57 @@ func TestMeasuredFig11Converges(t *testing.T) {
 			t.Errorf("F11: VB >= Naive at factor %v", f.X[i])
 		}
 	}
+}
+
+// TestQuerySignsOncePerRoot: Query signs the root digest its VO carries
+// with the env's key once per root — repeat queries reuse the signature,
+// and the first query after a write changed the root signs the new one —
+// and every answer verifies.
+func TestQuerySignsOncePerRoot(t *testing.T) {
+	key, err := sig.Generate(sig.SchemeRSAMerkle, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.Rows = 100
+	e, err := NewEnvWithKey(cfg, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ctr digest.Counters
+	key.SetCounters(&ctr)
+	keys := sig.NewRegistry()
+	keys.Put(key.Public())
+	ver := &verify.Verifier{Keys: keys, Acc: digest.MustNew(digest.DefaultParams()), Schema: e.Sch}
+	lo, hi := schema.Int64(10), schema.Int64(20)
+	query := func(wantSigns int64) digest.Value {
+		t.Helper()
+		rs, w, err := e.Query(context.Background(), vbtree.Query{Lo: &lo, Hi: &hi})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ver.Verify(rs, w); err != nil {
+			t.Fatal(err)
+		}
+		if got := ctr.Snapshot().SignOps; got != wantSigns {
+			t.Fatalf("%d signatures after this query, want %d", got, wantSigns)
+		}
+		return w.TopDigest
+	}
+	first := query(1)
+	query(1)
+	vals := make([]schema.Datum, len(e.Sch.Columns))
+	vals[0] = schema.Int64(15_000)
+	for i := 1; i < len(vals); i++ {
+		vals[i] = schema.Str("a row that changes the root")
+	}
+	if err := e.Tree.Insert(schema.Tuple{Values: vals}); err != nil {
+		t.Fatal(err)
+	}
+	if query(2).Equal(first) {
+		t.Fatal("the insert left the root digest unchanged")
+	}
+	query(2)
 }
 
 func TestMeasureUpdates(t *testing.T) {

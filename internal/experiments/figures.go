@@ -76,7 +76,7 @@ func (e *Env) MeasuredFig9() costmodel.Figure {
 // BuiltShape returns the measured shape of the env's real tree (height,
 // fan-out, node counts) — the calibration evidence behind Figures 8–9.
 func (e *Env) BuiltShape() (s vbtree.Stats, err error) {
-	err = e.Tree.Read(false, func(v *vbtree.View) error {
+	err = e.Tree.Read(func(v *vbtree.View) error {
 		s, err = v.Stats(8)
 		return err
 	})
@@ -311,8 +311,7 @@ func MeasureUpdates(cfg Config) ([]UpdatePoint, error) {
 	pub := key.Public()
 	pub.Counters = counters
 	tree, err := vbtree.Build(vbtree.Config{
-		Pool: pool, Heap: heap, Schema: sch, Acc: acc,
-		Signer: key, Pub: pub, BuildParallelism: 8,
+		Pool: pool, Heap: heap, Schema: sch, Acc: acc, Pub: pub, BuildParallelism: 8,
 	}, tuples, 1.0)
 	if err != nil {
 		return nil, err
@@ -374,9 +373,12 @@ func MeasureUpdates(cfg Config) ([]UpdatePoint, error) {
 		}
 	}
 	if err := measure("full recompute baseline (Audit)", func() error {
-		rootSig := tree.RootSig()
+		rootSig, err := key.Sign(tree.RootDigest())
+		if err != nil {
+			return err
+		}
 		var root digest.Value
-		if err := tree.Read(false, func(v *vbtree.View) (err error) {
+		if err := tree.Read(func(v *vbtree.View) (err error) {
 			_, root, err = v.Audit()
 			return err
 		}); err != nil {

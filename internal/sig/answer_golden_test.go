@@ -65,7 +65,7 @@ func goldenView(t *testing.T) (*vbtree.View, *schema.Schema, *sig.PublicKey) {
 	now := func() int64 { return 1_700_000_000 }
 	tree, err := vbtree.Build(vbtree.Config{
 		Pool: bp, Heap: heap, Schema: sch, Acc: digest.MustNew(digest.DefaultParams()),
-		Signer: k, Pub: k.Public(), Now: now, BuildParallelism: 2,
+		Pub: k.Public(), Now: now, BuildParallelism: 2,
 	}, tuples, 0.7)
 	if err != nil {
 		t.Fatal(err)
@@ -103,10 +103,12 @@ func goldenView(t *testing.T) (*vbtree.View, *schema.Schema, *sig.PublicKey) {
 	if tree.Height() != 3 {
 		t.Fatalf("height %d, want 3", tree.Height())
 	}
-	// The view keeps the tree's fixed clock. Nothing writes the tree after
-	// this, so the view stays valid once Read returns.
+	// The view keeps the tree's fixed clock, and is anchored at the root
+	// signature k makes. Nothing writes the tree after this, so the view
+	// stays valid once Read returns.
+	rootSig := k.MustSign(tree.RootDigest())
 	var v *vbtree.View
-	if err := tree.Read(true, func(rv *vbtree.View) error { v = rv; return nil }); err != nil {
+	if err := tree.Read(func(rv *vbtree.View) error { v = rv.Anchored(rootSig); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	return v, sch, k.Public()
@@ -319,7 +321,7 @@ func TestVOBytesMatchFormula9(t *testing.T) {
 				t.Errorf("%s: model predicts a %d-byte VO, the VO is %d bytes", name, got, w.WireSize())
 			}
 			ctr := new(digest.Counters)
-			ver := &verify.Verifier{Key: pub, Acc: digest.MustNew(digest.Params{Counters: ctr}), Schema: sch, MaxClockSkew: -1}
+			ver := &verify.Verifier{Keys: trusted(pub), Acc: digest.MustNew(digest.Params{Counters: ctr}), Schema: sch, MaxClockSkew: -1}
 			if err := ver.Verify(rs, w); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -368,7 +370,7 @@ func TestBenchmarkShardPointReadVOBytes(t *testing.T) {
 	}
 	tree, err := vbtree.Build(vbtree.Config{
 		Pool: bp, Heap: heap, Schema: sch, Acc: digest.MustNew(digest.DefaultParams()),
-		Signer: k, Pub: k.Public(),
+		Pub: k.Public(),
 	}, tuples, 1.0)
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +381,9 @@ func TestBenchmarkShardPointReadVOBytes(t *testing.T) {
 		t.Fatalf("%d-entry leaves, %d of them; costmodel.TestOrderedPointReadVOBytes prices 96 and 86", leaf, leaves)
 	}
 	p := costmodel.Default()
-	err = tree.Read(true, func(v *vbtree.View) error {
+	rootSig := k.MustSign(tree.RootDigest())
+	err = tree.Read(func(v *vbtree.View) error {
+		v = v.Anchored(rootSig)
 		for _, id := range []int{0, 1, 95, 96, 1960, 4000, 4095, 6143, 8159, 8160, 8191} {
 			i := schema.Int64(int64(id))
 			_, w, err := v.RunQuery(context.Background(), vbtree.Query{Lo: &i, Hi: &i})
@@ -403,4 +407,11 @@ func TestBenchmarkShardPointReadVOBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// trusted returns a registry that trusts pub alone.
+func trusted(pub *sig.PublicKey) *sig.Registry {
+	r := sig.NewRegistry()
+	r.Put(pub)
+	return r
 }

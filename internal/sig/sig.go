@@ -60,9 +60,7 @@ var (
 )
 
 // Signature is a raw signature: big-endian and exactly the modulus
-// length under rsa-merkle, ed25519.SignatureSize under Ed25519. Interior
-// tree positions store raw digest.Value bytes in Signature-typed slots —
-// only roots hold real signatures.
+// length under rsa-merkle, ed25519.SignatureSize under Ed25519.
 type Signature []byte
 
 // Clone returns an independent copy of s.

@@ -22,7 +22,6 @@ import (
 	"edgeauth/internal/naive"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/shardmap"
-	"edgeauth/internal/sig"
 	"edgeauth/internal/vo"
 )
 
@@ -164,7 +163,7 @@ func ForgeTopDigest() Attack {
 		Description: "substitute a forged signature for the subtree digest",
 		Apply: func(rs *vo.ResultSet, w *vo.VO) error {
 			rng := rand.New(rand.NewSource(1))
-			forged := make(sig.Signature, len(w.TopDigest))
+			forged := make(digest.Value, len(w.TopDigest))
 			rng.Read(forged)
 			w.TopDigest = forged
 			return nil
@@ -191,7 +190,7 @@ func ForgeInteriorNode() Attack {
 			forged := sha256.Sum256([]byte("tamper:forged-interior spurious subtree"))
 			copy(w.DSDigest(0), forged[:digest.Size])
 			root := sha256.Sum256(append(forged[:digest.Size:digest.Size], w.TopDigest...))
-			w.TopDigest = sig.Signature(root[:digest.Size])
+			w.TopDigest = root[:digest.Size]
 			return nil
 		},
 	}
@@ -212,7 +211,7 @@ func CrossSchemeConfusion() Attack {
 			if len(w.RootSig) == 0 {
 				return ErrNotApplicable
 			}
-			w.TopDigest = w.RootSig.Clone()
+			w.TopDigest = bytes.Clone(w.RootSig)
 			w.RootSig = nil
 			return nil
 		},

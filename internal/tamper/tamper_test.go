@@ -22,6 +22,13 @@ var (
 	testKey *sig.PrivateKey
 )
 
+// trusted returns a registry that trusts pub alone.
+func trusted(pub *sig.PublicKey) *sig.Registry {
+	r := sig.NewRegistry()
+	r.Put(pub)
+	return r
+}
+
 func signer(t testing.TB) *sig.PrivateKey {
 	t.Helper()
 	keyOnce.Do(func() { testKey = sig.MustGenerate(sig.SchemeRSAMerkle, 512) })
@@ -30,6 +37,7 @@ func signer(t testing.TB) *sig.PrivateKey {
 
 type harness struct {
 	tree *vbtree.Tree
+	key  *sig.PrivateKey
 	ver  *verify.Verifier
 }
 
@@ -60,14 +68,15 @@ func newSchemeHarness(t *testing.T, rows int, scheme sig.Scheme) *harness {
 	acc := digest.MustNew(digest.DefaultParams())
 	tree, err := vbtree.Build(vbtree.Config{
 		Pool: bp, Heap: heap, Schema: sch, Acc: acc,
-		Signer: k, Pub: k.Public(),
+		Pub: k.Public(),
 	}, tuples, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &harness{
 		tree: tree,
-		ver:  &verify.Verifier{Key: k.Public(), Acc: acc, Schema: sch},
+		key:  k,
+		ver:  &verify.Verifier{Keys: trusted(k.Public()), Acc: acc, Schema: sch},
 	}
 }
 
@@ -101,12 +110,16 @@ func (h *harness) freshResponse(t *testing.T, projected bool) (*vo.ResultSet, *v
 }
 
 // query answers q as an edge would: from a view of the tree's pages,
-// anchored at its root signature.
+// with the root digest signed.
 func (h *harness) query(q vbtree.Query) (rs *vo.ResultSet, w *vo.VO, err error) {
-	err = h.tree.Read(true, func(v *vbtree.View) error {
+	err = h.tree.Read(func(v *vbtree.View) error {
 		rs, w, err = v.RunQuery(context.Background(), q)
 		return err
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	w.RootSig, err = h.key.Sign(w.TopDigest)
 	return rs, w, err
 }
 
@@ -341,7 +354,7 @@ func TestBackdateTimestampAttack(t *testing.T) {
 	}
 
 	legacy := &verify.Verifier{
-		Key: signer(t).Public(), Acc: h.ver.Acc, Schema: h.ver.Schema,
+		Keys: trusted(signer(t).Public()), Acc: h.ver.Acc, Schema: h.ver.Schema,
 		Now: func() int64 { return w.Timestamp },
 	}
 	if err := legacy.Verify(rs, w); err != nil {

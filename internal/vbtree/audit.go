@@ -78,7 +78,7 @@ func (a *auditWalk) node(pid storage.PageID, level int, lo, hi []byte) (digest.V
 		if err != nil {
 			return nil, err
 		}
-		if !bytes.Equal(n.sigs[i], u) {
+		if !n.digests[i].Equal(u) {
 			return nil, fmt.Errorf("vbtree: node %d child %d digest mismatch", pid, i)
 		}
 		us[i] = u
@@ -126,7 +126,7 @@ func (a *auditWalk) leaf(pid storage.PageID, buf []byte, lo, hi []byte) (digest.
 		if !bytes.Equal(st.Digests, digests) {
 			return nil, fmt.Errorf("vbtree: leaf %d entry %d stores a column commitment that does not match its values", pid, i)
 		}
-		if !bytes.Equal(n.sigs[i], ut) {
+		if !n.digests[i].Equal(ut) {
 			return nil, fmt.Errorf("vbtree: leaf %d entry %d tuple digest mismatch", pid, i)
 		}
 		uts[i] = ut

@@ -159,7 +159,7 @@ func TestDeleteRangeKeepsLeafChain(t *testing.T) {
 		if got, err := audit(h.tree); err != nil || got != left {
 			t.Fatalf("after deleting %v: audit %d tuples, %v; want %d", r, got, err, left)
 		}
-		all, err := liveView(t, h.tree, false).ScanAll()
+		all, err := liveView(t, h.tree).ScanAll()
 		if err != nil || len(all) != left {
 			t.Fatalf("after deleting %v: the leaf chain yields %d tuples, %v; want %d", r, len(all), err, left)
 		}
@@ -206,7 +206,7 @@ func FuzzViewAudit(f *testing.F) {
 	// The audit ships no VO: the root digest stands in for the signature.
 	anchor := TableState{Root: tree.root, Height: tree.height, RootSig: sig.Signature(tree.RootDigest())}
 	honestRoot := tree.RootDigest()
-	honest, err := liveView(f, tree, false).ScanAll()
+	honest, err := liveView(f, tree).ScanAll()
 	if err != nil {
 		f.Fatal(err)
 	}

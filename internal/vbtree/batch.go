@@ -2,11 +2,11 @@ package vbtree
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"edgeauth/internal/digest"
 	"edgeauth/internal/schema"
-	"edgeauth/internal/sig"
 	"edgeauth/internal/storage"
 	"edgeauth/internal/vo"
 )
@@ -30,8 +30,8 @@ import (
 //     above all, are rehashed once per batch, not once per tuple.
 //
 // The cost is formula (11) restated for ordered commitments
-// (costmodel.OrderedInsertHashes). A commit signs nothing: the root is
-// signed when first asked for (Tree.RootSig).
+// (costmodel.OrderedInsertHashes). A commit signs nothing: the tree holds
+// no key.
 
 // Insert adds one tuple at the central server: a batch of one, returning
 // that op's error (ErrDuplicateKey for a key already present).
@@ -48,8 +48,8 @@ type BatchStats struct {
 	// Applied counts the tuples actually inserted (per-op failures such as
 	// duplicate keys are skipped and reported in the error slice).
 	Applied int
-	// NodesResigned counts the tree nodes whose digest was re-signed by
-	// the batch: none, since the root is signed when first asked for.
+	// NodesResigned is always zero, since the tree signs nothing. It is a
+	// shim that keeps the benchmark harness compiling.
 	NodesResigned int
 }
 
@@ -115,8 +115,8 @@ func (t *Tree) InsertBatch(tuples []schema.Tuple) (BatchStats, []error, error) {
 // preparedTuple carries one tuple's digests into the structural phase.
 type preparedTuple struct {
 	keyBytes []byte
-	stored   []byte        // encoded heap record (tuple + column commitment)
-	dt       sig.Signature // the tuple digest, as the leaf stores it
+	stored   []byte       // encoded heap record (tuple + column commitment)
+	dt       digest.Value // the tuple digest
 }
 
 // prepareTuples runs phase 1 with the build worker pool; failures land in
@@ -130,13 +130,12 @@ func (t *Tree) prepareTuples(tuples []schema.Tuple, opErrs []error) []preparedTu
 			return
 		}
 		st := &vo.StoredTuple{Tuple: tuples[i], Digests: digests}
-		dt := sig.Signature(ut)
 		kb := tuples[i].Key(t.sch).KeyBytes()
-		if maxEntry := vbLeafHeader + 2 + len(kb) + 6 + 2 + len(dt); maxEntry > t.bp.PageSize() {
+		if maxEntry := vbLeafHeader + 2 + len(kb) + 6 + 2 + len(ut); maxEntry > t.bp.PageSize() {
 			opErrs[i] = opError(fmt.Errorf("vbtree: leaf entry of %d bytes exceeds page size", maxEntry))
 			return
 		}
-		prep[i] = preparedTuple{keyBytes: kb, stored: st.EncodeBytes(), dt: dt}
+		prep[i] = preparedTuple{keyBytes: kb, stored: st.EncodeBytes(), dt: ut}
 	})
 	return prep
 }
@@ -216,13 +215,6 @@ type vbSplit struct {
 	right storage.PageID
 }
 
-// placeholderSig reserves exactly one stored digest's worth of space in
-// a node entry whose real value is produced by repair, keeping
-// encodedSize checks exact during the structural phase.
-func (b *treeBatch) placeholderSig() sig.Signature {
-	return make(sig.Signature, b.t.acc.Len())
-}
-
 func (b *treeBatch) leaf(pid storage.PageID) (*vbLeaf, error) {
 	if n, ok := b.leaves[pid]; ok {
 		return n, nil
@@ -284,12 +276,12 @@ func (b *treeBatch) insertAt(pid storage.PageID, pt *preparedTuple) (*vbSplit, e
 	// The subtree under us changed, so our digest will too.
 	b.dirty[pid] = true
 	if split != nil {
-		n.keys = insertKey(n.keys, ci, split.sep)
-		n.children = insertChild(n.children, ci+1, split.right)
+		n.keys = slices.Insert(n.keys, ci, split.sep)
+		n.children = slices.Insert(n.children, ci+1, split.right)
 		b.insertedAt(pid, ci+1)
 		// Digest-length placeholder (so size checks are exact); repair
 		// hashes the new child once, at the end.
-		n.sigs = insertSig(n.sigs, ci+1, b.placeholderSig())
+		n.digests = slices.Insert(n.digests, ci+1, make(digest.Value, digest.Size))
 	}
 	if n.encodedSize() <= b.t.bp.PageSize() {
 		return nil, nil
@@ -310,9 +302,9 @@ func (b *treeBatch) insertLeaf(pid storage.PageID, pt *preparedTuple) (*vbSplit,
 	if err != nil {
 		return nil, err
 	}
-	n.keys = insertKey(n.keys, i, pt.keyBytes)
-	n.rids = insertRID(n.rids, i, rid)
-	n.sigs = insertSig(n.sigs, i, pt.dt)
+	n.keys = slices.Insert(n.keys, i, pt.keyBytes)
+	n.rids = slices.Insert(n.rids, i, rid)
+	n.digests = slices.Insert(n.digests, i, pt.dt)
 	b.insertedAt(pid, i)
 	b.dirty[pid] = true
 
@@ -328,14 +320,14 @@ func (b *treeBatch) insertLeaf(pid storage.PageID, pt *preparedTuple) (*vbSplit,
 	rightPid := rf.ID()
 	b.t.bp.Unpin(rf, true)
 	right := &vbLeaf{
-		next: n.next,
-		keys: append([][]byte(nil), n.keys[mid:]...),
-		rids: append([]storage.RecordID(nil), n.rids[mid:]...),
-		sigs: append([]sig.Signature(nil), n.sigs[mid:]...),
+		next:    n.next,
+		keys:    append([][]byte(nil), n.keys[mid:]...),
+		rids:    append([]storage.RecordID(nil), n.rids[mid:]...),
+		digests: append([]digest.Value(nil), n.digests[mid:]...),
 	}
 	n.keys = n.keys[:mid]
 	n.rids = n.rids[:mid]
-	n.sigs = n.sigs[:mid]
+	n.digests = n.digests[:mid]
 	n.next = rightPid
 	b.leaves[rightPid] = right
 	b.dirty[rightPid] = true
@@ -356,11 +348,11 @@ func (b *treeBatch) splitInner(pid storage.PageID, n *vbInternal) (*vbSplit, err
 	right := &vbInternal{
 		keys:     append([][]byte(nil), n.keys[mid+1:]...),
 		children: append([]storage.PageID(nil), n.children[mid+1:]...),
-		sigs:     append([]sig.Signature(nil), n.sigs[mid+1:]...),
+		digests:  append([]digest.Value(nil), n.digests[mid+1:]...),
 	}
 	n.keys = n.keys[:mid]
 	n.children = n.children[:mid+1]
-	n.sigs = n.sigs[:mid+1]
+	n.digests = n.digests[:mid+1]
 	b.inners[rightPid] = right
 	b.dirty[rightPid] = true
 	b.whole[pid], b.whole[rightPid] = true, true
@@ -379,7 +371,7 @@ func (b *treeBatch) growRoot(split *vbSplit) error {
 		keys:     [][]byte{split.sep},
 		children: []storage.PageID{b.t.root, split.right},
 		// Repair installs both children's digests, at the end.
-		sigs: []sig.Signature{b.placeholderSig(), b.placeholderSig()},
+		digests: []digest.Value{make(digest.Value, digest.Size), make(digest.Value, digest.Size)},
 	}
 	b.dirty[newRootPid] = true
 	b.whole[newRootPid] = true
@@ -399,12 +391,12 @@ func (b *treeBatch) computeOrdered(pid storage.PageID, level int) (digest.Value,
 	if n, ok := b.leaves[pid]; ok {
 		var dirty []bool
 		if !whole {
-			dirty = make([]bool, len(n.sigs))
+			dirty = make([]bool, len(n.digests))
 			for i := range dirty {
 				dirty[i] = moved(i)
 			}
 		}
-		return b.t.commitOrdered(level, n.sigs, &n.ordered, dirty), nil
+		return b.t.commitOrdered(level, n.digests, &n.ordered, dirty), nil
 	}
 	n, ok := b.inners[pid]
 	if !ok {
@@ -425,18 +417,17 @@ func (b *treeBatch) computeOrdered(pid storage.PageID, level int) (digest.Value,
 		if err != nil {
 			return nil, err
 		}
-		n.sigs[i] = entry(cu)
+		n.digests[i] = cu
 		if dirty != nil {
 			dirty[i] = true
 		}
 	}
-	return b.t.commitOrdered(level, n.sigs, &n.ordered, dirty), nil
+	return b.t.commitOrdered(level, n.digests, &n.ordered, dirty), nil
 }
 
 // repair recomputes each dirty node's digest once (bottom-up from the
 // root's dirty spine), installs the fresh entries into parents and the
-// root digest, and flushes every dirtied page. No signature is produced:
-// the root's is made when first asked for.
+// root digest, and flushes every dirtied page.
 func (b *treeBatch) repair() error {
 	u, err := b.computeOrdered(b.t.root, b.t.height)
 	if err != nil {
@@ -460,6 +451,6 @@ func (b *treeBatch) repair() error {
 			return err
 		}
 	}
-	b.t.setRoot(u)
+	b.t.rootU = u
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"edgeauth/internal/digest"
 	"edgeauth/internal/schema"
-	"edgeauth/internal/sig"
 	"edgeauth/internal/storage"
 )
 
@@ -26,9 +25,9 @@ type TupleSource func(limit int) ([]schema.Tuple, error)
 // the index over an existing table). fill in (0,1] controls node occupancy.
 //
 // The paper signs every attribute, tuple and node digest, which "imposes
-// processing overhead on the central server"; this tree signs only its
-// root, when first asked. Hashing the attribute and tuple digests is the
-// per-tuple cost, and a small worker pool does it.
+// processing overhead on the central server"; this tree signs nothing,
+// and its owner signs only the root digest. Hashing the attribute and
+// tuple digests is the per-tuple cost, and a small worker pool does it.
 func Build(cfg Config, tuples []schema.Tuple, fill float64) (*Tree, error) {
 	// One chunk: the slice is already materialized, so present it to the
 	// hashing pool whole, exactly as the pre-streaming builder did.
@@ -136,7 +135,7 @@ func (b *streamBuilder) flushLeaf() error {
 	if err != nil {
 		return err
 	}
-	u := t.commitOrdered(1, b.cur.sigs, &b.cur.ordered, nil)
+	u := t.commitOrdered(1, b.cur.digests, &b.cur.ordered, nil)
 	if err := b.cur.encode(f.Page().Bytes()); err != nil {
 		t.bp.Unpin(f, false)
 		return err
@@ -170,7 +169,7 @@ func (b *streamBuilder) add(p *preparedTuple) error {
 	}
 	b.cur.keys = append(b.cur.keys, p.keyBytes)
 	b.cur.rids = append(b.cur.rids, rid)
-	b.cur.sigs = append(b.cur.sigs, p.dt)
+	b.cur.digests = append(b.cur.digests, p.dt)
 	b.curSize += entry
 	b.lastKey = p.keyBytes
 	b.n++
@@ -220,7 +219,7 @@ func (b *streamBuilder) finish() (*Tree, error) {
 			if err != nil {
 				return err
 			}
-			u := t.commitOrdered(t.height+1, node.sigs, &node.ordered, nil)
+			u := t.commitOrdered(t.height+1, node.digests, &node.ordered, nil)
 			if err := node.encode(f.Page().Bytes()); err != nil {
 				t.bp.Unpin(f, false)
 				return err
@@ -233,17 +232,16 @@ func (b *streamBuilder) finish() (*Tree, error) {
 			return nil
 		}
 		addChild := func(c levelEntry) {
-			cs := entry(c.u)
 			if len(node.children) == 0 {
 				node.children = []storage.PageID{c.pid}
-				node.sigs = []sig.Signature{cs}
+				node.digests = []digest.Value{c.u}
 				nodeFirst = c.firstKey
-				nodeSize += 4 + 2 + len(cs)
+				nodeSize += 4 + 2 + len(c.u)
 			} else {
 				node.keys = append(node.keys, c.firstKey)
 				node.children = append(node.children, c.pid)
-				node.sigs = append(node.sigs, cs)
-				nodeSize += 2 + len(c.firstKey) + 4 + 2 + len(cs)
+				node.digests = append(node.digests, c.u)
+				nodeSize += 2 + len(c.firstKey) + 4 + 2 + len(c.u)
 			}
 		}
 		for _, child := range level {
@@ -267,6 +265,6 @@ func (b *streamBuilder) finish() (*Tree, error) {
 		t.height++
 	}
 	t.root = level[0].pid
-	t.setRoot(level[0].u)
+	t.rootU = level[0].u
 	return t, nil
 }

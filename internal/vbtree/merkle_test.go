@@ -37,7 +37,6 @@ func newSchemeHarness(t testing.TB, n, pageSize int, scheme sig.Scheme) *harness
 		Heap:   heap,
 		Schema: testSchema(),
 		Acc:    acc,
-		Signer: k,
 		Pub:    k.Public(),
 		Now:    func() int64 { return 1_700_000_000 },
 	}
@@ -51,7 +50,7 @@ func newSchemeHarness(t testing.TB, n, pageSize int, scheme sig.Scheme) *harness
 	}
 	return &harness{
 		tree: tree,
-		ver: &verify.Verifier{Key: k.Public(), Acc: acc, Schema: cfg.Schema,
+		ver: &verify.Verifier{Keys: trusted(k.Public()), Acc: acc, Schema: cfg.Schema,
 			Now: func() int64 { return 1_700_000_000 }},
 		key: k,
 		cfg: cfg,
@@ -61,8 +60,8 @@ func newSchemeHarness(t testing.TB, n, pageSize int, scheme sig.Scheme) *harness
 // TestOrderedRootSurvivesMutations: under both schemes a tree
 // keeps the invariant everything it serves rests on — through builds,
 // inserts, batches and deletes, every stored attribute, tuple, group and
-// node digest is what its content hashes to (Audit), and the root
-// signature verifies over the root digest the tree reports.
+// node digest is what its content hashes to, up to the root digest the
+// tree reports (audit).
 func TestOrderedRootSurvivesMutations(t *testing.T) {
 	f := func(seed int64) bool {
 		for _, scheme := range []sig.Scheme{sig.SchemeRSAMerkle, sig.SchemeEd25519} {
@@ -90,53 +89,11 @@ func TestOrderedRootSurvivesMutations(t *testing.T) {
 				t.Logf("%v, seed %d: %v", scheme, seed, err)
 				return false
 			}
-			u := h.tree.RootDigest()
-			if err := h.key.Public().Verify(h.tree.RootSig(), u); err != nil {
-				t.Logf("%v, seed %d: root signature: %v", scheme, seed, err)
-				return false
-			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestMerkleBatchSignsOnlyRoot pins the headline accounting: a batch
-// commit signs nothing, no matter how many nodes it dirties, and the one
-// digest a tree signs — the root — is signed once, by the first RootSig
-// after the commit.
-func TestMerkleBatchSignsOnlyRoot(t *testing.T) {
-	batch := make([]schema.Tuple, 64)
-	for i := range batch {
-		batch[i] = mkTuple(5000 + i*3)
-	}
-	merkle := newSchemeHarness(t, 200, 1024, sig.SchemeRSAMerkle)
-	var ctr digest.Counters
-	merkle.key.SetCounters(&ctr)
-	st, opErrs, err := merkle.tree.InsertBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range opErrs {
-		if e != nil {
-			t.Fatal(e)
-		}
-	}
-	if st.Applied != len(batch) || st.NodesResigned != 0 || ctr.SignOps.Load() != 0 {
-		t.Fatalf("merkle batch stats = %+v after %d signatures, want Applied=%d, nothing signed", st, ctr.SignOps.Load(), len(batch))
-	}
-	first := merkle.tree.RootSig()
-	if !merkle.tree.RootSig().Equal(first) || ctr.SignOps.Load() != 1 {
-		t.Fatalf("two RootSig calls after the commit signed %d times, want the root once", ctr.SignOps.Load())
-	}
-	u := merkle.tree.RootDigest()
-	if err := merkle.key.Public().Verify(first, u); err != nil {
-		t.Fatalf("the root signature does not authenticate the root digest: %v", err)
-	}
-	if h := merkle.tree.Height(); h < 2 {
-		t.Fatalf("tree of height %d: the batch dirtied only the root, too little to mean anything", h)
 	}
 }
 
@@ -155,7 +112,7 @@ func TestMerkleTreesStayVerifiable(t *testing.T) {
 			if _, err := audit(h.tree); err != nil {
 				t.Fatal(err)
 			}
-			rs, w, err := runQuery(h.tree, Query{Lo: i64(10), Hi: i64(60)})
+			rs, w, err := runQuery(h.tree, h.key, Query{Lo: i64(10), Hi: i64(60)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +144,7 @@ func TestViewSharedByConcurrentQueries(t *testing.T) {
 	params.Counters = &counters
 	view := func() *View {
 		tr := h.tree
-		st := TableState{Root: tr.root, Height: tr.height, RootSig: tr.RootSig()}
+		st := TableState{Root: tr.root, Height: tr.height, RootSig: h.rootSig()}
 		v, err := st.ViewOver(tr.bp, tr.sch, digest.MustNew(params), tr.pub)
 		if err != nil {
 			t.Fatal(err)

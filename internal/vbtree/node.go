@@ -8,16 +8,15 @@ import (
 	"sort"
 
 	"edgeauth/internal/digest"
-	"edgeauth/internal/sig"
 	"edgeauth/internal/storage"
 )
 
 // Node serialization (paper Figure 3(b)/(c)):
 //
 //	leaf:     type(1) | next(4) | count(2) | groups |
-//	          { keyLen(2) key rid(6) sigLen(2) D_T }*
-//	internal: type(1) | count(2) | groups | child0(4) sigLen(2) D_0 |
-//	          { keyLen(2) key child(4) sigLen(2) D }*
+//	          { keyLen(2) key rid(6) digestLen(2) D_T }*
+//	internal: type(1) | count(2) | groups | child0(4) digestLen(2) D_0 |
+//	          { keyLen(2) key child(4) digestLen(2) D }*
 //
 // count is the number of keys; an internal node has count+1 (child, digest)
 // pairs. The digest stored with each child pointer is the digest of that
@@ -36,17 +35,17 @@ const (
 )
 
 type vbLeaf struct {
-	next storage.PageID
-	keys [][]byte
-	rids []storage.RecordID
-	sigs []sig.Signature // D_T per entry
+	next    storage.PageID
+	keys    [][]byte
+	rids    []storage.RecordID
+	digests []digest.Value // D_T per entry
 	ordered
 }
 
 type vbInternal struct {
 	keys     [][]byte
 	children []storage.PageID // len(keys)+1
-	sigs     []sig.Signature  // len(keys)+1, child digests
+	digests  []digest.Value   // len(keys)+1, child digests
 	ordered
 }
 
@@ -77,7 +76,7 @@ func decodeVBLeaf(buf []byte) (*vbLeaf, error) {
 		next:    c.next,
 		keys:    make([][]byte, 0, c.count),
 		rids:    make([]storage.RecordID, 0, c.count),
-		sigs:    make([]sig.Signature, 0, c.count),
+		digests: make([]digest.Value, 0, c.count),
 		ordered: ordered{groups: bytes.Clone(c.groups), groupsN: c.count},
 	}
 	for {
@@ -90,14 +89,14 @@ func decodeVBLeaf(buf []byte) (*vbLeaf, error) {
 		}
 		n.keys = append(n.keys, bytes.Clone(c.key))
 		n.rids = append(n.rids, c.rid)
-		n.sigs = append(n.sigs, bytes.Clone(c.sig))
+		n.digests = append(n.digests, bytes.Clone(c.dig))
 	}
 }
 
 func (n *vbLeaf) encodedSize() int {
 	sz := vbLeafHeader + digest.StoredBytes(len(n.keys))
 	for i := range n.keys {
-		sz += 2 + len(n.keys[i]) + 6 + 2 + len(n.sigs[i])
+		sz += 2 + len(n.keys[i]) + 6 + 2 + len(n.digests[i])
 	}
 	return sz
 }
@@ -121,10 +120,10 @@ func (n *vbLeaf) encode(buf []byte) error {
 		ridb := n.rids[i].Encode(nil)
 		copy(buf[off:], ridb)
 		off += 6
-		binary.BigEndian.PutUint16(buf[off:off+2], uint16(len(n.sigs[i])))
+		binary.BigEndian.PutUint16(buf[off:off+2], uint16(len(n.digests[i])))
 		off += 2
-		copy(buf[off:], n.sigs[i])
-		off += len(n.sigs[i])
+		copy(buf[off:], n.digests[i])
+		off += len(n.digests[i])
 	}
 	for ; off < len(buf); off++ {
 		buf[off] = 0
@@ -147,7 +146,7 @@ func decodeVBInternal(buf []byte) (*vbInternal, error) {
 	n := &vbInternal{
 		keys:     make([][]byte, 0, c.count-1),
 		children: make([]storage.PageID, 0, c.count),
-		sigs:     make([]sig.Signature, 0, c.count),
+		digests:  make([]digest.Value, 0, c.count),
 		ordered:  ordered{groups: bytes.Clone(c.groups), groupsN: c.count},
 	}
 	for {
@@ -162,14 +161,14 @@ func decodeVBInternal(buf []byte) (*vbInternal, error) {
 			n.keys = append(n.keys, bytes.Clone(c.lo))
 		}
 		n.children = append(n.children, c.child)
-		n.sigs = append(n.sigs, bytes.Clone(c.sig))
+		n.digests = append(n.digests, bytes.Clone(c.dig))
 	}
 }
 
 func (n *vbInternal) encodedSize() int {
-	sz := vbInternalHeader + digest.StoredBytes(len(n.children)) + 4 + 2 + len(n.sigs[0])
+	sz := vbInternalHeader + digest.StoredBytes(len(n.children)) + 4 + 2 + len(n.digests[0])
 	for i := range n.keys {
-		sz += 2 + len(n.keys[i]) + 4 + 2 + len(n.sigs[i+1])
+		sz += 2 + len(n.keys[i]) + 4 + 2 + len(n.digests[i+1])
 	}
 	return sz
 }
@@ -187,10 +186,10 @@ func (n *vbInternal) encode(buf []byte) error {
 	writeChild := func(i int) {
 		binary.BigEndian.PutUint32(buf[off:off+4], uint32(n.children[i]))
 		off += 4
-		binary.BigEndian.PutUint16(buf[off:off+2], uint16(len(n.sigs[i])))
+		binary.BigEndian.PutUint16(buf[off:off+2], uint16(len(n.digests[i])))
 		off += 2
-		copy(buf[off:], n.sigs[i])
-		off += len(n.sigs[i])
+		copy(buf[off:], n.digests[i])
+		off += len(n.digests[i])
 	}
 	writeChild(0)
 	for i := range n.keys {
@@ -239,7 +238,7 @@ func compare(a, b []byte) int { return bytes.Compare(a, b) }
 
 // The read path does not decode nodes into vbLeaf/vbInternal: it walks
 // the page bytes with the two cursors below, which copy nothing. Every
-// slice a cursor exposes (key, sig, lo, hi) is a slice of the page it was
+// slice a cursor exposes (key, dig, lo, hi) is a slice of the page it was
 // opened on — valid, and to be read only, until that page can change:
 // for a page of a pinned storage.Snapshot, until the pin is released.
 
@@ -255,7 +254,7 @@ type leafCursor struct {
 	// The current entry, set by advance.
 	key []byte
 	rid storage.RecordID
-	sig []byte // D_T
+	dig []byte // D_T
 }
 
 func openLeaf(buf []byte) (leafCursor, error) {
@@ -314,9 +313,9 @@ func (c *leafCursor) advance() (bool, error) {
 	sl := int(binary.BigEndian.Uint16(buf[off:]))
 	off += 2
 	if off+sl > len(buf) {
-		return false, fmt.Errorf("vbtree: leaf signature truncated at offset %d", off)
+		return false, fmt.Errorf("vbtree: leaf digest truncated at offset %d", off)
 	}
-	c.sig = buf[off : off+sl : off+sl]
+	c.dig = buf[off : off+sl : off+sl]
 	c.off = off + sl
 	c.left--
 	return true, nil
@@ -334,7 +333,7 @@ type internalCursor struct {
 	// its pointer, and the key interval [lo, hi) it covers (nil =
 	// unbounded on that side).
 	child  storage.PageID
-	sig    []byte
+	dig    []byte
 	lo, hi []byte
 }
 
@@ -374,7 +373,7 @@ func (c *internalCursor) advance() (bool, error) {
 	if off+sl > len(buf) {
 		return false, fmt.Errorf("vbtree: internal digest truncated at offset %d", off)
 	}
-	c.sig = buf[off : off+sl : off+sl]
+	c.dig = buf[off : off+sl : off+sl]
 	off += sl
 	c.left--
 	c.lo, c.hi = c.hi, nil

@@ -71,7 +71,7 @@ func TestPropertyRandomOpsStayVerifiable(t *testing.T) {
 			case 3: // verified query over a random range
 				lo := rng.Intn(500)
 				hi := lo + rng.Intn(100)
-				rs, w, err := runQuery(h.tree, Query{Lo: i64(lo), Hi: i64(hi)})
+				rs, w, err := runQuery(h.tree, h.key, Query{Lo: i64(lo), Hi: i64(hi)})
 				if err != nil {
 					t.Logf("seed %d: query: %v", seed, err)
 					return false
@@ -123,7 +123,7 @@ func TestPropertyProjectionSubsetsVerify(t *testing.T) {
 				project = append(project, c)
 			}
 		}
-		rs, w, err := runQuery(h.tree, Query{Lo: i64(30), Hi: i64(60), Project: project})
+		rs, w, err := runQuery(h.tree, h.key, Query{Lo: i64(30), Hi: i64(60), Project: project})
 		if err != nil {
 			t.Fatalf("projection %v: %v", project, err)
 		}
@@ -150,7 +150,7 @@ func TestPropertyQueryBoundaryAlignment(t *testing.T) {
 	h := newHarness(t, 200, 1024)
 	for lo := 0; lo < 40; lo++ {
 		for width := 0; width < 25; width += 3 {
-			rs, w, err := runQuery(h.tree, Query{Lo: i64(lo), Hi: i64(lo + width)})
+			rs, w, err := runQuery(h.tree, h.key, Query{Lo: i64(lo), Hi: i64(lo + width)})
 			if err != nil {
 				t.Fatalf("[%d,%d]: %v", lo, lo+width, err)
 			}
@@ -181,7 +181,7 @@ func TestConcurrentQueriesDuringUpdates(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 15; i++ {
 				lo, hi := g*80, g*80+40
-				rs, w, err := runQuery(h.tree, Query{Lo: i64(lo), Hi: i64(hi)})
+				rs, w, err := runQuery(h.tree, h.key, Query{Lo: i64(lo), Hi: i64(hi)})
 				if err != nil {
 					errs <- err
 					return
@@ -246,11 +246,11 @@ func TestKeyColumnAnywhereVerifies(t *testing.T) {
 		bp, _ := storage.NewBufferPool(mem, 1024)
 		heap, _ := storage.NewHeapFile(bp)
 		k, acc := signer(t), digest.MustNew(digest.DefaultParams())
-		tree, err := Build(Config{Pool: bp, Heap: heap, Schema: sch, Acc: acc, Signer: k, Pub: k.Public()}, tuples, 1.0)
+		tree, err := Build(Config{Pool: bp, Heap: heap, Schema: sch, Acc: acc, Pub: k.Public()}, tuples, 1.0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ver := &verify.Verifier{Key: k.Public(), Acc: acc, Schema: sch}
+		ver := &verify.Verifier{Keys: trusted(k.Public()), Acc: acc, Schema: sch}
 		for mask := 1; mask < 1<<nc; mask++ {
 			var project []string
 			var cols []int
@@ -260,7 +260,7 @@ func TestKeyColumnAnywhereVerifies(t *testing.T) {
 					cols = append(cols, ci)
 				}
 			}
-			rs, w, err := runQuery(tree, Query{Lo: i64(10), Hi: i64(20), Project: project})
+			rs, w, err := runQuery(tree, k, Query{Lo: i64(10), Hi: i64(20), Project: project})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,7 @@ package vbtree
 
 import (
 	"edgeauth/internal/schema"
-	"edgeauth/internal/sig"
+	"edgeauth/internal/storage"
 )
 
 // Query describes what an edge answers: every row whose key lies in a
@@ -25,27 +25,22 @@ type Query struct {
 
 // Read runs fn on a View of the tree's live pages, holding the tree's
 // read lock until fn returns, so no write changes a page under it; the
-// view must not be used after fn returns. A view whose VOs ship is
-// anchored at the root's signature (signed, which mints it when the root
-// changed since it was last asked for, as RootSig does); a view that only
-// reads tuples, walks the shape or audits is anchored at the root digest,
-// and the read signs nothing. Replicas read pinned snapshots through
-// TableState.ViewOver instead, and take no lock at all.
-func (t *Tree) Read(signed bool, fn func(v *View) error) error {
+// view must not be used after fn returns. The view stamps its VOs with
+// the tree's clock and is anchored at no signature, since the tree holds
+// no key: an owner that ships its answers signs RootDigest and anchors
+// the view at that (View.Anchored). Replicas read pinned snapshots
+// through TableState.ViewOver instead, and take no lock at all.
+func (t *Tree) Read(fn func(v *View) error) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	anchor := sig.Signature(t.rootU)
-	if signed {
-		var err error
-		if anchor, err = t.rootSigLocked(); err != nil {
-			return err
-		}
-	}
-	st := TableState{Root: t.root, Height: t.height, RootSig: anchor}
-	v, err := st.ViewOver(t.bp, t.sch, t.acc, t.pub)
-	if err != nil {
-		return err
-	}
-	v.now = t.now
-	return fn(v)
+	return fn(&View{
+		pr:     t.bp,
+		heap:   storage.NewHeapReader(t.bp),
+		sch:    t.sch,
+		acc:    t.acc,
+		pub:    t.pub,
+		now:    t.now,
+		root:   t.root,
+		height: t.height,
+	})
 }

@@ -29,10 +29,10 @@ func scratchQueries() []Query {
 
 // liveView returns a view of the tree's live pages (Tree.Read), for a test
 // that writes nothing to the tree while it reads.
-func liveView(t testing.TB, tree *Tree, signed bool) *View {
+func liveView(t testing.TB, tree *Tree) *View {
 	t.Helper()
 	var v *View
-	if err := tree.Read(signed, func(rv *View) error { v = rv; return nil }); err != nil {
+	if err := tree.Read(func(rv *View) error { v = rv; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	return v
@@ -46,7 +46,7 @@ func TestWalkScratchIsSharedSafely(t *testing.T) {
 	defer func() { walkScratchPool = sync.Pool{New: func() any { return new(walkScratch) }} }()
 	for _, scheme := range []sig.Scheme{sig.SchemeRSAMerkle, sig.SchemeEd25519} {
 		h := newSchemeHarness(t, 300, 1024, scheme)
-		v := liveView(t, h.tree, false)
+		v := liveView(t, h.tree)
 		queries := scratchQueries()
 		want := make([][]byte, len(queries))
 		var err error
@@ -88,7 +88,7 @@ func TestWalkScratchIsSharedSafely(t *testing.T) {
 // been recycled.
 func TestWalkScratchRecyclesNoPageReference(t *testing.T) {
 	h := newHarness(t, 300, 1024)
-	v := liveView(t, h.tree, false)
+	v := liveView(t, h.tree)
 	var used []*walkScratch
 	walkScratchPool = sync.Pool{New: func() any {
 		sc := new(walkScratch)
@@ -165,12 +165,12 @@ func BenchmarkAnswerRange256(b *testing.B) {
 	}
 	tree, err := Build(Config{
 		Pool: bp, Heap: heap, Schema: sch, Acc: digest.MustNew(digest.Params{Counters: &c}),
-		Signer: k, Pub: k.Public(), BuildParallelism: 2,
+		Pub: k.Public(), BuildParallelism: 2,
 	}, tuples, 1.0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	v := liveView(b, tree, true)
+	v := liveView(b, tree).Anchored(k.MustSign(tree.RootDigest()))
 	q := Query{Lo: i64(1000), Hi: i64(1255), Project: workload.ProjectFirstN(sch, 3)}
 	ctx := context.Background()
 	buf, voBytes, err := v.AppendAnswer(ctx, q, nil)

@@ -3,7 +3,6 @@ package vbtree
 import (
 	"edgeauth/internal/digest"
 	"edgeauth/internal/schema"
-	"edgeauth/internal/sig"
 	"edgeauth/internal/storage"
 )
 
@@ -50,7 +49,7 @@ func (t *Tree) DeleteRange(lo, hi *schema.Datum) (int, error) {
 		}
 		return res.removed, nil
 	}
-	t.setRoot(res.newU)
+	t.rootU = res.newU
 	if err := t.closeGap(&chain); err != nil {
 		return 0, err
 	}
@@ -72,7 +71,7 @@ func (t *Tree) DeleteRange(lo, hi *schema.Datum) (int, error) {
 			break
 		}
 		t.root = n.children[0]
-		t.setRoot(digest.Value(n.sigs[0]))
+		t.rootU = n.digests[0]
 		t.height--
 	}
 	return res.removed, nil
@@ -151,12 +150,12 @@ func (t *Tree) deleteAt(pid storage.PageID, level int, lo, hi []byte, gap *chain
 			}
 			keep.keys = append(keep.keys, n.keys[i])
 			keep.rids = append(keep.rids, n.rids[i])
-			keep.sigs = append(keep.sigs, n.sigs[i])
+			keep.digests = append(keep.digests, n.digests[i])
 		}
 		if removed == 0 {
 			return deleteResult{}, nil
 		}
-		newU := t.commitOrdered(level, keep.sigs, &keep.ordered, nil)
+		newU := t.commitOrdered(level, keep.digests, &keep.ordered, nil)
 		if err := t.writeLeaf(pid, keep); err != nil {
 			return deleteResult{}, err
 		}
@@ -202,13 +201,13 @@ func (t *Tree) deleteAt(pid storage.PageID, level int, lo, hi []byte, gap *chain
 			detaches = append(detaches, i)
 			continue
 		}
-		n.sigs[i] = entry(res.newU)
+		n.digests[i] = res.newU
 	}
 	// Detach emptied children (highest index first to keep indices valid).
 	for j := len(detaches) - 1; j >= 0; j-- {
 		i := detaches[j]
 		n.children = append(n.children[:i], n.children[i+1:]...)
-		n.sigs = append(n.sigs[:i], n.sigs[i+1:]...)
+		n.digests = append(n.digests[:i], n.digests[i+1:]...)
 		switch {
 		case len(n.keys) == 0:
 			// Single-child node lost its child; handled below as empty.
@@ -224,37 +223,9 @@ func (t *Tree) deleteAt(pid storage.PageID, level int, lo, hi []byte, gap *chain
 	if len(n.children) == 0 {
 		return deleteResult{empty: true, removed: removed}, nil
 	}
-	newU := t.commitOrdered(level, n.sigs, &n.ordered, nil)
+	newU := t.commitOrdered(level, n.digests, &n.ordered, nil)
 	if err := t.writeInternal(pid, n); err != nil {
 		return deleteResult{}, err
 	}
 	return deleteResult{newU: newU, removed: removed}, nil
-}
-
-func insertKey(s [][]byte, i int, v []byte) [][]byte {
-	s = append(s, nil)
-	copy(s[i+1:], s[i:])
-	s[i] = append([]byte(nil), v...)
-	return s
-}
-
-func insertSig(s []sig.Signature, i int, v sig.Signature) []sig.Signature {
-	s = append(s, nil)
-	copy(s[i+1:], s[i:])
-	s[i] = v.Clone()
-	return s
-}
-
-func insertRID(s []storage.RecordID, i int, v storage.RecordID) []storage.RecordID {
-	s = append(s, storage.RecordID{})
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func insertChild(s []storage.PageID, i int, v storage.PageID) []storage.PageID {
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
 }

@@ -17,12 +17,13 @@
 // Figure 3.
 //
 // A Tree writes and a View reads. The Tree, held by the trusted central
-// server with its signing key, supports construction, insert and delete,
-// rehashing only the nodes an update dirties. A View answers
-// range/projection queries over a page space that does not change
-// under it, producing a verification object that proves the answer
-// against the signed root (paper §3.3), and audits every digest: an
-// untrusted edge server reads its pinned snapshots through one
+// server, supports construction, insert and delete, rehashing only the
+// nodes an update dirties. It holds no key: as in the paper, the owner
+// signs the root digest (Tree.RootDigest) and everyone else only hashes.
+// A View answers range/projection queries over a page space that does
+// not change under it, producing a verification object that proves the
+// answer against the signed root (paper §3.3), and audits every digest:
+// an untrusted edge server reads its pinned snapshots through one
 // (TableState.ViewOver), and so does the central, over its live pages
 // (Tree.Read).
 //
@@ -48,7 +49,6 @@ import (
 var (
 	ErrDuplicateKey = errors.New("vbtree: duplicate key")
 	ErrKeyNotFound  = errors.New("vbtree: key not found")
-	ErrReadOnly     = errors.New("vbtree: tree has no signer (a reader reads through a View)")
 )
 
 // Config assembles a tree's dependencies.
@@ -62,13 +62,13 @@ type Config struct {
 	// Acc is the digest accumulator (the ordered hashes of package
 	// digest, and their counters).
 	Acc *digest.Accumulator
-	// Signer is the central server's private key; required.
-	Signer *sig.PrivateKey
 	// Pub is the central server's public key, of a valid scheme; required.
 	Pub *sig.PublicKey
-	// Locks is ignored. It is a shim that keeps the benchmark harness
-	// compiling; the tree takes no page locks (see the package doc).
-	Locks *lock.Manager
+	// Signer and Locks are ignored. They are shims that keep the
+	// benchmark harness compiling: the tree signs nothing and takes no
+	// page locks (see the package doc).
+	Signer *sig.PrivateKey
+	Locks  *lock.Manager
 	// Now supplies timestamps for VOs; defaults to time.Now.
 	Now func() int64
 	// BuildParallelism bounds the hashing workers used by Build.
@@ -100,35 +100,25 @@ func (c *Config) validate() error {
 
 // Tree is a verifiable B-tree.
 type Tree struct {
-	mu     sync.RWMutex
-	bp     *storage.BufferPool
-	heap   *storage.HeapFile
-	sch    *schema.Schema
-	acc    *digest.Accumulator
-	signer *sig.PrivateKey
-	pub    *sig.PublicKey
-	now    func() int64
+	mu   sync.RWMutex
+	bp   *storage.BufferPool
+	heap *storage.HeapFile
+	sch  *schema.Schema
+	acc  *digest.Accumulator
+	pub  *sig.PublicKey
+	now  func() int64
 
 	root   storage.PageID
 	height int // levels, leaves = level 1
 	// rootU is the root digest. Every stored entry (attribute, tuple and
-	// node digests) is a raw digest; the node's page also stores its
-	// in-node group digests (node.go). A commit spends no signature at
-	// all: the one signature the tree needs, over rootU, is made when
-	// someone asks for it (RootSig).
+	// node digests) is a digest; the node's page also stores its in-node
+	// group digests (node.go). A commit spends no signature at all.
 	rootU digest.Value
-
-	// signed memoizes the root's signature: minted by the first RootSig
-	// or signed Read after the root changed (every root change resets it
-	// to nil, under mu's write lock). sigMu orders the readers that mint
-	// it under mu's read lock.
-	sigMu  sync.Mutex
-	signed sig.Signature
 
 	buildPar int
 }
 
-// New creates an empty tree (a single empty leaf). Requires a signer.
+// New creates an empty tree (a single empty leaf).
 func New(cfg Config) (*Tree, error) {
 	t, err := attach(cfg)
 	if err != nil {
@@ -156,16 +146,16 @@ func (t *Tree) resetEmpty() error {
 	t.root = f.ID()
 	t.bp.Unpin(f, true)
 	t.height = 1
-	t.setRoot(u)
+	t.rootU = u
 	return nil
 }
 
 // commitOrdered recomputes a node's group digests and returns its digest
 // (digest.CommitNode; a nil dirty rehashes every group).
-func (t *Tree) commitOrdered(level int, sigs []sig.Signature, o *ordered, dirty []bool) digest.Value {
-	groups := make([]byte, digest.StoredBytes(len(sigs)))
-	u := digest.CommitNode(t.acc, level, t.sch.DB, t.sch.Table, sigs, groups, o.groups, o.groupsN, dirty)
-	o.groups, o.groupsN = groups, len(sigs)
+func (t *Tree) commitOrdered(level int, digests []digest.Value, o *ordered, dirty []bool) digest.Value {
+	groups := make([]byte, digest.StoredBytes(len(digests)))
+	u := digest.CommitNode(t.acc, level, t.sch.DB, t.sch.Table, digests, groups, o.groups, o.groupsN, dirty)
+	o.groups, o.groupsN = groups, len(digests)
 	return u
 }
 
@@ -173,32 +163,29 @@ func (t *Tree) commitOrdered(level int, sigs []sig.Signature, o *ordered, dirty 
 // over the stored top-level group digests, or over the entries when the
 // node stores none.
 func pageDigest(acc *digest.Accumulator, sch *schema.Schema, buf []byte, level int) (digest.Value, error) {
-	var sigs []sig.Signature
+	var digests []digest.Value
 	var groups []byte
 	if storage.PageType(buf[0]) == storage.PageVBLeaf {
 		n, err := decodeVBLeaf(buf)
 		if err != nil {
 			return nil, err
 		}
-		sigs, groups = n.sigs, n.groups
+		digests, groups = n.digests, n.groups
 	} else {
 		n, err := decodeVBInternal(buf)
 		if err != nil {
 			return nil, err
 		}
-		sigs, groups = n.sigs, n.groups
+		digests, groups = n.digests, n.groups
 	}
-	return digest.TopOf(acc, level, sch.DB, sch.Table, sigs, groups), nil
+	return digest.TopOf(acc, level, sch.DB, sch.Table, digests, groups), nil
 }
 
 // attach checks cfg and assembles a tree over it; the caller lays out its
-// pages. A tree without a signer could not write, so there is none.
+// pages.
 func attach(cfg Config) (*Tree, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Signer == nil {
-		return nil, ErrReadOnly
 	}
 	now := cfg.Now
 	if now == nil {
@@ -213,7 +200,6 @@ func attach(cfg Config) (*Tree, error) {
 		heap:     cfg.Heap,
 		sch:      cfg.Schema,
 		acc:      cfg.Acc,
-		signer:   cfg.Signer,
 		pub:      cfg.Pub,
 		now:      now,
 		buildPar: par,
@@ -240,52 +226,12 @@ func (t *Tree) Height() int {
 	return t.height
 }
 
-// RootSig returns the signature over the root digest — the value a
-// client ultimately anchors trust in. It is signed here, on the first
-// call after the root changed, and kept until the next change. Nil if
-// signing fails.
-func (t *Tree) RootSig() sig.Signature {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	rs, err := t.rootSigLocked()
-	if err != nil {
-		return nil
-	}
-	return rs.Clone()
-}
-
-// rootSigLocked is RootSig for callers holding t.mu; the result is the
-// tree's own and must not be modified.
-func (t *Tree) rootSigLocked() (sig.Signature, error) {
-	t.sigMu.Lock()
-	defer t.sigMu.Unlock()
-	if t.signed == nil {
-		rs, err := t.signer.Sign(t.rootU)
-		if err != nil {
-			return nil, err
-		}
-		t.signed = rs
-	}
-	return t.signed, nil
-}
-
-// RootDigest returns the unsigned root digest — the value a signed shard
-// map pins for this tree.
+// RootDigest returns the root digest — the value the owner signs, and
+// a signed shard map pins for this tree.
 func (t *Tree) RootDigest() digest.Value {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.rootU.Clone()
-}
-
-// entry is the stored form of a digest: the digest itself, in a
-// Signature-typed slot of its own.
-func entry(u digest.Value) sig.Signature { return sig.Signature(u.Clone()) }
-
-// setRoot installs u as the root digest and drops the signature the old
-// root had. The caller holds t.mu for writing, or has the tree to
-// itself.
-func (t *Tree) setRoot(u digest.Value) {
-	t.rootU, t.signed = u, nil
 }
 
 // tupleDigests computes a tuple's column commitment as its heap record

@@ -20,6 +20,13 @@ var (
 	testKey *sig.PrivateKey
 )
 
+// trusted returns a registry that trusts pub alone.
+func trusted(pub *sig.PublicKey) *sig.Registry {
+	r := sig.NewRegistry()
+	r.Put(pub)
+	return r
+}
+
 func signer(t testing.TB) *sig.PrivateKey {
 	t.Helper()
 	keyOnce.Do(func() { testKey = sig.MustGenerate(sig.SchemeRSAMerkle, 512) })
@@ -91,7 +98,6 @@ func newHarness(t testing.TB, n, pageSize int) *harness {
 		Heap:   heap,
 		Schema: testSchema(),
 		Acc:    acc,
-		Signer: k,
 		Pub:    k.Public(),
 		Now:    func() int64 { return 1_700_000_000 },
 	}
@@ -107,7 +113,7 @@ func newHarness(t testing.TB, n, pageSize int) *harness {
 		tree: tree,
 		// The tree's clock is pinned above, so the verifier's clock pins to
 		// the same instant (freshness is e2e-tested in verify and tamper).
-		ver: &verify.Verifier{Key: k.Public(), Acc: acc, Schema: cfg.Schema,
+		ver: &verify.Verifier{Keys: trusted(k.Public()), Acc: acc, Schema: cfg.Schema,
 			Now: func() int64 { return 1_700_000_000 }},
 		key: k,
 		cfg: cfg,
@@ -121,26 +127,33 @@ func i64(v int) *schema.Datum {
 
 func (h *harness) query(t testing.TB, q Query) (*vo.ResultSet, *vo.VO) {
 	t.Helper()
-	rs, w, err := runQuery(h.tree, q)
+	rs, w, err := runQuery(h.tree, h.key, q)
 	if err != nil {
 		t.Fatalf("RunQuery: %v", err)
 	}
 	return rs, w
 }
 
-// runQuery answers q from a view of the tree's live pages, signed so its
-// VO verifies.
-func runQuery(tree *Tree, q Query) (rs *vo.ResultSet, w *vo.VO, err error) {
-	err = tree.Read(true, func(v *View) error {
+// runQuery answers q from a view of the tree's live pages, and signs
+// the root digest its VO carries with key, so the VO verifies.
+func runQuery(tree *Tree, key *sig.PrivateKey, q Query) (rs *vo.ResultSet, w *vo.VO, err error) {
+	err = tree.Read(func(v *View) error {
 		rs, w, err = v.RunQuery(context.Background(), q)
 		return err
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	w.RootSig, err = key.Sign(w.TopDigest)
 	return rs, w, err
 }
 
+// rootSig is the harness key's signature over the tree's root digest.
+func (h *harness) rootSig() sig.Signature { return h.key.MustSign(h.tree.RootDigest()) }
+
 // search looks key up in a view of the tree's live pages.
 func search(tree *Tree, key schema.Datum) (st *vo.StoredTuple, found bool, err error) {
-	err = tree.Read(false, func(v *View) error {
+	err = tree.Read(func(v *View) error {
 		st, found, err = v.Search(key)
 		return err
 	})
@@ -149,7 +162,7 @@ func search(tree *Tree, key schema.Datum) (st *vo.StoredTuple, found bool, err e
 
 // stats walks a view of the tree's live pages.
 func stats(tree *Tree, keyLen int) (s Stats, err error) {
-	err = tree.Read(false, func(v *View) error {
+	err = tree.Read(func(v *View) error {
 		s, err = v.Stats(keyLen)
 		return err
 	})
@@ -161,7 +174,7 @@ func stats(tree *Tree, keyLen int) (s Stats, err error) {
 func audit(tree *Tree) (int, error) {
 	var n int
 	var root digest.Value
-	err := tree.Read(false, func(v *View) (err error) {
+	err := tree.Read(func(v *View) (err error) {
 		n, root, err = v.Audit()
 		return err
 	})
@@ -199,9 +212,6 @@ func TestBuildShape(t *testing.T) {
 	if h.tree.Root() == storage.InvalidPageID {
 		t.Fatal("invalid root")
 	}
-	if len(h.tree.RootSig()) == 0 {
-		t.Fatal("missing root signature")
-	}
 }
 
 func TestBuildRejectsBadInput(t *testing.T) {
@@ -223,12 +233,6 @@ func TestBuildRejectsBadInput(t *testing.T) {
 	bad.Values[2] = schema.Str("not a float")
 	if _, err := Build(h.cfg, []schema.Tuple{bad}, 1.0); err == nil {
 		t.Fatal("mistyped tuple accepted")
-	}
-	// No signer.
-	cfg := h.cfg
-	cfg.Signer = nil
-	if _, err := Build(cfg, nil, 1.0); err != ErrReadOnly {
-		t.Fatalf("signerless build: %v, want ErrReadOnly", err)
 	}
 }
 
@@ -267,7 +271,7 @@ func TestSearch(t *testing.T) {
 	if !bytes.Equal(st.Digests, digests) {
 		t.Fatalf("column commitment %x, want %x", st.Digests, digests)
 	}
-	if !bytes.Equal(mustTupleSig(t, h, 57), ut) {
+	if !mustTupleDigest(t, h, 57).Equal(ut) {
 		t.Fatal("leaf tuple digest is not the tuple's")
 	}
 	if _, found, _ := search(h.tree, schema.Int64(9999)); found {
@@ -275,8 +279,8 @@ func TestSearch(t *testing.T) {
 	}
 }
 
-// mustTupleSig digs the tuple digest out of the leaf for key i.
-func mustTupleSig(t *testing.T, h *harness, i int) sig.Signature {
+// mustTupleDigest digs the tuple digest out of the leaf for key i.
+func mustTupleDigest(t *testing.T, h *harness, i int) digest.Value {
 	t.Helper()
 	kb := schema.Int64(int64(i)).KeyBytes()
 	pid := h.tree.Root()
@@ -294,7 +298,7 @@ func mustTupleSig(t *testing.T, h *harness, i int) sig.Signature {
 			if j >= len(n.keys) || compare(n.keys[j], kb) != 0 {
 				t.Fatalf("key %d not in leaf", i)
 			}
-			return n.sigs[j]
+			return n.digests[j]
 		}
 		n, err := h.tree.fetchInternal(pid)
 		if err != nil {
@@ -306,7 +310,7 @@ func mustTupleSig(t *testing.T, h *harness, i int) sig.Signature {
 
 func TestScanAll(t *testing.T) {
 	h := newHarness(t, 150, 1024)
-	all, err := liveView(t, h.tree, false).ScanAll()
+	all, err := liveView(t, h.tree).ScanAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,16 +377,16 @@ func TestProjectionVerifies(t *testing.T) {
 
 func TestProjectionValidation(t *testing.T) {
 	h := newHarness(t, 50, 1024)
-	if _, _, err := runQuery(h.tree, Query{Project: []string{"ghost"}}); err == nil {
+	if _, _, err := runQuery(h.tree, h.key, Query{Project: []string{"ghost"}}); err == nil {
 		t.Fatal("unknown column accepted")
 	}
-	if _, _, err := runQuery(h.tree, Query{Project: []string{}}); err == nil {
+	if _, _, err := runQuery(h.tree, h.key, Query{Project: []string{}}); err == nil {
 		t.Fatal("empty projection accepted")
 	}
-	if _, _, err := runQuery(h.tree, Query{Project: []string{"id", "id"}}); err == nil {
+	if _, _, err := runQuery(h.tree, h.key, Query{Project: []string{"id", "id"}}); err == nil {
 		t.Fatal("duplicate projection accepted")
 	}
-	if _, _, err := runQuery(h.tree, Query{Lo: i64(10), Hi: i64(5)}); err == nil {
+	if _, _, err := runQuery(h.tree, h.key, Query{Lo: i64(10), Hi: i64(5)}); err == nil {
 		t.Fatal("inverted range accepted")
 	}
 }
@@ -666,11 +670,11 @@ func TestUpdatesWithLockingProtocol(t *testing.T) {
 }
 
 // TestReadOnlyEdgeReplica: an edge reads the tree's pages through a View
-// of the anchor it was shipped — no signer, and no write to make — and
-// its answers verify under the central's key.
+// of the anchor it was shipped — no key, and no write to make — and its
+// answers verify under the central's key.
 func TestReadOnlyEdgeReplica(t *testing.T) {
 	h := newHarness(t, 100, 1024)
-	st := TableState{Root: h.tree.Root(), Height: h.tree.Height(), RootSig: h.tree.RootSig()}
+	st := TableState{Root: h.tree.Root(), Height: h.tree.Height(), RootSig: h.rootSig()}
 	edge, err := st.ViewOver(h.cfg.Pool, h.cfg.Schema, h.cfg.Acc, &sig.PublicKey{Version: h.key.Public().Version})
 	if err != nil {
 		t.Fatal(err)
@@ -690,7 +694,7 @@ func TestReadOnlyEdgeReplica(t *testing.T) {
 // root signature, and its pages, schema, accumulator and key.
 func TestViewOverValidation(t *testing.T) {
 	h := newHarness(t, 10, 1024)
-	good := TableState{Root: h.tree.Root(), Height: h.tree.Height(), RootSig: h.tree.RootSig()}
+	good := TableState{Root: h.tree.Root(), Height: h.tree.Height(), RootSig: h.rootSig()}
 	bp, sch, acc, pub := h.cfg.Pool, h.cfg.Schema, h.cfg.Acc, h.cfg.Pub
 	if _, err := good.ViewOver(bp, sch, acc, pub); err != nil {
 		t.Fatal(err)

@@ -43,8 +43,7 @@ func (st *TableState) Validate() error {
 
 // ViewOver assembles the read view of this state over a page space that
 // does not change while the view is used: a pinned snapshot (replicas,
-// reshard builds), or the writer's live pool under its read lock
-// (Tree.Read). It is the one way to read a VB-tree.
+// reshard builds). The writer reads its live pool through Tree.Read.
 func (st *TableState) ViewOver(pages storage.PageReader, sch *schema.Schema, acc *digest.Accumulator, pub *sig.PublicKey) (*View, error) {
 	if pages == nil || sch == nil || acc == nil || pub == nil {
 		return nil, errors.New("vbtree: view requires pages, schema, accumulator and key")
@@ -84,14 +83,24 @@ type View struct {
 	pub *sig.PublicKey
 	// now supplies VO timestamps: the tree's Config.Now for Tree.Read,
 	// the wall clock otherwise.
-	now     func() int64
-	root    storage.PageID
-	height  int
+	now    func() int64
+	root   storage.PageID
+	height int
+	// rootSig is the root's signature every VO carries as its RootSig:
+	// the state's for ViewOver, none for Tree.Read until Anchored.
 	rootSig sig.Signature
 	// rootU is the unsigned root digest every VO carries as its
 	// TopDigest, nil until the first answer computes it. Read-only once
 	// stored.
 	rootU atomic.Pointer[digest.Value]
+}
+
+// Anchored returns a view of the same pages, on the same clock, whose
+// VOs carry rootSig as the root's signature: how the key's owner, which
+// signs the root digest itself, ships answers read through Tree.Read.
+func (v *View) Anchored(rootSig sig.Signature) *View {
+	return &View{pr: v.pr, heap: v.heap, sch: v.sch, acc: v.acc, pub: v.pub,
+		now: v.now, root: v.root, height: v.height, rootSig: rootSig}
 }
 
 // unixNow is the wall clock in Unix seconds, the default VO timestamp.
@@ -227,7 +236,7 @@ func (v *View) AppendAnswer(ctx context.Context, q Query, dst []byte) (out []byt
 		KeyVersion: v.pub.Version,
 		Timestamp:  v.now(),
 		TopLevel:   uint8(v.height),
-		TopDigest:  sig.Signature(u),
+		TopDigest:  u,
 		RootSig:    v.rootSig,
 		Nodes:      nodes,
 	}
@@ -303,7 +312,7 @@ func (w *answerWalk) walkOrdered(pid storage.PageID, parent, pos, depth int) (bo
 			if !ok {
 				break
 			}
-			w.depthDigs[depth] = append(w.depthDigs[depth], c.sig)
+			w.depthDigs[depth] = append(w.depthDigs[depth], c.dig)
 			if (w.lo != nil && compare(c.key, w.lo) < 0) || (w.hi != nil && compare(c.key, w.hi) > 0) {
 				continue
 			}
@@ -327,7 +336,7 @@ func (w *answerWalk) walkOrdered(pid storage.PageID, parent, pos, depth int) (bo
 			if !ok {
 				break
 			}
-			w.depthDigs[depth] = append(w.depthDigs[depth], c.sig)
+			w.depthDigs[depth] = append(w.depthDigs[depth], c.dig)
 			if !spanIntersects(c.lo, c.hi, w.lo, w.hi) {
 				continue
 			}

@@ -42,7 +42,7 @@ func TestSigCacheIsKeyedByKeyVersion(t *testing.T) {
 		KeyVersion: 1,
 		Timestamp:  time.Now().Unix(),
 		TopLevel:   1,
-		TopDigest:  sig.Signature(root),
+		TopDigest:  root,
 		RootSig:    oldKey.MustSign(root),
 		// 4 entries, 1 run: [1, +2).
 		Nodes: []byte{0, 4, 0, 1, 0, 1, 0, 2},
@@ -78,7 +78,7 @@ func TestShardMapSignatureGoesThroughTheCache(t *testing.T) {
 	var ops digest.Counters
 	pub := signer(t).Public()
 	pub.Counters = &ops
-	v := &Verifier{Key: pub, Acc: acc, Schema: testSchema()}
+	v := &Verifier{Keys: trusted(pub), Acc: acc, Schema: testSchema()}
 	sm := signedMap(t, twoShardMap(acc))
 	for i := 0; i < 5; i++ {
 		if err := v.VerifyShardMap(sm, "t"); err != nil {
@@ -131,7 +131,7 @@ func TestShardMapSignatureGoesThroughTheCache(t *testing.T) {
 func TestCacheHitProvesThePayload(t *testing.T) {
 	key := signer(t)
 	pub := key.Public()
-	v := &Verifier{Key: pub}
+	v := &Verifier{Keys: trusted(pub)}
 	payload := []byte("a shard root the map pins.......")
 	s := key.MustSign(payload)
 	if err := v.cachedVerifySig(pub, s, payload); err != nil {
@@ -199,7 +199,7 @@ func TestVerifySignedResolvesTheKeyAtTheClock(t *testing.T) {
 func TestCacheStatsBesideVerification(t *testing.T) {
 	key := signer(t)
 	pub := key.Public()
-	v := &Verifier{Key: pub}
+	v := &Verifier{Keys: trusted(pub)}
 	payload := []byte("a shard root the map pins.......")
 	s := key.MustSign(payload)
 	done := make(chan error, 1)

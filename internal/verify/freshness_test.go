@@ -88,14 +88,14 @@ func TestFreshnessWindow(t *testing.T) {
 	}
 
 	// A wider configured window admits the hour-old response.
-	wide := &Verifier{Key: h.key.Public(), Acc: h.acc, Schema: h.sch, MaxClockSkew: 2 * time.Hour}
+	wide := &Verifier{Keys: trusted(h.key.Public()), Acc: h.acc, Schema: h.sch, MaxClockSkew: 2 * time.Hour}
 	rs, w = freshLeafVO(t, h, now-3600, 0)
 	if err := wide.Verify(rs, w); err != nil {
 		t.Fatalf("VO within widened skew rejected: %v", err)
 	}
 
 	// Negative disables the timestamp bound entirely.
-	off := &Verifier{Key: h.key.Public(), Acc: h.acc, Schema: h.sch, MaxClockSkew: -1}
+	off := &Verifier{Keys: trusted(h.key.Public()), Acc: h.acc, Schema: h.sch, MaxClockSkew: -1}
 	rs, w = freshLeafVO(t, h, 12, 0)
 	if err := off.Verify(rs, w); err != nil {
 		t.Fatalf("VO with skew check disabled rejected: %v", err)
@@ -109,7 +109,7 @@ func TestKeyValidityUsesClientClock(t *testing.T) {
 	h := buildHand(t, []string{"a", "b"})
 	expired := h.key.Public()
 	expired.NotAfter = 2_000 // expired decades ago
-	v := &Verifier{Key: expired, Acc: h.acc, Schema: h.sch, MaxClockSkew: -1}
+	v := &Verifier{Keys: trusted(expired), Acc: h.acc, Schema: h.sch, MaxClockSkew: -1}
 	rs, w := freshLeafVO(t, h, 1_500, 0)
 	if err := v.Verify(rs, w); !errors.Is(err, ErrKeyVersion) {
 		t.Fatalf("expired key with skew disabled: %v, want ErrKeyVersion", err)

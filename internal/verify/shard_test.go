@@ -45,7 +45,7 @@ func twoShardMap(acc *digest.Accumulator) *shardmap.Map {
 // carry-over have no exempt shape.
 func TestVerifyShardMapRequiresEpochAndIDs(t *testing.T) {
 	acc := digest.MustNew(digest.DefaultParams())
-	v := &Verifier{Key: signer(t).Public(), Acc: acc, Schema: testSchema()}
+	v := &Verifier{Keys: trusted(signer(t).Public()), Acc: acc, Schema: testSchema()}
 	if err := v.VerifyShardMap(signedMap(t, twoShardMap(acc)), "t"); err != nil {
 		t.Fatalf("well-formed signed map rejected: %v", err)
 	}
@@ -102,7 +102,7 @@ func TestSignedMapCheckedOncePerDistinctBytes(t *testing.T) {
 	var ops digest.Counters
 	pub := signer(t).Public()
 	pub.Counters = &ops
-	v := &Verifier{Key: pub, Acc: acc, Schema: testSchema(), CacheSize: -1}
+	v := &Verifier{Keys: trusted(pub), Acc: acc, Schema: testSchema(), CacheSize: -1}
 	raw := signedMap(t, twoShardMap(acc)).Encode()
 
 	var first *shardmap.Signed

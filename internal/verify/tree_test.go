@@ -49,14 +49,14 @@ func buildTree(t testing.TB, rows, pageSize int, counters *digest.Counters) *bui
 	}
 	tree, err := vbtree.Build(vbtree.Config{
 		Pool: bp, Heap: heap, Schema: sch, Acc: digest.MustNew(digest.DefaultParams()),
-		Signer: key, Pub: key.Public(), BuildParallelism: 2,
+		Pub: key.Public(), BuildParallelism: 2,
 	}, tuples, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := digest.DefaultParams()
 	p.Counters = counters
-	return &builtTree{tree: tree, sch: sch, ver: &Verifier{Key: key.Public(), Acc: digest.MustNew(p), Schema: sch}}
+	return &builtTree{tree: tree, sch: sch, ver: &Verifier{Keys: trusted(key.Public()), Acc: digest.MustNew(p), Schema: sch}}
 }
 
 func (b *builtTree) query(t testing.TB, lo, hi int64, project []string) (*vo.ResultSet, *vo.VO) {
@@ -64,13 +64,14 @@ func (b *builtTree) query(t testing.TB, lo, hi int64, project []string) (*vo.Res
 	l, h := schema.Int64(lo), schema.Int64(hi)
 	var rs *vo.ResultSet
 	var w *vo.VO
-	err := b.tree.Read(true, func(v *vbtree.View) (err error) {
+	err := b.tree.Read(func(v *vbtree.View) (err error) {
 		rs, w, err = v.RunQuery(context.Background(), vbtree.Query{Lo: &l, Hi: &h, Project: project})
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	w.RootSig = signer(t).MustSign(w.TopDigest)
 	return rs, w
 }
 

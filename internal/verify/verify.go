@@ -68,10 +68,8 @@ const DefaultMaxClockSkew = 5 * time.Minute
 // An edge checks what it installs through one as well: signed shard maps,
 // delta bodies and shard root signatures (VerifySignedMap, VerifySigned).
 type Verifier struct {
-	// Keys resolves key versions. Either Keys or Key must be set.
+	// Keys resolves key versions; required.
 	Keys *sig.Registry
-	// Key pins a single public key (used when no registry is deployed).
-	Key *sig.PublicKey
 	// Acc must match the accumulator parameters the central server used.
 	Acc *digest.Accumulator
 	// Schema is the base-table schema (for column name/type resolution).
@@ -144,24 +142,14 @@ func (v *Verifier) checkFreshness(voTimestamp, atUnix int64) error {
 // resolveKey picks the public key for a VO. atUnix is the verifier's own
 // clock reading, never the edge-supplied timestamp.
 func (v *Verifier) resolveKey(keyVersion uint32, atUnix int64) (*sig.PublicKey, error) {
-	if v.Keys != nil {
-		k, err := v.Keys.Resolve(keyVersion, atUnix)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrKeyVersion, err)
-		}
-		return k, nil
-	}
-	if v.Key == nil {
+	if v.Keys == nil {
 		return nil, errors.New("verify: no trusted key configured")
 	}
-	if v.Key.Version != keyVersion {
-		return nil, fmt.Errorf("%w: VO signed with version %d, trusted key is %d",
-			ErrKeyVersion, keyVersion, v.Key.Version)
+	k, err := v.Keys.Resolve(keyVersion, atUnix)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrKeyVersion, err)
 	}
-	if !v.Key.ValidAt(atUnix) {
-		return nil, fmt.Errorf("%w: trusted key expired", ErrKeyVersion)
-	}
-	return v.Key, nil
+	return k, nil
 }
 
 // VerifySigned checks that s authenticates payload under the key version
@@ -311,6 +299,6 @@ func (v *Verifier) anchor(rs *vo.ResultSet, w *vo.VO) (*anchored, error) {
 	if err := v.cachedVerifySig(pub, w.RootSig, w.TopDigest); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSignature, err)
 	}
-	an.topU = digest.Value(w.TopDigest)
+	an.topU = w.TopDigest
 	return an, nil
 }

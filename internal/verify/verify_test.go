@@ -25,6 +25,13 @@ var (
 	testKey *sig.PrivateKey
 )
 
+// trusted returns a registry that trusts pub alone.
+func trusted(pub *sig.PublicKey) *sig.Registry {
+	r := sig.NewRegistry()
+	r.Put(pub)
+	return r
+}
+
 func signer(t testing.TB) *sig.PrivateKey {
 	t.Helper()
 	keyOnce.Do(func() { testKey = sig.MustGenerate(sig.SchemeRSAMerkle, 512) })
@@ -141,7 +148,7 @@ func (h *handTree) voAt(t *testing.T, level int, top digest.Value, records ...[]
 	w := &vo.VO{
 		Timestamp: time.Now().Unix(),
 		TopLevel:  uint8(level),
-		TopDigest: sig.Signature(top),
+		TopDigest: top,
 		RootSig:   h.key.MustSign(top),
 	}
 	for _, r := range records {
@@ -161,7 +168,7 @@ func (h *handTree) rows(idx ...int) *vo.ResultSet {
 }
 
 func (h *handTree) verifier() *Verifier {
-	return &Verifier{Key: h.key.Public(), Acc: h.acc, Schema: h.sch}
+	return &Verifier{Keys: trusted(h.key.Public()), Acc: h.acc, Schema: h.sch}
 }
 
 func TestHandBuiltLeafLevelVO(t *testing.T) {
@@ -367,7 +374,7 @@ func TestVerifierConfigErrors(t *testing.T) {
 	// Wrong pinned key version.
 	pk := h.key.Public()
 	pk.Version = 5
-	wrongVer := &Verifier{Key: pk, Acc: h.acc, Schema: h.sch}
+	wrongVer := &Verifier{Keys: trusted(pk), Acc: h.acc, Schema: h.sch}
 	if err := wrongVer.Verify(rs, w); !errors.Is(err, ErrKeyVersion) {
 		t.Fatalf("wrong key version: %v", err)
 	}

@@ -88,8 +88,8 @@ type VO struct {
 	KeyVersion uint32
 	// TopLevel is the tree's height: the level of the root (leaf = 1).
 	TopLevel uint8
-	// TopDigest is the raw, unsigned root digest.
-	TopDigest sig.Signature
+	// TopDigest is the root digest.
+	TopDigest digest.Value
 	// RootSig is the central's signature over TopDigest. The client
 	// checks it under the key its TRUSTED registry resolves KeyVersion
 	// to, never under a scheme the VO names.
@@ -115,15 +115,15 @@ func (v *VO) NumDP() int { return len(v.DP) / digest.Size }
 
 // DSDigest returns D_S digest i, a view of the run: writing to it
 // rewrites the digest.
-func (v *VO) DSDigest(i int) sig.Signature { return runDigest(v.DS, i) }
+func (v *VO) DSDigest(i int) digest.Value { return runDigest(v.DS, i) }
 
 // DPDigest returns D_P digest i, a view of the run: writing to it
 // rewrites the digest.
-func (v *VO) DPDigest(i int) sig.Signature { return runDigest(v.DP, i) }
+func (v *VO) DPDigest(i int) digest.Value { return runDigest(v.DP, i) }
 
-func runDigest(run []byte, i int) sig.Signature {
+func runDigest(run []byte, i int) digest.Value {
 	at := i * digest.Size
-	return sig.Signature(run[at : at+digest.Size : at+digest.Size])
+	return run[at : at+digest.Size : at+digest.Size]
 }
 
 // AppendDS appends a D_S digest.
@@ -167,22 +167,24 @@ func (v *VO) WireSize() int {
 	return voFixedSize + len(v.TopDigest) + len(v.RootSig) + len(v.Nodes) + len(v.DS) + len(v.DP)
 }
 
-func appendSig(dst []byte, s sig.Signature) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
-	return append(dst, s...)
+// appendPrefixed appends b behind its u32 length: the wire form of the
+// top digest and of the root signature.
+func appendPrefixed(dst, b []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(b)))
+	return append(dst, b...)
 }
 
-// readSig returns the length-prefixed signature at the start of data as a
-// slice of data.
-func readSig(data []byte) (sig.Signature, int, error) {
+// readPrefixed returns the length-prefixed bytes at the start of data as
+// a slice of data.
+func readPrefixed(data []byte) ([]byte, int, error) {
 	if len(data) < 4 {
-		return nil, 0, errors.New("vo: truncated signature length")
+		return nil, 0, errors.New("vo: truncated length")
 	}
 	n := int(binary.BigEndian.Uint32(data[:4]))
 	if n < 0 || len(data) < 4+n {
-		return nil, 0, errors.New("vo: truncated signature")
+		return nil, 0, errors.New("vo: truncated value")
 	}
-	return sig.Signature(data[4 : 4+n : 4+n]), 4 + n, nil
+	return data[4 : 4+n : 4+n], 4 + n, nil
 }
 
 // width is the digest width W a VO of this many D_S and D_P digests
@@ -200,8 +202,8 @@ func (v *VO) appendHead(dst []byte, nDS, nDP int) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, v.KeyVersion)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(v.Timestamp))
 	dst = append(dst, v.TopLevel|orderedFlag)
-	dst = appendSig(dst, v.TopDigest)
-	dst = appendSig(dst, v.RootSig)
+	dst = appendPrefixed(dst, v.TopDigest)
+	dst = appendPrefixed(dst, v.RootSig)
 	dst = append(dst, v.Nodes...)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(width(nDS+nDP)))
 	return binary.BigEndian.AppendUint32(dst, uint32(nDS))
@@ -254,13 +256,13 @@ func (v *VO) decode(data []byte) (int, error) {
 		TopLevel:   data[12] &^ orderedFlag,
 	}
 	off := 13
-	s, n, err := readSig(data[off:])
+	s, n, err := readPrefixed(data[off:])
 	if err != nil {
 		return 0, fmt.Errorf("vo: top digest: %w", err)
 	}
 	v.TopDigest = s
 	off += n
-	s, n, err = readSig(data[off:])
+	s, n, err = readPrefixed(data[off:])
 	if err != nil {
 		return 0, fmt.Errorf("vo: root signature: %w", err)
 	}

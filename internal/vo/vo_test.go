@@ -13,7 +13,7 @@ import (
 func sigOf(b ...byte) sig.Signature { return sig.Signature(b) }
 
 // dig is a digest.Size-byte digest of one repeated byte.
-func dig(b byte) sig.Signature { return sig.Signature(bytes.Repeat([]byte{b}, digest.Size)) }
+func dig(b byte) digest.Value { return bytes.Repeat([]byte{b}, digest.Size) }
 
 // sampleVO proves two rows of a one-leaf tree: a root of 4 entries
 // recomputing positions 1 and 2, its D_S the digests of entries 0 and 3.
@@ -75,7 +75,7 @@ func TestVOEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestVOEmptySets(t *testing.T) {
 	leaf := []byte{0, 0, 0, 0} // an empty root leaf, no position recomputed
-	v := &VO{KeyVersion: 1, TopLevel: 1, TopDigest: sigOf(1), Nodes: leaf}
+	v := &VO{KeyVersion: 1, TopLevel: 1, TopDigest: digest.Value{1}, Nodes: leaf}
 	enc := v.Encode(nil)
 	got, _, err := DecodeVO(enc)
 	if err != nil {
@@ -119,7 +119,7 @@ func TestVOEncodeRefusesRaggedDigests(t *testing.T) {
 		"short D_S digest":     func(v *VO) { v.AppendDS(sigOf(8, 8)) },
 		"long D_P digest":      func(v *VO) { v.AppendDP(append(dig(6), 6)) },
 		"first D_P narrower":   func(v *VO) { v.DP = nil; v.AppendDP(sigOf(7)) },
-		"key-width D_S digest": func(v *VO) { v.DS, v.DP = nil, nil; v.AppendDS(make(sig.Signature, 64)) },
+		"key-width D_S digest": func(v *VO) { v.DS, v.DP = nil, nil; v.AppendDS(make(digest.Value, 64)) },
 		"empty digest":         func(v *VO) { v.DS, v.DP = nil, nil; v.AppendDS(nil) },
 	} {
 		v := sampleVO()
@@ -344,7 +344,7 @@ func TestOrderedVORoundTrip(t *testing.T) {
 // claims.
 func TestDecodeVOBoundsHostileNodeRecords(t *testing.T) {
 	hostile := func(level uint8, records []byte) []byte {
-		w := &VO{TopLevel: level, TopDigest: make(sig.Signature, 16), RootSig: sig.Signature{1}, Nodes: records}
+		w := &VO{TopLevel: level, TopDigest: make(digest.Value, 16), RootSig: sig.Signature{1}, Nodes: records}
 		out := w.Encode(nil)
 		return append(out, make([]byte, 1024-len(out))...)
 	}
@@ -376,7 +376,7 @@ func TestDecodeVOBoundsHostileNodeRecords(t *testing.T) {
 	// Well-formed, the one-leaf claim decodes — and calls for 65,535 rows,
 	// which a verifier checks against the result set before it hashes
 	// anything.
-	w := &VO{TopLevel: 1, TopDigest: make(sig.Signature, 16), RootSig: sig.Signature{1}, Nodes: every}
+	w := &VO{TopLevel: 1, TopDigest: make(digest.Value, 16), RootSig: sig.Signature{1}, Nodes: every}
 	got, _, err := DecodeVO(w.Encode(nil))
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"edgeauth/internal/digest"
 	"edgeauth/internal/israce"
 	"edgeauth/internal/query"
 	"edgeauth/internal/schema"
@@ -137,7 +138,7 @@ func TestQueryResponseRoundTrip(t *testing.T) {
 		},
 		VO: &vo.VO{
 			KeyVersion: 2, Timestamp: 99, TopLevel: 1,
-			TopDigest: sig.Signature{1, 2, 3},
+			TopDigest: digest.Value{1, 2, 3},
 			RootSig:   sig.Signature{7},
 			Nodes:     []byte{0, 2, 0, 1, 0, 0, 0, 1}, // 2 entries, row 0 recomputed
 			DS:        bytes.Repeat([]byte{4}, 16),
