@@ -150,13 +150,13 @@ func TestInsertBatchVerifiesEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTreeSignsNothing pins the headline accounting: the tree holds no
-// key, so Build, InsertBatch, Insert, DeleteRange, and a query and an
-// audit through Read spend no signature between them, however many
+// TestInsertBatchSignerCounting pins the headline accounting: the tree
+// holds no key, so Build, InsertBatch, Insert, DeleteRange, and a query
+// and an audit through Read spend no signature between them, however many
 // tuples and nodes they touch — not even with a counting key in
 // Config.Signer, the ignored field the benchmark harness sets. The owner
-// signs the root digest itself.
-func TestTreeSignsNothing(t *testing.T) {
+// signs the root digest itself (TestMerkleBatchSignsOnlyRoot).
+func TestInsertBatchSignerCounting(t *testing.T) {
 	k := schemeKey(t, sig.SchemeRSAMerkle)
 	var ctr digest.Counters
 	k.SetCounters(&ctr)

@@ -97,6 +97,47 @@ func TestOrderedRootSurvivesMutations(t *testing.T) {
 	}
 }
 
+// TestMerkleBatchSignsOnlyRoot pins the owner's side of the accounting: a
+// batch commit signs nothing, no matter how many nodes it dirties, and the
+// one digest that gets signed — the root — costs its owner one signature,
+// which authenticates the root digest the tree reports.
+func TestMerkleBatchSignsOnlyRoot(t *testing.T) {
+	batch := make([]schema.Tuple, 64)
+	for i := range batch {
+		batch[i] = mkTuple(5000 + i*3)
+	}
+	merkle := newSchemeHarness(t, 200, 1024, sig.SchemeRSAMerkle)
+	var ctr digest.Counters
+	merkle.key.SetCounters(&ctr)
+	defer merkle.key.SetCounters(nil)
+	st, opErrs, err := merkle.tree.InsertBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range opErrs {
+		if e != nil {
+			t.Fatal(e)
+		}
+	}
+	if st.Applied != len(batch) || st.NodesResigned != 0 || ctr.SignOps.Load() != 0 {
+		t.Fatalf("merkle batch stats = %+v after %d signatures, want Applied=%d, nothing signed", st, ctr.SignOps.Load(), len(batch))
+	}
+	u := merkle.tree.RootDigest()
+	rootSig, err := merkle.key.Sign(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ctr.SignOps.Load(); n != 1 {
+		t.Fatalf("signing the root after the commit spent %d signatures, want 1", n)
+	}
+	if err := merkle.key.Public().Verify(rootSig, u); err != nil {
+		t.Fatalf("the root signature does not authenticate the root digest: %v", err)
+	}
+	if h := merkle.tree.Height(); h < 2 {
+		t.Fatalf("tree of height %d: the batch dirtied only the root, too little to mean anything", h)
+	}
+}
+
 // TestMerkleTreesStayVerifiable: audits and verified queries pass under
 // both schemes after a round of mutations.
 func TestMerkleTreesStayVerifiable(t *testing.T) {
