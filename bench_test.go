@@ -283,7 +283,7 @@ func buildBenchTree(b *testing.B, sch *schema.Schema, key *sig.PrivateKey, tuple
 	}
 	tree, err := vbtree.Build(vbtree.Config{
 		Pool: pool, Heap: heap, Schema: sch, Acc: digest.MustNew(digest.DefaultParams()),
-		Pub: key.Public(), BuildParallelism: 8,
+		Pub: key.Public(),
 	}, tuples, 1.0)
 	if err != nil {
 		b.Fatal(err)

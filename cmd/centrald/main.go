@@ -7,10 +7,7 @@
 //
 //	centrald -listen :7001 -rows 10000 [-join] [-waldir /tmp/wal]
 //	         [-scheme ed25519|rsa-merkle] [-keybits 1024]
-//	         [-maxbatch 128] [-maxdelay 2ms]
-//	         [-shards 4] [-shard-split count|keyspan]
-//	         [-autoreshard 10s] [-split-fraction 0.6] [-merge-fraction 0.05]
-//	         [-max-shards 64]
+//	         [-maxbatch 128] [-shards 4] [-autoreshard 10s]
 //	         [-debug-addr 127.0.0.1:7101]
 //
 // -scheme selects the signature scheme of the one signature over each
@@ -18,24 +15,23 @@
 // recovery). Either way the VB-trees commit by ordered hashes. -keybits
 // sizes the RSA modulus and is ignored for ed25519.
 //
-// -maxbatch and -maxdelay tune the group-commit front door: concurrent
-// insert requests for a table — one tuple or many each — are coalesced
-// and committed as one batch (one WAL fsync, one version bump, one
-// VB-tree rehash pass), up to maxbatch tuples per round, with the
-// round's leader waiting up to maxdelay for stragglers. A request larger
-// than maxbatch commits in a round of its own. Negative values of
-// -maxbatch and -deltaretention are refused.
+// -maxbatch bounds the group-commit front door: concurrent insert
+// requests for a table — one tuple or many each — are coalesced and
+// committed as one batch (one WAL fsync, one version bump, one VB-tree
+// rehash pass), up to maxbatch tuples per round. A round's leader
+// commits what has queued at once, without waiting for stragglers. A
+// request larger than maxbatch commits in a round of its own. Negative
+// values of -maxbatch and -deltaretention are refused.
 //
 // -shards range-partitions every table into that many independently
-// signed VB-tree shards bound by a central-signed shard map; insert
-// batches then commit to the shards in parallel. -shard-split picks the
-// boundary strategy: "count" balances build rows per shard, "keyspan"
-// divides the key interval evenly.
+// signed VB-tree shards bound by a central-signed shard map, with
+// boundaries that balance the build rows per shard; insert batches then
+// commit to the shards in parallel.
 //
 // -autoreshard arms the online hot-shard detector: every interval an
-// EWMA over per-shard ingest load picks a shard to split (above
-// -split-fraction of the table's total) or an adjacent pair to merge
-// (below -merge-fraction together), committing the transition as a new
+// EWMA over per-shard ingest load picks a shard to split (above 0.6 of
+// the table's total) or an adjacent pair to merge (below 0.05
+// together), up to 64 shards, committing the transition as a new
 // signed map epoch under live traffic. Manually commanded transitions
 // via the reshard admin frame are always available, detector or not.
 //
@@ -59,7 +55,6 @@ import (
 	"time"
 
 	"edgeauth/internal/central"
-	"edgeauth/internal/shardmap"
 	"edgeauth/internal/sig"
 	"edgeauth/internal/workload"
 )
@@ -79,53 +74,33 @@ func main() {
 		// are coalesced and committed together — one WAL fsync, one
 		// version bump, one tree rehash pass per round.
 		maxBatch = flag.Int("maxbatch", 0, "max tuples group-committed per round (0 = default 128; negative values are refused)")
-		maxDelay = flag.Duration("maxdelay", 0, "how long a group-commit leader waits for stragglers before committing (0 = commit immediately with whatever queued)")
 		// Range partitioning: independently-signed VB-tree shards bound
 		// by a central-signed shard map.
-		shards     = flag.Int("shards", 1, "range-partition each table into this many VB-tree shards")
-		shardSplit = flag.String("shard-split", "count", "shard boundary strategy: count (equal rows) or keyspan (equal key width)")
+		shards = flag.Int("shards", 1, "range-partition each table into this many VB-tree shards")
 		// Online resharding: the detector splits hot shards and merges
 		// cold pairs under live traffic. Admin-commanded transitions via
-		// the reshard wire frame work regardless of these flags.
+		// the reshard wire frame work regardless of this flag.
 		autoReshard = flag.Duration("autoreshard", 0, "hot-shard detector interval (0 = detector off)")
-		splitFrac   = flag.Float64("split-fraction", 0, "EWMA load share that trips a split (0 = default 0.6)")
-		mergeFrac   = flag.Float64("merge-fraction", 0, "combined adjacent load share that trips a merge (0 = default 0.05)")
-		maxShards   = flag.Int("max-shards", 0, "shard-count ceiling the detector steers under (0 = default 64)")
 		debugAddr   = flag.String("debug-addr", "", "serve expvar counters at http://ADDR/debug/vars and the profiler at http://ADDR/debug/pprof/ (empty = disabled)")
 	)
 	flag.Parse()
 
 	log.SetPrefix("centrald: ")
-	strategy, err := shardmap.ParseStrategy(*shardSplit)
-	if err != nil {
-		log.Fatal(err)
-	}
 	sigScheme, err := sig.ParseScheme(*scheme)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var auto *central.AutoReshardOptions
-	if *autoReshard > 0 {
-		auto = &central.AutoReshardOptions{
-			Interval:      *autoReshard,
-			SplitFraction: *splitFrac,
-			MergeFraction: *mergeFrac,
-			MaxShards:     *maxShards,
-		}
-	}
 	start := time.Now()
 	srv, err := central.NewServer(central.Options{
-		Scheme:         sigScheme,
-		KeyBits:        *keyBits,
-		PageSize:       *pageSz,
-		WALDir:         *walDir,
-		DeltaRetention: *deltas,
-		IdleTimeout:    *idle,
-		MaxBatch:       *maxBatch,
-		MaxDelay:       *maxDelay,
-		Shards:         *shards,
-		ShardSplit:     strategy,
-		AutoReshard:    auto,
+		Scheme:              sigScheme,
+		KeyBits:             *keyBits,
+		PageSize:            *pageSz,
+		WALDir:              *walDir,
+		DeltaRetention:      *deltas,
+		IdleTimeout:         *idle,
+		MaxBatch:            *maxBatch,
+		Shards:              *shards,
+		AutoReshardInterval: *autoReshard,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -88,7 +88,7 @@ func main() {
 	acc := digest.MustNew(digest.DefaultParams())
 	start := time.Now()
 	tree, err := vbtree.Build(vbtree.Config{
-		Pool: pool, Heap: heap, Schema: sch, Acc: acc, Pub: key.Public(), BuildParallelism: 8,
+		Pool: pool, Heap: heap, Schema: sch, Acc: acc, Pub: key.Public(),
 	}, tuples, 1.0)
 	if err != nil {
 		log.Fatal(err)

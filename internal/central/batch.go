@@ -5,7 +5,6 @@ import (
 	"errors"
 	"strconv"
 	"sync"
-	"time"
 
 	"edgeauth/internal/schema"
 	"edgeauth/internal/vbtree"
@@ -30,17 +29,16 @@ import (
 // door, and commits in arrival order. Concurrent insert requests of any
 // size are coalesced by a leader/follower protocol, which makes the win
 // transparent to unmodified clients: the first arrival becomes the
-// leader, optionally waits MaxDelay for stragglers, then commits the run
-// of inserts queued (up to MaxBatch tuples per round; a larger request
-// commits alone) and hands each request its own per-op results;
-// arrivals during a commit queue up for the next round. A delete and a
-// reshard are barriers: the leader first commits the inserts that
-// arrived before one, then runs it alone at its queue position — so a
-// delete can never commit ahead of an earlier insert on the same table.
-// A request that cannot join a round (a tuple without a key column) is
-// refused before it is queued, so it fails alone. With MaxDelay zero a
-// lone op becomes leader at once and commits immediately — coalescing
-// only kicks in under concurrency, so the idle latency cost is nil.
+// leader and at once commits the run of inserts queued (up to MaxBatch
+// tuples per round; a larger request commits alone), handing each
+// request its own per-op results; arrivals during a commit queue up for
+// the next round. A delete and a reshard are barriers: the leader first
+// commits the inserts that arrived before one, then runs it alone at its
+// queue position — so a delete can never commit ahead of an earlier
+// insert on the same table. A request that cannot join a round (a tuple
+// without a key column) is refused before it is queued, so it fails
+// alone. A lone op commits the moment it arrives: coalescing happens
+// only under concurrency, so it adds no idle latency.
 // (Server.Insert, DeleteRange and ApplyBatch called directly are the
 // in-process form: they commit on the caller's goroutine.)
 //
@@ -242,16 +240,9 @@ type opResult struct {
 // arrival order: runs of inserts coalesce into ApplyBatch rounds,
 // barrier ops execute alone at their queue position.
 type groupCommitter struct {
-	mu    sync.Mutex
-	queue []*pendingOp
-	// queued counts the tuples the queue's insert ops carry.
-	queued  int
+	mu      sync.Mutex
+	queue   []*pendingOp
 	leading bool
-	// full is signalled (capacity 1, never blocking) when a waiting
-	// leader's round has filled to MaxBatch tuples (or a barrier op arrived,
-	// which the leader should not sit on), so it commits immediately
-	// instead of sleeping out its MaxDelay.
-	full chan struct{}
 }
 
 // enqueueDelete routes a range delete through the same ordered queue, so
@@ -308,20 +299,8 @@ func (s *Server) enqueueOp(ctx context.Context, tableName string, op *pendingOp)
 	}
 	gc := &t.gc
 	gc.mu.Lock()
-	if gc.full == nil {
-		gc.full = make(chan struct{}, 1)
-	}
 	gc.queue = append(gc.queue, op)
-	gc.queued += len(op.tuples)
 	if gc.leading {
-		if gc.queued >= s.maxBatch() || op.barrier() {
-			// Fill the round (or stop a waiting leader sitting on a
-			// barrier op longer than it must).
-			select {
-			case gc.full <- struct{}{}:
-			default:
-			}
-		}
 		gc.mu.Unlock()
 		select {
 		case res := <-op.done:
@@ -335,35 +314,8 @@ func (s *Server) enqueueOp(ctx context.Context, tableName string, op *pendingOp)
 	}
 	gc.leading = true
 	gc.mu.Unlock()
-	s.awaitStragglers(gc)
 	s.leadCommits(tableName, gc)
 	return <-op.done, nil
-}
-
-// awaitStragglers holds the leader for up to MaxDelay so concurrent ops
-// can join its round, committing the moment the round fills.
-func (s *Server) awaitStragglers(gc *groupCommitter) {
-	if s.opts.MaxDelay <= 0 {
-		return
-	}
-	// Discard a stale fill signal from a previous round, then check
-	// whether this round is already full.
-	select {
-	case <-gc.full:
-	default:
-	}
-	gc.mu.Lock()
-	full := gc.queued >= s.maxBatch()
-	gc.mu.Unlock()
-	if full {
-		return
-	}
-	timer := time.NewTimer(s.opts.MaxDelay)
-	defer timer.Stop()
-	select {
-	case <-gc.full:
-	case <-timer.C:
-	}
 }
 
 // leadCommits drains the queue in arrival order until it is empty, then
@@ -408,7 +360,6 @@ func (s *Server) leadCommits(tableName string, gc *groupCommitter) {
 		batch := make([]*pendingOp, n)
 		copy(batch, gc.queue[:n])
 		gc.queue = append(gc.queue[:0:0], gc.queue[n:]...)
-		gc.queued -= size
 		gc.mu.Unlock()
 
 		tuples := make([]schema.Tuple, 0, size)

@@ -189,14 +189,50 @@ func insertOne(srv *Server, tup schema.Tuple) error {
 	return opErrs[0]
 }
 
-// TestGroupCommitCoalesces drives concurrent single inserts through the
-// coalescing front door and checks they commit in far fewer rounds than
-// one per tuple, with every caller still seeing its own result.
-func TestGroupCommitCoalesces(t *testing.T) {
-	srv := newBatchServer(t, 100, Options{PageSize: 1024, MaxDelay: 10 * time.Millisecond})
-	base, _ := srv.Version("items")
+// holdLeadership makes the test the table's group-commit leader: every
+// arrival queues as a follower until the test, standing in for a busy
+// leader, drains the queue with leadCommits — so each round holds exactly
+// what queued, however the goroutines are scheduled.
+func holdLeadership(t *testing.T, srv *Server) *groupCommitter {
+	t.Helper()
+	tb, err := srv.table("items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gc := &tb.gc
+	gc.mu.Lock()
+	gc.leading = true
+	gc.mu.Unlock()
+	return gc
+}
 
-	const inserts = 48
+// awaitQueued waits until at least n ops are queued behind the held
+// leadership.
+func awaitQueued(t *testing.T, gc *groupCommitter, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		gc.mu.Lock()
+		got := len(gc.queue)
+		gc.mu.Unlock()
+		if got >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d ops queued", got, n)
+		}
+	}
+}
+
+// TestGroupCommitCoalesces drives concurrent single inserts through the
+// coalescing front door: the 48 that queue behind a busy leader commit in
+// exactly three rounds of MaxBatch, and every caller still sees its own
+// result.
+func TestGroupCommitCoalesces(t *testing.T) {
+	const inserts, maxBatch = 48, 16
+	srv := newBatchServer(t, 100, Options{PageSize: 1024, MaxBatch: maxBatch})
+	base, _ := srv.Version("items")
+	gc := holdLeadership(t, srv)
+
 	var wg sync.WaitGroup
 	errs := make([]error, inserts)
 	for i := 0; i < inserts; i++ {
@@ -206,18 +242,17 @@ func TestGroupCommitCoalesces(t *testing.T) {
 			errs[i] = insertOne(srv, batchServerRow(t, 30_000+int64(i)))
 		}(i)
 	}
+	awaitQueued(t, gc, inserts)
+	srv.leadCommits("items", gc)
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("insert %d failed: %v", i, err)
 		}
 	}
-	v, _ := srv.Version("items")
-	rounds := v - base
-	if rounds == 0 || rounds >= inserts {
-		t.Fatalf("%d inserts committed in %d rounds — no coalescing", inserts, rounds)
+	if v, _ := srv.Version("items"); v-base != inserts/maxBatch {
+		t.Fatalf("%d inserts committed in %d rounds, want %d", inserts, v-base, inserts/maxBatch)
 	}
-	t.Logf("%d concurrent inserts coalesced into %d group commits", inserts, rounds)
 
 	// A duplicate routed through the front door still reports per-op.
 	if err := insertOne(srv, batchServerRow(t, 30_000)); !errors.Is(err, vbtree.ErrDuplicateKey) {
@@ -231,69 +266,44 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 }
 
-// TestGroupCommitFullRoundCommitsEarly: a leader waiting out MaxDelay
-// must commit the moment its round fills to MaxBatch, not sleep the
-// delay out. Exactly one full round queues: the test holds the leadership
-// while the first MaxBatch − 1 inserts queue as followers, then leads
-// the way enqueueOp would — waiting for stragglers, then committing — and
-// the last insert arrives while it waits, filling the round.
+// TestGroupCommitFullRoundCommitsEarly: a round filled to MaxBatch
+// commits whole, and the op that arrives after it waits for the next
+// round. MaxBatch + 1 single inserts queue in order behind a busy leader
+// and commit in exactly two rounds: the first MaxBatch, then the last.
 func TestGroupCommitFullRoundCommitsEarly(t *testing.T) {
 	const maxBatch = 8
-	srv := newBatchServer(t, 50, Options{PageSize: 1024, MaxBatch: maxBatch, MaxDelay: 2 * time.Second})
-	tb, err := srv.table("items")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gc := &tb.gc
-	gc.mu.Lock()
-	gc.leading = true
-	gc.mu.Unlock()
+	srv := newBatchServer(t, 50, Options{PageSize: 1024, MaxBatch: maxBatch, WALDir: t.TempDir()})
+	gc := holdLeadership(t, srv)
 	var wg sync.WaitGroup
-	errs := make([]error, maxBatch)
-	insert := func(i int) {
+	errs := make([]error, maxBatch+1)
+	for i := range errs {
 		row := batchServerRow(t, 50_000+int64(i))
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
 			errs[i] = insertOne(srv, row)
-		}()
-	}
-	for i := 0; i < maxBatch-1; i++ {
-		insert(i)
-	}
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		gc.mu.Lock()
-		queued := gc.queued
-		gc.mu.Unlock()
-		if queued == maxBatch-1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d inserts queued", queued, maxBatch-1)
-		}
+		}(i)
+		awaitQueued(t, gc, i+1)
 	}
 	before := srv.Stats().BatchRounds
-	start := time.Now()
-	led := make(chan struct{})
-	go func() {
-		defer close(led)
-		srv.awaitStragglers(gc)
-		srv.leadCommits("items", gc)
-	}()
-	insert(maxBatch - 1)
-	<-led
-	elapsed := time.Since(start)
+	srv.leadCommits("items", gc)
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("insert %d failed: %v", i, err)
 		}
 	}
-	if elapsed >= 2*time.Second {
-		t.Fatalf("full round slept out MaxDelay (%v elapsed)", elapsed)
+	if rounds := srv.Stats().BatchRounds - before; rounds != 2 {
+		t.Fatalf("%d inserts committed in %d rounds, want 2", maxBatch+1, rounds)
 	}
-	if rounds := srv.Stats().BatchRounds - before; rounds != 1 {
-		t.Fatalf("%d inserts committed in %d rounds, want one full round", maxBatch, rounds)
+	// The WAL holds one record per round, in commit order.
+	ops, err := srv.LoggedOps("items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ops) != 2 || len(ops[0].Tuples) != maxBatch || len(ops[1].Tuples) != 1 ||
+		ops[1].Tuples[0].Values[0].I != 50_000+maxBatch {
+		t.Fatalf("logged %+v, want a round of the first %d inserts, then the last alone", ops, maxBatch)
 	}
 }
 
@@ -316,30 +326,7 @@ func TestBatchOrdersInTheQueue(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := newBatchServer(t, 40, Options{PageSize: 1024})
-			tb, err := srv.table("items")
-			if err != nil {
-				t.Fatal(err)
-			}
-			gc := &tb.gc
-			// Hold the leadership: arrivals queue up as followers until this
-			// test, standing in for the busy leader, drains them.
-			gc.mu.Lock()
-			gc.leading = true
-			gc.mu.Unlock()
-			queued := func(n int) {
-				t.Helper()
-				for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-					gc.mu.Lock()
-					got := len(gc.queue)
-					gc.mu.Unlock()
-					if got >= n {
-						return
-					}
-					if time.Now().After(deadline) {
-						t.Fatalf("only %d of %d ops queued", got, n)
-					}
-				}
-			}
+			gc := holdLeadership(t, srv)
 
 			var batch []schema.Tuple
 			for _, k := range keys {
@@ -363,9 +350,9 @@ func TestBatchOrdersInTheQueue(t *testing.T) {
 			}
 			wg.Add(2)
 			go first()
-			queued(1)
+			awaitQueued(t, gc, 1)
 			go second()
-			queued(2)
+			awaitQueued(t, gc, 2)
 			srv.leadCommits("items", gc)
 			wg.Wait()
 
@@ -433,32 +420,43 @@ func TestSingleInsertSignOps(t *testing.T) {
 }
 
 // TestKeylessInsertFailsAlone: a request holding a tuple with no key
-// column arrives among concurrent good inserts while the leader waits
-// out MaxDelay. It is refused with CodeBadRequest before it is queued;
-// the good inserts still fill one round and commit together.
+// column arrives while good inserts are queued behind a busy leader. It
+// is refused with CodeBadRequest before it is queued; the good inserts
+// still fill one round and commit together.
 func TestKeylessInsertFailsAlone(t *testing.T) {
 	const good = 8
-	srv := newBatchServer(t, 50, Options{PageSize: 1024, MaxBatch: good, MaxDelay: 2 * time.Second})
+	srv := newBatchServer(t, 50, Options{PageSize: 1024, MaxBatch: good})
 	base, _ := srv.Version("items")
+	gc := holdLeadership(t, srv)
 	var wg sync.WaitGroup
 	errs := make([]error, good)
-	var badErr error
-	wg.Add(good + 1)
-	go func() {
-		defer wg.Done()
-		_, badErr = srv.enqueueBatch(context.Background(), "items", []schema.Tuple{{}})
-	}()
 	for i := 0; i < good; i++ {
+		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			errs[i] = insertOne(srv, batchServerRow(t, 60_000+int64(i)))
 		}(i)
 	}
-	wg.Wait()
+	awaitQueued(t, gc, good)
+	// Refused before the queue, the request returns while the leadership
+	// is still held; had it queued, it would wait for leadCommits.
+	bad := make(chan error, 1)
+	go func() {
+		_, err := srv.enqueueBatch(context.Background(), "items", []schema.Tuple{{}})
+		bad <- err
+	}()
+	var badErr error
+	select {
+	case badErr = <-bad:
+	case <-time.After(5 * time.Second):
+		t.Fatal("key-less insert was queued instead of refused")
+	}
 	var we *wire.WireError
 	if !errors.As(badErr, &we) || we.Code != wire.CodeBadRequest {
 		t.Fatalf("key-less insert: %v, want CodeBadRequest", badErr)
 	}
+	srv.leadCommits("items", gc)
+	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("good insert %d failed beside a key-less one: %v", i, err)
@@ -475,15 +473,8 @@ func TestKeylessInsertFailsAlone(t *testing.T) {
 // errors.
 func TestInsertRequestsCoalesceBySize(t *testing.T) {
 	srv := newBatchServer(t, 40, Options{PageSize: 1024, MaxBatch: 8})
-	tb, err := srv.table("items")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gc := &tb.gc
 	// Hold the leadership so the requests queue in a known order.
-	gc.mu.Lock()
-	gc.leading = true
-	gc.mu.Unlock()
+	gc := holdLeadership(t, srv)
 
 	rows := func(ids ...int64) []schema.Tuple {
 		out := make([]schema.Tuple, len(ids))
@@ -513,17 +504,7 @@ func TestInsertRequestsCoalesceBySize(t *testing.T) {
 				t.Errorf("request %d: %v", i, err)
 			}
 		}(i, req)
-		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-			gc.mu.Lock()
-			n := len(gc.queue)
-			gc.mu.Unlock()
-			if n > i {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("request %d never queued", i)
-			}
-		}
+		awaitQueued(t, gc, i+1)
 	}
 	base, _ := srv.Version("items")
 	srv.leadCommits("items", gc)

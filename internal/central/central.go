@@ -88,26 +88,17 @@ type Options struct {
 	// request commits in a round of its own). 0 selects DefaultMaxBatch;
 	// a negative value is refused.
 	MaxBatch int
-	// MaxDelay is how long a group-commit leader waits for stragglers
-	// before committing its round. 0 (the default) commits immediately
-	// with whatever has queued — coalescing then happens only under
-	// genuine concurrency and adds no idle latency.
-	MaxDelay time.Duration
 	// Shards is how many range partitions each table is built with.
-	// 0 or 1 selects a single shard.
+	// 0 or 1 selects a single shard. The initial boundaries balance the
+	// build tuples per shard.
 	Shards int
-	// ShardSplit picks the boundary-selection strategy for the initial
-	// partition: shardmap.SplitByCount (default) balances build tuples
-	// per shard, shardmap.SplitByKeySpan divides the key interval
-	// evenly.
-	ShardSplit shardmap.Strategy
-	// AutoReshard, when non-nil, arms the hot-shard detector: an EWMA
-	// over per-shard ingest counters that splits a shard carrying
-	// a disproportionate load share and merges cold adjacent pairs,
-	// online, under live traffic (see reshard.go). With a positive
-	// Interval a background loop ticks every table; with Interval zero
-	// the caller drives AutoReshardTick manually.
-	AutoReshard *AutoReshardOptions
+	// AutoReshardInterval, when positive, runs the hot-shard detector
+	// (AutoReshardTick) over every table at that interval: an EWMA over
+	// per-shard ingest counters that splits a shard carrying a
+	// disproportionate load share and merges cold adjacent pairs,
+	// online, under live traffic (see reshard.go). 0 runs no background
+	// loop; the caller may still drive AutoReshardTick.
+	AutoReshardInterval time.Duration
 	// ReshardCheckpointEvery, when positive, writes a partition
 	// checkpoint into the table's meta log after every N committed
 	// transitions, so replaying a long split/merge history is truncated
@@ -340,9 +331,6 @@ func NewServerWithKey(opts Options, key *sig.PrivateKey) (*Server, error) {
 	if opts.DeltaRetention < 0 {
 		return nil, fmt.Errorf("central: negative Options.DeltaRetention %d", opts.DeltaRetention)
 	}
-	if _, err := shardmap.ParseStrategy(string(opts.ShardSplit)); err != nil {
-		return nil, err
-	}
 	s := &Server{
 		opts:   opts,
 		key:    key,
@@ -354,7 +342,7 @@ func NewServerWithKey(opts Options, key *sig.PrivateKey) (*Server, error) {
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background()) //vetauth:ignore ctxflow server root context, cancelled by Close
 	// Route the key's sign-op count into the server's stats snapshot.
 	key.SetCounters(&s.stats.signOps)
-	if opts.AutoReshard != nil && opts.AutoReshard.Interval > 0 {
+	if opts.AutoReshardInterval > 0 {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -395,7 +383,7 @@ func (s *Server) AddTable(sch *schema.Schema, tuples []schema.Tuple) error {
 	if _, exists := s.tables[sch.Table]; exists {
 		return fmt.Errorf("central: table %q already exists", sch.Table)
 	}
-	boundaries, err := shardmap.Split(sch, tuples, s.shardCount(), s.opts.ShardSplit)
+	boundaries, err := shardmap.Split(sch, tuples, s.shardCount(), shardmap.SplitByCount)
 	if err != nil {
 		return err
 	}

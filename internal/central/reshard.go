@@ -58,27 +58,20 @@ const DefaultReshardTailBound = 64
 // remains (the soak shows it stays near one round's arrivals).
 const maxCatchupRounds = 8
 
-// detectorAlpha is the hot-shard detector's EWMA smoothing factor.
-const detectorAlpha = 0.3
-
-// AutoReshardOptions configures the hot-shard detector: an EWMA over
-// each shard's per-tick ingest counter, compared against the table-wide
-// total.
-type AutoReshardOptions struct {
-	// Interval between detector ticks (and the EWMA's time base).
-	// Required for the background loop; AutoReshardTick can be driven
-	// manually (tests, cron) with Interval zero.
-	Interval time.Duration
-	// SplitFraction trips a split when one shard carries more than this
-	// fraction of the table's total EWMA load. 0 selects 0.6.
-	SplitFraction float64
-	// MergeFraction trips a merge when an adjacent pair together carries
-	// less than this fraction. 0 selects 0.05.
-	MergeFraction float64
-	// MaxShards bounds the partition size the detector will split up
-	// to. Zero selects 64.
-	MaxShards int
-}
+// The hot-shard detector: an EWMA over each shard's per-tick ingest
+// counter, compared against the table-wide total.
+const (
+	// detectorAlpha is the EWMA's smoothing factor.
+	detectorAlpha = 0.3
+	// splitFraction trips a split when one shard carries more than this
+	// fraction of the table's total EWMA load.
+	splitFraction = 0.6
+	// mergeFraction trips a merge when an adjacent pair together carries
+	// less than this fraction.
+	mergeFraction = 0.05
+	// maxShards bounds the partition size the detector splits up to.
+	maxShards = 64
+)
 
 // Reshard executes one admin-commanded partition transition (the
 // MsgReshardReq handler).
@@ -753,29 +746,16 @@ func (s *Server) maybeCheckpointMeta(t *table, next *partition) {
 // AutoReshardTick runs one detector pass over a table: it folds the
 // per-shard ingest counters accumulated since the last tick into each
 // shard's EWMA, then splits the hottest shard (load-median boundary
-// when its sketch is warm) if its load share exceeds SplitFraction, or
+// when its sketch is warm) if its load share exceeds splitFraction, or
 // merges the coldest adjacent pair if their combined share falls below
-// MergeFraction. Returns the committed transition, or nil if the
-// partition was left alone. Safe to drive manually when no background
-// interval is configured.
+// mergeFraction. Returns the committed transition, or nil if the
+// partition was left alone. It runs whenever it is called: the
+// background loop (Options.AutoReshardInterval) calls it, and so may an
+// operator or a test.
 func (s *Server) AutoReshardTick(ctx context.Context, tableName string) (*wire.ReshardResponse, error) {
-	opts := s.opts.AutoReshard
-	if opts == nil {
-		return nil, nil
-	}
 	t, err := s.table(tableName)
 	if err != nil {
 		return nil, err
-	}
-	splitFraction, mergeFraction, maxShards := 0.6, 0.05, 64
-	if opts.SplitFraction != 0 {
-		splitFraction = opts.SplitFraction
-	}
-	if opts.MergeFraction != 0 {
-		mergeFraction = opts.MergeFraction
-	}
-	if opts.MaxShards > 0 {
-		maxShards = opts.MaxShards
 	}
 	part := t.part.Load()
 
@@ -827,7 +807,7 @@ func (s *Server) AutoReshardTick(ctx context.Context, tableName string) (*wire.R
 // cannot median-split) must not stop the loop, and the manual admin
 // path surfaces the same errors to an operator.
 func (s *Server) autoReshardLoop() {
-	ticker := time.NewTicker(s.opts.AutoReshard.Interval)
+	ticker := time.NewTicker(s.opts.AutoReshardInterval)
 	defer ticker.Stop()
 	for {
 		select {

@@ -448,13 +448,11 @@ func TestRetiredShardDeltaFailsClosed(t *testing.T) {
 	}
 }
 
-// TestAutoReshardDetector drives the EWMA detector by hand: skewed
-// ingest trips a split of the hot shard, and an idle tick afterwards
-// commits nothing.
+// TestAutoReshardDetector drives the EWMA detector by hand at its
+// built-in thresholds: skewed ingest trips a split of the hot shard, and
+// an idle tick afterwards commits nothing.
 func TestAutoReshardDetector(t *testing.T) {
-	srv := newReshardServer(t, 200, 2, Options{
-		AutoReshard: &AutoReshardOptions{SplitFraction: 0.8, MaxShards: 4},
-	})
+	srv := newReshardServer(t, 200, 2, Options{})
 	ctx := context.Background()
 	// All new load lands in shard 1 (keys above every build key).
 	for i := 0; i < 40; i++ {
@@ -474,7 +472,7 @@ func TestAutoReshardDetector(t *testing.T) {
 		t.Fatalf("split 41: audited %d tuples, want 240", got)
 	}
 	// With the counters drained, the next tick only decays the EWMA: the
-	// split children share the hot load evenly (share 0.5 < 0.8), and the
+	// split children share the hot load evenly (share 0.5 < 0.6), and the
 	// coldest adjacent pair still carries half of it (0.5 > 0.05), so the
 	// partition is left alone.
 	resp, err = srv.AutoReshardTick(ctx, "items")

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"edgeauth/internal/schema"
 	"edgeauth/internal/wire"
@@ -205,41 +204,53 @@ func TestShardDeltaBindsShardID(t *testing.T) {
 }
 
 // TestDeleteOrdersAfterCoalescedInserts pins the group-commit parity
-// fix: a delete dispatched while an insert round is in flight must
-// commit after the inserts that arrived before it, so it observes (and
-// can remove) their rows. Before the fix, MsgDeleteReq bypassed the
-// queue and could commit ahead of earlier coalesced inserts.
+// fix: a delete that arrives behind a run of queued inserts commits after
+// them, so it observes (and removes) their rows. Before the fix,
+// MsgDeleteReq bypassed the queue and could commit ahead of earlier
+// coalesced inserts.
 func TestDeleteOrdersAfterCoalescedInserts(t *testing.T) {
-	srv := newBatchServer(t, 10, Options{PageSize: 1024, MaxBatch: 8, MaxDelay: 300 * time.Millisecond})
+	const inserts = 3
+	srv := newBatchServer(t, 10, Options{PageSize: 1024, MaxBatch: 8})
+	gc := holdLeadership(t, srv)
+	insertErrs := make(chan error, inserts)
+	for i := 0; i < inserts; i++ {
+		go func(i int) {
+			insertErrs <- insertOne(srv, batchServerRow(t, 70_000+int64(i)))
+		}(i)
+	}
+	awaitQueued(t, gc, inserts)
 
-	insertErr := make(chan error, 1)
+	lo, hi := schema.Int64(70_000), schema.Int64(70_000+inserts-1)
+	var n int
+	var delErr error
+	deleted := make(chan struct{})
 	go func() {
-		insertErr <- insertOne(srv, batchServerRow(t, 70_000))
+		defer close(deleted)
+		n, delErr = srv.enqueueDelete(context.Background(), "items", &lo, &hi)
 	}()
-	// Let the insert take leadership and start waiting for stragglers.
-	time.Sleep(50 * time.Millisecond)
+	awaitQueued(t, gc, inserts+1)
+	base, _ := srv.Version("items")
+	srv.leadCommits("items", gc)
+	<-deleted
+	for i := 0; i < inserts; i++ {
+		if err := <-insertErrs; err != nil {
+			t.Fatalf("insert failed: %v", err)
+		}
+	}
+	if delErr != nil {
+		t.Fatal(delErr)
+	}
+	if n != inserts {
+		t.Fatalf("delete saw %d rows, want %d — it committed ahead of the earlier inserts", n, inserts)
+	}
+	// One round for the coalesced inserts, one for the delete.
+	if v, _ := srv.Version("items"); v != base+2 {
+		t.Fatalf("committed in %d rounds, want 2", v-base)
+	}
 
-	lo, hi := schema.Int64(70_000), schema.Int64(70_000)
-	start := time.Now()
-	n, err := srv.enqueueDelete(context.Background(), "items", &lo, &hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-insertErr; err != nil {
-		t.Fatalf("insert failed: %v", err)
-	}
-	if n != 1 {
-		t.Fatalf("delete saw %d rows, want 1 — it committed ahead of the earlier insert", n)
-	}
-	// The delete also must not have slept out the full MaxDelay: its
-	// arrival signals the waiting leader.
-	if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
-		t.Fatalf("delete waited %v; a queued delete should release the leader early", elapsed)
-	}
-
-	// And the row is gone.
+	// And the rows are gone.
 	if n := len(rowsIn(t, srv, "items", &lo, &hi)); n != 0 {
-		t.Fatalf("row survived its delete")
+		t.Fatalf("%d rows survived their delete", n)
 	}
 }
 
@@ -247,7 +258,7 @@ func TestDeleteOrdersAfterCoalescedInserts(t *testing.T) {
 // inserts and deletes under -race; every op gets exactly one result and
 // the table stays consistent (no row both present and delete-counted).
 func TestConcurrentMixedOpsOrdered(t *testing.T) {
-	srv := newBatchServer(t, 10, Options{PageSize: 1024, MaxBatch: 16, MaxDelay: 2 * time.Millisecond})
+	srv := newBatchServer(t, 10, Options{PageSize: 1024, MaxBatch: 16})
 	const workers = 24
 	var wg sync.WaitGroup
 	deleted := make([]int, workers)

@@ -80,18 +80,18 @@ func NewEnv(cfg Config) (*Env, error) {
 
 // NewEnvWithKey builds the environment around an existing key.
 func NewEnvWithKey(cfg Config, key *sig.PrivateKey) (*Env, error) {
-	spec := workload.DefaultSpec(cfg.Rows)
-	spec.Seed = cfg.Seed
-	sch, err := spec.Schema()
-	if err != nil {
-		return nil, err
-	}
-	tuples, err := spec.Tuples()
+	return newEnv(cfg, key, 0)
+}
+
+// newEnv builds the environment around key over cfg.Rows tuples; a
+// positive attrSize sizes their non-key attributes in bytes.
+func newEnv(cfg Config, key *sig.PrivateKey, attrSize int) (*Env, error) {
+	sch, tuples, err := generate(cfg, cfg.Rows, attrSize)
 	if err != nil {
 		return nil, err
 	}
 	acc := digest.MustNew(digest.DefaultParams())
-	tree, err := buildTree(cfg, sch, acc, key, tuples)
+	tree, err := buildTree(cfg, sch, acc, key.Public(), tuples)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +119,25 @@ func NewEnvWithKey(cfg Config, key *sig.PrivateKey) (*Env, error) {
 	}, nil
 }
 
-func buildTree(cfg Config, sch *schema.Schema, acc *digest.Accumulator, key *sig.PrivateKey, tuples []schema.Tuple) (*vbtree.Tree, error) {
+// generate produces the workload table of rows tuples under cfg.Seed; a
+// positive attrSize sizes the non-key attributes in bytes.
+func generate(cfg Config, rows, attrSize int) (*schema.Schema, []schema.Tuple, error) {
+	spec := workload.DefaultSpec(rows)
+	spec.Seed = cfg.Seed
+	if attrSize > 0 {
+		spec.AttrSize = attrSize
+	}
+	sch, err := spec.Schema()
+	if err != nil {
+		return nil, nil, err
+	}
+	tuples, err := spec.Tuples()
+	return sch, tuples, err
+}
+
+// buildTree builds a VB-tree over tuples in a fresh in-memory page space
+// of cfg.PageSize pages.
+func buildTree(cfg Config, sch *schema.Schema, acc *digest.Accumulator, pub *sig.PublicKey, tuples []schema.Tuple) (*vbtree.Tree, error) {
 	mem, err := storage.NewMemPager(cfg.PageSize)
 	if err != nil {
 		return nil, err
@@ -132,14 +150,7 @@ func buildTree(cfg Config, sch *schema.Schema, acc *digest.Accumulator, key *sig
 	if err != nil {
 		return nil, err
 	}
-	return vbtree.Build(vbtree.Config{
-		Pool:             pool,
-		Heap:             heap,
-		Schema:           sch,
-		Acc:              acc,
-		Pub:              key.Public(),
-		BuildParallelism: 8,
-	}, tuples, 1.0)
+	return vbtree.Build(vbtree.Config{Pool: pool, Heap: heap, Schema: sch, Acc: acc, Pub: pub}, tuples, 1.0)
 }
 
 // rangeFor converts a selectivity into datum bounds over the env table.

@@ -8,10 +8,8 @@ import (
 
 	"edgeauth/internal/costmodel"
 	"edgeauth/internal/digest"
-	"edgeauth/internal/naive"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
-	"edgeauth/internal/storage"
 	"edgeauth/internal/vbtree"
 	"edgeauth/internal/workload"
 )
@@ -127,7 +125,7 @@ func MeasuredFig11(ctx context.Context, cfg Config) (costmodel.Figure, error) {
 		small.Rows = cfg.SmallRows
 		// The largest factor produces ~9 KB tuples; they spill into heap
 		// overflow pages while the index keeps Table 1's 4 KB nodes.
-		env, err := buildSizedEnv(small, key, 16*(1<<fac))
+		env, err := newEnv(small, key, 16*(1<<fac))
 		if err != nil {
 			return f, err
 		}
@@ -142,47 +140,6 @@ func MeasuredFig11(ctx context.Context, cfg Config) (costmodel.Figure, error) {
 		}
 	}
 	return f, nil
-}
-
-// buildSizedEnv builds an Env whose non-key attributes are attrSize bytes.
-func buildSizedEnv(cfg Config, key *sig.PrivateKey, attrSize int) (*Env, error) {
-	spec := workload.DefaultSpec(cfg.Rows)
-	spec.Seed = cfg.Seed
-	spec.AttrSize = attrSize
-	sch, err := spec.Schema()
-	if err != nil {
-		return nil, err
-	}
-	tuples, err := spec.Tuples()
-	if err != nil {
-		return nil, err
-	}
-	acc := digest.MustNew(digest.DefaultParams())
-	tree, err := buildTree(cfg, sch, acc, key, tuples)
-	if err != nil {
-		return nil, err
-	}
-	nstore, err := naive.BuildStore(sch, acc, key, tuples)
-	if err != nil {
-		return nil, err
-	}
-	counters := &digest.Counters{}
-	p := digest.DefaultParams()
-	p.Counters = counters
-	verAcc := digest.MustNew(p)
-	verPub := key.Public()
-	verPub.Counters = counters
-	return &Env{
-		Cfg:      cfg,
-		Key:      key,
-		Sch:      sch,
-		Tree:     tree,
-		Naive:    nstore,
-		AccLen:   acc.Len(),
-		counters: counters,
-		verAcc:   verAcc,
-		verPub:   verPub,
-	}, nil
 }
 
 // MeasuredFig12 sweeps selectivity and reports measured client cost in
@@ -285,34 +242,13 @@ func MeasureUpdates(cfg Config) ([]UpdatePoint, error) {
 	p := digest.DefaultParams()
 	p.Counters = counters
 	acc := digest.MustNew(p)
-
-	spec := workload.DefaultSpec(cfg.SmallRows)
-	spec.Seed = cfg.Seed
-	sch, err := spec.Schema()
-	if err != nil {
-		return nil, err
-	}
-	tuples, err := spec.Tuples()
-	if err != nil {
-		return nil, err
-	}
-	mem, err := storage.NewMemPager(cfg.PageSize)
-	if err != nil {
-		return nil, err
-	}
-	pool, err := storage.NewBufferPool(mem, 1<<20)
-	if err != nil {
-		return nil, err
-	}
-	heap, err := storage.NewHeapFile(pool)
-	if err != nil {
-		return nil, err
-	}
 	pub := key.Public()
 	pub.Counters = counters
-	tree, err := vbtree.Build(vbtree.Config{
-		Pool: pool, Heap: heap, Schema: sch, Acc: acc, Pub: pub, BuildParallelism: 8,
-	}, tuples, 1.0)
+	sch, tuples, err := generate(cfg, cfg.SmallRows, 0)
+	if err != nil {
+		return nil, err
+	}
+	tree, err := buildTree(cfg, sch, acc, pub, tuples)
 	if err != nil {
 		return nil, err
 	}

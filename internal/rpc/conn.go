@@ -39,16 +39,16 @@ import (
 
 // Defaults for Options zero values.
 const (
-	DefaultDialTimeout    = 5 * time.Second
 	DefaultRedialAttempts = 3
 	DefaultRedialBackoff  = 25 * time.Millisecond
 )
 
+// dialTimeout bounds each TCP connect attempt and the Hello exchange
+// that follows it.
+const dialTimeout = 5 * time.Second
+
 // Options configures a Conn.
 type Options struct {
-	// DialTimeout bounds each TCP connect attempt. 0 selects
-	// DefaultDialTimeout.
-	DialTimeout time.Duration
 	// RedialAttempts is how many connect attempts are made when
 	// (re-)establishing the connection. 0 selects DefaultRedialAttempts.
 	RedialAttempts int
@@ -59,13 +59,6 @@ type Options struct {
 	// Hello (e.g. CapPeerServe for an edge that serves replication
 	// traffic to other edges).
 	Capabilities uint32
-}
-
-func (o Options) dialTimeout() time.Duration {
-	if o.DialTimeout <= 0 {
-		return DefaultDialTimeout
-	}
-	return o.DialTimeout
 }
 
 func (o Options) redialAttempts() int {
@@ -323,7 +316,7 @@ func (c *Conn) dialLoop(ctx context.Context) (*session, error) {
 
 // dialAndHandshake makes one connect attempt and negotiates the protocol.
 func (c *Conn) dialAndHandshake(ctx context.Context) (*session, error) {
-	dctx, cancel := context.WithTimeout(ctx, c.opts.dialTimeout())
+	dctx, cancel := context.WithTimeout(ctx, dialTimeout)
 	defer cancel()
 	var d net.Dialer
 	nc, err := d.DialContext(dctx, "tcp", c.addr)
@@ -338,7 +331,7 @@ func (c *Conn) dialAndHandshake(ctx context.Context) (*session, error) {
 func (c *Conn) handshake(nc net.Conn) (*session, error) {
 	// Hello and its reply travel in bare framing; everything after is
 	// numbered.
-	nc.SetDeadline(time.Now().Add(c.opts.dialTimeout()))
+	nc.SetDeadline(time.Now().Add(dialTimeout))
 	if err := wire.WriteFrame(nc, wire.MsgHello, wire.EncodeHelloCaps(wire.ProtocolVersion, c.opts.Capabilities)); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("rpc: hello: %w", err)

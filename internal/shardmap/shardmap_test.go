@@ -189,36 +189,6 @@ func TestSplitByCount(t *testing.T) {
 	}
 }
 
-func TestSplitByKeySpan(t *testing.T) {
-	sch := &schema.Schema{DB: "d", Table: "t", Key: 0,
-		Columns: []schema.Column{{Name: "id", Type: schema.TypeInt64}}}
-	var tuples []schema.Tuple
-	for i := 0; i < 100; i++ {
-		tuples = append(tuples, schema.NewTuple(schema.Int64(int64(i))))
-	}
-	b, err := Split(sch, tuples, 4, SplitByKeySpan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b) != 3 || b[0].I != 24 || b[1].I != 49 || b[2].I != 74 {
-		t.Fatalf("keyspan boundaries = %v", b)
-	}
-	// String keys fall back to count-based splitting.
-	ssch := &schema.Schema{DB: "d", Table: "t", Key: 0,
-		Columns: []schema.Column{{Name: "id", Type: schema.TypeString}}}
-	var stuples []schema.Tuple
-	for _, s := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
-		stuples = append(stuples, schema.NewTuple(schema.Str(s)))
-	}
-	sb, err := Split(ssch, stuples, 2, SplitByKeySpan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sb) != 1 {
-		t.Fatalf("string fallback boundaries = %v", sb)
-	}
-}
-
 func TestSplitDegenerate(t *testing.T) {
 	sch := &schema.Schema{DB: "d", Table: "t", Key: 0,
 		Columns: []schema.Column{{Name: "id", Type: schema.TypeInt64}}}
@@ -242,17 +212,9 @@ func TestSplitDegenerate(t *testing.T) {
 	if _, err := Split(sch, dup, 0, SplitByCount); err == nil {
 		t.Fatal("n=0 accepted")
 	}
-}
-
-func TestParseStrategy(t *testing.T) {
-	if s, err := ParseStrategy(""); err != nil || s != SplitByCount {
-		t.Fatalf("empty strategy: %v %v", s, err)
-	}
-	if s, err := ParseStrategy("keyspan"); err != nil || s != SplitByKeySpan {
-		t.Fatalf("keyspan strategy: %v %v", s, err)
-	}
-	if _, err := ParseStrategy("bogus"); err == nil {
-		t.Fatal("bogus strategy accepted")
+	// Count is the only strategy.
+	if _, err := Split(sch, dup, 4, "keyspan"); err == nil {
+		t.Fatal("keyspan strategy accepted")
 	}
 }
 

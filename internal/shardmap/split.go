@@ -8,38 +8,25 @@ import (
 	"edgeauth/internal/schema"
 )
 
-// Strategy names a boundary-selection policy for the initial partition
-// of a table into shards.
+// Strategy names the boundary-selection policy of the initial partition.
+// There is one, SplitByCount; the type and Split's parameter remain only
+// because the benchmark harness passes them (ROADMAP 9(0) deletes both).
 type Strategy string
 
-const (
-	// SplitByCount picks boundaries so each shard receives an equal
-	// share of the build tuples — balanced for the build distribution.
-	SplitByCount Strategy = "count"
-	// SplitByKeySpan divides the [min, max] key interval into equal
-	// widths (int64 and float64 keys only) — balanced for uniformly
-	// distributed future inserts regardless of the build skew.
-	SplitByKeySpan Strategy = "keyspan"
-)
-
-// ParseStrategy resolves a flag value; empty selects SplitByCount.
-func ParseStrategy(s string) (Strategy, error) {
-	switch Strategy(s) {
-	case "", SplitByCount:
-		return SplitByCount, nil
-	case SplitByKeySpan:
-		return SplitByKeySpan, nil
-	default:
-		return "", fmt.Errorf("shardmap: unknown split strategy %q (want %q or %q)", s, SplitByCount, SplitByKeySpan)
-	}
-}
+// SplitByCount picks boundaries so each shard receives an equal share of
+// the build tuples — balanced for the build distribution.
+const SplitByCount Strategy = "count"
 
 // Split computes the N-1 boundary keys partitioning tuples (sorted or
-// unsorted) into n range shards under the given strategy. The returned
-// boundaries are strictly increasing; fewer than n-1 may be returned
-// when the data cannot support n distinct shards (duplicate-heavy or
-// tiny tables), in which case the caller builds fewer shards.
+// unsorted) into n range shards by count; strat must be SplitByCount.
+// The returned boundaries are strictly increasing; fewer than n-1 may be
+// returned when the data cannot support n distinct shards
+// (duplicate-heavy or tiny tables), in which case the caller builds
+// fewer shards.
 func Split(sch *schema.Schema, tuples []schema.Tuple, n int, strat Strategy) ([]schema.Datum, error) {
+	if strat != SplitByCount {
+		return nil, fmt.Errorf("shardmap: unknown split strategy %q", strat)
+	}
 	if n < 1 {
 		return nil, errors.New("shardmap: shard count must be >= 1")
 	}
@@ -54,19 +41,7 @@ func Split(sch *schema.Schema, tuples []schema.Tuple, n int, strat Strategy) ([]
 		keys[i] = t.Key(sch)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].Compare(keys[j]) < 0 })
-
-	switch strat {
-	case SplitByKeySpan:
-		if b, ok := splitKeySpan(keys, n); ok {
-			return b, nil
-		}
-		// Non-numeric keys: fall through to count-based boundaries.
-		fallthrough
-	case SplitByCount, "":
-		return splitCount(keys, n), nil
-	default:
-		return nil, fmt.Errorf("shardmap: unknown split strategy %q", strat)
-	}
+	return splitCount(keys, n), nil
 }
 
 // splitCount picks every (len/n)-th key as a boundary, deduplicating so
@@ -88,50 +63,6 @@ func splitCount(sorted []schema.Datum, n int) []schema.Datum {
 		out = append(out, b)
 	}
 	return out
-}
-
-// splitKeySpan divides [min, max] into n equal-width intervals. Only
-// int64 and float64 keys have the arithmetic for this; ok=false sends
-// other types to the count-based fallback.
-func splitKeySpan(sorted []schema.Datum, n int) ([]schema.Datum, bool) {
-	min, max := sorted[0], sorted[len(sorted)-1]
-	var out []schema.Datum
-	switch min.Type {
-	case schema.TypeInt64:
-		span := max.I - min.I
-		if span <= 0 {
-			return nil, true // all keys equal: one shard
-		}
-		for i := 1; i < n; i++ {
-			b := schema.Int64(min.I + span*int64(i)/int64(n))
-			if len(out) > 0 && out[len(out)-1].Compare(b) >= 0 {
-				continue
-			}
-			if b.Compare(min) <= 0 || b.Compare(max) > 0 {
-				continue
-			}
-			out = append(out, b)
-		}
-		return out, true
-	case schema.TypeFloat64:
-		span := max.F - min.F
-		if span <= 0 {
-			return nil, true
-		}
-		for i := 1; i < n; i++ {
-			b := schema.Float64(min.F + span*float64(i)/float64(n))
-			if len(out) > 0 && out[len(out)-1].Compare(b) >= 0 {
-				continue
-			}
-			if b.Compare(min) <= 0 || b.Compare(max) > 0 {
-				continue
-			}
-			out = append(out, b)
-		}
-		return out, true
-	default:
-		return nil, false
-	}
 }
 
 // Partition groups tuples by the shard each belongs to under the given

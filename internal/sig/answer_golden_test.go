@@ -65,7 +65,7 @@ func goldenView(t *testing.T) (*vbtree.View, *schema.Schema, *sig.PublicKey) {
 	now := func() int64 { return 1_700_000_000 }
 	tree, err := vbtree.Build(vbtree.Config{
 		Pool: bp, Heap: heap, Schema: sch, Acc: digest.MustNew(digest.DefaultParams()),
-		Pub: k.Public(), Now: now, BuildParallelism: 2,
+		Pub: k.Public(), Now: now,
 	}, tuples, 0.7)
 	if err != nil {
 		t.Fatal(err)

@@ -123,7 +123,7 @@ type preparedTuple struct {
 // opErrs and leave the slot unused.
 func (t *Tree) prepareTuples(tuples []schema.Tuple, opErrs []error) []preparedTuple {
 	prep := make([]preparedTuple, len(tuples))
-	parallel(len(tuples), t.buildPar, func(i int) {
+	parallel(len(tuples), func(i int) {
 		digests, ut, err := tupleDigests(t.acc, t.sch, tuples[i])
 		if err != nil {
 			opErrs[i] = opError(err)
@@ -140,16 +140,19 @@ func (t *Tree) prepareTuples(tuples []schema.Tuple, opErrs []error) []preparedTu
 	return prep
 }
 
-// parallel calls fn for 0..n-1 on min(par, n) workers; a single item runs
-// on the caller's goroutine, so an insert of one starts none.
-func parallel(n, par int, fn func(i int)) {
+// buildWorkers bounds the hashing workers of Build and InsertBatch.
+const buildWorkers = 4
+
+// parallel calls fn for 0..n-1 on min(buildWorkers, n) workers; a single
+// item runs on the caller's goroutine, so an insert of one starts none.
+func parallel(n int, fn func(i int)) {
 	if n == 1 {
 		fn(0)
 		return
 	}
 	var wg sync.WaitGroup
 	work := make(chan int)
-	for w := 0; w < min(par, n); w++ {
+	for w := 0; w < min(buildWorkers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -54,7 +54,7 @@ func newBatchTree(t testing.TB, rows int, fill float64) (*Tree, *schema.Schema, 
 	}
 	tree, err := Build(Config{
 		Pool: bp, Heap: heap, Schema: sch, Acc: digest.MustNew(digest.DefaultParams()),
-		Pub: k.Public(), BuildParallelism: 4,
+		Pub: k.Public(),
 	}, tuples, fill)
 	if err != nil {
 		t.Fatal(err)
@@ -320,7 +320,7 @@ func newSchemeTree(t testing.TB, scheme sig.Scheme, rows int, fill float64) (*Tr
 	}
 	tree, err := Build(Config{
 		Pool: bp, Heap: heap, Schema: sch, Acc: digest.MustNew(p),
-		Pub: pub, BuildParallelism: 4,
+		Pub: pub,
 	}, tuples, fill)
 	if err != nil {
 		t.Fatal(err)

@@ -64,7 +64,7 @@ func rootDigestsMatch(t *testing.T, scheme sig.Scheme, height int, roots [4]stri
 	}
 	tree, err := Build(Config{
 		Pool: bp, Heap: heap, Schema: sch, Acc: digest.MustNew(digest.DefaultParams()),
-		Pub: k.Public(), BuildParallelism: 4,
+		Pub: k.Public(),
 	}, tuples, 0.7)
 	if err != nil {
 		t.Fatal(err)

@@ -165,7 +165,7 @@ func BenchmarkAnswerRange256(b *testing.B) {
 	}
 	tree, err := Build(Config{
 		Pool: bp, Heap: heap, Schema: sch, Acc: digest.MustNew(digest.Params{Counters: &c}),
-		Pub: k.Public(), BuildParallelism: 2,
+		Pub: k.Public(),
 	}, tuples, 1.0)
 	if err != nil {
 		b.Fatal(err)

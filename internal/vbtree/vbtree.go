@@ -71,9 +71,6 @@ type Config struct {
 	Locks  *lock.Manager
 	// Now supplies timestamps for VOs; defaults to time.Now.
 	Now func() int64
-	// BuildParallelism bounds the hashing workers used by Build.
-	// Zero selects a reasonable default.
-	BuildParallelism int
 }
 
 func (c *Config) validate() error {
@@ -114,8 +111,6 @@ type Tree struct {
 	// node digests) is a digest; the node's page also stores its in-node
 	// group digests (node.go). A commit spends no signature at all.
 	rootU digest.Value
-
-	buildPar int
 }
 
 // New creates an empty tree (a single empty leaf).
@@ -191,18 +186,13 @@ func attach(cfg Config) (*Tree, error) {
 	if now == nil {
 		now = unixNow
 	}
-	par := cfg.BuildParallelism
-	if par <= 0 {
-		par = 4
-	}
 	return &Tree{
-		bp:       cfg.Pool,
-		heap:     cfg.Heap,
-		sch:      cfg.Schema,
-		acc:      cfg.Acc,
-		pub:      cfg.Pub,
-		now:      now,
-		buildPar: par,
+		bp:   cfg.Pool,
+		heap: cfg.Heap,
+		sch:  cfg.Schema,
+		acc:  cfg.Acc,
+		pub:  cfg.Pub,
+		now:  now,
 	}, nil
 }
 

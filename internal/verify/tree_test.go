@@ -49,7 +49,7 @@ func buildTree(t testing.TB, rows, pageSize int, counters *digest.Counters) *bui
 	}
 	tree, err := vbtree.Build(vbtree.Config{
 		Pool: bp, Heap: heap, Schema: sch, Acc: digest.MustNew(digest.DefaultParams()),
-		Pub: key.Public(), BuildParallelism: 2,
+		Pub: key.Public(),
 	}, tuples, 1.0)
 	if err != nil {
 		t.Fatal(err)
