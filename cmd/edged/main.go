@@ -5,7 +5,8 @@
 // pages changed since the replica's version) and falls back to a full
 // snapshot when the central server's retained changelog cannot cover the
 // gap. The -tamper flag simulates a compromised edge so clients can be
-// shown detecting it.
+// shown detecting it: the listener is then served by a proxy that runs
+// the named attack on what the honest replica answers (tamper.Wrap).
 //
 // Usage:
 //
@@ -51,9 +52,9 @@ import (
 	"time"
 
 	"edgeauth/internal/edge"
-	"edgeauth/internal/shardmap"
+	"edgeauth/internal/rpc"
 	"edgeauth/internal/tamper"
-	"edgeauth/internal/vo"
+	"edgeauth/internal/wire"
 )
 
 func main() {
@@ -92,47 +93,16 @@ func main() {
 	}
 	log.Printf("replicated tables %v in %v", srv.Tables(), time.Since(start).Round(time.Millisecond))
 
+	// A compromised edge is a proxy in front of the honest replica's
+	// handler; an honest one serves the listener itself.
+	serve, stopServing := srv.Serve, func() {}
 	if *tamperName != "" {
-		var found bool
-		for _, a := range tamper.All() {
-			if a.Name == *tamperName {
-				attack := a
-				srv.SetTamper(func(rs *vo.ResultSet, w *vo.VO) error {
-					if err := attack.Apply(rs, w); err != nil {
-						log.Printf("attack %q inapplicable: %v", attack.Name, err)
-					}
-					return nil
-				})
-				found = true
-				log.Printf("COMPROMISED MODE: applying attack %q to every response", a.Name)
-				break
-			}
+		var caps uint32
+		if *servePeers {
+			caps = wire.CapPeerServe
 		}
-		for _, a := range tamper.MapAttacks() {
-			if a.Name == *tamperName {
-				attack := a
-				srv.SetMapTamper(func(sm *shardmap.Signed) *shardmap.Signed {
-					if err := attack.Apply(sm); err != nil {
-						log.Printf("map attack %q inapplicable: %v", attack.Name, err)
-					}
-					return sm
-				})
-				found = true
-				log.Printf("COMPROMISED MODE: applying map attack %q to every served shard map", a.Name)
-				break
-			}
-		}
-		for _, a := range tamper.PeerAttacks() {
-			if a.Name == *tamperName {
-				srv.SetPeerTamper(a.NewHook())
-				found = true
-				log.Printf("COMPROMISED MODE: applying relay attack %q to every peer-served payload", a.Name)
-				break
-			}
-		}
-		if !found {
-			log.Fatalf("unknown attack %q (see internal/tamper All, MapAttacks and PeerAttacks)", *tamperName)
-		}
+		proxy := rpc.NewServer(compromise(srv.Handler(), *tamperName), rpc.ServeOptions{IdleTimeout: *idle, Capabilities: caps})
+		serve, stopServing = proxy.Serve, proxy.Close
 	}
 
 	if *debugAddr != "" {
@@ -186,19 +156,47 @@ func main() {
 		sig := <-sigCh
 		log.Printf("received %v, shutting down", sig)
 		close(stop)
+		stopServing()
 		srv.Close() // closes listeners; Serve returns
 	}()
 
 	fmt.Printf("edged serving tables %v on %s\n", srv.Tables(), ln.Addr())
-	srv.Serve(ln)
+	serve(ln)
 	<-refreshDone
 	// Close is idempotent: this waits out the signal handler's shutdown
 	// (or performs it, when Serve stopped on a listener failure) and
 	// surfaces a central connection that failed to close cleanly.
+	stopServing()
 	if err := srv.Close(); err != nil {
 		log.Printf("shutdown: %v", err)
 	}
 	log.Printf("stopped")
+}
+
+// compromise returns the handler of an edge running the named attack on
+// what the honest handler h answers. A response the attack does not
+// apply to goes out as the honest edge built it.
+func compromise(h rpc.Handler, name string) rpc.Handler {
+	for _, a := range tamper.All() {
+		if a.Name == name {
+			log.Printf("COMPROMISED MODE: applying attack %q to every response", name)
+			return tamper.Wrap(h, a)
+		}
+	}
+	for _, a := range tamper.MapAttacks() {
+		if a.Name == name {
+			log.Printf("COMPROMISED MODE: applying map attack %q to every served shard map", name)
+			return tamper.WrapMap(h, a)
+		}
+	}
+	for _, a := range tamper.PeerAttacks() {
+		if a.Name == name {
+			log.Printf("COMPROMISED MODE: applying relay attack %q to every peer-served payload", name)
+			return tamper.WrapPeer(h, a)
+		}
+	}
+	log.Fatalf("unknown attack %q (see internal/tamper All, MapAttacks and PeerAttacks)", name)
+	return nil
 }
 
 // refreshOnce propagates pending updates for every table and logs what

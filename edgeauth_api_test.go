@@ -9,6 +9,8 @@ import (
 	"edgeauth"
 
 	"edgeauth/internal/central"
+	"edgeauth/internal/rpc"
+	"edgeauth/internal/tamper"
 	"edgeauth/internal/vo"
 	"edgeauth/internal/workload"
 )
@@ -89,14 +91,32 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 		t.Fatalf("delete: n=%d err=%v", n, err)
 	}
 
-	// Tampering surfaces as ErrTampered through the facade alias.
-	eg.SetTamper(func(rs *vo.ResultSet, w *vo.VO) error {
+	// Tampering — a proxy in front of the edge rewriting its answers —
+	// surfaces as ErrTampered through the facade alias.
+	hostile := rpc.NewServer(tamper.Wrap(eg.Handler(), tamper.Attack{Name: "negate-key", Apply: func(rs *vo.ResultSet, w *vo.VO) error {
 		if len(rs.Tuples) > 0 {
 			rs.Tuples[0].Values[0] = edgeauth.Int64(-1)
 		}
 		return nil
+	}}), rpc.ServeOptions{})
+	hostileLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hostile.Serve(hostileLn)
+	defer hostile.Close()
+	victim, err := edgeauth.Dial(ctx, edgeauth.Config{
+		EdgeAddr:    hostileLn.Addr().String(),
+		CentralAddr: centralLn.Addr().String(),
 	})
-	_, err = cl.Query(ctx, "items", []edgeauth.Predicate{
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer victim.Close()
+	if err := victim.FetchTrustedKey(ctx); err != nil {
+		t.Fatal(err)
+	}
+	_, err = victim.Query(ctx, "items", []edgeauth.Predicate{
 		{Column: "id", Op: edgeauth.OpLE, Value: edgeauth.Int64(50)},
 	}, nil)
 	if !errors.Is(err, edgeauth.ErrTampered) {

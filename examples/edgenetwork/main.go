@@ -18,8 +18,8 @@ import (
 	"edgeauth"
 
 	"edgeauth/internal/central"
+	"edgeauth/internal/rpc"
 	"edgeauth/internal/tamper"
-	"edgeauth/internal/vo"
 	"edgeauth/internal/workload"
 )
 
@@ -56,18 +56,16 @@ func main() {
 		if err := eg.PullAll(ctx); err != nil {
 			log.Fatal(err)
 		}
-		if i == 1 {
-			attack := tamper.MutateValue()
-			eg.SetTamper(func(rs *vo.ResultSet, w *vo.VO) error {
-				_ = attack.Apply(rs, w) // inapplicable on empty results; fine
-				return nil
-			})
-		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			log.Fatal(err)
 		}
-		go eg.Serve(ln)
+		if i == 1 {
+			// The hacked edge is a proxy in front of the honest replica.
+			go rpc.NewServer(tamper.Wrap(eg.Handler(), tamper.MutateValue()), rpc.ServeOptions{}).Serve(ln)
+		} else {
+			go eg.Serve(ln)
+		}
 		edgeAddrs[i] = ln.Addr().String()
 		status := "honest"
 		if i == 1 {

@@ -17,6 +17,8 @@ import (
 	"edgeauth"
 
 	"edgeauth/internal/central"
+	"edgeauth/internal/rpc"
+	"edgeauth/internal/tamper"
 	"edgeauth/internal/vo"
 	"edgeauth/internal/workload"
 )
@@ -65,17 +67,18 @@ func main() {
 	}
 	go eg.Serve(edgeLn)
 
-	cl, err := edgeauth.Dial(ctx, edgeauth.Config{
-		EdgeAddr:    edgeLn.Addr().String(),
-		CentralAddr: centralLn.Addr().String(),
-	})
-	if err != nil {
-		log.Fatal(err)
+	dial := func(edgeAddr net.Addr) *edgeauth.Client {
+		cl, err := edgeauth.Dial(ctx, edgeauth.Config{EdgeAddr: edgeAddr.String(), CentralAddr: centralLn.Addr().String()})
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := cl.FetchTrustedKey(ctx); err != nil {
+			log.Fatal(err)
+		}
+		return cl
 	}
+	cl := dial(edgeLn.Addr())
 	defer cl.Close()
-	if err := cl.FetchTrustedKey(ctx); err != nil {
-		log.Fatal(err)
-	}
 
 	// "All orders of user 42, with the user's attributes" — a join query,
 	// answered from the view. user_id is not the view's key, so the edge
@@ -98,14 +101,22 @@ func main() {
 	fmt.Printf("VO: %d digests, %d bytes; result: %d bytes, the whole view, filtered by the client\n",
 		res.VO.NumDigests(), res.VOBytes, res.ResultBytes)
 
-	// A hacked edge inflating an order total is caught on the view too.
-	eg.SetTamper(func(rs *vo.ResultSet, w *vo.VO) error {
+	// A hacked edge — a proxy in front of the honest one — inflating an
+	// order total is caught on the view too.
+	inflate := tamper.Attack{Name: "inflate-total", Apply: func(rs *vo.ResultSet, w *vo.VO) error {
 		if len(rs.Tuples) > 0 {
 			rs.Tuples[0].Values[1] = edgeauth.Float64(1e9)
 		}
 		return nil
-	})
-	_, err = cl.Query(ctx, "user_orders", []edgeauth.Predicate{
+	}}
+	hostileLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
+	}
+	go rpc.NewServer(tamper.Wrap(eg.Handler(), inflate), rpc.ServeOptions{}).Serve(hostileLn)
+	victim := dial(hostileLn.Addr())
+	defer victim.Close()
+	_, err = victim.Query(ctx, "user_orders", []edgeauth.Predicate{
 		{Column: "user_id", Op: edgeauth.OpEQ, Value: edgeauth.Int64(7)},
 	}, []string{"oid", "total", "users_id", "users_cat"})
 	if !errors.Is(err, edgeauth.ErrTampered) {

@@ -18,6 +18,8 @@ import (
 	"edgeauth"
 
 	"edgeauth/internal/central"
+	"edgeauth/internal/rpc"
+	"edgeauth/internal/tamper"
 	"edgeauth/internal/vo"
 	"edgeauth/internal/workload"
 )
@@ -64,17 +66,18 @@ func main() {
 	// queries, verifies. Every method is context-aware, and one client
 	// can be shared by any number of goroutines — requests pipeline over
 	// a single multiplexed connection.
-	cl, err := edgeauth.Dial(ctx, edgeauth.Config{
-		EdgeAddr:    edgeLn.Addr().String(),
-		CentralAddr: centralLn.Addr().String(),
-	})
-	if err != nil {
-		log.Fatal(err)
+	dial := func(edgeAddr net.Addr) *edgeauth.Client {
+		cl, err := edgeauth.Dial(ctx, edgeauth.Config{EdgeAddr: edgeAddr.String(), CentralAddr: centralLn.Addr().String()})
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := cl.FetchTrustedKey(ctx); err != nil {
+			log.Fatal(err)
+		}
+		return cl
 	}
+	cl := dial(edgeLn.Addr())
 	defer cl.Close()
-	if err := cl.FetchTrustedKey(ctx); err != nil {
-		log.Fatal(err)
-	}
 
 	res, err := cl.Query(ctx, "items", []edgeauth.Predicate{
 		{Column: "id", Op: edgeauth.OpGE, Value: edgeauth.Int64(100)},
@@ -103,14 +106,22 @@ func main() {
 	fmt.Printf("\nprojection+filter (cat=%s): %d tuples VERIFIED and kept by the client, from %d result bytes and a %d-byte VO (%d digests in D_P)\n",
 		workload.CategoryName(5), len(res.Result.Tuples), res.ResultBytes, res.VOBytes, res.VO.NumDP())
 
-	// 4. Compromise the edge and watch the client catch it.
-	eg.SetTamper(func(rs *vo.ResultSet, w *vo.VO) error {
+	// 4. Compromise the edge — a proxy that owns the channel in front of
+	// it forges what it answers — and watch a client of the proxy catch it.
+	forge := tamper.Attack{Name: "forge-category", Apply: func(rs *vo.ResultSet, w *vo.VO) error {
 		if len(rs.Tuples) > 0 {
 			rs.Tuples[0].Values[1] = edgeauth.Str("forged-category")
 		}
 		return nil
-	})
-	_, err = cl.Query(ctx, "items", []edgeauth.Predicate{
+	}}
+	hostileLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
+	}
+	go rpc.NewServer(tamper.Wrap(eg.Handler(), forge), rpc.ServeOptions{}).Serve(hostileLn)
+	victim := dial(hostileLn.Addr())
+	defer victim.Close()
+	_, err = victim.Query(ctx, "items", []edgeauth.Predicate{
 		{Column: "id", Op: edgeauth.OpLE, Value: edgeauth.Int64(50)},
 	}, nil)
 	if errors.Is(err, edgeauth.ErrTampered) {

@@ -121,18 +121,9 @@ type Server struct {
 
 	stats serverCounters
 
-	lnMu      sync.Mutex
-	listeners []net.Listener
-	conns     rpc.ConnSet
-	wg        sync.WaitGroup
-	closed    bool
-
-	// baseCtx parents every connection's context; Close cancels it so
-	// in-flight handlers across all connections stop early.
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-	closeOnce  sync.Once
-	closeErr   error
+	srv       *rpc.Server // serves dispatch and runs the auto-reshard loop
+	closeOnce sync.Once
+	closeErr  error
 }
 
 // table is one range-partitioned relation: N shard trees plus the
@@ -337,17 +328,11 @@ func NewServerWithKey(opts Options, key *sig.PrivateKey) (*Server, error) {
 		acc:    digest.MustNew(digest.DefaultParams()),
 		tables: make(map[string]*table),
 	}
-	// The server's root context: construction has no caller context, and
-	// Close cancels it to stop handlers on every connection.
-	s.baseCtx, s.baseCancel = context.WithCancel(context.Background()) //vetauth:ignore ctxflow server root context, cancelled by Close
+	s.srv = rpc.NewServer(s.dispatch, rpc.ServeOptions{IdleTimeout: opts.IdleTimeout})
 	// Route the key's sign-op count into the server's stats snapshot.
 	key.SetCounters(&s.stats.signOps)
 	if opts.AutoReshardInterval > 0 {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.autoReshardLoop()
-		}()
+		s.srv.Go(s.autoReshardLoop)
 	}
 	return s, nil
 }
@@ -1155,33 +1140,7 @@ func (s *Server) SchemaResponse(tableName string) (*wire.SchemaResponse, error) 
 }
 
 // Serve accepts connections until the listener is closed.
-func (s *Server) Serve(l net.Listener) {
-	s.lnMu.Lock()
-	if s.closed {
-		s.lnMu.Unlock()
-		l.Close()
-		return
-	}
-	s.listeners = append(s.listeners, l)
-	s.lnMu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		if !s.conns.Add(conn) {
-			conn.Close()
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer s.conns.Remove(conn)
-			defer conn.Close()
-			s.handleConn(conn)
-		}()
-	}
-}
+func (s *Server) Serve(l net.Listener) { s.srv.Serve(l) }
 
 // Close stops serving: listeners and live connections are closed,
 // in-flight handlers are drained, and every shard's write-ahead log is
@@ -1194,16 +1153,7 @@ func (s *Server) Close() error {
 }
 
 func (s *Server) doClose() error {
-	s.baseCancel()
-	s.lnMu.Lock()
-	s.closed = true
-	for _, l := range s.listeners {
-		l.Close()
-	}
-	s.listeners = nil
-	s.lnMu.Unlock()
-	s.conns.CloseAll()
-	s.wg.Wait()
+	s.srv.Close()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var err error
@@ -1223,15 +1173,6 @@ func (s *Server) doClose() error {
 		}
 	}
 	return err
-}
-
-// handleConn completes the handshake with the peer and dispatches its
-// requests concurrently until it disconnects or idles out.
-func (s *Server) handleConn(conn net.Conn) {
-	rpc.ServeConn(conn, s.dispatch, rpc.ServeOptions{
-		IdleTimeout: s.opts.IdleTimeout,
-		BaseContext: s.baseCtx,
-	})
 }
 
 // dispatch executes one request and returns the response frame. It must

@@ -806,17 +806,17 @@ func (s *Server) AutoReshardTick(ctx context.Context, tableName string) (*wire.R
 // dropped: a failed automatic transition (e.g. a one-tuple shard that
 // cannot median-split) must not stop the loop, and the manual admin
 // path surfaces the same errors to an operator.
-func (s *Server) autoReshardLoop() {
+func (s *Server) autoReshardLoop(ctx context.Context) {
 	ticker := time.NewTicker(s.opts.AutoReshardInterval)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-s.baseCtx.Done():
+		case <-ctx.Done():
 			return
 		case <-ticker.C:
 		}
 		for _, name := range s.Tables() {
-			_, _ = s.AutoReshardTick(s.baseCtx, name)
+			_, _ = s.AutoReshardTick(ctx, name)
 		}
 	}
 }

@@ -92,6 +92,7 @@ func TestAnswerDecodeAndVerifyAllocationBudget(t *testing.T) {
 	// every goroutine's allocations, so the deployment is closed, and the
 	// passes run on one P, as testing.AllocsPerRun runs its own.
 	d.client.Close()
+	d.proxy.Close()
 	d.edge.Close()
 	d.central.Close()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

@@ -6,14 +6,19 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"edgeauth/internal/central"
 	"edgeauth/internal/edge"
 	"edgeauth/internal/query"
+	"edgeauth/internal/rpc"
 	"edgeauth/internal/schema"
+	"edgeauth/internal/shardmap"
 	"edgeauth/internal/sig"
+	"edgeauth/internal/tamper"
 	"edgeauth/internal/vo"
+	"edgeauth/internal/wire"
 	"edgeauth/internal/workload"
 )
 
@@ -28,11 +33,17 @@ func centralKey(t testing.TB) *sig.PrivateKey {
 	return testKey
 }
 
-// deployment is a full Figure-2 system on loopback TCP.
+// deployment is a full Figure-2 system on loopback TCP. The client
+// reaches the edge through a proxy that relays the honest edge's answers
+// until an attack is installed: a compromised edge is that proxy, not a
+// hook inside the edge.
 type deployment struct {
 	central *central.Server
 	edge    *edge.Server
 	client  *Client
+	proxy   *rpc.Server
+	honest  rpc.Handler
+	hostile atomic.Pointer[rpc.Handler] // nil while the proxy is honest
 }
 
 func deploy(t *testing.T, rows int) *deployment {
@@ -41,6 +52,14 @@ func deploy(t *testing.T, rows int) *deployment {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return startDeployment(t, srv, rows, func(l net.Listener) net.Listener { return l })
+}
+
+// startDeployment loads the default workload of rows tuples into srv,
+// serves it, replicates it to a new edge, serves the edge through the
+// deployment's proxy on wrap(listener) and dials a client there.
+func startDeployment(t *testing.T, srv *central.Server, rows int, wrap func(net.Listener) net.Listener) *deployment {
+	t.Helper()
 	spec := workload.DefaultSpec(rows)
 	sch, err := spec.Schema()
 	if err != nil {
@@ -64,11 +83,13 @@ func deploy(t *testing.T, rows int) *deployment {
 	if err := eg.PullAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	d := &deployment{central: srv, edge: eg, honest: eg.Handler()}
+	d.proxy = rpc.NewServer(d.relay, rpc.ServeOptions{})
 	edgeLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go eg.Serve(edgeLn)
+	go d.proxy.Serve(wrap(edgeLn))
 
 	cl, err := Dial(context.Background(), Config{
 		EdgeAddr:    edgeLn.Addr().String(),
@@ -80,13 +101,40 @@ func deploy(t *testing.T, rows int) *deployment {
 	if err := cl.FetchTrustedKey(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	d.client = cl
 	t.Cleanup(func() {
 		cl.Close()
+		d.proxy.Close()
 		eg.Close()
 		srv.Close()
 	})
-	return &deployment{central: srv, edge: eg, client: cl}
+	return d
 }
+
+// relay is the proxy's handler: the honest edge's, through the installed
+// attack while there is one.
+func (d *deployment) relay(ctx context.Context, mt wire.MsgType, body, out []byte) (wire.MsgType, []byte, error) {
+	if h := d.hostile.Load(); h != nil {
+		return (*h)(ctx, mt, body, out)
+	}
+	return d.honest(ctx, mt, body, out)
+}
+
+// attack makes the edge run apply on every shard answer until heal.
+func (d *deployment) attack(apply func(rs *vo.ResultSet, w *vo.VO) error) {
+	h := tamper.Wrap(d.honest, tamper.Attack{Name: "test", Apply: apply})
+	d.hostile.Store(&h)
+}
+
+// attackMap makes the edge run apply on every shard map it serves until
+// heal.
+func (d *deployment) attackMap(apply func(sm *shardmap.Signed) error) {
+	h := tamper.WrapMap(d.honest, tamper.MapAttack{Name: "test", Apply: apply})
+	d.hostile.Store(&h)
+}
+
+// heal makes the edge honest again.
+func (d *deployment) heal() { d.hostile.Store(nil) }
 
 func i64(v int) *schema.Datum {
 	d := schema.Int64(int64(v))
@@ -151,7 +199,7 @@ func TestEndToEndTamperDetected(t *testing.T) {
 	ctx := context.Background()
 	d := deploy(t, 200)
 
-	cases := map[string]edge.TamperFn{
+	cases := map[string]func(rs *vo.ResultSet, w *vo.VO) error{
 		"inflate value": func(rs *vo.ResultSet, w *vo.VO) error {
 			if len(rs.Tuples) > 0 {
 				rs.Tuples[0].Values[len(rs.Tuples[0].Values)-1] = schema.Str("hacked!")
@@ -187,8 +235,8 @@ func TestEndToEndTamperDetected(t *testing.T) {
 	}
 	for name, fn := range cases {
 		t.Run(name, func(t *testing.T) {
-			d.edge.SetTamper(fn)
-			defer d.edge.SetTamper(nil)
+			d.attack(fn)
+			defer d.heal()
 			_, err := d.client.Query(ctx, "items", preds, nil)
 			if !errors.Is(err, ErrTampered) {
 				t.Fatalf("tampering %q: err = %v, want ErrTampered", name, err)

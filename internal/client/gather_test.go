@@ -76,14 +76,14 @@ func TestGatherShapes(t *testing.T) {
 		entered = make(chan struct{})
 		release = make(chan struct{})
 	)
-	d.edge.SetTamper(func(*vo.ResultSet, *vo.VO) error {
+	d.attack(func(*vo.ResultSet, *vo.VO) error {
 		if held.CompareAndSwap(false, true) {
 			close(entered)
 			<-release
 		}
 		return nil
 	})
-	defer d.edge.SetTamper(nil)
+	defer d.heal()
 	defer close(release)
 
 	dialled := edgeConns.accepted.Load()

@@ -7,13 +7,11 @@ import (
 	"testing"
 
 	"edgeauth/internal/central"
-	"edgeauth/internal/edge"
 	"edgeauth/internal/query"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
 	"edgeauth/internal/tamper"
 	"edgeauth/internal/vo"
-	"edgeauth/internal/workload"
 )
 
 // deployScheme is deploy with an explicit signature scheme (and optional
@@ -24,48 +22,7 @@ func deployScheme(t *testing.T, rows int, scheme sig.Scheme, shards int) *deploy
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := workload.DefaultSpec(rows)
-	sch, err := spec.Schema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuples, err := spec.Tuples()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.AddTable(sch, tuples); err != nil {
-		t.Fatal(err)
-	}
-	centralLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(centralLn)
-	eg := edge.New(centralLn.Addr().String())
-	if err := eg.PullAll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	edgeLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go eg.Serve(edgeLn)
-	cl, err := Dial(context.Background(), Config{
-		EdgeAddr:    edgeLn.Addr().String(),
-		CentralAddr: centralLn.Addr().String(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.FetchTrustedKey(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		cl.Close()
-		eg.Close()
-		srv.Close()
-	})
-	return &deployment{central: srv, edge: eg, client: cl}
+	return startDeployment(t, srv, rows, func(l net.Listener) net.Listener { return l })
 }
 
 func merkleSchemes() []sig.Scheme {
@@ -181,7 +138,7 @@ func TestMerkleTamperFailsClosed(t *testing.T) {
 			for _, a := range tamper.All() {
 				t.Run(a.Name, func(t *testing.T) {
 					applied := false
-					d.edge.SetTamper(func(rs *vo.ResultSet, w *vo.VO) error {
+					d.attack(func(rs *vo.ResultSet, w *vo.VO) error {
 						if err := a.Apply(rs, w); err != nil {
 							if errors.Is(err, tamper.ErrNotApplicable) {
 								return nil
@@ -191,7 +148,7 @@ func TestMerkleTamperFailsClosed(t *testing.T) {
 						applied = true
 						return nil
 					})
-					defer d.edge.SetTamper(nil)
+					defer d.heal()
 					_, err := d.client.Query(ctx, "items", preds, project)
 					if !applied {
 						t.Fatalf("attack %q did not apply to a Merkle VO", a.Name)
@@ -217,8 +174,8 @@ func TestCrossSchemeConfusionAgainstLegacy(t *testing.T) {
 	ctx := context.Background()
 	d := deploy(t, 100)
 	a := tamper.CrossSchemeConfusion()
-	d.edge.SetTamper(func(rs *vo.ResultSet, w *vo.VO) error { return a.Apply(rs, w) })
-	defer d.edge.SetTamper(nil)
+	d.attack(func(rs *vo.ResultSet, w *vo.VO) error { return a.Apply(rs, w) })
+	defer d.heal()
 	_, err := d.client.Query(ctx, "items", []query.Predicate{
 		{Column: "id", Op: query.OpGE, Value: schema.Int64(10)},
 	}, nil)

@@ -103,7 +103,7 @@ func TestReplayPreSplitMapFailsClosed(t *testing.T) {
 	}
 
 	// Now the edge turns hostile and replays the pre-split map.
-	d.edge.SetMapTamper(func(*shardmap.Signed) *shardmap.Signed { return old })
+	d.attackMap(func(sm *shardmap.Signed) error { *sm = *old; return nil })
 	// Routing maps are cached, so force the refetch path too.
 	d.client.InvalidateShardMap("items")
 	_, err = d.client.Query(ctx, "items", rangePreds(0, 399), nil)
@@ -111,7 +111,7 @@ func TestReplayPreSplitMapFailsClosed(t *testing.T) {
 		t.Fatalf("replayed pre-split map returned %v, want ErrTampered+ErrMapReplay", err)
 	}
 
-	d.edge.SetMapTamper(nil)
+	d.heal()
 	if res, err := d.client.Query(ctx, "items", rangePreds(0, 399), nil); err != nil || len(res.Result.Tuples) != 400 {
 		t.Fatalf("post-attack honest query: rows=%d err=%v", len(res.Result.Tuples), err)
 	}
@@ -205,7 +205,7 @@ func TestAnswerOvertakenByNewerEpochRetries(t *testing.T) {
 			// pre-split set — until released.
 			held, release := make(chan struct{}), make(chan struct{})
 			var first atomic.Bool
-			d.edge.SetTamper(func(*vo.ResultSet, *vo.VO) error {
+			d.attack(func(*vo.ResultSet, *vo.VO) error {
 				if first.CompareAndSwap(false, true) {
 					close(held)
 					<-release
@@ -233,7 +233,7 @@ func TestAnswerOvertakenByNewerEpochRetries(t *testing.T) {
 				t.Fatalf("post-split query on the other goroutine: shards=%d err=%v", res.ShardsQueried, err)
 			}
 			if hostile {
-				d.edge.SetMapTamper(func(*shardmap.Signed) *shardmap.Signed { return old })
+				d.attackMap(func(sm *shardmap.Signed) error { *sm = *old; return nil })
 			}
 			close(release)
 
@@ -268,7 +268,7 @@ func TestEpochlessMapFailsClosed(t *testing.T) {
 	for _, attack := range []tamper.MapAttack{tamper.StripMapEpoch(), tamper.StripShardID()} {
 		for _, resign := range []bool{false, true} {
 			attack, resign := attack, resign
-			d.edge.SetMapTamper(func(sm *shardmap.Signed) *shardmap.Signed {
+			d.attackMap(func(sm *shardmap.Signed) error {
 				if err := attack.Apply(sm); err != nil {
 					t.Errorf("%s: %v", attack.Name, err)
 				}
@@ -279,7 +279,7 @@ func TestEpochlessMapFailsClosed(t *testing.T) {
 					}
 					sm.Sig = sg
 				}
-				return sm
+				return nil
 			})
 			// Both the attached map of a cached-routing query and a fresh
 			// routing fetch must refuse it.
@@ -294,7 +294,7 @@ func TestEpochlessMapFailsClosed(t *testing.T) {
 			}
 		}
 	}
-	d.edge.SetMapTamper(nil)
+	d.heal()
 	if res, err := d.client.Query(ctx, "items", rangePreds(0, 399), nil); err != nil || len(res.Result.Tuples) != 400 {
 		t.Fatalf("post-attack honest query: rows=%d err=%v", len(res.Result.Tuples), err)
 	}
@@ -311,11 +311,11 @@ func TestReplayCatalogueAttackOnUnratchetedClient(t *testing.T) {
 	d := deploySharded(t, 400, 4)
 
 	attack := tamper.ReplayPreSplitMap()
-	d.edge.SetMapTamper(func(sm *shardmap.Signed) *shardmap.Signed {
+	d.attackMap(func(sm *shardmap.Signed) error {
 		if err := attack.Apply(sm); err != nil && !errors.Is(err, tamper.ErrNotApplicable) {
 			t.Errorf("replay attack: %v", err)
 		}
-		return sm
+		return nil
 	})
 	// Pre-split query: the attack captures the served map, the client
 	// caches it as its routing map.
@@ -347,11 +347,11 @@ func TestHideSplitFailsClosed(t *testing.T) {
 	}
 
 	attack := tamper.HideSplit()
-	d.edge.SetMapTamper(func(sm *shardmap.Signed) *shardmap.Signed {
+	d.attackMap(func(sm *shardmap.Signed) error {
 		if err := attack.Apply(sm); err != nil {
 			t.Errorf("hide-split inapplicable: %v", err)
 		}
-		return sm
+		return nil
 	})
 	if _, err := d.client.Query(ctx, "items", rangePreds(0, 399), nil); !errors.Is(err, ErrTampered) {
 		t.Fatalf("hide-split on warm client returned %v, want ErrTampered", err)
@@ -370,11 +370,11 @@ func TestCrossEpochSpliceFailsClosed(t *testing.T) {
 	d := deploySharded(t, 400, 4)
 
 	attack := tamper.CrossEpochSplice()
-	d.edge.SetMapTamper(func(sm *shardmap.Signed) *shardmap.Signed {
+	d.attackMap(func(sm *shardmap.Signed) error {
 		if err := attack.Apply(sm); err != nil && !errors.Is(err, tamper.ErrNotApplicable) {
 			t.Errorf("splice attack: %v", err)
 		}
-		return sm
+		return nil
 	})
 	// Capture pass.
 	if _, err := d.client.Query(ctx, "items", rangePreds(0, 399), nil); err != nil {

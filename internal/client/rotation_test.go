@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"edgeauth/internal/central"
-	"edgeauth/internal/edge"
 	"edgeauth/internal/query"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
@@ -35,48 +34,7 @@ func freshDeploy(t *testing.T, rows int, opts central.Options) *deployment {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := workload.DefaultSpec(rows)
-	sch, err := spec.Schema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuples, err := spec.Tuples()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.AddTable(sch, tuples); err != nil {
-		t.Fatal(err)
-	}
-	centralLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(centralLn)
-	eg := edge.New(centralLn.Addr().String())
-	if err := eg.PullAll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	edgeLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go eg.Serve(edgeLn)
-	cl, err := Dial(context.Background(), Config{
-		EdgeAddr:    edgeLn.Addr().String(),
-		CentralAddr: centralLn.Addr().String(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.FetchTrustedKey(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		cl.Close()
-		eg.Close()
-		srv.Close()
-	})
-	return &deployment{central: srv, edge: eg, client: cl}
+	return startDeployment(t, srv, rows, func(l net.Listener) net.Listener { return l })
 }
 
 func rotationRow(t testing.TB, id int64) schema.Tuple {
@@ -146,7 +104,7 @@ func TestQuerySurvivesKeyRotation(t *testing.T) {
 			// client has never seen the key of. It must recover
 			// transparently.
 			shipped := make(chan vo.VO, 1)
-			d.edge.SetTamper(func(rs *vo.ResultSet, w *vo.VO) error {
+			d.attack(func(rs *vo.ResultSet, w *vo.VO) error {
 				select {
 				case shipped <- vo.VO{KeyVersion: w.KeyVersion, TopDigest: w.TopDigest.Clone(), RootSig: w.RootSig.Clone()}:
 				default:
@@ -171,14 +129,14 @@ func TestQuerySurvivesKeyRotation(t *testing.T) {
 			// The refetch must not become a hole: a VO stamped with a key
 			// version the central server never served still fails as
 			// tampering.
-			d.edge.SetTamper(func(rs *vo.ResultSet, w *vo.VO) error {
+			d.attack(func(rs *vo.ResultSet, w *vo.VO) error {
 				w.KeyVersion = 99
 				return nil
 			})
 			if _, err := d.client.Query(ctx, "items", preds, nil); !errors.Is(err, ErrTampered) {
 				t.Fatalf("forged key version after rotation: %v, want ErrTampered", err)
 			}
-			d.edge.SetTamper(nil)
+			d.heal()
 		})
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"edgeauth/internal/central"
-	"edgeauth/internal/edge"
 	"edgeauth/internal/query"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/shardmap"
@@ -30,50 +29,7 @@ func deployShardedBehind(t *testing.T, rows, shards int, wrap func(net.Listener)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := workload.DefaultSpec(rows)
-	sch, err := spec.Schema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuples, err := spec.Tuples()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.AddTable(sch, tuples); err != nil {
-		t.Fatal(err)
-	}
-	centralLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(centralLn)
-
-	eg := edge.New(centralLn.Addr().String())
-	if err := eg.PullAll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	edgeLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go eg.Serve(wrap(edgeLn))
-
-	cl, err := Dial(context.Background(), Config{
-		EdgeAddr:    edgeLn.Addr().String(),
-		CentralAddr: centralLn.Addr().String(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.FetchTrustedKey(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		cl.Close()
-		eg.Close()
-		srv.Close()
-	})
-	return &deployment{central: srv, edge: eg, client: cl}
+	return startDeployment(t, srv, rows, wrap)
 }
 
 func rangePreds(lo, hi int64) []query.Predicate {
@@ -198,11 +154,11 @@ func TestDropShardAttackFailsVerification(t *testing.T) {
 	}
 
 	attack := tamper.DropShardFromMap()
-	d.edge.SetMapTamper(func(sm *shardmap.Signed) *shardmap.Signed {
+	d.attackMap(func(sm *shardmap.Signed) error {
 		if err := attack.Apply(sm); err != nil {
 			t.Errorf("attack inapplicable: %v", err)
 		}
-		return sm
+		return nil
 	})
 	if _, err := d.client.Query(ctx, "items", rangePreds(0, 399), nil); !errors.Is(err, ErrTampered) {
 		t.Fatalf("drop-shard attack returned %v, want ErrTampered", err)
@@ -216,18 +172,18 @@ func TestDropShardAttackFailsVerification(t *testing.T) {
 
 	// Rewiring digests between shards is equally fatal.
 	rewire := tamper.RewireShardDigests()
-	d.edge.SetMapTamper(func(sm *shardmap.Signed) *shardmap.Signed {
+	d.attackMap(func(sm *shardmap.Signed) error {
 		if err := rewire.Apply(sm); err != nil {
 			t.Errorf("attack inapplicable: %v", err)
 		}
-		return sm
+		return nil
 	})
 	if _, err := d.client.Query(ctx, "items", rangePreds(0, 399), nil); !errors.Is(err, ErrTampered) {
 		t.Fatalf("rewire attack returned %v, want ErrTampered", err)
 	}
 
 	// Clearing the hook restores verifiable answers.
-	d.edge.SetMapTamper(nil)
+	d.heal()
 	if res, err := d.client.Query(ctx, "items", rangePreds(0, 399), nil); err != nil || len(res.Result.Tuples) != 400 {
 		t.Fatalf("post-attack honest query: rows=%d err=%v", len(res.Result.Tuples), err)
 	}
@@ -276,7 +232,7 @@ func TestStaleShardAttackFailsVerification(t *testing.T) {
 	// Now freeze shard 1 at its pre-delete answer. The replay would
 	// resurrect the 10 deleted rows with individually-valid signatures.
 	attack := tamper.ReplayStaleShard(stale.Result, stale.VO)
-	d.edge.SetTamper(func(rs *vo.ResultSet, w *vo.VO) error {
+	d.attack(func(rs *vo.ResultSet, w *vo.VO) error {
 		// Other shards' answers pass through untouched.
 		if err := attack.Apply(rs, w); err != nil && !errors.Is(err, tamper.ErrNotApplicable) {
 			return err
@@ -287,7 +243,7 @@ func TestStaleShardAttackFailsVerification(t *testing.T) {
 		t.Fatalf("stale-shard replay returned %v, want ErrTampered", err)
 	}
 
-	d.edge.SetTamper(nil)
+	d.heal()
 	if res, err := d.client.Query(ctx, "items", rangePreds(0, 399), nil); err != nil || len(res.Result.Tuples) != 390 {
 		t.Fatalf("post-attack honest query: rows=%d err=%v", len(res.Result.Tuples), err)
 	}

@@ -144,7 +144,7 @@ func TestShardAnswerAllocationBudget(t *testing.T) {
 
 // TestAnswerOutlivesItsSnapshot: an answer holds no reference to the
 // pages it was read from. Both forms — the wire body and the structs
-// RunShardQuery returns — are taken, then the rows they cover are
+// shardAnswer decodes from its own buffer — are taken, then the rows they cover are
 // deleted and the replica refreshed until the snapshot they came from has
 // been released, superseded and swept, with recycled buffers poisoned. A
 // slice still pointing into a page would now read 0xDB.
@@ -163,7 +163,7 @@ func TestAnswerOutlivesItsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, w, sm, err := eg.RunShardQuery(ctx, "items", 0, q)
+	rs, w, sm, err := shardAnswer(ctx, eg, "items", 0, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestAnswerOutlivesItsSnapshot(t *testing.T) {
 		return (&wire.ShardQueryResponse{Resp: &wire.QueryResponse{Result: rs, VO: w}, SignedMap: sm.Encode()}).Encode()
 	}
 	if !bytes.Equal(structs(), body) {
-		t.Fatal("RunShardQuery's structs and the wire body disagree")
+		t.Fatal("shardAnswer's structs and the wire body disagree")
 	}
 	want := append([]byte(nil), body...)
 
@@ -193,7 +193,7 @@ func TestAnswerOutlivesItsSnapshot(t *testing.T) {
 		t.Error("the wire body changed after its snapshot was swept")
 	}
 	if !bytes.Equal(structs(), want) {
-		t.Error("RunShardQuery's structs changed after their snapshot was swept")
+		t.Error("shardAnswer's structs changed after their snapshot was swept")
 	}
 }
 

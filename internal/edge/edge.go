@@ -26,11 +26,10 @@
 // stay independent, and a client can never observe a map that runs
 // ahead of or behind the shard data answering its query.
 //
-// Because edge servers are the untrusted component of the architecture,
-// the server carries optional tamper hooks that mutate responses (and
-// served shard maps) before they are sent — the adversary used by the
-// security tests and the demo binaries to show clients detecting a
-// compromised edge.
+// Edge servers are the untrusted component of the architecture; this
+// package is the honest one. A compromised edge is a proxy owning the
+// channel in front of it — an rpc.Server serving a tamper wrapper around
+// Handler — which may ask the honest replica anything.
 package edge
 
 import (
@@ -57,15 +56,6 @@ import (
 	"edgeauth/internal/wire"
 )
 
-// TamperFn mutates a response in place before it leaves the edge server —
-// the model of a hacked edge. Returning an error suppresses the response.
-type TamperFn func(rs *vo.ResultSet, w *vo.VO) error
-
-// MapTamperFn rewrites the shard map an edge serves to clients — the
-// model of a hacked edge trying to hide or re-route shards. It receives
-// a deep copy and returns what to serve.
-type MapTamperFn func(sm *shardmap.Signed) *shardmap.Signed
-
 // Options configures an edge server's serving side.
 type Options struct {
 	// IdleTimeout disconnects a client that sends no complete request
@@ -91,10 +81,8 @@ type Options struct {
 // pointer, and each replica serves queries from the pinned snapshots of
 // its current published set.
 type Server struct {
-	tables    atomic.Pointer[map[string]*replica]
-	tablesMu  sync.Mutex // serializes registry copy-on-write updates
-	tamper    atomic.Pointer[TamperFn]
-	mapTamper atomic.Pointer[MapTamperFn]
+	tables   atomic.Pointer[map[string]*replica]
+	tablesMu sync.Mutex // serializes registry copy-on-write updates
 
 	opts Options
 	// central is the pipelined, auto-redialing connection to the central
@@ -108,8 +96,6 @@ type Server struct {
 	// relay caches the raw central-signed delta bodies this edge pulled
 	// and verified, for verbatim relay to downstream edges.
 	relay *peer.Cache
-	// peerTamper is the malicious-relay hook (see SetPeerTamper).
-	peerTamper atomic.Pointer[PeerTamperFn]
 
 	// keys holds the central's public keys by version, filled from the
 	// central itself (underCentralKey). ver checks every central signature
@@ -120,18 +106,10 @@ type Server struct {
 
 	stats edgeCounters
 
-	lnMu      sync.Mutex
-	listeners []net.Listener
-	conns     rpc.ConnSet
-	wg        sync.WaitGroup
-	closed    bool
-
-	// baseCtx parents every client connection's context; Close cancels
-	// it so in-flight query handlers stop early.
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-	closeOnce  sync.Once
-	closeErr   error
+	srv       *rpc.Server // serves clients and downstream peers
+	closeOnce sync.Once
+	closeErr  error
+	tamper    atomic.Pointer[func(*vo.ResultSet, *vo.VO) error] // SetTamper's hook
 }
 
 // acc is the one accumulator every replica's views compute with. The ring
@@ -322,26 +300,25 @@ func NewWithOptions(centralAddr string, opts Options) *Server {
 		keys:    keys,
 		ver:     &verify.Verifier{Keys: keys, Acc: acc},
 	}
-	if len(opts.Upstreams) > 0 {
-		s.peers = peer.NewSet(opts.Upstreams, rpc.Options{Capabilities: s.helloCaps()})
+	var caps uint32 // advertised as a server and toward upstreams
+	if opts.ServePeers {
+		caps = wire.CapPeerServe
 	}
-	// The server's root context: construction has no caller context, and
-	// Close cancels it to stop handlers on every client connection.
-	s.baseCtx, s.baseCancel = context.WithCancel(context.Background()) //vetauth:ignore ctxflow server root context, cancelled by Close
+	if len(opts.Upstreams) > 0 {
+		s.peers = peer.NewSet(opts.Upstreams, rpc.Options{Capabilities: caps})
+	}
+	s.srv = rpc.NewServer(s.serve, rpc.ServeOptions{IdleTimeout: opts.IdleTimeout, Capabilities: caps})
 	empty := make(map[string]*replica)
 	s.tables.Store(&empty)
 	return s
 }
 
-// SetTamper installs (or clears, with nil) the compromised-edge hook.
-func (s *Server) SetTamper(fn TamperFn) {
+// SetTamper installs (or clears, with nil) a hook fn mutating every shard
+// answer Serve sends. It is a shim for the benchmark harness's tamper
+// canary, deleted once the canary runs through a tamper proxy (ROADMAP
+// 9(0)), which is what a compromised edge otherwise is.
+func (s *Server) SetTamper(fn func(rs *vo.ResultSet, w *vo.VO) error) {
 	s.tamper.Store(&fn)
-}
-
-// SetMapTamper installs (or clears, with nil) the compromised-edge hook
-// rewriting served shard maps.
-func (s *Server) SetMapTamper(fn MapTamperFn) {
-	s.mapTamper.Store(&fn)
 }
 
 // replica resolves a table from the lock-free registry.
@@ -1208,10 +1185,9 @@ func (s *Server) SignedShardMap(tableName string) (*shardmap.Signed, error) {
 
 // RunShardQuery executes a compiled query against one shard, with the VO
 // anchored at the shard's root so clients can bind it to the signed
-// shard map returned alongside. It is the struct form of the answer the
-// wire path builds in place — the same bytes, decoded from a buffer
-// private to this call (so the caller owns everything returned) and then
-// passed through the tamper hook.
+// shard map returned alongside: the answer the wire path builds in place,
+// decoded from a buffer private to this call. It is a shim for the
+// benchmark harness, which times the edge through it (ROADMAP 9(0)).
 func (s *Server) RunShardQuery(ctx context.Context, tableName string, idx uint32, q vbtree.Query) (*vo.ResultSet, *vo.VO, *shardmap.Signed, error) {
 	body, set, err := s.appendAnswer(ctx, nil, tableName, idx, q)
 	if err != nil {
@@ -1220,11 +1196,6 @@ func (s *Server) RunShardQuery(ctx context.Context, tableName string, idx uint32
 	rs, w, err := vo.DecodeAnswer(body)
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	if tp := s.tamper.Load(); tp != nil && *tp != nil {
-		if err := (*tp)(rs, w); err != nil {
-			return nil, nil, nil, err
-		}
 	}
 	return rs, w, set.smap, nil //vetauth:ignore trustflow not wire input: the bytes decoded are the answer this edge just built from its own verified replica
 }
@@ -1273,33 +1244,7 @@ func (s *Server) Schema(tableName string) (*schema.Schema, error) {
 }
 
 // Serve accepts client connections until the listener closes.
-func (s *Server) Serve(l net.Listener) {
-	s.lnMu.Lock()
-	if s.closed {
-		s.lnMu.Unlock()
-		l.Close()
-		return
-	}
-	s.listeners = append(s.listeners, l)
-	s.lnMu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		if !s.conns.Add(conn) {
-			conn.Close()
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer s.conns.Remove(conn)
-			defer conn.Close()
-			s.handleConn(conn)
-		}()
-	}
-}
+func (s *Server) Serve(l net.Listener) { s.srv.Serve(l) }
 
 // Close stops serving (listeners and live client connections) and drops
 // the central connection, reporting a connection that failed to close
@@ -1310,16 +1255,7 @@ func (s *Server) Close() error {
 }
 
 func (s *Server) doClose() error {
-	s.baseCancel()
-	s.lnMu.Lock()
-	s.closed = true
-	for _, l := range s.listeners {
-		l.Close()
-	}
-	s.listeners = nil
-	s.lnMu.Unlock()
-	s.conns.CloseAll()
-	s.wg.Wait()
+	s.srv.Close()
 	var errs []error
 	if err := s.central.Close(); err != nil {
 		errs = append(errs, fmt.Errorf("edge: closing central connection: %w", err))
@@ -1330,23 +1266,26 @@ func (s *Server) doClose() error {
 	return errors.Join(errs...)
 }
 
-// helloCaps is the capability bit set this edge advertises in Hello
-// exchanges (both as a server and toward its upstreams).
-func (s *Server) helloCaps() uint32 {
-	if s.opts.ServePeers {
-		return wire.CapPeerServe
-	}
-	return 0
-}
+// Handler is the honest edge's request handler: what Serve answers
+// clients and downstream peers with, for a proxy to serve in its place.
+func (s *Server) Handler() rpc.Handler { return s.dispatch }
 
-// handleConn completes the handshake with the client and dispatches its
-// requests concurrently until it disconnects or idles out.
-func (s *Server) handleConn(conn net.Conn) {
-	rpc.ServeConn(conn, s.dispatch, rpc.ServeOptions{
-		IdleTimeout:  s.opts.IdleTimeout,
-		BaseContext:  s.baseCtx,
-		Capabilities: s.helloCaps(),
-	})
+// serve is dispatch, with every shard answer passed through SetTamper's
+// hook while one is installed.
+func (s *Server) serve(ctx context.Context, mt wire.MsgType, body, out []byte) (wire.MsgType, []byte, error) {
+	rmt, resp, err := s.dispatch(ctx, mt, body, out)
+	fn := s.tamper.Load()
+	if err != nil || fn == nil || *fn == nil || rmt != wire.MsgShardQueryResp {
+		return rmt, resp, err
+	}
+	sq, err := wire.DecodeShardQueryResponse(resp)
+	if err == nil {
+		err = (*fn)(sq.Resp.Result, sq.Resp.VO)
+	}
+	if err != nil {
+		return 0, nil, err
+	}
+	return rmt, sq.Encode(), nil
 }
 
 // dispatch executes one client request and returns the response frame.
@@ -1382,7 +1321,7 @@ func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body, out []byte
 		if err != nil {
 			return 0, nil, err
 		}
-		return wire.MsgShardMapResp, s.tamperedMap(sm).Encode(), nil
+		return wire.MsgShardMapResp, sm.Encode(), nil
 
 	case wire.MsgShardQueryReq:
 		req, err := wire.DecodeShardQueryRequest(body)
@@ -1392,18 +1331,6 @@ func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body, out []byte
 		q, err := s.compile(req.Query)
 		if err != nil {
 			return 0, nil, err
-		}
-		if s.tampering() {
-			// A compromised edge rewrites the answer as structs.
-			rs, w, sm, err := s.RunShardQuery(ctx, req.Query.Table, req.Shard, q)
-			if err != nil {
-				return 0, nil, err
-			}
-			resp := &wire.ShardQueryResponse{
-				Resp:      &wire.QueryResponse{Result: rs, VO: w},
-				SignedMap: s.tamperedMap(sm).Encode(),
-			}
-			return wire.MsgShardQueryResp, resp.Encode(), nil
 		}
 		resp, err := wire.AppendShardQueryResponse(out, func(dst []byte) ([]byte, []byte, error) {
 			dst, set, err := s.appendAnswer(ctx, dst, req.Query.Table, req.Shard, q)
@@ -1417,26 +1344,11 @@ func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body, out []byte
 	case wire.MsgShardSnapshotReq, wire.MsgShardDeltaReq:
 		// The peer distribution tier: edges replicating the same tables
 		// pull their refresh traffic from here (see peers.go).
-		return s.servePeer(ctx, mt, body)
+		return s.servePeer(mt, body)
 
 	default:
 		return 0, nil, wire.Unsupported("edge", mt)
 	}
-}
-
-// tampering reports whether a compromised-edge hook is installed.
-func (s *Server) tampering() bool {
-	tp, mtp := s.tamper.Load(), s.mapTamper.Load()
-	return tp != nil && *tp != nil || mtp != nil && *mtp != nil
-}
-
-// tamperedMap routes a served map through the compromised-edge hook (on
-// a deep copy — the canonical map stays intact for refreshes).
-func (s *Server) tamperedMap(sm *shardmap.Signed) *shardmap.Signed {
-	if tp := s.mapTamper.Load(); tp != nil && *tp != nil {
-		return (*tp)(sm.Clone())
-	}
-	return sm
 }
 
 // compile resolves a wire query request against the table's schema.

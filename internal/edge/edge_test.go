@@ -7,12 +7,14 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"edgeauth/internal/central"
 	"edgeauth/internal/digest"
 	"edgeauth/internal/rpc"
 	"edgeauth/internal/schema"
+	"edgeauth/internal/shardmap"
 	"edgeauth/internal/sig"
 	"edgeauth/internal/storage"
 	"edgeauth/internal/vbtree"
@@ -64,8 +66,23 @@ func startCentral(t *testing.T, rows int) (*central.Server, string) {
 // runQuery queries shard 0 — the whole table, in the one-shard tables
 // most tests here build.
 func runQuery(ctx context.Context, eg *Server, table string, q vbtree.Query) (*vo.ResultSet, *vo.VO, error) {
-	rs, w, _, err := eg.RunShardQuery(ctx, table, 0, q)
+	rs, w, _, err := shardAnswer(ctx, eg, table, 0, q)
 	return rs, w, err
+}
+
+// shardAnswer is one shard's answer to q in struct form: the bytes the
+// wire path builds, decoded from a buffer private to the call, and the
+// signed map the shard was answered under.
+func shardAnswer(ctx context.Context, eg *Server, table string, idx uint32, q vbtree.Query) (*vo.ResultSet, *vo.VO, *shardmap.Signed, error) {
+	body, set, err := eg.appendAnswer(ctx, nil, table, idx, q)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	rs, w, err := vo.DecodeAnswer(body)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return rs, w, set.smap, nil
 }
 
 func TestPullAndQueryLocally(t *testing.T) {
@@ -78,7 +95,7 @@ func TestPullAndQueryLocally(t *testing.T) {
 		t.Fatalf("Tables = %v", got)
 	}
 	lo, hi := schema.Int64(10), schema.Int64(29)
-	rs, w, sm, err := eg.RunShardQuery(context.Background(), "items", 0, vbtree.Query{Lo: &lo, Hi: &hi})
+	rs, w, sm, err := shardAnswer(context.Background(), eg, "items", 0, vbtree.Query{Lo: &lo, Hi: &hi})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,30 +260,51 @@ func TestUnreachableCentral(t *testing.T) {
 	}
 }
 
+// TestTamperHookAppliesAndClears pins the shim the benchmark's tamper
+// canary turns its edge hostile with: while SetTamper's hook is set, the
+// shard answer Serve sends carries the hook's mutation, and once it is
+// cleared the honest answer goes out again. It is the one test of
+// SetTamper; a compromised edge is otherwise a tamper proxy.
 func TestTamperHookAppliesAndClears(t *testing.T) {
+	ctx := context.Background()
 	_, addr := startCentral(t, 80)
 	eg := New(addr)
-	if err := eg.PullAll(context.Background()); err != nil {
+	if err := eg.PullAll(ctx); err != nil {
 		t.Fatal(err)
 	}
-	calls := 0
+	conn := rpc.New(startEdge(t, eg), rpc.Options{})
+	defer conn.Close()
+	req := rangeRequest(t, 1, 5)
+	firstValue := func() schema.Datum {
+		t.Helper()
+		body, err := conn.Call(ctx, wire.MsgShardQueryReq, req, wire.MsgShardQueryResp, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := wire.DecodeShardQueryResponse(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Resp.Result.Tuples[0].Values[1]
+	}
+	var calls atomic.Int32
 	eg.SetTamper(func(rs *vo.ResultSet, w *vo.VO) error {
-		calls++
+		calls.Add(1)
+		rs.Tuples[0].Values[1] = schema.Str("tampered")
 		return nil
 	})
-	lo, hi := schema.Int64(1), schema.Int64(5)
-	if _, _, err := runQuery(context.Background(), eg, "items", vbtree.Query{Lo: &lo, Hi: &hi}); err != nil {
-		t.Fatal(err)
+	if v := firstValue(); v.S != "tampered" {
+		t.Fatalf("served value %v under the hook, want the hook's", v)
 	}
-	if calls != 1 {
-		t.Fatalf("tamper hook called %d times", calls)
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("tamper hook called %d times", n)
 	}
 	eg.SetTamper(nil)
-	if _, _, err := runQuery(context.Background(), eg, "items", vbtree.Query{Lo: &lo, Hi: &hi}); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
+	if v := firstValue(); v.S == "tampered" {
 		t.Fatal("cleared tamper hook still firing")
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("cleared tamper hook called: %d calls", n)
 	}
 }
 

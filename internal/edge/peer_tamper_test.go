@@ -2,9 +2,13 @@ package edge
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 
+	"edgeauth/internal/central"
+	"edgeauth/internal/rpc"
 	"edgeauth/internal/tamper"
+	"edgeauth/internal/wire"
 )
 
 // attackByName pulls one attack out of the malicious-relay catalogue.
@@ -19,6 +23,25 @@ func attackByName(t *testing.T, name string) tamper.PeerAttack {
 	return tamper.PeerAttack{}
 }
 
+// startHostilePeerTier is startPeerTier with tier-2's upstream a relay
+// proxy in front of tier-1: it passes tier-1's answers on untouched
+// until arm is called, and through the named relay attack after.
+func startHostilePeerTier(t *testing.T, attack string) (srv *central.Server, centralAddr string, t1, t2 *Server, arm func()) {
+	t.Helper()
+	a := attackByName(t, attack)
+	var armed atomic.Bool
+	srv, centralAddr, t1, t2 = startPeerTierBehind(t, 300, 2, serverKey(t), func(honest rpc.Handler) rpc.Handler {
+		hostile := tamper.WrapPeer(honest, a)
+		return func(ctx context.Context, mt wire.MsgType, body, out []byte) (wire.MsgType, []byte, error) {
+			if armed.Load() {
+				return hostile(ctx, mt, body, out)
+			}
+			return honest(ctx, mt, body, out)
+		}
+	})
+	return srv, centralAddr, t1, t2, func() { armed.Store(true) }
+}
+
 // TestMaliciousPeerBitFlipDelta: a relay that corrupts delta bodies in
 // transit. Deltas are whole-body signed by the central, so the
 // downstream rejects every flipped payload, scores the peer, and heals
@@ -26,13 +49,13 @@ func attackByName(t *testing.T, name string) tamper.PeerAttack {
 // never correctness.
 func TestMaliciousPeerBitFlipDelta(t *testing.T) {
 	ctx := context.Background()
-	srv, centralAddr, t1, t2 := startPeerTier(t, 300, 2)
+	srv, centralAddr, t1, t2, arm := startHostilePeerTier(t, "bit-flip-delta")
 	if err := t2.PullAll(ctx); err != nil {
 		t.Fatal(err)
 	}
 	auditRows(t, t1, "tier-1, bootstrap", 300)
 	auditRows(t, t2, "tier-2, bootstrap", 300)
-	t1.SetPeerTamper(attackByName(t, "bit-flip-delta").NewHook())
+	arm()
 
 	if err := srv.Insert("items", freshRow(t, 500_000)); err != nil {
 		t.Fatal(err)
@@ -68,8 +91,8 @@ func TestMaliciousPeerBitFlipDelta(t *testing.T) {
 // replay is rejected and the bootstrap heals from the central.
 func TestMaliciousPeerReplayStaleSnapshot(t *testing.T) {
 	ctx := context.Background()
-	srv, centralAddr, t1, t2 := startPeerTier(t, 300, 2)
-	t1.SetPeerTamper(attackByName(t, "replay-stale-snapshot").NewHook())
+	srv, centralAddr, t1, t2, arm := startHostilePeerTier(t, "replay-stale-snapshot")
+	arm()
 
 	// Prime the replay: a first downstream bootstrap captures the
 	// current (soon to be stale) snapshot bodies.
@@ -116,13 +139,13 @@ func TestMaliciousPeerReplayStaleSnapshot(t *testing.T) {
 // rejected either way and the round heals from the central.
 func TestMaliciousPeerWrongShardRelay(t *testing.T) {
 	ctx := context.Background()
-	srv, centralAddr, t1, t2 := startPeerTier(t, 300, 2)
+	srv, centralAddr, t1, t2, arm := startHostilePeerTier(t, "wrong-shard-relay")
 	if err := t2.PullAll(ctx); err != nil {
 		t.Fatal(err)
 	}
 	auditRows(t, t1, "tier-1, bootstrap", 300)
 	auditRows(t, t2, "tier-2, bootstrap", 300)
-	t1.SetPeerTamper(attackByName(t, "wrong-shard-relay").NewHook())
+	arm()
 
 	// Dirty BOTH shards so the refresh requests two different refs —
 	// giving the relay a payload to cross-serve.

@@ -3,11 +3,13 @@ package edge
 import (
 	"context"
 	"errors"
+	"net"
 	"testing"
 
 	"edgeauth/internal/central"
 	"edgeauth/internal/client"
 	"edgeauth/internal/query"
+	"edgeauth/internal/rpc"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
 	"edgeauth/internal/wire"
@@ -25,12 +27,30 @@ func startPeerTier(t *testing.T, rows, shards int) (srv *central.Server, central
 // startPeerTierKey is startPeerTier under a caller-chosen signing key.
 func startPeerTierKey(t *testing.T, rows, shards int, key *sig.PrivateKey) (srv *central.Server, centralAddr string, t1 *Server, t2 *Server) {
 	t.Helper()
+	return startPeerTierBehind(t, rows, shards, key, nil)
+}
+
+// startPeerTierBehind is startPeerTierKey with, when relay is not nil,
+// tier-2's upstream a proxy in front of tier-1 that serves
+// relay(tier-1's handler).
+func startPeerTierBehind(t *testing.T, rows, shards int, key *sig.PrivateKey, relay func(rpc.Handler) rpc.Handler) (srv *central.Server, centralAddr string, t1 *Server, t2 *Server) {
+	t.Helper()
 	srv, centralAddr = startCentralKey(t, rows, central.Options{PageSize: 1024, Shards: shards}, key)
 	t1 = NewWithOptions(centralAddr, Options{ServePeers: true})
 	if err := t1.PullAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	peerAddr := startEdge(t, t1)
+	if relay != nil {
+		proxy := rpc.NewServer(relay(t1.Handler()), rpc.ServeOptions{Capabilities: wire.CapPeerServe})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go proxy.Serve(ln)
+		t.Cleanup(proxy.Close)
+		peerAddr = ln.Addr().String()
+	}
 	t2 = NewWithOptions(centralAddr, Options{Upstreams: []string{peerAddr}})
 	t.Cleanup(func() { t2.Close() })
 	return srv, centralAddr, t1, t2
@@ -215,19 +235,18 @@ func TestPeerDeltaGapSnapshotCatchup(t *testing.T) {
 // requests a peer cannot (or must not) answer come back as TYPED
 // errors the puller's failover logic dispatches on.
 func TestServePeerTypedErrors(t *testing.T) {
-	ctx := context.Background()
 	_, _, t1, _ := startPeerTier(t, 200, 2)
 
 	// A requester at (or past) the peer's head: Behind, never an empty
 	// delta.
 	req := &wire.ShardDeltaRequest{Table: "items", ShardID: 1, FromVersion: 0, Epoch: mustEpochOf(t, t1)}
-	_, _, err := t1.servePeer(ctx, wire.MsgShardDeltaReq, req.Encode())
+	_, _, err := t1.servePeer(wire.MsgShardDeltaReq, req.Encode())
 	if !errors.Is(err, wire.ErrBehind) {
 		t.Fatalf("delta at head: %v, want wire.ErrBehind", err)
 	}
 	// A requester from a different incarnation: also Behind (fail over).
 	req = &wire.ShardDeltaRequest{Table: "items", ShardID: 1, FromVersion: 0, Epoch: mustEpochOf(t, t1) + 1}
-	_, _, err = t1.servePeer(ctx, wire.MsgShardDeltaReq, req.Encode())
+	_, _, err = t1.servePeer(wire.MsgShardDeltaReq, req.Encode())
 	if !errors.Is(err, wire.ErrBehind) {
 		t.Fatalf("delta across epochs: %v, want wire.ErrBehind", err)
 	}
@@ -235,17 +254,17 @@ func TestServePeerTypedErrors(t *testing.T) {
 	// split or merge, or not created yet here): ShardMoved, for deltas
 	// and snapshots alike — never a neighbour's payload.
 	req = &wire.ShardDeltaRequest{Table: "items", ShardID: 99, Epoch: mustEpochOf(t, t1)}
-	_, _, err = t1.servePeer(ctx, wire.MsgShardDeltaReq, req.Encode())
+	_, _, err = t1.servePeer(wire.MsgShardDeltaReq, req.Encode())
 	if !errors.Is(err, wire.ErrShardMoved) {
 		t.Fatalf("delta for an unknown shard ID: %v, want wire.ErrShardMoved", err)
 	}
-	_, _, err = t1.servePeer(ctx, wire.MsgShardSnapshotReq, (&wire.ShardSnapshotRequest{Table: "items", ShardID: 99}).Encode())
+	_, _, err = t1.servePeer(wire.MsgShardSnapshotReq, (&wire.ShardSnapshotRequest{Table: "items", ShardID: 99}).Encode())
 	if !errors.Is(err, wire.ErrShardMoved) {
 		t.Fatalf("snapshot of an unknown shard ID: %v, want wire.ErrShardMoved", err)
 	}
 	// Unknown table stays the classic typed error.
 	req = &wire.ShardDeltaRequest{Table: "nope", ShardID: 1}
-	_, _, err = t1.servePeer(ctx, wire.MsgShardDeltaReq, req.Encode())
+	_, _, err = t1.servePeer(wire.MsgShardDeltaReq, req.Encode())
 	if !errors.Is(err, wire.ErrUnknownTable) {
 		t.Fatalf("unknown table: %v", err)
 	}
@@ -254,7 +273,7 @@ func TestServePeerTypedErrors(t *testing.T) {
 	// unsupported error.
 	off := NewWithOptions("127.0.0.1:1", Options{})
 	t.Cleanup(func() { off.Close() })
-	_, _, err = off.servePeer(ctx, wire.MsgShardDeltaReq, (&wire.ShardDeltaRequest{Table: "items"}).Encode())
+	_, _, err = off.servePeer(wire.MsgShardDeltaReq, (&wire.ShardDeltaRequest{Table: "items"}).Encode())
 	if !errors.Is(err, wire.ErrUnsupported) {
 		t.Fatalf("non-serving edge: %v, want wire.ErrUnsupported", err)
 	}
@@ -292,4 +311,38 @@ func TestPeerCapabilityAdvertised(t *testing.T) {
 		t.Fatalf("source caps = %#x, want CapPeerServe advertised", stats[0].Caps)
 	}
 	_ = t1
+}
+
+// TestCloseStopsServingAndIsIdempotent is the edge's counterpart of the
+// central's close test: Close closes the listener and the live client
+// connections and drops the central and upstream connections. Both close
+// cleanly here, so it reports nil, and a second Close reports the same.
+func TestCloseStopsServingAndIsIdempotent(t *testing.T) {
+	ctx := context.Background()
+	_, _, _, t2 := startPeerTier(t, 100, 2)
+	if err := t2.PullAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go t2.Serve(ln)
+	conn := rpc.New(ln.Addr().String(), rpc.Options{RedialAttempts: 1})
+	defer conn.Close()
+	if _, err := conn.Call(ctx, wire.MsgListTablesReq, nil, wire.MsgListTablesResp, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := t2.Close(); err != nil {
+		t.Fatalf("first Close: %v", err)
+	}
+	if _, err := conn.Call(ctx, wire.MsgListTablesReq, nil, wire.MsgListTablesResp, true); err == nil {
+		t.Fatal("a client reached the edge after Close")
+	}
+	if err := t2.PullAll(ctx); err == nil {
+		t.Fatal("PullAll reached the central after Close")
+	}
+	if err := t2.Close(); err != nil {
+		t.Fatalf("second Close not idempotent: %v", err)
+	}
 }

@@ -28,31 +28,12 @@ package edge
 // therefore cost latency, never correctness and never a silent freeze.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
 	"edgeauth/internal/peer"
 	"edgeauth/internal/wire"
 )
-
-// PeerTamperFn rewrites a replication payload before it leaves a
-// serving edge — the model of a malicious relay peer. It receives the
-// response frame type, the shard ref the payload answers, and the
-// encoded body, and returns the body to serve instead.
-type PeerTamperFn func(mt wire.MsgType, ref string, body []byte) []byte
-
-// SetPeerTamper installs (or clears, with nil) the malicious-relay hook.
-func (s *Server) SetPeerTamper(fn PeerTamperFn) { s.peerTamper.Store(&fn) }
-
-// tamperedPeerBody routes an outgoing replication payload through the
-// malicious-relay hook.
-func (s *Server) tamperedPeerBody(mt wire.MsgType, ref string, body []byte) []byte {
-	if tp := s.peerTamper.Load(); tp != nil && *tp != nil {
-		return (*tp)(mt, ref, body)
-	}
-	return body
-}
 
 // PeerStats reports the per-upstream pull counters in configured order
 // (nil when the edge has no upstreams).
@@ -86,8 +67,7 @@ func (s *Server) peerFail(src *peer.Source) {
 // servePeer answers replication requests from this edge's replicated
 // state. Gated by Options.ServePeers: a non-serving edge answers with a
 // typed unsupported error.
-func (s *Server) servePeer(ctx context.Context, mt wire.MsgType, body []byte) (wire.MsgType, []byte, error) {
-	_ = ctx
+func (s *Server) servePeer(mt wire.MsgType, body []byte) (wire.MsgType, []byte, error) {
 	if !s.opts.ServePeers {
 		return 0, nil, wire.Unsupported("edge", mt)
 	}
@@ -129,7 +109,7 @@ func (s *Server) servePeerSnapshot(table string, id uint64) (wire.MsgType, []byt
 	if err != nil {
 		return 0, nil, err
 	}
-	out := s.tamperedPeerBody(wire.MsgSnapshotResp, wire.ShardRef(table, id), snap.Encode())
+	out := snap.Encode()
 	s.stats.peerPayloadsServed.Add(1)
 	s.stats.peerBytesServed.Add(uint64(len(out)))
 	return wire.MsgSnapshotResp, out, nil
@@ -166,7 +146,6 @@ func (s *Server) servePeerDelta(table string, id, from, epoch uint64) (wire.MsgT
 	if !ok {
 		return 0, nil, wire.DeltaGap(table, fmt.Sprintf("edge: no relayable delta from v%d for %q; take a snapshot or fall back to the central", from, ref))
 	}
-	body = s.tamperedPeerBody(wire.MsgDeltaResp, ref, body)
 	s.stats.peerPayloadsServed.Add(1)
 	s.stats.peerBytesServed.Add(uint64(len(body)))
 	return wire.MsgDeltaResp, body, nil

@@ -291,7 +291,7 @@ func TestRefreshRacingSplitKeepsShardsApart(t *testing.T) {
 	}
 	got := 0
 	for i := range sm.Map.Shards {
-		rs, w, _, err := eg.RunShardQuery(ctx, "items", uint32(i), vbtree.Query{})
+		rs, w, _, err := shardAnswer(ctx, eg, "items", uint32(i), vbtree.Query{})
 		if err != nil {
 			t.Fatalf("honest edge, shard %d: %v", i, err)
 		}

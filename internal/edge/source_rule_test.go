@@ -20,19 +20,9 @@ func serveHandler(t *testing.T, h rpc.Handler) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				rpc.ServeConn(conn, h, rpc.ServeOptions{})
-			}()
-		}
-	}()
-	t.Cleanup(func() { ln.Close() })
+	srv := rpc.NewServer(h, rpc.ServeOptions{})
+	go srv.Serve(ln)
+	t.Cleanup(srv.Close)
 	return ln.Addr().String()
 }
 

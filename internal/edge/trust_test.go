@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"edgeauth/internal/central"
+	"edgeauth/internal/shardmap"
 	"edgeauth/internal/sig"
 	"edgeauth/internal/storage"
 	"edgeauth/internal/wire"
@@ -119,7 +120,7 @@ func TestVerifyAlignedStoresBindsStoresToMap(t *testing.T) {
 	// the central never vouched for.
 	d := append([]byte(nil), set.smap.Map.Shards[0].RootDigest...)
 	d[0] ^= 1
-	tampered := set.smap.Clone()
+	tampered := &shardmap.Signed{Map: set.smap.Map.Clone(), Sig: set.smap.Sig}
 	tampered.Map.Shards[0].RootDigest = d
 	if err := eg.verifyAlignedStores(ctx, tampered, stores); err == nil {
 		t.Fatal("stores accepted against a map pinning a different root digest")

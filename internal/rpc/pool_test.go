@@ -183,7 +183,7 @@ func TestPoolDeadSessionFailsOnlyItsCalls(t *testing.T) {
 			}
 			go func() {
 				defer nc.Close()
-				ServeConn(nc, holdingHandler(held, release), ServeOptions{})
+				ServeConn(context.Background(), nc, holdingHandler(held, release), ServeOptions{})
 			}()
 		}
 	}()
@@ -304,7 +304,7 @@ func TestPoolSharesWhenADialFails(t *testing.T) {
 			return
 		}
 		defer nc.Close()
-		ServeConn(nc, holdingHandler(held, release), ServeOptions{})
+		ServeConn(context.Background(), nc, holdingHandler(held, release), ServeOptions{})
 	}()
 	c := New(ln.Addr().String(), Options{RedialAttempts: 1})
 	defer c.Close()

@@ -53,7 +53,7 @@ func startCountedServer(t testing.TB, h Handler, o ServeOptions) (string, *atomi
 			accepted.Add(1)
 			go func() {
 				defer conn.Close()
-				ServeConn(conn, h, o)
+				ServeConn(context.Background(), conn, h, o)
 			}()
 		}
 	}()
@@ -313,7 +313,7 @@ func TestRedialAfterServerRestart(t *testing.T) {
 			go func() {
 				defer conns.Done()
 				defer conn.Close()
-				ServeConn(conn, echoHandler, ServeOptions{})
+				ServeConn(context.Background(), conn, echoHandler, ServeOptions{})
 			}()
 		}
 	}
@@ -409,7 +409,7 @@ func TestIdleTimeoutDropsSlowloris(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		ServeConn(conn, echoHandler, ServeOptions{IdleTimeout: 50 * time.Millisecond})
+		ServeConn(context.Background(), conn, echoHandler, ServeOptions{IdleTimeout: 50 * time.Millisecond})
 		close(done)
 	}()
 	nc, err := net.Dial("tcp", ln.Addr().String())
@@ -501,18 +501,33 @@ func TestHandlerCtxCancelledOnDisconnect(t *testing.T) {
 	}
 }
 
-// TestBaseContextCancellation covers ServeOptions.BaseContext: when the
-// server's root context is cancelled (shutdown), handlers blocked on
-// ctx.Done unwind and answer, instead of running on with a context that
-// outlives the server.
+// TestBaseContextCancellation covers ServeConn's ctx: when the context
+// a connection is served under is cancelled (server shutdown), handlers
+// blocked on ctx.Done unwind and answer, instead of running on with a
+// context that outlives the server.
 func TestBaseContextCancellation(t *testing.T) {
 	base, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	entered := make(chan struct{}, 1)
 	h := func(ctx context.Context, mt wire.MsgType, body, _ []byte) (wire.MsgType, []byte, error) {
+		entered <- struct{}{}
 		<-ctx.Done()
 		return 0, nil, ctx.Err()
 	}
-	addr := startServer(t, h, ServeOptions{BaseContext: base})
-	c := New(addr, Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		ServeConn(base, conn, h, ServeOptions{})
+	}()
+	c := New(ln.Addr().String(), Options{})
 	defer c.Close()
 
 	done := make(chan error, 1)
@@ -520,7 +535,7 @@ func TestBaseContextCancellation(t *testing.T) {
 		_, err := c.Call(context.Background(), wire.MsgShardQueryReq, []byte("x"), wire.MsgShardQueryResp, true)
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let the call reach the handler
+	<-entered
 	cancel()
 	select {
 	case err := <-done:
@@ -528,7 +543,7 @@ func TestBaseContextCancellation(t *testing.T) {
 			t.Fatal("call succeeded although the handler's context was cancelled")
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("handler did not observe BaseContext cancellation")
+		t.Fatal("handler did not observe the cancellation of ServeConn's context")
 	}
 }
 

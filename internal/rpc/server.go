@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -53,21 +54,102 @@ type ServeOptions struct {
 	// connection, and with them the worker goroutines the connection
 	// starts. 0 selects DefaultMaxConcurrent.
 	MaxConcurrent int
-	// BaseContext, when non-nil, parents every connection context, so
-	// cancelling it (server shutdown) stops in-flight handlers across
-	// all connections. Nil leaves connections rooted at Background.
-	BaseContext context.Context
 	// Capabilities is the wire.Cap* bit set advertised in the HelloResp
 	// (e.g. CapPeerServe when this server relays replication traffic).
 	Capabilities uint32
 }
 
-func (o ServeOptions) baseContext() context.Context {
-	if o.BaseContext != nil {
-		return o.BaseContext
+// Server serves connections accepted on any number of listeners through
+// ServeConn with one handler, until Close: the listening side of both
+// daemons, and of a proxy in front of an edge.
+type Server struct {
+	h      Handler
+	o      ServeOptions
+	ctx    context.Context // parents every handler's and Go task's; Close cancels it
+	cancel context.CancelFunc
+
+	mu     sync.Mutex
+	held   map[io.Closer]struct{} // listeners and live connections
+	closed bool
+	wg     sync.WaitGroup // Go tasks, connections among them
+}
+
+// NewServer returns a server that answers every request with h.
+func NewServer(h Handler, o ServeOptions) *Server {
+	ctx, cancel := context.WithCancel(context.Background()) //vetauth:ignore ctxflow server root context, cancelled by Close
+	return &Server{h: h, o: o, ctx: ctx, cancel: cancel, held: make(map[io.Closer]struct{})}
+}
+
+// Serve accepts connections on l until l fails or the server closes. A
+// listener handed to a closed server is closed at once, and so is a
+// connection accepted while Close runs.
+func (s *Server) Serve(l net.Listener) {
+	if !s.hold(l) {
+		l.Close()
+		return
 	}
-	// The accept loop's default when no server lifecycle is plumbed in.
-	return context.Background() //vetauth:ignore ctxflow there is no caller context to inherit here
+	for {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		if !s.hold(conn) {
+			conn.Close()
+			return
+		}
+		s.Go(func(ctx context.Context) {
+			defer s.release(conn)
+			ServeConn(ctx, conn, s.h, s.o)
+		})
+	}
+}
+
+// Go runs f on a goroutine the server owns: f's ctx is cancelled by
+// Close, which returns only after f has. On a closed server f never runs.
+func (s *Server) Go(f func(ctx context.Context)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return
+	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		f(s.ctx)
+	}()
+}
+
+// hold registers c for Close to close; false once Close has run.
+func (s *Server) hold(c io.Closer) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.held[c] = struct{}{}
+	}
+	return !s.closed
+}
+
+// release closes a held connection its handler is done with.
+func (s *Server) release(c io.Closer) {
+	c.Close()
+	s.mu.Lock()
+	delete(s.held, c)
+	s.mu.Unlock()
+}
+
+// Close cancels every handler's context, closes the listeners and the
+// live connections (a peer may hold a pooled one open indefinitely) and
+// returns once every handler and Go task has. Close is idempotent.
+func (s *Server) Close() {
+	s.cancel()
+	s.mu.Lock()
+	s.closed = true
+	for c := range s.held {
+		c.Close()
+	}
+	s.held = nil
+	s.mu.Unlock()
+	s.wg.Wait()
 }
 
 func (o ServeOptions) idleTimeout() time.Duration {
@@ -89,7 +171,9 @@ func (o ServeOptions) maxConcurrent() int {
 }
 
 // ServeConn drives one accepted connection until it closes: it completes
-// the Hello handshake, then dispatches requests through h. Requests
+// the Hello handshake, then dispatches requests through h, each with a
+// context cancelled when ctx is (server shutdown) or when the serve loop
+// winds down (peer gone, idled out, malformed frame). Requests
 // decode on this (reader) goroutine and execute concurrently on the
 // connection's own workers — at most MaxConcurrent goroutines, started as
 // the connection's concurrency calls for them and kept until it closes —
@@ -99,13 +183,7 @@ func (o ServeOptions) maxConcurrent() int {
 // and ServeConn returns (the caller closes the connection). ServeConn
 // also returns when the peer disconnects, idles out, or sends a malformed
 // frame; in-flight workers are drained before it returns.
-func ServeConn(conn net.Conn, h Handler, o ServeOptions) {
-	// The connection context: cancelled the moment the serve loop winds
-	// down (peer disconnected, idled out, malformed frame) or the
-	// server's BaseContext is cancelled, so in-flight handlers stop
-	// early.
-	ctx, cancel := context.WithCancel(o.baseContext())
-	defer cancel()
+func ServeConn(ctx context.Context, conn net.Conn, h Handler, o ServeOptions) {
 	idle := o.idleTimeout()
 	setIdleDeadline(conn, idle)
 	mt, body, err := wire.ReadFrame(conn)

@@ -193,7 +193,7 @@ func TestServeReusesWorkers(t *testing.T) {
 		go func() {
 			defer close(returned)
 			defer server.Close()
-			ServeConn(server, h, ServeOptions{})
+			ServeConn(context.Background(), server, h, ServeOptions{})
 		}()
 		c := connOver(t, client)
 		for i := 0; i < k; i++ {
@@ -248,7 +248,7 @@ func TestOneReadPerFrame(t *testing.T) {
 		counted := &countingConn{Conn: server}
 		go func() {
 			defer server.Close()
-			ServeConn(counted, h, ServeOptions{})
+			ServeConn(context.Background(), counted, h, ServeOptions{})
 		}()
 		if err := wire.WriteFrame(client, wire.MsgHello, wire.EncodeHelloCaps(wire.ProtocolVersion, 0)); err != nil {
 			t.Fatal(err)
@@ -283,7 +283,7 @@ func TestOneReadPerFrame(t *testing.T) {
 		server, client := net.Pipe()
 		go func() {
 			defer server.Close()
-			ServeConn(server, h, ServeOptions{})
+			ServeConn(context.Background(), server, h, ServeOptions{})
 		}()
 		counted := &countingConn{Conn: client}
 		c := connOver(t, counted)

@@ -52,9 +52,9 @@ func FuzzDecodeSigned(f *testing.F) {
 		if !bytes.Equal(s.Encode(), data) {
 			t.Fatal("signed map round-trip mismatch")
 		}
-		// Clone must be deep: mutating the clone leaves the original's
+		// A clone must be deep: mutating it leaves the original's
 		// encoding unchanged.
-		c := s.Clone()
+		c := &Signed{Map: s.Map.Clone(), Sig: s.Sig.Clone()}
 		c.Map.Table += "x"
 		if len(c.Map.Shards) > 0 && len(c.Map.Shards[0].RootDigest) > 0 {
 			c.Map.Shards[0].RootDigest[0] ^= 0xFF

@@ -431,7 +431,7 @@ func (m *Map) Clone() *Map {
 	}
 	for _, b := range m.Boundaries {
 		// Datum is a value type except for bytes payloads; copy those so
-		// a hook mutating the clone cannot reach the canonical map.
+		// an attack mutating the clone cannot reach the canonical map.
 		if b.Type == schema.TypeBytes {
 			b.B = append([]byte(nil), b.B...)
 		}
@@ -445,10 +445,4 @@ func (m *Map) Clone() *Map {
 		})
 	}
 	return c
-}
-
-// Clone returns a deep copy (tamper hooks mutate copies, not the
-// server's canonical map).
-func (s *Signed) Clone() *Signed {
-	return &Signed{Map: s.Map.Clone(), Sig: s.Sig.Clone()}
 }

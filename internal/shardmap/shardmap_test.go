@@ -136,18 +136,18 @@ func TestSignVerifyRoundTrip(t *testing.T) {
 		t.Fatalf("verify decoded: %v", err)
 	}
 	// Any mutation of the payload breaks the signature.
-	evil := dec.Clone()
+	evil := &Signed{Map: dec.Map.Clone(), Sig: dec.Sig}
 	evil.Map.Shards = evil.Map.Shards[:3]
 	evil.Map.Boundaries = evil.Map.Boundaries[:2]
 	if err := evil.Verify(key.Public()); err == nil {
 		t.Fatal("dropped-shard map verified")
 	}
-	evil2 := dec.Clone()
+	evil2 := &Signed{Map: dec.Map.Clone(), Sig: dec.Sig}
 	evil2.Map.Shards[1].RootDigest[0] ^= 0xFF
 	if err := evil2.Verify(key.Public()); err == nil {
 		t.Fatal("digest-swapped map verified")
 	}
-	evil3 := dec.Clone()
+	evil3 := &Signed{Map: dec.Map.Clone(), Sig: dec.Sig}
 	evil3.Map.MapVersion++
 	if err := evil3.Verify(key.Public()); err == nil {
 		t.Fatal("version-bumped map verified")

@@ -3,10 +3,10 @@ package tamper
 // Malicious-relay attacks for the peer distribution tier: mutations a
 // compromised SERVING edge could apply to the replication payloads it
 // relays to downstream edges (as opposed to the query-response attacks
-// in tamper.go, which target clients). Hooks are compatible with
-// edge.PeerTamperFn and are driven through real two-tier deployments by
-// the security test-suite to show that a peer-fed edge rejects every
-// one and heals from the central.
+// in tamper.go, which target clients). WrapPeer runs one on every
+// payload a relay proxy serves, and the security test-suite drives them
+// through real two-tier deployments to show that a peer-fed edge
+// rejects every one and heals from the central.
 
 import (
 	"sync"
@@ -15,10 +15,9 @@ import (
 )
 
 // PeerAttack models a malicious relay peer. NewHook builds a fresh
-// (possibly stateful) payload-rewriting hook with the edge.PeerTamperFn
-// shape: it receives the response frame type, the ref the payload
-// answers (table name, or shard ref for partitioned tables), and the
-// encoded body, and returns the body to serve instead.
+// (possibly stateful) payload-rewriting hook: it receives the response
+// frame type, the shard ref the payload answers and the encoded body,
+// and returns the body to serve instead.
 type PeerAttack struct {
 	Name        string
 	Description string

@@ -1,7 +1,9 @@
 // Package tamper is the adversary toolkit: a catalogue of attacks a
-// compromised edge server could mount on query responses. Each attack is
-// an edge.TamperFn-compatible mutation; the security test-suite and the
-// demo binaries drive them through real deployments to show that client
+// compromised edge server could mount on query responses, and the proxy
+// that mounts them. Each attack mutates a decoded answer; Wrap (and
+// WrapMap, WrapPeer) turns an honest edge's rpc.Handler into the
+// handler of an edge running it, and the security test-suite and the
+// demo binaries serve that through real deployments to show that client
 // verification rejects every one.
 //
 // The catalogue covers the two integrity properties of the paper — value
@@ -645,8 +647,9 @@ func ReplayStaleShard(staleRS *vo.ResultSet, staleVO *vo.VO) Attack {
 type MapAttack struct {
 	Name        string
 	Description string
-	// Apply mutates the map in place (the edge hook hands it a deep
-	// copy). Returning an error marks the attack inapplicable.
+	// Apply mutates the map in place (WrapMap hands it a map decoded
+	// from the honest answer). Returning an error marks the attack
+	// inapplicable.
 	Apply func(sm *shardmap.Signed) error
 }
 

@@ -86,48 +86,53 @@ func TestWalkScratchIsSharedSafely(t *testing.T) {
 // snapshot's pages reachable after the pin that covered the traversal is
 // released — nor hand the next traversal a view of pages that have since
 // been recycled.
+//
+// The test owns the recycling: every query takes the same scratch, from
+// a fresh pool whose New hands it out, so each check sees what all the
+// queries before it left behind. sync.Pool would not do: under the race
+// detector it drops a share of its Puts on purpose, and a query that
+// matches no row could then run on a fresh scratch that never grew.
 func TestWalkScratchRecyclesNoPageReference(t *testing.T) {
 	h := newHarness(t, 300, 1024)
 	v := liveView(t, h.tree)
-	var used []*walkScratch
-	walkScratchPool = sync.Pool{New: func() any {
-		sc := new(walkScratch)
-		used = append(used, sc)
-		return sc
-	}}
+	sc := new(walkScratch)
 	defer func() { walkScratchPool = sync.Pool{New: func() any { return new(walkScratch) }} }()
 	for i, q := range scratchQueries() {
+		taken := false
+		walkScratchPool = sync.Pool{New: func() any {
+			taken = true
+			return sc
+		}}
 		// The walk takes back the records and entry digests of every node
 		// with no result row under it after collecting them.
 		if _, _, err := v.AppendAnswer(context.Background(), q, nil); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-	}
-	if len(used) == 0 {
-		t.Fatal("AppendAnswer took no scratch from the pool")
-	}
-	for _, sc := range used {
+		if !taken {
+			t.Fatalf("query %d: AppendAnswer took no scratch from the pool", i)
+		}
+		// The first query matches rows, so the scratch has grown by now.
 		if cap(sc.recs) == 0 || cap(sc.matches) == 0 || cap(sc.offsets) == 0 {
-			t.Errorf("scratch came back without its capacity: recs %d, matches %d, offsets %d", cap(sc.recs), cap(sc.matches), cap(sc.offsets))
+			t.Errorf("query %d: scratch came back without its capacity: recs %d, matches %d, offsets %d", i, cap(sc.recs), cap(sc.matches), cap(sc.offsets))
 		}
 		if len(sc.recs) != 0 || len(sc.matches) != 0 || len(sc.offsets) != 0 || len(sc.sv.Offsets()) != 0 {
-			t.Errorf("scratch came back in use: recs %d, matches %d, offsets %d", len(sc.recs), len(sc.matches), len(sc.offsets))
+			t.Errorf("query %d: scratch came back in use: recs %d, matches %d, offsets %d", i, len(sc.recs), len(sc.matches), len(sc.offsets))
 		}
-		for i, r := range sc.recs[:cap(sc.recs)] {
+		for j, r := range sc.recs[:cap(sc.recs)] {
 			if r.groups != nil {
-				t.Fatalf("pooled node record %d still points at a page", i)
+				t.Fatalf("query %d: pooled node record %d still points at a page", i, j)
 			}
 		}
 		for d, digs := range sc.depthDigs {
-			for i, dg := range digs[:cap(digs)] {
+			for j, dg := range digs[:cap(digs)] {
 				if dg != nil {
-					t.Fatalf("pooled entry digest %d at depth %d still points at a page", i, d)
+					t.Fatalf("query %d: pooled entry digest %d at depth %d still points at a page", i, j, d)
 				}
 			}
 		}
-		for i, rec := range sc.matches[:cap(sc.matches)] {
+		for j, rec := range sc.matches[:cap(sc.matches)] {
 			if rec != nil {
-				t.Fatalf("pooled row slot %d still points at a page", i)
+				t.Fatalf("query %d: pooled row slot %d still points at a page", i, j)
 			}
 		}
 	}

@@ -2,17 +2,20 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
+	"edgeauth/internal/israce"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/storage"
 	"edgeauth/internal/vo"
 )
 
 // Fuzz targets for the frame-body decoders fed by untrusted peers: the
-// delta decoder runs at edge servers on central-impersonating input, and
-// the query-response and schema-response decoders run at clients on
-// edge-supplied input.
+// delta decoder runs at edge servers on central-impersonating input, the
+// query-response and schema-response decoders run at clients on
+// edge-supplied input, and the shard snapshot and delta requests at the
+// central and at relaying edges on any replica's input.
 // Invariants: no panics, no unbounded allocation shortcuts, and accepted
 // inputs re-encode byte-identically (signature checks hash the received
 // bytes, so a "repairing" decoder would break authentication).
@@ -176,4 +179,160 @@ func FuzzDecodeHelloCaps(f *testing.F) {
 			t.Fatal("hello round-trip mismatch")
 		}
 	})
+}
+
+// FuzzDecodeShardQueryResponse covers the client's outermost answer
+// decoder, over everything an edge sends back for a query: the answer
+// and the signed map beside it.
+func FuzzDecodeShardQueryResponse(f *testing.F) {
+	rs := &vo.ResultSet{
+		DB: "db", Table: "items",
+		Columns: []string{"id"},
+		Keys:    []schema.Datum{schema.Int64(7)},
+		Tuples:  []schema.Tuple{schema.NewTuple(schema.Int64(7))},
+	}
+	w := &vo.VO{KeyVersion: 1, Timestamp: 1_700_000_000, TopLevel: 1, TopDigest: []byte{1, 2}}
+	f.Add((&ShardQueryResponse{Resp: &QueryResponse{Result: rs, VO: w}, SignedMap: []byte{3, 4, 5}}).Encode())
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, 40))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		q, err := DecodeShardQueryResponse(data)
+		if err != nil {
+			return
+		}
+		if q.Resp == nil || q.Resp.Result == nil || q.Resp.VO == nil {
+			t.Fatal("accepted shard query response with nil parts")
+		}
+		if !bytes.Equal(q.Encode(), data) {
+			t.Fatal("shard-query-response round-trip mismatch")
+		}
+	})
+}
+
+// FuzzDecodeShardSnapshotRequest covers what the central and every
+// relaying edge parse from a replica asking for a shard's snapshot.
+func FuzzDecodeShardSnapshotRequest(f *testing.F) {
+	f.Add((&ShardSnapshotRequest{Table: "items", ShardID: 7}).Encode())
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, 16))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := DecodeShardSnapshotRequest(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(r.Encode(), data) {
+			t.Fatal("shard-snapshot-request round-trip mismatch")
+		}
+	})
+}
+
+// FuzzDecodeShardDeltaRequest covers what the central and every relaying
+// edge parse from a replica asking for a shard's delta.
+func FuzzDecodeShardDeltaRequest(f *testing.F) {
+	f.Add((&ShardDeltaRequest{Table: "items", ShardID: 7, FromVersion: 3, Epoch: 0xABCDEF}).Encode())
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, 32))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := DecodeShardDeltaRequest(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(r.Encode(), data) {
+			t.Fatal("shard-delta-request round-trip mismatch")
+		}
+	})
+}
+
+// FuzzDecodeStringList covers the table list a client takes from an
+// edge and an edge from the central.
+func FuzzDecodeStringList(f *testing.F) {
+	f.Add(EncodeStringList([]string{"items", "user_orders"}))
+	f.Add(EncodeStringList(nil))
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, 16))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ss, err := DecodeStringList(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(EncodeStringList(ss), data) {
+			t.Fatal("string-list round-trip mismatch")
+		}
+	})
+}
+
+// FuzzDecodeWireError covers the error frame any peer may send in place
+// of an answer. It never fails: a malformed body becomes CodeInternal
+// carrying the raw bytes, and a well-formed one re-encodes as it came.
+func FuzzDecodeWireError(f *testing.F) {
+	f.Add((&WireError{Code: CodeShardMoved, Table: "items", Msg: "moved"}).Encode())
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, 16))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e := DecodeWireError(data)
+		if e == nil {
+			t.Fatal("nil error frame")
+		}
+		if !bytes.Equal(e.Encode(), data) && (e.Code != CodeInternal || e.Table != "" || e.Msg != string(data)) {
+			t.Fatalf("error frame neither round-trips nor carries its raw bytes: %+v", e)
+		}
+	})
+}
+
+// TestFuzzedDecodersBoundTheirAllocations is the allocation half of the
+// five fuzz targets above, whose bodies cannot measure it (reading the
+// allocator's statistics on every execution stalls the fuzzing engine).
+// Whatever length or count a hostile body claims, wherever it claims it,
+// decoding allocates a small multiple of the body's own size: each
+// decoder's honest encoding, padded to 1 KB, has the word at every
+// offset in turn overwritten with a claim of 2³¹ and with one of the
+// body's whole length. The multiple is 4 because a list item can cost
+// that much more than its wire bytes: an empty string is a 4-byte length
+// word on the wire and a 16-byte header decoded.
+func TestFuzzedDecodersBoundTheirAllocations(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation sizes differ under the race detector")
+	}
+	const size = 1024
+	rs := &vo.ResultSet{
+		DB: "db", Table: "items",
+		Columns: []string{"id", "cat"},
+		Keys:    []schema.Datum{schema.Int64(7), schema.Int64(8)},
+		Tuples: []schema.Tuple{
+			schema.NewTuple(schema.Int64(7), schema.Str("seven")),
+			schema.NewTuple(schema.Int64(8), schema.Str("eight")),
+		},
+	}
+	w := &vo.VO{KeyVersion: 1, Timestamp: 1_700_000_000, TopLevel: 1, TopDigest: []byte{1, 2}}
+	for _, tc := range []struct {
+		name   string
+		honest []byte
+		decode func([]byte)
+	}{
+		{"ShardQueryResponse", (&ShardQueryResponse{Resp: &QueryResponse{Result: rs, VO: w}, SignedMap: []byte{3, 4, 5}}).Encode(),
+			func(b []byte) { _, _ = DecodeShardQueryResponse(b) }},
+		{"ShardSnapshotRequest", (&ShardSnapshotRequest{Table: "items", ShardID: 7}).Encode(),
+			func(b []byte) { _, _ = DecodeShardSnapshotRequest(b) }},
+		{"ShardDeltaRequest", (&ShardDeltaRequest{Table: "items", ShardID: 7, FromVersion: 3, Epoch: 9}).Encode(),
+			func(b []byte) { _, _ = DecodeShardDeltaRequest(b) }},
+		{"StringList", EncodeStringList([]string{"items", "user_orders"}),
+			func(b []byte) { _, _ = DecodeStringList(b) }},
+		{"WireError", (&WireError{Code: CodeShardMoved, Table: "items", Msg: "moved"}).Encode(),
+			func(b []byte) { _ = DecodeWireError(b) }},
+	} {
+		worst, at := uint64(0), 0
+		for off := 0; off+4 <= len(tc.honest); off++ {
+			for _, claim := range []uint32{1 << 31, size} {
+				body := append(append([]byte(nil), tc.honest...), make([]byte, size-len(tc.honest))...)
+				binary.BigEndian.PutUint32(body[off:], claim)
+				if got := leastAllocated(func() { tc.decode(body) }); got > worst {
+					worst, at = got, off
+				}
+			}
+		}
+		if worst > 4*size {
+			t.Errorf("%s: a %d-byte body with a hostile claim at offset %d allocated %d bytes", tc.name, size, at, worst)
+		}
+		t.Logf("%s: at most %d bytes allocated for a %d-byte hostile body", tc.name, worst, size)
+	}
 }

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // ProtocolVersion is the one protocol version this build speaks; the Hello
@@ -272,15 +273,16 @@ func (e *WireError) Encode() []byte {
 	return appendStr(out, e.Msg)
 }
 
-// DecodeWireError parses an error frame body. Malformed bodies decode
-// to CodeInternal with the raw bytes as the message, so a broken peer
-// still yields a usable error instead of a decode failure.
+// DecodeWireError parses an error frame body. Malformed bodies (a code
+// past ErrCode's range too) decode to CodeInternal with the raw bytes as
+// the message, so a broken peer still yields a usable error.
 func DecodeWireError(body []byte) *WireError {
 	r := &reader{data: body}
-	e := &WireError{Code: ErrCode(r.u32("error code"))}
+	code := r.u32("error code")
+	e := &WireError{Code: ErrCode(code)}
 	e.Table = r.str("error table")
 	e.Msg = r.str("error message")
-	if r.done() != nil {
+	if r.done() != nil || code > math.MaxUint16 {
 		return &WireError{Code: CodeInternal, Msg: string(body)}
 	}
 	return e
