@@ -17,8 +17,15 @@
 // tier: -upstream names peer edges (tried in order) to pull bulk refresh
 // payloads from before falling back to the central, and -serve-peers
 // lets this edge answer other edges' replication requests from its own
-// replicas. Trust anchors (the signed shard map and the central public
-// key) always come from the central regardless of topology.
+// replicas. Nothing about -serve-peers is advertised when edges connect:
+// an edge without it refuses replication requests with a typed
+// unsupported error, and a downstream edge backs it off and pulls from
+// the next source. Trust anchors (the signed shard map and the central
+// public key) always come from the central regardless of topology.
+//
+// Every binary of a deployment must speak the same wire.ProtocolVersion:
+// the Hello each connection opens with carries it, and a centrald,
+// edged or vbquery of another version is refused at dial.
 //
 // -tamper also accepts the shard-map attacks (drop-shard-from-map,
 // rewire-shard-digests, replay-pre-split-map, hide-split,
@@ -54,7 +61,6 @@ import (
 	"edgeauth/internal/edge"
 	"edgeauth/internal/rpc"
 	"edgeauth/internal/tamper"
-	"edgeauth/internal/wire"
 )
 
 func main() {
@@ -97,11 +103,7 @@ func main() {
 	// handler; an honest one serves the listener itself.
 	serve, stopServing := srv.Serve, func() {}
 	if *tamperName != "" {
-		var caps uint32
-		if *servePeers {
-			caps = wire.CapPeerServe
-		}
-		proxy := rpc.NewServer(compromise(srv.Handler(), *tamperName), rpc.ServeOptions{IdleTimeout: *idle, Capabilities: caps})
+		proxy := rpc.NewServer(compromise(srv.Handler(), *tamperName), rpc.ServeOptions{IdleTimeout: *idle})
 		serve, stopServing = proxy.Serve, proxy.Close
 	}
 

@@ -124,7 +124,7 @@ func (e *edge) scatterGatherUnverified(bufs [][]byte) (*shardmap.Signed, error) 
 // Basic-typed decode results — the negotiated protocol version — carry
 // no signature to verify and are not tracked.
 func (e *edge) handshake(b []byte) (uint32, error) {
-	v, _, err := wire.DecodeHelloCaps(b)
+	v, err := wire.DecodeHello(b)
 	if err != nil {
 		return 0, err
 	}

@@ -1126,17 +1126,14 @@ func (s *Server) ReshardHistory(tableName string) ([]*wal.ReshardOp, error) {
 	return out, nil
 }
 
-// SchemaResponse builds the client-facing verification parameters.
+// SchemaResponse builds the schema a client verifies a table's answers
+// under: clients ask the central for it, never an edge.
 func (s *Server) SchemaResponse(tableName string) (*wire.SchemaResponse, error) {
 	t, err := s.table(tableName)
 	if err != nil {
 		return nil, err
 	}
-	return &wire.SchemaResponse{
-		Schema:     t.sch,
-		KeyVersion: s.key.Public().Version,
-		Scheme:     uint8(s.key.Public().Scheme),
-	}, nil
+	return &wire.SchemaResponse{Schema: t.sch}, nil
 }
 
 // Serve accepts connections until the listener is closed.

@@ -222,12 +222,13 @@ func TestKeyValidityStamping(t *testing.T) {
 	if pk.Version != 9 || pk.NotBefore != 100 || pk.NotAfter != 200 {
 		t.Fatalf("stamped key: %+v", pk)
 	}
-	resp, err := srv.SchemaResponse("items")
+	// What a client resolves the key by: the version the served map names.
+	sm, err := srv.SignedShardMap("items")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.KeyVersion != 9 {
-		t.Fatalf("schema response key version = %d", resp.KeyVersion)
+	if sm.Map.KeyVersion != 9 {
+		t.Fatalf("signed shard map key version = %d", sm.Map.KeyVersion)
 	}
 }
 

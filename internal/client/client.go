@@ -1,9 +1,9 @@
 // Package client implements the trusted DB client of the paper's
-// Figure 2: it obtains the central server's public key over an
-// authenticated channel (the PKI stand-in), sends queries to an edge
-// server, and verifies every result against its verification object
-// before handing it to the application. Updates are routed to the central
-// server, since only the central server holds the signing key.
+// Figure 2: it obtains the central server's public key and each table's
+// schema over an authenticated channel (the PKI stand-in), sends queries
+// to an edge server, and verifies every result against its verification
+// object before handing it to the application. Updates are routed to the
+// central server, since only the central server holds the signing key.
 //
 // The client is context-first and safe for concurrent use: N goroutines
 // can query through one Client and their requests pipeline over an
@@ -37,7 +37,7 @@ type Config struct {
 	// EdgeAddr is the edge server answering queries.
 	EdgeAddr string
 	// CentralAddr is the trusted central server receiving updates and
-	// serving the public key.
+	// serving the public key and the schemas answers are verified under.
 	CentralAddr string
 	// MaxClockSkew bounds how far a response's VO timestamp may deviate
 	// from this client's own clock before the result is rejected as
@@ -126,8 +126,11 @@ func (c *Client) TrustKey(pk *sig.PublicKey) {
 }
 
 // verifier builds (and caches) the verifier for a table from the schema
-// the edge reports. The accumulator is not the edge's to choose: it is a
-// constant of package digest, the same ring the central signs in.
+// the central server reports, over the channel the key comes by. Neither
+// is the edge's to choose: no digest binds a column's name (AttrDigest
+// binds its index), so a schema an edge relayed could relabel the columns
+// of answers that verify; and the accumulator is a constant of package
+// digest, the same ring the central signs in.
 // Concurrent callers for an uncached table may fetch the schema twice;
 // the last one wins, which is harmless because the response is
 // deterministic.
@@ -138,7 +141,7 @@ func (c *Client) verifier(ctx context.Context, table string) (*verify.Verifier, 
 	if ok {
 		return v, nil
 	}
-	body, err := c.edge.Call(ctx, wire.MsgSchemaReq, []byte(table), wire.MsgSchemaResp, true)
+	body, err := c.central.Call(ctx, wire.MsgSchemaReq, []byte(table), wire.MsgSchemaResp, true)
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +156,7 @@ func (c *Client) verifier(ctx context.Context, table string) (*verify.Verifier, 
 	return v, nil
 }
 
-// Schema returns the table schema as reported by the edge server.
+// Schema returns the table schema as reported by the central server.
 func (c *Client) Schema(ctx context.Context, table string) (*schema.Schema, error) {
 	v, err := c.verifier(ctx, table)
 	if err != nil {

@@ -300,14 +300,10 @@ func NewWithOptions(centralAddr string, opts Options) *Server {
 		keys:    keys,
 		ver:     &verify.Verifier{Keys: keys, Acc: acc},
 	}
-	var caps uint32 // advertised as a server and toward upstreams
-	if opts.ServePeers {
-		caps = wire.CapPeerServe
-	}
 	if len(opts.Upstreams) > 0 {
-		s.peers = peer.NewSet(opts.Upstreams, rpc.Options{Capabilities: caps})
+		s.peers = peer.NewSet(opts.Upstreams)
 	}
-	s.srv = rpc.NewServer(s.serve, rpc.ServeOptions{IdleTimeout: opts.IdleTimeout, Capabilities: caps})
+	s.srv = rpc.NewServer(s.serve, rpc.ServeOptions{IdleTimeout: opts.IdleTimeout})
 	empty := make(map[string]*replica)
 	s.tables.Store(&empty)
 	return s
@@ -1299,22 +1295,6 @@ func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body, out []byte
 	switch mt {
 	case wire.MsgListTablesReq:
 		return wire.MsgListTablesResp, wire.EncodeStringList(s.Tables()), nil
-
-	case wire.MsgSchemaReq:
-		rep := s.replica(string(body))
-		if rep == nil {
-			return 0, nil, wire.UnknownTable("edge", string(body))
-		}
-		set := rep.set.Load()
-		if set == nil {
-			return 0, nil, errors.New("edge: replica has no published set")
-		}
-		resp := &wire.SchemaResponse{
-			Schema:     rep.sch,
-			KeyVersion: set.shards[0].state.KeyVersion,
-			Scheme:     uint8(set.shards[0].state.Scheme),
-		}
-		return wire.MsgSchemaResp, resp.Encode(), nil
 
 	case wire.MsgShardMapReq:
 		sm, err := s.SignedShardMap(string(body))

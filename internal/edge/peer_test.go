@@ -42,7 +42,7 @@ func startPeerTierBehind(t *testing.T, rows, shards int, key *sig.PrivateKey, re
 	}
 	peerAddr := startEdge(t, t1)
 	if relay != nil {
-		proxy := rpc.NewServer(relay(t1.Handler()), rpc.ServeOptions{Capabilities: wire.CapPeerServe})
+		proxy := rpc.NewServer(relay(t1.Handler()), rpc.ServeOptions{})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -295,22 +295,37 @@ func mustEpochOf(t *testing.T, eg *Server) uint64 {
 	return set.shards[0].state.Epoch
 }
 
-// TestPeerCapabilityAdvertised: a serving edge advertises CapPeerServe
-// in its Hello response, and the puller records it on the source.
+// TestPeerCapabilityAdvertised: the handshake advertises nothing, so
+// an upstream that does not serve peers is found out by asking it. It
+// refuses the replication request with a typed CodeUnsupported, the
+// puller backs the source off, and the pull completes from the central.
 func TestPeerCapabilityAdvertised(t *testing.T) {
 	ctx := context.Background()
-	_, _, t1, t2 := startPeerTier(t, 200, 2)
+	_, centralAddr := startCentralKey(t, 200, central.Options{PageSize: 1024, Shards: 2}, serverKey(t))
+	t1 := New(centralAddr) // replicates and answers queries, serves no peer
+	if err := t1.PullAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	t2 := NewWithOptions(centralAddr, Options{Upstreams: []string{startEdge(t, t1)}})
+	t.Cleanup(func() { t2.Close() })
 	if err := t2.PullAll(ctx); err != nil {
 		t.Fatal(err)
 	}
+	// From the central: the signed map and both shards' snapshots.
+	if st := t2.Stats(); st.PeerPayloadsPulled != 0 || st.CentralPayloadsPulled != 3 || st.PeerFailovers == 0 {
+		t.Fatalf("pull past a non-serving upstream: %d peer payloads, %d central, %d failovers; want 0, 3 and at least 1",
+			st.PeerPayloadsPulled, st.CentralPayloadsPulled, st.PeerFailovers)
+	}
 	stats := t2.PeerStats()
-	if len(stats) != 1 {
-		t.Fatalf("PeerStats = %+v, want one source", stats)
+	if len(stats) != 1 || stats[0].Failures == 0 || stats[0].ConsecutiveFail == 0 {
+		t.Fatalf("PeerStats = %+v, want one source that failed", stats)
 	}
-	if stats[0].Caps&wire.CapPeerServe == 0 {
-		t.Fatalf("source caps = %#x, want CapPeerServe advertised", stats[0].Caps)
+	if avail := t2.peers.Available(); len(avail) != 0 {
+		t.Fatalf("%d sources available right after the refusal, want the upstream backed off", len(avail))
 	}
-	_ = t1
+	if n := verifiedCount(t, startEdge(t, t2), centralAddr, 0); n != 200 {
+		t.Fatalf("verified rows through the central-pulled edge = %d, want 200", n)
+	}
 }
 
 // TestCloseStopsServingAndIsIdempotent is the edge's counterpart of the
@@ -328,7 +343,7 @@ func TestCloseStopsServingAndIsIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	go t2.Serve(ln)
-	conn := rpc.New(ln.Addr().String(), rpc.Options{RedialAttempts: 1})
+	conn := rpc.New(ln.Addr().String(), rpc.Options{})
 	defer conn.Close()
 	if _, err := conn.Call(ctx, wire.MsgListTablesReq, nil, wire.MsgListTablesResp, true); err != nil {
 		t.Fatal(err)

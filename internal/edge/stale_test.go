@@ -46,6 +46,12 @@ func (f *fakeCentral) dispatch(ctx context.Context, mt wire.MsgType, body, _ []b
 			return 0, nil, err
 		}
 		return wire.MsgPubKeyResp, blob, nil
+	case wire.MsgSchemaReq:
+		resp, err := srv.SchemaResponse(string(body))
+		if err != nil {
+			return 0, nil, err
+		}
+		return wire.MsgSchemaResp, resp.Encode(), nil
 	case wire.MsgListTablesReq:
 		f.listServed.Store(true)
 		return wire.MsgListTablesResp, wire.EncodeStringList(srv.Tables()), nil

@@ -56,8 +56,8 @@ type Source struct {
 }
 
 // NewSource builds a source dialing addr lazily.
-func NewSource(addr string, opts rpc.Options) *Source {
-	return &Source{addr: addr, conn: rpc.New(addr, opts)}
+func NewSource(addr string) *Source {
+	return &Source{addr: addr, conn: rpc.New(addr, rpc.Options{})}
 }
 
 // Addr reports the upstream's address.
@@ -109,9 +109,6 @@ type SourceStats struct {
 	BytesPulled     uint64 `json:"bytes_pulled"`
 	Failures        uint64 `json:"failures"`
 	ConsecutiveFail int    `json:"consecutive_failures"`
-	// Caps is the capability bit set the peer advertised in its Hello
-	// response (wire.CapPeerServe when it is a serving peer).
-	Caps uint32 `json:"caps"`
 }
 
 // Stats snapshots the source.
@@ -125,7 +122,6 @@ func (s *Source) Stats() SourceStats {
 		BytesPulled:     s.bytes.Load(),
 		Failures:        s.failures.Load(),
 		ConsecutiveFail: fails,
-		Caps:            s.conn.PeerCaps(),
 	}
 }
 
@@ -139,10 +135,10 @@ type Set struct {
 }
 
 // NewSet builds a set of sources in configured order.
-func NewSet(addrs []string, opts rpc.Options) *Set {
+func NewSet(addrs []string) *Set {
 	p := &Set{now: time.Now}
 	for _, a := range addrs {
-		p.sources = append(p.sources, NewSource(a, opts))
+		p.sources = append(p.sources, NewSource(a))
 	}
 	return p
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"testing"
 	"time"
-
-	"edgeauth/internal/rpc"
 )
 
 func TestCachePutGet(t *testing.T) {
@@ -61,7 +59,7 @@ func TestCachePutGet(t *testing.T) {
 }
 
 func TestSourceBackoff(t *testing.T) {
-	src := NewSource("127.0.0.1:1", rpc.Options{})
+	src := NewSource("127.0.0.1:1")
 	defer src.Close()
 	now := time.Unix(1000, 0)
 
@@ -104,7 +102,7 @@ func TestSourceBackoff(t *testing.T) {
 }
 
 func TestSetOrderAndClock(t *testing.T) {
-	set := NewSet([]string{"a:1", "b:2", "c:3"}, rpc.Options{})
+	set := NewSet([]string{"a:1", "b:2", "c:3"})
 	defer set.Close()
 	now := time.Unix(2000, 0)
 	set.SetClock(func() time.Time { return now })

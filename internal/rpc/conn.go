@@ -2,16 +2,20 @@
 // system: the verifying client and the edge server's central-facing side
 // use Conn (a context-aware, pipelined request connection), while the
 // central and edge servers' listening sides use ServeConn (a concurrent,
-// multiplexed dispatch loop). Both ends open with a Hello handshake and
-// refuse a peer that does not speak this build's protocol (see
-// internal/wire/v2.go for the framing).
+// multiplexed dispatch loop). Both ends open with a Hello handshake — a
+// frame on request 0 whose body is the protocol version — and refuse a
+// peer that does not speak this build's protocol (see
+// internal/wire/frame.go for the framing). Nothing else is negotiated,
+// and nothing about either end is configurable but a server's idle
+// timeout.
 //
 // A request's cost in goroutines and reads is fixed per connection, not
-// paid per frame: each end reads numbered frames through one buffered
-// reader (a frame that fits it is one read of the socket), a server
-// connection runs its handlers on workers that live as long as it does,
-// and a Conn's caller writes its own request and waits for the reader
-// goroutine's hand-off — no goroutine is started for a call.
+// paid per frame: each end reads every frame, the Hello included,
+// through one buffered reader (a frame that fits it is one read of the
+// socket), a server connection runs its handlers on workers that live as
+// long as it does, and a Conn's caller writes its own request and waits
+// for the reader goroutine's hand-off — no goroutine is started for a
+// call.
 //
 // A Conn spreads concurrent calls over a small pool of sessions — TCP
 // connections, each with its own reader — of at most one per processor
@@ -37,43 +41,22 @@ import (
 	"edgeauth/internal/wire"
 )
 
-// Defaults for Options zero values.
+// A Conn makes up to redialAttempts connect attempts to (re-)establish a
+// session, waiting redialBackoff before the second and doubling the wait
+// per attempt.
 const (
-	DefaultRedialAttempts = 3
-	DefaultRedialBackoff  = 25 * time.Millisecond
+	redialAttempts = 3
+	redialBackoff  = 25 * time.Millisecond
 )
 
 // dialTimeout bounds each TCP connect attempt and the Hello exchange
 // that follows it.
 const dialTimeout = 5 * time.Second
 
-// Options configures a Conn.
-type Options struct {
-	// RedialAttempts is how many connect attempts are made when
-	// (re-)establishing the connection. 0 selects DefaultRedialAttempts.
-	RedialAttempts int
-	// RedialBackoff is the wait before the second connect attempt; it
-	// doubles per attempt. 0 selects DefaultRedialBackoff.
-	RedialBackoff time.Duration
-	// Capabilities is the wire.Cap* bit set advertised in this side's
-	// Hello (e.g. CapPeerServe for an edge that serves replication
-	// traffic to other edges).
-	Capabilities uint32
-}
-
-func (o Options) redialAttempts() int {
-	if o.RedialAttempts <= 0 {
-		return DefaultRedialAttempts
-	}
-	return o.RedialAttempts
-}
-
-func (o Options) redialBackoff() time.Duration {
-	if o.RedialBackoff <= 0 {
-		return DefaultRedialBackoff
-	}
-	return o.RedialBackoff
-}
+// Options configures nothing: every Conn dials the same way. The type and
+// New's parameter remain only because the benchmark harness, its own
+// module, passes Options{}; they go when it stops (ROADMAP 9(0)).
+type Options struct{}
 
 // frame is one demultiplexed response.
 type frame struct {
@@ -87,9 +70,6 @@ type frame struct {
 // in-flight state never leaks across connections.
 type session struct {
 	nc net.Conn
-	// peerCaps is the capability bit set the server advertised in its
-	// HelloResp.
-	peerCaps uint32
 	// calls counts the calls that have taken this session and not yet
 	// returned; the pool hands a new call the session with the fewest.
 	calls atomic.Int32
@@ -119,13 +99,12 @@ type session struct {
 // dial at a time) while other callers share the least loaded session.
 // If that attempt fails, the pool stops growing until one of its
 // sessions is dropped. A server therefore sees up to GOMAXPROCS
-// connections from one Conn, each bounded by its own
-// ServeOptions.MaxConcurrent. The bound has been measured only at two
+// connections from one Conn, each running at most maxConcurrent (16) of
+// its requests at once. The bound has been measured only at two
 // processors; what a session per processor costs on larger hosts is
 // not known.
 type Conn struct {
 	addr string
-	opts Options
 	// maxSessions bounds the pool: runtime.GOMAXPROCS when New ran.
 	maxSessions int
 
@@ -143,8 +122,8 @@ type Conn struct {
 }
 
 // New creates a lazily-connecting Conn to addr.
-func New(addr string, opts Options) *Conn {
-	return &Conn{addr: addr, opts: opts, maxSessions: runtime.GOMAXPROCS(0)}
+func New(addr string, _ Options) *Conn {
+	return &Conn{addr: addr, maxSessions: runtime.GOMAXPROCS(0)}
 }
 
 // Addr reports the remote address.
@@ -172,17 +151,6 @@ func (c *Conn) Connect(ctx context.Context) error {
 		s.calls.Add(-1)
 	}
 	return err
-}
-
-// PeerCaps reports the capability bits the remote side advertised in its
-// HelloResp (0 while no session is open).
-func (c *Conn) PeerCaps() uint32 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.sessions) == 0 {
-		return 0
-	}
-	return c.sessions[0].peerCaps
 }
 
 var errClosed = errors.New("rpc: connection closed")
@@ -291,8 +259,8 @@ func (c *Conn) dial(ctx context.Context, gate chan struct{}, first bool) (*sessi
 // backoff. It runs outside the Conn mutex.
 func (c *Conn) dialLoop(ctx context.Context) (*session, error) {
 	var lastErr error
-	backoff := c.opts.redialBackoff()
-	for attempt := 0; attempt < c.opts.redialAttempts(); attempt++ {
+	backoff := redialBackoff
+	for attempt := 0; attempt < redialAttempts; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():
@@ -327,57 +295,62 @@ func (c *Conn) dialAndHandshake(ctx context.Context) (*session, error) {
 }
 
 // handshake negotiates the protocol on a fresh connection and starts the
-// session's reader; it closes nc when the peer is refused.
+// session's reader; it closes nc when the peer is refused. The HelloResp
+// is read through the buffered reader the session's reader goes on with,
+// so whatever arrived behind it is kept.
 func (c *Conn) handshake(nc net.Conn) (*session, error) {
-	// Hello and its reply travel in bare framing; everything after is
-	// numbered.
 	nc.SetDeadline(time.Now().Add(dialTimeout))
-	if err := wire.WriteFrame(nc, wire.MsgHello, wire.EncodeHelloCaps(wire.ProtocolVersion, c.opts.Capabilities)); err != nil {
+	if err := wire.WriteFrame(nc, wire.MsgHello, 0, wire.EncodeHello(wire.ProtocolVersion)); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("rpc: hello: %w", err)
 	}
-	mt, body, err := wire.ReadFrame(nc)
+	br := bufio.NewReaderSize(nc, readBufSize)
+	mt, id, body, err := wire.ReadFrame(br)
 	if err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("rpc: hello response: %w", err)
 	}
 	nc.SetDeadline(time.Time{})
-	caps, err := checkHelloResp(mt, body)
-	if err != nil {
+	if err := checkHelloResp(mt, id, body); err != nil {
 		nc.Close()
 		return nil, err
 	}
 	s := &session{
 		nc:       nc,
-		peerCaps: caps,
 		pending:  make(map[uint32]chan frame),
 		writeSem: make(chan struct{}, 1),
 	}
-	go s.readLoop(c)
+	go s.readLoop(c, br)
 	return s, nil
 }
 
-// checkHelloResp validates the server's reply to our Hello — a HelloResp
-// negotiating wire.ProtocolVersion — and returns the server's capabilities.
-// Anything else, including the error frame a refusing server sends, is a
-// dial error: there is no other protocol to continue in.
-func checkHelloResp(mt wire.MsgType, body []byte) (caps uint32, err error) {
+// checkHelloResp validates the server's reply to our Hello: a HelloResp on
+// request 0 carrying wire.ProtocolVersion. Anything else, including the
+// error frame a refusing server sends, is a dial error: there is no other
+// protocol to continue in.
+func checkHelloResp(mt wire.MsgType, id uint32, body []byte) error {
+	if id != 0 {
+		// A version-9 server's bare reply, read as a frame, puts its
+		// body's first word here.
+		return &wire.WireError{Code: wire.CodeUnsupported,
+			Msg: fmt.Sprintf("rpc: server does not speak protocol %d: its handshake reply is request %d, not 0", wire.ProtocolVersion, id)}
+	}
 	switch mt {
 	case wire.MsgHelloResp:
 	case wire.MsgError:
-		return 0, fmt.Errorf("rpc: handshake refused: %w", wire.DecodeWireError(body))
+		return fmt.Errorf("rpc: handshake refused: %w", wire.DecodeWireError(body))
 	default:
-		return 0, fmt.Errorf("rpc: unexpected handshake reply %v", mt)
+		return fmt.Errorf("rpc: unexpected handshake reply %v", mt)
 	}
-	v, caps, err := wire.DecodeHelloCaps(body)
+	v, err := wire.DecodeHello(body)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if v != wire.ProtocolVersion {
-		return 0, &wire.WireError{Code: wire.CodeUnsupported,
+		return &wire.WireError{Code: wire.CodeUnsupported,
 			Msg: fmt.Sprintf("rpc: server negotiated protocol %d, this build speaks only %d", v, wire.ProtocolVersion)}
 	}
-	return caps, nil
+	return nil
 }
 
 // dropSession discards a dead session from the pool (if it is still
@@ -395,15 +368,14 @@ func (c *Conn) dropSession(s *session) {
 
 // readLoop is the demultiplexer: it owns the connection's read side
 // and routes each response frame to the in-flight call that owns its
-// request ID. Responses may arrive in any order. The handshake read its
-// one frame unbuffered and exactly, so the buffer starts at the first
-// numbered frame. When the connection fails, readLoop fails the
-// session's calls and drops it from c's pool, so a session that dies
-// idle — a server's idle timeout or restart — is never handed out.
-func (s *session) readLoop(c *Conn) {
-	br := bufio.NewReaderSize(s.nc, readBufSize)
+// request ID. Responses may arrive in any order. br is the reader the
+// handshake read the HelloResp through. When the connection fails,
+// readLoop fails the session's calls and drops it from c's pool, so a
+// session that dies idle — a server's idle timeout or restart — is never
+// handed out.
+func (s *session) readLoop(c *Conn, br *bufio.Reader) {
 	for {
-		mt, id, body, err := wire.ReadFrameV2(br)
+		mt, id, body, err := wire.ReadFrame(br)
 		if err != nil {
 			s.failAll(fmt.Errorf("rpc: connection lost: %w", err))
 			c.dropSession(s)
@@ -533,7 +505,7 @@ func (c *Conn) exchange(ctx context.Context, s *session, t wire.MsgType, body []
 	stopW := context.AfterFunc(ctx, func() {
 		s.nc.SetWriteDeadline(time.Unix(1, 0))
 	})
-	err := wire.WriteFrameV2(s.nc, t, id, body)
+	err := wire.WriteFrame(s.nc, t, id, body)
 	stopW()
 	<-s.writeSem
 	if err != nil {

@@ -242,7 +242,7 @@ func TestPoolRedialsWhenEverySessionDiedIdle(t *testing.T) {
 	withProcs(t, 2)
 	held, release := make(chan struct{}), make(chan struct{})
 	addr, accepted := startCountedServer(t, holdingHandler(held, release), ServeOptions{IdleTimeout: 500 * time.Millisecond})
-	c := New(addr, Options{RedialBackoff: 5 * time.Millisecond})
+	c := New(addr, Options{})
 	defer c.Close()
 
 	done := holdCalls(t, c, 2, held, true)
@@ -306,7 +306,7 @@ func TestPoolSharesWhenADialFails(t *testing.T) {
 		defer nc.Close()
 		ServeConn(context.Background(), nc, holdingHandler(held, release), ServeOptions{})
 	}()
-	c := New(ln.Addr().String(), Options{RedialAttempts: 1})
+	c := New(ln.Addr().String(), Options{})
 	defer c.Close()
 
 	first := holdCalls(t, c, 1, held, false)

@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -62,8 +63,8 @@ func startCountedServer(t testing.TB, h Handler, o ServeOptions) (string, *atomi
 }
 
 func TestHandshakeAndCall(t *testing.T) {
-	if wire.ProtocolVersion != 9 {
-		t.Fatalf("this build speaks protocol %d; the handshake tests are written for 9", wire.ProtocolVersion)
+	if wire.ProtocolVersion != 10 {
+		t.Fatalf("this build speaks protocol %d; the handshake tests are written for 10", wire.ProtocolVersion)
 	}
 	addr := startServer(t, echoHandler, ServeOptions{})
 	c := New(addr, Options{})
@@ -78,50 +79,74 @@ func TestHandshakeAndCall(t *testing.T) {
 	}
 }
 
+// frameBytes is one frame as it leaves the socket.
+func frameBytes(t testing.TB, mt wire.MsgType, id uint32, body []byte) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := wire.WriteFrame(&b, mt, id, body); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// bareFrame is one frame of the handshake framing of protocol 9 and
+// before — u32 len | u8 type | body, no request ID — as a build of that
+// generation sends it.
+func bareFrame(mt wire.MsgType, body []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(1+len(body))), append([]byte{byte(mt)}, body...)...)
+}
+
 // TestHandshakeRejectsOtherProtocols: there is one protocol generation.
 // A server answers a connection that does not open with a well-formed
-// Hello offering ProtocolVersion with one typed error frame and hangs up; a
-// dialer treats any reply but a HelloResp negotiating ProtocolVersion as a
-// dial error. Neither side downgrades — not even to 8, the generation
-// just before, whose clients take an edge's rows as already filtered; or
-// to 7, whose nodes commit through an in-node tree of arity 8
-// where this build's has arity 3; or to 6, whose heap records commit a
-// tuple to a digest per column and whose VOs ship one D_P digest per
-// omitted column where this build commits through a column tree; or to 5, whose Merkle pages and VOs
-// commit by the combiner; or to 4, whose snapshots and schema responses
-// carry an accumulator block this build no longer reads.
+// Hello on request 0 offering ProtocolVersion with one typed error frame
+// and hangs up; a dialer treats any reply but a HelloResp on request 0
+// carrying ProtocolVersion as a dial error. Neither side downgrades — not
+// even to 9, the generation just before, whose bare Hello carries a
+// capability word and no request ID; or to 8, whose clients take an
+// edge's rows as already filtered; or to 7, whose nodes commit through an
+// in-node tree of arity 8 where this build's has arity 3; or to 6, whose
+// heap records commit a tuple to a digest per column and whose VOs ship
+// one D_P digest per omitted column where this build commits through a
+// column tree; or to 5, whose Merkle pages and VOs commit by the
+// combiner; or to 4, whose snapshots and schema responses carry an
+// accumulator block this build no longer reads. The version-9 rows are
+// the raw bytes such a build sends, in both directions: each ends in a
+// dial error and no request is served.
 func TestHandshakeRejectsOtherProtocols(t *testing.T) {
-	type frame struct {
-		mt   wire.MsgType
-		body []byte
-	}
-	cases := []struct {
+	type row struct {
 		name string
-		// open is what a raw dialer sends a real ServeConn as its first
-		// frame; reply is what a fake server answers a real Conn's Hello
-		// with. Exactly one is set.
-		open, reply *frame
+		// open is what a raw dialer sends a real ServeConn first; reply
+		// is what a fake server answers a real Conn's Hello with. Exactly
+		// one is set.
+		open, reply []byte
 		want        wire.ErrCode
-	}{
-		{name: "non-hello first frame", open: &frame{wire.MsgShardQueryReq, []byte("x")}, want: wire.CodeUnsupported},
-		{name: "hello max version 1", open: &frame{wire.MsgHello, wire.EncodeHelloCaps(1, 0)}, want: wire.CodeUnsupported},
-		{name: "hello max version 2", open: &frame{wire.MsgHello, wire.EncodeHelloCaps(2, 0)}, want: wire.CodeUnsupported},
-		{name: "hello max version 3", open: &frame{wire.MsgHello, wire.EncodeHelloCaps(3, 0)}, want: wire.CodeUnsupported},
-		{name: "hello max version 4", open: &frame{wire.MsgHello, wire.EncodeHelloCaps(4, 0)}, want: wire.CodeUnsupported},
-		{name: "hello max version 5", open: &frame{wire.MsgHello, wire.EncodeHelloCaps(5, 0)}, want: wire.CodeUnsupported},
-		{name: "hello max version 6", open: &frame{wire.MsgHello, wire.EncodeHelloCaps(6, 0)}, want: wire.CodeUnsupported},
-		{name: "hello max version 7", open: &frame{wire.MsgHello, wire.EncodeHelloCaps(7, 0)}, want: wire.CodeUnsupported},
-		{name: "hello max version 8", open: &frame{wire.MsgHello, wire.EncodeHelloCaps(8, 0)}, want: wire.CodeUnsupported},
-		{name: "4-byte hello body", open: &frame{wire.MsgHello, []byte{0, 0, 0, 2}}, want: wire.CodeBadRequest},
-		{name: "hello-resp negotiating 1", reply: &frame{wire.MsgHelloResp, wire.EncodeHelloCaps(1, 0)}, want: wire.CodeUnsupported},
-		{name: "hello-resp negotiating 2", reply: &frame{wire.MsgHelloResp, wire.EncodeHelloCaps(2, 0)}, want: wire.CodeUnsupported},
-		{name: "hello-resp negotiating 3", reply: &frame{wire.MsgHelloResp, wire.EncodeHelloCaps(3, 0)}, want: wire.CodeUnsupported},
-		{name: "hello-resp negotiating 4", reply: &frame{wire.MsgHelloResp, wire.EncodeHelloCaps(4, 0)}, want: wire.CodeUnsupported},
-		{name: "hello-resp negotiating 5", reply: &frame{wire.MsgHelloResp, wire.EncodeHelloCaps(5, 0)}, want: wire.CodeUnsupported},
-		{name: "hello-resp negotiating 6", reply: &frame{wire.MsgHelloResp, wire.EncodeHelloCaps(6, 0)}, want: wire.CodeUnsupported},
-		{name: "hello-resp negotiating 7", reply: &frame{wire.MsgHelloResp, wire.EncodeHelloCaps(7, 0)}, want: wire.CodeUnsupported},
-		{name: "hello-resp negotiating 8", reply: &frame{wire.MsgHelloResp, wire.EncodeHelloCaps(8, 0)}, want: wire.CodeUnsupported},
-		{name: "error reply to hello", reply: &frame{wire.MsgError, wire.Unsupported("test", wire.MsgHello).Encode()}, want: wire.CodeUnsupported},
+	}
+	cases := []row{
+		{name: "non-hello first frame", open: frameBytes(t, wire.MsgShardQueryReq, 0, []byte("x")), want: wire.CodeUnsupported},
+		{name: "hello on request 1", open: frameBytes(t, wire.MsgHello, 1, wire.EncodeHello(wire.ProtocolVersion)), want: wire.CodeUnsupported},
+		// The bare 4-byte-body Hello of the earliest generations: its
+		// version word reads as request 2.
+		{name: "4-byte hello body", open: bareFrame(wire.MsgHello, []byte{0, 0, 0, 2}), want: wire.CodeUnsupported},
+		// A version word and the capability word protocol 9 carried.
+		{name: "8-byte hello body", open: frameBytes(t, wire.MsgHello, 0, []byte{0, 0, 0, 10, 0, 0, 0, 1}), want: wire.CodeBadRequest},
+		// What a version-9 dialer sends, plain and serving peers: its
+		// version word reads as request 9.
+		{name: "version-9 dialer", open: bareFrame(wire.MsgHello, []byte{0, 0, 0, 9, 0, 0, 0, 0}), want: wire.CodeUnsupported},
+		{name: "version-9 peer-serving dialer", open: bareFrame(wire.MsgHello, []byte{0, 0, 0, 9, 0, 0, 0, 1}), want: wire.CodeUnsupported},
+		{name: "hello-resp on request 1", reply: frameBytes(t, wire.MsgHelloResp, 1, wire.EncodeHello(wire.ProtocolVersion)), want: wire.CodeUnsupported},
+		{name: "error reply to hello", reply: frameBytes(t, wire.MsgError, 0, wire.Unsupported("test", wire.MsgHello).Encode()), want: wire.CodeUnsupported},
+		// What a version-9 server sends: its HelloResp to a version-9
+		// Hello, and its refusal of this build's Hello, whose request ID
+		// it reads as version 0. The first word of either body reads as
+		// a request ID that is not 0.
+		{name: "version-9 server hello-resp", reply: bareFrame(wire.MsgHelloResp, []byte{0, 0, 0, 9, 0, 0, 0, 0}), want: wire.CodeUnsupported},
+		{name: "version-9 server refusal", reply: bareFrame(wire.MsgError,
+			(&wire.WireError{Code: wire.CodeBadRequest, Msg: "rpc: wire: protocol version 0"}).Encode()), want: wire.CodeUnsupported},
+	}
+	for v := uint32(1); v < wire.ProtocolVersion; v++ {
+		cases = append(cases,
+			row{name: fmt.Sprintf("hello max version %d", v), open: frameBytes(t, wire.MsgHello, 0, wire.EncodeHello(v)), want: wire.CodeUnsupported},
+			row{name: fmt.Sprintf("hello-resp negotiating %d", v), reply: frameBytes(t, wire.MsgHelloResp, 0, wire.EncodeHello(v)), want: wire.CodeUnsupported})
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -138,17 +163,19 @@ func TestHandshakeRejectsOtherProtocols(t *testing.T) {
 				}
 				defer nc.Close()
 				nc.SetDeadline(time.Now().Add(5 * time.Second))
-				if err := wire.WriteFrame(nc, tc.open.mt, tc.open.body); err != nil {
+				if _, err := nc.Write(tc.open); err != nil {
 					t.Fatal(err)
 				}
-				mt, body, err := wire.ReadFrame(nc)
-				if err != nil || mt != wire.MsgError {
-					t.Fatalf("reply: mt=%v err=%v, want one error frame", mt, err)
+				// The type byte stands where a bare frame has it too, so a
+				// version-9 dialer also reads an error frame: a refusal.
+				mt, id, body, err := wire.ReadFrame(nc)
+				if err != nil || mt != wire.MsgError || id != 0 {
+					t.Fatalf("reply: mt=%v id=%d err=%v, want one error frame on request 0", mt, id, err)
 				}
 				if got := wire.DecodeWireError(body); got.Code != tc.want {
 					t.Fatalf("error code = %v (%v), want %v", got.Code, got, tc.want)
 				}
-				if _, _, err := wire.ReadFrame(nc); !errors.Is(err, io.EOF) {
+				if _, _, _, err := wire.ReadFrame(nc); !errors.Is(err, io.EOF) {
 					t.Fatalf("after the error frame: %v, want a closed connection", err)
 				}
 				if n := handled.Load(); n != 0 {
@@ -158,8 +185,9 @@ func TestHandshakeRejectsOtherProtocols(t *testing.T) {
 			}
 
 			// A fake server: read the Hello, answer tc.reply, then report
-			// whatever the dialer does next (it must hang up). Call redials
-			// once after a failed dial, so every connection gets the script.
+			// whatever the dialer does next (it must hang up). Each dial
+			// gets the script: the dial loop's attempts, for each of
+			// Call's two.
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
@@ -168,16 +196,16 @@ func TestHandshakeRejectsOtherProtocols(t *testing.T) {
 			script := func(nc net.Conn) error {
 				defer nc.Close()
 				nc.SetDeadline(time.Now().Add(5 * time.Second))
-				if mt, _, err := wire.ReadFrame(nc); err != nil || mt != wire.MsgHello {
-					return fmt.Errorf("first frame: mt=%v err=%v", mt, err)
+				if mt, id, _, err := wire.ReadFrame(nc); err != nil || mt != wire.MsgHello || id != 0 {
+					return fmt.Errorf("first frame: mt=%v id=%d err=%v", mt, id, err)
 				}
-				if err := wire.WriteFrame(nc, tc.reply.mt, tc.reply.body); err != nil {
+				if _, err := nc.Write(tc.reply); err != nil {
 					return err
 				}
-				_, _, err := wire.ReadFrame(nc)
+				_, _, _, err := wire.ReadFrame(nc)
 				return err
 			}
-			next := make(chan error, 2) // one per dial; Call makes at most two
+			next := make(chan error, 2*redialAttempts)
 			go func() {
 				for {
 					nc, err := ln.Accept()
@@ -187,7 +215,7 @@ func TestHandshakeRejectsOtherProtocols(t *testing.T) {
 					next <- script(nc)
 				}
 			}()
-			c := New(ln.Addr().String(), Options{RedialAttempts: 1})
+			c := New(ln.Addr().String(), Options{})
 			defer c.Close()
 			_, err = c.Call(context.Background(), wire.MsgShardQueryReq, []byte("x"), wire.MsgShardQueryResp, false)
 			var we *wire.WireError
@@ -252,8 +280,9 @@ func TestOutOfOrderResponses(t *testing.T) {
 }
 
 func TestContextCancellationMidRequest(t *testing.T) {
-	block := make(chan struct{})
+	entered, block := make(chan struct{}, 1), make(chan struct{})
 	h := func(_ context.Context, mt wire.MsgType, body, _ []byte) (wire.MsgType, []byte, error) {
+		entered <- struct{}{}
 		<-block
 		return wire.MsgShardQueryResp, body, nil
 	}
@@ -268,7 +297,7 @@ func TestContextCancellationMidRequest(t *testing.T) {
 		_, err := c.Call(ctx, wire.MsgShardQueryReq, []byte("hang"), wire.MsgShardQueryResp, true)
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let the request reach the server
+	<-entered // the request is in the handler: cancel mid-request
 	cancel()
 	select {
 	case err := <-done:
@@ -319,7 +348,7 @@ func TestRedialAfterServerRestart(t *testing.T) {
 	}
 	go serve(ln)
 
-	c := New(addr, Options{RedialBackoff: 5 * time.Millisecond})
+	c := New(addr, Options{})
 	defer c.Close()
 	ctx := context.Background()
 	if _, err := c.Call(ctx, wire.MsgShardQueryReq, []byte("a"), wire.MsgShardQueryResp, true); err != nil {
@@ -357,7 +386,7 @@ func TestRedialAfterServerRestart(t *testing.T) {
 // the request provably never reached the server.
 func TestNonIdempotentRetriesWhenNeverSent(t *testing.T) {
 	addr := startServer(t, echoHandler, ServeOptions{IdleTimeout: 30 * time.Millisecond})
-	c := New(addr, Options{RedialBackoff: 5 * time.Millisecond})
+	c := New(addr, Options{})
 	defer c.Close()
 	ctx := context.Background()
 	if _, err := c.Call(ctx, wire.MsgShardQueryReq, []byte("a"), wire.MsgShardQueryResp, false); err != nil {
@@ -434,7 +463,7 @@ func TestConcurrentPipelinedCalls(t *testing.T) {
 		served.Add(1)
 		return wire.MsgShardQueryResp, body, nil
 	}
-	addr := startServer(t, h, ServeOptions{MaxConcurrent: 4})
+	addr := startServer(t, h, ServeOptions{})
 	c := New(addr, Options{})
 	defer c.Close()
 	ctx := context.Background()

@@ -13,11 +13,12 @@ import (
 	"edgeauth/internal/wire"
 )
 
-// Defaults for ServeOptions zero values.
-const (
-	DefaultIdleTimeout   = 2 * time.Minute
-	DefaultMaxConcurrent = 16
-)
+// DefaultIdleTimeout is the idle window of ServeOptions' zero value.
+const DefaultIdleTimeout = 2 * time.Minute
+
+// maxConcurrent bounds the requests executing concurrently on one
+// connection, and with them the worker goroutines the connection starts.
+const maxConcurrent = 16
 
 // Handler executes one decoded request and returns the response frame's
 // type and body. ctx is the connection's context: it is cancelled the
@@ -32,7 +33,7 @@ const (
 // serve). It must not assume a goroutine of its own: anything it leaves
 // on the goroutine (a held lock, a runtime.LockOSThread) meets the
 // connection's next request, and a handler that never returns takes one
-// of the connection's MaxConcurrent workers with it.
+// of the connection's maxConcurrent workers with it.
 //
 // out is an empty buffer the connection recycles from response to
 // response, with room for the frame header in front of it. A handler
@@ -50,13 +51,6 @@ type ServeOptions struct {
 	// connection goroutine forever. 0 selects DefaultIdleTimeout;
 	// negative disables the deadline.
 	IdleTimeout time.Duration
-	// MaxConcurrent bounds the requests executing concurrently on one
-	// connection, and with them the worker goroutines the connection
-	// starts. 0 selects DefaultMaxConcurrent.
-	MaxConcurrent int
-	// Capabilities is the wire.Cap* bit set advertised in the HelloResp
-	// (e.g. CapPeerServe when this server relays replication traffic).
-	Capabilities uint32
 }
 
 // Server serves connections accepted on any number of listeners through
@@ -163,54 +157,55 @@ func (o ServeOptions) idleTimeout() time.Duration {
 	}
 }
 
-func (o ServeOptions) maxConcurrent() int {
-	if o.MaxConcurrent <= 0 {
-		return DefaultMaxConcurrent
-	}
-	return o.MaxConcurrent
-}
-
 // ServeConn drives one accepted connection until it closes: it completes
 // the Hello handshake, then dispatches requests through h, each with a
 // context cancelled when ctx is (server shutdown) or when the serve loop
 // winds down (peer gone, idled out, malformed frame). Requests
 // decode on this (reader) goroutine and execute concurrently on the
-// connection's own workers — at most MaxConcurrent goroutines, started as
+// connection's own workers — at most maxConcurrent goroutines, started as
 // the connection's concurrency calls for them and kept until it closes —
 // each response written under the connection write lock and tagged with
-// its request ID. A peer whose first frame is not a
-// well-formed Hello offering wire.ProtocolVersion gets one typed error frame
-// and ServeConn returns (the caller closes the connection). ServeConn
-// also returns when the peer disconnects, idles out, or sends a malformed
+// its request ID. A peer whose first frame is not a well-formed Hello on
+// request 0 offering wire.ProtocolVersion gets one typed error frame and
+// ServeConn returns (the caller closes the connection). ServeConn also
+// returns when the peer disconnects, idles out, or sends a malformed
 // frame; in-flight workers are drained before it returns.
 func ServeConn(ctx context.Context, conn net.Conn, h Handler, o ServeOptions) {
 	idle := o.idleTimeout()
 	setIdleDeadline(conn, idle)
-	mt, body, err := wire.ReadFrame(conn)
+	// The Hello is read through the reader serve goes on with, so a
+	// request that arrived behind it is kept.
+	br := bufio.NewReaderSize(conn, readBufSize)
+	mt, id, body, err := wire.ReadFrame(br)
 	if err != nil {
 		return
 	}
-	if err := checkHello(mt, body); err != nil {
-		setWriteDeadline(conn, idle)
+	setWriteDeadline(conn, idle)
+	if err := checkHello(mt, id, body); err != nil {
 		// Best effort: the connection is dropped whether or not the
 		// refusal reaches the peer.
-		_ = wire.WriteFrame(conn, wire.MsgError, err.Encode())
+		_ = wire.WriteFrame(conn, wire.MsgError, 0, err.Encode())
 		return
 	}
-	setWriteDeadline(conn, idle)
-	if err := wire.WriteFrame(conn, wire.MsgHelloResp, wire.EncodeHelloCaps(wire.ProtocolVersion, o.Capabilities)); err != nil {
+	if err := wire.WriteFrame(conn, wire.MsgHelloResp, 0, wire.EncodeHello(wire.ProtocolVersion)); err != nil {
 		return
 	}
-	serve(ctx, conn, h, o, idle)
+	serve(ctx, conn, br, h, idle)
 }
 
-// checkHello validates a connection's first frame: a Hello whose sender
-// speaks at least wire.ProtocolVersion.
-func checkHello(mt wire.MsgType, body []byte) *wire.WireError {
+// checkHello validates a connection's first frame: a Hello on request 0
+// whose sender speaks at least wire.ProtocolVersion.
+func checkHello(mt wire.MsgType, id uint32, body []byte) *wire.WireError {
 	if mt != wire.MsgHello {
 		return wire.Unsupported("rpc", mt)
 	}
-	theirMax, _, err := wire.DecodeHelloCaps(body)
+	if id != 0 {
+		// A version-9 dialer's bare Hello, read as a frame, puts its
+		// version word here.
+		return &wire.WireError{Code: wire.CodeUnsupported,
+			Msg: fmt.Sprintf("rpc: peer does not speak protocol %d: its hello is request %d, not 0", wire.ProtocolVersion, id)}
+	}
+	theirMax, err := wire.DecodeHello(body)
 	if err != nil {
 		return &wire.WireError{Code: wire.CodeBadRequest, Msg: "rpc: " + err.Error()}
 	}
@@ -251,11 +246,11 @@ const (
 	maxPooledFrame = 1 << 18
 )
 
-// readBufSize is the per-connection read buffer of both ends. Numbered
-// frames are read through it, so the length word and the body of a frame
-// that fits — every request, every point answer — cost one read of the
-// connection; the part of a larger body that does not fit is read
-// straight into the body's own allocation (see wire.ReadFrameV2).
+// readBufSize is the per-connection read buffer of both ends. Every frame
+// is read through it, so the length word and the body of a frame that
+// fits — the Hello, every request, every point answer — cost one read of
+// the connection; the part of a larger body that does not fit is read
+// straight into the body's own allocation (see wire.ReadFrame).
 const readBufSize = 8 << 10
 
 // request is one decoded frame on its way from the reader to a worker.
@@ -272,17 +267,16 @@ type request struct {
 // one request after another, so a connection's steady traffic runs on
 // stacks that have already grown to its handlers' depth. The reader hands
 // a frame to a free worker over work; it starts another only when none is
-// free and fewer than MaxConcurrent exist, and waits for one otherwise —
+// free and fewer than maxConcurrent exist, and waits for one otherwise —
 // the connection's back-pressure. When the read loop exits (peer gone),
 // ctx is cancelled before the worker drain, so stuck handlers unblock
 // instead of pinning the drain.
-func serve(ctx context.Context, conn net.Conn, h Handler, o ServeOptions, idle time.Duration) {
+func serve(ctx context.Context, conn net.Conn, br *bufio.Reader, h Handler, idle time.Duration) {
 	var (
-		writeMu    sync.Mutex
-		wg         sync.WaitGroup
-		work       = make(chan request)
-		workers    int
-		maxWorkers = o.maxConcurrent()
+		writeMu sync.Mutex
+		wg      sync.WaitGroup
+		work    = make(chan request)
+		workers int
 		// free counts the workers that have no handler running, less the
 		// requests the reader has committed to them. A worker counts from
 		// the moment its handler returns: all it has left is a response
@@ -315,7 +309,7 @@ func serve(ctx context.Context, conn net.Conn, h Handler, o ServeOptions, idle t
 			// leaves as it is.
 			werr = wire.WriteFramed(conn, respType, req.id, frame[:wire.FrameHeaderSize+len(resp)])
 		} else {
-			werr = wire.WriteFrameV2(conn, respType, req.id, resp)
+			werr = wire.WriteFrame(conn, respType, req.id, resp)
 		}
 		writeMu.Unlock()
 		if werr != nil {
@@ -331,15 +325,14 @@ func serve(ctx context.Context, conn net.Conn, h Handler, o ServeOptions, idle t
 	defer wg.Wait()
 	defer cancel()
 	defer close(work)
-	br := bufio.NewReaderSize(conn, readBufSize)
 	for {
 		setIdleDeadline(conn, idle)
-		mt, id, body, err := wire.ReadFrameV2(br)
+		mt, id, body, err := wire.ReadFrame(br)
 		if err != nil {
 			return
 		}
 		req := request{mt: mt, id: id, body: body}
-		if free.Load() <= 0 && workers < maxWorkers {
+		if free.Load() <= 0 && workers < maxConcurrent {
 			workers++
 			wg.Add(1)
 			go func(first request) {

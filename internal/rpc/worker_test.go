@@ -76,7 +76,7 @@ func settleGoroutines(t *testing.T, want int) {
 // connection: a caller that waits for each answer is served by one
 // goroutine however many requests it sends; k requests in flight at once
 // start exactly k; what the connection has started it keeps using; past
-// MaxConcurrent a request waits for a worker instead of getting one; and
+// maxConcurrent a request waits for a worker instead of getting one; and
 // closing the peer leaves none of them behind.
 func TestServeReusesWorkers(t *testing.T) {
 	ctx := context.Background()
@@ -106,7 +106,7 @@ func TestServeReusesWorkers(t *testing.T) {
 	// reach the one server connection whose back-pressure this checks.
 	t.Run("concurrent", func(t *testing.T) {
 		withProcs(t, 1)
-		const k = 5
+		const k = maxConcurrent
 		var (
 			log     workerLog
 			started = make(chan struct{}, 2*k)
@@ -120,7 +120,7 @@ func TestServeReusesWorkers(t *testing.T) {
 			}
 			return wire.MsgShardQueryResp, body, nil
 		}
-		addr := startServer(t, h, ServeOptions{MaxConcurrent: k})
+		addr := startServer(t, h, ServeOptions{})
 		before := runtime.NumGoroutine()
 		c := New(addr, Options{})
 		call := func(body string) error {
@@ -145,7 +145,7 @@ func TestServeReusesWorkers(t *testing.T) {
 		go func() { done <- call("block") }()
 		select {
 		case <-started:
-			t.Fatalf("request %d started with %d handlers running and MaxConcurrent = %d", k+1, k, k)
+			t.Fatalf("request %d started with %d handlers running and maxConcurrent = %d", k+1, k, k)
 		case <-time.After(100 * time.Millisecond):
 		}
 		// One handler finishes; the waiting request takes its worker.
@@ -250,26 +250,26 @@ func TestOneReadPerFrame(t *testing.T) {
 			defer server.Close()
 			ServeConn(context.Background(), counted, h, ServeOptions{})
 		}()
-		if err := wire.WriteFrame(client, wire.MsgHello, wire.EncodeHelloCaps(wire.ProtocolVersion, 0)); err != nil {
+		if err := wire.WriteFrame(client, wire.MsgHello, 0, wire.EncodeHello(wire.ProtocolVersion)); err != nil {
 			t.Fatal(err)
 		}
-		if mt, _, err := wire.ReadFrame(client); err != nil || mt != wire.MsgHelloResp {
+		if mt, _, _, err := wire.ReadFrame(client); err != nil || mt != wire.MsgHelloResp {
 			t.Fatalf("handshake: %v, %v", mt, err)
 		}
-		// The Hello was read unbuffered: its length word, then its body.
-		if n := counted.reads.Load(); n != 2 {
-			t.Fatalf("the handshake took %d reads, want 2", n)
+		// The Hello is a frame like the rest: one read.
+		if n := counted.reads.Load(); n != 1 {
+			t.Fatalf("the handshake took %d reads, want 1", n)
 		}
 		for i, size := range sizes {
 			before := counted.reads.Load()
 			var frame bytes.Buffer
-			if err := wire.WriteFrameV2(&frame, wire.MsgShardQueryReq, uint32(i), payload(size)); err != nil {
+			if err := wire.WriteFrame(&frame, wire.MsgShardQueryReq, uint32(i), payload(size)); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := client.Write(frame.Bytes()); err != nil {
 				t.Fatal(err)
 			}
-			_, id, body, err := wire.ReadFrameV2(client)
+			_, id, body, err := wire.ReadFrame(client)
 			if err != nil || id != uint32(i) || !bytes.Equal(body, payload(size)) {
 				t.Fatalf("%d-byte frame: id %d, %d bytes back, err %v", size, id, len(body), err)
 			}
@@ -288,8 +288,8 @@ func TestOneReadPerFrame(t *testing.T) {
 		counted := &countingConn{Conn: client}
 		c := connOver(t, counted)
 		defer c.Close()
-		if n := counted.reads.Load(); n != 2 {
-			t.Fatalf("the handshake took %d reads, want 2", n)
+		if n := counted.reads.Load(); n != 1 {
+			t.Fatalf("the handshake took %d reads, want 1", n)
 		}
 		for _, size := range sizes {
 			before := counted.reads.Load()
@@ -319,10 +319,10 @@ func TestOneReadPerFrame(t *testing.T) {
 
 // TestRequestInTheHelloSegment: a dialer may write its first request
 // right behind its Hello, and TCP may deliver both in one segment. The
-// handshake must consume the Hello's bytes and no more — the buffered
-// reader that takes over afterwards starts exactly at the request — so
-// the request is served, not lost inside a reader that was thrown away or
-// mistaken for part of the Hello.
+// Hello is read through the buffered reader that reads every later frame,
+// so whatever arrived behind it is the next frame — the request is
+// served, not lost inside a reader that was thrown away or mistaken for
+// part of the Hello.
 func TestRequestInTheHelloSegment(t *testing.T) {
 	nc, err := net.Dial("tcp", startServer(t, echoHandler, ServeOptions{}))
 	if err != nil {
@@ -331,23 +331,23 @@ func TestRequestInTheHelloSegment(t *testing.T) {
 	defer nc.Close()
 	nc.SetDeadline(time.Now().Add(5 * time.Second))
 	var both bytes.Buffer
-	if err := wire.WriteFrame(&both, wire.MsgHello, wire.EncodeHelloCaps(wire.ProtocolVersion, 0)); err != nil {
+	if err := wire.WriteFrame(&both, wire.MsgHello, 0, wire.EncodeHello(wire.ProtocolVersion)); err != nil {
 		t.Fatal(err)
 	}
 	for id := uint32(1); id <= 2; id++ {
-		if err := wire.WriteFrameV2(&both, wire.MsgShardQueryReq, id, []byte{'r', byte(id)}); err != nil {
+		if err := wire.WriteFrame(&both, wire.MsgShardQueryReq, id, []byte{'r', byte(id)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := nc.Write(both.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if mt, _, err := wire.ReadFrame(nc); err != nil || mt != wire.MsgHelloResp {
+	if mt, _, _, err := wire.ReadFrame(nc); err != nil || mt != wire.MsgHelloResp {
 		t.Fatalf("handshake: %v, %v", mt, err)
 	}
 	answered := map[uint32]bool{}
 	for i := 0; i < 2; i++ {
-		mt, id, body, err := wire.ReadFrameV2(nc)
+		mt, id, body, err := wire.ReadFrame(nc)
 		if err != nil || mt != wire.MsgShardQueryResp || !bytes.Equal(body, []byte{'r', byte(id)}) {
 			t.Fatalf("response: mt=%v id=%d body=%q err=%v", mt, id, body, err)
 		}

@@ -3,7 +3,7 @@ package tamper
 // A compromised edge (§2) is an adversary that owns the channel in front
 // of an honest edge: each wrapper below asks the honest handler — it may
 // ask it anything — and rewrites what comes back. An rpc.Server serving
-// one (with wire.CapPeerServe when it relays) is a compromised edge.
+// one is a compromised edge.
 
 import (
 	"context"

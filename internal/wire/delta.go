@@ -176,7 +176,7 @@ func (d *Delta) AppendSigned(dst []byte, pages storage.PageReader, key DeltaSign
 }
 
 // DecodeDelta parses a Delta. The page contents are views of body, which
-// the caller owns (see ReadFrameV2) and must not modify while it uses the
+// the caller owns (see ReadFrame) and must not modify while it uses the
 // delta; everything else is copied out. Both counts that size a slice are
 // checked against the bytes left to parse before anything is allocated,
 // so a body cannot make the decoder reserve more than a small multiple of

@@ -2,8 +2,8 @@ package wire
 
 // Session framing: concurrent request multiplexing over one connection.
 //
-// After the handshake every frame carries a u32 request ID between the
-// type byte and the body:
+// Every frame carries a u32 request ID between the type byte and the
+// body:
 //
 //	u32 len | u8 type | u32 reqID | body
 //
@@ -12,14 +12,17 @@ package wire
 //
 // # Handshake
 //
-// A dialer opens every connection with a bare-framed Hello carrying the
-// highest protocol version it speaks and its capability bits; the server
-// replies HelloResp with the negotiated version and its own capabilities,
-// and both sides switch to numbered frames. This build speaks exactly
-// ProtocolVersion: a server answers anything else — a first frame that is
-// not a Hello, a malformed Hello, a maximum version below its own — with
-// one typed error frame and closes, and a dialer treats any reply other
-// than a HelloResp negotiating ProtocolVersion as a dial error.
+// A dialer opens every connection with a Hello on request 0 whose body is
+// the highest protocol version it speaks (EncodeHello); the server
+// answers on request 0 with a HelloResp carrying its own version, and the
+// dialer's numbered requests follow. The Hello is a frame like any other,
+// so each end reads it through the buffered reader that then reads every
+// later frame. This build speaks exactly ProtocolVersion: a server
+// answers anything else — a first frame that is not a Hello on request 0,
+// a malformed Hello, a maximum version below its own — with one typed
+// error frame on request 0 and closes, and a dialer treats any reply
+// other than a HelloResp on request 0 carrying ProtocolVersion as a dial
+// error.
 //
 // # Typed errors
 //
@@ -39,7 +42,13 @@ import (
 // handshake carries it in both directions. It is raised whenever the
 // bytes or the meaning of a message change, so that a build from before
 // the change is turned away at dial with CodeUnsupported instead of being
-// sent bodies it would misparse or misread: 9 is the generation in which
+// sent bodies it would misparse or misread: 10 is the generation in which
+// the Hello is a numbered frame on request 0 whose body is the version
+// alone, and a SchemaResp is the schema alone, asked of the central, not
+// of an edge — a version-9 build reads the Hello's request ID as its
+// version word and refuses it, as this one refuses a version-9 Hello,
+// whose version word it reads as a request ID;
+// 9 is the generation in which
 // an edge answers a query's closed key range with the columns its
 // predicates read, and the client evaluates every predicate
 // (query.Finish) — a version-8 client would take those rows as filtered;
@@ -59,47 +68,31 @@ import (
 // frame is gone and the message types after it renumbered); 3 first
 // carried a VO's digests as fixed-width runs (vo.VO.Encode); 2 put a
 // length in front of each.
-const ProtocolVersion = 9
+const ProtocolVersion = 10
 
-// Capability bits carried in the Hello exchange (both directions). They
-// are advisory: a peer that lacks a capability still answers the
-// corresponding requests with a typed CodeUnsupported error, so callers
-// that skip the check stay correct — the bits exist for diagnostics and
-// topology introspection (is my upstream a serving peer?).
-const (
-	// CapPeerServe: this peer answers replication requests (snapshots,
-	// deltas) from its own replicated state — it is a distribution-tier
-	// edge, not just a query server.
-	CapPeerServe uint32 = 1 << 0
-)
+// EncodeHello builds a Hello (or HelloResp) body: the sender's protocol
+// version.
+func EncodeHello(version uint32) []byte { return appendU32(nil, version) }
 
-// EncodeHelloCaps builds a Hello (or HelloResp) body carrying the
-// sender's protocol version and capability bits.
-func EncodeHelloCaps(maxVersion, caps uint32) []byte {
-	out := appendU32(nil, maxVersion)
-	return appendU32(out, caps)
-}
-
-// DecodeHelloCaps parses a Hello (or HelloResp) body: exactly a version
-// word and a capability word.
-func DecodeHelloCaps(body []byte) (version, caps uint32, err error) {
+// DecodeHello parses a Hello (or HelloResp) body: exactly one non-zero
+// version word.
+func DecodeHello(body []byte) (uint32, error) {
 	r := &reader{data: body}
-	version = r.u32("protocol version")
-	caps = r.u32("capability bits")
+	version := r.u32("protocol version")
 	if err := r.done(); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if version == 0 {
-		return 0, 0, errors.New("wire: protocol version 0")
+		return 0, errors.New("wire: protocol version 0")
 	}
-	return version, caps, nil
+	return version, nil
 }
 
-// FrameHeaderSize is the length of a numbered frame's header.
+// FrameHeaderSize is the length of a frame's header.
 const FrameHeaderSize = 4 + 1 + 4
 
-// WriteFrameV2 writes one numbered frame: u32 len | u8 type | u32 reqID | body.
-func WriteFrameV2(w io.Writer, t MsgType, reqID uint32, body []byte) error {
+// WriteFrame writes one frame: u32 len | u8 type | u32 reqID | body.
+func WriteFrame(w io.Writer, t MsgType, reqID uint32, body []byte) error {
 	var hdr [FrameHeaderSize]byte
 	if err := putFrameHeader(hdr[:], t, reqID, len(body)); err != nil {
 		return err
@@ -107,10 +100,10 @@ func WriteFrameV2(w io.Writer, t MsgType, reqID uint32, body []byte) error {
 	return writeTogether(w, hdr[:], body)
 }
 
-// WriteFramed writes a numbered frame whose body was built in place:
-// frame is FrameHeaderSize bytes of room for the header followed by the
-// body, and leaves in a single Write with no copy. A server hands its
-// handlers such a buffer to append the response to.
+// WriteFramed writes a frame whose body was built in place: frame is
+// FrameHeaderSize bytes of room for the header followed by the body, and
+// leaves in a single Write with no copy. A server hands its handlers such
+// a buffer to append the response to.
 func WriteFramed(w io.Writer, t MsgType, reqID uint32, frame []byte) error {
 	if err := putFrameHeader(frame, t, reqID, len(frame)-FrameHeaderSize); err != nil {
 		return err
@@ -129,15 +122,15 @@ func putFrameHeader(hdr []byte, t MsgType, reqID uint32, bodyLen int) error {
 	return nil
 }
 
-// ReadFrameV2 reads one numbered frame, returning its type, request ID and
-// body. The body is a buffer allocated for this frame alone (see
-// readBody), which is what lets the decoders of this package and of
-// package vo return views of it: whoever receives the body owns it. That
-// holds over a buffered r too — internal/rpc reads through a
-// bufio.Reader so that a small frame costs one read of the connection:
-// the body is copied out of r's buffer, and whatever does not fit there
-// is read straight into the body.
-func ReadFrameV2(r io.Reader) (MsgType, uint32, []byte, error) {
+// ReadFrame reads one frame, returning its type, request ID and body.
+// The body is a buffer allocated for this frame alone (see readBody),
+// which is what lets the decoders of this package and of package vo
+// return views of it: whoever receives the body owns it. That holds over
+// a buffered r too — internal/rpc reads every frame, the Hello included,
+// through a bufio.Reader so that a small frame costs one read of the
+// connection: the body is copied out of r's buffer, and whatever does
+// not fit there is read straight into the body.
+func ReadFrame(r io.Reader) (MsgType, uint32, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, nil, err

@@ -12,10 +12,10 @@ import (
 
 func TestFrameV2RoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrameV2(&buf, MsgShardQueryReq, 42, []byte("hello")); err != nil {
+	if err := WriteFrame(&buf, MsgShardQueryReq, 42, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	mt, id, body, err := ReadFrameV2(&buf)
+	mt, id, body, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,10 +26,10 @@ func TestFrameV2RoundTrip(t *testing.T) {
 
 func TestFrameV2EmptyBody(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrameV2(&buf, MsgListTablesReq, 0xFFFFFFFF, nil); err != nil {
+	if err := WriteFrame(&buf, MsgListTablesReq, 0xFFFFFFFF, nil); err != nil {
 		t.Fatal(err)
 	}
-	mt, id, body, err := ReadFrameV2(&buf)
+	mt, id, body, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,20 +40,16 @@ func TestFrameV2EmptyBody(t *testing.T) {
 
 func TestFrameV2RejectsTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrameV2(&buf, MsgShardQueryReq, 7, []byte("abc")); err != nil {
+	if err := WriteFrame(&buf, MsgShardQueryReq, 7, []byte("abc")); err != nil {
 		t.Fatal(err)
 	}
 	short := buf.Bytes()[:buf.Len()-2]
-	if _, _, _, err := ReadFrameV2(bytes.NewReader(short)); err == nil {
+	if _, _, _, err := ReadFrame(bytes.NewReader(short)); err == nil {
 		t.Fatal("truncated v2 frame accepted")
 	}
-	// A bare handshake frame (too short for a request ID) is rejected too.
-	var bare bytes.Buffer
-	if err := WriteFrame(&bare, MsgShardQueryReq, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := ReadFrameV2(&bare); err == nil {
-		t.Fatal("bare frame accepted as a numbered one")
+	// A frame too short for a request ID is rejected too.
+	if _, _, _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 1, byte(MsgShardQueryReq)})); err == nil {
+		t.Fatal("frame without a request ID accepted")
 	}
 }
 
@@ -102,12 +98,12 @@ func TestToWireError(t *testing.T) {
 }
 
 // TestWriteFramedMatchesWriteFrameV2: a frame built in place — header
-// room, then the body — goes out as the bytes WriteFrameV2 writes for the
+// room, then the body — goes out as the bytes WriteFrame writes for the
 // same body, in a single Write.
 func TestWriteFramedMatchesWriteFrameV2(t *testing.T) {
 	body := []byte("response body built in place")
 	var want bytes.Buffer
-	if err := WriteFrameV2(&want, MsgShardQueryResp, 77, body); err != nil {
+	if err := WriteFrame(&want, MsgShardQueryResp, 77, body); err != nil {
 		t.Fatal(err)
 	}
 	frame := append(make([]byte, FrameHeaderSize), body...)
@@ -116,12 +112,12 @@ func TestWriteFramedMatchesWriteFrameV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(w.buf.Bytes(), want.Bytes()) {
-		t.Fatalf("WriteFramed wrote %x, WriteFrameV2 %x", w.buf.Bytes(), want.Bytes())
+		t.Fatalf("WriteFramed wrote %x, WriteFrame %x", w.buf.Bytes(), want.Bytes())
 	}
 	if w.writes != 1 {
 		t.Fatalf("WriteFramed made %d writes, want 1", w.writes)
 	}
-	mt, id, got, err := ReadFrameV2(&w.buf)
+	mt, id, got, err := ReadFrame(&w.buf)
 	if err != nil || mt != MsgShardQueryResp || id != 77 || !bytes.Equal(got, body) {
 		t.Fatalf("read back %v %d %q, %v", mt, id, got, err)
 	}
@@ -140,15 +136,11 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 // TestReadFrameBoundsAllocationByBytesReceived: a frame's length word is
 // the sender's claim, and a reader allocates for the bytes that arrive,
 // not for the claim — four bytes announcing MaxFrameSize and then nothing
-// cost under a megabyte, on the handshake framing (which any dialer
-// reaches) and the numbered one alike. Up to bodyChunk the claim is
-// taken at its word, so a query answer is still one allocation that the
-// reads fill in place; a frame past it arrives whole through the doubling.
+// cost under a megabyte, for the Hello any dialer reaches and every frame
+// after it alike. Up to bodyChunk the claim is taken at its word, so a
+// query answer is still one allocation that the reads fill in place; a
+// frame past it arrives whole through the doubling.
 func TestReadFrameBoundsAllocationByBytesReceived(t *testing.T) {
-	readers := map[string]func(r io.Reader) ([]byte, error){
-		"bare":     func(r io.Reader) ([]byte, error) { _, body, err := ReadFrame(r); return body, err },
-		"numbered": func(r io.Reader) ([]byte, error) { _, _, body, err := ReadFrameV2(r); return body, err },
-	}
 	allocated := func(f func()) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -156,29 +148,27 @@ func TestReadFrameBoundsAllocationByBytesReceived(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	for name, read := range readers {
-		t.Run(name, func(t *testing.T) {
-			// The claim alone, then the claim followed by 100 KB.
-			for _, sent := range []int{0, 100 << 10} {
-				in := append(binary.BigEndian.AppendUint32(nil, MaxFrameSize), make([]byte, sent)...)
-				var err error
-				got := allocated(func() { _, err = read(bytes.NewReader(in)) })
-				if err == nil || !strings.Contains(err.Error(), "short frame") || !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
-					t.Fatalf("1 GiB claimed, %d bytes sent: err = %v, want a short-frame error", sent, err)
-				}
-				if got >= 1<<20 {
-					t.Errorf("1 GiB claimed, %d bytes sent: %d bytes allocated, want under 1 MiB", sent, got)
-				}
+	t.Run("numbered", func(t *testing.T) {
+		// The claim alone, then the claim followed by 100 KB.
+		for _, sent := range []int{0, 100 << 10} {
+			in := append(binary.BigEndian.AppendUint32(nil, MaxFrameSize), make([]byte, sent)...)
+			var err error
+			got := allocated(func() { _, _, _, err = ReadFrame(bytes.NewReader(in)) })
+			if err == nil || !strings.Contains(err.Error(), "short frame") || !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
+				t.Fatalf("1 GiB claimed, %d bytes sent: err = %v, want a short-frame error", sent, err)
 			}
-		})
-	}
+			if got >= 1<<20 {
+				t.Errorf("1 GiB claimed, %d bytes sent: %d bytes allocated, want under 1 MiB", sent, got)
+			}
+		}
+	})
 
 	// 45 KB is a read.range answer. A one-byte frame pays for the length
 	// word (it escapes through io.Reader) and the body; a 45 KB one pays
 	// the same two, and the body it returns is that one allocation.
 	frame := func(n int) []byte {
 		var buf bytes.Buffer
-		if err := WriteFrameV2(&buf, MsgShardQueryResp, 9, bytes.Repeat([]byte{0xA5}, n)); err != nil {
+		if err := WriteFrame(&buf, MsgShardQueryResp, 9, bytes.Repeat([]byte{0xA5}, n)); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -187,7 +177,7 @@ func TestReadFrameBoundsAllocationByBytesReceived(t *testing.T) {
 	allocsFor := func(in []byte) float64 {
 		return testing.AllocsPerRun(50, func() {
 			r.Reset(in)
-			if _, _, _, err := ReadFrameV2(&r); err != nil {
+			if _, _, _, err := ReadFrame(&r); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -197,7 +187,7 @@ func TestReadFrameBoundsAllocationByBytesReceived(t *testing.T) {
 		t.Errorf("%.0f allocations for a 1-byte frame, %.0f for a 45 KB one, want 2 and 2", small, answer)
 	}
 	r.Reset(frame(45_000))
-	if _, _, body, _ := ReadFrameV2(&r); len(body) != 45_000 || cap(body) != 45_000 {
+	if _, _, body, _ := ReadFrame(&r); len(body) != 45_000 || cap(body) != 45_000 {
 		t.Errorf("45 KB body has len %d cap %d: not the one exact allocation", len(body), cap(body))
 	}
 
@@ -207,10 +197,10 @@ func TestReadFrameBoundsAllocationByBytesReceived(t *testing.T) {
 		want[i] = byte(i * 7)
 	}
 	var big bytes.Buffer
-	if err := WriteFrameV2(&big, MsgSnapshotResp, 3, want); err != nil {
+	if err := WriteFrame(&big, MsgSnapshotResp, 3, want); err != nil {
 		t.Fatal(err)
 	}
-	mt, id, body, err := ReadFrameV2(&big)
+	mt, id, body, err := ReadFrame(&big)
 	if err != nil || mt != MsgSnapshotResp || id != 3 || !bytes.Equal(body, want) {
 		t.Fatalf("multi-chunk frame: mt=%v id=%d len=%d err=%v", mt, id, len(body), err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"edgeauth/internal/israce"
+	"edgeauth/internal/query"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/storage"
 	"edgeauth/internal/vo"
@@ -13,9 +14,11 @@ import (
 
 // Fuzz targets for the frame-body decoders fed by untrusted peers: the
 // delta decoder runs at edge servers on central-impersonating input, the
-// query-response and schema-response decoders run at clients on
-// edge-supplied input, and the shard snapshot and delta requests at the
-// central and at relaying edges on any replica's input.
+// query-response decoders run at clients on edge-supplied input, the
+// query requests at edges and the delete and reshard requests at the
+// central on any client's input, the shard snapshot and delta requests
+// at the central and at relaying edges on any replica's input, and the
+// Hello at every server on any dialer's.
 // Invariants: no panics, no unbounded allocation shortcuts, and accepted
 // inputs re-encode byte-identically (signature checks hash the received
 // bytes, so a "repairing" decoder would break authentication).
@@ -90,19 +93,17 @@ func FuzzDecodeQueryResponse(f *testing.F) {
 	})
 }
 
-// FuzzDecodeSchemaResponse covers the first answer a client takes from an
-// edge for a table — the schema its verifier is built over.
+// FuzzDecodeSchemaResponse covers the first answer a client takes from
+// the central for a table — the schema its verifier is built over.
 func FuzzDecodeSchemaResponse(f *testing.F) {
 	resp := &SchemaResponse{
 		Schema: &schema.Schema{
 			DB: "db", Table: "items",
 			Columns: []schema.Column{{Name: "id", Type: schema.TypeInt64}, {Name: "cat", Type: schema.TypeString}},
 		},
-		KeyVersion: 3,
-		Scheme:     1,
 	}
 	f.Add(resp.Encode())
-	f.Add(withAccBlock(resp.Encode())) // the protocol-4 form
+	f.Add(append(resp.Encode(), 0, 0, 0, 3, 1)) // the protocol-9 form: key version, scheme
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 32))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -161,22 +162,116 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 }
 
 // FuzzDecodeHelloCaps covers the first bytes a server parses from any
-// dialer: exactly a version word and a capability word, nothing else.
+// dialer, DecodeHello: exactly one version word, nothing else.
 func FuzzDecodeHelloCaps(f *testing.F) {
-	f.Add(EncodeHelloCaps(ProtocolVersion, CapPeerServe))
-	f.Add(appendU32(nil, ProtocolVersion)) // the retired 4-byte form
-	f.Add(EncodeHelloCaps(0, 0))
+	f.Add(EncodeHello(ProtocolVersion))
+	f.Add([]byte{0, 0, 0, 9, 0, 0, 0, 1}) // the protocol-9 form: version, capability bits
+	f.Add(EncodeHello(0))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, caps, err := DecodeHelloCaps(data)
+		v, err := DecodeHello(data)
 		if err != nil {
 			return
 		}
 		if v == 0 {
 			t.Fatal("accepted protocol version 0")
 		}
-		if !bytes.Equal(EncodeHelloCaps(v, caps), data) {
+		if !bytes.Equal(EncodeHello(v), data) {
 			t.Fatal("hello round-trip mismatch")
+		}
+	})
+}
+
+// seedQuery is a query request with every part present: predicates and a
+// projection.
+func seedQuery() *QueryRequest {
+	return &QueryRequest{
+		Table: "items",
+		Predicates: []query.Predicate{
+			{Column: "id", Op: query.OpGE, Value: schema.Int64(7)},
+			{Column: "cat", Op: query.OpEQ, Value: schema.Str("cat-1")},
+		},
+		Project: []string{"id", "cat"},
+	}
+}
+
+// FuzzDecodeShardQueryRequest covers what an edge parses from any
+// client for every query: the shard request and the query inside it
+// (DecodeQueryRequest).
+func FuzzDecodeShardQueryRequest(f *testing.F) {
+	f.Add((&ShardQueryRequest{Shard: 2, Query: seedQuery()}).Encode())
+	f.Add((&ShardQueryRequest{Query: &QueryRequest{Table: "items", ProjectAll: true}}).Encode())
+	// An empty projection, and a projection flag of 5: both decoded and
+	// re-encoded differently until the flag had to be 0 or 1 and an empty
+	// projection stayed one.
+	f.Add((&ShardQueryRequest{Query: &QueryRequest{Table: "items", Project: []string{}}}).Encode())
+	f.Add(appendBytes(appendU32(nil, 0), append(appendU32(appendStr(nil, "items"), 0), 5, 0, 0, 0, 0)))
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, 32))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := DecodeShardQueryRequest(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(r.Encode(), data) {
+			t.Fatal("shard-query-request round-trip mismatch")
+		}
+	})
+}
+
+// FuzzDecodeDeleteRequest covers what the central parses from any client
+// asking for a key-range delete.
+func FuzzDecodeDeleteRequest(f *testing.F) {
+	f.Add((&DeleteRequest{Table: "items", HasLo: true, Lo: schema.Int64(5), HasHi: true, Hi: schema.Int64(10)}).Encode())
+	f.Add((&DeleteRequest{Table: "items", HasHi: true, Hi: schema.Str("k")}).Encode())
+	f.Add((&DeleteRequest{Table: "items"}).Encode())
+	f.Add(append(appendStr(nil, "items"), 2, 2)) // presence flags of 2, once read as absent
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := DecodeDeleteRequest(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(d.Encode(), data) {
+			t.Fatal("delete-request round-trip mismatch")
+		}
+	})
+}
+
+// FuzzDecodeReshardRequest covers what the central's admin surface
+// parses from any client commanding a split or a merge.
+func FuzzDecodeReshardRequest(f *testing.F) {
+	f.Add((&ReshardRequest{Table: "items", Op: ReshardSplit, Shard: 1, HasBoundary: true, Boundary: schema.Int64(500)}).Encode())
+	f.Add((&ReshardRequest{Table: "items", Op: ReshardMerge, Shard: 2}).Encode())
+	f.Add(append(appendStr(nil, "items"), byte(ReshardSplit), 0, 0, 0, 1, 7)) // a boundary flag of 7, once read as absent
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := DecodeReshardRequest(data)
+		if err != nil {
+			return
+		}
+		if r.Op != ReshardSplit && r.Op != ReshardMerge {
+			t.Fatalf("accepted reshard op %d", r.Op)
+		}
+		if !bytes.Equal(r.Encode(), data) {
+			t.Fatal("reshard-request round-trip mismatch")
+		}
+	})
+}
+
+// FuzzDecodeReshardResponse covers the acknowledgement a client takes
+// from the central for a reshard.
+func FuzzDecodeReshardResponse(f *testing.F) {
+	f.Add((&ReshardResponse{MapEpoch: 7, NumShards: 5}).Encode())
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, 13))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := DecodeReshardResponse(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(r.Encode(), data) {
+			t.Fatal("reshard-response round-trip mismatch")
 		}
 	})
 }
@@ -280,7 +375,7 @@ func FuzzDecodeWireError(f *testing.F) {
 }
 
 // TestFuzzedDecodersBoundTheirAllocations is the allocation half of the
-// five fuzz targets above, whose bodies cannot measure it (reading the
+// fuzz targets above, whose bodies cannot measure it (reading the
 // allocator's statistics on every execution stalls the fuzzing engine).
 // Whatever length or count a hostile body claims, wherever it claims it,
 // decoding allocates a small multiple of the body's own size: each
@@ -319,6 +414,18 @@ func TestFuzzedDecodersBoundTheirAllocations(t *testing.T) {
 			func(b []byte) { _, _ = DecodeStringList(b) }},
 		{"WireError", (&WireError{Code: CodeShardMoved, Table: "items", Msg: "moved"}).Encode(),
 			func(b []byte) { _ = DecodeWireError(b) }},
+		{"ShardQueryRequest", (&ShardQueryRequest{Shard: 2, Query: seedQuery()}).Encode(),
+			func(b []byte) { _, _ = DecodeShardQueryRequest(b) }},
+		{"QueryRequest", seedQuery().Encode(),
+			func(b []byte) { _, _ = DecodeQueryRequest(b) }},
+		{"DeleteRequest", (&DeleteRequest{Table: "items", HasLo: true, Lo: schema.Int64(5), HasHi: true, Hi: schema.Str("k")}).Encode(),
+			func(b []byte) { _, _ = DecodeDeleteRequest(b) }},
+		{"ReshardRequest", (&ReshardRequest{Table: "items", Op: ReshardSplit, Shard: 1, HasBoundary: true, Boundary: schema.Str("k")}).Encode(),
+			func(b []byte) { _, _ = DecodeReshardRequest(b) }},
+		{"ReshardResponse", (&ReshardResponse{MapEpoch: 7, NumShards: 5}).Encode(),
+			func(b []byte) { _, _ = DecodeReshardResponse(b) }},
+		{"Hello", EncodeHello(ProtocolVersion),
+			func(b []byte) { _, _ = DecodeHello(b) }},
 	} {
 		worst, at := uint64(0), 0
 		for off := 0; off+4 <= len(tc.honest); off++ {

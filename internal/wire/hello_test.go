@@ -5,22 +5,23 @@ import (
 	"testing"
 )
 
+// TestHelloCapsRoundTrip: a Hello body is the version word alone. The
+// protocol-9 body — a version word and a capability word — is refused,
+// as are a truncated body and version 0.
 func TestHelloCapsRoundTrip(t *testing.T) {
-	v, caps, err := DecodeHelloCaps(EncodeHelloCaps(ProtocolVersion, CapPeerServe))
-	if err != nil || v != ProtocolVersion || caps != CapPeerServe {
-		t.Fatalf("round trip: v=%d caps=%#x err=%v", v, caps, err)
+	if v, err := DecodeHello(EncodeHello(ProtocolVersion)); err != nil || v != ProtocolVersion {
+		t.Fatalf("round trip: v=%d err=%v", v, err)
 	}
-	// The capability word is mandatory: a bare 4-byte version is rejected.
-	if _, _, err := DecodeHelloCaps(appendU32(nil, ProtocolVersion)); err == nil {
-		t.Fatal("4-byte hello accepted")
+	if got := EncodeHello(ProtocolVersion); len(got) != 4 {
+		t.Fatalf("a Hello body is %d bytes, want 4", len(got))
 	}
-	if _, _, err := DecodeHelloCaps(append(EncodeHelloCaps(ProtocolVersion, 0), 0)); err == nil {
-		t.Fatal("hello with trailing bytes accepted")
+	if _, err := DecodeHello([]byte{0, 0, 0, 9, 0, 0, 0, 1}); err == nil {
+		t.Fatal("8-byte protocol-9 hello accepted")
 	}
-	if _, _, err := DecodeHelloCaps([]byte{1, 2}); err == nil {
+	if _, err := DecodeHello([]byte{1, 2}); err == nil {
 		t.Fatal("truncated hello accepted")
 	}
-	if _, _, err := DecodeHelloCaps(EncodeHelloCaps(0, 0)); err == nil {
+	if _, err := DecodeHello(EncodeHello(0)); err == nil {
 		t.Fatal("version 0 accepted")
 	}
 }

@@ -76,17 +76,13 @@ func DecodeQueryRequest(body []byte) (*QueryRequest, error) {
 		r.off += used
 		q.Predicates = append(q.Predicates, query.Predicate{Column: col, Op: op, Value: d})
 	}
-	all := r.u8("projection flag")
-	if all == 1 {
-		q.ProjectAll = true
-	} else {
+	if q.ProjectAll = r.flag("projection flag"); !q.ProjectAll && r.err == nil {
 		pn := int(r.u32("projection count"))
 		if r.err == nil && pn > (len(body)-r.off)/minStringSize {
 			return nil, errors.New("wire: implausible projection count")
 		}
-		if pn > 0 {
-			q.Project = make([]string, 0, pn)
-		}
+		// Not nil even when empty: an empty projection is not SELECT *.
+		q.Project = make([]string, 0, pn)
 		for i := 0; i < pn && r.err == nil; i++ {
 			q.Project = append(q.Project, r.str("projection column"))
 		}
@@ -349,7 +345,7 @@ func (d *DeleteRequest) Encode() []byte {
 func DecodeDeleteRequest(body []byte) (*DeleteRequest, error) {
 	r := &reader{data: body}
 	d := &DeleteRequest{Table: r.str("table")}
-	if r.u8("lo flag") == 1 && r.err == nil {
+	if r.flag("lo flag") {
 		v, used, err := schema.DecodeDatum(body[r.off:])
 		if err != nil {
 			return nil, err
@@ -357,7 +353,7 @@ func DecodeDeleteRequest(body []byte) (*DeleteRequest, error) {
 		r.off += used
 		d.HasLo, d.Lo = true, v
 	}
-	if r.u8("hi flag") == 1 && r.err == nil {
+	if r.flag("hi flag") {
 		v, used, err := schema.DecodeDatum(body[r.off:])
 		if err != nil {
 			return nil, err
@@ -371,44 +367,31 @@ func DecodeDeleteRequest(body []byte) (*DeleteRequest, error) {
 	return d, nil
 }
 
-// SchemaResponse tells a client how to verify results for a table: the
-// schema and the signing-key version in force.
+// SchemaResponse tells a client the schema a table's answers are
+// verified under. The client asks the central server, over the channel
+// it trusts for the key: no digest binds a column's name (AttrDigest
+// binds its index), so a schema an edge relayed could relabel columns.
 type SchemaResponse struct {
-	Schema     *schema.Schema
-	KeyVersion uint32
-	// Scheme is the signature scheme (sig.Scheme) of the key in force.
-	Scheme uint8
+	Schema *schema.Schema
 }
 
 // Encode serializes the response.
 func (s *SchemaResponse) Encode() []byte {
-	out := appendBytes(nil, EncodeSchema(s.Schema))
-	out = appendU32(out, s.KeyVersion)
-	out = appendU8(out, s.Scheme)
-	return out
+	return appendBytes(nil, EncodeSchema(s.Schema))
 }
 
 // DecodeSchemaResponse parses a SchemaResponse.
 func DecodeSchemaResponse(body []byte) (*SchemaResponse, error) {
 	r := &reader{data: body}
-	blob := r.bytes("schema")
-	if r.err != nil {
-		return nil, r.err
+	blob := r.view("schema")
+	if err := r.done(); err != nil {
+		return nil, err
 	}
 	sch, err := DecodeSchema(blob)
 	if err != nil {
 		return nil, err
 	}
-	s := &SchemaResponse{Schema: sch}
-	s.KeyVersion = r.u32("key version")
-	s.Scheme = r.u8("signature scheme")
-	if r.err == nil && !sig.Scheme(s.Scheme).Valid() {
-		return nil, fmt.Errorf("wire: schema response names unknown signature scheme %d", s.Scheme)
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return &SchemaResponse{Schema: sch}, nil
 }
 
 // EncodeStringList / DecodeStringList serve ListTablesResp.

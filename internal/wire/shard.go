@@ -166,7 +166,7 @@ func AppendShardQueryResponse(dst []byte, answer func(dst []byte) (out, signedMa
 
 // DecodeShardQueryResponse parses a ShardQueryResponse. Everything in it
 // — the result set, the VO's digests, SignedMap — is a view of body:
-// valid until body is modified or reused. A frame body from ReadFrameV2
+// valid until body is modified or reused. A frame body from ReadFrame
 // belongs to the frame's receiver, so a client keeps the response as
 // long as it likes; what it caches beyond (a decoded shard map, proven
 // signatures) copies what it keeps.
@@ -241,7 +241,7 @@ func DecodeReshardRequest(body []byte) (*ReshardRequest, error) {
 	q := &ReshardRequest{Table: r.str("table")}
 	q.Op = ReshardOpKind(r.u8("reshard op"))
 	q.Shard = r.u32("shard")
-	if r.u8("boundary flag") == 1 && r.err == nil {
+	if r.flag("boundary flag") {
 		v, used, err := schema.DecodeDatum(body[r.off:])
 		if err != nil {
 			return nil, err

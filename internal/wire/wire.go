@@ -18,6 +18,8 @@
 //	                                      server; an insert is a batch)
 //	client → central: PubKeyReq           (the PKI stand-in: an authenticated
 //	                                       channel to the signer's public key)
+//	client → central: SchemaReq (table)   → SchemaResp (the schema the
+//	                                       client verifies answers under)
 //
 // # Delta propagation
 //
@@ -42,15 +44,16 @@
 //
 // # Framing and versions
 //
-// A connection opens with one Hello/HelloResp exchange in the bare
-// container u32 length | u8 type | body; every later frame inserts a u32
-// request ID after the type byte so calls multiplex (see v2.go). All
-// integers are big-endian, and a hard frame cap bounds allocation from
-// untrusted peers.
+// Every frame, the Hello exchange that opens a connection included, is
+// u32 length | u8 type | u32 request ID | body (see frame.go): the Hello
+// and its answer are request 0, and later requests carry the IDs their
+// sender numbers them by, so calls multiplex. All integers are
+// big-endian, and a hard frame cap bounds allocation from untrusted
+// peers.
 //
 // # Lifetime of decoded values
 //
-// ReadFrameV2 allocates a fresh buffer for every frame and hands it to
+// ReadFrame allocates a fresh buffer for every frame and hands it to
 // the caller, which is what lets the query-path decoders copy nothing:
 // DecodeShardQueryResponse and DecodeQueryResponse (through package vo)
 // return structs whose digests, bytes values and signed map are slices of
@@ -93,8 +96,8 @@ const (
 	MsgSchemaResp
 	MsgDeleteReq
 	MsgDeleteResp
-	// MsgHello / MsgHelloResp open every connection (see v2.go). They are
-	// the only frames exchanged without a request ID.
+	// MsgHello / MsgHelloResp open every connection, as request 0 (see
+	// frame.go).
 	MsgHello
 	MsgHelloResp
 	// MsgBatchReq / MsgBatchResp carry every insert — one tuple or many —
@@ -154,17 +157,6 @@ func (m MsgType) String() string {
 // forcing unbounded allocation.
 const MaxFrameSize = 1 << 30
 
-// WriteFrame writes one bare (handshake) frame: u32 len | u8 type | body.
-func WriteFrame(w io.Writer, t MsgType, body []byte) error {
-	if len(body)+1 > MaxFrameSize {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(body))
-	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(body)+1))
-	hdr[4] = byte(t)
-	return writeTogether(w, hdr[:], body)
-}
-
 // joinBelow is the body size under which writeTogether copies header and
 // body into one buffer: requests, acknowledgements and error frames.
 const joinBelow = 4 << 10
@@ -183,23 +175,6 @@ func writeTogether(w io.Writer, hdr, body []byte) error {
 	}
 	_, err := w.Write(body)
 	return err
-}
-
-// ReadFrame reads one bare (handshake) frame.
-func ReadFrame(r io.Reader) (MsgType, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n < 1 || n > MaxFrameSize {
-		return 0, nil, fmt.Errorf("wire: frame length %d out of range", n)
-	}
-	buf, err := readBody(r, int(n))
-	if err != nil {
-		return 0, nil, err
-	}
-	return MsgType(buf[0]), buf[1:], nil
 }
 
 // bodyChunk is the most a frame's length word makes a reader allocate
@@ -272,6 +247,20 @@ func (r *reader) u8(what string) uint8 {
 	v := r.data[r.off]
 	r.off++
 	return v
+}
+
+// flag reads a presence byte: 0 or 1, anything else refused, so an
+// accepted body re-encodes as it came.
+func (r *reader) flag(what string) bool {
+	switch v := r.u8(what); {
+	case r.err != nil:
+		return false
+	case v > 1:
+		r.err = fmt.Errorf("wire: %s %d is neither 0 nor 1", what, v)
+		return false
+	default:
+		return v == 1
+	}
 }
 
 func (r *reader) u32(what string) uint32 {

@@ -21,50 +21,55 @@ import (
 	"edgeauth/internal/vo"
 )
 
+// TestFrameRoundTrip: the Hello that opens every connection is a frame
+// like any other — request 0, its body the version alone.
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	body := []byte("hello frame")
-	if err := WriteFrame(&buf, MsgHello, body); err != nil {
+	if err := WriteFrame(&buf, MsgHello, 0, EncodeHello(ProtocolVersion)); err != nil {
 		t.Fatal(err)
 	}
-	mt, got, err := ReadFrame(&buf)
+	mt, id, body, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mt != MsgHello || !bytes.Equal(got, body) {
-		t.Fatalf("frame = %v %q", mt, got)
+	if v, err := DecodeHello(body); mt != MsgHello || id != 0 || err != nil || v != ProtocolVersion {
+		t.Fatalf("frame = %v #%d %x (%v)", mt, id, body, err)
 	}
 }
 
 func TestFrameEmptyBody(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, MsgPubKeyReq, nil); err != nil {
+	if err := WriteFrame(&buf, MsgPubKeyReq, 3, nil); err != nil {
 		t.Fatal(err)
 	}
-	mt, body, err := ReadFrame(&buf)
+	mt, id, body, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mt != MsgPubKeyReq || len(body) != 0 {
-		t.Fatalf("frame = %v %q", mt, body)
+	if mt != MsgPubKeyReq || id != 3 || len(body) != 0 {
+		t.Fatalf("frame = %v #%d %q", mt, id, body)
 	}
 }
 
 func TestReadFrameRejectsGarbage(t *testing.T) {
 	// Zero length.
-	if _, _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 0})); err == nil {
+	if _, _, _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 0})); err == nil {
 		t.Fatal("zero-length frame accepted")
 	}
+	// A type byte with no room for a request ID.
+	if _, _, _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 1, byte(MsgPubKeyReq)})); err == nil {
+		t.Fatal("frame without a request ID accepted")
+	}
 	// Excessive length.
-	if _, _, err := ReadFrame(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF})); err == nil {
+	if _, _, _, err := ReadFrame(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF})); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 	// Truncated body.
-	if _, _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 9, 1, 2})); err == nil {
+	if _, _, _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 9, 1, 2})); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 	// Truncated header.
-	if _, _, err := ReadFrame(bytes.NewReader([]byte{0, 0})); err == nil {
+	if _, _, _, err := ReadFrame(bytes.NewReader([]byte{0, 0})); err == nil {
 		t.Fatal("truncated header accepted")
 	}
 }
@@ -187,7 +192,7 @@ func TestSchemaRoundTrip(t *testing.T) {
 // constants the accumulator now is.
 var parentAccBlock = []byte{0, 0, 0, 0x10, 0, 0, 0, 0, 0, 0, 0, 0x0f, 0, 0, 0, 0, 0}
 
-// withAccBlock returns body, a Snapshot or SchemaResponse encoding, with
+// withAccBlock returns body, a Snapshot encoding, with
 // parentAccBlock put back behind its schema blob: what the protocol-4
 // encoder wrote for the same message.
 func withAccBlock(body []byte) []byte {
@@ -252,9 +257,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		func(b []byte) error { _, err := DecodeSnapshot(b); return err })
 }
 
-// TestSchemaResponseRoundTrip: the client's verification parameters are a
-// schema, a key version and a scheme — 17 bytes fewer than the parent
-// commit (5899259) encoded them, the accumulator parameters gone.
+// TestSchemaResponseRoundTrip: a schema response is the schema alone —
+// the protocol-9 encoding less the key version and scheme behind it,
+// which nothing read — and a protocol-9 body is refused for those bytes.
 func TestSchemaResponseRoundTrip(t *testing.T) {
 	s := &SchemaResponse{
 		Schema: &schema.Schema{
@@ -262,19 +267,22 @@ func TestSchemaResponseRoundTrip(t *testing.T) {
 			Columns: []schema.Column{{Name: "id", Type: schema.TypeInt64}, {Name: "v", Type: schema.TypeString}},
 			Key:     0,
 		},
-		KeyVersion: 5,
-		Scheme:     1,
 	}
 	got, err := DecodeSchemaResponse(s.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Schema.Table != "t" || len(got.Schema.Columns) != 2 || got.KeyVersion != 5 || got.Scheme != 1 {
-		t.Fatalf("decoded: %+v", got)
+	if got.Schema.Table != "t" || len(got.Schema.Columns) != 2 || got.Schema.Columns[1].Name != "v" {
+		t.Fatalf("decoded: %+v", got.Schema)
 	}
-	checkAgainstParent(t, s.Encode(),
-		"00000020000000026462000000017400000002000000026964010000000176030000000000000010000000000000000f00000000000000000501",
-		func(b []byte) error { _, err := DecodeSchemaResponse(b); return err })
+	const v10 = "000000200000000264620000000174000000020000000269640100000001760300000000"
+	if enc := hex.EncodeToString(s.Encode()); enc != v10 {
+		t.Fatalf("encoding %s, want %s", enc, v10)
+	}
+	v9, _ := hex.DecodeString(v10 + "0000000501") // key version 5, scheme 1
+	if _, err := DecodeSchemaResponse(v9); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+		t.Fatalf("protocol-9 body: %v, want it refused for trailing bytes", err)
+	}
 }
 
 // TestSnapshotFixturesAreTheParentsLessTheAccumulatorBlock: each
@@ -444,16 +452,16 @@ func TestDecodeSnapshotBoundsItsAllocations(t *testing.T) {
 	}
 }
 
-// TestDecodeHelloCapsBoundsItsAllocations: a Hello is two words and
+// TestDecodeHelloCapsBoundsItsAllocations: a Hello is one word and
 // nothing else, so a 1 KB one is refused for its trailing bytes at the
 // cost of the error alone.
 func TestDecodeHelloCapsBoundsItsAllocations(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation sizes differ under the race detector")
 	}
-	body := append(EncodeHelloCaps(math.MaxUint32, math.MaxUint32), make([]byte, 1016)...)
+	body := append(EncodeHello(math.MaxUint32), make([]byte, 1020)...)
 	var err error
-	got := leastAllocated(func() { _, _, err = DecodeHelloCaps(body) })
+	got := leastAllocated(func() { _, err = DecodeHello(body) })
 	if err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("a %d-byte Hello got %v, want its trailing bytes refused", len(body), err)
 	}
@@ -515,19 +523,14 @@ func TestU64RoundTrip(t *testing.T) {
 }
 
 // TestSchemeZeroRefused: scheme 0 — the number of the retired per-node
-// rsa scheme — is refused wherever a scheme travels: in a snapshot, in a
-// schema response and in every delta but a SnapshotNeeded marker, which
-// names no key at all.
+// rsa scheme — is refused wherever a scheme travels: in a snapshot and in
+// every delta but a SnapshotNeeded marker, which names no key at all.
 func TestSchemeZeroRefused(t *testing.T) {
 	sch := &schema.Schema{DB: "db", Table: "t", Columns: []schema.Column{{Name: "id", Type: schema.TypeInt64}}, Key: 0}
 	for _, scheme := range []uint8{0, 3} {
 		snap := &Snapshot{Schema: sch, Root: 1, Height: 1, RootSig: []byte{1}, PageSize: 1024, Scheme: scheme}
 		if _, err := DecodeSnapshot(snap.Encode()); err == nil {
 			t.Errorf("a snapshot naming scheme %d was accepted", scheme)
-		}
-		resp := &SchemaResponse{Schema: sch, KeyVersion: 1, Scheme: scheme}
-		if _, err := DecodeSchemaResponse(resp.Encode()); err == nil {
-			t.Errorf("a schema response naming scheme %d was accepted", scheme)
 		}
 		d := sampleDelta()
 		d.Scheme = scheme
