@@ -41,6 +41,7 @@ var serving = map[string]bool{
 	module + "/internal/client":   true,
 	module + "/internal/rpc":      true,
 	module + "/internal/wire":     true,
+	module + "/internal/codec":    true,
 	module + "/internal/vbtree":   true,
 	module + "/internal/verify":   true,
 	module + "/internal/vo":       true,

@@ -243,6 +243,9 @@ type groupCommitter struct {
 	mu      sync.Mutex
 	queue   []*pendingOp
 	leading bool
+	// arrived, which only tests set, is broadcast under mu as each op
+	// joins the queue.
+	arrived *sync.Cond
 }
 
 // enqueueDelete routes a range delete through the same ordered queue, so
@@ -300,6 +303,9 @@ func (s *Server) enqueueOp(ctx context.Context, tableName string, op *pendingOp)
 	gc := &t.gc
 	gc.mu.Lock()
 	gc.queue = append(gc.queue, op)
+	if gc.arrived != nil {
+		gc.arrived.Broadcast()
+	}
 	if gc.leading {
 		gc.mu.Unlock()
 		select {

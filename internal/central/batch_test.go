@@ -202,24 +202,31 @@ func holdLeadership(t *testing.T, srv *Server) *groupCommitter {
 	gc := &tb.gc
 	gc.mu.Lock()
 	gc.leading = true
+	gc.arrived = sync.NewCond(&gc.mu)
 	gc.mu.Unlock()
 	return gc
 }
 
 // awaitQueued waits until at least n ops are queued behind the held
-// leadership.
+// leadership, woken by each arrival, for at most 5 seconds.
 func awaitQueued(t *testing.T, gc *groupCommitter, n int) {
 	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+	expired := false
+	timer := time.AfterFunc(5*time.Second, func() {
 		gc.mu.Lock()
-		got := len(gc.queue)
+		expired = true
 		gc.mu.Unlock()
-		if got >= n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d ops queued", got, n)
-		}
+		gc.arrived.Broadcast()
+	})
+	defer timer.Stop()
+	gc.mu.Lock()
+	for len(gc.queue) < n && !expired {
+		gc.arrived.Wait()
+	}
+	got := len(gc.queue)
+	gc.mu.Unlock()
+	if got < n {
+		t.Fatalf("only %d of %d ops queued", got, n)
 	}
 }
 

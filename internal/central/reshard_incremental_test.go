@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"edgeauth/internal/schema"
 	"edgeauth/internal/wal"
@@ -182,11 +181,16 @@ func TestReshardStallBoundedOnLargeShard(t *testing.T) {
 
 	stop := make(chan struct{})
 	var inserted atomic.Int64
-	var wg sync.WaitGroup
+	// started counts down as each writer commits its first batch (or
+	// gives up), so the split begins under an established write load.
+	var wg, started sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
+		started.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			firstCommit := sync.OnceFunc(started.Done)
+			defer firstCommit()
 			seq := int64(0)
 			for {
 				select {
@@ -211,11 +215,12 @@ func TestReshardStallBoundedOnLargeShard(t *testing.T) {
 					}
 				}
 				inserted.Add(int64(len(batch)))
+				firstCommit()
 			}
 		}(g)
 	}
 
-	time.Sleep(20 * time.Millisecond) // let the write load establish
+	started.Wait()
 	if _, err := srv.SplitShard(ctx, "items", 0, nil); err != nil {
 		t.Fatalf("split under load: %v", err)
 	}

@@ -34,6 +34,33 @@ func TestRebalanceUnderLoad(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
+	// The ingest counts its committed batches, the readers their verified
+	// answers and the edge its refresh ticks. After each transition the
+	// test waits for loadRuns more batches and answers and two more ticks
+	// (the second of which began after the transition), so the load runs
+	// across every transition and the edge follows each, however fast the
+	// host is.
+	const loadRuns = 10
+	var progressMu sync.Mutex
+	progress := sync.NewCond(&progressMu)
+	var batches, answers, ticks, quit int // guarded by progressMu
+	bump := func(n *int) {
+		progressMu.Lock()
+		*n++
+		progressMu.Unlock()
+		progress.Broadcast()
+	}
+	// runLoad waits for that load, or for a load goroutine to give up
+	// (its error fails the test below).
+	runLoad := func() {
+		progressMu.Lock()
+		defer progressMu.Unlock()
+		b, a, r := batches+loadRuns, answers+loadRuns, ticks+2
+		for (batches < b || answers < a || ticks < r) && quit == 0 {
+			progress.Wait()
+		}
+	}
+
 	// Edge refresh loop: a tight propagation tick. Individual tick
 	// errors are tolerated (commits legitimately race the alignment
 	// loop under this load); a broken replica would surface below as a
@@ -47,6 +74,7 @@ func TestRebalanceUnderLoad(t *testing.T) {
 				return
 			case <-time.After(20 * time.Millisecond):
 				d.edge.Refresh(ctx, "items") //nolint:errcheck
+				bump(&ticks)
 			}
 		}
 	}()
@@ -59,6 +87,7 @@ func TestRebalanceUnderLoad(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer bump(&quit)
 		seq := make([]int64, buckets)
 		for i := 0; ; i++ {
 			select {
@@ -85,6 +114,7 @@ func TestRebalanceUnderLoad(t *testing.T) {
 				}
 			}
 			inserted.Add(int64(len(batch)))
+			bump(&batches)
 		}
 	}()
 
@@ -97,6 +127,7 @@ func TestRebalanceUnderLoad(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			defer bump(&quit)
 			for {
 				select {
 				case <-stop:
@@ -124,26 +155,27 @@ func TestRebalanceUnderLoad(t *testing.T) {
 					return
 				}
 				queries.Add(1)
+				bump(&answers)
 			}
 		}(r)
 	}
 
 	// The transitions, spaced so the load runs across each: split the
 	// hot tail shard twice, then merge the (cold) head pair back.
-	time.Sleep(100 * time.Millisecond)
+	runLoad()
 	resp, err := d.central.SplitShard(ctx, "items", 1, nil)
 	if err != nil {
 		t.Fatalf("first split under load: %v", err)
 	}
-	time.Sleep(150 * time.Millisecond)
+	runLoad()
 	if _, err := d.central.SplitShard(ctx, "items", resp.NumShards-1, nil); err != nil {
 		t.Fatalf("second split under load: %v", err)
 	}
-	time.Sleep(150 * time.Millisecond)
+	runLoad()
 	if _, err := d.central.MergeShards(ctx, "items", 0); err != nil {
 		t.Fatalf("merge under load: %v", err)
 	}
-	time.Sleep(150 * time.Millisecond)
+	runLoad()
 
 	close(stop)
 	wg.Wait()

@@ -256,7 +256,9 @@ func (c *Conn) dial(ctx context.Context, gate chan struct{}, first bool) (*sessi
 }
 
 // dialLoop makes up to redialAttempts connect attempts with doubling
-// backoff. It runs outside the Conn mutex.
+// backoff, and stops at the first refusal: a peer that answered the Hello
+// with a typed error gives the same answer to every redial. It runs
+// outside the Conn mutex.
 func (c *Conn) dialLoop(ctx context.Context) (*session, error) {
 	var lastErr error
 	backoff := redialBackoff
@@ -273,13 +275,22 @@ func (c *Conn) dialLoop(ctx context.Context) (*session, error) {
 			return nil, err
 		}
 		s, err := c.dialAndHandshake(ctx)
-		if err != nil {
-			lastErr = err
-			continue
+		if err == nil {
+			return s, nil
 		}
-		return s, nil
+		if lastErr = err; refused(err) {
+			break
+		}
 	}
 	return nil, fmt.Errorf("rpc: dialing %s: %w", c.addr, lastErr)
+}
+
+// refused reports whether err is the peer's typed answer to the Hello —
+// checkHelloResp's refusal or the error frame it carries — rather than a
+// failure to connect or to exchange it, which a redial may cure.
+func refused(err error) bool {
+	var we *wire.WireError
+	return errors.As(err, &we)
 }
 
 // dialAndHandshake makes one connect attempt and negotiates the protocol.
@@ -424,7 +435,8 @@ func (e *errTransport) Unwrap() error { return e.err }
 // the fresh connection — always when the request provably never reached
 // the server, and otherwise only for idempotent requests (a
 // non-idempotent request that was fully written may already have
-// executed).
+// executed). A peer's refusal of the handshake is final: Call returns it
+// without a second dial loop.
 func (c *Conn) Call(ctx context.Context, t wire.MsgType, body []byte, want wire.MsgType, idempotent bool) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -444,6 +456,9 @@ func (c *Conn) Call(ctx context.Context, t wire.MsgType, body []byte, want wire.
 func (c *Conn) callOnce(ctx context.Context, t wire.MsgType, body []byte, want wire.MsgType) ([]byte, error) {
 	s, err := c.take(ctx)
 	if err != nil {
+		if refused(err) {
+			return nil, err
+		}
 		return nil, &errTransport{err: err}
 	}
 	f, err := c.exchange(ctx, s, t, body)

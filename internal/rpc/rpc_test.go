@@ -186,8 +186,7 @@ func TestHandshakeRejectsOtherProtocols(t *testing.T) {
 
 			// A fake server: read the Hello, answer tc.reply, then report
 			// whatever the dialer does next (it must hang up). Each dial
-			// gets the script: the dial loop's attempts, for each of
-			// Call's two.
+			// gets the script, though a refused Call makes only one.
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
@@ -206,12 +205,14 @@ func TestHandshakeRejectsOtherProtocols(t *testing.T) {
 				return err
 			}
 			next := make(chan error, 2*redialAttempts)
+			var accepted atomic.Int64
 			go func() {
 				for {
 					nc, err := ln.Accept()
 					if err != nil {
 						return
 					}
+					accepted.Add(1)
 					next <- script(nc)
 				}
 			}()
@@ -224,6 +225,12 @@ func TestHandshakeRejectsOtherProtocols(t *testing.T) {
 			}
 			if err := <-next; !errors.Is(err, io.EOF) {
 				t.Fatalf("dialer after the refused handshake: %v, want it to hang up", err)
+			}
+			// A refusal is final: no redial, no retry. Every dial the
+			// Call made was answered before it returned, so the count
+			// is complete.
+			if n := accepted.Load(); n != 1 {
+				t.Fatalf("the refusing server was dialled %d times, want 1", n)
 			}
 		})
 	}

@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 
+	"edgeauth/internal/codec"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
 )
@@ -187,109 +188,25 @@ func (m *Map) ShardsForRange(lo, hi *schema.Datum) (first, last int) {
 
 // --- binary codec (the client-side decoder is fuzzed) ---
 
-// encoding helpers (the wire package's primitives, duplicated here so
-// shardmap stays independent of wire and can be imported by it).
-
-func appendU32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	return append(dst,
-		byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func appendStr(dst []byte, s string) []byte {
-	dst = appendU32(dst, uint32(len(s)))
-	return append(dst, s...)
-}
-
-func appendBytes(dst []byte, b []byte) []byte {
-	dst = appendU32(dst, uint32(len(b)))
-	return append(dst, b...)
-}
-
-type reader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *reader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("shardmap: truncated %s at offset %d", what, r.off)
-	}
-}
-
-func (r *reader) u32(what string) uint32 {
-	if r.err != nil || r.off+4 > len(r.data) {
-		r.fail(what)
-		return 0
-	}
-	v := uint32(r.data[r.off])<<24 | uint32(r.data[r.off+1])<<16 | uint32(r.data[r.off+2])<<8 | uint32(r.data[r.off+3])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64(what string) uint64 {
-	hi := r.u32(what)
-	lo := r.u32(what)
-	return uint64(hi)<<32 | uint64(lo)
-}
-
-func (r *reader) str(what string) string {
-	n := int(r.u32(what))
-	if r.err != nil || n < 0 || r.off+n > len(r.data) {
-		r.fail(what)
-		return ""
-	}
-	s := string(r.data[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-func (r *reader) bytes(what string) []byte {
-	n := int(r.u32(what))
-	if r.err != nil || n < 0 || r.off+n > len(r.data) {
-		r.fail(what)
-		return nil
-	}
-	b := make([]byte, n)
-	copy(b, r.data[r.off:r.off+n])
-	r.off += n
-	return b
-}
-
-func (r *reader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.data) {
-		return fmt.Errorf("shardmap: %d trailing bytes", len(r.data)-r.off)
-	}
-	return nil
-}
-
 // Encode serializes the unsigned map payload (the bytes the signature
 // covers).
 func (m *Map) Encode() []byte {
-	out := appendStr(nil, m.Table)
-	out = appendU64(out, m.Epoch)
-	out = appendU64(out, m.MapVersion)
-	out = appendU32(out, m.KeyVersion)
-	out = appendU64(out, uint64(m.SignedAt))
-	out = appendU64(out, m.MapEpoch)
-	out = appendU64(out, m.ParentEpoch)
-	out = appendU32(out, uint32(len(m.Boundaries)))
+	out := codec.AppendStr(nil, m.Table)
+	out = codec.AppendU64(out, m.Epoch)
+	out = codec.AppendU64(out, m.MapVersion)
+	out = codec.AppendU32(out, m.KeyVersion)
+	out = codec.AppendU64(out, uint64(m.SignedAt))
+	out = codec.AppendU64(out, m.MapEpoch)
+	out = codec.AppendU64(out, m.ParentEpoch)
+	out = codec.AppendU32(out, uint32(len(m.Boundaries)))
 	for _, b := range m.Boundaries {
 		out = b.Encode(out)
 	}
-	out = appendU32(out, uint32(len(m.Shards)))
+	out = codec.AppendU32(out, uint32(len(m.Shards)))
 	for _, s := range m.Shards {
-		out = appendBytes(out, s.RootDigest)
-		out = appendU64(out, s.Version)
-		out = appendU64(out, s.ID)
+		out = codec.AppendBytes(out, s.RootDigest)
+		out = codec.AppendU64(out, s.Version)
+		out = codec.AppendU64(out, s.ID)
 	}
 	return out
 }
@@ -298,43 +215,32 @@ func (m *Map) Encode() []byte {
 // untrusted-input decoder: every count is bounded against the input
 // length before allocation, and the decoded map must Validate.
 func Decode(body []byte) (*Map, error) {
-	r := &reader{data: body}
-	m := &Map{Table: r.str("table")}
-	m.Epoch = r.u64("epoch")
-	m.MapVersion = r.u64("map version")
-	m.KeyVersion = r.u32("key version")
-	m.SignedAt = int64(r.u64("signed-at"))
-	m.MapEpoch = r.u64("map epoch")
-	m.ParentEpoch = r.u64("parent epoch")
-	// A boundary takes at least 5 bytes (an empty string datum), a shard
-	// at least 20 (digest length, version, id).
-	if bn := r.u32("boundary count"); r.err == nil && bn > 0 {
-		if uint64(bn)*5 > uint64(len(body)-r.off) {
-			return nil, errors.New("shardmap: implausible boundary count")
-		}
-		m.Boundaries = make([]schema.Datum, bn)
+	r := codec.NewReader("shardmap", body)
+	m := &Map{Table: r.Str("table")}
+	m.Epoch = r.U64("epoch")
+	m.MapVersion = r.U64("map version")
+	m.KeyVersion = r.U32("key version")
+	m.SignedAt = int64(r.U64("signed-at"))
+	m.MapEpoch = r.U64("map epoch")
+	m.ParentEpoch = r.U64("parent epoch")
+	// A boundary takes at least an empty string datum, a shard at least
+	// 20 bytes (digest length, version, id).
+	if n := r.Count("boundary count", schema.MinDatumSize); n > 0 {
+		m.Boundaries = make([]schema.Datum, n)
 		for i := range m.Boundaries {
-			d, used, err := schema.DecodeDatum(r.data[r.off:])
-			if err != nil {
-				return nil, fmt.Errorf("shardmap: boundary %d: %w", i, err)
-			}
-			r.off += used
-			m.Boundaries[i] = d
+			m.Boundaries[i] = r.Datum("boundary")
 		}
 	}
-	if sn := r.u32("shard count"); r.err == nil && sn > 0 {
-		if uint64(sn)*20 > uint64(len(body)-r.off) {
-			return nil, errors.New("shardmap: implausible shard count")
-		}
-		m.Shards = make([]ShardState, sn)
+	if n := r.Count("shard count", 20); n > 0 {
+		m.Shards = make([]ShardState, n)
 		for i := range m.Shards {
 			s := &m.Shards[i]
-			s.RootDigest = r.bytes("root digest")
-			s.Version = r.u64("shard version")
-			s.ID = r.u64("shard id")
+			s.RootDigest = r.Bytes("root digest")
+			s.Version = r.U64("shard version")
+			s.ID = r.U64("shard id")
 		}
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	if err := m.Validate(); err != nil {
@@ -394,18 +300,18 @@ func (s *Signed) Verify(pub *sig.PublicKey) error {
 
 // Encode serializes the signed map (payload + signature).
 func (s *Signed) Encode() []byte {
-	out := appendBytes(nil, s.Map.Encode())
-	return appendBytes(out, s.Sig)
+	out := codec.AppendBytes(nil, s.Map.Encode())
+	return codec.AppendBytes(out, s.Sig)
 }
 
 // DecodeSigned parses a signed map. The payload is decoded (and
 // validated) but NOT signature-checked: callers must Verify against a
 // trusted key before using anything inside.
 func DecodeSigned(body []byte) (*Signed, error) {
-	r := &reader{data: body}
-	payload := r.bytes("map payload")
-	sg := r.bytes("map signature")
-	if err := r.done(); err != nil {
+	r := codec.NewReader("shardmap", body)
+	payload := r.Bytes("map payload")
+	sg := r.Bytes("map signature")
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	m, err := Decode(payload)

@@ -2,10 +2,11 @@ package sig
 
 import (
 	"crypto/ed25519"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
+
+	"edgeauth/internal/codec"
 )
 
 // Wire format of a public key:
@@ -16,120 +17,81 @@ import (
 //
 // The zero word marks the scheme tag. Keys of the retired per-node rsa
 // scheme had no tag (their modulus length stood in its place) and named
-// scheme 0; both are refused.
-//
-// Big-endian throughout, matching the rest of the repository's codecs.
+// scheme 0; both are refused. The primitives are package codec's.
 
 // MarshalBinary encodes the public key for distribution to clients.
 func (p *PublicKey) MarshalBinary() ([]byte, error) {
-	var b8 [8]byte
-	var b4 [4]byte
-	out := make([]byte, 0, 4+8+8+4+1+4+ed25519.PublicKeySize)
-	binary.BigEndian.PutUint32(b4[:], p.Version)
-	out = append(out, b4[:]...)
-	binary.BigEndian.PutUint64(b8[:], uint64(p.NotBefore))
-	out = append(out, b8[:]...)
-	binary.BigEndian.PutUint64(b8[:], uint64(p.NotAfter))
-	out = append(out, b8[:]...)
-	appendBig := func(v *big.Int) {
-		vb := v.Bytes()
-		binary.BigEndian.PutUint32(b4[:], uint32(len(vb)))
-		out = append(out, b4[:]...)
-		out = append(out, vb...)
-	}
 	switch p.Scheme {
 	case SchemeRSAMerkle:
 		if p.N == nil || p.E == nil {
 			return nil, errors.New("sig: cannot marshal incomplete public key")
 		}
-		out = append(out, 0, 0, 0, 0, byte(p.Scheme))
-		appendBig(p.N)
-		appendBig(p.E)
 	case SchemeEd25519:
 		if len(p.Ed) != ed25519.PublicKeySize {
 			return nil, errors.New("sig: cannot marshal incomplete public key")
 		}
-		out = append(out, 0, 0, 0, 0, byte(p.Scheme))
-		binary.BigEndian.PutUint32(b4[:], uint32(len(p.Ed)))
-		out = append(out, b4[:]...)
-		out = append(out, p.Ed...)
 	default:
 		return nil, fmt.Errorf("sig: cannot marshal key with unknown scheme %v", p.Scheme)
 	}
-	return out, nil
+	out := codec.AppendU32(make([]byte, 0, 4+8+8+4+1+4+ed25519.PublicKeySize), p.Version)
+	out = codec.AppendU64(out, uint64(p.NotBefore))
+	out = codec.AppendU64(out, uint64(p.NotAfter))
+	out = codec.AppendU8(codec.AppendU32(out, 0), uint8(p.Scheme))
+	if p.Scheme == SchemeEd25519 {
+		return codec.AppendBytes(out, p.Ed), nil
+	}
+	out = codec.AppendBytes(out, p.N.Bytes())
+	return codec.AppendBytes(out, p.E.Bytes()), nil
 }
 
 // UnmarshalBinary decodes a public key produced by MarshalBinary. Blobs
 // naming a scheme this build does not know are rejected — a client must
-// never guess at a verification algorithm.
+// never guess at a verification algorithm — and so is an RSA modulus or
+// exponent with a leading zero byte, which MarshalBinary never writes: an
+// accepted blob re-encodes as it came.
 func (p *PublicKey) UnmarshalBinary(data []byte) error {
-	const fixed = 4 + 8 + 8
-	if len(data) < fixed+5 {
-		return errors.New("sig: public key blob truncated")
-	}
-	version := binary.BigEndian.Uint32(data[0:4])
-	notBefore := int64(binary.BigEndian.Uint64(data[4:12]))
-	notAfter := int64(binary.BigEndian.Uint64(data[12:20]))
-	off := fixed
-	readBig := func() (*big.Int, error) {
-		if off+4 > len(data) {
-			return nil, errors.New("sig: public key blob truncated")
-		}
-		n := int(binary.BigEndian.Uint32(data[off : off+4]))
-		off += 4
-		if n < 0 || off+n > len(data) {
-			return nil, errors.New("sig: public key blob truncated")
-		}
-		v := new(big.Int).SetBytes(data[off : off+n])
-		off += n
-		return v, nil
-	}
-	if binary.BigEndian.Uint32(data[off:off+4]) != 0 {
-		return errors.New("sig: public key blob has no scheme tag")
-	}
-	scheme := Scheme(data[off+4])
-	off += 5
-	if !scheme.Valid() {
-		return fmt.Errorf("sig: public key blob names unknown scheme %d", uint8(scheme))
-	}
+	r := codec.NewReader("sig", data)
 	decoded := PublicKey{
-		Scheme:    scheme,
-		Version:   version,
-		NotBefore: notBefore,
-		NotAfter:  notAfter,
+		Version:   r.U32("key version"),
+		NotBefore: int64(r.U64("not-before")),
+		NotAfter:  int64(r.U64("not-after")),
 		Counters:  p.Counters,
 	}
-	switch scheme {
+	tag := r.U32("scheme tag")
+	decoded.Scheme = Scheme(r.U8("scheme"))
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if tag != 0 {
+		return errors.New("sig: public key blob has no scheme tag")
+	}
+	switch decoded.Scheme {
 	case SchemeRSAMerkle:
-		n, err := readBig()
-		if err != nil {
+		n, e := r.View("modulus"), r.View("exponent")
+		if err := r.Done(); err != nil {
 			return err
 		}
-		e, err := readBig()
-		if err != nil {
-			return err
+		if len(n) > 0 && n[0] == 0 || len(e) > 0 && e[0] == 0 {
+			return errors.New("sig: modulus or exponent has a leading zero byte")
 		}
-		if n.BitLen() < MinBits {
-			return fmt.Errorf("sig: unmarshaled modulus too small (%d bits)", n.BitLen())
+		decoded.N, decoded.E = new(big.Int).SetBytes(n), new(big.Int).SetBytes(e)
+		if decoded.N.BitLen() < MinBits {
+			return fmt.Errorf("sig: unmarshaled modulus too small (%d bits)", decoded.N.BitLen())
 		}
-		if e.Sign() <= 0 {
+		if decoded.E.Sign() <= 0 {
 			return errors.New("sig: unmarshaled exponent not positive")
 		}
-		decoded.N, decoded.E = n, e
 	case SchemeEd25519:
-		if off+4 > len(data) {
-			return errors.New("sig: public key blob truncated")
+		ed := r.View("ed25519 key")
+		if err := r.Done(); err != nil {
+			return err
 		}
-		n := int(binary.BigEndian.Uint32(data[off : off+4]))
-		off += 4
-		if n != ed25519.PublicKeySize || off+n > len(data) {
+		if len(ed) != ed25519.PublicKeySize {
 			return errors.New("sig: malformed ed25519 public key blob")
 		}
-		decoded.Ed = ed25519.PublicKey(append([]byte(nil), data[off:off+n]...))
-		off += n
-	}
-	if off != len(data) {
-		return fmt.Errorf("sig: %d trailing bytes in public key blob", len(data)-off)
+		decoded.Ed = ed25519.PublicKey(append([]byte(nil), ed...))
+	default:
+		return fmt.Errorf("sig: public key blob names unknown scheme %d", uint8(decoded.Scheme))
 	}
 	*p = decoded
 	return nil

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"edgeauth/internal/codec"
 	"edgeauth/internal/digest"
 )
 
@@ -229,12 +230,24 @@ func TestPublicKeyMarshalRoundTrip(t *testing.T) {
 
 func TestPublicKeyUnmarshalRejectsCorrupt(t *testing.T) {
 	k := testKey(t)
-	blob, _ := k.Public().MarshalBinary()
+	pub := k.Public()
+	blob, _ := pub.MarshalBinary()
+	// keyBlob is blob's 25-byte header ahead of the given N and E.
+	keyBlob := func(n, e []byte) []byte {
+		return codec.AppendBytes(codec.AppendBytes(append([]byte(nil), blob[:25]...), n), e)
+	}
 	cases := map[string][]byte{
 		"empty":     {},
 		"truncated": blob[:10],
 		"cut N":     blob[:25],
 		"trailing":  append(append([]byte{}, blob...), 0xAA),
+		// The same key with one leading zero byte on N or E: it would
+		// re-encode a byte shorter.
+		"leading zero on N": keyBlob(append([]byte{0}, pub.N.Bytes()...), pub.E.Bytes()),
+		"leading zero on E": keyBlob(pub.N.Bytes(), append([]byte{0}, pub.E.Bytes()...)),
+	}
+	if !bytes.Equal(keyBlob(pub.N.Bytes(), pub.E.Bytes()), blob) {
+		t.Fatal("keyBlob does not rebuild the honest blob")
 	}
 	for name, b := range cases {
 		t.Run(name, func(t *testing.T) {

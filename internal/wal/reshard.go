@@ -1,10 +1,7 @@
 package wal
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-
+	"edgeauth/internal/codec"
 	"edgeauth/internal/schema"
 )
 
@@ -35,96 +32,51 @@ type ReshardOp struct {
 
 // EncodeReshardPayload serializes a transition record.
 func EncodeReshardPayload(op *ReshardOp) []byte {
-	var out []byte
-	if op.Split {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
-	}
-	var u4 [4]byte
-	var u8 [8]byte
-	binary.BigEndian.PutUint32(u4[:], op.Shard)
-	out = append(out, u4[:]...)
-	if op.Boundary != nil {
-		out = append(out, 1)
-		out = op.Boundary.Encode(out)
-	} else {
-		out = append(out, 0)
-	}
-	for _, ids := range [][]uint64{op.RetiredIDs, op.NewIDs} {
-		binary.BigEndian.PutUint32(u4[:], uint32(len(ids)))
-		out = append(out, u4[:]...)
-		for _, id := range ids {
-			binary.BigEndian.PutUint64(u8[:], id)
-			out = append(out, u8[:]...)
-		}
-	}
-	binary.BigEndian.PutUint64(u8[:], op.MapEpoch)
-	out = append(out, u8[:]...)
-	binary.BigEndian.PutUint64(u8[:], op.ParentEpoch)
-	out = append(out, u8[:]...)
-	return out
+	out := codec.AppendFlag(nil, op.Split)
+	out = codec.AppendU32(out, op.Shard)
+	out = appendBound(out, op.Boundary)
+	out = appendIDs(out, op.RetiredIDs)
+	out = appendIDs(out, op.NewIDs)
+	out = codec.AppendU64(out, op.MapEpoch)
+	return codec.AppendU64(out, op.ParentEpoch)
 }
 
 // DecodeReshardPayload parses a payload written by EncodeReshardPayload.
 func DecodeReshardPayload(payload []byte) (*ReshardOp, error) {
-	op := &ReshardOp{}
-	off := 0
-	need := func(n int) bool { return off+n <= len(payload) }
-	if !need(5) {
-		return nil, errors.New("wal: truncated reshard payload")
-	}
-	if payload[off] > 1 {
-		return nil, fmt.Errorf("wal: reshard split byte %d", payload[off])
-	}
-	op.Split = payload[off] == 1
-	off++
-	op.Shard = binary.BigEndian.Uint32(payload[off:])
-	off += 4
-	if !need(1) {
-		return nil, errors.New("wal: truncated reshard payload")
-	}
-	if payload[off] > 1 {
-		return nil, fmt.Errorf("wal: reshard boundary presence byte %d", payload[off])
-	}
-	hasBoundary := payload[off] == 1
-	off++
-	if hasBoundary {
-		d, used, err := schema.DecodeDatum(payload[off:])
-		if err != nil {
-			return nil, fmt.Errorf("wal: reshard boundary: %w", err)
-		}
-		off += used
-		op.Boundary = &d
-	}
-	for _, dst := range []*[]uint64{&op.RetiredIDs, &op.NewIDs} {
-		if !need(4) {
-			return nil, errors.New("wal: truncated reshard payload")
-		}
-		n := int(binary.BigEndian.Uint32(payload[off:]))
-		off += 4
-		if n < 0 || n > len(payload) {
-			return nil, fmt.Errorf("wal: implausible reshard ID count %d", n)
-		}
-		for i := 0; i < n; i++ {
-			if !need(8) {
-				return nil, errors.New("wal: truncated reshard payload")
-			}
-			*dst = append(*dst, binary.BigEndian.Uint64(payload[off:]))
-			off += 8
-		}
-	}
-	if !need(16) {
-		return nil, errors.New("wal: truncated reshard payload")
-	}
-	op.MapEpoch = binary.BigEndian.Uint64(payload[off:])
-	off += 8
-	op.ParentEpoch = binary.BigEndian.Uint64(payload[off:])
-	off += 8
-	if off != len(payload) {
-		return nil, errors.New("wal: trailing bytes in reshard payload")
+	r := codec.NewReader("wal", payload)
+	op := &ReshardOp{Split: r.Flag("reshard split flag")}
+	op.Shard = r.U32("reshard shard")
+	op.Boundary = readBound(&r)
+	op.RetiredIDs = readIDs(&r, "retired ID count")
+	op.NewIDs = readIDs(&r, "new ID count")
+	op.MapEpoch = r.U64("map epoch")
+	op.ParentEpoch = r.U64("parent epoch")
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return op, nil
+}
+
+// appendIDs appends a u32 count, then each shard ID.
+func appendIDs(out []byte, ids []uint64) []byte {
+	out = codec.AppendU32(out, uint32(len(ids)))
+	for _, id := range ids {
+		out = codec.AppendU64(out, id)
+	}
+	return out
+}
+
+// readIDs reads what appendIDs wrote: nil for none.
+func readIDs(r *codec.Reader, what string) []uint64 {
+	n := r.Count(what, 8)
+	if n == 0 {
+		return nil
+	}
+	ids := make([]uint64, n)
+	for i := range ids {
+		ids[i] = r.U64("shard ID")
+	}
+	return ids
 }
 
 // PartitionCheckpoint is the typed payload of a RecCheckpoint record in
@@ -147,21 +99,10 @@ type PartitionCheckpoint struct {
 
 // EncodePartitionCheckpoint serializes a checkpoint payload.
 func EncodePartitionCheckpoint(cp *PartitionCheckpoint) []byte {
-	var out []byte
-	var u4 [4]byte
-	var u8 [8]byte
-	binary.BigEndian.PutUint64(u8[:], cp.MapEpoch)
-	out = append(out, u8[:]...)
-	binary.BigEndian.PutUint64(u8[:], cp.NextShardID)
-	out = append(out, u8[:]...)
-	binary.BigEndian.PutUint32(u4[:], uint32(len(cp.ShardIDs)))
-	out = append(out, u4[:]...)
-	for _, id := range cp.ShardIDs {
-		binary.BigEndian.PutUint64(u8[:], id)
-		out = append(out, u8[:]...)
-	}
-	binary.BigEndian.PutUint32(u4[:], uint32(len(cp.Boundaries)))
-	out = append(out, u4[:]...)
+	out := codec.AppendU64(nil, cp.MapEpoch)
+	out = codec.AppendU64(out, cp.NextShardID)
+	out = appendIDs(out, cp.ShardIDs)
+	out = codec.AppendU32(out, uint32(len(cp.Boundaries)))
 	for i := range cp.Boundaries {
 		out = cp.Boundaries[i].Encode(out)
 	}
@@ -171,49 +112,18 @@ func EncodePartitionCheckpoint(cp *PartitionCheckpoint) []byte {
 // DecodePartitionCheckpoint parses a payload written by
 // EncodePartitionCheckpoint.
 func DecodePartitionCheckpoint(payload []byte) (*PartitionCheckpoint, error) {
-	cp := &PartitionCheckpoint{}
-	off := 0
-	need := func(n int) bool { return off+n <= len(payload) }
-	if !need(16) {
-		return nil, errors.New("wal: truncated partition checkpoint")
-	}
-	cp.MapEpoch = binary.BigEndian.Uint64(payload[off:])
-	off += 8
-	cp.NextShardID = binary.BigEndian.Uint64(payload[off:])
-	off += 8
-	if !need(4) {
-		return nil, errors.New("wal: truncated partition checkpoint")
-	}
-	n := int(binary.BigEndian.Uint32(payload[off:]))
-	off += 4
-	if n < 0 || n > len(payload) {
-		return nil, fmt.Errorf("wal: implausible checkpoint shard count %d", n)
-	}
-	for i := 0; i < n; i++ {
-		if !need(8) {
-			return nil, errors.New("wal: truncated partition checkpoint")
+	r := codec.NewReader("wal", payload)
+	cp := &PartitionCheckpoint{MapEpoch: r.U64("checkpoint map epoch")}
+	cp.NextShardID = r.U64("next shard ID")
+	cp.ShardIDs = readIDs(&r, "checkpoint shard count")
+	if n := r.Count("checkpoint boundary count", schema.MinDatumSize); n > 0 {
+		cp.Boundaries = make([]schema.Datum, n)
+		for i := range cp.Boundaries {
+			cp.Boundaries[i] = r.Datum("checkpoint boundary")
 		}
-		cp.ShardIDs = append(cp.ShardIDs, binary.BigEndian.Uint64(payload[off:]))
-		off += 8
 	}
-	if !need(4) {
-		return nil, errors.New("wal: truncated partition checkpoint")
-	}
-	nb := int(binary.BigEndian.Uint32(payload[off:]))
-	off += 4
-	if nb < 0 || nb > len(payload) {
-		return nil, fmt.Errorf("wal: implausible checkpoint boundary count %d", nb)
-	}
-	for i := 0; i < nb; i++ {
-		d, used, err := schema.DecodeDatum(payload[off:])
-		if err != nil {
-			return nil, fmt.Errorf("wal: checkpoint boundary %d: %w", i, err)
-		}
-		off += used
-		cp.Boundaries = append(cp.Boundaries, d)
-	}
-	if off != len(payload) {
-		return nil, errors.New("wal: trailing bytes in partition checkpoint")
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return cp, nil
 }

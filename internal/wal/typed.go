@@ -1,10 +1,9 @@
 package wal
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 
+	"edgeauth/internal/codec"
 	"edgeauth/internal/schema"
 )
 
@@ -34,8 +33,7 @@ type Op struct {
 // EncodeBatchPayload serializes a group-committed insert batch:
 // u32 count, then each tuple's encoding.
 func EncodeBatchPayload(tuples []schema.Tuple) []byte {
-	out := make([]byte, 4)
-	binary.BigEndian.PutUint32(out, uint32(len(tuples)))
+	out := codec.AppendU32(nil, uint32(len(tuples)))
 	for _, tup := range tuples {
 		out = tup.Encode(out)
 	}
@@ -44,71 +42,49 @@ func EncodeBatchPayload(tuples []schema.Tuple) []byte {
 
 // DecodeBatchPayload parses a payload written by EncodeBatchPayload.
 func DecodeBatchPayload(payload []byte) ([]schema.Tuple, error) {
-	if len(payload) < 4 {
-		return nil, errors.New("wal: truncated batch payload")
+	r := codec.NewReader("wal", payload)
+	n := r.Count("batch count", codec.MinTuple)
+	tuples := make([]schema.Tuple, 0, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		tuples = append(tuples, r.Tuple("batch tuple"))
 	}
-	count := int(binary.BigEndian.Uint32(payload))
-	if count < 0 || count > len(payload) {
-		return nil, fmt.Errorf("wal: implausible batch count %d", count)
-	}
-	off := 4
-	tuples := make([]schema.Tuple, 0, count)
-	for i := 0; i < count; i++ {
-		tup, used, err := schema.DecodeTuple(payload[off:])
-		if err != nil {
-			return nil, fmt.Errorf("wal: batch tuple %d: %w", i, err)
-		}
-		off += used
-		tuples = append(tuples, tup)
-	}
-	if off != len(payload) {
-		return nil, errors.New("wal: trailing bytes in batch payload")
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return tuples, nil
 }
 
-// EncodeDeletePayload serializes a key-range delete's payload:
-// presence byte + datum for each bound.
+// EncodeDeletePayload serializes a key-range delete's payload: a
+// presence flag, then the datum if present, for each bound.
 func EncodeDeletePayload(lo, hi *schema.Datum) []byte {
-	var out []byte
-	for _, d := range []*schema.Datum{lo, hi} {
-		if d != nil {
-			out = append(out, 1)
-			out = d.Encode(out)
-		} else {
-			out = append(out, 0)
-		}
-	}
-	return out
+	return appendBound(appendBound(nil, lo), hi)
 }
 
 // DecodeDeletePayload parses a payload written by EncodeDeletePayload.
 func DecodeDeletePayload(payload []byte) (lo, hi *schema.Datum, err error) {
-	off := 0
-	bounds := [2]*schema.Datum{}
-	for i := range bounds {
-		if off >= len(payload) {
-			return nil, nil, errors.New("wal: truncated delete payload")
-		}
-		present := payload[off]
-		off++
-		if present > 1 {
-			return nil, nil, fmt.Errorf("wal: delete bound %d presence byte %d", i, present)
-		}
-		if present == 0 {
-			continue
-		}
-		d, used, err := schema.DecodeDatum(payload[off:])
-		if err != nil {
-			return nil, nil, fmt.Errorf("wal: delete bound %d: %w", i, err)
-		}
-		off += used
-		bounds[i] = &d
+	r := codec.NewReader("wal", payload)
+	lo, hi = readBound(&r), readBound(&r)
+	if err := r.Done(); err != nil {
+		return nil, nil, err
 	}
-	if off != len(payload) {
-		return nil, nil, errors.New("wal: trailing bytes in delete payload")
+	return lo, hi, nil
+}
+
+// appendBound appends an optional datum: a presence flag, then d.
+func appendBound(out []byte, d *schema.Datum) []byte {
+	if out = codec.AppendFlag(out, d != nil); d != nil {
+		out = d.Encode(out)
 	}
-	return bounds[0], bounds[1], nil
+	return out
+}
+
+// readBound reads what appendBound wrote.
+func readBound(r *codec.Reader) *schema.Datum {
+	if !r.Flag("bound flag") {
+		return nil
+	}
+	d := r.Datum("bound")
+	return &d
 }
 
 // ParseOp decodes a record into its logical operation. Checkpoint records

@@ -7,9 +7,10 @@
 //
 //	crc32(4) | length(4) | lsn(8) | type(1) | payload
 //
-// where crc32 covers everything after itself. Replay stops cleanly at the
-// first torn or corrupt record, which is the expected state after a crash
-// during Append.
+// where crc32 covers everything after itself, and the typed payloads
+// (typed.go, reshard.go) are written in package codec's primitive format.
+// Replay stops cleanly at the first torn or corrupt record, which is the
+// expected state after a crash during Append.
 package wal
 
 import (

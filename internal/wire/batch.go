@@ -1,9 +1,9 @@
 package wire
 
 import (
-	"errors"
 	"fmt"
 
+	"edgeauth/internal/codec"
 	"edgeauth/internal/schema"
 )
 
@@ -25,8 +25,8 @@ type BatchRequest struct {
 
 // Encode serializes the request.
 func (b *BatchRequest) Encode() []byte {
-	out := appendStr(nil, b.Table)
-	out = appendU32(out, uint32(len(b.Tuples)))
+	out := codec.AppendStr(nil, b.Table)
+	out = codec.AppendU32(out, uint32(len(b.Tuples)))
 	for _, tup := range b.Tuples {
 		out = tup.Encode(out)
 	}
@@ -36,26 +36,14 @@ func (b *BatchRequest) Encode() []byte {
 // DecodeBatchRequest parses a BatchRequest. It is the central server's
 // only insert decoder, and its input comes from any client.
 func DecodeBatchRequest(body []byte) (*BatchRequest, error) {
-	r := &reader{data: body}
-	b := &BatchRequest{Table: r.str("table")}
-	n := uint64(r.u32("tuple count"))
-	if r.err != nil {
-		return nil, r.err
-	}
-	// A tuple takes at least its 2-byte value count.
-	if n*2 > uint64(len(body)-r.off) {
-		return nil, errors.New("wire: implausible batch tuple count")
-	}
+	r := codec.NewReader("wire", body)
+	b := &BatchRequest{Table: r.Str("table")}
+	n := r.Count("batch tuple count", codec.MinTuple)
 	b.Tuples = make([]schema.Tuple, 0, n)
-	for i := 0; i < int(n); i++ {
-		tup, used, err := schema.DecodeTuple(body[r.off:])
-		if err != nil {
-			return nil, fmt.Errorf("wire: batch tuple %d: %w", i, err)
-		}
-		r.off += used
-		b.Tuples = append(b.Tuples, tup)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		b.Tuples = append(b.Tuples, r.Tuple("batch tuple"))
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return b, nil
@@ -86,49 +74,35 @@ type BatchResponse struct {
 
 // Encode serializes the response.
 func (b *BatchResponse) Encode() []byte {
-	out := appendU32(nil, uint32(len(b.Results)))
+	out := codec.AppendU32(nil, uint32(len(b.Results)))
 	for _, res := range b.Results {
-		if res.OK {
-			out = appendU8(out, 1)
+		if out = codec.AppendFlag(out, res.OK); res.OK {
 			continue
 		}
-		out = appendU8(out, 0)
-		out = appendU32(out, uint32(res.Code))
-		out = appendStr(out, res.Msg)
+		out = codec.AppendU32(out, uint32(res.Code))
+		out = codec.AppendStr(out, res.Msg)
 	}
 	return out
 }
 
 // DecodeBatchResponse parses a BatchResponse.
 func DecodeBatchResponse(body []byte) (*BatchResponse, error) {
-	r := &reader{data: body}
-	n := int(r.u32("result count"))
-	if r.err != nil {
-		return nil, r.err
-	}
-	if n > len(body) {
-		return nil, errors.New("wire: implausible batch result count")
-	}
+	r := codec.NewReader("wire", body)
+	// A result takes at least its ok flag.
+	n := r.Count("batch result count", 1)
 	b := &BatchResponse{Results: make([]BatchOpResult, 0, n)}
-	for i := 0; i < n && r.err == nil; i++ {
-		switch flag := r.u8("op ok flag"); flag {
-		case 1:
+	for i := 0; i < n && r.Err() == nil; i++ {
+		if r.Flag("op ok flag") {
 			b.Results = append(b.Results, BatchOpResult{OK: true})
-		case 0:
-			code := r.u32("op error code")
-			if r.err == nil && code > 0xFFFF {
-				return nil, fmt.Errorf("wire: batch result %d has error code %d out of range", i, code)
-			}
-			res := BatchOpResult{Code: ErrCode(code)}
-			res.Msg = r.str("op error message")
-			b.Results = append(b.Results, res)
-		default:
-			if r.err == nil {
-				return nil, fmt.Errorf("wire: batch result %d has flag %d", i, flag)
-			}
+			continue
 		}
+		code := r.U32("op error code")
+		if code > 0xFFFF {
+			return nil, fmt.Errorf("wire: batch result %d has error code %d out of range", i, code)
+		}
+		b.Results = append(b.Results, BatchOpResult{Code: ErrCode(code), Msg: r.Str("op error message")})
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return b, nil

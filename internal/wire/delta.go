@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"edgeauth/internal/codec"
 	"edgeauth/internal/sig"
 	"edgeauth/internal/storage"
 )
@@ -68,26 +69,22 @@ func (d *Delta) coreSize() int {
 
 // appendHeader appends the fields in front of the changed pages.
 func (d *Delta) appendHeader(out []byte) []byte {
-	out = appendStr(out, d.Table)
-	out = appendU64(out, d.FromVersion)
-	out = appendU64(out, d.ToVersion)
-	out = appendU64(out, d.Epoch)
-	if d.SnapshotNeeded {
-		out = appendU8(out, 1)
-	} else {
-		out = appendU8(out, 0)
-	}
-	out = appendU32(out, uint32(d.Root))
-	out = appendU32(out, d.Height)
-	out = appendBytes(out, d.RootSig)
-	out = appendU32(out, uint32(len(d.HeapPages)))
+	out = codec.AppendStr(out, d.Table)
+	out = codec.AppendU64(out, d.FromVersion)
+	out = codec.AppendU64(out, d.ToVersion)
+	out = codec.AppendU64(out, d.Epoch)
+	out = codec.AppendFlag(out, d.SnapshotNeeded)
+	out = codec.AppendU32(out, uint32(d.Root))
+	out = codec.AppendU32(out, d.Height)
+	out = codec.AppendBytes(out, d.RootSig)
+	out = codec.AppendU32(out, uint32(len(d.HeapPages)))
 	for _, p := range d.HeapPages {
-		out = appendU32(out, uint32(p))
+		out = codec.AppendU32(out, uint32(p))
 	}
-	out = appendU32(out, d.NumPages)
-	out = appendU32(out, d.KeyVersion)
-	out = appendU8(out, d.Scheme)
-	return appendU32(out, uint32(len(d.PageIDs)))
+	out = codec.AppendU32(out, d.NumPages)
+	out = codec.AppendU32(out, d.KeyVersion)
+	out = codec.AppendU8(out, d.Scheme)
+	return codec.AppendU32(out, uint32(len(d.PageIDs)))
 }
 
 // appendCore appends everything except the trailing signature — the
@@ -95,8 +92,8 @@ func (d *Delta) appendHeader(out []byte) []byte {
 func (d *Delta) appendCore(out []byte) []byte {
 	out = d.appendHeader(out)
 	for i, id := range d.PageIDs {
-		out = appendU32(out, uint32(id))
-		out = appendBytes(out, d.PageData[i])
+		out = codec.AppendU32(out, uint32(id))
+		out = codec.AppendBytes(out, d.PageData[i])
 	}
 	return out
 }
@@ -124,7 +121,7 @@ func (d *Delta) SigPayloadOfBody(body []byte) ([]byte, error) {
 // exactly its size.
 func (d *Delta) Encode() []byte {
 	out := d.appendCore(make([]byte, 0, d.coreSize()+4+len(d.Sig)))
-	return appendBytes(out, d.Sig)
+	return codec.AppendBytes(out, d.Sig)
 }
 
 // DeltaSigner is the central server's signing key as AppendSigned uses
@@ -162,8 +159,8 @@ func (d *Delta) AppendSigned(dst []byte, pages storage.PageReader, key DeltaSign
 		if len(page) != pageSize {
 			return nil, fmt.Errorf("wire: page %d has %d bytes, want %d", id, len(page), pageSize)
 		}
-		dst = appendU32(dst, uint32(id))
-		dst = appendBytes(dst, page)
+		dst = codec.AppendU32(dst, uint32(id))
+		dst = codec.AppendBytes(dst, page)
 		d.PageData[i] = dst[len(dst)-pageSize : len(dst) : len(dst)]
 	}
 	sum := sha256.Sum256(dst[start:])
@@ -172,7 +169,7 @@ func (d *Delta) AppendSigned(dst []byte, pages storage.PageReader, key DeltaSign
 		return nil, err
 	}
 	d.Sig = sg
-	return appendBytes(dst, sg), nil
+	return codec.AppendBytes(dst, sg), nil
 }
 
 // DecodeDelta parses a Delta. The page contents are views of body, which
@@ -182,49 +179,38 @@ func (d *Delta) AppendSigned(dst []byte, pages storage.PageReader, key DeltaSign
 // so a body cannot make the decoder reserve more than a small multiple of
 // its own length.
 func DecodeDelta(body []byte) (*Delta, error) {
-	r := &reader{data: body}
-	d := &Delta{Table: r.str("table")}
-	d.FromVersion = r.u64("from version")
-	d.ToVersion = r.u64("to version")
-	d.Epoch = r.u64("epoch")
-	flag := r.u8("snapshot-needed flag")
-	if r.err == nil && flag > 1 {
-		// One encoding per delta: an accepted body re-encodes to itself.
-		return nil, errors.New("wire: snapshot-needed flag is neither 0 nor 1")
-	}
-	d.SnapshotNeeded = flag == 1
-	d.Root = storage.PageID(r.u32("root"))
-	d.Height = r.u32("height")
-	d.RootSig = r.bytes("root sig")
+	r := codec.NewReader("wire", body)
+	d := &Delta{Table: r.Str("table")}
+	d.FromVersion = r.U64("from version")
+	d.ToVersion = r.U64("to version")
+	d.Epoch = r.U64("epoch")
+	d.SnapshotNeeded = r.Flag("snapshot-needed flag")
+	d.Root = storage.PageID(r.U32("root"))
+	d.Height = r.U32("height")
+	d.RootSig = r.Bytes("root sig")
 	// A heap page takes 4 bytes, a changed page at least 8 (id, length).
-	if hn := r.u32("heap page count"); r.err == nil && hn > 0 {
-		if uint64(hn)*4 > uint64(len(body)-r.off) {
-			return nil, errors.New("wire: implausible heap page count")
-		}
+	if hn := r.Count("heap page count", 4); hn > 0 {
 		d.HeapPages = make([]storage.PageID, hn)
 		for i := range d.HeapPages {
-			d.HeapPages[i] = storage.PageID(r.u32("heap page"))
+			d.HeapPages[i] = storage.PageID(r.U32("heap page"))
 		}
 	}
-	d.NumPages = r.u32("page count after ops")
-	d.KeyVersion = r.u32("key version")
-	d.Scheme = r.u8("signature scheme")
-	if r.err == nil && !d.SnapshotNeeded && !sig.Scheme(d.Scheme).Valid() {
+	d.NumPages = r.U32("page count after ops")
+	d.KeyVersion = r.U32("key version")
+	d.Scheme = r.U8("signature scheme")
+	if r.Err() == nil && !d.SnapshotNeeded && !sig.Scheme(d.Scheme).Valid() {
 		return nil, fmt.Errorf("wire: delta names unknown signature scheme %d", d.Scheme)
 	}
-	if pn := r.u32("changed page count"); r.err == nil && pn > 0 {
-		if uint64(pn)*8 > uint64(len(body)-r.off) {
-			return nil, errors.New("wire: implausible changed page count")
-		}
+	if pn := r.Count("changed page count", 8); pn > 0 {
 		d.PageIDs = make([]storage.PageID, pn)
 		d.PageData = make([][]byte, pn)
 		for i := range d.PageIDs {
-			d.PageIDs[i] = storage.PageID(r.u32("page id"))
-			d.PageData[i] = r.view("page data")
+			d.PageIDs[i] = storage.PageID(r.U32("page id"))
+			d.PageData[i] = r.View("page data")
 		}
 	}
-	d.Sig = r.bytes("delta sig")
-	if err := r.done(); err != nil {
+	d.Sig = r.Bytes("delta sig")
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return d, nil

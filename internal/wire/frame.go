@@ -36,6 +36,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"edgeauth/internal/codec"
 )
 
 // ProtocolVersion is the one protocol version this build speaks; the Hello
@@ -72,14 +74,14 @@ const ProtocolVersion = 10
 
 // EncodeHello builds a Hello (or HelloResp) body: the sender's protocol
 // version.
-func EncodeHello(version uint32) []byte { return appendU32(nil, version) }
+func EncodeHello(version uint32) []byte { return codec.AppendU32(nil, version) }
 
 // DecodeHello parses a Hello (or HelloResp) body: exactly one non-zero
 // version word.
 func DecodeHello(body []byte) (uint32, error) {
-	r := &reader{data: body}
-	version := r.u32("protocol version")
-	if err := r.done(); err != nil {
+	r := codec.NewReader("wire", body)
+	version := r.U32("protocol version")
+	if err := r.Done(); err != nil {
 		return 0, err
 	}
 	if version == 0 {
@@ -261,21 +263,21 @@ func (e *WireError) Is(target error) bool {
 
 // Encode serializes the error body.
 func (e *WireError) Encode() []byte {
-	out := appendU32(nil, uint32(e.Code))
-	out = appendStr(out, e.Table)
-	return appendStr(out, e.Msg)
+	out := codec.AppendU32(nil, uint32(e.Code))
+	out = codec.AppendStr(out, e.Table)
+	return codec.AppendStr(out, e.Msg)
 }
 
 // DecodeWireError parses an error frame body. Malformed bodies (a code
 // past ErrCode's range too) decode to CodeInternal with the raw bytes as
 // the message, so a broken peer still yields a usable error.
 func DecodeWireError(body []byte) *WireError {
-	r := &reader{data: body}
-	code := r.u32("error code")
+	r := codec.NewReader("wire", body)
+	code := r.U32("error code")
 	e := &WireError{Code: ErrCode(code)}
-	e.Table = r.str("error table")
-	e.Msg = r.str("error message")
-	if r.done() != nil || code > math.MaxUint16 {
+	e.Table = r.Str("error table")
+	e.Msg = r.Str("error message")
+	if r.Done() != nil || code > math.MaxUint16 {
 		return &WireError{Code: CodeInternal, Msg: string(body)}
 	}
 	return e

@@ -1,9 +1,9 @@
 package wire
 
 import (
-	"errors"
 	"fmt"
 
+	"edgeauth/internal/codec"
 	"edgeauth/internal/digest"
 	"edgeauth/internal/query"
 	"edgeauth/internal/schema"
@@ -23,21 +23,20 @@ type QueryRequest struct {
 
 // Encode serializes the request.
 func (q *QueryRequest) Encode() []byte {
-	out := appendStr(nil, q.Table)
-	out = appendU32(out, uint32(len(q.Predicates)))
+	out := codec.AppendStr(nil, q.Table)
+	out = codec.AppendU32(out, uint32(len(q.Predicates)))
 	for _, p := range q.Predicates {
-		out = appendStr(out, p.Column)
-		out = appendU8(out, uint8(p.Op))
+		out = codec.AppendStr(out, p.Column)
+		out = codec.AppendU8(out, uint8(p.Op))
 		out = p.Value.Encode(out)
 	}
 	if q.ProjectAll || q.Project == nil {
-		out = appendU8(out, 1)
-		return out
+		return codec.AppendFlag(out, true)
 	}
-	out = appendU8(out, 0)
-	out = appendU32(out, uint32(len(q.Project)))
+	out = codec.AppendFlag(out, false)
+	out = codec.AppendU32(out, uint32(len(q.Project)))
 	for _, c := range q.Project {
-		out = appendStr(out, c)
+		out = codec.AppendStr(out, c)
 	}
 	return out
 }
@@ -54,40 +53,25 @@ const (
 // the bytes left over its entries' smallest encoding before its slice is
 // made, once.
 func DecodeQueryRequest(body []byte) (*QueryRequest, error) {
-	r := &reader{data: body}
-	q := &QueryRequest{Table: r.str("table")}
-	n := int(r.u32("predicate count"))
-	if r.err == nil && n > (len(body)-r.off)/minPredicateSize {
-		return nil, errors.New("wire: implausible predicate count")
-	}
-	if n > 0 {
+	r := codec.NewReader("wire", body)
+	q := &QueryRequest{Table: r.Str("table")}
+	if n := r.Count("predicate count", minPredicateSize); n > 0 {
 		q.Predicates = make([]query.Predicate, 0, n)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			col := r.Str("predicate column")
+			op := query.Op(r.U8("predicate op"))
+			q.Predicates = append(q.Predicates, query.Predicate{Column: col, Op: op, Value: r.Datum("predicate literal")})
+		}
 	}
-	for i := 0; i < n && r.err == nil; i++ {
-		col := r.str("predicate column")
-		op := query.Op(r.u8("predicate op"))
-		if r.err != nil {
-			break
-		}
-		d, used, err := schema.DecodeDatum(r.data[r.off:])
-		if err != nil {
-			return nil, fmt.Errorf("wire: predicate %d literal: %w", i, err)
-		}
-		r.off += used
-		q.Predicates = append(q.Predicates, query.Predicate{Column: col, Op: op, Value: d})
-	}
-	if q.ProjectAll = r.flag("projection flag"); !q.ProjectAll && r.err == nil {
-		pn := int(r.u32("projection count"))
-		if r.err == nil && pn > (len(body)-r.off)/minStringSize {
-			return nil, errors.New("wire: implausible projection count")
-		}
+	if q.ProjectAll = r.Flag("projection flag"); !q.ProjectAll && r.Err() == nil {
+		pn := r.Count("projection count", minStringSize)
 		// Not nil even when empty: an empty projection is not SELECT *.
 		q.Project = make([]string, 0, pn)
-		for i := 0; i < pn && r.err == nil; i++ {
-			q.Project = append(q.Project, r.str("projection column"))
+		for i := 0; i < pn && r.Err() == nil; i++ {
+			q.Project = append(q.Project, r.Str("projection column"))
 		}
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return q, nil
@@ -192,48 +176,45 @@ func AccParamsFrom(*digest.Accumulator) AccParams { return AccParams{} }
 
 // EncodeSchema serializes a schema.
 func EncodeSchema(s *schema.Schema) []byte {
-	out := appendStr(nil, s.DB)
-	out = appendStr(out, s.Table)
-	out = appendU32(out, uint32(len(s.Columns)))
+	out := codec.AppendStr(nil, s.DB)
+	out = codec.AppendStr(out, s.Table)
+	out = codec.AppendU32(out, uint32(len(s.Columns)))
 	for _, c := range s.Columns {
-		out = appendStr(out, c.Name)
-		out = appendU8(out, uint8(c.Type))
+		out = codec.AppendStr(out, c.Name)
+		out = codec.AppendU8(out, uint8(c.Type))
 	}
-	out = appendU32(out, uint32(s.Key))
+	out = codec.AppendU32(out, uint32(s.Key))
 	return out
 }
 
 // DecodeSchema parses a schema and validates it.
 func DecodeSchema(body []byte) (*schema.Schema, error) {
-	r := &reader{data: body}
-	s, err := decodeSchemaAt(r)
+	r := codec.NewReader("wire", body)
+	s, err := decodeSchemaAt(&r)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-func decodeSchemaAt(r *reader) (*schema.Schema, error) {
-	s := &schema.Schema{DB: r.str("db"), Table: r.str("table")}
+func decodeSchemaAt(r *codec.Reader) (*schema.Schema, error) {
+	s := &schema.Schema{DB: r.Str("db"), Table: r.Str("table")}
 	// A column takes at least 5 bytes (name length, type).
-	n := r.u32("column count")
-	if r.err == nil && uint64(n)*5 > uint64(len(r.data)-r.off) {
-		return nil, errors.New("wire: implausible column count")
-	}
-	if r.err == nil && n > 0 {
+	n := r.Count("column count", 5)
+	if n > 0 {
 		s.Columns = make([]schema.Column, 0, n)
 	}
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		name := r.str("column name")
-		typ := schema.Type(r.u8("column type"))
+	for i := 0; i < n && r.Err() == nil; i++ {
+		name := r.Str("column name")
+		typ := schema.Type(r.U8("column type"))
 		s.Columns = append(s.Columns, schema.Column{Name: name, Type: typ})
 	}
-	s.Key = int(r.u32("key index"))
-	if r.err != nil {
-		return nil, r.err
+	s.Key = int(r.U32("key index"))
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -243,72 +224,66 @@ func decodeSchemaAt(r *reader) (*schema.Schema, error) {
 
 // Encode serializes the snapshot.
 func (s *Snapshot) Encode() []byte {
-	out := appendBytes(nil, EncodeSchema(s.Schema))
-	out = appendU32(out, uint32(s.Root))
-	out = appendU32(out, s.Height)
-	out = appendBytes(out, s.RootSig)
-	out = appendU32(out, s.PageSize)
-	out = appendU32(out, s.KeyVersion)
-	out = appendU8(out, s.Scheme)
-	out = appendU64(out, s.Version)
-	out = appendU64(out, s.Epoch)
-	out = appendU32(out, uint32(len(s.HeapPages)))
+	out := codec.AppendBytes(nil, EncodeSchema(s.Schema))
+	out = codec.AppendU32(out, uint32(s.Root))
+	out = codec.AppendU32(out, s.Height)
+	out = codec.AppendBytes(out, s.RootSig)
+	out = codec.AppendU32(out, s.PageSize)
+	out = codec.AppendU32(out, s.KeyVersion)
+	out = codec.AppendU8(out, s.Scheme)
+	out = codec.AppendU64(out, s.Version)
+	out = codec.AppendU64(out, s.Epoch)
+	out = codec.AppendU32(out, uint32(len(s.HeapPages)))
 	for _, p := range s.HeapPages {
-		out = appendU32(out, uint32(p))
+		out = codec.AppendU32(out, uint32(p))
 	}
-	out = appendU32(out, uint32(len(s.PageIDs)))
+	out = codec.AppendU32(out, uint32(len(s.PageIDs)))
 	for i, id := range s.PageIDs {
-		out = appendU32(out, uint32(id))
-		out = appendBytes(out, s.PageData[i])
+		out = codec.AppendU32(out, uint32(id))
+		out = codec.AppendBytes(out, s.PageData[i])
 	}
 	return out
 }
 
 // DecodeSnapshot parses a snapshot.
 func DecodeSnapshot(body []byte) (*Snapshot, error) {
-	r := &reader{data: body}
-	schBlob := r.bytes("schema")
-	if r.err != nil {
-		return nil, r.err
+	r := codec.NewReader("wire", body)
+	schBlob := r.Bytes("schema")
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	sch, err := DecodeSchema(schBlob)
 	if err != nil {
 		return nil, err
 	}
 	s := &Snapshot{Schema: sch}
-	s.Root = storage.PageID(r.u32("root"))
-	s.Height = r.u32("height")
-	s.RootSig = r.bytes("root sig")
-	s.PageSize = r.u32("page size")
-	s.KeyVersion = r.u32("key version")
-	s.Scheme = r.u8("signature scheme")
-	if r.err == nil && !sig.Scheme(s.Scheme).Valid() {
+	s.Root = storage.PageID(r.U32("root"))
+	s.Height = r.U32("height")
+	s.RootSig = r.Bytes("root sig")
+	s.PageSize = r.U32("page size")
+	s.KeyVersion = r.U32("key version")
+	s.Scheme = r.U8("signature scheme")
+	if r.Err() == nil && !sig.Scheme(s.Scheme).Valid() {
 		return nil, fmt.Errorf("wire: snapshot names unknown signature scheme %d", s.Scheme)
 	}
-	s.Version = r.u64("table version")
-	s.Epoch = r.u64("table epoch")
+	s.Version = r.U64("table version")
+	s.Epoch = r.U64("table epoch")
 	// A heap page takes 4 bytes, a page at least 8 (id, length).
-	if hn := r.u32("heap page count"); r.err == nil && hn > 0 {
-		if uint64(hn)*4 > uint64(len(body)-r.off) {
-			return nil, errors.New("wire: implausible heap page count")
-		}
+	if hn := r.Count("heap page count", 4); hn > 0 {
 		s.HeapPages = make([]storage.PageID, hn)
 		for i := range s.HeapPages {
-			s.HeapPages[i] = storage.PageID(r.u32("heap page"))
+			s.HeapPages[i] = storage.PageID(r.U32("heap page"))
 		}
 	}
-	if pn := r.u32("page count"); r.err == nil && pn > 0 {
-		if uint64(pn)*8 > uint64(len(body)-r.off) {
-			return nil, errors.New("wire: implausible page count")
-		}
+	if pn := r.Count("page count", 8); pn > 0 {
 		s.PageIDs = make([]storage.PageID, pn)
 		s.PageData = make([][]byte, pn)
 		for i := range s.PageIDs {
-			s.PageIDs[i] = storage.PageID(r.u32("page id"))
-			s.PageData[i] = r.bytes("page data")
+			s.PageIDs[i] = storage.PageID(r.U32("page id"))
+			s.PageData[i] = r.Bytes("page data")
 		}
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -325,43 +300,27 @@ type DeleteRequest struct {
 
 // Encode serializes the request.
 func (d *DeleteRequest) Encode() []byte {
-	out := appendStr(nil, d.Table)
+	out := codec.AppendFlag(codec.AppendStr(nil, d.Table), d.HasLo)
 	if d.HasLo {
-		out = appendU8(out, 1)
 		out = d.Lo.Encode(out)
-	} else {
-		out = appendU8(out, 0)
 	}
-	if d.HasHi {
-		out = appendU8(out, 1)
+	if out = codec.AppendFlag(out, d.HasHi); d.HasHi {
 		out = d.Hi.Encode(out)
-	} else {
-		out = appendU8(out, 0)
 	}
 	return out
 }
 
 // DecodeDeleteRequest parses a DeleteRequest.
 func DecodeDeleteRequest(body []byte) (*DeleteRequest, error) {
-	r := &reader{data: body}
-	d := &DeleteRequest{Table: r.str("table")}
-	if r.flag("lo flag") {
-		v, used, err := schema.DecodeDatum(body[r.off:])
-		if err != nil {
-			return nil, err
-		}
-		r.off += used
-		d.HasLo, d.Lo = true, v
+	r := codec.NewReader("wire", body)
+	d := &DeleteRequest{Table: r.Str("table")}
+	if d.HasLo = r.Flag("lo flag"); d.HasLo {
+		d.Lo = r.Datum("lo bound")
 	}
-	if r.flag("hi flag") {
-		v, used, err := schema.DecodeDatum(body[r.off:])
-		if err != nil {
-			return nil, err
-		}
-		r.off += used
-		d.HasHi, d.Hi = true, v
+	if d.HasHi = r.Flag("hi flag"); d.HasHi {
+		d.Hi = r.Datum("hi bound")
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -377,14 +336,14 @@ type SchemaResponse struct {
 
 // Encode serializes the response.
 func (s *SchemaResponse) Encode() []byte {
-	return appendBytes(nil, EncodeSchema(s.Schema))
+	return codec.AppendBytes(nil, EncodeSchema(s.Schema))
 }
 
 // DecodeSchemaResponse parses a SchemaResponse.
 func DecodeSchemaResponse(body []byte) (*SchemaResponse, error) {
-	r := &reader{data: body}
-	blob := r.view("schema")
-	if err := r.done(); err != nil {
+	r := codec.NewReader("wire", body)
+	blob := r.View("schema")
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	sch, err := DecodeSchema(blob)
@@ -396,9 +355,9 @@ func DecodeSchemaResponse(body []byte) (*SchemaResponse, error) {
 
 // EncodeStringList / DecodeStringList serve ListTablesResp.
 func EncodeStringList(ss []string) []byte {
-	out := appendU32(nil, uint32(len(ss)))
+	out := codec.AppendU32(nil, uint32(len(ss)))
 	for _, s := range ss {
-		out = appendStr(out, s)
+		out = codec.AppendStr(out, s)
 	}
 	return out
 }
@@ -407,29 +366,26 @@ func EncodeStringList(ss []string) []byte {
 // the bytes left over an item's smallest encoding before the slice is
 // made.
 func DecodeStringList(body []byte) ([]string, error) {
-	r := &reader{data: body}
-	n := int(r.u32("count"))
-	if r.err == nil && n > (len(body)-r.off)/minStringSize {
-		return nil, errors.New("wire: implausible list length")
-	}
+	r := codec.NewReader("wire", body)
+	n := r.Count("list length", minStringSize)
 	out := make([]string, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, r.str("item"))
+	for i := 0; i < n && r.Err() == nil; i++ {
+		out = append(out, r.Str("item"))
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
 // EncodeU64 / DecodeU64 serve DeleteResp (the removed-tuple count).
-func EncodeU64(v uint64) []byte { return appendU64(nil, v) }
+func EncodeU64(v uint64) []byte { return codec.AppendU64(nil, v) }
 
 // DecodeU64 parses an 8-byte integer body.
 func DecodeU64(body []byte) (uint64, error) {
-	r := &reader{data: body}
-	v := r.u64("value")
-	if err := r.done(); err != nil {
+	r := codec.NewReader("wire", body)
+	v := r.U64("value")
+	if err := r.Done(); err != nil {
 		return 0, err
 	}
 	return v, nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"edgeauth/internal/codec"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/vo"
 )
@@ -56,16 +57,16 @@ type ShardSnapshotRequest struct {
 
 // Encode serializes the request.
 func (r *ShardSnapshotRequest) Encode() []byte {
-	out := appendStr(nil, r.Table)
-	return appendU64(out, r.ShardID)
+	out := codec.AppendStr(nil, r.Table)
+	return codec.AppendU64(out, r.ShardID)
 }
 
 // DecodeShardSnapshotRequest parses a ShardSnapshotRequest.
 func DecodeShardSnapshotRequest(body []byte) (*ShardSnapshotRequest, error) {
-	r := &reader{data: body}
-	q := &ShardSnapshotRequest{Table: r.str("table")}
-	q.ShardID = r.u64("shard id")
-	if err := r.done(); err != nil {
+	r := codec.NewReader("wire", body)
+	q := &ShardSnapshotRequest{Table: r.Str("table")}
+	q.ShardID = r.U64("shard id")
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return q, nil
@@ -82,20 +83,20 @@ type ShardDeltaRequest struct {
 
 // Encode serializes the request.
 func (r *ShardDeltaRequest) Encode() []byte {
-	out := appendStr(nil, r.Table)
-	out = appendU64(out, r.ShardID)
-	out = appendU64(out, r.FromVersion)
-	return appendU64(out, r.Epoch)
+	out := codec.AppendStr(nil, r.Table)
+	out = codec.AppendU64(out, r.ShardID)
+	out = codec.AppendU64(out, r.FromVersion)
+	return codec.AppendU64(out, r.Epoch)
 }
 
 // DecodeShardDeltaRequest parses a ShardDeltaRequest.
 func DecodeShardDeltaRequest(body []byte) (*ShardDeltaRequest, error) {
-	r := &reader{data: body}
-	q := &ShardDeltaRequest{Table: r.str("table")}
-	q.ShardID = r.u64("shard id")
-	q.FromVersion = r.u64("from version")
-	q.Epoch = r.u64("epoch")
-	if err := r.done(); err != nil {
+	r := codec.NewReader("wire", body)
+	q := &ShardDeltaRequest{Table: r.Str("table")}
+	q.ShardID = r.U64("shard id")
+	q.FromVersion = r.U64("from version")
+	q.Epoch = r.U64("epoch")
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return q, nil
@@ -111,16 +112,16 @@ type ShardQueryRequest struct {
 
 // Encode serializes the request.
 func (r *ShardQueryRequest) Encode() []byte {
-	out := appendU32(nil, r.Shard)
-	return appendBytes(out, r.Query.Encode())
+	out := codec.AppendU32(nil, r.Shard)
+	return codec.AppendBytes(out, r.Query.Encode())
 }
 
 // DecodeShardQueryRequest parses a ShardQueryRequest.
 func DecodeShardQueryRequest(body []byte) (*ShardQueryRequest, error) {
-	r := &reader{data: body}
-	shard := r.u32("shard")
-	qb := r.view("query")
-	if err := r.done(); err != nil {
+	r := codec.NewReader("wire", body)
+	shard := r.U32("shard")
+	qb := r.View("query")
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	q, err := DecodeQueryRequest(qb)
@@ -161,7 +162,7 @@ func AppendShardQueryResponse(dst []byte, answer func(dst []byte) (out, signedMa
 		return nil, err
 	}
 	binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
-	return appendBytes(dst, signedMap), nil
+	return codec.AppendBytes(dst, signedMap), nil
 }
 
 // DecodeShardQueryResponse parses a ShardQueryResponse. Everything in it
@@ -171,10 +172,10 @@ func AppendShardQueryResponse(dst []byte, answer func(dst []byte) (out, signedMa
 // long as it likes; what it caches beyond (a decoded shard map, proven
 // signatures) copies what it keeps.
 func DecodeShardQueryResponse(body []byte) (*ShardQueryResponse, error) {
-	r := &reader{data: body}
-	qb := r.view("query response")
-	mb := r.view("signed map")
-	if err := r.done(); err != nil {
+	r := codec.NewReader("wire", body)
+	qb := r.View("query response")
+	mb := r.View("signed map")
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	resp, err := DecodeQueryResponse(qb)
@@ -223,33 +224,25 @@ type ReshardRequest struct {
 
 // Encode serializes the request.
 func (r *ReshardRequest) Encode() []byte {
-	out := appendStr(nil, r.Table)
-	out = appendU8(out, uint8(r.Op))
-	out = appendU32(out, r.Shard)
-	if r.HasBoundary {
-		out = appendU8(out, 1)
+	out := codec.AppendStr(nil, r.Table)
+	out = codec.AppendU8(out, uint8(r.Op))
+	out = codec.AppendU32(out, r.Shard)
+	if out = codec.AppendFlag(out, r.HasBoundary); r.HasBoundary {
 		out = r.Boundary.Encode(out)
-	} else {
-		out = appendU8(out, 0)
 	}
 	return out
 }
 
 // DecodeReshardRequest parses a ReshardRequest.
 func DecodeReshardRequest(body []byte) (*ReshardRequest, error) {
-	r := &reader{data: body}
-	q := &ReshardRequest{Table: r.str("table")}
-	q.Op = ReshardOpKind(r.u8("reshard op"))
-	q.Shard = r.u32("shard")
-	if r.flag("boundary flag") {
-		v, used, err := schema.DecodeDatum(body[r.off:])
-		if err != nil {
-			return nil, err
-		}
-		r.off += used
-		q.HasBoundary, q.Boundary = true, v
+	r := codec.NewReader("wire", body)
+	q := &ReshardRequest{Table: r.Str("table")}
+	q.Op = ReshardOpKind(r.U8("reshard op"))
+	q.Shard = r.U32("shard")
+	if q.HasBoundary = r.Flag("boundary flag"); q.HasBoundary {
+		q.Boundary = r.Datum("boundary")
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	if q.Op != ReshardSplit && q.Op != ReshardMerge {
@@ -268,16 +261,16 @@ type ReshardResponse struct {
 
 // Encode serializes the response.
 func (r *ReshardResponse) Encode() []byte {
-	out := appendU64(nil, r.MapEpoch)
-	return appendU32(out, r.NumShards)
+	out := codec.AppendU64(nil, r.MapEpoch)
+	return codec.AppendU32(out, r.NumShards)
 }
 
 // DecodeReshardResponse parses a ReshardResponse.
 func DecodeReshardResponse(body []byte) (*ReshardResponse, error) {
-	r := &reader{data: body}
-	q := &ReshardResponse{MapEpoch: r.u64("map epoch")}
-	q.NumShards = r.u32("shard count")
-	if err := r.done(); err != nil {
+	r := codec.NewReader("wire", body)
+	q := &ReshardResponse{MapEpoch: r.U64("map epoch")}
+	q.NumShards = r.U32("shard count")
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return q, nil

@@ -47,9 +47,11 @@
 // Every frame, the Hello exchange that opens a connection included, is
 // u32 length | u8 type | u32 request ID | body (see frame.go): the Hello
 // and its answer are request 0, and later requests carry the IDs their
-// sender numbers them by, so calls multiplex. All integers are
-// big-endian, and a hard frame cap bounds allocation from untrusted
-// peers.
+// sender numbers them by, so calls multiplex. A hard frame cap bounds
+// allocation from untrusted peers. The header's integers are big-endian,
+// and every body is written in package codec's primitive format (see
+// there) and read through its one bounded Reader, which the signed shard
+// map, the WAL's payloads and the public-key blob share.
 //
 // # Lifetime of decoded values
 //
@@ -73,7 +75,6 @@
 package wire
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 )
@@ -202,125 +203,4 @@ func readBody(r io.Reader, n int) ([]byte, error) {
 		copy(grown, buf)
 		buf = grown
 	}
-}
-
-// --- primitive encoding helpers shared by the message codecs ---
-
-func appendU8(dst []byte, v uint8) []byte { return append(dst, v) }
-func appendU32(dst []byte, v uint32) []byte {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	return append(dst, b[:]...)
-}
-func appendU64(dst []byte, v uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	return append(dst, b[:]...)
-}
-func appendStr(dst []byte, s string) []byte {
-	dst = appendU32(dst, uint32(len(s)))
-	return append(dst, s...)
-}
-func appendBytes(dst []byte, b []byte) []byte {
-	dst = appendU32(dst, uint32(len(b)))
-	return append(dst, b...)
-}
-
-// reader is a cursor over a frame body.
-type reader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *reader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("wire: truncated %s at offset %d", what, r.off)
-	}
-}
-
-func (r *reader) u8(what string) uint8 {
-	if r.err != nil || r.off+1 > len(r.data) {
-		r.fail(what)
-		return 0
-	}
-	v := r.data[r.off]
-	r.off++
-	return v
-}
-
-// flag reads a presence byte: 0 or 1, anything else refused, so an
-// accepted body re-encodes as it came.
-func (r *reader) flag(what string) bool {
-	switch v := r.u8(what); {
-	case r.err != nil:
-		return false
-	case v > 1:
-		r.err = fmt.Errorf("wire: %s %d is neither 0 nor 1", what, v)
-		return false
-	default:
-		return v == 1
-	}
-}
-
-func (r *reader) u32(what string) uint32 {
-	if r.err != nil || r.off+4 > len(r.data) {
-		r.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.data[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64(what string) uint64 {
-	if r.err != nil || r.off+8 > len(r.data) {
-		r.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.data[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) str(what string) string {
-	n := int(r.u32(what))
-	if r.err != nil || n < 0 || r.off+n > len(r.data) {
-		r.fail(what)
-		return ""
-	}
-	s := string(r.data[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-func (r *reader) bytes(what string) []byte {
-	v := r.view(what)
-	if r.err != nil {
-		return nil
-	}
-	return append(make([]byte, 0, len(v)), v...)
-}
-
-// view is bytes without the copy: the result is a slice of the frame
-// body, valid until that is modified or reused.
-func (r *reader) view(what string) []byte {
-	n := int(r.u32(what))
-	if r.err != nil || n < 0 || r.off+n > len(r.data) {
-		r.fail(what)
-		return nil
-	}
-	v := r.data[r.off : r.off+n : r.off+n]
-	r.off += n
-	return v
-}
-
-func (r *reader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.data) {
-		return fmt.Errorf("wire: %d trailing bytes", len(r.data)-r.off)
-	}
-	return nil
 }
