@@ -142,6 +142,42 @@ func TestShardAnswerAllocationBudget(t *testing.T) {
 	t.Logf("%d-byte answer: %.0f allocations, %d bytes", len(resp), allocs, per)
 }
 
+// TestMemoHitAllocationBudget: a repeated point request, answered from
+// the set's memo into the buffer the transport lends, allocates only
+// what decoding the request does: the request and its query (2), the
+// table name (1), the predicate slice (1) and its column name (1) — 5;
+// an int64 key owns no bytes. A hit compiles nothing, pins nothing and
+// walks nothing. A change that moves it says so here.
+func TestMemoHitAllocationBudget(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	ctx := context.Background()
+	_, eg := merkleEdge(t, 1000)
+	req := pointBody(0, 421)
+	frame := make([]byte, 0, 1<<12)
+	answer := func() []byte {
+		mt, resp, err := eg.dispatch(ctx, wire.MsgShardQueryReq, req, frame)
+		if err != nil || mt != wire.MsgShardQueryResp {
+			t.Fatalf("dispatch: %v, %v", mt, err)
+		}
+		return resp
+	}
+	answer()
+	hits := eg.Stats().AnswerMemoHits
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, func() { answer() })
+	if got := eg.Stats().AnswerMemoHits - hits; got != runs+1 {
+		t.Fatalf("%d of %d repeats were memo hits", got, runs+1)
+	}
+	if resp := answer(); &resp[0] != &frame[:1][0] {
+		t.Fatal("the hit was not copied into the buffer the transport lent")
+	}
+	if allocs != 5 {
+		t.Errorf("%.0f allocations per memo hit, want 5", allocs)
+	}
+}
+
 // TestAnswerOutlivesItsSnapshot: an answer holds no reference to the
 // pages it was read from. Both forms — the wire body and the structs
 // shardAnswer decodes from its own buffer — are taken, then the rows they cover are

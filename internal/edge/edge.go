@@ -110,6 +110,10 @@ type Server struct {
 	closeOnce sync.Once
 	closeErr  error
 	tamper    atomic.Pointer[func(*vo.ResultSet, *vo.VO) error] // SetTamper's hook
+
+	// now, when set, is the clock the views of replicas created from here
+	// on stamp VOs with, in place of the wall clock: tests fix it.
+	now func() int64
 }
 
 // acc is the one accumulator every replica's views compute with. The ring
@@ -134,6 +138,9 @@ type replica struct {
 	// snapshot reinstall replaces the replica (a fresh replica object, so
 	// the flag never needs clearing).
 	diverged atomic.Bool
+
+	// now is the clock its views stamp VOs with (Server.now).
+	now func() int64
 }
 
 // tableSet is one consistent, immutable publication of a table: the
@@ -146,6 +153,8 @@ type tableSet struct {
 	// smapBytes is smap's encoding, attached to every shard answer.
 	smapBytes []byte
 	shards    []*shardReplica
+	// memo holds the responses this set built (see memo.go).
+	memo answerMemo
 }
 
 // shardReplica is one shard's store plus the snapshot this set pins.
@@ -174,6 +183,9 @@ func (r *replica) pinCurrent(store *storage.PageStore) (*shardReplica, error) {
 	if err != nil {
 		snap.Release()
 		return nil, err
+	}
+	if r.now != nil {
+		view = view.Clocked(r.now)
 	}
 	return &shardReplica{store: store, snap: snap, state: st, view: view}, nil
 }
@@ -647,7 +659,7 @@ func (s *Server) replicate(ctx context.Context, tableName string, rep *replica) 
 	target := rep
 	if stores == nil {
 		// Started from none: the stores become a fresh replica.
-		target = &replica{sch: a.sch}
+		target = &replica{sch: a.sch, now: s.now}
 	}
 	if err := target.rebuildSet(a.smap, a.stores); err != nil {
 		return RefreshStat{}, err
@@ -1205,13 +1217,9 @@ func (s *Server) RunShardQuery(ctx context.Context, tableName string, idx uint32
 // the snapshot's pages, and dst holds no reference to them once this
 // returns.
 func (s *Server) appendAnswer(ctx context.Context, dst []byte, tableName string, idx uint32, q vbtree.Query) ([]byte, *tableSet, error) {
-	rep := s.replica(tableName)
-	if rep == nil {
-		return nil, nil, wire.UnknownTable("edge", tableName)
-	}
-	if rep.diverged.Load() {
-		return nil, nil, wire.StaleReplica(tableName,
-			fmt.Sprintf("edge: replica of %q descends from a dead table incarnation; refresh must install a snapshot first", tableName))
+	rep, err := s.servingReplica(tableName)
+	if err != nil {
+		return nil, nil, err
 	}
 	set, sr, err := rep.pinShard(int(idx))
 	if err != nil {
@@ -1228,6 +1236,56 @@ func (s *Server) appendAnswer(ctx context.Context, dst []byte, tableName string,
 	s.stats.queriesServed.Add(1)
 	s.stats.voBytes.Add(uint64(voBytes))
 	return out, set, nil
+}
+
+// servingReplica resolves the replica a query on tableName is answered
+// from, refusing one that has diverged.
+func (s *Server) servingReplica(tableName string) (*replica, error) {
+	rep := s.replica(tableName)
+	if rep == nil {
+		return nil, wire.UnknownTable("edge", tableName)
+	}
+	if rep.diverged.Load() {
+		return nil, wire.StaleReplica(tableName,
+			fmt.Sprintf("edge: replica of %q descends from a dead table incarnation; refresh must install a snapshot first", tableName))
+	}
+	return rep, nil
+}
+
+// answerQuery answers a decoded shard query whose request bytes are body,
+// appending the response to out: from the memo of the replica's current
+// set when that set has answered the same bytes before, by a walk
+// otherwise. A walk's answer is memoized by the set it was built under,
+// which may be newer than the one the lookup missed in: no set holds
+// another's answers.
+func (s *Server) answerQuery(ctx context.Context, req *wire.ShardQueryRequest, body, out []byte) ([]byte, error) {
+	rep, err := s.servingReplica(req.Query.Table)
+	if err != nil {
+		return nil, err
+	}
+	set := rep.set.Load()
+	if set != nil {
+		if resp, voBytes, ok := set.appendMemoized(out, body, req.Shard); ok {
+			s.stats.answerMemoHits.Add(1)
+			s.stats.queriesServed.Add(1)
+			s.stats.voBytes.Add(uint64(voBytes))
+			return resp, nil
+		}
+	}
+	s.stats.answerMemoMisses.Add(1)
+	q, err := s.compile(req.Query)
+	if err != nil {
+		return nil, err
+	}
+	return wire.AppendShardQueryResponse(out, func(dst []byte) ([]byte, []byte, error) {
+		at := len(dst)
+		dst, under, err := s.appendAnswer(ctx, dst, req.Query.Table, req.Shard, q)
+		if err != nil {
+			return nil, nil, err
+		}
+		under.memoize(body, dst[at:])
+		return dst, under.smapBytes, nil
+	})
 }
 
 // Schema returns a replica's schema.
@@ -1308,17 +1366,7 @@ func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body, out []byte
 		if err != nil {
 			return 0, nil, err
 		}
-		q, err := s.compile(req.Query)
-		if err != nil {
-			return 0, nil, err
-		}
-		resp, err := wire.AppendShardQueryResponse(out, func(dst []byte) ([]byte, []byte, error) {
-			dst, set, err := s.appendAnswer(ctx, dst, req.Query.Table, req.Shard, q)
-			if err != nil {
-				return nil, nil, err
-			}
-			return dst, set.smapBytes, nil
-		})
+		resp, err := s.answerQuery(ctx, req, body, out)
 		return wire.MsgShardQueryResp, resp, err
 
 	case wire.MsgShardSnapshotReq, wire.MsgShardDeltaReq:

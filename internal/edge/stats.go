@@ -8,6 +8,8 @@ import "sync/atomic"
 type edgeCounters struct {
 	queriesServed      atomic.Uint64
 	voBytes            atomic.Uint64
+	answerMemoHits     atomic.Uint64
+	answerMemoMisses   atomic.Uint64
 	refreshesApplied   atomic.Uint64
 	deltasApplied      atomic.Uint64
 	snapshotsInstalled atomic.Uint64
@@ -36,7 +38,12 @@ type Stats struct {
 	QueriesServed uint64 `json:"queries_served"`
 	// VOBytes is the total verification-object bytes attached to served
 	// answers — the paper's communication-overhead metric, live.
-	VOBytes            uint64 `json:"vo_bytes"`
+	VOBytes uint64 `json:"vo_bytes"`
+	// AnswerMemoHits/Misses ledger the shard queries the current set's
+	// answer memo served and those it did not (see memo.go): each hit is
+	// a VB-tree walk skipped.
+	AnswerMemoHits     uint64 `json:"answer_memo_hits"`
+	AnswerMemoMisses   uint64 `json:"answer_memo_misses"`
 	RefreshesApplied   uint64 `json:"refreshes_applied"`
 	DeltasApplied      uint64 `json:"deltas_applied"`
 	SnapshotsInstalled uint64 `json:"snapshots_installed"`
@@ -63,6 +70,8 @@ func (s *Server) Stats() Stats {
 	return Stats{
 		QueriesServed:         s.stats.queriesServed.Load(),
 		VOBytes:               s.stats.voBytes.Load(),
+		AnswerMemoHits:        s.stats.answerMemoHits.Load(),
+		AnswerMemoMisses:      s.stats.answerMemoMisses.Load(),
 		RefreshesApplied:      s.stats.refreshesApplied.Load(),
 		DeltasApplied:         s.stats.deltasApplied.Load(),
 		SnapshotsInstalled:    s.stats.snapshotsInstalled.Load(),

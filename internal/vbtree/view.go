@@ -103,6 +103,17 @@ func (v *View) Anchored(rootSig sig.Signature) *View {
 		now: v.now, root: v.root, height: v.height, rootSig: rootSig}
 }
 
+// Clocked returns a view of the same pages and anchor whose VOs are
+// stamped by now (Unix seconds) in place of this view's clock.
+func (v *View) Clocked(now func() int64) *View {
+	c := v.Anchored(v.rootSig)
+	c.now = now
+	return c
+}
+
+// Now reads the clock the view stamps its VOs with, in Unix seconds.
+func (v *View) Now() int64 { return v.now() }
+
 // unixNow is the wall clock in Unix seconds, the default VO timestamp.
 func unixNow() int64 { return time.Now().Unix() }
 

@@ -65,6 +65,24 @@ func DecodeAnswer(data []byte) (*ResultSet, *VO, error) {
 	return &both.rs, &both.w, nil
 }
 
+// TimestampAt locates what a server that stores an answer and serves it
+// again must rewrite and count: at is the offset in answer of the eight
+// bytes of its VO's Timestamp, voBytes the VO's encoded size.
+func TimestampAt(answer []byte) (at, voBytes int, err error) {
+	_, n, err := section(answer)
+	if err != nil {
+		return 0, 0, fmt.Errorf("vo: result set: %w", err)
+	}
+	vb, _, err := section(answer[n:])
+	if err != nil {
+		return 0, 0, fmt.Errorf("vo: verification object: %w", err)
+	}
+	if len(vb) < 4+8 {
+		return 0, 0, errors.New("vo: truncated VO header")
+	}
+	return n + 4 + 4, len(vb), nil
+}
+
 // section returns the u32-length-prefixed section at the start of data
 // and the bytes it takes up, prefix included.
 func section(data []byte) ([]byte, int, error) {

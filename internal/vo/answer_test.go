@@ -135,6 +135,32 @@ func TestDecodeAnswerIsStrictAndAliases(t *testing.T) {
 	}
 }
 
+// TestTimestampAtLocatesTheStamp: writing a time at the offset
+// TimestampAt reports changes the decoded VO's Timestamp and nothing
+// else, and voBytes is the VO's wire size. An answer cut short of the
+// stamp is refused.
+func TestTimestampAtLocatesTheStamp(t *testing.T) {
+	rs, w := sampleAnswer()
+	body := AppendAnswer(nil, rs, w)
+	at, voBytes, err := TimestampAt(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if voBytes != w.WireSize() {
+		t.Fatalf("voBytes %d, VO.WireSize %d", voBytes, w.WireSize())
+	}
+	binary.BigEndian.PutUint64(body[at:], 1_700_000_123)
+	w.Timestamp = 1_700_000_123
+	if !bytes.Equal(body, AppendAnswer(nil, rs, w)) {
+		t.Fatal("restamping at the offset changed more than the VO's Timestamp")
+	}
+	for _, n := range []int{0, 3, at, at + 7} {
+		if _, _, err := TimestampAt(body[:n]); err == nil {
+			t.Errorf("an answer cut to %d bytes was accepted", n)
+		}
+	}
+}
+
 // slackInSections grows the result-set section by one byte the result
 // set itself does not account for.
 func slackInSections(body []byte) []byte {
