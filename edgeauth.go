@@ -14,9 +14,9 @@
 //
 // The client API is context-first and concurrent: every network-facing
 // method takes a context.Context (cancellation and deadlines are observed
-// mid-request), and one Client may be shared by many goroutines — their
-// requests pipeline over a single multiplexed connection per server with
-// responses demultiplexed by request ID. Remote failures carry typed codes:
+// mid-request), and one Client may be shared by many goroutines — each
+// call holds a connection to its server of its own while it is in flight,
+// and reads its own response. Remote failures carry typed codes:
 // errors.Is distinguishes ErrTampered (verification failure at the
 // client), ErrUnknownTable and ErrStaleReplica.
 //

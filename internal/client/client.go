@@ -6,12 +6,12 @@
 // central server, since only the central server holds the signing key.
 //
 // The client is context-first and safe for concurrent use: N goroutines
-// can query through one Client and their requests pipeline over an
-// rpc.Conn per server — multiplexed connections, at most one per
-// processor — with responses demultiplexed by request ID. A dead
-// connection is dropped and redialed with backoff instead of
-// poisoning the client, and idempotent requests (queries, schema and key
-// fetches) are retried once on a fresh connection.
+// can query through one Client over an rpc.Conn per server, each call on
+// a connection of its own for as long as it is in flight (at most one
+// per processor is kept idle between calls). A dead connection is
+// dropped and redialed with backoff instead of poisoning the client, and
+// idempotent requests (queries, schema and key fetches) are retried once
+// on a fresh connection.
 package client
 
 import (
@@ -201,7 +201,7 @@ var ErrTampered = errors.New("client: query result failed verification")
 // Query runs a selection/projection at the edge and verifies the answer
 // by scatter-gather: the client fetches the central-signed shard map
 // from the edge, verifies it, queries every shard the key range
-// intersects (in parallel over the pipelined connections), verifies each
+// intersects (in parallel, a connection per call in flight), verifies each
 // per-shard VO anchored at the root digest the map pins, and stitches the
 // results in key order. A missing or stale shard answer fails
 // verification — the edge cannot silently drop a shard from a range

@@ -31,10 +31,10 @@ func (l *acceptCounter) Accept() (net.Conn, error) {
 // same deployment both verify and return their rows complete and in key
 // order. The inline call keeps what the per-shard goroutine gave: a
 // context cancelled while it waits for the edge ends the query with the
-// context's error at once, and the connection — still carrying the
-// abandoned request — serves the next query without a redial. (The
+// context's error at once, and closes only the connection that carries
+// the abandoned request: the next query costs at most one dial. (The
 // scattered query may have opened a second connection: the client's
-// rpc.Conn opens one per processor for calls that overlap.)
+// rpc.Conn opens one for each call that overlaps another.)
 func TestGatherShapes(t *testing.T) {
 	ctx := context.Background()
 	var edgeConns *acceptCounter
@@ -105,13 +105,14 @@ func TestGatherShapes(t *testing.T) {
 		t.Fatal("a query whose context was cancelled kept waiting for the edge")
 	}
 
-	// The abandoned request is still held at the edge; the connection it
-	// went out on carries the next one.
+	// The abandoned request is still held at the edge. The cancelled call
+	// closed the connection it went out on and no other, so the next
+	// query takes an idle connection or dials one in its place.
 	res, err := d.client.Query(ctx, "items", rangePreds(120, 125), nil)
 	if err != nil || len(res.Result.Keys) != 6 {
 		t.Fatalf("query after the cancelled one: %v", err)
 	}
-	if n := edgeConns.accepted.Load(); n != dialled {
+	if n := edgeConns.accepted.Load(); n > dialled+1 {
 		t.Fatalf("the cancelled call left the client dialling: %d connections to the edge, %d before it", n, dialled)
 	}
 }

@@ -138,8 +138,8 @@ type shardAnswer struct {
 }
 
 // queryShards runs the scatter-gather: one ShardQueryReq per qualifying
-// shard (several go out concurrently — the requests pipeline over the one
-// multiplexed edge connection), then per-shard verification anchored at the
+// shard (several go out concurrently, each on an edge session of its
+// own), then per-shard verification anchored at the
 // attached, mutually-identical signed map, then a key-ordered stitch.
 func (c *Client) queryShards(ctx context.Context, v *verify.Verifier, routing *shardmap.Signed, table string, preds []query.Predicate, project []string) (*QueryResult, error) {
 	// Compile locally to learn the key range and the answer's columns; the

@@ -85,9 +85,9 @@ type Server struct {
 	tablesMu sync.Mutex // serializes registry copy-on-write updates
 
 	opts Options
-	// central is the pipelined, auto-redialing connection to the central
-	// server; every replication exchange (snapshots, deltas, shard maps,
-	// the key fetch) multiplexes over it.
+	// central is the auto-redialing connection to the central server;
+	// every replication exchange (snapshots, deltas, shard maps, the key
+	// fetch) goes over it, each on a session of its own.
 	central *rpc.Conn
 	// peers is the ordered upstream set bulk payloads are pulled from
 	// before the central (nil when no upstreams are configured; the
@@ -755,7 +755,7 @@ const maxShardFetches = 8
 // slowest shard's exchange, not their sum. The fetches share nothing they
 // write — each works on its own store and fills its own shardFetch, which
 // is merged here after all have returned; what they do share is safe for
-// concurrent use (the pipelined connections, the source set's health, the
+// concurrent use (the rpc connections, the source set's health, the
 // relay cache, the key registry and the verifier, the counters). The first
 // failure cancels the others. Whatever those had already applied stays
 // in their stores, which is where the next pass resumes.

@@ -39,7 +39,7 @@ const (
 	maxBackoff  = 30 * time.Second
 )
 
-// Source is one upstream peer edge. It owns the pipelined connections
+// Source is one upstream peer edge. It owns the connections to it
 // (one rpc.Conn) and the health state deciding whether the refresh loop should try it.
 type Source struct {
 	addr string
@@ -63,7 +63,7 @@ func NewSource(addr string) *Source {
 // Addr reports the upstream's address.
 func (s *Source) Addr() string { return s.addr }
 
-// Conn returns the pipelined connections to the upstream.
+// Conn returns the connections to the upstream.
 func (s *Source) Conn() *rpc.Conn { return s.conn }
 
 // Available reports whether the source should be tried now: healthy, or

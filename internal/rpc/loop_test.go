@@ -14,21 +14,21 @@ import (
 )
 
 // goroutineID names the calling goroutine, from the header line of its
-// stack trace ("goroutine 42 [running]:"). Only the worker-lifecycle tests
-// use it: which goroutine a handler runs on is exactly what they are about.
+// stack trace ("goroutine 42 [running]:"). Only the serve-loop tests use
+// it: which goroutine a handler runs on is exactly what they are about.
 func goroutineID() string {
 	buf := make([]byte, 64)
 	buf = buf[:runtime.Stack(buf, false)]
 	return string(bytes.Fields(buf)[1])
 }
 
-// workerLog records the goroutines a connection's handlers ran on.
-type workerLog struct {
+// goroutineLog records the goroutines a connection's handlers ran on.
+type goroutineLog struct {
 	mu   sync.Mutex
 	seen map[string]bool
 }
 
-func (l *workerLog) note() {
+func (l *goroutineLog) note() {
 	id := goroutineID()
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -38,175 +38,161 @@ func (l *workerLog) note() {
 	l.seen[id] = true
 }
 
-func (l *workerLog) workers() int {
+// only returns the one goroutine noted, or "" when there were others.
+func (l *goroutineLog) only() string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.seen)
+	if len(l.seen) == 1 {
+		for id := range l.seen {
+			return id
+		}
+	}
+	return ""
 }
 
-// connOver handshakes over nc and returns a Conn whose one session is
-// nc: it never dials, so a test can hand it any connection.
+// connOver handshakes over nc and returns a Conn whose one idle session
+// is nc: its calls take that session and never dial, so a test can hand
+// it any connection.
 func connOver(t *testing.T, nc net.Conn) *Conn {
 	t.Helper()
-	c := &Conn{maxSessions: 1}
-	s, err := c.handshake(nc)
+	s, err := handshake(nc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.sessions = []*session{s}
+	c := New("", Options{})
+	c.open[s] = struct{}{}
+	c.idle = []*session{s}
 	return c
 }
 
-// settleGoroutines waits for the process to be back at (or under) want
-// goroutines: everything a closed connection started has exited.
-func settleGoroutines(t *testing.T, want int) {
+// goroutinesIn counts the goroutines whose stack has a frame of any of
+// the named functions.
+func goroutinesIn(funcs ...string) int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range bytes.Split(buf[:runtime.Stack(buf, true)], []byte("\n\n")) {
+		for _, f := range funcs {
+			if bytes.Contains(g, []byte(f)) {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
+// serving counts the goroutines serving a connection.
+func serving() int { return goroutinesIn("edgeauth/internal/rpc.ServeConn(") }
+
+// settleGoroutines waits for count to fall to (or under) want:
+// goroutines that were told to stop have exited.
+func settleGoroutines(t *testing.T, count func() int, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > want {
+	for count() > want {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines, %d before the connection was dialled:\n%s",
-				runtime.NumGoroutine(), want, buf[:runtime.Stack(buf, true)])
+			t.Fatalf("%d goroutines, want %d:\n%s", count(), want, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestServeReusesWorkers pins the worker lifecycle of one server
-// connection: a caller that waits for each answer is served by one
-// goroutine however many requests it sends; k requests in flight at once
-// start exactly k; what the connection has started it keeps using; past
-// maxConcurrent a request waits for a worker instead of getting one; and
-// closing the peer leaves none of them behind.
-func TestServeReusesWorkers(t *testing.T) {
+// TestServeRunsRequestsOnItsConnectionGoroutine: a server connection
+// runs every handler on the goroutine that called ServeConn, one request
+// at a time. A caller that waits for each answer is served there however
+// many requests it sends; a peer that pipelines requests is answered in
+// the order it sent them, and no handler starts before the one ahead of
+// it has returned.
+func TestServeRunsRequestsOnItsConnectionGoroutine(t *testing.T) {
 	ctx := context.Background()
 
 	t.Run("sequential", func(t *testing.T) {
-		var log workerLog
+		var log goroutineLog
 		h := func(_ context.Context, _ wire.MsgType, body, _ []byte) (wire.MsgType, []byte, error) {
 			log.note()
 			return wire.MsgShardQueryResp, body, nil
 		}
-		addr := startServer(t, h, ServeOptions{})
-		before := runtime.NumGoroutine()
-		c := New(addr, Options{})
+		server, client := net.Pipe()
+		serving := make(chan string, 1)
+		go func() {
+			defer server.Close()
+			serving <- goroutineID()
+			ServeConn(ctx, server, h, ServeOptions{})
+		}()
+		c := connOver(t, client)
+		defer c.Close()
 		for i := 0; i < 1000; i++ {
 			if _, err := c.Call(ctx, wire.MsgShardQueryReq, []byte{byte(i)}, wire.MsgShardQueryResp, true); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if n := log.workers(); n != 1 {
-			t.Errorf("1,000 sequential requests ran on %d goroutines, want 1", n)
+		if got, want := log.only(), <-serving; got != want {
+			t.Errorf("1,000 requests ran on goroutine %q, want only ServeConn's, %s", got, want)
 		}
-		c.Close()
-		settleGoroutines(t, before)
 	})
 
-	// At one processor a Conn keeps to one session, so all k requests
-	// reach the one server connection whose back-pressure this checks.
-	t.Run("concurrent", func(t *testing.T) {
-		withProcs(t, 1)
-		const k = maxConcurrent
+	t.Run("pipelined", func(t *testing.T) {
+		const k = 16
 		var (
-			log     workerLog
-			started = make(chan struct{}, 2*k)
-			release = make(chan struct{})
+			log              goroutineLog
+			mu               sync.Mutex // guards running, maxSeen and order
+			running, maxSeen int
+			order            []byte
 		)
 		h := func(_ context.Context, _ wire.MsgType, body, _ []byte) (wire.MsgType, []byte, error) {
 			log.note()
-			if body[0] == 'b' {
-				started <- struct{}{}
-				<-release
-			}
+			mu.Lock()
+			running++
+			maxSeen = max(maxSeen, running)
+			order = append(order, body[0])
+			mu.Unlock()
+			runtime.Gosched() // give a second handler the chance to overlap
+			mu.Lock()
+			running--
+			mu.Unlock()
 			return wire.MsgShardQueryResp, body, nil
 		}
-		addr := startServer(t, h, ServeOptions{})
-		before := runtime.NumGoroutine()
-		c := New(addr, Options{})
-		call := func(body string) error {
-			_, err := c.Call(ctx, wire.MsgShardQueryReq, []byte(body), wire.MsgShardQueryResp, true)
-			return err
+		nc, err := net.Dial("tcp", startServer(t, h, ServeOptions{}))
+		if err != nil {
+			t.Fatal(err)
 		}
-
-		// k requests block in their handlers at the same time: k workers.
-		done := make(chan error, k+1)
-		for i := 0; i < k; i++ {
-			go func() { done <- call("block") }()
+		defer nc.Close()
+		nc.SetDeadline(time.Now().Add(5 * time.Second))
+		var all bytes.Buffer
+		if err := wire.WriteFrame(&all, wire.MsgHello, 0, wire.EncodeHello(wire.ProtocolVersion)); err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < k; i++ {
-			<-started
-		}
-		if n := log.workers(); n != k {
-			t.Fatalf("%d requests in flight on %d goroutines, want %d", k, n, k)
-		}
-
-		// Request k+1 reaches the server and waits there: no handler starts
-		// while all k workers are taken.
-		go func() { done <- call("block") }()
-		select {
-		case <-started:
-			t.Fatalf("request %d started with %d handlers running and maxConcurrent = %d", k+1, k, k)
-		case <-time.After(100 * time.Millisecond):
-		}
-		// One handler finishes; the waiting request takes its worker.
-		release <- struct{}{}
-		select {
-		case <-started:
-		case <-time.After(5 * time.Second):
-			t.Fatal("the waiting request never ran after a worker came free")
-		}
-		close(release)
-		for i := 0; i < k+1; i++ {
-			if err := <-done; err != nil {
+		for id := uint32(1); id <= k; id++ {
+			if err := wire.WriteFrame(&all, wire.MsgShardQueryReq, id, []byte{byte(id)}); err != nil {
 				t.Fatal(err)
 			}
 		}
-
-		// The connection's later traffic runs on the workers it has.
-		for i := 0; i < 200; i++ {
-			if err := call("quick"); err != nil {
-				t.Fatal(err)
+		if _, err := nc.Write(all.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if mt, _, _, err := wire.ReadFrame(nc); err != nil || mt != wire.MsgHelloResp {
+			t.Fatalf("handshake: %v, %v", mt, err)
+		}
+		for want := uint32(1); want <= k; want++ {
+			mt, id, body, err := wire.ReadFrame(nc)
+			if err != nil || mt != wire.MsgShardQueryResp || id != want || !bytes.Equal(body, []byte{byte(want)}) {
+				t.Fatalf("response %d: mt=%v id=%d body=%v err=%v", want, mt, id, body, err)
 			}
 		}
-		if n := log.workers(); n != k {
-			t.Errorf("the connection has used %d goroutines, want the same %d throughout", n, k)
+		mu.Lock()
+		defer mu.Unlock()
+		for i, b := range order {
+			if b != byte(i+1) {
+				t.Fatalf("handlers ran in the order %v, want the requests' order", order)
+			}
 		}
-		c.Close()
-		settleGoroutines(t, before)
-	})
-
-	// Closing the peer cancels the handlers' context BEFORE the drain: these
-	// handlers return on nothing else, so a drain that came first would
-	// never end and ServeConn would never return.
-	t.Run("peer closes", func(t *testing.T) {
-		const k = 3
-		var running sync.WaitGroup
-		running.Add(k)
-		h := func(ctx context.Context, _ wire.MsgType, _, _ []byte) (wire.MsgType, []byte, error) {
-			running.Done()
-			<-ctx.Done()
-			return 0, nil, ctx.Err()
+		if n := maxSeen; n != 1 {
+			t.Errorf("%d handlers ran at once on one connection, want 1", n)
 		}
-		before := runtime.NumGoroutine()
-		server, client := net.Pipe()
-		returned := make(chan struct{})
-		go func() {
-			defer close(returned)
-			defer server.Close()
-			ServeConn(context.Background(), server, h, ServeOptions{})
-		}()
-		c := connOver(t, client)
-		for i := 0; i < k; i++ {
-			go c.Call(ctx, wire.MsgShardQueryReq, nil, wire.MsgShardQueryResp, false)
+		if log.only() == "" {
+			t.Error("one connection's requests ran on more than one goroutine")
 		}
-		running.Wait()
-		c.Close()
-		select {
-		case <-returned:
-		case <-time.After(5 * time.Second):
-			t.Fatal("ServeConn did not return after the peer closed: handlers were not cancelled ahead of the drain")
-		}
-		settleGoroutines(t, before)
 	})
 }
 

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,7 +24,7 @@ func withProcs(t *testing.T, n int) {
 }
 
 // holdingHandler echoes, but holds a request whose body starts with 'h'
-// until release is closed or the connection ends, after signalling held.
+// until release is closed or its context ends, after signalling held.
 func holdingHandler(held chan<- struct{}, release <-chan struct{}) Handler {
 	return func(ctx context.Context, mt wire.MsgType, body, _ []byte) (wire.MsgType, []byte, error) {
 		if len(body) > 0 && body[0] == 'h' {
@@ -57,51 +59,67 @@ func holdCalls(t *testing.T, c *Conn, n int, held <-chan struct{}, idempotent bo
 	return done
 }
 
-func (c *Conn) sessionCount() int {
+// idleCount reports the sessions waiting for a call.
+func (c *Conn) idleCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.sessions)
+	return len(c.idle)
 }
 
-// TestPoolOpensOneSessionPerProcessor: callers that overlap open
-// sessions up to GOMAXPROCS, and no further — at GOMAXPROCS = 1 never a
-// second one. Each caller here starts while every earlier call is still
-// held at the server, so the pool grows by exactly one session per call
-// until it reaches its bound, and later calls share what it has.
-func TestPoolOpensOneSessionPerProcessor(t *testing.T) {
+// waiting reports the callers waiting for a session another call returns.
+func (c *Conn) waiting() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.waiters)
+}
+
+// waitAll waits for n calls' errors and fails on the first that is not
+// nil.
+func waitAll(t *testing.T, done <-chan error, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPoolHoldsOneSessionPerOverlappingCall: k calls that overlap hold k
+// sessions, whatever GOMAXPROCS is; once they return, the Conn keeps
+// GOMAXPROCS of them idle and closes the rest. Each caller here starts
+// while every earlier call is still held at the server, so each dials.
+func TestPoolHoldsOneSessionPerOverlappingCall(t *testing.T) {
 	for _, procs := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
 			withProcs(t, procs)
 			held, release := make(chan struct{}), make(chan struct{})
-			addr, accepted := startCountedServer(t, holdingHandler(held, release), ServeOptions{})
-			c := New(addr, Options{})
+			srv := startCountedServer(t, holdingHandler(held, release), ServeOptions{})
+			c := New(srv.addr, Options{})
 			defer c.Close()
 
 			k := procs + 2
 			done := holdCalls(t, c, k, held, true)
-			if n := accepted.Load(); n != int64(procs) {
-				t.Errorf("%d overlapping calls opened %d sessions, want GOMAXPROCS = %d", k, n, procs)
-			}
-			if n := c.sessionCount(); n != procs {
-				t.Errorf("the pool holds %d sessions, want %d", n, procs)
+			if n := srv.accepted.Load(); n != int64(k) {
+				t.Errorf("%d overlapping calls opened %d sessions, want %d", k, n, k)
 			}
 			close(release)
-			for i := 0; i < k; i++ {
-				if err := <-done; err != nil {
-					t.Fatal(err)
-				}
+			waitAll(t, done, k)
+			if n := c.idleCount(); n != procs {
+				t.Errorf("%d sessions idle after the calls returned, want GOMAXPROCS = %d", n, procs)
 			}
+			srv.waitClosed(t, k-procs)
 		})
 	}
 
-	// Callers racing from the start, at whatever GOMAXPROCS the test runs
-	// under (go test -cpu 1 included), stay inside the bound too.
+	// Callers racing from the start: once they are done, every session
+	// still open is idle, and no more than GOMAXPROCS are.
 	t.Run("racing callers", func(t *testing.T) {
-		addr, accepted := startCountedServer(t, echoHandler, ServeOptions{})
-		c := New(addr, Options{})
+		srv := startCountedServer(t, echoHandler, ServeOptions{})
+		c := New(srv.addr, Options{})
 		defer c.Close()
+		const callers = 16
 		var wg sync.WaitGroup
-		for g := 0; g < 16; g++ {
+		for g := 0; g < callers; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
@@ -114,26 +132,32 @@ func TestPoolOpensOneSessionPerProcessor(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
-		if n, procs := accepted.Load(), runtime.GOMAXPROCS(0); n > int64(procs) {
-			t.Errorf("16 racing callers opened %d sessions, want at most GOMAXPROCS = %d", n, procs)
+		c.mu.Lock()
+		open, idle := len(c.open), len(c.idle)
+		c.mu.Unlock()
+		if open != idle {
+			t.Errorf("%d sessions open after every call returned, %d of them idle: want all", open, idle)
+		}
+		if procs := runtime.GOMAXPROCS(0); idle > procs {
+			t.Errorf("%d sessions idle, want at most GOMAXPROCS = %d", idle, procs)
 		}
 	})
 }
 
 // TestPoolSequentialCallsUseOneSession: a caller whose calls never
-// overlap always finds the first session idle, so it never opens a
+// overlap always finds the session it returned idle, so it never opens a
 // second however many processors there are.
 func TestPoolSequentialCallsUseOneSession(t *testing.T) {
 	withProcs(t, 4)
-	addr, accepted := startCountedServer(t, echoHandler, ServeOptions{})
-	c := New(addr, Options{})
+	srv := startCountedServer(t, echoHandler, ServeOptions{})
+	c := New(srv.addr, Options{})
 	defer c.Close()
 	for i := 0; i < 1000; i++ {
 		if _, err := c.Call(context.Background(), wire.MsgShardQueryReq, []byte{byte(i)}, wire.MsgShardQueryResp, true); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := accepted.Load(); n != 1 {
+	if n := srv.accepted.Load(); n != 1 {
 		t.Fatalf("1,000 sequential calls opened %d sessions, want 1", n)
 	}
 }
@@ -163,9 +187,8 @@ func (l *recordingListener) conn(i int) net.Conn {
 }
 
 // TestPoolDeadSessionFailsOnlyItsCalls: when one session's connection
-// dies, only the calls in flight on it fail; the pool drops that session
-// alone, and the calls on the others — and the calls after — are served
-// on what is left, without a redial.
+// dies, only the call on it fails; the other call completes on its own
+// session, which then serves the calls after, without a redial.
 func TestPoolDeadSessionFailsOnlyItsCalls(t *testing.T) {
 	withProcs(t, 2)
 	held, release := make(chan struct{}), make(chan struct{})
@@ -194,9 +217,6 @@ func TestPoolDeadSessionFailsOnlyItsCalls(t *testing.T) {
 	// its failure shows.
 	first := holdCalls(t, c, 1, held, false)
 	second := holdCalls(t, c, 1, held, false)
-	if n := c.sessionCount(); n != 2 {
-		t.Fatalf("two overlapping calls on %d sessions, want 2", n)
-	}
 
 	ln.conn(0).Close()
 	select {
@@ -213,13 +233,13 @@ func TestPoolDeadSessionFailsOnlyItsCalls(t *testing.T) {
 		t.Fatalf("the call on the live session returned early: %v", err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	if n := c.sessionCount(); n != 1 {
-		t.Fatalf("after one session died the pool holds %d, want the other one", n)
-	}
 
 	close(release)
 	if err := <-second; err != nil {
 		t.Fatalf("the call on the live session: %v", err)
+	}
+	if n := c.idleCount(); n != 1 {
+		t.Fatalf("%d sessions idle after one died, want the other one", n)
 	}
 	for i := 0; i < 10; i++ {
 		if _, err := c.Call(context.Background(), wire.MsgShardQueryReq, []byte("after"), wire.MsgShardQueryResp, false); err != nil {
@@ -233,46 +253,128 @@ func TestPoolDeadSessionFailsOnlyItsCalls(t *testing.T) {
 	}
 }
 
+// TestPoolCancelledCallClosesOnlyItsSession: a call whose context is
+// cancelled mid-exchange returns the context's error and closes its own
+// session — the response it abandoned must not meet the next call — and
+// no other: the call beside it completes, and its session serves the
+// next call without a redial.
+func TestPoolCancelledCallClosesOnlyItsSession(t *testing.T) {
+	withProcs(t, 2)
+	held, release := make(chan struct{}), make(chan struct{})
+	srv := startCountedServer(t, holdingHandler(held, release), ServeOptions{})
+	c := New(srv.addr, Options{})
+	defer c.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancelled := make(chan error, 1)
+	go func() {
+		_, err := c.Call(ctx, wire.MsgShardQueryReq, []byte("hold"), wire.MsgShardQueryResp, true)
+		cancelled <- err
+	}()
+	<-held
+	other := holdCalls(t, c, 1, held, true)
+	cancel()
+	if err := <-cancelled; !errors.Is(err, context.Canceled) {
+		t.Fatalf("the cancelled call returned %v, want context.Canceled", err)
+	}
+	close(release)
+	if err := <-other; err != nil {
+		t.Fatalf("the call beside the cancelled one: %v", err)
+	}
+	// The server answers the abandoned request into a closed connection,
+	// and closes its side.
+	srv.waitClosed(t, 1)
+	if _, err := c.Call(context.Background(), wire.MsgShardQueryReq, []byte("next"), wire.MsgShardQueryResp, false); err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.accepted.Load(); n != 2 {
+		t.Fatalf("%d sessions opened, want 2: the next call takes the surviving one", n)
+	}
+}
+
+// TestPoolWrongIDFailsOnlyItsCall: a response whose request ID is not the
+// one the session asked fails its call with a transport error and closes
+// the session; the Conn's next call dials a fresh one and succeeds.
+func TestPoolWrongIDFailsOnlyItsCall(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	hungUp := make(chan error, 1)
+	go func() {
+		// The first connection answers request n as request n+1, then
+		// reports how its peer left; every later one is served honestly.
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		go func() {
+			defer nc.Close()
+			nc.SetDeadline(time.Now().Add(5 * time.Second))
+			if _, _, _, err := wire.ReadFrame(nc); err != nil {
+				hungUp <- err
+				return
+			}
+			wire.WriteFrame(nc, wire.MsgHelloResp, 0, wire.EncodeHello(wire.ProtocolVersion))
+			_, id, body, err := wire.ReadFrame(nc)
+			if err != nil {
+				hungUp <- err
+				return
+			}
+			wire.WriteFrame(nc, wire.MsgShardQueryResp, id+1, body)
+			_, _, _, err = wire.ReadFrame(nc)
+			hungUp <- err
+		}()
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer nc.Close()
+				ServeConn(context.Background(), nc, echoHandler, ServeOptions{})
+			}()
+		}
+	}()
+	c := New(ln.Addr().String(), Options{})
+	defer c.Close()
+
+	_, err = c.Call(context.Background(), wire.MsgShardQueryReq, []byte("a"), wire.MsgShardQueryResp, false)
+	var we *wire.WireError
+	if err == nil || errors.As(err, &we) || !strings.Contains(err.Error(), "response to request 2, want 1") {
+		t.Fatalf("a call answered on the wrong request ID returned %v, want a transport error", err)
+	}
+	if err := <-hungUp; !errors.Is(err, io.EOF) {
+		t.Fatalf("after the wrong-ID response the session %v, want it closed", err)
+	}
+	if resp, err := c.Call(context.Background(), wire.MsgShardQueryReq, []byte("b"), wire.MsgShardQueryResp, false); err != nil || string(resp) != "b" {
+		t.Fatalf("the call after: %q, %v", resp, err)
+	}
+}
+
 // TestPoolRedialsWhenEverySessionDiedIdle: sessions that die while idle
 // — here the server's idle timeout closes both of a grown pool at once,
-// as it does to a client that pauses — leave the pool as they die, so
-// the next call dials a fresh session instead of retrying onto a second
-// dead one. Even a non-idempotent call succeeds: it was never sent.
+// as it does to a client that pauses — are found dead before the next
+// call writes to them, so it dials exactly one fresh session instead of
+// failing on a dead one. Even a non-idempotent call succeeds: it was
+// never sent.
 func TestPoolRedialsWhenEverySessionDiedIdle(t *testing.T) {
 	withProcs(t, 2)
 	held, release := make(chan struct{}), make(chan struct{})
-	addr, accepted := startCountedServer(t, holdingHandler(held, release), ServeOptions{IdleTimeout: 500 * time.Millisecond})
-	c := New(addr, Options{})
+	srv := startCountedServer(t, holdingHandler(held, release), ServeOptions{IdleTimeout: 500 * time.Millisecond})
+	c := New(srv.addr, Options{})
 	defer c.Close()
 
 	done := holdCalls(t, c, 2, held, true)
-	if n := c.sessionCount(); n != 2 {
-		t.Fatalf("two overlapping calls on %d sessions, want 2", n)
-	}
 	close(release)
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
+	waitAll(t, done, 2)
+	if n := c.idleCount(); n != 2 {
+		t.Fatalf("two overlapping calls left %d sessions idle, want 2", n)
 	}
 
-	// Wait until no live session is left in the pool.
-	deadline := time.Now().Add(5 * time.Second)
-	for live := true; live; {
-		if time.Now().After(deadline) {
-			t.Fatal("the server never idle-dropped the sessions")
-		}
-		time.Sleep(20 * time.Millisecond)
-		c.mu.Lock()
-		live = false
-		for _, s := range c.sessions {
-			s.pendMu.Lock()
-			live = live || s.dead == nil
-			s.pendMu.Unlock()
-		}
-		c.mu.Unlock()
-	}
-	opened := accepted.Load()
+	// Wait until the server has closed both.
+	srv.waitClosed(t, 2)
 	resp, err := c.Call(context.Background(), wire.MsgShardQueryReq, []byte("after"), wire.MsgShardQueryResp, false)
 	if err != nil {
 		t.Fatalf("non-idempotent call after every session died idle: %v", err)
@@ -280,75 +382,112 @@ func TestPoolRedialsWhenEverySessionDiedIdle(t *testing.T) {
 	if string(resp) != "after" {
 		t.Fatalf("resp = %q", resp)
 	}
-	if n := accepted.Load(); n != opened+1 {
-		t.Fatalf("the call opened %d sessions, want 1", n-opened)
+	if n := srv.accepted.Load(); n != 3 {
+		t.Fatalf("the call opened %d sessions, want 1", n-2)
 	}
 }
 
-// TestPoolSharesWhenADialFails: when every session is busy and the dial
-// for one more fails, the caller shares a session the pool has instead
-// of failing its call, and the pool stops trying to grow.
+// TestPoolSharesWhenADialFails: when a caller's dial fails while another
+// call holds a session, the caller is handed that session when the call
+// returns it, instead of failing — or, if its own context ends first, it
+// returns the context's error and the session goes idle.
 func TestPoolSharesWhenADialFails(t *testing.T) {
-	withProcs(t, 2)
-	held, release := make(chan struct{}), make(chan struct{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		// One connection, then the listener closes: every later dial is
-		// refused.
-		nc, err := ln.Accept()
-		ln.Close()
-		if err != nil {
-			return
-		}
-		defer nc.Close()
-		ServeConn(context.Background(), nc, holdingHandler(held, release), ServeOptions{})
-	}()
-	c := New(ln.Addr().String(), Options{})
-	defer c.Close()
+	for _, cancelFirst := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cancelled=%v", cancelFirst), func(t *testing.T) {
+			withProcs(t, 2)
+			held, release := make(chan struct{}), make(chan struct{})
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			refused := make(chan struct{}, 1)
+			go func() {
+				// The first connection is served; every later one is
+				// closed before its Hello is answered.
+				for i := 0; ; i++ {
+					nc, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					if i > 0 {
+						nc.Close()
+						refused <- struct{}{}
+						continue
+					}
+					go func() {
+						defer nc.Close()
+						ServeConn(context.Background(), nc, holdingHandler(held, release), ServeOptions{})
+					}()
+				}
+			}()
+			c := New(ln.Addr().String(), Options{})
+			defer c.Close()
 
-	first := holdCalls(t, c, 1, held, false)
-	second := holdCalls(t, c, 1, held, false)
-	if n := c.sessionCount(); n != 1 {
-		t.Fatalf("the pool holds %d sessions after a refused dial, want 1", n)
-	}
-	c.mu.Lock()
-	halted := c.growHalted
-	c.mu.Unlock()
-	if !halted {
-		t.Fatal("after a refused dial the pool still tries to grow")
-	}
-	close(release)
-	for _, done := range []<-chan error{first, second} {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
+			first := holdCalls(t, c, 1, held, false)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			second := make(chan error, 1)
+			go func() {
+				_, err := c.Call(ctx, wire.MsgShardQueryReq, []byte("quick"), wire.MsgShardQueryResp, false)
+				second <- err
+			}()
+			<-refused // the second caller's dial has failed
+			for deadline := time.Now().Add(5 * time.Second); c.waiting() != 1; runtime.Gosched() {
+				if time.Now().After(deadline) {
+					t.Fatal("the caller whose dial failed does not wait for a session")
+				}
+			}
+			if cancelFirst {
+				cancel()
+				if err := <-second; !errors.Is(err, context.Canceled) {
+					t.Fatalf("the waiting caller's context ended: %v, want context.Canceled", err)
+				}
+			}
+			close(release)
+			if err := <-first; err != nil {
+				t.Fatal(err)
+			}
+			if !cancelFirst {
+				if err := <-second; err != nil {
+					t.Fatalf("the caller whose dial failed: %v, want the returned session", err)
+				}
+			}
+			if n := c.idleCount(); n != 1 {
+				t.Fatalf("%d sessions idle, want the one that served both callers", n)
+			}
+			select {
+			case <-refused:
+				t.Fatal("the waiting caller dialled again")
+			default:
+			}
+		})
 	}
 }
 
-// TestPoolCloseLeavesNoGoroutine: Close ends every session of a full
-// pool — each reader on this side, each connection's loop and workers on
-// the server's.
+// TestPoolCloseLeavesNoGoroutine: an idle session costs its client no
+// goroutine and its server one, the connection's; Close ends every
+// session of a full pool, and with them the server's goroutines.
 func TestPoolCloseLeavesNoGoroutine(t *testing.T) {
 	withProcs(t, 4)
 	held, release := make(chan struct{}), make(chan struct{})
 	addr := startServer(t, holdingHandler(held, release), ServeOptions{})
-	before := runtime.NumGoroutine()
+	settleGoroutines(t, serving, 0) // earlier tests' connections have closed
 	c := New(addr, Options{})
 	done := holdCalls(t, c, 4, held, true)
-	if n := c.sessionCount(); n != 4 {
-		t.Fatalf("four overlapping calls on %d sessions, want 4", n)
-	}
 	close(release)
-	for i := 0; i < 4; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
+	waitAll(t, done, 4)
+	if n := c.idleCount(); n != 4 {
+		t.Fatalf("four overlapping calls left %d sessions idle, want 4", n)
+	}
+	if n := serving(); n != 4 {
+		t.Errorf("4 idle sessions are served by %d goroutines, want 4", n)
+	}
+	if n := goroutinesIn("edgeauth/internal/rpc.(*Conn)", "edgeauth/internal/rpc.(*session)"); n != 0 {
+		t.Errorf("4 idle sessions run %d goroutines in their client, want 0", n)
 	}
 	c.Close()
-	settleGoroutines(t, before)
+	settleGoroutines(t, serving, 0)
 	if _, err := c.Call(context.Background(), wire.MsgShardQueryReq, []byte("x"), wire.MsgShardQueryResp, true); err == nil {
 		t.Fatal("a call on a closed Conn succeeded")
 	}
@@ -357,12 +496,13 @@ func TestPoolCloseLeavesNoGoroutine(t *testing.T) {
 // BenchmarkConcurrentCalls measures the transport alone: callers share
 // one Conn to an echo server and split b.N calls between them. It
 // reports the calls a second they complete together and the sessions the
-// Conn opened. Run it with -cpu 1 to see the one-session case.
+// Conn opened. Run it with -cpu 1,2,4: GOMAXPROCS is how many sessions a
+// Conn keeps idle between calls.
 func BenchmarkConcurrentCalls(b *testing.B) {
-	for _, callers := range []int{1, 2} {
+	for _, callers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("callers=%d", callers), func(b *testing.B) {
-			addr, accepted := startCountedServer(b, echoHandler, ServeOptions{})
-			c := New(addr, Options{})
+			srv := startCountedServer(b, echoHandler, ServeOptions{})
+			c := New(srv.addr, Options{})
 			defer c.Close()
 			ctx := context.Background()
 			if err := c.Connect(ctx); err != nil {
@@ -387,7 +527,7 @@ func BenchmarkConcurrentCalls(b *testing.B) {
 			}
 			wg.Wait()
 			b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "calls/s")
-			b.ReportMetric(float64(accepted.Load()), "sessions")
+			b.ReportMetric(float64(srv.accepted.Load()), "sessions")
 		})
 	}
 }

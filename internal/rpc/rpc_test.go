@@ -32,34 +32,70 @@ func echoHandler(_ context.Context, mt wire.MsgType, body, _ []byte) (wire.MsgTy
 // startServer serves connections with h until the test ends.
 func startServer(t testing.TB, h Handler, o ServeOptions) string {
 	t.Helper()
-	addr, _ := startCountedServer(t, h, o)
-	return addr
+	return startCountedServer(t, h, o).addr
+}
+
+// testServer serves connections with one handler and counts them: one
+// accepted for each session a Conn has opened to it, one closed each time
+// ServeConn has returned and the connection is closed.
+type testServer struct {
+	addr     string
+	accepted atomic.Int64
+
+	mu     sync.Mutex
+	closed int
+	// closing is closed, and replaced, each time a connection closes.
+	closing chan struct{}
 }
 
 // startCountedServer is startServer that also counts the connections it
-// accepts: one for each session a Conn has opened to it.
-func startCountedServer(t testing.TB, h Handler, o ServeOptions) (string, *atomic.Int64) {
+// accepts and closes.
+func startCountedServer(t testing.TB, h Handler, o ServeOptions) *testServer {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	accepted := new(atomic.Int64)
+	s := &testServer{addr: ln.Addr().String(), closing: make(chan struct{})}
 	go func() {
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			accepted.Add(1)
+			s.accepted.Add(1)
 			go func() {
-				defer conn.Close()
 				ServeConn(context.Background(), conn, h, o)
+				conn.Close()
+				s.mu.Lock()
+				s.closed++
+				close(s.closing)
+				s.closing = make(chan struct{})
+				s.mu.Unlock()
 			}()
 		}
 	}()
 	t.Cleanup(func() { ln.Close() })
-	return ln.Addr().String(), accepted
+	return s
+}
+
+// waitClosed waits until the server has closed n connections in all.
+func (s *testServer) waitClosed(t testing.TB, n int) {
+	t.Helper()
+	timeout := time.After(5 * time.Second)
+	for {
+		s.mu.Lock()
+		closed, closing := s.closed, s.closing
+		s.mu.Unlock()
+		if closed >= n {
+			return
+		}
+		select {
+		case <-closing:
+		case <-timeout:
+			t.Fatalf("the server closed %d connections, want %d", closed, n)
+		}
+	}
 }
 
 func TestHandshakeAndCall(t *testing.T) {
@@ -254,8 +290,8 @@ func TestTypedErrorAcrossWire(t *testing.T) {
 	}
 }
 
-// TestOutOfOrderResponses proves demultiplexing: a slow request issued
-// first must not block a fast one issued second.
+// TestOutOfOrderResponses: a slow request issued first must not block a
+// fast one issued second; the fast call takes a session of its own.
 func TestOutOfOrderResponses(t *testing.T) {
 	release := make(chan struct{})
 	h := func(_ context.Context, mt wire.MsgType, body, _ []byte) (wire.MsgType, []byte, error) {
@@ -274,7 +310,7 @@ func TestOutOfOrderResponses(t *testing.T) {
 		_, err := c.Call(ctx, wire.MsgShardQueryReq, []byte("slow"), wire.MsgShardQueryResp, true)
 		slowDone <- err
 	}()
-	// The fast call completes while the slow one is parked in a worker.
+	// The fast call completes while the slow one is parked in its handler.
 	fastCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
 	if _, err := c.Call(fastCtx, wire.MsgShardQueryReq, []byte("fast"), wire.MsgShardQueryResp, true); err != nil {
@@ -388,39 +424,19 @@ func TestRedialAfterServerRestart(t *testing.T) {
 }
 
 // TestNonIdempotentRetriesWhenNeverSent: after the server idle-drops the
-// cached session, even a non-idempotent request must redial and retry,
-// because the dead-session check fires before any bytes are written —
-// the request provably never reached the server.
+// idle session, even a non-idempotent request must succeed on a fresh
+// one, because the dead-session check fires before any bytes are written
+// — the request provably never reached the server.
 func TestNonIdempotentRetriesWhenNeverSent(t *testing.T) {
-	addr := startServer(t, echoHandler, ServeOptions{IdleTimeout: 30 * time.Millisecond})
-	c := New(addr, Options{})
+	srv := startCountedServer(t, echoHandler, ServeOptions{IdleTimeout: 30 * time.Millisecond})
+	c := New(srv.addr, Options{})
 	defer c.Close()
 	ctx := context.Background()
 	if _, err := c.Call(ctx, wire.MsgShardQueryReq, []byte("a"), wire.MsgShardQueryResp, false); err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the server to idle-drop the connection and the client's
-	// readLoop to mark the session dead.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("session never died after server idle timeout")
-		}
-		time.Sleep(20 * time.Millisecond)
-		c.mu.Lock()
-		if len(c.sessions) != 1 {
-			c.mu.Unlock()
-			break // a previous call already dropped it
-		}
-		s := c.sessions[0]
-		c.mu.Unlock()
-		s.pendMu.Lock()
-		dead := s.dead != nil
-		s.pendMu.Unlock()
-		if dead {
-			break
-		}
-	}
+	// Wait for the server to idle-drop the connection.
+	srv.waitClosed(t, 1)
 	resp, err := c.Call(ctx, wire.MsgShardQueryReq, []byte("b"), wire.MsgShardQueryResp, false)
 	if err != nil {
 		t.Fatalf("non-idempotent call on dead session: %v (should retry: never sent)", err)
@@ -506,35 +522,38 @@ func TestConcurrentPipelinedCalls(t *testing.T) {
 	}
 }
 
-// TestHandlerCtxCancelledOnDisconnect proves the connection context
-// reaches handlers and is cancelled when the peer goes away, so a
-// long-running query stops burning CPU for a client that hung up.
-func TestHandlerCtxCancelledOnDisconnect(t *testing.T) {
-	started := make(chan struct{})
-	cancelled := make(chan error, 1)
+// TestHandlerCtxOutlivesItsPeer: nothing reads a connection while its
+// handler runs, so a peer that hangs up mid-request does not cancel the
+// handler's context (Server.Close and ServeConn's ctx do, see
+// TestCloseCancelsAndWaitsForHandlers and TestBaseContextCancellation).
+// The server finds the peer gone once the handler returns, and closes the
+// connection.
+func TestHandlerCtxOutlivesItsPeer(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	ctxErr := make(chan error, 1)
 	h := func(ctx context.Context, mt wire.MsgType, body, _ []byte) (wire.MsgType, []byte, error) {
 		close(started)
-		select {
-		case <-ctx.Done():
-			cancelled <- ctx.Err()
-		case <-time.After(5 * time.Second):
-			cancelled <- nil
-		}
-		return wire.MsgShardQueryResp, nil, nil
+		<-release
+		ctxErr <- ctx.Err()
+		return wire.MsgShardQueryResp, body, nil
 	}
-	addr := startServer(t, h, ServeOptions{})
-	c := New(addr, Options{})
-	go c.Call(context.Background(), wire.MsgShardQueryReq, []byte("x"), wire.MsgShardQueryResp, false)
+	srv := startCountedServer(t, h, ServeOptions{})
+	c := New(srv.addr, Options{})
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Call(context.Background(), wire.MsgShardQueryReq, []byte("x"), wire.MsgShardQueryResp, false)
+		done <- err
+	}()
 	<-started
-	c.Close() // client hangs up mid-request
-	select {
-	case err := <-cancelled:
-		if err == nil {
-			t.Fatal("handler context not cancelled after peer disconnect")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("handler never observed the disconnect")
+	c.Close() // the client hangs up mid-request
+	if err := <-done; err == nil {
+		t.Fatal("a call on a closed Conn succeeded")
 	}
+	close(release)
+	if err := <-ctxErr; err != nil {
+		t.Fatalf("the handler's context ended with its peer: %v", err)
+	}
+	srv.waitClosed(t, 1)
 }
 
 // TestBaseContextCancellation covers ServeConn's ctx: when the context

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"edgeauth/internal/wire"
@@ -16,26 +15,23 @@ import (
 // DefaultIdleTimeout is the idle window of ServeOptions' zero value.
 const DefaultIdleTimeout = 2 * time.Minute
 
-// maxConcurrent bounds the requests executing concurrently on one
-// connection, and with them the worker goroutines the connection starts.
-const maxConcurrent = 16
-
 // Handler executes one decoded request and returns the response frame's
-// type and body. ctx is the connection's context: it is cancelled the
-// moment the read loop observes the peer gone, so long-running handlers
-// (query traversal, VO crypto) stop early instead of burning a worker on
-// an answer nobody will read. Returning an error sends a typed error
-// frame instead; return a *wire.WireError to control the code the client
-// sees.
+// type and body. Returning an error sends a typed error frame instead;
+// return a *wire.WireError to control the code the client sees.
 //
-// A handler runs on one of its connection's workers — goroutines that
-// live as long as the connection and run one request after another (see
-// serve). It must not assume a goroutine of its own: anything it leaves
-// on the goroutine (a held lock, a runtime.LockOSThread) meets the
-// connection's next request, and a handler that never returns takes one
-// of the connection's maxConcurrent workers with it.
+// A handler runs on the goroutine that serves its connection, between
+// reading the request and writing the response, so a connection's
+// requests run one at a time and are answered in the order they came.
+// Nothing reads from the connection while a handler runs: ctx is
+// cancelled by Server.Close or with the context ServeConn was given, not
+// when the peer hangs up, and a peer that is gone is found when the
+// response is written. (A peer could always hold its connection open for
+// as long as a handler runs, so this lets it cost the server nothing
+// more.) Anything a handler leaves on the goroutine — a held lock, a
+// runtime.LockOSThread — meets the connection's next request, and a
+// handler that never returns ends its connection's service.
 //
-// out is an empty buffer the connection recycles from response to
+// out is an empty buffer the connection reuses from response to
 // response, with room for the frame header in front of it. A handler
 // that builds its response by appending to out and returns the result
 // costs no allocation once the buffer has grown to the connection's
@@ -158,18 +154,13 @@ func (o ServeOptions) idleTimeout() time.Duration {
 }
 
 // ServeConn drives one accepted connection until it closes: it completes
-// the Hello handshake, then dispatches requests through h, each with a
-// context cancelled when ctx is (server shutdown) or when the serve loop
-// winds down (peer gone, idled out, malformed frame). Requests
-// decode on this (reader) goroutine and execute concurrently on the
-// connection's own workers — at most maxConcurrent goroutines, started as
-// the connection's concurrency calls for them and kept until it closes —
-// each response written under the connection write lock and tagged with
+// the Hello handshake, then serves requests through h one after another
+// on this goroutine, each with ctx, and writes each response tagged with
 // its request ID. A peer whose first frame is not a well-formed Hello on
 // request 0 offering wire.ProtocolVersion gets one typed error frame and
 // ServeConn returns (the caller closes the connection). ServeConn also
-// returns when the peer disconnects, idles out, or sends a malformed
-// frame; in-flight workers are drained before it returns.
+// returns when the peer disconnects, idles out, sends a malformed frame
+// or stops taking responses.
 func ServeConn(ctx context.Context, conn net.Conn, h Handler, o ServeOptions) {
 	idle := o.idleTimeout()
 	setIdleDeadline(conn, idle)
@@ -223,27 +214,21 @@ func setIdleDeadline(conn net.Conn, idle time.Duration) {
 }
 
 // setWriteDeadline bounds one response write by the idle window, so a
-// peer that sends requests but never drains responses cannot pin a
-// worker (and with it the per-connection write lock) forever.
+// peer that sends requests but never drains responses cannot pin the
+// connection's goroutine forever.
 func setWriteDeadline(conn net.Conn, idle time.Duration) {
 	if idle > 0 {
 		conn.SetWriteDeadline(time.Now().Add(idle))
 	}
 }
 
-// frameBuf is a recycled response frame: header room, then the body a
-// handler appended.
-type frameBuf struct{ b []byte }
-
-var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
-
 const (
 	// minFrameBuf is the smallest response buffer handed to a handler.
 	minFrameBuf = 512
-	// maxPooledFrame bounds the responses a connection sizes its buffers
-	// for: past it (bulk replication payloads) a response is allocated and
-	// dropped, not kept in the pool.
-	maxPooledFrame = 1 << 18
+	// maxKeptFrame bounds the responses a connection sizes its buffer
+	// for: past it (bulk replication payloads) a response is allocated
+	// and dropped, not kept for the next one.
+	maxKeptFrame = 1 << 18
 )
 
 // readBufSize is the per-connection read buffer of both ends. Every frame
@@ -253,98 +238,35 @@ const (
 // straight into the body's own allocation (see wire.ReadFrame).
 const readBufSize = 8 << 10
 
-// request is one decoded frame on its way from the reader to a worker.
-type request struct {
-	mt   wire.MsgType
-	id   uint32
-	body []byte
-}
-
-// serve is the multiplexed loop: decode on this goroutine, execute on the
-// connection's workers, write under writeMu tagged with the request ID.
-//
-// A worker is a goroutine that lives as long as the connection and runs
-// one request after another, so a connection's steady traffic runs on
-// stacks that have already grown to its handlers' depth. The reader hands
-// a frame to a free worker over work; it starts another only when none is
-// free and fewer than maxConcurrent exist, and waits for one otherwise —
-// the connection's back-pressure. When the read loop exits (peer gone),
-// ctx is cancelled before the worker drain, so stuck handlers unblock
-// instead of pinning the drain.
+// serve is the connection's loop: read a request, run h, write the
+// response, on this goroutine. frame is the connection's one response
+// buffer, lent to each handler as out and grown to the longest keepable
+// response the connection has sent.
 func serve(ctx context.Context, conn net.Conn, br *bufio.Reader, h Handler, idle time.Duration) {
-	var (
-		writeMu sync.Mutex
-		wg      sync.WaitGroup
-		work    = make(chan request)
-		workers int
-		// free counts the workers that have no handler running, less the
-		// requests the reader has committed to them. A worker counts from
-		// the moment its handler returns: all it has left is a response
-		// write the write lock serialises anyway, and counting it then is
-		// what makes a caller's next request find the worker that answered
-		// its last one.
-		free atomic.Int64
-		// largest is the longest poolable response body this connection
-		// has sent: the next handler's buffer is at least that large, so a
-		// connection's steady traffic is answered in place.
-		largest atomic.Int64
-	)
-	handle := func(req request) {
-		fb := framePool.Get().(*frameBuf)
-		defer framePool.Put(fb)
-		if need := wire.FrameHeaderSize + max(int(largest.Load()), minFrameBuf); cap(fb.b) < need {
-			fb.b = make([]byte, need)
-		}
-		frame := fb.b[:cap(fb.b)]
-		respType, resp, err := h(ctx, req.mt, req.body, frame[wire.FrameHeaderSize:wire.FrameHeaderSize])
-		if err != nil {
-			respType, resp = wire.MsgError, wire.ToWireError(err).Encode()
-		}
-		free.Add(1)
-		writeMu.Lock()
-		setWriteDeadline(conn, idle)
-		var werr error
-		if len(resp) > 0 && &resp[0] == &frame[wire.FrameHeaderSize] {
-			// Built in place: the header goes in front and the frame
-			// leaves as it is.
-			werr = wire.WriteFramed(conn, respType, req.id, frame[:wire.FrameHeaderSize+len(resp)])
-		} else {
-			werr = wire.WriteFrame(conn, respType, req.id, resp)
-		}
-		writeMu.Unlock()
-		if werr != nil {
-			// The peer is gone; the read loop will notice shortly.
-			conn.Close()
-		}
-		if n := int64(len(resp)); n <= maxPooledFrame {
-			for seen := largest.Load(); n > seen && !largest.CompareAndSwap(seen, n); seen = largest.Load() {
-			}
-		}
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer wg.Wait()
-	defer cancel()
-	defer close(work)
+	frame := make([]byte, wire.FrameHeaderSize+minFrameBuf)
 	for {
 		setIdleDeadline(conn, idle)
 		mt, id, body, err := wire.ReadFrame(br)
 		if err != nil {
 			return
 		}
-		req := request{mt: mt, id: id, body: body}
-		if free.Load() <= 0 && workers < maxConcurrent {
-			workers++
-			wg.Add(1)
-			go func(first request) {
-				defer wg.Done()
-				handle(first)
-				for req := range work {
-					handle(req)
-				}
-			}(req)
-			continue
+		respType, resp, err := h(ctx, mt, body, frame[wire.FrameHeaderSize:wire.FrameHeaderSize])
+		if err != nil {
+			respType, resp = wire.MsgError, wire.ToWireError(err).Encode()
 		}
-		free.Add(-1)
-		work <- req
+		setWriteDeadline(conn, idle)
+		if len(resp) > 0 && &resp[0] == &frame[wire.FrameHeaderSize] {
+			// Built in place: the header goes in front and the frame
+			// leaves as it is.
+			err = wire.WriteFramed(conn, respType, id, frame[:wire.FrameHeaderSize+len(resp)])
+		} else {
+			err = wire.WriteFrame(conn, respType, id, resp)
+			if n := wire.FrameHeaderSize + len(resp); n > len(frame) && len(resp) <= maxKeptFrame {
+				frame = make([]byte, n)
+			}
+		}
+		if err != nil {
+			return
+		}
 	}
 }

@@ -1,14 +1,16 @@
 package wire
 
-// Session framing: concurrent request multiplexing over one connection.
+// Session framing.
 //
 // Every frame carries a u32 request ID between the type byte and the
 // body:
 //
 //	u32 len | u8 type | u32 reqID | body
 //
-// Responses echo the request ID of the frame they answer, so they may
-// return in any order and N callers can pipeline over one TCP connection.
+// Responses echo the request ID of the frame they answer. internal/rpc
+// carries one call at a time on a connection and a server answers a
+// connection's requests in order, so the ID is a check: a response on
+// any other ID means the stream is out of step.
 //
 // # Handshake
 //
@@ -93,13 +95,25 @@ func DecodeHello(body []byte) (uint32, error) {
 // FrameHeaderSize is the length of a frame's header.
 const FrameHeaderSize = 4 + 1 + 4
 
-// WriteFrame writes one frame: u32 len | u8 type | u32 reqID | body.
+// WriteFrame writes one frame: u32 len | u8 type | u32 reqID | body. A
+// small frame is joined and leaves in one Write — one system call and,
+// with TCP_NODELAY, one segment, where two writes made two of each; a
+// large body (a snapshot, a delta) spans many segments anyway and follows
+// its header uncopied.
 func WriteFrame(w io.Writer, t MsgType, reqID uint32, body []byte) error {
-	var hdr [FrameHeaderSize]byte
-	if err := putFrameHeader(hdr[:], t, reqID, len(body)); err != nil {
+	if len(body) < joinBelow {
+		frame := append(make([]byte, FrameHeaderSize, FrameHeaderSize+len(body)), body...)
+		return WriteFramed(w, t, reqID, frame)
+	}
+	hdr := make([]byte, FrameHeaderSize)
+	if err := putFrameHeader(hdr, t, reqID, len(body)); err != nil {
 		return err
 	}
-	return writeTogether(w, hdr[:], body)
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	_, err := w.Write(body)
+	return err
 }
 
 // WriteFramed writes a frame whose body was built in place: frame is

@@ -47,7 +47,7 @@
 // Every frame, the Hello exchange that opens a connection included, is
 // u32 length | u8 type | u32 request ID | body (see frame.go): the Hello
 // and its answer are request 0, and later requests carry the IDs their
-// sender numbers them by, so calls multiplex. A hard frame cap bounds
+// sender numbers them by, which each response echoes. A hard frame cap bounds
 // allocation from untrusted peers. The header's integers are big-endian,
 // and every body is written in package codec's primitive format (see
 // there) and read through its one bounded Reader, which the signed shard
@@ -158,25 +158,9 @@ func (m MsgType) String() string {
 // forcing unbounded allocation.
 const MaxFrameSize = 1 << 30
 
-// joinBelow is the body size under which writeTogether copies header and
+// joinBelow is the body size under which WriteFrame copies header and
 // body into one buffer: requests, acknowledgements and error frames.
 const joinBelow = 4 << 10
-
-// writeTogether writes a frame's header and body. A small frame is joined
-// and leaves in one Write — one system call and, with TCP_NODELAY, one
-// segment, where two writes made two of each; a large body (a snapshot, a
-// delta) spans many segments anyway and follows its header uncopied.
-func writeTogether(w io.Writer, hdr, body []byte) error {
-	if len(body) < joinBelow {
-		_, err := w.Write(append(append(make([]byte, 0, len(hdr)+len(body)), hdr...), body...))
-		return err
-	}
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
 
 // bodyChunk is the most a frame's length word makes a reader allocate
 // before any of the body has arrived. It covers every query answer, so
