@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"edgeauth/internal/digest"
 	"edgeauth/internal/query"
@@ -39,14 +38,6 @@ type Config struct {
 	// CentralAddr is the trusted central server receiving updates and
 	// serving the public key and the schemas answers are verified under.
 	CentralAddr string
-	// MaxClockSkew bounds how far a response's VO timestamp may deviate
-	// from this client's own clock before the result is rejected as
-	// stale or future-dated (the §3.4 freshness check — key validity is
-	// always resolved against the client's clock, never the edge's).
-	// 0 selects verify.DefaultMaxClockSkew; negative disables the
-	// timestamp bound (key validity is still checked at the client
-	// clock).
-	MaxClockSkew time.Duration
 }
 
 // Client talks to one edge server and one central server.
@@ -149,7 +140,7 @@ func (c *Client) verifier(ctx context.Context, table string) (*verify.Verifier, 
 	if err != nil {
 		return nil, err
 	}
-	v = &verify.Verifier{Keys: c.keys, Acc: digest.MustNew(digest.DefaultParams()), Schema: resp.Schema, MaxClockSkew: c.cfg.MaxClockSkew}
+	v = &verify.Verifier{Keys: c.keys, Acc: digest.MustNew(digest.DefaultParams()), Schema: resp.Schema}
 	c.vmu.Lock()
 	c.verifiers[table] = v
 	c.vmu.Unlock()
@@ -211,6 +202,14 @@ func (c *Client) Query(ctx context.Context, table string, preds []query.Predicat
 	if err != nil {
 		return nil, err
 	}
+	// Compiled here, before the edge is asked anything, to learn the key
+	// range and the answer's columns; the edge compiles the same spec per
+	// shard (compilation is deterministic over the schema).
+	spec := query.Spec{Predicates: preds, Project: project}
+	q, err := query.Compile(v.Schema, spec)
+	if err != nil {
+		return nil, err
+	}
 	for attempt := 0; ; attempt++ {
 		// A retry refetches the routing map: the gather straddled an edge
 		// refresh (answers from two map generations), raced an online
@@ -225,7 +224,7 @@ func (c *Client) Query(ctx context.Context, table string, preds []query.Predicat
 		var res *QueryResult
 		sm, err := c.shardMap(ctx, v, table, attempt > 0)
 		if err == nil {
-			res, err = c.queryShards(ctx, v, sm, table, preds, project)
+			res, err = c.queryShards(ctx, v, sm, table, spec, q)
 		}
 		if err == nil || !errors.Is(err, errShardDrift) || attempt >= maxShardDriftRetries {
 			return res, err

@@ -360,6 +360,14 @@ func TestEndToEndJoinView(t *testing.T) {
 func TestEndToEndErrors(t *testing.T) {
 	ctx := context.Background()
 	d := deploy(t, 20)
+	// A projection the schema refuses is the caller's mistake, refused
+	// before the edge is asked for a map or an answer.
+	if _, err := d.client.Query(ctx, "items", nil, []string{"cat", "cat"}); err == nil || errors.Is(err, ErrTampered) {
+		t.Fatalf("query projecting a column twice: %v, want a compile error", err)
+	}
+	if n := len(d.client.smaps); n != 0 {
+		t.Fatalf("a refused query fetched %d shard maps", n)
+	}
 	if _, err := d.client.Query(ctx, "ghost", nil, nil); err == nil {
 		t.Fatal("query of unknown table succeeded")
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -202,8 +203,13 @@ func TestAnswerOvertakenByNewerEpochRetries(t *testing.T) {
 			}
 
 			// The edge holds the first answer it computes — on its pinned
-			// pre-split set — until released.
+			// pre-split set — until released. A failure before the release
+			// still releases it, ahead of the deployment's own cleanup,
+			// which waits for that handler.
 			held, release := make(chan struct{}), make(chan struct{})
+			var released sync.Once
+			releaseHeld := func() { released.Do(func() { close(release) }) }
+			t.Cleanup(releaseHeld)
 			var first atomic.Bool
 			d.attack(func(*vo.ResultSet, *vo.VO) error {
 				if first.CompareAndSwap(false, true) {
@@ -235,7 +241,7 @@ func TestAnswerOvertakenByNewerEpochRetries(t *testing.T) {
 			if hostile {
 				d.attackMap(func(sm *shardmap.Signed) error { *sm = *old; return nil })
 			}
-			close(release)
+			releaseHeld()
 
 			got := <-late
 			if hostile {

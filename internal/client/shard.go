@@ -11,6 +11,7 @@ import (
 	"edgeauth/internal/query"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/shardmap"
+	"edgeauth/internal/vbtree"
 	"edgeauth/internal/verify"
 	"edgeauth/internal/wire"
 )
@@ -104,21 +105,31 @@ func (c *Client) noteMapEpoch(table string, issued mapGen, m *shardmap.Map) erro
 
 // verifyMap decodes and checks a signed map from the bytes it arrived
 // in (verify.VerifySignedMap: once per distinct bytes, the key's validity
-// on every call), refetching the trusted key once when the map is signed
-// under an unknown (possibly rotated-to) key version. The map returned is
-// read-only.
-func (c *Client) verifyMap(ctx context.Context, v *verify.Verifier, raw []byte, table string) (*shardmap.Signed, error) {
-	sm, err := v.VerifySignedMap(raw, table)
-	if err != nil && errors.Is(err, verify.ErrKeyVersion) && !errors.Is(err, verify.ErrFreshness) {
-		if kerr := c.FetchTrustedKey(ctx); kerr != nil {
-			return nil, fmt.Errorf("client: refetching trusted key after %v: %w", err, kerr)
+// on every call), under the trusted key. The map returned is read-only.
+func (c *Client) verifyMap(ctx context.Context, v *verify.Verifier, raw []byte, table string) (sm *shardmap.Signed, err error) {
+	err = c.underTrustedKey(ctx, func() (err error) {
+		if sm, err = v.VerifySignedMap(raw, table); err != nil {
+			return fmt.Errorf("%w: shard map: %w", ErrTampered, err)
 		}
-		sm, err = v.VerifySignedMap(raw, table)
+		return nil
+	})
+	return sm, err
+}
+
+// underTrustedKey runs check, and runs it once more after refetching the
+// trusted key when it failed on an unknown or expired key version (the
+// central may have rotated to a version this client has not fetched). A
+// stale timestamp is not retried: no key repairs it. A failed refetch is
+// returned as it is, not as a verdict on the edge.
+func (c *Client) underTrustedKey(ctx context.Context, check func() error) error {
+	err := check()
+	if !errors.Is(err, verify.ErrKeyVersion) || errors.Is(err, verify.ErrFreshness) {
+		return err
 	}
-	if err != nil {
-		return nil, fmt.Errorf("%w: shard map: %v", ErrTampered, err)
+	if kerr := c.FetchTrustedKey(ctx); kerr != nil {
+		return fmt.Errorf("client: refetching trusted key after %v: %w", err, kerr)
 	}
-	return sm, nil
+	return check()
 }
 
 // InvalidateShardMap drops the cached routing map for a table (tests and
@@ -141,15 +152,7 @@ type shardAnswer struct {
 // shard (several go out concurrently, each on an edge session of its
 // own), then per-shard verification anchored at the
 // attached, mutually-identical signed map, then a key-ordered stitch.
-func (c *Client) queryShards(ctx context.Context, v *verify.Verifier, routing *shardmap.Signed, table string, preds []query.Predicate, project []string) (*QueryResult, error) {
-	// Compile locally to learn the key range and the answer's columns; the
-	// edge compiles the same spec per shard (compilation is deterministic
-	// over the schema).
-	spec := query.Spec{Predicates: preds, Project: project}
-	q, err := query.Compile(v.Schema, spec)
-	if err != nil {
-		return nil, err
-	}
+func (c *Client) queryShards(ctx context.Context, v *verify.Verifier, routing *shardmap.Signed, table string, spec query.Spec, q vbtree.Query) (*QueryResult, error) {
 	first, last := routing.Map.ShardsForRange(q.Lo, q.Hi)
 	n := last - first + 1
 
@@ -160,9 +163,9 @@ func (c *Client) queryShards(ctx context.Context, v *verify.Verifier, routing *s
 			Shard: uint32(first + i),
 			Query: &wire.QueryRequest{
 				Table:      table,
-				Predicates: preds,
-				Project:    project,
-				ProjectAll: project == nil,
+				Predicates: spec.Predicates,
+				Project:    spec.Project,
+				ProjectAll: spec.Project == nil,
 			},
 		}
 		a := shardAnswer{shard: first + i}
@@ -238,23 +241,18 @@ func (c *Client) queryShards(ctx context.Context, v *verify.Verifier, routing *s
 	}
 
 	// Bind each shard's VO to the root digest the verified attached map
-	// pins. One trusted-key refetch is allowed across the whole gather.
-	refetched := false
-	out := &QueryResult{ShardsQueried: n}
-	for _, a := range answers {
-		rs, w := a.resp.Resp.Result, a.resp.Resp.VO
-		rootDigest := bound.Map.Shards[a.shard].RootDigest
-		err := v.VerifyAnchored(rs, w, rootDigest)
-		if err != nil && errors.Is(err, verify.ErrKeyVersion) && !errors.Is(err, verify.ErrFreshness) && !refetched {
-			if kerr := c.FetchTrustedKey(ctx); kerr != nil {
-				return nil, fmt.Errorf("client: refetching trusted key after %v: %w", err, kerr)
+	// pins. The check covers the whole gather, so it refetches the trusted
+	// key at most once.
+	err = c.underTrustedKey(ctx, func() error {
+		for _, a := range answers {
+			if err := v.VerifyAnchored(a.resp.Resp.Result, a.resp.Resp.VO, bound.Map.Shards[a.shard].RootDigest); err != nil {
+				return fmt.Errorf("%w: shard %d: %w", ErrTampered, a.shard, err)
 			}
-			refetched = true
-			err = v.VerifyAnchored(rs, w, rootDigest)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: shard %d: %w", ErrTampered, a.shard, err)
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Keep the freshest verified map cached for the next routing pass.
@@ -268,6 +266,7 @@ func (c *Client) queryShards(ctx context.Context, v *verify.Verifier, routing *s
 	// the concatenation is key-ordered. The first shard's result set is
 	// the stitched one (each decoded answer is this call's own), so a
 	// one-shard answer is handed over as decoded.
+	out := &QueryResult{ShardsQueried: n}
 	for _, a := range answers {
 		rs, w := a.resp.Resp.Result, a.resp.Resp.VO
 		switch {

@@ -3,6 +3,7 @@ package edge
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net"
 	"runtime"
 	"testing"
@@ -292,6 +293,25 @@ func TestFilteredSpecAnswersItsKeyRange(t *testing.T) {
 		}
 		if len(bare.Resp.Result.Tuples) == 0 {
 			t.Errorf("%s: the range is empty", tc.name)
+		}
+	}
+}
+
+// TestRefusedQueryIsABadRequest: a query the schema refuses — a column
+// projected twice or unknown, a predicate of the wrong type — is the
+// caller's mistake, and the edge says so (CodeBadRequest), not
+// CodeInternal.
+func TestRefusedQueryIsABadRequest(t *testing.T) {
+	_, eg, _ := clockedEdge(t, 200, 1)
+	for _, body := range [][]byte{
+		queryBody(0, []string{"cat", "cat"}),
+		queryBody(0, []string{"ghost"}),
+		queryBody(0, nil, query.Predicate{Column: "id", Op: query.OpEQ, Value: schema.Str("x")}),
+	} {
+		_, _, err := eg.dispatch(context.Background(), wire.MsgShardQueryReq, body, nil)
+		var we *wire.WireError
+		if !errors.As(err, &we) || we.Code != wire.CodeBadRequest || we.Table != "items" {
+			t.Fatalf("a refused query: %v, want a bad-request error naming the table", err)
 		}
 	}
 }

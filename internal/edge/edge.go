@@ -1389,5 +1389,10 @@ func (s *Server) compile(req *wire.QueryRequest) (vbtree.Query, error) {
 	if !req.ProjectAll {
 		spec.Project = req.Project
 	}
-	return query.Compile(rep.sch, spec)
+	q, err := query.Compile(rep.sch, spec)
+	if err != nil {
+		// A query the schema refuses is the caller's mistake.
+		return q, &wire.WireError{Code: wire.CodeBadRequest, Table: req.Table, Msg: "edge: " + err.Error()}
+	}
+	return q, nil
 }

@@ -266,7 +266,7 @@ func TestAnswerMemoFollowsRefreshClockAndReshard(t *testing.T) {
 		srv, eg, clock := clockedEdge(t, 200, 1)
 		body := pointBody(0, 42)
 		stale := ask(t, eg, body)
-		clock.Add(int64((verify.DefaultMaxClockSkew + time.Minute) / time.Second))
+		clock.Add(int64((verify.MaxClockSkew + time.Minute) / time.Second))
 		ver := clientVerifier(t, srv, eg, clock.Load)
 		if _, err := verifyResponse(ver, 0, stale); !errors.Is(err, verify.ErrFreshness) {
 			t.Fatalf("the answer stamped before the clock moved: %v, want ErrFreshness", err)

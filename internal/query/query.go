@@ -98,10 +98,20 @@ type Spec struct {
 // plus each non-key predicate column not requested, in predicate order
 // (Project stays nil when the spec's is). A strict bound closes at its
 // value and != on the key bounds nothing: keys are opaque to successor
-// arithmetic, so Finish drops the rows on the bound.
+// arithmetic, so Finish drops the rows on the bound. A projection naming
+// a column the schema lacks, or one column twice, is refused: it is the
+// caller's mistake, which a client finds before it asks an edge.
 func Compile(sch *schema.Schema, spec Spec) (vbtree.Query, error) {
 	if err := sch.Validate(); err != nil {
 		return vbtree.Query{}, err
+	}
+	for i, name := range spec.Project {
+		if sch.ColumnIndex(name) < 0 {
+			return vbtree.Query{}, fmt.Errorf("query: unknown column %q", name)
+		}
+		if slices.Contains(spec.Project[:i], name) {
+			return vbtree.Query{}, fmt.Errorf("query: column %q projected twice", name)
+		}
 	}
 	// Clipped, so that an added column never lands in the caller's array.
 	q := vbtree.Query{Project: slices.Clip(spec.Project)}

@@ -196,6 +196,11 @@ func TestCompileValidation(t *testing.T) {
 	if _, err := Compile(sch, Spec{Predicates: []Predicate{{"id", OpEQ, schema.Str("x")}}}); err == nil {
 		t.Fatal("type-mismatched predicate accepted")
 	}
+	for _, project := range [][]string{{"cat", "cat"}, {"id", "cat", "id"}, {"ghost"}} {
+		if _, err := Compile(sch, Spec{Project: project}); err == nil {
+			t.Fatalf("projection %v accepted", project)
+		}
+	}
 }
 
 // TestFinish: the column check, the row drop and the column trim.

@@ -29,6 +29,16 @@ func echoHandler(_ context.Context, mt wire.MsgType, body, _ []byte) (wire.MsgTy
 	}
 }
 
+// releaser returns a func that closes ch the first time it is called,
+// and calls it when the test ends: a test that fails while a handler is
+// parked on ch still lets that handler return.
+func releaser(t testing.TB, ch chan struct{}) func() {
+	var once sync.Once
+	release := func() { once.Do(func() { close(ch) }) }
+	t.Cleanup(release)
+	return release
+}
+
 // startServer serves connections with h until the test ends.
 func startServer(t testing.TB, h Handler, o ServeOptions) string {
 	t.Helper()
@@ -294,6 +304,7 @@ func TestTypedErrorAcrossWire(t *testing.T) {
 // fast one issued second; the fast call takes a session of its own.
 func TestOutOfOrderResponses(t *testing.T) {
 	release := make(chan struct{})
+	releaseSlow := releaser(t, release)
 	h := func(_ context.Context, mt wire.MsgType, body, _ []byte) (wire.MsgType, []byte, error) {
 		if len(body) > 0 && body[0] == 's' {
 			<-release
@@ -316,7 +327,7 @@ func TestOutOfOrderResponses(t *testing.T) {
 	if _, err := c.Call(fastCtx, wire.MsgShardQueryReq, []byte("fast"), wire.MsgShardQueryResp, true); err != nil {
 		t.Fatalf("fast call blocked behind slow one: %v", err)
 	}
-	close(release)
+	releaseSlow()
 	if err := <-slowDone; err != nil {
 		t.Fatal(err)
 	}
@@ -530,6 +541,7 @@ func TestConcurrentPipelinedCalls(t *testing.T) {
 // connection.
 func TestHandlerCtxOutlivesItsPeer(t *testing.T) {
 	started, release := make(chan struct{}), make(chan struct{})
+	releaseHandler := releaser(t, release)
 	ctxErr := make(chan error, 1)
 	h := func(ctx context.Context, mt wire.MsgType, body, _ []byte) (wire.MsgType, []byte, error) {
 		close(started)
@@ -549,7 +561,7 @@ func TestHandlerCtxOutlivesItsPeer(t *testing.T) {
 	if err := <-done; err == nil {
 		t.Fatal("a call on a closed Conn succeeded")
 	}
-	close(release)
+	releaseHandler()
 	if err := <-ctxErr; err != nil {
 		t.Fatalf("the handler's context ended with its peer: %v", err)
 	}

@@ -45,6 +45,7 @@ func TestCloseCancelsAndWaitsForHandlers(t *testing.T) {
 		returned.Store(true)
 		return 0, nil, ctx.Err()
 	}, ServeOptions{})
+	releaseHandler := releaser(t, release)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +71,7 @@ func TestCloseCancelsAndWaitsForHandlers(t *testing.T) {
 		t.Fatal("Close returned while a handler was still running")
 	default:
 	}
-	close(release)
+	releaseHandler()
 	<-closed
 	if !returned.Load() {
 		t.Fatal("Close returned before the handler did")

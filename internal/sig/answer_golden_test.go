@@ -29,6 +29,9 @@ import (
 // The root signature every VO carries is made with it, so without a fixed
 // key no two runs produce the same answer bytes.
 
+// goldenClock is the fixed clock the goldens are stamped and checked at.
+func goldenClock() int64 { return 1_700_000_000 }
+
 // goldenView builds the table the goldens were captured over — 1,000
 // seeded rows on 1 KB pages, then a 40-row batch, one row wider than a
 // page (an overflow chain) and a 31-row delete — and returns a signed
@@ -62,10 +65,9 @@ func goldenView(t *testing.T) (*vbtree.View, *schema.Schema, *sig.PublicKey) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := func() int64 { return 1_700_000_000 }
 	tree, err := vbtree.Build(vbtree.Config{
 		Pool: bp, Heap: heap, Schema: sch, Acc: digest.MustNew(digest.DefaultParams()),
-		Pub: k.Public(), Now: now,
+		Pub: k.Public(), Now: goldenClock,
 	}, tuples, 0.7)
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +323,7 @@ func TestVOBytesMatchFormula9(t *testing.T) {
 				t.Errorf("%s: model predicts a %d-byte VO, the VO is %d bytes", name, got, w.WireSize())
 			}
 			ctr := new(digest.Counters)
-			ver := &verify.Verifier{Keys: trusted(pub), Acc: digest.MustNew(digest.Params{Counters: ctr}), Schema: sch, MaxClockSkew: -1}
+			ver := &verify.Verifier{Keys: trusted(pub), Acc: digest.MustNew(digest.Params{Counters: ctr}), Schema: sch, Now: goldenClock}
 			if err := ver.Verify(rs, w); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

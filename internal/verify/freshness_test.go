@@ -52,66 +52,53 @@ func TestBackdatedVOResurrectsExpiredKeyOnlyUnderOldSemantics(t *testing.T) {
 	}
 }
 
-// TestFreshnessWindow covers the skew bound in both directions and its
-// configurability.
+// TestFreshnessWindow covers the fixed skew bound in both directions, at
+// its edges, under a pinned client clock.
 func TestFreshnessWindow(t *testing.T) {
 	h := buildHand(t, []string{"a", "b"})
-	now := time.Now().Unix()
+	const now = 1_700_000_000
+	v := h.verifier()
+	v.Now = func() int64 { return now }
+	skew := int64(MaxClockSkew / time.Second)
 
-	// Within the default window: accepted.
-	rs, w := freshLeafVO(t, h, now-30, 0)
-	if err := h.verifier().Verify(rs, w); err != nil {
-		t.Fatalf("fresh VO rejected: %v", err)
+	// Within the window, up to its edges: accepted.
+	for _, ts := range []int64{now - 30, now - skew, now + skew} {
+		rs, w := freshLeafVO(t, h, ts, 0)
+		if err := v.Verify(rs, w); err != nil {
+			t.Fatalf("VO stamped %+ds from the client clock rejected: %v", ts-now, err)
+		}
 	}
 
-	// Backdated beyond the window: rejected even though the pinned key is
-	// unbounded — staleness itself is the signal. Matches both sentinels:
-	// ErrKeyVersion (the §3.4 class) and ErrFreshness (so clients skip
-	// the key-refetch recovery that cannot repair a stale timestamp).
-	rs, w = freshLeafVO(t, h, now-3600, 0)
-	err := h.verifier().Verify(rs, w)
-	if !errors.Is(err, ErrKeyVersion) || !errors.Is(err, ErrFreshness) {
-		t.Fatalf("hour-old VO: %v, want ErrKeyVersion and ErrFreshness", err)
-	}
-
-	// Future-dated: rejected.
-	rs, w = freshLeafVO(t, h, now+3600, 0)
-	err = h.verifier().Verify(rs, w)
-	if !errors.Is(err, ErrKeyVersion) || !errors.Is(err, ErrFreshness) {
-		t.Fatalf("future VO: %v, want ErrKeyVersion and ErrFreshness", err)
+	// Backdated or future-dated past the window: rejected even though the
+	// pinned key is unbounded — staleness itself is the signal. Matches
+	// both sentinels: ErrKeyVersion (the §3.4 class) and ErrFreshness (so
+	// clients skip the key-refetch recovery that cannot repair a stale
+	// timestamp).
+	for _, ts := range []int64{now - skew - 1, now - 3600, now + skew + 1, now + 3600} {
+		rs, w := freshLeafVO(t, h, ts, 0)
+		if err := v.Verify(rs, w); !errors.Is(err, ErrKeyVersion) || !errors.Is(err, ErrFreshness) {
+			t.Fatalf("VO stamped %+ds from the client clock: %v, want ErrKeyVersion and ErrFreshness", ts-now, err)
+		}
 	}
 
 	// A genuine unknown-key failure is NOT a freshness failure.
-	rs, w = freshLeafVO(t, h, now, 9)
-	if err := h.verifier().Verify(rs, w); !errors.Is(err, ErrKeyVersion) || errors.Is(err, ErrFreshness) {
+	rs, w := freshLeafVO(t, h, now, 9)
+	if err := v.Verify(rs, w); !errors.Is(err, ErrKeyVersion) || errors.Is(err, ErrFreshness) {
 		t.Fatalf("unknown key version: %v, want ErrKeyVersion without ErrFreshness", err)
-	}
-
-	// A wider configured window admits the hour-old response.
-	wide := &Verifier{Keys: trusted(h.key.Public()), Acc: h.acc, Schema: h.sch, MaxClockSkew: 2 * time.Hour}
-	rs, w = freshLeafVO(t, h, now-3600, 0)
-	if err := wide.Verify(rs, w); err != nil {
-		t.Fatalf("VO within widened skew rejected: %v", err)
-	}
-
-	// Negative disables the timestamp bound entirely.
-	off := &Verifier{Keys: trusted(h.key.Public()), Acc: h.acc, Schema: h.sch, MaxClockSkew: -1}
-	rs, w = freshLeafVO(t, h, 12, 0)
-	if err := off.Verify(rs, w); err != nil {
-		t.Fatalf("VO with skew check disabled rejected: %v", err)
 	}
 }
 
-// TestKeyValidityUsesClientClock: even with the timestamp bound disabled,
-// an expired key cannot be resurrected, because validity is resolved at
-// the client's clock.
+// TestKeyValidityUsesClientClock: a VO stamped inside its key's window
+// and within the skew bound of the client's clock is still refused once
+// the client's clock has passed the key's expiry, because validity is
+// resolved at the client's clock.
 func TestKeyValidityUsesClientClock(t *testing.T) {
 	h := buildHand(t, []string{"a", "b"})
 	expired := h.key.Public()
-	expired.NotAfter = 2_000 // expired decades ago
-	v := &Verifier{Keys: trusted(expired), Acc: h.acc, Schema: h.sch, MaxClockSkew: -1}
-	rs, w := freshLeafVO(t, h, 1_500, 0)
-	if err := v.Verify(rs, w); !errors.Is(err, ErrKeyVersion) {
-		t.Fatalf("expired key with skew disabled: %v, want ErrKeyVersion", err)
+	expired.NotAfter = 2_000
+	v := &Verifier{Keys: trusted(expired), Acc: h.acc, Schema: h.sch, Now: func() int64 { return 2_100 }}
+	rs, w := freshLeafVO(t, h, 1_950, 0)
+	if err := v.Verify(rs, w); !errors.Is(err, ErrKeyVersion) || errors.Is(err, ErrFreshness) {
+		t.Fatalf("expired key, VO within the skew bound: %v, want ErrKeyVersion without ErrFreshness", err)
 	}
 }

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"edgeauth/internal/digest"
@@ -95,10 +96,12 @@ func (o *orderedWalk) recompute(level int) (digest.Value, error) {
 	o.level = level
 	u, err := o.v.Acc.Recompute(o.node[:0], level, o.rs.DB, o.rs.Table, count, runs, sibs, o)
 	o.level = above
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+	if err != nil && !errors.Is(err, ErrMalformed) {
+		// Recompute's own refusals; what Entry refused, at this node's
+		// children, is wrapped already.
+		err = fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
-	return u, nil
+	return u, err
 }
 
 // Entry yields the digest of the next recomputed position of the node at

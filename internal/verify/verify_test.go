@@ -257,7 +257,7 @@ func TestHandBuiltProjectionVO(t *testing.T) {
 	if err := h.verifier().Verify(rs, w); err == nil {
 		t.Fatal("reordered D_P accepted")
 	}
-	// Dropping one D_P digest fails the count check.
+	// Dropping one D_P digest leaves the last row's proof short.
 	w.DP = w.DPDigest(0)
 	if err := h.verifier().Verify(rs, w); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("short D_P: %v, want ErrMalformed", err)
@@ -314,7 +314,8 @@ func TestHandBuiltColumnTreeVO(t *testing.T) {
 	if err := h.verifier().Verify(rs, w); err == nil {
 		t.Fatal("a row's column proof out of order accepted")
 	}
-	// One sibling too many or too few is refused before any hash.
+	// One sibling too many or too few is refused: a row's proof runs
+	// short, or a digest is left unused.
 	for _, bad := range [][]byte{honest[digest.Size:], append(bytes.Clone(honest), honest[:digest.Size]...)} {
 		w.DP = bad
 		if err := h.verifier().Verify(rs, w); !errors.Is(err, ErrMalformed) {

@@ -198,26 +198,27 @@ const (
 	CodeShardMoved
 )
 
+// errCodes is the error vocabulary, indexed by code: each code's name,
+// and the sentinel errors.Is matches it to (none for the two codes that
+// name no condition a caller branches on).
+var errCodes = [...]struct {
+	name     string
+	sentinel error
+}{
+	CodeInternal:     {"internal", nil},
+	CodeBadRequest:   {"bad-request", nil},
+	CodeUnknownTable: {"unknown-table", ErrUnknownTable},
+	CodeStaleReplica: {"stale-replica", ErrStaleReplica},
+	CodeUnsupported:  {"unsupported", ErrUnsupported},
+	CodeDuplicateKey: {"duplicate-key", ErrDuplicateKey},
+	CodeBehind:       {"behind", ErrBehind},
+	CodeDeltaGap:     {"delta-gap", ErrDeltaGap},
+	CodeShardMoved:   {"shard-moved", ErrShardMoved},
+}
+
 func (c ErrCode) String() string {
-	switch c {
-	case CodeInternal:
-		return "internal"
-	case CodeBadRequest:
-		return "bad-request"
-	case CodeUnknownTable:
-		return "unknown-table"
-	case CodeStaleReplica:
-		return "stale-replica"
-	case CodeUnsupported:
-		return "unsupported"
-	case CodeDuplicateKey:
-		return "duplicate-key"
-	case CodeBehind:
-		return "behind"
-	case CodeDeltaGap:
-		return "delta-gap"
-	case CodeShardMoved:
-		return "shard-moved"
+	if int(c) < len(errCodes) && errCodes[c].name != "" {
+		return errCodes[c].name
 	}
 	return fmt.Sprintf("ErrCode(%d)", uint16(c))
 }
@@ -256,23 +257,7 @@ func (e *WireError) Error() string {
 
 // Is maps error codes onto the package sentinels for errors.Is.
 func (e *WireError) Is(target error) bool {
-	switch target {
-	case ErrUnknownTable:
-		return e.Code == CodeUnknownTable
-	case ErrStaleReplica:
-		return e.Code == CodeStaleReplica
-	case ErrUnsupported:
-		return e.Code == CodeUnsupported
-	case ErrDuplicateKey:
-		return e.Code == CodeDuplicateKey
-	case ErrBehind:
-		return e.Code == CodeBehind
-	case ErrDeltaGap:
-		return e.Code == CodeDeltaGap
-	case ErrShardMoved:
-		return e.Code == CodeShardMoved
-	}
-	return false
+	return target != nil && int(e.Code) < len(errCodes) && errCodes[e.Code].sentinel == target
 }
 
 // Encode serializes the error body.

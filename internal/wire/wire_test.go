@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -639,5 +640,41 @@ func TestDecodeStringListBoundsItsAllocations(t *testing.T) {
 	got, err := DecodeStringList(list(uint32(n)))
 	if err != nil || len(got) != n {
 		t.Fatalf("%d empty items: %d decoded, %v", n, len(got), err)
+	}
+}
+
+// TestErrCodeVocabulary pins each code's wire value, name and sentinel,
+// and that a code outside the vocabulary has a numeric name and matches
+// no sentinel.
+func TestErrCodeVocabulary(t *testing.T) {
+	sentinels := []error{ErrUnknownTable, ErrStaleReplica, ErrUnsupported, ErrDuplicateKey, ErrBehind, ErrDeltaGap, ErrShardMoved}
+	for _, tc := range []struct {
+		code     ErrCode
+		value    uint16
+		name     string
+		sentinel error
+	}{
+		{CodeInternal, 1, "internal", nil},
+		{CodeBadRequest, 2, "bad-request", nil},
+		{CodeUnknownTable, 3, "unknown-table", ErrUnknownTable},
+		{CodeStaleReplica, 4, "stale-replica", ErrStaleReplica},
+		{CodeUnsupported, 5, "unsupported", ErrUnsupported},
+		{CodeDuplicateKey, 6, "duplicate-key", ErrDuplicateKey},
+		{CodeBehind, 7, "behind", ErrBehind},
+		{CodeDeltaGap, 8, "delta-gap", ErrDeltaGap},
+		{CodeShardMoved, 9, "shard-moved", ErrShardMoved},
+		{0, 0, "ErrCode(0)", nil},
+		{10, 10, "ErrCode(10)", nil},
+		{65535, 65535, "ErrCode(65535)", nil},
+	} {
+		if uint16(tc.code) != tc.value || tc.code.String() != tc.name {
+			t.Errorf("code %d is %q, want %d %q", uint16(tc.code), tc.code, tc.value, tc.name)
+		}
+		e := &WireError{Code: tc.code}
+		for _, s := range sentinels {
+			if errors.Is(e, s) != (s == tc.sentinel) {
+				t.Errorf("code %q: errors.Is(%v) = %v", tc.code, s, errors.Is(e, s))
+			}
+		}
 	}
 }
